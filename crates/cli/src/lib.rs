@@ -19,12 +19,15 @@
 //! is a two-liner.
 
 use micdnn::analytic::{estimate, Algo, Workload};
-use micdnn::train::{train_dataset, train_dataset_resume, AeModel, RbmModel, TrainConfig};
+use micdnn::train::{
+    train_dataset, train_dataset_resume, AeModel, RbmModel, TrainConfig, UnsupervisedModel,
+};
 use micdnn::{
     serve_requests, AeConfig, CheckpointModel, CheckpointPolicy, CnnConfig, CnnModel, CnnNet,
-    DataParallelAe, DataParallelRbm, ExecCtx, FineTuneModel, FineTuneNet, IncidentLog,
-    MultiDevConfig, OptLevel, Rbm, RbmConfig, Recoverable, Request, RunSupervisor, ServeConfig,
-    SparseAutoencoder, StackedAutoencoder, Stage, SupervisorPolicy, TrainProgress, TrainReport,
+    DataParallel, DataParallelAe, DataParallelRbm, ExecCtx, FineTuneModel, FineTuneNet,
+    IncidentLog, MultiDevConfig, OptLevel, Rbm, RbmConfig, Recoverable, Request, RunSupervisor,
+    ServeConfig, ShardedStep, SparseAutoencoder, StackedAutoencoder, Stage, SupervisorPolicy,
+    TrainProgress, TrainReport,
 };
 use micdnn_data::{read_idx, Dataset, DigitGenerator, PatchGenerator};
 use micdnn_sim::{ArrivalPattern, ArrivalSchedule, Link, Platform, SyncModel};
@@ -320,25 +323,6 @@ pub fn usage() -> String {
         .to_string()
 }
 
-/// `train`: checkpointed (and resumable) training of one building block.
-///
-/// A fresh run trains `--passes` epochs, writing `checkpoint.mic` into
-/// `--checkpoint-dir` every `--checkpoint-every` batches (atomically). With
-/// `--resume`, the model, optimizer/momentum state, RNG cursor and progress
-/// are restored from that file and training continues — with the same data
-/// flags and seed, the result is bit-identical to a run that never stopped.
-///
-/// With `--supervise` (or `--incidents`), the run goes through the
-/// self-healing supervisor: divergence rolls the model and RNG back to the
-/// last good in-memory snapshot (`--snapshot-every`, learning rate scaled
-/// by `--lr-backoff`), stream/checkpoint failures restart the leg, and the
-/// incident log streams to `--incidents FILE.jsonl` as JSON lines. With
-/// `--checkpoint-dir` the ladder itself is durable (`supervisor.mic`,
-/// written atomically at every ladder event), so `--supervise --resume`
-/// continues a killed run with its rollback/restart budgets, learning-rate
-/// multiplier, degradation latch, and pre-kill incidents intact.
-/// `--inject site:count[@from],...` arms the deterministic failpoints in
-/// builds carrying the `failpoints` feature.
 /// Builds the run supervisor for `--supervise` training: the policy from
 /// the CLI flags (validated up front, so a bad `--lr-backoff` is a CLI
 /// error, not a mid-run surprise), a durable ladder in the checkpoint dir
@@ -360,31 +344,24 @@ fn build_supervisor(
     Ok(sup)
 }
 
-/// One fresh training leg: under the supervisor's ladder when present,
-/// plain otherwise.
-fn train_leg<M: Recoverable>(
-    sup: &mut Option<RunSupervisor>,
-    model: &mut M,
-    ctx: &ExecCtx,
-    ds: &Dataset,
-    tc: &TrainConfig,
-    passes: usize,
-    stage: Stage,
-) -> Result<TrainReport, String> {
-    match sup {
-        Some(s) => s
-            .run_leg(model, ctx, ds, tc, passes, stage, 0, 0)
-            .map_err(|e| e.to_string()),
-        None => train_dataset(model, ctx, ds, tc, passes).map_err(|e| e.to_string()),
-    }
+/// The ladder counters as both supervisor report lines print them.
+fn ladder_state(sup: &RunSupervisor) -> String {
+    format!(
+        "rollbacks {}, restarts {}, lr x{}{}",
+        sup.rollbacks(),
+        sup.restarts(),
+        sup.lr_multiplier(),
+        if sup.is_degraded() { ", degraded" } else { "" }
+    )
 }
 
-/// One resumed training leg (the caller restored the model and RNG from
-/// the checkpoint): the supervised form re-enters the ladder at the
-/// checkpointed position, replaying already-trained batches without
-/// touching the model.
+/// One training leg starting at `progress` — a fresh leg is a resume at
+/// the default (zero) position; a resumed one had its model and RNG
+/// restored from the checkpoint by the caller. Under the supervisor's
+/// ladder when present (re-entered at the checkpointed position, replaying
+/// already-trained batches without touching the model), plain otherwise.
 #[allow(clippy::too_many_arguments)]
-fn resume_leg<M: Recoverable>(
+fn run_leg<M: Recoverable>(
     sup: &mut Option<RunSupervisor>,
     model: &mut M,
     ctx: &ExecCtx,
@@ -395,22 +372,19 @@ fn resume_leg<M: Recoverable>(
     progress: &TrainProgress,
 ) -> Result<TrainReport, String> {
     match sup {
-        Some(s) => s
-            .run_leg(
-                model,
-                ctx,
-                ds,
-                tc,
-                passes,
-                stage,
-                progress.layer,
-                progress.batches,
-            )
-            .map_err(|e| e.to_string()),
-        None => {
-            train_dataset_resume(model, ctx, ds, tc, passes, progress).map_err(|e| e.to_string())
-        }
+        Some(s) => s.run_leg(
+            model,
+            ctx,
+            ds,
+            tc,
+            passes,
+            stage,
+            progress.layer,
+            progress.batches,
+        ),
+        None => train_dataset_resume(model, ctx, ds, tc, passes, progress),
     }
+    .map_err(|e| e.to_string())
 }
 
 /// `incidents`: pretty-print an incident log (v2 JSONL or legacy v1).
@@ -434,8 +408,275 @@ fn cmd_incidents(rest: &[String]) -> Result<String, String> {
     Ok(out)
 }
 
+/// `--momentum MU`, when given.
+fn momentum(args: &Args) -> Result<Option<f32>, String> {
+    args.get("momentum")
+        .map(|mu| mu.parse().map_err(|_| "--momentum: bad value".to_string()))
+        .transpose()
+}
+
+/// The autoencoder trainer of `train`, `train-ae` and `profile`: plain SGD,
+/// or momentum at a constant `--lr` with `--momentum MU`; `graph` schedules
+/// each step through the dataflow executor.
+fn build_ae(
+    args: &Args,
+    visible: usize,
+    hidden: usize,
+    seed: u64,
+    graph: bool,
+) -> Result<AeModel, String> {
+    let cfg = AeConfig::new(visible, hidden);
+    let mut model = AeModel::new(SparseAutoencoder::new(cfg, seed));
+    if let Some(mu) = momentum(args)? {
+        let opt = micdnn::Optimizer::new(
+            micdnn::Rule::Momentum { mu },
+            micdnn::Schedule::Constant(args.num("lr", 0.3f32)?),
+            &SparseAutoencoder::optimizer_slots(&cfg),
+        );
+        model = model.with_optimizer(opt);
+    }
+    if graph {
+        model = model.with_graph_schedule();
+    }
+    Ok(model)
+}
+
+/// The CD trainer of `train`, `train-rbm` and `profile` (same options as
+/// [`build_ae`]).
+fn build_rbm(
+    args: &Args,
+    visible: usize,
+    hidden: usize,
+    seed: u64,
+    graph: bool,
+) -> Result<RbmModel, String> {
+    let mut model = RbmModel::new(Rbm::new(RbmConfig::new(visible, hidden), seed));
+    if let Some(mu) = momentum(args)? {
+        model = model.with_momentum(mu);
+    }
+    if graph {
+        model = model.with_graph_schedule();
+    }
+    Ok(model)
+}
+
+/// The execution context and training config of `train` and `classify`,
+/// with the supervision options applied when `--supervise` is given.
+/// `--incidents` implies supervision (the log only exists under the
+/// supervisor).
+fn supervision_setup(args: &Args, seed: u64) -> Result<(ExecCtx, TrainConfig, bool), String> {
+    let supervised = args.has("supervise") || args.get("incidents").is_some();
+    let mut ctx = make_ctx(args, seed)?;
+    let mut tc = train_config(args)?;
+    if supervised {
+        ctx = ctx.with_graceful_degradation();
+        tc.supervisor = Some(SupervisorPolicy {
+            snapshot_every: args.num("snapshot-every", 25u64)?,
+            lr_backoff: args.num("lr-backoff", 0.5f32)?,
+            ..SupervisorPolicy::default()
+        });
+    }
+    Ok((ctx, tc, supervised))
+}
+
+/// What `train` needs from each of its five model kinds on top of the
+/// supervisor's [`Recoverable`] seam.
+trait Trainable: Recoverable {
+    /// Report lines of this kind, printed after the reconstruction line.
+    fn report_lines(&self, _ctx: &ExecCtx, _ds: &Dataset) -> String {
+        String::new()
+    }
+
+    /// Writes the `--save` file; returns the kind name the report prints.
+    fn save_model(&self, path: &str) -> std::io::Result<&'static str>;
+}
+
+impl Trainable for AeModel {
+    fn save_model(&self, path: &str) -> std::io::Result<&'static str> {
+        micdnn::save_autoencoder_file(&self.ae, path).map(|()| "autoencoder")
+    }
+}
+
+impl Trainable for RbmModel {
+    fn save_model(&self, path: &str) -> std::io::Result<&'static str> {
+        micdnn::save_rbm_file(&self.rbm, path).map(|()| "rbm")
+    }
+}
+
+impl Trainable for CnnModel {
+    fn report_lines(&self, ctx: &ExecCtx, ds: &Dataset) -> String {
+        let labels: Vec<usize> = (0..ds.len()).map(|i| i % 10).collect();
+        let acc = self.net.accuracy(ctx, ds.matrix().view(), &labels);
+        format!("train accuracy {:.1}%\n", 100.0 * acc)
+    }
+    fn save_model(&self, path: &str) -> std::io::Result<&'static str> {
+        // The CNN's standalone format is its checkpoint state record
+        // (tag 5), written atomically like the others.
+        micdnn::atomic_write(path, |mut w| self.save_state(&mut w)).map(|()| "cnn")
+    }
+}
+
+/// The data-parallel report line. The sync fraction only means something
+/// when compute was priced too (simulated backends); natively only the
+/// modeled sync is charged and the ratio would degenerate to 100%.
+fn multidev_line<M: ShardedStep>(m: &DataParallel<M>) -> String {
+    let devices = m.device_set().online_count();
+    if m.device_set().compute_secs() > 0.0 {
+        format!(
+            "multi-device: {devices} device(s), modeled sync fraction {:.1}%\n",
+            100.0 * m.sync_fraction()
+        )
+    } else {
+        format!("multi-device: {devices} device(s)\n")
+    }
+}
+
+impl Trainable for DataParallelAe {
+    fn report_lines(&self, _ctx: &ExecCtx, _ds: &Dataset) -> String {
+        multidev_line(self)
+    }
+    fn save_model(&self, path: &str) -> std::io::Result<&'static str> {
+        micdnn::save_autoencoder_file(self.ae(), path).map(|()| "autoencoder")
+    }
+}
+
+impl Trainable for DataParallelRbm {
+    fn report_lines(&self, _ctx: &ExecCtx, _ds: &Dataset) -> String {
+        multidev_line(self)
+    }
+    fn save_model(&self, path: &str) -> std::io::Result<&'static str> {
+        micdnn::save_rbm_file(self.rbm(), path).map(|()| "rbm")
+    }
+}
+
+/// Whether the run's model is graph-scheduled: asked for on the command
+/// line, or recorded in the checkpoint being resumed (the RBM, CNN and
+/// fine-tune records carry the flag). The model is built with this flag and
+/// `restore_state` keeps the wrapper's scheduling preference, so the
+/// schedule is decided once, for every kind.
+fn graph_flag(args: &Args, saved: Option<&CheckpointModel>) -> bool {
+    args.has("graph-schedule")
+        || match saved {
+            Some(CheckpointModel::Ae(m)) => m.uses_graph(),
+            Some(CheckpointModel::Rbm(m)) => m.uses_graph(),
+            Some(CheckpointModel::Cnn(m)) => m.net.uses_graph(),
+            Some(CheckpointModel::FineTune(m)) => m.net.uses_graph(),
+            Some(CheckpointModel::MultiDev(_)) | None => false,
+        }
+}
+
+/// Everything `train` has settled before it knows the model's type.
+struct TrainRun<'a> {
+    args: &'a Args,
+    algo: &'a str,
+    ds: &'a Dataset,
+    ctx: &'a ExecCtx,
+    tc: &'a TrainConfig,
+    passes: usize,
+    hidden: usize,
+    sup: Option<RunSupervisor>,
+    /// On resume: where the checkpoint stood and the model it holds.
+    resumed: Option<(TrainProgress, CheckpointModel)>,
+    restored_ladder: Option<String>,
+}
+
+impl TrainRun<'_> {
+    /// Restore into the freshly built model when resuming, run one leg,
+    /// report, save.
+    fn finish<M: Trainable>(mut self, mut model: M) -> Result<String, String> {
+        let (resumed_from, saved) = self.resumed.unzip();
+        if let Some(state) = saved {
+            // `cmd_train` matched the record kind against `--algo`, so only
+            // a multi-device record (it embeds either model) can disagree.
+            model
+                .restore_state(state)
+                .map_err(|e| format!("cannot restore multi-device checkpoint: {e}"))?;
+        }
+        let stage = if self.algo == "cnn" {
+            Stage::Cnn
+        } else {
+            Stage::Pretrain
+        };
+        let report = run_leg(
+            &mut self.sup,
+            &mut model,
+            self.ctx,
+            self.ds,
+            self.tc,
+            self.passes,
+            stage,
+            &resumed_from.unwrap_or_default(),
+        )?;
+
+        let (algo, args) = (self.algo, self.args);
+        let mut out = match &resumed_from {
+            Some(p) => format!(
+                "resumed {algo} from batch {} (epoch {}), trained {} more batches\n",
+                p.batches, p.epoch, report.batches
+            ),
+            None => format!(
+                "trained {algo} {} -> {} ({} batches)\n",
+                self.ds.dim(),
+                self.hidden,
+                report.batches
+            ),
+        };
+        if let Some(line) = &self.restored_ladder {
+            out.push_str(line);
+        }
+        out.push_str(&format!(
+            "reconstruction {:.5} -> {:.5}\n",
+            report.initial_recon(),
+            report.final_recon()
+        ));
+        out.push_str(&model.report_lines(self.ctx, self.ds));
+        if self.tc.checkpoint.is_some() {
+            out.push_str("checkpoint written (atomic tmp+rename)\n");
+        }
+        if let Some(sup) = self.sup {
+            out.push_str(&format!(
+                "supervisor: {} incident(s) recorded\n",
+                sup.log().incidents.len()
+            ));
+            out.push_str(&format!("supervisor: ladder {}\n", ladder_state(&sup)));
+            if let Some(path) = args.get("incidents") {
+                // The supervisor already streams JSONL at every ladder event;
+                // this final flush covers the fault-free run.
+                sup.log()
+                    .save_jsonl(path)
+                    .map_err(|e| format!("cannot write `{path}`: {e}"))?;
+                out.push_str(&format!("wrote incident log to {path}\n"));
+            }
+        }
+        if let Some(path) = args.get("save") {
+            let kind = model.save_model(path).map_err(|e| e.to_string())?;
+            out.push_str(&format!("saved {kind} to {path}\n"));
+        }
+        Ok(out)
+    }
+}
+
+/// `train`: checkpointed (and resumable) training of one building block.
+///
+/// A fresh run trains `--passes` epochs, writing `checkpoint.mic` into
+/// `--checkpoint-dir` every `--checkpoint-every` batches (atomically). With
+/// `--resume`, the model, optimizer/momentum state, RNG cursor and progress
+/// are restored from that file and training continues — with the same data
+/// flags and seed, the result is bit-identical to a run that never stopped.
+///
+/// With `--supervise` (or `--incidents`), the run goes through the
+/// self-healing supervisor: divergence rolls the model and RNG back to the
+/// last good in-memory snapshot (`--snapshot-every`, learning rate scaled
+/// by `--lr-backoff`), stream/checkpoint failures restart the leg, and the
+/// incident log streams to `--incidents FILE.jsonl` as JSON lines. With
+/// `--checkpoint-dir` the ladder itself is durable (`supervisor.mic`,
+/// written atomically at every ladder event), so `--supervise --resume`
+/// continues a killed run with its rollback/restart budgets, learning-rate
+/// multiplier, degradation latch, and pre-kill incidents intact.
+/// `--inject site:count[@from],...` arms the deterministic failpoints in
+/// builds carrying the `failpoints` feature.
 fn cmd_train(args: &Args, seed: u64) -> Result<String, String> {
-    let algo = args.get("algo").unwrap_or("ae").to_string();
+    let algo = args.get("algo").unwrap_or("ae");
     let examples = args.num("examples", 2000usize)?;
     let mut ds = load_data(args, examples, seed)?;
     if algo == "rbm" {
@@ -467,24 +708,11 @@ fn cmd_train(args: &Args, seed: u64) -> Result<String, String> {
     if let Some(list) = args.get("inject") {
         micdnn::faults::configure_list(list).map_err(|e| format!("--inject: {e}"))?;
     }
-    // `--incidents` implies supervision (the log only exists under the
-    // supervisor). `--supervise --resume` restores the model from the
-    // checkpoint and the ladder from the durable supervisor state.
-    let supervised = args.has("supervise") || args.get("incidents").is_some();
-    let mut ctx = make_ctx(args, seed)?;
-    if supervised {
-        ctx = ctx.with_graceful_degradation();
-    }
-    let mut tc = train_config(args)?;
-    if supervised {
-        tc.supervisor = Some(SupervisorPolicy {
-            snapshot_every: args.num("snapshot-every", 25u64)?,
-            lr_backoff: args.num("lr-backoff", 0.5f32)?,
-            ..SupervisorPolicy::default()
-        });
-    }
-    let ckpt_dir = args.get("checkpoint-dir").map(str::to_string);
-    if let Some(dir) = &ckpt_dir {
+    // `--supervise --resume` restores the model from the checkpoint and
+    // the ladder from the durable supervisor state.
+    let (ctx, mut tc, supervised) = supervision_setup(args, seed)?;
+    let ckpt_dir = args.get("checkpoint-dir");
+    if let Some(dir) = ckpt_dir {
         tc.checkpoint = Some(CheckpointPolicy::new(
             dir,
             args.num("checkpoint-every", 50u64)?,
@@ -497,343 +725,98 @@ fn cmd_train(args: &Args, seed: u64) -> Result<String, String> {
 
     // The supervision policy is validated up front — a bad `--lr-backoff`
     // or budget combination is a CLI error before any training starts.
-    let mut sup_opt: Option<RunSupervisor> = if supervised {
-        Some(build_supervisor(args, &tc, ckpt_dir.as_deref())?)
+    let mut sup = if supervised {
+        Some(build_supervisor(args, &tc, ckpt_dir)?)
     } else {
         None
     };
-    let stage = if algo == "cnn" {
-        Stage::Cnn
-    } else {
-        Stage::Pretrain
-    };
-    let mut restored_ladder: Option<String> = None;
 
-    let resumed_from: Option<TrainProgress>;
-    let report;
-    let saved_kind: String;
-    enum Trained {
-        Ae(AeModel),
-        Rbm(RbmModel),
-        Cnn(CnnModel),
-        MdAe(DataParallelAe),
-        MdRbm(DataParallelRbm),
-    }
-    let trained;
-
+    let mut restored_ladder = None;
+    let mut resumed = None;
     if args.has("resume") {
         let dir = ckpt_dir.ok_or("--resume requires --checkpoint-dir")?;
-        let path = std::path::Path::new(&dir).join(micdnn::checkpoint::CHECKPOINT_FILE);
+        let path = std::path::Path::new(dir).join(micdnn::checkpoint::CHECKPOINT_FILE);
         let ckpt = micdnn::load_checkpoint_file(&path)
             .map_err(|e| format!("cannot load checkpoint `{}`: {e}", path.display()))?;
         ckpt.restore_rng(&ctx);
-        let progress = ckpt.progress;
-        resumed_from = Some(progress);
         // The ladder resumes alongside the model: counters, the
         // learning-rate multiplier, the degradation latch, and the
         // pre-kill incident log all come back from the durable state.
-        if let Some(sup) = sup_opt.as_mut() {
+        if let Some(sup) = sup.as_mut() {
             if sup
                 .load_durable()
                 .map_err(|e| format!("cannot load supervisor state: {e}"))?
             {
                 restored_ladder = Some(format!(
-                    "supervisor: resumed ladder (rollbacks {}, restarts {}, lr x{}{})\n",
-                    sup.rollbacks(),
-                    sup.restarts(),
-                    sup.lr_multiplier(),
-                    if sup.is_degraded() { ", degraded" } else { "" }
+                    "supervisor: resumed ladder ({})\n",
+                    ladder_state(sup)
                 ));
             }
         }
-        match (algo.as_str(), ckpt.model) {
-            ("ae", CheckpointModel::Ae(mut model)) => {
-                if args.has("graph-schedule") {
-                    model = model.with_graph_schedule();
-                }
-                report = resume_leg(
-                    &mut sup_opt,
-                    &mut model,
-                    &ctx,
-                    &ds,
-                    &tc,
-                    passes,
-                    stage,
-                    &progress,
-                )?;
-                trained = Trained::Ae(model);
-            }
-            ("rbm", CheckpointModel::Rbm(mut model)) => {
-                report = resume_leg(
-                    &mut sup_opt,
-                    &mut model,
-                    &ctx,
-                    &ds,
-                    &tc,
-                    passes,
-                    stage,
-                    &progress,
-                )?;
-                trained = Trained::Rbm(model);
-            }
-            // The graph flag and label cursor are restored from the
-            // checkpoint (like the RBM's graph flag).
-            ("cnn", CheckpointModel::Cnn(mut model)) => {
-                report = resume_leg(
-                    &mut sup_opt,
-                    &mut model,
-                    &ctx,
-                    &ds,
-                    &tc,
-                    passes,
-                    stage,
-                    &progress,
-                )?;
-                trained = Trained::Cnn(model);
-            }
-            // Multi-device checkpoints carry their own geometry (device
-            // count, block count, per-device RNG cursors); `restore_state`
-            // adopts it, so a `--devices` flag on resume is optional.
-            ("ae", state @ CheckpointModel::MultiDev(_)) => {
-                let cfg = mdcfg.unwrap_or_else(|| MultiDevConfig::new(1));
-                let ae = SparseAutoencoder::new(AeConfig::new(visible, hidden), seed);
-                let mut model = DataParallelAe::new(ae, cfg);
-                model
-                    .restore_state(state)
-                    .map_err(|e| format!("cannot restore multi-device checkpoint: {e}"))?;
-                report = resume_leg(
-                    &mut sup_opt,
-                    &mut model,
-                    &ctx,
-                    &ds,
-                    &tc,
-                    passes,
-                    stage,
-                    &progress,
-                )?;
-                trained = Trained::MdAe(model);
-            }
-            ("rbm", state @ CheckpointModel::MultiDev(_)) => {
-                let cfg = mdcfg.unwrap_or_else(|| MultiDevConfig::new(1));
-                let rbm = Rbm::new(RbmConfig::new(visible, hidden), seed);
-                let mut model = DataParallelRbm::new(rbm, cfg);
-                model
-                    .restore_state(state)
-                    .map_err(|e| format!("cannot restore multi-device checkpoint: {e}"))?;
-                report = resume_leg(
-                    &mut sup_opt,
-                    &mut model,
-                    &ctx,
-                    &ds,
-                    &tc,
-                    passes,
-                    stage,
-                    &progress,
-                )?;
-                trained = Trained::MdRbm(model);
-            }
-            (other, _) => {
-                return Err(format!(
-                    "checkpoint `{}` holds a different model type than --algo {other}",
-                    path.display()
-                ))
-            }
+        if !matches!(
+            (algo, &ckpt.model),
+            ("ae", CheckpointModel::Ae(_))
+                | ("rbm", CheckpointModel::Rbm(_))
+                | ("cnn", CheckpointModel::Cnn(_))
+                | ("ae" | "rbm", CheckpointModel::MultiDev(_))
+        ) {
+            return Err(format!(
+                "checkpoint `{}` holds a different model type than --algo {algo}",
+                path.display()
+            ));
         }
-    } else if let Some(mdcfg) = mdcfg.clone() {
-        // Data-parallel training across modeled coprocessors: the batch is
-        // sharded into canonical microblocks, per-device gradients merge
-        // in fixed block order, so the result is bit-identical at any
-        // `--devices` (same global batch).
-        resumed_from = None;
-        match algo.as_str() {
-            "ae" => {
-                let ae = SparseAutoencoder::new(AeConfig::new(visible, hidden), seed);
-                let mut model = DataParallelAe::new(ae, mdcfg);
-                report = train_leg(&mut sup_opt, &mut model, &ctx, &ds, &tc, passes, stage)?;
-                trained = Trained::MdAe(model);
-            }
-            "rbm" => {
-                let rbm = Rbm::new(RbmConfig::new(visible, hidden), seed);
-                let mut model = DataParallelRbm::new(rbm, mdcfg);
-                report = train_leg(&mut sup_opt, &mut model, &ctx, &ds, &tc, passes, stage)?;
-                trained = Trained::MdRbm(model);
-            }
-            "cnn" => {
-                return Err("--algo cnn does not support --devices (single device only)".to_string())
-            }
-            other => return Err(format!("unknown --algo `{other}` (ae|rbm|cnn)")),
-        }
-    } else {
-        resumed_from = None;
-        match algo.as_str() {
-            "ae" => {
-                let cfg = AeConfig::new(visible, hidden);
-                let mut model = AeModel::new(SparseAutoencoder::new(cfg, seed));
-                if let Some(mu) = args.get("momentum") {
-                    let mu: f32 = mu
-                        .parse()
-                        .map_err(|_| "--momentum: bad value".to_string())?;
-                    let opt = micdnn::Optimizer::new(
-                        micdnn::Rule::Momentum { mu },
-                        micdnn::Schedule::Constant(args.num("lr", 0.3f32)?),
-                        &SparseAutoencoder::optimizer_slots(&cfg),
-                    );
-                    model = model.with_optimizer(opt);
-                }
-                if args.has("graph-schedule") {
-                    model = model.with_graph_schedule();
-                }
-                report = train_leg(&mut sup_opt, &mut model, &ctx, &ds, &tc, passes, stage)?;
-                trained = Trained::Ae(model);
-            }
-            "rbm" => {
-                let cfg = RbmConfig::new(visible, hidden);
-                let mut model = RbmModel::new(Rbm::new(cfg, seed));
-                if let Some(mu) = args.get("momentum") {
-                    let mu: f32 = mu
-                        .parse()
-                        .map_err(|_| "--momentum: bad value".to_string())?;
-                    model = model.with_momentum(mu);
-                }
-                if args.has("graph-schedule") {
-                    model = model.with_graph_schedule();
-                }
-                report = train_leg(&mut sup_opt, &mut model, &ctx, &ds, &tc, passes, stage)?;
-                trained = Trained::Rbm(model);
-            }
-            "cnn" => {
-                let cfg = cnn_config(args, visible, hidden)?;
-                let mut net = CnnNet::new(cfg, seed);
-                if args.has("graph-schedule") {
-                    net = net.with_graph_schedule();
-                }
-                let mut model = CnnModel::new(net, ds.len() as u64);
-                report = train_leg(&mut sup_opt, &mut model, &ctx, &ds, &tc, passes, stage)?;
-                trained = Trained::Cnn(model);
-            }
-            other => return Err(format!("unknown --algo `{other}` (ae|rbm|cnn)")),
-        }
+        resumed = Some((ckpt.progress, ckpt.model));
     }
-
-    let ladder = sup_opt.as_ref().map(|s| {
-        (
-            s.rollbacks(),
-            s.restarts(),
-            s.lr_multiplier(),
-            s.is_degraded(),
-        )
-    });
-    let incident_log: Option<IncidentLog> = sup_opt.map(RunSupervisor::into_log);
-
-    let mut out = match &resumed_from {
-        Some(p) => format!(
-            "resumed {algo} from batch {} (epoch {}), trained {} more batches\n",
-            p.batches, p.epoch, report.batches
-        ),
-        None => format!(
-            "trained {algo} {visible} -> {hidden} ({} batches)\n",
-            report.batches
-        ),
+    // A resumed run trains what the checkpoint holds: a multi-device record
+    // carries its own geometry (device count, block count, per-device RNG
+    // cursors) and `restore_state` adopts it, so `--devices` on resume is
+    // optional — and ignored when the record is a single-device one.
+    let multidev = match &resumed {
+        Some((_, model)) => matches!(model, CheckpointModel::MultiDev(_)),
+        None => mdcfg.is_some(),
     };
-    if let Some(line) = &restored_ladder {
-        out.push_str(line);
-    }
-    out.push_str(&format!(
-        "reconstruction {:.5} -> {:.5}\n",
-        report.initial_recon(),
-        report.final_recon()
-    ));
-    // Sync fraction only means something when compute was priced too
-    // (simulated backends); natively only the modeled sync is charged and
-    // the ratio would degenerate to 100%.
-    let multidev_line = |devices: usize, compute: f64, frac: f64| {
-        if compute > 0.0 {
-            format!(
-                "multi-device: {devices} device(s), modeled sync fraction {:.1}%\n",
-                100.0 * frac
-            )
-        } else {
-            format!("multi-device: {devices} device(s)\n")
-        }
+    let graph = graph_flag(args, resumed.as_ref().map(|(_, model)| model));
+    let run = TrainRun {
+        args,
+        algo,
+        ds: &ds,
+        ctx: &ctx,
+        tc: &tc,
+        passes,
+        hidden,
+        sup,
+        resumed,
+        restored_ladder,
     };
-    match &trained {
-        Trained::MdAe(m) => {
-            let ds = m.device_set();
-            out.push_str(&multidev_line(
-                ds.online_count(),
-                ds.compute_secs(),
-                m.sync_fraction(),
-            ));
+    // Data-parallel training across modeled coprocessors: the batch is
+    // sharded into canonical microblocks, per-device gradients merge in
+    // fixed block order, so the result is bit-identical at any `--devices`
+    // (same global batch).
+    let replicas = || mdcfg.clone().unwrap_or_else(|| MultiDevConfig::new(1));
+    match (algo, multidev) {
+        ("ae", false) => run.finish(build_ae(args, visible, hidden, seed, graph)?),
+        ("rbm", false) => run.finish(build_rbm(args, visible, hidden, seed, graph)?),
+        ("cnn", false) => {
+            let net = CnnNet::new(cnn_config(args, visible, hidden)?, seed);
+            let mut model = CnnModel::new(net, ds.len() as u64);
+            if graph {
+                model = model.with_graph_schedule();
+            }
+            run.finish(model)
         }
-        Trained::MdRbm(m) => {
-            let ds = m.device_set();
-            out.push_str(&multidev_line(
-                ds.online_count(),
-                ds.compute_secs(),
-                m.sync_fraction(),
-            ));
+        ("ae", true) => {
+            let ae = SparseAutoencoder::new(AeConfig::new(visible, hidden), seed);
+            run.finish(DataParallelAe::new(ae, replicas()))
         }
-        Trained::Cnn(m) => {
-            let labels: Vec<usize> = (0..ds.len()).map(|i| i % 10).collect();
-            let acc = m.net.accuracy(&ctx, ds.matrix().view(), &labels);
-            out.push_str(&format!("train accuracy {:.1}%\n", 100.0 * acc));
+        ("rbm", true) => {
+            let rbm = Rbm::new(RbmConfig::new(visible, hidden), seed);
+            run.finish(DataParallelRbm::new(rbm, replicas()))
         }
-        _ => {}
+        ("cnn", true) => {
+            Err("--algo cnn does not support --devices (single device only)".to_string())
+        }
+        (other, _) => Err(format!("unknown --algo `{other}` (ae|rbm|cnn)")),
     }
-    if tc.checkpoint.is_some() {
-        out.push_str("checkpoint written (atomic tmp+rename)\n");
-    }
-    if let Some(log) = &incident_log {
-        out.push_str(&format!(
-            "supervisor: {} incident(s) recorded\n",
-            log.incidents.len()
-        ));
-        if let Some((rollbacks, restarts, lr_mult, degraded)) = ladder {
-            out.push_str(&format!(
-                "supervisor: ladder rollbacks {rollbacks}, restarts {restarts}, lr x{lr_mult}{}\n",
-                if degraded { ", degraded" } else { "" }
-            ));
-        }
-        if let Some(path) = args.get("incidents") {
-            // The supervisor already streams JSONL at every ladder event;
-            // this final flush covers the fault-free run.
-            log.save_jsonl(path)
-                .map_err(|e| format!("cannot write `{path}`: {e}"))?;
-            out.push_str(&format!("wrote incident log to {path}\n"));
-        }
-    }
-    if let Some(path) = args.get("save") {
-        match &trained {
-            Trained::Ae(m) => {
-                micdnn::save_autoencoder_file(&m.ae, path).map_err(|e| e.to_string())?;
-                saved_kind = "autoencoder".to_string();
-            }
-            Trained::Rbm(m) => {
-                micdnn::save_rbm_file(&m.rbm, path).map_err(|e| e.to_string())?;
-                saved_kind = "rbm".to_string();
-            }
-            Trained::MdAe(m) => {
-                micdnn::save_autoencoder_file(m.ae(), path).map_err(|e| e.to_string())?;
-                saved_kind = "autoencoder".to_string();
-            }
-            Trained::MdRbm(m) => {
-                micdnn::save_rbm_file(m.rbm(), path).map_err(|e| e.to_string())?;
-                saved_kind = "rbm".to_string();
-            }
-            Trained::Cnn(m) => {
-                // The CNN's standalone format is its checkpoint state
-                // record (tag 5), written atomically like the others.
-                micdnn::atomic_write(std::path::Path::new(path), |mut w| {
-                    use micdnn::train::UnsupervisedModel;
-                    m.save_state(&mut w)
-                })
-                .map_err(|e| e.to_string())?;
-                saved_kind = "cnn".to_string();
-            }
-        }
-        out.push_str(&format!("saved {saved_kind} to {path}\n"));
-    }
-    Ok(out)
 }
 
 fn cmd_train_ae(args: &Args, seed: u64) -> Result<String, String> {
@@ -848,23 +831,7 @@ fn cmd_train_ae(args: &Args, seed: u64) -> Result<String, String> {
     }
     let hidden = args.num("hidden", (visible / 2).max(2))?;
     let passes = args.num("passes", 10usize)?;
-    let cfg = AeConfig::new(visible, hidden);
-    let mut model = AeModel::new(SparseAutoencoder::new(cfg, seed));
-    if let Some(mu) = args.get("momentum") {
-        let mu: f32 = mu
-            .parse()
-            .map_err(|_| "--momentum: bad value".to_string())?;
-        let lr = args.num("lr", 0.3f32)?;
-        let opt = micdnn::Optimizer::new(
-            micdnn::Rule::Momentum { mu },
-            micdnn::Schedule::Constant(lr),
-            &SparseAutoencoder::optimizer_slots(&cfg),
-        );
-        model = model.with_optimizer(opt);
-    }
-    if args.has("graph-schedule") {
-        model = model.with_graph_schedule();
-    }
+    let mut model = build_ae(args, visible, hidden, seed, args.has("graph-schedule"))?;
     let ctx = make_ctx(args, seed)?;
     let tc = train_config(args)?;
     let report = train_dataset(&mut model, &ctx, &ds, &tc, passes).map_err(|e| e.to_string())?;
@@ -918,22 +885,15 @@ fn cmd_profile(args: &Args, seed: u64) -> Result<String, String> {
     }
 
     let tc = train_config(args)?;
+    let graph = args.has("graph-schedule");
     let report = match algo {
         "ae" => {
-            let cfg = AeConfig::new(visible, hidden);
-            let mut model = AeModel::new(SparseAutoencoder::new(cfg, seed));
-            if args.has("graph-schedule") {
-                model = model.with_graph_schedule();
-            }
+            let mut model = build_ae(args, visible, hidden, seed, graph)?;
             train_dataset(&mut model, &ctx, &ds, &tc, passes)
         }
         "rbm" => {
             ds.binarize(0.5);
-            let cfg = RbmConfig::new(visible, hidden);
-            let mut model = RbmModel::new(Rbm::new(cfg, seed));
-            if args.has("graph-schedule") {
-                model = model.with_graph_schedule();
-            }
+            let mut model = build_rbm(args, visible, hidden, seed, graph)?;
             train_dataset(&mut model, &ctx, &ds, &tc, passes)
         }
         other => return Err(format!("unknown --algo `{other}` (ae|rbm)")),
@@ -999,10 +959,7 @@ fn cmd_train_rbm(args: &Args, seed: u64) -> Result<String, String> {
             history.len(),
         );
     } else {
-        let mut model = RbmModel::new(Rbm::new(cfg, seed));
-        if args.has("graph-schedule") {
-            model = model.with_graph_schedule();
-        }
+        let mut model = build_rbm(args, visible, hidden, seed, args.has("graph-schedule"))?;
         let r = train_dataset(&mut model, &ctx, &ds, &tc, passes).map_err(|e| e.to_string())?;
         report = (r.initial_recon(), r.final_recon(), r.batches as usize);
         rbm = model.into_inner();
@@ -1046,6 +1003,16 @@ fn parse_sizes(args: &Args, input_dim: usize) -> Result<Vec<usize>, String> {
     }
 }
 
+/// The stack `pretrain` and `classify` train.
+fn build_stack(args: &Args, sizes: &[usize], seed: u64) -> StackedAutoencoder {
+    let stack = StackedAutoencoder::with_default_config(sizes, seed);
+    if args.has("graph-schedule") {
+        stack.with_graph_schedule()
+    } else {
+        stack
+    }
+}
+
 fn cmd_pretrain(args: &Args, seed: u64) -> Result<String, String> {
     let examples = args.num("examples", 2000usize)?;
     let ds = load_data(args, examples, seed)?;
@@ -1053,10 +1020,7 @@ fn cmd_pretrain(args: &Args, seed: u64) -> Result<String, String> {
     let passes = args.num("passes", 10usize)?;
     let ctx = make_ctx(args, seed)?;
     let tc = train_config(args)?;
-    let mut stack = StackedAutoencoder::with_default_config(&sizes, seed);
-    if args.has("graph-schedule") {
-        stack = stack.with_graph_schedule();
-    }
+    let mut stack = build_stack(args, &sizes, seed);
     if args.has("pipeline") {
         // One task graph over per-chunk nodes, one device per layer:
         // deeper layers train on chunks as they arrive over the link.
@@ -1117,24 +1081,9 @@ fn cmd_classify(args: &Args, seed: u64) -> Result<String, String> {
     let sizes = parse_sizes(args, ds.dim())?;
     let passes = args.num("passes", 8usize)?;
     let epochs = args.num("finetune-epochs", 15usize)?;
-    let supervised = args.has("supervise") || args.get("incidents").is_some();
-    let mut ctx = make_ctx(args, seed)?;
-    if supervised {
-        ctx = ctx.with_graceful_degradation();
-    }
-    let mut tc = train_config(args)?;
-    if supervised {
-        tc.supervisor = Some(SupervisorPolicy {
-            snapshot_every: args.num("snapshot-every", 25u64)?,
-            lr_backoff: args.num("lr-backoff", 0.5f32)?,
-            ..SupervisorPolicy::default()
-        });
-    }
+    let (ctx, tc, supervised) = supervision_setup(args, seed)?;
 
-    let mut stack = StackedAutoencoder::with_default_config(&sizes, seed);
-    if args.has("graph-schedule") {
-        stack = stack.with_graph_schedule();
-    }
+    let mut stack = build_stack(args, &sizes, seed);
     if supervised {
         // The whole pretrain -> fine-tune pipeline runs under one
         // recovery ladder: a fine-tune divergence rolls back the
@@ -1146,10 +1095,7 @@ fn cmd_classify(args: &Args, seed: u64) -> Result<String, String> {
     stack
         .pretrain(&ctx, &ds, &tc, passes)
         .map_err(|e| e.to_string())?;
-    let mut net = FineTuneNet::from_stack(&stack, classes, seed ^ 0xF1);
-    if args.has("graph-schedule") {
-        net = net.with_graph_schedule();
-    }
+    let mut net = build_finetune_net(args, &stack, classes, seed);
     let history = net.fit(
         &ctx,
         ds.matrix().view(),
@@ -1171,6 +1117,21 @@ fn cmd_classify(args: &Args, seed: u64) -> Result<String, String> {
     ))
 }
 
+/// The softmax-headed net `classify` fine-tunes on top of `stack`.
+fn build_finetune_net(
+    args: &Args,
+    stack: &StackedAutoencoder,
+    classes: usize,
+    seed: u64,
+) -> FineTuneNet {
+    let net = FineTuneNet::from_stack(stack, classes, seed ^ 0xF1);
+    if args.has("graph-schedule") {
+        net.with_graph_schedule()
+    } else {
+        net
+    }
+}
+
 /// `classify --supervise`: pretrain and fine-tune as legs of one
 /// [`RunSupervisor`], sharing a single recovery-ladder budget.
 #[allow(clippy::too_many_arguments)]
@@ -1188,10 +1149,7 @@ fn classify_supervised(
     let mut sup = build_supervisor(args, tc, None)?;
     sup.pretrain(stack, ctx, ds, tc, passes)
         .map_err(|e| e.to_string())?;
-    let mut net = FineTuneNet::from_stack(stack, classes, seed ^ 0xF1);
-    if args.has("graph-schedule") {
-        net = net.with_graph_schedule();
-    }
+    let net = build_finetune_net(args, stack, classes, seed);
     let mut model = FineTuneModel::new(net, ds.len() as u64);
     let ft_tc = TrainConfig {
         learning_rate: args.num("lr", 0.5f32)?,
@@ -1643,9 +1601,9 @@ mod tests {
 
     #[test]
     fn save_features_round_trip() {
-        let dir = std::env::temp_dir();
-        let model = dir.join(format!("micdnn-cli-{}.bin", std::process::id()));
-        let pgm = dir.join(format!("micdnn-cli-{}.pgm", std::process::id()));
+        let dir = micdnn::TestDir::new("cli-features");
+        let model = dir.file("model.bin");
+        let pgm = dir.file("features.pgm");
         run(&sv(&[
             "train-ae",
             "--examples",
@@ -1678,8 +1636,6 @@ mod tests {
         .unwrap();
         assert!(out.contains("wrote 9 features"), "{out}");
         assert!(std::fs::metadata(&pgm).unwrap().len() > 0);
-        std::fs::remove_file(&model).ok();
-        std::fs::remove_file(&pgm).ok();
     }
 
     #[test]
@@ -1702,9 +1658,9 @@ mod tests {
 
     #[test]
     fn profile_reports_ops_phases_and_exports() {
-        let dir = std::env::temp_dir();
-        let json = dir.join(format!("micdnn-profile-{}.json", std::process::id()));
-        let trace = dir.join(format!("micdnn-trace-{}.json", std::process::id()));
+        let dir = micdnn::TestDir::new("cli-profile");
+        let json = dir.file("profile.json");
+        let trace = dir.file("trace.json");
         let out = run(&sv(&[
             "profile",
             "--examples",
@@ -1732,8 +1688,6 @@ mod tests {
         assert!(json_text.contains("micdnn-profile-v2"), "{json_text}");
         let trace_text = std::fs::read_to_string(&trace).unwrap();
         assert!(trace_text.contains("traceEvents"), "{trace_text}");
-        std::fs::remove_file(&json).ok();
-        std::fs::remove_file(&trace).ok();
     }
 
     #[test]
@@ -1857,8 +1811,8 @@ mod tests {
 
     #[test]
     fn incidents_export_writes_schema_json() {
-        let path =
-            std::env::temp_dir().join(format!("micdnn-incidents-{}.json", std::process::id()));
+        let dir = micdnn::TestDir::new("cli-incidents");
+        let path = dir.file("incidents.json");
         let out = run(&sv(&[
             "train",
             "--examples",
@@ -1887,7 +1841,6 @@ mod tests {
         // The pretty-printer reads it back.
         let pretty = run(&sv(&["incidents", path.to_str().unwrap()])).unwrap();
         assert!(pretty.contains("micdnn-incidents-v2"), "{pretty}");
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]
@@ -1905,6 +1858,86 @@ mod tests {
             ]))
             .unwrap_err();
             assert!(err.contains("lr_backoff"), "{backoff}: {err}");
+        }
+    }
+
+    #[test]
+    fn resumed_graph_schedule_is_checkpointed_flag_or_cli_flag_for_every_algo() {
+        let cnn = |graph: bool| {
+            let model = CnnModel::new(CnnNet::new(CnnConfig::digits(8), 1), 20);
+            if graph {
+                model.with_graph_schedule()
+            } else {
+                model
+            }
+        };
+        let none = Args::default();
+        for (saved_flag, cli_flag) in [(false, false), (false, true), (true, false), (true, true)] {
+            let args = if cli_flag {
+                Args::parse(&sv(&["--graph-schedule"])).unwrap()
+            } else {
+                Args::default()
+            };
+            let want = saved_flag || cli_flag;
+
+            let saved = CheckpointModel::Ae(build_ae(&none, 8, 4, 1, saved_flag).unwrap());
+            let graph = graph_flag(&args, Some(&saved));
+            let mut ae = build_ae(&args, 8, 4, 2, graph).unwrap();
+            ae.restore_state(saved).unwrap();
+            assert_eq!(ae.uses_graph(), want, "ae {saved_flag} {cli_flag}");
+
+            let saved = CheckpointModel::Rbm(build_rbm(&none, 8, 4, 1, saved_flag).unwrap());
+            let graph = graph_flag(&args, Some(&saved));
+            let mut rbm = build_rbm(&args, 8, 4, 2, graph).unwrap();
+            rbm.restore_state(saved).unwrap();
+            assert_eq!(rbm.uses_graph(), want, "rbm {saved_flag} {cli_flag}");
+
+            let saved = CheckpointModel::Cnn(cnn(saved_flag));
+            let mut model = cnn(graph_flag(&args, Some(&saved)));
+            model.restore_state(saved).unwrap();
+            assert_eq!(model.net.uses_graph(), want, "cnn {saved_flag} {cli_flag}");
+
+            // A fresh run has only the command line to go by.
+            assert_eq!(graph_flag(&args, None), cli_flag);
+        }
+    }
+
+    #[test]
+    fn train_resume_honours_graph_schedule_for_rbm_and_cnn() {
+        // The flag byte of the checkpoint the resumed leg writes shows
+        // whether `--resume --graph-schedule` reached the model.
+        for algo in ["rbm", "cnn"] {
+            let dir = micdnn::TestDir::new(&format!("cli-resume-graph-{algo}"));
+            let ckpt = dir.path().to_str().unwrap();
+            let base = [
+                "train",
+                "--algo",
+                algo,
+                "--examples",
+                "40",
+                "--side",
+                "8",
+                "--hidden",
+                "6",
+                "--kernel",
+                "3",
+                "--batch",
+                "20",
+                "--chunk",
+                "40",
+                "--checkpoint-dir",
+                ckpt,
+            ];
+            let mut first = sv(&base);
+            first.extend(sv(&["--passes", "1"]));
+            run(&first).unwrap();
+            let mut second = sv(&base);
+            second.extend(sv(&["--passes", "2", "--resume", "--graph-schedule"]));
+            let out = run(&second).unwrap();
+            assert!(out.contains("resumed"), "{out}");
+            let file = dir.file(micdnn::checkpoint::CHECKPOINT_FILE);
+            let saved = micdnn::load_checkpoint_file(&file).unwrap().model;
+            assert!(graph_flag(&Args::default(), Some(&saved)), "{algo}");
         }
     }
 

@@ -6,15 +6,8 @@
 //! from the checkpoint directory, and the model file it saves is
 //! byte-for-byte the file an uninterrupted 2N-epoch process writes.
 
-use std::path::PathBuf;
+use micdnn::TestDir;
 use std::process::Command;
-
-fn scratch(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("micdnn-cli-ckpt-{}-{name}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
 
 /// Runs `micdnn train` with the shared tiny-workload flags plus `extra`.
 fn train(algo: &str, extra: &[&str]) -> std::process::Output {
@@ -49,10 +42,10 @@ fn assert_ok(out: &std::process::Output) -> String {
 }
 
 fn resume_matches_straight_run(algo: &str, extra: &[&str]) {
-    let dir = scratch(algo);
-    let straight = dir.join("straight.bin");
-    let resumed = dir.join("resumed.bin");
-    let ckpt_dir = dir.join("ckpt");
+    let dir = TestDir::new(&format!("cli-ckpt-{algo}"));
+    let straight = dir.file("straight.bin");
+    let resumed = dir.file("resumed.bin");
+    let ckpt_dir = dir.file("ckpt");
     let ckpt_str = ckpt_dir.to_str().unwrap();
 
     // Reference: one process trains 4 epochs straight.
@@ -94,7 +87,6 @@ fn resume_matches_straight_run(algo: &str, extra: &[&str]) {
         a, b,
         "{algo}: resumed model file differs from the uninterrupted run"
     );
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
@@ -122,8 +114,8 @@ fn resume_without_checkpoint_dir_is_an_error() {
 
 #[test]
 fn resume_with_wrong_algo_is_an_error() {
-    let dir = scratch("wrong-algo");
-    let ckpt_dir = dir.join("ckpt");
+    let dir = TestDir::new("cli-ckpt-wrong-algo");
+    let ckpt_dir = dir.file("ckpt");
     let ckpt_str = ckpt_dir.to_str().unwrap();
     assert_ok(&train(
         "ae",
@@ -136,13 +128,12 @@ fn resume_with_wrong_algo_is_an_error() {
     assert!(!out.status.success());
     let err = String::from_utf8_lossy(&out.stderr);
     assert!(err.contains("different model type"), "{err}");
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn corrupt_checkpoint_reports_cleanly() {
-    let dir = scratch("corrupt");
-    let ckpt_dir = dir.join("ckpt");
+    let dir = TestDir::new("cli-ckpt-corrupt");
+    let ckpt_dir = dir.file("ckpt");
     std::fs::create_dir_all(&ckpt_dir).unwrap();
     std::fs::write(ckpt_dir.join("checkpoint.mic"), b"garbage bytes").unwrap();
     let out = train(
@@ -158,5 +149,4 @@ fn corrupt_checkpoint_reports_cleanly() {
     assert!(!out.status.success(), "corrupt checkpoint accepted");
     let err = String::from_utf8_lossy(&out.stderr);
     assert!(err.contains("cannot load checkpoint"), "{err}");
-    let _ = std::fs::remove_dir_all(&dir);
 }

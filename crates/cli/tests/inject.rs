@@ -39,7 +39,8 @@ fn injected_faults_recover_and_export_incidents() {
     micdnn::faults::clear_all();
     let clean = run(&base_args()).unwrap();
 
-    let path = std::env::temp_dir().join(format!("micdnn-inject-{}.json", std::process::id()));
+    let dir = micdnn::TestDir::new("cli-inject");
+    let path = dir.file("incidents.json");
     let mut argv = base_args();
     argv.extend(sv(&[
         "--supervise",
@@ -70,7 +71,6 @@ fn injected_faults_recover_and_export_incidents() {
     );
 
     let text = std::fs::read_to_string(&path).unwrap();
-    std::fs::remove_file(&path).ok();
     // v2 JSONL: schema header line, then one record per line, each
     // stamped with the pipeline stage it occurred in.
     assert!(

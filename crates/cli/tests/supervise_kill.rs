@@ -5,16 +5,10 @@
 //! counters and the pre-kill incident log, complete the run, and save a
 //! model byte-for-byte equal to an uninterrupted run's.
 
-use std::path::{Path, PathBuf};
+use micdnn::TestDir;
+use std::path::Path;
 use std::process::{Command, Stdio};
 use std::time::{Duration, Instant};
-
-fn scratch() -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("micdnn-sup-kill-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
 
 /// Shared tiny-workload flags: 6 batches/epoch, 3 chunks/epoch.
 const BASE: &[&str] = &[
@@ -65,13 +59,13 @@ fn wait_for(what: &str, deadline: Duration, mut f: impl FnMut() -> bool) {
 
 #[test]
 fn hard_kill_mid_leg_resumes_with_ladder_and_incidents_intact() {
-    let dir = scratch();
-    let ckpt = dir.join("ckpt");
+    let dir = TestDir::new("cli-sup-kill");
+    let ckpt = dir.file("ckpt");
     let ckpt_str = ckpt.to_str().unwrap().to_string();
-    let incidents = dir.join("incidents.jsonl");
+    let incidents = dir.file("incidents.jsonl");
     let incidents_str = incidents.to_str().unwrap().to_string();
-    let straight = dir.join("straight.bin");
-    let resumed = dir.join("resumed.bin");
+    let straight = dir.file("straight.bin");
+    let resumed = dir.file("resumed.bin");
 
     // Reference: an uninterrupted, unsupervised run of the same 4 epochs.
     assert_ok(
@@ -161,8 +155,6 @@ fn hard_kill_mid_leg_resumes_with_ladder_and_incidents_intact() {
         a, b,
         "resumed supervised run diverged from the straight run"
     );
-
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 fn checkpointed(path: &Path) -> bool {

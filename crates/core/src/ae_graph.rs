@@ -48,7 +48,7 @@ pub(crate) enum AeParams<'a> {
 }
 
 impl AeParams<'_> {
-    fn get(&self) -> &SparseAutoencoder {
+    pub(crate) fn get(&self) -> &SparseAutoencoder {
         match self {
             AeParams::Shared(ae) => ae,
             AeParams::Mut(ae) => ae,
@@ -70,9 +70,38 @@ pub struct AeState<'a> {
     pub(crate) params: AeParams<'a>,
     pub(crate) scratch: &'a mut AeScratch,
     pub(crate) x: MatView<'a>,
+    /// What `a3` is scored against (D3, COST). The input itself, except
+    /// for a denoising step, which feeds a corrupted `x` and targets the
+    /// clean batch.
+    pub(crate) target: MatView<'a>,
     pub(crate) opt: Option<&'a mut Optimizer>,
     pub(crate) lr: f32,
     pub(crate) cost: AeCost,
+}
+
+impl<'a> AeState<'a> {
+    /// State for one step on `x`, reconstructing `x` itself.
+    pub(crate) fn new(
+        params: AeParams<'a>,
+        scratch: &'a mut AeScratch,
+        x: MatView<'a>,
+        opt: Option<&'a mut Optimizer>,
+        lr: f32,
+    ) -> Self {
+        AeState {
+            params,
+            scratch,
+            x,
+            target: x,
+            opt,
+            lr,
+            cost: AeCost {
+                reconstruction: 0.0,
+                weight_penalty: 0.0,
+                sparsity_penalty: 0.0,
+            },
+        }
+    }
 }
 
 /// How (and whether) the graph updates the parameters after the backward
@@ -376,7 +405,7 @@ impl<'a> Layer<AeState<'a>> for AeDecode {
                     },
                 );
             }
-            // D3: delta3 = (a3 - x) ⊙ a3 ⊙ (1 - a3).
+            // D3: delta3 = (a3 - target) ⊙ a3 ⊙ (1 - a3).
             Emit::Backward => {
                 let (a3, x, delta3) = (sb.buf(DEC, "act"), sb.global("x"), sb.buf(DEC, "delta"));
                 sb.node(
@@ -390,7 +419,7 @@ impl<'a> Layer<AeState<'a>> for AeDecode {
                             scr.a3.rows_range(0, b),
                             &mut scr.delta3.rows_range_mut(0, b),
                         );
-                        ctx.delta_output(a3s.as_slice(), s.x.as_slice(), d3.as_mut_slice());
+                        ctx.delta_output(a3s.as_slice(), s.target.as_slice(), d3.as_mut_slice());
                     },
                 );
             }
@@ -610,7 +639,7 @@ impl<'a> Layer<AeState<'a>> for AeCostProbe {
             move |ctx, s: &mut AeState<'_>| {
                 let ae = s.params.get();
                 s.cost.reconstruction =
-                    ctx.frob_dist_sq(s.scratch.a3.rows_range(0, b), s.x) / (2.0 * b as f64);
+                    ctx.frob_dist_sq(s.scratch.a3.rows_range(0, b), s.target) / (2.0 * b as f64);
                 let lambda = ae.config().weight_decay as f64;
                 s.cost.weight_penalty = 0.5
                     * lambda
@@ -715,18 +744,7 @@ pub fn ae_step_graph(
         AeUpdate::Sgd
     };
     let mut g = build_ae_graph(cfg.n_visible, cfg.n_hidden, b, update);
-    let mut state = AeState {
-        params: AeParams::Mut(ae),
-        scratch,
-        x,
-        opt,
-        lr,
-        cost: AeCost {
-            reconstruction: 0.0,
-            weight_penalty: 0.0,
-            sparsity_penalty: 0.0,
-        },
-    };
+    let mut state = AeState::new(AeParams::Mut(ae), scratch, x, opt, lr);
     let run = g.execute(ctx, &mut state);
     (state.cost, run)
 }

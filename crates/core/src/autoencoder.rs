@@ -13,9 +13,8 @@
 //! [`AeScratch`] (§IV.B: temporaries are "kept permanently to avoid
 //! unnecessary reallocation and release").
 
+use crate::ae_graph::{build_ae_graph, AeParams, AeState, AeUpdate};
 use crate::exec::ExecCtx;
-use micdnn_kernels::fused::kl_sparsity;
-use micdnn_kernels::vecops;
 use micdnn_tensor::{GlorotSigmoid, Initializer, Mat, MatView};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -207,41 +206,47 @@ impl SparseAutoencoder {
         ctx.bias_sigmoid_rows(&self.b2, &mut a3);
     }
 
+    /// Runs the AE dependency graph in declaration order — the exact serial
+    /// op sequence of the classic hand-rolled loop, sharing one builder
+    /// with [`crate::ae_step_graph`] — feeding `x` and scoring the
+    /// reconstruction against `target`.
+    fn run_graph(
+        params: AeParams<'_>,
+        ctx: &ExecCtx,
+        x: MatView<'_>,
+        target: MatView<'_>,
+        scratch: &mut AeScratch,
+        lr: f32,
+        update: AeUpdate,
+    ) -> AeCost {
+        let cfg = *params.get().config();
+        let b = x.rows();
+        assert!(b > 0, "empty batch");
+        assert!(b <= scratch.max_batch, "batch exceeds scratch capacity");
+        assert_eq!(x.cols(), cfg.n_visible, "input dimensionality mismatch");
+        let mut g = build_ae_graph(cfg.n_visible, cfg.n_hidden, b, update);
+        let mut state = AeState::new(params, scratch, x, None, lr);
+        state.target = target;
+        g.run_serial(ctx, &mut state);
+        state.cost
+    }
+
     /// Forward + back-propagation; fills the gradient buffers in `scratch`
     /// and returns the batch cost.
-    ///
-    /// The step is the AE dependency graph run in declaration order — the
-    /// exact serial op sequence of the classic hand-rolled loop, sharing
-    /// one builder with [`crate::ae_step_graph`].
     ///
     /// Weight decay is *not* folded into `gw1`/`gw2`; it is applied
     /// multiplicatively by [`SparseAutoencoder::apply_gradients`], which is
     /// mathematically the same SGD step.
     pub fn cost_and_grad(&self, ctx: &ExecCtx, x: MatView<'_>, scratch: &mut AeScratch) -> AeCost {
-        let b = x.rows();
-        assert!(b > 0, "empty batch");
-        assert!(b <= scratch.max_batch, "batch exceeds scratch capacity");
-        assert_eq!(
-            x.cols(),
-            self.cfg.n_visible,
-            "input dimensionality mismatch"
-        );
-        use crate::ae_graph::{build_ae_graph, AeParams, AeState, AeUpdate};
-        let mut g = build_ae_graph(self.cfg.n_visible, self.cfg.n_hidden, b, AeUpdate::None);
-        let mut state = AeState {
-            params: AeParams::Shared(self),
-            scratch,
+        Self::run_graph(
+            AeParams::Shared(self),
+            ctx,
             x,
-            opt: None,
-            lr: 0.0,
-            cost: AeCost {
-                reconstruction: 0.0,
-                weight_penalty: 0.0,
-                sparsity_penalty: 0.0,
-            },
-        };
-        g.run_serial(ctx, &mut state);
-        state.cost
+            x,
+            scratch,
+            0.0,
+            AeUpdate::None,
+        )
     }
 
     /// Applies the gradients in `scratch` with learning rate `lr`
@@ -294,9 +299,8 @@ impl SparseAutoencoder {
 
     /// One SGD step on a batch; returns the cost before the update.
     ///
-    /// Runs the full AE graph (forward, backward, update) in declaration
-    /// order — identical ops to `cost_and_grad` followed by
-    /// `apply_gradients`.
+    /// Runs the full AE graph (forward, backward, update) — identical ops
+    /// to `cost_and_grad` followed by `apply_gradients`.
     pub fn train_batch(
         &mut self,
         ctx: &ExecCtx,
@@ -304,30 +308,7 @@ impl SparseAutoencoder {
         scratch: &mut AeScratch,
         lr: f32,
     ) -> AeCost {
-        let b = x.rows();
-        assert!(b > 0, "empty batch");
-        assert!(b <= scratch.max_batch, "batch exceeds scratch capacity");
-        assert_eq!(
-            x.cols(),
-            self.cfg.n_visible,
-            "input dimensionality mismatch"
-        );
-        use crate::ae_graph::{build_ae_graph, AeParams, AeState, AeUpdate};
-        let mut g = build_ae_graph(self.cfg.n_visible, self.cfg.n_hidden, b, AeUpdate::Sgd);
-        let mut state = AeState {
-            params: AeParams::Mut(self),
-            scratch,
-            x,
-            opt: None,
-            lr,
-            cost: AeCost {
-                reconstruction: 0.0,
-                weight_penalty: 0.0,
-                sparsity_penalty: 0.0,
-            },
-        };
-        g.run_serial(ctx, &mut state);
-        state.cost
+        Self::run_graph(AeParams::Mut(self), ctx, x, x, scratch, lr, AeUpdate::Sgd)
     }
 
     /// One *denoising* SGD step (Vincent et al.'s variant — one of the
@@ -348,9 +329,6 @@ impl SparseAutoencoder {
             (0.0..1.0).contains(&corruption),
             "corruption must be in [0,1)"
         );
-        let b = x.rows();
-        assert!(b > 0, "empty batch");
-
         // Corrupted copy: keep-mask ~ Bernoulli(1 - corruption).
         let mut corrupted = x.to_mat();
         {
@@ -361,83 +339,19 @@ impl SparseAutoencoder {
                 *v *= m;
             }
         }
-
-        // Forward on the corrupted input...
-        self.forward(ctx, corrupted.view(), scratch);
-        let inv_b = 1.0 / b as f32;
-        let recon = ctx.frob_dist_sq(scratch.a3.rows_range(0, b), x) / (2.0 * b as f64);
-        let lambda = self.cfg.weight_decay as f64;
-        let weight_penalty = 0.5
-            * lambda
-            * (vecops::sum_sq(ctx.backend().par(), self.w1.as_slice())
-                + vecops::sum_sq(ctx.backend().par(), self.w2.as_slice()));
-        ctx.colmean(scratch.a2.rows_range(0, b), &mut scratch.rho_hat);
-        let kl = if self.cfg.sparsity_weight > 0.0 {
-            self.cfg.sparsity_weight as f64
-                * kl_sparsity(
-                    self.cfg.sparsity_target,
-                    self.cfg.sparsity_weight,
-                    &scratch.rho_hat,
-                    &mut scratch.s_term,
-                )
-        } else {
-            scratch.s_term.fill(0.0);
-            0.0
-        };
-
-        // ...but the output delta targets the *clean* input.
-        {
-            let (a3_slice, d3) = (
-                scratch.a3.rows_range(0, b),
-                &mut scratch.delta3.rows_range_mut(0, b),
-            );
-            ctx.delta_output(a3_slice.as_slice(), x.as_slice(), d3.as_mut_slice());
-        }
-        ctx.gemm(
-            inv_b,
-            scratch.delta3.rows_range(0, b),
-            true,
-            scratch.a2.rows_range(0, b),
-            false,
-            0.0,
-            &mut scratch.gw2.view_mut(),
-        );
-        ctx.colmean(scratch.delta3.rows_range(0, b), &mut scratch.gb2);
-        {
-            let mut d2 = scratch.delta2.rows_range_mut(0, b);
-            ctx.gemm(
-                1.0,
-                scratch.delta3.rows_range(0, b),
-                false,
-                self.w2.view(),
-                false,
-                0.0,
-                &mut d2,
-            );
-        }
-        {
-            let (a2, delta2, s_term) = (&scratch.a2, &mut scratch.delta2, &scratch.s_term);
-            let mut d2 = delta2.rows_range_mut(0, b);
-            ctx.bias_deriv_rows(s_term, a2.rows_range(0, b), &mut d2);
-        }
-        // gw1 uses the corrupted input (that is what the encoder saw).
-        ctx.gemm(
-            inv_b,
-            scratch.delta2.rows_range(0, b),
-            true,
-            corrupted.view(),
-            false,
-            0.0,
-            &mut scratch.gw1.view_mut(),
-        );
-        ctx.colmean(scratch.delta2.rows_range(0, b), &mut scratch.gb1);
-        self.apply_gradients(ctx, scratch, lr);
-
-        AeCost {
-            reconstruction: recon,
-            weight_penalty,
-            sparsity_penalty: kl,
-        }
+        // The same step graph as `train_batch`: the encoder sees (and GW1
+        // uses) the corrupted input, the output delta and the cost target
+        // the *clean* one.
+        let noisy = corrupted.view();
+        Self::run_graph(
+            AeParams::Mut(self),
+            ctx,
+            noisy,
+            x,
+            scratch,
+            lr,
+            AeUpdate::Sgd,
+        )
     }
 
     /// Encodes a batch to hidden activations (the "code" the paper stacks

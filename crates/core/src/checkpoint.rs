@@ -740,11 +740,10 @@ mod tests {
         // ShapeMismatch naming the layer, not a generic I/O string.
         let mut model = ae_model();
         model.ae.w1 = Mat::zeros(3, 3);
-        let mut path = std::env::temp_dir();
-        path.push(format!("micdnn-ckpt-shape-{}.mic", std::process::id()));
+        let dir = crate::TestDir::new("ckpt-shape");
+        let path = dir.file("checkpoint.mic");
         save_checkpoint_file(&path, &model, 0, 0, &TrainProgress::default()).unwrap();
         let err = load_checkpoint_file(&path).unwrap_err();
-        std::fs::remove_file(&path).ok();
         match err {
             CheckpointError::ShapeMismatch {
                 layer,

@@ -22,8 +22,8 @@ use crate::exec::ExecCtx;
 use crate::finetune::SoftmaxLayer;
 use crate::graph::{BufClass, TaskGraph, Workspace};
 use crate::layers::{
-    mean_nll, Above, Conv2d, ConvParams, Decl, Dense, DenseParams, Emit, Layer, MaxPool2d, Part,
-    SoftmaxXent, StackBuilder, StackState, StepParts,
+    argmax_rows, hit_rate, mean_nll, Above, Conv2d, ConvParams, Decl, Dense, DenseParams, Emit,
+    Layer, MaxPool2d, Part, SoftmaxXent, StackBuilder, StackState, StepParts,
 };
 use crate::train::UnsupervisedModel;
 use micdnn_kernels::{conv, OpCost};
@@ -334,26 +334,12 @@ impl CnnNet {
 
     /// Hard predictions (argmax class index per example).
     pub fn predict(&self, ctx: &ExecCtx, x: MatView<'_>) -> Vec<usize> {
-        let probs = self.predict_proba(ctx, x);
-        (0..probs.rows())
-            .map(|r| {
-                probs
-                    .row(r)
-                    .iter()
-                    .enumerate()
-                    .max_by(|a, b| a.1.partial_cmp(b.1).expect("finite probs"))
-                    .map(|(i, _)| i)
-                    .expect("non-empty row")
-            })
-            .collect()
+        argmax_rows(self.predict_proba(ctx, x).view())
     }
 
     /// Fraction of correct predictions.
     pub fn accuracy(&self, ctx: &ExecCtx, x: MatView<'_>, labels: &[usize]) -> f64 {
-        assert_eq!(labels.len(), x.rows(), "one label per example");
-        let pred = self.predict(ctx, x);
-        let correct = pred.iter().zip(labels).filter(|(p, l)| p == l).count();
-        correct as f64 / labels.len().max(1) as f64
+        hit_rate(&self.predict(ctx, x), labels)
     }
 
     /// Mean cross-entropy of the batch under the current parameters.
@@ -411,22 +397,9 @@ impl CnnNet {
         lr: f32,
         epochs: usize,
     ) -> Vec<f64> {
-        assert!(batch > 0, "batch must be positive");
-        let n = x.rows();
-        let mut history = Vec::with_capacity(epochs);
-        for _ in 0..epochs {
-            let mut total = 0.0;
-            let mut batches = 0usize;
-            let mut lo = 0;
-            while lo < n {
-                let hi = (lo + batch).min(n);
-                total += self.train_batch(ctx, x.rows_range(lo, hi), &labels[lo..hi], lr);
-                batches += 1;
-                lo = hi;
-            }
-            history.push(total / batches.max(1) as f64);
-        }
-        history
+        crate::train::fit_epochs(x, labels, batch, epochs, |xb, lb| {
+            self.train_batch(ctx, xb, lb, lr)
+        })
     }
 }
 

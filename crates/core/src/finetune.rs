@@ -14,8 +14,8 @@
 use crate::exec::ExecCtx;
 use crate::graph::{BufClass, TaskGraph, Workspace};
 use crate::layers::{
-    mean_nll, Above, Decl, Dense, DenseParams, Emit, Layer, Part, SoftmaxXent, StackBuilder,
-    StackState, StepParts,
+    argmax_rows, hit_rate, mean_nll, Above, Decl, Dense, DenseParams, Emit, Layer, Part,
+    SoftmaxXent, StackBuilder, StackState, StepParts,
 };
 use crate::stacked::StackedAutoencoder;
 use micdnn_kernels::OpCost;
@@ -266,26 +266,12 @@ impl FineTuneNet {
 
     /// Hard predictions (argmax class index per example).
     pub fn predict(&self, ctx: &ExecCtx, x: MatView<'_>) -> Vec<usize> {
-        let probs = self.predict_proba(ctx, x);
-        (0..probs.rows())
-            .map(|r| {
-                probs
-                    .row(r)
-                    .iter()
-                    .enumerate()
-                    .max_by(|a, b| a.1.partial_cmp(b.1).expect("finite probs"))
-                    .map(|(i, _)| i)
-                    .expect("non-empty row")
-            })
-            .collect()
+        argmax_rows(self.predict_proba(ctx, x).view())
     }
 
     /// Fraction of correct predictions.
     pub fn accuracy(&self, ctx: &ExecCtx, x: MatView<'_>, labels: &[usize]) -> f64 {
-        assert_eq!(labels.len(), x.rows(), "one label per example");
-        let pred = self.predict(ctx, x);
-        let correct = pred.iter().zip(labels).filter(|(p, l)| p == l).count();
-        correct as f64 / labels.len().max(1) as f64
+        hit_rate(&self.predict(ctx, x), labels)
     }
 
     /// Mean cross-entropy of the batch under the current parameters.
@@ -312,20 +298,11 @@ impl FineTuneNet {
         }
         assert_eq!(x.cols(), self.layers[0].0.cols(), "input dimensionality");
 
-        let in_dim = self.layers[0].0.cols();
-        let widths: Vec<usize> = self.layers.iter().map(|(w, _)| w.rows()).collect();
-        let needs_new = self.scratch.as_ref().is_none_or(|s| s.max_batch < b);
-        if needs_new {
-            let plan = build_step_graph(in_dim, &widths, c, b).plan();
-            self.scratch = Some(FtScratch {
-                max_batch: b,
-                ws: Workspace::new(&plan),
-            });
-        }
+        self.prepare(b);
         let mut scratch = self.scratch.take().expect("just ensured");
         let use_graph = self.use_graph;
         let loss = {
-            let mut graph = build_step_graph(in_dim, &widths, c, scratch.max_batch);
+            let mut graph = build_step_graph(self.in_dim(), &self.widths(), c, scratch.max_batch);
             let mut state = FtState {
                 net: self,
                 ws: &mut scratch.ws,
@@ -356,22 +333,9 @@ impl FineTuneNet {
         lr: f32,
         epochs: usize,
     ) -> Vec<f64> {
-        assert!(batch > 0, "batch must be positive");
-        let n = x.rows();
-        let mut history = Vec::with_capacity(epochs);
-        for _ in 0..epochs {
-            let mut total = 0.0;
-            let mut batches = 0usize;
-            let mut lo = 0;
-            while lo < n {
-                let hi = (lo + batch).min(n);
-                total += self.train_batch(ctx, x.rows_range(lo, hi), &labels[lo..hi], lr);
-                batches += 1;
-                lo = hi;
-            }
-            history.push(total / batches.max(1) as f64);
-        }
-        history
+        crate::train::fit_epochs(x, labels, batch, epochs, |xb, lb| {
+            self.train_batch(ctx, xb, lb, lr)
+        })
     }
 }
 

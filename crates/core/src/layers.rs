@@ -696,6 +696,28 @@ pub(crate) fn mean_nll(probs: MatView<'_>, labels: &[usize]) -> f64 {
     nll / labels.len().max(1) as f64
 }
 
+/// Hard predictions: the argmax class index of each row of `probs`.
+pub(crate) fn argmax_rows(probs: MatView<'_>) -> Vec<usize> {
+    (0..probs.rows())
+        .map(|r| {
+            probs
+                .row(r)
+                .iter()
+                .enumerate()
+                .max_by(|a, b| a.1.partial_cmp(b.1).expect("finite probs"))
+                .map(|(i, _)| i)
+                .expect("non-empty row")
+        })
+        .collect()
+}
+
+/// Fraction of `pred` that matches `labels` (one label per prediction).
+pub(crate) fn hit_rate(pred: &[usize], labels: &[usize]) -> f64 {
+    assert_eq!(labels.len(), pred.len(), "one label per example");
+    let correct = pred.iter().zip(labels).filter(|(p, l)| p == l).count();
+    correct as f64 / labels.len().max(1) as f64
+}
+
 // ---------------------------------------------------------------------------
 // Convolutional layers: the first non-paper workloads on the graph IR.
 // ---------------------------------------------------------------------------

@@ -68,6 +68,7 @@ pub mod rbm;
 pub mod serve;
 pub mod stacked;
 pub mod supervise;
+mod testdir;
 pub mod train;
 pub mod verify;
 
@@ -96,8 +97,8 @@ pub use model_io::{
     ShapeMismatch,
 };
 pub use multidev::{
-    block_bounds, DataParallelAe, DataParallelRbm, MultiDevConfig, MultiDevConfigError,
-    MultiDevModelState, MultiDevState,
+    block_bounds, DataParallel, DataParallelAe, DataParallelRbm, MultiDevConfig,
+    MultiDevConfigError, MultiDevModelState, MultiDevState, ShardedStep,
 };
 pub use optim::{Optimizer, Rule, Schedule};
 pub use profile::{LatencyReport, OpReport, PhaseReport, ProfileReport, Profiler, StreamReport};
@@ -111,6 +112,8 @@ pub use supervise::{
     train_dataset_supervised, Incident, IncidentLog, Recoverable, RunPos, RunSupervisor, Stage,
     SupervisorPolicy, SupervisorPolicyError, INCIDENT_SCHEMA, INCIDENT_SCHEMA_V1,
 };
+#[doc(hidden)]
+pub use testdir::TestDir;
 pub use train::{
     train_dataset, train_dataset_resume, train_stream, AeModel, RbmModel, TrainConfig, TrainError,
     TrainReport, UnsupervisedModel,

@@ -254,8 +254,8 @@ mod tests {
     fn pgm_round_trip_header() {
         let (ae, _ctx, _x) = setup();
         let grid = feature_grid(&ae, 4, 4, 2);
-        let mut path = std::env::temp_dir();
-        path.push(format!("micdnn-pgm-{}.pgm", std::process::id()));
+        let dir = crate::TestDir::new("metrics-pgm");
+        let path = dir.file("grid.pgm");
         write_pgm(&path, &grid).unwrap();
         let bytes = std::fs::read(&path).unwrap();
         let header = String::from_utf8_lossy(&bytes[..20.min(bytes.len())]);
@@ -267,7 +267,6 @@ mod tests {
             .map(|p| p + 4)
             .unwrap();
         assert_eq!(bytes.len() - header_end, grid.len());
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]

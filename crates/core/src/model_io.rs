@@ -265,6 +265,14 @@ pub(crate) fn read_header(r: &mut impl Read, want_tag: u8) -> io::Result<()> {
 /// Writes a file atomically: the payload goes to `<path>.tmp`, is flushed
 /// and fsynced, and only then renamed over `path`. A crash, full disk, or
 /// failing writer mid-save leaves any previous file at `path` untouched.
+///
+/// The temporary's name is fixed, so there must be **one writer per
+/// destination path** at a time: two concurrent calls for the same `path`
+/// would share `<path>.tmp` and could rename each other's partial payload
+/// into place. Every writer in this crate owns its destination (one
+/// trainer per checkpoint directory, one supervisor per ladder file), and
+/// `tests/persistence.rs` relies on the name to check that no temporary
+/// is left behind.
 pub fn atomic_write(
     path: impl AsRef<Path>,
     f: impl FnOnce(&mut dyn Write) -> io::Result<()>,
@@ -447,13 +455,12 @@ mod tests {
 
     #[test]
     fn file_round_trip() {
-        let mut path = std::env::temp_dir();
-        path.push(format!("micdnn-model-{}.bin", std::process::id()));
+        let dir = crate::TestDir::new("model-io");
+        let path = dir.file("model.bin");
         let ae = trained_ae();
         save_autoencoder_file(&ae, &path).unwrap();
         let back = load_autoencoder_file(&path).unwrap();
         assert_eq!(ae.w1.as_slice(), back.w1.as_slice());
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]

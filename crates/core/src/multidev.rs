@@ -179,15 +179,12 @@ impl MultiDevConfig {
     /// the front door for externally supplied device/block counts (the CLI
     /// routes through this).
     pub fn validated(devices: usize, blocks: usize) -> Result<Self, MultiDevConfigError> {
-        if devices == 0 {
-            return Err(MultiDevConfigError::NoDevices);
-        }
-        if blocks == 0 {
-            return Err(MultiDevConfigError::NoBlocks);
-        }
+        // `new` asserts `devices >= 1`; build on a sound count and let
+        // `validate` judge the requested one.
         let cfg = MultiDevConfig {
+            devices,
             canonical_blocks: blocks,
-            ..MultiDevConfig::new(devices)
+            ..MultiDevConfig::new(1)
         };
         cfg.validate()?;
         Ok(cfg)
@@ -317,29 +314,9 @@ pub(crate) fn read_multidev_body(r: &mut impl Read) -> io::Result<MultiDevState>
     })
 }
 
-/// Writes the shared `TAG_MDP` prefix (geometry + per-device RNG cursors +
-/// offline flags); the caller appends the inner model record.
-fn write_multidev_prefix(
-    w: &mut dyn Write,
-    devset: &DeviceSet,
-    canonical_blocks: usize,
-    dev_rng: &[(u64, u64)],
-) -> io::Result<()> {
-    let mut w = w;
-    write_header(&mut w, TAG_MDP)?;
-    write_u64(&mut w, devset.len() as u64)?;
-    write_u64(&mut w, canonical_blocks as u64)?;
-    for (i, &(seed, cursor)) in dev_rng.iter().enumerate() {
-        write_u64(&mut w, seed)?;
-        write_u64(&mut w, cursor)?;
-        w.write_all(&[u8::from(!devset.is_online(i))])?;
-    }
-    Ok(())
-}
-
 /// `device.oom` failpoint: drops the highest-numbered online device (never
-/// the last one) and notes the incident. Returns whether a device dropped.
-fn maybe_drop_device(devset: &mut DeviceSet, ctx: &ExecCtx) -> bool {
+/// the last one) and notes the incident.
+fn maybe_drop_device(devset: &mut DeviceSet, ctx: &ExecCtx) {
     if devset.online_count() > 1 && faults::fire("device.oom") {
         let victim = (0..devset.len())
             .rev()
@@ -353,9 +330,6 @@ fn maybe_drop_device(devset: &mut DeviceSet, ctx: &ExecCtx) -> bool {
                 devset.online_count()
             ),
         );
-        true
-    } else {
-        false
     }
 }
 
@@ -381,15 +355,92 @@ fn charge_step(
     devset.record_step(max_busy, sync);
 }
 
-/// The indices of the online devices, in fixed id order.
-fn online_devices(devset: &DeviceSet) -> Vec<usize> {
-    (0..devset.len()).filter(|&i| devset.is_online(i)).collect()
+/// One step's view of the device set, handed to [`ShardedStep::sharded_step`]:
+/// the canonical blocks of the batch, which online device computes which
+/// contiguous range of them, and each device's modeled busy time.
+pub struct Shards<'a> {
+    /// The master context (merges and updates charge it directly).
+    ctx: &'a ExecCtx,
+    x: MatView<'a>,
+    blocks: Vec<(usize, usize)>,
+    /// `(device, first block, one past its last block)` for every online
+    /// device that owns at least one block, in fixed id order.
+    owners: Vec<(usize, usize, usize)>,
+    busy: Vec<f64>,
 }
 
-// ---- sparse autoencoder --------------------------------------------------
+impl Shards<'_> {
+    /// Runs `f(ctx, k, lo, x_k)` for every canonical block `k` (global row
+    /// offset `lo`, rows `x_k`), device by device; each device's blocks are
+    /// priced together with [`ExecCtx::run_deferred`] into its busy time.
+    pub fn each_block(&mut self, mut f: impl FnMut(&ExecCtx, usize, usize, MatView<'_>)) {
+        for &(dev, klo, khi) in &self.owners {
+            let ((), secs) = self.ctx.run_deferred(|ctx| {
+                for k in klo..khi {
+                    let (lo, hi) = self.blocks[k];
+                    f(ctx, k, lo, self.x.rows_range(lo, hi));
+                }
+            });
+            self.busy[dev] += secs;
+        }
+    }
 
-/// A sparse autoencoder replicated across a [`DeviceSet`], trained
-/// data-parallel with bit-exact canonical-block gradient merging.
+    /// Left-folds one partial-sum buffer of every block (`part` picks it)
+    /// into `acc` in canonical block order, then scales once by `1/B` to
+    /// recover the batch mean.
+    pub fn merge<S>(&self, blocks: &[S], part: impl Fn(&S) -> &[f32], acc: &mut [f32]) {
+        let parts: Vec<&[f32]> = blocks.iter().map(part).collect();
+        self.ctx.block_merge(&parts, acc);
+        self.ctx.scale(1.0 / self.x.rows() as f32, acc);
+    }
+}
+
+/// What a model supplies to train under [`DataParallel`]: its per-block
+/// phases, which block buffers merge into which accumulators, its update,
+/// and its sync cost. Everything about devices — sharding, busy-time
+/// accounting, failover, checkpoint geometry — is the wrapper's.
+pub trait ShardedStep: Sized {
+    /// Per-block buffers. One more instance (capacity 1) serves as the
+    /// master copy whose gradient fields receive the merged accumulators.
+    type Scratch;
+
+    /// Input dimensionality each example must have.
+    fn input_dim(&self) -> usize;
+
+    /// Buffers for a block of up to `cap` rows.
+    fn block_scratch(&self, cap: usize) -> Self::Scratch;
+
+    /// One training step over the sharded batch: run the block phases with
+    /// [`Shards::each_block`] (`alpha = 1` partial sums into `blocks[k]`),
+    /// merge them into `master` with [`Shards::merge`], apply the update to
+    /// the replicated parameters. Returns the batch's mean reconstruction
+    /// error.
+    fn sharded_step(
+        &mut self,
+        sh: &mut Shards<'_>,
+        blocks: &mut [Self::Scratch],
+        master: &mut Self::Scratch,
+        lr: f32,
+    ) -> f64;
+
+    /// Modeled seconds of one step's allreduces over `devset`, and the
+    /// bytes of the gradient payload (what a `link.drop` retry resends).
+    fn sync_cost(&self, devset: &DeviceSet) -> (f64, u64);
+
+    /// Per-device footprint for a `shard_rows`-row shard: a full parameter
+    /// replica + merge accumulators + that device's share of the scratch.
+    fn shard_resident_bytes(&self, shard_rows: usize) -> u64;
+
+    /// Writes the model record a `TAG_MDP` container embeds.
+    fn save(&self, w: &mut dyn Write) -> io::Result<()>;
+
+    /// Takes the model out of a `TAG_MDP` record; `InvalidData` when it
+    /// embeds the other kind.
+    fn from_state(state: MultiDevModelState) -> io::Result<Self>;
+}
+
+/// A model replicated across a [`DeviceSet`], trained data-parallel with
+/// bit-exact canonical-block gradient merging.
 ///
 /// Plugs into the chunked trainer through [`UnsupervisedModel`], into the
 /// supervisor through [`Recoverable`], and into checkpoints through the
@@ -397,52 +448,46 @@ fn online_devices(devset: &DeviceSet) -> Vec<usize> {
 /// algorithm (same blocks, same fold), which is the reference the
 /// equivalence tests pin every other `N` against.
 #[derive(Debug)]
-pub struct DataParallelAe {
-    ae: SparseAutoencoder,
+pub struct DataParallel<M: ShardedStep> {
+    model: M,
     cfg: MultiDevConfig,
     devset: DeviceSet,
     /// Per-device `(seed, cursor)` sampler positions after the last step
     /// each device participated in (all online devices advance in
     /// lockstep; an offline device's cursor freezes where it dropped).
     dev_rng: Vec<(u64, u64)>,
-    /// One scratch per canonical block.
-    scratch: Vec<AeScratch>,
-    rho_acc: Vec<f32>,
-    s_term: Vec<f32>,
-    gw1_acc: Vec<f32>,
-    gw2_acc: Vec<f32>,
-    gb1_acc: Vec<f32>,
-    gb2_acc: Vec<f32>,
+    /// One scratch per canonical block (empty until `prepare`).
+    scratch: Vec<M::Scratch>,
+    /// Row capacity of each block scratch.
+    block_cap: usize,
+    /// Merge accumulators (the gradient fields of a capacity-1 scratch).
+    master: M::Scratch,
 }
 
-impl DataParallelAe {
-    /// Replicates `ae` across `cfg.devices` modeled coprocessors.
-    pub fn new(ae: SparseAutoencoder, cfg: MultiDevConfig) -> Self {
-        let devset = cfg.device_set();
-        let (h, v) = (ae.config().n_hidden, ae.config().n_visible);
-        DataParallelAe {
+/// A sparse autoencoder under [`DataParallel`].
+pub type DataParallelAe = DataParallel<SparseAutoencoder>;
+
+/// An RBM under [`DataParallel`]: data-parallel CD-k with canonical-block
+/// statistics merging and N-invariant sampling.
+pub type DataParallelRbm = DataParallel<Rbm>;
+
+impl<M: ShardedStep> DataParallel<M> {
+    /// Replicates `model` across `cfg.devices` modeled coprocessors.
+    pub fn new(model: M, cfg: MultiDevConfig) -> Self {
+        DataParallel {
             dev_rng: vec![(0, 0); cfg.devices],
-            devset,
-            ae,
-            rho_acc: vec![0.0; h],
-            s_term: vec![0.0; h],
-            gw1_acc: vec![0.0; h * v],
-            gw2_acc: vec![0.0; v * h],
-            gb1_acc: vec![0.0; h],
-            gb2_acc: vec![0.0; v],
+            devset: cfg.device_set(),
+            master: model.block_scratch(1),
             scratch: Vec::new(),
+            block_cap: 0,
+            model,
             cfg,
         }
     }
 
-    /// The replicated autoencoder.
-    pub fn ae(&self) -> &SparseAutoencoder {
-        &self.ae
-    }
-
-    /// Consumes the wrapper, returning the trained autoencoder.
-    pub fn into_inner(self) -> SparseAutoencoder {
-        self.ae
+    /// Consumes the wrapper, returning the trained model.
+    pub fn into_inner(self) -> M {
+        self.model
     }
 
     /// The device set (clocks, online flags, compute/sync accounting).
@@ -465,11 +510,21 @@ impl DataParallelAe {
     /// bit-identical results (the chaos harness and CLI demos use this).
     ///
     /// Dropping the last surviving device is a recoverable
-    /// [`TrainError::Unrecoverable`], not a panic: a supervisor that loses
-    /// its whole device set must be able to surface the failure and keep
-    /// the process alive.
+    /// [`TrainError::Unrecoverable`](crate::train::TrainError::Unrecoverable),
+    /// not a panic: a supervisor that loses its whole device set must be
+    /// able to surface the failure and keep the process alive.
     pub fn mark_device_offline(&mut self, i: usize) -> Result<(), crate::train::TrainError> {
-        mark_offline_checked(&mut self.devset, i)
+        assert!(i < self.devset.len(), "device index {i} out of range");
+        if self.devset.is_online(i) && self.devset.online_count() <= 1 {
+            return Err(crate::train::TrainError::Unrecoverable {
+                attempts: 0,
+                last: format!(
+                    "cannot take device {i} offline: it is the last surviving device in the set"
+                ),
+            });
+        }
+        self.devset.mark_offline(i);
+        Ok(())
     }
 
     /// Fraction of modeled step time spent in gradient synchronization.
@@ -478,239 +533,96 @@ impl DataParallelAe {
     }
 }
 
-/// Shared fallible offline transition: refuses to drop the last surviving
-/// device with a typed error instead of tripping the device set's panic.
-fn mark_offline_checked(devset: &mut DeviceSet, i: usize) -> Result<(), crate::train::TrainError> {
-    assert!(i < devset.len(), "device index {i} out of range");
-    if devset.is_online(i) && devset.online_count() <= 1 {
-        return Err(crate::train::TrainError::Unrecoverable {
-            attempts: 0,
-            last: format!(
-                "cannot take device {i} offline: it is the last surviving device in the set"
-            ),
-        });
+impl DataParallel<SparseAutoencoder> {
+    /// The replicated autoencoder.
+    pub fn ae(&self) -> &SparseAutoencoder {
+        &self.model
     }
-    devset.mark_offline(i);
-    Ok(())
 }
 
-impl UnsupervisedModel for DataParallelAe {
+impl DataParallel<Rbm> {
+    /// The replicated RBM.
+    pub fn rbm(&self) -> &Rbm {
+        &self.model
+    }
+}
+
+impl<M: ShardedStep> UnsupervisedModel for DataParallel<M> {
     fn input_dim(&self) -> usize {
-        self.ae.config().n_visible
+        self.model.input_dim()
     }
 
     fn prepare(&mut self, max_batch: usize) {
         let k = self.cfg.canonical_blocks;
         let cap = max_batch.div_ceil(k).max(1);
-        let need_new =
-            self.scratch.len() != k || self.scratch.first().is_none_or(|s| s.capacity() < cap);
-        if need_new {
-            self.scratch = (0..k)
-                .map(|_| AeScratch::new(self.ae.config(), cap))
-                .collect();
+        if self.scratch.len() != k || self.block_cap < cap {
+            self.scratch = (0..k).map(|_| self.model.block_scratch(cap)).collect();
+            self.block_cap = cap;
         }
     }
 
     fn train_batch(&mut self, ctx: &ExecCtx, x: MatView<'_>, lr: f32) -> f64 {
-        let b = x.rows();
-        assert!(b > 0, "empty batch");
+        assert!(x.rows() > 0, "empty batch");
         assert!(!self.scratch.is_empty(), "prepare() not called");
         maybe_drop_device(&mut self.devset, ctx);
 
-        let cfg = *self.ae.config();
-        let blocks = canonical_blocks(b, self.cfg.canonical_blocks);
-        let online = online_devices(&self.devset);
-        let shards = block_bounds(blocks.len(), online.len());
-        let mut busy = vec![0.0f64; self.devset.len()];
-        let mut err = vec![0.0f64; blocks.len()];
+        // Canonical blocks -> contiguous block ranges per online device.
+        let blocks = canonical_blocks(x.rows(), self.cfg.canonical_blocks);
+        let online: Vec<usize> = (0..self.devset.len())
+            .filter(|&i| self.devset.is_online(i))
+            .collect();
+        let owners = block_bounds(blocks.len(), online.len())
+            .into_iter()
+            .zip(&online)
+            .filter(|&((klo, khi), _)| khi > klo)
+            .map(|((klo, khi), &dev)| (dev, klo, khi))
+            .collect();
+        let mut sh = Shards {
+            ctx,
+            x,
+            blocks,
+            owners,
+            busy: vec![0.0; self.devset.len()],
+        };
+        let nb = sh.blocks.len();
+        let err = self
+            .model
+            .sharded_step(&mut sh, &mut self.scratch[..nb], &mut self.master, lr);
 
-        // Phase A (per device, per owned block): forward pass + per-block
-        // hidden-activation column sums for the shared sparsity estimate.
-        {
-            let (ae, scratch) = (&self.ae, &mut self.scratch);
-            for (j, &dev) in online.iter().enumerate() {
-                let (klo, khi) = shards[j];
-                if klo == khi {
-                    continue;
-                }
-                let ((), secs) = ctx.run_deferred(|ctx| {
-                    for k in klo..khi {
-                        let (lo, hi) = blocks[k];
-                        let bk = hi - lo;
-                        let xk = x.rows_range(lo, hi);
-                        let s = &mut scratch[k];
-                        {
-                            let mut a2 = s.a2.rows_range_mut(0, bk);
-                            ctx.gemm(1.0, xk, false, ae.w1.view(), true, 0.0, &mut a2);
-                            ctx.bias_sigmoid_rows(&ae.b1, &mut a2);
-                        }
-                        {
-                            let a2v = s.a2.rows_range(0, bk);
-                            let mut a3 = s.a3.rows_range_mut(0, bk);
-                            ctx.gemm(1.0, a2v, false, ae.w2.view(), true, 0.0, &mut a3);
-                            ctx.bias_sigmoid_rows(&ae.b2, &mut a3);
-                        }
-                        // Per-block column *sum* (not mean): scaled once
-                        // after the canonical-order merge.
-                        ctx.colsum(s.a2.rows_range(0, bk), &mut s.rho_hat);
-                    }
-                });
-                busy[dev] += secs;
-            }
-        }
-
-        // Sync 1: merge the sparsity statistics in canonical block order,
-        // scale to the global batch mean, derive the shared penalty term.
-        let inv_b = 1.0 / b as f32;
-        {
-            let parts: Vec<&[f32]> = self.scratch[..blocks.len()]
-                .iter()
-                .map(|s| s.rho_hat.as_slice())
-                .collect();
-            ctx.block_merge(&parts, &mut self.rho_acc);
-        }
-        ctx.scale(inv_b, &mut self.rho_acc);
-        if cfg.sparsity_weight > 0.0 {
-            kl_sparsity(
-                cfg.sparsity_target,
-                cfg.sparsity_weight,
-                &self.rho_acc,
-                &mut self.s_term,
-            );
-        } else {
-            self.s_term.fill(0.0);
-        }
-
-        // Phase B (per device, per owned block): backward pass into
-        // per-block partial gradients (`alpha = 1` sums throughout).
-        {
-            let (ae, scratch, s_term, err) = (&self.ae, &mut self.scratch, &self.s_term, &mut err);
-            for (j, &dev) in online.iter().enumerate() {
-                let (klo, khi) = shards[j];
-                if klo == khi {
-                    continue;
-                }
-                let ((), secs) = ctx.run_deferred(|ctx| {
-                    for k in klo..khi {
-                        let (lo, hi) = blocks[k];
-                        let bk = hi - lo;
-                        let xk = x.rows_range(lo, hi);
-                        let s = &mut scratch[k];
-                        {
-                            let a3s = s.a3.rows_range(0, bk);
-                            let mut d3 = s.delta3.rows_range_mut(0, bk);
-                            ctx.delta_output(a3s.as_slice(), xk.as_slice(), d3.as_mut_slice());
-                        }
-                        ctx.gemm(
-                            1.0,
-                            s.delta3.rows_range(0, bk),
-                            true,
-                            s.a2.rows_range(0, bk),
-                            false,
-                            0.0,
-                            &mut s.gw2.view_mut(),
-                        );
-                        ctx.colsum(s.delta3.rows_range(0, bk), &mut s.gb2);
-                        {
-                            let mut d2 = s.delta2.rows_range_mut(0, bk);
-                            ctx.gemm(
-                                1.0,
-                                s.delta3.rows_range(0, bk),
-                                false,
-                                ae.w2.view(),
-                                false,
-                                0.0,
-                                &mut d2,
-                            );
-                        }
-                        {
-                            let a2v = s.a2.rows_range(0, bk);
-                            let mut d2 = s.delta2.rows_range_mut(0, bk);
-                            ctx.bias_deriv_rows(s_term, a2v, &mut d2);
-                        }
-                        ctx.gemm(
-                            1.0,
-                            s.delta2.rows_range(0, bk),
-                            true,
-                            xk,
-                            false,
-                            0.0,
-                            &mut s.gw1.view_mut(),
-                        );
-                        ctx.colsum(s.delta2.rows_range(0, bk), &mut s.gb1);
-                        err[k] = ctx.frob_dist_sq(s.a3.rows_range(0, bk), xk);
-                    }
-                });
-                busy[dev] += secs;
-            }
-        }
-
-        // Sync 2: canonical-order gradient merge, one global scale, one
-        // parameter update on the (replicated) master copy.
-        let nb = blocks.len();
-        macro_rules! merge {
-            ($field:ident, $acc:ident) => {{
-                let parts: Vec<&[f32]> = self.scratch[..nb]
-                    .iter()
-                    .map(|s| s.$field.as_slice())
-                    .collect();
-                ctx.block_merge(&parts, &mut self.$acc);
-                ctx.scale(inv_b, &mut self.$acc);
-            }};
-        }
-        merge!(gw1, gw1_acc);
-        merge!(gw2, gw2_acc);
-        merge!(gb1, gb1_acc);
-        merge!(gb2, gb2_acc);
-        ctx.sgd_step(
-            lr,
-            cfg.weight_decay,
-            &self.gw1_acc,
-            self.ae.w1.as_mut_slice(),
-        );
-        ctx.sgd_step(
-            lr,
-            cfg.weight_decay,
-            &self.gw2_acc,
-            self.ae.w2.as_mut_slice(),
-        );
-        ctx.sgd_step(lr, 0.0, &self.gb1_acc, &mut self.ae.b1);
-        ctx.sgd_step(lr, 0.0, &self.gb2_acc, &mut self.ae.b2);
-
-        // Modeled time: slowest device + two allreduces (sparsity stats,
-        // gradients).
-        let max_busy = busy.iter().cloned().fold(0.0, f64::max);
-        let grad_bytes = cfg.param_bytes();
-        let rho_bytes = (cfg.n_hidden * std::mem::size_of::<f32>()) as u64;
-        let sync = self.devset.allreduce_time(rho_bytes) + self.devset.allreduce_time(grad_bytes);
+        // Modeled time: slowest device + the step's allreduces.
+        let max_busy = sh.busy.iter().cloned().fold(0.0, f64::max);
+        let (sync, grad_bytes) = self.model.sync_cost(&self.devset);
         charge_step(&mut self.devset, ctx, max_busy, sync, grad_bytes);
 
         let state = ctx.rng_state();
         for &dev in &online {
             self.dev_rng[dev] = state;
         }
-
-        err.iter().sum::<f64>() / (2.0 * b as f64)
+        err
     }
 
     fn resident_bytes(&self, max_batch: usize) -> u64 {
-        // Per-device footprint: a full parameter replica + merge
-        // accumulators + that device's share of the block scratch.
-        let cfg = self.ae.config();
-        let f = std::mem::size_of::<f32>() as u64;
         let shard = max_batch.div_ceil(self.devset.online_count().max(1));
-        let temps = 2 * (shard * cfg.n_hidden + shard * cfg.n_visible) as u64 * f;
-        cfg.param_bytes() * 2 + temps
+        self.model.shard_resident_bytes(shard)
     }
 
+    /// The `TAG_MDP` container: geometry + per-device RNG cursors +
+    /// offline flags, then the inner model record.
     fn save_state(&self, w: &mut dyn Write) -> io::Result<()> {
-        write_multidev_prefix(w, &self.devset, self.cfg.canonical_blocks, &self.dev_rng)?;
         let mut w = w;
-        save_autoencoder(&self.ae, &mut w)
+        write_header(&mut w, TAG_MDP)?;
+        write_u64(&mut w, self.devset.len() as u64)?;
+        write_u64(&mut w, self.cfg.canonical_blocks as u64)?;
+        for (i, &(seed, cursor)) in self.dev_rng.iter().enumerate() {
+            write_u64(&mut w, seed)?;
+            write_u64(&mut w, cursor)?;
+            w.write_all(&[u8::from(!self.devset.is_online(i))])?;
+        }
+        self.model.save(w)
     }
 }
 
-impl Recoverable for DataParallelAe {
+impl<M: ShardedStep> Recoverable for DataParallel<M> {
     fn restore_state(&mut self, from: CheckpointModel) -> io::Result<()> {
         let CheckpointModel::MultiDev(state) = from else {
             return Err(io::Error::new(
@@ -718,12 +630,7 @@ impl Recoverable for DataParallelAe {
                 "snapshot is not a multi-device record",
             ));
         };
-        let MultiDevModelState::Ae(ae) = state.inner else {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "multi-device snapshot holds an RBM, model is an autoencoder",
-            ));
-        };
+        let model = M::from_state(state.inner)?;
         self.cfg.devices = state.devices;
         self.cfg.canonical_blocks = state.canonical_blocks;
         self.devset = self.cfg.device_set();
@@ -733,322 +640,284 @@ impl Recoverable for DataParallelAe {
             }
         }
         self.dev_rng = state.dev_rng;
-        let (h, v) = (ae.config().n_hidden, ae.config().n_visible);
-        self.rho_acc = vec![0.0; h];
-        self.s_term = vec![0.0; h];
-        self.gw1_acc = vec![0.0; h * v];
-        self.gw2_acc = vec![0.0; v * h];
-        self.gb1_acc = vec![0.0; h];
-        self.gb2_acc = vec![0.0; v];
+        self.master = model.block_scratch(1);
         self.scratch.clear();
-        self.ae = ae;
+        self.model = model;
         Ok(())
     }
 }
 
-// ---- RBM -----------------------------------------------------------------
+impl ShardedStep for SparseAutoencoder {
+    type Scratch = AeScratch;
 
-/// An RBM replicated across a [`DeviceSet`], trained data-parallel CD-k
-/// with canonical-block statistics merging and N-invariant sampling.
-#[derive(Debug)]
-pub struct DataParallelRbm {
-    rbm: Rbm,
-    cfg: MultiDevConfig,
-    devset: DeviceSet,
-    dev_rng: Vec<(u64, u64)>,
-    scratch: Vec<RbmScratch>,
-    pos_acc: Vec<f32>,
-    neg_acc: Vec<f32>,
-    vis_pos_acc: Vec<f32>,
-    vis_neg_acc: Vec<f32>,
-    hid_pos_acc: Vec<f32>,
-    hid_neg_acc: Vec<f32>,
-}
-
-impl DataParallelRbm {
-    /// Replicates `rbm` across `cfg.devices` modeled coprocessors.
-    pub fn new(rbm: Rbm, cfg: MultiDevConfig) -> Self {
-        let devset = cfg.device_set();
-        let (h, v) = (rbm.config().n_hidden, rbm.config().n_visible);
-        DataParallelRbm {
-            dev_rng: vec![(0, 0); cfg.devices],
-            devset,
-            rbm,
-            pos_acc: vec![0.0; h * v],
-            neg_acc: vec![0.0; h * v],
-            vis_pos_acc: vec![0.0; v],
-            vis_neg_acc: vec![0.0; v],
-            hid_pos_acc: vec![0.0; h],
-            hid_neg_acc: vec![0.0; h],
-            scratch: Vec::new(),
-            cfg,
-        }
-    }
-
-    /// The replicated RBM.
-    pub fn rbm(&self) -> &Rbm {
-        &self.rbm
-    }
-
-    /// Consumes the wrapper, returning the trained RBM.
-    pub fn into_inner(self) -> Rbm {
-        self.rbm
-    }
-
-    /// The device set (clocks, online flags, compute/sync accounting).
-    pub fn device_set(&self) -> &DeviceSet {
-        &self.devset
-    }
-
-    /// The multi-device configuration.
-    pub fn config(&self) -> &MultiDevConfig {
-        &self.cfg
-    }
-
-    /// Per-device `(seed, cursor)` sampler positions.
-    pub fn dev_rng(&self) -> &[(u64, u64)] {
-        &self.dev_rng
-    }
-
-    /// Takes device `i` offline (bit-identical re-shard onto survivors).
-    /// Dropping the last surviving device returns
-    /// [`TrainError::Unrecoverable`](crate::train::TrainError::Unrecoverable)
-    /// instead of panicking.
-    pub fn mark_device_offline(&mut self, i: usize) -> Result<(), crate::train::TrainError> {
-        mark_offline_checked(&mut self.devset, i)
-    }
-
-    /// Fraction of modeled step time spent in gradient synchronization.
-    pub fn sync_fraction(&self) -> f64 {
-        self.devset.sync_fraction()
-    }
-}
-
-impl UnsupervisedModel for DataParallelRbm {
     fn input_dim(&self) -> usize {
-        self.rbm.config().n_visible
+        self.config().n_visible
     }
 
-    fn prepare(&mut self, max_batch: usize) {
-        let k = self.cfg.canonical_blocks;
-        let cap = max_batch.div_ceil(k).max(1);
-        let need_new =
-            self.scratch.len() != k || self.scratch.first().is_none_or(|s| s.capacity() < cap);
-        if need_new {
-            self.scratch = (0..k)
-                .map(|_| RbmScratch::new(self.rbm.config(), cap))
-                .collect();
+    fn block_scratch(&self, cap: usize) -> AeScratch {
+        AeScratch::new(self.config(), cap)
+    }
+
+    fn sharded_step(
+        &mut self,
+        sh: &mut Shards<'_>,
+        blocks: &mut [AeScratch],
+        master: &mut AeScratch,
+        lr: f32,
+    ) -> f64 {
+        let cfg = *self.config();
+        let ae = &*self;
+
+        // Phase A: forward pass + per-block hidden-activation column
+        // *sums* (not means: scaled once after the canonical-order merge)
+        // for the shared sparsity estimate.
+        sh.each_block(|ctx, k, _, xk| {
+            let s = &mut blocks[k];
+            ae.forward(ctx, xk, s);
+            ctx.colsum(s.a2.rows_range(0, xk.rows()), &mut s.rho_hat);
+        });
+
+        // Sync 1: merge the sparsity statistics, derive the shared
+        // penalty term.
+        sh.merge(blocks, |s| &s.rho_hat, &mut master.rho_hat);
+        if cfg.sparsity_weight > 0.0 {
+            kl_sparsity(
+                cfg.sparsity_target,
+                cfg.sparsity_weight,
+                &master.rho_hat,
+                &mut master.s_term,
+            );
+        } else {
+            master.s_term.fill(0.0);
+        }
+
+        // Phase B: backward pass into per-block partial gradients
+        // (`alpha = 1` sums throughout).
+        let mut err = vec![0.0f64; blocks.len()];
+        let s_term = &master.s_term;
+        sh.each_block(|ctx, k, _, xk| {
+            let bk = xk.rows();
+            let s = &mut blocks[k];
+            {
+                let a3s = s.a3.rows_range(0, bk);
+                let mut d3 = s.delta3.rows_range_mut(0, bk);
+                ctx.delta_output(a3s.as_slice(), xk.as_slice(), d3.as_mut_slice());
+            }
+            ctx.gemm(
+                1.0,
+                s.delta3.rows_range(0, bk),
+                true,
+                s.a2.rows_range(0, bk),
+                false,
+                0.0,
+                &mut s.gw2.view_mut(),
+            );
+            ctx.colsum(s.delta3.rows_range(0, bk), &mut s.gb2);
+            {
+                let mut d2 = s.delta2.rows_range_mut(0, bk);
+                ctx.gemm(
+                    1.0,
+                    s.delta3.rows_range(0, bk),
+                    false,
+                    ae.w2.view(),
+                    false,
+                    0.0,
+                    &mut d2,
+                );
+            }
+            {
+                let a2v = s.a2.rows_range(0, bk);
+                let mut d2 = s.delta2.rows_range_mut(0, bk);
+                ctx.bias_deriv_rows(s_term, a2v, &mut d2);
+            }
+            ctx.gemm(
+                1.0,
+                s.delta2.rows_range(0, bk),
+                true,
+                xk,
+                false,
+                0.0,
+                &mut s.gw1.view_mut(),
+            );
+            ctx.colsum(s.delta2.rows_range(0, bk), &mut s.gb1);
+            err[k] = ctx.frob_dist_sq(s.a3.rows_range(0, bk), xk);
+        });
+
+        // Sync 2: gradient merge, one parameter update on the (replicated)
+        // master copy.
+        sh.merge(blocks, |s| s.gw1.as_slice(), master.gw1.as_mut_slice());
+        sh.merge(blocks, |s| s.gw2.as_slice(), master.gw2.as_mut_slice());
+        sh.merge(blocks, |s| &s.gb1, &mut master.gb1);
+        sh.merge(blocks, |s| &s.gb2, &mut master.gb2);
+        let ctx = sh.ctx;
+        let lambda = cfg.weight_decay;
+        ctx.sgd_step(lr, lambda, master.gw1.as_slice(), self.w1.as_mut_slice());
+        ctx.sgd_step(lr, lambda, master.gw2.as_slice(), self.w2.as_mut_slice());
+        ctx.sgd_step(lr, 0.0, &master.gb1, &mut self.b1);
+        ctx.sgd_step(lr, 0.0, &master.gb2, &mut self.b2);
+
+        err.iter().sum::<f64>() / (2.0 * sh.x.rows() as f64)
+    }
+
+    fn sync_cost(&self, devset: &DeviceSet) -> (f64, u64) {
+        // Two allreduces: sparsity statistics, then gradients.
+        let grad_bytes = self.config().param_bytes();
+        let rho_bytes = (self.config().n_hidden * std::mem::size_of::<f32>()) as u64;
+        let sync = devset.allreduce_time(rho_bytes) + devset.allreduce_time(grad_bytes);
+        (sync, grad_bytes)
+    }
+
+    fn shard_resident_bytes(&self, shard_rows: usize) -> u64 {
+        let cfg = self.config();
+        let f = std::mem::size_of::<f32>() as u64;
+        let temps = 2 * (shard_rows * cfg.n_hidden + shard_rows * cfg.n_visible) as u64 * f;
+        cfg.param_bytes() * 2 + temps
+    }
+
+    fn save(&self, w: &mut dyn Write) -> io::Result<()> {
+        let mut w = w;
+        save_autoencoder(self, &mut w)
+    }
+
+    fn from_state(state: MultiDevModelState) -> io::Result<Self> {
+        match state {
+            MultiDevModelState::Ae(ae) => Ok(ae),
+            MultiDevModelState::Rbm(_) => Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                "multi-device snapshot holds an RBM, model is an autoencoder",
+            )),
         }
     }
+}
 
-    fn train_batch(&mut self, ctx: &ExecCtx, x: MatView<'_>, lr: f32) -> f64 {
-        let b = x.rows();
-        assert!(b > 0, "empty batch");
-        assert!(!self.scratch.is_empty(), "prepare() not called");
-        maybe_drop_device(&mut self.devset, ctx);
+impl ShardedStep for Rbm {
+    type Scratch = RbmScratch;
 
-        let cfg = *self.rbm.config();
-        let blocks = canonical_blocks(b, self.cfg.canonical_blocks);
-        let online = online_devices(&self.devset);
-        let shards = block_bounds(blocks.len(), online.len());
-        let mut busy = vec![0.0f64; self.devset.len()];
-        let mut err = vec![0.0f64; blocks.len()];
+    fn input_dim(&self) -> usize {
+        self.config().n_visible
+    }
 
+    fn block_scratch(&self, cap: usize) -> RbmScratch {
+        RbmScratch::new(self.config(), cap)
+    }
+
+    fn sharded_step(
+        &mut self,
+        sh: &mut Shards<'_>,
+        blocks: &mut [RbmScratch],
+        master: &mut RbmScratch,
+        lr: f32,
+    ) -> f64 {
+        let cfg = *self.config();
+        let rbm = &*self;
         // One sampling stream per Gibbs step, reserved at the *master*
         // level before any device touches its shard: the stream count per
         // batch is a constant `cd_steps`, independent of the device count,
         // and each block samples at its global element offset.
-        let streams: Vec<_> = (0..cfg.cd_steps).map(|_| ctx.next_stream()).collect();
+        let streams: Vec<_> = (0..cfg.cd_steps).map(|_| sh.ctx.next_stream()).collect();
 
-        {
-            let (rbm, scratch, err) = (&self.rbm, &mut self.scratch, &mut err);
-            for (j, &dev) in online.iter().enumerate() {
-                let (klo, khi) = shards[j];
-                if klo == khi {
-                    continue;
+        let mut err = vec![0.0f64; blocks.len()];
+        sh.each_block(|ctx, k, lo, xk| {
+            let bk = xk.rows();
+            let s = &mut blocks[k];
+            // Positive phase: p(h | v0).
+            rbm.prop_up(ctx, xk, &mut s.h0_prob);
+            // Gibbs chain, k sweeps; every hidden sampling op addresses
+            // the global `(row, unit)` counter space.
+            let elem_base = (lo * cfg.n_hidden) as u64;
+            for (step, &stream) in streams.iter().enumerate() {
+                {
+                    let probs = if step == 0 { &s.h0_prob } else { &s.h1_prob };
+                    let probs = probs.rows_range(0, bk);
+                    let mut sample = s.h0_sample.rows_range_mut(0, bk);
+                    ctx.bernoulli_at(stream, elem_base, probs.as_slice(), sample.as_mut_slice());
                 }
-                let ((), secs) = ctx.run_deferred(|ctx| {
-                    for k in klo..khi {
-                        let (lo, hi) = blocks[k];
-                        let bk = hi - lo;
-                        let xk = x.rows_range(lo, hi);
-                        let s = &mut scratch[k];
-                        // Positive phase: p(h | v0).
-                        {
-                            let mut h0 = s.h0_prob.rows_range_mut(0, bk);
-                            ctx.gemm(1.0, xk, false, rbm.w.view(), true, 0.0, &mut h0);
-                            ctx.bias_sigmoid_rows(&rbm.c_hid, &mut h0);
-                        }
-                        // Gibbs chain, k sweeps; every hidden sampling op
-                        // addresses the global `(row, unit)` counter space.
-                        let elem_base = (lo * cfg.n_hidden) as u64;
-                        for (step, &stream) in streams.iter().enumerate() {
-                            {
-                                let probs = if step == 0 { &s.h0_prob } else { &s.h1_prob };
-                                let probs = probs.rows_range(0, bk);
-                                let mut sample = s.h0_sample.rows_range_mut(0, bk);
-                                ctx.bernoulli_at(
-                                    stream,
-                                    elem_base,
-                                    probs.as_slice(),
-                                    sample.as_mut_slice(),
-                                );
-                            }
-                            {
-                                let mut v1 = s.v1_prob.rows_range_mut(0, bk);
-                                ctx.gemm(
-                                    1.0,
-                                    s.h0_sample.rows_range(0, bk),
-                                    false,
-                                    rbm.w.view(),
-                                    false,
-                                    0.0,
-                                    &mut v1,
-                                );
-                                ctx.bias_sigmoid_rows(&rbm.b_vis, &mut v1);
-                            }
-                            if step == 0 {
-                                err[k] = ctx.frob_dist_sq(s.v1_prob.rows_range(0, bk), xk);
-                            }
-                            {
-                                let mut h1 = s.h1_prob.rows_range_mut(0, bk);
-                                ctx.gemm(
-                                    1.0,
-                                    s.v1_prob.rows_range(0, bk),
-                                    false,
-                                    rbm.w.view(),
-                                    true,
-                                    0.0,
-                                    &mut h1,
-                                );
-                                ctx.bias_sigmoid_rows(&rbm.c_hid, &mut h1);
-                            }
-                        }
-                        // Per-block CD statistics, `alpha = 1` sums.
-                        ctx.gemm(
-                            1.0,
-                            s.h0_prob.rows_range(0, bk),
-                            true,
-                            xk,
-                            false,
-                            0.0,
-                            &mut s.pos_stats.view_mut(),
-                        );
-                        ctx.gemm(
-                            1.0,
-                            s.h1_prob.rows_range(0, bk),
-                            true,
-                            s.v1_prob.rows_range(0, bk),
-                            false,
-                            0.0,
-                            &mut s.neg_stats.view_mut(),
-                        );
-                        ctx.colsum(xk, &mut s.vis_pos);
-                        ctx.colsum(s.v1_prob.rows_range(0, bk), &mut s.vis_neg);
-                        ctx.colsum(s.h0_prob.rows_range(0, bk), &mut s.hid_pos);
-                        ctx.colsum(s.h1_prob.rows_range(0, bk), &mut s.hid_neg);
-                    }
-                });
-                busy[dev] += secs;
+                rbm.prop_down(ctx, s.h0_sample.rows_range(0, bk), &mut s.v1_prob);
+                if step == 0 {
+                    err[k] = ctx.frob_dist_sq(s.v1_prob.rows_range(0, bk), xk);
+                }
+                rbm.prop_up(ctx, s.v1_prob.rows_range(0, bk), &mut s.h1_prob);
             }
-        }
+            // Per-block CD statistics, `alpha = 1` sums.
+            ctx.gemm(
+                1.0,
+                s.h0_prob.rows_range(0, bk),
+                true,
+                xk,
+                false,
+                0.0,
+                &mut s.pos_stats.view_mut(),
+            );
+            ctx.gemm(
+                1.0,
+                s.h1_prob.rows_range(0, bk),
+                true,
+                s.v1_prob.rows_range(0, bk),
+                false,
+                0.0,
+                &mut s.neg_stats.view_mut(),
+            );
+            ctx.colsum(xk, &mut s.vis_pos);
+            ctx.colsum(s.v1_prob.rows_range(0, bk), &mut s.vis_neg);
+            ctx.colsum(s.h0_prob.rows_range(0, bk), &mut s.hid_pos);
+            ctx.colsum(s.h1_prob.rows_range(0, bk), &mut s.hid_neg);
+        });
 
-        // Sync: canonical-order merge of the six statistic buffers, one
-        // global scale, CD updates on the replicated master copy.
-        let inv_b = 1.0 / b as f32;
-        let nb = blocks.len();
-        macro_rules! merge {
-            ($field:ident, $acc:ident) => {{
-                let parts: Vec<&[f32]> = self.scratch[..nb]
-                    .iter()
-                    .map(|s| s.$field.as_slice())
-                    .collect();
-                ctx.block_merge(&parts, &mut self.$acc);
-                ctx.scale(inv_b, &mut self.$acc);
-            }};
-        }
-        merge!(pos_stats, pos_acc);
-        merge!(neg_stats, neg_acc);
-        merge!(vis_pos, vis_pos_acc);
-        merge!(vis_neg, vis_neg_acc);
-        merge!(hid_pos, hid_pos_acc);
-        merge!(hid_neg, hid_neg_acc);
-        ctx.cd_update(lr, &self.pos_acc, &self.neg_acc, self.rbm.w.as_mut_slice());
+        // Sync: merge the six statistic buffers, CD updates on the
+        // replicated master copy.
+        sh.merge(
+            blocks,
+            |s| s.pos_stats.as_slice(),
+            master.pos_stats.as_mut_slice(),
+        );
+        sh.merge(
+            blocks,
+            |s| s.neg_stats.as_slice(),
+            master.neg_stats.as_mut_slice(),
+        );
+        sh.merge(blocks, |s| &s.vis_pos, &mut master.vis_pos);
+        sh.merge(blocks, |s| &s.vis_neg, &mut master.vis_neg);
+        sh.merge(blocks, |s| &s.hid_pos, &mut master.hid_pos);
+        sh.merge(blocks, |s| &s.hid_neg, &mut master.hid_neg);
+        let ctx = sh.ctx;
         ctx.cd_update(
             lr,
-            &self.vis_pos_acc,
-            &self.vis_neg_acc,
-            &mut self.rbm.b_vis,
+            master.pos_stats.as_slice(),
+            master.neg_stats.as_slice(),
+            self.w.as_mut_slice(),
         );
-        ctx.cd_update(
-            lr,
-            &self.hid_pos_acc,
-            &self.hid_neg_acc,
-            &mut self.rbm.c_hid,
-        );
+        ctx.cd_update(lr, &master.vis_pos, &master.vis_neg, &mut self.b_vis);
+        ctx.cd_update(lr, &master.hid_pos, &master.hid_neg, &mut self.c_hid);
 
-        let max_busy = busy.iter().cloned().fold(0.0, f64::max);
-        // Positive + negative statistics travel the link.
-        let payload = cfg.param_bytes() * 2;
-        let sync = self.devset.allreduce_time(payload);
-        charge_step(&mut self.devset, ctx, max_busy, sync, payload);
-
-        let state = ctx.rng_state();
-        for &dev in &online {
-            self.dev_rng[dev] = state;
-        }
-
-        err.iter().sum::<f64>() / b as f64
+        err.iter().sum::<f64>() / sh.x.rows() as f64
     }
 
-    fn resident_bytes(&self, max_batch: usize) -> u64 {
-        let cfg = self.rbm.config();
+    fn sync_cost(&self, devset: &DeviceSet) -> (f64, u64) {
+        // Positive + negative statistics travel the link.
+        let payload = self.config().param_bytes() * 2;
+        (devset.allreduce_time(payload), payload)
+    }
+
+    fn shard_resident_bytes(&self, shard_rows: usize) -> u64 {
+        let cfg = self.config();
         let f = std::mem::size_of::<f32>() as u64;
-        let shard = max_batch.div_ceil(self.devset.online_count().max(1));
-        let temps = (4 * shard * cfg.n_hidden + 2 * shard * cfg.n_visible) as u64 * f;
+        let temps = (4 * shard_rows * cfg.n_hidden + 2 * shard_rows * cfg.n_visible) as u64 * f;
         cfg.param_bytes() * 3 + temps
     }
 
-    fn save_state(&self, w: &mut dyn Write) -> io::Result<()> {
-        write_multidev_prefix(w, &self.devset, self.cfg.canonical_blocks, &self.dev_rng)?;
+    fn save(&self, w: &mut dyn Write) -> io::Result<()> {
         let mut w = w;
-        save_rbm(&self.rbm, &mut w)
+        save_rbm(self, &mut w)
     }
-}
 
-impl Recoverable for DataParallelRbm {
-    fn restore_state(&mut self, from: CheckpointModel) -> io::Result<()> {
-        let CheckpointModel::MultiDev(state) = from else {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "snapshot is not a multi-device record",
-            ));
-        };
-        let MultiDevModelState::Rbm(rbm) = state.inner else {
-            return Err(io::Error::new(
+    fn from_state(state: MultiDevModelState) -> io::Result<Self> {
+        match state {
+            MultiDevModelState::Rbm(rbm) => Ok(rbm),
+            MultiDevModelState::Ae(_) => Err(io::Error::new(
                 io::ErrorKind::InvalidData,
                 "multi-device snapshot holds an autoencoder, model is an RBM",
-            ));
-        };
-        self.cfg.devices = state.devices;
-        self.cfg.canonical_blocks = state.canonical_blocks;
-        self.devset = self.cfg.device_set();
-        for (i, &off) in state.offline.iter().enumerate() {
-            if off {
-                self.devset.mark_offline(i);
-            }
+            )),
         }
-        self.dev_rng = state.dev_rng;
-        let (h, v) = (rbm.config().n_hidden, rbm.config().n_visible);
-        self.pos_acc = vec![0.0; h * v];
-        self.neg_acc = vec![0.0; h * v];
-        self.vis_pos_acc = vec![0.0; v];
-        self.vis_neg_acc = vec![0.0; v];
-        self.hid_pos_acc = vec![0.0; h];
-        self.hid_neg_acc = vec![0.0; h];
-        self.scratch.clear();
-        self.rbm = rbm;
-        Ok(())
     }
 }
 
@@ -1175,25 +1044,61 @@ mod tests {
         assert_eq!(ctx1.rng_state(), ctx4.rng_state());
     }
 
-    #[test]
-    fn dropping_a_device_mid_run_keeps_weights_bitwise_identical() {
-        let (m1, _) = train_ae(1, 4, 24);
+    /// What the model-generic test bodies need on top of [`ShardedStep`]: a
+    /// fresh model of a given shape and its parameters, flattened for
+    /// bitwise comparison.
+    trait TestModel: ShardedStep {
+        fn fresh(visible: usize, hidden: usize) -> Self;
+        fn params(&self) -> Vec<f32>;
+    }
 
-        let cfg = AeConfig::new(14, 6);
-        let mut m3 = DataParallelAe::new(SparseAutoencoder::new(cfg, 11), MultiDevConfig::new(3));
+    impl TestModel for SparseAutoencoder {
+        fn fresh(visible: usize, hidden: usize) -> Self {
+            SparseAutoencoder::new(AeConfig::new(visible, hidden), 11)
+        }
+        fn params(&self) -> Vec<f32> {
+            [self.w1.as_slice(), self.w2.as_slice(), &self.b1, &self.b2].concat()
+        }
+    }
+
+    impl TestModel for Rbm {
+        fn fresh(visible: usize, hidden: usize) -> Self {
+            // CD-2: the second sweep samples from `h1_prob`, so a survivor
+            // set that mis-placed `elem_base` would show in both sweeps.
+            Rbm::new(RbmConfig::new(visible, hidden).with_cd_steps(2), 11)
+        }
+        fn params(&self) -> Vec<f32> {
+            [self.w.as_slice(), &self.b_vis, &self.c_hid].concat()
+        }
+    }
+
+    /// Four 24-row batches on `devices` cards, losing device 2 before
+    /// batch `drop_at` (its blocks re-land on the survivors).
+    fn train_dropping<M: TestModel>(devices: usize, drop_at: Option<usize>) -> DataParallel<M> {
+        let mut model = DataParallel::new(M::fresh(14, 6), MultiDevConfig::new(devices));
         let ctx = ExecCtx::native(OptLevel::Improved, 99);
-        m3.prepare(24);
+        model.prepare(24);
         for i in 0..4 {
-            if i == 2 {
-                // Lose a device halfway: blocks re-land on the survivors.
-                m3.mark_device_offline(2).unwrap();
+            if drop_at == Some(i) {
+                model.mark_device_offline(2).unwrap();
             }
             let x = batch(24, 14, 1000 + i as u64);
-            m3.train_batch(&ctx, x.view(), 0.2);
+            model.train_batch(&ctx, x.view(), 0.2);
         }
+        model
+    }
+
+    fn dropping_a_device_is_bitwise_invisible<M: TestModel>() {
+        let m1 = train_dropping::<M>(1, None);
+        let m3 = train_dropping::<M>(3, Some(2));
         assert_eq!(m3.device_set().online_count(), 2);
-        assert_eq!(m1.ae().w1.as_slice(), m3.ae().w1.as_slice());
-        assert_eq!(m1.ae().b2, m3.ae().b2);
+        assert_eq!(m1.into_inner().params(), m3.into_inner().params());
+    }
+
+    #[test]
+    fn dropping_a_device_mid_run_keeps_weights_bitwise_identical() {
+        dropping_a_device_is_bitwise_invisible::<SparseAutoencoder>();
+        dropping_a_device_is_bitwise_invisible::<Rbm>();
     }
 
     #[test]
@@ -1246,17 +1151,22 @@ mod tests {
         assert_eq!(rbm.device_set().online_count(), 1);
     }
 
-    #[test]
-    fn simulated_run_records_compute_and_sync_time() {
+    /// One simulated-Phi step of a `visible -> hidden` model on `devices`
+    /// cards; returns the wrapper and whether the master clock advanced.
+    fn simulated_step<M: TestModel>(devices: usize) -> (DataParallel<M>, bool) {
         use micdnn_sim::Platform;
-        let cfg = AeConfig::new(32, 16);
-        let mut model = DataParallelAe::new(SparseAutoencoder::new(cfg, 2), MultiDevConfig::new(4));
+        let mut model = DataParallel::new(M::fresh(32, 16), MultiDevConfig::new(devices));
         let ctx = ExecCtx::simulated(OptLevel::Improved, Platform::xeon_phi(), 1);
         model.prepare(64);
         let x = batch(64, 32, 9);
         let before = ctx.sim_time();
         model.train_batch(&ctx, x.view(), 0.1);
-        assert!(ctx.sim_time() > before, "simulated time must advance");
+        (model, ctx.sim_time() > before)
+    }
+
+    fn four_devices_record_compute_and_sync<M: TestModel>() {
+        let (model, advanced) = simulated_step::<M>(4);
+        assert!(advanced, "simulated time must advance");
         let ds = model.device_set();
         assert!(ds.compute_secs() > 0.0);
         assert!(ds.sync_secs() > 0.0, "N=4 must pay an allreduce");
@@ -1264,15 +1174,17 @@ mod tests {
     }
 
     #[test]
+    fn simulated_run_records_compute_and_sync_time() {
+        four_devices_record_compute_and_sync::<SparseAutoencoder>();
+        four_devices_record_compute_and_sync::<Rbm>();
+    }
+
+    #[test]
     fn single_device_pays_no_sync_time() {
-        use micdnn_sim::Platform;
-        let cfg = AeConfig::new(16, 8);
-        let mut model = DataParallelAe::new(SparseAutoencoder::new(cfg, 2), MultiDevConfig::new(1));
-        let ctx = ExecCtx::simulated(OptLevel::Improved, Platform::xeon_phi(), 1);
-        model.prepare(32);
-        let x = batch(32, 16, 9);
-        model.train_batch(&ctx, x.view(), 0.1);
-        assert_eq!(model.device_set().sync_secs(), 0.0);
+        let (ae, _) = simulated_step::<SparseAutoencoder>(1);
+        assert_eq!(ae.device_set().sync_secs(), 0.0);
+        let (rbm, _) = simulated_step::<Rbm>(1);
+        assert_eq!(rbm.device_set().sync_secs(), 0.0);
     }
 
     #[test]

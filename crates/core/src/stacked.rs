@@ -27,6 +27,35 @@ pub struct LayerReport {
     pub report: TrainReport,
 }
 
+/// The greedy layer-wise schedule (paper Fig. 1), written once: layer `i`
+/// trains on the encoding (`encode`) of the data through layers `0..i`.
+/// `train_layer` gets the untrained layer, its training set and its index
+/// — so checkpoints and ladder positions can carry it — and returns the
+/// trained layer with its report; how it trains (plain, graph-scheduled,
+/// data-parallel, under the supervisor's ladder) is the caller's business.
+pub(crate) fn pretrain_layers<L>(
+    layers: &mut [L],
+    ctx: &ExecCtx,
+    data: &Dataset,
+    encode: impl Fn(&L, &ExecCtx, MatView<'_>) -> Mat,
+    mut train_layer: impl FnMut(&L, &Dataset, u64) -> Result<(L, TrainReport), TrainError>,
+) -> Result<Vec<LayerReport>, TrainError> {
+    let mut current = data.clone();
+    let mut reports = Vec::with_capacity(layers.len());
+    for (i, layer) in layers.iter_mut().enumerate() {
+        let _layer_span = ctx.phase(&format!("pretrain layer {i}"));
+        let (trained, report) = train_layer(layer, &current, i as u64)?;
+        *layer = trained;
+        // Encode the dataset through the freshly trained layer to form
+        // the next layer's training set.
+        let encoded = Dataset::new(encode(layer, ctx, current.matrix().view()));
+        let shape = (current.dim(), encoded.dim());
+        current = encoded;
+        reports.push(LayerReport { shape, report });
+    }
+    Ok(reports)
+}
+
 /// A stack of sparse autoencoders (the paper's Fig. 1).
 #[derive(Debug, Clone)]
 pub struct StackedAutoencoder {
@@ -81,6 +110,20 @@ impl StackedAutoencoder {
         &mut self.layers
     }
 
+    /// The stack's layer -> trainer wrapper (carries the scheduling
+    /// preference, borrows nothing).
+    pub(crate) fn layer_wrapper(&self) -> impl Fn(SparseAutoencoder) -> AeModel {
+        let use_graph = self.use_graph;
+        move |ae| {
+            let model = AeModel::new(ae);
+            if use_graph {
+                model.with_graph_schedule()
+            } else {
+                model
+            }
+        }
+    }
+
     /// Whether [`StackedAutoencoder::with_graph_schedule`] was requested.
     pub fn uses_graph(&self) -> bool {
         self.use_graph
@@ -98,26 +141,15 @@ impl StackedAutoencoder {
         cfg: &TrainConfig,
         passes: usize,
     ) -> Result<Vec<LayerReport>, TrainError> {
-        let mut current = data.clone();
-        let mut reports = Vec::with_capacity(self.layers.len());
-        for (i, layer) in self.layers.iter_mut().enumerate() {
-            let _layer_span = ctx.phase(&format!("pretrain layer {i}"));
-            let shape = (layer.config().n_visible, layer.config().n_hidden);
-            let mut model = AeModel::new(layer.clone());
-            if self.use_graph {
-                model = model.with_graph_schedule();
-            }
+        let wrap = self.layer_wrapper();
+        let encode = SparseAutoencoder::encode;
+        pretrain_layers(&mut self.layers, ctx, data, encode, |layer, current, i| {
+            let mut model = wrap(layer.clone());
             // Checkpoints written inside this layer's run carry the layer
             // index, so a resumed stacked run knows where it stood.
-            let report =
-                train_dataset_at(&mut model, ctx, &current, cfg, passes, 0, i as u64, None)?;
-            *layer = model.into_inner();
-            // Encode the dataset through the freshly trained layer to form
-            // the next layer's training set.
-            current = Dataset::new(layer.encode(ctx, current.matrix().view()));
-            reports.push(LayerReport { shape, report });
-        }
-        Ok(reports)
+            let report = train_dataset_at(&mut model, ctx, current, cfg, passes, 0, i, None)?;
+            Ok((model.into_inner(), report))
+        })
     }
 
     /// Encodes a batch through the whole stack (the deep representation).
@@ -442,22 +474,21 @@ impl DeepBeliefNet {
         cfg: &TrainConfig,
         passes: usize,
     ) -> Result<Vec<LayerReport>, TrainError> {
-        let mut current = data.clone();
-        let mut reports = Vec::with_capacity(self.layers.len());
-        for (i, rbm) in self.layers.iter_mut().enumerate() {
-            let _layer_span = ctx.phase(&format!("pretrain layer {i}"));
-            let shape = (rbm.config().n_visible, rbm.config().n_hidden);
-            let mut model = RbmModel::new(rbm.clone());
-            if self.use_graph {
-                model = model.with_graph_schedule();
-            }
-            let report =
-                train_dataset_at(&mut model, ctx, &current, cfg, passes, 0, i as u64, None)?;
-            *rbm = model.into_inner();
-            current = Dataset::new(rbm.encode(ctx, current.matrix().view()));
-            reports.push(LayerReport { shape, report });
-        }
-        Ok(reports)
+        let use_graph = self.use_graph;
+        pretrain_layers(
+            &mut self.layers,
+            ctx,
+            data,
+            Rbm::encode,
+            |rbm, current, i| {
+                let mut model = RbmModel::new(rbm.clone());
+                if use_graph {
+                    model = model.with_graph_schedule();
+                }
+                let report = train_dataset_at(&mut model, ctx, current, cfg, passes, 0, i, None)?;
+                Ok((model.into_inner(), report))
+            },
+        )
     }
 
     /// Propagates a batch to the deepest hidden probabilities.

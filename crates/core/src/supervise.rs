@@ -44,12 +44,13 @@
 //! Every recovery action is recorded as an [`Incident`] in an
 //! [`IncidentLog`], exportable as JSONL alongside the profiler report.
 
+use crate::autoencoder::SparseAutoencoder;
 use crate::checkpoint::{load_checkpoint, save_checkpoint, CheckpointModel, TrainProgress};
 use crate::exec::ExecCtx;
 use crate::model_io::{
     atomic_write, bad, read_f32, read_header, read_u64, write_f32, write_header, write_u64, TAG_SUP,
 };
-use crate::stacked::{LayerReport, PipelineReport, StackedAutoencoder};
+use crate::stacked::{pretrain_layers, LayerReport, PipelineReport, StackedAutoencoder};
 use crate::train::{
     batches_per_epoch, train_dataset_at, AeModel, RbmModel, TrainConfig, TrainError, TrainReport,
     UnsupervisedModel,
@@ -462,65 +463,28 @@ pub trait Recoverable: UnsupervisedModel {
     fn restore_state(&mut self, from: CheckpointModel) -> io::Result<()>;
 }
 
-impl Recoverable for AeModel {
-    fn restore_state(&mut self, from: CheckpointModel) -> io::Result<()> {
-        match from {
-            CheckpointModel::Ae(m) => {
+/// The plain trainers all restore the same way: the snapshot must hold
+/// their own record kind, whose state they then adopt.
+macro_rules! recoverable {
+    ($model:ty, $kind:ident, $what:literal) => {
+        impl Recoverable for $model {
+            fn restore_state(&mut self, from: CheckpointModel) -> io::Result<()> {
+                let CheckpointModel::$kind(m) = from else {
+                    return Err(io::Error::new(
+                        io::ErrorKind::InvalidData,
+                        concat!("snapshot does not hold ", $what),
+                    ));
+                };
                 self.adopt(m);
                 Ok(())
             }
-            _ => Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "snapshot does not hold a plain autoencoder",
-            )),
         }
-    }
+    };
 }
-
-impl Recoverable for RbmModel {
-    fn restore_state(&mut self, from: CheckpointModel) -> io::Result<()> {
-        match from {
-            CheckpointModel::Rbm(m) => {
-                self.adopt(m);
-                Ok(())
-            }
-            _ => Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "snapshot does not hold a plain RBM",
-            )),
-        }
-    }
-}
-
-impl Recoverable for crate::cnn::CnnModel {
-    fn restore_state(&mut self, from: CheckpointModel) -> io::Result<()> {
-        match from {
-            CheckpointModel::Cnn(m) => {
-                self.adopt(m);
-                Ok(())
-            }
-            _ => Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "snapshot does not hold a CNN",
-            )),
-        }
-    }
-}
-
-impl Recoverable for crate::finetune::FineTuneModel {
-    fn restore_state(&mut self, from: CheckpointModel) -> io::Result<()> {
-        match from {
-            CheckpointModel::FineTune(m) => {
-                self.adopt(m);
-                Ok(())
-            }
-            _ => Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "snapshot does not hold a fine-tune net",
-            )),
-        }
-    }
-}
+recoverable!(AeModel, Ae, "a plain autoencoder");
+recoverable!(RbmModel, Rbm, "a plain RBM");
+recoverable!(crate::cnn::CnnModel, Cnn, "a CNN");
+recoverable!(crate::finetune::FineTuneModel, FineTune, "a fine-tune net");
 
 /// Restores model + RNG from the supervisor's snapshot. If the current
 /// snapshot fails to load (a corrupt or truncated record), the previous
@@ -1001,33 +965,20 @@ impl RunSupervisor {
         cfg: &TrainConfig,
         passes: usize,
     ) -> Result<Vec<LayerReport>, TrainError> {
-        let n = stack.layers().len();
-        let use_graph = stack.uses_graph();
-        let mut current = data.clone();
-        let mut reports = Vec::with_capacity(n);
-        for i in 0..n {
-            let _layer_span = ctx.phase(&format!("pretrain layer {i}"));
-            let layer = &stack.layers()[i];
-            let shape = (layer.config().n_visible, layer.config().n_hidden);
-            let mut model = AeModel::new(layer.clone());
-            if use_graph {
-                model = model.with_graph_schedule();
-            }
-            let report = self.run_leg(
-                &mut model,
-                ctx,
-                &current,
-                cfg,
-                passes,
-                Stage::Pretrain,
-                i as u64,
-                0,
-            )?;
-            stack.layers_mut()[i] = model.into_inner();
-            current = Dataset::new(stack.layers()[i].encode(ctx, current.matrix().view()));
-            reports.push(LayerReport { shape, report });
-        }
-        Ok(reports)
+        let wrap = stack.layer_wrapper();
+        let encode = SparseAutoencoder::encode;
+        pretrain_layers(
+            stack.layers_mut(),
+            ctx,
+            data,
+            encode,
+            |layer, current, i| {
+                let mut model = wrap(layer.clone());
+                let report =
+                    self.run_leg(&mut model, ctx, current, cfg, passes, Stage::Pretrain, i, 0)?;
+                Ok((model.into_inner(), report))
+            },
+        )
     }
 
     /// [`RunSupervisor::pretrain`] with each layer's leg trained
@@ -1045,29 +996,19 @@ impl RunSupervisor {
         cfg: &TrainConfig,
         passes: usize,
     ) -> Result<Vec<LayerReport>, TrainError> {
-        let n = stack.layers().len();
-        let mut current = data.clone();
-        let mut reports = Vec::with_capacity(n);
-        for i in 0..n {
-            let _layer_span = ctx.phase(&format!("pretrain layer {i}"));
-            let layer = &stack.layers()[i];
-            let shape = (layer.config().n_visible, layer.config().n_hidden);
-            let mut model = crate::multidev::DataParallelAe::new(layer.clone(), mdcfg.clone());
-            let report = self.run_leg(
-                &mut model,
-                ctx,
-                &current,
-                cfg,
-                passes,
-                Stage::Pretrain,
-                i as u64,
-                0,
-            )?;
-            stack.layers_mut()[i] = model.into_inner();
-            current = Dataset::new(stack.layers()[i].encode(ctx, current.matrix().view()));
-            reports.push(LayerReport { shape, report });
-        }
-        Ok(reports)
+        let encode = SparseAutoencoder::encode;
+        pretrain_layers(
+            stack.layers_mut(),
+            ctx,
+            data,
+            encode,
+            |layer, current, i| {
+                let mut model = crate::multidev::DataParallel::new(layer.clone(), mdcfg.clone());
+                let report =
+                    self.run_leg(&mut model, ctx, current, cfg, passes, Stage::Pretrain, i, 0)?;
+                Ok((model.into_inner(), report))
+            },
+        )
     }
 
     /// Pipelined pre-training under the ladder's restart rung. The
@@ -1180,12 +1121,6 @@ mod tests {
             chunk_rows: 40,
             ..TrainConfig::default()
         }
-    }
-
-    fn tmpdir(tag: &str) -> std::path::PathBuf {
-        let dir = std::env::temp_dir().join(format!("micdnn-sup-{}-{tag}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        dir
     }
 
     /// Wraps an [`AeModel`], sabotaging chosen `train_batch` calls.
@@ -1553,11 +1488,11 @@ mod tests {
 
     #[test]
     fn ladder_state_survives_a_durable_round_trip() {
-        let dir = tmpdir("ladder");
-        let incidents = dir.join("incidents.jsonl");
+        let dir = crate::TestDir::new("sup-ladder");
+        let incidents = dir.file("incidents.jsonl");
         let mut sup = RunSupervisor::new(SupervisorPolicy::default())
             .unwrap()
-            .durable(&dir)
+            .durable(dir.path())
             .with_incident_file(&incidents);
         sup.rollbacks = 2;
         sup.restarts = 1;
@@ -1574,7 +1509,7 @@ mod tests {
 
         let mut back = RunSupervisor::new(SupervisorPolicy::default())
             .unwrap()
-            .durable(&dir)
+            .durable(dir.path())
             .with_incident_file(&incidents);
         assert!(back.load_durable().unwrap());
         assert_eq!(back.rollbacks(), 2);
@@ -1583,18 +1518,16 @@ mod tests {
         assert!(back.is_degraded());
         assert_eq!(back.pos(), sup.pos());
         assert_eq!(back.log(), sup.log());
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn load_durable_without_state_is_a_fresh_run() {
-        let dir = tmpdir("fresh");
+        let dir = crate::TestDir::new("sup-fresh");
         let mut sup = RunSupervisor::new(SupervisorPolicy::default())
             .unwrap()
-            .durable(&dir);
+            .durable(dir.path());
         assert!(!sup.load_durable().unwrap());
         assert_eq!(sup.rollbacks(), 0);
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -597,6 +597,14 @@ fn train_stream_inner(
     // resume; `report` counts only work done by *this* process.
     let mut pos: u64 = 0;
     let mut done_examples: u64 = 0;
+    // A stream or loader fault leaves a checkpoint of everything trained so
+    // far (best effort — the run is failing anyway) before the typed error
+    // surfaces.
+    let parting_checkpoint = |model: &dyn UnsupervisedModel, pos: u64, examples: u64| {
+        if let (Some(policy), true) = (&cfg.checkpoint, pos > 0) {
+            let _ = write_checkpoint(policy, ctx, model, resume, pos, examples);
+        }
+    };
     loop {
         let next = {
             let _load = ctx.phase("load");
@@ -605,27 +613,14 @@ fn train_stream_inner(
         let chunk = match next {
             Ok(chunk) => chunk,
             Err(e) => {
-                // Stream failure: leave a checkpoint of everything trained
-                // so far (best effort — the run is failing anyway) and
-                // surface the typed error.
                 drain_stream_events(&stream, hooks);
-                if let Some(policy) = &cfg.checkpoint {
-                    if pos > 0 {
-                        let _ = write_checkpoint(policy, ctx, model, resume, pos, done_examples);
-                    }
-                }
+                parting_checkpoint(model, pos, done_examples);
                 return Err(TrainError::Stream(e));
             }
         };
         let Some(chunk) = chunk else { break };
         if chunk.cols() != dim {
-            // Loader fault: leave a checkpoint of everything trained so
-            // far (best effort — the run is failing anyway).
-            if let Some(policy) = &cfg.checkpoint {
-                if pos > 0 {
-                    let _ = write_checkpoint(policy, ctx, model, resume, pos, done_examples);
-                }
-            }
+            parting_checkpoint(model, pos, done_examples);
             return Err(TrainError::DimensionMismatch {
                 expected: dim,
                 got: chunk.cols(),
@@ -792,6 +787,34 @@ pub(crate) fn train_dataset_at(
         },
         hooks,
     )
+}
+
+/// The epoch / mini-batch driver behind the labeled nets' `fit`: `epochs`
+/// passes over `(x, labels)` in `batch`-row steps, returning the per-epoch
+/// mean of the loss `step` reports.
+pub(crate) fn fit_epochs(
+    x: MatView<'_>,
+    labels: &[usize],
+    batch: usize,
+    epochs: usize,
+    mut step: impl FnMut(MatView<'_>, &[usize]) -> f64,
+) -> Vec<f64> {
+    assert!(batch > 0, "batch must be positive");
+    let n = x.rows();
+    let mut history = Vec::with_capacity(epochs);
+    for _ in 0..epochs {
+        let mut total = 0.0;
+        let mut batches = 0usize;
+        let mut lo = 0;
+        while lo < n {
+            let hi = (lo + batch).min(n);
+            total += step(x.rows_range(lo, hi), &labels[lo..hi]);
+            batches += 1;
+            lo = hi;
+        }
+        history.push(total / batches.max(1) as f64);
+    }
+    history
 }
 
 #[cfg(test)]

@@ -1,6 +1,11 @@
-//! Workspace lint pass: `cargo run -p xtask -- lint`.
+//! Workspace tooling: `cargo run -p xtask -- lint` and
+//! `cargo run -p xtask -- loc`.
 //!
-//! Four rules guard the executor's safety story (see DESIGN.md §4.2):
+//! `loc` prints, per file and in total for `crates/core/src` and
+//! `crates/cli/src`, the number of lines above the first `#[cfg(test)]` —
+//! the non-test line count a simplicity PR quotes before and after.
+//!
+//! `lint`: four rules guard the executor's safety story (see DESIGN.md §4.2):
 //!
 //! * **safety-comment** — every `unsafe` block or impl anywhere under
 //!   `crates/` must be preceded (within a few lines) by a `// SAFETY:`
@@ -35,7 +40,7 @@
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-const USAGE: &str = "usage: cargo run -p xtask -- lint";
+const USAGE: &str = "usage: cargo run -p xtask -- lint|loc";
 
 /// Lookback window (in lines) within which a `// SAFETY:` comment must
 /// appear before an `unsafe` token — generous enough for a multi-line
@@ -46,6 +51,7 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
         Some("lint") if args.len() == 1 => lint(),
+        Some("loc") if args.len() == 1 => loc(),
         _ => {
             eprintln!("{USAGE}");
             ExitCode::from(2)
@@ -60,6 +66,35 @@ fn workspace_root() -> PathBuf {
         .and_then(Path::parent)
         .expect("xtask lives two levels under the workspace root")
         .to_path_buf()
+}
+
+/// Lines of `text` above its first `#[cfg(test)]` line (all of them when
+/// the file has no test module).
+fn non_test_lines(text: &str) -> usize {
+    text.lines()
+        .take_while(|l| l.trim() != "#[cfg(test)]")
+        .count()
+}
+
+fn loc() -> ExitCode {
+    let root = workspace_root();
+    let mut files = Vec::new();
+    for dir in ["crates/core/src", "crates/cli/src"] {
+        collect_rs_files(&root.join(dir), &root, &mut files);
+    }
+    files.sort();
+    let mut total = 0usize;
+    for rel in &files {
+        let Ok(text) = std::fs::read_to_string(root.join(rel)) else {
+            eprintln!("loc: cannot read {rel}");
+            return ExitCode::FAILURE;
+        };
+        let n = non_test_lines(&text);
+        println!("{n:>6}  {rel}");
+        total += n;
+    }
+    println!("{total:>6}  total ({} files)", files.len());
+    ExitCode::SUCCESS
 }
 
 #[derive(Debug)]
@@ -350,6 +385,13 @@ mod tests {
         // A quote char-literal opens "string mode" and swallows the rest of
         // the line — conservative (can only under-report, never false-flag).
         assert_eq!(code_only(r#"s.push('"'); nope"#), "s.push('");
+    }
+
+    #[test]
+    fn loc_counts_lines_above_the_first_test_module() {
+        assert_eq!(non_test_lines("a\nb\n#[cfg(test)]\nmod t {}\n"), 2);
+        assert_eq!(non_test_lines("a\n    #[cfg(test)]\nb\n"), 1);
+        assert_eq!(non_test_lines("a\nb\n"), 2);
     }
 
     #[test]

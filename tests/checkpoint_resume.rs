@@ -21,13 +21,12 @@ use micdnn::train::{
 use micdnn::{
     load_checkpoint_file, AeConfig, CheckpointPolicy, CnnConfig, CnnModel, CnnNet, DataParallelRbm,
     ExecCtx, MultiDevConfig, OptLevel, Optimizer, Rbm, RbmConfig, Recoverable, Rule, Schedule,
-    SparseAutoencoder, StackedAutoencoder,
+    SparseAutoencoder, StackedAutoencoder, TestDir,
 };
 use micdnn_data::Dataset;
 use micdnn_tensor::Mat;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::path::PathBuf;
 
 fn toy_dataset(n: usize, dim: usize, seed: u64) -> Dataset {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -37,13 +36,6 @@ fn toy_dataset(n: usize, dim: usize, seed: u64) -> Dataset {
     Dataset::new(Mat::from_fn(n, dim, |r, c| {
         (protos[r % 4][c] + rng.gen_range(-0.05..0.05)).clamp(0.05, 0.95)
     }))
-}
-
-/// A fresh scratch directory for one test's checkpoint files.
-fn scratch_dir(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("micdnn-ckpt-{}-{name}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
 }
 
 fn base_config() -> TrainConfig {
@@ -68,8 +60,8 @@ fn ae_sgd_resume_is_bit_identical() {
     train_dataset(&mut straight, &ctx, &ds, &cfg, 6).unwrap();
 
     // Leg 1: 3 epochs, checkpointing periodically and at the end.
-    let dir = scratch_dir("ae-sgd");
-    let policy = CheckpointPolicy::new(&dir, 5);
+    let dir = TestDir::new("ckpt-ae-sgd");
+    let policy = CheckpointPolicy::new(dir.path(), 5);
     let ckpt_cfg = TrainConfig {
         checkpoint: Some(policy.clone()),
         ..cfg.clone()
@@ -101,7 +93,6 @@ fn ae_sgd_resume_is_bit_identical() {
     assert_eq!(straight.ae.w2.as_slice(), resumed.ae.w2.as_slice());
     assert_eq!(straight.ae.b1, resumed.ae.b1);
     assert_eq!(straight.ae.b2, resumed.ae.b2);
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
@@ -125,8 +116,8 @@ fn ae_momentum_optimizer_resume_is_bit_identical() {
     let ctx = ExecCtx::native(OptLevel::Improved, 6);
     train_dataset(&mut straight, &ctx, &ds, &cfg, 6).unwrap();
 
-    let dir = scratch_dir("ae-momentum");
-    let policy = CheckpointPolicy::new(&dir, 0); // end-of-run checkpoint only
+    let dir = TestDir::new("ckpt-ae-momentum");
+    let policy = CheckpointPolicy::new(dir.path(), 0); // end-of-run checkpoint only
     let ckpt_cfg = TrainConfig {
         checkpoint: Some(policy.clone()),
         ..cfg.clone()
@@ -156,7 +147,6 @@ fn ae_momentum_optimizer_resume_is_bit_identical() {
     );
     assert_eq!(a.steps(), b.steps());
     assert_eq!(a.state_slots(), b.state_slots());
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
@@ -174,8 +164,8 @@ fn rbm_momentum_resume_is_bit_identical() {
     let ctx = ExecCtx::native(OptLevel::Improved, 21);
     train_dataset(&mut straight, &ctx, &ds, &cfg, 6).unwrap();
 
-    let dir = scratch_dir("rbm-momentum");
-    let policy = CheckpointPolicy::new(&dir, 3);
+    let dir = TestDir::new("ckpt-rbm-momentum");
+    let policy = CheckpointPolicy::new(dir.path(), 3);
     let ckpt_cfg = TrainConfig {
         checkpoint: Some(policy.clone()),
         ..cfg.clone()
@@ -201,7 +191,6 @@ fn rbm_momentum_resume_is_bit_identical() {
     assert_eq!(straight.rbm.b_vis, resumed.rbm.b_vis);
     assert_eq!(straight.rbm.c_hid, resumed.rbm.c_hid);
     assert_eq!(straight.momentum_parts(), resumed.momentum_parts());
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// The CNN's checkpoint carries the label cursor alongside the weights —
@@ -220,8 +209,8 @@ fn cnn_resume_is_bit_identical() {
     let ctx = ExecCtx::native(OptLevel::Improved, 35);
     train_dataset(&mut straight, &ctx, &ds, &cfg, 6).unwrap();
 
-    let dir = scratch_dir("cnn");
-    let policy = CheckpointPolicy::new(&dir, 5);
+    let dir = TestDir::new("ckpt-cnn");
+    let policy = CheckpointPolicy::new(dir.path(), 5);
     let ckpt_cfg = TrainConfig {
         checkpoint: Some(policy.clone()),
         ..cfg.clone()
@@ -256,7 +245,6 @@ fn cnn_resume_is_bit_identical() {
     );
     assert_eq!(straight.net.softmax.b, resumed.net.softmax.b);
     assert_eq!(straight.cursor_parts(), resumed.cursor_parts());
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
@@ -281,8 +269,8 @@ fn multidev_rbm_resume_is_bit_identical_including_device_cursors() {
     let ctx = ExecCtx::native(OptLevel::Improved, 21);
     train_dataset(&mut straight, &ctx, &ds, &cfg, 6).unwrap();
 
-    let dir = scratch_dir("multidev-rbm");
-    let policy = CheckpointPolicy::new(&dir, 3);
+    let dir = TestDir::new("ckpt-multidev-rbm");
+    let policy = CheckpointPolicy::new(dir.path(), 3);
     let ckpt_cfg = TrainConfig {
         checkpoint: Some(policy.clone()),
         ..cfg.clone()
@@ -324,7 +312,6 @@ fn multidev_rbm_resume_is_bit_identical_including_device_cursors() {
         resumed.dev_rng(),
         "per-device sampler cursors diverged"
     );
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
@@ -340,8 +327,8 @@ fn crash_mid_epoch_resumes_bit_identically() {
     // "Crash" partway through epoch 1: feed the first three chunks, then a
     // wrong-width chunk. The trainer bails with DimensionMismatch but first
     // leaves a best-effort checkpoint of everything trained so far.
-    let dir = scratch_dir("crash");
-    let policy = CheckpointPolicy::new(&dir, 0);
+    let dir = TestDir::new("ckpt-crash");
+    let policy = CheckpointPolicy::new(dir.path(), 0);
     let ckpt_cfg = TrainConfig {
         checkpoint: Some(policy.clone()),
         ..cfg.clone()
@@ -376,14 +363,13 @@ fn crash_mid_epoch_resumes_bit_identically() {
     assert_eq!(straight.ae.w2.as_slice(), resumed.ae.w2.as_slice());
     assert_eq!(straight.ae.b1, resumed.ae.b1);
     assert_eq!(straight.ae.b2, resumed.ae.b2);
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn stacked_pretraining_checkpoints_carry_the_layer_index() {
     let ds = toy_dataset(120, 16, 9);
-    let dir = scratch_dir("stacked");
-    let policy = CheckpointPolicy::new(&dir, 0);
+    let dir = TestDir::new("ckpt-stacked");
+    let policy = CheckpointPolicy::new(dir.path(), 0);
     let cfg = TrainConfig {
         checkpoint: Some(policy.clone()),
         ..base_config()
@@ -399,5 +385,4 @@ fn stacked_pretraining_checkpoints_carry_the_layer_index() {
     let model = ckpt.into_ae().expect("AE checkpoint");
     assert_eq!(model.ae.config().n_visible, 8);
     assert_eq!(model.ae.config().n_hidden, 4);
-    let _ = std::fs::remove_dir_all(&dir);
 }

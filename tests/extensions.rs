@@ -160,12 +160,12 @@ fn full_pipeline_pretrain_finetune_save_load_metrics() {
     );
 
     // Persist + reload the first layer; metrics must be identical.
-    let path = std::env::temp_dir().join(format!("micdnn-ext-{}.bin", std::process::id()));
+    let dir = micdnn::TestDir::new("ext-pipeline");
+    let path = dir.file("layer0.bin");
     save_autoencoder_file(first, &path).unwrap();
     let reloaded = load_autoencoder_file(&path).unwrap();
     let recon2 = reconstruction_stats(&reloaded, &ctx, ds.matrix().view(), &mut scratch);
     assert_eq!(recon.mse, recon2.mse);
-    std::fs::remove_file(&path).ok();
 
     // Fine-tune and check we beat chance comfortably.
     let mut net = FineTuneNet::from_stack(&stack, 10, 16);

@@ -193,10 +193,10 @@ fn checkpoint_write_failure_restarts_and_completes() {
     use micdnn::CheckpointPolicy;
     let _g = REGISTRY_LOCK.lock();
     faults::clear_all();
-    let dir = std::env::temp_dir().join(format!("micdnn-chaos-{}", std::process::id()));
+    let dir = micdnn::TestDir::new("chaos-ckpt");
     let ds = toy_dataset(120, 12, 11);
     let cfg = TrainConfig {
-        checkpoint: Some(CheckpointPolicy::new(&dir, 7)),
+        checkpoint: Some(CheckpointPolicy::new(dir.path(), 7)),
         ..chaos_cfg()
     };
 
@@ -208,7 +208,6 @@ fn checkpoint_write_failure_restarts_and_completes() {
         (model.ae.w1.as_slice().to_vec(), log)
     });
     faults::clear_all();
-    let _ = std::fs::remove_dir_all(&dir);
 
     assert_eq!(log.count("restart"), 1, "{:?}", log.incidents);
     let (clean, _) = with_watchdog("ckpt baseline", run_ae);

@@ -16,14 +16,10 @@ use micdnn::train::{AeModel, RbmModel};
 use micdnn::{
     atomic_write, load_checkpoint, load_checkpoint_file, save_autoencoder_file, save_checkpoint,
     save_checkpoint_file, AeConfig, Optimizer, Rbm, RbmConfig, Rule, Schedule, SparseAutoencoder,
-    TrainProgress,
+    TestDir, TrainProgress,
 };
 use std::io::{self, Write};
 use std::path::PathBuf;
-
-fn scratch_path(name: &str) -> PathBuf {
-    std::env::temp_dir().join(format!("micdnn-persist-{}-{name}", std::process::id()))
-}
 
 fn sample_ae() -> SparseAutoencoder {
     SparseAutoencoder::new(AeConfig::new(12, 7), 3)
@@ -221,8 +217,8 @@ impl Write for FailAfter<'_> {
 
 #[test]
 fn failed_save_leaves_previous_model_intact() {
-    let path = scratch_path("atomic-model.bin");
-    let _ = std::fs::remove_file(&path);
+    let dir = TestDir::new("persist-atomic-model");
+    let path = dir.file("model.bin");
 
     let original = sample_ae();
     save_autoencoder_file(&original, &path).unwrap();
@@ -256,14 +252,12 @@ fn failed_save_leaves_previous_model_intact() {
     // The surviving file still loads to the original weights.
     let back = micdnn::load_autoencoder_file(&path).unwrap();
     assert_eq!(back.w1.as_slice(), original.w1.as_slice());
-    let _ = std::fs::remove_file(&path);
 }
 
 #[test]
 fn failed_checkpoint_write_leaves_previous_checkpoint_loadable() {
-    let dir = scratch_path("atomic-ckpt");
-    let _ = std::fs::remove_dir_all(&dir);
-    let file = dir.join("checkpoint.mic");
+    let dir = TestDir::new("persist-atomic-ckpt");
+    let file = dir.file("ckpt/checkpoint.mic");
 
     let model = AeModel::new(sample_ae());
     let progress = TrainProgress {
@@ -285,25 +279,22 @@ fn failed_checkpoint_write_leaves_previous_checkpoint_loadable() {
     assert_eq!(back.rng_seed, 7);
     assert_eq!(back.rng_cursor, 19);
     assert_eq!(back.progress, progress);
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn successful_save_leaves_no_temporary() {
-    let path = scratch_path("atomic-clean.bin");
-    let _ = std::fs::remove_file(&path);
+    let dir = TestDir::new("persist-atomic-clean");
+    let path = dir.file("model.bin");
     save_autoencoder_file(&sample_ae(), &path).unwrap();
     let mut tmp = path.as_os_str().to_owned();
     tmp.push(".tmp");
     assert!(!PathBuf::from(tmp).exists());
-    let _ = std::fs::remove_file(&path);
 }
 
 #[test]
 fn checkpoint_file_round_trips_momentum_rbm() {
-    let dir = scratch_path("rbm-ckpt");
-    let _ = std::fs::remove_dir_all(&dir);
-    let file = dir.join("checkpoint.mic");
+    let dir = TestDir::new("persist-rbm-ckpt");
+    let file = dir.file("ckpt/checkpoint.mic");
     let model = RbmModel::new(sample_rbm());
     let progress = TrainProgress {
         layer: 2,
@@ -317,5 +308,4 @@ fn checkpoint_file_round_trips_momentum_rbm() {
     let restored = back.into_rbm().expect("RBM checkpoint");
     assert_eq!(restored.rbm.w.as_slice(), model.rbm.w.as_slice());
     assert_eq!(restored.rbm.config().cd_steps, 2);
-    let _ = std::fs::remove_dir_all(&dir);
 }
