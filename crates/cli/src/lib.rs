@@ -140,11 +140,21 @@ fn load_data(args: &Args, examples: usize, seed: u64) -> Result<Dataset, String>
     Ok(ds)
 }
 
+/// A count flag that has to be at least 1 (`--batch`, `--chunk`, `--passes`,
+/// `--finetune-epochs`): zero is rejected here, as a CLI error, instead of
+/// tripping an assert or a divide-by-zero deep in the library.
+fn positive(args: &Args, key: &str, default: usize) -> Result<usize, String> {
+    match args.num(key, default)? {
+        0 => Err(format!("--{key} must be at least 1")),
+        n => Ok(n),
+    }
+}
+
 fn train_config(args: &Args) -> Result<TrainConfig, String> {
     Ok(TrainConfig {
         learning_rate: args.num("lr", 0.3f32)?,
-        batch_size: args.num("batch", 100usize)?,
-        chunk_rows: args.num("chunk", 1000usize)?,
+        batch_size: positive(args, "batch", 100)?,
+        chunk_rows: positive(args, "chunk", 1000)?,
         double_buffered: !args.has("no-double-buffer"),
         link: Link::pcie_gen2(),
         history_every: 10,
@@ -505,7 +515,7 @@ impl Trainable for RbmModel {
 
 impl Trainable for CnnModel {
     fn report_lines(&self, ctx: &ExecCtx, ds: &Dataset) -> String {
-        let labels: Vec<usize> = (0..ds.len()).map(|i| i % 10).collect();
+        let labels = Self::row_labels(ds.len(), self.net.config().n_classes);
         let acc = self.net.accuracy(ctx, ds.matrix().view(), &labels);
         format!("train accuracy {:.1}%\n", 100.0 * acc)
     }
@@ -691,7 +701,7 @@ fn cmd_train(args: &Args, seed: u64) -> Result<String, String> {
             (visible / 2).max(2)
         },
     )?;
-    let passes = args.num("passes", 10usize)?;
+    let passes = positive(args, "passes", 10)?;
     if algo == "cnn" {
         // The CNN derives labels from the digit generator's row order
         // (row i renders digit i % 10), so only that stream is labeled.
@@ -830,7 +840,7 @@ fn cmd_train_ae(args: &Args, seed: u64) -> Result<String, String> {
         ));
     }
     let hidden = args.num("hidden", (visible / 2).max(2))?;
-    let passes = args.num("passes", 10usize)?;
+    let passes = positive(args, "passes", 10)?;
     let mut model = build_ae(args, visible, hidden, seed, args.has("graph-schedule"))?;
     let ctx = make_ctx(args, seed)?;
     let tc = train_config(args)?;
@@ -864,7 +874,7 @@ fn cmd_profile(args: &Args, seed: u64) -> Result<String, String> {
     let algo = args.get("algo").unwrap_or("ae");
     let visible = ds.dim();
     let hidden = args.num("hidden", (visible / 2).max(2))?;
-    let passes = args.num("passes", 2usize)?;
+    let passes = positive(args, "passes", 2)?;
 
     let level = parse_level(args)?;
     let platform = match args.get("platform") {
@@ -928,7 +938,7 @@ fn cmd_train_rbm(args: &Args, seed: u64) -> Result<String, String> {
     ds.binarize(0.5);
     let visible = ds.dim();
     let hidden = args.num("hidden", (visible / 2).max(2))?;
-    let passes = args.num("passes", 10usize)?;
+    let passes = positive(args, "passes", 10)?;
     let cfg = RbmConfig::new(visible, hidden);
     let ctx = make_ctx(args, seed)?;
     let tc = TrainConfig {
@@ -1017,7 +1027,7 @@ fn cmd_pretrain(args: &Args, seed: u64) -> Result<String, String> {
     let examples = args.num("examples", 2000usize)?;
     let ds = load_data(args, examples, seed)?;
     let sizes = parse_sizes(args, ds.dim())?;
-    let passes = args.num("passes", 10usize)?;
+    let passes = positive(args, "passes", 10)?;
     let ctx = make_ctx(args, seed)?;
     let tc = train_config(args)?;
     let mut stack = build_stack(args, &sizes, seed);
@@ -1076,11 +1086,11 @@ fn cmd_classify(args: &Args, seed: u64) -> Result<String, String> {
     let mut gen = DigitGenerator::new(side, seed);
     let mut ds = Dataset::new(gen.matrix(examples));
     ds.normalize();
-    let labels: Vec<usize> = (0..examples).map(|i| i % classes).collect();
+    let labels = FineTuneModel::row_labels(examples, classes);
 
     let sizes = parse_sizes(args, ds.dim())?;
-    let passes = args.num("passes", 8usize)?;
-    let epochs = args.num("finetune-epochs", 15usize)?;
+    let passes = positive(args, "passes", 8)?;
+    let epochs = positive(args, "finetune-epochs", 15)?;
     let (ctx, tc, supervised) = supervision_setup(args, seed)?;
 
     let mut stack = build_stack(args, &sizes, seed);
@@ -1161,7 +1171,7 @@ fn classify_supervised(
             ctx,
             ds,
             &ft_tc,
-            args.num("finetune-epochs", 15usize)?,
+            positive(args, "finetune-epochs", 15)?,
             Stage::FineTune,
             0,
             0,
@@ -1481,6 +1491,43 @@ mod tests {
         let out = run(&sv(&["help"])).unwrap();
         assert!(out.contains("train-ae"));
         assert!(out.contains("estimate"));
+    }
+
+    #[test]
+    fn zero_valued_count_flags_are_cli_errors_not_panics() {
+        // Every training subcommand, in each mode that reads the counts
+        // through a different path.
+        let cmds: [&[&str]; 13] = [
+            &["train", "--algo", "ae"],
+            &["train", "--algo", "rbm"],
+            &["train", "--algo", "cnn"],
+            &["train", "--supervise"],
+            &["train", "--devices", "2"],
+            &["train-ae"],
+            &["train-rbm"],
+            &["train-rbm", "--pcd"],
+            &["pretrain"],
+            &["pretrain", "--pipeline"],
+            &["classify"],
+            &["classify", "--supervise"],
+            &["profile"],
+        ];
+        for cmd in cmds {
+            let mut flags = vec!["batch", "chunk", "passes"];
+            if cmd[0] == "classify" {
+                flags.push("finetune-epochs");
+            }
+            for flag in flags {
+                let mut argv = sv(cmd);
+                argv.extend(sv(&["--examples", "40", "--side", "8"]));
+                argv.extend([format!("--{flag}"), "0".to_string()]);
+                let outcome = std::panic::catch_unwind(|| run(&argv));
+                let err = outcome
+                    .unwrap_or_else(|_| panic!("{argv:?} panicked"))
+                    .expect_err(&format!("{argv:?} accepted a zero count"));
+                assert_eq!(err, format!("--{flag} must be at least 1"), "{argv:?}");
+            }
+        }
     }
 
     #[test]

@@ -33,12 +33,12 @@
 
 use crate::autoencoder::{AeCost, AeScratch, SparseAutoencoder};
 use crate::exec::ExecCtx;
-use crate::graph::{BufClass, GraphRun, NodeSpec, TaskGraph};
+use crate::graph::{BufClass, BufId, GraphRun, NodeSpec, TaskGraph};
 use crate::layers::{Decl, Emit, Layer, Part, StackBuilder};
 use crate::optim::Optimizer;
 use micdnn_kernels::fused::kl_sparsity;
 use micdnn_kernels::vecops;
-use micdnn_tensor::MatView;
+use micdnn_tensor::{Mat, MatView};
 
 /// Model parameters threaded through an AE graph run: shared for
 /// gradient-only runs, mutable when the graph includes update nodes.
@@ -80,7 +80,9 @@ pub struct AeState<'a> {
 }
 
 impl<'a> AeState<'a> {
-    /// State for one step on `x`, reconstructing `x` itself.
+    /// State for one step on `x`, reconstructing `x` itself: gradients only
+    /// over shared parameters; over mutable ones a plain-SGD update at
+    /// `lr`, or through `opt` when given.
     pub(crate) fn new(
         params: AeParams<'a>,
         scratch: &'a mut AeScratch,
@@ -95,11 +97,16 @@ impl<'a> AeState<'a> {
             target: x,
             opt,
             lr,
-            cost: AeCost {
-                reconstruction: 0.0,
-                weight_penalty: 0.0,
-                sparsity_penalty: 0.0,
-            },
+            cost: AeCost::default(),
+        }
+    }
+
+    /// The update this state's graph carries (see [`AeState::new`]).
+    pub(crate) fn update(&self) -> AeUpdate {
+        match (&self.params, &self.opt) {
+            (AeParams::Shared(_), _) => AeUpdate::None,
+            (AeParams::Mut(_), None) => AeUpdate::Sgd,
+            (AeParams::Mut(_), Some(_)) => AeUpdate::Opt,
         }
     }
 }
@@ -122,416 +129,324 @@ const ENC: usize = 0;
 const DEC: usize = 1;
 const SPARS: usize = 2;
 
-/// Encoder half: F1 forward, D2 backward (two sweeps, as the serial path
-/// does), GW1/GB1 gradients, U1/U3 updates.
-struct AeEncode {
+/// Which of the autoencoder's two sigmoid-affine layers a [`AeHalf`] is
+/// (paper eqs. 1-2: both are `sigmoid(input W' + b)`). The discriminant is
+/// the half's registry slot and its weight tensor's optimizer slot.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Half {
+    Enc = ENC as isize,
+    Dec = DEC as isize,
+}
+
+/// Graph buffer names per half: weights, biases, activation, delta, weight
+/// gradient, bias gradient.
+const BUF_NAMES: [[&str; 6]; 2] = [
+    ["w1", "b1", "a2", "delta2", "gw1", "gb1"],
+    ["w2", "b2", "a3", "delta3", "gw2", "gb2"],
+];
+
+/// Node names per half: forward, weight gradient, bias gradient, weight
+/// update, bias update.
+const NODE_NAMES: [[&str; 5]; 2] = [
+    ["F1", "GW1", "GB1", "U1", "U3"],
+    ["F2", "GW2", "GB2", "U2", "U4"],
+];
+
+/// One half's tensors split-borrowed out of a run: the rows it consumes and
+/// its own fields of the [`AeScratch`].
+struct HalfBufs<'s> {
+    input: MatView<'s>,
+    act: &'s mut Mat,
+    delta: &'s mut Mat,
+    gw: &'s mut Mat,
+    gb: &'s mut Vec<f32>,
+}
+
+impl Half {
+    /// This half's `(weights, biases)`.
+    fn params(self, ae: &SparseAutoencoder) -> (&Mat, &[f32]) {
+        match self {
+            Half::Enc => (&ae.w1, &ae.b1),
+            Half::Dec => (&ae.w2, &ae.b2),
+        }
+    }
+
+    fn params_mut(self, ae: &mut SparseAutoencoder) -> (&mut Mat, &mut Vec<f32>) {
+        match self {
+            Half::Enc => (&mut ae.w1, &mut ae.b1),
+            Half::Dec => (&mut ae.w2, &mut ae.b2),
+        }
+    }
+
+    /// The encoder consumes the batch `x`, the decoder the first `b` rows
+    /// of the encoder's activations.
+    fn bufs<'s>(self, scr: &'s mut AeScratch, x: MatView<'s>, b: usize) -> HalfBufs<'s> {
+        match self {
+            Half::Enc => HalfBufs {
+                input: x,
+                act: &mut scr.a2,
+                delta: &mut scr.delta2,
+                gw: &mut scr.gw1,
+                gb: &mut scr.gb1,
+            },
+            Half::Dec => HalfBufs {
+                input: scr.a2.rows_range(0, b),
+                act: &mut scr.a3,
+                delta: &mut scr.delta3,
+                gw: &mut scr.gw2,
+                gb: &mut scr.gb2,
+            },
+        }
+    }
+}
+
+/// One sigmoid-affine half of the autoencoder: forward (F1 / F2), backward
+/// (D2, in two sweeps as the serial path does / D3), gradients (GW*, GB*)
+/// and updates (U1, U3 / U2, U4). Everything but the backward delta is one
+/// body over [`Half`]-selected tensors.
+struct AeHalf {
+    half: Half,
     n_visible: usize,
     n_hidden: usize,
     b: usize,
     update: AeUpdate,
 }
 
-impl<'a> Layer<AeState<'a>> for AeEncode {
-    fn tag(&self) -> &'static str {
-        "ae-encode"
+impl AeHalf {
+    /// `(output width, input width)` of this half's affine map.
+    fn dims(&self) -> (usize, usize) {
+        match self.half {
+            Half::Enc => (self.n_hidden, self.n_visible),
+            Half::Dec => (self.n_visible, self.n_hidden),
+        }
     }
 
+    /// The buffer this half's forward and weight-gradient nodes consume.
+    fn input_buf(&self, sb: &StackBuilder<AeState<'_>>) -> BufId {
+        match self.half {
+            Half::Enc => sb.global("x"),
+            Half::Dec => sb.buf(ENC, "act"),
+        }
+    }
+
+    /// The per-tensor parameter update (weight decay on the weights only,
+    /// as in `apply_gradients`): plain SGD, or one optimizer slot — in
+    /// which case U4, the graph's last update node, also advances the
+    /// optimizer's schedule. Emits nothing in [`AeUpdate::None`] mode.
+    fn emit_update(&self, sb: &mut StackBuilder<AeState<'_>>, part: Part) {
+        let (half, b, update) = (self.half, self.b, self.update);
+        if update == AeUpdate::None {
+            return;
+        }
+        let [_, _, _, upd_w, upd_b] = NODE_NAMES[half as usize];
+        let (name, grad, param, opt_slot) = match part {
+            Part::Weights => (upd_w, "gw", "w", half as usize),
+            Part::Biases => (upd_b, "gb", "b", 2 + half as usize),
+        };
+        let (grad, param) = (sb.buf(half as usize, grad), sb.buf(half as usize, param));
+        let mut spec = NodeSpec::new(name)
+            .reads(&[grad, param])
+            .writes(&[param])
+            .phase("update");
+        if update == AeUpdate::Opt {
+            // Optimizer state is invisible to the buffer analysis.
+            spec = spec.exclusive();
+        }
+        let last = (half, part) == (Half::Dec, Part::Biases);
+        sb.node(spec, move |ctx, s: &mut AeState<'_>| {
+            let ae = s.params.get_mut();
+            let lambda = match part {
+                Part::Weights => ae.config().weight_decay,
+                Part::Biases => 0.0,
+            };
+            let (w, bias) = half.params_mut(ae);
+            let t = half.bufs(s.scratch, s.x, b);
+            let (g, p) = match part {
+                Part::Weights => (t.gw.as_slice(), w.as_mut_slice()),
+                Part::Biases => (&t.gb[..], &mut bias[..]),
+            };
+            if update == AeUpdate::Opt {
+                let opt = s.opt.as_deref_mut().expect("optimizer-mode graph");
+                opt.step_slot(ctx, opt_slot, lambda, g, p);
+                if last {
+                    opt.advance();
+                }
+            } else {
+                ctx.sgd_step(s.lr, lambda, g, p);
+            }
+        });
+    }
+}
+
+impl<'a> Layer<AeState<'a>> for AeHalf {
     fn declare(&self, sb: &mut StackBuilder<AeState<'a>>, what: Decl) {
-        let (v, h, b) = (self.n_visible, self.n_hidden, self.b);
+        let slot = self.half as usize;
+        let [w, bias, act, delta, gw, gb] = BUF_NAMES[slot];
+        let ((out, inp), b) = (self.dims(), self.b);
         match what {
             // Parameters and input: analysis-only externals.
             Decl::Params => {
-                sb.bind_dims(ENC, "w", "w1", &[h, v], BufClass::External);
-                sb.bind_dims(ENC, "b", "b1", &[h], BufClass::External);
+                sb.bind_dims(slot, "w", w, &[out, inp], BufClass::External);
+                sb.bind_dims(slot, "b", bias, &[out], BufClass::External);
             }
             // Activations are pinned: `AeScratch::hidden` exposes them
             // after the run (encode-by-inspection, tests, stacking).
             Decl::Acts => {
-                sb.bind_dims(ENC, "act", "a2", &[b, h], BufClass::Pinned);
-            }
-            Decl::Deltas => {
-                sb.bind_dims(ENC, "delta", "delta2", &[b, h], BufClass::Scratch);
-            }
-            // Gradients are pinned: consumed after the run by optimizer
-            // steps or hybrid blending (`AeScratch::gradients`).
-            Decl::Grads(Part::Weights) => {
-                sb.bind_dims(ENC, "gw", "gw1", &[h, v], BufClass::Pinned);
-            }
-            Decl::Grads(Part::Biases) => {
-                sb.bind_dims(ENC, "gb", "gb1", &[h], BufClass::Pinned);
-            }
-        }
-    }
-
-    fn emit(&self, sb: &mut StackBuilder<AeState<'a>>, what: Emit) {
-        let b = self.b;
-        let inv_b = 1.0 / b as f32;
-        match what {
-            // F1: a2 = sigmoid(x W1^T + b1).
-            Emit::Forward => {
-                let (x, w1, b1, a2) = (
-                    sb.global("x"),
-                    sb.buf(ENC, "w"),
-                    sb.buf(ENC, "b"),
-                    sb.buf(ENC, "act"),
-                );
-                sb.node(
-                    NodeSpec::new("F1")
-                        .reads(&[x, w1, b1])
-                        .writes(&[a2])
-                        .phase("forward"),
-                    move |ctx, s: &mut AeState<'_>| {
-                        let ae = s.params.get();
-                        let mut a2 = s.scratch.a2.rows_range_mut(0, b);
-                        ctx.gemm(1.0, s.x, false, ae.w1.view(), true, 0.0, &mut a2);
-                        ctx.bias_sigmoid_rows(&ae.b1, &mut a2);
-                    },
-                );
-            }
-            // D2: delta2 = (delta3 W2 + s) ⊙ a2 ⊙ (1 - a2), in two sweeps
-            // as the serial path does.
-            Emit::Backward => {
-                let (delta3, w2, delta2) =
-                    (sb.buf(DEC, "delta"), sb.buf(DEC, "w"), sb.buf(ENC, "delta"));
-                sb.node(
-                    NodeSpec::new("D2a")
-                        .reads(&[delta3, w2])
-                        .writes(&[delta2])
-                        .phase("backward"),
-                    move |ctx, s: &mut AeState<'_>| {
-                        let ae = s.params.get();
-                        let scr = &mut *s.scratch;
-                        let (d3, d2) = (&scr.delta3, &mut scr.delta2);
-                        let mut d2 = d2.rows_range_mut(0, b);
-                        ctx.gemm(
-                            1.0,
-                            d3.rows_range(0, b),
-                            false,
-                            ae.w2.view(),
-                            false,
-                            0.0,
-                            &mut d2,
-                        );
-                    },
-                );
-                let (s_term, a2) = (sb.buf(SPARS, "s_term"), sb.buf(ENC, "act"));
-                sb.node(
-                    NodeSpec::new("D2b")
-                        .reads(&[s_term, a2, delta2])
-                        .writes(&[delta2])
-                        .phase("backward"),
-                    move |ctx, s: &mut AeState<'_>| {
-                        let scr = &mut *s.scratch;
-                        let (a2m, delta2m, st) = (&scr.a2, &mut scr.delta2, &scr.s_term);
-                        let mut d2 = delta2m.rows_range_mut(0, b);
-                        ctx.bias_deriv_rows(st, a2m.rows_range(0, b), &mut d2);
-                    },
-                );
-            }
-            // GW1 = 1/b delta2^T x ; GB1 = 1/b colsum(delta2).
-            Emit::Grads(Part::Weights) => {
-                let (delta2, x, gw1) = (sb.buf(ENC, "delta"), sb.global("x"), sb.buf(ENC, "gw"));
-                sb.node(
-                    NodeSpec::new("GW1")
-                        .reads(&[delta2, x])
-                        .writes(&[gw1])
-                        .phase("backward"),
-                    move |ctx, s: &mut AeState<'_>| {
-                        let scr = &mut *s.scratch;
-                        let (d2, out) = (&scr.delta2, &mut scr.gw1);
-                        ctx.gemm(
-                            inv_b,
-                            d2.rows_range(0, b),
-                            true,
-                            s.x,
-                            false,
-                            0.0,
-                            &mut out.view_mut(),
-                        );
-                    },
-                );
-            }
-            Emit::Grads(Part::Biases) => {
-                let (delta2, gb1) = (sb.buf(ENC, "delta"), sb.buf(ENC, "gb"));
-                sb.node(
-                    NodeSpec::new("GB1")
-                        .reads(&[delta2])
-                        .writes(&[gb1])
-                        .phase("backward"),
-                    move |ctx, s: &mut AeState<'_>| {
-                        let scr = &mut *s.scratch;
-                        let (d2, out) = (&scr.delta2, &mut scr.gb1);
-                        ctx.colmean(d2.rows_range(0, b), out);
-                    },
-                );
-            }
-            Emit::Update(Part::Weights) => {
-                let (gw1, w1) = (sb.buf(ENC, "gw"), sb.buf(ENC, "w"));
-                match self.update {
-                    AeUpdate::None => {}
-                    AeUpdate::Sgd => sb.node(
-                        NodeSpec::new("U1")
-                            .reads(&[gw1, w1])
-                            .writes(&[w1])
-                            .phase("update"),
-                        move |ctx, s: &mut AeState<'_>| {
-                            let ae = s.params.get_mut();
-                            let lambda = ae.config().weight_decay;
-                            ctx.sgd_step(
-                                s.lr,
-                                lambda,
-                                s.scratch.gw1.as_slice(),
-                                ae.w1.as_mut_slice(),
-                            );
-                        },
-                    ),
-                    AeUpdate::Opt => sb.node(
-                        NodeSpec::new("U1")
-                            .reads(&[gw1, w1])
-                            .writes(&[w1])
-                            .exclusive()
-                            .phase("update"),
-                        move |ctx, s: &mut AeState<'_>| {
-                            let ae = s.params.get_mut();
-                            let lambda = ae.config().weight_decay;
-                            let opt = s.opt.as_deref_mut().expect("optimizer-mode graph");
-                            opt.step_slot(
-                                ctx,
-                                0,
-                                lambda,
-                                s.scratch.gw1.as_slice(),
-                                ae.w1.as_mut_slice(),
-                            );
-                        },
-                    ),
-                }
-            }
-            Emit::Update(Part::Biases) => {
-                let (gb1, b1) = (sb.buf(ENC, "gb"), sb.buf(ENC, "b"));
-                match self.update {
-                    AeUpdate::None => {}
-                    AeUpdate::Sgd => sb.node(
-                        NodeSpec::new("U3")
-                            .reads(&[gb1, b1])
-                            .writes(&[b1])
-                            .phase("update"),
-                        move |ctx, s: &mut AeState<'_>| {
-                            let ae = s.params.get_mut();
-                            ctx.sgd_step(s.lr, 0.0, &s.scratch.gb1, &mut ae.b1);
-                        },
-                    ),
-                    AeUpdate::Opt => sb.node(
-                        NodeSpec::new("U3")
-                            .reads(&[gb1, b1])
-                            .writes(&[b1])
-                            .exclusive()
-                            .phase("update"),
-                        move |ctx, s: &mut AeState<'_>| {
-                            let ae = s.params.get_mut();
-                            let opt = s.opt.as_deref_mut().expect("optimizer-mode graph");
-                            opt.step_slot(ctx, 2, 0.0, &s.scratch.gb1, &mut ae.b1);
-                        },
-                    ),
-                }
-            }
-        }
-    }
-}
-
-/// Decoder half: F2 forward, D3 backward, GW2/GB2 gradients, U2/U4
-/// updates (U4 advances the optimizer schedule in `Opt` mode — it is the
-/// graph's last update node).
-struct AeDecode {
-    n_visible: usize,
-    n_hidden: usize,
-    b: usize,
-    update: AeUpdate,
-}
-
-impl<'a> Layer<AeState<'a>> for AeDecode {
-    fn tag(&self) -> &'static str {
-        "ae-decode"
-    }
-
-    fn declare(&self, sb: &mut StackBuilder<AeState<'a>>, what: Decl) {
-        let (v, h, b) = (self.n_visible, self.n_hidden, self.b);
-        match what {
-            Decl::Params => {
-                sb.bind_dims(DEC, "w", "w2", &[v, h], BufClass::External);
-                sb.bind_dims(DEC, "b", "b2", &[v], BufClass::External);
-            }
-            Decl::Acts => {
-                sb.bind_dims(DEC, "act", "a3", &[b, v], BufClass::Pinned);
+                sb.bind_dims(slot, "act", act, &[b, out], BufClass::Pinned);
             }
             // Backward temporaries: aliasing candidates (none exist for
             // this DAG — see the module docs — but the planner gets to
             // prove that).
             Decl::Deltas => {
-                sb.bind_dims(DEC, "delta", "delta3", &[b, v], BufClass::Scratch);
+                sb.bind_dims(slot, "delta", delta, &[b, out], BufClass::Scratch);
             }
+            // Gradients are pinned: consumed after the run by optimizer
+            // steps or hybrid blending (`AeScratch::gradients`).
             Decl::Grads(Part::Weights) => {
-                sb.bind_dims(DEC, "gw", "gw2", &[v, h], BufClass::Pinned);
+                sb.bind_dims(slot, "gw", gw, &[out, inp], BufClass::Pinned);
             }
             Decl::Grads(Part::Biases) => {
-                sb.bind_dims(DEC, "gb", "gb2", &[v], BufClass::Pinned);
+                sb.bind_dims(slot, "gb", gb, &[out], BufClass::Pinned);
             }
         }
     }
 
     fn emit(&self, sb: &mut StackBuilder<AeState<'a>>, what: Emit) {
-        let b = self.b;
+        let (half, b) = (self.half, self.b);
+        let slot = half as usize;
+        let [fwd, grad_w, grad_b, ..] = NODE_NAMES[slot];
         let inv_b = 1.0 / b as f32;
         match what {
-            // F2: a3 = sigmoid(a2 W2^T + b2).
+            // F: act = sigmoid(input W^T + b).
             Emit::Forward => {
-                let (a2, w2, b2, a3) = (
-                    sb.buf(ENC, "act"),
-                    sb.buf(DEC, "w"),
-                    sb.buf(DEC, "b"),
-                    sb.buf(DEC, "act"),
+                let (input, w, bias, act) = (
+                    self.input_buf(sb),
+                    sb.buf(slot, "w"),
+                    sb.buf(slot, "b"),
+                    sb.buf(slot, "act"),
                 );
                 sb.node(
-                    NodeSpec::new("F2")
-                        .reads(&[a2, w2, b2])
-                        .writes(&[a3])
+                    NodeSpec::new(fwd)
+                        .reads(&[input, w, bias])
+                        .writes(&[act])
                         .phase("forward"),
                     move |ctx, s: &mut AeState<'_>| {
-                        let ae = s.params.get();
-                        let scr = &mut *s.scratch;
-                        let a2v = scr.a2.rows_range(0, b);
-                        let mut a3 = scr.a3.rows_range_mut(0, b);
-                        ctx.gemm(1.0, a2v, false, ae.w2.view(), true, 0.0, &mut a3);
-                        ctx.bias_sigmoid_rows(&ae.b2, &mut a3);
+                        let (w, bias) = half.params(s.params.get());
+                        let t = half.bufs(s.scratch, s.x, b);
+                        let mut act = t.act.rows_range_mut(0, b);
+                        ctx.gemm(1.0, t.input, false, w.view(), true, 0.0, &mut act);
+                        ctx.bias_sigmoid_rows(bias, &mut act);
                     },
                 );
             }
-            // D3: delta3 = (a3 - target) ⊙ a3 ⊙ (1 - a3).
-            Emit::Backward => {
-                let (a3, x, delta3) = (sb.buf(DEC, "act"), sb.global("x"), sb.buf(DEC, "delta"));
-                sb.node(
-                    NodeSpec::new("D3")
-                        .reads(&[a3, x])
-                        .writes(&[delta3])
-                        .phase("backward"),
-                    move |ctx, s: &mut AeState<'_>| {
-                        let scr = &mut *s.scratch;
-                        let (a3s, d3) = (
-                            scr.a3.rows_range(0, b),
-                            &mut scr.delta3.rows_range_mut(0, b),
-                        );
-                        ctx.delta_output(a3s.as_slice(), s.target.as_slice(), d3.as_mut_slice());
-                    },
-                );
-            }
-            // GW2 = 1/b delta3^T a2 ; GB2 = 1/b colsum(delta3).
+            Emit::Backward => match half {
+                Half::Enc => self.emit_hidden_delta(sb),
+                Half::Dec => self.emit_output_delta(sb),
+            },
+            // GW = 1/b delta^T input ; GB = 1/b colsum(delta).
             Emit::Grads(Part::Weights) => {
-                let (delta3, a2, gw2) =
-                    (sb.buf(DEC, "delta"), sb.buf(ENC, "act"), sb.buf(DEC, "gw"));
+                let (delta, input, gw) = (
+                    sb.buf(slot, "delta"),
+                    self.input_buf(sb),
+                    sb.buf(slot, "gw"),
+                );
                 sb.node(
-                    NodeSpec::new("GW2")
-                        .reads(&[delta3, a2])
-                        .writes(&[gw2])
+                    NodeSpec::new(grad_w)
+                        .reads(&[delta, input])
+                        .writes(&[gw])
                         .phase("backward"),
                     move |ctx, s: &mut AeState<'_>| {
-                        let scr = &mut *s.scratch;
-                        let (d3, a2m, out) = (&scr.delta3, &scr.a2, &mut scr.gw2);
+                        let t = half.bufs(s.scratch, s.x, b);
                         ctx.gemm(
                             inv_b,
-                            d3.rows_range(0, b),
+                            t.delta.rows_range(0, b),
                             true,
-                            a2m.rows_range(0, b),
+                            t.input,
                             false,
                             0.0,
-                            &mut out.view_mut(),
+                            &mut t.gw.view_mut(),
                         );
                     },
                 );
             }
             Emit::Grads(Part::Biases) => {
-                let (delta3, gb2) = (sb.buf(DEC, "delta"), sb.buf(DEC, "gb"));
+                let (delta, gb) = (sb.buf(slot, "delta"), sb.buf(slot, "gb"));
                 sb.node(
-                    NodeSpec::new("GB2")
-                        .reads(&[delta3])
-                        .writes(&[gb2])
+                    NodeSpec::new(grad_b)
+                        .reads(&[delta])
+                        .writes(&[gb])
                         .phase("backward"),
                     move |ctx, s: &mut AeState<'_>| {
-                        let scr = &mut *s.scratch;
-                        let (d3, out) = (&scr.delta3, &mut scr.gb2);
-                        ctx.colmean(d3.rows_range(0, b), out);
+                        let t = half.bufs(s.scratch, s.x, b);
+                        ctx.colmean(t.delta.rows_range(0, b), t.gb);
                     },
                 );
             }
-            Emit::Update(Part::Weights) => {
-                let (gw2, w2) = (sb.buf(DEC, "gw"), sb.buf(DEC, "w"));
-                match self.update {
-                    AeUpdate::None => {}
-                    AeUpdate::Sgd => sb.node(
-                        NodeSpec::new("U2")
-                            .reads(&[gw2, w2])
-                            .writes(&[w2])
-                            .phase("update"),
-                        move |ctx, s: &mut AeState<'_>| {
-                            let ae = s.params.get_mut();
-                            let lambda = ae.config().weight_decay;
-                            ctx.sgd_step(
-                                s.lr,
-                                lambda,
-                                s.scratch.gw2.as_slice(),
-                                ae.w2.as_mut_slice(),
-                            );
-                        },
-                    ),
-                    AeUpdate::Opt => sb.node(
-                        NodeSpec::new("U2")
-                            .reads(&[gw2, w2])
-                            .writes(&[w2])
-                            .exclusive()
-                            .phase("update"),
-                        move |ctx, s: &mut AeState<'_>| {
-                            let ae = s.params.get_mut();
-                            let lambda = ae.config().weight_decay;
-                            let opt = s.opt.as_deref_mut().expect("optimizer-mode graph");
-                            opt.step_slot(
-                                ctx,
-                                1,
-                                lambda,
-                                s.scratch.gw2.as_slice(),
-                                ae.w2.as_mut_slice(),
-                            );
-                        },
-                    ),
-                }
-            }
-            Emit::Update(Part::Biases) => {
-                let (gb2, b2) = (sb.buf(DEC, "gb"), sb.buf(DEC, "b"));
-                match self.update {
-                    AeUpdate::None => {}
-                    AeUpdate::Sgd => sb.node(
-                        NodeSpec::new("U4")
-                            .reads(&[gb2, b2])
-                            .writes(&[b2])
-                            .phase("update"),
-                        move |ctx, s: &mut AeState<'_>| {
-                            let ae = s.params.get_mut();
-                            ctx.sgd_step(s.lr, 0.0, &s.scratch.gb2, &mut ae.b2);
-                        },
-                    ),
-                    AeUpdate::Opt => sb.node(
-                        NodeSpec::new("U4")
-                            .reads(&[gb2, b2])
-                            .writes(&[b2])
-                            .exclusive()
-                            .phase("update"),
-                        move |ctx, s: &mut AeState<'_>| {
-                            let ae = s.params.get_mut();
-                            let opt = s.opt.as_deref_mut().expect("optimizer-mode graph");
-                            opt.step_slot(ctx, 3, 0.0, &s.scratch.gb2, &mut ae.b2);
-                            opt.advance();
-                        },
-                    ),
-                }
-            }
+            Emit::Update(part) => self.emit_update(sb, part),
         }
+    }
+}
+
+impl AeHalf {
+    /// D2 (encoder): delta2 = (delta3 W2 + s) ⊙ a2 ⊙ (1 - a2), in two
+    /// sweeps as the serial path does.
+    fn emit_hidden_delta(&self, sb: &mut StackBuilder<AeState<'_>>) {
+        let b = self.b;
+        let (delta3, w2, delta2) = (sb.buf(DEC, "delta"), sb.buf(DEC, "w"), sb.buf(ENC, "delta"));
+        sb.node(
+            NodeSpec::new("D2a")
+                .reads(&[delta3, w2])
+                .writes(&[delta2])
+                .phase("backward"),
+            move |ctx, s: &mut AeState<'_>| {
+                let ae = s.params.get();
+                let scr = &mut *s.scratch;
+                let (d3, d2) = (&scr.delta3, &mut scr.delta2);
+                let mut d2 = d2.rows_range_mut(0, b);
+                ctx.gemm(
+                    1.0,
+                    d3.rows_range(0, b),
+                    false,
+                    ae.w2.view(),
+                    false,
+                    0.0,
+                    &mut d2,
+                );
+            },
+        );
+        let (s_term, a2) = (sb.buf(SPARS, "s_term"), sb.buf(ENC, "act"));
+        sb.node(
+            NodeSpec::new("D2b")
+                .reads(&[s_term, a2, delta2])
+                .writes(&[delta2])
+                .phase("backward"),
+            move |ctx, s: &mut AeState<'_>| {
+                let scr = &mut *s.scratch;
+                let (a2m, delta2m, st) = (&scr.a2, &mut scr.delta2, &scr.s_term);
+                let mut d2 = delta2m.rows_range_mut(0, b);
+                ctx.bias_deriv_rows(st, a2m.rows_range(0, b), &mut d2);
+            },
+        );
+    }
+
+    /// D3 (decoder): delta3 = (a3 - target) ⊙ a3 ⊙ (1 - a3).
+    fn emit_output_delta(&self, sb: &mut StackBuilder<AeState<'_>>) {
+        let b = self.b;
+        let (a3, x, delta3) = (sb.buf(DEC, "act"), sb.global("x"), sb.buf(DEC, "delta"));
+        sb.node(
+            NodeSpec::new("D3")
+                .reads(&[a3, x])
+                .writes(&[delta3])
+                .phase("backward"),
+            move |ctx, s: &mut AeState<'_>| {
+                let scr = &mut *s.scratch;
+                let (a3s, d3) = (
+                    scr.a3.rows_range(0, b),
+                    &mut scr.delta3.rows_range_mut(0, b),
+                );
+                ctx.delta_output(a3s.as_slice(), s.target.as_slice(), d3.as_mut_slice());
+            },
+        );
     }
 }
 
@@ -543,10 +458,6 @@ struct AeSparsity {
 }
 
 impl<'a> Layer<AeState<'a>> for AeSparsity {
-    fn tag(&self) -> &'static str {
-        "ae-sparsity"
-    }
-
     fn declare(&self, sb: &mut StackBuilder<AeState<'a>>, what: Decl) {
         if what == Decl::Acts {
             sb.bind_dims(SPARS, "rho", "rho_hat", &[self.n_hidden], BufClass::Scratch);
@@ -616,10 +527,6 @@ struct AeCostProbe {
 }
 
 impl<'a> Layer<AeState<'a>> for AeCostProbe {
-    fn tag(&self) -> &'static str {
-        "ae-cost"
-    }
-
     fn emit(&self, sb: &mut StackBuilder<AeState<'a>>, what: Emit) {
         if what != Emit::Forward {
             return;
@@ -667,18 +574,14 @@ pub fn build_ae_graph<'a>(
     update: AeUpdate,
 ) -> TaskGraph<'static, AeState<'a>> {
     let mut sb: StackBuilder<AeState<'a>> = StackBuilder::new();
-    let enc = AeEncode {
+    let half = |half| AeHalf {
+        half,
         n_visible,
         n_hidden,
         b,
         update,
     };
-    let dec = AeDecode {
-        n_visible,
-        n_hidden,
-        b,
-        update,
-    };
+    let (enc, dec) = (half(Half::Enc), half(Half::Dec));
     let spars = AeSparsity { n_hidden, b };
     let cost = AeCostProbe { b };
 
@@ -734,19 +637,9 @@ pub fn ae_step_graph(
     lr: f32,
     opt: Option<&mut Optimizer>,
 ) -> (AeCost, GraphRun) {
-    let b = x.rows();
-    assert!(b > 0, "empty batch");
-    assert!(b <= scratch.capacity(), "batch exceeds scratch capacity");
-    let cfg = *ae.config();
-    let update = if opt.is_some() {
-        AeUpdate::Opt
-    } else {
-        AeUpdate::Sgd
-    };
-    let mut g = build_ae_graph(cfg.n_visible, cfg.n_hidden, b, update);
-    let mut state = AeState::new(AeParams::Mut(ae), scratch, x, opt, lr);
-    let run = g.execute(ctx, &mut state);
-    (state.cost, run)
+    let state = AeState::new(AeParams::Mut(ae), scratch, x, opt, lr);
+    let (cost, run) = SparseAutoencoder::run_graph(state, ctx, true);
+    (cost, run.expect("wave runs return their schedule"))
 }
 
 #[cfg(test)]

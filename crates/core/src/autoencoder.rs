@@ -13,8 +13,9 @@
 //! [`AeScratch`] (§IV.B: temporaries are "kept permanently to avoid
 //! unnecessary reallocation and release").
 
-use crate::ae_graph::{build_ae_graph, AeParams, AeState, AeUpdate};
+use crate::ae_graph::{build_ae_graph, AeParams, AeState};
 use crate::exec::ExecCtx;
+use crate::graph::GraphRun;
 use micdnn_tensor::{GlorotSigmoid, Initializer, Mat, MatView};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -66,7 +67,7 @@ impl AeConfig {
 }
 
 /// Cost breakdown of one batch (paper eqs. 4–5).
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct AeCost {
     /// Mean reconstruction term `1/m Σ ½‖a3 - x‖²`.
     pub reconstruction: f64,
@@ -206,29 +207,33 @@ impl SparseAutoencoder {
         ctx.bias_sigmoid_rows(&self.b2, &mut a3);
     }
 
-    /// Runs the AE dependency graph in declaration order — the exact serial
-    /// op sequence of the classic hand-rolled loop, sharing one builder
-    /// with [`crate::ae_step_graph`] — feeding `x` and scoring the
-    /// reconstruction against `target`.
-    fn run_graph(
-        params: AeParams<'_>,
+    /// Builds the AE dependency graph for `state`'s batch and runs it: in
+    /// declaration order — the exact serial op sequence of the classic
+    /// hand-rolled loop — or, with `wave`, under the critical-path schedule
+    /// (which it then returns). One builder, one runner, behind every AE
+    /// step entry point.
+    pub(crate) fn run_graph(
+        mut state: AeState<'_>,
         ctx: &ExecCtx,
-        x: MatView<'_>,
-        target: MatView<'_>,
-        scratch: &mut AeScratch,
-        lr: f32,
-        update: AeUpdate,
-    ) -> AeCost {
-        let cfg = *params.get().config();
-        let b = x.rows();
+        wave: bool,
+    ) -> (AeCost, Option<GraphRun>) {
+        let cfg = *state.params.get().config();
+        let (b, cap) = (state.x.rows(), state.scratch.max_batch);
         assert!(b > 0, "empty batch");
-        assert!(b <= scratch.max_batch, "batch exceeds scratch capacity");
-        assert_eq!(x.cols(), cfg.n_visible, "input dimensionality mismatch");
-        let mut g = build_ae_graph(cfg.n_visible, cfg.n_hidden, b, update);
-        let mut state = AeState::new(params, scratch, x, None, lr);
-        state.target = target;
-        g.run_serial(ctx, &mut state);
-        state.cost
+        assert!(b <= cap, "batch exceeds scratch capacity");
+        assert_eq!(
+            state.x.cols(),
+            cfg.n_visible,
+            "input dimensionality mismatch"
+        );
+        let mut g = build_ae_graph(cfg.n_visible, cfg.n_hidden, b, state.update());
+        let run = if wave {
+            Some(g.execute(ctx, &mut state))
+        } else {
+            g.run_serial(ctx, &mut state);
+            None
+        };
+        (state.cost, run)
     }
 
     /// Forward + back-propagation; fills the gradient buffers in `scratch`
@@ -238,15 +243,8 @@ impl SparseAutoencoder {
     /// multiplicatively by [`SparseAutoencoder::apply_gradients`], which is
     /// mathematically the same SGD step.
     pub fn cost_and_grad(&self, ctx: &ExecCtx, x: MatView<'_>, scratch: &mut AeScratch) -> AeCost {
-        Self::run_graph(
-            AeParams::Shared(self),
-            ctx,
-            x,
-            x,
-            scratch,
-            0.0,
-            AeUpdate::None,
-        )
+        let state = AeState::new(AeParams::Shared(self), scratch, x, None, 0.0);
+        Self::run_graph(state, ctx, false).0
     }
 
     /// Applies the gradients in `scratch` with learning rate `lr`
@@ -308,7 +306,8 @@ impl SparseAutoencoder {
         scratch: &mut AeScratch,
         lr: f32,
     ) -> AeCost {
-        Self::run_graph(AeParams::Mut(self), ctx, x, x, scratch, lr, AeUpdate::Sgd)
+        let state = AeState::new(AeParams::Mut(self), scratch, x, None, lr);
+        Self::run_graph(state, ctx, false).0
     }
 
     /// One *denoising* SGD step (Vincent et al.'s variant — one of the
@@ -342,16 +341,9 @@ impl SparseAutoencoder {
         // The same step graph as `train_batch`: the encoder sees (and GW1
         // uses) the corrupted input, the output delta and the cost target
         // the *clean* one.
-        let noisy = corrupted.view();
-        Self::run_graph(
-            AeParams::Mut(self),
-            ctx,
-            noisy,
-            x,
-            scratch,
-            lr,
-            AeUpdate::Sgd,
-        )
+        let mut state = AeState::new(AeParams::Mut(self), scratch, corrupted.view(), None, lr);
+        state.target = x;
+        Self::run_graph(state, ctx, false).0
     }
 
     /// Encodes a batch to hidden activations (the "code" the paper stacks

@@ -58,10 +58,6 @@ struct CdData {
 }
 
 impl<'a> Layer<CdState<'a>> for CdData {
-    fn tag(&self) -> &'static str {
-        "cd-data"
-    }
-
     fn declare(&self, sb: &mut StackBuilder<CdState<'a>>, what: Decl) {
         let (v, h, b) = (self.n_visible, self.n_hidden, self.b);
         match what {
@@ -135,10 +131,6 @@ struct CdChain {
 }
 
 impl<'a> Layer<CdState<'a>> for CdChain {
-    fn tag(&self) -> &'static str {
-        "cd-chain"
-    }
-
     fn declare(&self, sb: &mut StackBuilder<CdState<'a>>, what: Decl) {
         let (v, h, b) = (self.n_visible, self.n_hidden, self.b);
         if what == Decl::Acts {
@@ -228,10 +220,6 @@ struct CdStats {
 }
 
 impl<'a> Layer<CdState<'a>> for CdStats {
-    fn tag(&self) -> &'static str {
-        "cd-stats"
-    }
-
     fn declare(&self, sb: &mut StackBuilder<CdState<'a>>, what: Decl) {
         let (v, h) = (self.n_visible, self.n_hidden);
         match what {
@@ -364,10 +352,6 @@ impl<'a> Layer<CdState<'a>> for CdStats {
 struct CdUpdates;
 
 impl<'a> Layer<CdState<'a>> for CdUpdates {
-    fn tag(&self) -> &'static str {
-        "cd-updates"
-    }
-
     fn emit(&self, sb: &mut StackBuilder<CdState<'a>>, what: Emit) {
         match what {
             Emit::Update(Part::Weights) => {

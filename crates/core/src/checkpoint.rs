@@ -29,6 +29,7 @@ use crate::autoencoder::SparseAutoencoder;
 use crate::cnn::{CnnConfig, CnnModel, CnnNet};
 use crate::exec::ExecCtx;
 use crate::finetune::{FineTuneModel, FineTuneNet, SoftmaxLayer};
+use crate::labeled::{LabeledModel, LabeledNet};
 use crate::model_io::{
     atomic_write, bad, checked_dim, read_any_header, read_autoencoder_body, read_f32, read_f64,
     read_header, read_mat, read_rbm_body, read_u64, read_vec, save_autoencoder, save_rbm,
@@ -150,18 +151,12 @@ impl Checkpoint {
 
     /// The embedded CNN model, if this is a CNN checkpoint.
     pub fn into_cnn(self) -> Option<CnnModel> {
-        match self.model {
-            CheckpointModel::Cnn(m) => Some(m),
-            _ => None,
-        }
+        CnnNet::from_checkpoint(self.model).ok()
     }
 
     /// The embedded fine-tune model, if this is a fine-tune checkpoint.
     pub fn into_finetune(self) -> Option<FineTuneModel> {
-        match self.model {
-            CheckpointModel::FineTune(m) => Some(m),
-            _ => None,
-        }
+        FineTuneNet::from_checkpoint(self.model).ok()
     }
 }
 
@@ -317,17 +312,24 @@ pub(crate) fn write_rbm_state(model: &RbmModel, w: &mut dyn Write) -> io::Result
     }
 }
 
+/// Reads the one-byte graph-schedule flag every flagged record carries.
+fn read_graph_flag(r: &mut impl Read) -> io::Result<bool> {
+    let mut flag = [0u8; 1];
+    r.read_exact(&mut flag)?;
+    match flag[0] {
+        0 => Ok(false),
+        1 => Ok(true),
+        t => Err(bad(format!("bad graph flag {t}"))),
+    }
+}
+
 fn read_rbm_state(r: &mut impl Read) -> io::Result<RbmModel> {
     let rbm = read_rbm_body(r)?;
     let cfg = *rbm.config();
-    let mut flags = [0u8; 2];
-    r.read_exact(&mut flags)?;
-    let use_graph = match flags[0] {
-        0 => false,
-        1 => true,
-        t => return Err(bad(format!("bad graph flag {t}"))),
-    };
-    let momentum = match flags[1] {
+    let use_graph = read_graph_flag(r)?;
+    let mut flag = [0u8; 1];
+    r.read_exact(&mut flag)?;
+    let momentum = match flag[0] {
         0 => None,
         1 => {
             let mu = read_f32(r)?;
@@ -346,12 +348,37 @@ fn read_rbm_state(r: &mut impl Read) -> io::Result<RbmModel> {
     Ok(model)
 }
 
-/// Writes a CNN checkpoint body: configuration, graph flag, parameter
-/// tensors, and the label cursor.
-pub(crate) fn write_cnn_state(model: &CnnModel, w: &mut dyn Write) -> io::Result<()> {
+/// Writes a labeled model's checkpoint body: the net's record, then the
+/// label cursor.
+pub(crate) fn write_labeled_state<N: LabeledNet>(
+    model: &LabeledModel<N>,
+    w: &mut dyn Write,
+) -> io::Result<()> {
+    let mut w = w;
+    model.net.save(&mut w)?;
+    let (cursor, cycle) = model.cursor_parts();
+    write_u64(&mut w, cursor)?;
+    write_u64(&mut w, cycle)
+}
+
+/// Reads the label cursor that closes a labeled model's record and wraps
+/// `net` with it.
+fn read_labeled_state<N: LabeledNet>(net: N, r: &mut impl Read) -> io::Result<LabeledModel<N>> {
+    let cursor = read_u64(r)?;
+    let cycle = read_u64(r)?;
+    if cycle == 0 || cursor >= cycle {
+        return Err(bad(format!(
+            "label cursor {cursor} out of range for {cycle} rows"
+        )));
+    }
+    Ok(LabeledModel::from_parts(net, cursor, cycle))
+}
+
+/// Writes a CNN record: configuration, graph flag, parameter tensors.
+pub(crate) fn write_cnn_net(net: &CnnNet, w: &mut dyn Write) -> io::Result<()> {
     let mut w = w;
     write_header(&mut w, TAG_CNN)?;
-    let cfg = *model.net.config();
+    let cfg = *net.config();
     for dim in [
         cfg.side,
         cfg.channels,
@@ -362,17 +389,14 @@ pub(crate) fn write_cnn_state(model: &CnnModel, w: &mut dyn Write) -> io::Result
     ] {
         write_u64(&mut w, dim as u64)?;
     }
-    write_f32(&mut w, model.net.weight_decay)?;
-    w.write_all(&[model.net.uses_graph() as u8])?;
-    write_mat(&mut w, &model.net.conv_w)?;
-    write_slice(&mut w, &model.net.conv_b)?;
-    write_mat(&mut w, &model.net.dense_w)?;
-    write_slice(&mut w, &model.net.dense_b)?;
-    write_mat(&mut w, &model.net.softmax.w)?;
-    write_slice(&mut w, &model.net.softmax.b)?;
-    let (cursor, cycle) = model.cursor_parts();
-    write_u64(&mut w, cursor)?;
-    write_u64(&mut w, cycle)
+    write_f32(&mut w, net.weight_decay)?;
+    w.write_all(&[net.uses_graph() as u8])?;
+    write_mat(&mut w, &net.conv_w)?;
+    write_slice(&mut w, &net.conv_b)?;
+    write_mat(&mut w, &net.dense_w)?;
+    write_slice(&mut w, &net.dense_b)?;
+    write_mat(&mut w, &net.softmax.w)?;
+    write_slice(&mut w, &net.softmax.b)
 }
 
 fn read_cnn_state(r: &mut impl Read) -> io::Result<CnnModel> {
@@ -403,26 +427,13 @@ fn read_cnn_state(r: &mut impl Read) -> io::Result<CnnModel> {
     if !weight_decay.is_finite() {
         return Err(bad(format!("non-finite weight decay {weight_decay}")));
     }
-    let mut flag = [0u8; 1];
-    r.read_exact(&mut flag)?;
-    let use_graph = match flag[0] {
-        0 => false,
-        1 => true,
-        t => return Err(bad(format!("bad graph flag {t}"))),
-    };
+    let use_graph = read_graph_flag(r)?;
     let conv_w = read_mat(r, channels, kernel * kernel)?;
     let conv_b = read_vec(r, channels)?;
     let dense_w = read_mat(r, hidden, cfg.pooled_dim())?;
     let dense_b = read_vec(r, hidden)?;
     let sw = read_mat(r, n_classes, hidden)?;
     let sb = read_vec(r, n_classes)?;
-    let cursor = read_u64(r)?;
-    let cycle = read_u64(r)?;
-    if cycle == 0 || cursor >= cycle {
-        return Err(bad(format!(
-            "label cursor {cursor} out of range for {cycle} rows"
-        )));
-    }
     let softmax = SoftmaxLayer { w: sw, b: sb };
     let net = CnnNet::from_parts(
         cfg,
@@ -434,32 +445,29 @@ fn read_cnn_state(r: &mut impl Read) -> io::Result<CnnModel> {
         weight_decay,
         use_graph,
     );
-    Ok(CnnModel::from_parts(net, cursor, cycle))
+    read_labeled_state(net, r)
 }
 
-/// Writes a fine-tune checkpoint body: stack geometry, graph flag,
-/// parameter tensors, and the label cursor.
-pub(crate) fn write_ft_state(model: &FineTuneModel, w: &mut dyn Write) -> io::Result<()> {
+/// Writes a fine-tune record: stack geometry, graph flag, parameter
+/// tensors.
+pub(crate) fn write_ft_net(net: &FineTuneNet, w: &mut dyn Write) -> io::Result<()> {
     let mut w = w;
     write_header(&mut w, TAG_FT)?;
-    let layers = model.net.layer_params();
+    let layers = net.layer_params();
     write_u64(&mut w, layers.len() as u64)?;
-    write_u64(&mut w, model.net.in_dim() as u64)?;
+    write_u64(&mut w, net.in_dim() as u64)?;
     for (lw, _) in layers {
         write_u64(&mut w, lw.rows() as u64)?;
     }
-    write_u64(&mut w, model.net.softmax.n_classes() as u64)?;
-    write_f32(&mut w, model.net.weight_decay)?;
-    w.write_all(&[model.net.uses_graph() as u8])?;
+    write_u64(&mut w, net.softmax.n_classes() as u64)?;
+    write_f32(&mut w, net.weight_decay)?;
+    w.write_all(&[net.uses_graph() as u8])?;
     for (lw, lb) in layers {
         write_mat(&mut w, lw)?;
         write_slice(&mut w, lb)?;
     }
-    write_mat(&mut w, &model.net.softmax.w)?;
-    write_slice(&mut w, &model.net.softmax.b)?;
-    let (cursor, cycle) = model.cursor_parts();
-    write_u64(&mut w, cursor)?;
-    write_u64(&mut w, cycle)
+    write_mat(&mut w, &net.softmax.w)?;
+    write_slice(&mut w, &net.softmax.b)
 }
 
 fn read_ft_state(r: &mut impl Read) -> io::Result<FineTuneModel> {
@@ -480,13 +488,7 @@ fn read_ft_state(r: &mut impl Read) -> io::Result<FineTuneModel> {
     if !weight_decay.is_finite() {
         return Err(bad(format!("non-finite weight decay {weight_decay}")));
     }
-    let mut flag = [0u8; 1];
-    r.read_exact(&mut flag)?;
-    let use_graph = match flag[0] {
-        0 => false,
-        1 => true,
-        t => return Err(bad(format!("bad graph flag {t}"))),
-    };
+    let use_graph = read_graph_flag(r)?;
     let mut layers = Vec::with_capacity(widths.len());
     let mut prev = in_dim;
     for &h in &widths {
@@ -497,16 +499,9 @@ fn read_ft_state(r: &mut impl Read) -> io::Result<FineTuneModel> {
     }
     let sw = read_mat(r, n_classes, prev)?;
     let sb = read_vec(r, n_classes)?;
-    let cursor = read_u64(r)?;
-    let cycle = read_u64(r)?;
-    if cycle == 0 || cursor >= cycle {
-        return Err(bad(format!(
-            "label cursor {cursor} out of range for {cycle} rows"
-        )));
-    }
     let softmax = SoftmaxLayer { w: sw, b: sb };
     let net = FineTuneNet::from_parts(layers, softmax, weight_decay, use_graph);
-    Ok(FineTuneModel::from_parts(net, cursor, cycle))
+    read_labeled_state(net, r)
 }
 
 // ---- whole-checkpoint save/load ----------------------------------------

@@ -18,14 +18,15 @@
 //! into one large GEMM — the paper's core trick of routing everything
 //! possible through the optimized matrix product applies unchanged.
 
+use crate::checkpoint::CheckpointModel;
 use crate::exec::ExecCtx;
 use crate::finetune::SoftmaxLayer;
-use crate::graph::{BufClass, TaskGraph, Workspace};
+use crate::graph::{BufClass, TaskGraph};
+use crate::labeled::{inherent_net_api, LabeledModel, LabeledNet, StepCache, StepState};
 use crate::layers::{
-    argmax_rows, hit_rate, mean_nll, Above, Conv2d, ConvParams, Decl, Dense, DenseParams, Emit,
-    Layer, MaxPool2d, Part, SoftmaxXent, StackBuilder, StackState, StepParts,
+    Above, Conv2d, ConvParams, Decl, Dense, DenseParams, Emit, Layer, MaxPool2d, Part, SoftmaxXent,
+    StackBuilder,
 };
-use crate::train::UnsupervisedModel;
 use micdnn_kernels::{conv, OpCost};
 use micdnn_tensor::{GlorotSigmoid, Initializer, Mat, MatView};
 use rand::rngs::StdRng;
@@ -127,17 +128,9 @@ impl CnnConfig {
     }
 }
 
-/// Reusable training-step arena (same pattern as the fine-tuner): one
-/// liveness-planned [`Workspace`] serving every batch up to `max_batch`.
-#[derive(Debug)]
-struct CnnScratch {
-    max_batch: usize,
-    ws: Workspace,
-}
-
 /// The convolutional classifier: conv filters + dense layer + softmax
 /// head, trainable end-to-end through the layer-IR task graph.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct CnnNet {
     cfg: CnnConfig,
     /// Conv filters, `channels x k*k` (one flattened patch per row).
@@ -152,25 +145,7 @@ pub struct CnnNet {
     pub softmax: SoftmaxLayer,
     /// L2 weight decay applied to all weight (not bias) updates.
     pub weight_decay: f32,
-    use_graph: bool,
-    scratch: Option<CnnScratch>,
-}
-
-impl Clone for CnnNet {
-    fn clone(&self) -> Self {
-        // The workspace is a cache, not state — the clone re-plans lazily.
-        CnnNet {
-            cfg: self.cfg,
-            conv_w: self.conv_w.clone(),
-            conv_b: self.conv_b.clone(),
-            dense_w: self.dense_w.clone(),
-            dense_b: self.dense_b.clone(),
-            softmax: self.softmax.clone(),
-            weight_decay: self.weight_decay,
-            use_graph: self.use_graph,
-            scratch: None,
-        }
-    }
+    step: StepCache,
 }
 
 impl CnnNet {
@@ -187,8 +162,7 @@ impl CnnNet {
             dense_b: vec![0.0; cfg.hidden],
             softmax: SoftmaxLayer::new(cfg.hidden, cfg.n_classes, seed ^ 0x5A5A),
             weight_decay: 1e-4,
-            use_graph: false,
-            scratch: None,
+            step: StepCache::default(),
         }
     }
 
@@ -225,52 +199,42 @@ impl CnnNet {
             dense_b,
             softmax,
             weight_decay,
-            use_graph,
-            scratch: None,
+            step: StepCache::new(use_graph),
         }
-    }
-
-    /// Schedules each training step through the dataflow executor
-    /// (bit-identical to the serial path; see
-    /// [`TaskGraph::execute`]).
-    pub fn with_graph_schedule(mut self) -> Self {
-        self.use_graph = true;
-        self
-    }
-
-    /// Whether steps run through the dataflow executor.
-    pub fn uses_graph(&self) -> bool {
-        self.use_graph
     }
 
     /// The network shape.
     pub fn config(&self) -> &CnnConfig {
         &self.cfg
     }
+}
 
-    /// Planned arena footprint in elements (0 until the first batch).
-    pub fn workspace_elems(&self) -> usize {
-        self.scratch.as_ref().map_or(0, |s| s.ws.allocated_elems())
+inherent_net_api!(CnnNet);
+
+/// The CNN step's node state.
+pub type CnnState<'a> = StepState<'a, CnnNet>;
+
+impl LabeledNet for CnnNet {
+    const NAN_FAILPOINT: &'static str = "cnn.nan";
+
+    fn in_dim(&self) -> usize {
+        self.cfg.input_dim()
     }
 
-    /// Plans (or grows) the training workspace for batches up to
-    /// `max_batch` rows.
-    pub fn prepare(&mut self, max_batch: usize) {
-        let needs_new = self
-            .scratch
-            .as_ref()
-            .is_none_or(|s| s.max_batch < max_batch);
-        if needs_new {
-            let plan = build_cnn_graph(self.cfg, max_batch).plan();
-            self.scratch = Some(CnnScratch {
-                max_batch,
-                ws: Workspace::new(&plan),
-            });
-        }
+    fn n_classes(&self) -> usize {
+        self.cfg.n_classes
+    }
+
+    fn param_count(&self) -> usize {
+        self.cfg.param_count()
+    }
+
+    fn step_graph<'a>(&self, cap: usize) -> TaskGraph<'static, CnnState<'a>> {
+        build_cnn_graph(self.cfg, cap)
     }
 
     /// Forward pass returning class probabilities (`b x n_classes`).
-    pub fn predict_proba(&self, ctx: &ExecCtx, x: MatView<'_>) -> Mat {
+    fn predict_proba(&self, ctx: &ExecCtx, x: MatView<'_>) -> Mat {
         let cfg = self.cfg;
         assert_eq!(x.cols(), cfg.input_dim(), "input dimensionality");
         let b = x.rows();
@@ -332,99 +296,22 @@ impl CnnNet {
         self.softmax.forward(ctx, hid.view())
     }
 
-    /// Hard predictions (argmax class index per example).
-    pub fn predict(&self, ctx: &ExecCtx, x: MatView<'_>) -> Vec<usize> {
-        argmax_rows(self.predict_proba(ctx, x).view())
+    fn save(&self, w: &mut dyn Write) -> io::Result<()> {
+        crate::checkpoint::write_cnn_net(self, w)
     }
 
-    /// Fraction of correct predictions.
-    pub fn accuracy(&self, ctx: &ExecCtx, x: MatView<'_>, labels: &[usize]) -> f64 {
-        hit_rate(&self.predict(ctx, x), labels)
-    }
-
-    /// Mean cross-entropy of the batch under the current parameters.
-    pub fn cross_entropy(&self, ctx: &ExecCtx, x: MatView<'_>, labels: &[usize]) -> f64 {
-        let probs = self.predict_proba(ctx, x);
-        mean_nll(probs.view(), labels)
-    }
-
-    /// One SGD step on a labeled batch; returns the batch's mean
-    /// cross-entropy before the update. Runs through the layer-IR task
-    /// graph over the cached liveness-planned workspace, so steady-state
-    /// batches allocate nothing.
-    pub fn train_batch(&mut self, ctx: &ExecCtx, x: MatView<'_>, labels: &[usize], lr: f32) -> f64 {
-        let b = x.rows();
-        assert!(b > 0, "empty batch");
-        assert_eq!(labels.len(), b, "one label per example");
-        let c = self.cfg.n_classes;
-        for &l in labels {
-            assert!(l < c, "label {l} out of range for {c} classes");
+    fn from_checkpoint(from: CheckpointModel) -> io::Result<CnnModel> {
+        match from {
+            CheckpointModel::Cnn(m) => Ok(m),
+            _ => Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                "snapshot does not hold a CNN",
+            )),
         }
-        assert_eq!(x.cols(), self.cfg.input_dim(), "input dimensionality");
-
-        self.prepare(b);
-        let mut scratch = self.scratch.take().expect("just ensured");
-        let use_graph = self.use_graph;
-        let loss = {
-            let mut graph = build_cnn_graph(self.cfg, scratch.max_batch);
-            let mut state = CnnState {
-                net: self,
-                ws: &mut scratch.ws,
-                x,
-                labels,
-                lr,
-                loss: 0.0,
-            };
-            if use_graph {
-                graph.execute(ctx, &mut state);
-            } else {
-                graph.run_serial(ctx, &mut state);
-            }
-            state.loss
-        };
-        self.scratch = Some(scratch);
-        loss
     }
 
-    /// Trains for `epochs` passes over `(x, labels)` in mini-batches.
-    /// Returns the per-epoch mean cross-entropy.
-    pub fn fit(
-        &mut self,
-        ctx: &ExecCtx,
-        x: MatView<'_>,
-        labels: &[usize],
-        batch: usize,
-        lr: f32,
-        epochs: usize,
-    ) -> Vec<f64> {
-        crate::train::fit_epochs(x, labels, batch, epochs, |xb, lb| {
-            self.train_batch(ctx, xb, lb, lr)
-        })
-    }
-}
-
-/// Everything a CNN step node touches: the net's parameters, the planned
-/// arena, the batch, and the scalar loss output.
-pub struct CnnState<'a> {
-    net: &'a mut CnnNet,
-    ws: &'a mut Workspace,
-    x: MatView<'a>,
-    labels: &'a [usize],
-    lr: f32,
-    loss: f64,
-}
-
-impl<'a> StackState for CnnState<'a> {
-    type Params = CnnNet;
-    fn parts(&mut self) -> StepParts<'_, CnnNet> {
-        StepParts {
-            ws: &mut *self.ws,
-            x: self.x,
-            labels: self.labels,
-            lr: self.lr,
-            loss: &mut self.loss,
-            params: &mut *self.net,
-        }
+    fn step_cache(&mut self) -> &mut StepCache {
+        &mut self.step
     }
 }
 
@@ -542,109 +429,10 @@ pub fn build_cnn_graph<'a>(cfg: CnnConfig, cap: usize) -> TaskGraph<'static, Cnn
     sb.finish()
 }
 
-/// [`CnnNet`] adapted to the unsupervised training loop so the CNN rides
-/// the same chunked loader, checkpoint cadence and chaos supervisor as
-/// the paper's models.
-///
-/// The loop hands models unlabeled batches; the digits generator renders
-/// row `i` as digit `i % 10`, and the loader walks rows in dataset order,
-/// so labels are a pure function of the running example cursor. The
-/// cursor is part of the checkpointed state: a resumed run labels exactly
-/// the examples the uninterrupted one would.
-#[derive(Debug, Clone)]
-pub struct CnnModel {
-    /// The underlying network.
-    pub net: CnnNet,
-    /// Position within the dataset of the next example (mod `cycle`).
-    cursor: u64,
-    /// Dataset length the cursor wraps at.
-    cycle: u64,
-}
-
-impl CnnModel {
-    /// Wraps a network for training against a `dataset_rows`-row digits
-    /// dataset (row `i` labeled `i % n_classes`).
-    pub fn new(net: CnnNet, dataset_rows: u64) -> Self {
-        assert!(dataset_rows > 0, "empty dataset");
-        CnnModel {
-            net,
-            cursor: 0,
-            cycle: dataset_rows,
-        }
-    }
-
-    /// Restores a checkpointed label cursor (`cursor < cycle`).
-    pub(crate) fn from_parts(net: CnnNet, cursor: u64, cycle: u64) -> Self {
-        assert!(cycle > 0 && cursor < cycle, "label cursor out of range");
-        CnnModel { net, cursor, cycle }
-    }
-
-    /// Schedules each training step through the dataflow executor.
-    pub fn with_graph_schedule(mut self) -> Self {
-        self.net = self.net.with_graph_schedule();
-        self
-    }
-
-    /// The label cursor as `(position, dataset_rows)` (exposed for
-    /// checkpointing).
-    pub fn cursor_parts(&self) -> (u64, u64) {
-        (self.cursor, self.cycle)
-    }
-
-    /// Labels for the next `b` examples without advancing the cursor.
-    fn labels_for(&self, b: usize) -> Vec<usize> {
-        let classes = self.net.cfg.n_classes as u64;
-        (0..b as u64)
-            .map(|i| (((self.cursor + i) % self.cycle) % classes) as usize)
-            .collect()
-    }
-
-    /// Replaces parameters and label cursor with `other`'s (the
-    /// supervisor's rollback path), keeping this wrapper's scheduling
-    /// preference. Scratch is dropped; the next batch re-plans it.
-    pub(crate) fn adopt(&mut self, other: CnnModel) {
-        let use_graph = self.net.use_graph;
-        self.net = other.net;
-        self.net.use_graph = use_graph;
-        self.net.scratch = None;
-        self.cursor = other.cursor;
-        self.cycle = other.cycle;
-    }
-}
-
-impl UnsupervisedModel for CnnModel {
-    fn input_dim(&self) -> usize {
-        self.net.cfg.input_dim()
-    }
-
-    fn prepare(&mut self, max_batch: usize) {
-        self.net.prepare(max_batch);
-    }
-
-    fn train_batch(&mut self, ctx: &ExecCtx, x: MatView<'_>, lr: f32) -> f64 {
-        if crate::faults::fire("cnn.nan") {
-            // Fired before the cursor or parameters advance, so the
-            // supervisor's rolled-back replay trains exactly as a
-            // fault-free run would have.
-            return f64::NAN;
-        }
-        let b = x.rows();
-        let labels = self.labels_for(b);
-        self.cursor = (self.cursor + b as u64) % self.cycle;
-        self.net.train_batch(ctx, x, &labels, lr)
-    }
-
-    fn resident_bytes(&self, max_batch: usize) -> u64 {
-        let f = std::mem::size_of::<f32>() as u64;
-        let params = self.net.cfg.param_count() as u64;
-        let arena = build_cnn_graph(self.net.cfg, max_batch).plan().peak_elems() as u64;
-        (params + arena) * f
-    }
-
-    fn save_state(&self, w: &mut dyn Write) -> io::Result<()> {
-        crate::checkpoint::write_cnn_state(self, w)
-    }
-}
+/// [`CnnNet`] under the label-cursor wrapper, so the CNN rides the same
+/// chunked loader, checkpoint cadence and chaos supervisor as the paper's
+/// models.
+pub type CnnModel = LabeledModel<CnnNet>;
 
 #[cfg(test)]
 mod tests {
@@ -742,32 +530,11 @@ mod tests {
 
     #[test]
     fn model_cursor_labels_follow_dataset_order() {
-        let net = CnnNet::new(CnnConfig::digits(12), 1);
-        let mut model = CnnModel::new(net, 25);
-        assert_eq!(model.labels_for(4), vec![0, 1, 2, 3]);
-        model.cursor = 23;
-        // Rows 23, 24 then wrap to 0: digits 3, 4, 0.
-        assert_eq!(model.labels_for(3), vec![3, 4, 0]);
+        crate::labeled::tests::cursor_labels_follow_dataset_order::<CnnNet>();
     }
 
     #[test]
     fn model_trains_through_unsupervised_loop() {
-        use crate::train::{train_dataset, TrainConfig};
-        let (ds, labels) = digits(60, 8);
-        let ctx = ctx();
-        let mut model = CnnModel::new(CnnNet::new(CnnConfig::digits(12), 21), 60);
-        let tc = TrainConfig {
-            learning_rate: 0.4,
-            batch_size: 10,
-            chunk_rows: 30,
-            ..TrainConfig::default()
-        };
-        let report = train_dataset(&mut model, &ctx, &ds, &tc, 20).unwrap();
-        assert!(
-            report.final_recon() < report.initial_recon(),
-            "cross-entropy did not fall"
-        );
-        let acc = model.net.accuracy(&ctx, ds.matrix().view(), &labels);
-        assert!(acc > 0.5, "accuracy {acc} after supervised-via-cursor run");
+        crate::labeled::tests::trains_through_train_dataset::<CnnNet>();
     }
 }

@@ -11,17 +11,19 @@
 //! All heavy math runs through the [`ExecCtx`] like the rest of the crate,
 //! so fine-tuning participates in the simulated-coprocessor accounting.
 
+use crate::checkpoint::CheckpointModel;
 use crate::exec::ExecCtx;
-use crate::graph::{BufClass, TaskGraph, Workspace};
+use crate::graph::{BufClass, TaskGraph};
+use crate::labeled::{inherent_net_api, LabeledModel, LabeledNet, StepCache, StepState};
 use crate::layers::{
-    argmax_rows, hit_rate, mean_nll, Above, Decl, Dense, DenseParams, Emit, Layer, Part,
-    SoftmaxXent, StackBuilder, StackState, StepParts,
+    Above, Decl, Dense, DenseParams, Emit, Layer, Part, SoftmaxXent, StackBuilder,
 };
 use crate::stacked::StackedAutoencoder;
 use micdnn_kernels::OpCost;
 use micdnn_tensor::{GlorotSigmoid, Initializer, Mat, MatView, MatViewMut};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::io::{self, Write};
 
 /// A softmax (multinomial logistic) output layer.
 #[derive(Debug, Clone)]
@@ -90,17 +92,8 @@ impl SoftmaxLayer {
     }
 }
 
-/// Reusable training-step arena: one liveness-planned [`Workspace`]
-/// serving every batch up to `max_batch` rows, so `train_batch` performs
-/// no per-batch heap allocation after the first call.
-#[derive(Debug)]
-struct FtScratch {
-    max_batch: usize,
-    ws: Workspace,
-}
-
 /// A pre-trained encoder stack plus a softmax head, trainable end-to-end.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct FineTuneNet {
     /// Encoder layers as `(weights h x v, biases h)` pairs, input-first.
     layers: Vec<(Mat, Vec<f32>)>,
@@ -108,21 +101,7 @@ pub struct FineTuneNet {
     pub softmax: SoftmaxLayer,
     /// L2 weight decay applied to all weights during fine-tuning.
     pub weight_decay: f32,
-    use_graph: bool,
-    scratch: Option<FtScratch>,
-}
-
-impl Clone for FineTuneNet {
-    fn clone(&self) -> Self {
-        // The workspace is a cache, not state — the clone re-plans lazily.
-        FineTuneNet {
-            layers: self.layers.clone(),
-            softmax: self.softmax.clone(),
-            weight_decay: self.weight_decay,
-            use_graph: self.use_graph,
-            scratch: None,
-        }
-    }
+    step: StepCache,
 }
 
 impl FineTuneNet {
@@ -140,8 +119,7 @@ impl FineTuneNet {
             layers,
             softmax: SoftmaxLayer::new(code_dim, n_classes, seed),
             weight_decay: 1e-4,
-            use_graph: false,
-            scratch: None,
+            step: StepCache::default(),
         }
     }
 
@@ -158,17 +136,8 @@ impl FineTuneNet {
             layers,
             softmax: SoftmaxLayer::new(*sizes.last().unwrap(), n_classes, seed ^ 0x5A5A),
             weight_decay: 1e-4,
-            use_graph: false,
-            scratch: None,
+            step: StepCache::default(),
         }
-    }
-
-    /// Schedules each training step through the dataflow executor instead
-    /// of declaration order (bit-identical either way; see
-    /// [`crate::TaskGraph::execute`]).
-    pub fn with_graph_schedule(mut self) -> Self {
-        self.use_graph = true;
-        self
     }
 
     /// Rebuilds a net from checkpointed parts (the fine-tune checkpoint
@@ -184,8 +153,7 @@ impl FineTuneNet {
             layers,
             softmax,
             weight_decay,
-            use_graph,
-            scratch: None,
+            step: StepCache::new(use_graph),
         }
     }
 
@@ -196,31 +164,12 @@ impl FineTuneNet {
 
     /// Input dimensionality of the first encoder layer.
     pub fn in_dim(&self) -> usize {
-        self.layers[0].0.cols()
-    }
-
-    /// Whether [`FineTuneNet::with_graph_schedule`] was requested.
-    pub fn uses_graph(&self) -> bool {
-        self.use_graph
+        LabeledNet::in_dim(self)
     }
 
     /// Encoder layer output widths, input-first.
     fn widths(&self) -> Vec<usize> {
         self.layers.iter().map(|(w, _)| w.rows()).collect()
-    }
-
-    /// Plans (or re-plans) the cached step workspace for batches up to
-    /// `cap` rows, so the first training batch allocates nothing.
-    pub fn prepare(&mut self, cap: usize) {
-        if cap == 0 || self.scratch.as_ref().is_some_and(|s| s.max_batch >= cap) {
-            return;
-        }
-        let plan =
-            build_step_graph(self.in_dim(), &self.widths(), self.softmax.n_classes(), cap).plan();
-        self.scratch = Some(FtScratch {
-            max_batch: cap,
-            ws: Workspace::new(&plan),
-        });
     }
 
     /// Encoder parameters as `(weights h x v, biases h)` pairs, input-first.
@@ -229,138 +178,66 @@ impl FineTuneNet {
     pub fn layer_params(&self) -> &[(Mat, Vec<f32>)] {
         &self.layers
     }
+}
 
-    /// Elements currently held by the cached step workspace (0 before the
-    /// first `train_batch`). Exposed so tests can pin the no-per-batch-
-    /// allocation property.
-    pub fn workspace_elems(&self) -> usize {
-        self.scratch.as_ref().map_or(0, |s| s.ws.allocated_elems())
+inherent_net_api!(FineTuneNet);
+
+/// The fine-tuning step's node state.
+pub type FtState<'a> = StepState<'a, FineTuneNet>;
+
+impl LabeledNet for FineTuneNet {
+    const NAN_FAILPOINT: &'static str = "finetune.nan";
+
+    fn in_dim(&self) -> usize {
+        self.layers[0].0.cols()
     }
 
-    /// Forward pass returning every layer's activations (input excluded):
-    /// `acts[l]` is the output of encoder layer `l`; the final element is
-    /// the softmax probabilities.
-    fn forward_all(&self, ctx: &ExecCtx, x: MatView<'_>) -> (Vec<Mat>, Mat) {
-        let b = x.rows();
-        let mut acts: Vec<Mat> = Vec::with_capacity(self.layers.len());
-        for (l, (w, bias)) in self.layers.iter().enumerate() {
-            let input = if l == 0 { x } else { acts[l - 1].view() };
-            let mut a = Mat::zeros(b, w.rows());
-            {
-                let mut v = a.view_mut();
-                ctx.gemm(1.0, input, false, w.view(), true, 0.0, &mut v);
-                ctx.bias_sigmoid_rows(bias, &mut v);
-            }
-            acts.push(a);
-        }
-        let probs = self
-            .softmax
-            .forward(ctx, acts.last().expect("non-empty").view());
-        (acts, probs)
+    fn n_classes(&self) -> usize {
+        self.softmax.n_classes()
     }
 
-    /// Class probabilities for a batch.
-    pub fn predict_proba(&self, ctx: &ExecCtx, x: MatView<'_>) -> Mat {
-        self.forward_all(ctx, x).1
-    }
-
-    /// Hard predictions (argmax class index per example).
-    pub fn predict(&self, ctx: &ExecCtx, x: MatView<'_>) -> Vec<usize> {
-        argmax_rows(self.predict_proba(ctx, x).view())
-    }
-
-    /// Fraction of correct predictions.
-    pub fn accuracy(&self, ctx: &ExecCtx, x: MatView<'_>, labels: &[usize]) -> f64 {
-        hit_rate(&self.predict(ctx, x), labels)
-    }
-
-    /// Mean cross-entropy of the batch under the current parameters.
-    pub fn cross_entropy(&self, ctx: &ExecCtx, x: MatView<'_>, labels: &[usize]) -> f64 {
-        let probs = self.predict_proba(ctx, x);
-        mean_nll(probs.view(), labels)
-    }
-
-    /// One fine-tuning SGD step on a labeled batch; returns the batch's
-    /// mean cross-entropy before the update.
-    ///
-    /// The step is expressed as a [`TaskGraph`] over a liveness-planned
-    /// [`Workspace`] arena cached on the net: forward activations, deltas
-    /// and gradients all live in planned registers, so steady-state
-    /// batches allocate nothing. Serial declaration order reproduces the
-    /// historical hand-rolled step kernel for kernel.
-    pub fn train_batch(&mut self, ctx: &ExecCtx, x: MatView<'_>, labels: &[usize], lr: f32) -> f64 {
-        let b = x.rows();
-        assert!(b > 0, "empty batch");
-        assert_eq!(labels.len(), b, "one label per example");
+    fn param_count(&self) -> usize {
         let c = self.softmax.n_classes();
-        for &l in labels {
-            assert!(l < c, "label {l} out of range for {c} classes");
-        }
-        assert_eq!(x.cols(), self.layers[0].0.cols(), "input dimensionality");
-
-        self.prepare(b);
-        let mut scratch = self.scratch.take().expect("just ensured");
-        let use_graph = self.use_graph;
-        let loss = {
-            let mut graph = build_step_graph(self.in_dim(), &self.widths(), c, scratch.max_batch);
-            let mut state = FtState {
-                net: self,
-                ws: &mut scratch.ws,
-                x,
-                labels,
-                lr,
-                loss: 0.0,
-            };
-            if use_graph {
-                graph.execute(ctx, &mut state);
-            } else {
-                graph.run_serial(ctx, &mut state);
-            }
-            state.loss
-        };
-        self.scratch = Some(scratch);
-        loss
+        let stack: usize = self
+            .layers
+            .iter()
+            .map(|(w, b)| w.rows() * w.cols() + b.len())
+            .sum();
+        stack + c * self.softmax.in_dim() + c
     }
 
-    /// Fine-tunes for `epochs` passes over `(x, labels)` in mini-batches.
-    /// Returns the per-epoch mean cross-entropy.
-    pub fn fit(
-        &mut self,
-        ctx: &ExecCtx,
-        x: MatView<'_>,
-        labels: &[usize],
-        batch: usize,
-        lr: f32,
-        epochs: usize,
-    ) -> Vec<f64> {
-        crate::train::fit_epochs(x, labels, batch, epochs, |xb, lb| {
-            self.train_batch(ctx, xb, lb, lr)
-        })
+    fn step_graph<'a>(&self, cap: usize) -> TaskGraph<'static, FtState<'a>> {
+        build_step_graph(self.in_dim(), &self.widths(), self.n_classes(), cap)
     }
-}
 
-/// Everything a fine-tuning step node touches: the net's parameters, the
-/// planned arena, the batch, and the scalar loss output.
-pub struct FtState<'a> {
-    net: &'a mut FineTuneNet,
-    ws: &'a mut Workspace,
-    x: MatView<'a>,
-    labels: &'a [usize],
-    lr: f32,
-    loss: f64,
-}
-
-impl<'a> StackState for FtState<'a> {
-    type Params = FineTuneNet;
-    fn parts(&mut self) -> StepParts<'_, FineTuneNet> {
-        StepParts {
-            ws: &mut *self.ws,
-            x: self.x,
-            labels: self.labels,
-            lr: self.lr,
-            loss: &mut self.loss,
-            params: &mut *self.net,
+    fn predict_proba(&self, ctx: &ExecCtx, x: MatView<'_>) -> Mat {
+        let mut act: Option<Mat> = None;
+        for (w, bias) in &self.layers {
+            let mut a = Mat::zeros(x.rows(), w.rows());
+            let input = act.as_ref().map_or(x, Mat::view);
+            ctx.gemm(1.0, input, false, w.view(), true, 0.0, &mut a.view_mut());
+            ctx.bias_sigmoid_rows(bias, &mut a.view_mut());
+            act = Some(a);
         }
+        self.softmax.forward(ctx, act.expect("non-empty").view())
+    }
+
+    fn save(&self, w: &mut dyn Write) -> io::Result<()> {
+        crate::checkpoint::write_ft_net(self, w)
+    }
+
+    fn from_checkpoint(from: CheckpointModel) -> io::Result<FineTuneModel> {
+        match from {
+            CheckpointModel::FineTune(m) => Ok(m),
+            _ => Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                "snapshot does not hold a fine-tune net",
+            )),
+        }
+    }
+
+    fn step_cache(&mut self) -> &mut StepCache {
+        &mut self.step
     }
 }
 
@@ -476,112 +353,9 @@ pub fn build_step_graph<'a>(
     sb.finish()
 }
 
-/// [`FineTuneNet`] adapted to the unsupervised training loop so the
-/// fine-tuning stage rides the same chunked loader, checkpoint cadence
-/// and recovery ladder as pre-training (mirror of [`crate::CnnModel`]).
-///
-/// The loop hands models unlabeled batches; the digits generator renders
-/// row `i` as digit `i % 10`, and the loader walks rows in dataset order,
-/// so labels are a pure function of the running example cursor. The
-/// cursor is part of the checkpointed state: a resumed run labels exactly
-/// the examples the uninterrupted one would.
-#[derive(Debug, Clone)]
-pub struct FineTuneModel {
-    /// The underlying network.
-    pub net: FineTuneNet,
-    /// Position within the dataset of the next example (mod `cycle`).
-    cursor: u64,
-    /// Dataset length the cursor wraps at.
-    cycle: u64,
-}
-
-impl FineTuneModel {
-    /// Wraps a network for training against a `dataset_rows`-row digits
-    /// dataset (row `i` labeled `i % n_classes`).
-    pub fn new(net: FineTuneNet, dataset_rows: u64) -> Self {
-        assert!(dataset_rows > 0, "empty dataset");
-        FineTuneModel {
-            net,
-            cursor: 0,
-            cycle: dataset_rows,
-        }
-    }
-
-    /// Restores a checkpointed label cursor (`cursor < cycle`).
-    pub(crate) fn from_parts(net: FineTuneNet, cursor: u64, cycle: u64) -> Self {
-        assert!(cycle > 0 && cursor < cycle, "label cursor out of range");
-        FineTuneModel { net, cursor, cycle }
-    }
-
-    /// The label cursor as `(position, dataset_rows)` (exposed for
-    /// checkpointing).
-    pub fn cursor_parts(&self) -> (u64, u64) {
-        (self.cursor, self.cycle)
-    }
-
-    /// Labels for the next `b` examples without advancing the cursor.
-    fn labels_for(&self, b: usize) -> Vec<usize> {
-        let classes = self.net.softmax.n_classes() as u64;
-        (0..b as u64)
-            .map(|i| (((self.cursor + i) % self.cycle) % classes) as usize)
-            .collect()
-    }
-
-    /// Replaces parameters and label cursor with `other`'s (the
-    /// supervisor's rollback path), keeping this wrapper's scheduling
-    /// preference. Scratch is dropped; the next batch re-plans it.
-    pub(crate) fn adopt(&mut self, other: FineTuneModel) {
-        let use_graph = self.net.use_graph;
-        self.net = other.net;
-        self.net.use_graph = use_graph;
-        self.net.scratch = None;
-        self.cursor = other.cursor;
-        self.cycle = other.cycle;
-    }
-}
-
-impl crate::train::UnsupervisedModel for FineTuneModel {
-    fn input_dim(&self) -> usize {
-        self.net.in_dim()
-    }
-
-    fn prepare(&mut self, max_batch: usize) {
-        self.net.prepare(max_batch);
-    }
-
-    fn train_batch(&mut self, ctx: &ExecCtx, x: MatView<'_>, lr: f32) -> f64 {
-        if crate::faults::fire("finetune.nan") {
-            // Fired before the cursor or parameters advance, so the
-            // supervisor's rolled-back replay trains exactly as a
-            // fault-free run would have.
-            return f64::NAN;
-        }
-        let b = x.rows();
-        let labels = self.labels_for(b);
-        self.cursor = (self.cursor + b as u64) % self.cycle;
-        self.net.train_batch(ctx, x, &labels, lr)
-    }
-
-    fn resident_bytes(&self, max_batch: usize) -> u64 {
-        let f = std::mem::size_of::<f32>() as u64;
-        let c = self.net.softmax.n_classes();
-        let params: u64 = self
-            .net
-            .layers
-            .iter()
-            .map(|(w, b)| (w.rows() * w.cols() + b.len()) as u64)
-            .sum::<u64>()
-            + (c * self.net.softmax.in_dim() + c) as u64;
-        let arena = build_step_graph(self.net.in_dim(), &self.net.widths(), c, max_batch.max(1))
-            .plan()
-            .peak_elems() as u64;
-        (params + arena) * f
-    }
-
-    fn save_state(&self, w: &mut dyn std::io::Write) -> std::io::Result<()> {
-        crate::checkpoint::write_ft_state(self, w)
-    }
-}
+/// [`FineTuneNet`] under the label-cursor wrapper: the fine-tuning stage
+/// of the unsupervised training loop.
+pub type FineTuneModel = LabeledModel<FineTuneNet>;
 
 #[cfg(test)]
 mod tests {
@@ -779,5 +553,15 @@ mod tests {
         assert!(after_grow > after_first);
         net.train_batch(&ctx, ds.matrix().view(), &labels, 0.3);
         assert_eq!(net.workspace_elems(), after_grow);
+    }
+
+    #[test]
+    fn model_cursor_labels_follow_dataset_order() {
+        crate::labeled::tests::cursor_labels_follow_dataset_order::<FineTuneNet>();
+    }
+
+    #[test]
+    fn model_trains_through_unsupervised_loop() {
+        crate::labeled::tests::trains_through_train_dataset::<FineTuneNet>();
     }
 }

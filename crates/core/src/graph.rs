@@ -443,11 +443,6 @@ impl<'g, S> TaskGraph<'g, S> {
         self.names[id]
     }
 
-    /// Name of a declared buffer.
-    pub fn buf_name(&self, buf: BufId) -> &'static str {
-        self.bufs[buf.0].name
-    }
-
     /// Dependencies of a node.
     pub fn deps(&self, id: NodeId) -> &[NodeId] {
         &self.deps[id]

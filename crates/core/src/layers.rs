@@ -13,8 +13,8 @@
 //!   update — with exact read/write sets);
 //! * [`StackBuilder`]: the composition surface. It wraps a [`TaskGraph`],
 //!   keeps a per-layer registry of named buffer handles so layers can
-//!   reference each other's activations and deltas without sharing types,
-//!   and drives declaration/emission passes over layer slices.
+//!   reference each other's activations and deltas without sharing types;
+//!   the recipe calls each layer's declaration and emission passes on it.
 //!
 //! # The bit-identity contract
 //!
@@ -35,10 +35,27 @@
 //! run against. Layers that only need an arena, a batch, parameters and a
 //! loss slot (the supervised family: [`Dense`], [`SoftmaxXent`],
 //! [`Conv2d`], [`MaxPool2d`]) are written once against the [`StackState`]
-//! host trait and reused by every network whose state implements it
-//! (fine-tuning and the CNN today). Algorithm-specific layers (the AE's
-//! KL-sparsity block, the RBM's Gibbs chain) implement `Layer` directly
-//! against their own state.
+//! host trait; their plain-SGD update nodes and bias column-sum nodes go
+//! through one emitter each, so a new parameterised layer writes only its
+//! forward, backward and weight-gradient bodies. Algorithm-specific layers
+//! implement `Layer` directly against their own state: the RBM's Gibbs
+//! chain, the AE's KL-sparsity block, and the AE's encoder and decoder —
+//! one sigmoid-affine half-layer selected by which half it is, sharing
+//! forward, gradients and one update emitter (SGD or optimizer slot), with
+//! only the two backward deltas written apart.
+//!
+//! # Plugging in a new labeled net
+//!
+//! A softmax-headed net supplies three things and implements
+//! [`crate::LabeledNet`] with them: a parameter store (implementing
+//! [`DenseParams`], plus [`ConvParams`] if it convolves), a recipe that
+//! composes the layers above in a fixed order (`build_step_graph`,
+//! `build_cnn_graph`), and a hand-written `predict_proba` the serving tests
+//! compare the graph against — along with its geometry, failpoint name and
+//! checkpoint record. The step state ([`crate::StepState`]), the cached
+//! arena and schedule flag, `train_batch`/`fit`/`predict`/`accuracy`, and
+//! the label-cursor wrapper that makes it an `UnsupervisedModel` and
+//! `Recoverable` ([`crate::LabeledModel`]) are shared.
 //!
 //! Footprint rules, enforced by [`TaskGraph::verify`] on every shipped
 //! recipe (pinned at 0 errors / 0 warnings in `tests/verify_properties.rs`):
@@ -104,9 +121,6 @@ pub enum Emit {
 /// participates in (a pooling layer has no parameters, a cost probe has
 /// no buffers at all).
 pub trait Layer<S> {
-    /// Short tag for diagnostics.
-    fn tag(&self) -> &'static str;
-
     /// Declare this layer's buffers for pass `what`.
     fn declare(&self, sb: &mut StackBuilder<S>, what: Decl) {
         let _ = (sb, what);
@@ -146,19 +160,6 @@ impl<S> StackBuilder<S> {
         }
     }
 
-    /// Declares a stack-level buffer and registers it under `key`.
-    pub fn bind_global(
-        &mut self,
-        key: &'static str,
-        name: &'static str,
-        elems: usize,
-        class: BufClass,
-    ) -> BufId {
-        let id = self.g.declare(name, elems, class);
-        self.globals.push((key, id));
-        id
-    }
-
     /// Declares a *shaped* stack-level buffer ([`TaskGraph::declare_dims`])
     /// and registers it under `key`.
     pub fn bind_global_dims(
@@ -170,27 +171,6 @@ impl<S> StackBuilder<S> {
     ) -> BufId {
         let id = self.g.declare_dims(name, dims, class);
         self.globals.push((key, id));
-        id
-    }
-
-    /// Declares a buffer and registers it under `(slot, key)`.
-    pub fn bind(
-        &mut self,
-        slot: usize,
-        key: &'static str,
-        name: &'static str,
-        elems: usize,
-        class: BufClass,
-    ) -> BufId {
-        if self.slots.len() <= slot {
-            self.slots.resize_with(slot + 1, Vec::new);
-        }
-        debug_assert!(
-            self.slots[slot].iter().all(|&(k, _)| k != key),
-            "slot {slot} already binds {key:?}"
-        );
-        let id = self.g.declare(name, elems, class);
-        self.slots[slot].push((key, id));
         id
     }
 
@@ -245,20 +225,6 @@ impl<S> StackBuilder<S> {
     /// through this so footprints and order are explicit at the call site).
     pub fn node(&mut self, spec: NodeSpec, task: impl FnMut(&ExecCtx, &mut S) + Send + 'static) {
         self.g.node(spec, task);
-    }
-
-    /// Runs one declaration pass over `layers` in slice order.
-    pub fn declare_each(&mut self, layers: &[&dyn Layer<S>], what: Decl) {
-        for l in layers {
-            l.declare(self, what);
-        }
-    }
-
-    /// Runs one emission pass over `layers` in slice order.
-    pub fn emit_each(&mut self, layers: &[&dyn Layer<S>], what: Emit) {
-        for l in layers {
-            l.emit(self, what);
-        }
     }
 
     /// The composed graph. Verification is not forced here: every
@@ -328,6 +294,61 @@ pub enum Above {
     Head,
 }
 
+/// Emits the bias-gradient node of a supervised layer: `gb =
+/// colsum(delta)` over the live `b * rows_per_example` rows of slot
+/// `slot`'s `width`-wide delta.
+fn emit_bias_colsum<S: StackState>(
+    sb: &mut StackBuilder<S>,
+    name: &'static str,
+    slot: usize,
+    rows_per_example: usize,
+    width: usize,
+) {
+    let (d_id, gb_id) = (sb.buf(slot, "delta"), sb.buf(slot, "gb"));
+    sb.node(
+        NodeSpec::new(name).reads(&[d_id]).writes(&[gb_id]),
+        move |ctx, st: &mut S| {
+            let p = st.parts();
+            let rows = p.x.rows() * rows_per_example;
+            let [d, gb] = p.ws.bufs_mut([d_id, gb_id]);
+            ctx.colsum(MatView::new(&d[..rows * width], rows, width), gb);
+        },
+    );
+}
+
+/// Emits one plain-SGD update node of a supervised layer: slot `slot`'s
+/// `gw` into its weights (with the model's weight decay) or its `gb` into
+/// its biases (without). `names` are the `[weights, biases]` node names;
+/// `tensors` picks the layer's `(weights, biases)` out of the parameter
+/// store.
+fn emit_sgd<S>(
+    sb: &mut StackBuilder<S>,
+    names: [&'static str; 2],
+    slot: usize,
+    part: Part,
+    tensors: impl Fn(&mut S::Params) -> (&mut Mat, &mut Vec<f32>) + Send + 'static,
+) where
+    S: StackState,
+    S::Params: DenseParams,
+{
+    let (name, grad, param) = match part {
+        Part::Weights => (names[0], sb.buf(slot, "gw"), sb.buf(slot, "w")),
+        Part::Biases => (names[1], sb.buf(slot, "gb"), sb.buf(slot, "b")),
+    };
+    sb.node(
+        NodeSpec::new(name).reads(&[grad]).writes(&[param]),
+        move |ctx, st: &mut S| {
+            let p = st.parts();
+            let lambda = p.params.weight_decay();
+            let (w, bias) = tensors(p.params);
+            match part {
+                Part::Weights => ctx.sgd_step(p.lr, lambda, p.ws.buf(grad), w.as_mut_slice()),
+                Part::Biases => ctx.sgd_step(p.lr, 0.0, p.ws.buf(grad), bias),
+            }
+        },
+    );
+}
+
 /// A fully connected sigmoid layer: `a = sigmoid(input W^T + b)`, plain
 /// SGD updates. The generic form of the fine-tuning stack's encoder layer,
 /// reused by the CNN's fully connected tail.
@@ -364,10 +385,6 @@ where
     S: StackState,
     S::Params: DenseParams,
 {
-    fn tag(&self) -> &'static str {
-        "dense"
-    }
-
     fn declare(&self, sb: &mut StackBuilder<S>, what: Decl) {
         let (slot, h, v, cap) = (self.slot, self.out_dim, self.in_dim, self.cap);
         match what {
@@ -481,45 +498,10 @@ where
                     },
                 );
             }
-            Emit::Grads(Part::Biases) => {
-                let (d_cur, gb_cur) = (sb.buf(slot, "delta"), sb.buf(slot, "gb"));
-                sb.node(
-                    NodeSpec::new("layer-gb").reads(&[d_cur]).writes(&[gb_cur]),
-                    move |ctx, st: &mut S| {
-                        let p = st.parts();
-                        let b = p.x.rows();
-                        let [d, gb] = p.ws.bufs_mut([d_cur, gb_cur]);
-                        ctx.colsum(MatView::new(&d[..b * h], b, h), gb);
-                    },
-                );
-            }
-            // SGD updates (weight decay on the weights only).
-            Emit::Update(Part::Weights) => {
-                let (gw_cur, w_id) = (sb.buf(slot, "gw"), sb.buf(slot, "w"));
-                sb.node(
-                    NodeSpec::new("layer-w-sgd")
-                        .reads(&[gw_cur])
-                        .writes(&[w_id]),
-                    move |ctx, st: &mut S| {
-                        let p = st.parts();
-                        let lambda = p.params.weight_decay();
-                        let (w, _) = p.params.dense(idx);
-                        ctx.sgd_step(p.lr, lambda, p.ws.buf(gw_cur), w.as_mut_slice());
-                    },
-                );
-            }
-            Emit::Update(Part::Biases) => {
-                let (gb_cur, b_id) = (sb.buf(slot, "gb"), sb.buf(slot, "b"));
-                sb.node(
-                    NodeSpec::new("layer-b-sgd")
-                        .reads(&[gb_cur])
-                        .writes(&[b_id]),
-                    move |ctx, st: &mut S| {
-                        let p = st.parts();
-                        let (_, bias) = p.params.dense(idx);
-                        ctx.sgd_step(p.lr, 0.0, p.ws.buf(gb_cur), bias);
-                    },
-                );
+            Emit::Grads(Part::Biases) => emit_bias_colsum(sb, "layer-gb", slot, 1, h),
+            Emit::Update(part) => {
+                let names = ["layer-w-sgd", "layer-b-sgd"];
+                emit_sgd(sb, names, slot, part, move |p| p.dense(idx));
             }
         }
     }
@@ -547,10 +529,6 @@ where
     S: StackState,
     S::Params: DenseParams,
 {
-    fn tag(&self) -> &'static str {
-        "softmax-xent"
-    }
-
     fn declare(&self, sb: &mut StackBuilder<S>, what: Decl) {
         let (slot, c, code, cap) = (self.slot, self.n_classes, self.in_dim, self.cap);
         match what {
@@ -640,44 +618,13 @@ where
                     },
                 );
             }
-            Emit::Grads(Part::Biases) => {
-                let (dsoft, gb_id) = (sb.buf(slot, "delta"), sb.buf(slot, "gb"));
-                sb.node(
-                    NodeSpec::new("softmax-gb").reads(&[dsoft]).writes(&[gb_id]),
-                    move |ctx, st: &mut S| {
-                        let p = st.parts();
-                        let b = p.x.rows();
-                        let [d, gb] = p.ws.bufs_mut([dsoft, gb_id]);
-                        ctx.colsum(MatView::new(&d[..b * c], b, c), gb);
-                    },
-                );
-            }
-            Emit::Update(Part::Weights) => {
-                let (gw_id, w_id) = (sb.buf(slot, "gw"), sb.buf(slot, "w"));
-                sb.node(
-                    NodeSpec::new("softmax-w-sgd")
-                        .reads(&[gw_id])
-                        .writes(&[w_id]),
-                    move |ctx, st: &mut S| {
-                        let p = st.parts();
-                        let lambda = p.params.weight_decay();
-                        let head = p.params.softmax();
-                        ctx.sgd_step(p.lr, lambda, p.ws.buf(gw_id), head.w.as_mut_slice());
-                    },
-                );
-            }
-            Emit::Update(Part::Biases) => {
-                let (gb_id, b_id) = (sb.buf(slot, "gb"), sb.buf(slot, "b"));
-                sb.node(
-                    NodeSpec::new("softmax-b-sgd")
-                        .reads(&[gb_id])
-                        .writes(&[b_id]),
-                    move |ctx, st: &mut S| {
-                        let p = st.parts();
-                        let head = p.params.softmax();
-                        ctx.sgd_step(p.lr, 0.0, p.ws.buf(gb_id), &mut head.b);
-                    },
-                );
+            Emit::Grads(Part::Biases) => emit_bias_colsum(sb, "softmax-gb", slot, 1, c),
+            Emit::Update(part) => {
+                let names = ["softmax-w-sgd", "softmax-b-sgd"];
+                emit_sgd(sb, names, slot, part, |p| {
+                    let head = p.softmax();
+                    (&mut head.w, &mut head.b)
+                });
             }
         }
     }
@@ -763,10 +710,6 @@ where
     S: StackState,
     S::Params: ConvParams,
 {
-    fn tag(&self) -> &'static str {
-        "conv2d"
-    }
-
     fn declare(&self, sb: &mut StackBuilder<S>, what: Decl) {
         let (slot, c, kk, cap) = (self.slot, self.channels, self.patch(), self.cap);
         let pix = self.out_side() * self.out_side();
@@ -879,40 +822,10 @@ where
                     },
                 );
             }
-            Emit::Grads(Part::Biases) => {
-                let (d_id, gb_id) = (sb.buf(slot, "delta"), sb.buf(slot, "gb"));
-                sb.node(
-                    NodeSpec::new("conv-gb").reads(&[d_id]).writes(&[gb_id]),
-                    move |ctx, st: &mut S| {
-                        let p = st.parts();
-                        let b = p.x.rows();
-                        let [d, gb] = p.ws.bufs_mut([d_id, gb_id]);
-                        ctx.colsum(MatView::new(&d[..b * pix * c], b * pix, c), gb);
-                    },
-                );
-            }
-            Emit::Update(Part::Weights) => {
-                let (gw_id, w_id) = (sb.buf(slot, "gw"), sb.buf(slot, "w"));
-                sb.node(
-                    NodeSpec::new("conv-w-sgd").reads(&[gw_id]).writes(&[w_id]),
-                    move |ctx, st: &mut S| {
-                        let p = st.parts();
-                        let lambda = p.params.weight_decay();
-                        let (w, _) = p.params.conv(idx);
-                        ctx.sgd_step(p.lr, lambda, p.ws.buf(gw_id), w.as_mut_slice());
-                    },
-                );
-            }
-            Emit::Update(Part::Biases) => {
-                let (gb_id, b_id) = (sb.buf(slot, "gb"), sb.buf(slot, "b"));
-                sb.node(
-                    NodeSpec::new("conv-b-sgd").reads(&[gb_id]).writes(&[b_id]),
-                    move |ctx, st: &mut S| {
-                        let p = st.parts();
-                        let (_, bias) = p.params.conv(idx);
-                        ctx.sgd_step(p.lr, 0.0, p.ws.buf(gb_id), bias);
-                    },
-                );
+            Emit::Grads(Part::Biases) => emit_bias_colsum(sb, "conv-gb", slot, pix, c),
+            Emit::Update(part) => {
+                let names = ["conv-w-sgd", "conv-b-sgd"];
+                emit_sgd(sb, names, slot, part, move |p| p.conv(idx));
             }
         }
     }
@@ -959,10 +872,6 @@ where
     S: StackState,
     S::Params: DenseParams,
 {
-    fn tag(&self) -> &'static str {
-        "maxpool2d"
-    }
-
     fn declare(&self, sb: &mut StackBuilder<S>, what: Decl) {
         let (slot, cap) = (self.slot, self.cap);
         let out = self.out_dim();
@@ -1082,8 +991,8 @@ mod tests {
     #[test]
     fn registry_binds_and_resolves() {
         let mut sb: StackBuilder<NullState> = StackBuilder::new();
-        let x = sb.bind_global("x", "x", 64, BufClass::External);
-        let a = sb.bind(2, "act", "act", 32, BufClass::Pinned);
+        let x = sb.bind_global_dims("x", "x", &[4, 16], BufClass::External);
+        let a = sb.bind_dims(2, "act", "act", &[4, 8], BufClass::Pinned);
         assert_eq!(sb.global("x"), x);
         assert_eq!(sb.buf(2, "act"), a);
     }

@@ -58,6 +58,7 @@ pub mod finetune;
 pub mod gradcheck;
 pub mod graph;
 pub mod hybrid;
+mod labeled;
 pub mod layers;
 pub mod metrics;
 pub mod model_io;
@@ -87,6 +88,7 @@ pub use finetune::{FineTuneModel, FineTuneNet, SoftmaxLayer};
 pub use gradcheck::{check_autoencoder, GradCheckResult};
 pub use graph::{BufClass, BufId, GraphRun, NodeSpec, TaskGraph, Workspace, WorkspacePlan};
 pub use hybrid::{estimate_hybrid, optimal_fraction, HybridAeTrainer, HybridConfig};
+pub use labeled::{LabeledModel, LabeledNet, StepState};
 pub use layers::{Above, Decl, Emit, Layer, Part, StackBuilder, StackState, StepParts};
 pub use metrics::{
     activation_stats, feature_ascii, feature_grid, reconstruction_stats, write_pgm,

@@ -47,6 +47,7 @@
 use crate::autoencoder::SparseAutoencoder;
 use crate::checkpoint::{load_checkpoint, save_checkpoint, CheckpointModel, TrainProgress};
 use crate::exec::ExecCtx;
+use crate::labeled::{LabeledModel, LabeledNet};
 use crate::model_io::{
     atomic_write, bad, read_f32, read_header, read_u64, write_f32, write_header, write_u64, TAG_SUP,
 };
@@ -483,8 +484,13 @@ macro_rules! recoverable {
 }
 recoverable!(AeModel, Ae, "a plain autoencoder");
 recoverable!(RbmModel, Rbm, "a plain RBM");
-recoverable!(crate::cnn::CnnModel, Cnn, "a CNN");
-recoverable!(crate::finetune::FineTuneModel, FineTune, "a fine-tune net");
+
+impl<N: LabeledNet> Recoverable for LabeledModel<N> {
+    fn restore_state(&mut self, from: CheckpointModel) -> io::Result<()> {
+        self.adopt(N::from_checkpoint(from)?);
+        Ok(())
+    }
+}
 
 /// Restores model + RNG from the supervisor's snapshot. If the current
 /// snapshot fails to load (a corrupt or truncated record), the previous

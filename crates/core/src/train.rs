@@ -15,6 +15,7 @@
 //! previous chunk. Device residency (parameters + loading area) is checked
 //! against the modeled card's capacity, as the paper's design requires.
 
+use crate::ae_graph::{AeParams, AeState};
 use crate::autoencoder::{AeScratch, SparseAutoencoder};
 use crate::cd_graph::cd_step_graph;
 use crate::checkpoint::{save_checkpoint_file, CheckpointPolicy, TrainProgress};
@@ -136,25 +137,10 @@ impl UnsupervisedModel for AeModel {
 
     fn train_batch(&mut self, ctx: &ExecCtx, x: MatView<'_>, lr: f32) -> f64 {
         let scratch = self.scratch.as_mut().expect("prepare() not called");
-        if self.use_graph {
-            let (cost, _) = crate::ae_graph::ae_step_graph(
-                &mut self.ae,
-                ctx,
-                x,
-                scratch,
-                lr,
-                self.optimizer.as_mut(),
-            );
-            return cost.reconstruction;
-        }
-        match &mut self.optimizer {
-            Some(opt) => {
-                let cost = self.ae.cost_and_grad(ctx, x, scratch);
-                self.ae.apply_gradients_opt(ctx, scratch, opt);
-                cost.reconstruction
-            }
-            None => self.ae.train_batch(ctx, x, scratch, lr).reconstruction,
-        }
+        let (ae, opt) = (AeParams::Mut(&mut self.ae), self.optimizer.as_mut());
+        let state = AeState::new(ae, scratch, x, opt, lr);
+        let (cost, _) = SparseAutoencoder::run_graph(state, ctx, self.use_graph);
+        cost.reconstruction
     }
 
     fn resident_bytes(&self, max_batch: usize) -> u64 {
@@ -787,34 +773,6 @@ pub(crate) fn train_dataset_at(
         },
         hooks,
     )
-}
-
-/// The epoch / mini-batch driver behind the labeled nets' `fit`: `epochs`
-/// passes over `(x, labels)` in `batch`-row steps, returning the per-epoch
-/// mean of the loss `step` reports.
-pub(crate) fn fit_epochs(
-    x: MatView<'_>,
-    labels: &[usize],
-    batch: usize,
-    epochs: usize,
-    mut step: impl FnMut(MatView<'_>, &[usize]) -> f64,
-) -> Vec<f64> {
-    assert!(batch > 0, "batch must be positive");
-    let n = x.rows();
-    let mut history = Vec::with_capacity(epochs);
-    for _ in 0..epochs {
-        let mut total = 0.0;
-        let mut batches = 0usize;
-        let mut lo = 0;
-        while lo < n {
-            let hi = (lo + batch).min(n);
-            total += step(x.rows_range(lo, hi), &labels[lo..hi]);
-            batches += 1;
-            lo = hi;
-        }
-        history.push(total / batches.max(1) as f64);
-    }
-    history
 }
 
 #[cfg(test)]

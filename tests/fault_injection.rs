@@ -352,7 +352,10 @@ fn multidev_device_drop_plus_nan_engages_the_ladder_bit_identically() {
 // `pipeline` prefix so CI can run this group alone.)
 // ---------------------------------------------------------------------
 
-use micdnn::{FineTuneModel, FineTuneNet, RunSupervisor, StackedAutoencoder, Stage};
+use micdnn::train::UnsupervisedModel;
+use micdnn::{
+    FineTuneModel, FineTuneNet, LabeledModel, LabeledNet, RunSupervisor, StackedAutoencoder, Stage,
+};
 
 /// The whole supervised pipeline at `devices` cards: every pre-training
 /// layer and the fine-tune pass are legs of one [`RunSupervisor`], so the
@@ -531,6 +534,49 @@ fn pipeline_cnn_nan_rolls_back_bit_identically() {
 
     assert_eq!(clean, faulted, "cnn.nan recovery diverged from baseline");
     assert_eq!(log.count("rollback"), 1, "{:?}", log.incidents);
+}
+
+/// The wrapper's NaN failpoint fires *before* the label cursor or any
+/// parameter moves: the poisoned step leaves the checkpointed state
+/// byte-identical, and the replayed step lands exactly where a run that
+/// never saw the fault does.
+fn nan_failpoint_fires_before_state_moves<N: LabeledNet + Clone>(net: N) {
+    let state = |m: &LabeledModel<N>| {
+        let mut bytes = Vec::new();
+        m.save_state(&mut bytes).unwrap();
+        bytes
+    };
+    let ds = toy_dataset(20, net.in_dim(), 41);
+    let ctx = ExecCtx::native(OptLevel::Improved, 43);
+    let mut model = LabeledModel::new(net, 20);
+    model.prepare(8);
+    model.train_batch(&ctx, ds.batch(0, 8), 0.2);
+    let mut twin = model.clone();
+    let before = state(&model);
+
+    faults::configure(N::NAN_FAILPOINT, "1").unwrap();
+    assert!(model.train_batch(&ctx, ds.batch(8, 16), 0.2).is_nan());
+    assert_eq!(
+        model.cursor_parts(),
+        (8, 20),
+        "cursor moved under the fault"
+    );
+    assert_eq!(state(&model), before, "state moved under the fault");
+
+    let replayed = model.train_batch(&ctx, ds.batch(8, 16), 0.2);
+    faults::clear_all();
+    let clean = twin.train_batch(&ctx, ds.batch(8, 16), 0.2);
+    assert_eq!(replayed.to_bits(), clean.to_bits());
+    assert_eq!(model.cursor_parts(), (16, 20));
+    assert_eq!(state(&model), state(&twin), "replay diverged");
+}
+
+#[test]
+fn pipeline_labeled_nan_failpoints_fire_before_cursor_or_parameters_move() {
+    let _g = REGISTRY_LOCK.lock();
+    faults::clear_all();
+    nan_failpoint_fires_before_state_moves(FineTuneNet::random(&[16, 8], 4, 45));
+    nan_failpoint_fires_before_state_moves(CnnNet::new(CnnConfig::digits(8), 47));
 }
 
 /// Random seeded schedules: every run either completes bit-identical to
