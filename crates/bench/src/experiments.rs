@@ -20,7 +20,7 @@ use micdnn::{
 use micdnn_kernels::OpKind;
 use micdnn_sim::{
     Affinity, ArrivalPattern, ArrivalSchedule, ChunkStream, EventKind, Link, Platform, SimClock,
-    StreamStats, Trace, VecSource,
+    StreamStats, Trace,
 };
 use micdnn_tensor::Mat;
 use serde::Serialize;
@@ -436,59 +436,22 @@ impl OverlapResult {
     }
 }
 
-/// §IV.A — replays the paper's measured constants (13 s transfer vs 68 s
-/// training per 10 000 × 4096 chunk) through the real [`ChunkStream`]
-/// machinery, with and without the loading thread.
-pub fn overlap_experiment(chunks: usize) -> OverlapResult {
-    let run = |double_buffered: bool| -> (f64, f64, f64) {
-        let clock = SimClock::new();
-        let data: Vec<Mat> = (0..chunks).map(|_| Mat::zeros(10_000, 4096)).collect();
-        let mut stream = ChunkStream::spawn(
-            VecSource::new(data),
-            Link::paper_measured(),
-            clock.clone(),
-            Trace::new(false),
-            2,
-            double_buffered,
-        )
-        .expect("spawn loader thread");
-        // The paper's measured per-chunk training time.
-        const TRAIN_PER_CHUNK: f64 = 68.0;
-        let mut transfer_per_chunk = 0.0;
-        while let Some(_chunk) = stream.next().expect("fault-free stream") {
-            clock.advance(TRAIN_PER_CHUNK);
-            transfer_per_chunk = stream.stats().transfer_secs / stream.stats().chunks as f64;
-        }
-        let st = stream.stats();
-        (st.stall_secs / clock.now(), transfer_per_chunk, clock.now())
-    };
-    let (naive_frac, transfer_per_chunk, _) = run(false);
-    let (buffered_frac, _, _) = run(true);
-    OverlapResult {
-        chunks: chunks as u64,
-        transfer_per_chunk,
-        compute_per_chunk: 68.0,
-        stall_fraction_naive: naive_frac,
-        stall_fraction_buffered: buffered_frac,
-    }
-}
+/// The paper's measured per-chunk training time (§IV.A).
+const TRAIN_PER_CHUNK: f64 = 68.0;
 
-/// §IV.A with trace recording: replays the double-buffered workload
-/// (10 000 × 4096 chunks, 13 s transfer vs 68 s training) with the event
-/// trace enabled, returning the loader statistics plus the trace for
-/// Chrome-trace export. Chunks are produced lazily so memory stays at a
-/// few buffer slots regardless of `chunks`.
-pub fn overlap_traced(chunks: usize) -> (StreamStats, Trace) {
+/// Replays the paper's measured constants (13 s transfer vs 68 s training
+/// per 10 000 × 4096 chunk) through the real [`ChunkStream`] machinery;
+/// returns the loader statistics and the simulated end time. Chunks are
+/// produced lazily so memory stays at a few buffer slots regardless of
+/// `chunks`.
+fn replay_overlap(chunks: usize, double_buffered: bool, trace: &Trace) -> (StreamStats, f64) {
     let clock = SimClock::new();
-    let trace = Trace::new(true);
     let mut remaining = chunks;
     let source = move || {
-        if remaining == 0 {
-            None
-        } else {
+        (remaining > 0).then(|| {
             remaining -= 1;
-            Some(Mat::zeros(10_000, 4096))
-        }
+            Mat::zeros(10_000, 4096)
+        })
     };
     let mut stream = ChunkStream::spawn(
         source,
@@ -496,10 +459,9 @@ pub fn overlap_traced(chunks: usize) -> (StreamStats, Trace) {
         clock.clone(),
         trace.clone(),
         2,
-        true,
+        double_buffered,
     )
     .expect("spawn loader thread");
-    const TRAIN_PER_CHUNK: f64 = 68.0;
     let mut i = 0u64;
     while let Some(_chunk) = stream.next().expect("fault-free stream") {
         let t0 = clock.now();
@@ -512,7 +474,30 @@ pub fn overlap_traced(chunks: usize) -> (StreamStats, Trace) {
         );
         i += 1;
     }
-    (stream.stats(), trace)
+    (stream.stats(), clock.now())
+}
+
+/// §IV.A — the replay with and without the loading thread.
+pub fn overlap_experiment(chunks: usize) -> OverlapResult {
+    let untraced = Trace::new(false);
+    let (naive, naive_end) = replay_overlap(chunks, false, &untraced);
+    let (buffered, buffered_end) = replay_overlap(chunks, true, &untraced);
+    OverlapResult {
+        chunks: chunks as u64,
+        transfer_per_chunk: naive.transfer_secs / naive.chunks as f64,
+        compute_per_chunk: TRAIN_PER_CHUNK,
+        stall_fraction_naive: naive.stall_secs / naive_end,
+        stall_fraction_buffered: buffered.stall_secs / buffered_end,
+    }
+}
+
+/// §IV.A with trace recording: the double-buffered replay with the event
+/// trace enabled, returning the loader statistics plus the trace for
+/// Chrome-trace export.
+pub fn overlap_traced(chunks: usize) -> (StreamStats, Trace) {
+    let trace = Trace::new(true);
+    let (stats, _) = replay_overlap(chunks, true, &trace);
+    (stats, trace)
 }
 
 /// Result of the Fig. 6 dependency-graph ablation.

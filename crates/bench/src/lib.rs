@@ -1,10 +1,9 @@
-//! Figure/table reproduction harness and benchmark support for `micdnn`.
+//! Figure/table reproduction harness for `micdnn`.
 //!
 //! Every table and figure of the paper's evaluation section has a
 //! corresponding function in [`experiments`] that regenerates its rows or
-//! series. The `repro` binary prints them; the Criterion benches in
-//! `benches/` measure the real wall-clock behaviour of the same kernels on
-//! the host.
+//! series, and the `repro` binary prints them. Host wall-clock is measured
+//! by the stand-alone `benchmark/` package, not here.
 
 pub mod experiments;
 

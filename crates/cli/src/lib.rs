@@ -124,11 +124,11 @@ fn load_data(args: &Args, examples: usize, seed: u64) -> Result<Dataset, String>
     let source = args.get("data").unwrap_or("digits");
     let mut ds = match source {
         "digits" => {
-            let side = args.num("side", 16usize)?;
+            let side = at_least(args, "side", 16, 8)?;
             Dataset::new(DigitGenerator::new(side, seed).matrix(examples))
         }
         "patches" => {
-            let side = args.num("side", 12usize)?;
+            let side = at_least(args, "side", 12, 4)?;
             Dataset::new(PatchGenerator::new(side, seed).matrix(examples))
         }
         path => {
@@ -140,14 +140,20 @@ fn load_data(args: &Args, examples: usize, seed: u64) -> Result<Dataset, String>
     Ok(ds)
 }
 
-/// A count flag that has to be at least 1 (`--batch`, `--chunk`, `--passes`,
-/// `--finetune-epochs`): zero is rejected here, as a CLI error, instead of
-/// tripping an assert or a divide-by-zero deep in the library.
-fn positive(args: &Args, key: &str, default: usize) -> Result<usize, String> {
+/// A size flag with a floor: a value below `min` is rejected here, as a
+/// CLI error, instead of tripping an assert or a divide-by-zero deep in
+/// the library.
+fn at_least(args: &Args, key: &str, default: usize, min: usize) -> Result<usize, String> {
     match args.num(key, default)? {
-        0 => Err(format!("--{key} must be at least 1")),
+        n if n < min => Err(format!("--{key} must be at least {min}")),
         n => Ok(n),
     }
+}
+
+/// A count or width flag that has to be at least 1 (`--batch`, `--chunk`,
+/// `--passes`, `--finetune-epochs`, `--hidden`, `--visible`).
+fn positive(args: &Args, key: &str, default: usize) -> Result<usize, String> {
+    at_least(args, key, default, 1)
 }
 
 fn train_config(args: &Args) -> Result<TrainConfig, String> {
@@ -693,7 +699,8 @@ fn cmd_train(args: &Args, seed: u64) -> Result<String, String> {
         ds.binarize(0.5);
     }
     let visible = ds.dim();
-    let hidden = args.num(
+    let hidden = positive(
+        args,
         "hidden",
         if algo == "cnn" {
             48
@@ -839,7 +846,7 @@ fn cmd_train_ae(args: &Args, seed: u64) -> Result<String, String> {
             "--visible {req_visible} does not match the data dimensionality {visible}"
         ));
     }
-    let hidden = args.num("hidden", (visible / 2).max(2))?;
+    let hidden = positive(args, "hidden", (visible / 2).max(2))?;
     let passes = positive(args, "passes", 10)?;
     let mut model = build_ae(args, visible, hidden, seed, args.has("graph-schedule"))?;
     let ctx = make_ctx(args, seed)?;
@@ -873,7 +880,7 @@ fn cmd_profile(args: &Args, seed: u64) -> Result<String, String> {
     let mut ds = load_data(args, examples, seed)?;
     let algo = args.get("algo").unwrap_or("ae");
     let visible = ds.dim();
-    let hidden = args.num("hidden", (visible / 2).max(2))?;
+    let hidden = positive(args, "hidden", (visible / 2).max(2))?;
     let passes = positive(args, "passes", 2)?;
 
     let level = parse_level(args)?;
@@ -937,7 +944,7 @@ fn cmd_train_rbm(args: &Args, seed: u64) -> Result<String, String> {
     let mut ds = load_data(args, examples, seed)?;
     ds.binarize(0.5);
     let visible = ds.dim();
-    let hidden = args.num("hidden", (visible / 2).max(2))?;
+    let hidden = positive(args, "hidden", (visible / 2).max(2))?;
     let passes = positive(args, "passes", 10)?;
     let cfg = RbmConfig::new(visible, hidden);
     let ctx = make_ctx(args, seed)?;
@@ -949,17 +956,21 @@ fn cmd_train_rbm(args: &Args, seed: u64) -> Result<String, String> {
     let report;
     let rbm;
     if args.has("pcd") {
+        for flag in ["momentum", "graph-schedule"] {
+            if args.has(flag) {
+                return Err(format!(
+                    "--{flag} is not supported with --pcd (plain persistent chains only)"
+                ));
+            }
+        }
         // PCD path drives the model directly (the trainer wrapper runs
         // CD); same chunk/batch loop semantics over in-memory data.
         let mut m = Rbm::new(cfg, seed);
         let mut scratch = micdnn::RbmScratch::new(&cfg, tc.batch_size);
         let mut history = Vec::new();
         for _ in 0..passes {
-            let mut lo = 0;
-            while lo < ds.len() {
-                let hi = (lo + tc.batch_size).min(ds.len());
+            for (lo, hi) in ds.batch_bounds(tc.batch_size) {
                 history.push(m.pcd_step(&ctx, ds.batch(lo, hi), &mut scratch, tc.learning_rate));
-                lo = hi;
             }
         }
         rbm = m;
@@ -1078,7 +1089,7 @@ fn cmd_pretrain(args: &Args, seed: u64) -> Result<String, String> {
 
 fn cmd_classify(args: &Args, seed: u64) -> Result<String, String> {
     let examples = args.num("examples", 1000usize)?;
-    let side = args.num("side", 16usize)?;
+    let side = at_least(args, "side", 16, 8)?;
     let classes = args.num("classes", 10usize)?;
     if !(2..=10).contains(&classes) {
         return Err("--classes must be 2..=10 (the digit generator has ten classes)".to_string());
@@ -1203,7 +1214,13 @@ fn cmd_features(args: &Args) -> Result<String, String> {
     let model_path = args.get("model").ok_or("--model FILE is required")?;
     let out_path = args.get("out").ok_or("--out FILE.pgm is required")?;
     let ae = micdnn::load_autoencoder_file(model_path).map_err(|e| e.to_string())?;
-    let side = args.num("side", (ae.config().n_visible as f64).sqrt() as usize)?;
+    let visible = ae.config().n_visible;
+    let side = args.num("side", (visible as f64).sqrt() as usize)?;
+    if side * side != visible {
+        return Err(format!(
+            "--side {side} does not tile the model's {visible} inputs (need side x side = {visible})"
+        ));
+    }
     let units = args.num("units", ae.config().n_hidden.min(64))?;
     let grid_cols = (units as f64).sqrt().ceil() as usize;
     let grid = micdnn::feature_grid(&ae, units, side, grid_cols.max(1));
@@ -1340,25 +1357,22 @@ fn cmd_verify(args: &Args) -> Result<String, String> {
     // so the report is identical across the CI device matrix.
     let budget = MultiDevConfig::new(devices).mem_budget();
 
-    // Certifications flow through the executor context's sink, the same
-    // channel an instrumented training run would use to attach its report.
-    let ctx = ExecCtx::native(OptLevel::Improved, 0);
-
+    let mut docs = Vec::new();
     let g = build_ae_graph(1024, 4096, 100, AeUpdate::Sgd);
-    ctx.record_certification(g.certify(budget).to_doc("ae-step-1024x4096-b100"));
+    docs.push(g.certify(budget).to_doc("ae-step-1024x4096-b100"));
     for k in [1usize, 3] {
         let g = build_cd_graph(1024, 4096, 100, k);
-        ctx.record_certification(
+        docs.push(
             g.certify(budget)
                 .to_doc(&format!("cd{k}-step-1024x4096-b100")),
         );
     }
     let g = build_step_graph(784, &[512, 256], 10, 200);
-    ctx.record_certification(g.certify(budget).to_doc("finetune-784-512-256-c10-cap200"));
+    docs.push(g.certify(budget).to_doc("finetune-784-512-256-c10-cap200"));
     let g = build_cnn_graph(CnnConfig::digits(12), 64);
-    ctx.record_certification(g.certify(budget).to_doc("cnn-digits12-cap64"));
+    docs.push(g.certify(budget).to_doc("cnn-digits12-cap64"));
     let (g, _) = build_forward_graph(784, &[512, 256], 10, 200);
-    ctx.record_certification(
+    docs.push(
         g.certify(budget)
             .to_doc("serve-forward-784-512-256-c10-cap200"),
     );
@@ -1378,10 +1392,10 @@ fn cmd_verify(args: &Args) -> Result<String, String> {
         let g = stack.pipeline_graph(&tc, 200, 2);
         let widths: Vec<String> = sizes.iter().map(|s| s.to_string()).collect();
         let name = format!("pipeline-d{}-{}", sizes.len() - 1, widths.join("-"));
-        ctx.record_certification(g.certify(budget).to_doc(&name));
+        docs.push(g.certify(budget).to_doc(&name));
     }
 
-    let bundle = CertifyBundle::new(ctx.take_certifications());
+    let bundle = CertifyBundle::new(docs);
     let mut out = format!(
         "certify: {} graph(s), budget {budget} B/device\n",
         bundle.graphs.len()
@@ -1426,12 +1440,12 @@ fn cmd_estimate(args: &Args) -> Result<String, String> {
             "rbm" => Algo::Rbm,
             other => return Err(format!("unknown --algo `{other}`")),
         },
-        n_visible: args.num("visible", 1024usize)?,
-        n_hidden: args.num("hidden", 4096usize)?,
+        n_visible: positive(args, "visible", 1024)?,
+        n_hidden: positive(args, "hidden", 4096)?,
         examples: args.num("examples", 100_000usize)?,
-        batch: args.num("batch", 1000usize)?,
-        chunk_rows: args.num("chunk", 10_000usize)?,
-        passes: args.num("passes", 1usize)?,
+        batch: positive(args, "batch", 1000)?,
+        chunk_rows: positive(args, "chunk", 10_000)?,
+        passes: positive(args, "passes", 1)?,
     };
     let mut out = format!(
         "workload: {:?} {}x{}, {} examples, batch {}\n",
@@ -1497,7 +1511,7 @@ mod tests {
     fn zero_valued_count_flags_are_cli_errors_not_panics() {
         // Every training subcommand, in each mode that reads the counts
         // through a different path.
-        let cmds: [&[&str]; 13] = [
+        let cmds: [&[&str]; 14] = [
             &["train", "--algo", "ae"],
             &["train", "--algo", "rbm"],
             &["train", "--algo", "cnn"],
@@ -1511,11 +1525,19 @@ mod tests {
             &["classify"],
             &["classify", "--supervise"],
             &["profile"],
+            &["estimate"],
         ];
         for cmd in cmds {
             let mut flags = vec!["batch", "chunk", "passes"];
             if cmd[0] == "classify" {
                 flags.push("finetune-epochs");
+            }
+            // `pretrain`/`classify` take their widths from `--sizes`.
+            if !matches!(cmd[0], "pretrain" | "classify") {
+                flags.push("hidden");
+            }
+            if cmd[0] == "estimate" {
+                flags.push("visible");
             }
             for flag in flags {
                 let mut argv = sv(cmd);
@@ -1527,6 +1549,33 @@ mod tests {
                     .expect_err(&format!("{argv:?} accepted a zero count"));
                 assert_eq!(err, format!("--{flag} must be at least 1"), "{argv:?}");
             }
+        }
+        // Sizes with another floor, and flags a mode would silently ignore.
+        let rejected: [(&[&str], &str); 6] = [
+            (&["classify", "--side", "7"], "--side must be at least 8"),
+            (&["train-ae", "--side", "0"], "--side must be at least 8"),
+            (&["serve", "--side", "4"], "--side must be at least 8"),
+            (
+                &["train-ae", "--data", "patches", "--side", "3"],
+                "--side must be at least 4",
+            ),
+            (
+                &["train-rbm", "--pcd", "--side", "8", "--momentum", "0.5"],
+                "--momentum is not supported with --pcd (plain persistent chains only)",
+            ),
+            (
+                &["train-rbm", "--pcd", "--side", "8", "--graph-schedule"],
+                "--graph-schedule is not supported with --pcd (plain persistent chains only)",
+            ),
+        ];
+        for (cmd, want) in rejected {
+            let mut argv = sv(cmd);
+            argv.extend(sv(&["--examples", "40"]));
+            let outcome = std::panic::catch_unwind(|| run(&argv));
+            let err = outcome
+                .unwrap_or_else(|_| panic!("{argv:?} panicked"))
+                .expect_err(&format!("{argv:?} was accepted"));
+            assert_eq!(err, want, "{argv:?}");
         }
     }
 
@@ -1683,6 +1732,12 @@ mod tests {
         .unwrap();
         assert!(out.contains("wrote 9 features"), "{out}");
         assert!(std::fs::metadata(&pgm).unwrap().len() > 0);
+        // A side that does not tile the model's inputs is a CLI error.
+        let model = model.to_str().unwrap();
+        let err = run(&sv(&[
+            "features", "--model", model, "--side", "0", "--out", "x",
+        ]));
+        assert!(err.unwrap_err().starts_with("--side 0 does not tile"));
     }
 
     #[test]

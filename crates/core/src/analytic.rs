@@ -6,17 +6,18 @@
 //! cost descriptor is a pure function of its operand sizes (see
 //! [`micdnn_kernels::Backend`]'s `*_cost` methods), the exact op stream of
 //! a training step can be enumerated without executing it. This module does
-//! that enumeration and prices whole training runs, replicating the
-//! double-buffered stream accounting of [`micdnn_sim::ChunkStream`]
-//! step-for-step.
+//! that enumeration and prices whole training runs over the trainer's own
+//! chunk/batch split ([`micdnn_data::ChunkGeometry`]) and the stream's own
+//! double-buffer accounting ([`micdnn_sim::OverlapClock`]).
 //!
 //! Integration tests pin these streams to the ones recorded from real
 //! execution (`ExecCtx::start_recording`), so the figures produced from
 //! them are the figures an executed run would produce.
 
 use crate::exec::OptLevel;
+use micdnn_data::ChunkGeometry;
 use micdnn_kernels::{Backend, OpCost};
-use micdnn_sim::{CostModel, Link, Platform};
+use micdnn_sim::{CostModel, Link, OverlapClock, Platform};
 
 /// The op stream of one [`crate::SparseAutoencoder::train_batch`] call
 /// (cost+grad+update) on a `b x v` batch with hidden width `h`.
@@ -144,8 +145,8 @@ impl Estimate {
     }
 }
 
-/// Prices one pass of `workload` on `platform` at `level`, replicating the
-/// trainer's chunk/batch loop and the stream's double-buffer accounting.
+/// Prices `workload` on `platform` at `level`: the trainer's chunk/batch
+/// loop under the stream's double-buffer accounting.
 pub fn estimate(
     level: OptLevel,
     platform: Platform,
@@ -158,19 +159,16 @@ pub fn estimate(
     let parallel = backend.par().is_parallel();
 
     // Per-batch compute, cached by batch size (full and trailing partial).
-    let price_batch = |b: usize| -> f64 {
-        let ops = match workload.algo {
-            Algo::Autoencoder => ae_batch_ops(workload.n_visible, workload.n_hidden, b, backend),
-            Algo::Rbm => rbm_cd1_ops(workload.n_visible, workload.n_hidden, b, backend),
-        };
+    let price_batch = |batch: usize| -> f64 {
+        let ops = Workload { batch, ..*workload }.batch_ops(backend);
         model.price_all(ops.iter(), parallel)
     };
     let full_batch_cost = price_batch(workload.batch);
+    let geometry = ChunkGeometry::new(workload.examples, workload.chunk_rows, workload.batch);
 
     // Compute time of a chunk with `rows` rows.
     let chunk_compute = |rows: usize| -> f64 {
-        let full = rows / workload.batch;
-        let rem = rows % workload.batch;
+        let (full, rem) = geometry.split_batches(rows);
         let mut t = full as f64 * full_batch_cost;
         if rem > 0 {
             t += price_batch(rem);
@@ -178,45 +176,18 @@ pub fn estimate(
         t
     };
 
-    // Replicate ChunkStream: per-chunk transfer model.
-    let full_chunks = workload.examples / workload.chunk_rows;
-    let rem_rows = workload.examples % workload.chunk_rows;
-    let t_chunk = |rows: usize| -> f64 {
-        link.transfer_time((rows * workload.n_visible * std::mem::size_of::<f32>()) as u64)
-    };
-
     let mut clock = 0.0f64;
-    let mut ready = 0.0f64;
-    let mut compute_started = 0.0f64;
+    let mut overlap = OverlapClock::new(double_buffered);
     let mut transfer_secs = 0.0;
     let mut stall_secs = 0.0;
     let mut compute_secs = 0.0;
-
-    let mut run_chunk = |rows: usize| {
-        let t = t_chunk(rows);
+    for rows in geometry.chunk_sizes() {
+        let t = link.transfer_time((rows * workload.n_visible * std::mem::size_of::<f32>()) as u64);
         transfer_secs += t;
-        if double_buffered {
-            let started = compute_started.max(ready);
-            ready = started + t;
-            if ready > clock {
-                stall_secs += ready - clock;
-                clock = ready;
-            }
-        } else {
-            clock += t;
-            stall_secs += t;
-        }
-        compute_started = clock;
+        stall_secs += overlap.admit_f64(&mut clock, t).stall;
         let c = chunk_compute(rows);
         compute_secs += c;
         clock += c;
-    };
-
-    for _ in 0..full_chunks {
-        run_chunk(workload.chunk_rows);
-    }
-    if rem_rows > 0 {
-        run_chunk(rem_rows);
     }
 
     // Subsequent passes run on resident data: pure compute, no transfers.

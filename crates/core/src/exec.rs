@@ -73,9 +73,9 @@ impl OptLevel {
 /// Execution context binding a kernel backend to an optional device model.
 ///
 /// Without a model (`ExecCtx::native`) it is a thin veneer over
-/// [`Backend`] — used by the Criterion wall-clock benches. With a model
-/// (`ExecCtx::simulated`) every op also advances simulated time on the
-/// modeled platform.
+/// [`Backend`] — what the wall-clock harness in `benchmark/` times. With a
+/// model (`ExecCtx::simulated`) every op also advances simulated time on
+/// the modeled platform.
 pub struct ExecCtx {
     backend: Backend,
     pricing: Option<CostModel>,
@@ -104,10 +104,6 @@ pub struct ExecCtx {
     /// Structured `(kind, detail)` notes recorded at demotion time, drained
     /// by the training supervisor into its incident log.
     incident_notes: Mutex<Vec<(String, String)>>,
-    /// Per-graph certification entries ([`crate::verify::CertifyDoc`])
-    /// recorded by callers of [`crate::TaskGraph::certify`], drained into
-    /// the `micdnn-verify-v1` report by the CLI `verify` subcommand.
-    certifications: Mutex<Vec<crate::verify::CertifyDoc>>,
 }
 
 impl ExecCtx {
@@ -127,7 +123,6 @@ impl ExecCtx {
             degrade: false,
             degraded: AtomicBool::new(false),
             incident_notes: Mutex::new(Vec::new()),
-            certifications: Mutex::new(Vec::new()),
         }
     }
 
@@ -147,7 +142,6 @@ impl ExecCtx {
             degrade: false,
             degraded: AtomicBool::new(false),
             incident_notes: Mutex::new(Vec::new()),
-            certifications: Mutex::new(Vec::new()),
         }
     }
 
@@ -229,18 +223,6 @@ impl ExecCtx {
     /// [`ExecCtx::force_degrade`] and [`ExecCtx::note_incident`].
     pub fn take_incident_notes(&self) -> Vec<(String, String)> {
         std::mem::take(&mut *self.incident_notes.lock())
-    }
-
-    /// Records one graph's certification entry for the `micdnn-verify-v1`
-    /// report.
-    pub fn record_certification(&self, doc: crate::verify::CertifyDoc) {
-        self.certifications.lock().push(doc);
-    }
-
-    /// Drains the certification entries recorded by
-    /// [`ExecCtx::record_certification`], in recording order.
-    pub fn take_certifications(&self) -> Vec<crate::verify::CertifyDoc> {
-        std::mem::take(&mut *self.certifications.lock())
     }
 
     /// Builds the profiler's report with this context's platform peak and

@@ -20,8 +20,8 @@
 //!   cost descriptor priced by `micdnn-sim`'s Xeon Phi / Xeon E5620 machine
 //!   models, regenerating the paper's figures and Table I in simulated
 //!   seconds (that hardware no longer being obtainable);
-//! * a **benchmark body** — the Criterion suite in `micdnn-bench` times the
-//!   very same entry points in wall-clock.
+//! * a **benchmark body** — the stand-alone harness in `benchmark/` times
+//!   the very same entry points in wall-clock.
 //!
 //! # Quickstart
 //!

@@ -14,7 +14,7 @@ use crate::exec::ExecCtx;
 use crate::graph::{BufClass, BufId, NodeSpec, TaskGraph};
 use crate::rbm::{Rbm, RbmConfig};
 use crate::train::{train_dataset_at, AeModel, RbmModel, TrainConfig, TrainError, TrainReport};
-use micdnn_data::Dataset;
+use micdnn_data::{ChunkGeometry, Dataset};
 use micdnn_sim::EventKind;
 use micdnn_tensor::{Mat, MatView};
 
@@ -40,17 +40,20 @@ pub(crate) fn pretrain_layers<L>(
     encode: impl Fn(&L, &ExecCtx, MatView<'_>) -> Mat,
     mut train_layer: impl FnMut(&L, &Dataset, u64) -> Result<(L, TrainReport), TrainError>,
 ) -> Result<Vec<LayerReport>, TrainError> {
-    let mut current = data.clone();
+    // The encoding of `data` through the layers trained so far; the first
+    // layer trains on the caller's dataset itself.
+    let mut encoded: Option<Dataset> = None;
     let mut reports = Vec::with_capacity(layers.len());
     for (i, layer) in layers.iter_mut().enumerate() {
         let _layer_span = ctx.phase(&format!("pretrain layer {i}"));
-        let (trained, report) = train_layer(layer, &current, i as u64)?;
+        let current = encoded.as_ref().unwrap_or(data);
+        let (trained, report) = train_layer(layer, current, i as u64)?;
         *layer = trained;
         // Encode the dataset through the freshly trained layer to form
         // the next layer's training set.
-        let encoded = Dataset::new(encode(layer, ctx, current.matrix().view()));
-        let shape = (current.dim(), encoded.dim());
-        current = encoded;
+        let next = Dataset::new(encode(layer, ctx, current.matrix().view()));
+        let shape = (current.dim(), next.dim());
+        encoded = Some(next);
         reports.push(LayerReport { shape, report });
     }
     Ok(reports)
@@ -197,28 +200,16 @@ impl StackedAutoencoder {
             self.sizes[0]
         );
         let n_layers = self.layers.len();
-        let batch_cap = cfg.batch_size.max(1).min(rows);
-        let chunk_sizes = chunk_rows_of(rows, cfg.chunk_rows.max(1));
+        let geometry = cfg.geometry(rows);
+        let batch_cap = cfg.batch_size.min(rows);
 
         // Layer 0's chunks are copies of the input rows; deeper layers
         // start as placeholders the transfer nodes overwrite.
-        let src = m.as_slice();
-        let mut lo = 0usize;
-        let first: Vec<Mat> = chunk_sizes
-            .iter()
-            .map(|&r| {
-                let base = lo;
-                lo += r;
-                Mat::from_fn(r, cols, |rr, cc| src[(base + rr) * cols + cc])
-            })
-            .collect();
-        let mut chunks = vec![first];
-        for _ in 1..n_layers {
-            chunks.push(chunk_sizes.iter().map(|_| Mat::zeros(1, 1)).collect());
-        }
-        let staged: Vec<Vec<Mat>> = (0..n_layers)
-            .map(|_| chunk_sizes.iter().map(|_| Mat::zeros(1, 1)).collect())
-            .collect();
+        let placeholders = || vec![Mat::zeros(1, 1); geometry.chunks()];
+        let first = (0..geometry.chunks()).map(|c| geometry.chunk(m, c));
+        let mut chunks = vec![first.collect::<Vec<Mat>>()];
+        chunks.resize_with(n_layers, placeholders);
+        let staged: Vec<Vec<Mat>> = (0..n_layers).map(|_| placeholders()).collect();
         let scratch = self
             .layers
             .iter()
@@ -232,7 +223,7 @@ impl StackedAutoencoder {
             staged,
             recon: vec![0.0; n_layers],
         };
-        let mut g = build_pipeline_graph(&self.sizes, cfg, rows, passes);
+        let mut g = build_pipeline_graph(&self.sizes, cfg, geometry, passes);
         let run = {
             let _span = ctx.phase("pretrain pipelined");
             g.execute(ctx, &mut state)
@@ -257,7 +248,7 @@ impl StackedAutoencoder {
         rows: usize,
         passes: usize,
     ) -> TaskGraph<'static, PipelineState> {
-        build_pipeline_graph(&self.sizes, cfg, rows, passes)
+        build_pipeline_graph(&self.sizes, cfg, cfg.geometry(rows), passes)
     }
 }
 
@@ -291,15 +282,6 @@ pub struct PipelineState {
     recon: Vec<f64>,
 }
 
-/// Row counts of the dataset's chunks, in order — the same split
-/// [`crate::train::train_dataset`] derives from `chunk_rows`.
-fn chunk_rows_of(rows: usize, chunk_rows: usize) -> Vec<usize> {
-    (0..rows)
-        .step_by(chunk_rows)
-        .map(|lo| chunk_rows.min(rows - lo))
-        .collect()
-}
-
 /// Builds the pipelined stacked pre-training DAG. Declaration order is
 /// the sequential greedy schedule (train layer `i` for all passes, then
 /// encode and transfer its chunks, then layer `i+1`), so the executor's
@@ -309,15 +291,15 @@ fn chunk_rows_of(rows: usize, chunk_rows: usize) -> Vec<usize> {
 fn build_pipeline_graph(
     sizes: &[usize],
     cfg: &TrainConfig,
-    rows: usize,
+    geometry: ChunkGeometry,
     passes: usize,
 ) -> TaskGraph<'static, PipelineState> {
-    assert!(rows > 0 && passes > 0, "empty pipeline");
+    assert!(geometry.chunks() > 0 && passes > 0, "empty pipeline");
     let n_layers = sizes.len() - 1;
-    let batch = cfg.batch_size.max(1);
+    let batch = cfg.batch_size;
     let lr = cfg.learning_rate;
     let link = cfg.link;
-    let chunk_sizes = chunk_rows_of(rows, cfg.chunk_rows.max(1));
+    let chunk_sizes: Vec<usize> = geometry.chunk_sizes().collect();
     let mut g: TaskGraph<'static, PipelineState> = TaskGraph::new();
 
     // One logical parameter buffer per layer (owned by the model, hence

@@ -53,10 +53,9 @@ use crate::model_io::{
 };
 use crate::stacked::{pretrain_layers, LayerReport, PipelineReport, StackedAutoencoder};
 use crate::train::{
-    batches_per_epoch, train_dataset_at, AeModel, RbmModel, TrainConfig, TrainError, TrainReport,
-    UnsupervisedModel,
+    train_dataset_at, AeModel, RbmModel, TrainConfig, TrainError, TrainReport, UnsupervisedModel,
 };
-use micdnn_data::Dataset;
+use micdnn_data::{ChunkGeometry, Dataset};
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize, Value};
 use std::io;
@@ -387,15 +386,16 @@ pub(crate) struct SuperHooks {
 }
 
 impl SuperHooks {
-    /// Hooks with an initial snapshot of `model` at batch position `pos`.
+    /// Hooks with an initial snapshot of `model` at batch position `pos`
+    /// of a run over `geometry` — the epoch and example count the training
+    /// loop itself would have recorded there.
     fn new_at(
         policy: SupervisorPolicy,
         model: &dyn UnsupervisedModel,
         ctx: &ExecCtx,
         layer: u64,
-        batches_per_epoch: u64,
+        geometry: ChunkGeometry,
         pos: u64,
-        examples: u64,
     ) -> io::Result<Self> {
         let hooks = SuperHooks {
             policy,
@@ -406,7 +406,13 @@ impl SuperHooks {
             prev: Mutex::new(None),
             incidents: Mutex::new(Vec::new()),
         };
-        hooks.snapshot(model, ctx, layer, batches_per_epoch, pos, examples)?;
+        let progress = TrainProgress {
+            layer,
+            epoch: geometry.epoch_of(pos),
+            batches: pos,
+            examples: geometry.examples_before(pos),
+        };
+        hooks.snapshot(model, ctx, &progress)?;
         Ok(hooks)
     }
 
@@ -417,20 +423,12 @@ impl SuperHooks {
         &self,
         model: &dyn UnsupervisedModel,
         ctx: &ExecCtx,
-        layer: u64,
-        batches_per_epoch: u64,
-        pos: u64,
-        examples: u64,
+        progress: &TrainProgress,
     ) -> io::Result<()> {
-        let progress = TrainProgress {
-            layer,
-            epoch: pos.checked_div(batches_per_epoch).unwrap_or(0),
-            batches: pos,
-            examples,
-        };
+        let pos = progress.batches;
         let (rng_seed, rng_cursor) = ctx.rng_state();
         let mut bytes = Vec::new();
-        save_checkpoint(&mut bytes, model, rng_seed, rng_cursor, &progress)?;
+        save_checkpoint(&mut bytes, model, rng_seed, rng_cursor, progress)?;
         let mut cur = self.snapshot.lock();
         if cur.bytes.is_empty() {
             *cur = Snapshot { bytes, pos };
@@ -774,6 +772,24 @@ impl RunSupervisor {
         self.absorb(incidents, stage);
     }
 
+    /// Restores `model` from the leg's snapshot and moves the ladder
+    /// position back to it; returns the batch position now held.
+    fn rewind<M: Recoverable>(
+        &mut self,
+        model: &mut M,
+        ctx: &ExecCtx,
+        hooks: &SuperHooks,
+        geometry: ChunkGeometry,
+    ) -> Result<u64, TrainError> {
+        if let Some(incident) = restore(model, ctx, hooks)? {
+            self.absorb(vec![incident], self.pos.stage);
+        }
+        let resume_pos = hooks.snapshot_pos();
+        self.pos.batch = resume_pos;
+        self.pos.epoch = geometry.epoch_of(resume_pos);
+        Ok(resume_pos)
+    }
+
     /// Runs one training leg under the recovery ladder. `stage`/`layer`
     /// address the leg in the pipeline; `skip_batches` replays positions a
     /// resumed leg already trained (the caller must have restored the
@@ -794,11 +810,11 @@ impl RunSupervisor {
         layer: u64,
         skip_batches: u64,
     ) -> Result<TrainReport, TrainError> {
-        let bpe = batches_per_epoch(dataset, cfg);
+        let geometry = cfg.geometry(dataset.len());
         self.pos = RunPos {
             stage,
             layer,
-            epoch: skip_batches.checked_div(bpe).unwrap_or(0),
+            epoch: geometry.epoch_of(skip_batches),
             batch: skip_batches,
         };
         // A resumed run that was demoted to the serial schedule stays
@@ -813,15 +829,13 @@ impl RunSupervisor {
             let _ = ctx.take_incident_notes();
         }
         self.persist()?;
-        let examples = skip_batches.saturating_mul(cfg.batch_size as u64);
         let hooks = SuperHooks::new_at(
             self.policy.clone(),
             model,
             ctx,
             layer,
-            bpe,
+            geometry,
             skip_batches,
-            examples,
         )
         .map_err(TrainError::Checkpoint)?;
         let mut lr = cfg.learning_rate * self.lr_mult;
@@ -847,7 +861,7 @@ impl RunSupervisor {
             self.absorb_ctx(ctx, stage);
             match outcome {
                 Ok(Ok(report)) => {
-                    self.pos.batch = bpe.saturating_mul(passes as u64);
+                    self.pos.batch = geometry.batches_per_epoch().saturating_mul(passes as u64);
                     self.pos.epoch = passes as u64;
                     self.persist()?;
                     return Ok(report);
@@ -861,13 +875,7 @@ impl RunSupervisor {
                             last: format!("batch {batch} diverged (error {err})"),
                         });
                     }
-                    let fallback = restore(model, ctx, &hooks)?;
-                    if let Some(incident) = fallback {
-                        self.absorb(vec![incident], stage);
-                    }
-                    let resume_pos = hooks.snapshot_pos();
-                    self.pos.batch = resume_pos;
-                    self.pos.epoch = resume_pos.checked_div(bpe).unwrap_or(0);
+                    let resume_pos = self.rewind(model, ctx, &hooks, geometry)?;
                     self.absorb(
                         vec![Incident {
                             kind: "rollback".to_string(),
@@ -904,13 +912,7 @@ impl RunSupervisor {
                             last: e.to_string(),
                         });
                     }
-                    let fallback = restore(model, ctx, &hooks)?;
-                    if let Some(incident) = fallback {
-                        self.absorb(vec![incident], stage);
-                    }
-                    let resume_pos = hooks.snapshot_pos();
-                    self.pos.batch = resume_pos;
-                    self.pos.epoch = resume_pos.checked_div(bpe).unwrap_or(0);
+                    let resume_pos = self.rewind(model, ctx, &hooks, geometry)?;
                     self.absorb(
                         vec![Incident {
                             kind: "restart".to_string(),
@@ -1188,6 +1190,42 @@ mod tests {
         AeModel::new(SparseAutoencoder::new(AeConfig::new(12, 6), 9))
     }
 
+    /// A resumed leg's first snapshot must say what the training loop
+    /// itself recorded at that position. Chunks of 250 cut the third batch
+    /// of 100 short, so position 3 is 250 examples in, not 3 x 100.
+    #[test]
+    fn resumed_leg_seeds_its_snapshot_with_the_loops_own_example_count() {
+        let progress_of = |snap: &Snapshot| {
+            let ckpt = load_checkpoint(&mut snap.bytes.as_slice()).unwrap();
+            assert_eq!(ckpt.progress.batches, snap.pos);
+            ckpt.progress
+        };
+        let ds = toy_dataset(500, 12, 5);
+        let cfg = TrainConfig {
+            batch_size: 100,
+            chunk_rows: 250,
+            ..TrainConfig::default()
+        };
+        let geometry = cfg.geometry(ds.len());
+        let policy = SupervisorPolicy {
+            snapshot_every: 3,
+            ..SupervisorPolicy::default()
+        };
+        let ctx = ExecCtx::native(OptLevel::Improved, 4);
+        let mut model = fresh_ae();
+
+        let resumed = SuperHooks::new_at(policy.clone(), &model, &ctx, 0, geometry, 3).unwrap();
+        let seeded = progress_of(&resumed.snapshot.lock());
+        assert_eq!(seeded.examples, 250);
+
+        // The loop snapshots at positions 3 and 6; the displaced one is
+        // its own record of position 3.
+        let hooks = SuperHooks::new_at(policy, &model, &ctx, 0, geometry, 0).unwrap();
+        train_dataset_at(&mut model, &ctx, &ds, &cfg, 1, 0, 0, Some(&hooks)).unwrap();
+        let looped = progress_of(hooks.prev.lock().as_ref().expect("two snapshots"));
+        assert_eq!(seeded, looped);
+    }
+
     #[test]
     fn fault_free_supervised_run_matches_unsupervised() {
         let ds = toy_dataset(120, 12, 1);
@@ -1456,11 +1494,24 @@ mod tests {
         let mut model = fresh_ae();
         let ctx = ExecCtx::native(OptLevel::Improved, 4);
         model.prepare(cfg.batch_size);
-        let hooks =
-            SuperHooks::new_at(SupervisorPolicy::default(), &model, &ctx, 0, 4, 0, 0).unwrap();
+        let hooks = SuperHooks::new_at(
+            SupervisorPolicy::default(),
+            &model,
+            &ctx,
+            0,
+            cfg.geometry(80),
+            0,
+        )
+        .unwrap();
         // Train a little, snapshot again so a previous snapshot exists.
         train_dataset(&mut model, &ctx, &ds, &cfg, 1).unwrap();
-        hooks.snapshot(&model, &ctx, 0, 4, 4, 80).unwrap();
+        let after_one_pass = TrainProgress {
+            layer: 0,
+            epoch: 1,
+            batches: 4,
+            examples: 80,
+        };
+        hooks.snapshot(&model, &ctx, &after_one_pass).unwrap();
         assert_eq!(hooks.snapshot_pos(), 4);
         // Corrupt the current snapshot in place.
         hooks.snapshot.lock().bytes.truncate(6);
@@ -1483,8 +1534,15 @@ mod tests {
         let mut model = fresh_ae();
         let ctx = ExecCtx::native(OptLevel::Improved, 4);
         model.prepare(cfg.batch_size);
-        let hooks =
-            SuperHooks::new_at(SupervisorPolicy::default(), &model, &ctx, 0, 4, 0, 0).unwrap();
+        let hooks = SuperHooks::new_at(
+            SupervisorPolicy::default(),
+            &model,
+            &ctx,
+            0,
+            cfg.geometry(80),
+            0,
+        )
+        .unwrap();
         hooks.snapshot.lock().bytes.truncate(3);
         match restore(&mut model, &ctx, &hooks) {
             Err(TrainError::Checkpoint(_)) => {}

@@ -22,6 +22,7 @@ use crate::checkpoint::{save_checkpoint_file, CheckpointPolicy, TrainProgress};
 use crate::exec::ExecCtx;
 use crate::rbm::{Rbm, RbmScratch};
 use crate::supervise::{Incident, SuperHooks, SupervisorPolicy, SupervisorPolicyError};
+use micdnn_data::{ChunkGeometry, Dataset};
 use micdnn_sim::{
     ChunkSource, ChunkStream, DeviceMemory, Link, OutOfDeviceMemory, RetryPolicy, StreamError,
     StreamOptions, StreamStats,
@@ -354,6 +355,14 @@ impl Default for TrainConfig {
     }
 }
 
+impl TrainConfig {
+    /// The chunk/batch split this configuration imposes on a dataset of
+    /// `rows` examples.
+    pub(crate) fn geometry(&self, rows: usize) -> ChunkGeometry {
+        ChunkGeometry::new(rows, self.chunk_rows, self.batch_size)
+    }
+}
+
 /// Errors a training run can hit.
 #[derive(Debug)]
 pub enum TrainError {
@@ -474,7 +483,22 @@ impl TrainReport {
 struct ResumePoint {
     skip_batches: u64,
     layer: u64,
-    batches_per_epoch: u64,
+    /// The dataset's chunk/batch split; `None` for a bare stream, which
+    /// has no epochs.
+    geometry: Option<ChunkGeometry>,
+}
+
+impl ResumePoint {
+    /// The progress record for the state after `batches` batch positions
+    /// and `examples` examples since epoch 0.
+    fn progress(&self, batches: u64, examples: u64) -> TrainProgress {
+        TrainProgress {
+            layer: self.layer,
+            epoch: self.geometry.map_or(0, |g| g.epoch_of(batches)),
+            batches,
+            examples,
+        }
+    }
 }
 
 /// Trains `model` on everything `source` produces (Algorithm 1).
@@ -509,18 +533,10 @@ fn write_checkpoint(
     policy: &CheckpointPolicy,
     ctx: &ExecCtx,
     model: &dyn UnsupervisedModel,
-    resume: ResumePoint,
-    batches: u64,
-    examples: u64,
+    progress: &TrainProgress,
 ) -> io::Result<()> {
-    let progress = TrainProgress {
-        layer: resume.layer,
-        epoch: batches.checked_div(resume.batches_per_epoch).unwrap_or(0),
-        batches,
-        examples,
-    };
     let (rng_seed, rng_cursor) = ctx.rng_state();
-    save_checkpoint_file(policy.file(), model, rng_seed, rng_cursor, &progress)
+    save_checkpoint_file(policy.file(), model, rng_seed, rng_cursor, progress)
 }
 
 fn train_stream_inner(
@@ -588,7 +604,7 @@ fn train_stream_inner(
     // surfaces.
     let parting_checkpoint = |model: &dyn UnsupervisedModel, pos: u64, examples: u64| {
         if let (Some(policy), true) = (&cfg.checkpoint, pos > 0) {
-            let _ = write_checkpoint(policy, ctx, model, resume, pos, examples);
+            let _ = write_checkpoint(policy, ctx, model, &resume.progress(pos, examples));
         }
     };
     loop {
@@ -646,20 +662,13 @@ fn train_stream_inner(
                     && pos > resume.skip_batches
                     && pos.is_multiple_of(h.policy.snapshot_every)
                 {
-                    h.snapshot(
-                        model,
-                        ctx,
-                        resume.layer,
-                        resume.batches_per_epoch,
-                        pos,
-                        done_examples,
-                    )
-                    .map_err(TrainError::Checkpoint)?;
+                    h.snapshot(model, ctx, &resume.progress(pos, done_examples))
+                        .map_err(TrainError::Checkpoint)?;
                 }
             }
             if let Some(policy) = &cfg.checkpoint {
                 if policy.every_batches > 0 && pos.is_multiple_of(policy.every_batches) {
-                    write_checkpoint(policy, ctx, model, resume, pos, done_examples)
+                    write_checkpoint(policy, ctx, model, &resume.progress(pos, done_examples))
                         .map_err(TrainError::Checkpoint)?;
                 }
             }
@@ -673,7 +682,7 @@ fn train_stream_inner(
     // one) can always be resumed.
     if report.batches > 0 {
         if let Some(policy) = &cfg.checkpoint {
-            write_checkpoint(policy, ctx, model, resume, pos, done_examples)
+            write_checkpoint(policy, ctx, model, &resume.progress(pos, done_examples))
                 .map_err(TrainError::Checkpoint)?;
         }
     }
@@ -690,7 +699,7 @@ fn train_stream_inner(
 pub fn train_dataset(
     model: &mut impl UnsupervisedModel,
     ctx: &ExecCtx,
-    dataset: &micdnn_data::Dataset,
+    dataset: &Dataset,
     cfg: &TrainConfig,
     passes: usize,
 ) -> Result<TrainReport, TrainError> {
@@ -707,7 +716,7 @@ pub fn train_dataset(
 pub fn train_dataset_resume(
     model: &mut impl UnsupervisedModel,
     ctx: &ExecCtx,
-    dataset: &micdnn_data::Dataset,
+    dataset: &Dataset,
     cfg: &TrainConfig,
     passes: usize,
     progress: &TrainProgress,
@@ -724,20 +733,16 @@ pub fn train_dataset_resume(
     )
 }
 
-/// Batch positions one pass over `dataset` produces under `cfg`'s
-/// chunk/batch geometry (chunk boundaries cut batches short, so this is
-/// per-chunk `div_ceil`, not one global division).
-pub(crate) fn batches_per_epoch(dataset: &micdnn_data::Dataset, cfg: &TrainConfig) -> u64 {
-    let rows = dataset.matrix().rows();
-    let chunk = cfg.chunk_rows.max(1);
-    let mut total = 0u64;
-    let mut lo = 0;
-    while lo < rows {
-        let hi = (lo + chunk).min(rows);
-        total += (hi - lo).div_ceil(cfg.batch_size) as u64;
-        lo = hi;
-    }
-    total
+/// Algorithm 1's line 3 for an in-memory dataset: a lazy [`ChunkSource`]
+/// that copies chunk `c` of pass `p` out of one matrix when the loading
+/// thread asks for it, so the stream holds `buffers` chunks rather than
+/// `passes` datasets. It never faults — the retry contract (a faulting call
+/// consumes nothing) holds trivially; injected faults come from the
+/// `FaultInjectSource` wrapped around it.
+fn epoch_source(dataset: &Dataset, geometry: ChunkGeometry, passes: usize) -> impl ChunkSource {
+    let data = dataset.matrix().clone();
+    let mut order = (0..passes).flat_map(move |_| 0..geometry.chunks());
+    move || order.next().map(|c| geometry.chunk(&data, c))
 }
 
 /// Shared body of [`train_dataset`]/[`train_dataset_resume`]; `layer`
@@ -747,7 +752,7 @@ pub(crate) fn batches_per_epoch(dataset: &micdnn_data::Dataset, cfg: &TrainConfi
 pub(crate) fn train_dataset_at(
     model: &mut impl UnsupervisedModel,
     ctx: &ExecCtx,
-    dataset: &micdnn_data::Dataset,
+    dataset: &Dataset,
     cfg: &TrainConfig,
     passes: usize,
     skip_batches: u64,
@@ -755,21 +760,16 @@ pub(crate) fn train_dataset_at(
     hooks: Option<&SuperHooks>,
 ) -> Result<TrainReport, TrainError> {
     assert!(passes >= 1, "need at least one pass");
-    let chunks = dataset.clone().into_chunks(cfg.chunk_rows);
-    let batches_per_epoch = batches_per_epoch(dataset, cfg);
-    let mut all = Vec::with_capacity(chunks.len() * passes);
-    for _ in 0..passes {
-        all.extend(chunks.iter().cloned());
-    }
+    let geometry = cfg.geometry(dataset.len());
     train_stream_inner(
         model,
         ctx,
-        micdnn_sim::VecSource::new(all),
+        epoch_source(dataset, geometry, passes),
         cfg,
         ResumePoint {
             skip_batches,
             layer,
-            batches_per_epoch,
+            geometry: Some(geometry),
         },
         hooks,
     )
@@ -781,9 +781,9 @@ mod tests {
     use crate::autoencoder::AeConfig;
     use crate::exec::OptLevel;
     use crate::rbm::RbmConfig;
-    use micdnn_data::Dataset;
-    use micdnn_sim::Platform;
+    use micdnn_sim::{Platform, VecSource};
     use micdnn_tensor::Mat;
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -796,6 +796,65 @@ mod tests {
         Dataset::new(Mat::from_fn(n, dim, |r, c| {
             (protos[r % 4][c] + rng.gen_range(-0.05..0.05)).clamp(0.05, 0.95)
         }))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// The lazy epoch source against its reference — `into_chunks` x
+        /// passes through a `VecSource` into `train_stream` — on geometries
+        /// that include chunks not a multiple of the batch and a short last
+        /// chunk: the same chunks in the same order, and a training run
+        /// that ends in the same bits.
+        #[test]
+        fn lazy_epoch_source_equals_materialised_chunks(
+            rows in 1usize..200,
+            chunk in 1usize..64,
+            batch in 1usize..32,
+            passes in 1usize..4,
+        ) {
+            let mut ds = toy_dataset(rows, 6, rows as u64);
+            ds.binarize(0.5);
+            let tc = TrainConfig {
+                batch_size: batch,
+                chunk_rows: chunk,
+                ..TrainConfig::default()
+            };
+            let chunks = ds.clone().into_chunks(chunk);
+            let reference: Vec<Mat> = (0..passes).flat_map(|_| chunks.iter().cloned()).collect();
+
+            let mut lazy = epoch_source(&ds, tc.geometry(rows), passes);
+            for want in &reference {
+                let got = lazy.next_chunk().unwrap().expect("stream ended early").data;
+                prop_assert_eq!(got.shape(), want.shape());
+                prop_assert_eq!(got.as_slice(), want.as_slice());
+            }
+            prop_assert!(lazy.next_chunk().unwrap().is_none());
+            prop_assert!(lazy.next_chunk().unwrap().is_none(), "an ended source stays ended");
+
+            // CD-1 samples, so the RNG cursor moves with every batch.
+            let run = |materialised: bool| {
+                let mut model = RbmModel::new(Rbm::new(RbmConfig::new(6, 4), 1));
+                let ctx = ExecCtx::native(OptLevel::Improved, 2);
+                let report = if materialised {
+                    train_stream(&mut model, &ctx, VecSource::new(reference.clone()), &tc)
+                } else {
+                    train_dataset(&mut model, &ctx, &ds, &tc, passes)
+                }
+                .unwrap();
+                (model.into_inner(), ctx.rng_state(), report)
+            };
+            let (lazy_rbm, lazy_rng, lazy_report) = run(false);
+            let (ref_rbm, ref_rng, ref_report) = run(true);
+            prop_assert_eq!(lazy_rbm.w.as_slice(), ref_rbm.w.as_slice());
+            prop_assert_eq!(lazy_rbm.b_vis, ref_rbm.b_vis);
+            prop_assert_eq!(lazy_rbm.c_hid, ref_rbm.c_hid);
+            prop_assert_eq!(lazy_rng, ref_rng);
+            prop_assert_eq!(lazy_report.batches, ref_report.batches);
+            prop_assert_eq!(lazy_report.examples, ref_report.examples);
+            prop_assert_eq!(lazy_report.recon_history, ref_report.recon_history);
+            prop_assert_eq!(lazy_report.stream, ref_report.stream);
+        }
     }
 
     #[test]

@@ -1,5 +1,6 @@
 //! In-memory datasets, normalization, and chunk-source adapters.
 
+use crate::geometry::ChunkGeometry;
 use micdnn_tensor::{Mat, MatView};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -130,16 +131,11 @@ impl Dataset {
     /// Splits the dataset into contiguous chunks of at most `chunk_rows`
     /// rows (the unit the loading thread transfers to the device).
     pub fn into_chunks(self, chunk_rows: usize) -> Vec<Mat> {
-        assert!(chunk_rows > 0, "chunk_rows must be positive");
-        let rows = self.data.rows();
-        let mut out = Vec::new();
-        let mut lo = 0;
-        while lo < rows {
-            let hi = (lo + chunk_rows).min(rows);
-            out.push(self.data.rows_range(lo, hi).to_mat());
-            lo = hi;
-        }
-        out
+        // Chunk bounds do not depend on the batch size.
+        let geometry = ChunkGeometry::new(self.len(), chunk_rows, 1);
+        (0..geometry.chunks())
+            .map(|c| geometry.chunk(&self.data, c))
+            .collect()
     }
 
     /// Iterator over `(lo, hi)` mini-batch bounds of size `batch`

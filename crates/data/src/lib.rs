@@ -14,7 +14,9 @@
 //!   the real corpus can be used when available;
 //! * [`dataset`] — in-memory datasets, normalization to the sigmoid-friendly
 //!   `[0.1, 0.9]` range, Bernoulli binarization, shuffling, mini-batch and
-//!   chunk iteration, and adapters feeding `micdnn-sim`'s loading thread.
+//!   chunk iteration, and adapters feeding `micdnn-sim`'s loading thread;
+//! * [`geometry`] — the one definition of how a dataset splits into chunks
+//!   and each chunk into batches (Algorithm 1, lines 3–5).
 //!
 //! The paper itself argues this substitution is safe: "our algorithm should
 //! have the same effect on real world data ... because the optimization
@@ -23,10 +25,12 @@
 
 pub mod dataset;
 pub mod digits;
+pub mod geometry;
 pub mod idx;
 pub mod patches;
 
 pub use dataset::{Dataset, GeneratorSource, Normalization};
 pub use digits::DigitGenerator;
+pub use geometry::ChunkGeometry;
 pub use idx::{read_idx, write_idx, IdxData, IdxType};
 pub use patches::PatchGenerator;

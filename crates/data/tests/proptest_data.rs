@@ -1,6 +1,6 @@
 //! Property tests on the synthetic data generators.
 
-use micdnn_data::{Dataset, DigitGenerator, PatchGenerator};
+use micdnn_data::{ChunkGeometry, Dataset, DigitGenerator, PatchGenerator};
 use micdnn_tensor::Mat;
 use proptest::prelude::*;
 
@@ -80,5 +80,44 @@ proptest! {
             expected_lo = hi;
         }
         prop_assert_eq!(covered, n);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The geometry's closed forms agree with a literal walk of the
+    /// training loop's chunk/batch split (Algorithm 1, lines 3–5),
+    /// including chunks that are not a multiple of the batch and a short
+    /// last chunk.
+    #[test]
+    fn geometry_matches_a_walk_of_the_loop(
+        rows in 1usize..200,
+        chunk in 1usize..64,
+        batch in 1usize..32,
+        passes in 1usize..4,
+    ) {
+        let mut batch_rows = Vec::new();
+        let mut chunk_lo = 0;
+        while chunk_lo < rows {
+            let chunk_hi = (chunk_lo + chunk).min(rows);
+            let mut lo = chunk_lo;
+            while lo < chunk_hi {
+                let hi = (lo + batch).min(chunk_hi);
+                batch_rows.push((hi - lo) as u64);
+                lo = hi;
+            }
+            chunk_lo = chunk_hi;
+        }
+        let per_epoch = batch_rows.len() as u64;
+
+        let g = ChunkGeometry::new(rows, chunk, batch);
+        prop_assert_eq!(g.batches_per_epoch(), per_epoch);
+        let mut examples = 0u64;
+        for pos in 0..=passes as u64 * per_epoch {
+            prop_assert_eq!(g.epoch_of(pos), pos / per_epoch);
+            prop_assert_eq!(g.examples_before(pos), examples);
+            examples += batch_rows[(pos % per_epoch) as usize];
+        }
     }
 }

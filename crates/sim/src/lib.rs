@@ -36,6 +36,7 @@ pub mod export;
 pub mod link;
 pub mod memory;
 pub mod multidev;
+pub mod overlap;
 pub mod stream;
 pub mod trace;
 
@@ -48,6 +49,7 @@ pub use export::{chrome_trace_json, chrome_trace_value};
 pub use link::Link;
 pub use memory::{DeviceAlloc, DeviceMemory, OutOfDeviceMemory};
 pub use multidev::{DeviceNode, DeviceSet, SyncModel};
+pub use overlap::{Admitted, OverlapClock};
 pub use stream::{
     Chunk, ChunkSource, ChunkStream, RetryEvent, RetryPolicy, SourceFault, StreamError,
     StreamOptions, StreamStats, VecSource,

@@ -27,6 +27,7 @@
 
 use crate::clock::SimClock;
 use crate::link::Link;
+use crate::overlap::OverlapClock;
 use crate::trace::{EventKind, Trace};
 use crossbeam::channel::{bounded, Receiver, RecvTimeoutError};
 use micdnn_tensor::Mat;
@@ -249,7 +250,8 @@ impl RetryPolicy {
 /// Everything configurable about a [`ChunkStream`] beyond the link model.
 #[derive(Debug, Clone)]
 pub struct StreamOptions {
-    /// Device-side chunk slots (bounds the real channel).
+    /// Device-side chunk slots: how many chunks exist at once, counting
+    /// the one being trained on (the paper's double buffer is 2).
     pub buffers: usize,
     /// `false` models the naive design where training waits for every
     /// transfer (the paper's 17%-overhead scenario).
@@ -352,16 +354,13 @@ pub struct ChunkStream {
     link: Link,
     clock: SimClock,
     trace: Trace,
-    double_buffered: bool,
+    /// The device-side timing model: which part of each transfer the
+    /// consumer's compute hid.
+    overlap: OverlapClock,
     deadline: Option<Duration>,
     /// End-of-stream seen; further `next` calls keep returning `Ok(None)`.
     ended: bool,
     shared: Arc<LoaderShared>,
-    /// Simulated time at which the *next* chunk's transfer completes.
-    next_ready_at: f64,
-    /// Simulated time at which the consumer started processing the current
-    /// chunk (i.e. when the next buffer slot freed).
-    compute_started_at: f64,
     stats: StreamStats,
 }
 
@@ -399,7 +398,12 @@ impl ChunkStream {
         opts: StreamOptions,
     ) -> std::io::Result<Self> {
         assert!(opts.buffers >= 1, "need at least one buffer slot");
-        let (tx, rx) = bounded::<Slot>(opts.buffers);
+        // A chunk occupies a slot from the moment the loader materialises
+        // it until the consumer has trained on it. The consumer holds one
+        // and the loader the one it is waiting to hand over, so the queue
+        // between them gets the other `buffers - 2` (a one-slot stream still
+        // loads one chunk ahead: the thread has nowhere else to wait).
+        let (tx, rx) = bounded::<Slot>(opts.buffers.saturating_sub(2));
         let shared = Arc::new(LoaderShared::default());
         let loader_shared = Arc::clone(&shared);
         let retry = opts.retry.clone();
@@ -465,12 +469,10 @@ impl ChunkStream {
             link,
             clock,
             trace,
-            double_buffered: opts.double_buffered,
+            overlap: OverlapClock::new(opts.double_buffered),
             deadline: opts.deadline,
             ended: false,
             shared,
-            next_ready_at: 0.0,
-            compute_started_at: 0.0,
             stats: StreamStats::default(),
         })
     }
@@ -514,43 +516,22 @@ impl ChunkStream {
         self.stats.bytes += bytes;
         self.stats.transfer_secs += t_transfer;
 
-        if self.double_buffered {
-            // This chunk's transfer started when its buffer slot freed —
-            // i.e. when the consumer began computing on the previous chunk
-            // — or when the previous transfer finished, whichever is later.
-            let started = self.compute_started_at.max(self.next_ready_at);
-            let ready = started + t_transfer;
-            self.trace.push(
-                started,
-                ready,
-                EventKind::Transfer,
-                format!("chunk {}", self.stats.chunks),
-            );
-            let before = self.clock.now();
-            let stall = self.clock.advance_to(ready);
-            if stall > 0.0 {
-                self.trace.push(
-                    before,
-                    before + stall,
-                    EventKind::Stall,
-                    format!("chunk {}", self.stats.chunks),
-                );
-            }
-            self.stats.stall_secs += stall;
-            self.next_ready_at = ready;
-        } else {
-            // Naive design: compute sits idle for the whole transfer.
-            let start = self.clock.now();
-            self.clock.advance(t_transfer);
-            self.trace.push(
-                start,
-                start + t_transfer,
-                EventKind::Transfer,
-                format!("chunk {}", self.stats.chunks),
-            );
-            self.stats.stall_secs += t_transfer;
+        let label = format!("chunk {}", self.stats.chunks);
+        let before = self.clock.now();
+        let admitted = self.overlap.admit(&self.clock, t_transfer);
+        self.trace.push(
+            admitted.started,
+            admitted.ready,
+            EventKind::Transfer,
+            label.as_str(),
+        );
+        // The naive design's wait *is* its transfer slice; only the exposed
+        // part of an overlapped transfer is traced as a stall of its own.
+        if self.overlap.double_buffered() && admitted.stall > 0.0 {
+            self.trace
+                .push(before, before + admitted.stall, EventKind::Stall, label);
         }
-        self.compute_started_at = self.clock.now();
+        self.stats.stall_secs += admitted.stall;
         Ok(Some(chunk))
     }
 
@@ -799,6 +780,41 @@ mod tests {
             n += 1;
         }
         assert_eq!(n, 3);
+    }
+
+    /// The pipeline's memory bound, by a counting source: whatever the
+    /// interleaving, at most `buffers` chunks (two for a one-slot stream)
+    /// exist at once, counting the one being trained on. The sleep only
+    /// gives the loader every chance to run further ahead.
+    #[test]
+    fn at_most_buffers_chunks_exist_at_once() {
+        for buffers in [1usize, 2, 3] {
+            let produced = Arc::new(AtomicU64::new(0));
+            let counter = Arc::clone(&produced);
+            let mut left = 10;
+            let src = move || {
+                (left > 0).then(|| {
+                    left -= 1;
+                    counter.fetch_add(1, Ordering::SeqCst);
+                    Mat::zeros(2, 2)
+                })
+            };
+            let link = fast_link();
+            let mut s =
+                ChunkStream::spawn(src, link, SimClock::new(), Trace::new(false), buffers, true)
+                    .unwrap();
+            let mut taken = 0;
+            while let Some(_chunk) = s.next().unwrap() {
+                taken += 1;
+                std::thread::sleep(Duration::from_millis(3));
+                let alive = produced.load(Ordering::SeqCst) - taken + 1;
+                assert!(
+                    alive <= buffers.max(2) as u64,
+                    "{alive} chunks, {buffers} slots"
+                );
+            }
+            assert_eq!(taken, 10);
+        }
     }
 
     #[test]

@@ -72,10 +72,12 @@ impl<'a> MatView<'a> {
         )
     }
 
-    /// Copies this view into an owned [`crate::Mat`].
+    /// Copies this view into an owned [`crate::Mat`] (one copy, no
+    /// intermediate buffer: the loading thread does this per chunk).
     pub fn to_mat(&self) -> crate::Mat {
-        crate::Mat::from_vec(self.rows, self.cols, self.data.to_vec())
-            .expect("view length is consistent by construction")
+        let mut out = crate::Mat::zeros(self.rows, self.cols);
+        out.as_mut_slice().copy_from_slice(self.data);
+        out
     }
 }
 

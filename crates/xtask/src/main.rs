@@ -3,7 +3,11 @@
 //!
 //! `loc` prints, per file and in total for `crates/core/src` and
 //! `crates/cli/src`, the number of lines above the first `#[cfg(test)]` —
-//! the non-test line count a simplicity PR quotes before and after.
+//! the non-test line count a simplicity PR quotes before and after — and
+//! then the same count over every `src/` and `benches/` tree under
+//! `crates/` (shims and this tool included), so a deletion outside
+//! `core` + `cli` is counted and code moved between crates cannot read as a
+//! reduction.
 //!
 //! `lint`: four rules guard the executor's safety story (see DESIGN.md §4.2):
 //!
@@ -76,24 +80,37 @@ fn non_test_lines(text: &str) -> usize {
         .count()
 }
 
+/// Whether `rel` counts toward the all-crates total: first-party code in
+/// a `src/` or `benches/` tree (integration tests under `tests/` do not).
+fn in_source_tree(rel: &str) -> bool {
+    rel.contains("/src/") || rel.contains("/benches/")
+}
+
 fn loc() -> ExitCode {
     let root = workspace_root();
     let mut files = Vec::new();
-    for dir in ["crates/core/src", "crates/cli/src"] {
+    // `collect_rs_files` skips this tool's own tree for the lint's sake.
+    for dir in ["crates", "crates/xtask/src"] {
         collect_rs_files(&root.join(dir), &root, &mut files);
     }
+    files.retain(|rel| in_source_tree(rel));
     files.sort();
-    let mut total = 0usize;
+    let (mut total, mut listed, mut all) = (0usize, 0usize, 0usize);
     for rel in &files {
         let Ok(text) = std::fs::read_to_string(root.join(rel)) else {
             eprintln!("loc: cannot read {rel}");
             return ExitCode::FAILURE;
         };
         let n = non_test_lines(&text);
-        println!("{n:>6}  {rel}");
-        total += n;
+        all += n;
+        if rel.starts_with("crates/core/src/") || rel.starts_with("crates/cli/src/") {
+            println!("{n:>6}  {rel}");
+            total += n;
+            listed += 1;
+        }
     }
-    println!("{total:>6}  total ({} files)", files.len());
+    println!("{total:>6}  total ({listed} files)");
+    println!("{all:>6}  all crates ({} files)", files.len());
     ExitCode::SUCCESS
 }
 
@@ -392,6 +409,14 @@ mod tests {
         assert_eq!(non_test_lines("a\nb\n#[cfg(test)]\nmod t {}\n"), 2);
         assert_eq!(non_test_lines("a\n    #[cfg(test)]\nb\n"), 1);
         assert_eq!(non_test_lines("a\nb\n"), 2);
+    }
+
+    #[test]
+    fn all_crates_total_covers_src_and_benches_not_integration_tests() {
+        assert!(in_source_tree("crates/shims/rayon/src/lib.rs"));
+        assert!(in_source_tree("crates/bench/benches/gemm.rs"));
+        assert!(in_source_tree("crates/xtask/src/main.rs"));
+        assert!(!in_source_tree("crates/cli/tests/inject.rs"));
     }
 
     #[test]

@@ -123,44 +123,55 @@ fn priced_execution_equals_estimate_for_matching_config() {
     use micdnn_sim::{Link, Platform};
 
     let (v, h, b) = (32usize, 24usize, 20usize);
-    let examples = 120usize;
-    let w = Workload {
-        algo: Algo::Autoencoder,
-        n_visible: v,
-        n_hidden: h,
-        examples,
-        batch: b,
-        chunk_rows: 60,
-        passes: 1,
-    };
-    let link = Link {
-        latency_s: 0.5e-3,
-        wire_gbs: 0.5,
-        host_pipeline_gbs: 0.5,
-    };
-    let est = estimate(OptLevel::Improved, Platform::xeon_phi(), link, true, &w);
+    // Aligned (every chunk a whole number of batches), then a geometry
+    // where the chunk boundary cuts a batch short and the last chunk is
+    // short; each with and without the double buffer.
+    for (examples, chunk_rows, double_buffered) in [
+        (120usize, 60usize, true),
+        (120, 60, false),
+        (130, 70, true),
+        (130, 70, false),
+    ] {
+        let w = Workload {
+            algo: Algo::Autoencoder,
+            n_visible: v,
+            n_hidden: h,
+            examples,
+            batch: b,
+            chunk_rows,
+            passes: 1,
+        };
+        let link = Link {
+            latency_s: 0.5e-3,
+            wire_gbs: 0.5,
+            host_pipeline_gbs: 0.5,
+        };
+        let phi = Platform::xeon_phi();
+        let est = estimate(OptLevel::Improved, phi, link, double_buffered, &w);
 
-    let cfg = AeConfig::new(v, h);
-    let mut model = AeModel::new(SparseAutoencoder::new(cfg, 1));
-    let ctx = ExecCtx::simulated(OptLevel::Improved, Platform::xeon_phi(), 2);
-    let ds = Dataset::new(batch(examples, v, 3));
-    let tc = TrainConfig {
-        batch_size: b,
-        chunk_rows: 60,
-        link,
-        ..TrainConfig::default()
-    };
-    let report = train_dataset(&mut model, &ctx, &ds, &tc, 1).unwrap();
+        let cfg = AeConfig::new(v, h);
+        let mut model = AeModel::new(SparseAutoencoder::new(cfg, 1));
+        let ctx = ExecCtx::simulated(OptLevel::Improved, Platform::xeon_phi(), 2);
+        let ds = Dataset::new(batch(examples, v, 3));
+        let tc = TrainConfig {
+            batch_size: b,
+            chunk_rows,
+            double_buffered,
+            link,
+            ..TrainConfig::default()
+        };
+        let report = train_dataset(&mut model, &ctx, &ds, &tc, 1).unwrap();
 
-    // The executed clock rounds each op to integer picoseconds; the
-    // estimate is pure f64 — allow that rounding headroom and nothing more.
-    let rel = (report.sim_total_secs - est.total_secs).abs() / est.total_secs;
-    assert!(
-        rel < 1e-6,
-        "estimate {} vs executed {} (rel {rel})",
-        est.total_secs,
-        report.sim_total_secs
-    );
-    assert!((report.stream.transfer_secs - est.transfer_secs).abs() < 1e-9);
-    assert!((report.stream.stall_secs - est.stall_secs).abs() < 1e-6);
+        // The executed clock rounds each op to integer picoseconds; the
+        // estimate is pure f64 — allow that rounding headroom and nothing more.
+        let rel = (report.sim_total_secs - est.total_secs).abs() / est.total_secs;
+        assert!(
+            rel < 1e-6,
+            "estimate {} vs executed {} (rel {rel})",
+            est.total_secs,
+            report.sim_total_secs
+        );
+        assert!((report.stream.transfer_secs - est.transfer_secs).abs() < 1e-9);
+        assert!((report.stream.stall_secs - est.stall_secs).abs() < 1e-6);
+    }
 }
