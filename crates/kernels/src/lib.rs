@@ -30,7 +30,7 @@ pub mod rng;
 pub mod vecops;
 
 pub use backend::Backend;
-pub use gemm::{gemm, GemmBlocking};
+pub use gemm::gemm;
 pub use ops::{OpCost, OpKind};
 
 /// Execution strategy for a kernel: sequential or data-parallel via rayon.
