@@ -12,8 +12,10 @@
 //! hide the PCIe transfers.
 //!
 //! Experiments: `fig7a fig7b fig8a fig8b fig9a fig9b fig10 table1 overlap
-//! graph conv scaling socket threads hybrid multidev serve all` (default:
-//! `all`).
+//! graph conv scaling socket threads multidev serve all` (default: `all`).
+//! The first nine are the paper's evaluation (Figs. 7–10, Table I, §IV.A);
+//! `scaling`, `socket` and `threads` sweep axes behind its claims; `graph`,
+//! `conv`, `multidev` and `serve` measure this repository's extensions.
 //!
 //! Numbers are simulated seconds on the modeled Xeon Phi 5110P / Xeon E5620
 //! platforms — see DESIGN.md for the substitution rationale and
@@ -92,7 +94,6 @@ fn main() {
                     | "scaling"
                     | "socket"
                     | "threads"
-                    | "hybrid"
                     | "multidev"
                     | "serve"
             )
@@ -101,7 +102,7 @@ fn main() {
     if !unknown.is_empty() {
         eprintln!("unknown experiment(s): {unknown:?}");
         eprintln!(
-            "known: fig7a fig7b fig8a fig8b fig9a fig9b fig10 table1 overlap graph conv scaling socket threads hybrid multidev serve all"
+            "known: fig7a fig7b fig8a fig8b fig9a fig9b fig10 table1 overlap graph conv scaling socket threads multidev serve all"
         );
         unknown.clear();
         std::process::exit(2);
@@ -277,32 +278,6 @@ fn main() {
             println!("(in-order cores want >= 2 threads each; scatter engages cores fastest)\n");
         }
         emit_bench(&bench_dir, "threads", serde_json::to_value(&pts));
-    }
-
-    if want("hybrid") {
-        let (points, best_f, best_secs) = exp::hybrid_sweep();
-        if json {
-            println!("{}", serde_json::to_string_pretty(&points).unwrap());
-        } else {
-            println!("== Hybrid Xeon + Xeon Phi split (paper §VI future work) ==");
-            println!("{:<16}{:>14}", "phi fraction", "seconds");
-            for p in &points {
-                println!("{:<16.1}{:>12.1} s", p.phi_fraction, p.seconds);
-            }
-            println!(
-                "optimal split: {:.2} on the Phi -> {:.1} s\n",
-                best_f, best_secs
-            );
-        }
-        emit_bench(
-            &bench_dir,
-            "hybrid",
-            serde_json::json!({
-                "points": serde_json::to_value(&points),
-                "optimal_phi_fraction": best_f,
-                "optimal_secs": best_secs
-            }),
-        );
     }
 
     if want("multidev") {

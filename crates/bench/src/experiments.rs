@@ -7,10 +7,9 @@
 //! are therefore model outputs; the claims being reproduced are the
 //! *shapes*: who wins, by what factor, and where the trends bend.
 
-use micdnn::analytic::{estimate, Algo, Estimate, Workload};
+use micdnn::analytic::{estimate, Algo, Workload};
 use micdnn::autoencoder::{AeConfig, AeScratch, SparseAutoencoder};
 use micdnn::exec::{ExecCtx, OptLevel};
-use micdnn::hybrid::{estimate_hybrid, optimal_fraction, HybridConfig};
 use micdnn::rbm::{Rbm, RbmConfig, RbmScratch};
 use micdnn::train::UnsupervisedModel;
 use micdnn::{
@@ -732,46 +731,6 @@ pub fn thread_sweep() -> Vec<ThreadSweepPoint> {
     out
 }
 
-/// One row of the hybrid host+coprocessor sweep (§VI future work).
-#[derive(Debug, Clone, Serialize)]
-pub struct HybridPoint {
-    /// Fraction of each batch on the Phi.
-    pub phi_fraction: f64,
-    /// Simulated seconds for the workload.
-    pub seconds: f64,
-}
-
-/// Hybrid split sweep plus the optimum (paper §VI: "a further combination
-/// between Xeon and Intel Xeon Phi can bring us higher efficiency").
-pub fn hybrid_sweep() -> (Vec<HybridPoint>, f64, f64) {
-    let w = Workload {
-        algo: Algo::Autoencoder,
-        n_visible: 1024,
-        n_hidden: 4096,
-        examples: 100_000,
-        batch: 10_000,
-        chunk_rows: CHUNK_ROWS,
-        passes: 1,
-    };
-    let points: Vec<HybridPoint> = (0..=10)
-        .map(|i| {
-            let f = i as f64 / 10.0;
-            let e = estimate_hybrid(OptLevel::Improved, &HybridConfig::paper_hardware(f), &w);
-            HybridPoint {
-                phi_fraction: f,
-                seconds: e.total_secs,
-            }
-        })
-        .collect();
-    let (best_f, best) = optimal_fraction(
-        OptLevel::Improved,
-        &HybridConfig::paper_hardware(0.5),
-        &w,
-        100,
-    );
-    (points, best_f, best.total_secs)
-}
-
 /// One point of the multi-device data-parallel sweep.
 #[derive(Debug, Clone, Serialize)]
 pub struct MultiDevPoint {
@@ -827,12 +786,6 @@ pub fn multidev_sweep() -> Vec<MultiDevPoint> {
         });
     }
     out
-}
-
-/// Full estimate for an arbitrary workload/platform (exposed for the repro
-/// binary's `--custom` mode and the integration tests).
-pub fn custom_estimate(level: OptLevel, platform: Platform, w: &Workload) -> Estimate {
-    estimate(level, platform, Link::pcie_gen2(), true, w)
 }
 
 /// One point of the serving sweep: a traffic pattern against a batching
@@ -1152,17 +1105,6 @@ mod tests {
         for aff in ["Compact", "Scatter", "Balanced"] {
             assert!(get(240, aff) <= get(60, aff) * 1.0001, "{aff} regressed");
         }
-    }
-
-    #[test]
-    fn hybrid_sweep_has_interior_or_phi_heavy_optimum() {
-        let (points, best_f, best_secs) = hybrid_sweep();
-        assert_eq!(points.len(), 11);
-        let pure_phi = points.last().unwrap().seconds;
-        let pure_host = points[0].seconds;
-        assert!(best_secs <= pure_phi + 1e-12);
-        assert!(best_secs < pure_host);
-        assert!(best_f > 0.5, "optimal split should favor the Phi: {best_f}");
     }
 
     #[test]

@@ -151,7 +151,7 @@ fn at_least(args: &Args, key: &str, default: usize, min: usize) -> Result<usize,
 }
 
 /// A count or width flag that has to be at least 1 (`--batch`, `--chunk`,
-/// `--passes`, `--finetune-epochs`, `--hidden`, `--visible`).
+/// `--passes`, `--finetune-epochs`, `--hidden`, `--visible`, `--units`).
 fn positive(args: &Args, key: &str, default: usize) -> Result<usize, String> {
     at_least(args, key, default, 1)
 }
@@ -1221,7 +1221,8 @@ fn cmd_features(args: &Args) -> Result<String, String> {
             "--side {side} does not tile the model's {visible} inputs (need side x side = {visible})"
         ));
     }
-    let units = args.num("units", ae.config().n_hidden.min(64))?;
+    let n_hidden = ae.config().n_hidden;
+    let units = positive(args, "units", n_hidden.min(64))?.min(n_hidden);
     let grid_cols = (units as f64).sqrt().ceil() as usize;
     let grid = micdnn::feature_grid(&ae, units, side, grid_cols.max(1));
     micdnn::write_pgm(out_path, &grid).map_err(|e| e.to_string())?;
@@ -1738,6 +1739,65 @@ mod tests {
             "features", "--model", model, "--side", "0", "--out", "x",
         ]));
         assert!(err.unwrap_err().starts_with("--side 0 does not tile"));
+    }
+
+    /// A saved 16 -> 5 autoencoder for the `features` tests; `poison` puts
+    /// a NaN in its encoder weights.
+    fn features_model(dir: &micdnn::TestDir, poison: bool) -> String {
+        let mut ae = SparseAutoencoder::new(AeConfig::new(16, 5), 3);
+        if poison {
+            ae.w1.as_mut_slice()[7] = f32::NAN;
+        }
+        let path = dir.file("model.bin");
+        micdnn::save_autoencoder_file(&ae, &path).unwrap();
+        path.to_str().unwrap().to_string()
+    }
+
+    #[test]
+    fn features_rejects_non_finite_weights_and_writes_nothing() {
+        let dir = micdnn::TestDir::new("cli-features-nan");
+        let model = features_model(&dir, true);
+        let pgm = dir.file("features.pgm");
+        let out = pgm.to_str().unwrap();
+        let err = run(&sv(&["features", "--model", &model, "--out", out])).unwrap_err();
+        assert!(err.contains("non-finite"), "{err}");
+        assert!(!pgm.exists(), "a broken model must not leave an image");
+    }
+
+    #[test]
+    fn features_clamps_units_to_the_hidden_layer() {
+        let dir = micdnn::TestDir::new("cli-features-units");
+        let model = features_model(&dir, false);
+        let pgm = dir.file("features.pgm");
+        let out = pgm.to_str().unwrap();
+        let msg = run(&sv(&[
+            "features", "--model", &model, "--out", out, "--units", "1000",
+        ]))
+        .unwrap();
+        assert!(msg.starts_with("wrote 5 features"), "{msg}");
+        // Five units tile a 3-column grid of 4x4 images: 3 * (4 + 1) + 1.
+        let bytes = std::fs::read(&pgm).unwrap();
+        assert!(
+            bytes.starts_with(b"P5\n16 "),
+            "grid sized for the clamped count"
+        );
+    }
+
+    #[test]
+    fn features_rejects_zero_units() {
+        let dir = micdnn::TestDir::new("cli-features-zero");
+        let model = features_model(&dir, false);
+        let out = dir.file("features.pgm");
+        let err = run(&sv(&[
+            "features",
+            "--model",
+            &model,
+            "--out",
+            out.to_str().unwrap(),
+            "--units",
+            "0",
+        ]));
+        assert_eq!(err.unwrap_err(), "--units must be at least 1");
     }
 
     #[test]

@@ -70,10 +70,6 @@ pub struct AeState<'a> {
     pub(crate) params: AeParams<'a>,
     pub(crate) scratch: &'a mut AeScratch,
     pub(crate) x: MatView<'a>,
-    /// What `a3` is scored against (D3, COST). The input itself, except
-    /// for a denoising step, which feeds a corrupted `x` and targets the
-    /// clean batch.
-    pub(crate) target: MatView<'a>,
     pub(crate) opt: Option<&'a mut Optimizer>,
     pub(crate) lr: f32,
     pub(crate) cost: AeCost,
@@ -94,7 +90,6 @@ impl<'a> AeState<'a> {
             params,
             scratch,
             x,
-            target: x,
             opt,
             lr,
             cost: AeCost::default(),
@@ -301,7 +296,7 @@ impl<'a> Layer<AeState<'a>> for AeHalf {
                 sb.bind_dims(slot, "delta", delta, &[b, out], BufClass::Scratch);
             }
             // Gradients are pinned: consumed after the run by optimizer
-            // steps or hybrid blending (`AeScratch::gradients`).
+            // steps and the gradient check (`AeScratch::gradients`).
             Decl::Grads(Part::Weights) => {
                 sb.bind_dims(slot, "gw", gw, &[out, inp], BufClass::Pinned);
             }
@@ -429,7 +424,7 @@ impl AeHalf {
         );
     }
 
-    /// D3 (decoder): delta3 = (a3 - target) ⊙ a3 ⊙ (1 - a3).
+    /// D3 (decoder): delta3 = (a3 - x) ⊙ a3 ⊙ (1 - a3).
     fn emit_output_delta(&self, sb: &mut StackBuilder<AeState<'_>>) {
         let b = self.b;
         let (a3, x, delta3) = (sb.buf(DEC, "act"), sb.global("x"), sb.buf(DEC, "delta"));
@@ -444,7 +439,7 @@ impl AeHalf {
                     scr.a3.rows_range(0, b),
                     &mut scr.delta3.rows_range_mut(0, b),
                 );
-                ctx.delta_output(a3s.as_slice(), s.target.as_slice(), d3.as_mut_slice());
+                ctx.delta_output(a3s.as_slice(), s.x.as_slice(), d3.as_mut_slice());
             },
         );
     }
@@ -546,7 +541,7 @@ impl<'a> Layer<AeState<'a>> for AeCostProbe {
             move |ctx, s: &mut AeState<'_>| {
                 let ae = s.params.get();
                 s.cost.reconstruction =
-                    ctx.frob_dist_sq(s.scratch.a3.rows_range(0, b), s.target) / (2.0 * b as f64);
+                    ctx.frob_dist_sq(s.scratch.a3.rows_range(0, b), s.x) / (2.0 * b as f64);
                 let lambda = ae.config().weight_decay as f64;
                 s.cost.weight_penalty = 0.5
                     * lambda

@@ -130,12 +130,6 @@ impl AeScratch {
         (&self.gw1, &self.gw2, &self.gb1, &self.gb2)
     }
 
-    /// Mutable access to the gradient buffers (hybrid training blends
-    /// partition gradients in place).
-    pub fn gradients_mut(&mut self) -> (&mut Mat, &mut Mat, &mut [f32], &mut [f32]) {
-        (&mut self.gw1, &mut self.gw2, &mut self.gb1, &mut self.gb2)
-    }
-
     /// Hidden activations of the last forward pass (first `b` rows valid).
     pub fn hidden(&self) -> &Mat {
         &self.a2
@@ -310,42 +304,6 @@ impl SparseAutoencoder {
         Self::run_graph(state, ctx, false).0
     }
 
-    /// One *denoising* SGD step (Vincent et al.'s variant — one of the
-    /// "many variations" of the building blocks the paper's §I mentions):
-    /// the input is corrupted by zero-masking each element with
-    /// probability `corruption`, while the reconstruction target stays the
-    /// clean batch. `stream`/`seed` come from the context's sampler so the
-    /// corruption is reproducible.
-    pub fn train_batch_denoising(
-        &mut self,
-        ctx: &ExecCtx,
-        x: MatView<'_>,
-        scratch: &mut AeScratch,
-        lr: f32,
-        corruption: f32,
-    ) -> AeCost {
-        assert!(
-            (0.0..1.0).contains(&corruption),
-            "corruption must be in [0,1)"
-        );
-        // Corrupted copy: keep-mask ~ Bernoulli(1 - corruption).
-        let mut corrupted = x.to_mat();
-        {
-            let keep = vec![1.0 - corruption; corrupted.len()];
-            let mut mask = vec![0.0f32; corrupted.len()];
-            ctx.bernoulli(&keep, &mut mask);
-            for (v, m) in corrupted.as_mut_slice().iter_mut().zip(&mask) {
-                *v *= m;
-            }
-        }
-        // The same step graph as `train_batch`: the encoder sees (and GW1
-        // uses) the corrupted input, the output delta and the cost target
-        // the *clean* one.
-        let mut state = AeState::new(AeParams::Mut(self), scratch, corrupted.view(), None, lr);
-        state.target = x;
-        Self::run_graph(state, ctx, false).0
-    }
-
     /// Encodes a batch to hidden activations (the "code" the paper stacks
     /// into deep networks).
     pub fn encode(&self, ctx: &ExecCtx, x: MatView<'_>) -> Mat {
@@ -507,49 +465,6 @@ mod tests {
         let mut s = AeScratch::new(&cfg, 2);
         let x = tiny_batch(4, 6, 5);
         ae.forward(&ctx, x.view(), &mut s);
-    }
-
-    #[test]
-    fn denoising_training_reconstructs_clean_input() {
-        let cfg = AeConfig::new(20, 14).without_sparsity();
-        let mut ae = SparseAutoencoder::new(cfg, 3);
-        let ctx = ExecCtx::native(OptLevel::Improved, 9);
-        let x = tiny_batch(40, 20, 4);
-        let mut scratch = AeScratch::new(&cfg, 40);
-        let first = ae
-            .train_batch_denoising(&ctx, x.view(), &mut scratch, 0.5, 0.3)
-            .reconstruction;
-        let mut last = first;
-        for _ in 0..300 {
-            last = ae
-                .train_batch_denoising(&ctx, x.view(), &mut scratch, 0.5, 0.3)
-                .reconstruction;
-        }
-        assert!(last < 0.6 * first, "denoising AE failed: {first} -> {last}");
-        // The *clean* reconstruction should now also be good.
-        let clean = ae.reconstruction_error(&ctx, x.view(), &mut scratch);
-        assert!(
-            clean < first,
-            "clean reconstruction {clean} vs initial {first}"
-        );
-    }
-
-    #[test]
-    fn zero_corruption_matches_plain_step() {
-        let cfg = AeConfig::new(10, 6);
-        let x = tiny_batch(8, 10, 5);
-        let mut plain = SparseAutoencoder::new(cfg, 6);
-        let mut denoise = plain.clone();
-        // Same seeds; the denoising step draws one extra bernoulli stream,
-        // but with corruption 0 the mask is all ones.
-        let ctx1 = ExecCtx::native(OptLevel::Improved, 7);
-        let ctx2 = ExecCtx::native(OptLevel::Improved, 7);
-        let mut s1 = AeScratch::new(&cfg, 8);
-        let mut s2 = AeScratch::new(&cfg, 8);
-        let c1 = plain.train_batch(&ctx1, x.view(), &mut s1, 0.2);
-        let c2 = denoise.train_batch_denoising(&ctx2, x.view(), &mut s2, 0.2, 0.0);
-        assert!((c1.reconstruction - c2.reconstruction).abs() < 1e-9);
-        assert_eq!(plain.w1.as_slice(), denoise.w1.as_slice());
     }
 
     #[test]

@@ -4,8 +4,8 @@
 //! The reproduced paper trains autoencoders, RBMs and a fine-tuned dense
 //! stack; this module is the proof that the layer IR those were rebuilt on
 //! *opens the scenario space* rather than merely re-encoding the paper:
-//! an im2col-over-GEMM [`Conv2d`](crate::layers::Conv2d) plus a
-//! [`MaxPool2d`](crate::layers::MaxPool2d) feed the *same* generic
+//! an im2col-over-GEMM [`Conv2d`] plus a
+//! [`MaxPool2d`] feed the *same* generic
 //! [`Dense`] and [`SoftmaxXent`] layers the fine-tuner uses, composed by
 //! the same [`StackBuilder`], scheduled by the same executor, verified by
 //! the same verifier, checkpointed through the same container format, and

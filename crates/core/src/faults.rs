@@ -31,7 +31,7 @@
 //! | `link.drop`    | a gradient-sync transfer drops and is retried (extra    |
 //! |                | modeled sync time, numerics unchanged)                  |
 //!
-//! All of these are exercised through [`FaultInjectSource`], a wrapper any
+//! All of these are exercised through `FaultInjectSource`, a wrapper any
 //! [`micdnn_sim::ChunkSource`] passes through when the feature is enabled
 //! (the trainer installs it automatically), plus a hook in the checkpoint
 //! writer. The wrapper keeps the pristine chunk across an injected

@@ -6,7 +6,7 @@
 //! softmax classification head on top of a pre-trained
 //! [`StackedAutoencoder`], with full back-propagation through every layer
 //! (the standard fine-tuning phase of Hinton & Salakhutdinov, the paper's
-//! ref [1]).
+//! ref \[1\]).
 //!
 //! All heavy math runs through the [`ExecCtx`] like the rest of the crate,
 //! so fine-tuning participates in the simulated-coprocessor accounting.

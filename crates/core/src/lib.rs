@@ -48,7 +48,6 @@
 pub mod ae_graph;
 pub mod analytic;
 pub mod autoencoder;
-pub mod batch_opt;
 pub mod cd_graph;
 pub mod checkpoint;
 pub mod cnn;
@@ -57,7 +56,6 @@ pub mod faults;
 pub mod finetune;
 pub mod gradcheck;
 pub mod graph;
-pub mod hybrid;
 mod labeled;
 pub mod layers;
 pub mod metrics;
@@ -76,7 +74,6 @@ pub mod verify;
 pub use ae_graph::ae_step_graph;
 pub use analytic::{estimate, Algo, Estimate, Workload};
 pub use autoencoder::{AeConfig, AeCost, AeScratch, SparseAutoencoder};
-pub use batch_opt::{conjugate_gradient, lbfgs, AeObjective, BatchOptOptions, Objective};
 pub use cd_graph::cd_step_graph;
 pub use checkpoint::{
     load_checkpoint, load_checkpoint_file, save_checkpoint, save_checkpoint_file, Checkpoint,
@@ -87,13 +84,9 @@ pub use exec::{ExecCtx, OptLevel, PhaseGuard};
 pub use finetune::{FineTuneModel, FineTuneNet, SoftmaxLayer};
 pub use gradcheck::{check_autoencoder, GradCheckResult};
 pub use graph::{BufClass, BufId, GraphRun, NodeSpec, TaskGraph, Workspace, WorkspacePlan};
-pub use hybrid::{estimate_hybrid, optimal_fraction, HybridAeTrainer, HybridConfig};
 pub use labeled::{LabeledModel, LabeledNet, StepState};
 pub use layers::{Above, Decl, Emit, Layer, Part, StackBuilder, StackState, StepParts};
-pub use metrics::{
-    activation_stats, feature_ascii, feature_grid, reconstruction_stats, write_pgm,
-    ActivationStats, ReconstructionStats,
-};
+pub use metrics::{feature_grid, write_pgm};
 pub use model_io::{
     atomic_write, load_autoencoder_file, load_rbm_file, save_autoencoder_file, save_rbm_file,
     ShapeMismatch,
@@ -109,7 +102,7 @@ pub use serve::{
     build_forward_graph, serve_requests, Request, RequestOutcome, ServeConfig, ServeConfigError,
     ServeError, ServeReport, ServeRun, ServeState,
 };
-pub use stacked::{DeepBeliefNet, LayerReport, PipelineReport, PipelineState, StackedAutoencoder};
+pub use stacked::{LayerReport, PipelineReport, PipelineState, StackedAutoencoder};
 pub use supervise::{
     train_dataset_supervised, Incident, IncidentLog, Recoverable, RunPos, RunSupervisor, Stage,
     SupervisorPolicy, SupervisorPolicyError, INCIDENT_SCHEMA, INCIDENT_SCHEMA_V1,

@@ -4,7 +4,7 @@
 //! refinements from the surrounding literature (§III): *adaptive learning
 //! rates*, which "reduced the iterations needed to converge", and
 //! *momentum* (standard for CD training per Hinton's practical guide, the
-//! paper's ref [15]). Both are implemented here as drop-in replacements
+//! paper's ref \[15\]). Both are implemented here as drop-in replacements
 //! for the plain update, with the same backend/cost instrumentation so
 //! they participate in the simulated-time accounting.
 

@@ -10,7 +10,7 @@
 //! Trained with CD-k (eq. 13): clamp the batch on the visible units, sample
 //! the hiddens, reconstruct, and update with the difference of the data and
 //! reconstruction statistics. Hinton's practical-guide conventions (the
-//! paper's ref [15]) are followed: hidden states are *sampled* on the data
+//! paper's ref \[15\]) are followed: hidden states are *sampled* on the data
 //! phase, while probabilities are used for the reconstruction phase and for
 //! all statistics.
 
@@ -179,7 +179,7 @@ impl Rbm {
         ctx.bias_sigmoid_rows(&self.b_vis, &mut o);
     }
 
-    /// One CD-k update on a batch `v0` (`b x n_visible`, values in [0,1]).
+    /// One CD-k update on a batch `v0` (`b x n_visible`, values in `[0, 1]`).
     ///
     /// The step is the Fig. 6 dependency graph run in declaration order —
     /// the exact serial op sequence (positive phase, Gibbs chain,
@@ -215,7 +215,7 @@ impl Rbm {
     }
 
     /// One Persistent Contrastive Divergence update (Tieleman's PCD; also
-    /// recommended in Hinton's practical guide, the paper's ref [15]).
+    /// recommended in Hinton's practical guide, the paper's ref \[15\]).
     ///
     /// Unlike CD-1, the negative phase continues a *persistent* Gibbs
     /// chain of fantasy particles across updates instead of restarting
@@ -416,14 +416,6 @@ impl Rbm {
         }
         total / b as f64
     }
-
-    /// Encodes a batch to hidden probabilities (used to stack RBMs into a
-    /// Deep Belief Network).
-    pub fn encode(&self, ctx: &ExecCtx, v: MatView<'_>) -> Mat {
-        let mut out = Mat::zeros(v.rows(), self.cfg.n_hidden);
-        self.prop_up(ctx, v, &mut out);
-        out
-    }
 }
 
 #[cfg(test)]
@@ -534,16 +526,6 @@ mod tests {
         let a = run();
         let b = run();
         assert_eq!(a.as_slice(), b.as_slice());
-    }
-
-    #[test]
-    fn encode_shape() {
-        let cfg = RbmConfig::new(8, 5);
-        let rbm = Rbm::new(cfg, 1);
-        let ctx = ExecCtx::native(OptLevel::Improved, 0);
-        let v = patterned_batch(7, 8, 2);
-        let h = rbm.encode(&ctx, v.view());
-        assert_eq!(h.shape(), (7, 5));
     }
 
     #[test]

@@ -29,7 +29,7 @@
 //! The event loop is deterministic: requests carry explicit arrival
 //! timestamps (see `micdnn_sim::ArrivalSchedule`), time advances either
 //! by the simulated clock (priced contexts) or wall clock (native), and
-//! per-request latencies are routed through the attached [`Profiler`]
+//! per-request latencies are routed through the attached [`Profiler`](crate::Profiler)
 //! under the `serve.request` label so `--profile` output carries the
 //! p50/p99 section.
 

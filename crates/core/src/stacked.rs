@@ -3,8 +3,7 @@
 //! "A four-layer deep neural network can be decomposed into three
 //! Autoencoders ... The pre-training of this deep network consists of three
 //! sequential unsupervised trainings" — each layer trains on the previous
-//! layer's hidden representation of the data. The same recipe stacks RBMs
-//! into a Deep Belief Network.
+//! layer's hidden representation of the data.
 //!
 //! Table I's workload is exactly this: a 1024-512-256-128 stack, trained
 //! layer by layer.
@@ -12,8 +11,7 @@
 use crate::autoencoder::{AeConfig, AeScratch, SparseAutoencoder};
 use crate::exec::ExecCtx;
 use crate::graph::{BufClass, BufId, NodeSpec, TaskGraph};
-use crate::rbm::{Rbm, RbmConfig};
-use crate::train::{train_dataset_at, AeModel, RbmModel, TrainConfig, TrainError, TrainReport};
+use crate::train::{train_dataset_at, AeModel, TrainConfig, TrainError, TrainReport};
 use micdnn_data::{ChunkGeometry, Dataset};
 use micdnn_sim::EventKind;
 use micdnn_tensor::{Mat, MatView};
@@ -28,17 +26,20 @@ pub struct LayerReport {
 }
 
 /// The greedy layer-wise schedule (paper Fig. 1), written once: layer `i`
-/// trains on the encoding (`encode`) of the data through layers `0..i`.
+/// trains on the encoding of the data through layers `0..i`.
 /// `train_layer` gets the untrained layer, its training set and its index
 /// — so checkpoints and ladder positions can carry it — and returns the
 /// trained layer with its report; how it trains (plain, graph-scheduled,
 /// data-parallel, under the supervisor's ladder) is the caller's business.
-pub(crate) fn pretrain_layers<L>(
-    layers: &mut [L],
+pub(crate) fn pretrain_layers(
+    layers: &mut [SparseAutoencoder],
     ctx: &ExecCtx,
     data: &Dataset,
-    encode: impl Fn(&L, &ExecCtx, MatView<'_>) -> Mat,
-    mut train_layer: impl FnMut(&L, &Dataset, u64) -> Result<(L, TrainReport), TrainError>,
+    mut train_layer: impl FnMut(
+        &SparseAutoencoder,
+        &Dataset,
+        u64,
+    ) -> Result<(SparseAutoencoder, TrainReport), TrainError>,
 ) -> Result<Vec<LayerReport>, TrainError> {
     // The encoding of `data` through the layers trained so far; the first
     // layer trains on the caller's dataset itself.
@@ -51,7 +52,7 @@ pub(crate) fn pretrain_layers<L>(
         *layer = trained;
         // Encode the dataset through the freshly trained layer to form
         // the next layer's training set.
-        let next = Dataset::new(encode(layer, ctx, current.matrix().view()));
+        let next = Dataset::new(layer.encode(ctx, current.matrix().view()));
         let shape = (current.dim(), next.dim());
         encoded = Some(next);
         reports.push(LayerReport { shape, report });
@@ -145,8 +146,7 @@ impl StackedAutoencoder {
         passes: usize,
     ) -> Result<Vec<LayerReport>, TrainError> {
         let wrap = self.layer_wrapper();
-        let encode = SparseAutoencoder::encode;
-        pretrain_layers(&mut self.layers, ctx, data, encode, |layer, current, i| {
+        pretrain_layers(&mut self.layers, ctx, data, |layer, current, i| {
             let mut model = wrap(layer.clone());
             // Checkpoints written inside this layer's run carry the layer
             // index, so a resumed stacked run knows where it stood.
@@ -404,85 +404,6 @@ fn build_pipeline_graph(
     g
 }
 
-/// A Deep Belief Network: a stack of RBMs trained layer by layer
-/// (Hinton & Salakhutdinov, the paper's ref [1]).
-#[derive(Debug)]
-pub struct DeepBeliefNet {
-    layers: Vec<Rbm>,
-    sizes: Vec<usize>,
-    use_graph: bool,
-}
-
-impl DeepBeliefNet {
-    /// Builds a DBN for the given layer widths.
-    pub fn new(sizes: &[usize], seed: u64) -> Self {
-        assert!(sizes.len() >= 2, "a DBN needs at least two layer sizes");
-        let layers = sizes
-            .windows(2)
-            .enumerate()
-            .map(|(i, w)| Rbm::new(RbmConfig::new(w[0], w[1]), seed.wrapping_add(i as u64)))
-            .collect();
-        DeepBeliefNet {
-            layers,
-            sizes: sizes.to_vec(),
-            use_graph: false,
-        }
-    }
-
-    /// Schedules every layer's CD steps through the Fig. 6 dependency
-    /// graph (see [`crate::train::RbmModel::with_graph_schedule`]).
-    /// Bit-identical to the serial schedule.
-    pub fn with_graph_schedule(mut self) -> Self {
-        self.use_graph = true;
-        self
-    }
-
-    /// Layer widths, including the input layer.
-    pub fn sizes(&self) -> &[usize] {
-        &self.sizes
-    }
-
-    /// The trained RBMs.
-    pub fn layers(&self) -> &[Rbm] {
-        &self.layers
-    }
-
-    /// Greedy layer-wise CD pre-training; layer k trains on the hidden
-    /// probabilities of layer k-1.
-    pub fn pretrain(
-        &mut self,
-        ctx: &ExecCtx,
-        data: &Dataset,
-        cfg: &TrainConfig,
-        passes: usize,
-    ) -> Result<Vec<LayerReport>, TrainError> {
-        let use_graph = self.use_graph;
-        pretrain_layers(
-            &mut self.layers,
-            ctx,
-            data,
-            Rbm::encode,
-            |rbm, current, i| {
-                let mut model = RbmModel::new(rbm.clone());
-                if use_graph {
-                    model = model.with_graph_schedule();
-                }
-                let report = train_dataset_at(&mut model, ctx, current, cfg, passes, 0, i, None)?;
-                Ok((model.into_inner(), report))
-            },
-        )
-    }
-
-    /// Propagates a batch to the deepest hidden probabilities.
-    pub fn encode(&self, ctx: &ExecCtx, x: MatView<'_>) -> Mat {
-        let mut current = self.layers[0].encode(ctx, x);
-        for rbm in &self.layers[1..] {
-            current = rbm.encode(ctx, current.view());
-        }
-        current
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -547,22 +468,6 @@ mod tests {
         let code = stack.encode(&ctx, data.matrix().view());
         assert_eq!(code.shape(), (100, 4));
         assert!(code.as_slice().iter().all(|&v| (0.0..=1.0).contains(&v)));
-    }
-
-    #[test]
-    fn dbn_pretraining_improves() {
-        let mut dbn = DeepBeliefNet::new(&[16, 10, 6], 8);
-        let ctx = ExecCtx::native(OptLevel::Improved, 9);
-        let mut data = toy_dataset(200, 16, 10);
-        data.binarize(0.5);
-        let reports = dbn.pretrain(&ctx, &data, &quick_cfg(), 25).unwrap();
-        assert_eq!(reports.len(), 2);
-        assert!(
-            reports[0].report.final_recon() < reports[0].report.initial_recon(),
-            "first RBM did not improve"
-        );
-        let code = dbn.encode(&ctx, data.matrix().view());
-        assert_eq!(code.shape(), (200, 6));
     }
 
     #[test]
@@ -652,27 +557,5 @@ mod tests {
         let report = g.verify();
         assert!(report.errors.is_empty(), "errors: {report}");
         assert!(report.warnings.is_empty(), "warnings: {report}");
-    }
-
-    #[test]
-    fn graph_scheduled_dbn_matches_serial_bitwise() {
-        let mut data = toy_dataset(100, 16, 14);
-        data.binarize(0.5);
-        let run = |graph: bool| {
-            let mut dbn = DeepBeliefNet::new(&[16, 10, 6], 23);
-            if graph {
-                dbn = dbn.with_graph_schedule();
-            }
-            let ctx = ExecCtx::native(OptLevel::Improved, 24);
-            dbn.pretrain(&ctx, &data, &quick_cfg(), 3).unwrap();
-            dbn
-        };
-        let serial = run(false);
-        let graphed = run(true);
-        for (s, g) in serial.layers().iter().zip(graphed.layers()) {
-            assert_eq!(s.w.as_slice(), g.w.as_slice());
-            assert_eq!(s.b_vis, g.b_vis);
-            assert_eq!(s.c_hid, g.c_hid);
-        }
     }
 }

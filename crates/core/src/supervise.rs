@@ -44,7 +44,6 @@
 //! Every recovery action is recorded as an [`Incident`] in an
 //! [`IncidentLog`], exportable as JSONL alongside the profiler report.
 
-use crate::autoencoder::SparseAutoencoder;
 use crate::checkpoint::{load_checkpoint, save_checkpoint, CheckpointModel, TrainProgress};
 use crate::exec::ExecCtx;
 use crate::labeled::{LabeledModel, LabeledNet};
@@ -974,19 +973,12 @@ impl RunSupervisor {
         passes: usize,
     ) -> Result<Vec<LayerReport>, TrainError> {
         let wrap = stack.layer_wrapper();
-        let encode = SparseAutoencoder::encode;
-        pretrain_layers(
-            stack.layers_mut(),
-            ctx,
-            data,
-            encode,
-            |layer, current, i| {
-                let mut model = wrap(layer.clone());
-                let report =
-                    self.run_leg(&mut model, ctx, current, cfg, passes, Stage::Pretrain, i, 0)?;
-                Ok((model.into_inner(), report))
-            },
-        )
+        pretrain_layers(stack.layers_mut(), ctx, data, |layer, current, i| {
+            let mut model = wrap(layer.clone());
+            let report =
+                self.run_leg(&mut model, ctx, current, cfg, passes, Stage::Pretrain, i, 0)?;
+            Ok((model.into_inner(), report))
+        })
     }
 
     /// [`RunSupervisor::pretrain`] with each layer's leg trained
@@ -1004,19 +996,12 @@ impl RunSupervisor {
         cfg: &TrainConfig,
         passes: usize,
     ) -> Result<Vec<LayerReport>, TrainError> {
-        let encode = SparseAutoencoder::encode;
-        pretrain_layers(
-            stack.layers_mut(),
-            ctx,
-            data,
-            encode,
-            |layer, current, i| {
-                let mut model = crate::multidev::DataParallel::new(layer.clone(), mdcfg.clone());
-                let report =
-                    self.run_leg(&mut model, ctx, current, cfg, passes, Stage::Pretrain, i, 0)?;
-                Ok((model.into_inner(), report))
-            },
-        )
+        pretrain_layers(stack.layers_mut(), ctx, data, |layer, current, i| {
+            let mut model = crate::multidev::DataParallel::new(layer.clone(), mdcfg.clone());
+            let report =
+                self.run_leg(&mut model, ctx, current, cfg, passes, Stage::Pretrain, i, 0)?;
+            Ok((model.into_inner(), report))
+        })
     }
 
     /// Pipelined pre-training under the ladder's restart rung. The

@@ -60,7 +60,7 @@ impl Dataset {
 
     /// Normalizes in place to the sigmoid-friendly range `[0.1, 0.9]`
     /// following the standard sparse-autoencoder recipe (Ng's notes, the
-    /// paper's ref [10]): subtract the mean, truncate to ±3 standard
+    /// paper's ref \[10\]): subtract the mean, truncate to ±3 standard
     /// deviations, rescale.
     ///
     /// Returns the applied transform so new data can be mapped identically.

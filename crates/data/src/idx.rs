@@ -1,8 +1,8 @@
 //! IDX file I/O — the container format of the MNIST handwritten-digit
 //! corpus the paper trains on.
 //!
-//! The paper's digit data comes from "a large [set] of handwritten digit
-//! images" (LeCun et al., its ref [14] lineage). Those images ship as IDX
+//! The paper's digit data comes from "a large \[set\] of handwritten digit
+//! images" (LeCun et al., its ref \[14\] lineage). Those images ship as IDX
 //! files (`train-images-idx3-ubyte` etc.). This module reads and writes
 //! that format so users who *do* have the real corpus can feed it to the
 //! library, while the synthetic [`crate::DigitGenerator`] covers everyone

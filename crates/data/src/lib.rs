@@ -1,7 +1,7 @@
 //! Synthetic dataset substrate for `micdnn`.
 //!
-//! The paper trains on "a large [set] of handwritten digit images and
-//! natural images" (its refs [27], [3]), obtaining examples "by randomly
+//! The paper trains on "a large \[set\] of handwritten digit images and
+//! natural images" (its refs \[27\], \[3\]), obtaining examples "by randomly
 //! extracting patches of required sizes from these images". Neither corpus
 //! ships with this reproduction, so this crate builds deterministic
 //! synthetic equivalents with the same statistical role:

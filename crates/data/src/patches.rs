@@ -1,7 +1,7 @@
 //! Natural-image-like patches.
 //!
 //! Sparse autoencoders are classically trained on small patches of natural
-//! images (Olshausen & Field — the paper's refs [3]/[27]). Natural images
+//! images (Olshausen & Field — the paper's refs \[3\]/\[27\]). Natural images
 //! have two signature statistics this generator reproduces:
 //!
 //! * a `1/f` amplitude spectrum — approximated by summing octaves of

@@ -4,7 +4,7 @@
 //!
 //! * `par` — whether loops fork across the thread pool (the OpenMP step);
 //! * `blas` — whether matrix products go through the blocked/packed SGEMM
-//!   ([`crate::gemm`]) or the scalar triple loop (the MKL step);
+//!   ([`gemm`](mod@crate::gemm)) or the scalar triple loop (the MKL step);
 //! * `fused` — whether adjacent elementwise sweeps are combined into single
 //!   hand-vectorized passes (the "improved" step that cuts synchronization
 //!   and is where the paper vectorizes its non-MKL loops).

@@ -76,7 +76,6 @@
 //! [`crate::naive::gemm_ref`]. `alpha == 0` and zero extents reduce to the
 //! `beta` scaling and read neither A nor B.
 
-use crate::vecops::axpy_chunk;
 use crate::Par;
 use micdnn_tensor::{MatView, MatViewMut};
 use rayon::prelude::*;
@@ -431,45 +430,6 @@ fn micro_kernel(a_panel: &[f32], b_panel: &[f32]) -> [[f32; NR]; MR] {
         }
     }
     acc
-}
-
-/// Parallel matrix-vector product `y = alpha * op(A) * x + beta * y`.
-///
-/// Rows of `op(A)` are distributed across the pool; each output element is
-/// an independent dot product, so this too is deterministic under threading.
-pub fn gemv(par: Par, alpha: f32, a: MatView<'_>, ta: bool, x: &[f32], beta: f32, y: &mut [f32]) {
-    let (m, k) = op_shape(&a, ta);
-    assert_eq!(x.len(), k, "gemv: x length mismatch");
-    assert_eq!(y.len(), m, "gemv: y length mismatch");
-
-    if !ta {
-        let body = |(i, yi): (usize, &mut f32)| {
-            let row = a.row(i);
-            let mut acc = 0.0f32;
-            for (av, xv) in row.iter().zip(x) {
-                acc += av * xv;
-            }
-            *yi = alpha * acc + beta * *yi;
-        };
-        if par.is_parallel() && m * k >= crate::PAR_THRESHOLD {
-            y.par_iter_mut().enumerate().for_each(|(i, v)| body((i, v)));
-        } else {
-            y.iter_mut().enumerate().for_each(|(i, v)| body((i, v)));
-        }
-    } else {
-        // y = alpha * A^T x + beta y: accumulate column-wise; do it as a
-        // sequence of row-axpys into a scratch accumulator to stay
-        // cache-friendly, then combine.
-        let mut acc = vec![0.0f32; m];
-        for (p, &xv) in x.iter().enumerate() {
-            if xv != 0.0 {
-                axpy_chunk(xv, a.row(p), &mut acc);
-            }
-        }
-        for (yi, av) in y.iter_mut().zip(acc) {
-            *yi = alpha * av + beta * *yi;
-        }
-    }
 }
 
 #[cfg(test)]
@@ -986,26 +946,6 @@ mod tests {
             c.as_slice().iter().all(|&x| x == 1.0),
             "k=0 with beta=1 must keep C"
         );
-    }
-
-    #[test]
-    fn gemv_matches_gemm_column() {
-        let mut rng = StdRng::seed_from_u64(77);
-        let a = random_mat(40, 30, &mut rng);
-        let x: Vec<f32> = (0..30).map(|_| rng.gen_range(-1.0..1.0)).collect();
-        let mut y = vec![0.5f32; 40];
-        let mut y_ref = y.clone();
-        crate::naive::gemv_ref(0.9, a.view(), false, &x, 0.1, &mut y_ref);
-        gemv(Par::Seq, 0.9, a.view(), false, &x, 0.1, &mut y);
-        assert!(max_abs_diff(&y, &y_ref) < 1e-4);
-
-        // Transposed.
-        let mut yt = vec![0.0f32; 30];
-        let xt: Vec<f32> = (0..40).map(|_| rng.gen_range(-1.0..1.0)).collect();
-        let mut yt_ref = yt.clone();
-        crate::naive::gemv_ref(1.0, a.view(), true, &xt, 0.0, &mut yt_ref);
-        gemv(Par::Seq, 1.0, a.view(), true, &xt, 0.0, &mut yt);
-        assert!(max_abs_diff(&yt, &yt_ref) < 1e-4);
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! 2. **+OpenMP** — loops parallelized across cores ([`Par::Rayon`] with the
 //!    scalar kernels);
 //! 3. **+MKL** — the heavy matrix products routed to an optimized BLAS
-//!    ([`gemm`], our blocked/packed/vectorized SGEMM);
+//!    ([`gemm`](mod@gemm), our blocked/packed/vectorized SGEMM);
 //! 4. **improved** — loop fusion to coarsen granularity and cut
 //!    synchronization ([`fused`]).
 //!

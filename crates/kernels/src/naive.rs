@@ -44,22 +44,6 @@ pub fn gemm_ref(
     }
 }
 
-/// Reference matrix-vector product `y = alpha * op(A) * x + beta * y`.
-#[allow(clippy::needless_range_loop)] // the index form mirrors the math
-pub fn gemv_ref(alpha: f32, a: MatView<'_>, ta: bool, x: &[f32], beta: f32, y: &mut [f32]) {
-    let (m, k) = if ta { (a.cols(), a.rows()) } else { a.shape() };
-    assert_eq!(x.len(), k, "gemv_ref: x length mismatch");
-    assert_eq!(y.len(), m, "gemv_ref: y length mismatch");
-    for i in 0..m {
-        let mut acc = 0.0f32;
-        for p in 0..k {
-            let av = if ta { a.get(p, i) } else { a.get(i, p) };
-            acc += av * x[p];
-        }
-        y[i] = alpha * acc + beta * y[i];
-    }
-}
-
 /// Scalar sigmoid over a slice (no chunking, no vector hints).
 pub fn sigmoid_ref(y: &mut [f32]) {
     for v in y {
@@ -190,26 +174,6 @@ mod tests {
         );
         // alpha*I*ones + 0.5*10 = 2 + 5 = 7 everywhere
         assert!(c.as_slice().iter().all(|&x| x == 7.0));
-    }
-
-    #[test]
-    fn gemv_ref_matches_gemm() {
-        let a = Mat::from_fn(3, 4, |r, c| (r * 4 + c) as f32);
-        let x = [1.0f32, 0.5, -1.0, 2.0];
-        let mut y = [1.0f32; 3];
-        gemv_ref(1.0, a.view(), false, &x, 1.0, &mut y);
-        let xm = Mat::from_vec(4, 1, x.to_vec()).unwrap();
-        let mut c = Mat::full(3, 1, 1.0);
-        gemm_ref(
-            1.0,
-            a.view(),
-            false,
-            xm.view(),
-            false,
-            1.0,
-            &mut c.view_mut(),
-        );
-        assert_eq!(&y[..], c.as_slice());
     }
 
     #[test]

@@ -12,8 +12,6 @@
 pub enum OpKind {
     /// Dense matrix-matrix product.
     Gemm,
-    /// Dense matrix-vector product.
-    Gemv,
     /// Streaming elementwise arithmetic (axpy, scale, sub, hadamard, ...).
     Elementwise,
     /// Elementwise transcendental (sigmoid: exp + divide per element).
@@ -32,7 +30,6 @@ impl OpKind {
     pub fn name(self) -> &'static str {
         match self {
             OpKind::Gemm => "gemm",
-            OpKind::Gemv => "gemv",
             OpKind::Elementwise => "elementwise",
             OpKind::Transcendental => "transcendental",
             OpKind::Reduce => "reduce",
@@ -88,22 +85,6 @@ impl OpCost {
             blas,
             label: "gemm",
             min_dim: m.min(n).min(k) as u32,
-        }
-    }
-
-    /// Cost of `y[m] = op(A[m x k]) * x`.
-    pub fn gemv(m: usize, k: usize, blas: bool) -> OpCost {
-        let (m, k) = (m as u64, k as u64);
-        OpCost {
-            kind: OpKind::Gemv,
-            flops: 2 * m * k,
-            bytes_read: (m * k + k) * F32,
-            bytes_written: m * F32,
-            parallel_regions: 1,
-            vectorizable: blas,
-            blas,
-            label: "gemv",
-            min_dim: m.min(k) as u32,
         }
     }
 

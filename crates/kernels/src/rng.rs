@@ -116,24 +116,6 @@ pub fn bernoulli_at(
     }
 }
 
-/// Fills `out[i]` with uniform `[lo, hi)` noise from the stream.
-pub fn uniform_fill(par: Par, seed: u64, stream: StreamId, lo: f32, hi: f32, out: &mut [f32]) {
-    assert!(hi >= lo, "uniform_fill: empty range");
-    let w = hi - lo;
-    let body = |base: usize, oc: &mut [f32]| {
-        for (i, o) in oc.iter_mut().enumerate() {
-            *o = lo + w * uniform01(seed, stream.0, (base + i) as u64);
-        }
-    };
-    if par.is_parallel() && out.len() >= PAR_THRESHOLD {
-        out.par_chunks_mut(PAR_THRESHOLD)
-            .enumerate()
-            .for_each(|(ci, oc)| body(ci * PAR_THRESHOLD, oc));
-    } else {
-        body(0, out);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -246,15 +228,5 @@ mod tests {
         let mut b = SampleStream::resume(a.seed(), a.issued());
         assert_eq!(b.next(), a.next(), "resume must continue the sequence");
         assert_eq!(b.issued(), a.issued());
-    }
-
-    #[test]
-    fn uniform_fill_range() {
-        let mut out = vec![0.0f32; 10_000];
-        uniform_fill(Par::Seq, 3, StreamId(2), -2.0, 3.0, &mut out);
-        assert!(out.iter().all(|&v| (-2.0..3.0).contains(&v)));
-        let mut out2 = vec![0.0f32; 10_000];
-        uniform_fill(Par::Rayon, 3, StreamId(2), -2.0, 3.0, &mut out2);
-        assert_eq!(out, out2);
     }
 }

@@ -114,16 +114,6 @@ pub fn copy(par: Par, x: &[f32], y: &mut [f32]) {
     });
 }
 
-/// `y += x`.
-pub fn add_assign(par: Par, x: &[f32], y: &mut [f32]) {
-    axpy(par, 1.0, x, y);
-}
-
-/// `y -= x`.
-pub fn sub_assign(par: Par, x: &[f32], y: &mut [f32]) {
-    axpy(par, -1.0, x, y);
-}
-
 /// `out = a - b`, writing into `out`.
 pub fn sub(par: Par, a: &[f32], b: &[f32], out: &mut [f32]) {
     assert_eq!(a.len(), b.len(), "sub: length mismatch");
@@ -141,16 +131,6 @@ pub fn sub(par: Par, a: &[f32], b: &[f32], out: &mut [f32]) {
             out[i] = a[i] - b[i];
         }
     }
-}
-
-/// Hadamard (elementwise) product: `y *= x`.
-pub fn hadamard_assign(par: Par, x: &[f32], y: &mut [f32]) {
-    assert_eq!(x.len(), y.len(), "hadamard: length mismatch");
-    par_zip2!(par, y, x, |yc: &mut [f32], xc: &[f32]| {
-        for i in 0..yc.len() {
-            yc[i] *= xc[i];
-        }
-    });
 }
 
 /// Logistic sigmoid applied in place: `y = 1 / (1 + exp(-y))`.
@@ -357,9 +337,6 @@ mod tests {
         let mut out = vec![0.0f32; 3];
         sub(Par::Seq, &a, &b, &mut out);
         assert_eq!(out, vec![2.0, 3.0, 3.0]);
-        let mut h = b.clone();
-        hadamard_assign(Par::Seq, &a, &mut h);
-        assert_eq!(h, vec![3.0, 4.0, 10.0]);
     }
 
     #[test]
@@ -378,10 +355,6 @@ mod tests {
         assert!(y.iter().all(|&v| v == 1.0));
         let x: Vec<f32> = (0..10).map(|i| i as f32).collect();
         copy(Par::Seq, &x, &mut y);
-        assert_eq!(y, x);
-        sub_assign(Par::Seq, &x.clone(), &mut y);
-        assert!(y.iter().all(|&v| v == 0.0));
-        add_assign(Par::Seq, &x, &mut y);
         assert_eq!(y, x);
     }
 

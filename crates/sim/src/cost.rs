@@ -71,7 +71,7 @@ impl CostModel {
         let per_core_vec = spec.clock_ghz * spec.simd_f32_lanes as f64 * spec.flops_per_lane_cycle;
         let gflops = if op.vectorizable {
             let eff = match op.kind {
-                OpKind::Gemm | OpKind::Gemv => {
+                OpKind::Gemm => {
                     // Skinny products sustain a lower fraction of peak
                     // (paper Fig. 9: larger batches train faster per
                     // example).

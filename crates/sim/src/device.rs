@@ -155,7 +155,7 @@ pub struct Platform {
     /// single thread even when the BLAS underneath is threaded.
     pub nonblas_single_thread: bool,
     /// Hardware threads the software spawns; `None` uses every context of
-    /// the allowed cores (the paper "adjust[s] the number of threads
+    /// the allowed cores (the paper "adjust\[s\] the number of threads
     /// manually" — this is that knob).
     pub threads_requested: Option<u32>,
     /// How threads are pinned to cores (`KMP_AFFINITY`).

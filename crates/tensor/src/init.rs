@@ -4,8 +4,8 @@
 //! conventionally initialize weights from a symmetric uniform range scaled by
 //! fan-in/fan-out (the "Glorot" range with the extra factor of 4 recommended
 //! for sigmoid units, which is what Ng's sparse-autoencoder notes — the
-//! paper's reference [10] — prescribe) or from a small Gaussian (Hinton's
-//! RBM practical guide, the paper's reference [15], suggests N(0, 0.01)).
+//! paper's reference \[10\] — prescribe) or from a small Gaussian (Hinton's
+//! RBM practical guide, the paper's reference \[15\], suggests N(0, 0.01)).
 
 use crate::Mat;
 use rand::Rng;

@@ -7,7 +7,8 @@
 //! then the same count over every `src/` and `benches/` tree under
 //! `crates/` (shims and this tool included), so a deletion outside
 //! `core` + `cli` is counted and code moved between crates cannot read as a
-//! reduction.
+//! reduction, followed by one subtotal per crate so such a deletion shows
+//! where it landed.
 //!
 //! `lint`: four rules guard the executor's safety story (see DESIGN.md §4.2):
 //!
@@ -86,6 +87,16 @@ fn in_source_tree(rel: &str) -> bool {
     rel.contains("/src/") || rel.contains("/benches/")
 }
 
+/// The crate directory `rel` belongs to: everything before its `src/` or
+/// `benches/` tree (`crates/shims/rayon/src/lib.rs` -> `crates/shims/rayon`).
+fn crate_of(rel: &str) -> &str {
+    ["/src/", "/benches/"]
+        .iter()
+        .filter_map(|tree| rel.find(tree))
+        .min()
+        .map_or(rel, |end| &rel[..end])
+}
+
 fn loc() -> ExitCode {
     let root = workspace_root();
     let mut files = Vec::new();
@@ -96,6 +107,7 @@ fn loc() -> ExitCode {
     files.retain(|rel| in_source_tree(rel));
     files.sort();
     let (mut total, mut listed, mut all) = (0usize, 0usize, 0usize);
+    let mut per_crate = std::collections::BTreeMap::<&str, usize>::new();
     for rel in &files {
         let Ok(text) = std::fs::read_to_string(root.join(rel)) else {
             eprintln!("loc: cannot read {rel}");
@@ -103,6 +115,7 @@ fn loc() -> ExitCode {
         };
         let n = non_test_lines(&text);
         all += n;
+        *per_crate.entry(crate_of(rel)).or_default() += n;
         if rel.starts_with("crates/core/src/") || rel.starts_with("crates/cli/src/") {
             println!("{n:>6}  {rel}");
             total += n;
@@ -111,6 +124,9 @@ fn loc() -> ExitCode {
     }
     println!("{total:>6}  total ({listed} files)");
     println!("{all:>6}  all crates ({} files)", files.len());
+    for (krate, n) in per_crate {
+        println!("{n:>6}    {krate}");
+    }
     ExitCode::SUCCESS
 }
 
@@ -417,6 +433,13 @@ mod tests {
         assert!(in_source_tree("crates/bench/benches/gemm.rs"));
         assert!(in_source_tree("crates/xtask/src/main.rs"));
         assert!(!in_source_tree("crates/cli/tests/inject.rs"));
+        assert_eq!(crate_of("crates/core/src/lib.rs"), "crates/core");
+        assert_eq!(
+            crate_of("crates/shims/rayon/src/lib.rs"),
+            "crates/shims/rayon"
+        );
+        assert_eq!(crate_of("crates/bench/benches/gemm.rs"), "crates/bench");
+        assert_eq!(crate_of("crates/bench/src/bin/repro.rs"), "crates/bench");
     }
 
     #[test]

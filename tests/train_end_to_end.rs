@@ -3,10 +3,7 @@
 //! core).
 
 use micdnn::train::{train_dataset, AeModel, RbmModel, TrainConfig};
-use micdnn::{
-    AeConfig, DeepBeliefNet, ExecCtx, OptLevel, Rbm, RbmConfig, SparseAutoencoder,
-    StackedAutoencoder,
-};
+use micdnn::{AeConfig, ExecCtx, OptLevel, Rbm, RbmConfig, SparseAutoencoder, StackedAutoencoder};
 use micdnn_data::{Dataset, DigitGenerator, PatchGenerator};
 
 fn digit_data(n: usize, side: usize, seed: u64) -> Dataset {
@@ -178,26 +175,6 @@ fn stacked_pretraining_produces_usable_codes() {
         d_diff > 0.2 * d_same || d_diff > 0.05,
         "codes carry no class signal: same {d_same}, diff {d_diff}"
     );
-}
-
-#[test]
-fn dbn_pretraining_improves_each_rbm() {
-    let mut ds = digit_data(300, 10, 51);
-    ds.binarize(0.5);
-    let mut dbn = DeepBeliefNet::new(&[100, 60, 30], 52);
-    let ctx = ExecCtx::native(OptLevel::Improved, 53);
-    let tc = TrainConfig {
-        learning_rate: 0.1,
-        batch_size: 50,
-        chunk_rows: 150,
-        ..TrainConfig::default()
-    };
-    let reports = dbn.pretrain(&ctx, &ds, &tc, 15).unwrap();
-    for lr in &reports {
-        assert!(lr.report.final_recon() < lr.report.initial_recon());
-    }
-    let code = dbn.encode(&ctx, ds.matrix().view());
-    assert_eq!(code.cols(), 30);
 }
 
 fn dist(a: &[f32], b: &[f32]) -> f32 {
