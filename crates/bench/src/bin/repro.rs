@@ -21,7 +21,7 @@
 //! platforms — see DESIGN.md for the substitution rationale and
 //! EXPERIMENTS.md for paper-vs-measured commentary.
 
-use micdnn::analytic::Algo;
+use micdnn::Algo;
 use micdnn_bench::experiments as exp;
 use std::path::PathBuf;
 

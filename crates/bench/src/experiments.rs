@@ -7,14 +7,11 @@
 //! are therefore model outputs; the claims being reproduced are the
 //! *shapes*: who wins, by what factor, and where the trends bend.
 
-use micdnn::analytic::{estimate, Algo, Workload};
-use micdnn::autoencoder::{AeConfig, AeScratch, SparseAutoencoder};
-use micdnn::exec::{ExecCtx, OptLevel};
-use micdnn::rbm::{Rbm, RbmConfig, RbmScratch};
 use micdnn::train::UnsupervisedModel;
 use micdnn::{
-    ae_step_graph, cd_step_graph, serve_requests, DataParallelAe, FineTuneNet, MultiDevConfig,
-    Request, ServeConfig, ServeReport,
+    ae_step_graph, cd_step_graph, estimate, serve_requests, AeConfig, AeScratch, Algo,
+    DataParallelAe, ExecCtx, FineTuneNet, MultiDevConfig, OptLevel, Rbm, RbmConfig, RbmScratch,
+    Request, ServeConfig, ServeReport, SparseAutoencoder, Workload,
 };
 use micdnn_kernels::OpKind;
 use micdnn_sim::{

@@ -16,7 +16,7 @@
 //! ```
 //!
 //! One builder backs both execution styles, exactly as for CD:
-//! [`SparseAutoencoder::cost_and_grad`] and
+//! `SparseAutoencoder::cost_and_grad` and
 //! [`SparseAutoencoder::train_batch`] run the graph with
 //! [`TaskGraph::run_serial`] — declaration order is the original serial op
 //! order, so weights, sampling streams, recorded op streams and profiling
@@ -36,8 +36,7 @@ use crate::exec::ExecCtx;
 use crate::graph::{BufClass, BufId, GraphRun, NodeSpec, TaskGraph};
 use crate::layers::{Decl, Emit, Layer, Part, StackBuilder};
 use crate::optim::Optimizer;
-use micdnn_kernels::fused::kl_sparsity;
-use micdnn_kernels::vecops;
+use micdnn_kernels::{kl_sparsity, sum_sq};
 use micdnn_tensor::{Mat, MatView};
 
 /// Model parameters threaded through an AE graph run: shared for
@@ -110,7 +109,7 @@ impl<'a> AeState<'a> {
 /// pass.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AeUpdate {
-    /// Gradients only ([`SparseAutoencoder::cost_and_grad`]).
+    /// Gradients only (`SparseAutoencoder::cost_and_grad`).
     None,
     /// Plain SGD with the state's learning rate.
     Sgd,
@@ -224,8 +223,8 @@ impl AeHalf {
         }
     }
 
-    /// The per-tensor parameter update (weight decay on the weights only,
-    /// as in `apply_gradients`): plain SGD, or one optimizer slot — in
+    /// The per-tensor parameter update (weight decay on the weights only):
+    /// plain SGD, or one optimizer slot — in
     /// which case U4, the graph's last update node, also advances the
     /// optimizer's schedule. Emits nothing in [`AeUpdate::None`] mode.
     fn emit_update(&self, sb: &mut StackBuilder<AeState<'_>>, part: Part) {
@@ -545,8 +544,8 @@ impl<'a> Layer<AeState<'a>> for AeCostProbe {
                 let lambda = ae.config().weight_decay as f64;
                 s.cost.weight_penalty = 0.5
                     * lambda
-                    * (vecops::sum_sq(ctx.backend().par(), ae.w1.as_slice())
-                        + vecops::sum_sq(ctx.backend().par(), ae.w2.as_slice()));
+                    * (sum_sq(ctx.backend().par(), ae.w1.as_slice())
+                        + sum_sq(ctx.backend().par(), ae.w2.as_slice()));
             },
         );
     }
@@ -554,8 +553,8 @@ impl<'a> Layer<AeState<'a>> for AeCostProbe {
 
 /// Builds the AE step over `b` examples as a [`StackBuilder`] recipe over
 /// the encoder/decoder/sparsity/cost layers, whose declaration order is
-/// exactly the serial op order of the classic `cost_and_grad`
-/// (+ `apply_gradients`) pair. Storage is bound to the fields of
+/// exactly the serial op order of the classic `cost_and_grad` (+ SGD
+/// update) pair. Storage is bound to the fields of
 /// [`AeScratch`]; the declarations describe sizes and lifetimes to the
 /// planner and executor.
 ///
@@ -610,7 +609,7 @@ pub fn build_ae_graph<'a>(
     enc.emit(&mut sb, Emit::Grads(Part::Weights));
     enc.emit(&mut sb, Emit::Grads(Part::Biases));
     // Parameter updates: the graph's last rank, one node per tensor
-    // (weight decay on the weights only, as in `apply_gradients`).
+    // (weight decay on the weights only).
     enc.emit(&mut sb, Emit::Update(Part::Weights));
     dec.emit(&mut sb, Emit::Update(Part::Weights));
     enc.emit(&mut sb, Emit::Update(Part::Biases));
@@ -621,7 +620,7 @@ pub fn build_ae_graph<'a>(
 /// One AE training step scheduled as the dependency graph.
 ///
 /// Bit-identical to [`SparseAutoencoder::train_batch`] (or, with an
-/// optimizer, to `cost_and_grad` + `apply_gradients_opt`) — both run the
+/// optimizer, to `cost_and_grad` + an optimizer update) — both run the
 /// same graph, this one under the critical-path schedule. Returns the
 /// batch cost and the schedule.
 pub fn ae_step_graph(
@@ -647,6 +646,25 @@ mod tests {
     use micdnn_tensor::Mat;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+
+    /// The serial reference the graph step with an optimizer is pinned
+    /// against: applies the gradients in `scratch` through `opt` (slots
+    /// 0..4 = w1, w2, b1, b2; weight decay on the weights only) and advances
+    /// its schedule by one step.
+    fn apply_gradients_opt(
+        ae: &mut SparseAutoencoder,
+        ctx: &ExecCtx,
+        scratch: &AeScratch,
+        opt: &mut Optimizer,
+    ) {
+        let _update = ctx.phase("update");
+        let lambda = ae.config().weight_decay;
+        opt.step_slot(ctx, 0, lambda, scratch.gw1.as_slice(), ae.w1.as_mut_slice());
+        opt.step_slot(ctx, 1, lambda, scratch.gw2.as_slice(), ae.w2.as_mut_slice());
+        opt.step_slot(ctx, 2, 0.0, &scratch.gb1, &mut ae.b1);
+        opt.step_slot(ctx, 3, 0.0, &scratch.gb2, &mut ae.b2);
+        opt.advance();
+    }
 
     fn tiny_batch(b: usize, v: usize, seed: u64) -> Mat {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -698,7 +716,7 @@ mod tests {
 
         for _ in 0..5 {
             let c1 = ae_serial.cost_and_grad(&ctx_serial, x.view(), &mut s_serial);
-            ae_serial.apply_gradients_opt(&ctx_serial, &s_serial, &mut opt_serial);
+            apply_gradients_opt(&mut ae_serial, &ctx_serial, &s_serial, &mut opt_serial);
             let (c2, _) = ae_step_graph(
                 &mut ae_graph,
                 &ctx_graph,

@@ -108,7 +108,7 @@ pub struct Workload {
 
 impl Workload {
     /// Op stream of one full-size batch.
-    pub fn batch_ops(&self, backend: Backend) -> Vec<OpCost> {
+    pub(crate) fn batch_ops(&self, backend: Backend) -> Vec<OpCost> {
         match self.algo {
             Algo::Autoencoder => ae_batch_ops(self.n_visible, self.n_hidden, self.batch, backend),
             Algo::Rbm => rbm_cd1_ops(self.n_visible, self.n_hidden, self.batch, backend),
@@ -132,17 +132,6 @@ pub struct Estimate {
     pub stall_secs: f64,
     /// End-to-end simulated seconds.
     pub total_secs: f64,
-}
-
-impl Estimate {
-    /// Fraction of transfer hidden behind compute.
-    pub fn hidden_fraction(&self) -> f64 {
-        if self.transfer_secs <= 0.0 {
-            0.0
-        } else {
-            (1.0 - self.stall_secs / self.transfer_secs).max(0.0)
-        }
-    }
 }
 
 /// Prices `workload` on `platform` at `level`: the trainer's chunk/batch
@@ -263,7 +252,6 @@ mod tests {
         let without = estimate(OptLevel::Improved, Platform::xeon_phi(), link, false, &w);
         assert!(with.total_secs <= without.total_secs);
         assert!((without.stall_secs - without.transfer_secs).abs() < 1e-12);
-        assert!(with.hidden_fraction() >= 0.0);
     }
 
     #[test]

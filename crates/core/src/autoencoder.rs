@@ -49,12 +49,6 @@ impl AeConfig {
         }
     }
 
-    /// Disables the sparsity penalty (plain autoencoder).
-    pub fn without_sparsity(mut self) -> Self {
-        self.sparsity_weight = 0.0;
-        self
-    }
-
     /// Total number of trainable parameters.
     pub fn param_count(&self) -> usize {
         2 * self.n_visible * self.n_hidden + self.n_visible + self.n_hidden
@@ -79,7 +73,7 @@ pub struct AeCost {
 
 impl AeCost {
     /// The full objective `J(W, b, ρ)`.
-    pub fn total(&self) -> f64 {
+    pub(crate) fn total(&self) -> f64 {
         self.reconstruction + self.weight_penalty + self.sparsity_penalty
     }
 }
@@ -120,24 +114,14 @@ impl AeScratch {
     }
 
     /// Maximum batch these buffers support.
-    pub fn capacity(&self) -> usize {
+    pub(crate) fn capacity(&self) -> usize {
         self.max_batch
     }
 
     /// The gradient buffers `(gw1, gw2, gb1, gb2)` of the last
     /// [`SparseAutoencoder::cost_and_grad`] call.
-    pub fn gradients(&self) -> (&Mat, &Mat, &[f32], &[f32]) {
+    pub(crate) fn gradients(&self) -> (&Mat, &Mat, &[f32], &[f32]) {
         (&self.gw1, &self.gw2, &self.gb1, &self.gb2)
-    }
-
-    /// Hidden activations of the last forward pass (first `b` rows valid).
-    pub fn hidden(&self) -> &Mat {
-        &self.a2
-    }
-
-    /// Reconstructions of the last forward pass (first `b` rows valid).
-    pub fn output(&self) -> &Mat {
-        &self.a3
     }
 }
 
@@ -180,7 +164,7 @@ impl SparseAutoencoder {
     /// Forward pass over a batch: fills `scratch.a2` and `scratch.a3`.
     ///
     /// `x` is `b x n_visible` with `b <= scratch.max_batch`.
-    pub fn forward(&self, ctx: &ExecCtx, x: MatView<'_>, scratch: &mut AeScratch) {
+    pub(crate) fn forward(&self, ctx: &ExecCtx, x: MatView<'_>, scratch: &mut AeScratch) {
         let b = x.rows();
         assert!(b <= scratch.max_batch, "batch exceeds scratch capacity");
         assert_eq!(
@@ -233,53 +217,17 @@ impl SparseAutoencoder {
     /// Forward + back-propagation; fills the gradient buffers in `scratch`
     /// and returns the batch cost.
     ///
-    /// Weight decay is *not* folded into `gw1`/`gw2`; it is applied
-    /// multiplicatively by [`SparseAutoencoder::apply_gradients`], which is
-    /// mathematically the same SGD step.
-    pub fn cost_and_grad(&self, ctx: &ExecCtx, x: MatView<'_>, scratch: &mut AeScratch) -> AeCost {
+    /// Weight decay is *not* folded into `gw1`/`gw2`; the update step
+    /// applies it multiplicatively, which is mathematically the same SGD
+    /// step.
+    pub(crate) fn cost_and_grad(
+        &self,
+        ctx: &ExecCtx,
+        x: MatView<'_>,
+        scratch: &mut AeScratch,
+    ) -> AeCost {
         let state = AeState::new(AeParams::Shared(self), scratch, x, None, 0.0);
         Self::run_graph(state, ctx, false).0
-    }
-
-    /// Applies the gradients in `scratch` with learning rate `lr`
-    /// (weight decay on the weights, none on the biases).
-    pub fn apply_gradients(&mut self, ctx: &ExecCtx, scratch: &AeScratch, lr: f32) {
-        let _update = ctx.phase("update");
-        let lambda = self.cfg.weight_decay;
-        ctx.sgd_step(lr, lambda, scratch.gw1.as_slice(), self.w1.as_mut_slice());
-        ctx.sgd_step(lr, lambda, scratch.gw2.as_slice(), self.w2.as_mut_slice());
-        ctx.sgd_step(lr, 0.0, &scratch.gb1, &mut self.b1);
-        ctx.sgd_step(lr, 0.0, &scratch.gb2, &mut self.b2);
-    }
-
-    /// Applies the gradients in `scratch` through an [`crate::Optimizer`]
-    /// (slots 0..4 = w1, w2, b1, b2; weight decay on the weights only).
-    /// Advances the optimizer's schedule by one step.
-    pub fn apply_gradients_opt(
-        &mut self,
-        ctx: &ExecCtx,
-        scratch: &AeScratch,
-        opt: &mut crate::optim::Optimizer,
-    ) {
-        let _update = ctx.phase("update");
-        let lambda = self.cfg.weight_decay;
-        opt.step_slot(
-            ctx,
-            0,
-            lambda,
-            scratch.gw1.as_slice(),
-            self.w1.as_mut_slice(),
-        );
-        opt.step_slot(
-            ctx,
-            1,
-            lambda,
-            scratch.gw2.as_slice(),
-            self.w2.as_mut_slice(),
-        );
-        opt.step_slot(ctx, 2, 0.0, &scratch.gb1, &mut self.b1);
-        opt.step_slot(ctx, 3, 0.0, &scratch.gb2, &mut self.b2);
-        opt.advance();
     }
 
     /// The optimizer slot lengths for this architecture (w1, w2, b1, b2) —
@@ -292,7 +240,7 @@ impl SparseAutoencoder {
     /// One SGD step on a batch; returns the cost before the update.
     ///
     /// Runs the full AE graph (forward, backward, update) — identical ops
-    /// to `cost_and_grad` followed by `apply_gradients`.
+    /// to `cost_and_grad` followed by a plain SGD update.
     pub fn train_batch(
         &mut self,
         ctx: &ExecCtx,
@@ -349,10 +297,10 @@ mod tests {
         let mut scratch = AeScratch::new(&cfg, 8);
         ae.forward(&ctx, x.view(), &mut scratch);
         for r in 0..7 {
-            for &v in scratch.hidden().row(r) {
+            for &v in scratch.a2.row(r) {
                 assert!((0.0..=1.0).contains(&v));
             }
-            for &v in scratch.output().row(r) {
+            for &v in scratch.a3.row(r) {
                 assert!((0.0..=1.0).contains(&v));
             }
         }
@@ -423,7 +371,10 @@ mod tests {
         assert!(cost.weight_penalty > 0.0);
         assert!(cost.total() > cost.reconstruction);
 
-        let cfg2 = AeConfig::new(8, 4).without_sparsity();
+        let cfg2 = AeConfig {
+            sparsity_weight: 0.0,
+            ..AeConfig::new(8, 4)
+        };
         let ae2 = SparseAutoencoder::new(cfg2, 1);
         let mut s2 = AeScratch::new(&cfg2, 16);
         let cost2 = ae2.cost_and_grad(&ctx, x.view(), &mut s2);
@@ -440,8 +391,7 @@ mod tests {
         ae.forward(&ctx, x.view(), &mut s);
         let code = ae.encode(&ctx, x.view());
         assert!(
-            micdnn_tensor::max_abs_diff(code.as_slice(), s.hidden().rows_range(0, 5).as_slice())
-                < 1e-6
+            micdnn_tensor::max_abs_diff(code.as_slice(), s.a2.rows_range(0, 5).as_slice()) < 1e-6
         );
     }
 

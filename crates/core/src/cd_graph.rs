@@ -18,7 +18,7 @@
 //!
 //! CD-k repeats the `sample → V2 → H2` block `k` times. The same builder
 //! backs both execution styles: [`Rbm::cd_step`] runs it with
-//! [`TaskGraph::run_serial`] (declaration order *is* the original serial
+//! `TaskGraph::run_serial` (declaration order *is* the original serial
 //! op order, so results, sampling streams, recorded op streams and
 //! profiling spans are unchanged), while [`cd_step_graph`] runs it with
 //! [`TaskGraph::execute`], advancing the simulated clock by the critical

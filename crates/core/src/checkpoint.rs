@@ -43,7 +43,7 @@ use std::io::{self, BufReader, Read, Write};
 use std::path::{Path, PathBuf};
 
 /// Checkpoint record version; bump on any layout change.
-pub const CHECKPOINT_VERSION: u64 = 1;
+pub(crate) const CHECKPOINT_VERSION: u64 = 1;
 
 /// Default checkpoint file name inside a checkpoint directory.
 pub const CHECKPOINT_FILE: &str = "checkpoint.mic";
@@ -136,15 +136,6 @@ impl Checkpoint {
     pub fn into_rbm(self) -> Option<RbmModel> {
         match self.model {
             CheckpointModel::Rbm(m) => Some(m),
-            _ => None,
-        }
-    }
-
-    /// The embedded multi-device state, if this is a multi-device
-    /// checkpoint.
-    pub fn into_multidev(self) -> Option<crate::multidev::MultiDevState> {
-        match self.model {
-            CheckpointModel::MultiDev(s) => Some(s),
             _ => None,
         }
     }

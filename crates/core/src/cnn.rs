@@ -110,7 +110,7 @@ impl CnnConfig {
     }
 
     /// Pooled side (`conv_side / pool`).
-    pub fn pooled_side(&self) -> usize {
+    pub(crate) fn pooled_side(&self) -> usize {
         self.conv_side() / self.pool
     }
 
@@ -212,7 +212,7 @@ impl CnnNet {
 inherent_net_api!(CnnNet);
 
 /// The CNN step's node state.
-pub type CnnState<'a> = StepState<'a, CnnNet>;
+pub(crate) type CnnState<'a> = StepState<'a, CnnNet>;
 
 impl LabeledNet for CnnNet {
     const NAN_FAILPOINT: &'static str = "cnn.nan";
@@ -522,10 +522,11 @@ mod tests {
         let ctx = ctx();
         let mut net = CnnNet::new(CnnConfig::digits(12), 3);
         net.train_batch(&ctx, ds.matrix().view(), &labels, 0.1);
-        let elems = net.workspace_elems();
-        assert!(elems > 0, "workspace not planned");
+        let arena = |net: &CnnNet| net.step.arena.as_ref().map(|(rows, _)| *rows);
+        let rows = arena(&net);
+        assert!(rows.is_some(), "workspace not planned");
         net.train_batch(&ctx, ds.matrix().view(), &labels, 0.1);
-        assert_eq!(net.workspace_elems(), elems, "workspace re-planned");
+        assert_eq!(arena(&net), rows, "workspace re-planned");
     }
 
     #[test]

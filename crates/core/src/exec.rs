@@ -161,11 +161,11 @@ impl ExecCtx {
     }
 
     /// The attached profiler, if any.
-    pub fn profiler(&self) -> Option<&Profiler> {
+    pub(crate) fn profiler(&self) -> Option<&Profiler> {
         self.profiler.as_ref()
     }
 
-    /// Forces [`crate::verify`] graph verification before every graph
+    /// Forces static graph verification before every graph
     /// execution, even in release builds (debug builds always verify).
     /// Errors in the report panic; warnings never do.
     pub fn with_verify(mut self) -> Self {
@@ -174,7 +174,7 @@ impl ExecCtx {
     }
 
     /// Whether release-mode graph verification was requested.
-    pub fn verify_enabled(&self) -> bool {
+    pub(crate) fn verify_enabled(&self) -> bool {
         self.verify
     }
 
@@ -190,12 +190,12 @@ impl ExecCtx {
     }
 
     /// Whether verifier errors demote instead of panicking.
-    pub fn degradation_enabled(&self) -> bool {
+    pub(crate) fn degradation_enabled(&self) -> bool {
         self.degrade
     }
 
     /// `true` once graph execution has been demoted to the serial schedule.
-    pub fn is_degraded(&self) -> bool {
+    pub(crate) fn is_degraded(&self) -> bool {
         self.degraded.load(Ordering::Acquire)
     }
 
@@ -203,7 +203,7 @@ impl ExecCtx {
     /// Used by the graph executor on verify failure (when
     /// [`ExecCtx::with_graceful_degradation`] is set) and by the training
     /// supervisor after catching a `race-check` sanitizer panic.
-    pub fn force_degrade(&self, kind: &str, detail: &str) {
+    pub(crate) fn force_degrade(&self, kind: &str, detail: &str) {
         self.degraded.store(true, Ordering::Release);
         self.incident_notes
             .lock()
@@ -213,7 +213,7 @@ impl ExecCtx {
     /// Records an incident note *without* latching the serial-only
     /// demotion — for recoveries that leave execution healthy (a dropped
     /// device re-sharded onto the survivors, a retried link transfer).
-    pub fn note_incident(&self, kind: &str, detail: &str) {
+    pub(crate) fn note_incident(&self, kind: &str, detail: &str) {
         self.incident_notes
             .lock()
             .push((kind.to_string(), detail.to_string()));
@@ -221,7 +221,7 @@ impl ExecCtx {
 
     /// Drains the `(kind, detail)` notes recorded by
     /// [`ExecCtx::force_degrade`] and [`ExecCtx::note_incident`].
-    pub fn take_incident_notes(&self) -> Vec<(String, String)> {
+    pub(crate) fn take_incident_notes(&self) -> Vec<(String, String)> {
         std::mem::take(&mut *self.incident_notes.lock())
     }
 
@@ -238,7 +238,7 @@ impl ExecCtx {
     /// Opens a named profiling span covering everything executed until the
     /// returned guard drops. Spans record the covered simulated interval
     /// and wall time; without an attached profiler the guard is inert.
-    pub fn phase(&self, name: &str) -> PhaseGuard<'_> {
+    pub(crate) fn phase(&self, name: &str) -> PhaseGuard<'_> {
         PhaseGuard {
             ctx: self,
             name: self.profiler.as_ref().map(|_| name.to_string()),
@@ -273,7 +273,7 @@ impl ExecCtx {
     }
 
     /// The cost model, if any.
-    pub fn cost_model(&self) -> Option<&CostModel> {
+    pub(crate) fn cost_model(&self) -> Option<&CostModel> {
         self.pricing.as_ref()
     }
 
@@ -283,7 +283,7 @@ impl ExecCtx {
     /// lacks the `.stochastic()` flag: stream order is part of the
     /// bit-reproducibility contract, and an undeclared draw would be
     /// invisible to the static verifier's ordering checks.
-    pub fn next_stream(&self) -> StreamId {
+    pub(crate) fn next_stream(&self) -> StreamId {
         if let Some(name) = crate::graph::undeclared_stochastic_node() {
             panic!(
                 "undeclared-stochastic: node `{name}` draws from the sampling \
@@ -294,7 +294,7 @@ impl ExecCtx {
     }
 
     /// Seed of the run's sampler.
-    pub fn seed(&self) -> u64 {
+    pub(crate) fn seed(&self) -> u64 {
         self.sampler.lock().seed()
     }
 
@@ -308,7 +308,7 @@ impl ExecCtx {
     /// Restores the sampler to a snapshot taken by [`ExecCtx::rng_state`];
     /// subsequent stochastic ops continue the original stream sequence
     /// bit-identically.
-    pub fn restore_rng(&self, seed: u64, cursor: u64) {
+    pub(crate) fn restore_rng(&self, seed: u64, cursor: u64) {
         *self.sampler.lock() = SampleStream::resume(seed, cursor);
     }
 
@@ -329,7 +329,7 @@ impl ExecCtx {
     /// `true` while an op-stream recording is active. The graph executor
     /// checks this and serializes its concurrency waves during recording so
     /// the recorded op order is the declaration order.
-    pub fn is_recording(&self) -> bool {
+    pub(crate) fn is_recording(&self) -> bool {
         self.recording.load(Ordering::Acquire)
     }
 
@@ -339,7 +339,7 @@ impl ExecCtx {
     /// The dependency-graph executor (paper Fig. 6) uses this to price each
     /// graph node separately and then advance the clock by the critical
     /// path rather than the serial sum.
-    pub fn run_deferred<R>(&self, f: impl FnOnce(&ExecCtx) -> R) -> (R, f64) {
+    pub(crate) fn run_deferred<R>(&self, f: impl FnOnce(&ExecCtx) -> R) -> (R, f64) {
         {
             let mut d = self.deferred.lock();
             assert!(d.is_none(), "run_deferred does not nest");
@@ -363,7 +363,7 @@ impl ExecCtx {
 
     /// Advances the simulated clock directly (used by the graph executor
     /// after computing a critical path).
-    pub fn advance_clock(&self, secs: f64, kind: EventKind, label: &str) {
+    pub(crate) fn advance_clock(&self, secs: f64, kind: EventKind, label: &str) {
         let t0 = self.clock.now();
         self.clock.advance(secs);
         self.trace.push(t0, t0 + secs, kind, label);
@@ -374,7 +374,7 @@ impl ExecCtx {
     /// (unpriced) context this is a no-op, mirroring how op prices vanish
     /// there; inside [`ExecCtx::run_deferred`] the seconds land in the
     /// accumulator like any op price.
-    pub fn charge_secs(&self, secs: f64, kind: EventKind, label: &str) {
+    pub(crate) fn charge_secs(&self, secs: f64, kind: EventKind, label: &str) {
         if self.pricing.is_none() {
             return;
         }
@@ -450,56 +450,56 @@ impl ExecCtx {
     }
 
     /// See [`Backend::bias_sigmoid_rows`].
-    pub fn bias_sigmoid_rows(&self, bias: &[f32], c: &mut MatViewMut<'_>) {
+    pub(crate) fn bias_sigmoid_rows(&self, bias: &[f32], c: &mut MatViewMut<'_>) {
         let t0 = self.op_start();
         let cost = self.backend.bias_sigmoid_rows(bias, c);
         self.charge_timed(cost, t0);
     }
 
     /// See [`Backend::bias_deriv_rows`].
-    pub fn bias_deriv_rows(&self, s: &[f32], y: MatView<'_>, delta: &mut MatViewMut<'_>) {
+    pub(crate) fn bias_deriv_rows(&self, s: &[f32], y: MatView<'_>, delta: &mut MatViewMut<'_>) {
         let t0 = self.op_start();
         let cost = self.backend.bias_deriv_rows(s, y, delta);
         self.charge_timed(cost, t0);
     }
 
     /// See [`Backend::delta_output`].
-    pub fn delta_output(&self, z: &[f32], x: &[f32], out: &mut [f32]) {
+    pub(crate) fn delta_output(&self, z: &[f32], x: &[f32], out: &mut [f32]) {
         let t0 = self.op_start();
         let cost = self.backend.delta_output(z, x, out);
         self.charge_timed(cost, t0);
     }
 
     /// See [`Backend::sgd_step`].
-    pub fn sgd_step(&self, lr: f32, lambda: f32, g: &[f32], w: &mut [f32]) {
+    pub(crate) fn sgd_step(&self, lr: f32, lambda: f32, g: &[f32], w: &mut [f32]) {
         let t0 = self.op_start();
         let cost = self.backend.sgd_step(lr, lambda, g, w);
         self.charge_timed(cost, t0);
     }
 
     /// See [`Backend::cd_update`].
-    pub fn cd_update(&self, scale: f32, pos: &[f32], neg: &[f32], w: &mut [f32]) {
+    pub(crate) fn cd_update(&self, scale: f32, pos: &[f32], neg: &[f32], w: &mut [f32]) {
         let t0 = self.op_start();
         let cost = self.backend.cd_update(scale, pos, neg, w);
         self.charge_timed(cost, t0);
     }
 
     /// See [`Backend::colmean`].
-    pub fn colmean(&self, a: MatView<'_>, out: &mut [f32]) {
+    pub(crate) fn colmean(&self, a: MatView<'_>, out: &mut [f32]) {
         let t0 = self.op_start();
         let cost = self.backend.colmean(a, out);
         self.charge_timed(cost, t0);
     }
 
     /// See [`Backend::colsum`].
-    pub fn colsum(&self, a: MatView<'_>, out: &mut [f32]) {
+    pub(crate) fn colsum(&self, a: MatView<'_>, out: &mut [f32]) {
         let t0 = self.op_start();
         let cost = self.backend.colsum(a, out);
         self.charge_timed(cost, t0);
     }
 
     /// See [`Backend::frob_dist_sq`].
-    pub fn frob_dist_sq(&self, a: MatView<'_>, b: MatView<'_>) -> f64 {
+    pub(crate) fn frob_dist_sq(&self, a: MatView<'_>, b: MatView<'_>) -> f64 {
         let t0 = self.op_start();
         let (d, cost) = self.backend.frob_dist_sq(a, b);
         self.charge_timed(cost, t0);
@@ -508,7 +508,7 @@ impl ExecCtx {
 
     /// See [`Backend::bernoulli`]; draws a fresh stream from the context's
     /// sampler so results are reproducible per run seed.
-    pub fn bernoulli(&self, probs: &[f32], out: &mut [f32]) {
+    pub(crate) fn bernoulli(&self, probs: &[f32], out: &mut [f32]) {
         let stream = self.next_stream();
         let seed = self.seed();
         let t0 = self.op_start();
@@ -524,7 +524,13 @@ impl ExecCtx {
     /// shard of the op passes the same id plus its global element offset,
     /// so the drawn bits are independent of how the batch was split
     /// across devices.
-    pub fn bernoulli_at(&self, stream: StreamId, elem_base: u64, probs: &[f32], out: &mut [f32]) {
+    pub(crate) fn bernoulli_at(
+        &self,
+        stream: StreamId,
+        elem_base: u64,
+        probs: &[f32],
+        out: &mut [f32],
+    ) {
         let seed = self.seed();
         let t0 = self.op_start();
         let cost = self
@@ -534,7 +540,7 @@ impl ExecCtx {
     }
 
     /// See [`Backend::axpy`].
-    pub fn axpy(&self, alpha: f32, x: &[f32], y: &mut [f32]) {
+    pub(crate) fn axpy(&self, alpha: f32, x: &[f32], y: &mut [f32]) {
         let t0 = self.op_start();
         let cost = self.backend.axpy(alpha, x, y);
         self.charge_timed(cost, t0);
@@ -548,23 +554,16 @@ impl ExecCtx {
     }
 
     /// See [`Backend::block_merge`] — fixed-order partial-gradient merge.
-    pub fn block_merge(&self, parts: &[&[f32]], out: &mut [f32]) {
+    pub(crate) fn block_merge(&self, parts: &[&[f32]], out: &mut [f32]) {
         let t0 = self.op_start();
         let cost = self.backend.block_merge(parts, out);
-        self.charge_timed(cost, t0);
-    }
-
-    /// See [`Backend::sub`].
-    pub fn sub(&self, a: &[f32], b: &[f32], out: &mut [f32]) {
-        let t0 = self.op_start();
-        let cost = self.backend.sub(a, b, out);
         self.charge_timed(cost, t0);
     }
 }
 
 /// RAII span opened by [`ExecCtx::phase`]; records the covered simulated
 /// and wall time into the context's profiler when dropped.
-pub struct PhaseGuard<'a> {
+pub(crate) struct PhaseGuard<'a> {
     ctx: &'a ExecCtx,
     /// `Some` only when a profiler is attached (keeps the disabled path
     /// allocation-free).

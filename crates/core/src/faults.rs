@@ -6,8 +6,8 @@
 //! `count[@from]` spec: fire `count` times starting at the `from`-th
 //! execution of the site (0-based). Arming is process-global — tests that
 //! configure failpoints must serialize themselves — and entirely absent
-//! from release binaries built without the feature ([`fire`] compiles to
-//! a constant `false`).
+//! from release binaries built without the feature (`fire` compiles to a
+//! constant `false`).
 //!
 //! Known sites (see DESIGN.md §4.3):
 //!
@@ -37,30 +37,10 @@
 //! writer. The wrapper keeps the pristine chunk across an injected
 //! corruption, so a retried delivery is bit-identical to a fault-free one.
 
-/// Whether this build carries the fault-injection machinery.
-pub const fn enabled() -> bool {
-    cfg!(feature = "failpoints")
-}
-
-/// The named fault sites this crate consults.
-pub const SITES: &[&str] = &[
-    "loader.read",
-    "loader.panic",
-    "loader.crc",
-    "loader.stall",
-    "kernel.nan",
-    "cnn.nan",
-    "finetune.nan",
-    "ckpt.write",
-    "ckpt.read",
-    "device.oom",
-    "link.drop",
-];
-
 /// How long an injected `loader.stall` sleeps the loading thread. Long
 /// enough that any sub-50ms `chunk_deadline` reliably expires first.
 #[cfg(feature = "failpoints")]
-pub const STALL_MILLIS: u64 = 120;
+pub(crate) const STALL_MILLIS: u64 = 120;
 
 #[cfg(feature = "failpoints")]
 mod registry {
@@ -97,7 +77,7 @@ mod registry {
         Ok((count, from))
     }
 
-    pub fn configure(site: &str, spec: &str) -> Result<(), String> {
+    pub(crate) fn configure(site: &str, spec: &str) -> Result<(), String> {
         let (count, from) = parse_spec(spec)?;
         let mut reg = REGISTRY.lock();
         reg.get_or_insert_with(HashMap::new).insert(
@@ -112,12 +92,12 @@ mod registry {
         Ok(())
     }
 
-    pub fn clear_all() {
+    pub(crate) fn clear_all() {
         *REGISTRY.lock() = None;
         ACTIVE.store(false, Ordering::SeqCst);
     }
 
-    pub fn fire(site: &str) -> bool {
+    pub(crate) fn fire(site: &str) -> bool {
         if !ACTIVE.load(Ordering::Relaxed) {
             return false;
         }
@@ -149,25 +129,21 @@ pub fn clear_all() {
 
 /// Counts one execution of `site` and reports whether it should fail.
 #[cfg(feature = "failpoints")]
-pub fn fire(site: &str) -> bool {
+pub(crate) fn fire(site: &str) -> bool {
     registry::fire(site)
 }
 
 /// Arms `site` with a `count[@from]` spec. Always an error in builds
 /// without the `failpoints` feature.
 #[cfg(not(feature = "failpoints"))]
-pub fn configure(_site: &str, _spec: &str) -> Result<(), String> {
+pub(crate) fn configure(_site: &str, _spec: &str) -> Result<(), String> {
     Err("fault injection requires a build with the `failpoints` feature".to_string())
 }
-
-/// Disarms every failpoint (no-op without the `failpoints` feature).
-#[cfg(not(feature = "failpoints"))]
-pub fn clear_all() {}
 
 /// Counts one execution of `site`; never fires without the feature.
 #[cfg(not(feature = "failpoints"))]
 #[inline]
-pub fn fire(_site: &str) -> bool {
+pub(crate) fn fire(_site: &str) -> bool {
     false
 }
 
@@ -190,7 +166,7 @@ pub fn configure_list(list: &str) -> Result<(), String> {
 /// failpoints around an inner source, keeping the pristine chunk across an
 /// injected fault so retried deliveries are bit-identical.
 #[cfg(feature = "failpoints")]
-pub struct FaultInjectSource<S> {
+pub(crate) struct FaultInjectSource<S> {
     inner: S,
     /// Pristine chunk fetched from `inner` but not yet delivered clean
     /// (held across an injected corruption).
@@ -201,7 +177,7 @@ pub struct FaultInjectSource<S> {
 #[cfg(feature = "failpoints")]
 impl<S: micdnn_sim::ChunkSource> FaultInjectSource<S> {
     /// Wraps `inner`; injection is driven entirely by the armed registry.
-    pub fn new(inner: S) -> Self {
+    pub(crate) fn new(inner: S) -> Self {
         FaultInjectSource {
             inner,
             pending: None,

@@ -36,7 +36,7 @@ pub struct SoftmaxLayer {
 
 impl SoftmaxLayer {
     /// Fresh layer for `in_dim` inputs and `n_classes` classes.
-    pub fn new(in_dim: usize, n_classes: usize, seed: u64) -> Self {
+    pub(crate) fn new(in_dim: usize, n_classes: usize, seed: u64) -> Self {
         assert!(n_classes >= 2, "need at least two classes");
         let mut rng = StdRng::seed_from_u64(seed);
         SoftmaxLayer {
@@ -46,17 +46,17 @@ impl SoftmaxLayer {
     }
 
     /// Number of classes.
-    pub fn n_classes(&self) -> usize {
+    pub(crate) fn n_classes(&self) -> usize {
         self.w.rows()
     }
 
     /// Input dimensionality.
-    pub fn in_dim(&self) -> usize {
+    pub(crate) fn in_dim(&self) -> usize {
         self.w.cols()
     }
 
     /// Class probabilities for a batch (`b x in_dim` -> `b x classes`).
-    pub fn forward(&self, ctx: &ExecCtx, x: MatView<'_>) -> Mat {
+    pub(crate) fn forward(&self, ctx: &ExecCtx, x: MatView<'_>) -> Mat {
         let mut logits = Mat::zeros(x.rows(), self.n_classes());
         self.forward_into(ctx, x, &mut logits.view_mut());
         logits
@@ -65,7 +65,7 @@ impl SoftmaxLayer {
     /// [`Self::forward`] into a caller-provided `b x classes` buffer (the
     /// training graph writes into its planned workspace instead of
     /// allocating).
-    pub fn forward_into(&self, ctx: &ExecCtx, x: MatView<'_>, out: &mut MatViewMut<'_>) {
+    pub(crate) fn forward_into(&self, ctx: &ExecCtx, x: MatView<'_>, out: &mut MatViewMut<'_>) {
         let b = x.rows();
         let c = self.n_classes();
         assert_eq!(out.shape(), (b, c), "softmax output buffer shape");
@@ -157,13 +157,8 @@ impl FineTuneNet {
         }
     }
 
-    /// Number of encoder layers.
-    pub fn depth(&self) -> usize {
-        self.layers.len()
-    }
-
     /// Input dimensionality of the first encoder layer.
-    pub fn in_dim(&self) -> usize {
+    pub(crate) fn in_dim(&self) -> usize {
         LabeledNet::in_dim(self)
     }
 
@@ -183,7 +178,7 @@ impl FineTuneNet {
 inherent_net_api!(FineTuneNet);
 
 /// The fine-tuning step's node state.
-pub type FtState<'a> = StepState<'a, FineTuneNet>;
+pub(crate) type FtState<'a> = StepState<'a, FineTuneNet>;
 
 impl LabeledNet for FineTuneNet {
     const NAN_FAILPOINT: &'static str = "finetune.nan";
@@ -256,7 +251,7 @@ impl DenseParams for FineTuneNet {
 
 /// Builds the fine-tuning step dataflow for a `widths`-shaped encoder
 /// stack and `n_classes` head as a [`StackBuilder`] recipe over the
-/// generic [`Dense`] and [`SoftmaxXent`] layers: forward chain, softmax +
+/// generic `Dense` and `SoftmaxXent` layers: forward chain, softmax +
 /// cross-entropy delta, full backprop, gradients and SGD updates.
 ///
 /// The recipe declares buffers and emits nodes in the historical
@@ -519,19 +514,25 @@ mod tests {
         assert_eq!(serial.softmax.b, graphed.softmax.b);
     }
 
+    /// Row capacity of the net's planned step arena (0 before the first
+    /// batch).
+    fn arena_rows(net: &FineTuneNet) -> usize {
+        net.step.arena.as_ref().map_or(0, |(rows, _)| *rows)
+    }
+
     #[test]
     fn workspace_is_planned_once_and_reused_across_batches() {
         let (ds, labels) = digits(80, 12, 14);
         let ctx = ctx();
         let mut net = FineTuneNet::random(&[144, 32], 10, 15);
-        assert_eq!(net.workspace_elems(), 0);
+        assert_eq!(arena_rows(&net), 0);
         net.train_batch(
             &ctx,
             ds.matrix().view().rows_range(0, 40),
             &labels[..40],
             0.3,
         );
-        let after_first = net.workspace_elems();
+        let after_first = arena_rows(&net);
         assert!(after_first > 0);
         // Same-size and smaller batches reuse the arena untouched.
         net.train_batch(
@@ -546,13 +547,13 @@ mod tests {
             &labels[..10],
             0.3,
         );
-        assert_eq!(net.workspace_elems(), after_first);
+        assert_eq!(arena_rows(&net), after_first);
         // A larger batch forces one re-plan, after which it sticks again.
         net.train_batch(&ctx, ds.matrix().view(), &labels, 0.3);
-        let after_grow = net.workspace_elems();
+        let after_grow = arena_rows(&net);
         assert!(after_grow > after_first);
         net.train_batch(&ctx, ds.matrix().view(), &labels, 0.3);
-        assert_eq!(net.workspace_elems(), after_grow);
+        assert_eq!(arena_rows(&net), after_grow);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! Back-propagation (paper §II.B.1) is easy to get subtly wrong — sign
 //! slips in the sparsity term, missing `1/m` factors, transposed gradient
 //! products. This module checks the analytic gradients of
-//! [`SparseAutoencoder::cost_and_grad`] against central finite differences
+//! `SparseAutoencoder::cost_and_grad` against central finite differences
 //! of the full objective (reconstruction + weight decay + KL sparsity) at
 //! randomly sampled coordinates.
 
@@ -43,7 +43,7 @@ enum Param {
 ///
 /// The analytic weight gradient compared here is `g + λw` (the trainer
 /// applies the decay multiplicatively in its SGD step, so
-/// [`SparseAutoencoder::cost_and_grad`] leaves it out of `gw1`/`gw2`).
+/// `SparseAutoencoder::cost_and_grad` leaves it out of `gw1`/`gw2`).
 pub fn check_autoencoder(
     ae: &SparseAutoencoder,
     x: MatView<'_>,
@@ -148,7 +148,10 @@ mod tests {
 
     #[test]
     fn gradients_match_without_sparsity() {
-        let cfg = AeConfig::new(6, 4).without_sparsity();
+        let cfg = AeConfig {
+            sparsity_weight: 0.0,
+            ..AeConfig::new(6, 4)
+        };
         let ae = SparseAutoencoder::new(cfg, 5);
         let x = batch(10, 6, 6);
         let r = check_autoencoder(&ae, x.view(), 8, 5e-3, 7);

@@ -47,7 +47,7 @@ use micdnn_sim::EventKind;
 use std::cell::Cell;
 
 /// Identifier of a node within a [`TaskGraph`].
-pub type NodeId = usize;
+pub(crate) type NodeId = usize;
 
 thread_local! {
     /// The graph node executing on this thread, as `(name, may_sample)`.
@@ -173,7 +173,7 @@ impl NodeSpec {
     /// Excludes the node from concurrency waves even when its kernels are
     /// sub-saturating (nodes that mutate shared non-buffer state, e.g. an
     /// optimizer's schedule step).
-    pub fn exclusive(mut self) -> Self {
+    pub(crate) fn exclusive(mut self) -> Self {
         self.exclusive = true;
         self
     }
@@ -181,7 +181,7 @@ impl NodeSpec {
     /// Tags the node with a profiling phase; [`TaskGraph::run_serial`]
     /// opens one [`crate::PhaseGuard`] per maximal run of equal tags,
     /// reproducing the hand-rolled loops' span structure.
-    pub fn phase(mut self, name: &'static str) -> Self {
+    pub(crate) fn phase(mut self, name: &'static str) -> Self {
         self.phase = Some(name);
         self
     }
@@ -189,7 +189,7 @@ impl NodeSpec {
     /// Places the node on device `d` of a multi-device schedule (device 0
     /// by default). The verifier requires cross-device dataflow to be
     /// mediated by an ordered [`NodeSpec::transfer`] node.
-    pub fn device(mut self, d: u32) -> Self {
+    pub(crate) fn device(mut self, d: u32) -> Self {
         self.device = d;
         self
     }
@@ -198,7 +198,7 @@ impl NodeSpec {
     /// buffers between two devices (it owns the link hop that moves the
     /// bytes), and the verifier treats it as the ordering point of that
     /// cross-device edge.
-    pub fn transfer(mut self) -> Self {
+    pub(crate) fn transfer(mut self) -> Self {
         self.transfer = true;
         self
     }
@@ -208,7 +208,7 @@ impl NodeSpec {
     /// determinism audit ([`TaskGraph::certify`]): execution is unchanged,
     /// but certification requires every `.stochastic()` node to trace to a
     /// declared cursor.
-    pub fn cursor(mut self, name: &'static str) -> Self {
+    pub(crate) fn cursor(mut self, name: &'static str) -> Self {
         self.cursor = Some(name);
         self
     }
@@ -217,7 +217,7 @@ impl NodeSpec {
     /// metadata for the certifier's shape inference: a claim that disagrees
     /// with the buffer's declared dims (or another node's claim) is an
     /// `error[shape-mismatch]`.
-    pub fn shape(mut self, buf: BufId, dims: &[usize]) -> Self {
+    pub(crate) fn shape(mut self, buf: BufId, dims: &[usize]) -> Self {
         self.shapes.push((buf, dims.to_vec()));
         self
     }
@@ -339,7 +339,7 @@ impl<'g, S> TaskGraph<'g, S> {
     /// to via [`NodeSpec::cursor`]. Pure certification metadata: the
     /// determinism audit requires every `.stochastic()` node to trace to
     /// one of these.
-    pub fn declare_rng_cursor(&mut self, name: &'static str) {
+    pub(crate) fn declare_rng_cursor(&mut self, name: &'static str) {
         self.rng_cursors.push(name);
         self.verified = false;
     }
@@ -438,23 +438,9 @@ impl<'g, S> TaskGraph<'g, S> {
         self.names.is_empty()
     }
 
-    /// Name of a node.
-    pub fn name(&self, id: NodeId) -> &'static str {
-        self.names[id]
-    }
-
     /// Dependencies of a node.
     pub fn deps(&self, id: NodeId) -> &[NodeId] {
         &self.deps[id]
-    }
-
-    /// Longest path length assuming unit node durations (structural depth).
-    pub fn depth(&self) -> usize {
-        let mut d = vec![0usize; self.len()];
-        for id in 0..self.len() {
-            d[id] = 1 + self.deps[id].iter().map(|&p| d[p]).max().unwrap_or(0);
-        }
-        d.into_iter().max().unwrap_or(0)
     }
 
     /// Largest declared buffer a node touches, in elements — the executor's
@@ -557,7 +543,7 @@ impl<'g, S> TaskGraph<'g, S> {
     /// serial path. Bit- and time-identical to the hand-rolled loop the
     /// graph was derived from: same ops, same order, same sampling streams,
     /// and one profiling span per maximal run of equal phase tags.
-    pub fn run_serial(&mut self, ctx: &ExecCtx, state: &mut S) {
+    pub(crate) fn run_serial(&mut self, ctx: &ExecCtx, state: &mut S) {
         if self.should_verify(ctx) {
             let plan = self.plan();
             self.verify_or_demote(ctx, &plan);
@@ -578,7 +564,7 @@ impl<'g, S> TaskGraph<'g, S> {
     /// Executes the graph as a *schedule*.
     ///
     /// On a simulated context every node is priced separately
-    /// ([`ExecCtx::run_deferred`]) and the clock advances by the critical
+    /// (`ExecCtx::run_deferred`) and the clock advances by the critical
     /// path — the quantity the paper's Fig. 6 optimization changes. When
     /// tracing, each node lands on a concurrency lane of the timeline.
     ///
@@ -932,17 +918,12 @@ pub struct Workspace {
 
 impl Workspace {
     /// Allocates the plan's registers (zero-initialized).
-    pub fn new(plan: &WorkspacePlan) -> Self {
+    pub(crate) fn new(plan: &WorkspacePlan) -> Self {
         Workspace {
             registers: plan.register_elems.iter().map(|&e| vec![0.0; e]).collect(),
             assignment: plan.assignment.clone(),
             buf_elems: plan.buf_elems.clone(),
         }
-    }
-
-    /// Total allocated elements.
-    pub fn allocated_elems(&self) -> usize {
-        self.registers.iter().map(Vec::len).sum()
     }
 
     fn register(&self, buf: BufId) -> usize {
@@ -951,12 +932,12 @@ impl Workspace {
     }
 
     /// The storage of one buffer.
-    pub fn buf(&self, buf: BufId) -> &[f32] {
+    pub(crate) fn buf(&self, buf: BufId) -> &[f32] {
         &self.registers[self.register(buf)][..self.buf_elems[buf.0]]
     }
 
     /// The storage of one buffer, mutably.
-    pub fn buf_mut(&mut self, buf: BufId) -> &mut [f32] {
+    pub(crate) fn buf_mut(&mut self, buf: BufId) -> &mut [f32] {
         let r = self.register(buf);
         let e = self.buf_elems[buf.0];
         &mut self.registers[r][..e]
@@ -965,7 +946,7 @@ impl Workspace {
     /// Mutable views of several buffers at once. Panics if any two share a
     /// register (i.e. were aliased by the planner) — the planner guarantees
     /// buffers live at the same time never do.
-    pub fn bufs_mut<const N: usize>(&mut self, ids: [BufId; N]) -> [&mut [f32]; N] {
+    pub(crate) fn bufs_mut<const N: usize>(&mut self, ids: [BufId; N]) -> [&mut [f32]; N] {
         let regs = ids.map(|b| self.register(b));
         for i in 0..N {
             for j in i + 1..N {
@@ -1047,7 +1028,6 @@ mod tests {
         assert!((run.critical_path - run.serial_time).abs() < 1e-12);
         assert!((ctx.sim_time() - run.critical_path).abs() < 1e-9);
         assert!((state[0] - 1.5).abs() < 1e-6);
-        assert_eq!(g.depth(), 3);
     }
 
     #[test]
@@ -1068,7 +1048,6 @@ mod tests {
             run.speedup()
         );
         assert!(run.critical_path < run.serial_time);
-        assert_eq!(g.depth(), 3);
     }
 
     #[test]
@@ -1082,7 +1061,6 @@ mod tests {
         let mut state = vec![1.0f32; 500_000];
         let run = g.execute(&ctx, &mut state);
         assert!(run.speedup() > 7.5, "speedup {}", run.speedup());
-        assert_eq!(g.depth(), 1);
     }
 
     #[test]
@@ -1215,7 +1193,6 @@ mod tests {
         assert_eq!(g.deps(c), &[p]);
         assert_eq!(g.deps(o), &[p, c]);
         assert_eq!(g.deps(free), &[] as &[NodeId]);
-        assert_eq!(g.depth(), 3);
     }
 
     #[test]
@@ -1263,7 +1240,7 @@ mod tests {
         g.node(NodeSpec::new("w").writes(&[a, b]), |_, _| {});
         let plan = g.plan();
         let mut ws = Workspace::new(&plan);
-        assert_eq!(ws.allocated_elems(), 24);
+        assert_eq!(ws.registers.iter().map(Vec::len).sum::<usize>(), 24);
         let [sa, sb] = ws.bufs_mut([a, b]);
         sa.fill(1.0);
         sb.fill(2.0);

@@ -243,38 +243,14 @@ macro_rules! inherent_net_api {
                 self.step.use_graph
             }
 
-            /// Plans (or grows) the cached step workspace for batches up to
-            /// `cap` rows, so the first training batch allocates nothing.
-            pub fn prepare(&mut self, cap: usize) {
-                LabeledNet::prepare(self, cap)
-            }
-
-            /// Elements currently held by the cached step workspace (0
-            /// before the first `train_batch`). Exposed so tests can pin
-            /// the no-per-batch-allocation property.
-            pub fn workspace_elems(&self) -> usize {
-                let arena = self.step.arena.as_ref();
-                arena.map_or(0, |(_, ws)| ws.allocated_elems())
-            }
-
             /// Class probabilities for a batch (`b x n_classes`).
             pub fn predict_proba(&self, ctx: &ExecCtx, x: MatView<'_>) -> Mat {
                 LabeledNet::predict_proba(self, ctx, x)
             }
 
-            /// Hard predictions (argmax class index per example).
-            pub fn predict(&self, ctx: &ExecCtx, x: MatView<'_>) -> Vec<usize> {
-                LabeledNet::predict(self, ctx, x)
-            }
-
             /// Fraction of correct predictions.
             pub fn accuracy(&self, ctx: &ExecCtx, x: MatView<'_>, labels: &[usize]) -> f64 {
                 LabeledNet::accuracy(self, ctx, x, labels)
-            }
-
-            /// Mean cross-entropy of the batch under the current parameters.
-            pub fn cross_entropy(&self, ctx: &ExecCtx, x: MatView<'_>, labels: &[usize]) -> f64 {
-                LabeledNet::cross_entropy(self, ctx, x, labels)
             }
 
             /// One SGD step on a labeled batch through the net's task

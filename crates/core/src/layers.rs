@@ -152,7 +152,7 @@ impl<S> Default for StackBuilder<S> {
 
 impl<S> StackBuilder<S> {
     /// An empty builder.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         StackBuilder {
             g: TaskGraph::new(),
             slots: Vec::new(),
@@ -162,7 +162,7 @@ impl<S> StackBuilder<S> {
 
     /// Declares a *shaped* stack-level buffer ([`TaskGraph::declare_dims`])
     /// and registers it under `key`.
-    pub fn bind_global_dims(
+    pub(crate) fn bind_global_dims(
         &mut self,
         key: &'static str,
         name: &'static str,
@@ -176,7 +176,7 @@ impl<S> StackBuilder<S> {
 
     /// Declares a *shaped* buffer ([`TaskGraph::declare_dims`]) and
     /// registers it under `(slot, key)`.
-    pub fn bind_dims(
+    pub(crate) fn bind_dims(
         &mut self,
         slot: usize,
         key: &'static str,
@@ -199,12 +199,12 @@ impl<S> StackBuilder<S> {
     /// Declares a counter-RNG cursor on the underlying graph
     /// ([`TaskGraph::declare_rng_cursor`]) for the certifier's determinism
     /// audit.
-    pub fn declare_rng_cursor(&mut self, name: &'static str) {
+    pub(crate) fn declare_rng_cursor(&mut self, name: &'static str) {
         self.g.declare_rng_cursor(name);
     }
 
     /// Handle of the stack-level buffer bound under `key`.
-    pub fn global(&self, key: &str) -> BufId {
+    pub(crate) fn global(&self, key: &str) -> BufId {
         self.globals
             .iter()
             .find(|&&(k, _)| k == key)
@@ -213,7 +213,7 @@ impl<S> StackBuilder<S> {
     }
 
     /// Handle of the buffer bound under `(slot, key)`.
-    pub fn buf(&self, slot: usize, key: &str) -> BufId {
+    pub(crate) fn buf(&self, slot: usize, key: &str) -> BufId {
         self.slots
             .get(slot)
             .and_then(|s| s.iter().find(|&&(k, _)| k == key))
@@ -223,7 +223,11 @@ impl<S> StackBuilder<S> {
 
     /// Adds a node to the underlying graph (pass-through; layers emit
     /// through this so footprints and order are explicit at the call site).
-    pub fn node(&mut self, spec: NodeSpec, task: impl FnMut(&ExecCtx, &mut S) + Send + 'static) {
+    pub(crate) fn node(
+        &mut self,
+        spec: NodeSpec,
+        task: impl FnMut(&ExecCtx, &mut S) + Send + 'static,
+    ) {
         self.g.node(spec, task);
     }
 
@@ -231,7 +235,7 @@ impl<S> StackBuilder<S> {
     /// execution path (`run_serial` / `execute`) already verifies in debug
     /// builds, and the shipped-recipe pins in `tests/verify_properties.rs`
     /// hold each stack at 0 errors / 0 warnings.
-    pub fn finish(self) -> TaskGraph<'static, S> {
+    pub(crate) fn finish(self) -> TaskGraph<'static, S> {
         self.g
     }
 }
@@ -244,7 +248,7 @@ impl<S> StackBuilder<S> {
 /// arena, the batch, the labels, and the model parameters. Produced by
 /// [`StackState::parts`]; the fields are disjoint so node bodies can hold
 /// arena and parameter borrows at once.
-pub struct StepParts<'s, P: ?Sized> {
+pub(crate) struct StepParts<'s, P: ?Sized> {
     /// The liveness-planned arena the graph's buffers live in.
     pub ws: &'s mut Workspace,
     /// The input batch (`b x in_dim`; `b` is the live batch size).
@@ -261,7 +265,7 @@ pub struct StepParts<'s, P: ?Sized> {
 
 /// Host state for the generic supervised layers: anything that can hand a
 /// node body a [`StepParts`] split borrow.
-pub trait StackState {
+pub(crate) trait StackState {
     /// The parameter store ([`DenseParams`] at minimum).
     type Params: ?Sized;
     /// The split borrow.
@@ -269,7 +273,7 @@ pub trait StackState {
 }
 
 /// Parameter access for [`Dense`] and [`SoftmaxXent`] layers.
-pub trait DenseParams {
+pub(crate) trait DenseParams {
     /// Parameters of dense layer `idx` as `(weights h x v, biases h)`.
     fn dense(&mut self, idx: usize) -> (&mut Mat, &mut Vec<f32>);
     /// The classification head.
@@ -279,7 +283,7 @@ pub trait DenseParams {
 }
 
 /// Parameter access for [`Conv2d`] layers.
-pub trait ConvParams: DenseParams {
+pub(crate) trait ConvParams: DenseParams {
     /// Parameters of conv layer `idx` as `(filters c_out x k*k, biases
     /// c_out)`.
     fn conv(&mut self, idx: usize) -> (&mut Mat, &mut Vec<f32>);
@@ -287,7 +291,7 @@ pub trait ConvParams: DenseParams {
 
 /// Where a layer's upstream delta and weights come from during backprop.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Above {
+pub(crate) enum Above {
     /// A dense layer (its [`DenseParams::dense`] index).
     Dense(usize),
     /// The softmax head.
@@ -352,7 +356,7 @@ fn emit_sgd<S>(
 /// A fully connected sigmoid layer: `a = sigmoid(input W^T + b)`, plain
 /// SGD updates. The generic form of the fine-tuning stack's encoder layer,
 /// reused by the CNN's fully connected tail.
-pub struct Dense {
+pub(crate) struct Dense {
     /// Registry slot (binds `w`, `b`, `act`, `delta`, `gw`, `gb`).
     pub slot: usize,
     /// [`DenseParams::dense`] index.
@@ -510,7 +514,7 @@ where
 /// The softmax + cross-entropy head: forward probabilities, in-place
 /// `(p - onehot) / b` delta (which doubles as the stack's topmost upstream
 /// delta), gradients, SGD updates.
-pub struct SoftmaxXent {
+pub(crate) struct SoftmaxXent {
     /// Registry slot (binds `w`, `b`, `delta`, `gw`, `gb`). Downstream
     /// layers backprop against this slot's `delta` and `w`.
     pub slot: usize,
@@ -678,7 +682,7 @@ pub(crate) fn hit_rate(pred: &[usize], labels: &[usize]) -> f64 {
 ///
 /// Backward needs no `col2im`: this layer sits at the stack's input, so
 /// only filter gradients (`delta^T col`) and bias column-sums are needed.
-pub struct Conv2d {
+pub(crate) struct Conv2d {
     /// Registry slot (binds `w`, `b`, `col`, `act`, `delta`, `gw`, `gb`).
     pub slot: usize,
     /// [`ConvParams::conv`] index.
@@ -696,7 +700,7 @@ pub struct Conv2d {
 
 impl Conv2d {
     /// Output side (`side - k + 1`).
-    pub fn out_side(&self) -> usize {
+    pub(crate) fn out_side(&self) -> usize {
         self.side - self.kernel + 1
     }
 
@@ -834,7 +838,7 @@ where
 /// Non-overlapping 2-D max pooling over [`Conv2d`] activations
 /// (`(b * oh * ow) x c` in, `b x (c * ph * pw)` out, argmax indices kept
 /// for the backward scatter). Parameter-free.
-pub struct MaxPool2d {
+pub(crate) struct MaxPool2d {
     /// Registry slot (binds `act`, `idx`, `delta`).
     pub slot: usize,
     /// The conv layer's slot (input `act`, output of the backward
@@ -857,12 +861,12 @@ pub struct MaxPool2d {
 
 impl MaxPool2d {
     /// Pooled side (`in_side / pool`; construction asserts divisibility).
-    pub fn out_side(&self) -> usize {
+    pub(crate) fn out_side(&self) -> usize {
         self.in_side / self.pool
     }
 
     /// Pooled width per batch row (`c * ph * pw`).
-    pub fn out_dim(&self) -> usize {
+    pub(crate) fn out_dim(&self) -> usize {
         self.channels * self.out_side() * self.out_side()
     }
 }

@@ -45,55 +45,55 @@
 //! assert!(report.final_recon() < report.initial_recon());
 //! ```
 
-pub mod ae_graph;
-pub mod analytic;
-pub mod autoencoder;
+mod ae_graph;
+mod analytic;
+mod autoencoder;
 pub mod cd_graph;
-pub mod checkpoint;
-pub mod cnn;
-pub mod exec;
+mod checkpoint;
+mod cnn;
+mod exec;
 pub mod faults;
-pub mod finetune;
-pub mod gradcheck;
-pub mod graph;
+mod finetune;
+mod gradcheck;
+mod graph;
 mod labeled;
-pub mod layers;
-pub mod metrics;
-pub mod model_io;
-pub mod multidev;
-pub mod optim;
-pub mod profile;
-pub mod rbm;
-pub mod serve;
-pub mod stacked;
-pub mod supervise;
+mod layers;
+mod metrics;
+mod model_io;
+mod multidev;
+mod optim;
+mod profile;
+mod rbm;
+mod serve;
+mod stacked;
+mod supervise;
 mod testdir;
 pub mod train;
-pub mod verify;
+mod verify;
 
-pub use ae_graph::ae_step_graph;
-pub use analytic::{estimate, Algo, Estimate, Workload};
+pub use ae_graph::{ae_step_graph, build_ae_graph, AeState, AeUpdate};
+pub use analytic::{ae_batch_ops, estimate, rbm_cd1_ops, Algo, Estimate, Workload};
 pub use autoencoder::{AeConfig, AeCost, AeScratch, SparseAutoencoder};
-pub use cd_graph::cd_step_graph;
+pub use cd_graph::{cd_step_graph, CdState};
 pub use checkpoint::{
     load_checkpoint, load_checkpoint_file, save_checkpoint, save_checkpoint_file, Checkpoint,
-    CheckpointError, CheckpointModel, CheckpointPolicy, TrainProgress,
+    CheckpointError, CheckpointModel, CheckpointPolicy, TrainProgress, CHECKPOINT_FILE,
 };
-pub use cnn::{build_cnn_graph, CnnConfig, CnnModel, CnnNet, CnnState};
-pub use exec::{ExecCtx, OptLevel, PhaseGuard};
-pub use finetune::{FineTuneModel, FineTuneNet, SoftmaxLayer};
+pub use cnn::{build_cnn_graph, CnnConfig, CnnModel, CnnNet};
+pub use exec::{ExecCtx, OptLevel};
+pub use finetune::{build_step_graph, FineTuneModel, FineTuneNet, SoftmaxLayer};
 pub use gradcheck::{check_autoencoder, GradCheckResult};
 pub use graph::{BufClass, BufId, GraphRun, NodeSpec, TaskGraph, Workspace, WorkspacePlan};
-pub use labeled::{LabeledModel, LabeledNet, StepState};
-pub use layers::{Above, Decl, Emit, Layer, Part, StackBuilder, StackState, StepParts};
+pub use labeled::{LabeledModel, LabeledNet, StepCache, StepState};
+pub use layers::{Decl, Emit, Layer, Part, StackBuilder};
 pub use metrics::{feature_grid, write_pgm};
 pub use model_io::{
-    atomic_write, load_autoencoder_file, load_rbm_file, save_autoencoder_file, save_rbm_file,
-    ShapeMismatch,
+    atomic_write, load_autoencoder, load_autoencoder_file, load_rbm, save_autoencoder,
+    save_autoencoder_file, save_rbm, save_rbm_file, ShapeMismatch,
 };
 pub use multidev::{
     block_bounds, DataParallel, DataParallelAe, DataParallelRbm, MultiDevConfig,
-    MultiDevConfigError, MultiDevModelState, MultiDevState, ShardedStep,
+    MultiDevConfigError, MultiDevModelState, MultiDevState, ShardedStep, Shards,
 };
 pub use optim::{Optimizer, Rule, Schedule};
 pub use profile::{LatencyReport, OpReport, PhaseReport, ProfileReport, Profiler, StreamReport};
@@ -104,8 +104,8 @@ pub use serve::{
 };
 pub use stacked::{LayerReport, PipelineReport, PipelineState, StackedAutoencoder};
 pub use supervise::{
-    train_dataset_supervised, Incident, IncidentLog, Recoverable, RunPos, RunSupervisor, Stage,
-    SupervisorPolicy, SupervisorPolicyError, INCIDENT_SCHEMA, INCIDENT_SCHEMA_V1,
+    train_dataset_supervised, Incident, IncidentLog, Recoverable, RunSupervisor, Stage,
+    SupervisorPolicy, SupervisorPolicyError,
 };
 #[doc(hidden)]
 pub use testdir::TestDir;

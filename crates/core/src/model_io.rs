@@ -388,11 +388,6 @@ pub fn save_rbm_file(rbm: &Rbm, path: impl AsRef<Path>) -> io::Result<()> {
     atomic_write(path, |mut w| save_rbm(rbm, &mut w))
 }
 
-/// Loads an RBM from a file.
-pub fn load_rbm_file(path: impl AsRef<Path>) -> io::Result<Rbm> {
-    load_rbm(&mut BufReader::new(File::open(path)?))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -70,7 +70,7 @@ use crate::model_io::{
 use crate::rbm::{Rbm, RbmScratch};
 use crate::supervise::Recoverable;
 use crate::train::UnsupervisedModel;
-use micdnn_kernels::fused::kl_sparsity;
+use micdnn_kernels::kl_sparsity;
 use micdnn_sim::{DeviceSet, EventKind, Link, SyncModel};
 use micdnn_tensor::MatView;
 use std::io::{self, Read, Write};
@@ -193,7 +193,7 @@ impl MultiDevConfig {
     /// Checks the configured geometry, returning a typed error for any
     /// degenerate combination (`devices == 0`, `blocks == 0`,
     /// `blocks < devices`).
-    pub fn validate(&self) -> Result<(), MultiDevConfigError> {
+    pub(crate) fn validate(&self) -> Result<(), MultiDevConfigError> {
         if self.devices == 0 {
             return Err(MultiDevConfigError::NoDevices);
         }
@@ -236,7 +236,7 @@ impl MultiDevConfig {
     }
 
     fn device_set(&self) -> DeviceSet {
-        DeviceSet::new(self.devices, self.link, self.mem_capacity, self.sync)
+        DeviceSet::new(self.devices, self.link, self.sync)
     }
 }
 
@@ -373,7 +373,7 @@ impl Shards<'_> {
     /// Runs `f(ctx, k, lo, x_k)` for every canonical block `k` (global row
     /// offset `lo`, rows `x_k`), device by device; each device's blocks are
     /// priced together with [`ExecCtx::run_deferred`] into its busy time.
-    pub fn each_block(&mut self, mut f: impl FnMut(&ExecCtx, usize, usize, MatView<'_>)) {
+    pub(crate) fn each_block(&mut self, mut f: impl FnMut(&ExecCtx, usize, usize, MatView<'_>)) {
         for &(dev, klo, khi) in &self.owners {
             let ((), secs) = self.ctx.run_deferred(|ctx| {
                 for k in klo..khi {
@@ -388,7 +388,7 @@ impl Shards<'_> {
     /// Left-folds one partial-sum buffer of every block (`part` picks it)
     /// into `acc` in canonical block order, then scales once by `1/B` to
     /// recover the batch mean.
-    pub fn merge<S>(&self, blocks: &[S], part: impl Fn(&S) -> &[f32], acc: &mut [f32]) {
+    pub(crate) fn merge<S>(&self, blocks: &[S], part: impl Fn(&S) -> &[f32], acc: &mut [f32]) {
         let parts: Vec<&[f32]> = blocks.iter().map(part).collect();
         self.ctx.block_merge(&parts, acc);
         self.ctx.scale(1.0 / self.x.rows() as f32, acc);
@@ -411,8 +411,8 @@ pub trait ShardedStep: Sized {
     fn block_scratch(&self, cap: usize) -> Self::Scratch;
 
     /// One training step over the sharded batch: run the block phases with
-    /// [`Shards::each_block`] (`alpha = 1` partial sums into `blocks[k]`),
-    /// merge them into `master` with [`Shards::merge`], apply the update to
+    /// `Shards::each_block` (`alpha = 1` partial sums into `blocks[k]`),
+    /// merge them into `master` with `Shards::merge`, apply the update to
     /// the replicated parameters. Returns the batch's mean reconstruction
     /// error.
     fn sharded_step(

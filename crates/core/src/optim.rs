@@ -43,7 +43,7 @@ pub enum Schedule {
 
 impl Schedule {
     /// The learning rate for update number `step` (0-based).
-    pub fn rate_at(&self, step: u64) -> f32 {
+    pub(crate) fn rate_at(&self, step: u64) -> f32 {
         match *self {
             Schedule::Constant(r) => r,
             Schedule::Step {
@@ -109,11 +109,6 @@ impl Optimizer {
         }
     }
 
-    /// Plain SGD with a constant rate — the paper's configuration.
-    pub fn sgd(lr: f32, slots: usize) -> Self {
-        Optimizer::new(Rule::Sgd, Schedule::Constant(lr), &vec![0; slots])
-    }
-
     /// Rebuilds an optimizer from persisted state (checkpoint resume).
     ///
     /// `state` must hold one buffer per slot, exactly as returned by
@@ -128,12 +123,12 @@ impl Optimizer {
     }
 
     /// The update rule in use.
-    pub fn rule(&self) -> Rule {
+    pub(crate) fn rule(&self) -> Rule {
         self.rule
     }
 
     /// The learning-rate schedule in use.
-    pub fn schedule(&self) -> Schedule {
+    pub(crate) fn schedule(&self) -> Schedule {
         self.schedule
     }
 
@@ -149,19 +144,26 @@ impl Optimizer {
     }
 
     /// Current learning rate.
-    pub fn current_rate(&self) -> f32 {
+    pub(crate) fn current_rate(&self) -> f32 {
         self.schedule.rate_at(self.step_count)
     }
 
     /// Marks one whole model update (advances the schedule). Call once per
     /// batch after updating every slot.
-    pub fn advance(&mut self) {
+    pub(crate) fn advance(&mut self) {
         self.step_count += 1;
     }
 
     /// Applies the rule to slot `slot`: `w` updated in place from gradient
     /// `g` with weight decay `lambda`.
-    pub fn step_slot(&mut self, ctx: &ExecCtx, slot: usize, lambda: f32, g: &[f32], w: &mut [f32]) {
+    pub(crate) fn step_slot(
+        &mut self,
+        ctx: &ExecCtx,
+        slot: usize,
+        lambda: f32,
+        g: &[f32],
+        w: &mut [f32],
+    ) {
         assert!(
             slot < self.state.len(),
             "unregistered optimizer slot {slot}"
@@ -256,7 +258,7 @@ mod tests {
         let g = vec![1.0f32, -2.0, 0.5];
         let mut w1 = vec![1.0f32, 1.0, 1.0];
         let mut w2 = w1.clone();
-        let mut opt = Optimizer::sgd(0.1, 1);
+        let mut opt = Optimizer::new(Rule::Sgd, Schedule::Constant(0.1), &[0]);
         opt.step_slot(&ctx, 0, 0.01, &g, &mut w1);
         ctx.sgd_step(0.1, 0.01, &g, &mut w2);
         assert_eq!(w1, w2);
@@ -268,7 +270,7 @@ mod tests {
         let g = vec![1.0f32; 4];
         let mut w_sgd = vec![0.0f32; 4];
         let mut w_mom = vec![0.0f32; 4];
-        let mut sgd = Optimizer::sgd(0.1, 1);
+        let mut sgd = Optimizer::new(Rule::Sgd, Schedule::Constant(0.1), &[0]);
         let mut mom = Optimizer::new(Rule::Momentum { mu: 0.9 }, Schedule::Constant(0.1), &[4]);
         for _ in 0..20 {
             sgd.step_slot(&ctx, 0, 0.0, &g, &mut w_sgd);
@@ -327,7 +329,7 @@ mod tests {
     #[should_panic(expected = "unregistered optimizer slot")]
     fn unknown_slot_rejected() {
         let ctx = ctx();
-        let mut opt = Optimizer::sgd(0.1, 1);
+        let mut opt = Optimizer::new(Rule::Sgd, Schedule::Constant(0.1), &[0]);
         opt.step_slot(&ctx, 3, 0.0, &[1.0], &mut [1.0]);
     }
 

@@ -110,14 +110,6 @@ impl Profiler {
         }
     }
 
-    /// Whether anything has been recorded yet.
-    pub fn is_empty(&self) -> bool {
-        self.inner.ops.lock().is_empty()
-            && self.inner.phases.lock().is_empty()
-            && self.inner.streams.lock().is_empty()
-            && self.inner.latencies.lock().is_empty()
-    }
-
     /// Builds the serializable report. `peak_gflops` (the modeled device's
     /// vector peak) turns each op's rate into a fraction of peak;
     /// `total_secs` is the run's end-to-end time (simulated seconds on a
@@ -229,7 +221,7 @@ pub(crate) fn percentile(sorted: &[f64], q: f64) -> f64 {
 /// Schema tag stamped into every exported report, bumped on breaking
 /// layout changes (the golden test pins the current layout). v2 added the
 /// `latencies` section.
-pub const SCHEMA: &str = "micdnn-profile-v2";
+pub(crate) const SCHEMA: &str = "micdnn-profile-v2";
 
 /// Aggregate statistics of one op kind/label pair.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -305,7 +297,7 @@ pub struct LatencyReport {
 /// The full profiling report of one run.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ProfileReport {
-    /// Layout version tag ([`SCHEMA`]).
+    /// Layout version tag (`micdnn-profile-v2`).
     pub schema: String,
     /// Modeled device vector peak, GFLOP/s (absent on native runs).
     pub peak_gflops: Option<f64>,
@@ -445,9 +437,7 @@ mod tests {
 
     #[test]
     fn empty_profiler_reports_empty() {
-        let p = Profiler::new();
-        assert!(p.is_empty());
-        let report = p.report(None, 0.0);
+        let report = Profiler::new().report(None, 0.0);
         assert!(report.ops.is_empty());
         assert!(report.phases.is_empty());
         assert!(report.stream.is_none());
@@ -485,7 +475,7 @@ mod tests {
         let p = Profiler::new();
         let q = p.clone();
         q.record_op(&OpCost::sigmoid(10), 0.1);
-        assert!(!p.is_empty());
+        assert_eq!(p.report(None, 0.0).ops.len(), 1);
     }
 
     #[test]

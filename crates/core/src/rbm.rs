@@ -48,12 +48,12 @@ impl RbmConfig {
     }
 
     /// Total number of trainable parameters.
-    pub fn param_count(&self) -> usize {
+    pub(crate) fn param_count(&self) -> usize {
         self.n_visible * self.n_hidden + self.n_visible + self.n_hidden
     }
 
     /// Bytes of device memory the parameters occupy (f32).
-    pub fn param_bytes(&self) -> u64 {
+    pub(crate) fn param_bytes(&self) -> u64 {
         (self.param_count() * std::mem::size_of::<f32>()) as u64
     }
 }
@@ -112,7 +112,7 @@ impl RbmScratch {
     }
 
     /// Maximum batch these buffers support.
-    pub fn capacity(&self) -> usize {
+    pub(crate) fn capacity(&self) -> usize {
         self.max_batch
     }
 }
@@ -153,7 +153,7 @@ impl Rbm {
 
     /// `p(h = 1 | v) = sigmoid(c + v W^T)` for a batch of visibles
     /// (paper eq. 9), written into `out` (`b x h`).
-    pub fn prop_up(&self, ctx: &ExecCtx, v: MatView<'_>, out: &mut Mat) {
+    pub(crate) fn prop_up(&self, ctx: &ExecCtx, v: MatView<'_>, out: &mut Mat) {
         let b = v.rows();
         assert_eq!(
             v.cols(),
@@ -167,7 +167,7 @@ impl Rbm {
 
     /// `p(v = 1 | h) = sigmoid(b + h W)` for a batch of hiddens
     /// (paper eq. 8), written into `out` (`b x v`).
-    pub fn prop_down(&self, ctx: &ExecCtx, h: MatView<'_>, out: &mut Mat) {
+    pub(crate) fn prop_down(&self, ctx: &ExecCtx, h: MatView<'_>, out: &mut Mat) {
         let b = h.rows();
         assert_eq!(
             h.cols(),
@@ -186,7 +186,7 @@ impl Rbm {
     /// statistics, updates) of the classic hand-rolled loop, sharing one
     /// builder with [`crate::cd_step_graph`]. Debug builds (and release
     /// contexts with [`ExecCtx::with_verify`]) statically verify the graph
-    /// first ([`crate::verify`]): races, register aliasing, use-before-init
+    /// first: races, register aliasing, use-before-init
     /// and sampling-order hazards all refuse to run.
     ///
     /// Returns the mean per-example squared reconstruction error
@@ -384,38 +384,6 @@ impl Rbm {
         self.prop_down(ctx, scratch.h0_prob.rows_range(0, b), &mut scratch.v1_prob);
         ctx.frob_dist_sq(scratch.v1_prob.rows_range(0, b), v0) / b as f64
     }
-
-    /// Free energy `F(v) = -b'v - Σ_j log(1 + exp(c_j + W_j · v))` summed
-    /// over the batch and divided by the batch size.
-    ///
-    /// A well-trained RBM assigns lower free energy to data than to noise.
-    pub fn free_energy(&self, ctx: &ExecCtx, v: MatView<'_>) -> f64 {
-        let b = v.rows();
-        assert!(b > 0, "empty batch");
-        // pre-activations: x = v W^T (b x h), then add c per row.
-        let mut x = Mat::zeros(b, self.cfg.n_hidden);
-        {
-            let mut xv = x.view_mut();
-            ctx.gemm(1.0, v, false, self.w.view(), true, 0.0, &mut xv);
-        }
-        let mut total = 0.0f64;
-        for r in 0..b {
-            let mut fe = 0.0f64;
-            for (&xi, &ci) in x.row(r).iter().zip(&self.c_hid) {
-                let z = (xi + ci) as f64;
-                // log(1 + e^z), stably.
-                fe -= if z > 30.0 { z } else { z.exp().ln_1p() };
-            }
-            let vb: f64 = v
-                .row(r)
-                .iter()
-                .zip(&self.b_vis)
-                .map(|(&vi, &bi)| (vi * bi) as f64)
-                .sum();
-            total += fe - vb;
-        }
-        total / b as f64
-    }
 }
 
 #[cfg(test)]
@@ -473,26 +441,6 @@ mod tests {
             "reconstruction did not improve: {before} -> {after}"
         );
         assert!(rbm.w.all_finite());
-    }
-
-    #[test]
-    fn free_energy_separates_data_from_noise() {
-        let cfg = RbmConfig::new(16, 12);
-        let mut rbm = Rbm::new(cfg, 3);
-        let ctx = ExecCtx::native(OptLevel::Improved, 42);
-        let data = patterned_batch(64, 16, 4);
-        let mut scratch = RbmScratch::new(&cfg, 64);
-        for _ in 0..300 {
-            rbm.cd_step(&ctx, data.view(), &mut scratch, 0.1);
-        }
-        let mut rng = StdRng::seed_from_u64(99);
-        let noise = Mat::from_fn(64, 16, |_, _| if rng.gen_bool(0.5) { 1.0 } else { 0.0 });
-        let fe_data = rbm.free_energy(&ctx, data.view());
-        let fe_noise = rbm.free_energy(&ctx, noise.view());
-        assert!(
-            fe_data + 1.0 < fe_noise,
-            "data free energy {fe_data} not below noise {fe_noise}"
-        );
     }
 
     #[test]

@@ -45,7 +45,7 @@ use micdnn_tensor::{Mat, MatView, MatViewMut};
 use serde::{Deserialize, Serialize};
 
 /// Schema marker carried by every serialized [`ServeReport`].
-pub const SERVE_SCHEMA: &str = "micdnn-serve-v1";
+pub(crate) const SERVE_SCHEMA: &str = "micdnn-serve-v1";
 
 /// Dynamic micro-batching policy for the serving queue.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -63,7 +63,7 @@ pub struct ServeConfig {
 impl ServeConfig {
     /// A small, latency-leaning default: batches of up to 32, a 2 ms
     /// coalescing window, and room for 4 batches in the queue.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         ServeConfig {
             max_batch: 32,
             max_wait_secs: 2e-3,
@@ -73,7 +73,7 @@ impl ServeConfig {
 
     /// Validates the policy, returning a typed error for degenerate
     /// geometry instead of letting the event loop spin or panic.
-    pub fn validate(&self) -> Result<(), ServeConfigError> {
+    pub(crate) fn validate(&self) -> Result<(), ServeConfigError> {
         if self.max_batch == 0 {
             return Err(ServeConfigError::ZeroMaxBatch);
         }
@@ -195,7 +195,7 @@ pub struct RequestOutcome {
 
 impl RequestOutcome {
     /// Queue latency + service time, seconds.
-    pub fn latency_secs(&self) -> f64 {
+    pub(crate) fn latency_secs(&self) -> f64 {
         self.completion_secs - self.arrival_secs
     }
 }
@@ -204,7 +204,7 @@ impl RequestOutcome {
 /// rendered by `micdnn serve`.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ServeReport {
-    /// Always [`SERVE_SCHEMA`].
+    /// Always `micdnn-serve-v1`.
     pub schema: String,
     /// Requests that returned probabilities.
     pub completed: u64,

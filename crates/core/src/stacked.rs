@@ -71,7 +71,11 @@ pub struct StackedAutoencoder {
 impl StackedAutoencoder {
     /// Builds a stack for the given layer widths, e.g.
     /// `[1024, 512, 256, 128]` (Table I's network).
-    pub fn new(sizes: &[usize], template: impl Fn(usize, usize) -> AeConfig, seed: u64) -> Self {
+    pub(crate) fn new(
+        sizes: &[usize],
+        template: impl Fn(usize, usize) -> AeConfig,
+        seed: u64,
+    ) -> Self {
         assert!(sizes.len() >= 2, "a stack needs at least two layer sizes");
         let layers = sizes
             .windows(2)
@@ -128,11 +132,6 @@ impl StackedAutoencoder {
         }
     }
 
-    /// Whether [`StackedAutoencoder::with_graph_schedule`] was requested.
-    pub fn uses_graph(&self) -> bool {
-        self.use_graph
-    }
-
     /// Greedy layer-wise pre-training: trains layer k on the encoding of
     /// the data through layers `0..k` (paper Fig. 1), `passes` epochs per
     /// layer.
@@ -165,7 +164,7 @@ impl StackedAutoencoder {
     }
 
     /// Dimensionality of the deepest representation.
-    pub fn code_dim(&self) -> usize {
+    pub(crate) fn code_dim(&self) -> usize {
         *self.sizes.last().expect("non-empty stack")
     }
 
@@ -176,7 +175,7 @@ impl StackedAutoencoder {
     /// data through the layers below — but the work is expressed as one
     /// [`TaskGraph`] of per-chunk nodes placed on one device per layer:
     /// layer `k` streams its freshly encoded chunks over the link through
-    /// explicit [`NodeSpec::transfer`] nodes (serialized by a per-link
+    /// explicit `NodeSpec::transfer` nodes (serialized by a per-link
     /// token), and layer `k+1` starts training on chunk 0 the moment it
     /// lands, while layer `k` is still encoding and shipping the rest. On
     /// a simulated context the run's critical path is therefore strictly

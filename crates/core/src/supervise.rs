@@ -50,7 +50,7 @@ use crate::labeled::{LabeledModel, LabeledNet};
 use crate::model_io::{
     atomic_write, bad, read_f32, read_header, read_u64, write_f32, write_header, write_u64, TAG_SUP,
 };
-use crate::stacked::{pretrain_layers, LayerReport, PipelineReport, StackedAutoencoder};
+use crate::stacked::{pretrain_layers, LayerReport, StackedAutoencoder};
 use crate::train::{
     train_dataset_at, AeModel, RbmModel, TrainConfig, TrainError, TrainReport, UnsupervisedModel,
 };
@@ -63,11 +63,7 @@ use std::path::{Path, PathBuf};
 
 /// Schema tag written into exported incident logs (JSON-lines format: one
 /// header line carrying the schema, then one compact record per line).
-pub const INCIDENT_SCHEMA: &str = "micdnn-incidents-v2";
-
-/// The previous whole-document schema; [`IncidentLog::from_text`] still
-/// reads it (records predating the `stage` field load with it empty).
-pub const INCIDENT_SCHEMA_V1: &str = "micdnn-incidents-v1";
+pub(crate) const INCIDENT_SCHEMA: &str = "micdnn-incidents-v2";
 
 /// Name of the durable ladder sidecar inside a supervisor's state dir.
 const LADDER_FILE: &str = "supervisor.mic";
@@ -137,7 +133,7 @@ impl Default for SupervisorPolicy {
 
 impl SupervisorPolicy {
     /// Rejects budgets and backoffs the ladder cannot execute.
-    pub fn validate(&self) -> Result<(), SupervisorPolicyError> {
+    pub(crate) fn validate(&self) -> Result<(), SupervisorPolicyError> {
         if !self.lr_backoff.is_finite() || self.lr_backoff <= 0.0 {
             return Err(SupervisorPolicyError::BadLrBackoff(self.lr_backoff));
         }
@@ -162,7 +158,7 @@ pub enum Stage {
 
 impl Stage {
     /// Stable lowercase name, as stamped into incident records.
-    pub fn as_str(self) -> &'static str {
+    pub(crate) fn as_str(self) -> &'static str {
         match self {
             Stage::Pretrain => "pretrain",
             Stage::FineTune => "finetune",
@@ -171,7 +167,7 @@ impl Stage {
     }
 
     /// Stable byte used in the durable `TAG_SUP` record.
-    pub fn as_u8(self) -> u8 {
+    pub(crate) fn as_u8(self) -> u8 {
         match self {
             Stage::Pretrain => 0,
             Stage::FineTune => 1,
@@ -180,7 +176,7 @@ impl Stage {
     }
 
     /// Inverse of [`Stage::as_u8`].
-    pub fn from_u8(v: u8) -> Option<Stage> {
+    pub(crate) fn from_u8(v: u8) -> Option<Stage> {
         match v {
             0 => Some(Stage::Pretrain),
             1 => Some(Stage::FineTune),
@@ -199,7 +195,7 @@ impl std::fmt::Display for Stage {
 /// Where in the pipeline the supervisor stands: which stage, which layer
 /// within it, and the epoch/batch position of the current leg.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RunPos {
+pub(crate) struct RunPos {
     /// Current pipeline stage.
     pub stage: Stage,
     /// Layer index within the stage (0 for single-model stages).
@@ -269,8 +265,9 @@ impl Deserialize for Incident {
 /// The structured incident record of one supervised run.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct IncidentLog {
-    /// Always [`INCIDENT_SCHEMA`] for logs this build writes;
-    /// [`INCIDENT_SCHEMA_V1`] survives loading.
+    /// Always `micdnn-incidents-v2` for logs this build writes; the
+    /// whole-document `micdnn-incidents-v1` survives loading (records
+    /// predating the `stage` field load with it empty).
     pub schema: String,
     /// Incidents in the order they occurred.
     pub incidents: Vec<Incident>,
@@ -284,7 +281,7 @@ impl Default for IncidentLog {
 
 impl IncidentLog {
     /// An empty log carrying the current schema tag.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         IncidentLog {
             schema: INCIDENT_SCHEMA.to_string(),
             incidents: Vec::new(),
@@ -292,7 +289,7 @@ impl IncidentLog {
     }
 
     /// Appends one incident.
-    pub fn push(&mut self, incident: Incident) {
+    pub(crate) fn push(&mut self, incident: Incident) {
         self.incidents.push(incident);
     }
 
@@ -304,7 +301,7 @@ impl IncidentLog {
     /// Renders the log in the v2 JSON-lines format: a header line with the
     /// schema tag, then one compact record per line. Line-oriented so a
     /// crash mid-append can only ever truncate the final record.
-    pub fn to_jsonl(&self) -> String {
+    pub(crate) fn to_jsonl(&self) -> String {
         let mut out = String::new();
         let header = Value::Object(vec![(
             "schema".to_string(),
@@ -323,7 +320,7 @@ impl IncidentLog {
     /// legacy v1 whole-document JSON. In the JSONL form, a corrupt *final*
     /// line (the record a crash was appending) is silently dropped; a
     /// corrupt line anywhere else is an error.
-    pub fn from_text(text: &str) -> io::Result<IncidentLog> {
+    pub(crate) fn from_text(text: &str) -> io::Result<IncidentLog> {
         // A v1 export is one pretty-printed JSON document; try that first.
         if let Ok(log) = serde_json::from_str::<IncidentLog>(text) {
             return Ok(log);
@@ -594,11 +591,6 @@ impl RunSupervisor {
         self
     }
 
-    /// The validated policy the ladder runs under.
-    pub fn policy(&self) -> &SupervisorPolicy {
-        &self.policy
-    }
-
     /// Divergence rollbacks consumed so far.
     pub fn rollbacks(&self) -> u32 {
         self.rollbacks
@@ -619,11 +611,6 @@ impl RunSupervisor {
         self.degraded
     }
 
-    /// The pipeline position of the most recent ladder event or leg.
-    pub fn pos(&self) -> RunPos {
-        self.pos
-    }
-
     /// The accumulated incident log.
     pub fn log(&self) -> &IncidentLog {
         &self.log
@@ -632,14 +619,6 @@ impl RunSupervisor {
     /// Consumes the supervisor, yielding the incident log.
     pub fn into_log(self) -> IncidentLog {
         self.log
-    }
-
-    /// Records an externally observed incident, stamped with the current
-    /// stage, and flushes the durable log.
-    pub fn note(&mut self, incident: Incident) -> io::Result<()> {
-        let stage = self.pos.stage;
-        self.absorb(vec![incident], stage);
-        self.flush_incidents()
     }
 
     /// Loads previously persisted ladder state (and the incident log, if
@@ -1002,71 +981,6 @@ impl RunSupervisor {
                 self.run_leg(&mut model, ctx, current, cfg, passes, Stage::Pretrain, i, 0)?;
             Ok((model.into_inner(), report))
         })
-    }
-
-    /// Pipelined pre-training under the ladder's restart rung. The
-    /// pipelined scheduler interleaves all layers, so there is no
-    /// per-batch snapshot to roll back to; a panic instead restores the
-    /// whole stack from the pre-attempt copy, demotes execution to the
-    /// serial schedule, and re-runs the pipeline.
-    pub fn pretrain_pipelined(
-        &mut self,
-        stack: &mut StackedAutoencoder,
-        ctx: &ExecCtx,
-        data: &Dataset,
-        cfg: &TrainConfig,
-        passes: usize,
-    ) -> Result<PipelineReport, TrainError> {
-        self.pos = RunPos {
-            stage: Stage::Pretrain,
-            layer: 0,
-            epoch: 0,
-            batch: 0,
-        };
-        if self.degraded && !ctx.is_degraded() {
-            ctx.force_degrade(
-                "degraded",
-                "resumed in degraded mode; serial schedule retained",
-            );
-            let _ = ctx.take_incident_notes();
-        }
-        self.persist()?;
-        loop {
-            // pretrain_pipelined takes the layers out of the stack while
-            // it runs; a panic mid-flight would otherwise lose them.
-            let backup = stack.clone();
-            let outcome = catch_unwind(AssertUnwindSafe(|| {
-                stack.pretrain_pipelined(ctx, data, cfg, passes)
-            }));
-            self.absorb_ctx(ctx, Stage::Pretrain);
-            match outcome {
-                Ok(report) => {
-                    self.persist()?;
-                    return Ok(report);
-                }
-                Err(payload) => {
-                    let msg = panic_message(payload.as_ref());
-                    *stack = backup;
-                    self.restarts += 1;
-                    if self.restarts > self.policy.max_restarts {
-                        let _ = self.persist_io();
-                        return Err(TrainError::Unrecoverable {
-                            attempts: self.rollbacks + self.restarts,
-                            last: format!("panic: {msg}"),
-                        });
-                    }
-                    ctx.force_degrade(
-                        "degraded",
-                        &format!(
-                            "pipelined pre-training panicked ({msg}); demoted to the serial schedule"
-                        ),
-                    );
-                    self.degraded = true;
-                    self.absorb_ctx(ctx, Stage::Pretrain);
-                    self.persist()?;
-                }
-            }
-        }
     }
 }
 
@@ -1466,7 +1380,7 @@ mod tests {
   ]
 }"#;
         let log = IncidentLog::from_text(text).unwrap();
-        assert_eq!(log.schema, INCIDENT_SCHEMA_V1);
+        assert_eq!(log.schema, "micdnn-incidents-v1");
         assert_eq!(log.incidents.len(), 1);
         assert_eq!(log.incidents[0].kind, "rollback");
         assert_eq!(log.incidents[0].stage, "");
@@ -1565,7 +1479,7 @@ mod tests {
         assert_eq!(back.restarts(), 1);
         assert_eq!(back.lr_multiplier(), 0.25);
         assert!(back.is_degraded());
-        assert_eq!(back.pos(), sup.pos());
+        assert_eq!(back.pos, sup.pos);
         assert_eq!(back.log(), sup.log());
     }
 
@@ -1597,8 +1511,8 @@ mod tests {
             assert_eq!(a.b1, b.b1);
         }
         assert!(sup.log().incidents.is_empty());
-        assert_eq!(sup.pos().stage, Stage::Pretrain);
-        assert_eq!(sup.pos().layer, 1);
+        assert_eq!(sup.pos.stage, Stage::Pretrain);
+        assert_eq!(sup.pos.layer, 1);
     }
 
     #[test]
@@ -1637,27 +1551,7 @@ mod tests {
             assert_eq!(a.0.as_slice(), b.0.as_slice());
             assert_eq!(a.1, b.1);
         }
-        assert_eq!(sup.pos().stage, Stage::FineTune);
-    }
-
-    #[test]
-    fn supervised_pipelined_pretrain_matches_unsupervised() {
-        let data = toy_dataset(120, 16, 9);
-        let cfg = toy_cfg();
-        let mut plain = StackedAutoencoder::with_default_config(&[16, 10, 6], 3);
-        let ctx = ExecCtx::native(OptLevel::Improved, 4);
-        let plain_report = plain.pretrain_pipelined(&ctx, &data, &cfg, 2);
-
-        let mut sup_stack = StackedAutoencoder::with_default_config(&[16, 10, 6], 3);
-        let ctx2 = ExecCtx::native(OptLevel::Improved, 4);
-        let mut sup = RunSupervisor::new(SupervisorPolicy::default()).unwrap();
-        let sup_report = sup
-            .pretrain_pipelined(&mut sup_stack, &ctx2, &data, &cfg, 2)
-            .unwrap();
-        assert_eq!(plain_report.layer_recon, sup_report.layer_recon);
-        for (a, b) in plain.layers().iter().zip(sup_stack.layers()) {
-            assert_eq!(a.w1.as_slice(), b.w1.as_slice());
-        }
+        assert_eq!(sup.pos.stage, Stage::FineTune);
     }
 
     #[test]

@@ -82,7 +82,7 @@ impl AeModel {
     /// concurrently. Bit-identical to the serial path, so the flag is a
     /// scheduling preference and is not persisted in checkpoints. Each
     /// step graph is statically verified before execution in debug builds
-    /// (or with [`ExecCtx::with_verify`]) — see [`crate::verify`].
+    /// (or with [`ExecCtx::with_verify`]).
     pub fn with_graph_schedule(mut self) -> Self {
         self.use_graph = true;
         self
@@ -168,7 +168,7 @@ struct CdMomentum {
 }
 
 /// Borrowed momentum state `(mu, vw, vb, vc)` as exposed for checkpointing.
-pub type MomentumParts<'a> = (f32, &'a [f32], &'a [f32], &'a [f32]);
+pub(crate) type MomentumParts<'a> = (f32, &'a [f32], &'a [f32], &'a [f32]);
 
 /// Owned momentum state `(mu, vw, vb, vc)` as restored from a checkpoint.
 pub(crate) type OwnedMomentumParts = (f32, Vec<f32>, Vec<f32>, Vec<f32>);
@@ -711,7 +711,7 @@ pub fn train_dataset(
 /// epochs, skipping the `progress.batches` positions already trained.
 ///
 /// The caller is expected to have restored the model from the checkpoint
-/// and the context's sampler via [`ExecCtx::restore_rng`]; the continued
+/// and the context's sampler via `ExecCtx::restore_rng`; the continued
 /// run is then bit-identical to one that never stopped.
 pub fn train_dataset_resume(
     model: &mut impl UnsupervisedModel,

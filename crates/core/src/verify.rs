@@ -110,7 +110,7 @@ pub enum DiagKind {
 
 impl DiagKind {
     /// Stable machine-readable code for the kind.
-    pub fn code(self) -> &'static str {
+    pub(crate) fn code(self) -> &'static str {
         match self {
             DiagKind::Race => "race",
             DiagKind::UnsafeAlias => "unsafe-alias",
@@ -130,7 +130,7 @@ impl DiagKind {
     }
 
     /// The severity this kind always reports at.
-    pub fn severity(self) -> Severity {
+    pub(crate) fn severity(self) -> Severity {
         match self {
             DiagKind::Race
             | DiagKind::UnsafeAlias
@@ -1057,7 +1057,7 @@ pub struct DevicePeakDoc {
 /// location data).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct FindingDoc {
-    /// Stable rule id ([`DiagKind::code`]).
+    /// Stable rule id (`DiagKind::code`).
     pub rule: String,
     /// `"error"` or `"warning"`.
     pub severity: String,

@@ -122,13 +122,8 @@ impl DigitGenerator {
         }
     }
 
-    /// Image side length in pixels.
-    pub fn side(&self) -> usize {
-        self.side
-    }
-
     /// Dimensionality of each flattened example.
-    pub fn dim(&self) -> usize {
+    pub(crate) fn dim(&self) -> usize {
         self.side * self.side
     }
 

@@ -3,22 +3,22 @@
 //!
 //! The paper's digit data comes from "a large \[set\] of handwritten digit
 //! images" (LeCun et al., its ref \[14\] lineage). Those images ship as IDX
-//! files (`train-images-idx3-ubyte` etc.). This module reads and writes
-//! that format so users who *do* have the real corpus can feed it to the
-//! library, while the synthetic [`crate::DigitGenerator`] covers everyone
-//! else. Round-tripping is exact and tested.
+//! files (`train-images-idx3-ubyte` etc.). This module reads that format
+//! so users who *do* have the real corpus can feed it to the library,
+//! while the synthetic [`crate::DigitGenerator`] covers everyone else. The
+//! writer exists for the reader's tests, which round-trip exactly.
 //!
 //! Format: `[0, 0, type, ndims]` magic, `ndims` big-endian `u32`
 //! dimensions, then row-major payload (big-endian for multi-byte types).
 
 use micdnn_tensor::Mat;
 use std::fs::File;
-use std::io::{self, BufReader, BufWriter, Read, Write};
+use std::io::{self, BufReader, Read};
 use std::path::Path;
 
 /// Element type codes defined by the IDX specification.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum IdxType {
+pub(crate) enum IdxType {
     /// Unsigned byte (0x08) — MNIST images and labels.
     U8,
     /// Big-endian IEEE 754 single (0x0D).
@@ -26,13 +26,6 @@ pub enum IdxType {
 }
 
 impl IdxType {
-    fn code(self) -> u8 {
-        match self {
-            IdxType::U8 => 0x08,
-            IdxType::F32 => 0x0D,
-        }
-    }
-
     fn from_code(code: u8) -> io::Result<Self> {
         match code {
             0x08 => Ok(IdxType::U8),
@@ -59,12 +52,12 @@ pub struct IdxData {
 
 impl IdxData {
     /// Number of examples (the outermost dimension; 0 for rank-0 files).
-    pub fn examples(&self) -> usize {
+    pub(crate) fn examples(&self) -> usize {
         self.dims.first().copied().unwrap_or(0)
     }
 
     /// Elements per example (product of the inner dimensions).
-    pub fn example_dim(&self) -> usize {
+    pub(crate) fn example_dim(&self) -> usize {
         self.dims.iter().skip(1).product::<usize>().max(1)
     }
 
@@ -83,7 +76,7 @@ pub fn read_idx(path: impl AsRef<Path>) -> io::Result<IdxData> {
 }
 
 /// Reads IDX data from any reader.
-pub fn read_idx_from(r: &mut impl Read) -> io::Result<IdxData> {
+pub(crate) fn read_idx_from(r: &mut impl Read) -> io::Result<IdxData> {
     let mut magic = [0u8; 4];
     r.read_exact(&mut magic)?;
     if magic[0] != 0 || magic[1] != 0 {
@@ -132,66 +125,6 @@ pub fn read_idx_from(r: &mut impl Read) -> io::Result<IdxData> {
     Ok(IdxData { dims, data })
 }
 
-/// Writes `data` shaped as `dims` to an IDX file with the given element
-/// type. `U8` quantizes values from `[0, 1]` back to bytes.
-pub fn write_idx(
-    path: impl AsRef<Path>,
-    dims: &[usize],
-    data: &[f32],
-    ty: IdxType,
-) -> io::Result<()> {
-    let mut w = BufWriter::new(File::create(path)?);
-    write_idx_to(&mut w, dims, data, ty)
-}
-
-/// Writes IDX data to any writer.
-pub fn write_idx_to(
-    w: &mut impl Write,
-    dims: &[usize],
-    data: &[f32],
-    ty: IdxType,
-) -> io::Result<()> {
-    let total: usize = dims.iter().product();
-    if total != data.len() {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidInput,
-            format!(
-                "dims {:?} require {total} elements, got {}",
-                dims,
-                data.len()
-            ),
-        ));
-    }
-    if dims.len() > u8::MAX as usize {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidInput,
-            "too many dimensions",
-        ));
-    }
-    w.write_all(&[0, 0, ty.code(), dims.len() as u8])?;
-    for &d in dims {
-        let d32: u32 = d
-            .try_into()
-            .map_err(|_| io::Error::new(io::ErrorKind::InvalidInput, "dimension exceeds u32"))?;
-        w.write_all(&d32.to_be_bytes())?;
-    }
-    match ty {
-        IdxType::U8 => {
-            let bytes: Vec<u8> = data
-                .iter()
-                .map(|&v| (v.clamp(0.0, 1.0) * 255.0).round() as u8)
-                .collect();
-            w.write_all(&bytes)?;
-        }
-        IdxType::F32 => {
-            for &v in data {
-                w.write_all(&v.to_be_bytes())?;
-            }
-        }
-    }
-    w.flush()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -200,6 +133,70 @@ mod tests {
         let mut p = std::env::temp_dir();
         p.push(format!("micdnn-idx-{}-{name}", std::process::id()));
         p
+    }
+
+    /// Writes `data` shaped as `dims` to an IDX file with the given element
+    /// type. `U8` quantizes values from `[0, 1]` back to bytes.
+    fn write_idx(
+        path: impl AsRef<Path>,
+        dims: &[usize],
+        data: &[f32],
+        ty: IdxType,
+    ) -> io::Result<()> {
+        let mut w = std::io::BufWriter::new(File::create(path)?);
+        write_idx_to(&mut w, dims, data, ty)
+    }
+
+    /// Writes IDX data to any writer.
+    fn write_idx_to(
+        w: &mut impl std::io::Write,
+        dims: &[usize],
+        data: &[f32],
+        ty: IdxType,
+    ) -> io::Result<()> {
+        let total: usize = dims.iter().product();
+        if total != data.len() {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                format!(
+                    "dims {:?} require {total} elements, got {}",
+                    dims,
+                    data.len()
+                ),
+            ));
+        }
+        if dims.len() > u8::MAX as usize {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                "too many dimensions",
+            ));
+        }
+        let code = match ty {
+            IdxType::U8 => 0x08,
+            IdxType::F32 => 0x0D,
+        };
+        w.write_all(&[0, 0, code, dims.len() as u8])?;
+        for &d in dims {
+            let d32: u32 = d.try_into().map_err(|_| {
+                io::Error::new(io::ErrorKind::InvalidInput, "dimension exceeds u32")
+            })?;
+            w.write_all(&d32.to_be_bytes())?;
+        }
+        match ty {
+            IdxType::U8 => {
+                let bytes: Vec<u8> = data
+                    .iter()
+                    .map(|&v| (v.clamp(0.0, 1.0) * 255.0).round() as u8)
+                    .collect();
+                w.write_all(&bytes)?;
+            }
+            IdxType::F32 => {
+                for &v in data {
+                    w.write_all(&v.to_be_bytes())?;
+                }
+            }
+        }
+        w.flush()
     }
 
     #[test]

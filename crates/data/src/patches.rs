@@ -44,13 +44,8 @@ impl PatchGenerator {
         g
     }
 
-    /// Side length of each patch in pixels.
-    pub fn patch_side(&self) -> usize {
-        self.patch_side
-    }
-
     /// Dimensionality of each flattened patch.
-    pub fn dim(&self) -> usize {
+    pub(crate) fn dim(&self) -> usize {
         self.patch_side * self.patch_side
     }
 
@@ -85,7 +80,7 @@ impl PatchGenerator {
         self.patches_left_in_image = self.patches_per_image;
     }
 
-    /// Samples one patch as a flat row of length [`PatchGenerator::dim`].
+    /// Samples one patch as a flat row of `side * side` pixels.
     ///
     /// Values are roughly standard-normal; feed through
     /// [`crate::Dataset::normalize`] before training sigmoid networks.

@@ -142,28 +142,8 @@ impl Backend {
         c.with_label("bias+sigmoid")
     }
 
-    /// Cost of [`Backend::sigmoid`] over `n` elements.
-    pub fn sigmoid_cost(&self, n: usize) -> OpCost {
-        let c = OpCost::sigmoid(n);
-        if self.blas {
-            c
-        } else {
-            c.scalar()
-        }
-    }
-
-    /// Cost of [`Backend::sub`] over `n` elements.
-    pub fn sub_cost(&self, n: usize) -> OpCost {
-        let c = OpCost::elementwise(n, 2, 1).with_label("sub");
-        if self.blas {
-            c
-        } else {
-            c.scalar()
-        }
-    }
-
     /// Cost of [`Backend::axpy`] over `n` elements.
-    pub fn axpy_cost(&self, n: usize) -> OpCost {
+    pub(crate) fn axpy_cost(&self, n: usize) -> OpCost {
         let c = OpCost::elementwise(n, 2, 2).with_label("axpy");
         if self.blas {
             c
@@ -173,7 +153,7 @@ impl Backend {
     }
 
     /// Cost of [`Backend::scale`] over `n` elements.
-    pub fn scale_cost(&self, n: usize) -> OpCost {
+    pub(crate) fn scale_cost(&self, n: usize) -> OpCost {
         let c = OpCost::elementwise(n, 1, 1).with_label("scale");
         if self.blas {
             c
@@ -302,22 +282,6 @@ impl Backend {
             }
         }
         self.bias_sigmoid_cost(n)
-    }
-
-    /// In-place logistic sigmoid.
-    pub fn sigmoid(&self, y: &mut [f32]) -> OpCost {
-        if self.par.is_parallel() || self.blas {
-            vecops::sigmoid_inplace(self.par, y);
-        } else {
-            naive::sigmoid_ref(y);
-        }
-        self.sigmoid_cost(y.len())
-    }
-
-    /// `out = a - b`.
-    pub fn sub(&self, a: &[f32], b: &[f32], out: &mut [f32]) -> OpCost {
-        vecops::sub(self.par, a, b, out);
-        self.sub_cost(out.len())
     }
 
     /// `y += alpha * x`.
@@ -452,7 +416,7 @@ impl Backend {
     }
 
     /// Bernoulli sampling of a window of a larger logical op: element `i`
-    /// draws from counter `elem_base + i` (see [`rng::bernoulli_at`]).
+    /// draws from counter `elem_base + i` (see `rng::bernoulli_at`).
     pub fn bernoulli_at(
         &self,
         seed: u64,

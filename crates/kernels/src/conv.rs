@@ -22,7 +22,7 @@ use rayon::prelude::*;
 /// Pooling argmax indices are stored as `f32` in the workspace arena
 /// (every graph buffer is `f32`); the conversion is exact only below
 /// 2^24, which this asserts at the call sites that produce indices.
-pub const MAX_EXACT_F32_INDEX: usize = 1 << 24;
+pub(crate) const MAX_EXACT_F32_INDEX: usize = 1 << 24;
 
 /// Gathers all `k x k` patches (stride 1, no padding) of `b` single-channel
 /// `side x side` images into the patch matrix `col`.

@@ -13,7 +13,7 @@ use rayon::prelude::*;
 
 /// Adds `bias` to every row of `c` (two-pass rung uses this followed by a
 /// separate sigmoid sweep).
-pub fn add_bias_rows(par: Par, bias: &[f32], c: &mut MatViewMut<'_>) {
+pub(crate) fn add_bias_rows(par: Par, bias: &[f32], c: &mut MatViewMut<'_>) {
     assert_eq!(bias.len(), c.cols(), "add_bias_rows: bias length mismatch");
     let cols = c.cols();
     let body = |rows: &mut [f32]| {
@@ -27,7 +27,7 @@ pub fn add_bias_rows(par: Par, bias: &[f32], c: &mut MatViewMut<'_>) {
 }
 
 /// Fused `c = sigmoid(c + bias)` per row — one sweep, one barrier.
-pub fn bias_sigmoid_rows(par: Par, bias: &[f32], c: &mut MatViewMut<'_>) {
+pub(crate) fn bias_sigmoid_rows(par: Par, bias: &[f32], c: &mut MatViewMut<'_>) {
     assert_eq!(
         bias.len(),
         c.cols(),
@@ -48,7 +48,7 @@ pub fn bias_sigmoid_rows(par: Par, bias: &[f32], c: &mut MatViewMut<'_>) {
 /// `out[i] = (z[i] - x[i]) * z[i] * (1 - z[i])`.
 ///
 /// Replaces a subtraction sweep plus a sigmoid-derivative sweep.
-pub fn delta_output(par: Par, z: &[f32], x: &[f32], out: &mut [f32]) {
+pub(crate) fn delta_output(par: Par, z: &[f32], x: &[f32], out: &mut [f32]) {
     assert_eq!(z.len(), x.len(), "delta_output: length mismatch");
     assert_eq!(z.len(), out.len(), "delta_output: out length mismatch");
     let body = |zc: &[f32], xc: &[f32], oc: &mut [f32]| {
@@ -70,7 +70,7 @@ pub fn delta_output(par: Par, z: &[f32], x: &[f32], out: &mut [f32]) {
 /// term (paper eq. 5's backprop contribution).
 ///
 /// Replaces a bias-style row addition plus a derivative sweep.
-pub fn bias_deriv_rows(par: Par, s: &[f32], y: MatView<'_>, delta: &mut MatViewMut<'_>) {
+pub(crate) fn bias_deriv_rows(par: Par, s: &[f32], y: MatView<'_>, delta: &mut MatViewMut<'_>) {
     assert_eq!(s.len(), delta.cols(), "bias_deriv_rows: s length mismatch");
     assert_eq!(y.shape(), delta.shape(), "bias_deriv_rows: shape mismatch");
     let cols = delta.cols();
@@ -101,7 +101,7 @@ pub fn bias_deriv_rows(par: Par, s: &[f32], y: MatView<'_>, delta: &mut MatViewM
 
 /// Fused SGD step with L2 weight decay:
 /// `w = (1 - lr*lambda) * w - lr * g` in a single sweep.
-pub fn sgd_step(par: Par, lr: f32, lambda: f32, g: &[f32], w: &mut [f32]) {
+pub(crate) fn sgd_step(par: Par, lr: f32, lambda: f32, g: &[f32], w: &mut [f32]) {
     assert_eq!(g.len(), w.len(), "sgd_step: length mismatch");
     let shrink = 1.0 - lr * lambda;
     let body = |wc: &mut [f32], gc: &[f32]| {
@@ -120,7 +120,7 @@ pub fn sgd_step(par: Par, lr: f32, lambda: f32, g: &[f32], w: &mut [f32]) {
 
 /// Fused contrastive-divergence update:
 /// `w += scale * (pos - neg)` in a single sweep (paper eq. 13).
-pub fn cd_update(par: Par, scale: f32, pos: &[f32], neg: &[f32], w: &mut [f32]) {
+pub(crate) fn cd_update(par: Par, scale: f32, pos: &[f32], neg: &[f32], w: &mut [f32]) {
     assert_eq!(pos.len(), w.len(), "cd_update: pos length mismatch");
     assert_eq!(neg.len(), w.len(), "cd_update: neg length mismatch");
     let body = |wc: &mut [f32], pc: &[f32], nc: &[f32]| {

@@ -7,9 +7,9 @@
 //! 2. **+OpenMP** — loops parallelized across cores ([`Par::Rayon`] with the
 //!    scalar kernels);
 //! 3. **+MKL** — the heavy matrix products routed to an optimized BLAS
-//!    ([`gemm`](mod@gemm), our blocked/packed/vectorized SGEMM);
+//!    ([`gemm()`], our blocked/packed/vectorized SGEMM);
 //! 4. **improved** — loop fusion to coarsen granularity and cut
-//!    synchronization ([`fused`]).
+//!    synchronization ([`Backend::improved`]).
 //!
 //! This crate supplies all four rungs plus the reductions, sampling and
 //! elementwise math the two training algorithms need, behind the [`Backend`]
@@ -19,19 +19,21 @@
 //! the different rungs agree to floating-point reassociation tolerance —
 //! they differ in *speed*, which is exactly the paper's framing.
 
-pub mod backend;
+mod backend;
 pub mod conv;
-pub mod fused;
-pub mod gemm;
+mod fused;
+mod gemm;
 pub mod naive;
-pub mod ops;
-pub mod reduce;
+mod ops;
+mod reduce;
 pub mod rng;
-pub mod vecops;
+mod vecops;
 
 pub use backend::Backend;
+pub use fused::kl_sparsity;
 pub use gemm::gemm;
 pub use ops::{OpCost, OpKind};
+pub use vecops::sum_sq;
 
 /// Execution strategy for a kernel: sequential or data-parallel via rayon.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -53,7 +55,7 @@ impl Par {
 /// Minimum number of elements before an elementwise kernel bothers forking;
 /// below this, synchronization costs more than it saves (the same
 /// granularity trade-off §IV.B of the paper discusses for small loop bodies).
-pub const PAR_THRESHOLD: usize = 16 * 1024;
+pub(crate) const PAR_THRESHOLD: usize = 16 * 1024;
 
 #[cfg(test)]
 mod tests {

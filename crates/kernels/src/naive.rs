@@ -45,7 +45,7 @@ pub fn gemm_ref(
 }
 
 /// Scalar sigmoid over a slice (no chunking, no vector hints).
-pub fn sigmoid_ref(y: &mut [f32]) {
+pub(crate) fn sigmoid_ref(y: &mut [f32]) {
     for v in y {
         let x = v.clamp(-30.0, 30.0);
         *v = 1.0 / (1.0 + (-x).exp());
@@ -53,7 +53,7 @@ pub fn sigmoid_ref(y: &mut [f32]) {
 }
 
 /// Scalar axpy.
-pub fn axpy_ref(alpha: f32, x: &[f32], y: &mut [f32]) {
+pub(crate) fn axpy_ref(alpha: f32, x: &[f32], y: &mut [f32]) {
     assert_eq!(x.len(), y.len());
     for i in 0..y.len() {
         y[i] += alpha * x[i];

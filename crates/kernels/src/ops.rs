@@ -120,7 +120,7 @@ impl OpCost {
     }
 
     /// Reduction over `m x n` elements producing `n` outputs.
-    pub fn reduce(m: usize, n: usize) -> OpCost {
+    pub(crate) fn reduce(m: usize, n: usize) -> OpCost {
         OpCost {
             kind: OpKind::Reduce,
             flops: (m as u64) * (n as u64),
@@ -135,7 +135,7 @@ impl OpCost {
     }
 
     /// Bernoulli sampling of `n` elements (~10 integer+fp ops per element).
-    pub fn sample(n: usize) -> OpCost {
+    pub(crate) fn sample(n: usize) -> OpCost {
         OpCost {
             kind: OpKind::Sample,
             flops: n as u64 * 10,
@@ -180,7 +180,7 @@ impl OpCost {
 
     /// Merges another op executed *inside the same parallel region* (loop
     /// fusion): work adds up, barriers do not.
-    pub fn fuse(mut self, other: OpCost) -> OpCost {
+    pub(crate) fn fuse(mut self, other: OpCost) -> OpCost {
         self.flops += other.flops;
         // A fused loop reads its operands once; keep the larger stream and
         // add the extra operand traffic beyond the shared output sweep.

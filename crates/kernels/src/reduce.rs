@@ -18,7 +18,7 @@ use rayon::prelude::*;
 /// wide. The parallel variant splits the *columns* so each task owns a
 /// disjoint slice of `out` and still sweeps rows in order — bitwise equal to
 /// the sequential sweep.
-pub fn colsum(par: Par, a: MatView<'_>, out: &mut [f32]) {
+pub(crate) fn colsum(par: Par, a: MatView<'_>, out: &mut [f32]) {
     assert_eq!(out.len(), a.cols(), "colsum: out length mismatch");
     out.fill(0.0);
     if a.rows() == 0 || a.cols() == 0 {
@@ -41,21 +41,10 @@ pub fn colsum(par: Par, a: MatView<'_>, out: &mut [f32]) {
     }
 }
 
-/// Column means: `out[j] = mean_r A[r, j]`.
-pub fn colmean(par: Par, a: MatView<'_>, out: &mut [f32]) {
-    colsum(par, a, out);
-    if a.rows() > 0 {
-        let inv = 1.0 / a.rows() as f32;
-        for v in out.iter_mut() {
-            *v *= inv;
-        }
-    }
-}
-
 /// Squared Frobenius distance `||A - B||_F^2` with f64 accumulation.
 ///
 /// This is the batch reconstruction error both trainers report.
-pub fn frob_dist_sq(par: Par, a: MatView<'_>, b: MatView<'_>) -> f64 {
+pub(crate) fn frob_dist_sq(par: Par, a: MatView<'_>, b: MatView<'_>) -> f64 {
     assert_eq!(a.shape(), b.shape(), "frob_dist_sq: shape mismatch");
     let x = a.as_slice();
     let y = b.as_slice();
@@ -111,7 +100,7 @@ mod tests {
     fn colmean_basic() {
         let a = Mat::from_fn(4, 2, |r, _| r as f32); // cols: 0,1,2,3 -> mean 1.5
         let mut out = vec![0.0f32; 2];
-        colmean(Par::Seq, a.view(), &mut out);
+        crate::Backend::sequential_blas().colmean(a.view(), &mut out);
         assert_eq!(out, vec![1.5, 1.5]);
     }
 
@@ -119,7 +108,7 @@ mod tests {
     fn colmean_empty_rows() {
         let a = Mat::zeros(0, 3);
         let mut out = vec![7.0f32; 3];
-        colmean(Par::Seq, a.view(), &mut out);
+        crate::Backend::sequential_blas().colmean(a.view(), &mut out);
         assert_eq!(out, vec![0.0; 3], "empty matrix yields zero means, not NaN");
     }
 

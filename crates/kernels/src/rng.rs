@@ -15,7 +15,7 @@ use rayon::prelude::*;
 
 /// SplitMix64 finalizer over a combined counter.
 #[inline]
-pub fn splitmix64(x: u64) -> u64 {
+pub(crate) fn splitmix64(x: u64) -> u64 {
     let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
@@ -91,7 +91,7 @@ pub fn bernoulli(par: Par, seed: u64, stream: StreamId, probs: &[f32], out: &mut
 /// unsharded batch: each shard passes its global element offset, so the
 /// draw for a given logical element is a pure function of
 /// `(seed, stream, global index)` no matter how the batch was split.
-pub fn bernoulli_at(
+pub(crate) fn bernoulli_at(
     par: Par,
     seed: u64,
     stream: StreamId,

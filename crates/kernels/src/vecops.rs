@@ -14,7 +14,7 @@ use rayon::prelude::*;
 
 /// Lane count the chunked loops are written for (16 f32 = one 512-bit
 /// register, matching the Phi's VPU width).
-pub const LANES: usize = 16;
+pub(crate) const LANES: usize = 16;
 
 macro_rules! par_zip2 {
     ($par:expr, $y:expr, $x:expr, $chunk_body:expr) => {{
@@ -41,7 +41,7 @@ macro_rules! par_map1 {
 }
 
 /// `y += alpha * x`.
-pub fn axpy(par: Par, alpha: f32, x: &[f32], y: &mut [f32]) {
+pub(crate) fn axpy(par: Par, alpha: f32, x: &[f32], y: &mut [f32]) {
     assert_eq!(x.len(), y.len(), "axpy: length mismatch");
     par_zip2!(par, y, x, |yc: &mut [f32], xc: &[f32]| {
         axpy_chunk(alpha, xc, yc)
@@ -74,7 +74,7 @@ pub(crate) fn axpy_chunk(alpha: f32, x: &[f32], y: &mut [f32]) {
 /// independence makes the result identical across `Par::Seq` and
 /// `Par::Rayon`, and identical to a `copy` followed by sequential
 /// `axpy(1.0, ..)` sweeps in part order.
-pub fn block_merge(par: Par, parts: &[&[f32]], out: &mut [f32]) {
+pub(crate) fn block_merge(par: Par, parts: &[&[f32]], out: &mut [f32]) {
     let Some((first, rest)) = parts.split_first() else {
         out.fill(0.0);
         return;
@@ -98,7 +98,7 @@ pub fn block_merge(par: Par, parts: &[&[f32]], out: &mut [f32]) {
 }
 
 /// `y *= alpha`.
-pub fn scale(par: Par, alpha: f32, y: &mut [f32]) {
+pub(crate) fn scale(par: Par, alpha: f32, y: &mut [f32]) {
     par_map1!(par, y, |yc: &mut [f32]| {
         for v in yc {
             *v *= alpha;
@@ -106,16 +106,8 @@ pub fn scale(par: Par, alpha: f32, y: &mut [f32]) {
     });
 }
 
-/// `y = x` (copy).
-pub fn copy(par: Par, x: &[f32], y: &mut [f32]) {
-    assert_eq!(x.len(), y.len(), "copy: length mismatch");
-    par_zip2!(par, y, x, |yc: &mut [f32], xc: &[f32]| {
-        yc.copy_from_slice(xc)
-    });
-}
-
 /// `out = a - b`, writing into `out`.
-pub fn sub(par: Par, a: &[f32], b: &[f32], out: &mut [f32]) {
+pub(crate) fn sub(par: Par, a: &[f32], b: &[f32], out: &mut [f32]) {
     assert_eq!(a.len(), b.len(), "sub: length mismatch");
     assert_eq!(a.len(), out.len(), "sub: out length mismatch");
     if par.is_parallel() && out.len() >= PAR_THRESHOLD {
@@ -134,7 +126,7 @@ pub fn sub(par: Par, a: &[f32], b: &[f32], out: &mut [f32]) {
 }
 
 /// Logistic sigmoid applied in place: `y = 1 / (1 + exp(-y))`.
-pub fn sigmoid_inplace(par: Par, y: &mut [f32]) {
+pub(crate) fn sigmoid_inplace(par: Par, y: &mut [f32]) {
     par_map1!(par, y, |yc: &mut [f32]| sigmoid_chunk(yc));
 }
 
@@ -147,14 +139,14 @@ pub(crate) fn sigmoid_chunk(y: &mut [f32]) {
 
 /// Scalar logistic sigmoid, clamped so `exp` never overflows.
 #[inline]
-pub fn sigmoid_scalar(x: f32) -> f32 {
+pub(crate) fn sigmoid_scalar(x: f32) -> f32 {
     let x = x.clamp(-30.0, 30.0);
     1.0 / (1.0 + (-x).exp())
 }
 
 /// Derivative of sigmoid expressed through its output: `g = y * (1 - y)`,
 /// multiplied into `delta` in place (`delta *= y * (1 - y)`).
-pub fn sigmoid_backprop_assign(par: Par, y: &[f32], delta: &mut [f32]) {
+pub(crate) fn sigmoid_backprop_assign(par: Par, y: &[f32], delta: &mut [f32]) {
     assert_eq!(y.len(), delta.len(), "sigmoid_backprop: length mismatch");
     par_zip2!(par, delta, y, |dc: &mut [f32], yc: &[f32]| {
         for i in 0..dc.len() {
@@ -169,7 +161,7 @@ pub fn sigmoid_backprop_assign(par: Par, y: &[f32], delta: &mut [f32]) {
 /// the same fixed `PAR_THRESHOLD`-sized chunks and combine the partials in
 /// chunk order (rayon's tree-`sum` order is unspecified, so the parallel
 /// path collects ordered partials instead).
-pub fn dot(par: Par, x: &[f32], y: &[f32]) -> f64 {
+pub(crate) fn dot(par: Par, x: &[f32], y: &[f32]) -> f64 {
     assert_eq!(x.len(), y.len(), "dot: length mismatch");
     if par.is_parallel() && x.len() >= PAR_THRESHOLD {
         let partials: Vec<f64> = x
@@ -207,28 +199,6 @@ fn dot_chunk(x: &[f32], y: &[f32]) -> f64 {
 /// Sum of squares with f64 accumulation.
 pub fn sum_sq(par: Par, x: &[f32]) -> f64 {
     dot(par, x, x)
-}
-
-/// Sum of elements with f64 accumulation (deterministic chunking).
-pub fn sum(par: Par, x: &[f32]) -> f64 {
-    if par.is_parallel() && x.len() >= PAR_THRESHOLD {
-        let partials: Vec<f64> = x.par_chunks(PAR_THRESHOLD).map(sum_chunk).collect();
-        partials.iter().sum()
-    } else {
-        x.chunks(PAR_THRESHOLD).map(sum_chunk).sum()
-    }
-}
-
-#[inline]
-fn sum_chunk(x: &[f32]) -> f64 {
-    let mut acc = [0.0f64; 8];
-    let n = x.len() - x.len() % 8;
-    for xc in x[..n].chunks_exact(8) {
-        for l in 0..8 {
-            acc[l] += xc[l] as f64;
-        }
-    }
-    acc.iter().sum::<f64>() + x[n..].iter().map(|&v| v as f64).sum::<f64>()
 }
 
 #[cfg(test)]
@@ -341,21 +311,15 @@ mod tests {
 
     #[test]
     fn reductions() {
-        let x: Vec<f32> = (1..=100).map(|i| i as f32).collect();
-        assert_eq!(sum(Par::Seq, &x), 5050.0);
-        assert_eq!(sum(Par::Rayon, &x), 5050.0);
         assert_eq!(sum_sq(Par::Seq, &[3.0, 4.0]), 25.0);
         assert_eq!(dot(Par::Seq, &[1.0, 2.0, 3.0], &[4.0, 5.0, 6.0]), 32.0);
     }
 
     #[test]
-    fn scale_and_copy() {
+    fn scale_matches_definition() {
         let mut y = vec![2.0f32; 10];
         scale(Par::Seq, 0.5, &mut y);
         assert!(y.iter().all(|&v| v == 1.0));
-        let x: Vec<f32> = (0..10).map(|i| i as f32).collect();
-        copy(Par::Seq, &x, &mut y);
-        assert_eq!(y, x);
     }
 
     #[test]

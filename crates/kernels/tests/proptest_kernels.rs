@@ -3,7 +3,7 @@
 //! stream properties.
 
 use micdnn_kernels::rng::{uniform01, StreamId};
-use micdnn_kernels::{fused, naive, reduce, rng, vecops, Backend, Par};
+use micdnn_kernels::{naive, rng, sum_sq, Backend, Par};
 use micdnn_tensor::{max_abs_diff, Mat};
 use proptest::prelude::*;
 
@@ -53,21 +53,20 @@ proptest! {
         let src = Mat::from_fn(rows, cols, |_, _| rng.gen_range(-3.0..3.0));
         let bias: Vec<f32> = (0..cols).map(|_| rng.gen_range(-1.0..1.0)).collect();
 
+        let (fused, two_passes) = (Backend::improved(), Backend::threaded_blas());
         let mut fused_out = src.clone();
-        fused::bias_sigmoid_rows(Par::Seq, &bias, &mut fused_out.view_mut());
+        fused.bias_sigmoid_rows(&bias, &mut fused_out.view_mut());
         let mut two_pass = src.clone();
-        fused::add_bias_rows(Par::Seq, &bias, &mut two_pass.view_mut());
-        vecops::sigmoid_inplace(Par::Seq, two_pass.as_mut_slice());
+        two_passes.bias_sigmoid_rows(&bias, &mut two_pass.view_mut());
         prop_assert_eq!(fused_out.as_slice(), two_pass.as_slice());
 
         // delta_output vs sub + backprop.
         let z = Mat::from_fn(rows, cols, |_, _| rng.gen_range(0.01..0.99));
         let x = Mat::from_fn(rows, cols, |_, _| rng.gen_range(0.0..1.0));
         let mut d1 = vec![0.0f32; rows * cols];
-        fused::delta_output(Par::Seq, z.as_slice(), x.as_slice(), &mut d1);
+        fused.delta_output(z.as_slice(), x.as_slice(), &mut d1);
         let mut d2 = vec![0.0f32; rows * cols];
-        vecops::sub(Par::Seq, z.as_slice(), x.as_slice(), &mut d2);
-        vecops::sigmoid_backprop_assign(Par::Seq, z.as_slice(), &mut d2);
+        two_passes.delta_output(z.as_slice(), x.as_slice(), &mut d2);
         prop_assert!(max_abs_diff(&d1, &d2) < 1e-6);
     }
 
@@ -79,14 +78,10 @@ proptest! {
         let x: Vec<f32> = (0..len).map(|_| r.gen_range(-1.0..1.0)).collect();
         let mut a = vec![0.5f32; len];
         let mut b = vec![0.5f32; len];
-        vecops::axpy(Par::Seq, 1.25, &x, &mut a);
-        vecops::axpy(Par::Rayon, 1.25, &x, &mut b);
+        Backend::sequential_blas().axpy(1.25, &x, &mut a);
+        Backend::threaded_blas().axpy(1.25, &x, &mut b);
         prop_assert_eq!(&a, &b);
-        prop_assert_eq!(vecops::sum(Par::Seq, &x), vecops::sum(Par::Rayon, &x));
-        prop_assert_eq!(
-            vecops::dot(Par::Seq, &x, &a),
-            vecops::dot(Par::Rayon, &x, &b)
-        );
+        prop_assert_eq!(sum_sq(Par::Seq, &a), sum_sq(Par::Rayon, &b));
     }
 
     /// Column sums equal the reference for any shape, threaded or not.
@@ -97,9 +92,9 @@ proptest! {
         let m = Mat::from_fn(rows, cols, |_, _| r.gen_range(-1.0..1.0));
         let mut expect = vec![0.0f32; cols];
         naive::colsum_ref(m.view(), &mut expect);
-        for par in [Par::Seq, Par::Rayon] {
+        for be in [Backend::sequential_blas(), Backend::threaded_blas()] {
             let mut got = vec![0.0f32; cols];
-            reduce::colsum(par, m.view(), &mut got);
+            be.colsum(m.view(), &mut got);
             prop_assert!(max_abs_diff(&got, &expect) < 1e-4 * (rows as f32 + 1.0));
         }
     }
@@ -138,7 +133,7 @@ proptest! {
         // f(w) = 0.5 ||w||^2, grad = w.
         let before: f32 = w.iter().map(|v| v * v).sum();
         let g = w.clone();
-        fused::sgd_step(Par::Seq, lr, 0.0, &g, &mut w);
+        Backend::improved().sgd_step(lr, 0.0, &g, &mut w);
         let after: f32 = w.iter().map(|v| v * v).sum();
         prop_assert!(after <= before, "SGD increased the quadratic: {before} -> {after}");
     }

@@ -39,7 +39,7 @@ pub struct Placement {
 impl Affinity {
     /// Places `threads` hardware threads onto `cores` cores with
     /// `threads_per_core` contexts each.
-    pub fn place(self, threads: u32, cores: u32, threads_per_core: u32) -> Placement {
+    pub(crate) fn place(self, threads: u32, cores: u32, threads_per_core: u32) -> Placement {
         assert!(cores > 0 && threads_per_core > 0, "degenerate device");
         let threads = threads.clamp(1, cores * threads_per_core);
         match self {
@@ -71,7 +71,7 @@ impl Affinity {
     ///
     /// `single_thread_issue` is the device's one-thread issue fraction
     /// (≈0.5 on the Phi, 1.0 on an out-of-order Xeon).
-    pub fn issue_efficiency(self, placement: Placement, single_thread_issue: f64) -> f64 {
+    pub(crate) fn issue_efficiency(self, placement: Placement, single_thread_issue: f64) -> f64 {
         if placement.min_threads_per_core >= 2 {
             1.0
         } else {

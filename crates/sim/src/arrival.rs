@@ -35,8 +35,6 @@ pub enum ArrivalPattern {
 #[derive(Debug, Clone)]
 pub struct ArrivalSchedule {
     times: Vec<f64>,
-    pattern: ArrivalPattern,
-    rate_rps: f64,
 }
 
 impl ArrivalSchedule {
@@ -77,16 +75,7 @@ impl ArrivalSchedule {
                 }
             }
         }
-        ArrivalSchedule {
-            times,
-            pattern,
-            rate_rps,
-        }
-    }
-
-    /// Steady arrivals — see [`ArrivalPattern::Steady`].
-    pub fn steady(n: usize, rate_rps: f64, seed: u64) -> Self {
-        Self::new(n, rate_rps, ArrivalPattern::Steady, seed)
+        ArrivalSchedule { times }
     }
 
     /// Bursty arrivals — see [`ArrivalPattern::Bursty`].
@@ -97,26 +86,6 @@ impl ArrivalSchedule {
     /// The arrival timestamps, seconds, non-decreasing, starting at 0.
     pub fn times(&self) -> &[f64] {
         &self.times
-    }
-
-    /// Number of arrivals.
-    pub fn len(&self) -> usize {
-        self.times.len()
-    }
-
-    /// Whether the schedule is empty.
-    pub fn is_empty(&self) -> bool {
-        self.times.is_empty()
-    }
-
-    /// The configured pattern.
-    pub fn pattern(&self) -> ArrivalPattern {
-        self.pattern
-    }
-
-    /// The configured long-run rate, requests per second.
-    pub fn rate_rps(&self) -> f64 {
-        self.rate_rps
     }
 }
 
@@ -136,10 +105,10 @@ mod tests {
 
     #[test]
     fn schedules_are_deterministic_in_their_parameters() {
-        let a = ArrivalSchedule::steady(64, 100.0, 7);
-        let b = ArrivalSchedule::steady(64, 100.0, 7);
+        let a = ArrivalSchedule::new(64, 100.0, ArrivalPattern::Steady, 7);
+        let b = ArrivalSchedule::new(64, 100.0, ArrivalPattern::Steady, 7);
         assert_eq!(a.times(), b.times());
-        let c = ArrivalSchedule::steady(64, 100.0, 8);
+        let c = ArrivalSchedule::new(64, 100.0, ArrivalPattern::Steady, 8);
         assert_ne!(a.times(), c.times(), "seed must matter");
         let d = ArrivalSchedule::bursty(64, 100.0, 8, 7);
         let e = ArrivalSchedule::bursty(64, 100.0, 8, 7);
@@ -149,10 +118,10 @@ mod tests {
     #[test]
     fn times_are_nondecreasing_and_start_at_zero() {
         for sched in [
-            ArrivalSchedule::steady(100, 250.0, 3),
+            ArrivalSchedule::new(100, 250.0, ArrivalPattern::Steady, 3),
             ArrivalSchedule::bursty(100, 250.0, 16, 3),
         ] {
-            assert_eq!(sched.len(), 100);
+            assert_eq!(sched.times().len(), 100);
             assert_eq!(sched.times()[0], 0.0);
             for w in sched.times().windows(2) {
                 assert!(w[1] >= w[0], "{:?}", w);
@@ -164,16 +133,13 @@ mod tests {
     fn long_run_rate_is_preserved() {
         let n = 1000;
         let rate = 200.0;
-        for sched in [
-            ArrivalSchedule::steady(n, rate, 1),
-            ArrivalSchedule::bursty(n, rate, 25, 1),
-        ] {
+        for pattern in [ArrivalPattern::Steady, ArrivalPattern::Bursty { burst: 25 }] {
+            let sched = ArrivalSchedule::new(n, rate, pattern, 1);
             let span = sched.times()[n - 1] - sched.times()[0];
             let measured = (n - 1) as f64 / span;
             assert!(
                 (measured - rate).abs() / rate < 0.15,
-                "{:?}: measured rate {measured} vs {rate}",
-                sched.pattern()
+                "{pattern:?}: measured rate {measured} vs {rate}"
             );
         }
     }

@@ -51,7 +51,7 @@ impl SimClock {
 
     /// Advances to an absolute time if it is in the future; returns the
     /// stall duration actually waited (0 if `target` already passed).
-    pub fn advance_to(&self, target: f64) -> f64 {
+    pub(crate) fn advance_to(&self, target: f64) -> f64 {
         assert!(!target.is_nan(), "SimClock::advance_to(NaN)");
         let target_ps = (target.max(0.0) * PS_PER_SEC).round() as u128;
         let mut now = self.now_ps.lock();
@@ -62,11 +62,6 @@ impl SimClock {
         } else {
             0.0
         }
-    }
-
-    /// Resets the clock to zero (experiments reuse platforms).
-    pub fn reset(&self) {
-        *self.now_ps.lock() = 0;
     }
 }
 
@@ -120,8 +115,6 @@ mod tests {
         let d = c.clone();
         c.advance(1.0);
         assert_eq!(d.now(), 1.0);
-        d.reset();
-        assert_eq!(c.now(), 0.0);
     }
 
     #[test]

@@ -71,7 +71,7 @@ impl DeviceSpec {
     /// the paper's batch-shaped products plus its admittedly "relatively
     /// coarse" implementation measured ~300x overall, and these values
     /// reproduce that (see the calibration tests in the core crate).
-    pub fn xeon_phi_5110p() -> DeviceSpec {
+    pub(crate) fn xeon_phi_5110p() -> DeviceSpec {
         DeviceSpec {
             name: "Xeon Phi 5110P".to_string(),
             cores: 60,
@@ -104,7 +104,7 @@ impl DeviceSpec {
     /// 7–10x faster than the full socket (the abstract's claim); the small
     /// `gemm_halfsize` reflects that an out-of-order SSE core reaches its
     /// (much lower) peak on far smaller products than the Phi's VPU.
-    pub fn xeon_e5620() -> DeviceSpec {
+    pub(crate) fn xeon_e5620() -> DeviceSpec {
         DeviceSpec {
             name: "Xeon E5620".to_string(),
             cores: 4,
@@ -129,11 +129,6 @@ impl DeviceSpec {
     /// Peak f32 vector GF/s of the whole device.
     pub fn vector_peak_gflops(&self) -> f64 {
         self.cores as f64 * self.clock_ghz * self.simd_f32_lanes as f64 * self.flops_per_lane_cycle
-    }
-
-    /// Sustained scalar GF/s of a single thread.
-    pub fn scalar_gflops_single(&self) -> f64 {
-        self.clock_ghz * self.scalar_flops_per_cycle
     }
 }
 
@@ -241,7 +236,7 @@ impl Platform {
     }
 
     /// Hardware threads available to parallel regions.
-    pub fn threads_used(&self) -> u32 {
+    pub(crate) fn threads_used(&self) -> u32 {
         self.threads_requested
             .unwrap_or(self.cores_used * self.spec.threads_per_core)
             .clamp(1, self.cores_used * self.spec.threads_per_core)
@@ -275,7 +270,6 @@ mod tests {
     fn cpu_peak() {
         let cpu = DeviceSpec::xeon_e5620();
         assert!((cpu.vector_peak_gflops() - 76.8).abs() < 0.1);
-        assert!((cpu.scalar_gflops_single() - 4.8).abs() < 1e-9);
     }
 
     #[test]
@@ -299,7 +293,8 @@ mod tests {
         // The premise of the paper's 300x: one in-order Phi thread is weak.
         let phi = DeviceSpec::xeon_phi_5110p();
         let cpu = DeviceSpec::xeon_e5620();
-        assert!(phi.scalar_gflops_single() < cpu.scalar_gflops_single());
+        let scalar_gflops = |d: &DeviceSpec| d.clock_ghz * d.scalar_flops_per_cycle;
+        assert!(scalar_gflops(&phi) < scalar_gflops(&cpu));
         // ...but the device-wide vector peak dwarfs the host socket.
         assert!(phi.vector_peak_gflops() > 20.0 * cpu.vector_peak_gflops());
     }

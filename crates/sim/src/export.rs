@@ -81,7 +81,7 @@ fn slice(e: &Event) -> Value {
 
 /// Lowers trace events to a Chrome trace [`Value`] tree
 /// (`{"traceEvents": [...], "displayTimeUnit": "ms"}`).
-pub fn chrome_trace_value(events: &[Event]) -> Value {
+pub(crate) fn chrome_trace_value(events: &[Event]) -> Value {
     let mut out = Vec::with_capacity(events.len() + 3);
     out.push(metadata("process_name", 0, "micdnn simulated device"));
     out.push(metadata("thread_name", 0, "compute"));

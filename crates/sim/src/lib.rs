@@ -27,28 +27,28 @@
 //! auditable model rather than by timing a laptop and pretending it is a
 //! Xeon Phi.
 
-pub mod affinity;
-pub mod arrival;
-pub mod clock;
-pub mod cost;
-pub mod device;
-pub mod export;
-pub mod link;
-pub mod memory;
-pub mod multidev;
-pub mod overlap;
-pub mod stream;
-pub mod trace;
+mod affinity;
+mod arrival;
+mod clock;
+mod cost;
+mod device;
+mod export;
+mod link;
+mod memory;
+mod multidev;
+mod overlap;
+mod stream;
+mod trace;
 
 pub use affinity::{Affinity, Placement};
 pub use arrival::{ArrivalPattern, ArrivalSchedule};
 pub use clock::SimClock;
 pub use cost::CostModel;
 pub use device::{DeviceSpec, Platform};
-pub use export::{chrome_trace_json, chrome_trace_value};
+pub use export::chrome_trace_json;
 pub use link::Link;
 pub use memory::{DeviceAlloc, DeviceMemory, OutOfDeviceMemory};
-pub use multidev::{DeviceNode, DeviceSet, SyncModel};
+pub use multidev::{DeviceSet, SyncModel};
 pub use overlap::{Admitted, OverlapClock};
 pub use stream::{
     Chunk, ChunkSource, ChunkStream, RetryEvent, RetryPolicy, SourceFault, StreamError,

@@ -45,7 +45,7 @@ impl Link {
     }
 
     /// Effective bandwidth in GB/s.
-    pub fn effective_gbs(&self) -> f64 {
+    pub(crate) fn effective_gbs(&self) -> f64 {
         self.wire_gbs.min(self.host_pipeline_gbs)
     }
 

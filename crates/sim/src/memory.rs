@@ -82,18 +82,12 @@ impl DeviceMemory {
         Ok(DeviceAlloc {
             pool: self.inner.clone(),
             bytes,
-            label,
         })
     }
 
     /// Bytes currently allocated.
     pub fn used(&self) -> u64 {
         self.inner.lock().used
-    }
-
-    /// Total capacity.
-    pub fn capacity(&self) -> u64 {
-        self.inner.lock().capacity
     }
 
     /// Bytes currently free.
@@ -113,19 +107,6 @@ impl DeviceMemory {
 pub struct DeviceAlloc {
     pool: Arc<Mutex<Inner>>,
     bytes: u64,
-    label: String,
-}
-
-impl DeviceAlloc {
-    /// Size of this reservation in bytes.
-    pub fn bytes(&self) -> u64 {
-        self.bytes
-    }
-
-    /// Label given at allocation time.
-    pub fn label(&self) -> &str {
-        &self.label
-    }
 }
 
 impl Drop for DeviceAlloc {

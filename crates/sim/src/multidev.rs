@@ -14,7 +14,6 @@
 
 use crate::clock::SimClock;
 use crate::link::Link;
-use crate::memory::DeviceMemory;
 use serde::{Deserialize, Serialize};
 
 /// How sharded gradients are merged across devices.
@@ -31,15 +30,11 @@ pub enum SyncModel {
 
 /// One modeled coprocessor in a [`DeviceSet`].
 #[derive(Debug, Clone)]
-pub struct DeviceNode {
-    /// Position in the set (also the fixed merge order).
-    pub id: usize,
+pub(crate) struct DeviceNode {
     /// The device's own simulated clock.
-    pub clock: SimClock,
+    clock: SimClock,
     /// Its PCIe link to the host.
-    pub link: Link,
-    /// Its workspace arena.
-    pub memory: DeviceMemory,
+    link: Link,
     online: bool,
 }
 
@@ -56,17 +51,15 @@ pub struct DeviceSet {
 }
 
 impl DeviceSet {
-    /// A set of `n` identical devices, each with `mem_capacity` bytes of
-    /// arena and its own clone of `link`.
-    pub fn new(n: usize, link: Link, mem_capacity: u64, sync: SyncModel) -> Self {
+    /// A set of `n` identical devices, each with its own clock and its own
+    /// clone of `link`.
+    pub fn new(n: usize, link: Link, sync: SyncModel) -> Self {
         assert!(n >= 1, "a device set needs at least one device");
         DeviceSet {
             devices: (0..n)
-                .map(|id| DeviceNode {
-                    id,
+                .map(|_| DeviceNode {
                     clock: SimClock::new(),
                     link,
-                    memory: DeviceMemory::new(mem_capacity),
                     online: true,
                 })
                 .collect(),
@@ -81,7 +74,7 @@ impl DeviceSet {
         self.devices.len()
     }
 
-    /// `true` when the set holds a single device.
+    /// `true` when the set holds no devices.
     pub fn is_empty(&self) -> bool {
         self.devices.is_empty()
     }
@@ -89,16 +82,6 @@ impl DeviceSet {
     /// Number of devices still online.
     pub fn online_count(&self) -> usize {
         self.devices.iter().filter(|d| d.online).count()
-    }
-
-    /// The sync model in force.
-    pub fn sync_model(&self) -> SyncModel {
-        self.sync
-    }
-
-    /// Device `i`.
-    pub fn device(&self, i: usize) -> &DeviceNode {
-        &self.devices[i]
     }
 
     /// Whether device `i` is online.
@@ -173,7 +156,7 @@ mod tests {
     use super::*;
 
     fn set(n: usize, sync: SyncModel) -> DeviceSet {
-        DeviceSet::new(n, Link::pcie_gen2(), 8 << 30, sync)
+        DeviceSet::new(n, Link::pcie_gen2(), sync)
     }
 
     #[test]
@@ -251,6 +234,6 @@ mod tests {
         assert!((s.compute_secs() - 6.0).abs() < 1e-12);
         assert!((s.sync_secs() - 2.0).abs() < 1e-12);
         assert!((s.sync_fraction() - 0.25).abs() < 1e-12);
-        assert!((s.device(0).clock.now() - 8.0).abs() < 1e-9);
+        assert!((s.devices[0].clock.now() - 8.0).abs() < 1e-9);
     }
 }

@@ -82,17 +82,17 @@ impl OverlapClock {
     }
 
     /// Whether transfers overlap compute.
-    pub fn double_buffered(&self) -> bool {
+    pub(crate) fn double_buffered(&self) -> bool {
         self.double_buffered
     }
 
     /// Takes delivery of a chunk whose transfer lasts `secs`, advancing the
     /// shared simulated `clock` by whatever part compute did not hide.
-    pub fn admit(&mut self, mut clock: &SimClock, secs: f64) -> Admitted {
+    pub(crate) fn admit(&mut self, mut clock: &SimClock, secs: f64) -> Admitted {
         self.admit_on(&mut clock, secs)
     }
 
-    /// [`OverlapClock::admit`] against a plain `f64` clock — same rule,
+    /// `OverlapClock::admit` against a plain `f64` clock — same rule,
     /// unquantised arithmetic.
     pub fn admit_f64(&mut self, clock: &mut f64, secs: f64) -> Admitted {
         self.admit_on(clock, secs)

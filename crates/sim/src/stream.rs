@@ -104,7 +104,7 @@ pub enum SourceFault {
 
 impl SourceFault {
     /// Whether the loading thread should retry after this fault.
-    pub fn is_retryable(&self) -> bool {
+    pub(crate) fn is_retryable(&self) -> bool {
         !matches!(self, SourceFault::Fatal(_))
     }
 }
@@ -229,7 +229,7 @@ impl RetryPolicy {
     /// The backoff before retry `attempt` (0-based) of `chunk`:
     /// `min(base · 2^attempt, max)` scaled by a deterministic jitter factor
     /// in `[0.5, 1.5)`.
-    pub fn backoff(&self, chunk: u64, attempt: u32) -> Duration {
+    pub(crate) fn backoff(&self, chunk: u64, attempt: u32) -> Duration {
         let base = self.base_backoff.as_secs_f64() * 2f64.powi(attempt.min(32) as i32);
         let capped = base.min(self.max_backoff.as_secs_f64());
         // splitmix64 of (seed, chunk, attempt) — no wall-clock randomness.
@@ -546,11 +546,6 @@ impl ChunkStream {
     /// Drains the per-retry event log (for incident reporting).
     pub fn take_retry_events(&self) -> Vec<RetryEvent> {
         std::mem::take(&mut *self.shared.events.lock())
-    }
-
-    /// The link model in use.
-    pub fn link(&self) -> Link {
-        self.link
     }
 
     /// Joins the dead loader thread and converts its fate into an error.

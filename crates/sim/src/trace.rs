@@ -43,7 +43,7 @@ pub struct Event {
 
 impl Event {
     /// Span length in seconds.
-    pub fn duration(&self) -> f64 {
+    pub(crate) fn duration(&self) -> f64 {
         self.end - self.start
     }
 }
@@ -112,7 +112,7 @@ impl Trace {
     }
 
     /// Number of recorded events.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.inner.lock().len()
     }
 
@@ -122,7 +122,7 @@ impl Trace {
     }
 
     /// Total seconds across events matching `pred`.
-    pub fn total_where(&self, pred: impl Fn(&Event) -> bool) -> f64 {
+    pub(crate) fn total_where(&self, pred: impl Fn(&Event) -> bool) -> f64 {
         self.inner
             .lock()
             .iter()
@@ -139,11 +139,6 @@ impl Trace {
     /// Total seconds in any `Compute` event.
     pub fn total_compute(&self) -> f64 {
         self.total_where(|e| matches!(e.kind, EventKind::Compute(_)))
-    }
-
-    /// Clears the log.
-    pub fn clear(&self) {
-        self.inner.lock().clear();
     }
 }
 
@@ -178,8 +173,7 @@ mod tests {
         let u = t.clone();
         t.push(0.0, 1.0, EventKind::Sync, "b");
         assert_eq!(u.len(), 1);
-        u.clear();
-        assert!(t.is_empty());
+        assert!(!t.is_empty());
     }
 
     #[test]

@@ -8,13 +8,13 @@
 use std::alloc::{alloc_zeroed, dealloc, handle_alloc_error, Layout};
 
 /// Cache-line alignment used for all tensor storage, in bytes.
-pub const ALIGN: usize = 64;
+pub(crate) const ALIGN: usize = 64;
 
 /// An owned, fixed-length, 64-byte-aligned `f32` buffer.
 ///
 /// The length is fixed at construction; this is storage, not a growable
 /// vector. Dereferences to `[f32]`.
-pub struct AlignedBuf {
+pub(crate) struct AlignedBuf {
     ptr: std::ptr::NonNull<f32>,
     len: usize,
 }
@@ -27,7 +27,7 @@ impl AlignedBuf {
     /// Allocates a zero-initialized buffer of `len` elements.
     ///
     /// A zero-length buffer performs no allocation.
-    pub fn zeroed(len: usize) -> Self {
+    pub(crate) fn zeroed(len: usize) -> Self {
         if len == 0 {
             return AlignedBuf {
                 ptr: std::ptr::NonNull::dangling(),
@@ -44,7 +44,7 @@ impl AlignedBuf {
     }
 
     /// Builds a buffer by copying `src`.
-    pub fn from_slice(src: &[f32]) -> Self {
+    pub(crate) fn from_slice(src: &[f32]) -> Self {
         let mut buf = Self::zeroed(src.len());
         buf.as_mut_slice().copy_from_slice(src);
         buf
@@ -55,28 +55,16 @@ impl AlignedBuf {
             .expect("AlignedBuf: layout overflow")
     }
 
-    /// Number of `f32` elements.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// `true` when the buffer holds no elements.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
     /// Immutable view of the contents.
     #[inline]
-    pub fn as_slice(&self) -> &[f32] {
+    pub(crate) fn as_slice(&self) -> &[f32] {
         // SAFETY: ptr is valid for len elements (or dangling with len == 0).
         unsafe { std::slice::from_raw_parts(self.ptr.as_ptr(), self.len) }
     }
 
     /// Mutable view of the contents.
     #[inline]
-    pub fn as_mut_slice(&mut self) -> &mut [f32] {
+    pub(crate) fn as_mut_slice(&mut self) -> &mut [f32] {
         // SAFETY: unique ownership; ptr valid for len elements.
         unsafe { std::slice::from_raw_parts_mut(self.ptr.as_ptr(), self.len) }
     }

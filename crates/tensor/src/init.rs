@@ -16,16 +16,6 @@ pub trait Initializer {
     fn init(&self, rows: usize, cols: usize, rng: &mut impl Rng) -> Mat;
 }
 
-/// All-zero initialization (used for biases).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ZeroInit;
-
-impl Initializer for ZeroInit {
-    fn init(&self, rows: usize, cols: usize, _rng: &mut impl Rng) -> Mat {
-        Mat::zeros(rows, cols)
-    }
-}
-
 /// Gaussian `N(0, sigma^2)` initialization (Hinton's guide uses sigma=0.01
 /// for RBM weights).
 #[derive(Debug, Clone, Copy)]
@@ -92,13 +82,6 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-
-    #[test]
-    fn zero_init_is_zero() {
-        let mut rng = StdRng::seed_from_u64(0);
-        let m = ZeroInit.init(3, 4, &mut rng);
-        assert!(m.as_slice().iter().all(|&x| x == 0.0));
-    }
 
     #[test]
     fn normal_init_statistics() {

@@ -1,9 +1,9 @@
 //! Dense, cache-line-aligned `f32` linear-algebra containers for `micdnn`.
 //!
 //! This crate provides the storage layer used by every other crate in the
-//! workspace: a 64-byte-aligned heap buffer ([`AlignedBuf`]), a row-major
-//! dense matrix ([`Mat`]) plus borrowed views ([`MatView`], [`MatViewMut`]),
-//! and parameter-initialization helpers matching the conventions of the
+//! workspace: a row-major dense matrix ([`Mat`]) over a 64-byte-aligned
+//! heap buffer, borrowed views ([`MatView`], [`MatViewMut`]), and
+//! parameter-initialization helpers matching the conventions of the
 //! reproduced paper (sigmoid networks initialized with the classic
 //! `±4·sqrt(6/(fan_in+fan_out))` uniform range).
 //!
@@ -12,13 +12,12 @@
 //! keeps every matrix row-start from straddling cache lines for the common
 //! dimension multiples used in the paper's workloads (all powers of two).
 
-pub mod aligned;
-pub mod init;
-pub mod mat;
-pub mod view;
+mod aligned;
+mod init;
+mod mat;
+mod view;
 
-pub use aligned::AlignedBuf;
-pub use init::{autoencoder_init_range, GlorotSigmoid, Initializer, NormalInit, ZeroInit};
+pub use init::{autoencoder_init_range, GlorotSigmoid, Initializer, NormalInit};
 pub use mat::Mat;
 pub use view::{MatView, MatViewMut};
 
@@ -64,17 +63,6 @@ impl std::fmt::Display for ShapeError {
 
 impl std::error::Error for ShapeError {}
 
-/// Returns `true` when two slices are element-wise within `tol` of each other.
-///
-/// Used pervasively by the test suites of the downstream crates; `NaN`
-/// anywhere yields `false` so silent NaN propagation fails tests loudly.
-pub fn approx_eq_slice(a: &[f32], b: &[f32], tol: f32) -> bool {
-    a.len() == b.len()
-        && a.iter()
-            .zip(b)
-            .all(|(x, y)| (x - y).abs() <= tol && x.is_finite() && y.is_finite())
-}
-
 /// Maximum absolute element-wise difference between two equal-length slices.
 ///
 /// Panics if lengths differ. Returns `0.0` for empty slices.
@@ -89,14 +77,6 @@ pub fn max_abs_diff(a: &[f32], b: &[f32]) -> f32 {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn approx_eq_detects_nan() {
-        assert!(!approx_eq_slice(&[f32::NAN], &[f32::NAN], 1.0));
-        assert!(approx_eq_slice(&[1.0, 2.0], &[1.0 + 1e-7, 2.0], 1e-5));
-        assert!(!approx_eq_slice(&[1.0], &[1.1], 1e-3));
-        assert!(!approx_eq_slice(&[1.0], &[1.0, 2.0], 1e-3));
-    }
 
     #[test]
     fn max_abs_diff_basic() {

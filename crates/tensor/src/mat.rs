@@ -193,7 +193,7 @@ impl Mat {
     }
 
     /// Sets every element to `value`.
-    pub fn fill(&mut self, value: f32) {
+    pub(crate) fn fill(&mut self, value: f32) {
         self.data.as_mut_slice().fill(value);
     }
 
@@ -228,12 +228,6 @@ impl Mat {
     /// `true` iff every element is finite (no NaN / infinity).
     pub fn all_finite(&self) -> bool {
         self.data.iter().all(|x| x.is_finite())
-    }
-
-    /// Copies `other` into `self`; shapes must match.
-    pub fn copy_from(&mut self, other: &Mat) {
-        assert_eq!(self.shape(), other.shape(), "copy_from: shape mismatch");
-        self.data.as_mut_slice().copy_from_slice(other.as_slice());
     }
 
     /// Iterator over rows as slices.
@@ -367,11 +361,8 @@ mod tests {
     }
 
     #[test]
-    fn copy_from_and_clone_independent() {
+    fn clone_is_independent() {
         let a = Mat::full(2, 3, 1.5);
-        let mut b = Mat::zeros(2, 3);
-        b.copy_from(&a);
-        assert_eq!(a, b);
         let mut c = a.clone();
         c.set(0, 0, 9.0);
         assert_eq!(a.get(0, 0), 1.5);

@@ -101,12 +101,6 @@ impl<'a> MatViewMut<'a> {
         MatViewMut { data, rows, cols }
     }
 
-    /// Number of rows.
-    #[inline]
-    pub fn rows(&self) -> usize {
-        self.rows
-    }
-
     /// Number of columns.
     #[inline]
     pub fn cols(&self) -> usize {
@@ -136,11 +130,6 @@ impl<'a> MatViewMut<'a> {
     pub fn row_mut(&mut self, r: usize) -> &mut [f32] {
         debug_assert!(r < self.rows);
         &mut self.data[r * self.cols..(r + 1) * self.cols]
-    }
-
-    /// Reborrow as an immutable view.
-    pub fn as_view(&self) -> MatView<'_> {
-        MatView::new(self.data, self.rows, self.cols)
     }
 }
 
@@ -179,7 +168,7 @@ mod tests {
         {
             let mut v = MatViewMut::new(&mut data, 3, 2);
             v.row_mut(1)[0] = 7.0;
-            assert_eq!(v.as_view().get(1, 0), 7.0);
+            assert_eq!(v.as_slice()[2], 7.0);
             v.as_mut_slice()[5] = 2.0;
         }
         assert_eq!(data[2], 7.0);

@@ -7,8 +7,7 @@
 //!
 //! Defaults to the paper's 1024x4096 network, 100k examples, batch 1000.
 
-use micdnn::analytic::{estimate, Algo, Workload};
-use micdnn::exec::OptLevel;
+use micdnn::{estimate, Algo, OptLevel, Workload};
 use micdnn_sim::{Link, Platform};
 
 fn main() {

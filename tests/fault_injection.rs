@@ -11,12 +11,12 @@
 //! The failpoint registry is process-global, so every test serializes on
 //! [`REGISTRY_LOCK`] and disarms on entry and exit.
 
-use micdnn::supervise::train_dataset_supervised;
 use micdnn::train::{train_dataset, TrainConfig, TrainError};
-use micdnn::{faults, AeConfig, AeModel, ExecCtx, OptLevel, SparseAutoencoder};
 use micdnn::{
-    CnnConfig, CnnModel, CnnNet, DataParallelAe, IncidentLog, MultiDevConfig, Rbm, RbmConfig,
-    RbmModel, SupervisorPolicy,
+    faults, train_dataset_supervised, AeConfig, AeModel, CnnConfig, CnnModel, CnnNet,
+    DataParallelAe, ExecCtx, FineTuneModel, FineTuneNet, IncidentLog, LabeledModel, LabeledNet,
+    MultiDevConfig, OptLevel, Rbm, RbmConfig, RbmModel, RunSupervisor, SparseAutoencoder,
+    StackedAutoencoder, Stage, SupervisorPolicy,
 };
 use micdnn_data::Dataset;
 use micdnn_tensor::Mat;
@@ -353,9 +353,6 @@ fn multidev_device_drop_plus_nan_engages_the_ladder_bit_identically() {
 // ---------------------------------------------------------------------
 
 use micdnn::train::UnsupervisedModel;
-use micdnn::{
-    FineTuneModel, FineTuneNet, LabeledModel, LabeledNet, RunSupervisor, StackedAutoencoder, Stage,
-};
 
 /// The whole supervised pipeline at `devices` cards: every pre-training
 /// layer and the fine-tune pass are legs of one [`RunSupervisor`], so the

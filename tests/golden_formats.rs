@@ -6,11 +6,11 @@
 //! files. A deliberate schema change must update the golden alongside a
 //! version bump; an accidental one fails here first.
 
-use micdnn::model_io::{load_autoencoder, load_rbm, save_autoencoder, save_rbm};
 use micdnn::train::AeModel;
 use micdnn::{
-    load_checkpoint, save_checkpoint, AeConfig, Optimizer, ProfileReport, Profiler, Rbm, RbmConfig,
-    Rule, Schedule, SparseAutoencoder, TrainProgress,
+    load_autoencoder, load_checkpoint, load_rbm, save_autoencoder, save_checkpoint, save_rbm,
+    AeConfig, Optimizer, ProfileReport, Profiler, Rbm, RbmConfig, Rule, Schedule,
+    SparseAutoencoder, TrainProgress,
 };
 use micdnn_kernels::{OpCost, OpKind};
 use micdnn_sim::{chrome_trace_json, EventKind, StreamStats, Trace};

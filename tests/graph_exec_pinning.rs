@@ -4,9 +4,11 @@
 //! cursor all match the plain serial path byte for byte, at whatever
 //! thread count `RAYON_NUM_THREADS` provides.
 
-use micdnn::optim::{Optimizer, Rule, Schedule};
 use micdnn::train::{train_dataset, AeModel, RbmModel, TrainConfig, UnsupervisedModel};
-use micdnn::{AeConfig, ExecCtx, FineTuneNet, OptLevel, Rbm, RbmConfig, SparseAutoencoder};
+use micdnn::{
+    AeConfig, ExecCtx, FineTuneNet, OptLevel, Optimizer, Rbm, RbmConfig, Rule, Schedule,
+    SparseAutoencoder,
+};
 use micdnn_data::{Dataset, DigitGenerator};
 
 fn digit_data(n: usize, side: usize, seed: u64) -> Dataset {

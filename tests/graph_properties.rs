@@ -17,8 +17,7 @@
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
-use micdnn::exec::{ExecCtx, OptLevel};
-use micdnn::{BufClass, BufId, NodeSpec, TaskGraph};
+use micdnn::{BufClass, BufId, ExecCtx, NodeSpec, OptLevel, TaskGraph};
 use micdnn_kernels::OpCost;
 use micdnn_sim::Platform;
 use micdnn_tensor::Mat;
@@ -310,7 +309,7 @@ proptest! {
         steps in 1usize..4,
         seed in any::<u64>(),
     ) {
-        let g = micdnn::finetune::build_step_graph(in_dim, &widths, classes, batch);
+        let g = micdnn::build_step_graph(in_dim, &widths, classes, batch);
         let report = g.verify();
         prop_assert!(report.is_clean(), "stack {in_dim}->{widths:?}->{classes}:\n{report}");
 

@@ -7,10 +7,10 @@
 //! simulated figure would silently stop describing the real code, so this
 //! must fail loudly instead.
 
-use micdnn::analytic::{ae_batch_ops, rbm_cd1_ops};
-use micdnn::autoencoder::{AeConfig, AeScratch, SparseAutoencoder};
-use micdnn::exec::{ExecCtx, OptLevel};
-use micdnn::rbm::{Rbm, RbmConfig, RbmScratch};
+use micdnn::{
+    ae_batch_ops, rbm_cd1_ops, AeConfig, AeScratch, ExecCtx, OptLevel, Rbm, RbmConfig, RbmScratch,
+    SparseAutoencoder,
+};
 use micdnn_kernels::OpCost;
 use micdnn_tensor::Mat;
 use rand::rngs::StdRng;
@@ -117,8 +117,8 @@ fn priced_execution_equals_estimate_for_matching_config() {
     // Executing a small simulated run must land on exactly the same
     // simulated seconds as the model-only estimate for the same workload
     // (compute only; the trainer's stream adds transfer).
-    use micdnn::analytic::{estimate, Algo, Workload};
     use micdnn::train::{train_dataset, AeModel, TrainConfig};
+    use micdnn::{estimate, Algo, Workload};
     use micdnn_data::Dataset;
     use micdnn_sim::{Link, Platform};
 

@@ -11,12 +11,11 @@
 //! fails mid-save must leave the previous file byte-for-byte intact and
 //! clean up its temporary.
 
-use micdnn::model_io::{load_autoencoder, load_rbm, save_autoencoder, save_rbm};
 use micdnn::train::{AeModel, RbmModel};
 use micdnn::{
-    atomic_write, load_checkpoint, load_checkpoint_file, save_autoencoder_file, save_checkpoint,
-    save_checkpoint_file, AeConfig, Optimizer, Rbm, RbmConfig, Rule, Schedule, SparseAutoencoder,
-    TestDir, TrainProgress,
+    atomic_write, load_autoencoder, load_checkpoint, load_checkpoint_file, load_rbm,
+    save_autoencoder, save_autoencoder_file, save_checkpoint, save_checkpoint_file, save_rbm,
+    AeConfig, Optimizer, Rbm, RbmConfig, Rule, Schedule, SparseAutoencoder, TestDir, TrainProgress,
 };
 use std::io::{self, Write};
 use std::path::PathBuf;

@@ -1,10 +1,6 @@
 //! Property-based tests (proptest) on the workspace's core invariants.
 
-use micdnn::analytic::{estimate, Algo, Workload};
-use micdnn::check_autoencoder;
-use micdnn::exec::OptLevel;
-use micdnn::AeConfig;
-use micdnn::SparseAutoencoder;
+use micdnn::{check_autoencoder, estimate, AeConfig, Algo, OptLevel, SparseAutoencoder, Workload};
 use micdnn_kernels::{gemm, naive, Par};
 use micdnn_sim::{CostModel, Link, Platform, SimClock};
 use micdnn_tensor::{max_abs_diff, Mat};
@@ -156,8 +152,7 @@ proptest! {
         edge_seed in any::<u64>(),
         sizes in proptest::collection::vec(1000usize..100_000, 1..12),
     ) {
-        use micdnn::graph::TaskGraph;
-        use micdnn::exec::ExecCtx;
+        use micdnn::{ExecCtx, TaskGraph};
         use rand::{Rng, SeedableRng};
 
         let n = n_nodes.min(sizes.len());

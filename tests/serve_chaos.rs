@@ -11,8 +11,9 @@
 //! [`REGISTRY_LOCK`] and disarms on entry and exit, mirroring the
 //! training chaos suite.
 
-use micdnn::exec::OptLevel;
-use micdnn::{faults, serve_requests, ExecCtx, FineTuneNet, Request, ServeConfig, ServeError};
+use micdnn::{
+    faults, serve_requests, ExecCtx, FineTuneNet, OptLevel, Request, ServeConfig, ServeError,
+};
 use micdnn_tensor::MatView;
 use parking_lot::Mutex;
 use std::time::Duration;

@@ -11,8 +11,7 @@
 //! computed inside a 64-row micro-batch is the same f32s as the row
 //! computed alone.
 
-use micdnn::exec::OptLevel;
-use micdnn::{serve_requests, ExecCtx, FineTuneNet, Request, ServeConfig, ServeError};
+use micdnn::{serve_requests, ExecCtx, FineTuneNet, OptLevel, Request, ServeConfig, ServeError};
 use micdnn_tensor::MatView;
 use proptest::prelude::*;
 

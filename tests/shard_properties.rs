@@ -6,11 +6,10 @@
 //! result. The link and sync models price time; they must never touch
 //! the numerics.
 
-use micdnn::exec::OptLevel;
 use micdnn::train::UnsupervisedModel;
 use micdnn::{
-    block_bounds, AeConfig, DataParallelAe, DataParallelRbm, ExecCtx, MultiDevConfig, Rbm,
-    RbmConfig, SparseAutoencoder,
+    block_bounds, AeConfig, DataParallelAe, DataParallelRbm, ExecCtx, MultiDevConfig, OptLevel,
+    Rbm, RbmConfig, SparseAutoencoder,
 };
 use micdnn_sim::{Link, SyncModel};
 use micdnn_tensor::Mat;

@@ -2,9 +2,8 @@
 //! comparisons, transfer overlap, device-memory limits, and trace
 //! accounting — the machinery every reproduced figure rests on.
 
-use micdnn::analytic::{estimate, Algo, Workload};
 use micdnn::train::{train_dataset, train_stream, AeModel, TrainConfig, TrainError};
-use micdnn::{AeConfig, ExecCtx, OptLevel, SparseAutoencoder};
+use micdnn::{estimate, AeConfig, Algo, ExecCtx, OptLevel, SparseAutoencoder, Workload};
 use micdnn_data::{Dataset, GeneratorSource};
 use micdnn_sim::{EventKind, Link, Platform};
 use micdnn_tensor::Mat;

@@ -17,12 +17,12 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-use micdnn::ae_graph::{build_ae_graph, AeUpdate};
 use micdnn::cd_graph::build_cd_graph;
-use micdnn::exec::{ExecCtx, OptLevel};
-use micdnn::finetune::build_step_graph;
 use micdnn::train::TrainConfig;
-use micdnn::{BufClass, DiagKind, NodeSpec, StackedAutoencoder, TaskGraph};
+use micdnn::{
+    build_ae_graph, build_step_graph, AeUpdate, BufClass, DiagKind, ExecCtx, NodeSpec, OptLevel,
+    StackedAutoencoder, TaskGraph, DEFAULT_MEM_BUDGET,
+};
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
 
@@ -465,8 +465,6 @@ fn unmediated_pipeline_edge_reports_cross_device_flow() {
 // ---------------------------------------------------------------------------
 // 6. Certification: shape inference, determinism audit, peak-memory proofs.
 // ---------------------------------------------------------------------------
-
-use micdnn::DEFAULT_MEM_BUDGET;
 
 /// Every shipped single-device training/serving graph certifies clean —
 /// the full pipeline (safety verifier + shape inference + determinism
