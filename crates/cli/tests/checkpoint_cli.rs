@@ -4,7 +4,9 @@
 //! round-trips through disk; these prove it survives an actual process
 //! exit: `micdnn train` runs N epochs and dies, a *new* process resumes
 //! from the checkpoint directory, and the model file it saves is
-//! byte-for-byte the file an uninterrupted 2N-epoch process writes.
+//! byte-for-byte the file an uninterrupted 2N-epoch process writes. State
+//! a process finds on disk may also be hostile: it must then exit 2 with a
+//! one-line message, never panic or overflow its stack.
 
 use micdnn::TestDir;
 use std::process::Command;
@@ -149,4 +151,48 @@ fn corrupt_checkpoint_reports_cleanly() {
     assert!(!out.status.success(), "corrupt checkpoint accepted");
     let err = String::from_utf8_lossy(&out.stderr);
     assert!(err.contains("cannot load checkpoint"), "{err}");
+}
+
+/// An incident log that is 200 000 unclosed `[`: deeper than the JSON
+/// reader's nesting cap, and deep enough to overflow a recursive parser.
+fn deep_log(path: &std::path::Path) {
+    std::fs::write(path, "[".repeat(200_000)).unwrap();
+}
+
+#[test]
+fn incidents_on_a_deeply_nested_log_exits_2_with_one_line() {
+    let dir = TestDir::new("cli-incidents-deep");
+    let log = dir.file("deep.jsonl");
+    deep_log(&log);
+    let out = Command::new(env!("CARGO_BIN_EXE_micdnn"))
+        .args(["incidents", log.to_str().unwrap()])
+        .output()
+        .expect("failed to spawn micdnn");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "stderr: {err}");
+    assert!(out.stdout.is_empty());
+    assert_eq!(err.lines().count(), 1, "{err}");
+    assert!(err.contains("nested deeper than 128"), "{err}");
+}
+
+#[test]
+fn supervised_resume_rejects_a_deeply_nested_incident_log() {
+    let dir = TestDir::new("cli-resume-deep");
+    let ckpt = dir.file("ckpt");
+    let log = dir.file("incidents.jsonl");
+    let (ckpt, log_str) = (ckpt.to_str().unwrap(), log.to_str().unwrap());
+    let sup = [
+        "--supervise",
+        "--checkpoint-dir",
+        ckpt,
+        "--incidents",
+        log_str,
+    ];
+    assert_ok(&train("ae", &[&["--passes", "1"], &sup[..]].concat()));
+    deep_log(&log);
+    let out = train("ae", &[&["--passes", "2", "--resume"], &sup[..]].concat());
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "stderr: {err}");
+    assert_eq!(err.lines().count(), 1, "{err}");
+    assert!(err.contains("nested deeper than 128"), "{err}");
 }

@@ -33,8 +33,8 @@ use crate::labeled::{LabeledModel, LabeledNet};
 use crate::model_io::{
     atomic_write, bad, checked_dim, read_any_header, read_autoencoder_body, read_f32, read_f64,
     read_header, read_mat, read_rbm_body, read_u64, read_vec, save_autoencoder, save_rbm,
-    write_f32, write_f64, write_header, write_mat, write_slice, write_u64, TAG_AE, TAG_CKPT,
-    TAG_CNN, TAG_FT, TAG_MDP, TAG_RBM,
+    write_f32, write_f64, write_header, write_mat, write_slice, write_u64, ShapeMismatch, TAG_AE,
+    TAG_CKPT, TAG_CNN, TAG_FT, TAG_MDP, TAG_RBM,
 };
 use crate::optim::{Optimizer, Rule, Schedule};
 use crate::train::{AeModel, RbmModel, UnsupervisedModel};
@@ -255,34 +255,29 @@ pub(crate) fn write_ae_state(model: &AeModel, w: &mut dyn Write) -> io::Result<(
 fn read_ae_state(r: &mut impl Read) -> io::Result<AeModel> {
     let ae = read_autoencoder_body(r)?;
     let slot_lens = SparseAutoencoder::optimizer_slots(ae.config());
-    let mut flag = [0u8; 1];
-    r.read_exact(&mut flag)?;
     let model = AeModel::new(ae);
-    match flag[0] {
-        0 => Ok(model),
-        1 => {
-            let rule = read_rule(r)?;
-            let schedule = read_schedule(r)?;
-            let steps = read_u64(r)?;
-            let n_slots = read_u64(r)?;
-            if n_slots != slot_lens.len() as u64 {
-                return Err(bad(format!(
-                    "optimizer has {n_slots} slots, model needs {}",
-                    slot_lens.len()
-                )));
-            }
-            let mut state = Vec::with_capacity(slot_lens.len());
-            for &len in &slot_lens {
-                let expect = match rule {
-                    Rule::Sgd => 0,
-                    Rule::Momentum { .. } | Rule::AdaGrad { .. } => len,
-                };
-                state.push(read_vec(r, expect)?);
-            }
-            Ok(model.with_optimizer(Optimizer::restore(rule, schedule, steps, state)))
-        }
-        t => Err(bad(format!("bad optimizer-present flag {t}"))),
+    if !read_flag(r, "optimizer-present")? {
+        return Ok(model);
     }
+    let rule = read_rule(r)?;
+    let schedule = read_schedule(r)?;
+    let steps = read_u64(r)?;
+    let n_slots = read_u64(r)?;
+    if n_slots != slot_lens.len() as u64 {
+        return Err(bad(format!(
+            "optimizer has {n_slots} slots, model needs {}",
+            slot_lens.len()
+        )));
+    }
+    let mut state = Vec::with_capacity(slot_lens.len());
+    for &len in &slot_lens {
+        let expect = match rule {
+            Rule::Sgd => 0,
+            Rule::Momentum { .. } | Rule::AdaGrad { .. } => len,
+        };
+        state.push(read_vec(r, None, expect)?);
+    }
+    Ok(model.with_optimizer(Optimizer::restore(rule, schedule, steps, state)))
 }
 
 /// Writes an RBM checkpoint body: embedded RBM record + graph flag +
@@ -303,36 +298,34 @@ pub(crate) fn write_rbm_state(model: &RbmModel, w: &mut dyn Write) -> io::Result
     }
 }
 
-/// Reads the one-byte graph-schedule flag every flagged record carries.
-fn read_graph_flag(r: &mut impl Read) -> io::Result<bool> {
+/// Reads a one-byte boolean: the graph-schedule flag every flagged record
+/// carries, or the byte announcing an optional optimizer or momentum
+/// section. `what` names it in the error for any other value.
+fn read_flag(r: &mut impl Read, what: &str) -> io::Result<bool> {
     let mut flag = [0u8; 1];
     r.read_exact(&mut flag)?;
     match flag[0] {
         0 => Ok(false),
         1 => Ok(true),
-        t => Err(bad(format!("bad graph flag {t}"))),
+        t => Err(bad(format!("bad {what} flag {t}"))),
     }
 }
 
 fn read_rbm_state(r: &mut impl Read) -> io::Result<RbmModel> {
     let rbm = read_rbm_body(r)?;
     let cfg = *rbm.config();
-    let use_graph = read_graph_flag(r)?;
-    let mut flag = [0u8; 1];
-    r.read_exact(&mut flag)?;
-    let momentum = match flag[0] {
-        0 => None,
-        1 => {
-            let mu = read_f32(r)?;
-            if !(0.0..1.0).contains(&mu) {
-                return Err(bad(format!("momentum coefficient {mu} out of [0,1)")));
-            }
-            let vw = read_vec(r, cfg.n_visible * cfg.n_hidden)?;
-            let vb = read_vec(r, cfg.n_visible)?;
-            let vc = read_vec(r, cfg.n_hidden)?;
-            Some((mu, vw, vb, vc))
+    let use_graph = read_flag(r, "graph")?;
+    let momentum = if read_flag(r, "momentum-present")? {
+        let mu = read_f32(r)?;
+        if !(0.0..1.0).contains(&mu) {
+            return Err(bad(format!("momentum coefficient {mu} out of [0,1)")));
         }
-        t => return Err(bad(format!("bad momentum-present flag {t}"))),
+        let vw = read_vec(r, None, cfg.n_visible * cfg.n_hidden)?;
+        let vb = read_vec(r, None, cfg.n_visible)?;
+        let vc = read_vec(r, None, cfg.n_hidden)?;
+        Some((mu, vw, vb, vc))
+    } else {
+        None
     };
     let mut model = RbmModel::new(rbm);
     model.restore_extras(use_graph, momentum);
@@ -418,13 +411,13 @@ fn read_cnn_state(r: &mut impl Read) -> io::Result<CnnModel> {
     if !weight_decay.is_finite() {
         return Err(bad(format!("non-finite weight decay {weight_decay}")));
     }
-    let use_graph = read_graph_flag(r)?;
-    let conv_w = read_mat(r, channels, kernel * kernel)?;
-    let conv_b = read_vec(r, channels)?;
-    let dense_w = read_mat(r, hidden, cfg.pooled_dim())?;
-    let dense_b = read_vec(r, hidden)?;
-    let sw = read_mat(r, n_classes, hidden)?;
-    let sb = read_vec(r, n_classes)?;
+    let use_graph = read_flag(r, "graph")?;
+    let conv_w = read_mat(r, None, channels, kernel * kernel)?;
+    let conv_b = read_vec(r, None, channels)?;
+    let dense_w = read_mat(r, None, hidden, cfg.pooled_dim())?;
+    let dense_b = read_vec(r, None, hidden)?;
+    let sw = read_mat(r, None, n_classes, hidden)?;
+    let sb = read_vec(r, None, n_classes)?;
     let softmax = SoftmaxLayer { w: sw, b: sb };
     let net = CnnNet::from_parts(
         cfg,
@@ -479,17 +472,17 @@ fn read_ft_state(r: &mut impl Read) -> io::Result<FineTuneModel> {
     if !weight_decay.is_finite() {
         return Err(bad(format!("non-finite weight decay {weight_decay}")));
     }
-    let use_graph = read_graph_flag(r)?;
+    let use_graph = read_flag(r, "graph")?;
     let mut layers = Vec::with_capacity(widths.len());
     let mut prev = in_dim;
     for &h in &widths {
-        let lw = read_mat(r, h, prev)?;
-        let lb = read_vec(r, h)?;
+        let lw = read_mat(r, None, h, prev)?;
+        let lb = read_vec(r, None, h)?;
         layers.push((lw, lb));
         prev = h;
     }
-    let sw = read_mat(r, n_classes, prev)?;
-    let sb = read_vec(r, n_classes)?;
+    let sw = read_mat(r, None, n_classes, prev)?;
+    let sb = read_vec(r, None, n_classes)?;
     let softmax = SoftmaxLayer { w: sw, b: sb };
     let net = FineTuneNet::from_parts(layers, softmax, weight_decay, use_graph);
     read_labeled_state(net, r)
@@ -587,29 +580,14 @@ pub enum CheckpointError {
     Io(io::Error),
     /// A named tensor's on-disk dims disagree with the record's header
     /// geometry (vectors are reported as `(len, 1)`).
-    ShapeMismatch {
-        /// Which tensor disagreed (`"w1"`, `"b_vis"`, ...).
-        layer: String,
-        /// `(rows, cols)` the header-derived geometry requires.
-        expected: (usize, usize),
-        /// `(rows, cols)` actually found on disk.
-        found: (usize, usize),
-    },
+    ShapeMismatch(ShapeMismatch),
 }
 
 impl std::fmt::Display for CheckpointError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             CheckpointError::Io(e) => write!(f, "checkpoint: {e}"),
-            CheckpointError::ShapeMismatch {
-                layer,
-                expected,
-                found,
-            } => write!(
-                f,
-                "checkpoint layer `{layer}`: shape {}x{} on disk, model expects {}x{}",
-                found.0, found.1, expected.0, expected.1
-            ),
+            CheckpointError::ShapeMismatch(sm) => write!(f, "checkpoint {sm}"),
         }
     }
 }
@@ -618,7 +596,7 @@ impl std::error::Error for CheckpointError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             CheckpointError::Io(e) => Some(e),
-            CheckpointError::ShapeMismatch { .. } => None,
+            CheckpointError::ShapeMismatch(_) => None,
         }
     }
 }
@@ -627,17 +605,13 @@ impl From<io::Error> for CheckpointError {
     fn from(e: io::Error) -> Self {
         // The tensor readers attach a structured `ShapeMismatch` payload to
         // InvalidData errors; lift it into the typed variant.
-        if let Some(sm) = e
+        match e
             .get_ref()
-            .and_then(|inner| inner.downcast_ref::<crate::model_io::ShapeMismatch>())
+            .and_then(|inner| inner.downcast_ref::<ShapeMismatch>())
         {
-            return CheckpointError::ShapeMismatch {
-                layer: sm.layer.clone(),
-                expected: sm.expected,
-                found: sm.found,
-            };
+            Some(sm) => CheckpointError::ShapeMismatch(sm.clone()),
+            None => CheckpointError::Io(e),
         }
-        CheckpointError::Io(e)
     }
 }
 
@@ -730,15 +704,15 @@ mod tests {
         let path = dir.file("checkpoint.mic");
         save_checkpoint_file(&path, &model, 0, 0, &TrainProgress::default()).unwrap();
         let err = load_checkpoint_file(&path).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "checkpoint layer `w1`: shape 3x3 on disk, model expects 5x8"
+        );
         match err {
-            CheckpointError::ShapeMismatch {
-                layer,
-                expected,
-                found,
-            } => {
-                assert_eq!(layer, "w1");
-                assert_eq!(expected, (5, 8));
-                assert_eq!(found, (3, 3));
+            CheckpointError::ShapeMismatch(sm) => {
+                assert_eq!(sm.layer, "w1");
+                assert_eq!(sm.expected, (5, 8));
+                assert_eq!(sm.found, (3, 3));
             }
             other => panic!("expected ShapeMismatch, got {other:?}"),
         }

@@ -67,12 +67,6 @@ impl std::fmt::Display for ShapeMismatch {
 
 impl std::error::Error for ShapeMismatch {}
 
-impl ShapeMismatch {
-    fn into_io(self) -> io::Error {
-        io::Error::new(io::ErrorKind::InvalidData, self)
-    }
-}
-
 /// Validates a header-derived dimension before it is used to size anything.
 pub(crate) fn checked_dim(v: u64, what: &str) -> io::Result<usize> {
     if v == 0 || v > MAX_DIM as u64 {
@@ -137,12 +131,18 @@ pub(crate) fn write_slice(w: &mut impl Write, s: &[f32]) -> io::Result<()> {
     Ok(())
 }
 
-pub(crate) fn read_vec(r: &mut impl Read, expect: usize) -> io::Result<Vec<f32>> {
+/// Reads a length-prefixed tensor that must hold `expect` floats.
+pub(crate) fn read_vec(
+    r: &mut impl Read,
+    layer: Option<&str>,
+    expect: usize,
+) -> io::Result<Vec<f32>> {
     // Validate the on-disk length against the caller's expectation *before*
     // allocating: a corrupt length field must never size a buffer.
     let len = read_u64(r)?;
     if len != expect as u64 {
-        return Err(bad(format!("tensor length {len}, expected {expect}")));
+        let plain = || format!("tensor length {len}, expected {expect}");
+        return Err(shape_error(layer, (expect, 1), (len as usize, 1), plain));
     }
     let mut out = Vec::with_capacity(expect);
     let mut buf = vec![0u8; 4 * IO_CHUNK_FLOATS.min(expect.max(1))];
@@ -167,71 +167,51 @@ pub(crate) fn write_mat(w: &mut impl Write, m: &Mat) -> io::Result<()> {
     write_slice(w, m.as_slice())
 }
 
-pub(crate) fn read_mat(r: &mut impl Read, rows: usize, cols: usize) -> io::Result<Mat> {
-    let got_rows = read_u64(r)? as usize;
-    let got_cols = read_u64(r)? as usize;
-    if (got_rows, got_cols) != (rows, cols) {
-        return Err(bad(format!(
-            "matrix shape {got_rows}x{got_cols}, expected {rows}x{cols}"
-        )));
-    }
-    let data = read_vec(r, checked_elems(rows, cols)?)?;
-    Mat::from_vec(rows, cols, data).map_err(|e| bad(e.to_string()))
-}
-
-/// [`read_mat`], but a dimension disagreement is reported as a structured
-/// [`ShapeMismatch`] payload naming `layer` instead of a bare message.
-pub(crate) fn read_mat_named(
+/// Reads a `rows x cols` matrix record.
+pub(crate) fn read_mat(
     r: &mut impl Read,
-    layer: &str,
+    layer: Option<&str>,
     rows: usize,
     cols: usize,
 ) -> io::Result<Mat> {
     let got_rows = read_u64(r)? as usize;
     let got_cols = read_u64(r)? as usize;
     if (got_rows, got_cols) != (rows, cols) {
-        return Err(ShapeMismatch {
-            layer: layer.to_string(),
-            expected: (rows, cols),
-            found: (got_rows, got_cols),
-        }
-        .into_io());
+        let plain = || format!("matrix shape {got_rows}x{got_cols}, expected {rows}x{cols}");
+        return Err(shape_error(
+            layer,
+            (rows, cols),
+            (got_rows, got_cols),
+            plain,
+        ));
     }
-    let data = read_vec(r, checked_elems(rows, cols)?)?;
+    let data = read_vec(r, None, checked_elems(rows, cols)?)?;
     Mat::from_vec(rows, cols, data).map_err(|e| bad(e.to_string()))
 }
 
-/// [`read_vec`], but a length disagreement is reported as a structured
-/// [`ShapeMismatch`] payload naming `layer` (shapes rendered `(len, 1)`).
-pub(crate) fn read_vec_named(
-    r: &mut impl Read,
-    layer: &str,
-    expect: usize,
-) -> io::Result<Vec<f32>> {
-    let len = read_u64(r)?;
-    if len != expect as u64 {
-        return Err(ShapeMismatch {
-            layer: layer.to_string(),
-            expected: (expect, 1),
-            found: (len as usize, 1),
+/// The error for a tensor found `found` on disk where `expected` was due: a
+/// structured [`ShapeMismatch`] naming `layer` when the caller named one,
+/// else the bare `plain` message.
+fn shape_error(
+    layer: Option<&str>,
+    expected: (usize, usize),
+    found: (usize, usize),
+    plain: impl FnOnce() -> String,
+) -> io::Error {
+    match layer {
+        Some(layer) => {
+            let layer = layer.to_string();
+            io::Error::new(
+                io::ErrorKind::InvalidData,
+                ShapeMismatch {
+                    layer,
+                    expected,
+                    found,
+                },
+            )
         }
-        .into_io());
+        None => bad(plain()),
     }
-    let mut out = Vec::with_capacity(expect);
-    let mut buf = vec![0u8; 4 * IO_CHUNK_FLOATS.min(expect.max(1))];
-    let mut remaining = expect;
-    while remaining > 0 {
-        let n = remaining.min(IO_CHUNK_FLOATS);
-        let bytes = &mut buf[..4 * n];
-        r.read_exact(bytes)?;
-        out.extend(
-            bytes
-                .chunks_exact(4)
-                .map(|b| f32::from_le_bytes([b[0], b[1], b[2], b[3]])),
-        );
-        remaining -= n;
-    }
-    Ok(out)
 }
 
 pub(crate) fn write_header(w: &mut impl Write, tag: u8) -> io::Result<()> {
@@ -331,10 +311,10 @@ pub(crate) fn read_autoencoder_body(r: &mut impl Read) -> io::Result<SparseAutoe
         sparsity_weight: read_f32(r)?,
     };
     let mut ae = SparseAutoencoder::new(cfg, 0);
-    ae.w1 = read_mat_named(r, "w1", n_hidden, n_visible)?;
-    ae.w2 = read_mat_named(r, "w2", n_visible, n_hidden)?;
-    ae.b1 = read_vec_named(r, "b1", n_hidden)?;
-    ae.b2 = read_vec_named(r, "b2", n_visible)?;
+    ae.w1 = read_mat(r, Some("w1"), n_hidden, n_visible)?;
+    ae.w2 = read_mat(r, Some("w2"), n_visible, n_hidden)?;
+    ae.b1 = read_vec(r, Some("b1"), n_hidden)?;
+    ae.b2 = read_vec(r, Some("b2"), n_visible)?;
     Ok(ae)
 }
 
@@ -367,9 +347,9 @@ pub(crate) fn read_rbm_body(r: &mut impl Read) -> io::Result<Rbm> {
     checked_elems(n_hidden, n_visible)?;
     let cfg = RbmConfig::new(n_visible, n_hidden).with_cd_steps(cd_steps as usize);
     let mut rbm = Rbm::new(cfg, 0);
-    rbm.w = read_mat_named(r, "w", n_hidden, n_visible)?;
-    rbm.b_vis = read_vec_named(r, "b_vis", n_visible)?;
-    rbm.c_hid = read_vec_named(r, "c_hid", n_hidden)?;
+    rbm.w = read_mat(r, Some("w"), n_hidden, n_visible)?;
+    rbm.b_vis = read_vec(r, Some("b_vis"), n_visible)?;
+    rbm.c_hid = read_vec(r, Some("c_hid"), n_hidden)?;
     Ok(rbm)
 }
 

@@ -20,7 +20,7 @@
 use micdnn_kernels::OpCost;
 use micdnn_sim::StreamStats;
 use parking_lot::Mutex;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -224,7 +224,7 @@ pub(crate) fn percentile(sorted: &[f64], q: f64) -> f64 {
 pub(crate) const SCHEMA: &str = "micdnn-profile-v2";
 
 /// Aggregate statistics of one op kind/label pair.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct OpReport {
     /// Kernel label ("gemm", "bias+sigmoid", "cd-update", ...).
     pub op: String,
@@ -249,7 +249,7 @@ pub struct OpReport {
 }
 
 /// Aggregate statistics of one named phase.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct PhaseReport {
     /// Phase name ("load", "forward", "backward", "update", ...).
     pub phase: String,
@@ -262,7 +262,7 @@ pub struct PhaseReport {
 }
 
 /// Combined transfer statistics of the run's chunk streams.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct StreamReport {
     /// Chunks delivered.
     pub chunks: u64,
@@ -278,7 +278,7 @@ pub struct StreamReport {
 
 /// Latency distribution of one labeled sample set (e.g. per-request
 /// serving latency).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct LatencyReport {
     /// Sample-set label ("serve.request", ...).
     pub label: String,
@@ -295,7 +295,7 @@ pub struct LatencyReport {
 }
 
 /// The full profiling report of one run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct ProfileReport {
     /// Layout version tag (`micdnn-profile-v2`).
     pub schema: String,
@@ -482,8 +482,9 @@ mod tests {
     fn report_serde_roundtrip() {
         let report = sample_profiler().report(Some(2021.76), 2.75);
         let text = serde_json::to_string_pretty(&report).unwrap();
-        let back: ProfileReport = serde_json::from_str(&text).unwrap();
-        assert_eq!(back, report);
+        let back = serde_json::from_str(&text).unwrap();
+        assert_eq!(back, serde_json::to_value(&report));
+        assert_eq!(serde_json::to_string_pretty(&back).unwrap(), text);
     }
 
     #[test]

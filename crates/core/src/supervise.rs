@@ -56,7 +56,7 @@ use crate::train::{
 };
 use micdnn_data::{ChunkGeometry, Dataset};
 use parking_lot::Mutex;
-use serde::{Deserialize, Serialize, Value};
+use serde::{Serialize, Value};
 use std::io;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
@@ -236,34 +236,42 @@ pub struct Incident {
     pub value: f64,
 }
 
-// Hand-written for two reasons: v1 records predate `stage` (it defaults
-// to empty), and `value` can be non-finite (a NaN divergence error),
-// which JSON can only represent as `null`.
-impl Deserialize for Incident {
-    fn deserialize_value(value: &Value) -> Result<Self, serde::Error> {
+impl Incident {
+    /// Reads one record back from its JSON form. v1 records predate
+    /// `stage`, which then reads as empty; `value` can be non-finite (a
+    /// NaN divergence error), which JSON can only write as `null`.
+    fn from_value(record: &Value) -> Result<Incident, String> {
         let field = |name: &str| {
-            value
+            record
                 .get_field(name)
-                .ok_or_else(|| serde::Error::missing_field("Incident", name))
+                .ok_or_else(|| format!("missing field `{name}`"))
+        };
+        let text = |name: &str| {
+            field(name)?
+                .as_str()
+                .map(str::to_string)
+                .ok_or_else(|| format!("field `{name}` is not a string"))
         };
         Ok(Incident {
-            kind: String::deserialize_value(field("kind")?)?,
-            stage: match value.get_field("stage") {
-                Some(v) => String::deserialize_value(v)?,
+            kind: text("kind")?,
+            stage: match record.get_field("stage") {
+                Some(_) => text("stage")?,
                 None => String::new(),
             },
-            detail: String::deserialize_value(field("detail")?)?,
-            batch: u64::deserialize_value(field("batch")?)?,
+            detail: text("detail")?,
+            batch: field("batch")?
+                .as_u64()
+                .ok_or("field `batch` is not a non-negative integer")?,
             value: match field("value")? {
                 Value::Null => f64::NAN,
-                v => f64::deserialize_value(v)?,
+                v => v.as_f64().ok_or("field `value` is not a number")?,
             },
         })
     }
 }
 
 /// The structured incident record of one supervised run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct IncidentLog {
     /// Always `micdnn-incidents-v2` for logs this build writes; the
     /// whole-document `micdnn-incidents-v1` survives loading (records
@@ -319,33 +327,43 @@ impl IncidentLog {
     /// Parses an incident log from either the v2 JSON-lines format or the
     /// legacy v1 whole-document JSON. In the JSONL form, a corrupt *final*
     /// line (the record a crash was appending) is silently dropped; a
-    /// corrupt line anywhere else is an error.
+    /// corrupt line anywhere else is an error. This is the one place JSON
+    /// is read back into a typed value; everything else reads a `Value`.
     pub(crate) fn from_text(text: &str) -> io::Result<IncidentLog> {
-        // A v1 export is one pretty-printed JSON document; try that first.
-        if let Ok(log) = serde_json::from_str::<IncidentLog>(text) {
-            return Ok(log);
+        let corrupt =
+            |i: usize, e: String| bad(format!("incident record {} is corrupt: {e}", i + 1));
+        // A v1 export is one pretty-printed JSON document holding every
+        // record; a v2 header alone also parses, but has no `incidents`.
+        if let Ok(doc) = serde_json::from_str(text) {
+            if let Some(records) = doc.get_field("incidents") {
+                let records = records
+                    .as_array()
+                    .ok_or_else(|| bad("incident log `incidents` is not an array"))?;
+                let incidents = records
+                    .iter()
+                    .enumerate()
+                    .map(|(i, r)| Incident::from_value(r).map_err(|e| corrupt(i, e)))
+                    .collect::<io::Result<_>>()?;
+                let schema = schema_of(&doc)?;
+                return Ok(IncidentLog { schema, incidents });
+            }
         }
         let lines: Vec<&str> = text.lines().filter(|l| !l.trim().is_empty()).collect();
         let Some((&header, records)) = lines.split_first() else {
             return Ok(IncidentLog::new());
         };
-        let head: Value = serde_json::from_str(header)
+        let head = serde_json::from_str(header)
             .map_err(|e| bad(format!("incident log header is not JSON: {e}")))?;
-        let schema = head
-            .get_field("schema")
-            .and_then(Value::as_str)
-            .ok_or_else(|| bad("incident log header lacks a schema tag"))?
-            .to_string();
+        let schema = schema_of(&head)?;
         let mut incidents = Vec::with_capacity(records.len());
         for (i, line) in records.iter().enumerate() {
-            match serde_json::from_str::<Incident>(line) {
+            let record = serde_json::from_str(line).map_err(|e| e.to_string());
+            match record.and_then(|r| Incident::from_value(&r)) {
                 Ok(incident) => incidents.push(incident),
                 // The documented durability bound: a crash mid-append
                 // loses at most the record that was in flight.
                 Err(_) if i + 1 == records.len() => break,
-                Err(e) => {
-                    return Err(bad(format!("incident record {} is corrupt: {e}", i + 1)));
-                }
+                Err(e) => return Err(corrupt(i, e)),
             }
         }
         Ok(IncidentLog { schema, incidents })
@@ -362,6 +380,14 @@ impl IncidentLog {
     pub fn save_jsonl(&self, path: impl AsRef<Path>) -> io::Result<()> {
         atomic_write(path, |w| w.write_all(self.to_jsonl().as_bytes()))
     }
+}
+
+/// The `schema` tag of an incident log's header (or v1 document).
+fn schema_of(head: &Value) -> io::Result<String> {
+    head.get_field("schema")
+        .and_then(Value::as_str)
+        .map(str::to_string)
+        .ok_or_else(|| bad("incident log header lacks a schema tag"))
 }
 
 /// An in-memory checkpoint: the serialized run state and the batch
@@ -1387,6 +1413,70 @@ mod tests {
     }
 
     #[test]
+    fn hostile_incident_logs_are_rejected_or_lose_only_the_final_record() {
+        const HEAD: &str = r#"{"schema":"micdnn-incidents-v2"}"#;
+        const GOOD: &str =
+            r#"{"kind":"rollback","stage":"cnn","detail":"d","batch":4,"value":0.5}"#;
+        let record = |field: &str, v: &str| {
+            GOOD.replace(&format!("\"{field}\":"), &format!("\"{field}\":{v},\"_\":"))
+        };
+        let hostile = [
+            ("kind of the wrong type", record("kind", "7")),
+            ("stage of the wrong type", record("stage", "[]")),
+            ("batch as a string", record("batch", "\"4\"")),
+            ("negative batch", record("batch", "-4")),
+            ("fractional batch", record("batch", "4.5")),
+            ("value as a string", record("value", "\"x\"")),
+            ("missing detail", GOOD.replace("\"detail\"", "\"note\"")),
+            ("record that is an array", "[1,2,3]".to_string()),
+            ("record that is a number", "42".to_string()),
+            ("corrupt line", GOOD[..GOOD.len() - 9].to_string()),
+            ("deep nesting", "[".repeat(10_000)),
+        ];
+        for (what, bad_record) in &hostile {
+            // In the middle of a JSONL log it is corruption, not data loss.
+            let middle = format!("{HEAD}\n{GOOD}\n{bad_record}\n{GOOD}\n");
+            let err = IncidentLog::from_text(&middle).expect_err(what);
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{what}: {err}");
+            assert!(
+                err.to_string().contains("incident record 2"),
+                "{what}: {err}"
+            );
+            // As the final line it is the record a crash was appending.
+            let last = format!("{HEAD}\n{GOOD}\n{bad_record}\n");
+            let log = IncidentLog::from_text(&last).unwrap_or_else(|e| panic!("{what}: {e}"));
+            assert_eq!(log.incidents.len(), 1, "{what}");
+            assert_eq!(log.incidents[0].batch, 4, "{what}");
+            // A v1 document has no final line to forgive.
+            let v1 = format!(r#"{{"schema":"v1","incidents":[{GOOD},{bad_record}]}}"#);
+            let err = IncidentLog::from_text(&v1).expect_err(what);
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{what}: {err}");
+        }
+        let whole_log = [
+            ("header without schema", format!("{{\"tag\":1}}\n{GOOD}\n")),
+            (
+                "schema of the wrong type",
+                format!("{{\"schema\":2}}\n{GOOD}\n"),
+            ),
+            ("header that is not JSON", format!("schema\n{GOOD}\n")),
+            (
+                "v1 incidents not an array",
+                r#"{"schema":"v1","incidents":{}}"#.to_string(),
+            ),
+            (
+                "v1 incidents a string",
+                "{\n  \"schema\": \"v1\",\n  \"incidents\": \"\"\n}".to_string(),
+            ),
+            ("v1 without schema", format!(r#"{{"incidents":[{GOOD}]}}"#)),
+            ("deeply nested header", "[".repeat(200_000)),
+        ];
+        for (what, text) in &whole_log {
+            let err = IncidentLog::from_text(text).expect_err(what);
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{what}: {err}");
+        }
+    }
+
+    #[test]
     fn corrupt_snapshot_falls_back_to_previous() {
         let ds = toy_dataset(80, 12, 6);
         let cfg = toy_cfg();
@@ -1565,7 +1655,11 @@ mod tests {
             value: 0.001,
         });
         let text = serde_json::to_string_pretty(&log).unwrap();
-        let back: IncidentLog = serde_json::from_str(&text).unwrap();
+        let value = serde_json::from_str(&text).unwrap();
+        assert_eq!(value, serde_json::to_value(&log));
+        assert_eq!(serde_json::to_string_pretty(&value).unwrap(), text);
+        // The whole-document form is the v1 layout, which the reader takes.
+        let back = IncidentLog::from_text(&text).unwrap();
         assert_eq!(log, back);
         assert_eq!(back.schema, INCIDENT_SCHEMA);
         assert_eq!(back.count("loader-retry"), 1);

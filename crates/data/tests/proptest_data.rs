@@ -66,6 +66,15 @@ proptest! {
         prop_assert_eq!(sum_a, sum_b, "shuffle changed content");
     }
 
+    /// The harness itself: a case `prop_assume!` discards is not a pass,
+    /// so a property that discards every case fails instead of passing
+    /// vacuously.
+    #[test]
+    #[should_panic(expected = "rejected 1024 cases with 0/16 accepted")]
+    fn a_property_that_discards_every_case_fails(n in 4usize..50) {
+        prop_assume!(n < 4);
+    }
+
     /// batch_bounds tiles the dataset exactly.
     #[test]
     fn batch_bounds_tile(n in 1usize..100, batch in 1usize..40) {

@@ -5,7 +5,7 @@
 //! workspace relies on: dropping the receiver makes `send` fail, dropping
 //! the sender makes `recv` fail.
 
-/// Bounded MPSC channels with crossbeam's error-enum shape.
+/// Bounded channels with crossbeam's error-enum shape.
 pub mod channel {
     use std::sync::mpsc;
 
@@ -26,14 +26,8 @@ pub mod channel {
         Disconnected,
     }
 
-    /// Sending half of a bounded channel.
+    /// Sending half of a bounded channel (one producer: not `Clone`).
     pub struct Sender<T>(mpsc::SyncSender<T>);
-
-    impl<T> Clone for Sender<T> {
-        fn clone(&self) -> Self {
-            Sender(self.0.clone())
-        }
-    }
 
     impl<T> Sender<T> {
         /// Blocks until the message is buffered or the receiver disconnects.
@@ -51,11 +45,6 @@ pub mod channel {
             self.0.recv().map_err(|_| RecvError)
         }
 
-        /// Non-blocking receive; `None` when empty or disconnected.
-        pub fn try_recv(&self) -> Option<T> {
-            self.0.try_recv().ok()
-        }
-
         /// Blocks up to `timeout` for a message; distinguishes an elapsed
         /// deadline from a disconnected channel.
         pub fn recv_timeout(&self, timeout: std::time::Duration) -> Result<T, RecvTimeoutError> {
@@ -63,11 +52,6 @@ pub mod channel {
                 mpsc::RecvTimeoutError::Timeout => RecvTimeoutError::Timeout,
                 mpsc::RecvTimeoutError::Disconnected => RecvTimeoutError::Disconnected,
             })
-        }
-
-        /// Blocking iterator over remaining messages.
-        pub fn iter(&self) -> impl Iterator<Item = T> + '_ {
-            self.0.iter()
         }
     }
 

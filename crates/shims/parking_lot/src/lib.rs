@@ -1,15 +1,15 @@
 //! Workspace-local substitute for the `parking_lot` crate.
 //!
-//! Wraps `std::sync::Mutex`/`RwLock` with parking_lot's poison-free,
-//! guard-returning API. Poisoning is swallowed (a panicked holder does not
-//! wedge later lockers), matching parking_lot's observable behavior for the
-//! call sites in this workspace.
+//! Wraps `std::sync::Mutex` with parking_lot's poison-free,
+//! guard-returning `lock()`. Poisoning is swallowed (a panicked holder does
+//! not wedge later lockers), matching parking_lot's observable behavior for
+//! the call sites in this workspace.
 
-use std::sync::{MutexGuard, RwLockReadGuard, RwLockWriteGuard};
+use std::sync::MutexGuard;
 
 /// A mutual-exclusion lock whose `lock()` returns the guard directly.
 #[derive(Debug, Default)]
-pub struct Mutex<T: ?Sized>(std::sync::Mutex<T>);
+pub struct Mutex<T>(std::sync::Mutex<T>);
 
 impl<T> Mutex<T> {
     /// Creates a new mutex holding `value`.
@@ -17,49 +17,9 @@ impl<T> Mutex<T> {
         Mutex(std::sync::Mutex::new(value))
     }
 
-    /// Consumes the mutex, returning the inner value.
-    pub fn into_inner(self) -> T {
-        self.0.into_inner().unwrap_or_else(|e| e.into_inner())
-    }
-}
-
-impl<T: ?Sized> Mutex<T> {
     /// Acquires the lock, blocking until available.
     pub fn lock(&self) -> MutexGuard<'_, T> {
         self.0.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// Mutable access without locking (requires `&mut self`).
-    pub fn get_mut(&mut self) -> &mut T {
-        self.0.get_mut().unwrap_or_else(|e| e.into_inner())
-    }
-}
-
-/// A reader-writer lock whose `read()`/`write()` return guards directly.
-#[derive(Debug, Default)]
-pub struct RwLock<T: ?Sized>(std::sync::RwLock<T>);
-
-impl<T> RwLock<T> {
-    /// Creates a new rwlock holding `value`.
-    pub const fn new(value: T) -> Self {
-        RwLock(std::sync::RwLock::new(value))
-    }
-
-    /// Consumes the lock, returning the inner value.
-    pub fn into_inner(self) -> T {
-        self.0.into_inner().unwrap_or_else(|e| e.into_inner())
-    }
-}
-
-impl<T: ?Sized> RwLock<T> {
-    /// Acquires a shared read guard.
-    pub fn read(&self) -> RwLockReadGuard<'_, T> {
-        self.0.read().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// Acquires an exclusive write guard.
-    pub fn write(&self) -> RwLockWriteGuard<'_, T> {
-        self.0.write().unwrap_or_else(|e| e.into_inner())
     }
 }
 
@@ -68,16 +28,21 @@ mod tests {
     use super::*;
 
     #[test]
-    fn mutex_locks_and_unwraps() {
+    fn mutex_locks() {
         let m = Mutex::new(3);
         *m.lock() += 4;
-        assert_eq!(m.into_inner(), 7);
+        assert_eq!(*m.lock(), 7);
     }
 
     #[test]
-    fn rwlock_read_write() {
-        let l = RwLock::new(vec![1]);
-        l.write().push(2);
-        assert_eq!(l.read().len(), 2);
+    fn a_panicked_holder_does_not_wedge_the_lock() {
+        let m = std::sync::Arc::new(Mutex::new(1));
+        let held = std::sync::Arc::clone(&m);
+        let _ = std::thread::spawn(move || {
+            let _guard = held.lock();
+            panic!("poison the inner mutex");
+        })
+        .join();
+        assert_eq!(*m.lock(), 1);
     }
 }

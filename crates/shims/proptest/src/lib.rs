@@ -5,7 +5,10 @@
 //! deterministic per-test RNG. Unlike upstream proptest there is no
 //! shrinking: a failing case reports its case number and sampled values
 //! are reproducible (seeded from the test's module path and case index),
-//! which is enough to debug the properties in this workspace.
+//! which is enough to debug the properties in this workspace. As upstream,
+//! a case `prop_assume!` discards does not count: more are drawn until
+//! `cases` have been accepted, and a property that rejects 1024 cases
+//! first fails.
 
 /// Deterministic RNG and run configuration.
 pub mod test_runner {
@@ -100,7 +103,7 @@ pub mod strategy {
             }
         )*};
     }
-    int_strategy!(usize, u64, u32, u16, u8, i64, i32, i16, i8);
+    int_strategy!(usize, u64, u32, u8);
 
     macro_rules! float_strategy {
         ($($t:ty),*) => {$(
@@ -109,14 +112,6 @@ pub mod strategy {
                 fn sample_value(&self, rng: &mut TestRng) -> $t {
                     assert!(self.start < self.end, "empty strategy range");
                     self.start + (rng.unit_f64() as $t) * (self.end - self.start)
-                }
-            }
-            impl Strategy for std::ops::RangeInclusive<$t> {
-                type Value = $t;
-                fn sample_value(&self, rng: &mut TestRng) -> $t {
-                    let (lo, hi) = (*self.start(), *self.end());
-                    assert!(lo <= hi, "empty strategy range");
-                    lo + (rng.unit_f64() as $t) * (hi - lo)
                 }
             }
         )*};
@@ -144,19 +139,7 @@ pub mod strategy {
             }
         )*};
     }
-    arbitrary_int!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize);
-
-    impl Arbitrary for f64 {
-        fn arbitrary(rng: &mut TestRng) -> f64 {
-            rng.unit_f64()
-        }
-    }
-
-    impl Arbitrary for f32 {
-        fn arbitrary(rng: &mut TestRng) -> f32 {
-            rng.unit_f64() as f32
-        }
-    }
+    arbitrary_int!(u64, usize);
 
     /// Strategy over the full domain of `T`.
     pub struct Any<T>(std::marker::PhantomData<T>);
@@ -171,17 +154,6 @@ pub mod strategy {
     /// `any::<T>()`: the whole-domain strategy for `T`.
     pub fn any<T: Arbitrary>() -> Any<T> {
         Any(std::marker::PhantomData)
-    }
-
-    /// Strategy always yielding a clone of one value.
-    #[derive(Debug, Clone)]
-    pub struct Just<T: Clone>(pub T);
-
-    impl<T: Clone> Strategy for Just<T> {
-        type Value = T;
-        fn sample_value(&self, _rng: &mut TestRng) -> T {
-            self.0.clone()
-        }
     }
 }
 
@@ -214,7 +186,8 @@ pub mod collection {
 }
 
 /// Defines property tests: each `fn name(arg in strategy, ...) { body }`
-/// becomes a `#[test]` running the body over `cases` sampled inputs.
+/// becomes a `#[test]` running the body until `cases` sampled inputs have
+/// been accepted (not discarded by [`prop_assume!`]).
 #[macro_export]
 macro_rules! proptest {
     (#![proptest_config($cfg:expr)] $($rest:tt)*) => {
@@ -239,8 +212,14 @@ macro_rules! __proptest_items {
     ) => {
         $(#[$meta])*
         fn $name() {
+            // Upstream's default `max_global_rejects`.
+            const MAX_REJECTS: u32 = 1024;
             let __cfg = $cfg;
-            for __case in 0..__cfg.cases {
+            let (mut __accepted, mut __rejected) = (0u32, 0u32);
+            for __case in 0.. {
+                if __accepted == __cfg.cases {
+                    break;
+                }
                 let mut __rng = $crate::test_runner::TestRng::for_case(
                     concat!(module_path!(), "::", stringify!($name)),
                     __case,
@@ -249,19 +228,32 @@ macro_rules! __proptest_items {
                     let $arg = $crate::strategy::Strategy::sample_value(
                         &($strat), &mut __rng);
                 )*
-                let __result: ::std::result::Result<(), ::std::string::String> =
+                // `Ok(false)`: the case was discarded by `prop_assume!`.
+                let __result: ::std::result::Result<bool, ::std::string::String> =
                     (|| {
                         $body
-                        ::std::result::Result::Ok(())
+                        ::std::result::Result::Ok(true)
                     })();
-                if let ::std::result::Result::Err(__msg) = __result {
-                    panic!(
+                match __result {
+                    ::std::result::Result::Ok(true) => __accepted += 1,
+                    ::std::result::Result::Ok(false) => {
+                        __rejected += 1;
+                        assert!(
+                            __rejected < MAX_REJECTS,
+                            "property `{}` rejected {} cases with {}/{} accepted",
+                            stringify!($name),
+                            __rejected,
+                            __accepted,
+                            __cfg.cases
+                        );
+                    }
+                    ::std::result::Result::Err(__msg) => panic!(
                         "property `{}` failed on case {}/{}: {}",
                         stringify!($name),
                         __case + 1,
                         __cfg.cases,
                         __msg
-                    );
+                    ),
                 }
             }
         }
@@ -304,20 +296,20 @@ macro_rules! prop_assert_eq {
     }};
 }
 
-/// Discards the current case when its precondition does not hold.
+/// Discards the current case when its precondition does not hold; the
+/// harness draws another in its place.
 #[macro_export]
 macro_rules! prop_assume {
     ($cond:expr $(,)?) => {
         if !($cond) {
-            // No shrinking/rejection machinery: a discarded case passes.
-            return ::std::result::Result::Ok(());
+            return ::std::result::Result::Ok(false);
         }
     };
 }
 
 /// The drop-in `use proptest::prelude::*` surface.
 pub mod prelude {
-    pub use crate::strategy::{any, Arbitrary, Just, Strategy};
+    pub use crate::strategy::any;
     pub use crate::test_runner::ProptestConfig;
     pub use crate::{prop_assert, prop_assert_eq, prop_assume, proptest};
 }
@@ -347,6 +339,26 @@ mod tests {
             prop_assume!(n != 3);
             prop_assert!(n != 3, "assume failed to skip n = {n}");
         }
+
+        #[test]
+        #[should_panic(expected = "rejected 1024 cases with 0/64 accepted")]
+        fn rejecting_every_case_fails(n in 0u32..10) {
+            prop_assume!(n > 10);
+        }
+    }
+
+    #[test]
+    fn discarded_cases_are_replaced() {
+        use std::sync::atomic::{AtomicU32, Ordering};
+        static ACCEPTED: AtomicU32 = AtomicU32::new(0);
+        proptest! {
+            fn half_rejected(n in 0u32..2) {
+                prop_assume!(n == 0);
+                ACCEPTED.fetch_add(1, Ordering::Relaxed);
+            }
+        }
+        half_rejected();
+        assert_eq!(ACCEPTED.load(Ordering::Relaxed), 32);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Workspace-local substitute for the `rand` crate.
 //!
 //! Implements `StdRng` (xoroshiro128+ seeded via splitmix64),
-//! `SeedableRng::seed_from_u64`, and `Rng::{gen_range, gen_bool, gen}` over
+//! `SeedableRng::seed_from_u64`, and `Rng::{gen_range, gen_bool}` over
 //! the ranges this workspace samples. The bit streams differ from upstream
 //! rand, so seeds produce different (but still deterministic and
 //! well-distributed) values.
@@ -10,11 +10,6 @@
 pub trait RngCore {
     /// Next 64 random bits.
     fn next_u64(&mut self) -> u64;
-
-    /// Next 32 random bits (upper half of [`Self::next_u64`]).
-    fn next_u32(&mut self) -> u32 {
-        (self.next_u64() >> 32) as u32
-    }
 }
 
 /// Construction of an RNG from seed material.
@@ -91,36 +86,6 @@ impl<T: SampleUniform> SampleRange<T> for std::ops::RangeInclusive<T> {
     }
 }
 
-/// Values `Rng::gen` can produce.
-pub trait Standard: Sized {
-    /// Draws one value from the standard distribution.
-    fn from_bits(bits: u64) -> Self;
-}
-
-impl Standard for f64 {
-    fn from_bits(bits: u64) -> f64 {
-        u01(bits)
-    }
-}
-
-impl Standard for f32 {
-    fn from_bits(bits: u64) -> f32 {
-        u01(bits) as f32
-    }
-}
-
-impl Standard for bool {
-    fn from_bits(bits: u64) -> bool {
-        bits & 1 == 1
-    }
-}
-
-impl Standard for u64 {
-    fn from_bits(bits: u64) -> u64 {
-        bits
-    }
-}
-
 /// High-level sampling methods, blanket-implemented for every [`RngCore`].
 pub trait Rng: RngCore {
     /// Uniform draw from `range`.
@@ -133,11 +98,6 @@ pub trait Rng: RngCore {
     fn gen_bool(&mut self, p: f64) -> bool {
         assert!((0.0..=1.0).contains(&p), "probability out of range");
         u01(self.next_u64()) < p
-    }
-
-    /// Draw from the standard distribution of `T`.
-    fn gen<T: Standard>(&mut self) -> T {
-        T::from_bits(self.next_u64())
     }
 }
 
@@ -221,14 +181,5 @@ mod tests {
         let mut r = StdRng::seed_from_u64(3);
         let hits = (0..10_000).filter(|_| r.gen_bool(0.25)).count();
         assert!((2000..3000).contains(&hits), "hits = {hits}");
-    }
-
-    #[test]
-    fn gen_f64_unit_interval() {
-        let mut r = StdRng::seed_from_u64(4);
-        for _ in 0..1000 {
-            let v: f64 = r.gen();
-            assert!((0.0..1.0).contains(&v));
-        }
     }
 }

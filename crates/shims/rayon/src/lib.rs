@@ -131,16 +131,6 @@ impl<T: Send> ParIter<T> {
             f,
         }
     }
-
-    /// Number of items.
-    pub fn len(&self) -> usize {
-        self.items.len()
-    }
-
-    /// `true` when there are no items.
-    pub fn is_empty(&self) -> bool {
-        self.items.is_empty()
-    }
 }
 
 /// A mapped parallel iterator awaiting collection.
@@ -268,10 +258,7 @@ mod tests {
     #[test]
     fn chunks_cover_everything_in_order() {
         let v: Vec<u32> = (0..100).collect();
-        let sums: Vec<u32> = v
-            .par_chunks(7)
-            .map(|c| c.iter().sum::<u32>())
-            .collect::<Vec<u32>>();
+        let sums: Vec<u32> = v.par_chunks(7).map(|c| c.iter().sum::<u32>()).collect();
         assert_eq!(sums.len(), 15);
         assert_eq!(sums.iter().sum::<u32>(), (0..100).sum::<u32>());
         // Order preserved: first chunk is 0..7.
@@ -343,8 +330,8 @@ mod tests {
             Box::new(|| panic!("diagnostic payload 4721")),
             Box::new(|| {}),
         ];
-        let err = std::panic::catch_unwind(|| super::run_tasks(tasks))
-            .expect_err("worker panic must propagate");
+        let run = std::panic::AssertUnwindSafe(|| super::run_tasks(tasks));
+        let err = std::panic::catch_unwind(run).expect_err("worker panic must propagate");
         let msg = err
             .downcast_ref::<&str>()
             .copied()

@@ -2,12 +2,14 @@
 //!
 //! Instead of serde's visitor machinery, this shim routes everything
 //! through a concrete [`Value`] tree: `Serialize` lowers a type into a
-//! `Value`, `Deserialize` rebuilds it from one. The companion `serde_json`
-//! shim renders/parses `Value` as JSON, and `serde_derive` generates the
-//! two impls for structs with named fields and unit-variant enums.
+//! `Value`. The companion `serde_json` shim renders and parses `Value` as
+//! JSON, and `serde_derive` generates `Serialize` for structs with named
+//! fields and unit-variant enums. There is no typed read path: JSON comes
+//! back as a `Value`, and the one reader that needs a typed result (the
+//! incident log) walks that tree itself.
 
 #[cfg(feature = "derive")]
-pub use serde_derive::{Deserialize, Serialize};
+pub use serde_derive::Serialize;
 
 /// The in-memory data model every (de)serialization goes through.
 ///
@@ -19,9 +21,10 @@ pub enum Value {
     Null,
     /// JSON boolean.
     Bool(bool),
-    /// Signed integer.
+    /// Integer that fits in `i64`, whatever type it was written from.
     I64(i64),
-    /// Unsigned integer too large for `i64`.
+    /// Integer above `i64::MAX`. Serializing and parsing agree on this
+    /// split, so a value survives a round-trip through text unchanged.
     U64(u64),
     /// Floating-point number.
     F64(f64),
@@ -206,56 +209,15 @@ impl std::fmt::Display for Value {
     }
 }
 
-/// Error produced when a [`Value`] cannot be rebuilt into a type.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Error(String);
-
-impl Error {
-    /// A missing-object-field error.
-    pub fn missing_field(ty: &str, field: &str) -> Error {
-        Error(format!("missing field `{field}` while deserializing {ty}"))
-    }
-
-    /// A type-mismatch error.
-    pub fn expected(what: &str, got: &Value) -> Error {
-        Error(format!("expected {what}, got {got:?}"))
-    }
-
-    /// An arbitrary-message error.
-    pub fn custom(msg: impl Into<String>) -> Error {
-        Error(msg.into())
-    }
-}
-
-impl std::fmt::Display for Error {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(&self.0)
-    }
-}
-
-impl std::error::Error for Error {}
-
 /// Types that can lower themselves into a [`Value`].
 pub trait Serialize {
     /// The `Value` representation of `self`.
     fn serialize_value(&self) -> Value;
 }
 
-/// Types that can rebuild themselves from a [`Value`].
-pub trait Deserialize: Sized {
-    /// Rebuilds `Self`, failing on shape mismatches.
-    fn deserialize_value(value: &Value) -> Result<Self, Error>;
-}
-
 impl Serialize for Value {
     fn serialize_value(&self) -> Value {
         self.clone()
-    }
-}
-
-impl Deserialize for Value {
-    fn deserialize_value(value: &Value) -> Result<Self, Error> {
-        Ok(value.clone())
     }
 }
 
@@ -271,61 +233,22 @@ impl Serialize for bool {
     }
 }
 
-impl Deserialize for bool {
-    fn deserialize_value(value: &Value) -> Result<Self, Error> {
-        value
-            .as_bool()
-            .ok_or_else(|| Error::expected("bool", value))
-    }
-}
-
-macro_rules! signed_value {
+/// Integers lower to `I64` when they fit and `U64` otherwise, exactly as
+/// the JSON parser reads them back.
+macro_rules! int_value {
     ($($t:ty),*) => {$(
         impl Serialize for $t {
             fn serialize_value(&self) -> Value {
-                Value::I64(*self as i64)
-            }
-        }
-        impl Deserialize for $t {
-            fn deserialize_value(value: &Value) -> Result<Self, Error> {
-                let raw = value
-                    .as_i64()
-                    .ok_or_else(|| Error::expected(stringify!($t), value))?;
-                <$t>::try_from(raw).map_err(|_| Error::expected(stringify!($t), value))
+                i64::try_from(*self).map_or(Value::U64(*self as u64), Value::I64)
             }
         }
     )*};
 }
-signed_value!(i8, i16, i32, i64, isize);
-
-macro_rules! unsigned_value {
-    ($($t:ty),*) => {$(
-        impl Serialize for $t {
-            fn serialize_value(&self) -> Value {
-                Value::U64(*self as u64)
-            }
-        }
-        impl Deserialize for $t {
-            fn deserialize_value(value: &Value) -> Result<Self, Error> {
-                let raw = value
-                    .as_u64()
-                    .ok_or_else(|| Error::expected(stringify!($t), value))?;
-                <$t>::try_from(raw).map_err(|_| Error::expected(stringify!($t), value))
-            }
-        }
-    )*};
-}
-unsigned_value!(u8, u16, u32, u64, usize);
+int_value!(i32, i64, u32, u64, usize);
 
 impl Serialize for f64 {
     fn serialize_value(&self) -> Value {
         Value::F64(*self)
-    }
-}
-
-impl Deserialize for f64 {
-    fn deserialize_value(value: &Value) -> Result<Self, Error> {
-        value.as_f64().ok_or_else(|| Error::expected("f64", value))
     }
 }
 
@@ -335,27 +258,9 @@ impl Serialize for f32 {
     }
 }
 
-impl Deserialize for f32 {
-    fn deserialize_value(value: &Value) -> Result<Self, Error> {
-        value
-            .as_f64()
-            .map(|v| v as f32)
-            .ok_or_else(|| Error::expected("f32", value))
-    }
-}
-
 impl Serialize for String {
     fn serialize_value(&self) -> Value {
         Value::Str(self.clone())
-    }
-}
-
-impl Deserialize for String {
-    fn deserialize_value(value: &Value) -> Result<Self, Error> {
-        value
-            .as_str()
-            .map(str::to_string)
-            .ok_or_else(|| Error::expected("string", value))
     }
 }
 
@@ -374,33 +279,7 @@ impl<T: Serialize> Serialize for Option<T> {
     }
 }
 
-impl<T: Deserialize> Deserialize for Option<T> {
-    fn deserialize_value(value: &Value) -> Result<Self, Error> {
-        match value {
-            Value::Null => Ok(None),
-            other => T::deserialize_value(other).map(Some),
-        }
-    }
-}
-
 impl<T: Serialize> Serialize for Vec<T> {
-    fn serialize_value(&self) -> Value {
-        Value::Array(self.iter().map(Serialize::serialize_value).collect())
-    }
-}
-
-impl<T: Deserialize> Deserialize for Vec<T> {
-    fn deserialize_value(value: &Value) -> Result<Self, Error> {
-        value
-            .as_array()
-            .ok_or_else(|| Error::expected("array", value))?
-            .iter()
-            .map(T::deserialize_value)
-            .collect()
-    }
-}
-
-impl<T: Serialize> Serialize for [T] {
     fn serialize_value(&self) -> Value {
         Value::Array(self.iter().map(Serialize::serialize_value).collect())
     }
@@ -411,18 +290,19 @@ mod tests {
     use super::*;
 
     #[test]
-    fn option_roundtrip() {
-        let v = Some(7u32).serialize_value();
-        assert_eq!(Option::<u32>::deserialize_value(&v), Ok(Some(7)));
-        assert_eq!(Option::<u32>::deserialize_value(&Value::Null), Ok(None));
+    fn option_lowers_to_value_or_null() {
+        assert_eq!(Some(7u32).serialize_value(), Value::I64(7));
+        assert_eq!(None::<u32>.serialize_value(), Value::Null);
     }
 
     #[test]
-    fn numeric_coercion() {
-        assert_eq!(f64::deserialize_value(&Value::I64(3)), Ok(3.0));
-        assert_eq!(u32::deserialize_value(&Value::F64(4.0)), Ok(4));
-        assert!(u32::deserialize_value(&Value::F64(4.5)).is_err());
-        assert!(u32::deserialize_value(&Value::I64(-1)).is_err());
+    fn unsigned_integers_take_the_parser_variant() {
+        assert_eq!(5u64.serialize_value(), Value::I64(5));
+        assert_eq!(u64::MAX.serialize_value(), Value::U64(u64::MAX));
+        assert_eq!(Value::I64(4).as_u64(), Some(4));
+        assert_eq!(Value::F64(4.0).as_u64(), Some(4));
+        assert_eq!(Value::F64(4.5).as_u64(), None);
+        assert_eq!(Value::I64(-1).as_u64(), None);
     }
 
     #[test]

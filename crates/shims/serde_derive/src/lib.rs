@@ -1,9 +1,10 @@
-//! Derive macros for the workspace-local `serde` shim.
+//! The `Serialize` derive for the workspace-local `serde` shim.
 //!
 //! Hand-rolled token parsing (no `syn`/`quote` available offline). Supports
 //! exactly what the workspace derives on: non-generic structs with named
 //! fields, and non-generic enums with unit variants. Anything else panics
-//! at compile time with a clear message.
+//! at compile time with a clear message. There is no `Deserialize` derive:
+//! JSON is read back only as a `serde::Value`.
 
 use proc_macro::{Delimiter, TokenStream, TokenTree};
 
@@ -165,52 +166,6 @@ pub fn derive_serialize(input: TokenStream) -> TokenStream {
                 "impl ::serde::Serialize for {name} {{\n\
                      fn serialize_value(&self) -> ::serde::Value {{\n\
                          ::serde::Value::Str(match self {{ {arms} }}.to_string())\n\
-                     }}\n\
-                 }}"
-            )
-        }
-    };
-    code.parse()
-        .expect("serde shim derive emitted invalid code")
-}
-
-/// Derives the shim's `serde::Deserialize` (reconstruction from `serde::Value`).
-#[proc_macro_derive(Deserialize)]
-pub fn derive_deserialize(input: TokenStream) -> TokenStream {
-    let code = match parse_input(input) {
-        Shape::Struct { name, fields } => {
-            let inits: String = fields
-                .iter()
-                .map(|f| {
-                    format!(
-                        "{f}: ::serde::Deserialize::deserialize_value(\n\
-                             __value.get_field(\"{f}\")\n\
-                                 .ok_or_else(|| ::serde::Error::missing_field(\"{name}\", \"{f}\"))?\n\
-                         )?,"
-                    )
-                })
-                .collect();
-            format!(
-                "impl ::serde::Deserialize for {name} {{\n\
-                     fn deserialize_value(__value: &::serde::Value) -> Result<Self, ::serde::Error> {{\n\
-                         Ok({name} {{ {inits} }})\n\
-                     }}\n\
-                 }}"
-            )
-        }
-        Shape::Enum { name, variants } => {
-            let arms: String = variants
-                .iter()
-                .map(|v| format!("Some(\"{v}\") => Ok({name}::{v}),"))
-                .collect();
-            format!(
-                "impl ::serde::Deserialize for {name} {{\n\
-                     fn deserialize_value(__value: &::serde::Value) -> Result<Self, ::serde::Error> {{\n\
-                         match __value.as_str() {{\n\
-                             {arms}\n\
-                             other => Err(::serde::Error::custom(format!(\n\
-                                 \"unknown {name} variant: {{other:?}}\"))),\n\
-                         }}\n\
                      }}\n\
                  }}"
             )

@@ -1,8 +1,9 @@
 //! Workspace-local substitute for the `serde_json` crate.
 //!
 //! Renders and parses the `serde` shim's [`Value`] tree as JSON. Covers
-//! `to_string`, `to_string_pretty`, `from_str`, `to_value`, the `json!`
-//! object/array macro, and `Display` on `Value`.
+//! `to_string`, `to_string_pretty`, `to_value`, the `json!` object/array
+//! macro, and `from_str`, which parses to a [`Value`] only: upstream's
+//! generic typed read has no caller here.
 
 pub use serde::Value;
 
@@ -18,20 +19,9 @@ impl std::fmt::Display for Error {
 
 impl std::error::Error for Error {}
 
-impl From<serde::Error> for Error {
-    fn from(e: serde::Error) -> Error {
-        Error(e.to_string())
-    }
-}
-
 /// Lowers any serializable type to a [`Value`].
 pub fn to_value<T: serde::Serialize + ?Sized>(value: &T) -> Value {
     value.serialize_value()
-}
-
-/// Rebuilds a typed value from a [`Value`] tree.
-pub fn from_value<T: serde::Deserialize>(value: &Value) -> Result<T, Error> {
-    T::deserialize_value(value).map_err(Error::from)
 }
 
 /// Serializes to compact JSON.
@@ -48,37 +38,13 @@ pub fn to_string_pretty<T: serde::Serialize + ?Sized>(value: &T) -> Result<Strin
     Ok(out)
 }
 
-/// Parses JSON text into any deserializable type.
-pub fn from_str<T: serde::Deserialize>(s: &str) -> Result<T, Error> {
-    let value = parse(s)?;
-    from_value(&value)
-}
-
-/// Builds a [`Value`] with JSON-literal syntax for objects and arrays;
-/// field values are arbitrary serializable expressions.
-#[macro_export]
-macro_rules! json {
-    (null) => { $crate::Value::Null };
-    ([ $($elem:expr),* $(,)? ]) => {
-        $crate::Value::Array(vec![ $( $crate::to_value(&$elem) ),* ])
-    };
-    ({ $($key:tt : $val:expr),* $(,)? }) => {
-        $crate::Value::Object(vec![
-            $( (($key).to_string(), $crate::to_value(&$val)) ),*
-        ])
-    };
-    ($other:expr) => { $crate::to_value(&$other) };
-}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-fn parse(s: &str) -> Result<Value, Error> {
+/// Parses JSON text into a [`Value`]. Arrays and objects may nest at most
+/// 128 deep; deeper input is an error, not a stack overflow.
+pub fn from_str(s: &str) -> Result<Value, Error> {
     let mut p = Parser {
         bytes: s.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     let v = p.value()?;
     p.skip_ws();
@@ -86,6 +52,28 @@ fn parse(s: &str) -> Result<Value, Error> {
         return Err(Error(format!("trailing input at byte {}", p.pos)));
     }
     Ok(v)
+}
+
+/// Deepest array/object nesting `from_str` accepts: far above any document
+/// this workspace writes, far below what exhausts a thread's stack.
+const MAX_DEPTH: usize = 128;
+
+/// Builds a [`Value`] object with JSON-literal syntax; field values are
+/// arbitrary serializable expressions.
+#[macro_export]
+macro_rules! json {
+    ({ $($key:tt : $val:expr),* $(,)? }) => {
+        $crate::Value::Object(vec![
+            $( (($key).to_string(), $crate::to_value(&$val)) ),*
+        ])
+    };
+}
+
+struct Parser<'a> {
+    bytes: &'a [u8],
+    pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -134,10 +122,24 @@ impl<'a> Parser<'a> {
             b't' => self.literal("true", Value::Bool(true)),
             b'f' => self.literal("false", Value::Bool(false)),
             b'"' => Ok(Value::Str(self.string()?)),
-            b'[' => self.array(),
-            b'{' => self.object(),
+            b'[' => self.nested(Self::array),
+            b'{' => self.nested(Self::object),
             _ => self.number(),
         }
+    }
+
+    /// Parses one array or object, one level deeper than the caller.
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Value, Error>) -> Result<Value, Error> {
+        if self.depth == MAX_DEPTH {
+            return Err(Error(format!(
+                "JSON nested deeper than {MAX_DEPTH} levels at byte {}",
+                self.pos
+            )));
+        }
+        self.depth += 1;
+        let v = parse(self);
+        self.depth -= 1;
+        v
     }
 
     fn string(&mut self) -> Result<String, Error> {
@@ -299,11 +301,10 @@ mod tests {
             "ratio": 2.5,
             "ok": true,
             "none": Value::Null,
-            "xs": json!([1i64, 2i64, 3i64])
+            "xs": vec![1i64, 2, 3]
         });
         for text in [to_string(&v).unwrap(), to_string_pretty(&v).unwrap()] {
-            let back: Value = from_str(&text).unwrap();
-            assert_eq!(back, v, "failed for {text}");
+            assert_eq!(from_str(&text).unwrap(), v, "failed for {text}");
         }
     }
 
@@ -311,28 +312,42 @@ mod tests {
     fn floats_stay_floats() {
         let text = to_string(&Value::F64(3.0)).unwrap();
         assert_eq!(text, "3.0");
-        assert_eq!(from_str::<Value>(&text).unwrap(), Value::F64(3.0));
+        assert_eq!(from_str(&text).unwrap(), Value::F64(3.0));
     }
 
     #[test]
     fn string_escapes() {
         let v = Value::Str("a\"b\\c\nd".into());
         let text = to_string(&v).unwrap();
-        assert_eq!(from_str::<Value>(&text).unwrap(), v);
+        assert_eq!(from_str(&text).unwrap(), v);
     }
 
     #[test]
     fn parses_whitespace_and_nesting() {
-        let v: Value = from_str(" { \"a\" : [ 1 , { \"b\" : null } ] } ").unwrap();
+        let v = from_str(" { \"a\" : [ 1 , { \"b\" : null } ] } ").unwrap();
         let inner = v.get_field("a").unwrap().as_array().unwrap();
         assert_eq!(inner[0], Value::I64(1));
         assert_eq!(inner[1].get_field("b"), Some(&Value::Null));
     }
 
     #[test]
-    fn typed_roundtrip_through_text() {
-        let text = to_string_pretty(&vec![1.5f64, 2.0, -3.25]).unwrap();
-        let back: Vec<f64> = from_str(&text).unwrap();
-        assert_eq!(back, vec![1.5, 2.0, -3.25]);
+    fn typed_values_round_trip_as_their_value() {
+        let xs = vec![1.5f64, 2.0, -3.25];
+        let text = to_string_pretty(&xs).unwrap();
+        assert_eq!(from_str(&text).unwrap(), to_value(&xs));
+        let ns = vec![0u64, 7, u64::MAX];
+        assert_eq!(from_str(&to_string(&ns).unwrap()).unwrap(), to_value(&ns));
+    }
+
+    #[test]
+    fn nesting_is_capped_instead_of_overflowing_the_stack() {
+        let ok = "[".repeat(MAX_DEPTH) + &"]".repeat(MAX_DEPTH);
+        assert!(from_str(&ok).is_ok());
+        let deep = "[".repeat(MAX_DEPTH + 1) + &"]".repeat(MAX_DEPTH + 1);
+        let err = from_str(&deep).unwrap_err().to_string();
+        assert!(err.contains("nested deeper than 128"), "{err}");
+        for hostile in ["[".repeat(200_000), "{\"a\":".repeat(200_000)] {
+            assert!(from_str(&hostile).is_err());
+        }
     }
 }

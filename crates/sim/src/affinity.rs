@@ -11,10 +11,10 @@
 //! This module models the three classic placements so the thread-count
 //! sweep the paper did by hand is an experiment here.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Thread placement policy (the `KMP_AFFINITY` types).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum Affinity {
     /// Fill each core with its full complement of threads before using the
     /// next core (`compact`): fewest cores engaged, best cache sharing.

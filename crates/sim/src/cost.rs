@@ -15,10 +15,10 @@
 
 use crate::device::Platform;
 use micdnn_kernels::{OpCost, OpKind};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Prices [`OpCost`]s on a [`Platform`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct CostModel {
     platform: Platform,
 }

@@ -7,10 +7,10 @@
 //! `crates/bench/src/experiments.rs` pin those ratios.
 
 use crate::affinity::Affinity;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Hardware description of a modeled processor or coprocessor.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct DeviceSpec {
     /// Human-readable device name.
     pub name: String,
@@ -137,7 +137,7 @@ impl DeviceSpec {
 /// The paper's Table I restricts the Phi to 30 of its 60 cores; Fig. 7–9
 /// compare against a single host core; Fig. 10 runs Matlab on the host.
 /// `Platform` captures those variations without duplicating specs.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Platform {
     /// The hardware.
     pub spec: DeviceSpec,

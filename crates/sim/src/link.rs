@@ -8,10 +8,10 @@
 //! rate and charges the slower of the two, which is what the double-buffered
 //! loading thread has to hide.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Transfer-time model for one direction of the host/device link.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct Link {
     /// Fixed software latency per transfer, seconds.
     pub latency_s: f64,

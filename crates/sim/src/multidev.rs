@@ -14,10 +14,10 @@
 
 use crate::clock::SimClock;
 use crate::link::Link;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// How sharded gradients are merged across devices.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum SyncModel {
     /// Bandwidth-optimal ring allreduce: each device sends `2(N-1)/N` of
     /// the payload over its link, paying `2(N-1)` hop latencies.
