@@ -189,15 +189,11 @@ fn train_config(args: &Args) -> Result<TrainConfig, String> {
 }
 
 /// CNN shape from `--hidden/--channels/--kernel/--pool` against the
-/// loaded data's dimensionality (must be a square image). Geometry
-/// errors come back as CLI errors, not panics.
+/// loaded data's dimensionality: `cmd_train` admits only `--data digits`,
+/// whose images are always `side × side`. Geometry errors come back as CLI
+/// errors, not panics.
 fn cnn_config(args: &Args, visible: usize, hidden: usize) -> Result<CnnConfig, String> {
     let side = (visible as f64).sqrt().round() as usize;
-    if side * side != visible {
-        return Err(format!(
-            "--algo cnn needs square images; data dimensionality {visible} is not a square"
-        ));
-    }
     let channels = args.num("channels", 6usize)?;
     let kernel = args.num("kernel", 5usize)?;
     let pool = args.num("pool", 2usize)?;

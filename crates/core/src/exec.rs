@@ -178,9 +178,9 @@ impl ExecCtx {
         self.verify
     }
 
-    /// Opts in to graceful degradation: a graph that fails verification
-    /// (or denies its opaque nodes) demotes the executor to the serial
-    /// schedule for the rest of the run — recorded as an incident note —
+    /// Opts in to graceful degradation: a graph whose verification reports
+    /// errors demotes the executor to the serial schedule for the rest of
+    /// the run — recorded as an incident note —
     /// instead of panicking. Debug builds still panic so bugs surface in
     /// tests; the training supervisor can also force the demotion after
     /// catching a sanitizer trip.

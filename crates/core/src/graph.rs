@@ -8,13 +8,12 @@
 //! [`TaskGraph`] turns that observation into the single execution substrate
 //! for every training step in this crate:
 //!
-//! * **Builder** — nodes declare the buffers they read and write
-//!   ([`TaskGraph::declare`], [`NodeSpec`], [`TaskGraph::node`]);
-//!   dependencies are derived automatically from read-after-write,
-//!   write-after-write and write-after-read conflicts, so the declaration
-//!   order is by construction a valid serial schedule. (The original
-//!   explicit-dependency API, [`TaskGraph::add`], remains for *opaque*
-//!   nodes whose footprints are not declared; those always run serially.)
+//! * **Builder** — every buffer is declared with its logical shape
+//!   ([`TaskGraph::declare_dims`]) and every node with the buffers it reads
+//!   and writes ([`NodeSpec`], [`TaskGraph::node`]); dependencies are
+//!   derived automatically from read-after-write, write-after-write and
+//!   write-after-read conflicts, so the declaration order is by
+//!   construction a valid serial schedule.
 //! * **Planner** — [`TaskGraph::plan`] computes buffer liveness over the
 //!   DAG and aliases scratch buffers whose accessor sets are strictly
 //!   ordered into shared *registers* of a [`Workspace`] arena. Two buffers
@@ -50,9 +49,8 @@ use std::cell::Cell;
 pub(crate) type NodeId = usize;
 
 thread_local! {
-    /// The graph node executing on this thread, as `(name, may_sample)`.
-    /// `may_sample` is true for nodes declared `.stochastic()` and for
-    /// opaque nodes (which declare nothing the lint could check).
+    /// The graph node executing on this thread, as `(name, may_sample)`;
+    /// `may_sample` is true for nodes declared `.stochastic()`.
     static CURRENT_NODE: Cell<Option<(&'static str, bool)>> = const { Cell::new(None) };
 }
 
@@ -109,12 +107,16 @@ pub enum BufClass {
 #[derive(Debug, Clone)]
 pub(crate) struct BufDecl {
     pub(crate) name: &'static str,
-    pub(crate) elems: usize,
     pub(crate) class: BufClass,
-    /// Logical tensor shape, when declared through
-    /// [`TaskGraph::declare_dims`]; `None` leaves the buffer opaque to the
-    /// certifier's shape inference ([`TaskGraph::certify`]).
-    pub(crate) dims: Option<Vec<usize>>,
+    /// Logical tensor shape, fixed at [`TaskGraph::declare_dims`].
+    dims: Vec<usize>,
+}
+
+impl BufDecl {
+    /// Element count: the product of the declared dims.
+    pub(crate) fn elems(&self) -> usize {
+        self.dims.iter().product()
+    }
 }
 
 /// Declarative description of a graph node, consumed by
@@ -130,7 +132,6 @@ pub struct NodeSpec {
     device: u32,
     transfer: bool,
     cursor: Option<&'static str>,
-    shapes: Vec<(BufId, Vec<usize>)>,
 }
 
 impl NodeSpec {
@@ -146,7 +147,6 @@ impl NodeSpec {
             device: 0,
             transfer: false,
             cursor: None,
-            shapes: Vec::new(),
         }
     }
 
@@ -212,15 +212,6 @@ impl NodeSpec {
         self.cursor = Some(name);
         self
     }
-
-    /// Claims the logical shape this node reads or writes `buf` with. Pure
-    /// metadata for the certifier's shape inference: a claim that disagrees
-    /// with the buffer's declared dims (or another node's claim) is an
-    /// `error[shape-mismatch]`.
-    pub(crate) fn shape(mut self, buf: BufId, dims: &[usize]) -> Self {
-        self.shapes.push((buf, dims.to_vec()));
-        self
-    }
 }
 
 /// A DAG of named tasks over declared buffers.
@@ -231,17 +222,14 @@ pub struct TaskGraph<'g, S> {
     tasks: Vec<Box<dyn FnMut(&ExecCtx, &mut S) + Send + 'g>>,
     pub(crate) reads: Vec<Vec<BufId>>,
     pub(crate) writes: Vec<Vec<BufId>>,
-    /// Node may join a concurrency wave (declared footprint, not
-    /// stochastic, not exclusive, not opaque). Kernel size is checked at
-    /// execution time against the backend. The verifier cross-checks this
-    /// stored bit against the three flags below.
+    /// Node may join a concurrency wave (not stochastic, not exclusive).
+    /// Kernel size is checked at execution time against the backend. The
+    /// verifier cross-checks this stored bit against the two flags below.
     pub(crate) wave_ok: Vec<bool>,
     /// Node draws from the context's sampling streams.
     pub(crate) stochastic: Vec<bool>,
     /// Node mutates shared non-buffer state (scalars in `S`).
     pub(crate) exclusive: Vec<bool>,
-    /// Node was added via [`TaskGraph::add`] with no declared footprint.
-    pub(crate) opaque: Vec<bool>,
     /// Device the node is placed on (0 for single-device graphs).
     pub(crate) device: Vec<u32>,
     /// Node is an inter-device transfer (owns a cross-device edge).
@@ -249,8 +237,6 @@ pub struct TaskGraph<'g, S> {
     phases: Vec<Option<&'static str>>,
     /// Counter-RNG cursor a stochastic node is bound to ([`NodeSpec::cursor`]).
     pub(crate) cursors: Vec<Option<&'static str>>,
-    /// Per-node logical-shape claims ([`NodeSpec::shape`]).
-    pub(crate) shape_claims: Vec<Vec<(BufId, Vec<usize>)>>,
     /// Counter-RNG cursors declared on this graph
     /// ([`TaskGraph::declare_rng_cursor`]).
     pub(crate) rng_cursors: Vec<&'static str>,
@@ -260,10 +246,6 @@ pub struct TaskGraph<'g, S> {
     skip_verify: bool,
     /// Memoized "already verified clean" bit; mutation hooks clear it.
     verified: bool,
-    /// Opt-in acceptance of opaque ([`TaskGraph::add`]) nodes. Shipped
-    /// graphs must declare footprints: executors treat opaque nodes as a
-    /// verification failure unless this flag is set (test/bench graphs).
-    allow_opaque: bool,
 }
 
 impl<'g, S> Default for TaskGraph<'g, S> {
@@ -284,53 +266,24 @@ impl<'g, S> TaskGraph<'g, S> {
             wave_ok: Vec::new(),
             stochastic: Vec::new(),
             exclusive: Vec::new(),
-            opaque: Vec::new(),
             device: Vec::new(),
             transfer: Vec::new(),
             phases: Vec::new(),
             cursors: Vec::new(),
-            shape_claims: Vec::new(),
             rng_cursors: Vec::new(),
             bufs: Vec::new(),
             skip_verify: false,
             verified: false,
-            allow_opaque: false,
         }
     }
 
-    /// Accepts opaque ([`TaskGraph::add`]) nodes at execution time. Opaque
-    /// nodes are deny-by-default for shipped graphs because the verifier
-    /// cannot see their footprints; graphs that intentionally use the
-    /// explicit-dependency API (tests, benches, structural experiments)
-    /// must opt in.
-    pub fn allow_opaque(&mut self) {
-        self.allow_opaque = true;
-        self.verified = false;
-    }
-
-    /// Declares a buffer of `elems` f32 elements; returns its id.
-    pub fn declare(&mut self, name: &'static str, elems: usize, class: BufClass) -> BufId {
-        self.bufs.push(BufDecl {
-            name,
-            elems,
-            class,
-            dims: None,
-        });
-        BufId(self.bufs.len() - 1)
-    }
-
-    /// Declares a buffer with a logical tensor shape; its element count is
-    /// the product of `dims`. Identical to [`TaskGraph::declare`] for
-    /// planning and execution, but the certifier's shape inference
-    /// ([`TaskGraph::certify`]) can prove the graph shape-consistent only
-    /// over buffers declared this way.
+    /// Declares a buffer of f32 elements with a logical tensor shape; its
+    /// element count is the product of `dims`. Returns its id.
     pub fn declare_dims(&mut self, name: &'static str, dims: &[usize], class: BufClass) -> BufId {
-        let elems = dims.iter().product();
         self.bufs.push(BufDecl {
             name,
-            elems,
             class,
-            dims: Some(dims.to_vec()),
+            dims: dims.to_vec(),
         });
         BufId(self.bufs.len() - 1)
     }
@@ -354,12 +307,7 @@ impl<'g, S> TaskGraph<'g, S> {
         task: impl FnMut(&ExecCtx, &mut S) + Send + 'g,
     ) -> NodeId {
         let id = self.names.len();
-        for &BufId(b) in spec
-            .reads
-            .iter()
-            .chain(spec.writes.iter())
-            .chain(spec.shapes.iter().map(|(b, _)| b))
-        {
+        for &BufId(b) in spec.reads.iter().chain(spec.writes.iter()) {
             assert!(
                 b < self.bufs.len(),
                 "node {} uses undeclared buffer {b}",
@@ -384,46 +332,10 @@ impl<'g, S> TaskGraph<'g, S> {
         self.wave_ok.push(!spec.stochastic && !spec.exclusive);
         self.stochastic.push(spec.stochastic);
         self.exclusive.push(spec.exclusive);
-        self.opaque.push(false);
         self.device.push(spec.device);
         self.transfer.push(spec.transfer);
         self.phases.push(spec.phase);
         self.cursors.push(spec.cursor);
-        self.shape_claims.push(spec.shapes);
-        self.verified = false;
-        id
-    }
-
-    /// Adds an *opaque* task with explicit dependencies; returns its id.
-    /// Opaque nodes declare no footprint, so they never join concurrency
-    /// waves and induce no automatic conflicts.
-    ///
-    /// Panics if a dependency id has not been added yet (which also rules
-    /// out cycles by construction).
-    pub fn add(
-        &mut self,
-        name: &'static str,
-        deps: &[NodeId],
-        task: impl FnMut(&ExecCtx, &mut S) + Send + 'g,
-    ) -> NodeId {
-        let id = self.names.len();
-        for &d in deps {
-            assert!(d < id, "dependency {d} of node {id} does not exist yet");
-        }
-        self.names.push(name);
-        self.deps.push(deps.to_vec());
-        self.tasks.push(Box::new(task));
-        self.reads.push(Vec::new());
-        self.writes.push(Vec::new());
-        self.wave_ok.push(false);
-        self.stochastic.push(false);
-        self.exclusive.push(false);
-        self.opaque.push(true);
-        self.device.push(0);
-        self.transfer.push(false);
-        self.phases.push(None);
-        self.cursors.push(None);
-        self.shape_claims.push(Vec::new());
         self.verified = false;
         id
     }
@@ -449,7 +361,7 @@ impl<'g, S> TaskGraph<'g, S> {
         self.reads[id]
             .iter()
             .chain(self.writes[id].iter())
-            .map(|&BufId(b)| self.bufs[b].elems)
+            .map(|&BufId(b)| self.bufs[b].elems())
             .max()
             .unwrap_or(0)
     }
@@ -507,10 +419,11 @@ impl<'g, S> TaskGraph<'g, S> {
             if decl.class == BufClass::External {
                 continue;
             }
-            total += decl.elems;
+            let elems = decl.elems();
+            total += elems;
             if decl.class == BufClass::Pinned {
                 assignment[b] = Some(register_elems.len());
-                register_elems.push(decl.elems);
+                register_elems.push(elems);
                 shareable.push(false);
                 occupants.push(vec![b]);
                 continue;
@@ -520,12 +433,12 @@ impl<'g, S> TaskGraph<'g, S> {
             match reuse {
                 Some(r) => {
                     assignment[b] = Some(r);
-                    register_elems[r] = register_elems[r].max(decl.elems);
+                    register_elems[r] = register_elems[r].max(elems);
                     occupants[r].push(b);
                 }
                 None => {
                     assignment[b] = Some(register_elems.len());
-                    register_elems.push(decl.elems);
+                    register_elems.push(elems);
                     shareable.push(true);
                     occupants.push(vec![b]);
                 }
@@ -534,7 +447,7 @@ impl<'g, S> TaskGraph<'g, S> {
         WorkspacePlan {
             assignment,
             register_elems,
-            buf_elems: self.bufs.iter().map(|d| d.elems).collect(),
+            buf_elems: self.bufs.iter().map(BufDecl::elems).collect(),
             total_declared: total,
         }
     }
@@ -556,7 +469,7 @@ impl<'g, S> TaskGraph<'g, S> {
                 current = self.phases[id];
                 guard = current.map(|p| ctx.phase(p));
             }
-            let _node = NodeGuard::enter(self.names[id], self.stochastic[id] || self.opaque[id]);
+            let _node = NodeGuard::enter(self.names[id], self.stochastic[id]);
             (self.tasks[id])(ctx, state);
         }
     }
@@ -571,10 +484,10 @@ impl<'g, S> TaskGraph<'g, S> {
     /// On a native context, consecutive independent nodes whose kernels are
     /// sub-saturating ([`micdnn_kernels::Backend::is_subsaturating`]) run
     /// concurrently, one scoped thread per node; everything else runs in
-    /// declaration order. Waves never include stochastic or opaque nodes
-    /// and are disabled while the op recorder is on, so results — weights,
-    /// sampling streams, recorded op order — are bit-identical to the
-    /// serial schedule at any thread count.
+    /// declaration order. Waves never include stochastic nodes and are
+    /// disabled while the op recorder is on, so results — weights, sampling
+    /// streams, recorded op order — are bit-identical to the serial
+    /// schedule at any thread count.
     pub fn execute(&mut self, ctx: &ExecCtx, state: &mut S) -> GraphRun
     where
         S: Send,
@@ -604,7 +517,7 @@ impl<'g, S> TaskGraph<'g, S> {
         if ctx.cost_model().is_some() {
             for id in 0..n {
                 let name = self.names[id];
-                let may_sample = self.stochastic[id] || self.opaque[id];
+                let may_sample = self.stochastic[id];
                 let task = &mut self.tasks[id];
                 let ((), dur) = ctx.run_deferred(|ctx| {
                     let _node = NodeGuard::enter(name, may_sample);
@@ -673,10 +586,9 @@ impl<'g, S> TaskGraph<'g, S> {
             tasks,
             names,
             stochastic,
-            opaque,
             ..
         } = self;
-        let (names, stochastic, opaque) = (&*names, &*stochastic, &*opaque);
+        let (names, stochastic) = (&*names, &*stochastic);
         let mut id = 0;
         while id < n {
             if concurrent && eligible[id] {
@@ -701,10 +613,8 @@ impl<'g, S> TaskGraph<'g, S> {
                             Box::new(move || {
                                 #[cfg(feature = "race-check")]
                                 let _claim = tracker.enter(start + off);
-                                let _node = NodeGuard::enter(
-                                    names[start + off],
-                                    stochastic[start + off] || opaque[start + off],
-                                );
+                                let _node =
+                                    NodeGuard::enter(names[start + off], stochastic[start + off]);
                                 // SAFETY: wave members carry declared,
                                 // pairwise-disjoint read/write footprints
                                 // (any conflict would have induced an
@@ -729,7 +639,7 @@ impl<'g, S> TaskGraph<'g, S> {
             {
                 #[cfg(feature = "race-check")]
                 let _claim = tracker.enter(id);
-                let _node = NodeGuard::enter(names[id], stochastic[id] || opaque[id]);
+                let _node = NodeGuard::enter(names[id], stochastic[id]);
                 (tasks[id])(ctx, state);
             }
             id += 1;
@@ -747,37 +657,27 @@ impl<'g, S> TaskGraph<'g, S> {
             && (cfg!(debug_assertions) || ctx.verify_enabled())
     }
 
-    /// Runs the static verifier against `plan`. A clean report (no errors,
-    /// and no opaque nodes unless [`TaskGraph::allow_opaque`] was called)
-    /// memoizes the verified bit. A dirty one panics with the full report —
-    /// or, under [`ExecCtx::with_graceful_degradation`], demotes the
-    /// context to the serial schedule and records an incident note instead.
-    /// Warnings other than denied opaque nodes never fail.
+    /// Runs the static verifier against `plan`. A report without errors
+    /// memoizes the verified bit; warnings never fail. A report with errors
+    /// panics with the full report — or, under
+    /// [`ExecCtx::with_graceful_degradation`], demotes the context to the
+    /// serial schedule and records an incident note instead.
     fn verify_or_demote(&mut self, ctx: &ExecCtx, plan: &WorkspacePlan) {
         let report = self.verify_with_plan(plan);
-        let opaque_denied = !self.allow_opaque && report.has(crate::verify::DiagKind::OpaqueNode);
-        if report.errors.is_empty() && !opaque_denied {
+        if report.errors.is_empty() {
             self.verified = true;
             return;
         }
         if ctx.degradation_enabled() {
-            let what = if report.errors.is_empty() {
-                "opaque node(s) in a shipped graph".to_string()
-            } else {
-                format!("{} verification error(s)", report.errors.len())
-            };
             ctx.force_degrade(
                 "degraded",
-                &format!("graph verification failed ({what}); demoted to the serial schedule"),
+                &format!(
+                    "graph verification failed ({} verification error(s)); demoted to the \
+                     serial schedule",
+                    report.errors.len()
+                ),
             );
             return;
-        }
-        if report.errors.is_empty() {
-            panic!(
-                "task-graph verification failed: opaque node(s) in a shipped graph \
-                 (declare footprints via TaskGraph::node, or call allow_opaque() on \
-                 test graphs):\n{report}"
-            );
         }
         panic!("task-graph verification failed:\n{report}");
     }
@@ -804,16 +704,6 @@ impl<'g, S> TaskGraph<'g, S> {
     #[doc(hidden)]
     pub fn testonly_skip_verify(&mut self) {
         self.skip_verify = true;
-    }
-
-    /// Shrinks a buffer's element count by one while leaving its declared
-    /// dims intact. Test-only: simulates a builder sizing bug so the
-    /// certifier's shape-mismatch rule has something to catch.
-    #[doc(hidden)]
-    pub fn testonly_shrink_buf(&mut self, buf: BufId) {
-        assert!(self.bufs[buf.0].elems > 0, "cannot shrink an empty buffer");
-        self.bufs[buf.0].elems -= 1;
-        self.verified = false;
     }
 
     /// Removes every declared RNG cursor. Test-only: simulates a recipe
@@ -1003,17 +893,24 @@ impl GraphRun {
 mod tests {
     use super::*;
     use crate::exec::OptLevel;
+    use micdnn_kernels::OpCost;
     use micdnn_sim::Platform;
 
     fn ctx() -> ExecCtx {
         ExecCtx::simulated(OptLevel::Improved, Platform::xeon_phi(), 0)
     }
 
+    /// A one-element buffer standing for one DAG edge: the source node
+    /// writes it and the target node reads it.
+    fn edge<S>(g: &mut TaskGraph<'_, S>) -> BufId {
+        g.declare_dims("edge", &[1], BufClass::Scratch)
+    }
+
     #[test]
     fn linear_chain_charges_serial_time() {
         let ctx = ctx();
         let mut g: TaskGraph<'_, Vec<f32>> = TaskGraph::new();
-        let s = g.declare("s", 100_000, BufClass::External);
+        let s = g.declare_dims("s", &[100_000], BufClass::External);
         g.node(NodeSpec::new("a").reads(&[s]).writes(&[s]), |ctx, s| {
             ctx.scale(2.0, s)
         });
@@ -1033,14 +930,18 @@ mod tests {
     #[test]
     fn diamond_charges_critical_path_not_sum() {
         let ctx = ctx();
-        let mut g: TaskGraph<'_, Vec<f32>> = TaskGraph::new();
-        g.allow_opaque();
-        let a = g.add("a", &[], |ctx, s| ctx.scale(1.0, s));
-        let b1 = g.add("b1", &[a], |ctx, s| ctx.scale(1.0, s));
-        let b2 = g.add("b2", &[a], |ctx, s| ctx.scale(1.0, s));
-        let _c = g.add("c", &[b1, b2], |ctx, s| ctx.scale(1.0, s));
-        let mut state = vec![1.0f32; 1_000_000];
-        let run = g.execute(&ctx, &mut state);
+        let mut g: TaskGraph<'_, ()> = TaskGraph::new();
+        let [ab1, ab2, b1c, b2c] = std::array::from_fn(|_| edge(&mut g));
+        let charge =
+            |ctx: &ExecCtx, _: &mut ()| ctx.charge_cost(OpCost::elementwise(1_000_000, 1, 1));
+        let a = g.node(NodeSpec::new("a").writes(&[ab1, ab2]), charge);
+        let b1 = g.node(NodeSpec::new("b1").reads(&[ab1]).writes(&[b1c]), charge);
+        let b2 = g.node(NodeSpec::new("b2").reads(&[ab2]).writes(&[b2c]), charge);
+        let c = g.node(NodeSpec::new("c").reads(&[b1c, b2c]), charge);
+        assert_eq!(g.deps(b1), &[a]);
+        assert_eq!(g.deps(b2), &[a]);
+        assert_eq!(g.deps(c), &[b1, b2]);
+        let run = g.execute(&ctx, &mut ());
         // Four equal nodes, critical path of three.
         assert!(
             run.speedup() > 1.2 && run.speedup() < 1.4,
@@ -1053,13 +954,14 @@ mod tests {
     #[test]
     fn wide_graph_speedup_approaches_width() {
         let ctx = ctx();
-        let mut g: TaskGraph<'_, Vec<f32>> = TaskGraph::new();
-        g.allow_opaque();
+        let mut g: TaskGraph<'_, ()> = TaskGraph::new();
         for _ in 0..8 {
-            g.add("leaf", &[], |ctx, s| ctx.scale(1.0, s));
+            let leaf = g.node(NodeSpec::new("leaf"), |ctx, _| {
+                ctx.charge_cost(OpCost::elementwise(500_000, 1, 1))
+            });
+            assert!(g.deps(leaf).is_empty());
         }
-        let mut state = vec![1.0f32; 500_000];
-        let run = g.execute(&ctx, &mut state);
+        let run = g.execute(&ctx, &mut ());
         assert!(run.speedup() > 7.5, "speedup {}", run.speedup());
     }
 
@@ -1074,17 +976,10 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "does not exist yet")]
-    fn forward_dependencies_rejected() {
-        let mut g: TaskGraph<'_, ()> = TaskGraph::new();
-        g.add("bad", &[3], |_, _| {});
-    }
-
-    #[test]
     fn nodes_see_state_mutations_in_topo_order() {
         let ctx = ExecCtx::native(OptLevel::Improved, 0);
         let mut g: TaskGraph<'_, Vec<u32>> = TaskGraph::new();
-        let log_buf = g.declare("log", 2, BufClass::External);
+        let log_buf = g.declare_dims("log", &[2], BufClass::External);
         g.node(
             NodeSpec::new("a").writes(&[log_buf]),
             |_, s: &mut Vec<u32>| s.push(1),
@@ -1099,20 +994,11 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "opaque node(s) in a shipped graph")]
-    fn executors_deny_opaque_nodes_by_default() {
-        let ctx = ExecCtx::native(OptLevel::Improved, 0);
-        let mut g: TaskGraph<'_, ()> = TaskGraph::new();
-        g.add("opaque", &[], |_, _| {});
-        g.execute(&ctx, &mut ());
-    }
-
-    #[test]
     fn degradation_demotes_instead_of_panicking() {
         let ctx = ExecCtx::native(OptLevel::Improved, 0).with_graceful_degradation();
         let mut g: TaskGraph<'_, Vec<u32>> = TaskGraph::new();
-        let x = g.declare("x", 4, BufClass::Scratch);
-        let out = g.declare("out", 4, BufClass::Pinned);
+        let x = g.declare_dims("x", &[4], BufClass::Scratch);
+        let out = g.declare_dims("out", &[4], BufClass::Pinned);
         let p = g.node(
             NodeSpec::new("produce").writes(&[x]),
             |_, s: &mut Vec<u32>| s.push(1),
@@ -1135,7 +1021,10 @@ mod tests {
         // Degradation latches: later graphs skip verification and run
         // serially too.
         let mut g2: TaskGraph<'_, Vec<u32>> = TaskGraph::new();
-        g2.add("opaque", &[], |_, s: &mut Vec<u32>| s.push(3));
+        let y = g2.declare_dims("y", &[4], BufClass::Pinned);
+        g2.node(NodeSpec::new("late").writes(&[y]), |_, s: &mut Vec<u32>| {
+            s.push(3)
+        });
         g2.execute(&ctx, &mut log);
         assert_eq!(log, vec![1, 2, 3]);
     }
@@ -1145,7 +1034,7 @@ mod tests {
     fn undeclared_sampling_in_a_node_body_is_caught() {
         let ctx = ExecCtx::native(OptLevel::Improved, 3);
         let mut g: TaskGraph<'_, Vec<f32>> = TaskGraph::new();
-        let out = g.declare("out", 16, BufClass::External);
+        let out = g.declare_dims("out", &[16], BufClass::External);
         // Draws from the sampling stream without declaring .stochastic().
         g.node(
             NodeSpec::new("sneaky").writes(&[out]),
@@ -1162,7 +1051,7 @@ mod tests {
     fn declared_stochastic_nodes_may_sample() {
         let ctx = ExecCtx::native(OptLevel::Improved, 3);
         let mut g: TaskGraph<'_, Vec<f32>> = TaskGraph::new();
-        let out = g.declare("out", 16, BufClass::External);
+        let out = g.declare_dims("out", &[16], BufClass::External);
         g.node(
             NodeSpec::new("sample").writes(&[out]).stochastic(),
             |ctx, s: &mut Vec<f32>| {
@@ -1180,9 +1069,9 @@ mod tests {
     #[test]
     fn declared_nodes_derive_raw_waw_war_deps() {
         let mut g: TaskGraph<'_, ()> = TaskGraph::new();
-        let x = g.declare("x", 8, BufClass::Scratch);
-        let y = g.declare("y", 8, BufClass::Scratch);
-        let w = g.declare("w", 8, BufClass::External);
+        let x = g.declare_dims("x", &[8], BufClass::Scratch);
+        let y = g.declare_dims("y", &[8], BufClass::Scratch);
+        let w = g.declare_dims("w", &[8], BufClass::External);
         let p = g.node(NodeSpec::new("produce").writes(&[x]), |_, _| {});
         let c = g.node(NodeSpec::new("consume").reads(&[x]).writes(&[y]), |_, _| {});
         // WAW on x with `produce`, WAR on x with `consume`.
@@ -1205,10 +1094,10 @@ mod tests {
     #[test]
     fn planner_aliases_strictly_ordered_buffers_only() {
         let mut g: TaskGraph<'_, ()> = TaskGraph::new();
-        let a = g.declare("a", 100, BufClass::Scratch);
-        let b = g.declare("b", 60, BufClass::Scratch);
-        let c = g.declare("c", 40, BufClass::Scratch);
-        let pin = g.declare("pin", 10, BufClass::Pinned);
+        let a = g.declare_dims("a", &[100], BufClass::Scratch);
+        let b = g.declare_dims("b", &[60], BufClass::Scratch);
+        let c = g.declare_dims("c", &[40], BufClass::Scratch);
+        let pin = g.declare_dims("pin", &[10], BufClass::Pinned);
         // a is dead once `mid` consumed it; b is born in `mid`. a and c are
         // both live across `mid` -> `late` from the DAG's point of view? No:
         // c is only touched by `late`, which strictly follows every
@@ -1235,8 +1124,8 @@ mod tests {
     #[test]
     fn workspace_hands_out_disjoint_register_slices() {
         let mut g: TaskGraph<'_, ()> = TaskGraph::new();
-        let a = g.declare("a", 16, BufClass::Scratch);
-        let b = g.declare("b", 8, BufClass::Scratch);
+        let a = g.declare_dims("a", &[16], BufClass::Scratch);
+        let b = g.declare_dims("b", &[8], BufClass::Scratch);
         g.node(NodeSpec::new("w").writes(&[a, b]), |_, _| {});
         let plan = g.plan();
         let mut ws = Workspace::new(&plan);
@@ -1254,9 +1143,9 @@ mod tests {
     #[should_panic(expected = "share a register")]
     fn workspace_rejects_aliased_pairs() {
         let mut g: TaskGraph<'_, ()> = TaskGraph::new();
-        let a = g.declare("a", 16, BufClass::Scratch);
-        let t = g.declare("t", 4, BufClass::Pinned);
-        let b = g.declare("b", 8, BufClass::Scratch);
+        let a = g.declare_dims("a", &[16], BufClass::Scratch);
+        let t = g.declare_dims("t", &[4], BufClass::Pinned);
+        let b = g.declare_dims("b", &[8], BufClass::Scratch);
         let first = g.node(NodeSpec::new("first").writes(&[a]), |_, _| {});
         assert_eq!(g.deps(first), &[] as &[NodeId]);
         g.node(NodeSpec::new("mid").reads(&[a]).writes(&[t]), |_, _| {});
@@ -1278,9 +1167,9 @@ mod tests {
             outs: [Vec<f32>; 4],
         }
         let build = |g: &mut TaskGraph<'_, S>| {
-            let src = g.declare("src", 64 * 32, BufClass::External);
+            let src = g.declare_dims("src", &[64 * 32], BufClass::External);
             for i in 0..4 {
-                let out = g.declare("out", 32, BufClass::Pinned);
+                let out = g.declare_dims("out", &[32], BufClass::Pinned);
                 g.node(
                     NodeSpec::new("colmean").reads(&[src]).writes(&[out]),
                     move |ctx, s: &mut S| {
@@ -1315,7 +1204,7 @@ mod tests {
     fn run_serial_charges_ops_directly() {
         let ctx = ctx();
         let mut g: TaskGraph<'_, Vec<f32>> = TaskGraph::new();
-        let buf = g.declare("buf", 10_000, BufClass::External);
+        let buf = g.declare_dims("buf", &[10_000], BufClass::External);
         g.node(
             NodeSpec::new("scale").reads(&[buf]).writes(&[buf]),
             |ctx, s: &mut Vec<f32>| ctx.scale(2.0, s),
@@ -1330,8 +1219,8 @@ mod tests {
     fn simulated_execute_traces_nodes_on_lanes() {
         let ctx = ExecCtx::simulated(OptLevel::Improved, Platform::xeon_phi(), 0).with_trace();
         let mut g: TaskGraph<'_, Vec<f32>> = TaskGraph::new();
-        let a = g.declare("a", 200_000, BufClass::Scratch);
-        let b = g.declare("b", 200_000, BufClass::Scratch);
+        let a = g.declare_dims("a", &[200_000], BufClass::Scratch);
+        let b = g.declare_dims("b", &[200_000], BufClass::Scratch);
         g.node(
             NodeSpec::new("left").writes(&[a]),
             |ctx, s: &mut Vec<f32>| ctx.scale(1.5, s),

@@ -114,6 +114,6 @@ pub use train::{
     TrainReport, UnsupervisedModel,
 };
 pub use verify::{
-    CertifyBundle, CertifyDoc, CertifyOutcome, DevicePeak, DevicePeakDoc, DiagKind, Diagnostic,
-    FindingDoc, Severity, VerifyReport, DEFAULT_MEM_BUDGET, VERIFY_SCHEMA,
+    CertifyBundle, CertifyDoc, CertifyOutcome, DevicePeak, DiagKind, Diagnostic, FindingDoc,
+    Severity, VerifyReport, DEFAULT_MEM_BUDGET, VERIFY_SCHEMA,
 };

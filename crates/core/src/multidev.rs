@@ -75,9 +75,12 @@ use micdnn_sim::{DeviceSet, EventKind, Link, SyncModel};
 use micdnn_tensor::MatView;
 use std::io::{self, Read, Write};
 
-/// Hard cap on the device count a checkpoint may declare (a corrupt header
-/// must not size allocations).
-const MAX_DEVICES: u64 = 4096;
+/// Hard cap on the device count: a checkpoint may declare no more (a
+/// corrupt header must not size allocations), so no run may use more.
+const MAX_DEVICES: usize = 4096;
+
+/// Hard cap on the canonical block count, for the same reason.
+const MAX_BLOCKS: usize = 1 << 20;
 
 /// Splits `total` rows into `parts` contiguous ranges whose sizes differ
 /// by at most one (the first `total % parts` ranges get the extra row).
@@ -125,6 +128,11 @@ pub enum MultiDevConfigError {
         /// Configured device count.
         devices: usize,
     },
+    /// More devices than a checkpoint can record, so the run could never
+    /// be resumed.
+    TooManyDevices(usize),
+    /// More canonical blocks than a checkpoint can record.
+    TooManyBlocks(usize),
 }
 
 impl std::fmt::Display for MultiDevConfigError {
@@ -137,6 +145,15 @@ impl std::fmt::Display for MultiDevConfigError {
                 "canonical block count {blocks} is smaller than the device count {devices}; \
                  blocks must be >= devices so every device can own at least one block"
             ),
+            MultiDevConfigError::TooManyDevices(n) => {
+                write!(f, "device count {n} exceeds the maximum of {MAX_DEVICES}")
+            }
+            MultiDevConfigError::TooManyBlocks(k) => {
+                write!(
+                    f,
+                    "canonical block count {k} exceeds the maximum of {MAX_BLOCKS}"
+                )
+            }
         }
     }
 }
@@ -192,13 +209,19 @@ impl MultiDevConfig {
 
     /// Checks the configured geometry, returning a typed error for any
     /// degenerate combination (`devices == 0`, `blocks == 0`,
-    /// `blocks < devices`).
+    /// `blocks < devices`) and for counts a checkpoint cannot record.
     pub(crate) fn validate(&self) -> Result<(), MultiDevConfigError> {
         if self.devices == 0 {
             return Err(MultiDevConfigError::NoDevices);
         }
+        if self.devices > MAX_DEVICES {
+            return Err(MultiDevConfigError::TooManyDevices(self.devices));
+        }
         if self.canonical_blocks == 0 {
             return Err(MultiDevConfigError::NoBlocks);
+        }
+        if self.canonical_blocks > MAX_BLOCKS {
+            return Err(MultiDevConfigError::TooManyBlocks(self.canonical_blocks));
         }
         if self.canonical_blocks < self.devices {
             return Err(MultiDevConfigError::FewerBlocksThanDevices {
@@ -269,13 +292,13 @@ pub enum MultiDevModelState {
 /// Reads a `TAG_MDP` record body (header already consumed).
 pub(crate) fn read_multidev_body(r: &mut impl Read) -> io::Result<MultiDevState> {
     let n = read_u64(r)?;
-    if n == 0 || n > MAX_DEVICES {
+    if n == 0 || n > MAX_DEVICES as u64 {
         return Err(bad(format!(
             "device count {n} out of range (1..={MAX_DEVICES})"
         )));
     }
     let k = read_u64(r)?;
-    if k == 0 || k > 1 << 20 {
+    if k == 0 || k > MAX_BLOCKS as u64 {
         return Err(bad(format!("canonical block count {k} out of range")));
     }
     let mut dev_rng = Vec::with_capacity(n as usize);
@@ -1121,6 +1144,16 @@ mod tests {
         // The error renders both numbers for the operator.
         let msg = MultiDevConfig::validated(4, 3).unwrap_err().to_string();
         assert!(msg.contains('3') && msg.contains('4'), "{msg}");
+        // Counts a checkpoint could not record are refused up front.
+        assert_eq!(
+            MultiDevConfig::validated(MAX_DEVICES + 1, MAX_DEVICES + 1).unwrap_err(),
+            MultiDevConfigError::TooManyDevices(MAX_DEVICES + 1)
+        );
+        assert_eq!(
+            MultiDevConfig::validated(1, MAX_BLOCKS + 1).unwrap_err(),
+            MultiDevConfigError::TooManyBlocks(MAX_BLOCKS + 1)
+        );
+        MultiDevConfig::validated(MAX_DEVICES, MAX_BLOCKS).unwrap();
         // Sound geometry passes and matches the builder defaults.
         let cfg = MultiDevConfig::validated(2, 8).unwrap();
         assert_eq!((cfg.devices, cfg.canonical_blocks), (2, 8));

@@ -290,10 +290,7 @@ pub fn build_forward_graph<'a>(
         let a_cur = al[l];
         let reads = [a_prev.unwrap_or(xb), wl[l], bl[l]];
         g.node(
-            NodeSpec::new("forward")
-                .reads(&reads)
-                .writes(&[a_cur])
-                .shape(a_cur, &[cap, widths[l]]),
+            NodeSpec::new("forward").reads(&reads).writes(&[a_cur]),
             move |ctx, st: &mut ServeState<'a>| {
                 let b = st.x.rows();
                 let (w, bias) = &st.net.layer_params()[l];
@@ -322,9 +319,7 @@ pub fn build_forward_graph<'a>(
     g.node(
         NodeSpec::new("softmax")
             .reads(&[a_top, wsm, bsm])
-            .writes(&[probs])
-            .shape(a_top, &[cap, code_dim])
-            .shape(probs, &[cap, n_classes]),
+            .writes(&[probs]),
         move |ctx, st: &mut ServeState<'a>| {
             let b = st.x.rows();
             let (c, code) = (st.net.softmax.n_classes(), st.net.softmax.in_dim());

@@ -23,16 +23,14 @@
 //!   relative order — and therefore the sampling-stream assignment — is not
 //!   fixed by the DAG ([`DiagKind::UnorderedStochastic`]); side-effecting
 //!   (`exclusive`/`stochastic`) nodes that touch a common buffer without a
-//!   fixed order ([`DiagKind::UnorderedSideEffects`]); side-effecting or
-//!   opaque nodes marked eligible for concurrency waves
+//!   fixed order ([`DiagKind::UnorderedSideEffects`]); side-effecting
+//!   nodes marked eligible for concurrency waves
 //!   ([`DiagKind::SideEffectInWave`]); and a buffer accessed from two
 //!   different devices with no inter-device transfer node mediating the
 //!   edge ([`DiagKind::CrossDeviceFlow`]).
 //! * **warnings** (suspicious but schedule-safe): scratch writes nothing
-//!   ever reads ([`DiagKind::DeadWrite`]), buffers declared but never
-//!   touched ([`DiagKind::UnusedBuffer`]), and opaque [`TaskGraph::add`]
-//!   nodes whose footprints the verifier cannot see
-//!   ([`DiagKind::OpaqueNode`]).
+//!   ever reads ([`DiagKind::DeadWrite`]) and buffers declared but never
+//!   touched ([`DiagKind::UnusedBuffer`]).
 //!
 //! Executors call the verifier automatically: always in debug builds
 //! (`cargo test` keeps `debug-assertions` on, so every shipped graph is
@@ -82,8 +80,8 @@ pub enum DiagKind {
     /// Two side-effecting (`exclusive`/`stochastic`) nodes touch a common
     /// buffer without a fixed relative order.
     UnorderedSideEffects,
-    /// A stochastic, exclusive or opaque node is marked eligible for
-    /// native concurrency waves.
+    /// A stochastic or exclusive node is marked eligible for native
+    /// concurrency waves.
     SideEffectInWave,
     /// A buffer is accessed from two different devices without an
     /// inter-device transfer node ordering the cross-device edge — data
@@ -91,15 +89,6 @@ pub enum DiagKind {
     CrossDeviceFlow,
     /// A buffer is declared but never read or written.
     UnusedBuffer,
-    /// An opaque node (explicit-dependency [`TaskGraph::add`]) declares no
-    /// footprint; the verifier cannot prove anything about its accesses.
-    OpaqueNode,
-    /// A buffer's declared logical shape disagrees with its storage, or a
-    /// node's shape claim disagrees with the producer's. Certify-only.
-    ShapeMismatch,
-    /// A buffer (or opaque node) escapes shape inference entirely: nothing
-    /// declares or claims a logical shape for it. Certify-only.
-    ShapeUnknown,
     /// A device's proven peak resident bytes exceed its modeled memory
     /// budget in some wave. Certify-only.
     MemBudget,
@@ -121,9 +110,6 @@ impl DiagKind {
             DiagKind::SideEffectInWave => "side-effect-in-wave",
             DiagKind::CrossDeviceFlow => "cross-device-flow",
             DiagKind::UnusedBuffer => "unused-buffer",
-            DiagKind::OpaqueNode => "opaque-node",
-            DiagKind::ShapeMismatch => "shape-mismatch",
-            DiagKind::ShapeUnknown => "shape-unknown",
             DiagKind::MemBudget => "mem-budget",
             DiagKind::UndeclaredStochastic => "undeclared-stochastic",
         }
@@ -139,13 +125,9 @@ impl DiagKind {
             | DiagKind::UnorderedSideEffects
             | DiagKind::SideEffectInWave
             | DiagKind::CrossDeviceFlow
-            | DiagKind::ShapeMismatch
-            | DiagKind::ShapeUnknown
             | DiagKind::MemBudget
             | DiagKind::UndeclaredStochastic => Severity::Error,
-            DiagKind::DeadWrite | DiagKind::UnusedBuffer | DiagKind::OpaqueNode => {
-                Severity::Warning
-            }
+            DiagKind::DeadWrite | DiagKind::UnusedBuffer => Severity::Warning,
         }
     }
 }
@@ -413,7 +395,9 @@ impl<S> TaskGraph<'_, S> {
                     buffer: Some(decl.name),
                     message: format!(
                         "buffer `{}` ({:?}, {} elems) is declared but never accessed",
-                        decl.name, decl.class, decl.elems
+                        decl.name,
+                        decl.class,
+                        decl.elems()
                     ),
                 });
             }
@@ -490,16 +474,14 @@ impl<S> TaskGraph<'_, S> {
             }
         }
 
-        // (4c) Consistency of the stored wave bit: side-effecting and
-        // opaque nodes must never be wave-eligible.
+        // (4c) Consistency of the stored wave bit: side-effecting nodes
+        // must never be wave-eligible.
         for i in 0..n {
-            if self.wave_ok[i] && (self.stochastic[i] || self.exclusive[i] || self.opaque[i]) {
+            if self.wave_ok[i] && (self.stochastic[i] || self.exclusive[i]) {
                 let why = if self.stochastic[i] {
                     "stochastic"
-                } else if self.exclusive[i] {
-                    "exclusive"
                 } else {
-                    "opaque"
+                    "exclusive"
                 };
                 report.push(Diagnostic {
                     kind: DiagKind::SideEffectInWave,
@@ -564,24 +546,6 @@ impl<S> TaskGraph<'_, S> {
             }
         }
 
-        // Opaque nodes: nothing above applies — say so once per node.
-        for i in 0..n {
-            if self.opaque[i] {
-                report.push(Diagnostic {
-                    kind: DiagKind::OpaqueNode,
-                    wave: None,
-                    bytes: None,
-                    nodes: vec![tag(self, i)],
-                    buffer: None,
-                    message: format!(
-                        "opaque node `{}` (#{i}) declares no footprint; its accesses \
-                         cannot be verified",
-                        self.names[i]
-                    ),
-                });
-            }
-        }
-
         // (5) Physical aliasing: re-derive the planner's own soundness
         // criterion per register-sharing pair. Every accessor of one buffer
         // must strictly precede every accessor of the other — the condition
@@ -631,12 +595,12 @@ impl<S> TaskGraph<'_, S> {
     }
 
     /// Runs the full certification pipeline against a freshly computed
-    /// plan: the safety analyses of [`TaskGraph::verify`] plus shape
-    /// inference, the per-device peak-memory proof against `budget_bytes`,
-    /// and the determinism audit. Certification is strictly harder than
-    /// verification — its three extra rules are errors here and never run
-    /// on the executor's automatic verify path, so graphs built with the
-    /// plain [`TaskGraph::declare`] API still execute.
+    /// plan: the safety analyses of [`TaskGraph::verify`] plus the
+    /// per-device peak-memory proof against `budget_bytes` and the
+    /// determinism audit. Certification is strictly harder than
+    /// verification — its two extra rules are errors here and never run on
+    /// the executor's automatic verify path, so a stochastic node without a
+    /// declared cursor still executes.
     pub fn certify(&self, budget_bytes: u64) -> CertifyOutcome {
         self.certify_with_plan(&self.plan(), budget_bytes)
     }
@@ -644,7 +608,6 @@ impl<S> TaskGraph<'_, S> {
     /// Runs the certification pipeline against a caller-supplied plan.
     pub fn certify_with_plan(&self, plan: &WorkspacePlan, budget_bytes: u64) -> CertifyOutcome {
         let mut report = self.verify_with_plan(plan);
-        self.check_shapes(&mut report);
         self.check_determinism(&mut report);
         let (device_peaks, waves) = self.check_memory(plan, budget_bytes, &mut report);
         CertifyOutcome {
@@ -652,122 +615,6 @@ impl<S> TaskGraph<'_, S> {
             device_peaks,
             waves,
             budget_bytes,
-        }
-    }
-
-    /// Shape inference: joins declared dims ([`TaskGraph::declare_dims`])
-    /// with per-node claims ([`crate::NodeSpec::shape`]) into one resolved
-    /// shape per buffer, reporting [`DiagKind::ShapeMismatch`] on any
-    /// disagreement (including dims whose product drifts from the declared
-    /// element count) and [`DiagKind::ShapeUnknown`] for accessed buffers
-    /// no declaration or claim covers — plus opaque nodes, which escape
-    /// inference entirely.
-    fn check_shapes(&self, report: &mut VerifyReport) {
-        let nb = self.bufs.len();
-        let mut resolved: Vec<Option<&[usize]>> =
-            self.bufs.iter().map(|d| d.dims.as_deref()).collect();
-        let fmt_dims = |dims: &[usize]| {
-            let parts: Vec<String> = dims.iter().map(|d| d.to_string()).collect();
-            format!("[{}]", parts.join(" x "))
-        };
-        for decl in &self.bufs {
-            if let Some(dims) = &decl.dims {
-                let product: usize = dims.iter().product();
-                if product != decl.elems {
-                    report.push(Diagnostic::basic(
-                        DiagKind::ShapeMismatch,
-                        Vec::new(),
-                        Some(decl.name),
-                        format!(
-                            "buffer `{}` declares shape {} ({product} elems) but carries \
-                             {} elems of storage",
-                            decl.name,
-                            fmt_dims(dims),
-                            decl.elems
-                        ),
-                    ));
-                    // The declaration is still the best shape estimate;
-                    // keeping it resolved avoids a cascading shape-unknown
-                    // for the already-reported buffer.
-                }
-            }
-        }
-        for id in 0..self.len() {
-            for (BufId(b), dims) in &self.shape_claims[id] {
-                let decl = &self.bufs[*b];
-                match resolved[*b] {
-                    Some(have) if have != dims.as_slice() => {
-                        report.push(Diagnostic::basic(
-                            DiagKind::ShapeMismatch,
-                            vec![tag(self, id)],
-                            Some(decl.name),
-                            format!(
-                                "node `{}` (#{id}) claims shape {} for buffer `{}` but \
-                                 its producer declares {}",
-                                self.names[id],
-                                fmt_dims(dims),
-                                decl.name,
-                                fmt_dims(have)
-                            ),
-                        ));
-                    }
-                    Some(_) => {}
-                    None => {
-                        let product: usize = dims.iter().product();
-                        if product != decl.elems {
-                            report.push(Diagnostic::basic(
-                                DiagKind::ShapeMismatch,
-                                vec![tag(self, id)],
-                                Some(decl.name),
-                                format!(
-                                    "node `{}` (#{id}) claims shape {} ({product} elems) \
-                                     for buffer `{}` carrying {} elems of storage",
-                                    self.names[id],
-                                    fmt_dims(dims),
-                                    decl.name,
-                                    decl.elems
-                                ),
-                            ));
-                        } else {
-                            resolved[*b] = Some(dims.as_slice());
-                        }
-                    }
-                }
-            }
-        }
-        let mut first_accessor: Vec<Option<NodeId>> = vec![None; nb];
-        for id in 0..self.len() {
-            for &BufId(b) in self.reads[id].iter().chain(self.writes[id].iter()) {
-                first_accessor[b].get_or_insert(id);
-            }
-        }
-        for (b, decl) in self.bufs.iter().enumerate() {
-            if let (None, Some(id)) = (resolved[b], first_accessor[b]) {
-                report.push(Diagnostic::basic(
-                    DiagKind::ShapeUnknown,
-                    vec![tag(self, id)],
-                    Some(decl.name),
-                    format!(
-                        "buffer `{}` is accessed (first by node `{}` (#{id})) but no \
-                         declaration or claim gives it a shape",
-                        decl.name, self.names[id]
-                    ),
-                ));
-            }
-        }
-        for id in 0..self.len() {
-            if self.opaque[id] {
-                report.push(Diagnostic::basic(
-                    DiagKind::ShapeUnknown,
-                    vec![tag(self, id)],
-                    None,
-                    format!(
-                        "opaque node `{}` (#{id}) escapes shape inference: its \
-                         footprint is undeclared",
-                        self.names[id]
-                    ),
-                ));
-            }
         }
     }
 
@@ -878,7 +725,7 @@ impl<S> TaskGraph<'_, S> {
                     continue;
                 }
                 if let Some((s, e)) = interval(b) {
-                    charge(s, e, bytes_of(buf.elems));
+                    charge(s, e, bytes_of(buf.elems()));
                 }
             }
             for r in 0..plan.num_registers() {
@@ -952,8 +799,9 @@ impl<S> TaskGraph<'_, S> {
     }
 }
 
-/// Peak resident bytes proven for one device by the certification pass.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// Peak resident bytes proven for one device by the certification pass;
+/// also its entry in a [`CertifyDoc`].
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct DevicePeak {
     /// Device id (0 for single-device graphs).
     pub device: u32,
@@ -995,15 +843,7 @@ impl CertifyOutcome {
             budget_bytes: self.budget_bytes,
             errors: self.report.errors.len() as u64,
             warnings: self.report.warnings.len() as u64,
-            device_peaks: self
-                .device_peaks
-                .iter()
-                .map(|p| DevicePeakDoc {
-                    device: p.device as u64,
-                    peak_bytes: p.peak_bytes,
-                    peak_wave: p.peak_wave as u64,
-                })
-                .collect(),
+            device_peaks: self.device_peaks.clone(),
             findings: self
                 .report
                 .errors
@@ -1037,20 +877,9 @@ pub struct CertifyDoc {
     /// Warning-finding count.
     pub warnings: u64,
     /// Proven peak residency per device.
-    pub device_peaks: Vec<DevicePeakDoc>,
+    pub device_peaks: Vec<DevicePeak>,
     /// All findings, errors first (SARIF-flavored).
     pub findings: Vec<FindingDoc>,
-}
-
-/// Per-device peak entry of a [`CertifyDoc`].
-#[derive(Debug, Clone, PartialEq, Serialize)]
-pub struct DevicePeakDoc {
-    /// Device id.
-    pub device: u64,
-    /// Maximum resident bytes over all waves.
-    pub peak_bytes: u64,
-    /// The wave attaining the maximum.
-    pub peak_wave: u64,
 }
 
 /// One finding of a [`CertifyDoc`] (SARIF-flavored: stable rule id plus
@@ -1264,8 +1093,8 @@ mod tests {
     /// nothing is a dead write.
     fn chain() -> TaskGraph<'static, ()> {
         let mut g: TaskGraph<'static, ()> = TaskGraph::new();
-        let x = g.declare("x", 32, BufClass::Scratch);
-        let out = g.declare("out", 32, BufClass::Pinned);
+        let x = g.declare_dims("x", &[32], BufClass::Scratch);
+        let out = g.declare_dims("out", &[32], BufClass::Pinned);
         g.node(NodeSpec::new("produce").writes(&[x]), |_, _| {});
         g.node(
             NodeSpec::new("consume").reads(&[x]).writes(&[out]),
@@ -1299,8 +1128,8 @@ mod tests {
     #[test]
     fn missing_writer_is_use_before_init() {
         let mut g: TaskGraph<'static, ()> = TaskGraph::new();
-        let x = g.declare("x", 16, BufClass::Scratch);
-        let out = g.declare("out", 16, BufClass::Pinned);
+        let x = g.declare_dims("x", &[16], BufClass::Scratch);
+        let out = g.declare_dims("out", &[16], BufClass::Pinned);
         // The init node was "skipped": nothing writes x.
         g.node(
             NodeSpec::new("consume").reads(&[x]).writes(&[out]),
@@ -1314,7 +1143,7 @@ mod tests {
     #[test]
     fn unread_scratch_write_is_dead() {
         let mut g: TaskGraph<'static, ()> = TaskGraph::new();
-        let x = g.declare("x", 16, BufClass::Scratch);
+        let x = g.declare_dims("x", &[16], BufClass::Scratch);
         g.node(NodeSpec::new("produce").writes(&[x]), |_, _| {});
         let report = g.verify();
         assert!(report.errors.is_empty(), "{report}");
@@ -1324,7 +1153,7 @@ mod tests {
     #[test]
     fn pinned_outputs_are_not_dead_writes() {
         let mut g: TaskGraph<'static, ()> = TaskGraph::new();
-        let x = g.declare("x", 16, BufClass::Pinned);
+        let x = g.declare_dims("x", &[16], BufClass::Pinned);
         g.node(NodeSpec::new("produce").writes(&[x]), |_, _| {});
         let report = g.verify();
         assert!(report.is_clean(), "{report}");
@@ -1333,8 +1162,8 @@ mod tests {
     #[test]
     fn undeclared_unused_buffer_warns() {
         let mut g: TaskGraph<'static, ()> = TaskGraph::new();
-        let _unused = g.declare("leftover", 64, BufClass::Pinned);
-        let x = g.declare("x", 16, BufClass::Pinned);
+        let _unused = g.declare_dims("leftover", &[64], BufClass::Pinned);
+        let x = g.declare_dims("x", &[16], BufClass::Pinned);
         g.node(NodeSpec::new("produce").writes(&[x]), |_, _| {});
         let report = g.verify();
         assert!(report.has(DiagKind::UnusedBuffer), "{report}");
@@ -1344,8 +1173,8 @@ mod tests {
     #[test]
     fn unordered_stochastic_pair_is_an_error() {
         let mut g: TaskGraph<'static, ()> = TaskGraph::new();
-        let a = g.declare("a", 16, BufClass::Pinned);
-        let b = g.declare("b", 16, BufClass::Pinned);
+        let a = g.declare_dims("a", &[16], BufClass::Pinned);
+        let b = g.declare_dims("b", &[16], BufClass::Pinned);
         g.node(
             NodeSpec::new("sampleA").writes(&[a]).stochastic(),
             |_, _| {},
@@ -1361,8 +1190,8 @@ mod tests {
     #[test]
     fn ordered_stochastic_chain_is_fine() {
         let mut g: TaskGraph<'static, ()> = TaskGraph::new();
-        let a = g.declare("a", 16, BufClass::Pinned);
-        let b = g.declare("b", 16, BufClass::Pinned);
+        let a = g.declare_dims("a", &[16], BufClass::Pinned);
+        let b = g.declare_dims("b", &[16], BufClass::Pinned);
         g.node(
             NodeSpec::new("sampleA").writes(&[a]).stochastic(),
             |_, _| {},
@@ -1381,7 +1210,7 @@ mod tests {
     #[test]
     fn exclusive_read_read_sharing_without_order_is_an_error() {
         let mut g: TaskGraph<'static, ()> = TaskGraph::new();
-        let src = g.declare("src", 16, BufClass::External);
+        let src = g.declare_dims("src", &[16], BufClass::External);
         // Two exclusive nodes both read `src`, no path between them.
         g.node(NodeSpec::new("statA").reads(&[src]).exclusive(), |_, _| {});
         g.node(NodeSpec::new("statB").reads(&[src]).exclusive(), |_, _| {});
@@ -1392,8 +1221,8 @@ mod tests {
     #[test]
     fn disjoint_exclusive_nodes_are_fine() {
         let mut g: TaskGraph<'static, ()> = TaskGraph::new();
-        let a = g.declare("a", 16, BufClass::External);
-        let b = g.declare("b", 16, BufClass::External);
+        let a = g.declare_dims("a", &[16], BufClass::External);
+        let b = g.declare_dims("b", &[16], BufClass::External);
         g.node(NodeSpec::new("statA").reads(&[a]).exclusive(), |_, _| {});
         g.node(NodeSpec::new("statB").reads(&[b]).exclusive(), |_, _| {});
         let report = g.verify();
@@ -1403,7 +1232,7 @@ mod tests {
     #[test]
     fn forced_wave_bit_on_stochastic_node_is_caught() {
         let mut g: TaskGraph<'static, ()> = TaskGraph::new();
-        let a = g.declare("a", 16, BufClass::Pinned);
+        let a = g.declare_dims("a", &[16], BufClass::Pinned);
         let s = g.node(NodeSpec::new("sample").writes(&[a]).stochastic(), |_, _| {});
         g.testonly_force_wave_ok(s);
         let report = g.verify();
@@ -1413,9 +1242,9 @@ mod tests {
     #[test]
     fn forced_alias_of_live_buffers_is_unsafe() {
         let mut g: TaskGraph<'static, ()> = TaskGraph::new();
-        let a = g.declare("a", 32, BufClass::Scratch);
-        let b = g.declare("b", 32, BufClass::Scratch);
-        let out = g.declare("out", 32, BufClass::Pinned);
+        let a = g.declare_dims("a", &[32], BufClass::Scratch);
+        let b = g.declare_dims("b", &[32], BufClass::Scratch);
+        let out = g.declare_dims("out", &[32], BufClass::Pinned);
         g.node(NodeSpec::new("mkA").writes(&[a]), |_, _| {});
         g.node(NodeSpec::new("mkB").writes(&[b]), |_, _| {});
         g.node(
@@ -1436,10 +1265,10 @@ mod tests {
     fn legal_alias_is_reported_as_verified() {
         // a dies before c is born (the planner-alias unit-test shape).
         let mut g: TaskGraph<'static, ()> = TaskGraph::new();
-        let a = g.declare("a", 100, BufClass::Scratch);
-        let t = g.declare("t", 4, BufClass::Pinned);
-        let c = g.declare("c", 40, BufClass::Scratch);
-        let out = g.declare("out", 4, BufClass::Pinned);
+        let a = g.declare_dims("a", &[100], BufClass::Scratch);
+        let t = g.declare_dims("t", &[4], BufClass::Pinned);
+        let c = g.declare_dims("c", &[40], BufClass::Scratch);
+        let out = g.declare_dims("out", &[4], BufClass::Pinned);
         g.node(NodeSpec::new("first").writes(&[a]), |_, _| {});
         g.node(NodeSpec::new("mid").reads(&[a]).writes(&[t]), |_, _| {});
         g.node(NodeSpec::new("late").reads(&[t]).writes(&[c]), |_, _| {});
@@ -1452,20 +1281,10 @@ mod tests {
     }
 
     #[test]
-    fn opaque_nodes_warn_only() {
-        let mut g: TaskGraph<'static, ()> = TaskGraph::new();
-        let a = g.add("first", &[], |_, _| {});
-        g.add("second", &[a], |_, _| {});
-        let report = g.verify();
-        assert!(report.errors.is_empty(), "{report}");
-        assert_eq!(report.count(DiagKind::OpaqueNode), 2);
-    }
-
-    #[test]
     fn unmediated_cross_device_edge_is_an_error() {
         let mut g: TaskGraph<'static, ()> = TaskGraph::new();
-        let x = g.declare("x", 16, BufClass::Scratch);
-        let out = g.declare("out", 16, BufClass::Pinned);
+        let x = g.declare_dims("x", &[16], BufClass::Scratch);
+        let out = g.declare_dims("out", &[16], BufClass::Pinned);
         g.node(NodeSpec::new("produce").writes(&[x]).device(0), |_, _| {});
         g.node(
             NodeSpec::new("consume")
@@ -1488,9 +1307,9 @@ mod tests {
     #[test]
     fn transfer_endpoint_mediates_the_edge() {
         let mut g: TaskGraph<'static, ()> = TaskGraph::new();
-        let x = g.declare("x", 16, BufClass::Scratch);
-        let y = g.declare("y", 16, BufClass::Scratch);
-        let out = g.declare("out", 16, BufClass::Pinned);
+        let x = g.declare_dims("x", &[16], BufClass::Scratch);
+        let y = g.declare_dims("y", &[16], BufClass::Scratch);
+        let out = g.declare_dims("out", &[16], BufClass::Pinned);
         g.node(NodeSpec::new("produce").writes(&[x]).device(0), |_, _| {});
         g.node(
             NodeSpec::new("ship")
@@ -1517,10 +1336,10 @@ mod tests {
         // sits strictly between them on the token chain: the edge is
         // mediated even though the transfer stages through another buffer.
         let mut g: TaskGraph<'static, ()> = TaskGraph::new();
-        let x = g.declare("x", 16, BufClass::Scratch);
-        let tok = g.declare("tok", 1, BufClass::Scratch);
-        let tok2 = g.declare("tok2", 1, BufClass::Scratch);
-        let out = g.declare("out", 16, BufClass::Pinned);
+        let x = g.declare_dims("x", &[16], BufClass::Scratch);
+        let tok = g.declare_dims("tok", &[1], BufClass::Scratch);
+        let tok2 = g.declare_dims("tok2", &[1], BufClass::Scratch);
+        let out = g.declare_dims("out", &[16], BufClass::Pinned);
         g.node(
             NodeSpec::new("produce").writes(&[x, tok]).device(0),
             |_, _| {},
@@ -1572,7 +1391,6 @@ mod tests {
             NodeSpec::new("consume")
                 .reads(&[x])
                 .writes(&[out])
-                .shape(out, &[4, 8])
                 .stochastic()
                 .cursor("noise"),
             |_, _| {},
@@ -1593,11 +1411,11 @@ mod tests {
 
     #[test]
     fn certify_rules_stay_out_of_the_verify_path() {
-        // Plain declare() + stochastic-without-cursor: certification has
-        // findings, but the executor's automatic verify path stays clean —
+        // A stochastic node without a cursor: certification has a
+        // finding, but the executor's automatic verify path stays clean —
         // existing graphs must keep executing.
         let mut g: TaskGraph<'static, ()> = TaskGraph::new();
-        let out = g.declare("out", 16, BufClass::Pinned);
+        let out = g.declare_dims("out", &[16], BufClass::Pinned);
         g.node(
             NodeSpec::new("sample").writes(&[out]).stochastic(),
             |_, _| {},
@@ -1606,34 +1424,10 @@ mod tests {
         assert!(verify.is_clean(), "{verify}");
         let certify = g.certify(DEFAULT_MEM_BUDGET);
         assert!(
-            certify.report.has(DiagKind::ShapeUnknown),
-            "{}",
-            certify.report
-        );
-        assert!(
             certify.report.has(DiagKind::UndeclaredStochastic),
             "{}",
             certify.report
         );
-    }
-
-    #[test]
-    fn conflicting_shape_claim_is_a_mismatch() {
-        let mut g: TaskGraph<'static, ()> = TaskGraph::new();
-        let x = g.declare_dims("x", &[4, 8], BufClass::Pinned);
-        g.node(
-            NodeSpec::new("produce").writes(&[x]).shape(x, &[8, 4]),
-            |_, _| {},
-        );
-        let outcome = g.certify(DEFAULT_MEM_BUDGET);
-        assert!(
-            outcome.report.has(DiagKind::ShapeMismatch),
-            "{}",
-            outcome.report
-        );
-        let diag = &outcome.report.errors[0];
-        assert_eq!(diag.buffer, Some("x"));
-        assert!(diag.message.contains("[8 x 4]") && diag.message.contains("[4 x 8]"));
     }
 
     #[test]

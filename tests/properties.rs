@@ -152,26 +152,36 @@ proptest! {
         edge_seed in any::<u64>(),
         sizes in proptest::collection::vec(1000usize..100_000, 1..12),
     ) {
-        use micdnn::{ExecCtx, TaskGraph};
+        use micdnn::{BufClass, ExecCtx, NodeSpec, TaskGraph};
+        use micdnn_kernels::OpCost;
         use rand::{Rng, SeedableRng};
 
         let n = n_nodes.min(sizes.len());
         let mut rng = rand::rngs::StdRng::seed_from_u64(edge_seed);
+        // Random subset of earlier nodes as dependencies.
+        let deps: Vec<Vec<usize>> = (0..n)
+            .map(|i| (0..i).filter(|_| rng.gen_bool(0.4)).collect())
+            .collect();
         let ctx = ExecCtx::simulated(OptLevel::Improved, Platform::xeon_phi(), 1);
-        let mut g: TaskGraph<'_, Vec<f32>> = TaskGraph::new();
-        g.allow_opaque();
-        #[allow(clippy::needless_range_loop)] // i doubles as the node id
-        for i in 0..n {
-            // Random subset of earlier nodes as dependencies.
-            let deps: Vec<usize> = (0..i).filter(|_| rng.gen_bool(0.4)).collect();
-            let len = sizes[i];
-            g.add("node", &deps, move |ctx, s: &mut Vec<f32>| {
-                let end = len.min(s.len());
-                ctx.scale(1.0001, &mut s[..end]);
-            });
+        let mut g: TaskGraph<'_, ()> = TaskGraph::new();
+        // Each drawn edge is a one-element buffer its source writes and its
+        // target reads: `(source, target, buffer)`.
+        let mut edges = Vec::new();
+        for (t, ds) in deps.iter().enumerate() {
+            for &s in ds {
+                edges.push((s, t, g.declare_dims("edge", &[1], BufClass::Scratch)));
+            }
         }
-        let mut state = vec![1.0f32; 100_000];
-        let run = g.execute(&ctx, &mut state);
+        for i in 0..n {
+            let reads: Vec<_> = edges.iter().filter(|e| e.1 == i).map(|e| e.2).collect();
+            let writes: Vec<_> = edges.iter().filter(|e| e.0 == i).map(|e| e.2).collect();
+            let len = sizes[i];
+            g.node(NodeSpec::new("node").reads(&reads).writes(&writes), move |ctx, _| {
+                ctx.charge_cost(OpCost::elementwise(len, 1, 1));
+            });
+            prop_assert_eq!(g.deps(i), deps[i].as_slice());
+        }
+        let run = g.execute(&ctx, &mut ());
         let max_node = run.durations.iter().copied().fold(0.0f64, f64::max);
         prop_assert!(run.critical_path <= run.serial_time + 1e-12);
         prop_assert!(run.critical_path >= max_node - 1e-12);

@@ -20,8 +20,8 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use micdnn::cd_graph::build_cd_graph;
 use micdnn::train::TrainConfig;
 use micdnn::{
-    build_ae_graph, build_step_graph, AeUpdate, BufClass, DiagKind, ExecCtx, NodeSpec, OptLevel,
-    StackedAutoencoder, TaskGraph, DEFAULT_MEM_BUDGET,
+    build_ae_graph, build_step_graph, AeUpdate, BufClass, BufId, DiagKind, ExecCtx, NodeSpec,
+    OptLevel, StackedAutoencoder, TaskGraph, DEFAULT_MEM_BUDGET,
 };
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
@@ -42,9 +42,9 @@ const BENCH_SIZES: &[(usize, usize, usize)] = &[
 /// produce → transform → consume over scratch buffers with a pinned output.
 fn three_stage() -> TaskGraph<'static, ()> {
     let mut g: TaskGraph<'static, ()> = TaskGraph::new();
-    let a = g.declare("a", 64, BufClass::Scratch);
-    let b = g.declare("b", 64, BufClass::Scratch);
-    let out = g.declare("out", 64, BufClass::Pinned);
+    let a = g.declare_dims("a", &[64], BufClass::Scratch);
+    let b = g.declare_dims("b", &[64], BufClass::Scratch);
+    let out = g.declare_dims("out", &[64], BufClass::Pinned);
     g.node(NodeSpec::new("produce").writes(&[a]), |_, _| {});
     g.node(
         NodeSpec::new("transform").reads(&[a]).writes(&[b]),
@@ -78,8 +78,8 @@ fn dropped_inferred_edge_reports_race() {
 fn skipped_init_node_reports_use_before_init() {
     // The same pipeline with its init node "forgotten" entirely.
     let mut g: TaskGraph<'static, ()> = TaskGraph::new();
-    let a = g.declare("a", 64, BufClass::Scratch);
-    let out = g.declare("out", 64, BufClass::Pinned);
+    let a = g.declare_dims("a", &[64], BufClass::Scratch);
+    let out = g.declare_dims("out", &[64], BufClass::Pinned);
     g.node(
         NodeSpec::new("transform").reads(&[a]).writes(&[out]),
         |_, _| {},
@@ -92,9 +92,9 @@ fn skipped_init_node_reports_use_before_init() {
 #[test]
 fn aliasing_a_live_buffer_reports_unsafe_alias() {
     let mut g: TaskGraph<'static, ()> = TaskGraph::new();
-    let a = g.declare("a", 64, BufClass::Scratch);
-    let b = g.declare("b", 64, BufClass::Scratch);
-    let out = g.declare("out", 64, BufClass::Pinned);
+    let a = g.declare_dims("a", &[64], BufClass::Scratch);
+    let b = g.declare_dims("b", &[64], BufClass::Scratch);
+    let out = g.declare_dims("out", &[64], BufClass::Pinned);
     g.node(NodeSpec::new("mkA").writes(&[a]), |_, _| {});
     g.node(NodeSpec::new("mkB").writes(&[b]), |_, _| {});
     g.node(
@@ -133,8 +133,8 @@ fn debug_executor_refuses_a_corrupted_graph() {
 #[test]
 fn unordered_stochastic_nodes_report_determinism_hazard() {
     let mut g: TaskGraph<'static, ()> = TaskGraph::new();
-    let a = g.declare("a", 64, BufClass::Pinned);
-    let b = g.declare("b", 64, BufClass::Pinned);
+    let a = g.declare_dims("a", &[64], BufClass::Pinned);
+    let b = g.declare_dims("b", &[64], BufClass::Pinned);
     g.node(
         NodeSpec::new("sampleA").writes(&[a]).stochastic(),
         |_, _| {},
@@ -150,7 +150,7 @@ fn unordered_stochastic_nodes_report_determinism_hazard() {
 #[test]
 fn forcing_a_side_effect_into_a_wave_is_caught() {
     let mut g: TaskGraph<'static, ()> = TaskGraph::new();
-    let a = g.declare("a", 64, BufClass::Pinned);
+    let a = g.declare_dims("a", &[64], BufClass::Pinned);
     let s = g.node(NodeSpec::new("sample").writes(&[a]).stochastic(), |_, _| {});
     g.testonly_force_wave_ok(s);
     let report = g.verify();
@@ -163,7 +163,8 @@ fn forcing_a_side_effect_into_a_wave_is_caught() {
 
 /// Random RAW-only DAG in the `graph_properties` style: node `i` writes its
 /// own buffer and reads the buffers of `deps[i]` (all `< i`), so the
-/// builder's inferred edges equal the chosen edges exactly.
+/// builder's inferred edges equal the chosen edges exactly — which
+/// [`RandomDag::build`] checks.
 struct RandomDag {
     deps: Vec<Vec<usize>>,
     elems: Vec<usize>,
@@ -193,10 +194,11 @@ impl RandomDag {
         }
     }
 
-    fn build(&self) -> TaskGraph<'static, ()> {
+    /// The graph and each node's output buffer.
+    fn build(&self) -> (TaskGraph<'static, ()>, Vec<BufId>) {
         let mut g: TaskGraph<'static, ()> = TaskGraph::new();
         let bufs: Vec<_> = (0..self.deps.len())
-            .map(|i| g.declare("buf", self.elems[i], self.classes[i]))
+            .map(|i| g.declare_dims("buf", &[self.elems[i]], self.classes[i]))
             .collect();
         for (i, deps) in self.deps.iter().enumerate() {
             let reads: Vec<_> = deps.iter().map(|&d| bufs[d]).collect();
@@ -204,8 +206,9 @@ impl RandomDag {
                 NodeSpec::new("node").reads(&reads).writes(&[bufs[i]]),
                 |_, _| {},
             );
+            assert_eq!(g.deps(i), deps.as_slice(), "node {i} dependency mismatch");
         }
-        g
+        (g, bufs)
     }
 }
 
@@ -235,7 +238,7 @@ proptest! {
     /// terminal scratch writes — are allowed).
     #[test]
     fn builder_graphs_always_verify_error_free(n in 1usize..24, seed in any::<u64>()) {
-        let report = RandomDag::generate(n, seed).build().verify();
+        let report = RandomDag::generate(n, seed).build().0.verify();
         prop_assert!(report.errors.is_empty(), "{}", report);
     }
 
@@ -259,7 +262,7 @@ proptest! {
         prop_assume!(!edges.is_empty());
         let (node, dep) = edges[(pick as usize) % edges.len()];
 
-        let mut g = dag.build();
+        let (mut g, _) = dag.build();
         g.testonly_drop_dep(node, dep);
         let report = g.verify();
 
@@ -463,12 +466,12 @@ fn unmediated_pipeline_edge_reports_cross_device_flow() {
 }
 
 // ---------------------------------------------------------------------------
-// 6. Certification: shape inference, determinism audit, peak-memory proofs.
+// 6. Certification: determinism audit, peak-memory proofs.
 // ---------------------------------------------------------------------------
 
 /// Every shipped single-device training/serving graph certifies clean —
-/// the full pipeline (safety verifier + shape inference + determinism
-/// audit + peak-memory proof against the 8 GB card budget) reports zero
+/// the full pipeline (safety verifier + determinism audit + peak-memory
+/// proof against the 8 GB card budget) reports zero
 /// errors and zero warnings, so the committed `VERIFY_report.json` can pin
 /// the same bar in CI.
 #[test]
@@ -588,38 +591,6 @@ fn pipeline_plans_certify_with_no_dead_writes() {
     }
 }
 
-/// Two fully shape-declared stages over dims-declared buffers; certifies
-/// clean until a mutation hook corrupts it.
-fn shaped_two_stage() -> (TaskGraph<'static, ()>, micdnn::BufId, micdnn::BufId) {
-    let mut g: TaskGraph<'static, ()> = TaskGraph::new();
-    let a = g.declare_dims("a", &[8, 8], BufClass::Scratch);
-    let b = g.declare_dims("b", &[8, 8], BufClass::Pinned);
-    g.node(NodeSpec::new("produce").writes(&[a]), |_, _| {});
-    g.node(NodeSpec::new("consume").reads(&[a]).writes(&[b]), |_, _| {});
-    (g, a, b)
-}
-
-/// Mutation: shrinking a buffer under its declared dims flips exactly the
-/// shape-mismatch rule — one new error naming the buffer, nothing else.
-#[test]
-fn shrinking_a_buffer_flips_only_shape_mismatch() {
-    let (mut g, a, _) = shaped_two_stage();
-    let before = g.certify(DEFAULT_MEM_BUDGET);
-    assert!(before.is_clean(), "{}", before.report);
-    g.testonly_shrink_buf(a);
-    let after = g.certify(DEFAULT_MEM_BUDGET);
-    assert_eq!(
-        after.report.errors.len(),
-        1,
-        "exactly one new error:\n{}",
-        after.report
-    );
-    assert!(after.report.warnings.is_empty(), "{}", after.report);
-    let diag = &after.report.errors[0];
-    assert_eq!(diag.kind, DiagKind::ShapeMismatch, "{}", after.report);
-    assert_eq!(diag.buffer, Some("a"));
-}
-
 /// Mutation: a budget one byte under the proven peak flips the mem-budget
 /// rule, and the diagnostic names the exact peak wave, byte count and the
 /// live set attaining it.
@@ -677,18 +648,7 @@ proptest! {
     #[test]
     fn certified_peak_matches_brute_force(n in 1usize..24, seed in any::<u64>()) {
         let dag = RandomDag::generate(n, seed);
-        // Inline build to keep the BufIds (RandomDag::build discards them).
-        let mut g: TaskGraph<'static, ()> = TaskGraph::new();
-        let bufs: Vec<_> = (0..n)
-            .map(|i| g.declare("buf", dag.elems[i], dag.classes[i]))
-            .collect();
-        for (i, deps) in dag.deps.iter().enumerate() {
-            let reads: Vec<_> = deps.iter().map(|&d| bufs[d]).collect();
-            g.node(
-                NodeSpec::new("node").reads(&reads).writes(&[bufs[i]]),
-                |_, _| {},
-            );
-        }
+        let (g, bufs) = dag.build();
         let plan = g.plan();
         let outcome = g.certify_with_plan(&plan, DEFAULT_MEM_BUDGET);
 
@@ -756,10 +716,10 @@ fn race_check_is_quiet_on_a_clean_concurrent_graph() {
     let hits = Arc::new(AtomicUsize::new(0));
     let mut g: TaskGraph<'static, ()> = TaskGraph::new();
     // A diamond: two independent mid nodes form a wave.
-    let src = g.declare("src", 64, BufClass::Scratch);
-    let l = g.declare("l", 64, BufClass::Scratch);
-    let r = g.declare("r", 64, BufClass::Scratch);
-    let out = g.declare("out", 64, BufClass::Pinned);
+    let src = g.declare_dims("src", &[64], BufClass::Scratch);
+    let l = g.declare_dims("l", &[64], BufClass::Scratch);
+    let r = g.declare_dims("r", &[64], BufClass::Scratch);
+    let out = g.declare_dims("out", &[64], BufClass::Pinned);
     for (name, reads, writes) in [
         ("seed", vec![], vec![src]),
         ("left", vec![src], vec![l]),
@@ -798,8 +758,8 @@ fn race_check_catches_injected_concurrent_write() {
     const HOLD: Duration = Duration::from_millis(300);
     for _attempt in 0..3 {
         let mut g: TaskGraph<'static, ()> = TaskGraph::new();
-        let x = g.declare("x", 64, BufClass::Scratch);
-        let y = g.declare("y", 64, BufClass::Pinned);
+        let x = g.declare_dims("x", &[64], BufClass::Scratch);
+        let y = g.declare_dims("y", &[64], BufClass::Pinned);
         g.node(NodeSpec::new("writerA").writes(&[x]), |_, _| {
             std::thread::sleep(HOLD);
         });
