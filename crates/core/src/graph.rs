@@ -25,9 +25,9 @@
 //!   hand-rolled loops it replaces. [`TaskGraph::execute`] prices each node
 //!   separately on a simulated context and advances the clock by the
 //!   *critical path*; on a native context it runs *waves* of independent
-//!   sub-saturating nodes concurrently over the rayon pool via scoped
-//!   threads — the one regime where node-level threading beats intra-op
-//!   threading, because small kernels cannot fill the cores on their own.
+//!   sub-saturating nodes concurrently on the rayon shim's worker team —
+//!   the one regime where node-level threading beats intra-op threading,
+//!   because small kernels cannot fill the cores on their own.
 //!
 //! Concurrency never touches stochastic nodes (sampling-stream order is
 //! part of the reproducibility contract) and is disabled while the op
@@ -483,8 +483,9 @@ impl<'g, S> TaskGraph<'g, S> {
     ///
     /// On a native context, consecutive independent nodes whose kernels are
     /// sub-saturating ([`micdnn_kernels::Backend::is_subsaturating`]) run
-    /// concurrently, one scoped thread per node; everything else runs in
-    /// declaration order. Waves never include stochastic nodes and are
+    /// concurrently, one task per node on the rayon shim's worker team;
+    /// everything else runs in declaration order. Waves never include
+    /// stochastic nodes and are
     /// disabled while the op recorder is on, so results — weights, sampling
     /// streams, recorded op order — are bit-identical to the serial
     /// schedule at any thread count.
@@ -736,13 +737,14 @@ impl<S> Clone for StatePtr<S> {
 impl<S> Copy for StatePtr<S> {}
 // SAFETY: the wrapped pointer originates from an exclusive `&mut S` held by
 // `run_native_waves` for the whole wave, is only dereferenced inside one
-// scoped-thread wave (so it never outlives the borrow), and wave members
+// wave's tasks, which `rayon::run_tasks` has all finished before it
+// returns (so it never outlives the borrow), and wave members
 // access pairwise-disjoint declared buffers of `S` — invariants re-proven
 // per graph by `crate::verify` and policed at run time by the `race-check`
 // tracker.
 unsafe impl<S: Send> Send for StatePtr<S> {}
 // SAFETY: same invariants as the `Send` impl above; `Sync` is needed because
-// scoped closures capture the wrapper by reference before moving it.
+// the wave's closures capture the wrapper by reference before moving it.
 unsafe impl<S: Send> Sync for StatePtr<S> {}
 
 /// Arena plan produced by [`TaskGraph::plan`]: which register each declared

@@ -6,7 +6,7 @@
 //! RAW/WAW/WAR edges from declared footprints) while workspace aliasing is
 //! done on *physical* registers ([`TaskGraph::plan`] folds dead scratch
 //! buffers into shared arena storage). The native path then shares one
-//! `&mut S` across scoped threads through an `unsafe` pointer on the
+//! `&mut S` across the rayon shim's worker team through an `unsafe` pointer on the
 //! strength of those analyses. Nothing in the executor itself re-checks
 //! them — this module does.
 //!
@@ -954,8 +954,8 @@ impl CertifyBundle {
 /// half) or a count of readers (lower half); any overlap the static
 /// verifier's model would forbid — write/write or read/write on one
 /// register — trips a panic with a readable diagnostic naming both
-/// parties. The panic unwinds through the rayon shim's scoped threads with
-/// its payload intact.
+/// parties. The rayon shim catches the panic on whichever team thread ran
+/// the node and re-raises it on the caller with its payload intact.
 #[cfg(feature = "race-check")]
 pub(crate) struct RaceTracker {
     slots: Vec<std::sync::atomic::AtomicU64>,

@@ -107,19 +107,36 @@ const BLOCKING: GemmBlocking = GemmBlocking {
     nc: 512,
 };
 
-/// A worker owns at least this many rows (or columns) of C. Every worker
-/// packs the whole of the operand that is not split, so its own share has
-/// to be several cache blocks wide for that repeated packing to stay a
-/// small fraction of its multiply time.
-const MIN_EXTENT_PER_WORKER: usize = 192;
-/// ... and at least this many flops. The rayon shim spawns an OS thread per
-/// parallel region: ≈ 50 µs of spawn plus a worker that starts on cold
-/// caches, which on the two-vCPU reference machine puts the break-even of a
-/// two-way split near 75 Mflop per product (≈ 1.2 ms of one core at this
-/// kernel's speed). The three GEMMs of a wide autoencoder layer clear it
-/// twelve times over; the RBM's `20x64x144`, the serving batch and the
-/// CNN's im2col product stay on the calling thread.
-const MIN_FLOPS_PER_WORKER: usize = 64 << 20;
+/// A worker owns at least this many rows (or columns) of C: one tile's
+/// height, since a split never cuts a tile. The flop rule below is what
+/// keeps small products whole.
+const MIN_EXTENT_PER_WORKER: usize = MR;
+/// ... and at least this many flops. A fork is one region on the rayon
+/// shim's persistent worker team (≈ 1 µs when the worker is awake), plus
+/// the operand every worker packs for itself. Measured on a two-vCPU AVX2
+/// VM at two threads, the median time of a two-way split over one worker
+/// (`m x n x k`, total Mflop, split / one):
+///
+/// | product | Mflop | split / one |
+/// |---|---|---|
+/// | square 48 | 0.22 | 1.10 |
+/// | RBM statistics `64x144x20` | 0.37 | 1.36 |
+/// | RBM forward `20x64x144` | 0.37 | 0.75 |
+/// | square 64 | 0.52 | 0.87 |
+/// | square 96 | 1.8 | 0.77 |
+/// | fine-tune `100x64x256`, `100x256x64` | 3.3 | 0.69, 0.75 |
+/// | CNN im2col `28800x8x25` | 11.5 | 0.54 |
+/// | CNN filter gradient `8x25x28800` | 11.5 | 0.73 |
+/// | serving batch `64x256x784` | 25.7 | 0.55 |
+/// | fine-tune `100x256x784`, `256x784x100` | 40.1 | 0.55, 0.56 |
+/// | wide autoencoder `200x4096x1024` | 1678 | 0.51 |
+///
+/// Break-even lies between 0.2 and 0.5 Mflop and depends on the shape (the
+/// two RBM products have the same flops and opposite outcomes), so a
+/// product forks from 2 Mflop on, where every shape measured wins: the
+/// serving batch, fine-tune, im2col and filter-gradient products do, the
+/// RBM's stay on the calling thread.
+const MIN_FLOPS_PER_WORKER: usize = 1 << 20;
 
 /// Which instantiation of the macro-kernel runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
