@@ -166,6 +166,7 @@ fn thousand_wave_steps_on_the_worker_team_stay_bitwise_serial() {
 const AE_GOLDEN: &[u8] = include_bytes!("golden/layer_ae_run.bin");
 const RBM_GOLDEN: &[u8] = include_bytes!("golden/layer_rbm_run.bin");
 const FT_GOLDEN: &[u8] = include_bytes!("golden/layer_ft_run.bin");
+const PCD_GOLDEN: &[u8] = include_bytes!("golden/layer_pcd_run.bin");
 
 /// With `UPDATE_GOLDEN=1`, rewrites the golden file instead of comparing.
 /// Returns true when the caller should skip the assertion.
@@ -272,5 +273,43 @@ fn trait_built_finetune_graph_reproduces_prerefactor_bytes() {
     assert_eq!(
         record, FT_GOLDEN,
         "trait-built fine-tune graph diverged from the pre-refactor hand-built run"
+    );
+}
+
+#[test]
+fn pcd_step_reproduces_prerefactor_bytes() {
+    // Three passes of PCD over 200 binarized digits in batches of 30: the
+    // chain is seeded by the first full batch, and every pass ends on a
+    // ragged 20-row batch that advances only the chain's first rows. The
+    // record holds the RNG cursor, `w`, `b_vis`, `c_hid` and every
+    // per-step reconstruction error.
+    let mut ds = digit_data(200, 8, 24);
+    ds.binarize(0.5);
+    let cfg = RbmConfig::new(64, 25);
+    let mut rbm = Rbm::new(cfg, 15);
+    let ctx = ExecCtx::native(OptLevel::Improved, 15);
+    let mut scratch = RbmScratch::new(&cfg, 30);
+    let mut errors = Vec::new();
+    for _ in 0..3 {
+        for lo in (0..200).step_by(30) {
+            let batch = ds.batch(lo, (lo + 30).min(200));
+            errors.push(rbm.pcd_step(&ctx, batch, &mut scratch, 0.05));
+        }
+    }
+
+    let mut record = Vec::new();
+    push_rng(&mut record, ctx.rng_state());
+    push_f32s(&mut record, rbm.w.as_slice());
+    push_f32s(&mut record, &rbm.b_vis);
+    push_f32s(&mut record, &rbm.c_hid);
+    for e in &errors {
+        record.extend_from_slice(&e.to_le_bytes());
+    }
+    if maybe_update("layer_pcd_run.bin", &record) {
+        return;
+    }
+    assert_eq!(
+        record, PCD_GOLDEN,
+        "PCD step diverged from the pre-refactor hand-rolled run"
     );
 }
