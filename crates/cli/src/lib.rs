@@ -982,12 +982,11 @@ fn cmd_train_rbm(args: &Args, seed: u64) -> Result<String, String> {
                 history.push(m.pcd_step(&ctx, ds.batch(lo, hi), &mut scratch, tc.learning_rate));
             }
         }
+        let (Some(&first), Some(&last)) = (history.first(), history.last()) else {
+            return Err(micdnn::TrainError::EmptyStream.to_string());
+        };
         rbm = m;
-        report = (
-            history[0],
-            *history.last().expect("non-empty"),
-            history.len(),
-        );
+        report = (first, last, history.len());
     } else {
         let mut model = build_rbm(args, visible, hidden, seed, args.has("graph-schedule"))?;
         let r = train_dataset(&mut model, &ctx, &ds, &tc, passes).map_err(|e| e.to_string())?;
@@ -1353,7 +1352,7 @@ fn cmd_serve(args: &Args, seed: u64) -> Result<String, String> {
 /// JSON is deterministic and CI diffs it against the committed
 /// `VERIFY_report.json`. Any finding makes the command exit nonzero.
 fn cmd_verify(args: &Args) -> Result<String, String> {
-    use micdnn::cd_graph::build_cd_graph;
+    use micdnn::cd_graph::{build_cd_graph, build_pcd_graph};
     use micdnn::{
         build_ae_graph, build_cnn_graph, build_forward_graph, build_step_graph, AeUpdate,
         CertifyBundle, StackedAutoencoder,
@@ -1378,6 +1377,8 @@ fn cmd_verify(args: &Args) -> Result<String, String> {
                 .to_doc(&format!("cd{k}-step-1024x4096-b100")),
         );
     }
+    let g = build_pcd_graph(1024, 4096, 100);
+    docs.push(g.certify(budget).to_doc("pcd-step-1024x4096-b100"));
     let g = build_step_graph(784, &[512, 256], 10, 200);
     docs.push(g.certify(budget).to_doc("finetune-784-512-256-c10-cap200"));
     let g = build_cnn_graph(CnnConfig::digits(12), 64);

@@ -1,29 +1,40 @@
-//! The paper's Fig. 6: one CD-k update built as a declared-buffer
+//! The paper's Fig. 6: one CD-k or PCD update built as a declared-buffer
 //! dependency graph.
 //!
-//! Node layout for CD-1 (names follow the figure; `V1` is the clamped
-//! data, per-op nodes are finer than the figure's boxes):
+//! Node layouts (names follow the figure; `V1` is the clamped data,
+//! per-op nodes are finer than the figure's boxes):
 //!
 //! ```text
-//! H1   = p(h|V1)                 (root)
-//! S1   = sample(H1)              (needs H1; stochastic)
-//! V2   = p(v|S1)                 (needs S1)
-//! RE   = recon error             (needs V2)
-//! H2   = p(h|V2)                 (needs V2)       — concurrent with RE
-//! POS  = H1'V1 statistics        (needs H1)       — concurrent with V2…
-//! NEG  = H2'V2 statistics        (needs H2)
-//! VPOS/VNEG/HPOS/HNEG bias stats (mutually independent)
-//! Vw, Vb, Vc parameter updates   (each needs only its statistics)
+//! CD-1                                PCD
+//! H1 = p(h|V1)      (root)            H1 = p(h|V1)     (root)
+//! S1 = sample(H1)   (stochastic)      V2 = p(v|H1)     (needs H1)
+//! V2 = p(v|S1)      (needs S1)        RE = recon error (needs V2)
+//! RE = recon error  (needs V2)        HF = p(h|chain)  (root)
+//! H2 = p(h|V2)      (needs V2)        SF = sample(HF)  (stochastic)
+//!                                     VF = p(v|SF)     (into V2's buffer, after RE)
+//!                                     SV = sample(VF)  (the new chain; stochastic)
+//!                                     H2 = p(h|chain)  (needs SV)
+//! POS  = H1'V1 statistics             (needs H1) — concurrent with the chain
+//! NEG  = H2'V2 (CD) / H2'chain (PCD)  (needs H2)
+//! VPOS/VNEG/HPOS/HNEG bias stats      (mutually independent)
+//! Vw, Vb, Vc parameter updates        (each needs only its statistics)
 //! ```
 //!
-//! CD-k repeats the `sample → V2 → H2` block `k` times. The same builder
-//! backs both execution styles: [`Rbm::cd_step`] runs it with
-//! `TaskGraph::run_serial` (declaration order *is* the original serial
-//! op order, so results, sampling streams, recorded op streams and
-//! profiling spans are unchanged), while [`cd_step_graph`] runs it with
-//! [`TaskGraph::execute`], advancing the simulated clock by the critical
-//! path — quantifying what the paper's "compute Vb, H2 and C in parallel"
-//! optimization buys.
+//! CD-k repeats the `sample → V2 → H2` block `k` times. PCD continues a
+//! persistent chain of fantasy particles instead of restarting from the
+//! data: the chain is an `External` buffer that [`Rbm::pcd_step`] seeds
+//! from the first batch, and `VF` reuses `v1_prob` (dead after `RE`), so
+//! `SV` samples the new chain straight out of it. Both recipes are short
+//! sequences over one emitter per node kind (prop-up, prop-down, sample,
+//! recon error) and share the statistics and update nodes.
+//!
+//! The same builders back both execution styles: [`Rbm::cd_step`] and
+//! [`Rbm::pcd_step`] run them with `TaskGraph::run_serial` (declaration
+//! order *is* the original serial op order, so results, sampling streams,
+//! recorded op streams and profiling spans are unchanged), while
+//! [`cd_step_graph`] runs CD-k with [`TaskGraph::execute`], advancing the
+//! simulated clock by the critical path — quantifying what the paper's
+//! "compute Vb, H2 and C in parallel" optimization buys.
 //!
 //! The declared buffers also feed the workspace planner: for CD-1 the
 //! hidden *samples* (`S1`'s output) are dead before the reconstruction
@@ -31,10 +42,10 @@
 //! two `b x h` buffers into one arena register.
 
 use crate::exec::ExecCtx;
-use crate::graph::{BufClass, GraphRun, NodeSpec, TaskGraph};
-use crate::layers::{Decl, Emit, Layer, Part, StackBuilder};
+use crate::graph::{BufClass, BufId, GraphRun, NodeSpec, TaskGraph};
+use crate::layers::StackBuilder;
 use crate::rbm::{Rbm, RbmScratch};
-use micdnn_tensor::MatView;
+use micdnn_tensor::{Mat, MatView};
 
 /// Mutable state one CD graph run threads through its nodes.
 pub struct CdState<'a> {
@@ -45,379 +56,281 @@ pub struct CdState<'a> {
     pub(crate) recon_err: f64,
 }
 
-// All CD layers share one registry slot: the chain is one RBM layer seen
-// through four passes (data phase, Gibbs chain, statistics, updates).
+impl<'a> CdState<'a> {
+    /// State for one step on the batch `v0` at learning rate `lr`.
+    pub(crate) fn new(
+        rbm: &'a mut Rbm,
+        scratch: &'a mut RbmScratch,
+        v0: MatView<'a>,
+        lr: f32,
+    ) -> Self {
+        CdState {
+            rbm,
+            scratch,
+            v0,
+            lr,
+            recon_err: 0.0,
+        }
+    }
+
+    /// One node's operands, borrowed at once: the model, the live `b` rows
+    /// of `src`, and the whole of `dst` (a different matrix).
+    fn io(&mut self, src: Act, dst: Act, b: usize) -> (&Rbm, MatView<'_>, &mut Mat) {
+        let scr = &mut *self.scratch;
+        let (mut from, mut to) = ((src == Act::V0).then_some(self.v0), None);
+        for (act, m) in [
+            (Act::H0Prob, &mut scr.h0_prob),
+            (Act::H0Sample, &mut scr.h0_sample),
+            (Act::V1Prob, &mut scr.v1_prob),
+            (Act::H1Prob, &mut scr.h1_prob),
+            (Act::Chain, &mut scr.pcd_chain),
+        ] {
+            if act == dst {
+                to = Some(m);
+            } else if act == src {
+                from = Some(m.rows_range(0, b));
+            }
+        }
+        let to = to.expect("destination is a scratch matrix");
+        (&*self.rbm, from.expect("source is a CD matrix"), to)
+    }
+}
+
+// All CD buffers share one registry slot: the chain is one RBM layer.
 const RBM: usize = 0;
 
-/// Data phase: H1 hidden probabilities from the clamped batch, S1 their
-/// Bernoulli sample.
-struct CdData {
-    n_visible: usize,
-    n_hidden: usize,
+/// The batch-shaped matrices CD nodes pass between each other.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Act {
+    /// The clamped batch.
+    V0,
+    H0Prob,
+    H0Sample,
+    V1Prob,
+    H1Prob,
+    /// PCD's persistent fantasy particles.
+    Chain,
+}
+
+/// A CD-family step under construction: the builder, and the batch size
+/// every node body slices to. One emitter per node kind, each taking its
+/// source and destination matrices.
+struct Recipe<'a> {
+    sb: StackBuilder<CdState<'a>>,
     b: usize,
 }
 
-impl<'a> Layer<CdState<'a>> for CdData {
-    fn declare(&self, sb: &mut StackBuilder<CdState<'a>>, what: Decl) {
-        let (v, h, b) = (self.n_visible, self.n_hidden, self.b);
-        match what {
-            // Model parameters and the clamped batch: analysis-only
-            // externals.
-            Decl::Params => {
-                sb.bind_dims(RBM, "w", "w", &[h, v], BufClass::External);
-                sb.bind_dims(RBM, "b_vis", "b_vis", &[v], BufClass::External);
-                sb.bind_dims(RBM, "c_hid", "c_hid", &[h], BufClass::External);
-            }
-            // Per-batch temporaries (the figure's H1 and its sample);
-            // scratch class makes them aliasing candidates.
-            Decl::Acts => {
-                sb.bind_dims(RBM, "h0_prob", "h0_prob", &[b, h], BufClass::Scratch);
-                sb.bind_dims(RBM, "h0_sample", "h0_sample", &[b, h], BufClass::Scratch);
-            }
-            _ => {}
+impl<'a> Recipe<'a> {
+    /// Declares the step's buffers in their historical order: the batch,
+    /// the parameters, the four chain temporaries (scratch, so the planner
+    /// may alias them), then the statistics — pinned, as momentum reads
+    /// them after the run — and, for PCD, the persistent chain. Every
+    /// sampling node draws through the one declared `gibbs` cursor.
+    fn new(v: usize, h: usize, b: usize, pcd: bool) -> Self {
+        use BufClass::{External, Pinned, Scratch};
+        let mut sb = StackBuilder::new();
+        sb.declare_rng_cursor("gibbs");
+        sb.bind_global_dims("v0", "v0", &[b, v], External);
+        for (name, dims, class) in [
+            ("w", &[h, v][..], External),
+            ("b_vis", &[v], External),
+            ("c_hid", &[h], External),
+            ("h0_prob", &[b, h], Scratch),
+            ("h0_sample", &[b, h], Scratch),
+            ("v1_prob", &[b, v], Scratch),
+            ("h1_prob", &[b, h], Scratch),
+            ("pos_stats", &[h, v], Pinned),
+            ("neg_stats", &[h, v], Pinned),
+            ("vis_pos", &[v], Pinned),
+            ("vis_neg", &[v], Pinned),
+            ("hid_pos", &[h], Pinned),
+            ("hid_neg", &[h], Pinned),
+        ] {
+            sb.bind_dims(RBM, name, name, dims, class);
         }
+        if pcd {
+            sb.bind_dims(RBM, "chain", "chain", &[b, v], External);
+        }
+        Recipe { sb, b }
     }
 
-    fn emit(&self, sb: &mut StackBuilder<CdState<'a>>, what: Emit) {
-        if what != Emit::Forward {
-            return;
-        }
+    /// The buffer `act` is declared as.
+    fn id(&self, act: Act) -> BufId {
+        let key = match act {
+            Act::V0 => return self.sb.global("v0"),
+            Act::H0Prob => "h0_prob",
+            Act::H0Sample => "h0_sample",
+            Act::V1Prob => "v1_prob",
+            Act::H1Prob => "h1_prob",
+            Act::Chain => "chain",
+        };
+        self.sb.buf(RBM, key)
+    }
+
+    /// Handles of the buffers bound under `keys`.
+    fn bufs<const N: usize>(&self, keys: [&str; N]) -> [BufId; N] {
+        keys.map(|k| self.sb.buf(RBM, k))
+    }
+
+    /// `dst = p(h | src)` (paper eq. 9).
+    fn prop_up(&mut self, name: &'static str, phase: &'static str, src: Act, dst: Act) {
+        let [w, c_hid] = self.bufs(["w", "c_hid"]);
+        let spec = NodeSpec::new(name)
+            .reads(&[self.id(src), w, c_hid])
+            .writes(&[self.id(dst)])
+            .phase(phase);
         let b = self.b;
-        // H1: hidden probabilities from the data.
-        let (v0, w, c_hid, h0_prob) = (
-            sb.global("v0"),
-            sb.buf(RBM, "w"),
-            sb.buf(RBM, "c_hid"),
-            sb.buf(RBM, "h0_prob"),
-        );
-        sb.node(
-            NodeSpec::new("H1")
-                .reads(&[v0, w, c_hid])
-                .writes(&[h0_prob])
-                .phase("forward"),
-            move |ctx, s: &mut CdState<'_>| {
-                let v = s.v0;
-                s.rbm.prop_up(ctx, v, &mut s.scratch.h0_prob);
-            },
-        );
-        // S1: sample the data-phase hiddens (consumes a sampling stream,
-        // so it must stay in declaration order).
-        let h0_sample = sb.buf(RBM, "h0_sample");
-        sb.node(
-            NodeSpec::new("S1")
-                .reads(&[h0_prob])
-                .writes(&[h0_sample])
-                .stochastic()
-                .cursor("gibbs")
-                .phase("forward"),
-            move |ctx, s: &mut CdState<'_>| {
-                let (hp, hs) = (&s.scratch.h0_prob, &mut s.scratch.h0_sample);
-                let probs = hp.rows_range(0, b);
-                let mut sample = hs.rows_range_mut(0, b);
-                ctx.bernoulli(probs.as_slice(), sample.as_mut_slice());
-            },
-        );
-    }
-}
-
-/// The Gibbs chain: `k` sweeps of V2 <- p(v | samples), H2 <- p(h | V2),
-/// resampling the hiddens between sweeps; the first sweep also probes the
-/// reconstruction error.
-struct CdChain {
-    n_visible: usize,
-    n_hidden: usize,
-    b: usize,
-    cd_steps: usize,
-}
-
-impl<'a> Layer<CdState<'a>> for CdChain {
-    fn declare(&self, sb: &mut StackBuilder<CdState<'a>>, what: Decl) {
-        let (v, h, b) = (self.n_visible, self.n_hidden, self.b);
-        if what == Decl::Acts {
-            sb.bind_dims(RBM, "v1_prob", "v1_prob", &[b, v], BufClass::Scratch);
-            sb.bind_dims(RBM, "h1_prob", "h1_prob", &[b, h], BufClass::Scratch);
-        }
+        self.sb.node(spec, move |ctx, s: &mut CdState<'_>| {
+            let (rbm, x, out) = s.io(src, dst, b);
+            rbm.prop_up(ctx, x, out);
+        });
     }
 
-    fn emit(&self, sb: &mut StackBuilder<CdState<'a>>, what: Emit) {
-        if what != Emit::Backward {
-            return;
-        }
+    /// `dst = p(v | src)` (paper eq. 8).
+    fn prop_down(&mut self, name: &'static str, src: Act, dst: Act) {
+        let [w, b_vis] = self.bufs(["w", "b_vis"]);
+        let spec = NodeSpec::new(name)
+            .reads(&[self.id(src), w, b_vis])
+            .writes(&[self.id(dst)])
+            .phase("backward");
         let b = self.b;
-        let (v0, w, b_vis, c_hid) = (
-            sb.global("v0"),
-            sb.buf(RBM, "w"),
-            sb.buf(RBM, "b_vis"),
-            sb.buf(RBM, "c_hid"),
-        );
-        let (h0_sample, v1_prob, h1_prob) = (
-            sb.buf(RBM, "h0_sample"),
-            sb.buf(RBM, "v1_prob"),
-            sb.buf(RBM, "h1_prob"),
-        );
-        for step in 0..self.cd_steps {
-            if step > 0 {
-                sb.node(
-                    NodeSpec::new("Sk")
-                        .reads(&[h1_prob])
-                        .writes(&[h0_sample])
-                        .stochastic()
-                        .cursor("gibbs")
-                        .phase("backward"),
-                    move |ctx, s: &mut CdState<'_>| {
-                        let (h1, hs) = (&s.scratch.h1_prob, &mut s.scratch.h0_sample);
-                        let probs = h1.rows_range(0, b);
-                        let mut sample = hs.rows_range_mut(0, b);
-                        ctx.bernoulli(probs.as_slice(), sample.as_mut_slice());
-                    },
-                );
-            }
-            sb.node(
-                NodeSpec::new("V2")
-                    .reads(&[h0_sample, w, b_vis])
-                    .writes(&[v1_prob])
-                    .phase("backward"),
-                move |ctx, s: &mut CdState<'_>| {
-                    let (rbm, scr) = (&*s.rbm, &mut *s.scratch);
-                    rbm.prop_down(ctx, scr.h0_sample.rows_range(0, b), &mut scr.v1_prob);
-                },
-            );
-            if step == 0 {
-                // Reconstruction error; writes a state scalar the buffer
-                // analysis cannot see, hence exclusive.
-                sb.node(
-                    NodeSpec::new("RE")
-                        .reads(&[v1_prob, v0])
-                        .exclusive()
-                        .phase("backward"),
-                    move |ctx, s: &mut CdState<'_>| {
-                        let (scr, v) = (&*s.scratch, s.v0);
-                        s.recon_err = ctx.frob_dist_sq(scr.v1_prob.rows_range(0, b), v) / b as f64;
-                    },
-                );
-            }
-            sb.node(
-                NodeSpec::new("H2")
-                    .reads(&[v1_prob, w, c_hid])
-                    .writes(&[h1_prob])
-                    .phase("backward"),
-                move |ctx, s: &mut CdState<'_>| {
-                    let (rbm, scr) = (&*s.rbm, &mut *s.scratch);
-                    rbm.prop_up(ctx, scr.v1_prob.rows_range(0, b), &mut scr.h1_prob);
-                },
-            );
-        }
-    }
-}
-
-/// Sufficient statistics: pos = H0'V0, neg = H1'V1 (probabilities —
-/// Hinton §3) under `Grads(Weights)`, the four bias column means under
-/// `Grads(Biases)`.
-struct CdStats {
-    n_visible: usize,
-    n_hidden: usize,
-    b: usize,
-}
-
-impl<'a> Layer<CdState<'a>> for CdStats {
-    fn declare(&self, sb: &mut StackBuilder<CdState<'a>>, what: Decl) {
-        let (v, h) = (self.n_visible, self.n_hidden);
-        match what {
-            // Statistics are read after the run (momentum folds them into
-            // velocity buffers), so they keep dedicated storage.
-            Decl::Grads(Part::Weights) => {
-                sb.bind_dims(RBM, "pos_stats", "pos_stats", &[h, v], BufClass::Pinned);
-                sb.bind_dims(RBM, "neg_stats", "neg_stats", &[h, v], BufClass::Pinned);
-            }
-            Decl::Grads(Part::Biases) => {
-                sb.bind_dims(RBM, "vis_pos", "vis_pos", &[v], BufClass::Pinned);
-                sb.bind_dims(RBM, "vis_neg", "vis_neg", &[v], BufClass::Pinned);
-                sb.bind_dims(RBM, "hid_pos", "hid_pos", &[h], BufClass::Pinned);
-                sb.bind_dims(RBM, "hid_neg", "hid_neg", &[h], BufClass::Pinned);
-            }
-            _ => {}
-        }
+        self.sb.node(spec, move |ctx, s: &mut CdState<'_>| {
+            let (rbm, h, out) = s.io(src, dst, b);
+            rbm.prop_down(ctx, h, out);
+        });
     }
 
-    fn emit(&self, sb: &mut StackBuilder<CdState<'a>>, what: Emit) {
+    /// `dst ~ Bernoulli(src)`. Consumes the sampling stream, so it must
+    /// stay in declaration order.
+    fn sample(&mut self, name: &'static str, phase: &'static str, src: Act, dst: Act) {
+        let spec = NodeSpec::new(name)
+            .reads(&[self.id(src)])
+            .writes(&[self.id(dst)])
+            .stochastic()
+            .cursor("gibbs")
+            .phase(phase);
+        let b = self.b;
+        self.sb.node(spec, move |ctx, s: &mut CdState<'_>| {
+            let (_, probs, out) = s.io(src, dst, b);
+            ctx.bernoulli(probs.as_slice(), out.rows_range_mut(0, b).as_mut_slice());
+        });
+    }
+
+    /// Reconstruction error of `v1_prob` against the batch; writes a state
+    /// scalar the buffer analysis cannot see, hence exclusive.
+    fn recon_error(&mut self) {
+        let spec = NodeSpec::new("RE")
+            .reads(&[self.id(Act::V1Prob), self.id(Act::V0)])
+            .exclusive()
+            .phase("backward");
+        let b = self.b;
+        self.sb.node(spec, move |ctx, s: &mut CdState<'_>| {
+            s.recon_err = ctx.frob_dist_sq(s.scratch.v1_prob.rows_range(0, b), s.v0) / b as f64;
+        });
+    }
+
+    /// Closes the step: sufficient statistics over the negative-phase
+    /// visibles `neg` (CD-k's reconstruction or PCD's chain) — pos = H0'V0
+    /// and neg = H1'neg (probabilities, Hinton §3), then the four bias
+    /// column means — and the updates of paper eqs. 11–13, the figure's
+    /// last rank: Vw, Vb and Vc, each needing only its statistics.
+    fn finish(mut self, neg: Act) -> TaskGraph<'static, CdState<'a>> {
         let b = self.b;
         let inv_b = 1.0 / b as f32;
-        match what {
-            Emit::Grads(Part::Weights) => {
-                let (v0, h0_prob, pos_stats) = (
-                    sb.global("v0"),
-                    sb.buf(RBM, "h0_prob"),
-                    sb.buf(RBM, "pos_stats"),
-                );
-                sb.node(
-                    NodeSpec::new("POS")
-                        .reads(&[h0_prob, v0])
-                        .writes(&[pos_stats])
-                        .phase("backward"),
-                    move |ctx, s: &mut CdState<'_>| {
-                        let scr = &mut *s.scratch;
-                        ctx.gemm(
-                            inv_b,
-                            scr.h0_prob.rows_range(0, b),
-                            true,
-                            s.v0,
-                            false,
-                            0.0,
-                            &mut scr.pos_stats.view_mut(),
-                        );
-                    },
-                );
-                let (h1_prob, v1_prob, neg_stats) = (
-                    sb.buf(RBM, "h1_prob"),
-                    sb.buf(RBM, "v1_prob"),
-                    sb.buf(RBM, "neg_stats"),
-                );
-                sb.node(
-                    NodeSpec::new("NEG")
-                        .reads(&[h1_prob, v1_prob])
-                        .writes(&[neg_stats])
-                        .phase("backward"),
-                    move |ctx, s: &mut CdState<'_>| {
-                        let scr = &mut *s.scratch;
-                        let (h1p, v1p, neg) = (&scr.h1_prob, &scr.v1_prob, &mut scr.neg_stats);
-                        ctx.gemm(
-                            inv_b,
-                            h1p.rows_range(0, b),
-                            true,
-                            v1p.rows_range(0, b),
-                            false,
-                            0.0,
-                            &mut neg.view_mut(),
-                        );
-                    },
-                );
-            }
-            Emit::Grads(Part::Biases) => {
-                let (v0, vis_pos) = (sb.global("v0"), sb.buf(RBM, "vis_pos"));
-                sb.node(
-                    NodeSpec::new("VPOS")
-                        .reads(&[v0])
-                        .writes(&[vis_pos])
-                        .phase("backward"),
-                    move |ctx, s: &mut CdState<'_>| {
-                        let v = s.v0;
-                        ctx.colmean(v, &mut s.scratch.vis_pos);
-                    },
-                );
-                let (v1_prob, vis_neg) = (sb.buf(RBM, "v1_prob"), sb.buf(RBM, "vis_neg"));
-                sb.node(
-                    NodeSpec::new("VNEG")
-                        .reads(&[v1_prob])
-                        .writes(&[vis_neg])
-                        .phase("backward"),
-                    move |ctx, s: &mut CdState<'_>| {
-                        let scr = &mut *s.scratch;
-                        let (v1, out) = (&scr.v1_prob, &mut scr.vis_neg);
-                        ctx.colmean(v1.rows_range(0, b), out);
-                    },
-                );
-                let (h0_prob, hid_pos) = (sb.buf(RBM, "h0_prob"), sb.buf(RBM, "hid_pos"));
-                sb.node(
-                    NodeSpec::new("HPOS")
-                        .reads(&[h0_prob])
-                        .writes(&[hid_pos])
-                        .phase("backward"),
-                    move |ctx, s: &mut CdState<'_>| {
-                        let scr = &mut *s.scratch;
-                        let (hp, out) = (&scr.h0_prob, &mut scr.hid_pos);
-                        ctx.colmean(hp.rows_range(0, b), out);
-                    },
-                );
-                let (h1_prob, hid_neg) = (sb.buf(RBM, "h1_prob"), sb.buf(RBM, "hid_neg"));
-                sb.node(
-                    NodeSpec::new("HNEG")
-                        .reads(&[h1_prob])
-                        .writes(&[hid_neg])
-                        .phase("backward"),
-                    move |ctx, s: &mut CdState<'_>| {
-                        let scr = &mut *s.scratch;
-                        let (h1p, out) = (&scr.h1_prob, &mut scr.hid_neg);
-                        ctx.colmean(h1p.rows_range(0, b), out);
-                    },
-                );
-            }
-            _ => {}
-        }
+        let pcd = neg == Act::Chain;
+        let [v0, h0_prob, h1_prob, neg_vis] =
+            [Act::V0, Act::H0Prob, Act::H1Prob, neg].map(|a| self.id(a));
+        let [pos_stats, neg_stats, vis_pos, vis_neg, hid_pos, hid_neg] = self.bufs([
+            "pos_stats",
+            "neg_stats",
+            "vis_pos",
+            "vis_neg",
+            "hid_pos",
+            "hid_neg",
+        ]);
+        let [w, b_vis, c_hid] = self.bufs(["w", "b_vis", "c_hid"]);
+        let sb = &mut self.sb;
+        let stat = |name| NodeSpec::new(name).phase("backward");
+        sb.node(
+            stat("POS").reads(&[h0_prob, v0]).writes(&[pos_stats]),
+            move |ctx, s: &mut CdState<'_>| {
+                let (scr, v) = (&mut *s.scratch, s.v0);
+                let (h0, mut out) = (scr.h0_prob.rows_range(0, b), scr.pos_stats.view_mut());
+                ctx.gemm(inv_b, h0, true, v, false, 0.0, &mut out);
+            },
+        );
+        sb.node(
+            stat("NEG").reads(&[h1_prob, neg_vis]).writes(&[neg_stats]),
+            move |ctx, s: &mut CdState<'_>| {
+                let scr = &mut *s.scratch;
+                let v = if pcd { &scr.pcd_chain } else { &scr.v1_prob };
+                let (h1, mut out) = (scr.h1_prob.rows_range(0, b), scr.neg_stats.view_mut());
+                ctx.gemm(inv_b, h1, true, v.rows_range(0, b), false, 0.0, &mut out);
+            },
+        );
+        sb.node(
+            stat("VPOS").reads(&[v0]).writes(&[vis_pos]),
+            move |ctx, s: &mut CdState<'_>| ctx.colmean(s.v0, &mut s.scratch.vis_pos),
+        );
+        sb.node(
+            stat("VNEG").reads(&[neg_vis]).writes(&[vis_neg]),
+            move |ctx, s: &mut CdState<'_>| {
+                let scr = &mut *s.scratch;
+                let v = if pcd { &scr.pcd_chain } else { &scr.v1_prob };
+                ctx.colmean(v.rows_range(0, b), &mut scr.vis_neg);
+            },
+        );
+        sb.node(
+            stat("HPOS").reads(&[h0_prob]).writes(&[hid_pos]),
+            move |ctx, s: &mut CdState<'_>| {
+                let scr = &mut *s.scratch;
+                ctx.colmean(scr.h0_prob.rows_range(0, b), &mut scr.hid_pos);
+            },
+        );
+        sb.node(
+            stat("HNEG").reads(&[h1_prob]).writes(&[hid_neg]),
+            move |ctx, s: &mut CdState<'_>| {
+                let scr = &mut *s.scratch;
+                ctx.colmean(scr.h1_prob.rows_range(0, b), &mut scr.hid_neg);
+            },
+        );
+
+        let update = |name, reads: &[BufId], param| {
+            NodeSpec::new(name)
+                .reads(reads)
+                .writes(&[param])
+                .phase("update")
+        };
+        sb.node(
+            update("Vw", &[pos_stats, neg_stats, w], w),
+            move |ctx, s: &mut CdState<'_>| {
+                let scr = &*s.scratch;
+                let (pos, neg) = (scr.pos_stats.as_slice(), scr.neg_stats.as_slice());
+                ctx.cd_update(s.lr, pos, neg, s.rbm.w.as_mut_slice());
+            },
+        );
+        sb.node(
+            update("Vb", &[vis_pos, vis_neg, b_vis], b_vis),
+            move |ctx, s: &mut CdState<'_>| {
+                let scr = &*s.scratch;
+                ctx.cd_update(s.lr, &scr.vis_pos, &scr.vis_neg, &mut s.rbm.b_vis);
+            },
+        );
+        sb.node(
+            update("Vc", &[hid_pos, hid_neg, c_hid], c_hid),
+            move |ctx, s: &mut CdState<'_>| {
+                let scr = &*s.scratch;
+                ctx.cd_update(s.lr, &scr.hid_pos, &scr.hid_neg, &mut s.rbm.c_hid);
+            },
+        );
+        self.sb.finish()
     }
 }
 
-/// Updates (paper eqs. 11–13): the figure's last rank, mutually
-/// independent — Vw under `Update(Weights)`, Vb and Vc under
-/// `Update(Biases)`.
-struct CdUpdates;
-
-impl<'a> Layer<CdState<'a>> for CdUpdates {
-    fn emit(&self, sb: &mut StackBuilder<CdState<'a>>, what: Emit) {
-        match what {
-            Emit::Update(Part::Weights) => {
-                let (pos_stats, neg_stats, w) = (
-                    sb.buf(RBM, "pos_stats"),
-                    sb.buf(RBM, "neg_stats"),
-                    sb.buf(RBM, "w"),
-                );
-                sb.node(
-                    NodeSpec::new("Vw")
-                        .reads(&[pos_stats, neg_stats, w])
-                        .writes(&[w])
-                        .phase("update"),
-                    move |ctx, s: &mut CdState<'_>| {
-                        let (rbm, scr) = (&mut *s.rbm, &*s.scratch);
-                        ctx.cd_update(
-                            s.lr,
-                            scr.pos_stats.as_slice(),
-                            scr.neg_stats.as_slice(),
-                            rbm.w.as_mut_slice(),
-                        );
-                    },
-                );
-            }
-            Emit::Update(Part::Biases) => {
-                let (vis_pos, vis_neg, b_vis) = (
-                    sb.buf(RBM, "vis_pos"),
-                    sb.buf(RBM, "vis_neg"),
-                    sb.buf(RBM, "b_vis"),
-                );
-                sb.node(
-                    NodeSpec::new("Vb")
-                        .reads(&[vis_pos, vis_neg, b_vis])
-                        .writes(&[b_vis])
-                        .phase("update"),
-                    move |ctx, s: &mut CdState<'_>| {
-                        let (rbm, scr) = (&mut *s.rbm, &*s.scratch);
-                        ctx.cd_update(s.lr, &scr.vis_pos, &scr.vis_neg, &mut rbm.b_vis);
-                    },
-                );
-                let (hid_pos, hid_neg, c_hid) = (
-                    sb.buf(RBM, "hid_pos"),
-                    sb.buf(RBM, "hid_neg"),
-                    sb.buf(RBM, "c_hid"),
-                );
-                sb.node(
-                    NodeSpec::new("Vc")
-                        .reads(&[hid_pos, hid_neg, c_hid])
-                        .writes(&[c_hid])
-                        .phase("update"),
-                    move |ctx, s: &mut CdState<'_>| {
-                        let (rbm, scr) = (&mut *s.rbm, &*s.scratch);
-                        ctx.cd_update(s.lr, &scr.hid_pos, &scr.hid_neg, &mut rbm.c_hid);
-                    },
-                );
-            }
-            _ => {}
-        }
-    }
-}
-
-/// Builds the CD-k step over `b` examples as a [`StackBuilder`] recipe
-/// over the data/chain/statistics/update layers, whose declaration order
-/// is exactly the serial op order of the classic `cd_step` loop. Storage
-/// is bound to the fields of [`RbmScratch`]; the declarations describe
-/// their sizes and lifetimes to the planner.
+/// Builds the CD-k step over `b` examples, whose declaration order is
+/// exactly the serial op order of the classic `cd_step` loop. Storage is
+/// bound to the fields of [`RbmScratch`]; the declarations describe their
+/// sizes and lifetimes to the planner.
 ///
 /// Public so integration tests can run every shipped graph shape through
 /// [`TaskGraph::verify`]; training entry points use it via
@@ -428,46 +341,50 @@ pub fn build_cd_graph<'a>(
     b: usize,
     cd_steps: usize,
 ) -> TaskGraph<'static, CdState<'a>> {
+    use Act::{H0Prob, H0Sample, H1Prob, V1Prob, V0};
     assert!(cd_steps >= 1, "CD needs at least one step");
-    let mut sb: StackBuilder<CdState<'a>> = StackBuilder::new();
-    let data = CdData {
-        n_visible,
-        n_hidden,
-        b,
-    };
-    let chain = CdChain {
-        n_visible,
-        n_hidden,
-        b,
-        cd_steps,
-    };
-    let stats = CdStats {
-        n_visible,
-        n_hidden,
-        b,
-    };
-    let updates = CdUpdates;
+    let mut r = Recipe::new(n_visible, n_hidden, b, false);
+    r.prop_up("H1", "forward", V0, H0Prob);
+    r.sample("S1", "forward", H0Prob, H0Sample);
+    for step in 0..cd_steps {
+        if step > 0 {
+            r.sample("Sk", "backward", H1Prob, H0Sample);
+        }
+        r.prop_down("V2", H0Sample, V1Prob);
+        if step == 0 {
+            r.recon_error();
+        }
+        r.prop_up("H2", "backward", V1Prob, H1Prob);
+    }
+    r.finish(V1Prob)
+}
 
-    // Historical declaration order: batch, parameters, the four chain
-    // temporaries, then the pinned statistics. The Gibbs sampling nodes
-    // (S1/Sk) all draw through one declared counter-RNG cursor.
-    sb.declare_rng_cursor("gibbs");
-    sb.bind_global_dims("v0", "v0", &[b, n_visible], BufClass::External);
-    data.declare(&mut sb, Decl::Params);
-    data.declare(&mut sb, Decl::Acts);
-    chain.declare(&mut sb, Decl::Acts);
-    stats.declare(&mut sb, Decl::Grads(Part::Weights));
-    stats.declare(&mut sb, Decl::Grads(Part::Biases));
-
-    // Historical node order: H1+S1, the Gibbs chain, POS/NEG, the bias
-    // means, then the three updates.
-    data.emit(&mut sb, Emit::Forward);
-    chain.emit(&mut sb, Emit::Backward);
-    stats.emit(&mut sb, Emit::Grads(Part::Weights));
-    stats.emit(&mut sb, Emit::Grads(Part::Biases));
-    updates.emit(&mut sb, Emit::Update(Part::Weights));
-    updates.emit(&mut sb, Emit::Update(Part::Biases));
-    sb.finish()
+/// Builds the PCD step over `b` examples: the CD-k statistics and updates
+/// over a persistent chain of fantasy particles instead of the
+/// reconstruction, in the serial op order of the original hand-rolled
+/// `pcd_step`. The chain is bound to [`RbmScratch`]'s persistent particles,
+/// which [`Rbm::pcd_step`] seeds from the first batch it sees.
+///
+/// Public, like [`build_cd_graph`], so the verifier and `micdnn verify`
+/// can certify it.
+pub fn build_pcd_graph<'a>(
+    n_visible: usize,
+    n_hidden: usize,
+    b: usize,
+) -> TaskGraph<'static, CdState<'a>> {
+    use Act::{Chain, H0Prob, H0Sample, H1Prob, V1Prob, V0};
+    let mut r = Recipe::new(n_visible, n_hidden, b, true);
+    // Positive phase and the reported one-step reconstruction error.
+    r.prop_up("H1", "forward", V0, H0Prob);
+    r.prop_down("V2", H0Prob, V1Prob);
+    r.recon_error();
+    // One Gibbs sweep of the chain, then its hiddens for the statistics.
+    r.prop_up("HF", "backward", Chain, H1Prob);
+    r.sample("SF", "backward", H1Prob, H0Sample);
+    r.prop_down("VF", H0Sample, V1Prob);
+    r.sample("SV", "backward", V1Prob, Chain);
+    r.prop_up("H2", "backward", Chain, H1Prob);
+    r.finish(Chain)
 }
 
 /// One CD-k update scheduled as the Fig. 6 dependency graph.
@@ -487,13 +404,7 @@ pub fn cd_step_graph(
     assert!(b <= scratch.capacity(), "batch exceeds scratch capacity");
     let cfg = *rbm.config();
     let mut g = build_cd_graph(cfg.n_visible, cfg.n_hidden, b, cfg.cd_steps);
-    let mut state = CdState {
-        rbm,
-        scratch,
-        v0,
-        lr: learning_rate,
-        recon_err: 0.0,
-    };
+    let mut state = CdState::new(rbm, scratch, v0, learning_rate);
     let run = g.execute(ctx, &mut state);
     (state.recon_err, run)
 }
@@ -571,6 +482,39 @@ mod tests {
         assert_eq!(rbm_serial.b_vis, rbm_graph.b_vis);
         assert_eq!(rbm_serial.c_hid, rbm_graph.c_hid);
         // Same sampler cursor after either path: stream order preserved.
+        assert_eq!(ctx_serial.rng_state(), ctx_graph.rng_state());
+    }
+
+    #[test]
+    fn pcd_graph_execute_matches_run_serial_bitwise() {
+        // A ragged first batch seeds only part of the chain (the remaining
+        // particles start at zero), full batches then advance all of it,
+        // and a ragged batch again advances only its first rows.
+        let cfg = RbmConfig::new(12, 7);
+        let data = batch(40, 12, 31);
+        let bounds = [(0, 7), (7, 17), (17, 27), (27, 37), (37, 40), (0, 10)];
+
+        let mut rbm_serial = Rbm::new(cfg, 32);
+        let ctx_serial = ExecCtx::native(OptLevel::Improved, 33);
+        let mut s_serial = RbmScratch::new(&cfg, 10);
+
+        let mut rbm_graph = Rbm::new(cfg, 32);
+        let ctx_graph = ExecCtx::native(OptLevel::Improved, 33);
+        let mut s_graph = RbmScratch::new(&cfg, 10);
+
+        for (lo, hi) in bounds {
+            let v = data.rows_range(lo, hi);
+            let e1 = rbm_serial.pcd_step(&ctx_serial, v, &mut s_serial, 0.1);
+            s_graph.seed_chain(v);
+            let mut g = build_pcd_graph(12, 7, hi - lo);
+            let mut state = CdState::new(&mut rbm_graph, &mut s_graph, v, 0.1);
+            g.execute(&ctx_graph, &mut state);
+            assert_eq!(e1.to_bits(), state.recon_err.to_bits(), "rows {lo}..{hi}");
+        }
+        assert_eq!(rbm_serial.w.as_slice(), rbm_graph.w.as_slice());
+        assert_eq!(rbm_serial.b_vis, rbm_graph.b_vis);
+        assert_eq!(rbm_serial.c_hid, rbm_graph.c_hid);
+        assert_eq!(s_serial.pcd_chain.as_slice(), s_graph.pcd_chain.as_slice());
         assert_eq!(ctx_serial.rng_state(), ctx_graph.rng_state());
     }
 

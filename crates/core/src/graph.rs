@@ -715,6 +715,14 @@ impl<'g, S> TaskGraph<'g, S> {
         self.rng_cursors.clear();
         self.verified = false;
     }
+
+    /// Unbinds one node's RNG cursor. Test-only: simulates a recipe that
+    /// forgets `NodeSpec::cursor` on a single sampling node.
+    #[doc(hidden)]
+    pub fn testonly_unbind_cursor(&mut self, node: NodeId) {
+        self.cursors[node] = None;
+        self.verified = false;
+    }
 }
 
 /// Shared-state handle for one concurrency wave; see the safety comment at

@@ -38,11 +38,13 @@
 //! host trait; their plain-SGD update nodes and bias column-sum nodes go
 //! through one emitter each, so a new parameterised layer writes only its
 //! forward, backward and weight-gradient bodies. Algorithm-specific layers
-//! implement `Layer` directly against their own state: the RBM's Gibbs
-//! chain, the AE's KL-sparsity block, and the AE's encoder and decoder —
-//! one sigmoid-affine half-layer selected by which half it is, sharing
+//! implement `Layer` directly against their own state: the AE's
+//! KL-sparsity block, and the AE's encoder and decoder — one
+//! sigmoid-affine half-layer selected by which half it is, sharing
 //! forward, gradients and one update emitter (SGD or optimizer slot), with
-//! only the two backward deltas written apart.
+//! only the two backward deltas written apart. The RBM's CD-k and PCD
+//! recipes (`cd_graph`) need no passes: each block of theirs ran in one,
+//! so they call one emitter per node kind on the builder directly.
 //!
 //! # Plugging in a new labeled net
 //!

@@ -14,6 +14,7 @@
 //! phase, while probabilities are used for the reconstruction phase and for
 //! all statistics.
 
+use crate::cd_graph::{build_cd_graph, build_pcd_graph, CdState};
 use crate::exec::ExecCtx;
 use micdnn_tensor::{Initializer, Mat, MatView, NormalInit};
 use rand::rngs::StdRng;
@@ -86,9 +87,9 @@ pub struct RbmScratch {
     pub hid_pos: Vec<f32>,
     /// Negative hidden bias statistics.
     pub hid_neg: Vec<f32>,
-    /// Persistent fantasy particles for PCD (lazily initialized from the
-    /// first batch).
-    pcd_chain: Option<Mat>,
+    /// Persistent fantasy particles for PCD, `max_batch x v` (empty until
+    /// seeded from the first batch).
+    pub(crate) pcd_chain: Mat,
 }
 
 impl RbmScratch {
@@ -107,13 +108,25 @@ impl RbmScratch {
             vis_neg: vec![0.0; cfg.n_visible],
             hid_pos: vec![0.0; cfg.n_hidden],
             hid_neg: vec![0.0; cfg.n_hidden],
-            pcd_chain: None,
+            pcd_chain: Mat::zeros(0, cfg.n_visible),
         }
     }
 
     /// Maximum batch these buffers support.
     pub(crate) fn capacity(&self) -> usize {
         self.max_batch
+    }
+
+    /// Seeds the PCD chain from the batch `v0` unless it already holds
+    /// `v0.rows()` particles of its width (an unpriced copy, outside the
+    /// step graph). Particles past `v0.rows()` start at zero.
+    pub(crate) fn seed_chain(&mut self, v0: MatView<'_>) {
+        if self.pcd_chain.rows() < v0.rows() || self.pcd_chain.cols() != v0.cols() {
+            self.pcd_chain = Mat::zeros(self.max_batch, v0.cols());
+            for r in 0..v0.rows() {
+                self.pcd_chain.row_mut(r).copy_from_slice(v0.row(r));
+            }
+        }
     }
 }
 
@@ -202,14 +215,8 @@ impl Rbm {
         assert!(b > 0, "empty batch");
         assert!(b <= scratch.max_batch, "batch exceeds scratch capacity");
         let cfg = self.cfg;
-        let mut g = crate::cd_graph::build_cd_graph(cfg.n_visible, cfg.n_hidden, b, cfg.cd_steps);
-        let mut state = crate::cd_graph::CdState {
-            rbm: self,
-            scratch,
-            v0,
-            lr: learning_rate,
-            recon_err: 0.0,
-        };
+        let mut g = build_cd_graph(cfg.n_visible, cfg.n_hidden, b, cfg.cd_steps);
+        let mut state = CdState::new(self, scratch, v0, learning_rate);
         g.run_serial(ctx, &mut state);
         state.recon_err
     }
@@ -220,8 +227,10 @@ impl Rbm {
     /// Unlike CD-1, the negative phase continues a *persistent* Gibbs
     /// chain of fantasy particles across updates instead of restarting
     /// from the data, which gives better likelihood gradients late in
-    /// training. The chain lives in the scratch and is (re)initialized
-    /// from the first batch it sees.
+    /// training. The chain lives in the scratch and is initialized from the
+    /// first batch it sees; the step itself is
+    /// [`crate::cd_graph::build_pcd_graph`] run in declaration order, so it
+    /// is verified exactly as [`Rbm::cd_step`] is.
     pub fn pcd_step(
         &mut self,
         ctx: &ExecCtx,
@@ -232,143 +241,12 @@ impl Rbm {
         let b = v0.rows();
         assert!(b > 0, "empty batch");
         assert!(b <= scratch.max_batch, "batch exceeds scratch capacity");
-
-        // Positive phase on the data (probabilities for the statistics).
-        self.prop_up(ctx, v0, &mut scratch.h0_prob);
-        let recon_err = {
-            // Reported metric: ordinary one-step reconstruction error.
-            self.prop_down(ctx, scratch.h0_prob.rows_range(0, b), &mut scratch.v1_prob);
-            ctx.frob_dist_sq(scratch.v1_prob.rows_range(0, b), v0) / b as f64
-        };
-
-        // Negative phase: advance the persistent chain by one Gibbs sweep.
-        let chain_missing = match &scratch.pcd_chain {
-            Some(c) => c.rows() < b || c.cols() != self.cfg.n_visible,
-            None => true,
-        };
-        if chain_missing {
-            let mut init = Mat::zeros(scratch.max_batch, self.cfg.n_visible);
-            for r in 0..b {
-                init.row_mut(r).copy_from_slice(v0.row(r));
-            }
-            scratch.pcd_chain = Some(init);
-        }
-        let chain = scratch.pcd_chain.as_mut().expect("just initialized");
-
-        // h_f ~ p(h | chain); chain <- sample(p(v | h_f)).
-        {
-            let (h1p, hs) = (&mut scratch.h1_prob, &mut scratch.h0_sample);
-            let mut o = h1p.rows_range_mut(0, b);
-            ctx.gemm(
-                1.0,
-                chain.rows_range(0, b),
-                false,
-                self.w.view(),
-                true,
-                0.0,
-                &mut o,
-            );
-            ctx.bias_sigmoid_rows(&self.c_hid, &mut o);
-            let probs = h1p.rows_range(0, b);
-            let mut sample = hs.rows_range_mut(0, b);
-            ctx.bernoulli(probs.as_slice(), sample.as_mut_slice());
-        }
-        {
-            let mut o = chain.rows_range_mut(0, b);
-            ctx.gemm(
-                1.0,
-                scratch.h0_sample.rows_range(0, b),
-                false,
-                self.w.view(),
-                false,
-                0.0,
-                &mut o,
-            );
-            ctx.bias_sigmoid_rows(&self.b_vis, &mut o);
-        }
-        {
-            // Sample the visibles to keep the chain binary.
-            let probs = chain.rows_range(0, b).to_mat();
-            let mut sample = chain.rows_range_mut(0, b);
-            ctx.bernoulli(probs.as_slice(), sample.as_mut_slice());
-        }
-        // Hidden probabilities of the new fantasy state for the statistics.
-        {
-            let (h1p, ch) = (&mut scratch.h1_prob, &*chain);
-            let mut o = h1p.rows_range_mut(0, b);
-            ctx.gemm(
-                1.0,
-                ch.rows_range(0, b),
-                false,
-                self.w.view(),
-                true,
-                0.0,
-                &mut o,
-            );
-            ctx.bias_sigmoid_rows(&self.c_hid, &mut o);
-        }
-
-        // Statistics and updates (same shapes as CD).
-        let inv_b = 1.0 / b as f32;
-        ctx.gemm(
-            inv_b,
-            scratch.h0_prob.rows_range(0, b),
-            true,
-            v0,
-            false,
-            0.0,
-            &mut scratch.pos_stats.view_mut(),
-        );
-        {
-            let (h1p, ch, neg) = (
-                &scratch.h1_prob,
-                scratch.pcd_chain.as_ref().expect("chain"),
-                &mut scratch.neg_stats,
-            );
-            ctx.gemm(
-                inv_b,
-                h1p.rows_range(0, b),
-                true,
-                ch.rows_range(0, b),
-                false,
-                0.0,
-                &mut neg.view_mut(),
-            );
-        }
-        ctx.colmean(v0, &mut scratch.vis_pos);
-        {
-            let (ch, out) = (
-                scratch.pcd_chain.as_ref().expect("chain"),
-                &mut scratch.vis_neg,
-            );
-            ctx.colmean(ch.rows_range(0, b), out);
-        }
-        ctx.colmean(scratch.h0_prob.rows_range(0, b), &mut scratch.hid_pos);
-        {
-            let (h1p, out) = (&scratch.h1_prob, &mut scratch.hid_neg);
-            ctx.colmean(h1p.rows_range(0, b), out);
-        }
-
-        ctx.cd_update(
-            learning_rate,
-            scratch.pos_stats.as_slice(),
-            scratch.neg_stats.as_slice(),
-            self.w.as_mut_slice(),
-        );
-        ctx.cd_update(
-            learning_rate,
-            &scratch.vis_pos,
-            &scratch.vis_neg,
-            &mut self.b_vis,
-        );
-        ctx.cd_update(
-            learning_rate,
-            &scratch.hid_pos,
-            &scratch.hid_neg,
-            &mut self.c_hid,
-        );
-
-        recon_err
+        scratch.seed_chain(v0);
+        let cfg = self.cfg;
+        let mut g = build_pcd_graph(cfg.n_visible, cfg.n_hidden, b);
+        let mut state = CdState::new(self, scratch, v0, learning_rate);
+        g.run_serial(ctx, &mut state);
+        state.recon_err
     }
 
     /// Mean per-example squared one-step reconstruction error without
@@ -503,9 +381,9 @@ mod tests {
         let v = patterned_batch(16, 10, 7);
         let mut scratch = RbmScratch::new(&cfg, 16);
         rbm.pcd_step(&ctx, v.view(), &mut scratch, 0.05);
-        let first = scratch.pcd_chain.as_ref().unwrap().clone();
+        let first = scratch.pcd_chain.clone();
         rbm.pcd_step(&ctx, v.view(), &mut scratch, 0.05);
-        let second = scratch.pcd_chain.as_ref().unwrap().clone();
+        let second = scratch.pcd_chain.clone();
         assert_ne!(first.as_slice(), second.as_slice(), "chain should move");
         assert!(
             second.as_slice().iter().all(|&s| s == 0.0 || s == 1.0),

@@ -7,7 +7,7 @@
 //! 2. **Random DAGs** (proptest) — every builder-made graph verifies with
 //!    zero errors, and dropping a random edge is caught exactly when the
 //!    endpoints genuinely lose their ordering;
-//! 3. **Shipped graphs** — every AE / CD-k / fine-tune step shape used by
+//! 3. **Shipped graphs** — every AE / CD-k / PCD / fine-tune step shape used by
 //!    training and `BENCH_graph.json` pins "0 errors, 0 warnings", and the
 //!    CD-1 `h0_sample`→`h1_prob` alias is *proved race-free*, not just
 //!    space-saving;
@@ -17,7 +17,7 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-use micdnn::cd_graph::build_cd_graph;
+use micdnn::cd_graph::{build_cd_graph, build_pcd_graph};
 use micdnn::train::TrainConfig;
 use micdnn::{
     build_ae_graph, build_step_graph, AeUpdate, BufClass, BufId, DiagKind, ExecCtx, NodeSpec,
@@ -308,6 +308,11 @@ fn shipped_cd_graphs_verify_clean_at_all_bench_sizes() {
                 "CD-{k} {nv}x{nh} b={b} must verify 0/0:\n{report}"
             );
         }
+        let report = build_pcd_graph(nv, nh, b).verify();
+        assert!(
+            report.is_clean(),
+            "PCD {nv}x{nh} b={b} must verify 0/0:\n{report}"
+        );
     }
 }
 
@@ -493,6 +498,12 @@ fn all_shipped_graphs_certify_clean() {
                 outcome.report
             );
         }
+        let outcome = build_pcd_graph(nv, nh, b).certify(DEFAULT_MEM_BUDGET);
+        assert!(
+            outcome.is_clean(),
+            "PCD {nv}x{nh} b={b} must certify 0/0:\n{}",
+            outcome.report
+        );
     }
     for (in_dim, widths, classes, cap) in [
         (144, vec![64], 10, 64),
@@ -635,6 +646,26 @@ fn stripping_cursor_decls_flips_the_determinism_audit() {
         g.verify().is_clean(),
         "certification rules must not leak into the verify path"
     );
+}
+
+/// Mutation: unbinding the cursor of PCD's chain-sampling node `SV` (node
+/// 6) flips exactly one finding, `undeclared-stochastic` on `SV`, in the
+/// certified report; plain `verify` keeps accepting the graph.
+#[test]
+fn unbinding_the_chain_sample_cursor_flips_only_the_determinism_audit() {
+    let mut g = build_pcd_graph(64, 32, 10);
+    assert!(g.certify(DEFAULT_MEM_BUDGET).is_clean());
+    g.testonly_unbind_cursor(6);
+    let report = g.certify(DEFAULT_MEM_BUDGET).report;
+    let kinds: Vec<DiagKind> = report
+        .errors
+        .iter()
+        .chain(&report.warnings)
+        .map(|d| d.kind)
+        .collect();
+    assert_eq!(kinds, [DiagKind::UndeclaredStochastic], "{report}");
+    assert_eq!(report.errors[0].nodes, [(6, "SV")], "{report}");
+    assert!(g.verify().is_clean());
 }
 
 proptest! {
