@@ -32,27 +32,67 @@
 //! C (a column range is held as that segment of every row), so there is no
 //! aliasing to argue about and nothing to register with `race-check`.
 //!
-//! **Tile size.** `6 x 16`: a row of the tile is two 8-lane `ymm` vectors,
-//! so the accumulators take 12 of AVX2's sixteen registers, the two B
-//! vectors of the current `p` two more and the broadcast A element one —
-//! 15, the largest tile that does not spill. Each step of the k loop is 2
-//! loads + 6 broadcasts feeding 12 FMAs, which is what keeps both FMA ports
-//! busy; the old broadcast-A/stream-B `axpy` loaded and stored the C row
-//! for every multiply-add.
+//! **One source, three instantiations.** The kernel body — the macro-kernel
+//! around the microkernel — is safe `#[inline(always)]` code, const-generic
+//! over the tile `MR x NR`, as are the pack buffers of the loop nest around
+//! it. The body is compiled three times: as is; inside a
+//! `#[target_feature(enable = "avx2,fma")]` function; and inside a
+//! `#[target_feature(enable = "avx512f,avx2,fma")]` one. `Isa::detect`
+//! picks the widest the CPU runs (`is_x86_feature_detected!`, which caches
+//! its answer), and LLVM turns the same loops into `vfmadd231ps` on `ymm`
+//! or `zmm` registers. The feature boundary sits at the macro-kernel on
+//! purpose: with the whole nest compiled under the feature, LLVM kept the
+//! tile in registers only after link-time optimisation, and a build without
+//! it (the test profile) ran at a tenth of the speed.
 //!
-//! **One source, two instantiations.** The kernel body is a safe
-//! `#[inline(always)]` function over `[[f32; NR]; MR]`. It is compiled
-//! twice: as is, and inside a `#[target_feature(enable = "avx2,fma")]`
-//! function picked at run time by `Isa::detect`
-//! (`is_x86_feature_detected!`, which caches its answer), where LLVM turns
-//! the same loops into `vfmadd231ps`. The multiply-add is `f32::mul_add`,
-//! never `a * b + c`: a fused multiply-add rounds once and IEEE 754 fixes
-//! its result exactly, so the instruction and the portable `fmaf` fallback
-//! agree bit for bit — separate multiply and add would round twice, and the
-//! two instantiations would differ wherever the compiler chose to contract
-//! them. Hence no CPU feature is recorded in checkpoints and there is no
-//! second code path to keep in step. (Without hardware FMA the portable
-//! instantiation is correct but slow: `fmaf` is then a library call.)
+//! The multiply-add is `f32::mul_add`, never `a * b + c`: a fused
+//! multiply-add rounds once and IEEE 754 fixes its result exactly, so the
+//! instructions and the portable `fmaf` fallback agree bit for bit —
+//! separate multiply and add would round twice, and the instantiations
+//! would differ wherever the compiler chose to contract them. Hence no CPU
+//! feature is recorded in checkpoints and there is no second code path to
+//! keep in step. (Without hardware FMA the portable instantiation is
+//! correct but slow: `fmaf` is then a library call.)
+//!
+//! **Tile size, per instantiation.** The tile is the largest the register
+//! file holds without spilling: its rows of accumulators, plus the two B
+//! vectors of the current `p` and the broadcast A element. Each step of the
+//! k loop is 2 loads + `MR` broadcasts feeding `2 * MR` FMAs, which is what
+//! keeps both FMA ports busy.
+//!
+//! | instantiation | registers | tile | accumulators + B + broadcast |
+//! |---|---|---|---|
+//! | portable, AVX2+FMA | 16 `ymm`, 8 lanes | `6 x 16` | 12 + 2 + 1 = 15 |
+//! | AVX-512 | 32 `zmm`, 16 lanes | `12 x 32` | 24 + 2 + 1 = 27 |
+//!
+//! `12 x 32` would need 48 `ymm` accumulators and spill, so the tile is a
+//! property of the instantiation, not a constant: `Isa::tile` names it, the
+//! split between workers aligns to it, and the pack buffers are sized by
+//! it. The AVX-512 tile was chosen by sweeping the AVX-512 instantiation
+//! over the ten products the tests pin at the benchmark shapes
+//! (`m x n x k`; GFLOP/s through [`gemm`] at two threads, median of five
+//! interleaved rounds, on a two-vCPU AVX-512 Xeon VM; the first column is
+//! the AVX2 instantiation at `6 x 16`, which `gemm` ran before):
+//!
+//! | product | AVX2 `6x16` | `6x16` | `6x32` | `12x32` |
+//! |---|---|---|---|---|
+//! | ae_wide forward `200x4096x1024` | 73 | 100 | 106 | 110 |
+//! | ae_wide backward-data `200x1024x4096` | 85 | 117 | 121 | 133 |
+//! | ae_wide backward-weight `4096x1024x200` | 77 | 106 | 118 | 144 |
+//! | RBM forward `20x64x144` | 15 | 17 | 20 | 20 |
+//! | RBM statistics `64x144x20` | 26 | 34 | 38 | 36 |
+//! | RBM prop-down `20x144x64` | 25 | 28 | 30 | 30 |
+//! | CNN im2col `28800x8x25` | 15 | 16 | 14 | 13 |
+//! | CNN filter gradient `8x25x28800` | 9 | 10 | 10 | 9 |
+//! | serving batch `64x256x784` | 58 | 70 | 72 | 70 |
+//! | fine-tune `100x256x784` | 65 | 79 | 77 | 88 |
+//!
+//! `12 x 32` wins the three large products by 10–35 % over `6 x 16` and is
+//! within noise of the others; the two narrow CNN products, whose `n` of 8
+//! and 25 fill one tile either way, cannot use the width. Larger tiles fall
+//! off a cliff: `14 x 32` (28 accumulators) and `8 x 48` (24, with three B
+//! vectors) no longer stay in registers and ran every product at
+//! 1–7 GFLOP/s.
 //!
 //! # The accumulation-order contract
 //!
@@ -67,23 +107,26 @@
 //!
 //! It is never a function of `m`, `n`, the tile's position, whether the
 //! tile is an edge tile, `MC`/`NC`, the thread count, [`Par`] or the CPU
-//! feature in use. The fork rule, the row-or-column split and every
-//! blocking choice below change packing and tiling, never this order. Bit-identical resume, graph ==
-//! serial, sharded == unsharded, batched == serial serving and
-//! thread-count invariance all rest on it, and it mirrors the paper's claim
-//! that its optimizations do not change the computed trajectory. There is
-//! no zero-skip: `0 * Inf` and `0 * NaN` reach C as NaN, as in
-//! [`crate::naive::gemm_ref`]. `alpha == 0` and zero extents reduce to the
+//! feature in use. The fork rule, the row-or-column split, every blocking
+//! choice below and the register tile (which differs between
+//! instantiations) change packing and tiling, never this order.
+//! Bit-identical resume, graph == serial, sharded == unsharded, batched ==
+//! serial serving and thread-count invariance all rest on it, and it
+//! mirrors the paper's claim that its optimizations do not change the
+//! computed trajectory. There is no zero-skip: `0 * Inf` and `0 * NaN`
+//! reach C as NaN, as in [`crate::naive::gemm_ref`]. `alpha == 0` and zero extents reduce to the
 //! `beta` scaling and read neither A nor B.
 
 use crate::Par;
 use micdnn_tensor::{MatView, MatViewMut};
 use rayon::prelude::*;
 
-/// Rows of the register tile.
-const MR: usize = 6;
-/// Columns of the register tile: two 8-lane vectors.
-const NR: usize = 16;
+/// `(MR, NR)` of the portable and AVX2 instantiations: a row of the tile is
+/// two 8-lane `ymm` vectors.
+const TILE_YMM: (usize, usize) = (6, 16);
+/// `(MR, NR)` of the AVX-512 instantiation: a row of the tile is two
+/// 16-lane `zmm` vectors.
+const TILE_ZMM: (usize, usize) = (12, 32);
 
 /// Cache-blocking parameters; [`gemm`] always runs [`BLOCKING`], the tests
 /// sweep odd values through [`gemm_with`].
@@ -97,67 +140,102 @@ struct GemmBlocking {
     nc: usize,
 }
 
-/// A B panel (`kc * NR` floats = 16 KiB) stays in L1 under the streaming A
-/// panels, an A block (`mc * kc` = 144 KiB) and a B slab (`kc * nc` =
-/// 512 KiB) in L2; the two are also all a worker allocates. `kc` is part of
-/// the accumulation-order contract.
+/// A B panel (`kc * NR` floats: 16 KiB at `NR = 16`, 32 KiB at 32) stays in
+/// L1 under the streaming A panels, an A block (`mc * kc` = 144 KiB) and a
+/// B slab (`kc * nc` = 512 KiB) in L2; the two are also all a worker
+/// allocates. `mc` is a whole number of panels at either tile. `kc` is part
+/// of the accumulation-order contract.
 const BLOCKING: GemmBlocking = GemmBlocking {
-    mc: 24 * MR,
+    mc: 144,
     kc: 256,
     nc: 512,
 };
 
-/// A worker owns at least this many rows (or columns) of C: one tile's
-/// height, since a split never cuts a tile. The flop rule below is what
-/// keeps small products whole.
-const MIN_EXTENT_PER_WORKER: usize = MR;
-/// ... and at least this many flops. A fork is one region on the rayon
-/// shim's persistent worker team (≈ 1 µs when the worker is awake), plus
-/// the operand every worker packs for itself. Measured on a two-vCPU AVX2
-/// VM at two threads, the median time of a two-way split over one worker
-/// (`m x n x k`, total Mflop, split / one):
+/// A worker owns at least one tile's height of rows (or columns) of C,
+/// since a split never cuts a tile, and at least this many flops. A fork
+/// is one region on the rayon shim's persistent worker team (≈ 1 µs when
+/// the worker is awake), plus the operand every worker packs for itself.
+/// Measured on a two-vCPU VM at two threads, the median time of a two-way
+/// split over one worker (`m x n x k`, total Mflop, split / one), first
+/// under the AVX2 instantiation at `6 x 16`, then under the AVX-512 one at
+/// `12 x 32` (two runs of 21 alternating pairs each):
 ///
-/// | product | Mflop | split / one |
-/// |---|---|---|
-/// | square 48 | 0.22 | 1.10 |
-/// | RBM statistics `64x144x20` | 0.37 | 1.36 |
-/// | RBM forward `20x64x144` | 0.37 | 0.75 |
-/// | square 64 | 0.52 | 0.87 |
-/// | square 96 | 1.8 | 0.77 |
-/// | fine-tune `100x64x256`, `100x256x64` | 3.3 | 0.69, 0.75 |
-/// | CNN im2col `28800x8x25` | 11.5 | 0.54 |
-/// | CNN filter gradient `8x25x28800` | 11.5 | 0.73 |
-/// | serving batch `64x256x784` | 25.7 | 0.55 |
-/// | fine-tune `100x256x784`, `256x784x100` | 40.1 | 0.55, 0.56 |
-/// | wide autoencoder `200x4096x1024` | 1678 | 0.51 |
+/// | product | Mflop | AVX2 | AVX-512 |
+/// |---|---|---|---|
+/// | square 48 | 0.22 | 1.10 | 1.17, 1.50 |
+/// | RBM statistics `64x144x20` | 0.37 | 1.36 | 2.11, 1.62 |
+/// | RBM forward `20x64x144` | 0.37 | 0.75 | 1.36, 1.39 |
+/// | square 64 | 0.52 | 0.87 | 1.58, 1.20 |
+/// | square 96 | 1.8 | 0.77 | 1.26, 0.75 |
+/// | fine-tune `100x64x256` | 3.3 | 0.69 | 0.72, 0.53 |
+/// | fine-tune `100x256x64` | 3.3 | 0.75 | 1.31, 1.02 |
+/// | CNN im2col `28800x8x25` | 11.5 | 0.54 | 0.55, 0.61 |
+/// | CNN filter gradient `8x25x28800` | 11.5 | 0.73 | 1.00, 0.99 |
+/// | serving batch `64x256x784` | 25.7 | 0.55 | 0.58, 0.58 |
+/// | fine-tune `100x256x784` | 40.1 | 0.55 | 0.61, 0.60 |
+/// | fine-tune `256x784x100` | 40.1 | 0.56 | 0.68, 0.69 |
+/// | wide autoencoder `200x4096x1024` | 1678 | 0.51 | 0.56, 0.51 |
 ///
-/// Break-even lies between 0.2 and 0.5 Mflop and depends on the shape (the
-/// two RBM products have the same flops and opposite outcomes), so a
-/// product forks from 2 Mflop on, where every shape measured wins: the
+/// Under AVX2, break-even lies between 0.2 and 0.5 Mflop and depends on the
+/// shape (the two RBM products have the same flops and opposite outcomes),
+/// so a product forks from 2 Mflop on, where every shape measured wins: the
 /// serving batch, fine-tune, im2col and filter-gradient products do, the
-/// RBM's stay on the calling thread.
+/// RBM's stay on the calling thread. The faster AVX-512 kernel moves
+/// break-even up to 2–4 Mflop: `100x256x64` now forks at no gain, and the
+/// filter gradient's 25 columns fit one 32-wide tile, so its "split" is a
+/// single part.
 const MIN_FLOPS_PER_WORKER: usize = 1 << 20;
 
-/// Which instantiation of the macro-kernel runs.
+/// Which instantiation of the kernel runs, and at which tile. A value other
+/// than `Portable` reaches [`gemm_with`] only where [`Isa::runs_here`]
+/// holds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Isa {
-    /// The body as compiled for the build's baseline target.
+    /// The kernel as compiled for the build's baseline target.
     Portable,
-    /// The body compiled with AVX2 and FMA enabled. Only [`Isa::detect`]
-    /// constructs this.
+    /// The kernel compiled with AVX2 and FMA enabled.
     #[cfg(target_arch = "x86_64")]
     Avx2Fma,
+    /// The kernel compiled with AVX-512F, AVX2 and FMA enabled.
+    #[cfg(target_arch = "x86_64")]
+    Avx512,
 }
 
 impl Isa {
     /// The fastest instantiation this CPU can run.
     fn detect() -> Self {
         #[cfg(target_arch = "x86_64")]
-        if std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma")
-        {
-            return Isa::Avx2Fma;
+        for isa in [Isa::Avx512, Isa::Avx2Fma] {
+            if isa.runs_here() {
+                return isa;
+            }
         }
         Isa::Portable
+    }
+
+    /// Whether the running CPU has every feature the instantiation is
+    /// compiled with.
+    fn runs_here(self) -> bool {
+        #[cfg(target_arch = "x86_64")]
+        use std::arch::is_x86_feature_detected as has;
+        match self {
+            Isa::Portable => true,
+            #[cfg(target_arch = "x86_64")]
+            Isa::Avx2Fma => has!("avx2") && has!("fma"),
+            #[cfg(target_arch = "x86_64")]
+            Isa::Avx512 => has!("avx512f") && has!("avx2") && has!("fma"),
+        }
+    }
+
+    /// `(MR, NR)`, the register tile the instantiation runs at.
+    fn tile(self) -> (usize, usize) {
+        match self {
+            Isa::Portable => TILE_YMM,
+            #[cfg(target_arch = "x86_64")]
+            Isa::Avx2Fma => TILE_YMM,
+            #[cfg(target_arch = "x86_64")]
+            Isa::Avx512 => TILE_ZMM,
+        }
     }
 }
 
@@ -224,7 +302,8 @@ fn gemm_with(
     // Split the longer side of C: the operand along the other side is the
     // one every worker packs for itself, so it should be the smaller.
     let split_rows = m >= n;
-    let widest = (m.max(n) / MIN_EXTENT_PER_WORKER).min(2 * m * n * k / MIN_FLOPS_PER_WORKER);
+    let (mr, nr) = isa.tile();
+    let widest = (m.max(n) / mr).min(2 * m * n * k / MIN_FLOPS_PER_WORKER);
     let workers = if par.is_parallel() && widest > 1 {
         rayon::current_num_threads().min(widest)
     } else {
@@ -235,7 +314,7 @@ fn gemm_with(
         product.accumulate(0, 0, m, n, CPart::Rows(c_slice, n));
     } else if split_rows {
         // One balanced, tile-aligned block of whole rows per worker.
-        let rows_per = m.div_ceil(workers).next_multiple_of(MR);
+        let rows_per = m.div_ceil(workers).next_multiple_of(mr);
         c_slice
             .par_chunks_mut(rows_per * n)
             .enumerate()
@@ -246,7 +325,7 @@ fn gemm_with(
     } else {
         // One balanced, tile-aligned column range per worker, held as that
         // range of every row: disjoint `&mut` segments, no aliasing of C.
-        let cols_per = n.div_ceil(workers).next_multiple_of(NR);
+        let cols_per = n.div_ceil(workers).next_multiple_of(nr);
         let mut parts: Vec<Vec<&mut [f32]>> = (0..n.div_ceil(cols_per))
             .map(|_| Vec::with_capacity(m))
             .collect();
@@ -292,9 +371,46 @@ struct Product<'a> {
 }
 
 impl Product<'_> {
-    /// `c += (alpha * op(A) * op(B))[r0..r0+m, c0..c0+n]`, sequentially, in
-    /// the Goto loop order, with pack buffers sized to this part.
-    fn accumulate(&self, r0: usize, c0: usize, m: usize, n: usize, mut c: CPart<'_, '_>) {
+    /// `c += (alpha * op(A) * op(B))[r0..r0+m, c0..c0+n]`, sequentially, on
+    /// the product's instantiation at that instantiation's tile.
+    fn accumulate(&self, r0: usize, c0: usize, m: usize, n: usize, c: CPart<'_, '_>) {
+        debug_assert!(self.isa.runs_here());
+        match self.isa {
+            Isa::Portable => self.accumulate_tiled::<{ TILE_YMM.0 }, { TILE_YMM.1 }>(
+                (r0, c0, m, n),
+                c,
+                macro_kernel_body::<{ TILE_YMM.0 }, { TILE_YMM.1 }>,
+            ),
+            // SAFETY: an `Isa` other than `Portable` reaches `gemm_with` only
+            // where `runs_here` holds (`detect` checks it, and so do the
+            // tests before they pick an instantiation), and `runs_here`
+            // checks exactly the features the callee is compiled with. The
+            // callee is otherwise safe code.
+            #[cfg(target_arch = "x86_64")]
+            Isa::Avx2Fma => self.accumulate_tiled::<{ TILE_YMM.0 }, { TILE_YMM.1 }>(
+                (r0, c0, m, n),
+                c,
+                |c, blk, a, b| unsafe { macro_kernel_avx2fma(c, blk, a, b) },
+            ),
+            // SAFETY: as for `Isa::Avx2Fma`.
+            #[cfg(target_arch = "x86_64")]
+            Isa::Avx512 => self.accumulate_tiled::<{ TILE_ZMM.0 }, { TILE_ZMM.1 }>(
+                (r0, c0, m, n),
+                c,
+                |c, blk, a, b| unsafe { macro_kernel_avx512(c, blk, a, b) },
+            ),
+        }
+    }
+
+    /// [`Product::accumulate`] at the `MR x NR` tile: the Goto loop order,
+    /// with pack buffers sized to this part, `kernel` multiplying each
+    /// packed block into C.
+    fn accumulate_tiled<const MR: usize, const NR: usize>(
+        &self,
+        (r0, c0, m, n): (usize, usize, usize, usize),
+        mut c: CPart<'_, '_>,
+        kernel: impl Fn(&mut CPart<'_, '_>, Block, &[f32], &[f32]),
+    ) {
         let GemmBlocking { mc, kc, nc } = self.blk;
         let (_, k) = op_shape(&self.a, self.ta);
         let mut b_pack = vec![0.0f32; nc.min(n).next_multiple_of(NR) * kc.min(k)];
@@ -312,7 +428,7 @@ impl Product<'_> {
                     let (i0, i1) = (r0 + ic, r0 + ic + mc);
                     pack_panels::<MR>(&self.a, !self.ta, i0, i1, pc, kc, self.alpha, a_blk);
                     let block = Block { ic, mc, jc, nc, kc };
-                    macro_kernel(self.isa, &mut c, block, a_blk, b_slab);
+                    kernel(&mut c, block, a_blk, b_slab);
                 }
             }
         }
@@ -389,30 +505,30 @@ struct Block {
     kc: usize,
 }
 
-/// `c[block] += A_block * B_slab` on the chosen instantiation; `a_pack` and
-/// `b_pack` hold the block's `MR`-lane and the slab's `NR`-lane panels.
-fn macro_kernel(isa: Isa, c: &mut CPart<'_, '_>, block: Block, a_pack: &[f32], b_pack: &[f32]) {
-    match isa {
-        Isa::Portable => macro_kernel_body(c, block, a_pack, b_pack),
-        #[cfg(target_arch = "x86_64")]
-        Isa::Avx2Fma => {
-            // SAFETY: `Isa::Avx2Fma` comes from `Isa::detect`, which returns
-            // it only after `is_x86_feature_detected!` reported both `avx2`
-            // and `fma` on the running CPU — the features the callee is
-            // compiled with. The callee is otherwise safe code.
-            unsafe { macro_kernel_avx2fma(c, block, a_pack, b_pack) }
-        }
-    }
-}
-
+/// [`macro_kernel_body`] at the `6 x 16` tile, compiled with AVX2 and FMA.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2,fma")]
 fn macro_kernel_avx2fma(c: &mut CPart<'_, '_>, block: Block, a_pack: &[f32], b_pack: &[f32]) {
-    macro_kernel_body(c, block, a_pack, b_pack);
+    macro_kernel_body::<{ TILE_YMM.0 }, { TILE_YMM.1 }>(c, block, a_pack, b_pack);
 }
 
+/// [`macro_kernel_body`] at the `12 x 32` tile, compiled with AVX-512F, AVX2 and
+/// FMA.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx2,fma")]
+fn macro_kernel_avx512(c: &mut CPart<'_, '_>, block: Block, a_pack: &[f32], b_pack: &[f32]) {
+    macro_kernel_body::<{ TILE_ZMM.0 }, { TILE_ZMM.1 }>(c, block, a_pack, b_pack);
+}
+
+/// `c[block] += A_block * B_slab`; `a_pack` and `b_pack` hold the block's
+/// `MR`-lane and the slab's `NR`-lane panels.
 #[inline(always)]
-fn macro_kernel_body(c: &mut CPart<'_, '_>, block: Block, a_pack: &[f32], b_pack: &[f32]) {
+fn macro_kernel_body<const MR: usize, const NR: usize>(
+    c: &mut CPart<'_, '_>,
+    block: Block,
+    a_pack: &[f32],
+    b_pack: &[f32],
+) {
     let Block { ic, mc, jc, nc, kc } = block;
     // B panel outermost: it stays in L1 while the A panels stream past.
     for (jp, b_panel) in b_pack.chunks_exact(kc * NR).enumerate() {
@@ -421,7 +537,7 @@ fn macro_kernel_body(c: &mut CPart<'_, '_>, block: Block, a_pack: &[f32], b_pack
         for (ip, a_panel) in a_pack.chunks_exact(kc * MR).enumerate() {
             let i0 = ic + ip * MR;
             let mr = MR.min(ic + mc - i0);
-            let acc = micro_kernel(a_panel, b_panel);
+            let acc = micro_kernel::<MR, NR>(a_panel, b_panel);
             // Padding lanes (rows past `mr`, columns past `nr`) stop here.
             for (i, acc_row) in acc.iter().enumerate().take(mr) {
                 let c_row = &mut c.row(i0 + i)[j0..j0 + nr];
@@ -437,7 +553,10 @@ fn macro_kernel_body(c: &mut CPart<'_, '_>, block: Block, a_pack: &[f32], b_pack
 /// one fused multiply-add per element per `p`, `p` ascending — the contract's
 /// inner loop, and the only place products are formed.
 #[inline(always)]
-fn micro_kernel(a_panel: &[f32], b_panel: &[f32]) -> [[f32; NR]; MR] {
+fn micro_kernel<const MR: usize, const NR: usize>(
+    a_panel: &[f32],
+    b_panel: &[f32],
+) -> [[f32; NR]; MR] {
     let mut acc = [[0.0f32; NR]; MR];
     for (a, b) in a_panel.chunks_exact(MR).zip(b_panel.chunks_exact(NR)) {
         for (acc_row, &ai) in acc.iter_mut().zip(a) {
@@ -493,6 +612,17 @@ mod tests {
     /// [`product_on`] the instantiation [`gemm`] picks.
     fn product(par: Par, alpha: f32, a: (&Mat, bool), b: (&Mat, bool), beta: f32, c0: &Mat) -> Mat {
         product_on(Isa::detect(), par, alpha, a, b, beta, c0)
+    }
+
+    /// Every instantiation this CPU runs; prints, under the test's name,
+    /// which ran and which were skipped.
+    fn instantiations(test: &str) -> Vec<Isa> {
+        let mut all = vec![Isa::Portable];
+        #[cfg(target_arch = "x86_64")]
+        all.extend([Isa::Avx2Fma, Isa::Avx512]);
+        let (ran, skipped): (Vec<_>, Vec<_>) = all.into_iter().partition(|isa| isa.runs_here());
+        println!("{test}: ran {ran:?}, skipped (not on this CPU) {skipped:?}");
+        ran
     }
 
     /// The blocking override `custom_blocking_same_result` sweeps.
@@ -602,15 +732,16 @@ mod tests {
     fn hostile_shapes_match_reference() {
         // Every extent the tiling or the k-slabs can be hostile at, as m, n
         // and k independently, against the scalar oracle.
-        const EXTENTS: [usize; 12] = [
+        let (mr, nr) = Isa::detect().tile();
+        let extents = [
             0,
             1,
-            MR - 1,
-            MR,
-            MR + 1,
-            NR - 1,
-            NR,
-            NR + 1,
+            mr - 1,
+            mr,
+            mr + 1,
+            nr - 1,
+            nr,
+            nr + 1,
             KC - 1,
             KC,
             KC + 1,
@@ -620,13 +751,13 @@ mod tests {
         let top_left =
             |x: &Mat, rows: usize, cols: usize| Mat::from_fn(rows, cols, |r, c| x.get(r, c));
         let mut rng = StdRng::seed_from_u64(2014);
-        let max = EXTENTS[EXTENTS.len() - 1];
+        let max = extents[extents.len() - 1];
         // op(A), op(B)^T and C of the largest shape; every other shape takes
         // their top-left corners.
         let a_max = random_mat(max, max, &mut rng);
         let bt_max = random_mat(max, max, &mut rng);
         let c_max = random_mat(max, max, &mut rng);
-        for k in EXTENTS {
+        for k in extents {
             // `gemm_ref` forms `alpha * acc + beta * prev` from the dot
             // product `acc` of row i and column j, summed over p ascending
             // whatever m, n and the storage are. Its triple loop therefore
@@ -646,8 +777,8 @@ mod tests {
                 0.0,
                 &mut acc.view_mut(),
             );
-            for m in EXTENTS {
-                for n in EXTENTS {
+            for m in extents {
+                for n in extents {
                     let (a, bt) = (top_left(&a_k, m, k), top_left(&bt_k, n, k));
                     let (c0, acc) = (top_left(&c_max, m, n), top_left(&acc, m, n));
                     // The stored operand of a transposed case is the
@@ -694,46 +825,49 @@ mod tests {
                 x.is_sign_negative() && !x.is_nan(),
             )
         };
-        let (m, n, k) = (2 * MR + 1, NR + 3, 19);
-        let (p_zero, p_live) = (4, 11);
-        for (ta, tb) in TRANSPOSES {
-            for poison in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
-                for poison_in_b in [true, false] {
-                    let mut rng = StdRng::seed_from_u64(8);
-                    let mut a = random_op(m, k, ta, &mut rng);
-                    let mut b = random_op(k, n, tb, &mut rng);
-                    // op(X)[r, c] of a stored, possibly transposed matrix.
-                    let set = |x: &mut Mat, t: bool, r: usize, c: usize, v: f32| {
-                        if t {
-                            x.set(c, r, v)
+        let (p_zero, p_live, k) = (4, 11, 19);
+        for isa in instantiations("nonfinite_operands_propagate_like_the_reference") {
+            let (mr, nr) = isa.tile();
+            let (m, n) = (2 * mr + 1, nr + 3);
+            for (ta, tb) in TRANSPOSES {
+                for poison in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+                    for poison_in_b in [true, false] {
+                        let mut rng = StdRng::seed_from_u64(8);
+                        let mut a = random_op(m, k, ta, &mut rng);
+                        let mut b = random_op(k, n, tb, &mut rng);
+                        // op(X)[r, c] of a stored, possibly transposed matrix.
+                        let set = |x: &mut Mat, t: bool, r: usize, c: usize, v: f32| {
+                            if t {
+                                x.set(c, r, v)
+                            } else {
+                                x.set(r, c, v)
+                            }
+                        };
+                        if poison_in_b {
+                            (0..m).for_each(|i| set(&mut a, ta, i, p_zero, 0.0));
+                            set(&mut b, tb, p_zero, 2, poison);
+                            set(&mut b, tb, p_live, nr + 1, f32::INFINITY);
                         } else {
-                            x.set(r, c, v)
+                            (0..n).for_each(|j| set(&mut b, tb, p_zero, j, 0.0));
+                            set(&mut a, ta, 2, p_zero, poison);
+                            set(&mut a, ta, 2 * mr, p_live, f32::INFINITY);
                         }
-                    };
-                    if poison_in_b {
-                        (0..m).for_each(|i| set(&mut a, ta, i, p_zero, 0.0));
-                        set(&mut b, tb, p_zero, 2, poison);
-                        set(&mut b, tb, p_live, NR + 1, f32::INFINITY);
-                    } else {
-                        (0..n).for_each(|j| set(&mut b, tb, p_zero, j, 0.0));
-                        set(&mut a, ta, 2, p_zero, poison);
-                        set(&mut a, ta, 2 * MR, p_live, f32::INFINITY);
-                    }
-                    let c0 = random_mat(m, n, &mut rng);
-                    let mut c_ref = c0.clone();
-                    gemm_ref(0.7, a.view(), ta, b.view(), tb, 0.3, &mut c_ref.view_mut());
-                    let bad = c_ref.as_slice().iter().filter(|x| !x.is_finite()).count();
-                    assert_eq!(bad, if poison_in_b { 2 * m } else { 2 * n });
-                    for par in [Par::Seq, Par::Rayon] {
-                        let c = product(par, 0.7, (&a, ta), (&b, tb), 0.3, &c0);
-                        assert!(
-                            c.as_slice()
-                                .iter()
-                                .map(class)
-                                .eq(c_ref.as_slice().iter().map(class)),
-                            "non-finite values landed elsewhere than in gemm_ref: \
-                             ta={ta} tb={tb} poison={poison} in_b={poison_in_b} {par:?}"
-                        );
+                        let c0 = random_mat(m, n, &mut rng);
+                        let mut c_ref = c0.clone();
+                        gemm_ref(0.7, a.view(), ta, b.view(), tb, 0.3, &mut c_ref.view_mut());
+                        let bad = c_ref.as_slice().iter().filter(|x| !x.is_finite()).count();
+                        assert_eq!(bad, if poison_in_b { 2 * m } else { 2 * n });
+                        for par in [Par::Seq, Par::Rayon] {
+                            let c = product_on(isa, par, 0.7, (&a, ta), (&b, tb), 0.3, &c0);
+                            assert!(
+                                c.as_slice()
+                                    .iter()
+                                    .map(class)
+                                    .eq(c_ref.as_slice().iter().map(class)),
+                                "non-finite values landed elsewhere than in gemm_ref: \
+                                 {isa:?} ta={ta} tb={tb} poison={poison} in_b={poison_in_b} {par:?}"
+                            );
+                        }
                     }
                 }
             }
@@ -741,25 +875,26 @@ mod tests {
     }
 
     #[test]
-    fn portable_and_avx2_instantiations_bitwise_identical() {
-        if Isa::detect() == Isa::Portable {
-            println!("skipped: this CPU has no AVX2+FMA, only the portable instantiation runs");
-            return;
-        }
-        // Edge tiles in both dimensions, three k-slabs.
-        let (m, n, k) = (3 * MR + 1, 2 * NR + 5, 2 * KC + 3);
+    fn all_instantiations_bitwise_identical_to_portable() {
+        // Edge tiles in both dimensions at every tile, three k-slabs.
+        let (m, n, k) = (3 * TILE_ZMM.0 + 1, 2 * TILE_ZMM.1 + 5, 2 * KC + 3);
         let mut rng = StdRng::seed_from_u64(99);
+        let isas = instantiations("all_instantiations_bitwise_identical_to_portable");
         for (ta, tb) in TRANSPOSES {
             let a = random_op(m, k, ta, &mut rng);
             let b = random_op(k, n, tb, &mut rng);
             let c0 = random_mat(m, n, &mut rng);
             let portable = product_on(Isa::Portable, Par::Seq, 0.7, (&a, ta), (&b, tb), 0.3, &c0);
-            let detected = product(Par::Seq, 0.7, (&a, ta), (&b, tb), 0.3, &c0);
-            assert_eq!(
-                portable.as_slice(),
-                detected.as_slice(),
-                "CPU feature changed bits (ta={ta} tb={tb})"
-            );
+            for &isa in &isas {
+                for par in [Par::Seq, Par::Rayon] {
+                    let c = product_on(isa, par, 0.7, (&a, ta), (&b, tb), 0.3, &c0);
+                    assert_eq!(
+                        portable.as_slice(),
+                        c.as_slice(),
+                        "{isa:?} {par:?} changed bits (ta={ta} tb={tb})"
+                    );
+                }
+            }
         }
     }
 
@@ -772,43 +907,48 @@ mod tests {
         // column split between workers.
         let k = 2 * KC + 3;
         let (mc, nc) = (BLOCKING.mc, BLOCKING.nc);
-        let split = 2 * MIN_EXTENT_PER_WORKER + 7;
-        let other = MIN_FLOPS_PER_WORKER.div_ceil(split * k) + 1;
-        let shapes = [
-            (MR - 1, NR + 1),
-            (MR + 1, NR - 1),
-            (mc + 1, 2 * NR + 3),
-            (MR + 2, nc + 1),
-            (split, other),
-            (other, split),
-        ];
         let mut rng = StdRng::seed_from_u64(6);
-        for (ta, tb) in TRANSPOSES {
-            for (m, n) in shapes {
-                let a = random_op(m, k, ta, &mut rng);
-                let b = random_op(k, n, tb, &mut rng);
-                let c0 = random_mat(m, n, &mut rng);
-                let whole = product(Par::Rayon, 0.7, (&a, ta), (&b, tb), 0.3, &c0);
-                for i in 0..m {
-                    let a_row =
-                        Mat::from_fn(1, k, |_, p| if ta { a.get(p, i) } else { a.get(i, p) });
-                    let c_row = Mat::from_fn(1, n, |_, j| c0.get(i, j));
-                    let alone = product(Par::Seq, 0.7, (&a_row, false), (&b, tb), 0.3, &c_row);
-                    assert_eq!(
-                        alone.as_slice(),
-                        whole.row(i),
-                        "row {i} of {m}x{n} ta={ta} tb={tb}"
-                    );
-                }
-                for j in 0..n {
-                    let b_col =
-                        Mat::from_fn(k, 1, |p, _| if tb { b.get(j, p) } else { b.get(p, j) });
-                    let c_col = Mat::from_fn(m, 1, |i, _| c0.get(i, j));
-                    let alone = product(Par::Seq, 0.7, (&a, ta), (&b_col, false), 0.3, &c_col);
-                    assert!(
-                        alone.as_slice().iter().eq((0..m).map(|i| &whole.row(i)[j])),
-                        "column {j} of {m}x{n} ta={ta} tb={tb}"
-                    );
+        for isa in instantiations("each_row_and_column_is_its_own_product") {
+            let (mr, nr) = isa.tile();
+            let split = 2 * mr + 7;
+            let other = MIN_FLOPS_PER_WORKER.div_ceil(split * k) + 1;
+            let shapes = [
+                (mr - 1, nr + 1),
+                (mr + 1, nr - 1),
+                (mc + 1, 2 * nr + 3),
+                (mr + 2, nc + 1),
+                (split, other),
+                (other, split),
+            ];
+            for (ta, tb) in TRANSPOSES {
+                for (m, n) in shapes {
+                    let a = random_op(m, k, ta, &mut rng);
+                    let b = random_op(k, n, tb, &mut rng);
+                    let c0 = random_mat(m, n, &mut rng);
+                    let whole = product_on(isa, Par::Rayon, 0.7, (&a, ta), (&b, tb), 0.3, &c0);
+                    for i in 0..m {
+                        let a_row =
+                            Mat::from_fn(1, k, |_, p| if ta { a.get(p, i) } else { a.get(i, p) });
+                        let c_row = Mat::from_fn(1, n, |_, j| c0.get(i, j));
+                        let alone =
+                            product_on(isa, Par::Seq, 0.7, (&a_row, false), (&b, tb), 0.3, &c_row);
+                        assert_eq!(
+                            alone.as_slice(),
+                            whole.row(i),
+                            "{isa:?}: row {i} of {m}x{n} ta={ta} tb={tb}"
+                        );
+                    }
+                    for j in 0..n {
+                        let b_col =
+                            Mat::from_fn(k, 1, |p, _| if tb { b.get(j, p) } else { b.get(p, j) });
+                        let c_col = Mat::from_fn(m, 1, |i, _| c0.get(i, j));
+                        let alone =
+                            product_on(isa, Par::Seq, 0.7, (&a, ta), (&b_col, false), 0.3, &c_col);
+                        assert!(
+                            alone.as_slice().iter().eq((0..m).map(|i| &whole.row(i)[j])),
+                            "{isa:?}: column {j} of {m}x{n} ta={ta} tb={tb}"
+                        );
+                    }
                 }
             }
         }
@@ -816,30 +956,46 @@ mod tests {
 
     #[test]
     fn seq_and_par_bitwise_identical_at_the_benchmark_shapes() {
-        // (m, n, k, ta, tb) of the seven GEMMs `benchmark/` probes, at full
-        // size: the three of an ae_wide layer, the RBM's, the CNN's im2col
-        // product, the serving batch and the fine-tune batch.
+        // (m, n, k, ta, tb) of the ten GEMMs the workloads run and
+        // `benchmark/` probes, at full size: the three of an ae_wide layer,
+        // the RBM's forward, statistics and prop-down products, the CNN's
+        // im2col and filter-gradient products, the serving batch and the
+        // fine-tune batch.
         let shapes = [
             (200, 4096, 1024, false, true),
             (200, 1024, 4096, false, false),
             (4096, 1024, 200, true, false),
             (20, 64, 144, false, true),
+            (64, 144, 20, true, false),
+            (20, 144, 64, false, false),
             (28800, 8, 25, false, true),
+            (8, 25, 28800, true, false),
             (64, 256, 784, false, true),
             (100, 256, 784, false, true),
         ];
+        let isas = instantiations("seq_and_par_bitwise_identical_at_the_benchmark_shapes");
         let mut rng = StdRng::seed_from_u64(12);
         for (m, n, k, ta, tb) in shapes {
             let a = random_op(m, k, ta, &mut rng);
             let b = random_op(k, n, tb, &mut rng);
             let c0 = Mat::zeros(m, n);
-            let seq = product(Par::Seq, 1.0, (&a, ta), (&b, tb), 0.0, &c0);
-            let par = product(Par::Rayon, 1.0, (&a, ta), (&b, tb), 0.0, &c0);
-            assert_eq!(
-                seq.as_slice(),
-                par.as_slice(),
-                "threading changed bits at {m}x{n}x{k}"
-            );
+            // The portable, threaded product is the reference, so it is not
+            // recomputed below: the portable instantiation is slow, with no
+            // vector FMA.
+            let portable = product_on(Isa::Portable, Par::Rayon, 1.0, (&a, ta), (&b, tb), 0.0, &c0);
+            for &isa in &isas {
+                for par in [Par::Seq, Par::Rayon] {
+                    if (isa, par) == (Isa::Portable, Par::Rayon) {
+                        continue;
+                    }
+                    let c = product_on(isa, par, 1.0, (&a, ta), (&b, tb), 0.0, &c0);
+                    assert_eq!(
+                        portable.as_slice(),
+                        c.as_slice(),
+                        "{isa:?} {par:?} changed bits at {m}x{n}x{k}"
+                    );
+                }
+            }
         }
     }
 
