@@ -22,7 +22,8 @@
 //! order, so weights, sampling streams, recorded op streams and profiling
 //! spans are bit-for-bit what the hand-rolled loop produced — while
 //! [`ae_step_graph`] runs it with [`TaskGraph::execute`] under the
-//! critical-path schedule.
+//! critical-path schedule. Each builds the graph once, at the scratch's
+//! capacity, keeps it in [`AeScratch`] and binds each batch's [`AeState`].
 //!
 //! Unlike CD-1, the AE step offers the planner no aliasing opportunity:
 //! `delta3` stays live into `D2`, `delta2` overlaps `s_term` and `rho_hat`
@@ -33,7 +34,7 @@
 
 use crate::autoencoder::{AeCost, AeScratch, SparseAutoencoder};
 use crate::exec::ExecCtx;
-use crate::graph::{BufClass, BufId, GraphRun, NodeSpec, TaskGraph};
+use crate::graph::{BufClass, BufId, GraphRun, NodeSpec, NodeState, TaskGraph};
 use crate::layers::{Decl, Emit, Layer, Part, StackBuilder};
 use crate::optim::Optimizer;
 use micdnn_kernels::{kl_sparsity, sum_sq};
@@ -103,6 +104,10 @@ impl<'a> AeState<'a> {
             (AeParams::Mut(_), Some(_)) => AeUpdate::Opt,
         }
     }
+}
+
+impl NodeState for AeState<'_> {
+    type At<'a> = AeState<'a>;
 }
 
 /// How (and whether) the graph updates the parameters after the backward
@@ -228,7 +233,7 @@ impl AeHalf {
     /// which case U4, the graph's last update node, also advances the
     /// optimizer's schedule. Emits nothing in [`AeUpdate::None`] mode.
     fn emit_update(&self, sb: &mut StackBuilder<AeState<'_>>, part: Part) {
-        let (half, b, update) = (self.half, self.b, self.update);
+        let (half, update) = (self.half, self.update);
         if update == AeUpdate::None {
             return;
         }
@@ -254,7 +259,7 @@ impl AeHalf {
                 Part::Biases => 0.0,
             };
             let (w, bias) = half.params_mut(ae);
-            let t = half.bufs(s.scratch, s.x, b);
+            let t = half.bufs(s.scratch, s.x, s.x.rows());
             let (g, p) = match part {
                 Part::Weights => (t.gw.as_slice(), w.as_mut_slice()),
                 Part::Biases => (&t.gb[..], &mut bias[..]),
@@ -306,10 +311,9 @@ impl<'a> Layer<AeState<'a>> for AeHalf {
     }
 
     fn emit(&self, sb: &mut StackBuilder<AeState<'a>>, what: Emit) {
-        let (half, b) = (self.half, self.b);
+        let half = self.half;
         let slot = half as usize;
         let [fwd, grad_w, grad_b, ..] = NODE_NAMES[slot];
-        let inv_b = 1.0 / b as f32;
         match what {
             // F: act = sigmoid(input W^T + b).
             Emit::Forward => {
@@ -325,6 +329,7 @@ impl<'a> Layer<AeState<'a>> for AeHalf {
                         .writes(&[act])
                         .phase("forward"),
                     move |ctx, s: &mut AeState<'_>| {
+                        let b = s.x.rows();
                         let (w, bias) = half.params(s.params.get());
                         let t = half.bufs(s.scratch, s.x, b);
                         let mut act = t.act.rows_range_mut(0, b);
@@ -350,9 +355,10 @@ impl<'a> Layer<AeState<'a>> for AeHalf {
                         .writes(&[gw])
                         .phase("backward"),
                     move |ctx, s: &mut AeState<'_>| {
+                        let b = s.x.rows();
                         let t = half.bufs(s.scratch, s.x, b);
                         ctx.gemm(
-                            inv_b,
+                            1.0 / b as f32,
                             t.delta.rows_range(0, b),
                             true,
                             t.input,
@@ -371,6 +377,7 @@ impl<'a> Layer<AeState<'a>> for AeHalf {
                         .writes(&[gb])
                         .phase("backward"),
                     move |ctx, s: &mut AeState<'_>| {
+                        let b = s.x.rows();
                         let t = half.bufs(s.scratch, s.x, b);
                         ctx.colmean(t.delta.rows_range(0, b), t.gb);
                     },
@@ -385,7 +392,6 @@ impl AeHalf {
     /// D2 (encoder): delta2 = (delta3 W2 + s) ⊙ a2 ⊙ (1 - a2), in two
     /// sweeps as the serial path does.
     fn emit_hidden_delta(&self, sb: &mut StackBuilder<AeState<'_>>) {
-        let b = self.b;
         let (delta3, w2, delta2) = (sb.buf(DEC, "delta"), sb.buf(DEC, "w"), sb.buf(ENC, "delta"));
         sb.node(
             NodeSpec::new("D2a")
@@ -393,7 +399,7 @@ impl AeHalf {
                 .writes(&[delta2])
                 .phase("backward"),
             move |ctx, s: &mut AeState<'_>| {
-                let ae = s.params.get();
+                let (ae, b) = (s.params.get(), s.x.rows());
                 let scr = &mut *s.scratch;
                 let (d3, d2) = (&scr.delta3, &mut scr.delta2);
                 let mut d2 = d2.rows_range_mut(0, b);
@@ -415,7 +421,7 @@ impl AeHalf {
                 .writes(&[delta2])
                 .phase("backward"),
             move |ctx, s: &mut AeState<'_>| {
-                let scr = &mut *s.scratch;
+                let (scr, b) = (&mut *s.scratch, s.x.rows());
                 let (a2m, delta2m, st) = (&scr.a2, &mut scr.delta2, &scr.s_term);
                 let mut d2 = delta2m.rows_range_mut(0, b);
                 ctx.bias_deriv_rows(st, a2m.rows_range(0, b), &mut d2);
@@ -425,7 +431,6 @@ impl AeHalf {
 
     /// D3 (decoder): delta3 = (a3 - x) ⊙ a3 ⊙ (1 - a3).
     fn emit_output_delta(&self, sb: &mut StackBuilder<AeState<'_>>) {
-        let b = self.b;
         let (a3, x, delta3) = (sb.buf(DEC, "act"), sb.global("x"), sb.buf(DEC, "delta"));
         sb.node(
             NodeSpec::new("D3")
@@ -433,7 +438,7 @@ impl AeHalf {
                 .writes(&[delta3])
                 .phase("backward"),
             move |ctx, s: &mut AeState<'_>| {
-                let scr = &mut *s.scratch;
+                let (scr, b) = (&mut *s.scratch, s.x.rows());
                 let (a3s, d3) = (
                     scr.a3.rows_range(0, b),
                     &mut scr.delta3.rows_range_mut(0, b),
@@ -448,7 +453,6 @@ impl AeHalf {
 /// and KL (the penalty and its backward term).
 struct AeSparsity {
     n_hidden: usize,
-    b: usize,
 }
 
 impl<'a> Layer<AeState<'a>> for AeSparsity {
@@ -469,7 +473,6 @@ impl<'a> Layer<AeState<'a>> for AeSparsity {
         if what != Emit::Forward {
             return;
         }
-        let b = self.b;
         // RHO: mean hidden activation over the batch.
         let (a2, rho_hat) = (sb.buf(ENC, "act"), sb.buf(SPARS, "rho"));
         sb.node(
@@ -478,7 +481,7 @@ impl<'a> Layer<AeState<'a>> for AeSparsity {
                 .writes(&[rho_hat])
                 .phase("backward"),
             move |ctx, s: &mut AeState<'_>| {
-                let scr = &mut *s.scratch;
+                let (scr, b) = (&mut *s.scratch, s.x.rows());
                 let (a2m, out) = (&scr.a2, &mut scr.rho_hat);
                 ctx.colmean(a2m.rows_range(0, b), out);
             },
@@ -516,16 +519,13 @@ impl<'a> Layer<AeState<'a>> for AeSparsity {
 
 /// Cost probe: reconstruction + weight-decay terms (writes state scalars
 /// the buffer analysis cannot see, hence exclusive). No buffers.
-struct AeCostProbe {
-    b: usize,
-}
+struct AeCostProbe;
 
 impl<'a> Layer<AeState<'a>> for AeCostProbe {
     fn emit(&self, sb: &mut StackBuilder<AeState<'a>>, what: Emit) {
         if what != Emit::Forward {
             return;
         }
-        let b = self.b;
         let (a3, x, w1, w2) = (
             sb.buf(DEC, "act"),
             sb.global("x"),
@@ -538,7 +538,7 @@ impl<'a> Layer<AeState<'a>> for AeCostProbe {
                 .exclusive()
                 .phase("backward"),
             move |ctx, s: &mut AeState<'_>| {
-                let ae = s.params.get();
+                let (ae, b) = (s.params.get(), s.x.rows());
                 s.cost.reconstruction =
                     ctx.frob_dist_sq(s.scratch.a3.rows_range(0, b), s.x) / (2.0 * b as f64);
                 let lambda = ae.config().weight_decay as f64;
@@ -551,12 +551,11 @@ impl<'a> Layer<AeState<'a>> for AeCostProbe {
     }
 }
 
-/// Builds the AE step over `b` examples as a [`StackBuilder`] recipe over
-/// the encoder/decoder/sparsity/cost layers, whose declaration order is
-/// exactly the serial op order of the classic `cost_and_grad` (+ SGD
-/// update) pair. Storage is bound to the fields of
-/// [`AeScratch`]; the declarations describe sizes and lifetimes to the
-/// planner and executor.
+/// Builds the AE step for batches of up to `b` rows as a [`StackBuilder`]
+/// recipe over the encoder/decoder/sparsity/cost layers, whose declaration
+/// order is exactly the serial op order of the classic `cost_and_grad` (+
+/// SGD update) pair. Storage is bound to the fields of [`AeScratch`]; the
+/// declarations describe sizes and lifetimes to the planner and executor.
 ///
 /// Public so integration tests can run every shipped graph shape through
 /// [`TaskGraph::verify`]; training entry points use it via
@@ -576,8 +575,8 @@ pub fn build_ae_graph<'a>(
         update,
     };
     let (enc, dec) = (half(Half::Enc), half(Half::Dec));
-    let spars = AeSparsity { n_hidden, b };
-    let cost = AeCostProbe { b };
+    let spars = AeSparsity { n_hidden };
+    let cost = AeCostProbe;
 
     // Historical declaration order: input, both parameter sets, both
     // activations, deltas top-down, the sparsity pair, then gradients
@@ -621,8 +620,8 @@ pub fn build_ae_graph<'a>(
 ///
 /// Bit-identical to [`SparseAutoencoder::train_batch`] (or, with an
 /// optimizer, to `cost_and_grad` + an optimizer update) — both run the
-/// same graph, this one under the critical-path schedule. Returns the
-/// batch cost and the schedule.
+/// same graph, kept in `scratch`, this one under the critical-path
+/// schedule. Returns the batch cost and the schedule.
 pub fn ae_step_graph(
     ae: &mut SparseAutoencoder,
     ctx: &ExecCtx,
@@ -781,5 +780,62 @@ mod tests {
         let plan = g.plan();
         assert_eq!(plan.peak_elems(), plan.total_declared_elems());
         assert!(plan.num_registers() > 0);
+    }
+
+    #[test]
+    fn prepared_step_matches_a_freshly_built_graph_bitwise() {
+        // Plain SGD and optimizer updates over full batches, a ragged tail,
+        // then a scratch of larger capacity, alternating the serial and
+        // wave schedules. The fresh side builds a graph for each batch's
+        // rows, as every step did before graphs were kept.
+        let cfg = AeConfig::new(10, 6);
+        let data = tiny_batch(27, 10, 91);
+        let slots = SparseAutoencoder::optimizer_slots(&cfg);
+        let phases = [
+            (10, vec![(0, 10), (10, 20), (20, 27), (0, 10)]),
+            (16, vec![(0, 16), (16, 27), (3, 19)]),
+        ];
+        for use_opt in [false, true] {
+            let mk_opt =
+                || Optimizer::new(Rule::Momentum { mu: 0.9 }, Schedule::Constant(0.2), &slots);
+            let (mut kept, mut fresh) = (
+                SparseAutoencoder::new(cfg, 92),
+                SparseAutoencoder::new(cfg, 92),
+            );
+            let (mut opt_kept, mut opt_fresh) = (mk_opt(), mk_opt());
+            let ctx = ExecCtx::native(OptLevel::Improved, 93);
+            let mut step = 0;
+            for (cap, bounds) in &phases {
+                let mut s_kept = AeScratch::new(&cfg, *cap);
+                for &(lo, hi) in bounds {
+                    let (x, wave) = (data.rows_range(lo, hi), step % 2 == 1);
+                    step += 1;
+                    let opt = use_opt.then_some(&mut opt_kept);
+                    let state = AeState::new(AeParams::Mut(&mut kept), &mut s_kept, x, opt, 0.3);
+                    let (c1, _) = SparseAutoencoder::run_graph(state, &ctx, wave);
+
+                    // The fresh side's scratch holds exactly the batch.
+                    let mut s_fresh = AeScratch::new(&cfg, hi - lo);
+                    let opt = use_opt.then_some(&mut opt_fresh);
+                    let mut state =
+                        AeState::new(AeParams::Mut(&mut fresh), &mut s_fresh, x, opt, 0.3);
+                    let mut g = build_ae_graph(10, 6, hi - lo, state.update());
+                    if wave {
+                        g.execute(&ctx, &mut state);
+                    } else {
+                        g.run_serial(&ctx, &mut state);
+                    }
+                    let what = format!("opt {use_opt} rows {lo}..{hi}");
+                    assert_eq!(c1, state.cost, "{what}");
+                    assert_eq!(kept.w1.as_slice(), fresh.w1.as_slice(), "{what}");
+                    assert_eq!(kept.w2.as_slice(), fresh.w2.as_slice(), "{what}");
+                    assert_eq!(kept.b1, fresh.b1, "{what}");
+                    assert_eq!(kept.b2, fresh.b2, "{what}");
+                    assert_eq!(opt_kept.state_slots(), opt_fresh.state_slots(), "{what}");
+                    assert_eq!(opt_kept.steps(), opt_fresh.steps(), "{what}");
+                    assert!(s_kept.graph.0.is_some(), "graph kept for the next batch");
+                }
+            }
+        }
     }
 }

@@ -13,9 +13,9 @@
 //! [`AeScratch`] (§IV.B: temporaries are "kept permanently to avoid
 //! unnecessary reallocation and release").
 
-use crate::ae_graph::{build_ae_graph, AeParams, AeState};
+use crate::ae_graph::{build_ae_graph, AeParams, AeState, AeUpdate};
 use crate::exec::ExecCtx;
-use crate::graph::GraphRun;
+use crate::graph::{GraphRun, GraphSlot};
 use micdnn_tensor::{GlorotSigmoid, Initializer, Mat, MatView};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -78,8 +78,9 @@ impl AeCost {
     }
 }
 
-/// Reusable per-batch buffers (sized to the maximum batch).
-#[derive(Debug)]
+/// Reusable per-batch buffers (sized to the maximum batch) and the step
+/// graph over them, kept between steps (a clone builds its own).
+#[derive(Debug, Clone)]
 pub struct AeScratch {
     max_batch: usize,
     pub(crate) a2: Mat,
@@ -92,6 +93,8 @@ pub struct AeScratch {
     pub(crate) gw2: Mat,
     pub(crate) gb1: Vec<f32>,
     pub(crate) gb2: Vec<f32>,
+    /// The step graph for `(n_visible, n_hidden, update)`, at this capacity.
+    pub(crate) graph: GraphSlot<(usize, usize, AeUpdate), AeState<'static>>,
 }
 
 impl AeScratch {
@@ -110,6 +113,7 @@ impl AeScratch {
             gw2: Mat::zeros(cfg.n_visible, cfg.n_hidden),
             gb1: vec![0.0; cfg.n_hidden],
             gb2: vec![0.0; cfg.n_visible],
+            graph: GraphSlot(None),
         }
     }
 
@@ -185,11 +189,11 @@ impl SparseAutoencoder {
         ctx.bias_sigmoid_rows(&self.b2, &mut a3);
     }
 
-    /// Builds the AE dependency graph for `state`'s batch and runs it: in
-    /// declaration order — the exact serial op sequence of the classic
-    /// hand-rolled loop — or, with `wave`, under the critical-path schedule
-    /// (which it then returns). One builder, one runner, behind every AE
-    /// step entry point.
+    /// Runs the scratch's AE dependency graph (built on its first step) on
+    /// `state`'s batch: in declaration order — the exact serial op sequence
+    /// of the classic hand-rolled loop — or, with `wave`, under the
+    /// critical-path schedule (which it then returns). One builder, one
+    /// runner, behind every AE step entry point.
     pub(crate) fn run_graph(
         mut state: AeState<'_>,
         ctx: &ExecCtx,
@@ -204,13 +208,13 @@ impl SparseAutoencoder {
             cfg.n_visible,
             "input dimensionality mismatch"
         );
-        let mut g = build_ae_graph(cfg.n_visible, cfg.n_hidden, b, state.update());
-        let run = if wave {
-            Some(g.execute(ctx, &mut state))
-        } else {
+        let key = (cfg.n_visible, cfg.n_hidden, state.update());
+        let mut g = (state.scratch.graph).take(&key, || build_ae_graph(key.0, key.1, cap, key.2));
+        let run = wave.then(|| g.execute(ctx, &mut state));
+        if !wave {
             g.run_serial(ctx, &mut state);
-            None
-        };
+        }
+        state.scratch.graph.0 = Some((key, g));
         (state.cost, run)
     }
 

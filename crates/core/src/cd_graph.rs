@@ -34,7 +34,10 @@
 //! recorded op streams and profiling spans are unchanged), while
 //! [`cd_step_graph`] runs CD-k with [`TaskGraph::execute`], advancing the
 //! simulated clock by the critical path — quantifying what the paper's
-//! "compute Vb, H2 and C in parallel" optimization buys.
+//! "compute Vb, H2 and C in parallel" optimization buys. All three build
+//! the graph once, at the scratch's row capacity, keep it in [`RbmScratch`]
+//! and bind each batch through a [`CdState`], whose rows the node bodies
+//! slice to — a ragged tail included.
 //!
 //! The declared buffers also feed the workspace planner: for CD-1 the
 //! hidden *samples* (`S1`'s output) are dead before the reconstruction
@@ -42,7 +45,7 @@
 //! two `b x h` buffers into one arena register.
 
 use crate::exec::ExecCtx;
-use crate::graph::{BufClass, BufId, GraphRun, NodeSpec, TaskGraph};
+use crate::graph::{BufClass, BufId, GraphRun, NodeSpec, NodeState, TaskGraph};
 use crate::layers::StackBuilder;
 use crate::rbm::{Rbm, RbmScratch};
 use micdnn_tensor::{Mat, MatView};
@@ -73,10 +76,10 @@ impl<'a> CdState<'a> {
         }
     }
 
-    /// One node's operands, borrowed at once: the model, the live `b` rows
+    /// One node's operands, borrowed at once: the model, the batch's rows
     /// of `src`, and the whole of `dst` (a different matrix).
-    fn io(&mut self, src: Act, dst: Act, b: usize) -> (&Rbm, MatView<'_>, &mut Mat) {
-        let scr = &mut *self.scratch;
+    fn io(&mut self, src: Act, dst: Act) -> (&Rbm, MatView<'_>, &mut Mat) {
+        let (b, scr) = (self.v0.rows(), &mut *self.scratch);
         let (mut from, mut to) = ((src == Act::V0).then_some(self.v0), None);
         for (act, m) in [
             (Act::H0Prob, &mut scr.h0_prob),
@@ -112,12 +115,14 @@ enum Act {
     Chain,
 }
 
-/// A CD-family step under construction: the builder, and the batch size
-/// every node body slices to. One emitter per node kind, each taking its
-/// source and destination matrices.
+impl NodeState for CdState<'_> {
+    type At<'a> = CdState<'a>;
+}
+
+/// A CD-family step under construction. One emitter per node kind, each
+/// taking its source and destination matrices.
 struct Recipe<'a> {
     sb: StackBuilder<CdState<'a>>,
-    b: usize,
 }
 
 impl<'a> Recipe<'a> {
@@ -151,7 +156,7 @@ impl<'a> Recipe<'a> {
         if pcd {
             sb.bind_dims(RBM, "chain", "chain", &[b, v], External);
         }
-        Recipe { sb, b }
+        Recipe { sb }
     }
 
     /// The buffer `act` is declared as.
@@ -179,9 +184,8 @@ impl<'a> Recipe<'a> {
             .reads(&[self.id(src), w, c_hid])
             .writes(&[self.id(dst)])
             .phase(phase);
-        let b = self.b;
         self.sb.node(spec, move |ctx, s: &mut CdState<'_>| {
-            let (rbm, x, out) = s.io(src, dst, b);
+            let (rbm, x, out) = s.io(src, dst);
             rbm.prop_up(ctx, x, out);
         });
     }
@@ -193,9 +197,8 @@ impl<'a> Recipe<'a> {
             .reads(&[self.id(src), w, b_vis])
             .writes(&[self.id(dst)])
             .phase("backward");
-        let b = self.b;
         self.sb.node(spec, move |ctx, s: &mut CdState<'_>| {
-            let (rbm, h, out) = s.io(src, dst, b);
+            let (rbm, h, out) = s.io(src, dst);
             rbm.prop_down(ctx, h, out);
         });
     }
@@ -209,9 +212,9 @@ impl<'a> Recipe<'a> {
             .stochastic()
             .cursor("gibbs")
             .phase(phase);
-        let b = self.b;
         self.sb.node(spec, move |ctx, s: &mut CdState<'_>| {
-            let (_, probs, out) = s.io(src, dst, b);
+            let (_, probs, out) = s.io(src, dst);
+            let b = probs.rows();
             ctx.bernoulli(probs.as_slice(), out.rows_range_mut(0, b).as_mut_slice());
         });
     }
@@ -223,8 +226,8 @@ impl<'a> Recipe<'a> {
             .reads(&[self.id(Act::V1Prob), self.id(Act::V0)])
             .exclusive()
             .phase("backward");
-        let b = self.b;
         self.sb.node(spec, move |ctx, s: &mut CdState<'_>| {
+            let b = s.v0.rows();
             s.recon_err = ctx.frob_dist_sq(s.scratch.v1_prob.rows_range(0, b), s.v0) / b as f64;
         });
     }
@@ -235,8 +238,6 @@ impl<'a> Recipe<'a> {
     /// column means — and the updates of paper eqs. 11–13, the figure's
     /// last rank: Vw, Vb and Vc, each needing only its statistics.
     fn finish(mut self, neg: Act) -> TaskGraph<'static, CdState<'a>> {
-        let b = self.b;
-        let inv_b = 1.0 / b as f32;
         let pcd = neg == Act::Chain;
         let [v0, h0_prob, h1_prob, neg_vis] =
             [Act::V0, Act::H0Prob, Act::H1Prob, neg].map(|a| self.id(a));
@@ -254,18 +255,19 @@ impl<'a> Recipe<'a> {
         sb.node(
             stat("POS").reads(&[h0_prob, v0]).writes(&[pos_stats]),
             move |ctx, s: &mut CdState<'_>| {
-                let (scr, v) = (&mut *s.scratch, s.v0);
+                let (scr, v, b) = (&mut *s.scratch, s.v0, s.v0.rows());
                 let (h0, mut out) = (scr.h0_prob.rows_range(0, b), scr.pos_stats.view_mut());
-                ctx.gemm(inv_b, h0, true, v, false, 0.0, &mut out);
+                ctx.gemm(1.0 / b as f32, h0, true, v, false, 0.0, &mut out);
             },
         );
         sb.node(
             stat("NEG").reads(&[h1_prob, neg_vis]).writes(&[neg_stats]),
             move |ctx, s: &mut CdState<'_>| {
-                let scr = &mut *s.scratch;
+                let (scr, b) = (&mut *s.scratch, s.v0.rows());
                 let v = if pcd { &scr.pcd_chain } else { &scr.v1_prob };
-                let (h1, mut out) = (scr.h1_prob.rows_range(0, b), scr.neg_stats.view_mut());
-                ctx.gemm(inv_b, h1, true, v.rows_range(0, b), false, 0.0, &mut out);
+                let (h1, v) = (scr.h1_prob.rows_range(0, b), v.rows_range(0, b));
+                let mut out = scr.neg_stats.view_mut();
+                ctx.gemm(1.0 / b as f32, h1, true, v, false, 0.0, &mut out);
             },
         );
         sb.node(
@@ -275,7 +277,7 @@ impl<'a> Recipe<'a> {
         sb.node(
             stat("VNEG").reads(&[neg_vis]).writes(&[vis_neg]),
             move |ctx, s: &mut CdState<'_>| {
-                let scr = &mut *s.scratch;
+                let (scr, b) = (&mut *s.scratch, s.v0.rows());
                 let v = if pcd { &scr.pcd_chain } else { &scr.v1_prob };
                 ctx.colmean(v.rows_range(0, b), &mut scr.vis_neg);
             },
@@ -283,14 +285,14 @@ impl<'a> Recipe<'a> {
         sb.node(
             stat("HPOS").reads(&[h0_prob]).writes(&[hid_pos]),
             move |ctx, s: &mut CdState<'_>| {
-                let scr = &mut *s.scratch;
+                let (scr, b) = (&mut *s.scratch, s.v0.rows());
                 ctx.colmean(scr.h0_prob.rows_range(0, b), &mut scr.hid_pos);
             },
         );
         sb.node(
             stat("HNEG").reads(&[h1_prob]).writes(&[hid_neg]),
             move |ctx, s: &mut CdState<'_>| {
-                let scr = &mut *s.scratch;
+                let (scr, b) = (&mut *s.scratch, s.v0.rows());
                 ctx.colmean(scr.h1_prob.rows_range(0, b), &mut scr.hid_neg);
             },
         );
@@ -327,10 +329,10 @@ impl<'a> Recipe<'a> {
     }
 }
 
-/// Builds the CD-k step over `b` examples, whose declaration order is
-/// exactly the serial op order of the classic `cd_step` loop. Storage is
-/// bound to the fields of [`RbmScratch`]; the declarations describe their
-/// sizes and lifetimes to the planner.
+/// Builds the CD-k step for batches of up to `b` rows, whose declaration
+/// order is exactly the serial op order of the classic `cd_step` loop.
+/// Storage is bound to the fields of [`RbmScratch`]; the declarations
+/// describe their sizes and lifetimes to the planner.
 ///
 /// Public so integration tests can run every shipped graph shape through
 /// [`TaskGraph::verify`]; training entry points use it via
@@ -359,8 +361,8 @@ pub fn build_cd_graph<'a>(
     r.finish(V1Prob)
 }
 
-/// Builds the PCD step over `b` examples: the CD-k statistics and updates
-/// over a persistent chain of fantasy particles instead of the
+/// Builds the PCD step for batches of up to `b` rows: the CD-k statistics
+/// and updates over a persistent chain of fantasy particles instead of the
 /// reconstruction, in the serial op order of the original hand-rolled
 /// `pcd_step`. The chain is bound to [`RbmScratch`]'s persistent particles,
 /// which [`Rbm::pcd_step`] seeds from the first batch it sees.
@@ -390,8 +392,8 @@ pub fn build_pcd_graph<'a>(
 /// One CD-k update scheduled as the Fig. 6 dependency graph.
 ///
 /// Bit-identical to [`Rbm::cd_step`] given the same sampler state — both
-/// run the same graph, this one under the critical-path schedule. Returns
-/// the reconstruction error and the schedule.
+/// run the same graph, kept in `scratch`, this one under the critical-path
+/// schedule. Returns the reconstruction error and the schedule.
 pub fn cd_step_graph(
     rbm: &mut Rbm,
     ctx: &ExecCtx,
@@ -399,14 +401,43 @@ pub fn cd_step_graph(
     scratch: &mut RbmScratch,
     learning_rate: f32,
 ) -> (f64, GraphRun) {
-    let b = v0.rows();
+    let (err, run) = run_cd_step(rbm, ctx, v0, scratch, learning_rate, false, true);
+    (err, run.expect("wave runs return their schedule"))
+}
+
+/// Runs one CD-k (PCD with `pcd`) step on `v0` through the scratch's graph,
+/// built at its capacity on the first step: in declaration order, or with
+/// `wave` under [`TaskGraph::execute`]'s schedule, which it then returns.
+pub(crate) fn run_cd_step(
+    rbm: &mut Rbm,
+    ctx: &ExecCtx,
+    v0: MatView<'_>,
+    scratch: &mut RbmScratch,
+    lr: f32,
+    pcd: bool,
+    wave: bool,
+) -> (f64, Option<GraphRun>) {
+    let (b, cap, cfg) = (v0.rows(), scratch.capacity(), *rbm.config());
     assert!(b > 0, "empty batch");
-    assert!(b <= scratch.capacity(), "batch exceeds scratch capacity");
-    let cfg = *rbm.config();
-    let mut g = build_cd_graph(cfg.n_visible, cfg.n_hidden, b, cfg.cd_steps);
-    let mut state = CdState::new(rbm, scratch, v0, learning_rate);
-    let run = g.execute(ctx, &mut state);
-    (state.recon_err, run)
+    assert!(b <= cap, "batch exceeds scratch capacity");
+    if pcd {
+        scratch.seed_chain(v0);
+    }
+    let mut g = scratch.graph.take(&(cfg, pcd), || {
+        if pcd {
+            build_pcd_graph(cfg.n_visible, cfg.n_hidden, cap)
+        } else {
+            build_cd_graph(cfg.n_visible, cfg.n_hidden, cap, cfg.cd_steps)
+        }
+    });
+    let mut state = CdState::new(rbm, scratch, v0, lr);
+    let run = wave.then(|| g.execute(ctx, &mut state));
+    if !wave {
+        g.run_serial(ctx, &mut state);
+    }
+    let err = state.recon_err;
+    scratch.graph.0 = Some(((cfg, pcd), g));
+    (err, run)
 }
 
 #[cfg(test)]
@@ -579,5 +610,168 @@ mod tests {
         let g2 = build_cd_graph(v, h, b, 2);
         let plan2 = g2.plan();
         assert_eq!(plan2.peak_elems(), plan2.total_declared_elems());
+    }
+
+    /// The old per-batch path: a graph built for this batch's rows, run
+    /// once and dropped. CD-k runs it over a scratch of exactly those rows,
+    /// so a body that slices to the capacity instead of the batch shows;
+    /// PCD keeps `scratch` for its chain.
+    fn fresh_step(
+        rbm: &mut Rbm,
+        ctx: &ExecCtx,
+        v: MatView<'_>,
+        scratch: &mut RbmScratch,
+        pcd: bool,
+        wave: bool,
+    ) -> f64 {
+        let (cfg, b) = (*rbm.config(), v.rows());
+        let mut exact = RbmScratch::new(&cfg, b);
+        let (mut g, scratch) = if pcd {
+            scratch.seed_chain(v);
+            (build_pcd_graph(cfg.n_visible, cfg.n_hidden, b), scratch)
+        } else {
+            let g = build_cd_graph(cfg.n_visible, cfg.n_hidden, b, cfg.cd_steps);
+            (g, &mut exact)
+        };
+        let mut state = CdState::new(rbm, scratch, v, 0.1);
+        if wave {
+            g.execute(ctx, &mut state);
+        } else {
+            g.run_serial(ctx, &mut state);
+        }
+        state.recon_err
+    }
+
+    #[test]
+    fn prepared_step_matches_a_freshly_built_graph_bitwise() {
+        // Full batches, a ragged tail, then a scratch of larger capacity,
+        // alternating the serial and wave schedules.
+        let data = batch(27, 12, 41);
+        let phases = [
+            (10, vec![(0, 10), (10, 20), (20, 27), (0, 10)]),
+            (16, vec![(0, 16), (16, 27), (3, 19)]),
+        ];
+        for (cfg, pcd) in [
+            (RbmConfig::new(12, 7), false),
+            (RbmConfig::new(12, 7).with_cd_steps(3), false),
+            (RbmConfig::new(12, 7), true),
+        ] {
+            let (mut kept, mut fresh) = (Rbm::new(cfg, 42), Rbm::new(cfg, 42));
+            let ctx_kept = ExecCtx::native(OptLevel::Improved, 43);
+            let ctx_fresh = ExecCtx::native(OptLevel::Improved, 43);
+            let mut step = 0;
+            for (cap, bounds) in &phases {
+                let mut s_kept = RbmScratch::new(&cfg, *cap);
+                let mut s_fresh = RbmScratch::new(&cfg, *cap);
+                for &(lo, hi) in bounds {
+                    let (v, wave) = (data.rows_range(lo, hi), step % 2 == 1);
+                    step += 1;
+                    let (e1, _) = run_cd_step(&mut kept, &ctx_kept, v, &mut s_kept, 0.1, pcd, wave);
+                    let e2 = fresh_step(&mut fresh, &ctx_fresh, v, &mut s_fresh, pcd, wave);
+                    let what = format!("k {} pcd {pcd} rows {lo}..{hi}", cfg.cd_steps);
+                    assert_eq!(e1.to_bits(), e2.to_bits(), "{what}");
+                    assert_eq!(kept.w.as_slice(), fresh.w.as_slice(), "{what}");
+                    assert_eq!(kept.b_vis, fresh.b_vis, "{what}");
+                    assert_eq!(kept.c_hid, fresh.c_hid, "{what}");
+                    assert_eq!(ctx_kept.rng_state(), ctx_fresh.rng_state(), "{what}");
+                    assert_eq!(
+                        s_kept.pcd_chain.as_slice(),
+                        s_fresh.pcd_chain.as_slice(),
+                        "{what}"
+                    );
+                    assert!(s_kept.graph.0.is_some(), "graph kept for the next batch");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_prepared_graph_is_verified_once_not_per_batch() {
+        let cfg = RbmConfig::new(12, 7);
+        let v = batch(10, 12, 51);
+        let mut rbm = Rbm::new(cfg, 52);
+        let mut scratch = RbmScratch::new(&cfg, 10);
+        let ctx = ExecCtx::native(OptLevel::Improved, 53)
+            .with_verify()
+            .with_graceful_degradation();
+        rbm.cd_step(&ctx, v.view(), &mut scratch, 0.1);
+        // Corrupt the kept graph behind its verified bit: S1 no longer
+        // waits for H1. A second verification would report the race and
+        // demote the context.
+        let (_, kept) = scratch.graph.0.as_mut().expect("graph kept");
+        kept.deps[1].clear();
+        rbm.cd_step(&ctx, v.view(), &mut scratch, 0.1);
+        assert!(!ctx.is_degraded(), "the kept graph was verified again");
+        // A mutation hook clears the bit: the next batch verifies again.
+        let (_, kept) = scratch.graph.0.as_mut().expect("graph kept");
+        kept.testonly_drop_dep(2, 1);
+        rbm.cd_step(&ctx, v.view(), &mut scratch, 0.1);
+        assert!(ctx.is_degraded(), "a cleared verified bit must re-verify");
+    }
+
+    #[test]
+    fn a_context_degraded_mid_run_demotes_the_prepared_graph() {
+        let cfg = RbmConfig::new(12, 7);
+        let v = batch(10, 12, 61);
+        let mut kept = Rbm::new(cfg, 62);
+        let mut serial = Rbm::new(cfg, 62);
+        let ctx = ExecCtx::simulated(OptLevel::Improved, Platform::xeon_phi(), 63);
+        let ctx_serial = ExecCtx::simulated(OptLevel::Improved, Platform::xeon_phi(), 63);
+        let mut s_kept = RbmScratch::new(&cfg, 10);
+        let mut s_serial = RbmScratch::new(&cfg, 10);
+        for i in 0..4 {
+            if i == 2 {
+                ctx.force_degrade("degraded", "injected");
+            }
+            let (e1, run) = cd_step_graph(&mut kept, &ctx, v.view(), &mut s_kept, 0.1);
+            let e2 = serial.cd_step(&ctx_serial, v.view(), &mut s_serial, 0.1);
+            assert_eq!(e1.to_bits(), e2.to_bits(), "batch {i}");
+            // Degraded runs take declaration order and price no schedule.
+            assert_eq!(run.durations.is_empty(), i >= 2, "batch {i}");
+        }
+        assert_eq!(kept.w.as_slice(), serial.w.as_slice());
+        // The demotion belongs to the context, not to the kept graph.
+        let fresh_ctx = ExecCtx::simulated(OptLevel::Improved, Platform::xeon_phi(), 64);
+        let (_, run) = cd_step_graph(&mut kept, &fresh_ctx, v.view(), &mut s_kept, 0.1);
+        assert!(!run.durations.is_empty());
+    }
+
+    #[test]
+    fn a_recording_context_records_the_prepared_graph_in_declaration_order() {
+        let cfg = RbmConfig::new(24, 12);
+        let v = batch(8, 24, 71);
+        let record = |wave: bool| {
+            let mut rbm = Rbm::new(cfg, 72);
+            let mut scratch = RbmScratch::new(&cfg, 8);
+            let ctx = ExecCtx::native(OptLevel::Improved, 73);
+            ctx.start_recording();
+            for _ in 0..3 {
+                run_cd_step(&mut rbm, &ctx, v.view(), &mut scratch, 0.1, false, wave);
+            }
+            ctx.stop_recording()
+        };
+        let (waves, serial) = (record(true), record(false));
+        assert!(!serial.is_empty());
+        assert_eq!(waves, serial, "recorded op order left declaration order");
+    }
+
+    #[test]
+    fn a_cloned_scratch_prepares_again() {
+        let cfg = RbmConfig::new(12, 7);
+        let v = batch(10, 12, 81);
+        let mut rbm = Rbm::new(cfg, 82);
+        let ctx = ExecCtx::native(OptLevel::Improved, 83);
+        let mut scratch = RbmScratch::new(&cfg, 10);
+        rbm.pcd_step(&ctx, v.view(), &mut scratch, 0.1);
+        let mut twin = scratch.clone();
+        assert!(scratch.graph.0.is_some() && twin.graph.0.is_none());
+        let (mut rbm2, ctx2) = (rbm.clone(), ExecCtx::native(OptLevel::Improved, 83));
+        ctx2.restore_rng(ctx.seed(), ctx.rng_state().1);
+        let e1 = rbm.pcd_step(&ctx, v.view(), &mut scratch, 0.1);
+        let e2 = rbm2.pcd_step(&ctx2, v.view(), &mut twin, 0.1);
+        assert!(twin.graph.0.is_some(), "the clone prepared its own graph");
+        assert_eq!(e1.to_bits(), e2.to_bits());
+        assert_eq!(rbm.w.as_slice(), rbm2.w.as_slice());
+        assert_eq!(scratch.pcd_chain.as_slice(), twin.pcd_chain.as_slice());
     }
 }

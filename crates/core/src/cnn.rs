@@ -145,7 +145,7 @@ pub struct CnnNet {
     pub softmax: SoftmaxLayer,
     /// L2 weight decay applied to all weight (not bias) updates.
     pub weight_decay: f32,
-    step: StepCache,
+    step: StepCache<Self>,
 }
 
 impl CnnNet {
@@ -162,7 +162,7 @@ impl CnnNet {
             dense_b: vec![0.0; cfg.hidden],
             softmax: SoftmaxLayer::new(cfg.hidden, cfg.n_classes, seed ^ 0x5A5A),
             weight_decay: 1e-4,
-            step: StepCache::default(),
+            step: StepCache::new(false),
         }
     }
 
@@ -310,7 +310,7 @@ impl LabeledNet for CnnNet {
         }
     }
 
-    fn step_cache(&mut self) -> &mut StepCache {
+    fn step_cache(&mut self) -> &mut StepCache<Self> {
         &mut self.step
     }
 }
@@ -522,7 +522,7 @@ mod tests {
         let ctx = ctx();
         let mut net = CnnNet::new(CnnConfig::digits(12), 3);
         net.train_batch(&ctx, ds.matrix().view(), &labels, 0.1);
-        let arena = |net: &CnnNet| net.step.arena.as_ref().map(|(rows, _)| *rows);
+        let arena = |net: &CnnNet| net.step.prepared.as_ref().map(|p| p.0);
         let rows = arena(&net);
         assert!(rows.is_some(), "workspace not planned");
         net.train_batch(&ctx, ds.matrix().view(), &labels, 0.1);

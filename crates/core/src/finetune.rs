@@ -101,7 +101,7 @@ pub struct FineTuneNet {
     pub softmax: SoftmaxLayer,
     /// L2 weight decay applied to all weights during fine-tuning.
     pub weight_decay: f32,
-    step: StepCache,
+    step: StepCache<Self>,
 }
 
 impl FineTuneNet {
@@ -119,7 +119,7 @@ impl FineTuneNet {
             layers,
             softmax: SoftmaxLayer::new(code_dim, n_classes, seed),
             weight_decay: 1e-4,
-            step: StepCache::default(),
+            step: StepCache::new(false),
         }
     }
 
@@ -136,7 +136,7 @@ impl FineTuneNet {
             layers,
             softmax: SoftmaxLayer::new(*sizes.last().unwrap(), n_classes, seed ^ 0x5A5A),
             weight_decay: 1e-4,
-            step: StepCache::default(),
+            step: StepCache::new(false),
         }
     }
 
@@ -231,7 +231,7 @@ impl LabeledNet for FineTuneNet {
         }
     }
 
-    fn step_cache(&mut self) -> &mut StepCache {
+    fn step_cache(&mut self) -> &mut StepCache<Self> {
         &mut self.step
     }
 }
@@ -514,10 +514,10 @@ mod tests {
         assert_eq!(serial.softmax.b, graphed.softmax.b);
     }
 
-    /// Row capacity of the net's planned step arena (0 before the first
-    /// batch).
+    /// Row capacity of the net's prepared step and arena (0 before the
+    /// first batch).
     fn arena_rows(net: &FineTuneNet) -> usize {
-        net.step.arena.as_ref().map_or(0, |(rows, _)| *rows)
+        net.step.prepared.as_ref().map_or(0, |p| p.0)
     }
 
     #[test]

@@ -28,6 +28,9 @@
 //!   sub-saturating nodes concurrently on the rayon shim's worker team —
 //!   the one regime where node-level threading beats intra-op threading,
 //!   because small kernels cannot fill the cores on their own.
+//! * **Preparation** — a step graph depends only on shapes, so its owner
+//!   builds it once and binds each batch ([`NodeState`]); plan and
+//!   verification are memoized, everything context-dependent is per run.
 //!
 //! Concurrency never touches stochastic nodes (sampling-stream order is
 //! part of the reproducibility contract) and is disabled while the op
@@ -36,8 +39,8 @@
 //! Before either executor touches a graph, the static verifier in
 //! [`crate::verify`] checks the declared footprints, the inferred edges and
 //! the workspace plan against each other (races, use-before-init, unsafe
-//! aliases, determinism hazards). It runs on every execution in debug
-//! builds and behind [`ExecCtx::verify_enabled`] in release builds; the
+//! aliases, determinism hazards). It runs before a graph's first execution
+//! in debug builds and behind [`ExecCtx::verify_enabled`] in release; the
 //! `race-check` cargo feature additionally arms a dynamic per-register
 //! sanitizer around the native concurrency waves.
 
@@ -214,12 +217,24 @@ impl NodeSpec {
     }
 }
 
+/// The state a graph's nodes run against, as a family over the lifetime of
+/// one run's borrows (`At<'a> = Self` when it borrows nothing). Node bodies
+/// are higher-ranked over that lifetime, so a graph outlives its batch.
+pub trait NodeState {
+    /// The state over borrows that live for `'a`.
+    type At<'a>;
+}
+
+impl NodeState for () {
+    type At<'a> = ();
+}
+
 /// A DAG of named tasks over declared buffers.
-pub struct TaskGraph<'g, S> {
+pub struct TaskGraph<'g, S: NodeState> {
     pub(crate) names: Vec<&'static str>,
     pub(crate) deps: Vec<Vec<NodeId>>,
     #[allow(clippy::type_complexity)]
-    tasks: Vec<Box<dyn FnMut(&ExecCtx, &mut S) + Send + 'g>>,
+    tasks: Vec<Box<dyn for<'a> FnMut(&ExecCtx, &mut S::At<'a>) + Send + Sync + 'g>>,
     pub(crate) reads: Vec<Vec<BufId>>,
     pub(crate) writes: Vec<Vec<BufId>>,
     /// Node may join a concurrency wave (not stochastic, not exclusive).
@@ -246,15 +261,17 @@ pub struct TaskGraph<'g, S> {
     skip_verify: bool,
     /// Memoized "already verified clean" bit; mutation hooks clear it.
     verified: bool,
+    /// Memoized [`TaskGraph::plan`]; structural changes clear it.
+    planned: Option<WorkspacePlan>,
 }
 
-impl<'g, S> Default for TaskGraph<'g, S> {
+impl<'g, S: NodeState> Default for TaskGraph<'g, S> {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl<'g, S> TaskGraph<'g, S> {
+impl<'g, S: NodeState> TaskGraph<'g, S> {
     /// An empty graph.
     pub fn new() -> Self {
         TaskGraph {
@@ -274,12 +291,14 @@ impl<'g, S> TaskGraph<'g, S> {
             bufs: Vec::new(),
             skip_verify: false,
             verified: false,
+            planned: None,
         }
     }
 
     /// Declares a buffer of f32 elements with a logical tensor shape; its
     /// element count is the product of `dims`. Returns its id.
     pub fn declare_dims(&mut self, name: &'static str, dims: &[usize], class: BufClass) -> BufId {
+        self.planned = None;
         self.bufs.push(BufDecl {
             name,
             class,
@@ -304,7 +323,7 @@ impl<'g, S> TaskGraph<'g, S> {
     pub fn node(
         &mut self,
         spec: NodeSpec,
-        task: impl FnMut(&ExecCtx, &mut S) + Send + 'g,
+        task: impl for<'a> FnMut(&ExecCtx, &mut S::At<'a>) + Send + Sync + 'g,
     ) -> NodeId {
         let id = self.names.len();
         for &BufId(b) in spec.reads.iter().chain(spec.writes.iter()) {
@@ -336,7 +355,7 @@ impl<'g, S> TaskGraph<'g, S> {
         self.transfer.push(spec.transfer);
         self.phases.push(spec.phase);
         self.cursors.push(spec.cursor);
-        self.verified = false;
+        (self.verified, self.planned) = (false, None);
         id
     }
 
@@ -456,7 +475,7 @@ impl<'g, S> TaskGraph<'g, S> {
     /// serial path. Bit- and time-identical to the hand-rolled loop the
     /// graph was derived from: same ops, same order, same sampling streams,
     /// and one profiling span per maximal run of equal phase tags.
-    pub(crate) fn run_serial(&mut self, ctx: &ExecCtx, state: &mut S) {
+    pub(crate) fn run_serial(&mut self, ctx: &ExecCtx, state: &mut S::At<'_>) {
         if self.should_verify(ctx) {
             let plan = self.plan();
             self.verify_or_demote(ctx, &plan);
@@ -489,11 +508,12 @@ impl<'g, S> TaskGraph<'g, S> {
     /// disabled while the op recorder is on, so results — weights, sampling
     /// streams, recorded op order — are bit-identical to the serial
     /// schedule at any thread count.
-    pub fn execute(&mut self, ctx: &ExecCtx, state: &mut S) -> GraphRun
+    pub fn execute<'s>(&mut self, ctx: &ExecCtx, state: &mut S::At<'s>) -> GraphRun
     where
-        S: Send,
+        S::At<'s>: Send,
     {
-        let plan = self.plan();
+        // The plan depends on the graph alone: a kept graph plans once.
+        let plan = self.planned.take().unwrap_or_else(|| self.plan());
         if self.should_verify(ctx) {
             self.verify_or_demote(ctx, &plan);
         }
@@ -502,7 +522,7 @@ impl<'g, S> TaskGraph<'g, S> {
             // degradation): declaration order is always a valid schedule,
             // so fall back to it for the remainder of the run.
             self.run_serial(ctx, state);
-            return GraphRun {
+            let run = GraphRun {
                 durations: Vec::new(),
                 completion: Vec::new(),
                 critical_path: 0.0,
@@ -510,6 +530,8 @@ impl<'g, S> TaskGraph<'g, S> {
                 scratch_elems: plan.total_declared_elems(),
                 planned_peak_elems: plan.peak_elems(),
             };
+            self.planned = Some(plan);
+            return run;
         }
         let n = self.len();
         let mut durations = vec![0.0f64; n];
@@ -557,20 +579,22 @@ impl<'g, S> TaskGraph<'g, S> {
             }
         }
         ctx.advance_clock(critical_path, EventKind::Sync, "task-graph");
-        GraphRun {
+        let run = GraphRun {
             durations,
             completion,
             critical_path,
             serial_time: serial,
             scratch_elems: plan.total_declared_elems(),
             planned_peak_elems: plan.peak_elems(),
-        }
+        };
+        self.planned = Some(plan);
+        run
     }
 
     /// Native execution with node-level concurrency waves.
-    fn run_native_waves(&mut self, ctx: &ExecCtx, state: &mut S, plan: &WorkspacePlan)
+    fn run_native_waves<'s>(&mut self, ctx: &ExecCtx, state: &mut S::At<'s>, plan: &WorkspacePlan)
     where
-        S: Send,
+        S::At<'s>: Send,
     {
         let n = self.len();
         let concurrent =
@@ -603,7 +627,7 @@ impl<'g, S> TaskGraph<'g, S> {
                     end += 1;
                 }
                 if end - start > 1 {
-                    let ptr = StatePtr(state as *mut S);
+                    let ptr = StatePtr(state as *mut S::At<'s>);
                     let wave: Vec<Box<dyn FnOnce() + Send + '_>> = tasks[start..end]
                         .iter_mut()
                         .enumerate()
@@ -659,7 +683,8 @@ impl<'g, S> TaskGraph<'g, S> {
     }
 
     /// Runs the static verifier against `plan`. A report without errors
-    /// memoizes the verified bit; warnings never fail. A report with errors
+    /// memoizes the verified bit, so a kept graph is verified once, not per
+    /// batch; warnings never fail. A report with errors
     /// panics with the full report — or, under
     /// [`ExecCtx::with_graceful_degradation`], demotes the context to the
     /// serial schedule and records an incident note instead.
@@ -688,7 +713,7 @@ impl<'g, S> TaskGraph<'g, S> {
     #[doc(hidden)]
     pub fn testonly_drop_dep(&mut self, node: NodeId, dep: NodeId) {
         self.deps[node].retain(|&d| d != dep);
-        self.verified = false;
+        (self.verified, self.planned) = (false, None);
     }
 
     /// Marks a node wave-eligible regardless of its flags. Test-only:
@@ -870,6 +895,43 @@ impl Workspace {
     }
 }
 
+impl<S: NodeState> std::fmt::Debug for TaskGraph<'_, S> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_tuple("TaskGraph").field(&self.names).finish()
+    }
+}
+
+/// A scratch's step graph, kept between batches with the key it was built
+/// for. A cache, not state: a clone starts empty and builds its own.
+pub(crate) struct GraphSlot<K, S: NodeState>(pub(crate) Option<(K, TaskGraph<'static, S>)>);
+
+impl<K: PartialEq, S: NodeState> GraphSlot<K, S> {
+    /// Takes the graph kept for `key` out for one run (the caller puts it
+    /// back), building it with `build` if the slot keeps none for `key`.
+    pub(crate) fn take(
+        &mut self,
+        key: &K,
+        build: impl FnOnce() -> TaskGraph<'static, S>,
+    ) -> TaskGraph<'static, S> {
+        match self.0.take() {
+            Some((k, g)) if k == *key => g,
+            _ => build(),
+        }
+    }
+}
+
+impl<K, S: NodeState> Clone for GraphSlot<K, S> {
+    fn clone(&self) -> Self {
+        GraphSlot(None)
+    }
+}
+
+impl<K: std::fmt::Debug, S: NodeState> std::fmt::Debug for GraphSlot<K, S> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_tuple("GraphSlot").field(&self.0).finish()
+    }
+}
+
 /// Result of one [`TaskGraph::execute`] call.
 #[derive(Debug, Clone, PartialEq)]
 pub struct GraphRun {
@@ -912,7 +974,11 @@ mod tests {
 
     /// A one-element buffer standing for one DAG edge: the source node
     /// writes it and the target node reads it.
-    fn edge<S>(g: &mut TaskGraph<'_, S>) -> BufId {
+    impl<T> NodeState for Vec<T> {
+        type At<'a> = Vec<T>;
+    }
+
+    fn edge<S: NodeState>(g: &mut TaskGraph<'_, S>) -> BufId {
         g.declare_dims("edge", &[1], BufClass::Scratch)
     }
 
@@ -1005,7 +1071,9 @@ mod tests {
 
     #[test]
     fn degradation_demotes_instead_of_panicking() {
-        let ctx = ExecCtx::native(OptLevel::Improved, 0).with_graceful_degradation();
+        let ctx = ExecCtx::native(OptLevel::Improved, 0)
+            .with_verify()
+            .with_graceful_degradation();
         let mut g: TaskGraph<'_, Vec<u32>> = TaskGraph::new();
         let x = g.declare_dims("x", &[4], BufClass::Scratch);
         let out = g.declare_dims("out", &[4], BufClass::Pinned);
@@ -1175,6 +1243,9 @@ mod tests {
         struct S {
             src: Mat,
             outs: [Vec<f32>; 4],
+        }
+        impl NodeState for S {
+            type At<'a> = S;
         }
         let build = |g: &mut TaskGraph<'_, S>| {
             let src = g.declare_dims("src", &[64 * 32], BufClass::External);

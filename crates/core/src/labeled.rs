@@ -1,13 +1,13 @@
-//! What every labeled (softmax-headed) net shares: the cached step arena
-//! and schedule flag, the supervised step driver, and the label-cursor
+//! What every labeled (softmax-headed) net shares: the cached step graph,
+//! arena and schedule flag, the supervised step driver, and the label-cursor
 //! wrapper that lets a labeled net ride the unsupervised training loop.
 //!
 //! A labeled net supplies a parameter store, a [`StackBuilder`] recipe and
 //! a reference forward pass ([`LabeledNet`]); `train_batch`, `fit`,
-//! `predict`, `accuracy`, `cross_entropy`, workspace planning, the
-//! serial/wave schedule choice, label derivation, checkpointing and
-//! rollback are written here, once, for [`FineTuneNet`] and [`CnnNet`]
-//! alike.
+//! `predict`, `accuracy`, `cross_entropy`, the step's preparation (built
+//! and planned once per row capacity), the serial/wave schedule choice,
+//! label derivation, checkpointing and rollback are written here, once, for
+//! [`FineTuneNet`] and [`CnnNet`] alike.
 //!
 //! [`StackBuilder`]: crate::layers::StackBuilder
 //! [`FineTuneNet`]: crate::FineTuneNet
@@ -15,36 +15,36 @@
 
 use crate::checkpoint::CheckpointModel;
 use crate::exec::ExecCtx;
-use crate::graph::{TaskGraph, Workspace};
+use crate::graph::{NodeState, TaskGraph, Workspace};
 use crate::layers::{argmax_rows, hit_rate, mean_nll, StackState, StepParts};
 use crate::train::UnsupervisedModel;
 use micdnn_tensor::{Mat, MatView};
 use std::io::{self, Write};
 
-/// The schedule flag and the reusable training-step arena a labeled net
-/// carries: one liveness-planned [`Workspace`] serving every batch up to
-/// its row capacity, so `train_batch` performs no per-batch heap
-/// allocation after the first call.
-#[derive(Debug, Default)]
-pub struct StepCache {
+/// The schedule flag and the training step a labeled net carries: its graph
+/// and liveness-planned [`Workspace`], built once for a row capacity and
+/// serving every batch up to it, so `train_batch` neither rebuilds the
+/// graph nor allocates after the first call.
+#[derive(Debug)]
+pub struct StepCache<N: 'static> {
     pub(crate) use_graph: bool,
-    /// `(row capacity, arena)`; `None` until the first `prepare`.
-    pub(crate) arena: Option<(usize, Workspace)>,
+    /// `(row capacity, step graph, arena)`; `None` until the first `prepare`.
+    pub(crate) prepared: Option<(usize, TaskGraph<'static, StepState<'static, N>>, Workspace)>,
 }
 
-impl Clone for StepCache {
+impl<N> Clone for StepCache<N> {
     fn clone(&self) -> Self {
-        // The workspace is a cache, not state — the clone re-plans lazily.
+        // The step is a cache, not state — the clone re-prepares lazily.
         StepCache::new(self.use_graph)
     }
 }
 
-impl StepCache {
-    /// An unplanned cache with the given schedule preference.
+impl<N> StepCache<N> {
+    /// An unprepared cache with the given schedule preference.
     pub(crate) fn new(use_graph: bool) -> Self {
         StepCache {
             use_graph,
-            arena: None,
+            prepared: None,
         }
     }
 }
@@ -60,16 +60,20 @@ pub struct StepState<'a, N> {
     loss: f64,
 }
 
-impl<N> StackState for StepState<'_, N> {
+impl<N: 'static> NodeState for StepState<'_, N> {
+    type At<'a> = StepState<'a, N>;
+}
+
+impl<N: 'static> StackState for StepState<'_, N> {
     type Params = N;
-    fn parts(&mut self) -> StepParts<'_, N> {
+    fn parts<'s>(st: &'s mut StepState<'_, N>) -> StepParts<'s, N> {
         StepParts {
-            ws: &mut *self.ws,
-            x: self.x,
-            labels: self.labels,
-            lr: self.lr,
-            loss: &mut self.loss,
-            params: &mut *self.net,
+            ws: &mut *st.ws,
+            x: st.x,
+            labels: st.labels,
+            lr: st.lr,
+            loss: &mut st.loss,
+            params: &mut *st.net,
         }
     }
 }
@@ -84,7 +88,7 @@ impl<N> StackState for StepState<'_, N> {
 ///
 /// [`FineTuneNet`]: crate::FineTuneNet
 /// [`CnnNet`]: crate::CnnNet
-pub trait LabeledNet: Sized + Send {
+pub trait LabeledNet: Sized + Send + 'static {
     /// Failpoint that makes one [`LabeledModel`] step of this net report
     /// NaN (see [`crate::faults`]).
     const NAN_FAILPOINT: &'static str;
@@ -113,9 +117,9 @@ pub trait LabeledNet: Sized + Send {
     /// when the checkpoint holds another kind.
     fn from_checkpoint(from: CheckpointModel) -> io::Result<LabeledModel<Self>>;
 
-    /// The net's schedule flag and cached arena.
+    /// The net's schedule flag and prepared step.
     #[doc(hidden)]
-    fn step_cache(&mut self) -> &mut StepCache;
+    fn step_cache(&mut self) -> &mut StepCache<Self>;
 
     /// Schedules each training step through the dataflow executor instead
     /// of declaration order (bit-identical either way; see
@@ -125,13 +129,14 @@ pub trait LabeledNet: Sized + Send {
         self
     }
 
-    /// Plans (or grows) the cached step workspace for batches up to `cap`
-    /// rows, so the first training batch allocates nothing.
+    /// Builds the step graph and its arena for batches up to `cap` rows
+    /// (unless cached for at least that many), so batches only bind it.
     fn prepare(&mut self, cap: usize) {
-        let planned = self.step_cache().arena.as_ref().map_or(0, |&(c, _)| c);
-        if cap > planned {
-            let plan = self.step_graph(cap).plan();
-            self.step_cache().arena = Some((cap, Workspace::new(&plan)));
+        let prepared = self.step_cache().prepared.as_ref().map_or(0, |p| p.0);
+        if cap > prepared {
+            let graph = self.step_graph(cap);
+            let arena = Workspace::new(&graph.plan());
+            self.step_cache().prepared = Some((cap, graph, arena));
         }
     }
 
@@ -153,11 +158,11 @@ pub trait LabeledNet: Sized + Send {
     /// One SGD step on a labeled batch; returns the batch's mean
     /// cross-entropy before the update.
     ///
-    /// The step is the net's recipe as a [`TaskGraph`] over the cached
-    /// liveness-planned [`Workspace`]: forward activations, deltas and
-    /// gradients all live in planned registers, so steady-state batches
-    /// allocate nothing. Serial declaration order reproduces the historical
-    /// hand-rolled step kernel for kernel.
+    /// The step is the net's recipe as a cached [`TaskGraph`], bound here to
+    /// the batch, over the cached liveness-planned [`Workspace`]: forward
+    /// activations, deltas and gradients all live in planned registers, so
+    /// steady-state batches allocate nothing. Serial declaration order
+    /// reproduces the historical hand-rolled step kernel for kernel.
     fn train_batch(&mut self, ctx: &ExecCtx, x: MatView<'_>, labels: &[usize], lr: f32) -> f64 {
         let b = x.rows();
         assert!(b > 0, "empty batch");
@@ -171,9 +176,8 @@ pub trait LabeledNet: Sized + Send {
         self.prepare(b);
         let cache = self.step_cache();
         let use_graph = cache.use_graph;
-        let (cap, mut ws) = cache.arena.take().expect("just planned");
+        let (cap, mut graph, mut ws) = cache.prepared.take().expect("just prepared");
         let loss = {
-            let mut graph = self.step_graph(cap);
             let mut state = StepState {
                 net: self,
                 ws: &mut ws,
@@ -189,7 +193,7 @@ pub trait LabeledNet: Sized + Send {
             }
             state.loss
         };
-        self.step_cache().arena = Some((cap, ws));
+        self.step_cache().prepared = Some((cap, graph, ws));
         loss
     }
 
@@ -541,7 +545,7 @@ pub(crate) mod tests {
             let params = other.net.flat_params();
             model.adopt(other);
             assert_eq!(model.net.step_cache().use_graph, mine);
-            assert!(model.net.step_cache().arena.is_none());
+            assert!(model.net.step_cache().prepared.is_none());
             assert_eq!(model.cursor_parts(), (5, 12));
             assert_eq!(model.net.flat_params(), params);
         }
@@ -551,6 +555,48 @@ pub(crate) mod tests {
     fn rollback_adoption_keeps_the_wrappers_schedule_preference() {
         schedule_preference_survives_adopt::<FineTuneNet>();
         schedule_preference_survives_adopt::<CnnNet>();
+    }
+
+    fn prepared_step_matches_a_fresh_graph<N: TestNet>() {
+        // Full batches, a ragged tail, then a larger batch that grows the
+        // prepared capacity, alternating the serial and wave schedules. The
+        // fresh side builds, plans and lays out a graph for each batch's
+        // rows.
+        let ds = digits(27, 95);
+        let labels = LabeledModel::<N>::row_labels(27, 10);
+        let ctx = ctx();
+        let (mut kept, mut fresh) = (N::fresh(96), N::fresh(96));
+        let bounds = [(0, 10), (10, 20), (20, 27), (0, 10), (0, 16), (16, 27)];
+        for (i, (lo, hi)) in bounds.into_iter().enumerate() {
+            let (x, l, wave) = (ds.batch(lo, hi), &labels[lo..hi], i % 2 == 1);
+            kept.step_cache().use_graph = wave;
+            let loss = kept.train_batch(&ctx, x, l, 0.3);
+            let mut g = fresh.step_graph(hi - lo);
+            let mut ws = Workspace::new(&g.plan());
+            let mut state = StepState {
+                net: &mut fresh,
+                ws: &mut ws,
+                x,
+                labels: l,
+                lr: 0.3,
+                loss: 0.0,
+            };
+            if wave {
+                g.execute(&ctx, &mut state);
+            } else {
+                g.run_serial(&ctx, &mut state);
+            }
+            assert_eq!(loss.to_bits(), state.loss.to_bits(), "rows {lo}..{hi}");
+            assert_eq!(kept.flat_params(), fresh.flat_params(), "rows {lo}..{hi}");
+        }
+        let cap = kept.step_cache().prepared.as_ref().map(|p| p.0);
+        assert_eq!(cap, Some(16), "prepared once per capacity");
+    }
+
+    #[test]
+    fn prepared_step_matches_a_freshly_built_graph_bitwise() {
+        prepared_step_matches_a_fresh_graph::<FineTuneNet>();
+        prepared_step_matches_a_fresh_graph::<CnnNet>();
     }
 
     /// Run per alias, like [`cursor_labels_follow_dataset_order`].

@@ -74,7 +74,7 @@
 
 use crate::exec::ExecCtx;
 use crate::finetune::SoftmaxLayer;
-use crate::graph::{BufClass, BufId, NodeSpec, TaskGraph, Workspace};
+use crate::graph::{BufClass, BufId, NodeSpec, NodeState, TaskGraph, Workspace};
 use micdnn_kernels::conv;
 use micdnn_kernels::OpCost;
 use micdnn_tensor::{Mat, MatView, MatViewMut};
@@ -122,7 +122,7 @@ pub enum Emit {
 /// Hooks default to no-ops so a layer only writes the passes it
 /// participates in (a pooling layer has no parameters, a cost probe has
 /// no buffers at all).
-pub trait Layer<S> {
+pub trait Layer<S: NodeState> {
     /// Declare this layer's buffers for pass `what`.
     fn declare(&self, sb: &mut StackBuilder<S>, what: Decl) {
         let _ = (sb, what);
@@ -140,19 +140,19 @@ pub trait Layer<S> {
 /// for stack-level buffers (the input batch) and `(slot, key)` pairs for
 /// per-layer buffers — so layers reference each other's tensors by
 /// position without sharing concrete types.
-pub struct StackBuilder<S> {
+pub struct StackBuilder<S: NodeState> {
     g: TaskGraph<'static, S>,
     slots: Vec<Vec<(&'static str, BufId)>>,
     globals: Vec<(&'static str, BufId)>,
 }
 
-impl<S> Default for StackBuilder<S> {
+impl<S: NodeState> Default for StackBuilder<S> {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl<S> StackBuilder<S> {
+impl<S: NodeState> StackBuilder<S> {
     /// An empty builder.
     pub(crate) fn new() -> Self {
         StackBuilder {
@@ -228,7 +228,7 @@ impl<S> StackBuilder<S> {
     pub(crate) fn node(
         &mut self,
         spec: NodeSpec,
-        task: impl FnMut(&ExecCtx, &mut S) + Send + 'static,
+        task: impl for<'a> FnMut(&ExecCtx, &mut S::At<'a>) + Send + Sync + 'static,
     ) {
         self.g.node(spec, task);
     }
@@ -265,13 +265,13 @@ pub(crate) struct StepParts<'s, P: ?Sized> {
     pub params: &'s mut P,
 }
 
-/// Host state for the generic supervised layers: anything that can hand a
-/// node body a [`StepParts`] split borrow.
-pub(crate) trait StackState {
+/// Host state for the generic supervised layers: anything whose runs can
+/// hand a node body a [`StepParts`] split borrow.
+pub(crate) trait StackState: NodeState {
     /// The parameter store ([`DenseParams`] at minimum).
     type Params: ?Sized;
-    /// The split borrow.
-    fn parts(&mut self) -> StepParts<'_, Self::Params>;
+    /// The split borrow of one run's state.
+    fn parts<'s>(st: &'s mut Self::At<'_>) -> StepParts<'s, Self::Params>;
 }
 
 /// Parameter access for [`Dense`] and [`SoftmaxXent`] layers.
@@ -313,8 +313,8 @@ fn emit_bias_colsum<S: StackState>(
     let (d_id, gb_id) = (sb.buf(slot, "delta"), sb.buf(slot, "gb"));
     sb.node(
         NodeSpec::new(name).reads(&[d_id]).writes(&[gb_id]),
-        move |ctx, st: &mut S| {
-            let p = st.parts();
+        move |ctx, st: &mut S::At<'_>| {
+            let p = S::parts(st);
             let rows = p.x.rows() * rows_per_example;
             let [d, gb] = p.ws.bufs_mut([d_id, gb_id]);
             ctx.colsum(MatView::new(&d[..rows * width], rows, width), gb);
@@ -332,7 +332,7 @@ fn emit_sgd<S>(
     names: [&'static str; 2],
     slot: usize,
     part: Part,
-    tensors: impl Fn(&mut S::Params) -> (&mut Mat, &mut Vec<f32>) + Send + 'static,
+    tensors: impl Fn(&mut S::Params) -> (&mut Mat, &mut Vec<f32>) + Send + Sync + 'static,
 ) where
     S: StackState,
     S::Params: DenseParams,
@@ -343,8 +343,8 @@ fn emit_sgd<S>(
     };
     sb.node(
         NodeSpec::new(name).reads(&[grad]).writes(&[param]),
-        move |ctx, st: &mut S| {
-            let p = st.parts();
+        move |ctx, st: &mut S::At<'_>| {
+            let p = S::parts(st);
             let lambda = p.params.weight_decay();
             let (w, bias) = tensors(p.params);
             match part {
@@ -378,7 +378,7 @@ pub(crate) struct Dense {
 }
 
 impl Dense {
-    fn input_buf<S>(&self, sb: &StackBuilder<S>) -> BufId {
+    fn input_buf<S: NodeState>(&self, sb: &StackBuilder<S>) -> BufId {
         match self.below {
             None => sb.global("x"),
             Some(slot) => sb.buf(slot, "act"),
@@ -430,8 +430,8 @@ where
                     NodeSpec::new("forward")
                         .reads(&[inp, w_id, b_id])
                         .writes(&[a_cur]),
-                    move |ctx, st: &mut S| {
-                        let p = st.parts();
+                    move |ctx, st: &mut S::At<'_>| {
+                        let p = S::parts(st);
                         let b = p.x.rows();
                         let (w, bias) = p.params.dense(idx);
                         if from_x {
@@ -459,8 +459,8 @@ where
                     NodeSpec::new("backprop")
                         .reads(&[up, up_w, a_cur])
                         .writes(&[d_cur]),
-                    move |ctx, st: &mut S| {
-                        let p = st.parts();
+                    move |ctx, st: &mut S::At<'_>| {
+                        let p = S::parts(st);
                         let b = p.x.rows();
                         let w_next: &Mat = match above {
                             Above::Head => &p.params.softmax().w,
@@ -486,8 +486,8 @@ where
                     NodeSpec::new("layer-gw")
                         .reads(&[d_cur, inp])
                         .writes(&[gw_cur]),
-                    move |ctx, st: &mut S| {
-                        let p = st.parts();
+                    move |ctx, st: &mut S::At<'_>| {
+                        let p = S::parts(st);
                         let b = p.x.rows();
                         if from_x {
                             let [d, gw] = p.ws.bufs_mut([d_cur, gw_cur]);
@@ -570,8 +570,8 @@ where
                     NodeSpec::new("softmax")
                         .reads(&[a_top, w_id, b_id])
                         .writes(&[dsoft]),
-                    move |ctx, st: &mut S| {
-                        let p = st.parts();
+                    move |ctx, st: &mut S::At<'_>| {
+                        let p = S::parts(st);
                         let b = p.x.rows();
                         let [a, probs] = p.ws.bufs_mut([a_top, dsoft]);
                         let av = MatView::new(&a[..b * code], b, code);
@@ -589,8 +589,8 @@ where
                         .reads(&[dsoft])
                         .writes(&[dsoft])
                         .exclusive(),
-                    move |ctx, st: &mut S| {
-                        let p = st.parts();
+                    move |ctx, st: &mut S::At<'_>| {
+                        let p = S::parts(st);
                         let b = p.x.rows();
                         let probs = &mut p.ws.buf_mut(dsoft)[..b * c];
                         *p.loss = mean_nll(MatView::new(probs, b, c), p.labels);
@@ -613,8 +613,8 @@ where
                     NodeSpec::new("softmax-gw")
                         .reads(&[dsoft, a_top])
                         .writes(&[gw_id]),
-                    move |ctx, st: &mut S| {
-                        let p = st.parts();
+                    move |ctx, st: &mut S::At<'_>| {
+                        let p = S::parts(st);
                         let b = p.x.rows();
                         let [d, a, gw] = p.ws.bufs_mut([dsoft, a_top, gw_id]);
                         let dv = MatView::new(&d[..b * c], b, c);
@@ -760,8 +760,8 @@ where
                 let col_id = sb.buf(slot, "col");
                 sb.node(
                     NodeSpec::new("im2col").reads(&[x_id]).writes(&[col_id]),
-                    move |ctx, st: &mut S| {
-                        let p = st.parts();
+                    move |ctx, st: &mut S::At<'_>| {
+                        let p = S::parts(st);
                         let b = p.x.rows();
                         let col = &mut p.ws.buf_mut(col_id)[..b * pix * kk];
                         conv::im2col(ctx.backend().par(), p.x.as_slice(), b, side, k, col);
@@ -776,8 +776,8 @@ where
                     NodeSpec::new("conv-forward")
                         .reads(&[col_id, w_id, b_id])
                         .writes(&[a_id]),
-                    move |ctx, st: &mut S| {
-                        let p = st.parts();
+                    move |ctx, st: &mut S::At<'_>| {
+                        let p = S::parts(st);
                         let b = p.x.rows();
                         let (w, bias) = p.params.conv(idx);
                         let [col, act] = p.ws.bufs_mut([col_id, a_id]);
@@ -796,8 +796,8 @@ where
                     NodeSpec::new("conv-dsig")
                         .reads(&[a_id, d_id])
                         .writes(&[d_id]),
-                    move |ctx, st: &mut S| {
-                        let p = st.parts();
+                    move |ctx, st: &mut S::At<'_>| {
+                        let p = S::parts(st);
                         let b = p.x.rows();
                         let [a, d] = p.ws.bufs_mut([a_id, d_id]);
                         let n = b * pix * c;
@@ -817,8 +817,8 @@ where
                     NodeSpec::new("conv-gw")
                         .reads(&[d_id, col_id])
                         .writes(&[gw_id]),
-                    move |ctx, st: &mut S| {
-                        let p = st.parts();
+                    move |ctx, st: &mut S::At<'_>| {
+                        let p = S::parts(st);
                         let b = p.x.rows();
                         let [d, col, gw] = p.ws.bufs_mut([d_id, col_id, gw_id]);
                         let dv = MatView::new(&d[..b * pix * c], b * pix, c);
@@ -907,8 +907,8 @@ where
                     NodeSpec::new("pool-forward")
                         .reads(&[conv_act])
                         .writes(&[a_id, i_id]),
-                    move |ctx, st: &mut S| {
-                        let p = st.parts();
+                    move |ctx, st: &mut S::At<'_>| {
+                        let p = S::parts(st);
                         let b = p.x.rows();
                         let [act, pooled, pidx] = p.ws.bufs_mut([conv_act, a_id, i_id]);
                         conv::maxpool2d_forward(
@@ -937,8 +937,8 @@ where
                     NodeSpec::new("pool-delta")
                         .reads(&[up, up_w])
                         .writes(&[d_id]),
-                    move |ctx, st: &mut S| {
-                        let p = st.parts();
+                    move |ctx, st: &mut S::At<'_>| {
+                        let p = S::parts(st);
                         let b = p.x.rows();
                         let w_next: &Mat = match above {
                             Above::Head => &p.params.softmax().w,
@@ -959,8 +959,8 @@ where
                     NodeSpec::new("unpool")
                         .reads(&[d_id, i_id])
                         .writes(&[conv_delta]),
-                    move |ctx, st: &mut S| {
-                        let p = st.parts();
+                    move |ctx, st: &mut S::At<'_>| {
+                        let p = S::parts(st);
                         let b = p.x.rows();
                         let [d, pidx, dconv] = p.ws.bufs_mut([d_id, i_id, conv_delta]);
                         conv::maxpool2d_backward(
@@ -987,11 +987,8 @@ mod tests {
     use super::*;
 
     struct NullState;
-    impl StackState for NullState {
-        type Params = ();
-        fn parts(&mut self) -> StepParts<'_, ()> {
-            unreachable!("declaration-only tests never run nodes")
-        }
+    impl NodeState for NullState {
+        type At<'a> = NullState;
     }
 
     #[test]

@@ -83,6 +83,7 @@ pub use cnn::{build_cnn_graph, CnnConfig, CnnModel, CnnNet};
 pub use exec::{ExecCtx, OptLevel};
 pub use finetune::{build_step_graph, FineTuneModel, FineTuneNet, SoftmaxLayer};
 pub use gradcheck::{check_autoencoder, GradCheckResult};
+pub use graph::NodeState;
 pub use graph::{BufClass, BufId, GraphRun, NodeSpec, TaskGraph, Workspace, WorkspacePlan};
 pub use labeled::{LabeledModel, LabeledNet, StepCache, StepState};
 pub use layers::{Decl, Emit, Layer, Part, StackBuilder};

@@ -14,8 +14,9 @@
 //! phase, while probabilities are used for the reconstruction phase and for
 //! all statistics.
 
-use crate::cd_graph::{build_cd_graph, build_pcd_graph, CdState};
+use crate::cd_graph::{run_cd_step, CdState};
 use crate::exec::ExecCtx;
+use crate::graph::GraphSlot;
 use micdnn_tensor::{Initializer, Mat, MatView, NormalInit};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -63,8 +64,9 @@ impl RbmConfig {
 ///
 /// These are the temporary variables of the paper's Fig. 6 dependency
 /// graph: `H1` (data-phase hiddens), `V2` (reconstruction), `H2`
-/// (reconstruction-phase hiddens) plus the positive/negative statistics.
-#[derive(Debug)]
+/// (reconstruction-phase hiddens) plus the positive/negative statistics,
+/// and the graph itself, kept between steps (a clone builds its own).
+#[derive(Debug, Clone)]
 pub struct RbmScratch {
     max_batch: usize,
     /// Data-phase hidden probabilities, `b x h`.
@@ -90,6 +92,8 @@ pub struct RbmScratch {
     /// Persistent fantasy particles for PCD, `max_batch x v` (empty until
     /// seeded from the first batch).
     pub(crate) pcd_chain: Mat,
+    /// The step graph for `(config, pcd)`, built at this capacity.
+    pub(crate) graph: GraphSlot<(RbmConfig, bool), CdState<'static>>,
 }
 
 impl RbmScratch {
@@ -109,6 +113,7 @@ impl RbmScratch {
             hid_pos: vec![0.0; cfg.n_hidden],
             hid_neg: vec![0.0; cfg.n_hidden],
             pcd_chain: Mat::zeros(0, cfg.n_visible),
+            graph: GraphSlot(None),
         }
     }
 
@@ -199,7 +204,7 @@ impl Rbm {
     /// statistics, updates) of the classic hand-rolled loop, sharing one
     /// builder with [`crate::cd_step_graph`]. Debug builds (and release
     /// contexts with [`ExecCtx::with_verify`]) statically verify the graph
-    /// first: races, register aliasing, use-before-init
+    /// before its first run: races, register aliasing, use-before-init
     /// and sampling-order hazards all refuse to run.
     ///
     /// Returns the mean per-example squared reconstruction error
@@ -211,14 +216,7 @@ impl Rbm {
         scratch: &mut RbmScratch,
         learning_rate: f32,
     ) -> f64 {
-        let b = v0.rows();
-        assert!(b > 0, "empty batch");
-        assert!(b <= scratch.max_batch, "batch exceeds scratch capacity");
-        let cfg = self.cfg;
-        let mut g = build_cd_graph(cfg.n_visible, cfg.n_hidden, b, cfg.cd_steps);
-        let mut state = CdState::new(self, scratch, v0, learning_rate);
-        g.run_serial(ctx, &mut state);
-        state.recon_err
+        run_cd_step(self, ctx, v0, scratch, learning_rate, false, false).0
     }
 
     /// One Persistent Contrastive Divergence update (Tieleman's PCD; also
@@ -230,7 +228,7 @@ impl Rbm {
     /// training. The chain lives in the scratch and is initialized from the
     /// first batch it sees; the step itself is
     /// [`crate::cd_graph::build_pcd_graph`] run in declaration order, so it
-    /// is verified exactly as [`Rbm::cd_step`] is.
+    /// is kept and verified exactly as [`Rbm::cd_step`]'s is.
     pub fn pcd_step(
         &mut self,
         ctx: &ExecCtx,
@@ -238,15 +236,7 @@ impl Rbm {
         scratch: &mut RbmScratch,
         learning_rate: f32,
     ) -> f64 {
-        let b = v0.rows();
-        assert!(b > 0, "empty batch");
-        assert!(b <= scratch.max_batch, "batch exceeds scratch capacity");
-        scratch.seed_chain(v0);
-        let cfg = self.cfg;
-        let mut g = build_pcd_graph(cfg.n_visible, cfg.n_hidden, b);
-        let mut state = CdState::new(self, scratch, v0, learning_rate);
-        g.run_serial(ctx, &mut state);
-        state.recon_err
+        run_cd_step(self, ctx, v0, scratch, learning_rate, true, false).0
     }
 
     /// Mean per-example squared one-step reconstruction error without

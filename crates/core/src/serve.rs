@@ -39,7 +39,7 @@ use std::time::Instant;
 use crate::exec::ExecCtx;
 use crate::faults;
 use crate::finetune::FineTuneNet;
-use crate::graph::{BufClass, BufId, NodeSpec, TaskGraph, Workspace};
+use crate::graph::{BufClass, BufId, NodeSpec, NodeState, TaskGraph, Workspace};
 use crate::supervise::panic_message;
 use micdnn_tensor::{Mat, MatView, MatViewMut};
 use serde::Serialize;
@@ -248,6 +248,10 @@ pub struct ServeState<'a> {
     x: MatView<'a>,
 }
 
+impl NodeState for ServeState<'_> {
+    type At<'a> = ServeState<'a>;
+}
+
 /// Builds the forward-only inference dataflow for a `widths`-shaped
 /// encoder stack and `n_classes` head: the layer chain of
 /// `sigmoid(input W^T + b)` nodes feeding the softmax head. Buffers are
@@ -291,7 +295,7 @@ pub fn build_forward_graph<'a>(
         let reads = [a_prev.unwrap_or(xb), wl[l], bl[l]];
         g.node(
             NodeSpec::new("forward").reads(&reads).writes(&[a_cur]),
-            move |ctx, st: &mut ServeState<'a>| {
+            move |ctx, st: &mut ServeState<'_>| {
                 let b = st.x.rows();
                 let (w, bias) = &st.net.layer_params()[l];
                 let h = w.rows();
@@ -320,7 +324,7 @@ pub fn build_forward_graph<'a>(
         NodeSpec::new("softmax")
             .reads(&[a_top, wsm, bsm])
             .writes(&[probs]),
-        move |ctx, st: &mut ServeState<'a>| {
+        move |ctx, st: &mut ServeState<'_>| {
             let b = st.x.rows();
             let (c, code) = (st.net.softmax.n_classes(), st.net.softmax.in_dim());
             let [a, p] = st.ws.bufs_mut([a_top, probs]);

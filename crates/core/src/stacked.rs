@@ -10,7 +10,7 @@
 
 use crate::autoencoder::{AeConfig, AeScratch, SparseAutoencoder};
 use crate::exec::ExecCtx;
-use crate::graph::{BufClass, BufId, NodeSpec, TaskGraph};
+use crate::graph::{BufClass, BufId, NodeSpec, NodeState, TaskGraph};
 use crate::train::{train_dataset_at, AeModel, TrainConfig, TrainError, TrainReport};
 use micdnn_data::{ChunkGeometry, Dataset};
 use micdnn_sim::EventKind;
@@ -279,6 +279,10 @@ pub struct PipelineState {
     staged: Vec<Vec<Mat>>,
     /// Per-layer last-pass reconstruction error, summed over examples.
     recon: Vec<f64>,
+}
+
+impl NodeState for PipelineState {
+    type At<'a> = PipelineState;
 }
 
 /// Builds the pipelined stacked pre-training DAG. Declaration order is

@@ -38,7 +38,7 @@
 //! [`crate::ExecCtx::with_verify`] (CLI `--verify`) in release builds.
 //! Errors panic with the full report; warnings never do.
 
-use crate::graph::{BufClass, BufId, NodeId, TaskGraph, WorkspacePlan};
+use crate::graph::{BufClass, BufId, NodeId, NodeState, TaskGraph, WorkspacePlan};
 use serde::Serialize;
 use std::fmt;
 
@@ -244,11 +244,11 @@ impl fmt::Display for VerifyReport {
 }
 
 /// `(node, label)` pair for diagnostics.
-fn tag<S>(g: &TaskGraph<'_, S>, id: NodeId) -> (NodeId, &'static str) {
+fn tag<S: NodeState>(g: &TaskGraph<'_, S>, id: NodeId) -> (NodeId, &'static str) {
     (id, g.names[id])
 }
 
-impl<S> TaskGraph<'_, S> {
+impl<S: NodeState> TaskGraph<'_, S> {
     /// Runs the static analysis against a freshly computed workspace plan.
     pub fn verify(&self) -> VerifyReport {
         self.verify_with_plan(&self.plan())
@@ -971,7 +971,7 @@ pub(crate) struct RaceTracker {
 impl RaceTracker {
     /// Builds the tracker from the graph's footprints and the plan's
     /// buffer-to-register assignment (externals get virtual slots).
-    pub(crate) fn new<S>(g: &TaskGraph<'_, S>, plan: &WorkspacePlan) -> Self {
+    pub(crate) fn new<S: NodeState>(g: &TaskGraph<'_, S>, plan: &WorkspacePlan) -> Self {
         use std::sync::atomic::AtomicU64;
         let nb = g.bufs.len();
         let nr = plan.num_registers();

@@ -17,12 +17,16 @@
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
-use micdnn::{BufClass, BufId, ExecCtx, NodeSpec, OptLevel, TaskGraph};
+use micdnn::{BufClass, BufId, ExecCtx, NodeSpec, NodeState, OptLevel, TaskGraph};
 use micdnn_kernels::OpCost;
 use micdnn_sim::Platform;
 use micdnn_tensor::Mat;
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
+
+/// A boxed node body, higher-ranked over the borrows of one run.
+type Task<'g, S> =
+    Box<dyn for<'a> FnMut(&ExecCtx, &mut <S as NodeState>::At<'a>) + Send + Sync + 'g>;
 
 /// One randomly generated dataflow graph: node `i` writes its own buffer
 /// and reads the buffers of `deps[i]` (all `< i`), so every dependency is
@@ -67,9 +71,9 @@ impl RandomDag {
     /// Builds the `TaskGraph`, wiring each node's task through `make_task`,
     /// and checks that the builder inferred exactly the chosen edges — so
     /// every property below tests the graph it drew.
-    fn build<'g, S: 'g>(
+    fn build<'g, S: NodeState + 'g>(
         &self,
-        mut make_task: impl FnMut(usize) -> Box<dyn FnMut(&ExecCtx, &mut S) + Send + 'g>,
+        mut make_task: impl FnMut(usize) -> Task<'g, S>,
     ) -> (TaskGraph<'g, S>, Vec<BufId>) {
         let mut g: TaskGraph<'g, S> = TaskGraph::new();
         let mut bufs = Vec::with_capacity(self.deps.len());
@@ -112,6 +116,10 @@ impl RandomDag {
 struct OrderLog {
     done: Vec<AtomicBool>,
     violations: AtomicUsize,
+}
+
+impl NodeState for OrderLog {
+    type At<'a> = OrderLog;
 }
 
 /// Exhaustive longest-path search (no memoisation — genuinely brute force;

@@ -113,11 +113,11 @@ fn aliasing_a_live_buffer_reports_unsafe_alias() {
 
 #[test]
 fn debug_executor_refuses_a_corrupted_graph() {
-    // `cargo test` keeps debug-assertions on, so `execute` verifies every
-    // graph before running it and must panic with the full report.
+    // `execute` verifies a graph before its first run — always in debug
+    // builds, on request in release — and must panic with the full report.
     let mut g = three_stage();
     g.testonly_drop_dep(1, 0);
-    let ctx = ExecCtx::native(OptLevel::Improved, 0);
+    let ctx = ExecCtx::native(OptLevel::Improved, 0).with_verify();
     let err = catch_unwind(AssertUnwindSafe(|| {
         g.execute(&ctx, &mut ());
     }))
