@@ -6,7 +6,17 @@
 //! several loops makes the granularity suitable for the platform. These
 //! kernels are those combined loops: each replaces two or three separate
 //! sweeps (and their barriers) with a single pass.
+//!
+//! The fused sigmoid, [`bias_sigmoid_rows`], runs one `#[inline(always)]`
+//! body in the portable, AVX2 and AVX-512 instantiations of the crate's
+//! `isa` module, picked by the same detection as the GEMM, one call per
+//! task's block of rows. The body adds the bias row by row, then runs the
+//! sigmoid (with the crate's own `expf`, see `vecops`) over the whole block
+//! as one flat slice, so that rows narrower than a vector (the CNN's eight
+//! channels) still fill it. The value it stores before the sigmoid is the
+//! `v + b` the one-expression form fed to it, so the bits are the same.
 
+use crate::isa::{per_isa, Isa};
 use crate::{Par, PAR_THRESHOLD};
 use micdnn_tensor::{MatView, MatViewMut};
 use rayon::prelude::*;
@@ -15,33 +25,44 @@ use rayon::prelude::*;
 /// separate sigmoid sweep).
 pub(crate) fn add_bias_rows(par: Par, bias: &[f32], c: &mut MatViewMut<'_>) {
     assert_eq!(bias.len(), c.cols(), "add_bias_rows: bias length mismatch");
-    let cols = c.cols();
-    let body = |rows: &mut [f32]| {
-        for row in rows.chunks_exact_mut(cols) {
-            for (v, &b) in row.iter_mut().zip(bias) {
-                *v += b;
-            }
-        }
-    };
-    run_rows(par, c, cols, body);
+    run_rows(par, c, bias.len(), |rows| add_bias_chunk(bias, rows));
 }
 
 /// Fused `c = sigmoid(c + bias)` per row — one sweep, one barrier.
 pub(crate) fn bias_sigmoid_rows(par: Par, bias: &[f32], c: &mut MatViewMut<'_>) {
+    bias_sigmoid_rows_on(Isa::detect(), par, bias, c);
+}
+
+/// [`bias_sigmoid_rows`] on the `isa` instantiation.
+fn bias_sigmoid_rows_on(isa: Isa, par: Par, bias: &[f32], c: &mut MatViewMut<'_>) {
     assert_eq!(
         bias.len(),
         c.cols(),
         "bias_sigmoid_rows: bias length mismatch"
     );
-    let cols = c.cols();
-    let body = |rows: &mut [f32]| {
-        for row in rows.chunks_exact_mut(cols) {
-            for (v, &b) in row.iter_mut().zip(bias) {
-                *v = crate::vecops::sigmoid_scalar(*v + b);
-            }
+    run_rows(par, c, bias.len(), |rows| bias_sigmoid_on(isa, bias, rows));
+}
+
+per_isa! {
+    /// [`bias_sigmoid_chunk`] as compiled for `isa`.
+    fn bias_sigmoid_on(bias: &[f32], rows: &mut [f32]) = bias_sigmoid_chunk;
+}
+
+/// `rows += bias` per row, then the sigmoid over the whole block.
+#[inline(always)]
+fn bias_sigmoid_chunk(bias: &[f32], rows: &mut [f32]) {
+    add_bias_chunk(bias, rows);
+    crate::vecops::sigmoid_chunk(rows);
+}
+
+/// `row += bias` for each `bias.len()`-wide row of `rows`.
+#[inline(always)]
+fn add_bias_chunk(bias: &[f32], rows: &mut [f32]) {
+    for row in rows.chunks_exact_mut(bias.len()) {
+        for (v, &b) in row.iter_mut().zip(bias) {
+            *v += b;
         }
-    };
-    run_rows(par, c, cols, body);
+    }
 }
 
 /// Fused output-layer delta of the autoencoder:
@@ -185,7 +206,53 @@ fn run_rows(par: Par, c: &mut MatViewMut<'_>, cols: usize, body: impl Fn(&mut [f
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::isa::tests::instantiations;
+    use crate::vecops::tests::mixed_values;
     use micdnn_tensor::Mat;
+
+    #[test]
+    fn bias_sigmoid_instantiations_bitwise_equal_to_portable() {
+        // Every row width from 1 to one past the vector width, at row
+        // counts on both sides of the fork threshold. The reference is the
+        // one-expression form `sigmoid(v + b)` per element, which the
+        // kernel computed before it stored `v + b` and swept the block.
+        // Where `v` and `b` are both NaN, IEEE 754 leaves open which payload
+        // the sum carries (and LLVM may swap the operands of an add), so
+        // there the result need only be a NaN.
+        let same = |want: &[f32], got: &[f32], src: &[f32], bias: &[f32]| {
+            want.iter().zip(got).enumerate().all(|(i, (w, g))| {
+                if src[i].is_nan() && bias[i % bias.len()].is_nan() {
+                    g.is_nan()
+                } else {
+                    w.to_bits() == g.to_bits()
+                }
+            })
+        };
+        let isas = instantiations("bias_sigmoid_instantiations_bitwise_equal_to_portable");
+        for cols in 1..=17 {
+            let bias = mixed_values(cols, 3);
+            let over = PAR_THRESHOLD.div_ceil(cols);
+            for rows in [0, 1, 3, over - 1, over + 1, 2 * over + 1] {
+                let src = Mat::from_vec(rows, cols, mixed_values(rows * cols, 4)).unwrap();
+                let mut expected = src.clone();
+                for row in expected.as_mut_slice().chunks_exact_mut(cols) {
+                    for (v, &b) in row.iter_mut().zip(&bias) {
+                        *v = crate::vecops::sigmoid_scalar(*v + b);
+                    }
+                }
+                for &isa in &isas {
+                    for par in [Par::Seq, Par::Rayon] {
+                        let mut c = src.clone();
+                        bias_sigmoid_rows_on(isa, par, &bias, &mut c.view_mut());
+                        assert!(
+                            same(expected.as_slice(), c.as_slice(), src.as_slice(), &bias),
+                            "{isa:?} {par:?} at {rows}x{cols}"
+                        );
+                    }
+                }
+            }
+        }
+    }
 
     #[test]
     fn bias_rows_added() {

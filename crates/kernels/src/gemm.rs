@@ -35,12 +35,12 @@
 //! **One source, three instantiations.** The kernel body — the macro-kernel
 //! around the microkernel — is safe `#[inline(always)]` code, const-generic
 //! over the tile `MR x NR`, as are the pack buffers of the loop nest around
-//! it. The body is compiled three times: as is; inside a
+//! it. The body is compiled three times, as the crate's `isa` module
+//! describes for every kernel: as is; inside a
 //! `#[target_feature(enable = "avx2,fma")]` function; and inside a
 //! `#[target_feature(enable = "avx512f,avx2,fma")]` one. `Isa::detect`
-//! picks the widest the CPU runs (`is_x86_feature_detected!`, which caches
-//! its answer), and LLVM turns the same loops into `vfmadd231ps` on `ymm`
-//! or `zmm` registers. The feature boundary sits at the macro-kernel on
+//! picks the widest the CPU runs, and LLVM turns the same loops into
+//! `vfmadd231ps` on `ymm` or `zmm` registers. The feature boundary sits at the macro-kernel on
 //! purpose: with the whole nest compiled under the feature, LLVM kept the
 //! tile in registers only after link-time optimisation, and a build without
 //! it (the test profile) ran at a tenth of the speed.
@@ -117,16 +117,10 @@
 //! reach C as NaN, as in [`crate::naive::gemm_ref`]. `alpha == 0` and zero extents reduce to the
 //! `beta` scaling and read neither A nor B.
 
+use crate::isa::{Isa, TILE_YMM, TILE_ZMM};
 use crate::Par;
 use micdnn_tensor::{MatView, MatViewMut};
 use rayon::prelude::*;
-
-/// `(MR, NR)` of the portable and AVX2 instantiations: a row of the tile is
-/// two 8-lane `ymm` vectors.
-const TILE_YMM: (usize, usize) = (6, 16);
-/// `(MR, NR)` of the AVX-512 instantiation: a row of the tile is two
-/// 16-lane `zmm` vectors.
-const TILE_ZMM: (usize, usize) = (12, 32);
 
 /// Cache-blocking parameters; [`gemm`] always runs [`BLOCKING`], the tests
 /// sweep odd values through [`gemm_with`].
@@ -185,59 +179,6 @@ const BLOCKING: GemmBlocking = GemmBlocking {
 /// filter gradient's 25 columns fit one 32-wide tile, so its "split" is a
 /// single part.
 const MIN_FLOPS_PER_WORKER: usize = 1 << 20;
-
-/// Which instantiation of the kernel runs, and at which tile. A value other
-/// than `Portable` reaches [`gemm_with`] only where [`Isa::runs_here`]
-/// holds.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Isa {
-    /// The kernel as compiled for the build's baseline target.
-    Portable,
-    /// The kernel compiled with AVX2 and FMA enabled.
-    #[cfg(target_arch = "x86_64")]
-    Avx2Fma,
-    /// The kernel compiled with AVX-512F, AVX2 and FMA enabled.
-    #[cfg(target_arch = "x86_64")]
-    Avx512,
-}
-
-impl Isa {
-    /// The fastest instantiation this CPU can run.
-    fn detect() -> Self {
-        #[cfg(target_arch = "x86_64")]
-        for isa in [Isa::Avx512, Isa::Avx2Fma] {
-            if isa.runs_here() {
-                return isa;
-            }
-        }
-        Isa::Portable
-    }
-
-    /// Whether the running CPU has every feature the instantiation is
-    /// compiled with.
-    fn runs_here(self) -> bool {
-        #[cfg(target_arch = "x86_64")]
-        use std::arch::is_x86_feature_detected as has;
-        match self {
-            Isa::Portable => true,
-            #[cfg(target_arch = "x86_64")]
-            Isa::Avx2Fma => has!("avx2") && has!("fma"),
-            #[cfg(target_arch = "x86_64")]
-            Isa::Avx512 => has!("avx512f") && has!("avx2") && has!("fma"),
-        }
-    }
-
-    /// `(MR, NR)`, the register tile the instantiation runs at.
-    fn tile(self) -> (usize, usize) {
-        match self {
-            Isa::Portable => TILE_YMM,
-            #[cfg(target_arch = "x86_64")]
-            Isa::Avx2Fma => TILE_YMM,
-            #[cfg(target_arch = "x86_64")]
-            Isa::Avx512 => TILE_ZMM,
-        }
-    }
-}
 
 /// Operated dimensions of a (possibly transposed) view: `(rows, cols)` of
 /// `op(X)`.
@@ -571,6 +512,7 @@ fn micro_kernel<const MR: usize, const NR: usize>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::isa::tests::instantiations;
     use crate::naive::gemm_ref;
     use micdnn_tensor::{max_abs_diff, Mat};
     use rand::rngs::StdRng;
@@ -612,17 +554,6 @@ mod tests {
     /// [`product_on`] the instantiation [`gemm`] picks.
     fn product(par: Par, alpha: f32, a: (&Mat, bool), b: (&Mat, bool), beta: f32, c0: &Mat) -> Mat {
         product_on(Isa::detect(), par, alpha, a, b, beta, c0)
-    }
-
-    /// Every instantiation this CPU runs; prints, under the test's name,
-    /// which ran and which were skipped.
-    fn instantiations(test: &str) -> Vec<Isa> {
-        let mut all = vec![Isa::Portable];
-        #[cfg(target_arch = "x86_64")]
-        all.extend([Isa::Avx2Fma, Isa::Avx512]);
-        let (ran, skipped): (Vec<_>, Vec<_>) = all.into_iter().partition(|isa| isa.runs_here());
-        println!("{test}: ran {ran:?}, skipped (not on this CPU) {skipped:?}");
-        ran
     }
 
     /// The blocking override `custom_blocking_same_result` sweeps.

@@ -23,6 +23,7 @@ mod backend;
 pub mod conv;
 mod fused;
 mod gemm;
+mod isa;
 pub mod naive;
 mod ops;
 mod reduce;

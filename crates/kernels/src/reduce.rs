@@ -6,7 +6,7 @@
 //! (column sums of activation/delta matrices). Rows are reduced in fixed
 //! order per column so results are deterministic under threading.
 
-use crate::vecops::axpy_chunk;
+use crate::vecops::{axpy_chunk, LANES};
 use crate::{Par, PAR_THRESHOLD};
 use micdnn_tensor::MatView;
 use rayon::prelude::*;
@@ -15,7 +15,9 @@ use rayon::prelude::*;
 ///
 /// Implemented as a row sweep with vectorized row-axpys: `out += row_r` for
 /// each r in order, which keeps accumulation order fixed and the inner loop
-/// wide. The parallel variant splits the *columns* so each task owns a
+/// wide. Rows narrower than [`LANES`] (the CNN's bias gradient, eight
+/// channels wide) accumulate in a local array instead, in the same order.
+/// The parallel variant splits the *columns* so each task owns a
 /// disjoint slice of `out` and still sweeps rows in order — bitwise equal to
 /// the sequential sweep.
 pub(crate) fn colsum(par: Par, a: MatView<'_>, out: &mut [f32]) {
@@ -34,6 +36,18 @@ pub(crate) fn colsum(par: Par, a: MatView<'_>, out: &mut [f32]) {
                 axpy_chunk(1.0, row, oc);
             }
         });
+    } else if a.cols() < LANES {
+        // A row narrower than a vector would fall wholly into `axpy_chunk`'s
+        // scalar tail, once per row; keep the running sums in a local
+        // register-width array instead, still adding the rows in order.
+        let mut acc = [0.0f32; LANES];
+        let acc = &mut acc[..a.cols()];
+        for row in a.as_slice().chunks_exact(a.cols()) {
+            for (s, &x) in acc.iter_mut().zip(row) {
+                *s += x;
+            }
+        }
+        out.copy_from_slice(acc);
     } else {
         for r in 0..a.rows() {
             axpy_chunk(1.0, a.row(r), out);
@@ -84,6 +98,25 @@ mod tests {
         colsum(Par::Seq, a.view(), &mut fast);
         crate::naive::colsum_ref(a.view(), &mut slow);
         assert_eq!(fast, slow);
+    }
+
+    #[test]
+    fn colsum_narrow_and_wide_rows_match_naive_bitwise() {
+        // Widths on both sides of LANES, values whose sums round, a NaN
+        // and a -0.0 column: the row order of every column sum is pinned.
+        for cols in 1..=2 * LANES + 1 {
+            let a = Mat::from_fn(301, cols, |r, c| match (r, c) {
+                (7, 0) => f32::NAN,
+                (_, 1) => -0.0,
+                _ => ((r * 31 + c * 7) as f32).sin() * 1e3,
+            });
+            let mut fast = vec![1.0f32; cols];
+            let mut slow = vec![0.0f32; cols];
+            colsum(Par::Seq, a.view(), &mut fast);
+            crate::naive::colsum_ref(a.view(), &mut slow);
+            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&fast), bits(&slow), "{cols} columns");
+        }
     }
 
     #[test]

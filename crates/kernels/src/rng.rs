@@ -9,12 +9,22 @@
 //!
 //! The hash is SplitMix64, which passes BigCrush and is more than adequate
 //! for Monte-Carlo style sampling.
+//!
+//! Sampling runs one `#[inline(always)]` body in the portable, AVX2 and
+//! AVX-512 instantiations of the crate's `isa` module, picked by the same
+//! detection as the GEMM, one call per chunk. Every draw is integer
+//! arithmetic, a conversion of 24 bits that `f32` holds exactly and one
+//! comparison, so the instantiations agree bit for bit by construction
+//! (the tests pin it). The AVX-512 one has no 64-bit multiply without
+//! AVX-512DQ, which the Xeon Phi x200 lacks; LLVM emulates it from 32-bit
+//! ones and still draws several times faster than the scalar loop.
 
+use crate::isa::{per_isa, Isa};
 use crate::{Par, PAR_THRESHOLD};
 use rayon::prelude::*;
 
 /// SplitMix64 finalizer over a combined counter.
-#[inline]
+#[inline(always)]
 pub(crate) fn splitmix64(x: u64) -> u64 {
     let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -23,7 +33,7 @@ pub(crate) fn splitmix64(x: u64) -> u64 {
 }
 
 /// Uniform `f32` in `[0, 1)` as a pure function of `(seed, stream, idx)`.
-#[inline]
+#[inline(always)]
 pub fn uniform01(seed: u64, stream: u64, idx: u64) -> f32 {
     let h = splitmix64(seed ^ stream.wrapping_mul(0xA24B_AED4_963E_E407) ^ idx.rotate_left(17));
     // Take the top 24 bits for a dyadic uniform in [0, 1).
@@ -99,12 +109,22 @@ pub(crate) fn bernoulli_at(
     probs: &[f32],
     out: &mut [f32],
 ) {
+    bernoulli_at_on(Isa::detect(), par, seed, stream, elem_base, probs, out);
+}
+
+/// [`bernoulli_at`] on the `isa` instantiation.
+fn bernoulli_at_on(
+    isa: Isa,
+    par: Par,
+    seed: u64,
+    stream: StreamId,
+    elem_base: u64,
+    probs: &[f32],
+    out: &mut [f32],
+) {
     assert_eq!(probs.len(), out.len(), "bernoulli: length mismatch");
     let body = |base: usize, pc: &[f32], oc: &mut [f32]| {
-        for (i, (&p, o)) in pc.iter().zip(oc.iter_mut()).enumerate() {
-            let u = uniform01(seed, stream.0, elem_base + (base + i) as u64);
-            *o = if u < p { 1.0 } else { 0.0 };
-        }
+        bernoulli_on(isa, seed, stream.0, elem_base + base as u64, pc, oc);
     };
     if par.is_parallel() && out.len() >= PAR_THRESHOLD {
         out.par_chunks_mut(PAR_THRESHOLD)
@@ -116,9 +136,74 @@ pub(crate) fn bernoulli_at(
     }
 }
 
+per_isa! {
+    /// [`bernoulli_chunk`] as compiled for `isa`.
+    fn bernoulli_on(seed: u64, stream: u64, base: u64, probs: &[f32], out: &mut [f32]) =
+        bernoulli_chunk;
+}
+
+/// `out[i] = (uniform01(seed, stream, base + i) < probs[i]) ? 1.0 : 0.0`.
+#[inline(always)]
+fn bernoulli_chunk(seed: u64, stream: u64, base: u64, probs: &[f32], out: &mut [f32]) {
+    for (i, (&p, o)) in probs.iter().zip(out.iter_mut()).enumerate() {
+        let u = uniform01(seed, stream, base + i as u64);
+        *o = if u < p { 1.0 } else { 0.0 };
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::isa::tests::instantiations;
+    use crate::vecops::tests::{bits, hostile_values, mixed_values, SWEEP_LENGTHS};
+
+    #[test]
+    fn bernoulli_instantiations_bitwise_equal_to_portable() {
+        // Probabilities in [0, 1], hostile values (NaN never fires, a
+        // negative probability never, one above 1 always) and a base
+        // offset large enough to use the counter's high bits.
+        let isas = instantiations("bernoulli_instantiations_bitwise_equal_to_portable");
+        for len in SWEEP_LENGTHS {
+            let probs: Vec<f32> = mixed_values(len, 6)
+                .iter()
+                .enumerate()
+                .map(|(i, &x)| if i % 2 == 0 { x } else { x / 70.0 + 0.5 })
+                .collect();
+            for elem_base in [0, 13, 1 << 40] {
+                let mut portable = vec![0.5f32; len];
+                bernoulli_at_on(
+                    Isa::Portable,
+                    Par::Seq,
+                    9,
+                    StreamId(2),
+                    elem_base,
+                    &probs,
+                    &mut portable,
+                );
+                for &isa in &isas {
+                    for par in [Par::Seq, Par::Rayon] {
+                        let mut out = vec![0.5f32; len];
+                        bernoulli_at_on(isa, par, 9, StreamId(2), elem_base, &probs, &mut out);
+                        assert_eq!(
+                            bits(&portable),
+                            bits(&out),
+                            "{isa:?} {par:?} at length {len}, base {elem_base}"
+                        );
+                    }
+                }
+            }
+        }
+        let hostile = hostile_values();
+        let mut out = vec![0.5f32; hostile.len()];
+        bernoulli(Par::Seq, 1, StreamId(0), &hostile, &mut out);
+        for (&p, &o) in hostile.iter().zip(&out) {
+            if p.is_nan() || p <= 0.0 {
+                assert_eq!(o, 0.0, "p = {p:e} never fires");
+            } else if p >= 1.0 {
+                assert_eq!(o, 1.0, "p = {p:e} always fires");
+            }
+        }
+    }
 
     #[test]
     fn uniform01_in_range_and_varied() {
