@@ -6,8 +6,8 @@
 
 use micdnn::train::{train_dataset, AeModel, RbmModel, TrainConfig, UnsupervisedModel};
 use micdnn::{
-    ae_step_graph, cd_step_graph, AeConfig, AeScratch, ExecCtx, FineTuneNet, OptLevel, Optimizer,
-    Rbm, RbmConfig, RbmScratch, Rule, Schedule, SparseAutoencoder,
+    ae_step_graph, cd_step_graph, AeConfig, AeScratch, CnnConfig, CnnNet, ExecCtx, FineTuneNet,
+    OptLevel, Optimizer, Rbm, RbmConfig, RbmScratch, Rule, Schedule, SparseAutoencoder,
 };
 use micdnn_data::{Dataset, DigitGenerator};
 
@@ -167,6 +167,7 @@ const AE_GOLDEN: &[u8] = include_bytes!("golden/layer_ae_run.bin");
 const RBM_GOLDEN: &[u8] = include_bytes!("golden/layer_rbm_run.bin");
 const FT_GOLDEN: &[u8] = include_bytes!("golden/layer_ft_run.bin");
 const PCD_GOLDEN: &[u8] = include_bytes!("golden/layer_pcd_run.bin");
+const CNN_GOLDEN: &[u8] = include_bytes!("golden/layer_cnn_run.bin");
 
 /// With `UPDATE_GOLDEN=1`, rewrites the golden file instead of comparing.
 /// Returns true when the caller should skip the assertion.
@@ -311,5 +312,44 @@ fn pcd_step_reproduces_prerefactor_bytes() {
     assert_eq!(
         record, PCD_GOLDEN,
         "PCD step diverged from the pre-refactor hand-rolled run"
+    );
+}
+
+#[test]
+fn cnn_run_reproduces_prekernel_bytes() {
+    // Four SGD steps of the benchmark's CNN (28x28 digits, 8 filters of
+    // 5x5, 2x2 pooling, 64 hidden units, batches of 50): its two heavy
+    // products are the `28800x8x25` im2col product and the `8x25x28800`
+    // filter gradient, so a GEMM change that moves a bit of either moves
+    // this record. It holds the RNG cursor, every per-step loss and every
+    // parameter tensor, and was recorded before the GEMM grew its depth
+    // split, narrow tile and unpacked A.
+    let ds = digit_data(200, 28, 25);
+    let labels: Vec<usize> = (0..200).map(|i| i % 10).collect();
+    let ctx = ExecCtx::native(OptLevel::Improved, 16);
+    let mut net = CnnNet::new(CnnConfig::new(28, 8, 5, 2, 64, 10), 16);
+    let mut losses = Vec::new();
+    for lo in (0..200).step_by(50) {
+        let x = ds.batch(lo, lo + 50);
+        losses.push(net.train_batch(&ctx, x, &labels[lo..lo + 50], 0.2));
+    }
+
+    let mut record = Vec::new();
+    push_rng(&mut record, ctx.rng_state());
+    for loss in &losses {
+        record.extend_from_slice(&loss.to_le_bytes());
+    }
+    push_f32s(&mut record, net.conv_w.as_slice());
+    push_f32s(&mut record, &net.conv_b);
+    push_f32s(&mut record, net.dense_w.as_slice());
+    push_f32s(&mut record, &net.dense_b);
+    push_f32s(&mut record, net.softmax.w.as_slice());
+    push_f32s(&mut record, &net.softmax.b);
+    if maybe_update("layer_cnn_run.bin", &record) {
+        return;
+    }
+    assert_eq!(
+        record, CNN_GOLDEN,
+        "CNN run diverged from the record made before the GEMM's CNN paths"
     );
 }
