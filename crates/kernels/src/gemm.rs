@@ -13,24 +13,41 @@
 //!   B is materialised — source rows are always read contiguously;
 //! * under a B slab, rows of C are walked in `MC`-row blocks, each packing
 //!   `alpha * op(A)` into `MR`-row panels stored p-major
-//!   (`panel[p * MR + i]`);
+//!   (`panel[p * MR + i]`) — unless the slab is a single B panel
+//!   (`n <= NR`). Then every element of A meets one B panel only, so a pack
+//!   would cost a pass over A and save none, and the microkernel broadcasts
+//!   `alpha * A[i,p]` straight from A's storage, read through a (row stride,
+//!   column stride) accessor that serves either transpose: the value the
+//!   pack would have stored;
 //! * the microkernel multiplies one A panel by one B panel into an
 //!   `MR x NR` tile of accumulators that lives in registers for the whole
 //!   k-slab, and the tile is added to C once per slab. Edge panels are
-//!   zero-padded to full width; their padding lanes are computed and never
-//!   stored.
+//!   zero-padded to full width (an A read in place re-reads its last row
+//!   instead); their padding lanes are computed and never stored.
 //!
 //! **Threads.** A product large enough to pay for a fork (see
-//! `MIN_FLOPS_PER_WORKER`) is cut along the longer side of C into one
-//! balanced, tile-aligned part per worker — whole rows when `m >= n`, one
-//! column range of every row otherwise — and every worker runs the
-//! sequential nest above on its part, with its own pack buffers, sized to
-//! the part and reused by every slab. That is one fork per call and no
-//! shared mutable state: the operand along the split side is packed in
-//! parallel, each worker its own share, and only the smaller operand is
-//! packed once per worker. Both splits hand out disjoint `&mut` slices of
-//! C (a column range is held as that segment of every row), so there is no
-//! aliasing to argue about and nothing to register with `race-check`.
+//! `MIN_FLOPS_PER_WORKER`) is cut into one balanced part per worker, in one
+//! of three ways:
+//!
+//! * whole rows, when `m >= n`;
+//! * one column range of every row, when `m < n`;
+//! * a contiguous run of k-slabs, when C is a single tile (`m <= MR` and
+//!   `n <= NR`) and so has no side to cut. Each worker writes every slab's
+//!   raw tile into a `slabs x m x n` scratch, and the caller then adds the
+//!   tiles into C in ascending slab order, which is step 2 of the contract
+//!   below exactly. The CNN's filter gradient `8x25x28800` is such a
+//!   product: one tile deep 113 slabs, which otherwise ran on one thread.
+//!
+//! A part is a whole number of tiles (or slabs) of the side being cut, and
+//! gets at least `MIN_FLOPS_PER_WORKER`. Every worker runs the sequential
+//! nest above on its part, with its own pack buffers, sized to the part and
+//! reused by every slab. That is one fork per call and no shared mutable
+//! state: the operand along the split side is packed in parallel, each
+//! worker its own share, and only the smaller operand is packed once per
+//! worker. Every split hands out disjoint `&mut` slices — of C's rows, of
+//! each row's segment in a column range, or of the scratch's runs of
+//! tiles — so there is no aliasing to argue about and nothing to register
+//! with `race-check`.
 //!
 //! **One source, three instantiations.** The kernel body — the macro-kernel
 //! around the microkernel — is safe `#[inline(always)]` code, const-generic
@@ -64,11 +81,12 @@
 //! |---|---|---|---|
 //! | portable, AVX2+FMA | 16 `ymm`, 8 lanes | `6 x 16` | 12 + 2 + 1 = 15 |
 //! | AVX-512 | 32 `zmm`, 16 lanes | `12 x 32` | 24 + 2 + 1 = 27 |
+//! | AVX-512, `n <= 16` | 32 `zmm`, 16 lanes | `6 x 16` | 6 + 1 + 1 = 8 |
 //!
 //! `12 x 32` would need 48 `ymm` accumulators and spill, so the tile is a
-//! property of the instantiation, not a constant: `Isa::tile` names it, the
-//! split between workers aligns to it, and the pack buffers are sized by
-//! it. The AVX-512 tile was chosen by sweeping the AVX-512 instantiation
+//! property of the instantiation and the product's width, not a constant:
+//! `Isa::tile` names it, the split between workers aligns to it, and the
+//! pack buffers are sized by it. The AVX-512 tile was chosen by sweeping the AVX-512 instantiation
 //! over the ten products the tests pin at the benchmark shapes
 //! (`m x n x k`; GFLOP/s through [`gemm`] at two threads, median of five
 //! interleaved rounds, on a two-vCPU AVX-512 Xeon VM; the first column is
@@ -94,6 +112,20 @@
 //! vectors) no longer stay in registers and ran every product at
 //! 1–7 GFLOP/s.
 //!
+//! A product at most 16 columns wide fills one `zmm` per tile row, so at
+//! `12 x 32` it computes two padding lanes for every lane it stores (four at
+//! the CNN's `n = 8`). It runs at `6 x 16` instead: a third compilation of
+//! the same body under AVX-512, chosen from `n`. Only `6 x 16` ships: the
+//! taller narrow tiles fall off the cliff too. Time relative to `6 x 16`
+//! (through [`gemm`] at two threads, median of 11 interleaved pairs, two
+//! runs, same VM):
+//!
+//! | product | `12 x 16` | `24 x 16` | `12 x 32` |
+//! |---|---|---|---|
+//! | CNN im2col `28800x8x25` | 10.3, 9.9 | 8.3, 7.8 | 1.22, 1.20 |
+//! | softmax head `100x10x64` | 14.7, 11.8 | 10.9, 12.4 | 1.79, 1.29 |
+//! | softmax head `64x10x64` | 13.4, 11.5 | 9.4, 10.1 | 1.81, 1.36 |
+//!
 //! # The accumulation-order contract
 //!
 //! `C[i,j]` after the call is a function of row `i` of `op(A)`, column `j`
@@ -107,9 +139,10 @@
 //!
 //! It is never a function of `m`, `n`, the tile's position, whether the
 //! tile is an edge tile, `MC`/`NC`, the thread count, [`Par`] or the CPU
-//! feature in use. The fork rule, the row-or-column split, every blocking
-//! choice below and the register tile (which differs between
-//! instantiations) change packing and tiling, never this order.
+//! feature in use. The fork rule, the row, column or depth split, whether A
+//! is packed, every blocking choice below and the register tile (which
+//! differs between instantiations and widths) change packing and tiling,
+//! never this order.
 //! Bit-identical resume, graph == serial, sharded == unsharded, batched ==
 //! serial serving and thread-count invariance all rest on it, and it
 //! mirrors the paper's claim that its optimizations do not change the
@@ -117,13 +150,15 @@
 //! reach C as NaN, as in [`crate::naive::gemm_ref`]. `alpha == 0` and zero extents reduce to the
 //! `beta` scaling and read neither A nor B.
 
-use crate::isa::{Isa, TILE_YMM, TILE_ZMM};
+use crate::isa::{Isa, TILE_YMM, TILE_ZMM, TILE_ZMM_NARROW};
 use crate::Par;
 use micdnn_tensor::{MatView, MatViewMut};
 use rayon::prelude::*;
+use std::borrow::Borrow;
+use std::ops::Range;
 
-/// Cache-blocking parameters; [`gemm`] always runs [`BLOCKING`], the tests
-/// sweep odd values through [`gemm_with`].
+/// Cache-blocking and fork parameters; [`gemm`] always runs [`BLOCKING`],
+/// the tests sweep odd values through [`gemm_with`].
 #[derive(Debug, Clone, Copy)]
 struct GemmBlocking {
     /// Rows of C per packed A block.
@@ -132,52 +167,62 @@ struct GemmBlocking {
     kc: usize,
     /// Width of each packed B slab.
     nc: usize,
+    /// Flops each worker of a forked product must get.
+    min_flops: usize,
 }
 
 /// A B panel (`kc * NR` floats: 16 KiB at `NR = 16`, 32 KiB at 32) stays in
 /// L1 under the streaming A panels, an A block (`mc * kc` = 144 KiB) and a
 /// B slab (`kc * nc` = 512 KiB) in L2; the two are also all a worker
-/// allocates. `mc` is a whole number of panels at either tile. `kc` is part
+/// allocates. `mc` is a whole number of panels at every tile. `kc` is part
 /// of the accumulation-order contract.
 const BLOCKING: GemmBlocking = GemmBlocking {
     mc: 144,
     kc: 256,
     nc: 512,
+    min_flops: MIN_FLOPS_PER_WORKER,
 };
 
-/// A worker owns at least one tile's height of rows (or columns) of C,
-/// since a split never cuts a tile, and at least this many flops. A fork
-/// is one region on the rayon shim's persistent worker team (≈ 1 µs when
-/// the worker is awake), plus the operand every worker packs for itself.
-/// Measured on a two-vCPU VM at two threads, the median time of a two-way
-/// split over one worker (`m x n x k`, total Mflop, split / one), first
-/// under the AVX2 instantiation at `6 x 16`, then under the AVX-512 one at
-/// `12 x 32` (two runs of 21 alternating pairs each):
+/// A worker owns at least one tile's height of rows (or columns, or one
+/// k-slab) of C, since a split never cuts a tile, and at least this many
+/// flops. A fork is one region on the rayon shim's persistent worker team
+/// (≈ 1 µs when the worker is awake), plus the operand every worker packs
+/// for itself. Measured on a two-vCPU VM at two threads, the median time of
+/// a two-way split over one worker (`m x n x k`, total Mflop, split / one):
+/// under the AVX2 instantiation at `6 x 16`; under the AVX-512 one when it
+/// had the `12 x 32` tile only (two runs of 21 alternating pairs each); and
+/// under the AVX-512 one with the narrow tile, the depth split and A read in
+/// place (two runs of 21 alternating pairs, the split forced):
 ///
-/// | product | Mflop | AVX2 | AVX-512 |
-/// |---|---|---|---|
-/// | square 48 | 0.22 | 1.10 | 1.17, 1.50 |
-/// | RBM statistics `64x144x20` | 0.37 | 1.36 | 2.11, 1.62 |
-/// | RBM forward `20x64x144` | 0.37 | 0.75 | 1.36, 1.39 |
-/// | square 64 | 0.52 | 0.87 | 1.58, 1.20 |
-/// | square 96 | 1.8 | 0.77 | 1.26, 0.75 |
-/// | fine-tune `100x64x256` | 3.3 | 0.69 | 0.72, 0.53 |
-/// | fine-tune `100x256x64` | 3.3 | 0.75 | 1.31, 1.02 |
-/// | CNN im2col `28800x8x25` | 11.5 | 0.54 | 0.55, 0.61 |
-/// | CNN filter gradient `8x25x28800` | 11.5 | 0.73 | 1.00, 0.99 |
-/// | serving batch `64x256x784` | 25.7 | 0.55 | 0.58, 0.58 |
-/// | fine-tune `100x256x784` | 40.1 | 0.55 | 0.61, 0.60 |
-/// | fine-tune `256x784x100` | 40.1 | 0.56 | 0.68, 0.69 |
-/// | wide autoencoder `200x4096x1024` | 1678 | 0.51 | 0.56, 0.51 |
+/// | product | Mflop | AVX2 | AVX-512, `12x32` only | AVX-512 |
+/// |---|---|---|---|---|
+/// | square 48 | 0.22 | 1.10 | 1.17, 1.50 | 1.18, 1.32 |
+/// | RBM statistics `64x144x20` | 0.37 | 1.36 | 2.11, 1.62 | 1.46, 1.48 |
+/// | RBM forward `20x64x144` | 0.37 | 0.75 | 1.36, 1.39 | 0.79, 0.84 |
+/// | square 64 | 0.52 | 0.87 | 1.58, 1.20 | 0.96, 1.12 |
+/// | square 96 | 1.8 | 0.77 | 1.26, 0.75 | 0.75, 0.93 |
+/// | fine-tune `100x64x256` | 3.3 | 0.69 | 0.72, 0.53 | 0.58, 0.60 |
+/// | fine-tune `100x256x64` | 3.3 | 0.75 | 1.31, 1.02 | 0.87, 0.91 |
+/// | softmax head `64x10x64` | 0.08 | | | 1.18, 1.27 |
+/// | softmax head `100x10x64` | 0.13 | | | 1.03, 1.01 |
+/// | CNN im2col `28800x8x25` | 11.5 | 0.54 | 0.55, 0.61 | 0.55, 0.66 |
+/// | CNN filter gradient `8x25x28800` | 11.5 | 0.73 | 1.00, 0.99 | 0.58, 0.62 |
+/// | serving batch `64x256x784` | 25.7 | 0.55 | 0.58, 0.58 | 0.60, 0.70 |
+/// | fine-tune `100x256x784` | 40.1 | 0.55 | 0.61, 0.60 | 0.67, 0.63 |
+/// | fine-tune `256x784x100` | 40.1 | 0.56 | 0.68, 0.69 | 0.69, 0.75 |
+/// | wide autoencoder `200x4096x1024` | 1678 | 0.51 | 0.56, 0.51 | 0.50, 0.52 |
 ///
 /// Under AVX2, break-even lies between 0.2 and 0.5 Mflop and depends on the
 /// shape (the two RBM products have the same flops and opposite outcomes),
 /// so a product forks from 2 Mflop on, where every shape measured wins: the
 /// serving batch, fine-tune, im2col and filter-gradient products do, the
-/// RBM's stay on the calling thread. The faster AVX-512 kernel moves
-/// break-even up to 2–4 Mflop: `100x256x64` now forks at no gain, and the
-/// filter gradient's 25 columns fit one 32-wide tile, so its "split" is a
-/// single part.
+/// RBM's stay on the calling thread. The faster AVX-512 kernel moved
+/// break-even up to 2–4 Mflop, and `100x256x64` forked at no gain. With the
+/// narrow tile and the depth split, the products from 0.2 to 3.3 Mflop still
+/// go both ways from run to run, so the constant stays. The two CNN
+/// products now both win, the filter gradient through its k-slabs (it was a
+/// single part before), and the 10-class softmax heads, which run at the
+/// narrow tile, lose or tie far below the threshold.
 const MIN_FLOPS_PER_WORKER: usize = 1 << 20;
 
 /// Operated dimensions of a (possibly transposed) view: `(rows, cols)` of
@@ -231,6 +276,7 @@ fn gemm_with(
         return;
     }
 
+    let tile = isa.tile(n);
     let product = Product {
         alpha,
         a,
@@ -239,62 +285,150 @@ fn gemm_with(
         tb,
         blk,
         isa,
+        tile,
     };
     // Split the longer side of C: the operand along the other side is the
-    // one every worker packs for itself, so it should be the smaller.
-    let split_rows = m >= n;
-    let (mr, nr) = isa.tile();
-    let widest = (m.max(n) / mr).min(2 * m * n * k / MIN_FLOPS_PER_WORKER);
-    let workers = if par.is_parallel() && widest > 1 {
-        rayon::current_num_threads().min(widest)
+    // one every worker packs for itself, so it should be the smaller. A C
+    // of one tile has no side to split, so it splits its k-slabs.
+    let (mr, nr) = tile;
+    let slabs = k.div_ceil(blk.kc);
+    // A part holds at least one whole tile (or slab) of the side it cuts.
+    let (split, pieces) = if m <= mr && n <= nr {
+        (Split::Depth, slabs)
+    } else if m >= n {
+        (Split::Rows, m / mr)
+    } else {
+        (Split::Cols, n / nr)
+    };
+    let parts = pieces.min(2 * m * n * k / blk.min_flops);
+    let workers = if par.is_parallel() && parts > 1 {
+        rayon::current_num_threads().min(parts)
     } else {
         1
     };
     let c_slice = c.as_mut_slice();
     if workers == 1 {
-        product.accumulate(0, 0, m, n, CPart::Rows(c_slice, n));
-    } else if split_rows {
-        // One balanced, tile-aligned block of whole rows per worker.
-        let rows_per = m.div_ceil(workers).next_multiple_of(mr);
-        c_slice
-            .par_chunks_mut(rows_per * n)
-            .enumerate()
-            .for_each(|(w, rows)| {
-                let mw = rows.len() / n;
-                product.accumulate(w * rows_per, 0, mw, n, CPart::Rows(rows, n));
+        let whole = Part {
+            rows: 0..m,
+            cols: 0..n,
+            slabs: 0..slabs,
+        };
+        product.accumulate(whole, CPart::Rows(c_slice, n));
+        return;
+    }
+    match split {
+        Split::Rows => {
+            // One balanced, tile-aligned block of whole rows per worker.
+            let rows_per = m.div_ceil(workers).next_multiple_of(mr);
+            c_slice
+                .par_chunks_mut(rows_per * n)
+                .enumerate()
+                .for_each(|(w, rows)| {
+                    let r0 = w * rows_per;
+                    let part = Part {
+                        rows: r0..r0 + rows.len() / n,
+                        cols: 0..n,
+                        slabs: 0..slabs,
+                    };
+                    product.accumulate(part, CPart::Rows(rows, n));
+                });
+        }
+        Split::Cols => {
+            // One balanced, tile-aligned column range per worker, held as
+            // that range of every row: disjoint `&mut` segments, no aliasing
+            // of C.
+            let cols_per = n.div_ceil(workers).next_multiple_of(nr);
+            let mut parts: Vec<Vec<&mut [f32]>> = (0..n.div_ceil(cols_per))
+                .map(|_| Vec::with_capacity(m))
+                .collect();
+            for row in c_slice.chunks_mut(n) {
+                for (part, seg) in parts.iter_mut().zip(row.chunks_mut(cols_per)) {
+                    part.push(seg);
+                }
+            }
+            parts.par_iter_mut().enumerate().for_each(|(w, segs)| {
+                let c0 = w * cols_per;
+                let part = Part {
+                    rows: 0..m,
+                    cols: c0..n.min(c0 + cols_per),
+                    slabs: 0..slabs,
+                };
+                product.accumulate(part, CPart::Cols(segs));
             });
-    } else {
-        // One balanced, tile-aligned column range per worker, held as that
-        // range of every row: disjoint `&mut` segments, no aliasing of C.
-        let cols_per = n.div_ceil(workers).next_multiple_of(nr);
-        let mut parts: Vec<Vec<&mut [f32]>> = (0..n.div_ceil(cols_per))
-            .map(|_| Vec::with_capacity(m))
-            .collect();
-        for row in c_slice.chunks_mut(n) {
-            for (part, seg) in parts.iter_mut().zip(row.chunks_mut(cols_per)) {
-                part.push(seg);
+        }
+        Split::Depth => {
+            // One run of whole slabs per worker. Each slab adds its tile into
+            // a tile of its own that starts at -0.0, the identity of IEEE
+            // addition, so it holds the slab's raw accumulators bit for bit;
+            // C then adds the tiles in ascending slab order, which is step 2
+            // of the contract exactly.
+            let per = slabs.div_ceil(workers);
+            let mut tiles = vec![-0.0f32; slabs * m * n];
+            tiles
+                .par_chunks_mut(per * m * n)
+                .enumerate()
+                .for_each(|(w, run)| {
+                    let s0 = w * per;
+                    let part = Part {
+                        rows: 0..m,
+                        cols: 0..n,
+                        slabs: s0..s0 + run.len() / (m * n),
+                    };
+                    product.accumulate(part, CPart::Slabs(run, m * n, n));
+                });
+            for tile in tiles.chunks_exact(m * n) {
+                for (cv, &t) in c_slice.iter_mut().zip(tile) {
+                    *cv += t;
+                }
             }
         }
-        parts.par_iter_mut().enumerate().for_each(|(w, segs)| {
-            let nw = cols_per.min(n - w * cols_per);
-            product.accumulate(0, w * cols_per, m, nw, CPart::Cols(segs));
-        });
     }
 }
 
-/// The part of C one worker owns: whole rows of width `ld`, or one column
-/// range of every row.
+/// The side of C a forked product is cut along.
+#[derive(Clone, Copy)]
+enum Split {
+    /// Whole rows per worker.
+    Rows,
+    /// A column range of every row per worker.
+    Cols,
+    /// A run of k-slabs per worker, each slab into a tile of its own.
+    Depth,
+}
+
+/// The share of a product one [`Product::accumulate`] computes: rows and
+/// columns of C, and the k-slabs (`KC` deep, counted from `p = 0`) it sums.
+struct Part {
+    rows: Range<usize>,
+    cols: Range<usize>,
+    slabs: Range<usize>,
+}
+
+/// The part of C one worker owns: whole rows of width `ld`, one column
+/// range of every row, or one `len`-float tile of width `ld` per k-slab.
 enum CPart<'p, 'c> {
     Rows(&'p mut [f32], usize),
     Cols(&'p mut [&'c mut [f32]]),
+    Slabs(&'p mut [f32], usize, usize),
 }
 
-impl CPart<'_, '_> {
-    /// Row `i` of the part, as wide as the part.
+impl<'c> CPart<'_, 'c> {
+    /// What the `s`-th slab of the part adds into: the whole part, unless
+    /// each slab has a tile of its own.
+    fn slab(&mut self, s: usize) -> CPart<'_, 'c> {
+        match self {
+            CPart::Rows(data, ld) => CPart::Rows(data, *ld),
+            CPart::Cols(segs) => CPart::Cols(segs),
+            CPart::Slabs(tiles, len, ld) => CPart::Rows(&mut tiles[s * *len..(s + 1) * *len], *ld),
+        }
+    }
+
+    /// Row `i` of the part, as wide as the part (of its first tile, if it
+    /// has one per slab).
     #[inline(always)]
     fn row(&mut self, i: usize) -> &mut [f32] {
         match self {
-            CPart::Rows(data, ld) => &mut data[i * *ld..(i + 1) * *ld],
+            CPart::Rows(data, ld) | CPart::Slabs(data, _, ld) => &mut data[i * *ld..(i + 1) * *ld],
             CPart::Cols(segs) => segs[i],
         }
     }
@@ -309,16 +443,18 @@ struct Product<'a> {
     tb: bool,
     blk: GemmBlocking,
     isa: Isa,
+    /// `(MR, NR)`, chosen from the product's width by [`Isa::tile`].
+    tile: (usize, usize),
 }
 
 impl Product<'_> {
-    /// `c += (alpha * op(A) * op(B))[r0..r0+m, c0..c0+n]`, sequentially, on
-    /// the product's instantiation at that instantiation's tile.
-    fn accumulate(&self, r0: usize, c0: usize, m: usize, n: usize, c: CPart<'_, '_>) {
+    /// `c += (alpha * op(A) * op(B))[part]`, sequentially, on the product's
+    /// instantiation at its tile.
+    fn accumulate(&self, part: Part, c: CPart<'_, '_>) {
         debug_assert!(self.isa.runs_here());
         match self.isa {
             Isa::Portable => self.accumulate_tiled::<{ TILE_YMM.0 }, { TILE_YMM.1 }>(
-                (r0, c0, m, n),
+                part,
                 c,
                 macro_kernel_body::<{ TILE_YMM.0 }, { TILE_YMM.1 }>,
             ),
@@ -329,14 +465,22 @@ impl Product<'_> {
             // callee is otherwise safe code.
             #[cfg(target_arch = "x86_64")]
             Isa::Avx2Fma => self.accumulate_tiled::<{ TILE_YMM.0 }, { TILE_YMM.1 }>(
-                (r0, c0, m, n),
+                part,
                 c,
                 |c, blk, a, b| unsafe { macro_kernel_avx2fma(c, blk, a, b) },
             ),
             // SAFETY: as for `Isa::Avx2Fma`.
             #[cfg(target_arch = "x86_64")]
+            Isa::Avx512 if self.tile == TILE_ZMM_NARROW => self
+                .accumulate_tiled::<{ TILE_ZMM_NARROW.0 }, { TILE_ZMM_NARROW.1 }>(
+                    part,
+                    c,
+                    |c, blk, a, b| unsafe { macro_kernel_avx512_narrow(c, blk, a, b) },
+                ),
+            // SAFETY: as for `Isa::Avx2Fma`.
+            #[cfg(target_arch = "x86_64")]
             Isa::Avx512 => self.accumulate_tiled::<{ TILE_ZMM.0 }, { TILE_ZMM.1 }>(
-                (r0, c0, m, n),
+                part,
                 c,
                 |c, blk, a, b| unsafe { macro_kernel_avx512(c, blk, a, b) },
             ),
@@ -345,33 +489,65 @@ impl Product<'_> {
 
     /// [`Product::accumulate`] at the `MR x NR` tile: the Goto loop order,
     /// with pack buffers sized to this part, `kernel` multiplying each
-    /// packed block into C.
+    /// block of A into C.
     fn accumulate_tiled<const MR: usize, const NR: usize>(
         &self,
-        (r0, c0, m, n): (usize, usize, usize, usize),
+        part: Part,
         mut c: CPart<'_, '_>,
-        kernel: impl Fn(&mut CPart<'_, '_>, Block, &[f32], &[f32]),
+        kernel: impl Fn(&mut CPart<'_, '_>, Block, ABlock<'_>, &[f32]),
     ) {
-        let GemmBlocking { mc, kc, nc } = self.blk;
+        let GemmBlocking { mc, kc, nc, .. } = self.blk;
         let (_, k) = op_shape(&self.a, self.ta);
-        let mut b_pack = vec![0.0f32; nc.min(n).next_multiple_of(NR) * kc.min(k)];
-        let mut a_pack = vec![0.0f32; mc.min(m).next_multiple_of(MR) * kc.min(k)];
+        let (r0, m) = (part.rows.start, part.rows.len());
+        let (c0, n) = (part.cols.start, part.cols.len());
+        let depth = part.slabs.start * kc..k.min(part.slabs.end * kc);
+        // Under a slab of one B panel every element of A is read once, so
+        // packing A would cost a pass and save none: the microkernel reads it
+        // where it is stored.
+        let pack_a = n > NR;
+        let kc_max = kc.min(depth.len());
+        let mut b_pack = vec![0.0f32; nc.min(n).next_multiple_of(NR) * kc_max];
+        let a_rows = if pack_a {
+            mc.min(m).next_multiple_of(MR)
+        } else {
+            0
+        };
+        let mut a_pack = vec![0.0f32; a_rows * kc_max];
         for jc in (0..n).step_by(nc) {
             let nc = nc.min(n - jc);
-            for pc in (0..k).step_by(kc) {
-                let kc = kc.min(k - pc);
+            for (s, pc) in depth.clone().step_by(kc).enumerate() {
+                let kc = kc.min(depth.end - pc);
                 let b_slab = &mut b_pack[..nc.next_multiple_of(NR) * kc];
                 let (j0, j1) = (c0 + jc, c0 + jc + nc);
                 pack_panels::<NR>(&self.b, self.tb, j0, j1, pc, kc, 1.0, b_slab);
+                let mut c = c.slab(s);
                 for ic in (0..m).step_by(mc) {
                     let mc = mc.min(m - ic);
-                    let a_blk = &mut a_pack[..mc.next_multiple_of(MR) * kc];
                     let (i0, i1) = (r0 + ic, r0 + ic + mc);
-                    pack_panels::<MR>(&self.a, !self.ta, i0, i1, pc, kc, self.alpha, a_blk);
+                    let a_blk = if pack_a {
+                        let a_blk = &mut a_pack[..mc.next_multiple_of(MR) * kc];
+                        pack_panels::<MR>(&self.a, !self.ta, i0, i1, pc, kc, self.alpha, a_blk);
+                        ABlock::Packed(a_blk)
+                    } else {
+                        self.a_in_place(i0, pc)
+                    };
                     let block = Block { ic, mc, jc, nc, kc };
                     kernel(&mut c, block, a_blk, b_slab);
                 }
             }
+        }
+    }
+
+    /// The block of `alpha * op(A)` whose first element is `(i0, pc)`, read
+    /// where A is stored.
+    fn a_in_place(&self, i0: usize, pc: usize) -> ABlock<'_> {
+        let ld = self.a.cols();
+        let (rs, cs) = if self.ta { (1, ld) } else { (ld, 1) };
+        ABlock::InPlace {
+            data: &self.a.as_slice()[i0 * rs + pc * cs..],
+            rs,
+            cs,
+            alpha: self.alpha,
         }
     }
 }
@@ -435,7 +611,7 @@ fn pack_panels<const R: usize>(
 }
 
 /// The block of a worker's part that one macro-kernel call updates —
-/// `c[ic..ic+mc, jc..jc+nc]` — and the depth `kc` of the packed panels that
+/// `c[ic..ic+mc, jc..jc+nc]` — and the depth `kc` of the panels that
 /// update it.
 #[derive(Clone, Copy)]
 struct Block {
@@ -446,28 +622,51 @@ struct Block {
     kc: usize,
 }
 
+/// The block of `alpha * op(A)` that one macro-kernel call multiplies.
+#[derive(Clone, Copy)]
+enum ABlock<'a> {
+    /// Packed into `MR`-row panels, each p-major, `alpha` applied.
+    Packed(&'a [f32]),
+    /// Read where it is stored: element `(i, p)` of the block is `alpha *
+    /// data[i * rs + p * cs]`, the value the pack would have stored.
+    InPlace {
+        data: &'a [f32],
+        rs: usize,
+        cs: usize,
+        alpha: f32,
+    },
+}
+
 /// [`macro_kernel_body`] at the `6 x 16` tile, compiled with AVX2 and FMA.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2,fma")]
-fn macro_kernel_avx2fma(c: &mut CPart<'_, '_>, block: Block, a_pack: &[f32], b_pack: &[f32]) {
-    macro_kernel_body::<{ TILE_YMM.0 }, { TILE_YMM.1 }>(c, block, a_pack, b_pack);
+fn macro_kernel_avx2fma(c: &mut CPart<'_, '_>, block: Block, a: ABlock<'_>, b_pack: &[f32]) {
+    macro_kernel_body::<{ TILE_YMM.0 }, { TILE_YMM.1 }>(c, block, a, b_pack);
 }
 
 /// [`macro_kernel_body`] at the `12 x 32` tile, compiled with AVX-512F, AVX2 and
 /// FMA.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f,avx2,fma")]
-fn macro_kernel_avx512(c: &mut CPart<'_, '_>, block: Block, a_pack: &[f32], b_pack: &[f32]) {
-    macro_kernel_body::<{ TILE_ZMM.0 }, { TILE_ZMM.1 }>(c, block, a_pack, b_pack);
+fn macro_kernel_avx512(c: &mut CPart<'_, '_>, block: Block, a: ABlock<'_>, b_pack: &[f32]) {
+    macro_kernel_body::<{ TILE_ZMM.0 }, { TILE_ZMM.1 }>(c, block, a, b_pack);
 }
 
-/// `c[block] += A_block * B_slab`; `a_pack` and `b_pack` hold the block's
-/// `MR`-lane and the slab's `NR`-lane panels.
+/// [`macro_kernel_body`] at the narrow `6 x 16` tile, compiled with
+/// AVX-512F, AVX2 and FMA.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx2,fma")]
+fn macro_kernel_avx512_narrow(c: &mut CPart<'_, '_>, block: Block, a: ABlock<'_>, b_pack: &[f32]) {
+    macro_kernel_body::<{ TILE_ZMM_NARROW.0 }, { TILE_ZMM_NARROW.1 }>(c, block, a, b_pack);
+}
+
+/// `c[block] += A_block * B_slab`; `b_pack` holds the slab's `NR`-lane
+/// panels.
 #[inline(always)]
 fn macro_kernel_body<const MR: usize, const NR: usize>(
     c: &mut CPart<'_, '_>,
     block: Block,
-    a_pack: &[f32],
+    a: ABlock<'_>,
     b_pack: &[f32],
 ) {
     let Block { ic, mc, jc, nc, kc } = block;
@@ -475,15 +674,38 @@ fn macro_kernel_body<const MR: usize, const NR: usize>(
     for (jp, b_panel) in b_pack.chunks_exact(kc * NR).enumerate() {
         let j0 = jc + jp * NR;
         let nr = NR.min(jc + nc - j0);
-        for (ip, a_panel) in a_pack.chunks_exact(kc * MR).enumerate() {
-            let i0 = ic + ip * MR;
-            let mr = MR.min(ic + mc - i0);
-            let acc = micro_kernel::<MR, NR>(a_panel, b_panel);
-            // Padding lanes (rows past `mr`, columns past `nr`) stop here.
+        // Padding lanes (rows past `mr`, columns past `nr`) stop here.
+        let mut add = |i0: usize, mr: usize, acc: [[f32; NR]; MR]| {
             for (i, acc_row) in acc.iter().enumerate().take(mr) {
-                let c_row = &mut c.row(i0 + i)[j0..j0 + nr];
+                let c_row = &mut c.row(ic + i0 + i)[j0..j0 + nr];
                 for (cv, &av) in c_row.iter_mut().zip(acc_row) {
                     *cv += av;
+                }
+            }
+        };
+        match a {
+            ABlock::Packed(pack) => {
+                for (ip, a_panel) in pack.chunks_exact(kc * MR).enumerate() {
+                    let i0 = ip * MR;
+                    let acc = micro_kernel::<MR, NR>(a_panel.chunks_exact(MR), b_panel);
+                    add(i0, MR.min(mc - i0), acc);
+                }
+            }
+            ABlock::InPlace {
+                data,
+                rs,
+                cs,
+                alpha,
+            } => {
+                for i0 in (0..mc).step_by(MR) {
+                    let mr = MR.min(mc - i0);
+                    // Rows past the edge re-read the last row: their lanes
+                    // are padding, computed and never stored.
+                    let rows: [usize; MR] = std::array::from_fn(|i| (i0 + i.min(mr - 1)) * rs);
+                    let columns = (0..kc).map(|p| -> [f32; MR] {
+                        std::array::from_fn(|i| alpha * data[rows[i] + p * cs])
+                    });
+                    add(i0, mr, micro_kernel::<MR, NR>(columns, b_panel));
                 }
             }
         }
@@ -492,15 +714,16 @@ fn macro_kernel_body<const MR: usize, const NR: usize>(
 
 /// One `MR x NR` tile of `A_panel * B_panel`, accumulated from zero with
 /// one fused multiply-add per element per `p`, `p` ascending — the contract's
-/// inner loop, and the only place products are formed.
+/// inner loop, and the only place products are formed. `a_columns` yields
+/// column `p` of `alpha * A_panel`, packed or read in place.
 #[inline(always)]
 fn micro_kernel<const MR: usize, const NR: usize>(
-    a_panel: &[f32],
+    a_columns: impl Iterator<Item = impl Borrow<[f32]>>,
     b_panel: &[f32],
 ) -> [[f32; NR]; MR] {
     let mut acc = [[0.0f32; NR]; MR];
-    for (a, b) in a_panel.chunks_exact(MR).zip(b_panel.chunks_exact(NR)) {
-        for (acc_row, &ai) in acc.iter_mut().zip(a) {
+    for (a, b) in a_columns.zip(b_panel.chunks_exact(NR)) {
+        for (acc_row, &ai) in acc.iter_mut().zip(a.borrow()) {
             for (cv, &bj) in acc_row.iter_mut().zip(b) {
                 *cv = ai.mul_add(bj, *cv);
             }
@@ -548,6 +771,27 @@ mod tests {
         let mut c = c0.clone();
         let (a, b, cv) = (a.view(), b.view(), &mut c.view_mut());
         gemm_with(par, alpha, a, ta, b, tb, beta, cv, BLOCKING, isa);
+        c
+    }
+
+    /// [`product_on`], forking wherever a product has two tiles or slabs to
+    /// split, however few its flops.
+    fn forked_on(
+        isa: Isa,
+        alpha: f32,
+        a: (&Mat, bool),
+        b: (&Mat, bool),
+        beta: f32,
+        c0: &Mat,
+    ) -> Mat {
+        let ((a, ta), (b, tb)) = (a, b);
+        let mut c = c0.clone();
+        let (a, b, cv) = (a.view(), b.view(), &mut c.view_mut());
+        let blk = GemmBlocking {
+            min_flops: 1,
+            ..BLOCKING
+        };
+        gemm_with(Par::Rayon, alpha, a, ta, b, tb, beta, cv, blk, isa);
         c
     }
 
@@ -663,7 +907,7 @@ mod tests {
     fn hostile_shapes_match_reference() {
         // Every extent the tiling or the k-slabs can be hostile at, as m, n
         // and k independently, against the scalar oracle.
-        let (mr, nr) = Isa::detect().tile();
+        let (mr, nr) = Isa::detect().tile(usize::MAX);
         let extents = [
             0,
             1,
@@ -756,11 +1000,17 @@ mod tests {
                 x.is_sign_negative() && !x.is_nan(),
             )
         };
-        let (p_zero, p_live, k) = (4, 11, 19);
+        let p_zero = 4;
         for isa in instantiations("nonfinite_operands_propagate_like_the_reference") {
-            let (mr, nr) = isa.tile();
-            let (m, n) = (2 * mr + 1, nr + 3);
-            for (ta, tb) in TRANSPOSES {
+            let (mr, nr) = isa.tile(usize::MAX);
+            // Edge tiles both ways; then one tile of C over enough k-slabs
+            // to split them between workers, its live values in the last.
+            let depth_k = MIN_FLOPS_PER_WORKER.div_ceil(mr * nr) + 7;
+            for ((m, n, k), (ta, tb)) in [(2 * mr + 1, nr + 3, 19), (mr, nr, depth_k)]
+                .into_iter()
+                .flat_map(|shape| TRANSPOSES.map(|t| (shape, t)))
+            {
+                let p_live = k - 8;
                 for poison in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
                     for poison_in_b in [true, false] {
                         let mut rng = StdRng::seed_from_u64(8);
@@ -777,11 +1027,11 @@ mod tests {
                         if poison_in_b {
                             (0..m).for_each(|i| set(&mut a, ta, i, p_zero, 0.0));
                             set(&mut b, tb, p_zero, 2, poison);
-                            set(&mut b, tb, p_live, nr + 1, f32::INFINITY);
+                            set(&mut b, tb, p_live, n - 2, f32::INFINITY);
                         } else {
                             (0..n).for_each(|j| set(&mut b, tb, p_zero, j, 0.0));
                             set(&mut a, ta, 2, p_zero, poison);
-                            set(&mut a, ta, 2 * mr, p_live, f32::INFINITY);
+                            set(&mut a, ta, m - 1, p_live, f32::INFINITY);
                         }
                         let c0 = random_mat(m, n, &mut rng);
                         let mut c_ref = c0.clone();
@@ -796,7 +1046,8 @@ mod tests {
                                     .map(class)
                                     .eq(c_ref.as_slice().iter().map(class)),
                                 "non-finite values landed elsewhere than in gemm_ref: \
-                                 {isa:?} ta={ta} tb={tb} poison={poison} in_b={poison_in_b} {par:?}"
+                                 {isa:?} {m}x{n}x{k} ta={ta} tb={tb} poison={poison} \
+                                 in_b={poison_in_b} {par:?}"
                             );
                         }
                     }
@@ -829,30 +1080,205 @@ mod tests {
         }
     }
 
+    /// Every instantiation this CPU runs, at each of its tiles: `(isa, MR,
+    /// NR)`.
+    fn tiles_of(test: &str) -> Vec<(Isa, usize, usize)> {
+        let mut tiles = Vec::new();
+        for isa in instantiations(test) {
+            for n in [1, usize::MAX] {
+                let (mr, nr) = isa.tile(n);
+                if !tiles.contains(&(isa, mr, nr)) {
+                    tiles.push((isa, mr, nr));
+                }
+            }
+        }
+        tiles
+    }
+
+    /// `alpha * op(A) * op(B) + beta * C0` at `m x n x k`, on every
+    /// instantiation, sequential, threaded and forked at every split, equals
+    /// the portable sequential product bit for bit.
+    fn pin_to_portable(
+        isas: &[Isa],
+        (m, n, k): (usize, usize, usize),
+        (ta, tb): (bool, bool),
+        (alpha, beta): (f32, f32),
+        rng: &mut StdRng,
+    ) {
+        let a = random_op(m, k, ta, rng);
+        let b = random_op(k, n, tb, rng);
+        let c0 = random_mat(m, n, rng);
+        let portable = product_on(
+            Isa::Portable,
+            Par::Seq,
+            alpha,
+            (&a, ta),
+            (&b, tb),
+            beta,
+            &c0,
+        );
+        for &isa in isas {
+            for (run, c) in [
+                (
+                    "seq",
+                    product_on(isa, Par::Seq, alpha, (&a, ta), (&b, tb), beta, &c0),
+                ),
+                (
+                    "par",
+                    product_on(isa, Par::Rayon, alpha, (&a, ta), (&b, tb), beta, &c0),
+                ),
+                (
+                    "forked",
+                    forked_on(isa, alpha, (&a, ta), (&b, tb), beta, &c0),
+                ),
+            ] {
+                assert_eq!(
+                    portable.as_slice(),
+                    c.as_slice(),
+                    "{isa:?} {run} changed bits at {m}x{n}x{k} ta={ta} tb={tb} alpha={alpha}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn depth_split_bitwise_identical_to_portable_on_all_instantiations() {
+        // One tile of C (m <= MR, n <= NR) over several k-slabs: forked, the
+        // slabs are shared out in runs, and C adds their tiles in order.
+        let mut rng = StdRng::seed_from_u64(37);
+        let test = "depth_split_bitwise_identical_to_portable_on_all_instantiations";
+        for (isa, mr, nr) in tiles_of(test) {
+            for m in [1, mr - 1, mr] {
+                for n in [1, nr - 1, nr] {
+                    for k in [KC + 1, 2 * KC + 3, 9 * KC + 7] {
+                        for t in TRANSPOSES {
+                            pin_to_portable(&[isa], (m, n, k), t, (0.7, 0.3), &mut rng);
+                        }
+                    }
+                }
+            }
+            // Every product underflows to -0.0, so every slab's accumulator
+            // is -0.0 and C = -0.0 stays -0.0 only if each tile reaches C
+            // as -0.0.
+            let (m, n, k) = (mr, nr, 2 * KC + 3);
+            let a = Mat::full(m, k, -1e-30);
+            let b = Mat::full(k, n, 1e-30);
+            let c0 = Mat::full(m, n, -0.0);
+            for c in [
+                product_on(isa, Par::Rayon, 1.0, (&a, false), (&b, false), 1.0, &c0),
+                forked_on(isa, 1.0, (&a, false), (&b, false), 1.0, &c0),
+            ] {
+                assert!(
+                    c.as_slice()
+                        .iter()
+                        .all(|x| x.to_bits() == (-0.0f32).to_bits()),
+                    "{isa:?} {m}x{n}: a -0.0 slab tile lost its sign"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn narrow_tile_bitwise_identical_to_portable_on_all_instantiations() {
+        // Widths up to one 16-lane vector run at the narrow tile under
+        // AVX-512, and 17 at the wide one; m spans edge tiles, an MC block
+        // and the row split.
+        let isas =
+            instantiations("narrow_tile_bitwise_identical_to_portable_on_all_instantiations");
+        let mut rng = StdRng::seed_from_u64(38);
+        for n in [1, 8, 15, 16, 17] {
+            for m in [5, BLOCKING.mc + 7] {
+                for t in TRANSPOSES {
+                    pin_to_portable(&isas, (m, n, 2 * KC + 3), t, (0.7, 0.3), &mut rng);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn unpacked_a_bitwise_identical_to_packed_on_all_instantiations() {
+        // A product one B panel wide reads alpha * op(A) where it is
+        // stored; with columns appended to B past one panel, A is packed.
+        // Column j is its own product, so the two agree on the shared
+        // columns, and every instantiation agrees with portable.
+        let mut rng = StdRng::seed_from_u64(39);
+        let test = "unpacked_a_bitwise_identical_to_packed_on_all_instantiations";
+        let k = 2 * KC + 3;
+        for (isa, mr, nr) in tiles_of(test) {
+            let (m, n) = (BLOCKING.mc + mr + 1, nr - 3);
+            for ta in [false, true] {
+                for tb in [false, true] {
+                    for alpha in [0.7, -1.0] {
+                        let a = random_op(m, k, ta, &mut rng);
+                        let wide = random_op(k, n + 2 * nr, tb, &mut rng);
+                        let narrow =
+                            Mat::from_fn(
+                                k,
+                                n,
+                                |p, j| {
+                                    if tb {
+                                        wide.get(j, p)
+                                    } else {
+                                        wide.get(p, j)
+                                    }
+                                },
+                            );
+                        let narrow = if tb { narrow.transposed() } else { narrow };
+                        let c0 = random_mat(m, n + 2 * nr, &mut rng);
+                        let c0_narrow = Mat::from_fn(m, n, |i, j| c0.get(i, j));
+                        let packed =
+                            product_on(isa, Par::Seq, alpha, (&a, ta), (&wide, tb), 0.3, &c0);
+                        for par in [Par::Seq, Par::Rayon] {
+                            let in_place = product_on(
+                                isa,
+                                par,
+                                alpha,
+                                (&a, ta),
+                                (&narrow, tb),
+                                0.3,
+                                &c0_narrow,
+                            );
+                            for i in 0..m {
+                                assert_eq!(
+                                    in_place.row(i),
+                                    &packed.row(i)[..n],
+                                    "{isa:?} {par:?}: row {i} of {m}x{n} ta={ta} tb={tb} alpha={alpha}"
+                                );
+                            }
+                        }
+                        pin_to_portable(&[isa], (m, n, k), (ta, tb), (alpha, 0.3), &mut rng);
+                    }
+                }
+            }
+        }
+    }
+
     #[test]
     fn each_row_and_column_is_its_own_product() {
         // C[i, j] depends on row i of op(A) and column j of op(B) only: not
         // on m, n, the tile it falls in, the block, or the worker. Extents
-        // straddle MR / NR, the MC and NC blocks, and (the last two, which
-        // are just large enough for `Par::Rayon` to fork) the row and the
-        // column split between workers.
+        // straddle MR / NR, the MC and NC blocks, the row and the column
+        // split between workers (two shapes just large enough for
+        // `Par::Rayon` to fork), and the depth split (one tile over enough
+        // k-slabs to fork).
         let k = 2 * KC + 3;
         let (mc, nc) = (BLOCKING.mc, BLOCKING.nc);
         let mut rng = StdRng::seed_from_u64(6);
         for isa in instantiations("each_row_and_column_is_its_own_product") {
-            let (mr, nr) = isa.tile();
+            let (mr, nr) = isa.tile(usize::MAX);
             let split = 2 * mr + 7;
             let other = MIN_FLOPS_PER_WORKER.div_ceil(split * k) + 1;
             let shapes = [
-                (mr - 1, nr + 1),
-                (mr + 1, nr - 1),
-                (mc + 1, 2 * nr + 3),
-                (mr + 2, nc + 1),
-                (split, other),
-                (other, split),
+                (mr - 1, nr + 1, k),
+                (mr + 1, nr - 1, k),
+                (mc + 1, 2 * nr + 3, k),
+                (mr + 2, nc + 1, k),
+                (split, other, k),
+                (other, split, k),
+                (mr, nr - 1, MIN_FLOPS_PER_WORKER.div_ceil(mr * (nr - 1)) + 3),
             ];
             for (ta, tb) in TRANSPOSES {
-                for (m, n) in shapes {
+                for (m, n, k) in shapes {
                     let a = random_op(m, k, ta, &mut rng);
                     let b = random_op(k, n, tb, &mut rng);
                     let c0 = random_mat(m, n, &mut rng);
@@ -891,7 +1317,8 @@ mod tests {
         // `benchmark/` probes, at full size: the three of an ae_wide layer,
         // the RBM's forward, statistics and prop-down products, the CNN's
         // im2col and filter-gradient products, the serving batch and the
-        // fine-tune batch.
+        // fine-tune batch; then the 10-class softmax head of the fine-tune
+        // and serving batches.
         let shapes = [
             (200, 4096, 1024, false, true),
             (200, 1024, 4096, false, false),
@@ -903,6 +1330,8 @@ mod tests {
             (8, 25, 28800, true, false),
             (64, 256, 784, false, true),
             (100, 256, 784, false, true),
+            (100, 10, 64, false, true),
+            (64, 10, 64, false, true),
         ];
         let isas = instantiations("seq_and_par_bitwise_identical_at_the_benchmark_shapes");
         let mut rng = StdRng::seed_from_u64(12);
@@ -951,16 +1380,19 @@ mod tests {
                 mc: 1,
                 kc: 1,
                 nc: 1,
+                ..BLOCKING
             },
             GemmBlocking {
                 mc: 7,
                 kc: 13,
                 nc: 5,
+                ..BLOCKING
             },
             GemmBlocking {
                 mc: 1000,
                 kc: 1000,
                 nc: 1000,
+                ..BLOCKING
             },
         ] {
             let mut c = Mat::zeros(50, 40);

@@ -24,6 +24,9 @@ pub(crate) const TILE_YMM: (usize, usize) = (6, 16);
 /// `(MR, NR)` of the AVX-512 GEMM instantiation: a row of the tile is two
 /// 16-lane `zmm` vectors.
 pub(crate) const TILE_ZMM: (usize, usize) = (12, 32);
+/// `(MR, NR)` of the AVX-512 GEMM instantiation for products at most 16
+/// columns wide: a row of the tile is one `zmm` vector.
+pub(crate) const TILE_ZMM_NARROW: (usize, usize) = (6, 16);
 
 /// Which instantiation of a kernel runs. A value other than `Portable`
 /// reaches a kernel only where [`Isa::runs_here`] holds: [`Isa::detect`]
@@ -66,12 +69,15 @@ impl Isa {
         }
     }
 
-    /// `(MR, NR)`, the register tile the GEMM instantiation runs at.
-    pub(crate) fn tile(self) -> (usize, usize) {
+    /// `(MR, NR)`, the register tile the GEMM instantiation runs a product
+    /// with `n` columns at.
+    pub(crate) fn tile(self, n: usize) -> (usize, usize) {
         match self {
             Isa::Portable => TILE_YMM,
             #[cfg(target_arch = "x86_64")]
             Isa::Avx2Fma => TILE_YMM,
+            #[cfg(target_arch = "x86_64")]
+            Isa::Avx512 if n <= TILE_ZMM_NARROW.1 => TILE_ZMM_NARROW,
             #[cfg(target_arch = "x86_64")]
             Isa::Avx512 => TILE_ZMM,
         }
