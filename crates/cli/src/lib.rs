@@ -288,12 +288,12 @@ fn usage() -> String {
                   [--incidents FILE.jsonl] — self-healing training: roll back\n\
                   to the last good snapshot on divergence, restart on stream\n\
                   or checkpoint failures, degrade the executor to serial on\n\
-                  race-check trips; the incident log streams to --incidents\n\
-                  as JSON lines (micdnn-incidents-v2, one record per line),\n\
-                  and with --checkpoint-dir the ladder state itself is\n\
-                  durable: --supervise --resume continues a killed run\n\
-                  mid-pipeline with rollback/restart budgets, the backed-off\n\
-                  learning rate, and all pre-kill incidents intact\n\
+                  leg panics or verifier errors; the incident log streams to\n\
+                  --incidents as JSON lines (micdnn-incidents-v2, one record\n\
+                  per line), and with --checkpoint-dir the ladder state\n\
+                  itself is durable: --supervise --resume continues a killed\n\
+                  run mid-pipeline with rollback/restart budgets, the\n\
+                  backed-off learning rate, and all pre-kill incidents intact\n\
                   [--inject site:count[@from],...] — arm deterministic fault\n\
                   injection (builds with the `failpoints` feature only);\n\
                   sites: loader.read loader.panic loader.crc loader.stall\n\
@@ -312,7 +312,7 @@ fn usage() -> String {
                   checkpoint/resume and --supervise, not --devices/--momentum\n\
        (all training commands accept --graph-schedule: run each step\n\
         through the dataflow executor — bit-identical, critical-path\n\
-        priced in simulation, concurrent small kernels natively — and\n\
+        priced in simulation, declaration order natively — and\n\
         --verify: statically check every task graph for races, illegal\n\
         register aliasing, uninitialized reads and determinism hazards\n\
         before executing it, even in release builds)\n\

@@ -29,8 +29,8 @@
 //! `delta3` stays live into `D2`, `delta2` overlaps `s_term` and `rho_hat`
 //! feeds `KL` while `delta3` is in flight — every scratch pair interferes.
 //! The declarations still pay their way: the planner proves the peak is
-//! irreducible instead of leaving it to folklore, and the executor uses
-//! the same footprints to pick concurrency waves.
+//! irreducible instead of leaving it to folklore, and the simulated
+//! executor prices the step's critical path over the edges they induce.
 
 use crate::autoencoder::{AeCost, AeScratch, SparseAutoencoder};
 use crate::exec::ExecCtx;

@@ -202,7 +202,10 @@ impl ExecCtx {
     /// Latches the serial-only demotion and records an incident note.
     /// Used by the graph executor on verify failure (when
     /// [`ExecCtx::with_graceful_degradation`] is set) and by the training
-    /// supervisor after catching a `race-check` sanitizer panic.
+    /// supervisor after catching a leg panic. A demoted context stops
+    /// re-verifying graphs; a simulated one also prices each graph as
+    /// `TaskGraph::run_serial` instead of by its critical path
+    /// (a native one already runs declaration order).
     pub(crate) fn force_degrade(&self, kind: &str, detail: &str) {
         self.degraded.store(true, Ordering::Release);
         self.incident_notes
@@ -324,13 +327,6 @@ impl ExecCtx {
     pub fn stop_recording(&self) -> Vec<OpCost> {
         self.recording.store(false, Ordering::Release);
         std::mem::take(&mut *self.recorder.lock())
-    }
-
-    /// `true` while an op-stream recording is active. The graph executor
-    /// checks this and serializes its concurrency waves during recording so
-    /// the recorded op order is the declaration order.
-    pub(crate) fn is_recording(&self) -> bool {
-        self.recording.load(Ordering::Acquire)
     }
 
     /// Runs `f` with op prices diverted into an accumulator instead of the

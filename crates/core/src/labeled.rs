@@ -5,7 +5,7 @@
 //! A labeled net supplies a parameter store, a [`StackBuilder`] recipe and
 //! a reference forward pass ([`LabeledNet`]); `train_batch`, `fit`,
 //! `predict`, `accuracy`, `cross_entropy`, the step's preparation (built
-//! and planned once per row capacity), the serial/wave schedule choice,
+//! and planned once per row capacity), the serial/graph schedule choice,
 //! label derivation, checkpointing and rollback are written here, once, for
 //! [`FineTuneNet`] and [`CnnNet`] alike.
 //!

@@ -21,9 +21,12 @@
 //! 3. **Restart.** Stream failures (exhausted retries, deadlines, loader
 //!    death) and checkpoint write failures restore the snapshot and start
 //!    a fresh leg — with a fresh loader thread — at the same position.
-//! 4. **Degradation.** A panic inside a leg (e.g. a race-check trip or a
-//!    verifier error) demotes the executor to the serial schedule via
-//!    [`ExecCtx::force_degrade`] before the restarted leg runs.
+//! 4. **Degradation.** A panic inside a leg (e.g. a verifier error or a
+//!    kernel assertion) demotes the executor to the serial schedule via
+//!    [`ExecCtx::force_degrade`] before the restarted leg runs. On a
+//!    native context that only stops re-verification, since native graphs
+//!    already run in declaration order; a simulated one also stops pricing
+//!    steps by their critical path.
 //!
 //! [`RunSupervisor`] carries that ladder across a whole pipeline —
 //! stacked pre-training (greedy, multi-device, or pipelined), supervised
@@ -946,9 +949,9 @@ impl RunSupervisor {
                             last: format!("panic: {msg}"),
                         });
                     }
-                    // A panic mid-leg (race-check trip, verifier error,
-                    // kernel assertion) demotes the executor to the serial
-                    // schedule for the rest of the run instead of aborting.
+                    // A panic mid-leg (verifier error, kernel assertion)
+                    // demotes the executor to the serial schedule for the
+                    // rest of the run instead of aborting.
                     ctx.force_degrade(
                         "degraded",
                         &format!("training leg panicked ({msg}); demoted to the serial schedule"),

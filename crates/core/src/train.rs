@@ -78,8 +78,8 @@ impl AeModel {
 
     /// Schedules each training step through the dataflow executor
     /// ([`crate::ae_step_graph`]): simulated contexts price the step by its
-    /// critical path, native contexts run independent sub-saturating nodes
-    /// concurrently. Bit-identical to the serial path, so the flag is a
+    /// critical path, native contexts run it in declaration order.
+    /// Bit-identical to the serial path, so the flag is a
     /// scheduling preference and is not persisted in checkpoints. Each
     /// step graph is statically verified before execution in debug builds
     /// (or with [`ExecCtx::with_verify`]).

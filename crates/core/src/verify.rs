@@ -1,14 +1,13 @@
-//! Static safety verifier for the dataflow graph IR, plus the opt-in
-//! dynamic race sanitizer (`race-check` feature) for the native executor.
+//! Static safety verifier for the dataflow graph IR.
 //!
-//! PR 3's executor rests on two analyses composing correctly: dependency
+//! The executor rests on two analyses composing correctly: dependency
 //! inference is done on *logical* buffers ([`TaskGraph::node`] derives
 //! RAW/WAW/WAR edges from declared footprints) while workspace aliasing is
 //! done on *physical* registers ([`TaskGraph::plan`] folds dead scratch
-//! buffers into shared arena storage). The native path then shares one
-//! `&mut S` across the rayon shim's worker team through an `unsafe` pointer on the
-//! strength of those analyses. Nothing in the executor itself re-checks
-//! them — this module does.
+//! buffers into shared arena storage). The simulated executor prices a
+//! step by its critical path, which claims that any topological order of
+//! the DAG computes what declaration order computes. Nothing in the
+//! executor itself re-checks that claim — this module does.
 //!
 //! [`TaskGraph::verify`] recomputes full transitive reachability from the
 //! *inferred edges* and checks it against the *declared footprints* and the
@@ -23,11 +22,9 @@
 //!   relative order — and therefore the sampling-stream assignment — is not
 //!   fixed by the DAG ([`DiagKind::UnorderedStochastic`]); side-effecting
 //!   (`exclusive`/`stochastic`) nodes that touch a common buffer without a
-//!   fixed order ([`DiagKind::UnorderedSideEffects`]); side-effecting
-//!   nodes marked eligible for concurrency waves
-//!   ([`DiagKind::SideEffectInWave`]); and a buffer accessed from two
-//!   different devices with no inter-device transfer node mediating the
-//!   edge ([`DiagKind::CrossDeviceFlow`]).
+//!   fixed order ([`DiagKind::UnorderedSideEffects`]); and a buffer
+//!   accessed from two different devices with no inter-device transfer
+//!   node mediating the edge ([`DiagKind::CrossDeviceFlow`]).
 //! * **warnings** (suspicious but schedule-safe): scratch writes nothing
 //!   ever reads ([`DiagKind::DeadWrite`]) and buffers declared but never
 //!   touched ([`DiagKind::UnusedBuffer`]).
@@ -80,9 +77,6 @@ pub enum DiagKind {
     /// Two side-effecting (`exclusive`/`stochastic`) nodes touch a common
     /// buffer without a fixed relative order.
     UnorderedSideEffects,
-    /// A stochastic or exclusive node is marked eligible for native
-    /// concurrency waves.
-    SideEffectInWave,
     /// A buffer is accessed from two different devices without an
     /// inter-device transfer node ordering the cross-device edge — data
     /// would have to teleport between coprocessor memories.
@@ -107,7 +101,6 @@ impl DiagKind {
             DiagKind::DeadWrite => "dead-write",
             DiagKind::UnorderedStochastic => "unordered-stochastic",
             DiagKind::UnorderedSideEffects => "unordered-side-effects",
-            DiagKind::SideEffectInWave => "side-effect-in-wave",
             DiagKind::CrossDeviceFlow => "cross-device-flow",
             DiagKind::UnusedBuffer => "unused-buffer",
             DiagKind::MemBudget => "mem-budget",
@@ -123,7 +116,6 @@ impl DiagKind {
             | DiagKind::UseBeforeInit
             | DiagKind::UnorderedStochastic
             | DiagKind::UnorderedSideEffects
-            | DiagKind::SideEffectInWave
             | DiagKind::CrossDeviceFlow
             | DiagKind::MemBudget
             | DiagKind::UndeclaredStochastic => Severity::Error,
@@ -474,30 +466,7 @@ impl<S: NodeState> TaskGraph<'_, S> {
             }
         }
 
-        // (4c) Consistency of the stored wave bit: side-effecting nodes
-        // must never be wave-eligible.
-        for i in 0..n {
-            if self.wave_ok[i] && (self.stochastic[i] || self.exclusive[i]) {
-                let why = if self.stochastic[i] {
-                    "stochastic"
-                } else {
-                    "exclusive"
-                };
-                report.push(Diagnostic {
-                    kind: DiagKind::SideEffectInWave,
-                    wave: None,
-                    bytes: None,
-                    nodes: vec![tag(self, i)],
-                    buffer: None,
-                    message: format!(
-                        "{why} node `{}` (#{i}) is marked eligible for concurrency waves",
-                        self.names[i]
-                    ),
-                });
-            }
-        }
-
-        // (4d) Cross-device flow: a buffer touched from two different
+        // (4c) Cross-device flow: a buffer touched from two different
         // devices needs an inter-device transfer mediating the edge —
         // either one endpoint is itself the transfer node (and the pair is
         // ordered), or some transfer node lies strictly between them.
@@ -947,143 +916,6 @@ impl CertifyBundle {
     }
 }
 
-/// Dynamic race sanitizer for the native concurrent path (`race-check`
-/// feature): one atomic claim word per physical register (plus one per
-/// external buffer), acquired around every node execution inside
-/// `run_native_waves`. A word holds either one writer (node id + 1, upper
-/// half) or a count of readers (lower half); any overlap the static
-/// verifier's model would forbid — write/write or read/write on one
-/// register — trips a panic with a readable diagnostic naming both
-/// parties. The rayon shim catches the panic on whichever team thread ran
-/// the node and re-raises it on the caller with its payload intact.
-#[cfg(feature = "race-check")]
-pub(crate) struct RaceTracker {
-    slots: Vec<std::sync::atomic::AtomicU64>,
-    slot_names: Vec<String>,
-    node_names: Vec<&'static str>,
-    /// Per node: slots read (excluding ones it also writes).
-    reads: Vec<Vec<usize>>,
-    /// Per node: slots written.
-    writes: Vec<Vec<usize>>,
-}
-
-#[cfg(feature = "race-check")]
-impl RaceTracker {
-    /// Builds the tracker from the graph's footprints and the plan's
-    /// buffer-to-register assignment (externals get virtual slots).
-    pub(crate) fn new<S: NodeState>(g: &TaskGraph<'_, S>, plan: &WorkspacePlan) -> Self {
-        use std::sync::atomic::AtomicU64;
-        let nb = g.bufs.len();
-        let nr = plan.num_registers();
-        // Slot per register, then one per external buffer.
-        let mut slot_of: Vec<usize> = vec![usize::MAX; nb];
-        let mut slot_names: Vec<String> = (0..nr).map(|r| format!("register {r}")).collect();
-        for (b, assigned) in plan.assignment.iter().enumerate().take(nb) {
-            match *assigned {
-                Some(r) => {
-                    slot_of[b] = r;
-                    slot_names[r].push_str(&format!(" `{}`", g.bufs[b].name));
-                }
-                None => {
-                    slot_of[b] = slot_names.len();
-                    slot_names.push(format!("external buffer `{}`", g.bufs[b].name));
-                }
-            }
-        }
-        let n = g.len();
-        let mut reads: Vec<Vec<usize>> = Vec::with_capacity(n);
-        let mut writes: Vec<Vec<usize>> = Vec::with_capacity(n);
-        for i in 0..n {
-            let mut w: Vec<usize> = g.writes[i].iter().map(|&BufId(b)| slot_of[b]).collect();
-            w.sort_unstable();
-            w.dedup();
-            let mut r: Vec<usize> = g.reads[i]
-                .iter()
-                .map(|&BufId(b)| slot_of[b])
-                .filter(|s| !w.contains(s))
-                .collect();
-            r.sort_unstable();
-            r.dedup();
-            reads.push(r);
-            writes.push(w);
-        }
-        RaceTracker {
-            slots: (0..slot_names.len()).map(|_| AtomicU64::new(0)).collect(),
-            slot_names,
-            node_names: g.names.clone(),
-            reads,
-            writes,
-        }
-    }
-
-    /// Claims the node's registers, panicking on any overlap; the claims
-    /// release when the returned guard drops.
-    pub(crate) fn enter(&self, node: NodeId) -> RaceClaim<'_> {
-        use std::sync::atomic::Ordering;
-        for &s in &self.writes[node] {
-            let claim = ((node as u64) + 1) << 32;
-            if let Err(cur) =
-                self.slots[s].compare_exchange(0, claim, Ordering::AcqRel, Ordering::Acquire)
-            {
-                self.conflict(node, s, cur, "write");
-            }
-        }
-        for &s in &self.reads[node] {
-            let res = self.slots[s].fetch_update(Ordering::AcqRel, Ordering::Acquire, |cur| {
-                if cur >> 32 != 0 {
-                    None
-                } else {
-                    Some(cur + 1)
-                }
-            });
-            if let Err(cur) = res {
-                self.conflict(node, s, cur, "read");
-            }
-        }
-        RaceClaim {
-            tracker: self,
-            node,
-        }
-    }
-
-    fn conflict(&self, node: NodeId, slot: usize, cur: u64, mode: &str) -> ! {
-        let holder = if cur >> 32 != 0 {
-            let owner = (cur >> 32) as usize - 1;
-            format!(
-                "node `{}` (#{owner}) holds a write claim",
-                self.node_names[owner]
-            )
-        } else {
-            format!("{} read claim(s) are outstanding", cur & 0xFFFF_FFFF)
-        };
-        panic!(
-            "race-check: node `{}` (#{node}) began a concurrent {mode} of {} while {holder}",
-            self.node_names[node], self.slot_names[slot]
-        );
-    }
-}
-
-/// RAII claim over one node's registers; releases on drop (including
-/// during unwinding, so a panicking node does not wedge the tracker).
-#[cfg(feature = "race-check")]
-pub(crate) struct RaceClaim<'t> {
-    tracker: &'t RaceTracker,
-    node: NodeId,
-}
-
-#[cfg(feature = "race-check")]
-impl Drop for RaceClaim<'_> {
-    fn drop(&mut self) {
-        use std::sync::atomic::Ordering;
-        for &s in &self.tracker.writes[self.node] {
-            self.tracker.slots[s].store(0, Ordering::Release);
-        }
-        for &s in &self.tracker.reads[self.node] {
-            self.tracker.slots[s].fetch_sub(1, Ordering::AcqRel);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1227,16 +1059,6 @@ mod tests {
         g.node(NodeSpec::new("statB").reads(&[b]).exclusive(), |_, _| {});
         let report = g.verify();
         assert!(report.is_clean(), "{report}");
-    }
-
-    #[test]
-    fn forced_wave_bit_on_stochastic_node_is_caught() {
-        let mut g: TaskGraph<'static, ()> = TaskGraph::new();
-        let a = g.declare_dims("a", &[16], BufClass::Pinned);
-        let s = g.node(NodeSpec::new("sample").writes(&[a]).stochastic(), |_, _| {});
-        g.testonly_force_wave_ok(s);
-        let report = g.verify();
-        assert!(report.has(DiagKind::SideEffectInWave), "{report}");
     }
 
     #[test]

@@ -111,18 +111,6 @@ impl Backend {
         self.fused
     }
 
-    /// `true` when a kernel touching `elems` elements is too small to fill
-    /// the thread pool on its own. Such ops leave most cores idle inside
-    /// their parallel region (or never fork at all — see `PAR_THRESHOLD`),
-    /// so the dependency-graph executor runs them *concurrently with their
-    /// independent siblings* instead, one node per task on the rayon shim's
-    /// worker team; a region a wave node opens runs inline on its thread.
-    pub fn is_subsaturating(&self, elems: usize) -> bool {
-        /// Elements one core should own before intra-op threading pays.
-        const GRAIN: usize = 4096;
-        !self.par.is_parallel() || elems < GRAIN * rayon::current_num_threads()
-    }
-
     // ------------------------------------------------------------------
     // Cost-only descriptors (must match what the executing methods return)
     // ------------------------------------------------------------------

@@ -46,8 +46,7 @@
 //! worker its own share, and only the smaller operand is packed once per
 //! worker. Every split hands out disjoint `&mut` slices — of C's rows, of
 //! each row's segment in a column range, or of the scratch's runs of
-//! tiles — so there is no aliasing to argue about and nothing to register
-//! with `race-check`.
+//! tiles — so there is no aliasing to argue about.
 //!
 //! **One source, three instantiations.** The kernel body — the macro-kernel
 //! around the microkernel — is safe `#[inline(always)]` code, const-generic

@@ -8,7 +8,7 @@
 //! ```
 //!
 //! Trains twice — once on the serial declaration-order path, once through
-//! the wave-scheduled task graph — and checks the two land on bit-identical
+//! `TaskGraph::execute` — and checks the two land on bit-identical
 //! parameters, then reports train accuracy against the stream labels.
 
 use micdnn::{build_cnn_graph, CnnConfig, CnnNet, ExecCtx, OptLevel};
@@ -56,18 +56,18 @@ fn main() {
     let hist = serial.fit(&ctx, data.matrix().view(), &labels, batch, 0.4, epochs);
     println!("serial path took {:.2?}", t0.elapsed());
 
-    println!("training the same net through the wave-scheduled graph...");
+    println!("training the same net through the graph schedule...");
     let t1 = std::time::Instant::now();
-    let mut waved = CnnNet::new(cfg, 11).with_graph_schedule();
-    let hist_w = waved.fit(&ctx, data.matrix().view(), &labels, batch, 0.4, epochs);
+    let mut graphed = CnnNet::new(cfg, 11).with_graph_schedule();
+    let hist_w = graphed.fit(&ctx, data.matrix().view(), &labels, batch, 0.4, epochs);
     println!("graph path took {:.2?}", t1.elapsed());
 
     // Scheduling is never a numerics decision: both paths must agree bitwise.
     assert_eq!(hist, hist_w, "loss trajectories diverged");
-    assert_eq!(serial.conv_w.as_slice(), waved.conv_w.as_slice());
-    assert_eq!(serial.dense_w.as_slice(), waved.dense_w.as_slice());
-    assert_eq!(serial.softmax.w.as_slice(), waved.softmax.w.as_slice());
-    println!("serial and wave-scheduled parameters are bit-identical");
+    assert_eq!(serial.conv_w.as_slice(), graphed.conv_w.as_slice());
+    assert_eq!(serial.dense_w.as_slice(), graphed.dense_w.as_slice());
+    assert_eq!(serial.softmax.w.as_slice(), graphed.softmax.w.as_slice());
+    println!("serial and graph-scheduled parameters are bit-identical");
 
     let acc = serial.accuracy(&ctx, data.matrix().view(), &labels);
     println!(

@@ -6,8 +6,8 @@
 
 use micdnn::train::{train_dataset, AeModel, RbmModel, TrainConfig, UnsupervisedModel};
 use micdnn::{
-    ae_step_graph, cd_step_graph, AeConfig, AeScratch, CnnConfig, CnnNet, ExecCtx, FineTuneNet,
-    OptLevel, Optimizer, Rbm, RbmConfig, RbmScratch, Rule, Schedule, SparseAutoencoder,
+    cd_step_graph, AeConfig, CnnConfig, CnnNet, ExecCtx, FineTuneNet, OptLevel, Optimizer,
+    Profiler, Rbm, RbmConfig, RbmScratch, Rule, Schedule, SparseAutoencoder,
 };
 use micdnn_data::{Dataset, DigitGenerator};
 
@@ -99,60 +99,33 @@ fn graph_scheduled_rbm_run_is_bit_identical_to_serial() {
     assert_eq!(srng, grng, "RBM RNG cursor diverged");
 }
 
-fn bits(v: &[f32]) -> Vec<u32> {
-    v.iter().map(|x| x.to_bits()).collect()
-}
-
-/// A long run on the rayon shim's persistent worker team at the default
-/// thread count: a thousand wave-scheduled CD-1 and AE steps, each model
-/// compared bit for bit with its serial twin after every step. The regions
-/// follow each other on warm, spinning and re-woken workers; under
-/// `race-check` every wave node also holds its register claims.
+/// With a profiler attached, a native graph step opens the profiling
+/// phases of the serial step, span for span: on a native context
+/// `execute` runs declaration order.
 #[test]
-fn thousand_wave_steps_on_the_worker_team_stay_bitwise_serial() {
-    const STEPS: usize = 1000;
-    let mut ds = digit_data(60, 8, 23);
+fn native_graph_step_profiles_the_serial_phases() {
+    let mut ds = digit_data(40, 8, 23);
     ds.binarize(0.5);
-    let batch = |step: usize| ds.batch(step % 3 * 20, step % 3 * 20 + 20);
-    let ctx = || ExecCtx::native(OptLevel::Improved, 5);
-
     let cfg = RbmConfig::new(64, 25);
-    let (serial_ctx, wave_ctx) = (ctx(), ctx());
-    let (mut serial, mut wave) = (Rbm::new(cfg, 5), Rbm::new(cfg, 5));
-    let (mut s_scr, mut w_scr) = (RbmScratch::new(&cfg, 20), RbmScratch::new(&cfg, 20));
-    for step in 0..STEPS {
-        let s = serial.cd_step(&serial_ctx, batch(step), &mut s_scr, 0.05);
-        let (w, _) = cd_step_graph(&mut wave, &wave_ctx, batch(step), &mut w_scr, 0.05);
-        assert_eq!(s.to_bits(), w.to_bits(), "CD-1 error, step {step}");
-        assert_eq!(
-            bits(serial.w.as_slice()),
-            bits(wave.w.as_slice()),
-            "W, step {step}"
-        );
-        assert_eq!(bits(&serial.b_vis), bits(&wave.b_vis), "b, step {step}");
-        assert_eq!(bits(&serial.c_hid), bits(&wave.c_hid), "c, step {step}");
-    }
-    assert_eq!(serial_ctx.rng_state(), wave_ctx.rng_state());
-
-    let cfg = AeConfig::new(64, 25);
-    let (serial_ctx, wave_ctx) = (ctx(), ctx());
-    let (mut serial, mut wave) = (
-        SparseAutoencoder::new(cfg, 5),
-        SparseAutoencoder::new(cfg, 5),
-    );
-    let (mut s_scr, mut w_scr) = (AeScratch::new(&cfg, 20), AeScratch::new(&cfg, 20));
-    for step in 0..STEPS {
-        serial.train_batch(&serial_ctx, batch(step), &mut s_scr, 0.1);
-        ae_step_graph(&mut wave, &wave_ctx, batch(step), &mut w_scr, 0.1, None);
-        for (s, w) in [
-            (serial.w1.as_slice(), wave.w1.as_slice()),
-            (&serial.b1, &wave.b1),
-            (serial.w2.as_slice(), wave.w2.as_slice()),
-            (&serial.b2, &wave.b2),
-        ] {
-            assert_eq!(bits(s), bits(w), "AE parameters, step {step}");
+    let phases = |graph: bool| {
+        let ctx = ExecCtx::native(OptLevel::Improved, 5).with_profiler(Profiler::new());
+        let mut rbm = Rbm::new(cfg, 5);
+        let mut scratch = RbmScratch::new(&cfg, 20);
+        for step in 0..3 {
+            let x = ds.batch(step % 2 * 20, step % 2 * 20 + 20);
+            if graph {
+                cd_step_graph(&mut rbm, &ctx, x, &mut scratch, 0.05);
+            } else {
+                rbm.cd_step(&ctx, x, &mut scratch, 0.05);
+            }
         }
-    }
+        let report = ctx.profile_report().expect("profiler attached");
+        let phases = report.phases.into_iter().map(|p| (p.phase, p.count));
+        phases.collect::<Vec<_>>()
+    };
+    let serial = phases(false);
+    assert!(!serial.is_empty(), "the serial CD step opens phase spans");
+    assert_eq!(serial, phases(true));
 }
 
 // ---------------------------------------------------------------------------

@@ -4,18 +4,16 @@
 //!
 //! Four invariants from the execution-layer design:
 //!
-//! 1. the native schedule never runs a node before its dependencies, at
-//!    any `RAYON_NUM_THREADS` (the wave executor is order-safe);
+//! 1. the native schedule is declaration order, so it never runs a node
+//!    before its dependencies;
 //! 2. the simulated clock advance equals the brute-force longest path
 //!    through the priced DAG;
 //! 3. the workspace planner never assigns two *interfering* buffers (ones
 //!    whose accessor sets are not strictly DAG-ordered) to one register;
 //! 4. random layer stacks through the trait-driven `StackBuilder`
 //!    (`micdnn::layers`) always verify with zero errors and zero
-//!    warnings, and the wave executor reproduces the serial
+//!    warnings, and the graph schedule reproduces the serial
 //!    declaration-order schedule bit for bit.
-
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
 use micdnn::{BufClass, BufId, ExecCtx, NodeSpec, NodeState, OptLevel, TaskGraph};
 use micdnn_kernels::OpCost;
@@ -53,7 +51,6 @@ impl RandomDag {
             let mut d: Vec<usize> = (lo..i).filter(|_| rng.gen_bool(0.35)).collect();
             d.dedup();
             deps.push(d);
-            // Small buffers stay sub-saturating so native waves can form.
             elems.push(rng.gen_range(32..2048));
             classes.push(if rng.gen_bool(0.2) {
                 BufClass::Pinned
@@ -110,12 +107,11 @@ impl RandomDag {
     }
 }
 
-/// Shared observation state for the native-order test. Nodes only touch
-/// per-node atomic slots, honouring the executor's disjoint-footprint
-/// contract for concurrent waves.
+/// Observation state for the native-order test: the nodes in the order
+/// they ran, and how many found a dependency not yet run.
 struct OrderLog {
-    done: Vec<AtomicBool>,
-    violations: AtomicUsize,
+    order: Vec<usize>,
+    violations: usize,
 }
 
 impl NodeState for OrderLog {
@@ -136,34 +132,29 @@ fn brute_force_longest(deps: &TaskGraph<'_, ()>, durations: &[f64], node: usize)
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// The native executor (waves included) never starts a node before all
-    /// of its dependencies finished — whatever thread count the environment
-    /// provides.
+    /// The native executor runs every node exactly once, in declaration
+    /// order, so never before one of its dependencies.
     #[test]
     fn native_schedule_respects_dependencies(n in 1usize..24, seed in any::<u64>()) {
         let dag = RandomDag::generate(n, seed);
         let (mut g, _bufs) = dag.build::<OrderLog>(|i| {
             let deps = dag.deps[i].clone();
             Box::new(move |_ctx, log: &mut OrderLog| {
-                for &d in &deps {
-                    if !log.done[d].load(Ordering::SeqCst) {
-                        log.violations.fetch_add(1, Ordering::SeqCst);
-                    }
-                }
-                log.done[i].store(true, Ordering::SeqCst);
+                log.violations += deps.iter().filter(|d| !log.order.contains(d)).count();
+                log.order.push(i);
             })
         });
 
         let ctx = ExecCtx::native(OptLevel::Improved, 0);
         let mut log = OrderLog {
-            done: (0..n).map(|_| AtomicBool::new(false)).collect(),
-            violations: AtomicUsize::new(0),
+            order: Vec::new(),
+            violations: 0,
         };
         g.execute(&ctx, &mut log);
-        prop_assert_eq!(log.violations.load(Ordering::SeqCst), 0,
+        prop_assert_eq!(log.violations, 0,
             "executor ran a node before one of its dependencies");
-        prop_assert!(log.done.iter().all(|d| d.load(Ordering::SeqCst)),
-            "executor skipped a node");
+        prop_assert_eq!(log.order, (0..n).collect::<Vec<_>>(),
+            "native execution is not declaration order");
     }
 
     /// On a simulated context the clock advances by exactly the critical
@@ -299,7 +290,7 @@ proptest! {
 
     /// Random dense stacks through the `StackBuilder` fine-tune recipe:
     /// every generated graph verifies with zero errors *and* zero
-    /// warnings, and training through the wave executor matches the
+    /// warnings, and training through the graph schedule matches the
     /// serial declaration-order path bit for bit (losses and every
     /// parameter tensor) at whatever thread count the environment
     /// provides.

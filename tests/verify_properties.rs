@@ -10,10 +10,7 @@
 //! 3. **Shipped graphs** — every AE / CD-k / PCD / fine-tune step shape used by
 //!    training and `BENCH_graph.json` pins "0 errors, 0 warnings", and the
 //!    CD-1 `h0_sample`→`h1_prob` alias is *proved race-free*, not just
-//!    space-saving;
-//! 4. **`race-check` sanitizer** (feature-gated) — an intentionally
-//!    injected concurrent write trips the per-register claim tracker with
-//!    a readable diagnostic, and clean graphs run quietly under it.
+//!    space-saving.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -145,16 +142,6 @@ fn unordered_stochastic_nodes_report_determinism_hazard() {
     );
     let report = g.verify();
     assert!(report.has(DiagKind::UnorderedStochastic), "{report}");
-}
-
-#[test]
-fn forcing_a_side_effect_into_a_wave_is_caught() {
-    let mut g: TaskGraph<'static, ()> = TaskGraph::new();
-    let a = g.declare_dims("a", &[64], BufClass::Pinned);
-    let s = g.node(NodeSpec::new("sample").writes(&[a]).stochastic(), |_, _| {});
-    g.testonly_force_wave_ok(s);
-    let report = g.verify();
-    assert!(report.has(DiagKind::SideEffectInWave), "{report}");
 }
 
 // ---------------------------------------------------------------------------
@@ -402,7 +389,7 @@ fn cd1_sample_alias_is_proved_race_free() {
 }
 
 // ---------------------------------------------------------------------------
-// 5. Multi-device pipeline graphs: cross-device edges must be mediated by
+// 4. Multi-device pipeline graphs: cross-device edges must be mediated by
 //    transfer nodes, and the shipped schedules pin "0 errors, 0 warnings".
 // ---------------------------------------------------------------------------
 
@@ -471,7 +458,7 @@ fn unmediated_pipeline_edge_reports_cross_device_flow() {
 }
 
 // ---------------------------------------------------------------------------
-// 6. Certification: determinism audit, peak-memory proofs.
+// 5. Certification: determinism audit, peak-memory proofs.
 // ---------------------------------------------------------------------------
 
 /// Every shipped single-device training/serving graph certifies clean —
@@ -730,98 +717,4 @@ proptest! {
         prop_assert_eq!(outcome.device_peaks[0].peak_wave, brute_wave,
             "peak wave diverges from brute force (seed {})", seed);
     }
-}
-
-// ---------------------------------------------------------------------------
-// 4. The dynamic sanitizer (`--features race-check`).
-// ---------------------------------------------------------------------------
-
-/// A clean, well-ordered graph runs quietly under the claim tracker: the
-/// sanitizer must never fire on schedules the static verifier accepts.
-#[cfg(feature = "race-check")]
-#[test]
-fn race_check_is_quiet_on_a_clean_concurrent_graph() {
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::Arc;
-
-    let hits = Arc::new(AtomicUsize::new(0));
-    let mut g: TaskGraph<'static, ()> = TaskGraph::new();
-    // A diamond: two independent mid nodes form a wave.
-    let src = g.declare_dims("src", &[64], BufClass::Scratch);
-    let l = g.declare_dims("l", &[64], BufClass::Scratch);
-    let r = g.declare_dims("r", &[64], BufClass::Scratch);
-    let out = g.declare_dims("out", &[64], BufClass::Pinned);
-    for (name, reads, writes) in [
-        ("seed", vec![], vec![src]),
-        ("left", vec![src], vec![l]),
-        ("right", vec![src], vec![r]),
-        ("join", vec![l, r], vec![out]),
-    ] {
-        let hits = Arc::clone(&hits);
-        g.node(
-            NodeSpec::new(name).reads(&reads).writes(&writes),
-            move |_, _| {
-                hits.fetch_add(1, Ordering::SeqCst);
-            },
-        );
-    }
-    let ctx = ExecCtx::native(OptLevel::Improved, 0);
-    g.execute(&ctx, &mut ());
-    assert_eq!(hits.load(Ordering::SeqCst), 4);
-}
-
-/// An injected concurrent write — a dropped WAW edge smuggled past the
-/// static verifier — must trip the tracker with a readable diagnostic.
-/// The node bodies only sleep (they never touch workspace memory), so the
-/// injected schedule overlap is observable without real UB.
-#[cfg(feature = "race-check")]
-#[test]
-fn race_check_catches_injected_concurrent_write() {
-    use std::time::Duration;
-
-    if rayon::current_num_threads() <= 1 {
-        // Waves are disabled on a single-thread pool; nothing can overlap.
-        return;
-    }
-
-    // The overlap window is timing-based (both nodes hold their claims for
-    // `HOLD`), and a wave that starts while another test's region holds the
-    // rayon shim's worker team runs inline, so allow several attempts before
-    // declaring failure. An attempt that overlaps ends the test at once.
-    const HOLD: Duration = Duration::from_millis(300);
-    const ATTEMPTS: usize = 10;
-    for _attempt in 0..ATTEMPTS {
-        let mut g: TaskGraph<'static, ()> = TaskGraph::new();
-        let x = g.declare_dims("x", &[64], BufClass::Scratch);
-        let y = g.declare_dims("y", &[64], BufClass::Pinned);
-        g.node(NodeSpec::new("writerA").writes(&[x]), |_, _| {
-            std::thread::sleep(HOLD);
-        });
-        g.node(NodeSpec::new("writerB").writes(&[x]), |_, _| {
-            std::thread::sleep(HOLD);
-        });
-        g.node(NodeSpec::new("sink").reads(&[x]).writes(&[y]), |_, _| {});
-        g.testonly_drop_dep(1, 0); // un-order the two writers
-        g.testonly_skip_verify(); // smuggle the race past the static pass
-
-        let ctx = ExecCtx::native(OptLevel::Improved, 0);
-        let result = catch_unwind(AssertUnwindSafe(|| {
-            g.execute(&ctx, &mut ());
-        }));
-        let Err(err) = result else {
-            continue; // the writers happened not to overlap; retry
-        };
-        let msg = err
-            .downcast_ref::<String>()
-            .cloned()
-            .or_else(|| err.downcast_ref::<&str>().map(|s| s.to_string()))
-            .expect("panic payload should be a string");
-        assert!(msg.contains("race-check"), "unexpected panic: {msg}");
-        assert!(
-            msg.contains("writer"),
-            "diagnostic should name a node: {msg}"
-        );
-        return;
-    }
-    panic!("injected concurrent write was never detected in {ATTEMPTS} attempts");
 }
