@@ -196,3 +196,85 @@ proptest! {
         prop_assert_eq!(single.b2, multi.b2);
     }
 }
+
+// ---------------------------------------------------------------------------
+// Golden run record: simulated-Phi data-parallel training of an AE (with a
+// live sparsity sync) and a CD-2 RBM at N in {1, 2, 4}, K = 8. It holds the
+// final parameters, every per-step error, the RNG cursor and the bits of
+// the simulated seconds and the sync fraction, so a rewrite of the
+// per-block step that moves one op, one bit or one priced second shows
+// here. UPDATE_GOLDEN=1 rewrites it; a diff is a regression, not a format
+// change.
+// ---------------------------------------------------------------------------
+
+const MDP_GOLDEN: &[u8] = include_bytes!("golden/layer_mdp_run.bin");
+
+/// Batch sizes of the golden runs: full batches, one with fewer rows than
+/// the 8 canonical blocks, and a ragged last batch.
+const MDP_ROWS: [usize; 5] = [24, 24, 5, 24, 13];
+
+/// Trains `model` on [`MDP_ROWS`]-row batches of `vis` columns on a
+/// simulated Xeon Phi; appends the RNG cursor, the sim-time bits and every
+/// per-step error to `record`.
+fn mdp_steps(model: &mut impl UnsupervisedModel, vis: usize, record: &mut Vec<u8>) {
+    use micdnn_sim::Platform;
+    let ctx = ExecCtx::simulated(OptLevel::Improved, Platform::xeon_phi(), 31);
+    model.prepare(24);
+    let errors: Vec<f64> = MDP_ROWS
+        .iter()
+        .enumerate()
+        .map(|(i, &rows)| model.train_batch(&ctx, batch(rows, vis, 900 + i as u64).view(), 0.2))
+        .collect();
+    let (seed, cursor) = ctx.rng_state();
+    record.extend_from_slice(&seed.to_le_bytes());
+    record.extend_from_slice(&cursor.to_le_bytes());
+    record.extend_from_slice(&ctx.sim_time().to_le_bytes());
+    for e in errors {
+        record.extend_from_slice(&e.to_le_bytes());
+    }
+}
+
+fn push_f32s(record: &mut Vec<u8>, parts: &[&[f32]]) {
+    for v in parts.iter().flat_map(|p| p.iter()) {
+        record.extend_from_slice(&v.to_le_bytes());
+    }
+}
+
+#[test]
+fn multidev_runs_reproduce_prerefactor_bytes() {
+    let (vis, hid) = (20, 9);
+    let mut record = Vec::new();
+    for devices in [1, 2, 4] {
+        let cfg = MultiDevConfig::new(devices).with_blocks(8);
+        let mut ae_cfg = AeConfig::new(vis, hid);
+        ae_cfg.sparsity_weight = 0.3;
+        let mut ae = DataParallelAe::new(SparseAutoencoder::new(ae_cfg, 41), cfg.clone());
+        mdp_steps(&mut ae, vis, &mut record);
+        record.extend_from_slice(&ae.sync_fraction().to_le_bytes());
+        let ae = ae.into_inner();
+        push_f32s(
+            &mut record,
+            &[ae.w1.as_slice(), ae.w2.as_slice(), &ae.b1, &ae.b2],
+        );
+
+        let rbm_cfg = RbmConfig::new(vis, hid).with_cd_steps(2);
+        let mut rbm = DataParallelRbm::new(Rbm::new(rbm_cfg, 42), cfg);
+        mdp_steps(&mut rbm, vis, &mut record);
+        record.extend_from_slice(&rbm.sync_fraction().to_le_bytes());
+        let rbm = rbm.into_inner();
+        push_f32s(&mut record, &[rbm.w.as_slice(), &rbm.b_vis, &rbm.c_hid]);
+    }
+    if std::env::var_os("UPDATE_GOLDEN").is_some() {
+        let path = concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../../tests/golden/layer_mdp_run.bin"
+        );
+        std::fs::write(path, &record).unwrap();
+        eprintln!("updated {path}");
+        return;
+    }
+    assert_eq!(
+        record, MDP_GOLDEN,
+        "data-parallel AE/RBM runs diverged from tests/golden/layer_mdp_run.bin"
+    );
+}
