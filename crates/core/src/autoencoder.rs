@@ -58,6 +58,15 @@ impl AeConfig {
     pub fn param_bytes(&self) -> u64 {
         (self.param_count() * std::mem::size_of::<f32>()) as u64
     }
+
+    /// Device bytes a step over `rows` examples keeps resident: the
+    /// parameters, their gradients, and the per-batch temporaries the paper
+    /// keeps (a2, a3, delta2, delta3).
+    pub(crate) fn resident_bytes(&self, rows: usize) -> u64 {
+        let f = std::mem::size_of::<f32>() as u64;
+        let temps = 2 * (rows * self.n_hidden + rows * self.n_visible) as u64 * f;
+        self.param_bytes() * 2 + temps
+    }
 }
 
 /// Cost breakdown of one batch (paper eqs. 4–5).
@@ -93,8 +102,9 @@ pub struct AeScratch {
     pub(crate) gw2: Mat,
     pub(crate) gb1: Vec<f32>,
     pub(crate) gb2: Vec<f32>,
-    /// The step graph for `(n_visible, n_hidden, update)`, at this capacity.
-    pub(crate) graph: GraphSlot<(usize, usize, AeUpdate), AeState<'static>>,
+    /// The step graph for `(n_visible, n_hidden, update, block form)`, at
+    /// this capacity.
+    pub(crate) graph: GraphSlot<(usize, usize, AeUpdate, bool), AeState<'static>>,
 }
 
 impl AeScratch {
@@ -165,30 +175,6 @@ impl SparseAutoencoder {
         &self.cfg
     }
 
-    /// Forward pass over a batch: fills `scratch.a2` and `scratch.a3`.
-    ///
-    /// `x` is `b x n_visible` with `b <= scratch.max_batch`.
-    pub(crate) fn forward(&self, ctx: &ExecCtx, x: MatView<'_>, scratch: &mut AeScratch) {
-        let b = x.rows();
-        assert!(b <= scratch.max_batch, "batch exceeds scratch capacity");
-        assert_eq!(
-            x.cols(),
-            self.cfg.n_visible,
-            "input dimensionality mismatch"
-        );
-
-        // a2 = sigmoid(x W1^T + b1)
-        let mut a2 = scratch.a2.rows_range_mut(0, b);
-        ctx.gemm(1.0, x, false, self.w1.view(), true, 0.0, &mut a2);
-        ctx.bias_sigmoid_rows(&self.b1, &mut a2);
-
-        // a3 = sigmoid(a2 W2^T + b2)
-        let a2v = scratch.a2.rows_range(0, b);
-        let mut a3 = scratch.a3.rows_range_mut(0, b);
-        ctx.gemm(1.0, a2v, false, self.w2.view(), true, 0.0, &mut a3);
-        ctx.bias_sigmoid_rows(&self.b2, &mut a3);
-    }
-
     /// Runs the scratch's AE dependency graph (built on its first step) on
     /// `state`'s batch: in declaration order — the exact serial op sequence
     /// of the classic hand-rolled loop — or, with `wave`, under the
@@ -208,7 +194,7 @@ impl SparseAutoencoder {
             cfg.n_visible,
             "input dimensionality mismatch"
         );
-        let key = (cfg.n_visible, cfg.n_hidden, state.update());
+        let key = (cfg.n_visible, cfg.n_hidden, state.update(), false);
         let mut g = (state.scratch.graph).take(&key, || build_ae_graph(key.0, key.1, cap, key.2));
         let run = wave.then(|| g.execute(ctx, &mut state));
         if !wave {
@@ -269,15 +255,35 @@ impl SparseAutoencoder {
         a2
     }
 
-    /// Mean per-example reconstruction error `1/m Σ ½‖a3 - x‖²`.
+    /// Mean per-example reconstruction error `1/m Σ ½‖a3 - x‖²`, after a
+    /// forward pass that leaves `a2` and `a3` in `scratch`.
+    ///
+    /// `x` is `b x n_visible` with `b <= scratch.max_batch`.
     pub fn reconstruction_error(
         &self,
         ctx: &ExecCtx,
         x: MatView<'_>,
         scratch: &mut AeScratch,
     ) -> f64 {
-        self.forward(ctx, x, scratch);
-        ctx.frob_dist_sq(scratch.a3.rows_range(0, x.rows()), x) / (2.0 * x.rows() as f64)
+        let b = x.rows();
+        assert!(b <= scratch.max_batch, "batch exceeds scratch capacity");
+        assert_eq!(
+            x.cols(),
+            self.cfg.n_visible,
+            "input dimensionality mismatch"
+        );
+
+        // a2 = sigmoid(x W1^T + b1)
+        let mut a2 = scratch.a2.rows_range_mut(0, b);
+        ctx.gemm(1.0, x, false, self.w1.view(), true, 0.0, &mut a2);
+        ctx.bias_sigmoid_rows(&self.b1, &mut a2);
+
+        // a3 = sigmoid(a2 W2^T + b2)
+        let a2v = scratch.a2.rows_range(0, b);
+        let mut a3 = scratch.a3.rows_range_mut(0, b);
+        ctx.gemm(1.0, a2v, false, self.w2.view(), true, 0.0, &mut a3);
+        ctx.bias_sigmoid_rows(&self.b2, &mut a3);
+        ctx.frob_dist_sq(scratch.a3.rows_range(0, b), x) / (2.0 * b as f64)
     }
 }
 
@@ -299,7 +305,7 @@ mod tests {
         let ctx = ExecCtx::native(OptLevel::Improved, 0);
         let x = tiny_batch(7, 12, 2);
         let mut scratch = AeScratch::new(&cfg, 8);
-        ae.forward(&ctx, x.view(), &mut scratch);
+        ae.reconstruction_error(&ctx, x.view(), &mut scratch);
         for r in 0..7 {
             for &v in scratch.a2.row(r) {
                 assert!((0.0..=1.0).contains(&v));
@@ -392,7 +398,7 @@ mod tests {
         let ctx = ExecCtx::native(OptLevel::Improved, 0);
         let x = tiny_batch(5, 6, 3);
         let mut s = AeScratch::new(&cfg, 5);
-        ae.forward(&ctx, x.view(), &mut s);
+        ae.reconstruction_error(&ctx, x.view(), &mut s);
         let code = ae.encode(&ctx, x.view());
         assert!(
             micdnn_tensor::max_abs_diff(code.as_slice(), s.a2.rows_range(0, 5).as_slice()) < 1e-6
@@ -418,7 +424,7 @@ mod tests {
         let ctx = ExecCtx::native(OptLevel::Improved, 0);
         let mut s = AeScratch::new(&cfg, 2);
         let x = tiny_batch(4, 6, 5);
-        ae.forward(&ctx, x.view(), &mut s);
+        ae.reconstruction_error(&ctx, x.view(), &mut s);
     }
 
     #[test]

@@ -494,6 +494,16 @@ impl ExecCtx {
         self.charge_timed(cost, t0);
     }
 
+    /// Column sums of `a` into `out` with `sum`, else column means: the
+    /// statistics of a block-form step graph, or of a whole step's.
+    pub(crate) fn col_stat(&self, sum: bool, a: MatView<'_>, out: &mut [f32]) {
+        if sum {
+            self.colsum(a, out);
+        } else {
+            self.colmean(a, out);
+        }
+    }
+
     /// See [`Backend::frob_dist_sq`].
     pub(crate) fn frob_dist_sq(&self, a: MatView<'_>, b: MatView<'_>) -> f64 {
         let t0 = self.op_start();
@@ -502,24 +512,12 @@ impl ExecCtx {
         d
     }
 
-    /// See [`Backend::bernoulli`]; draws a fresh stream from the context's
-    /// sampler so results are reproducible per run seed.
-    pub(crate) fn bernoulli(&self, probs: &[f32], out: &mut [f32]) {
-        let stream = self.next_stream();
-        let seed = self.seed();
-        let t0 = self.op_start();
-        let cost = self.backend.bernoulli(seed, stream, probs, out);
-        self.charge_timed(cost, t0);
-    }
-
     /// See [`Backend::bernoulli_at`]: samples a *window* of a larger
-    /// logical op on an explicitly reserved stream.
-    ///
-    /// Unlike [`ExecCtx::bernoulli`] this does not draw a fresh stream —
-    /// the caller reserves one with [`ExecCtx::next_stream`] and every
-    /// shard of the op passes the same id plus its global element offset,
-    /// so the drawn bits are independent of how the batch was split
-    /// across devices.
+    /// logical op on the stream `stream` (reserved with
+    /// [`ExecCtx::next_stream`]; a whole op is the window at offset 0).
+    /// Every shard of a sharded op passes the same stream plus its global
+    /// element offset, so the drawn bits are independent of how the batch
+    /// was split across devices.
     pub(crate) fn bernoulli_at(
         &self,
         stream: StreamId,
@@ -823,8 +821,8 @@ mod tests {
         let probs = vec![0.5f32; 64];
         let mut a = vec![0.0f32; 64];
         let mut b = vec![0.0f32; 64];
-        ctx.bernoulli(&probs, &mut a);
-        ctx.bernoulli(&probs, &mut b);
+        ctx.bernoulli_at(ctx.next_stream(), 0, &probs, &mut a);
+        ctx.bernoulli_at(ctx.next_stream(), 0, &probs, &mut b);
         assert_ne!(a, b, "consecutive sampling ops use fresh streams");
     }
 }

@@ -31,6 +31,9 @@
 //! * **Preparation** — a step graph depends only on shapes, so its owner
 //!   builds it once and binds each batch ([`NodeState`]); plan and
 //!   verification are memoized, everything context-dependent is per run.
+//! * **Sharding** — [`BufClass::Partial`] declares per-block partial sums;
+//!   [`crate::DataParallel`] runs a graph's node ranges between the sync
+//!   points they imply per canonical block, and the rest once.
 //!
 //! Before either executor touches a graph, the static verifier in
 //! [`crate::verify`] checks the declared footprints, the inferred edges and
@@ -43,6 +46,7 @@
 use crate::exec::{ExecCtx, PhaseGuard};
 use micdnn_sim::EventKind;
 use std::cell::Cell;
+use std::ops::Range;
 
 /// Identifier of a node within a [`TaskGraph`].
 pub(crate) type NodeId = usize;
@@ -97,6 +101,11 @@ pub enum BufClass {
     /// Arena-managed but read after the run (statistics consumed by a
     /// momentum update, gradients consumed by an optimizer); never aliased.
     Pinned,
+    /// A per-block partial sum of a data-parallel step: each canonical
+    /// block writes its own copy (`alpha = 1` sums), and the first node that
+    /// reads it is a sync point, where [`crate::DataParallel`] merges the
+    /// copies in canonical block order; never aliased.
+    Partial,
     /// Storage owned elsewhere (model parameters, the input batch): tracked
     /// for dependency analysis only, no arena space.
     External,
@@ -385,7 +394,8 @@ impl<'g, S: NodeState> TaskGraph<'g, S> {
     /// Buffer `A` may share a register with `B` only when every accessor of
     /// `A` strictly precedes every accessor of `B` in the DAG (or vice
     /// versa) — then no topological order can have both live at once.
-    /// [`BufClass::Pinned`] buffers get dedicated registers;
+    /// [`BufClass::Pinned`] and [`BufClass::Partial`] buffers get dedicated
+    /// registers;
     /// [`BufClass::External`] buffers get none.
     pub fn plan(&self) -> WorkspacePlan {
         let anc = self.ancestors();
@@ -415,7 +425,7 @@ impl<'g, S: NodeState> TaskGraph<'g, S> {
             }
             let elems = decl.elems();
             total += elems;
-            if decl.class == BufClass::Pinned {
+            if matches!(decl.class, BufClass::Pinned | BufClass::Partial) {
                 assignment[b] = Some(register_elems.len());
                 register_elems.push(elems);
                 shareable.push(false);
@@ -451,13 +461,20 @@ impl<'g, S: NodeState> TaskGraph<'g, S> {
     /// graph was derived from: same ops, same order, same sampling streams,
     /// and one profiling span per maximal run of equal phase tags.
     pub(crate) fn run_serial(&mut self, ctx: &ExecCtx, state: &mut S::At<'_>) {
+        self.run_range(ctx, state, 0..self.len());
+    }
+
+    /// Runs the nodes of `range` as [`TaskGraph::run_serial`] runs them all,
+    /// verifying the graph first if it has not verified yet. A data-parallel
+    /// step runs its graph this way, one range between sync points at a time.
+    pub(crate) fn run_range(&mut self, ctx: &ExecCtx, state: &mut S::At<'_>, range: Range<NodeId>) {
         if self.should_verify(ctx) {
             let plan = self.plan();
             self.verify_or_demote(ctx, &plan);
         }
         let mut current: Option<&'static str> = None;
         let mut guard: Option<PhaseGuard<'_>> = None;
-        for id in 0..self.len() {
+        for id in range {
             if self.phases[id] != current {
                 drop(guard.take());
                 current = self.phases[id];
@@ -956,7 +973,7 @@ mod tests {
             NodeSpec::new("sneaky").writes(&[out]),
             |ctx, s: &mut Vec<f32>| {
                 let probs = vec![0.5f32; 16];
-                ctx.bernoulli(&probs, s);
+                ctx.bernoulli_at(ctx.next_stream(), 0, &probs, s);
             },
         );
         let mut state = vec![0.0f32; 16];
@@ -972,14 +989,14 @@ mod tests {
             NodeSpec::new("sample").writes(&[out]).stochastic(),
             |ctx, s: &mut Vec<f32>| {
                 let probs = vec![0.5f32; 16];
-                ctx.bernoulli(&probs, s);
+                ctx.bernoulli_at(ctx.next_stream(), 0, &probs, s);
             },
         );
         let mut state = vec![0.0f32; 16];
         g.run_serial(&ctx, &mut state);
         // Outside node bodies sampling is always allowed.
         let mut direct = vec![0.0f32; 16];
-        ctx.bernoulli(&[0.5f32; 16], &mut direct);
+        ctx.bernoulli_at(ctx.next_stream(), 0, &[0.5f32; 16], &mut direct);
     }
 
     #[test]

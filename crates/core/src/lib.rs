@@ -94,7 +94,7 @@ pub use model_io::{
 };
 pub use multidev::{
     block_bounds, DataParallel, DataParallelAe, DataParallelRbm, MultiDevConfig,
-    MultiDevConfigError, MultiDevModelState, MultiDevState, ShardedStep, Shards,
+    MultiDevConfigError, MultiDevModelState, MultiDevState, ShardedStep,
 };
 pub use optim::{Optimizer, Rule, Schedule};
 pub use profile::{LatencyReport, OpReport, PhaseReport, ProfileReport, Profiler, StreamReport};

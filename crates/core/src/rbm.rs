@@ -92,8 +92,9 @@ pub struct RbmScratch {
     /// Persistent fantasy particles for PCD, `max_batch x v` (empty until
     /// seeded from the first batch).
     pub(crate) pcd_chain: Mat,
-    /// The step graph for `(config, pcd)`, built at this capacity.
-    pub(crate) graph: GraphSlot<(RbmConfig, bool), CdState<'static>>,
+    /// The step graph for `(config, pcd, block form)`, built at this
+    /// capacity.
+    pub(crate) graph: GraphSlot<(RbmConfig, bool, bool), CdState<'static>>,
 }
 
 impl RbmScratch {

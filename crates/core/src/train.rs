@@ -145,12 +145,7 @@ impl UnsupervisedModel for AeModel {
     }
 
     fn resident_bytes(&self, max_batch: usize) -> u64 {
-        let cfg = self.ae.config();
-        // Parameters + the persistent per-batch temporaries (a2, a3,
-        // delta2, delta3, gradients) the paper keeps resident.
-        let f = std::mem::size_of::<f32>() as u64;
-        let temps = 2 * (max_batch * cfg.n_hidden + max_batch * cfg.n_visible) as u64 * f;
-        cfg.param_bytes() * 2 + temps
+        self.ae.config().resident_bytes(max_batch)
     }
 
     fn save_state(&self, w: &mut dyn Write) -> io::Result<()> {

@@ -69,7 +69,7 @@ pub enum DiagKind {
     /// writes — some topological order reads uninitialized storage.
     UseBeforeInit,
     /// A scratch buffer is written but no later node reads the value and
-    /// it is not an output (`Pinned`/`External` are outputs by class).
+    /// it is not an output (`Pinned`/`Partial`/`External` are outputs by class).
     DeadWrite,
     /// Two stochastic nodes have no dependency path between them, so the
     /// sampling-stream assignment depends on the schedule.
@@ -349,8 +349,8 @@ impl<S: NodeState> TaskGraph<'_, S> {
             }
         }
 
-        // (3) Dead writes: scratch values nothing ever consumes. Pinned
-        // and external buffers are outputs by class, so only Scratch
+        // (3) Dead writes: scratch values nothing ever consumes. Pinned,
+        // partial and external buffers are outputs by class, so only Scratch
         // qualifies.
         for b in 0..nb {
             if self.bufs[b].class != BufClass::Scratch {
@@ -628,10 +628,10 @@ impl<S: NodeState> TaskGraph<'_, S> {
 
     /// Per-device peak-memory proof. Nodes are placed in ASAP waves
     /// (`wave = 1 + max(dep waves)`); a buffer is *live* from its first
-    /// accessor's wave to its last's (Pinned outputs stay live to the final
-    /// wave; External storage is resident for the whole run). A plan
-    /// register occupies a device's memory exactly in the waves where one
-    /// of its occupants with an accessor on that device is live, so per
+    /// accessor's wave to its last's (Pinned and Partial outputs stay live
+    /// to the final wave; External storage is resident for the whole run).
+    /// A plan register occupies a device's memory exactly in the waves where
+    /// one of its occupants with an accessor on that device is live, so per
     /// device the resident bytes of wave `t` are the sizes of its live
     /// registers plus its live external buffers. The per-device maximum
     /// over waves is the proven peak, checked against `budget_bytes` with
@@ -672,7 +672,7 @@ impl<S: NodeState> TaskGraph<'_, S> {
             }
             match self.bufs[b].class {
                 BufClass::Scratch => Some((first_w[b], last_w[b])),
-                BufClass::Pinned => Some((first_w[b], last)),
+                BufClass::Pinned | BufClass::Partial => Some((first_w[b], last)),
                 BufClass::External => Some((0, last)),
             }
         };

@@ -168,10 +168,10 @@ impl RandomDag {
             let lo = i.saturating_sub(6);
             deps.push((lo..i).filter(|_| rng.gen_bool(0.35)).collect::<Vec<_>>());
             elems.push(rng.gen_range(32..2048));
-            classes.push(if rng.gen_bool(0.2) {
-                BufClass::Pinned
-            } else {
-                BufClass::Scratch
+            classes.push(match rng.gen_range(0..10) {
+                0 | 1 => BufClass::Pinned,
+                2 => BufClass::Partial,
+                _ => BufClass::Scratch,
             });
         }
         RandomDag {
@@ -227,6 +227,25 @@ proptest! {
     fn builder_graphs_always_verify_error_free(n in 1usize..24, seed in any::<u64>()) {
         let report = RandomDag::generate(n, seed).build().0.verify();
         prop_assert!(report.errors.is_empty(), "{}", report);
+    }
+
+    /// A per-block partial sum is merged after the block's nodes ran, so
+    /// its storage must outlive every one of them: the planner gives each
+    /// `Partial` buffer a register of its own, as it does `Pinned` ones.
+    #[test]
+    fn a_partial_buffer_never_shares_a_register(n in 1usize..24, seed in any::<u64>()) {
+        let dag = RandomDag::generate(n, seed);
+        let (g, bufs) = dag.build();
+        let plan = g.plan();
+        for (i, &b) in bufs.iter().enumerate() {
+            if dag.classes[i] != BufClass::Partial {
+                continue;
+            }
+            let r = plan.register_of(b);
+            prop_assert!(r.is_some(), "partial buffer {} has no register", i);
+            let sharers = bufs.iter().filter(|&&o| plan.register_of(o) == r).count();
+            prop_assert_eq!(sharers, 1, "partial buffer {} shares register {:?}", i, r);
+        }
     }
 
     /// No false negatives (and still no false positives): dropping one
@@ -690,7 +709,7 @@ proptest! {
             first_w[b] != usize::MAX
                 && match dag.classes[b] {
                     BufClass::Scratch => first_w[b] <= w && w <= last_w[b],
-                    BufClass::Pinned => first_w[b] <= w && w <= last,
+                    BufClass::Pinned | BufClass::Partial => first_w[b] <= w && w <= last,
                     BufClass::External => w <= last,
                 }
         };
