@@ -1459,6 +1459,11 @@ fn cmd_estimate(args: &Args) -> Result<String, String> {
         chunk_rows: positive(args, "chunk", 10_000)?,
         passes: positive(args, "passes", 1)?,
     };
+    // Op costs count flops and bytes in 64 bits, each below 64 x rows x
+    // visible x hidden: refuse a workload whose counts would wrap.
+    let size = [w.batch.max(w.chunk_rows), w.n_visible, w.n_hidden];
+    let fits = size.iter().try_fold(64u64, |p, &n| p.checked_mul(n as u64));
+    fits.ok_or("workload too large to price: its op counts overflow 64 bits")?;
     let mut out = format!(
         "workload: {:?} {}x{}, {} examples, batch {}\n",
         w.algo, w.n_visible, w.n_hidden, w.examples, w.batch
@@ -1484,6 +1489,16 @@ mod tests {
 
     fn sv(parts: &[&str]) -> Vec<String> {
         parts.iter().map(|s| s.to_string()).collect()
+    }
+
+    #[test]
+    fn estimate_refuses_sizes_whose_op_counts_overflow() {
+        let huge = ["--visible", "4294967296", "--hidden", "4294967296"];
+        let args = [&huge[..], &["--batch", "1000", "--examples", "1000"]].concat();
+        let err = run(&sv(&[&["estimate"], &args[..]].concat())).unwrap_err();
+        assert!(err.contains("op counts overflow 64 bits"), "{err}");
+        // The paper's layer still prices.
+        assert!(run(&sv(&["estimate", "--examples", "1000"])).is_ok());
     }
 
     #[test]

@@ -23,7 +23,8 @@
 //! spans are bit-for-bit what the hand-rolled loop produced — while
 //! [`ae_step_graph`] runs it with [`TaskGraph::execute`] under the
 //! critical-path schedule. Each builds the graph once, at the scratch's
-//! capacity, keeps it in [`AeScratch`] and binds each batch's [`AeState`].
+//! capacity, keeps it in [`AeScratch`] with the arena its plan lays out
+//! (all the step's buffers) and binds each batch's [`AeState`].
 //! The *block form* is what [`crate::DataParallel`] runs per canonical
 //! block: ρ̂ and the gradients are `Partial` sums, `D2` reads the master
 //! copy's sparsity term, and COST leaves the raw squared error after GB1.
@@ -37,81 +38,67 @@
 
 use crate::autoencoder::{AeCost, AeScratch, SparseAutoencoder};
 use crate::exec::ExecCtx;
-use crate::graph::{BufClass, BufId, GraphRun, NodeSpec, NodeState, TaskGraph};
+use crate::graph::{BufClass, BufId, GraphRun, NodeSpec, NodeState, TaskGraph, Workspace};
 use crate::layers::{Decl, Emit, Layer, Part, StackBuilder};
 use crate::multidev::{split_at_syncs, BlockGraph, Segment};
 use crate::optim::Optimizer;
 use micdnn_kernels::rng::StreamId;
 use micdnn_kernels::{kl_sparsity, sum_sq};
-use micdnn_tensor::{Mat, MatView};
+use micdnn_tensor::{Mat, MatView, MatViewMut};
 use std::ops::Range;
 
-/// Model parameters threaded through an AE graph run: shared for
-/// gradient-only runs, mutable when the graph includes update nodes.
-pub(crate) enum AeParams<'a> {
-    Shared(&'a SparseAutoencoder),
-    Mut(&'a mut SparseAutoencoder),
+/// What an AE graph run does after the backward pass, with what that
+/// needs: the run's [`AeUpdate`] mode.
+pub(crate) enum AeStep<'a> {
+    /// Gradients only.
+    Grads,
+    /// Plain SGD at this learning rate.
+    Sgd(f32),
+    /// Through this optimizer, advancing its schedule.
+    Opt(&'a mut Optimizer),
 }
 
-impl AeParams<'_> {
-    pub(crate) fn get(&self) -> &SparseAutoencoder {
+impl AeStep<'_> {
+    /// The graph mode this step runs.
+    pub(crate) fn update(&self) -> AeUpdate {
         match self {
-            AeParams::Shared(ae) => ae,
-            AeParams::Mut(ae) => ae,
-        }
-    }
-
-    fn get_mut(&mut self) -> &mut SparseAutoencoder {
-        match self {
-            AeParams::Mut(ae) => ae,
-            AeParams::Shared(_) => {
-                unreachable!("update nodes are only built over mutable parameters")
-            }
+            AeStep::Grads => AeUpdate::None,
+            AeStep::Sgd(_) => AeUpdate::Sgd,
+            AeStep::Opt(_) => AeUpdate::Opt,
         }
     }
 }
 
 /// Mutable state one AE graph run threads through its nodes.
 pub struct AeState<'a> {
-    pub(crate) params: AeParams<'a>,
-    pub(crate) scratch: &'a mut AeScratch,
+    pub(crate) ae: &'a mut SparseAutoencoder,
+    /// The arena every declared buffer lives in.
+    pub(crate) ws: &'a mut Workspace,
     pub(crate) x: MatView<'a>,
-    pub(crate) opt: Option<&'a mut Optimizer>,
-    pub(crate) lr: f32,
+    pub(crate) step: AeStep<'a>,
     pub(crate) cost: AeCost,
-    /// In a block run: the master copy, holding the sparsity term of the
-    /// merged ρ̂.
-    pub(crate) master: Option<&'a AeScratch>,
+    /// In a block run: the master copy's arena, holding the sparsity term
+    /// of the merged ρ̂.
+    pub(crate) master: Option<&'a Workspace>,
 }
 
 impl<'a> AeState<'a> {
-    /// State for one step on `x`, reconstructing `x` itself: gradients only
-    /// over shared parameters; over mutable ones a plain-SGD update at
-    /// `lr`, or through `opt` when given.
+    /// State for one `step` of `ae` on `x` over the arena `ws`,
+    /// reconstructing `x` itself.
     pub(crate) fn new(
-        params: AeParams<'a>,
-        scratch: &'a mut AeScratch,
+        ae: &'a mut SparseAutoencoder,
+        ws: &'a mut Workspace,
         x: MatView<'a>,
-        opt: Option<&'a mut Optimizer>,
-        lr: f32,
+        step: AeStep<'a>,
     ) -> Self {
+        let (cost, master) = (AeCost::default(), None);
         AeState {
-            params,
-            scratch,
+            ae,
+            ws,
             x,
-            opt,
-            lr,
-            cost: AeCost::default(),
-            master: None,
-        }
-    }
-
-    /// The update this state's graph carries (see [`AeState::new`]).
-    pub(crate) fn update(&self) -> AeUpdate {
-        match (&self.params, &self.opt) {
-            (AeParams::Shared(_), _) => AeUpdate::None,
-            (AeParams::Mut(_), None) => AeUpdate::Sgd,
-            (AeParams::Mut(_), Some(_)) => AeUpdate::Opt,
+            step,
+            cost,
+            master,
         }
     }
 }
@@ -161,50 +148,12 @@ const NODE_NAMES: [[&str; 5]; 2] = [
     ["F2", "GW2", "GB2", "U2", "U4"],
 ];
 
-/// One half's tensors split-borrowed out of a run: the rows it consumes and
-/// its own fields of the [`AeScratch`].
-struct HalfBufs<'s> {
-    input: MatView<'s>,
-    act: &'s mut Mat,
-    delta: &'s mut Mat,
-    gw: &'s mut Mat,
-    gb: &'s mut Vec<f32>,
-}
-
 impl Half {
     /// This half's `(weights, biases)`.
-    fn params(self, ae: &SparseAutoencoder) -> (&Mat, &[f32]) {
-        match self {
-            Half::Enc => (&ae.w1, &ae.b1),
-            Half::Dec => (&ae.w2, &ae.b2),
-        }
-    }
-
-    fn params_mut(self, ae: &mut SparseAutoencoder) -> (&mut Mat, &mut Vec<f32>) {
+    fn params(self, ae: &mut SparseAutoencoder) -> (&mut Mat, &mut Vec<f32>) {
         match self {
             Half::Enc => (&mut ae.w1, &mut ae.b1),
             Half::Dec => (&mut ae.w2, &mut ae.b2),
-        }
-    }
-
-    /// The encoder consumes the batch `x`, the decoder the first `b` rows
-    /// of the encoder's activations.
-    fn bufs<'s>(self, scr: &'s mut AeScratch, x: MatView<'s>, b: usize) -> HalfBufs<'s> {
-        match self {
-            Half::Enc => HalfBufs {
-                input: x,
-                act: &mut scr.a2,
-                delta: &mut scr.delta2,
-                gw: &mut scr.gw1,
-                gb: &mut scr.gb1,
-            },
-            Half::Dec => HalfBufs {
-                input: scr.a2.rows_range(0, b),
-                act: &mut scr.a3,
-                delta: &mut scr.delta3,
-                gw: &mut scr.gw2,
-                gb: &mut scr.gb2,
-            },
         }
     }
 }
@@ -212,7 +161,7 @@ impl Half {
 /// One sigmoid-affine half of the autoencoder: forward (F1 / F2), backward
 /// (D2, in two sweeps as the serial path does / D3), gradients (GW*, GB*)
 /// and updates (U1, U3 / U2, U4). Everything but the backward delta is one
-/// body over [`Half`]-selected tensors.
+/// body over [`Half`]-selected buffers.
 struct AeHalf {
     half: Half,
     n_visible: usize,
@@ -231,7 +180,9 @@ impl AeHalf {
         }
     }
 
-    /// The buffer this half's forward and weight-gradient nodes consume.
+    /// The buffer this half's forward and weight-gradient nodes consume:
+    /// the batch `x` for the encoder, the encoder's activations for the
+    /// decoder.
     fn input_buf(&self, sb: &StackBuilder<AeState<'_>>) -> BufId {
         match self.half {
             Half::Enc => sb.global("x"),
@@ -264,26 +215,24 @@ impl AeHalf {
         }
         let last = (half, part) == (Half::Dec, Part::Biases);
         sb.node(spec, move |ctx, s: &mut AeState<'_>| {
-            let ae = s.params.get_mut();
             let lambda = match part {
-                Part::Weights => ae.config().weight_decay,
+                Part::Weights => s.ae.config().weight_decay,
                 Part::Biases => 0.0,
             };
-            let (w, bias) = half.params_mut(ae);
-            // An update reads no rows of the batch.
-            let t = half.bufs(s.scratch, s.x, 0);
+            let (w, bias) = half.params(s.ae);
             let (g, p) = match part {
-                Part::Weights => (t.gw.as_slice(), w.as_mut_slice()),
-                Part::Biases => (&t.gb[..], &mut bias[..]),
+                Part::Weights => (s.ws.buf(grad), w.as_mut_slice()),
+                Part::Biases => (s.ws.buf(grad), &mut bias[..]),
             };
-            if update == AeUpdate::Opt {
-                let opt = s.opt.as_deref_mut().expect("optimizer-mode graph");
-                opt.step_slot(ctx, opt_slot, lambda, g, p);
-                if last {
-                    opt.advance();
+            match &mut s.step {
+                AeStep::Opt(opt) => {
+                    opt.step_slot(ctx, opt_slot, lambda, g, p);
+                    if last {
+                        opt.advance();
+                    }
                 }
-            } else {
-                ctx.sgd_step(s.lr, lambda, g, p);
+                AeStep::Sgd(lr) => ctx.sgd_step(*lr, lambda, g, p),
+                AeStep::Grads => unreachable!("update nodes are only built for updating steps"),
             }
         });
     }
@@ -302,8 +251,8 @@ impl<'a> Layer<AeState<'a>> for AeHalf {
                 sb.bind_dims(slot, "w", w, &[out, inp], BufClass::External);
                 sb.bind_dims(slot, "b", bias, &[out], BufClass::External);
             }
-            // Activations are pinned: `AeScratch::hidden` exposes them
-            // after the run (encode-by-inspection, tests, stacking).
+            // Activations are pinned: they stay readable after the run
+            // (tests inspect them by name).
             Decl::Acts => {
                 sb.bind_dims(slot, "act", act, &[b, out], BufClass::Pinned);
             }
@@ -314,7 +263,7 @@ impl<'a> Layer<AeState<'a>> for AeHalf {
                 sb.bind_dims(slot, "delta", delta, &[b, out], BufClass::Scratch);
             }
             // Gradients are pinned: consumed after the run by optimizer
-            // steps and the gradient check (`AeScratch::gradients`).
+            // steps and the gradient check.
             Decl::Grads(Part::Weights) => {
                 sb.bind_dims(slot, "gw", gw, &[out, inp], grads);
             }
@@ -328,6 +277,7 @@ impl<'a> Layer<AeState<'a>> for AeHalf {
         let (half, block) = (self.half, self.block);
         let slot = half as usize;
         let [fwd, grad_w, grad_b, ..] = NODE_NAMES[slot];
+        let ((n_out, n_in), from_x) = (self.dims(), half == Half::Enc);
         match what {
             // F: act = sigmoid(input W^T + b).
             Emit::Forward => {
@@ -344,10 +294,15 @@ impl<'a> Layer<AeState<'a>> for AeHalf {
                         .phase("forward"),
                     move |ctx, s: &mut AeState<'_>| {
                         let b = s.x.rows();
-                        let (w, bias) = half.params(s.params.get());
-                        let t = half.bufs(s.scratch, s.x, b);
-                        let mut act = t.act.rows_range_mut(0, b);
-                        ctx.gemm(1.0, t.input, false, w.view(), true, 0.0, &mut act);
+                        let (w, bias) = half.params(s.ae);
+                        let (inp, out) = if from_x {
+                            (s.x, s.ws.buf_mut(act))
+                        } else {
+                            let [i, out] = s.ws.bufs_mut([input, act]);
+                            (MatView::prefix(i, b, n_in), out)
+                        };
+                        let mut act = MatViewMut::prefix(out, b, n_out);
+                        ctx.gemm(1.0, inp, false, w.view(), true, 0.0, &mut act);
                         ctx.bias_sigmoid_rows(bias, &mut act);
                     },
                 );
@@ -371,16 +326,19 @@ impl<'a> Layer<AeState<'a>> for AeHalf {
                         .phase("backward"),
                     move |ctx, s: &mut AeState<'_>| {
                         let b = s.x.rows();
-                        let t = half.bufs(s.scratch, s.x, b);
-                        ctx.gemm(
-                            if block { 1.0 } else { 1.0 / b as f32 },
-                            t.delta.rows_range(0, b),
-                            true,
-                            t.input,
-                            false,
-                            0.0,
-                            &mut t.gw.view_mut(),
+                        let (d, inp, gw) = if from_x {
+                            let [d, gw] = s.ws.bufs_mut([delta, gw]);
+                            (d, s.x, gw)
+                        } else {
+                            let [d, i, gw] = s.ws.bufs_mut([delta, input, gw]);
+                            (d, MatView::prefix(i, b, n_in), gw)
+                        };
+                        let alpha = if block { 1.0 } else { 1.0 / b as f32 };
+                        let (d, mut gw) = (
+                            MatView::prefix(d, b, n_out),
+                            MatViewMut::new(gw, n_out, n_in),
                         );
+                        ctx.gemm(alpha, d, true, inp, false, 0.0, &mut gw);
                     },
                 );
             }
@@ -393,8 +351,8 @@ impl<'a> Layer<AeState<'a>> for AeHalf {
                         .phase("backward"),
                     move |ctx, s: &mut AeState<'_>| {
                         let b = s.x.rows();
-                        let t = half.bufs(s.scratch, s.x, b);
-                        ctx.col_stat(block, t.delta.rows_range(0, b), t.gb);
+                        let [d, gb] = s.ws.bufs_mut([delta, gb]);
+                        ctx.col_stat(block, MatView::prefix(d, b, n_out), gb);
                     },
                 );
             }
@@ -408,25 +366,17 @@ impl AeHalf {
     /// sweeps as the serial path does.
     fn emit_hidden_delta(&self, sb: &mut StackBuilder<AeState<'_>>) {
         let (delta3, w2, delta2) = (sb.buf(DEC, "delta"), sb.buf(DEC, "w"), sb.buf(ENC, "delta"));
+        let (v, h) = (self.n_visible, self.n_hidden);
         sb.node(
             NodeSpec::new("D2a")
                 .reads(&[delta3, w2])
                 .writes(&[delta2])
                 .phase("backward"),
             move |ctx, s: &mut AeState<'_>| {
-                let (ae, b) = (s.params.get(), s.x.rows());
-                let scr = &mut *s.scratch;
-                let (d3, d2) = (&scr.delta3, &mut scr.delta2);
-                let mut d2 = d2.rows_range_mut(0, b);
-                ctx.gemm(
-                    1.0,
-                    d3.rows_range(0, b),
-                    false,
-                    ae.w2.view(),
-                    false,
-                    0.0,
-                    &mut d2,
-                );
+                let (w2, b) = (s.ae.w2.view(), s.x.rows());
+                let [d3, d2] = s.ws.bufs_mut([delta3, delta2]);
+                let (d3, mut d2) = (MatView::prefix(d3, b, v), MatViewMut::prefix(d2, b, h));
+                ctx.gemm(1.0, d3, false, w2, false, 0.0, &mut d2);
             },
         );
         let (s_term, a2) = (sb.buf(SPARS, "s_term"), sb.buf(ENC, "act"));
@@ -436,11 +386,19 @@ impl AeHalf {
                 .writes(&[delta2])
                 .phase("backward"),
             move |ctx, s: &mut AeState<'_>| {
-                let (scr, b) = (&mut *s.scratch, s.x.rows());
-                let st = s.master.map_or(&scr.s_term, |m| &m.s_term);
-                let (a2m, delta2m) = (&scr.a2, &mut scr.delta2);
-                let mut d2 = delta2m.rows_range_mut(0, b);
-                ctx.bias_deriv_rows(st, a2m.rows_range(0, b), &mut d2);
+                let b = s.x.rows();
+                let (st, a2, d2) = match s.master {
+                    Some(m) => {
+                        let [a2, d2] = s.ws.bufs_mut([a2, delta2]);
+                        (m.buf(s_term), a2, d2)
+                    }
+                    None => {
+                        let [st, a2, d2] = s.ws.bufs_mut([s_term, a2, delta2]);
+                        (&*st, a2, d2)
+                    }
+                };
+                let mut d2 = MatViewMut::prefix(d2, b, h);
+                ctx.bias_deriv_rows(st, MatView::prefix(a2, b, h), &mut d2);
             },
         );
     }
@@ -448,18 +406,16 @@ impl AeHalf {
     /// D3 (decoder): delta3 = (a3 - x) ⊙ a3 ⊙ (1 - a3).
     fn emit_output_delta(&self, sb: &mut StackBuilder<AeState<'_>>) {
         let (a3, x, delta3) = (sb.buf(DEC, "act"), sb.global("x"), sb.buf(DEC, "delta"));
+        let v = self.n_visible;
         sb.node(
             NodeSpec::new("D3")
                 .reads(&[a3, x])
                 .writes(&[delta3])
                 .phase("backward"),
             move |ctx, s: &mut AeState<'_>| {
-                let (scr, b) = (&mut *s.scratch, s.x.rows());
-                let (a3s, d3) = (
-                    scr.a3.rows_range(0, b),
-                    &mut scr.delta3.rows_range_mut(0, b),
-                );
-                ctx.delta_output(a3s.as_slice(), s.x.as_slice(), d3.as_mut_slice());
+                let n = s.x.rows() * v;
+                let [a3, d3] = s.ws.bufs_mut([a3, delta3]);
+                ctx.delta_output(&a3[..n], s.x.as_slice(), &mut d3[..n]);
             },
         );
     }
@@ -477,14 +433,9 @@ impl<'a> Layer<AeState<'a>> for AeSparsity {
         if what == Decl::Acts {
             use BufClass::{Partial, Scratch};
             let rho = if self.block { Partial } else { Scratch };
-            sb.bind_dims(SPARS, "rho", "rho_hat", &[self.n_hidden], rho);
-            sb.bind_dims(
-                SPARS,
-                "s_term",
-                "s_term",
-                &[self.n_hidden],
-                BufClass::Scratch,
-            );
+            for (key, name, class) in [("rho", "rho_hat", rho), ("s_term", "s_term", Scratch)] {
+                sb.bind_dims(SPARS, key, name, &[self.n_hidden], class);
+            }
         }
     }
 
@@ -494,14 +445,15 @@ impl<'a> Layer<AeState<'a>> for AeSparsity {
         }
         // RHO: mean hidden activation over the batch.
         let (a2, rho_hat, block) = (sb.buf(ENC, "act"), sb.buf(SPARS, "rho"), self.block);
+        let h = self.n_hidden;
         sb.node(
             NodeSpec::new("RHO")
                 .reads(&[a2])
                 .writes(&[rho_hat])
                 .phase("backward"),
             move |ctx, s: &mut AeState<'_>| {
-                let (scr, b) = (&mut *s.scratch, s.x.rows());
-                ctx.col_stat(block, scr.a2.rows_range(0, b), &mut scr.rho_hat);
+                let [a2, rho] = s.ws.bufs_mut([a2, rho_hat]);
+                ctx.col_stat(block, MatView::prefix(a2, s.x.rows(), h), rho);
             },
         );
         // KL: sparsity penalty and its backward term s(ρ̂) (writes a state
@@ -514,20 +466,15 @@ impl<'a> Layer<AeState<'a>> for AeSparsity {
                 .exclusive()
                 .phase("backward"),
             move |_ctx, s: &mut AeState<'_>| {
-                let cfg = *s.params.get().config();
-                let scr = &mut *s.scratch;
+                let cfg = *s.ae.config();
+                let [rho, st] = s.ws.bufs_mut([rho_hat, s_term]);
                 s.cost.sparsity_penalty = if cfg.sparsity_weight > 0.0 {
                     // kl_sparsity returns the raw KL sum; the objective's
                     // penalty term is beta times it (paper eq. 5).
                     cfg.sparsity_weight as f64
-                        * kl_sparsity(
-                            cfg.sparsity_target,
-                            cfg.sparsity_weight,
-                            &scr.rho_hat,
-                            &mut scr.s_term,
-                        )
+                        * kl_sparsity(cfg.sparsity_target, cfg.sparsity_weight, rho, st)
                 } else {
-                    scr.s_term.fill(0.0);
+                    st.fill(0.0);
                     0.0
                 };
             },
@@ -539,12 +486,13 @@ impl<'a> Layer<AeState<'a>> for AeSparsity {
 /// the buffer analysis cannot see, hence exclusive). No buffers. The block
 /// form's, emitted on `Backward`, leaves the raw squared error only.
 struct AeCostProbe {
+    n_visible: usize,
     block: bool,
 }
 
 impl<'a> Layer<AeState<'a>> for AeCostProbe {
     fn emit(&self, sb: &mut StackBuilder<AeState<'a>>, what: Emit) {
-        let block = self.block;
+        let (v, block) = (self.n_visible, self.block);
         if what != [Emit::Forward, Emit::Backward][usize::from(block)] {
             return;
         }
@@ -557,8 +505,8 @@ impl<'a> Layer<AeState<'a>> for AeCostProbe {
                 .exclusive()
                 .phase("backward"),
             move |ctx, s: &mut AeState<'_>| {
-                let (ae, b) = (s.params.get(), s.x.rows());
-                let sq = ctx.frob_dist_sq(s.scratch.a3.rows_range(0, b), s.x);
+                let (ae, b) = (&*s.ae, s.x.rows());
+                let sq = ctx.frob_dist_sq(MatView::prefix(s.ws.buf(a3), b, v), s.x);
                 if block {
                     s.cost.reconstruction = sq;
                     return;
@@ -577,8 +525,10 @@ impl<'a> Layer<AeState<'a>> for AeCostProbe {
 /// Builds the AE step for batches of up to `b` rows as a [`StackBuilder`]
 /// recipe over the encoder/decoder/sparsity/cost layers, whose declaration
 /// order is exactly the serial op order of the classic `cost_and_grad` (+
-/// SGD update) pair. Storage is bound to the fields of [`AeScratch`]; the
-/// declarations describe sizes and lifetimes to the planner and executor.
+/// SGD update) pair. Every declared buffer but the batch and the
+/// parameters lives in the [`Workspace`] the graph's plan lays out, which
+/// an [`AeScratch`] keeps beside the graph; node bodies reach it through
+/// the buffer ids captured here.
 ///
 /// Public so integration tests can run every shipped graph shape through
 /// [`TaskGraph::verify`]; training entry points use it via
@@ -611,7 +561,7 @@ pub(crate) fn ae_graph<'a>(
     };
     let (enc, dec) = (half(Half::Enc), half(Half::Dec));
     let spars = AeSparsity { n_hidden, block };
-    let cost = AeCostProbe { block };
+    let cost = AeCostProbe { n_visible, block };
 
     // Historical declaration order: input, both parameter sets, both
     // activations, deltas top-down, the sparsity pair, then gradients
@@ -668,31 +618,22 @@ impl BlockGraph for SparseAutoencoder {
         lr: f32,
         block: Option<(usize, &[StreamId], &AeScratch)>,
     ) -> f64 {
-        let (cfg, cap) = (self.config(), scratch.capacity());
-        let key = (cfg.n_visible, cfg.n_hidden, AeUpdate::Sgd, true);
-        let mut g = scratch
-            .graph
-            .take(&key, || ae_graph(key.0, key.1, cap, key.2, true));
+        let (g, ws) = scratch.prepare(AeUpdate::Sgd, true);
         let mut state = AeState {
-            master: block.map(|(_, _, m)| m),
-            ..AeState::new(AeParams::Mut(self), scratch, x, None, lr)
+            master: block.map(|(_, _, m)| m.step.arena()),
+            ..AeState::new(self, ws, x, AeStep::Sgd(lr))
         };
         g.run_range(ctx, &mut state, nodes);
         // The batch's error averages ½‖a3 - x‖² (halving is exact).
-        let share = state.cost.reconstruction / 2.0;
-        scratch.graph.0 = Some((key, g));
-        share
+        state.cost.reconstruction / 2.0
     }
 
     fn partial_mut<'s>(scratch: &'s mut AeScratch, name: &str) -> &'s mut [f32] {
-        match name {
-            "rho_hat" => &mut scratch.rho_hat,
-            "gw1" => scratch.gw1.as_mut_slice(),
-            "gw2" => scratch.gw2.as_mut_slice(),
-            "gb1" => &mut scratch.gb1,
-            "gb2" => &mut scratch.gb2,
-            _ => unreachable!("`{name}` is not an AE partial sum"),
-        }
+        scratch.step.buf_mut(name)
+    }
+
+    fn arena_elems(scratch: &AeScratch) -> usize {
+        scratch.step.arena_elems()
     }
 }
 
@@ -710,8 +651,8 @@ pub fn ae_step_graph(
     lr: f32,
     opt: Option<&mut Optimizer>,
 ) -> (AeCost, GraphRun) {
-    let state = AeState::new(AeParams::Mut(ae), scratch, x, opt, lr);
-    let (cost, run) = SparseAutoencoder::run_graph(state, ctx, true);
+    let step = opt.map_or(AeStep::Sgd(lr), AeStep::Opt);
+    let (cost, run) = ae.run_graph(scratch, x, step, ctx, true);
     (cost, run.expect("wave runs return their schedule"))
 }
 
@@ -738,10 +679,11 @@ mod tests {
     ) {
         let _update = ctx.phase("update");
         let lambda = ae.config().weight_decay;
-        opt.step_slot(ctx, 0, lambda, scratch.gw1.as_slice(), ae.w1.as_mut_slice());
-        opt.step_slot(ctx, 1, lambda, scratch.gw2.as_slice(), ae.w2.as_mut_slice());
-        opt.step_slot(ctx, 2, 0.0, &scratch.gb1, &mut ae.b1);
-        opt.step_slot(ctx, 3, 0.0, &scratch.gb2, &mut ae.b2);
+        let g = |name| scratch.step.buf(name);
+        opt.step_slot(ctx, 0, lambda, g("gw1"), ae.w1.as_mut_slice());
+        opt.step_slot(ctx, 1, lambda, g("gw2"), ae.w2.as_mut_slice());
+        opt.step_slot(ctx, 2, 0.0, g("gb1"), &mut ae.b1);
+        opt.step_slot(ctx, 3, 0.0, g("gb2"), &mut ae.b2);
         opt.advance();
     }
 
@@ -890,16 +832,19 @@ mod tests {
                 for &(lo, hi) in bounds {
                     let (x, wave) = (data.rows_range(lo, hi), step % 2 == 1);
                     step += 1;
-                    let opt = use_opt.then_some(&mut opt_kept);
-                    let state = AeState::new(AeParams::Mut(&mut kept), &mut s_kept, x, opt, 0.3);
-                    let (c1, _) = SparseAutoencoder::run_graph(state, &ctx, wave);
+                    let step = use_opt
+                        .then_some(&mut opt_kept)
+                        .map_or(AeStep::Sgd(0.3), AeStep::Opt);
+                    let (c1, _) = kept.run_graph(&mut s_kept, x, step, &ctx, wave);
 
-                    // The fresh side's scratch holds exactly the batch.
-                    let mut s_fresh = AeScratch::new(&cfg, hi - lo);
-                    let opt = use_opt.then_some(&mut opt_fresh);
-                    let mut state =
-                        AeState::new(AeParams::Mut(&mut fresh), &mut s_fresh, x, opt, 0.3);
-                    let mut g = build_ae_graph(10, 6, hi - lo, state.update());
+                    // The fresh side's graph and arena hold exactly the batch.
+                    let update = [AeUpdate::Sgd, AeUpdate::Opt][usize::from(use_opt)];
+                    let mut g = build_ae_graph(10, 6, hi - lo, update);
+                    let mut ws = Workspace::new(&g.plan());
+                    let step = use_opt
+                        .then_some(&mut opt_fresh)
+                        .map_or(AeStep::Sgd(0.3), AeStep::Opt);
+                    let mut state = AeState::new(&mut fresh, &mut ws, x, step);
                     if wave {
                         g.execute(&ctx, &mut state);
                     } else {
@@ -913,7 +858,7 @@ mod tests {
                     assert_eq!(kept.b2, fresh.b2, "{what}");
                     assert_eq!(opt_kept.state_slots(), opt_fresh.state_slots(), "{what}");
                     assert_eq!(opt_kept.steps(), opt_fresh.steps(), "{what}");
-                    assert!(s_kept.graph.0.is_some(), "graph kept for the next batch");
+                    assert!(s_kept.step.0.is_some(), "graph kept for the next batch");
                 }
             }
         }

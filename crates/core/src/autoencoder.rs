@@ -9,13 +9,13 @@
 //!
 //! Gradients come from batched back-propagation in matrix form — the
 //! formulation whose "inevitable large matrix multiplication" is exactly
-//! what the paper offloads to MKL. All temporaries live in a reusable
-//! [`AeScratch`] (§IV.B: temporaries are "kept permanently to avoid
-//! unnecessary reallocation and release").
+//! what the paper offloads to MKL. All temporaries live in the planned arena
+//! of a reusable [`AeScratch`] (§IV.B: temporaries are "kept permanently to
+//! avoid unnecessary reallocation and release").
 
-use crate::ae_graph::{build_ae_graph, AeParams, AeState, AeUpdate};
+use crate::ae_graph::{ae_graph, AeState, AeStep, AeUpdate};
 use crate::exec::ExecCtx;
-use crate::graph::{GraphRun, GraphSlot};
+use crate::graph::{GraphRun, KeptGraph, TaskGraph, Workspace};
 use micdnn_tensor::{GlorotSigmoid, Initializer, Mat, MatView};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -58,15 +58,6 @@ impl AeConfig {
     pub fn param_bytes(&self) -> u64 {
         (self.param_count() * std::mem::size_of::<f32>()) as u64
     }
-
-    /// Device bytes a step over `rows` examples keeps resident: the
-    /// parameters, their gradients, and the per-batch temporaries the paper
-    /// keeps (a2, a3, delta2, delta3).
-    pub(crate) fn resident_bytes(&self, rows: usize) -> u64 {
-        let f = std::mem::size_of::<f32>() as u64;
-        let temps = 2 * (rows * self.n_hidden + rows * self.n_visible) as u64 * f;
-        self.param_bytes() * 2 + temps
-    }
 }
 
 /// Cost breakdown of one batch (paper eqs. 4–5).
@@ -87,43 +78,28 @@ impl AeCost {
     }
 }
 
-/// Reusable per-batch buffers (sized to the maximum batch) and the step
-/// graph over them, kept between steps (a clone builds its own).
+/// The storage of AE steps over batches of up to a maximum size: the step
+/// graph, kept between steps, and the arena its plan lays out, where every
+/// buffer the graph declares lives (a clone builds its own).
 #[derive(Debug, Clone)]
 pub struct AeScratch {
     max_batch: usize,
-    pub(crate) a2: Mat,
-    pub(crate) a3: Mat,
-    pub(crate) delta3: Mat,
-    pub(crate) delta2: Mat,
-    pub(crate) rho_hat: Vec<f32>,
-    pub(crate) s_term: Vec<f32>,
-    pub(crate) gw1: Mat,
-    pub(crate) gw2: Mat,
-    pub(crate) gb1: Vec<f32>,
-    pub(crate) gb2: Vec<f32>,
-    /// The step graph for `(n_visible, n_hidden, update, block form)`, at
-    /// this capacity.
-    pub(crate) graph: GraphSlot<(usize, usize, AeUpdate, bool), AeState<'static>>,
+    /// `(n_visible, n_hidden)` of the model the scratch serves.
+    dims: (usize, usize),
+    /// The step graph for `(update, block form)` at this capacity, and its
+    /// arena.
+    pub(crate) step: KeptGraph<(AeUpdate, bool), AeState<'static>>,
 }
 
 impl AeScratch {
-    /// Buffers for batches of up to `max_batch` examples.
+    /// Storage for batches of up to `max_batch` examples, allocated by the
+    /// first step.
     pub fn new(cfg: &AeConfig, max_batch: usize) -> Self {
         assert!(max_batch > 0, "batch size must be positive");
         AeScratch {
             max_batch,
-            a2: Mat::zeros(max_batch, cfg.n_hidden),
-            a3: Mat::zeros(max_batch, cfg.n_visible),
-            delta3: Mat::zeros(max_batch, cfg.n_visible),
-            delta2: Mat::zeros(max_batch, cfg.n_hidden),
-            rho_hat: vec![0.0; cfg.n_hidden],
-            s_term: vec![0.0; cfg.n_hidden],
-            gw1: Mat::zeros(cfg.n_hidden, cfg.n_visible),
-            gw2: Mat::zeros(cfg.n_visible, cfg.n_hidden),
-            gb1: vec![0.0; cfg.n_hidden],
-            gb2: vec![0.0; cfg.n_visible],
-            graph: GraphSlot(None),
+            dims: (cfg.n_visible, cfg.n_hidden),
+            step: KeptGraph(None),
         }
     }
 
@@ -132,10 +108,16 @@ impl AeScratch {
         self.max_batch
     }
 
-    /// The gradient buffers `(gw1, gw2, gb1, gb2)` of the last
-    /// [`SparseAutoencoder::cost_and_grad`] call.
-    pub(crate) fn gradients(&self) -> (&Mat, &Mat, &[f32], &[f32]) {
-        (&self.gw1, &self.gw2, &self.gb1, &self.gb2)
+    /// The step graph in `update` mode (with `block`, its block form) and
+    /// its arena, built at this capacity unless already kept.
+    pub(crate) fn prepare(
+        &mut self,
+        update: AeUpdate,
+        block: bool,
+    ) -> (&mut TaskGraph<'static, AeState<'static>>, &mut Workspace) {
+        let ((v, h), cap) = (self.dims, self.max_batch);
+        self.step
+            .prepare((update, block), || ae_graph(v, h, cap, update, block))
     }
 }
 
@@ -175,32 +157,33 @@ impl SparseAutoencoder {
         &self.cfg
     }
 
-    /// Runs the scratch's AE dependency graph (built on its first step) on
-    /// `state`'s batch: in declaration order — the exact serial op sequence
-    /// of the classic hand-rolled loop — or, with `wave`, under the
-    /// critical-path schedule (which it then returns). One builder, one
-    /// runner, behind every AE step entry point.
+    /// Runs the scratch's AE dependency graph (built on its first step in
+    /// `step`'s mode) on the batch `x`: in declaration order — the exact
+    /// serial op sequence of the classic hand-rolled loop — or, with
+    /// `wave`, under the critical-path schedule (which it then returns).
+    /// One builder, one runner, behind every AE step entry point.
     pub(crate) fn run_graph(
-        mut state: AeState<'_>,
+        &mut self,
+        scratch: &mut AeScratch,
+        x: MatView<'_>,
+        step: AeStep<'_>,
         ctx: &ExecCtx,
         wave: bool,
     ) -> (AeCost, Option<GraphRun>) {
-        let cfg = *state.params.get().config();
-        let (b, cap) = (state.x.rows(), state.scratch.max_batch);
-        assert!(b > 0, "empty batch");
-        assert!(b <= cap, "batch exceeds scratch capacity");
-        assert_eq!(
-            state.x.cols(),
-            cfg.n_visible,
-            "input dimensionality mismatch"
+        let (v, h) = scratch.dims;
+        assert!(x.rows() > 0, "empty batch");
+        assert!(
+            x.rows() <= scratch.max_batch,
+            "batch exceeds scratch capacity"
         );
-        let key = (cfg.n_visible, cfg.n_hidden, state.update(), false);
-        let mut g = (state.scratch.graph).take(&key, || build_ae_graph(key.0, key.1, cap, key.2));
+        let shapes = (x.cols(), self.cfg.n_visible, self.cfg.n_hidden);
+        assert_eq!(shapes, (v, v, h), "input dimensionality mismatch");
+        let (g, ws) = scratch.prepare(step.update(), false);
+        let mut state = AeState::new(self, ws, x, step);
         let run = wave.then(|| g.execute(ctx, &mut state));
         if !wave {
             g.run_serial(ctx, &mut state);
         }
-        state.scratch.graph.0 = Some((key, g));
         (state.cost, run)
     }
 
@@ -211,13 +194,12 @@ impl SparseAutoencoder {
     /// applies it multiplicatively, which is mathematically the same SGD
     /// step.
     pub(crate) fn cost_and_grad(
-        &self,
+        &mut self,
         ctx: &ExecCtx,
         x: MatView<'_>,
         scratch: &mut AeScratch,
     ) -> AeCost {
-        let state = AeState::new(AeParams::Shared(self), scratch, x, None, 0.0);
-        Self::run_graph(state, ctx, false).0
+        self.run_graph(scratch, x, AeStep::Grads, ctx, false).0
     }
 
     /// The optimizer slot lengths for this architecture (w1, w2, b1, b2) —
@@ -238,8 +220,7 @@ impl SparseAutoencoder {
         scratch: &mut AeScratch,
         lr: f32,
     ) -> AeCost {
-        let state = AeState::new(AeParams::Mut(self), scratch, x, None, lr);
-        Self::run_graph(state, ctx, false).0
+        self.run_graph(scratch, x, AeStep::Sgd(lr), ctx, false).0
     }
 
     /// Encodes a batch to hidden activations (the "code" the paper stacks
@@ -255,8 +236,8 @@ impl SparseAutoencoder {
         a2
     }
 
-    /// Mean per-example reconstruction error `1/m Σ ½‖a3 - x‖²`, after a
-    /// forward pass that leaves `a2` and `a3` in `scratch`.
+    /// Mean per-example reconstruction error `1/m Σ ½‖a3 - x‖²` of one
+    /// forward pass, outside the step graph.
     ///
     /// `x` is `b x n_visible` with `b <= scratch.max_batch`.
     pub fn reconstruction_error(
@@ -272,18 +253,12 @@ impl SparseAutoencoder {
             self.cfg.n_visible,
             "input dimensionality mismatch"
         );
-
-        // a2 = sigmoid(x W1^T + b1)
-        let mut a2 = scratch.a2.rows_range_mut(0, b);
-        ctx.gemm(1.0, x, false, self.w1.view(), true, 0.0, &mut a2);
-        ctx.bias_sigmoid_rows(&self.b1, &mut a2);
-
-        // a3 = sigmoid(a2 W2^T + b2)
-        let a2v = scratch.a2.rows_range(0, b);
-        let mut a3 = scratch.a3.rows_range_mut(0, b);
-        ctx.gemm(1.0, a2v, false, self.w2.view(), true, 0.0, &mut a3);
-        ctx.bias_sigmoid_rows(&self.b2, &mut a3);
-        ctx.frob_dist_sq(scratch.a3.rows_range(0, b), x) / (2.0 * b as f64)
+        // a2 = sigmoid(x W1^T + b1) ; a3 = sigmoid(a2 W2^T + b2)
+        let (a2, mut a3) = (self.encode(ctx, x), Mat::zeros(b, self.cfg.n_visible));
+        let mut a3v = a3.view_mut();
+        ctx.gemm(1.0, a2.view(), false, self.w2.view(), true, 0.0, &mut a3v);
+        ctx.bias_sigmoid_rows(&self.b2, &mut a3v);
+        ctx.frob_dist_sq(a3.view(), x) / (2.0 * b as f64)
     }
 }
 
@@ -301,18 +276,16 @@ mod tests {
     #[test]
     fn forward_shapes_and_range() {
         let cfg = AeConfig::new(12, 5);
-        let ae = SparseAutoencoder::new(cfg, 1);
+        let mut ae = SparseAutoencoder::new(cfg, 1);
         let ctx = ExecCtx::native(OptLevel::Improved, 0);
         let x = tiny_batch(7, 12, 2);
         let mut scratch = AeScratch::new(&cfg, 8);
-        ae.reconstruction_error(&ctx, x.view(), &mut scratch);
-        for r in 0..7 {
-            for &v in scratch.a2.row(r) {
-                assert!((0.0..=1.0).contains(&v));
-            }
-            for &v in scratch.a3.row(r) {
-                assert!((0.0..=1.0).contains(&v));
-            }
+        assert!(ae.reconstruction_error(&ctx, x.view(), &mut scratch) > 0.0);
+        ae.cost_and_grad(&ctx, x.view(), &mut scratch);
+        // The 7 live rows of each activation, in the step's arena.
+        for (name, width) in [("a2", 5), ("a3", 12)] {
+            let live = &scratch.step.buf(name)[..7 * width];
+            assert!(live.iter().all(|v| (0.0..=1.0).contains(v)), "{name}");
         }
     }
 
@@ -338,9 +311,9 @@ mod tests {
     #[test]
     fn backends_agree_on_gradients() {
         let cfg = AeConfig::new(10, 6);
-        let ae = SparseAutoencoder::new(cfg, 7);
+        let mut ae = SparseAutoencoder::new(cfg, 7);
         let x = tiny_batch(9, 10, 8);
-        let grads: Vec<(Mat, Mat)> = [
+        let grads: Vec<(Vec<f32>, Vec<f32>)> = [
             OptLevel::Baseline,
             OptLevel::OpenMp,
             OptLevel::OpenMpMkl,
@@ -351,7 +324,7 @@ mod tests {
             let ctx = ExecCtx::native(lvl, 0);
             let mut s = AeScratch::new(&cfg, 9);
             ae.cost_and_grad(&ctx, x.view(), &mut s);
-            (s.gw1.clone(), s.gw2.clone())
+            (s.step.buf("gw1").to_vec(), s.step.buf("gw2").to_vec())
         })
         .collect();
         for (g1, g2) in &grads[1..] {
@@ -369,7 +342,7 @@ mod tests {
     #[test]
     fn sparsity_penalty_reported_when_enabled() {
         let cfg = AeConfig::new(8, 4);
-        let ae = SparseAutoencoder::new(cfg, 1);
+        let mut ae = SparseAutoencoder::new(cfg, 1);
         let ctx = ExecCtx::native(OptLevel::Improved, 0);
         let x = tiny_batch(16, 8, 2);
         let mut s = AeScratch::new(&cfg, 16);
@@ -385,7 +358,7 @@ mod tests {
             sparsity_weight: 0.0,
             ..AeConfig::new(8, 4)
         };
-        let ae2 = SparseAutoencoder::new(cfg2, 1);
+        let mut ae2 = SparseAutoencoder::new(cfg2, 1);
         let mut s2 = AeScratch::new(&cfg2, 16);
         let cost2 = ae2.cost_and_grad(&ctx, x.view(), &mut s2);
         assert_eq!(cost2.sparsity_penalty, 0.0);
@@ -394,15 +367,13 @@ mod tests {
     #[test]
     fn encode_matches_forward_hidden() {
         let cfg = AeConfig::new(6, 3);
-        let ae = SparseAutoencoder::new(cfg, 2);
+        let mut ae = SparseAutoencoder::new(cfg, 2);
         let ctx = ExecCtx::native(OptLevel::Improved, 0);
         let x = tiny_batch(5, 6, 3);
         let mut s = AeScratch::new(&cfg, 5);
-        ae.reconstruction_error(&ctx, x.view(), &mut s);
+        ae.cost_and_grad(&ctx, x.view(), &mut s);
         let code = ae.encode(&ctx, x.view());
-        assert!(
-            micdnn_tensor::max_abs_diff(code.as_slice(), s.a2.rows_range(0, 5).as_slice()) < 1e-6
-        );
+        assert!(micdnn_tensor::max_abs_diff(code.as_slice(), s.step.buf("a2")) < 1e-6);
     }
 
     #[test]

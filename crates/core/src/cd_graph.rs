@@ -36,30 +36,35 @@
 //! simulated clock by the critical path — quantifying what the paper's
 //! "compute Vb, H2 and C in parallel" optimization buys. All three build
 //! the graph once, at the scratch's row capacity, keep it in [`RbmScratch`]
-//! and bind each batch through a [`CdState`], whose rows the node bodies
-//! slice to — a ragged tail included. CD-k's *block form* is what
+//! with the arena its plan lays out, and bind each batch through a
+//! [`CdState`], whose rows the node bodies slice to — a ragged tail
+//! included. CD-k's *block form* is what
 //! [`crate::DataParallel`] runs per canonical block: the six statistics
 //! are `Partial` sums, sampling nodes draw from master-reserved streams at
 //! the block's global element offset, and RE leaves the raw squared error.
 //!
-//! The declared buffers also feed the workspace planner: for CD-1 the
-//! hidden *samples* (`S1`'s output) are dead before the reconstruction
-//! hiddens (`H2`'s output) are born, so [`TaskGraph::plan`] aliases the
-//! two `b x h` buffers into one arena register.
+//! Every declared buffer but the batch, the parameters and the chain lives
+//! in that arena. For CD-1 the hidden *samples* (`S1`'s output) are dead
+//! before the reconstruction hiddens (`H2`'s output) are born, so
+//! [`TaskGraph::plan`] folds the two `b x h` buffers into one register.
 
 use crate::exec::ExecCtx;
-use crate::graph::{BufClass, BufId, GraphRun, NodeSpec, NodeState, TaskGraph};
+use crate::graph::{BufClass, BufId, GraphRun, NodeSpec, NodeState, TaskGraph, Workspace};
 use crate::layers::StackBuilder;
 use crate::multidev::{split_at_syncs, BlockGraph, Segment};
-use crate::rbm::{Rbm, RbmScratch};
+use crate::rbm::{Rbm, RbmConfig, RbmScratch};
 use micdnn_kernels::rng::StreamId;
-use micdnn_tensor::{Mat, MatView};
+use micdnn_tensor::{Mat, MatView, MatViewMut};
 use std::ops::Range;
 
 /// Mutable state one CD graph run threads through its nodes.
 pub struct CdState<'a> {
     pub(crate) rbm: &'a mut Rbm,
-    pub(crate) scratch: &'a mut RbmScratch,
+    /// The arena every declared buffer but the batch, the parameters and
+    /// the chain lives in.
+    pub(crate) ws: &'a mut Workspace,
+    /// PCD's persistent fantasy particles, owned by the scratch.
+    pub(crate) chain: &'a mut Mat,
     pub(crate) v0: MatView<'a>,
     pub(crate) lr: f32,
     pub(crate) recon_err: f64,
@@ -69,16 +74,19 @@ pub struct CdState<'a> {
 }
 
 impl<'a> CdState<'a> {
-    /// State for one step on the batch `v0` at learning rate `lr`.
+    /// State for one step on the batch `v0` over the arena `ws` and the
+    /// chain `chain`, at learning rate `lr`.
     pub(crate) fn new(
         rbm: &'a mut Rbm,
-        scratch: &'a mut RbmScratch,
+        ws: &'a mut Workspace,
+        chain: &'a mut Mat,
         v0: MatView<'a>,
         lr: f32,
     ) -> Self {
         CdState {
             rbm,
-            scratch,
+            ws,
+            chain,
             v0,
             lr,
             recon_err: 0.0,
@@ -86,26 +94,22 @@ impl<'a> CdState<'a> {
         }
     }
 
-    /// One node's operands, borrowed at once: the model, the batch's rows
-    /// of `src`, and the whole of `dst` (a different matrix).
-    fn io(&mut self, src: Act, dst: Act) -> (&Rbm, MatView<'_>, &mut Mat) {
-        let (b, scr) = (self.v0.rows(), &mut *self.scratch);
-        let (mut from, mut to) = ((src == Act::V0).then_some(self.v0), None);
-        for (act, m) in [
-            (Act::H0Prob, &mut scr.h0_prob),
-            (Act::H0Sample, &mut scr.h0_sample),
-            (Act::V1Prob, &mut scr.v1_prob),
-            (Act::H1Prob, &mut scr.h1_prob),
-            (Act::Chain, &mut scr.pcd_chain),
-        ] {
-            if act == dst {
-                to = Some(m);
-            } else if act == src {
-                from = Some(m.rows_range(0, b));
+    /// The batch's rows of the matrix `src` and of `dst`, a different one
+    /// the node writes: the batch, the chain, or the arena buffers their
+    /// ids name.
+    fn rows(&mut self, src: Operand, dst: Operand) -> (&Rbm, MatView<'_>, MatViewMut<'_>) {
+        let b = self.v0.rows();
+        let (x, y): (&[f32], &mut [f32]) = match (src.0, dst.0) {
+            (_, Act::Chain) => (self.ws.buf(src.1), self.chain.as_mut_slice()),
+            (Act::V0, _) => (self.v0.as_slice(), self.ws.buf_mut(dst.1)),
+            (Act::Chain, _) => (self.chain.as_slice(), self.ws.buf_mut(dst.1)),
+            _ => {
+                let [x, y] = self.ws.bufs_mut([src.1, dst.1]);
+                (x, y)
             }
-        }
-        let to = to.expect("destination is a scratch matrix");
-        (&*self.rbm, from.expect("source is a CD matrix"), to)
+        };
+        let x = MatView::prefix(x, b, src.2);
+        (&*self.rbm, x, MatViewMut::prefix(y, b, dst.2))
     }
 }
 
@@ -125,6 +129,12 @@ enum Act {
     Chain,
 }
 
+/// A batch-shaped matrix of a recipe: which one, its buffer, its width.
+type Operand = (Act, BufId, usize);
+
+/// Where an update node finds the parameter tensor it moves.
+type ParamOf = fn(&mut Rbm) -> &mut [f32];
+
 impl NodeState for CdState<'_> {
     type At<'a> = CdState<'a>;
 }
@@ -135,6 +145,8 @@ struct Recipe<'a> {
     sb: StackBuilder<CdState<'a>>,
     /// Building the block form (see [`cd_graph`]).
     block: bool,
+    /// `(n_visible, n_hidden)`.
+    dims: (usize, usize),
 }
 
 impl<'a> Recipe<'a> {
@@ -170,20 +182,22 @@ impl<'a> Recipe<'a> {
         if pcd {
             sb.bind_dims(RBM, "chain", "chain", &[b, v], External);
         }
-        Recipe { sb, block }
+        let dims = (v, h);
+        Recipe { sb, block, dims }
     }
 
-    /// The buffer `act` is declared as.
-    fn id(&self, act: Act) -> BufId {
-        let key = match act {
-            Act::V0 => return self.sb.global("v0"),
-            Act::H0Prob => "h0_prob",
-            Act::H0Sample => "h0_sample",
-            Act::V1Prob => "v1_prob",
-            Act::H1Prob => "h1_prob",
-            Act::Chain => "chain",
+    /// The matrix `act` as an [`Operand`].
+    fn id(&self, act: Act) -> Operand {
+        let (v, h) = self.dims;
+        let (key, width) = match act {
+            Act::V0 => return (act, self.sb.global("v0"), v),
+            Act::H0Prob => ("h0_prob", h),
+            Act::H0Sample => ("h0_sample", h),
+            Act::V1Prob => ("v1_prob", v),
+            Act::H1Prob => ("h1_prob", h),
+            Act::Chain => ("chain", v),
         };
-        self.sb.buf(RBM, key)
+        (act, self.sb.buf(RBM, key), width)
     }
 
     /// Handles of the buffers bound under `keys`.
@@ -194,26 +208,28 @@ impl<'a> Recipe<'a> {
     /// `dst = p(h | src)` (paper eq. 9).
     fn prop_up(&mut self, name: &'static str, phase: &'static str, src: Act, dst: Act) {
         let [w, c_hid] = self.bufs(["w", "c_hid"]);
+        let (src, dst) = (self.id(src), self.id(dst));
         let spec = NodeSpec::new(name)
-            .reads(&[self.id(src), w, c_hid])
-            .writes(&[self.id(dst)])
+            .reads(&[src.1, w, c_hid])
+            .writes(&[dst.1])
             .phase(phase);
         self.sb.node(spec, move |ctx, s: &mut CdState<'_>| {
-            let (rbm, x, out) = s.io(src, dst);
-            rbm.prop_up(ctx, x, out);
+            let (rbm, x, mut out) = s.rows(src, dst);
+            rbm.prop_up(ctx, x, &mut out);
         });
     }
 
     /// `dst = p(v | src)` (paper eq. 8).
     fn prop_down(&mut self, name: &'static str, src: Act, dst: Act) {
         let [w, b_vis] = self.bufs(["w", "b_vis"]);
+        let (src, dst) = (self.id(src), self.id(dst));
         let spec = NodeSpec::new(name)
-            .reads(&[self.id(src), w, b_vis])
-            .writes(&[self.id(dst)])
+            .reads(&[src.1, w, b_vis])
+            .writes(&[dst.1])
             .phase("backward");
         self.sb.node(spec, move |ctx, s: &mut CdState<'_>| {
-            let (rbm, h, out) = s.io(src, dst);
-            rbm.prop_down(ctx, h, out);
+            let (rbm, h, mut out) = s.rows(src, dst);
+            rbm.prop_down(ctx, h, &mut out);
         });
     }
 
@@ -221,9 +237,10 @@ impl<'a> Recipe<'a> {
     /// stream, so it must stay in declaration order; a block run samples
     /// its rows of the batch's draw (see [`CdState::block`]).
     fn sample(&mut self, name: &'static str, phase: &'static str, nth: usize, src: Act, dst: Act) {
+        let (src, dst) = (self.id(src), self.id(dst));
         let spec = NodeSpec::new(name)
-            .reads(&[self.id(src)])
-            .writes(&[self.id(dst)])
+            .reads(&[src.1])
+            .writes(&[dst.1])
             .stochastic()
             .cursor("gibbs")
             .phase(phase);
@@ -232,23 +249,24 @@ impl<'a> Recipe<'a> {
                 Some((row0, streams)) => (streams[nth], row0),
                 None => (ctx.next_stream(), 0),
             };
-            let (_, probs, out) = s.io(src, dst);
-            let (mut out, base) = (out.rows_range_mut(0, probs.rows()), row0 * probs.cols());
-            ctx.bernoulli_at(stream, base as u64, probs.as_slice(), out.as_mut_slice());
+            let (_, probs, mut out) = s.rows(src, dst);
+            let base = (row0 * probs.cols()) as u64;
+            ctx.bernoulli_at(stream, base, probs.as_slice(), out.as_mut_slice());
         });
     }
 
     /// Reconstruction error of `v1_prob` against the batch; writes a state
     /// scalar the buffer analysis cannot see, hence exclusive.
     fn recon_error(&mut self) {
+        let ((_, v1, v), (_, v0, _)) = (self.id(Act::V1Prob), self.id(Act::V0));
         let spec = NodeSpec::new("RE")
-            .reads(&[self.id(Act::V1Prob), self.id(Act::V0)])
+            .reads(&[v1, v0])
             .exclusive()
             .phase("backward");
         let per_row = !self.block;
         self.sb.node(spec, move |ctx, s: &mut CdState<'_>| {
             let b = s.v0.rows();
-            let err = ctx.frob_dist_sq(s.scratch.v1_prob.rows_range(0, b), s.v0);
+            let err = ctx.frob_dist_sq(MatView::prefix(s.ws.buf(v1), b, v), s.v0);
             s.recon_err = if per_row { err / b as f64 } else { err };
         });
     }
@@ -262,7 +280,7 @@ impl<'a> Recipe<'a> {
     fn finish(mut self, neg: Act) -> TaskGraph<'static, CdState<'a>> {
         let pcd = neg == Act::Chain;
         let [v0, h0_prob, h1_prob, neg_vis] =
-            [Act::V0, Act::H0Prob, Act::H1Prob, neg].map(|a| self.id(a));
+            [Act::V0, Act::H0Prob, Act::H1Prob, neg].map(|a| self.id(a).1);
         let [pos_stats, neg_stats, vis_pos, vis_neg, hid_pos, hid_neg] = self.bufs([
             "pos_stats",
             "neg_stats",
@@ -272,91 +290,86 @@ impl<'a> Recipe<'a> {
             "hid_neg",
         ]);
         let [w, b_vis, c_hid] = self.bufs(["w", "b_vis", "c_hid"]);
-        let (sb, sum) = (&mut self.sb, self.block);
+        let ((v, h), sb, sum) = (self.dims, &mut self.sb, self.block);
         let stat = |name| NodeSpec::new(name).phase("backward");
+        let alpha = move |b: usize| if sum { 1.0 } else { 1.0 / b as f32 };
         sb.node(
             stat("POS").reads(&[h0_prob, v0]).writes(&[pos_stats]),
             move |ctx, s: &mut CdState<'_>| {
-                let (scr, v, b) = (&mut *s.scratch, s.v0, s.v0.rows());
-                let (h0, mut out) = (scr.h0_prob.rows_range(0, b), scr.pos_stats.view_mut());
-                let alpha = if sum { 1.0 } else { 1.0 / b as f32 };
-                ctx.gemm(alpha, h0, true, v, false, 0.0, &mut out);
+                let b = s.v0.rows();
+                let [h0, out] = s.ws.bufs_mut([h0_prob, pos_stats]);
+                let (h0, mut out) = (MatView::prefix(h0, b, h), MatViewMut::new(out, h, v));
+                ctx.gemm(alpha(b), h0, true, s.v0, false, 0.0, &mut out);
             },
         );
         sb.node(
             stat("NEG").reads(&[h1_prob, neg_vis]).writes(&[neg_stats]),
             move |ctx, s: &mut CdState<'_>| {
-                let (scr, b) = (&mut *s.scratch, s.v0.rows());
-                let v = if pcd { &scr.pcd_chain } else { &scr.v1_prob };
-                let (h1, v) = (scr.h1_prob.rows_range(0, b), v.rows_range(0, b));
-                let mut out = scr.neg_stats.view_mut();
-                let alpha = if sum { 1.0 } else { 1.0 / b as f32 };
-                ctx.gemm(alpha, h1, true, v, false, 0.0, &mut out);
+                let b = s.v0.rows();
+                let (h1, neg, out) = if pcd {
+                    let [h1, out] = s.ws.bufs_mut([h1_prob, neg_stats]);
+                    (h1, s.chain.as_slice(), out)
+                } else {
+                    let [h1, neg, out] = s.ws.bufs_mut([h1_prob, neg_vis, neg_stats]);
+                    (h1, &*neg, out)
+                };
+                let (h1, neg) = (MatView::prefix(h1, b, h), MatView::prefix(neg, b, v));
+                let mut out = MatViewMut::new(out, h, v);
+                ctx.gemm(alpha(b), h1, true, neg, false, 0.0, &mut out);
             },
         );
         sb.node(
             stat("VPOS").reads(&[v0]).writes(&[vis_pos]),
-            move |ctx, s: &mut CdState<'_>| ctx.col_stat(sum, s.v0, &mut s.scratch.vis_pos),
+            move |ctx, s: &mut CdState<'_>| ctx.col_stat(sum, s.v0, s.ws.buf_mut(vis_pos)),
         );
         sb.node(
             stat("VNEG").reads(&[neg_vis]).writes(&[vis_neg]),
             move |ctx, s: &mut CdState<'_>| {
-                let (scr, b) = (&mut *s.scratch, s.v0.rows());
-                let v = if pcd { &scr.pcd_chain } else { &scr.v1_prob };
-                ctx.col_stat(sum, v.rows_range(0, b), &mut scr.vis_neg);
+                let b = s.v0.rows();
+                let (neg, out) = if pcd {
+                    (s.chain.as_slice(), s.ws.buf_mut(vis_neg))
+                } else {
+                    let [neg, out] = s.ws.bufs_mut([neg_vis, vis_neg]);
+                    (&*neg, out)
+                };
+                ctx.col_stat(sum, MatView::prefix(neg, b, v), out);
             },
         );
-        sb.node(
-            stat("HPOS").reads(&[h0_prob]).writes(&[hid_pos]),
-            move |ctx, s: &mut CdState<'_>| {
-                let (scr, b) = (&mut *s.scratch, s.v0.rows());
-                ctx.col_stat(sum, scr.h0_prob.rows_range(0, b), &mut scr.hid_pos);
-            },
-        );
-        sb.node(
-            stat("HNEG").reads(&[h1_prob]).writes(&[hid_neg]),
-            move |ctx, s: &mut CdState<'_>| {
-                let (scr, b) = (&mut *s.scratch, s.v0.rows());
-                ctx.col_stat(sum, scr.h1_prob.rows_range(0, b), &mut scr.hid_neg);
-            },
-        );
+        for (name, src, dst) in [("HPOS", h0_prob, hid_pos), ("HNEG", h1_prob, hid_neg)] {
+            sb.node(
+                stat(name).reads(&[src]).writes(&[dst]),
+                move |ctx, s: &mut CdState<'_>| {
+                    let [hid, out] = s.ws.bufs_mut([src, dst]);
+                    ctx.col_stat(sum, MatView::prefix(hid, s.v0.rows(), h), out);
+                },
+            );
+        }
 
-        let update = |name, reads: &[BufId], param| {
-            NodeSpec::new(name)
-                .reads(reads)
-                .writes(&[param])
-                .phase("update")
-        };
-        sb.node(
-            update("Vw", &[pos_stats, neg_stats, w], w),
-            move |ctx, s: &mut CdState<'_>| {
-                let scr = &*s.scratch;
-                let (pos, neg) = (scr.pos_stats.as_slice(), scr.neg_stats.as_slice());
-                ctx.cd_update(s.lr, pos, neg, s.rbm.w.as_mut_slice());
-            },
-        );
-        sb.node(
-            update("Vb", &[vis_pos, vis_neg, b_vis], b_vis),
-            move |ctx, s: &mut CdState<'_>| {
-                let scr = &*s.scratch;
-                ctx.cd_update(s.lr, &scr.vis_pos, &scr.vis_neg, &mut s.rbm.b_vis);
-            },
-        );
-        sb.node(
-            update("Vc", &[hid_pos, hid_neg, c_hid], c_hid),
-            move |ctx, s: &mut CdState<'_>| {
-                let scr = &*s.scratch;
-                ctx.cd_update(s.lr, &scr.hid_pos, &scr.hid_neg, &mut s.rbm.c_hid);
-            },
-        );
+        // Vw, Vb, Vc: each parameter tensor moves by its `pos - neg`.
+        let updates: [(_, _, _, _, ParamOf); 3] = [
+            ("Vw", pos_stats, neg_stats, w, |rbm| rbm.w.as_mut_slice()),
+            ("Vb", vis_pos, vis_neg, b_vis, |rbm| &mut rbm.b_vis),
+            ("Vc", hid_pos, hid_neg, c_hid, |rbm| &mut rbm.c_hid),
+        ];
+        for (name, pos, neg, id, param) in updates {
+            let spec = NodeSpec::new(name)
+                .reads(&[pos, neg, id])
+                .writes(&[id])
+                .phase("update");
+            sb.node(spec, move |ctx, s: &mut CdState<'_>| {
+                ctx.cd_update(s.lr, s.ws.buf(pos), s.ws.buf(neg), param(s.rbm));
+            });
+        }
         self.sb.finish()
     }
 }
 
 /// Builds the CD-k step for batches of up to `b` rows, whose declaration
 /// order is exactly the serial op order of the classic `cd_step` loop.
-/// Storage is bound to the fields of [`RbmScratch`]; the declarations
-/// describe their sizes and lifetimes to the planner.
+/// Every declared buffer but the batch and the parameters lives in the
+/// [`Workspace`] the graph's plan lays out, which an [`RbmScratch`] keeps
+/// beside the graph; node bodies reach it through the buffer ids captured
+/// here.
 ///
 /// Public so integration tests can run every shipped graph shape through
 /// [`TaskGraph::verify`]; training entry points use it via
@@ -399,8 +412,9 @@ pub(crate) fn cd_graph<'a>(
 /// Builds the PCD step for batches of up to `b` rows: the CD-k statistics
 /// and updates over a persistent chain of fantasy particles instead of the
 /// reconstruction, in the serial op order of the original hand-rolled
-/// `pcd_step`. The chain is bound to [`RbmScratch`]'s persistent particles,
-/// which [`Rbm::pcd_step`] seeds from the first batch it sees.
+/// `pcd_step`. The chain is the one `External` buffer an [`RbmScratch`]
+/// owns itself, whose particles [`Rbm::pcd_step`] seeds from the first
+/// batch it sees.
 ///
 /// Public, like [`build_cd_graph`], so the verifier and `micdnn verify`
 /// can certify it.
@@ -424,6 +438,32 @@ pub fn build_pcd_graph<'a>(
     r.finish(Chain)
 }
 
+impl RbmScratch {
+    /// The step graph for `cfg` — PCD with `pcd`, the block form with
+    /// `block` — with its arena and the chain, built at this capacity
+    /// unless already kept.
+    pub(crate) fn prepare(
+        &mut self,
+        cfg: RbmConfig,
+        pcd: bool,
+        block: bool,
+    ) -> (
+        &mut TaskGraph<'static, CdState<'static>>,
+        &mut Workspace,
+        &mut Mat,
+    ) {
+        let (v, h, cap) = (cfg.n_visible, cfg.n_hidden, self.capacity());
+        let (g, ws) = self.step.prepare((cfg, pcd, block), || {
+            if pcd {
+                build_pcd_graph(v, h, cap)
+            } else {
+                cd_graph(v, h, cap, cfg.cd_steps, block)
+            }
+        });
+        (g, ws, &mut self.pcd_chain)
+    }
+}
+
 impl BlockGraph for Rbm {
     fn split(&self) -> (Vec<Segment>, usize) {
         let cfg = self.config();
@@ -440,29 +480,21 @@ impl BlockGraph for Rbm {
         lr: f32,
         block: Option<(usize, &[StreamId], &RbmScratch)>,
     ) -> f64 {
-        let (cfg, cap) = (*self.config(), scratch.capacity());
-        let build = || cd_graph(cfg.n_visible, cfg.n_hidden, cap, cfg.cd_steps, true);
-        let mut g = scratch.graph.take(&(cfg, false, true), build);
+        let (g, ws, chain) = scratch.prepare(*self.config(), false, true);
         let mut state = CdState {
             block: block.map(|(row0, streams, _)| (row0, streams)),
-            ..CdState::new(self, scratch, x, lr)
+            ..CdState::new(self, ws, chain, x, lr)
         };
         g.run_range(ctx, &mut state, nodes);
-        let share = state.recon_err;
-        scratch.graph.0 = Some(((cfg, false, true), g));
-        share
+        state.recon_err
     }
 
     fn partial_mut<'s>(scratch: &'s mut RbmScratch, name: &str) -> &'s mut [f32] {
-        match name {
-            "pos_stats" => scratch.pos_stats.as_mut_slice(),
-            "neg_stats" => scratch.neg_stats.as_mut_slice(),
-            "vis_pos" => &mut scratch.vis_pos,
-            "vis_neg" => &mut scratch.vis_neg,
-            "hid_pos" => &mut scratch.hid_pos,
-            "hid_neg" => &mut scratch.hid_neg,
-            _ => unreachable!("`{name}` is not a CD statistic"),
-        }
+        scratch.step.buf_mut(name)
+    }
+
+    fn arena_elems(scratch: &RbmScratch) -> usize {
+        scratch.step.arena_elems()
     }
 }
 
@@ -494,27 +526,21 @@ pub(crate) fn run_cd_step(
     pcd: bool,
     wave: bool,
 ) -> (f64, Option<GraphRun>) {
-    let (b, cap, cfg) = (v0.rows(), scratch.capacity(), *rbm.config());
-    assert!(b > 0, "empty batch");
-    assert!(b <= cap, "batch exceeds scratch capacity");
+    assert!(v0.rows() > 0, "empty batch");
+    assert!(
+        v0.rows() <= scratch.capacity(),
+        "batch exceeds scratch capacity"
+    );
     if pcd {
         scratch.seed_chain(v0);
     }
-    let mut g = scratch.graph.take(&(cfg, pcd, false), || {
-        if pcd {
-            build_pcd_graph(cfg.n_visible, cfg.n_hidden, cap)
-        } else {
-            build_cd_graph(cfg.n_visible, cfg.n_hidden, cap, cfg.cd_steps)
-        }
-    });
-    let mut state = CdState::new(rbm, scratch, v0, lr);
+    let (g, ws, chain) = scratch.prepare(*rbm.config(), pcd, false);
+    let mut state = CdState::new(rbm, ws, chain, v0, lr);
     let run = wave.then(|| g.execute(ctx, &mut state));
     if !wave {
         g.run_serial(ctx, &mut state);
     }
-    let err = state.recon_err;
-    scratch.graph.0 = Some(((cfg, pcd, false), g));
-    (err, run)
+    (state.recon_err, run)
 }
 
 #[cfg(test)]
@@ -615,7 +641,9 @@ mod tests {
             let e1 = rbm_serial.pcd_step(&ctx_serial, v, &mut s_serial, 0.1);
             s_graph.seed_chain(v);
             let mut g = build_pcd_graph(12, 7, hi - lo);
-            let mut state = CdState::new(&mut rbm_graph, &mut s_graph, v, 0.1);
+            let mut ws = Workspace::new(&g.plan());
+            let chain = &mut s_graph.pcd_chain;
+            let mut state = CdState::new(&mut rbm_graph, &mut ws, chain, v, 0.1);
             g.execute(&ctx_graph, &mut state);
             assert_eq!(e1.to_bits(), state.recon_err.to_bits(), "rows {lo}..{hi}");
         }
@@ -690,9 +718,9 @@ mod tests {
     }
 
     /// The old per-batch path: a graph built for this batch's rows, run
-    /// once and dropped. CD-k runs it over a scratch of exactly those rows,
-    /// so a body that slices to the capacity instead of the batch shows;
-    /// PCD keeps `scratch` for its chain.
+    /// once over an arena of exactly those rows (so a body that slices to
+    /// the capacity instead of the batch shows) and dropped; PCD keeps
+    /// `scratch` for its chain.
     fn fresh_step(
         rbm: &mut Rbm,
         ctx: &ExecCtx,
@@ -702,15 +730,14 @@ mod tests {
         wave: bool,
     ) -> f64 {
         let (cfg, b) = (*rbm.config(), v.rows());
-        let mut exact = RbmScratch::new(&cfg, b);
-        let (mut g, scratch) = if pcd {
+        let mut g = if pcd {
             scratch.seed_chain(v);
-            (build_pcd_graph(cfg.n_visible, cfg.n_hidden, b), scratch)
+            build_pcd_graph(cfg.n_visible, cfg.n_hidden, b)
         } else {
-            let g = build_cd_graph(cfg.n_visible, cfg.n_hidden, b, cfg.cd_steps);
-            (g, &mut exact)
+            build_cd_graph(cfg.n_visible, cfg.n_hidden, b, cfg.cd_steps)
         };
-        let mut state = CdState::new(rbm, scratch, v, 0.1);
+        let mut ws = Workspace::new(&g.plan());
+        let mut state = CdState::new(rbm, &mut ws, &mut scratch.pcd_chain, v, 0.1);
         if wave {
             g.execute(ctx, &mut state);
         } else {
@@ -756,7 +783,7 @@ mod tests {
                         s_fresh.pcd_chain.as_slice(),
                         "{what}"
                     );
-                    assert!(s_kept.graph.0.is_some(), "graph kept for the next batch");
+                    assert!(s_kept.step.0.is_some(), "graph kept for the next batch");
                 }
             }
         }
@@ -775,12 +802,12 @@ mod tests {
         // Corrupt the kept graph behind its verified bit: S1 no longer
         // waits for H1. A second verification would report the race and
         // demote the context.
-        let (_, kept) = scratch.graph.0.as_mut().expect("graph kept");
+        let (_, kept, _) = scratch.step.0.as_mut().expect("graph kept");
         kept.deps[1].clear();
         rbm.cd_step(&ctx, v.view(), &mut scratch, 0.1);
         assert!(!ctx.is_degraded(), "the kept graph was verified again");
         // A mutation hook clears the bit: the next batch verifies again.
-        let (_, kept) = scratch.graph.0.as_mut().expect("graph kept");
+        let (_, kept, _) = scratch.step.0.as_mut().expect("graph kept");
         kept.testonly_drop_dep(2, 1);
         rbm.cd_step(&ctx, v.view(), &mut scratch, 0.1);
         assert!(ctx.is_degraded(), "a cleared verified bit must re-verify");
@@ -841,12 +868,12 @@ mod tests {
         let mut scratch = RbmScratch::new(&cfg, 10);
         rbm.pcd_step(&ctx, v.view(), &mut scratch, 0.1);
         let mut twin = scratch.clone();
-        assert!(scratch.graph.0.is_some() && twin.graph.0.is_none());
+        assert!(scratch.step.0.is_some() && twin.step.0.is_none());
         let (mut rbm2, ctx2) = (rbm.clone(), ExecCtx::native(OptLevel::Improved, 83));
         ctx2.restore_rng(ctx.seed(), ctx.rng_state().1);
         let e1 = rbm.pcd_step(&ctx, v.view(), &mut scratch, 0.1);
         let e2 = rbm2.pcd_step(&ctx2, v.view(), &mut twin, 0.1);
-        assert!(twin.graph.0.is_some(), "the clone prepared its own graph");
+        assert!(twin.step.0.is_some(), "the clone prepared its own graph");
         assert_eq!(e1.to_bits(), e2.to_bits());
         assert_eq!(rbm.w.as_slice(), rbm2.w.as_slice());
         assert_eq!(scratch.pcd_chain.as_slice(), twin.pcd_chain.as_slice());

@@ -310,7 +310,11 @@ impl LabeledNet for CnnNet {
         }
     }
 
-    fn step_cache(&mut self) -> &mut StepCache<Self> {
+    fn step_cache(&self) -> &StepCache<Self> {
+        &self.step
+    }
+
+    fn step_cache_mut(&mut self) -> &mut StepCache<Self> {
         &mut self.step
     }
 }
@@ -522,7 +526,7 @@ mod tests {
         let ctx = ctx();
         let mut net = CnnNet::new(CnnConfig::digits(12), 3);
         net.train_batch(&ctx, ds.matrix().view(), &labels, 0.1);
-        let arena = |net: &CnnNet| net.step.prepared.as_ref().map(|p| p.0);
+        let arena = |net: &CnnNet| net.step.prepared.0.as_ref().map(|p| p.0);
         let rows = arena(&net);
         assert!(rows.is_some(), "workspace not planned");
         net.train_batch(&ctx, ds.matrix().view(), &labels, 0.1);

@@ -231,7 +231,11 @@ impl LabeledNet for FineTuneNet {
         }
     }
 
-    fn step_cache(&mut self) -> &mut StepCache<Self> {
+    fn step_cache(&self) -> &StepCache<Self> {
+        &self.step
+    }
+
+    fn step_cache_mut(&mut self) -> &mut StepCache<Self> {
         &mut self.step
     }
 }
@@ -517,7 +521,7 @@ mod tests {
     /// Row capacity of the net's prepared step and arena (0 before the
     /// first batch).
     fn arena_rows(net: &FineTuneNet) -> usize {
-        net.step.prepared.as_ref().map_or(0, |p| p.0)
+        net.step.prepared.0.as_ref().map_or(0, |p| p.0)
     }
 
     #[test]

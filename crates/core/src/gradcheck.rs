@@ -57,9 +57,8 @@ pub fn check_autoencoder(
     let mut scratch = AeScratch::new(&cfg, x.rows());
 
     // Analytic gradients at the current point.
-    let model = ae.clone();
-    model.cost_and_grad(&ctx, x, &mut scratch);
-    let (gw1, gw2, gb1, gb2) = scratch.gradients();
+    ae.clone().cost_and_grad(&ctx, x, &mut scratch);
+    let [gw1, gw2, gb1, gb2] = ["gw1", "gw2", "gb1", "gb2"].map(|g| scratch.step.buf(g));
     let lambda = cfg.weight_decay;
 
     let mut rng = StdRng::seed_from_u64(seed);
@@ -71,7 +70,7 @@ pub fn check_autoencoder(
         coords.push(Param::B2(rng.gen_range(0..cfg.n_visible)));
     }
 
-    let cost_at = |m: &SparseAutoencoder| -> f64 {
+    let cost_at = |m: &mut SparseAutoencoder| -> f64 {
         let ctx = ExecCtx::native(OptLevel::Improved, 0);
         let mut s = AeScratch::new(&cfg, x.rows());
         m.cost_and_grad(&ctx, x, &mut s).total()
@@ -80,8 +79,8 @@ pub fn check_autoencoder(
     let mut max_rel = 0.0f64;
     for &coord in &coords {
         let analytic = match coord {
-            Param::W1(i) => (gw1.as_slice()[i] + lambda * ae.w1.as_slice()[i]) as f64,
-            Param::W2(i) => (gw2.as_slice()[i] + lambda * ae.w2.as_slice()[i]) as f64,
+            Param::W1(i) => (gw1[i] + lambda * ae.w1.as_slice()[i]) as f64,
+            Param::W2(i) => (gw2[i] + lambda * ae.w2.as_slice()[i]) as f64,
             Param::B1(i) => gb1[i] as f64,
             Param::B2(i) => gb2[i] as f64,
         };
@@ -103,7 +102,7 @@ pub fn check_autoencoder(
             *p += eps;
             *m -= eps;
         }
-        let numeric = (cost_at(&plus) - cost_at(&minus)) / (2.0 * eps as f64);
+        let numeric = (cost_at(&mut plus) - cost_at(&mut minus)) / (2.0 * eps as f64);
         let denom = analytic.abs().max(numeric.abs()).max(1e-4);
         let rel = (analytic - numeric).abs() / denom;
         max_rel = max_rel.max(rel);

@@ -20,6 +20,7 @@
 //!   may share storage only when every node touching one strictly precedes
 //!   every node touching the other — a criterion that holds under any
 //!   topological order, not just the declaration order the host runs.
+//!   Every shipped step runs over the arena its plan lays out.
 //! * **Executor** — [`TaskGraph::run_serial`] runs nodes in declaration
 //!   order, charging ops directly: bit- and time-identical to the
 //!   hand-rolled loops it replaces. [`TaskGraph::execute`] prices each node
@@ -29,8 +30,9 @@
 //!   measured shape (DESIGN.md §4.1), so node-level overlap lives on the
 //!   simulated clock only.
 //! * **Preparation** — a step graph depends only on shapes, so its owner
-//!   builds it once and binds each batch ([`NodeState`]); plan and
-//!   verification are memoized, everything context-dependent is per run.
+//!   builds it once, keeps it with its arena (`KeptGraph`) and binds each
+//!   batch ([`NodeState`]); plan and verification are memoized, everything
+//!   context-dependent is per run.
 //! * **Sharding** — [`BufClass::Partial`] declares per-block partial sums;
 //!   [`crate::DataParallel`] runs a graph's node ranges between the sync
 //!   points they imply per canonical block, and the rest once.
@@ -45,6 +47,7 @@
 
 use crate::exec::{ExecCtx, PhaseGuard};
 use micdnn_sim::EventKind;
+use micdnn_tensor::Mat;
 use std::cell::Cell;
 use std::ops::Range;
 
@@ -686,12 +689,13 @@ impl WorkspacePlan {
     }
 }
 
-/// The arena realizing a [`WorkspacePlan`]: one allocation per register,
-/// handed out as per-buffer slices. Built once and reused across steps, it
-/// replaces per-batch scratch allocation.
+/// The arena realizing a [`WorkspacePlan`]: one 64-byte-aligned allocation
+/// per register (the alignment of [`Mat`] storage), handed out as per-buffer
+/// slices. Built once and reused across steps, it replaces per-batch scratch
+/// allocation.
 #[derive(Debug)]
 pub struct Workspace {
-    registers: Vec<Vec<f32>>,
+    registers: Vec<Mat>,
     assignment: Vec<Option<usize>>,
     buf_elems: Vec<usize>,
 }
@@ -700,10 +704,19 @@ impl Workspace {
     /// Allocates the plan's registers (zero-initialized).
     pub(crate) fn new(plan: &WorkspacePlan) -> Self {
         Workspace {
-            registers: plan.register_elems.iter().map(|&e| vec![0.0; e]).collect(),
+            registers: plan
+                .register_elems
+                .iter()
+                .map(|&e| Mat::zeros(1, e))
+                .collect(),
             assignment: plan.assignment.clone(),
             buf_elems: plan.buf_elems.clone(),
         }
+    }
+
+    /// Elements the registers hold: the plan's peak.
+    pub(crate) fn elems(&self) -> usize {
+        self.registers.iter().map(Mat::len).sum()
     }
 
     fn register(&self, buf: BufId) -> usize {
@@ -713,14 +726,14 @@ impl Workspace {
 
     /// The storage of one buffer.
     pub(crate) fn buf(&self, buf: BufId) -> &[f32] {
-        &self.registers[self.register(buf)][..self.buf_elems[buf.0]]
+        &self.registers[self.register(buf)].as_slice()[..self.buf_elems[buf.0]]
     }
 
     /// The storage of one buffer, mutably.
     pub(crate) fn buf_mut(&mut self, buf: BufId) -> &mut [f32] {
         let r = self.register(buf);
         let e = self.buf_elems[buf.0];
-        &mut self.registers[r][..e]
+        &mut self.registers[r].as_mut_slice()[..e]
     }
 
     /// Mutable views of several buffers at once. Panics if any two share a
@@ -745,7 +758,9 @@ impl Workspace {
             // SAFETY: the registers indexed here are pairwise distinct
             // (asserted above), so the produced slices never overlap, and
             // they all borrow from `self` for the returned lifetime.
-            unsafe { std::slice::from_raw_parts_mut(self.registers[r].as_mut_ptr(), e) }
+            unsafe {
+                std::slice::from_raw_parts_mut(self.registers[r].as_mut_slice().as_mut_ptr(), e)
+            }
         })
     }
 }
@@ -756,34 +771,72 @@ impl<S: NodeState> std::fmt::Debug for TaskGraph<'_, S> {
     }
 }
 
-/// A scratch's step graph, kept between batches with the key it was built
-/// for. A cache, not state: a clone starts empty and builds its own.
-pub(crate) struct GraphSlot<K, S: NodeState>(pub(crate) Option<(K, TaskGraph<'static, S>)>);
+/// A step graph kept between batches: the key it was built for, the graph,
+/// and the [`Workspace`] its plan lays out, which every buffer the graph
+/// declares lives in. A cache, not state: a clone starts empty and builds
+/// its own.
+pub(crate) struct KeptGraph<K, S: NodeState>(
+    pub(crate) Option<(K, TaskGraph<'static, S>, Workspace)>,
+);
 
-impl<K: PartialEq, S: NodeState> GraphSlot<K, S> {
-    /// Takes the graph kept for `key` out for one run (the caller puts it
-    /// back), building it with `build` if the slot keeps none for `key`.
-    pub(crate) fn take(
+impl<K: PartialEq, S: NodeState> KeptGraph<K, S> {
+    /// The graph kept for `key` and its arena. Unless the slot keeps one
+    /// for `key`, it builds the graph with `build` and lays out a fresh
+    /// arena by its plan (which the graph memoizes).
+    pub(crate) fn prepare(
         &mut self,
-        key: &K,
+        key: K,
         build: impl FnOnce() -> TaskGraph<'static, S>,
-    ) -> TaskGraph<'static, S> {
-        match self.0.take() {
-            Some((k, g)) if k == *key => g,
-            _ => build(),
+    ) -> (&mut TaskGraph<'static, S>, &mut Workspace) {
+        if self.0.as_ref().map(|(k, _, _)| k) != Some(&key) {
+            let mut graph = build();
+            let plan = graph.plan();
+            let arena = Workspace::new(&plan);
+            graph.planned = Some(plan);
+            self.0 = Some((key, graph, arena));
         }
+        let (_, graph, arena) = self.0.as_mut().expect("graph just kept");
+        (graph, arena)
+    }
+
+    /// The kept arena.
+    pub(crate) fn arena(&self) -> &Workspace {
+        &self.0.as_ref().expect("no graph kept").2
+    }
+
+    /// Elements the kept arena holds (0 before the first graph is kept).
+    pub(crate) fn arena_elems(&self) -> usize {
+        self.0.as_ref().map_or(0, |(_, _, arena)| arena.elems())
+    }
+
+    /// The kept graph's first buffer declared as `name`.
+    fn named(&self, name: &str) -> BufId {
+        let (_, graph, _) = self.0.as_ref().expect("no graph kept");
+        let found = graph.bufs.iter().position(|d| d.name == name);
+        BufId(found.unwrap_or_else(|| panic!("no buffer declared as `{name}`")))
+    }
+
+    /// The arena storage of the buffer declared as `name`.
+    pub(crate) fn buf(&self, name: &str) -> &[f32] {
+        self.arena().buf(self.named(name))
+    }
+
+    /// The arena storage of the buffer declared as `name`, mutably.
+    pub(crate) fn buf_mut(&mut self, name: &str) -> &mut [f32] {
+        let id = self.named(name);
+        self.0.as_mut().expect("no graph kept").2.buf_mut(id)
     }
 }
 
-impl<K, S: NodeState> Clone for GraphSlot<K, S> {
+impl<K, S: NodeState> Clone for KeptGraph<K, S> {
     fn clone(&self) -> Self {
-        GraphSlot(None)
+        KeptGraph(None)
     }
 }
 
-impl<K: std::fmt::Debug, S: NodeState> std::fmt::Debug for GraphSlot<K, S> {
+impl<K: std::fmt::Debug, S: NodeState> std::fmt::Debug for KeptGraph<K, S> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_tuple("GraphSlot").field(&self.0).finish()
+        f.debug_tuple("KeptGraph").field(&self.0).finish()
     }
 }
 
@@ -1062,7 +1115,7 @@ mod tests {
         g.node(NodeSpec::new("w").writes(&[a, b]), |_, _| {});
         let plan = g.plan();
         let mut ws = Workspace::new(&plan);
-        assert_eq!(ws.registers.iter().map(Vec::len).sum::<usize>(), 24);
+        assert_eq!(ws.elems(), 24);
         let [sa, sb] = ws.bufs_mut([a, b]);
         sa.fill(1.0);
         sb.fill(2.0);
@@ -1178,5 +1231,52 @@ mod tests {
         assert_eq!(nodes[0].lane, 0);
         assert_eq!(nodes[1].lane, 1);
         assert_eq!(nodes[0].label, "left");
+    }
+
+    #[test]
+    fn ae_and_cd_scratches_hold_exactly_their_plans_peak() {
+        use crate::multidev::ShardedStep;
+        use crate::{
+            ae_step_graph, AeConfig, AeScratch, Optimizer, Rbm, RbmConfig, RbmScratch, Rule,
+            Schedule, SparseAutoencoder,
+        };
+        use micdnn_tensor::Mat;
+        /// The kept arena holds its plan's peak, no more and no less.
+        fn holds_peak<K, S: NodeState>(kept: &KeptGraph<K, S>, what: &str) {
+            let (_, graph, arena) = kept.0.as_ref().expect("graph kept");
+            assert_eq!(arena.elems(), graph.plan().peak_elems(), "{what}");
+        }
+        let ctx = ExecCtx::native(OptLevel::Improved, 5);
+        let x = Mat::from_fn(6, 12, |r, c| ((r * 12 + c) % 7) as f32 / 7.0);
+
+        // The AE step in its three update modes, and its block form.
+        let cfg = AeConfig::new(12, 5);
+        let mut ae = SparseAutoencoder::new(cfg, 1);
+        let slots = SparseAutoencoder::optimizer_slots(&cfg);
+        let mut opt = Optimizer::new(Rule::Momentum { mu: 0.9 }, Schedule::Constant(0.1), &slots);
+        let mut s = AeScratch::new(&cfg, 8);
+        ae.cost_and_grad(&ctx, x.view(), &mut s);
+        holds_peak(&s.step, "AE gradients only");
+        ae.train_batch(&ctx, x.view(), &mut s, 0.1);
+        holds_peak(&s.step, "AE SGD");
+        ae_step_graph(&mut ae, &ctx, x.view(), &mut s, 0.1, Some(&mut opt));
+        holds_peak(&s.step, "AE optimizer");
+        holds_peak(&ae.block_scratch(3).step, "AE block form");
+
+        // CD-1, CD-3 and PCD; the PCD chain is the scratch's own buffer.
+        for (k, pcd) in [(1, false), (3, false), (1, true)] {
+            let cfg = RbmConfig::new(12, 5).with_cd_steps(k);
+            let (mut rbm, mut s) = (Rbm::new(cfg, 2), RbmScratch::new(&cfg, 8));
+            if pcd {
+                rbm.pcd_step(&ctx, x.view(), &mut s, 0.1);
+            } else {
+                rbm.cd_step(&ctx, x.view(), &mut s, 0.1);
+            }
+            holds_peak(&s.step, &format!("CD-{k} pcd {pcd}"));
+            // CD-1's hidden samples die before its reconstruction hiddens
+            // are born: one register holds both.
+            let shared = s.step.buf("h0_sample").as_ptr() == s.step.buf("h1_prob").as_ptr();
+            assert_eq!(shared, (k, pcd) == (1, false), "CD-{k} pcd {pcd}");
+        }
     }
 }

@@ -15,7 +15,7 @@
 
 use crate::checkpoint::CheckpointModel;
 use crate::exec::ExecCtx;
-use crate::graph::{NodeState, TaskGraph, Workspace};
+use crate::graph::{KeptGraph, NodeState, TaskGraph, Workspace};
 use crate::layers::{argmax_rows, hit_rate, mean_nll, StackState, StepParts};
 use crate::train::UnsupervisedModel;
 use micdnn_tensor::{Mat, MatView};
@@ -25,18 +25,12 @@ use std::io::{self, Write};
 /// and liveness-planned [`Workspace`], built once for a row capacity and
 /// serving every batch up to it, so `train_batch` neither rebuilds the
 /// graph nor allocates after the first call.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct StepCache<N: 'static> {
     pub(crate) use_graph: bool,
-    /// `(row capacity, step graph, arena)`; `None` until the first `prepare`.
-    pub(crate) prepared: Option<(usize, TaskGraph<'static, StepState<'static, N>>, Workspace)>,
-}
-
-impl<N> Clone for StepCache<N> {
-    fn clone(&self) -> Self {
-        // The step is a cache, not state — the clone re-prepares lazily.
-        StepCache::new(self.use_graph)
-    }
+    /// The step graph and its arena, keyed by row capacity; empty until the
+    /// first `prepare`.
+    pub(crate) prepared: KeptGraph<usize, StepState<'static, N>>,
 }
 
 impl<N> StepCache<N> {
@@ -44,7 +38,7 @@ impl<N> StepCache<N> {
     pub(crate) fn new(use_graph: bool) -> Self {
         StepCache {
             use_graph,
-            prepared: None,
+            prepared: KeptGraph(None),
         }
     }
 }
@@ -119,24 +113,26 @@ pub trait LabeledNet: Sized + Send + 'static {
 
     /// The net's schedule flag and prepared step.
     #[doc(hidden)]
-    fn step_cache(&mut self) -> &mut StepCache<Self>;
+    fn step_cache(&self) -> &StepCache<Self>;
+
+    /// [`LabeledNet::step_cache`], mutably.
+    #[doc(hidden)]
+    fn step_cache_mut(&mut self) -> &mut StepCache<Self>;
 
     /// Schedules each training step through the dataflow executor instead
     /// of declaration order (bit-identical either way; see
     /// [`TaskGraph::execute`]).
     fn with_graph_schedule(mut self) -> Self {
-        self.step_cache().use_graph = true;
+        self.step_cache_mut().use_graph = true;
         self
     }
 
     /// Builds the step graph and its arena for batches up to `cap` rows
     /// (unless cached for at least that many), so batches only bind it.
     fn prepare(&mut self, cap: usize) {
-        let prepared = self.step_cache().prepared.as_ref().map_or(0, |p| p.0);
-        if cap > prepared {
+        if cap > self.step_cache().prepared.0.as_ref().map_or(0, |p| p.0) {
             let graph = self.step_graph(cap);
-            let arena = Workspace::new(&graph.plan());
-            self.step_cache().prepared = Some((cap, graph, arena));
+            self.step_cache_mut().prepared.prepare(cap, || graph);
         }
     }
 
@@ -174,9 +170,9 @@ pub trait LabeledNet: Sized + Send + 'static {
         assert_eq!(x.cols(), self.in_dim(), "input dimensionality");
 
         self.prepare(b);
-        let cache = self.step_cache();
+        let cache = self.step_cache_mut();
         let use_graph = cache.use_graph;
-        let (cap, mut graph, mut ws) = cache.prepared.take().expect("just prepared");
+        let (cap, mut graph, mut ws) = cache.prepared.0.take().expect("just prepared");
         let loss = {
             let mut state = StepState {
                 net: self,
@@ -193,7 +189,7 @@ pub trait LabeledNet: Sized + Send + 'static {
             }
             state.loss
         };
-        self.step_cache().prepared = Some((cap, graph, ws));
+        self.step_cache_mut().prepared.0 = Some((cap, graph, ws));
         loss
     }
 
@@ -362,7 +358,7 @@ impl<N: LabeledNet> LabeledModel<N> {
     pub(crate) fn adopt(&mut self, other: Self) {
         let use_graph = self.net.step_cache().use_graph;
         *self = other;
-        *self.net.step_cache() = StepCache::new(use_graph);
+        *self.net.step_cache_mut() = StepCache::new(use_graph);
     }
 }
 
@@ -388,8 +384,8 @@ impl<N: LabeledNet> UnsupervisedModel for LabeledModel<N> {
         self.net.train_batch(ctx, x, &labels, lr)
     }
 
-    fn resident_bytes(&self, max_batch: usize) -> u64 {
-        let arena = self.net.step_graph(max_batch.max(1)).plan().peak_elems();
+    fn resident_bytes(&self) -> u64 {
+        let arena = self.net.step_cache().prepared.arena_elems();
         ((self.net.param_count() + arena) * std::mem::size_of::<f32>()) as u64
     }
 
@@ -545,7 +541,7 @@ pub(crate) mod tests {
             let params = other.net.flat_params();
             model.adopt(other);
             assert_eq!(model.net.step_cache().use_graph, mine);
-            assert!(model.net.step_cache().prepared.is_none());
+            assert!(model.net.step_cache().prepared.0.is_none());
             assert_eq!(model.cursor_parts(), (5, 12));
             assert_eq!(model.net.flat_params(), params);
         }
@@ -569,7 +565,7 @@ pub(crate) mod tests {
         let bounds = [(0, 10), (10, 20), (20, 27), (0, 10), (0, 16), (16, 27)];
         for (i, (lo, hi)) in bounds.into_iter().enumerate() {
             let (x, l, wave) = (ds.batch(lo, hi), &labels[lo..hi], i % 2 == 1);
-            kept.step_cache().use_graph = wave;
+            kept.step_cache_mut().use_graph = wave;
             let loss = kept.train_batch(&ctx, x, l, 0.3);
             let mut g = fresh.step_graph(hi - lo);
             let mut ws = Workspace::new(&g.plan());
@@ -589,7 +585,7 @@ pub(crate) mod tests {
             assert_eq!(loss.to_bits(), state.loss.to_bits(), "rows {lo}..{hi}");
             assert_eq!(kept.flat_params(), fresh.flat_params(), "rows {lo}..{hi}");
         }
-        let cap = kept.step_cache().prepared.as_ref().map(|p| p.0);
+        let cap = kept.step_cache().prepared.0.as_ref().map(|p| p.0);
         assert_eq!(cap, Some(16), "prepared once per capacity");
     }
 

@@ -54,10 +54,10 @@
 //! composes the layers above in a fixed order (`build_step_graph`,
 //! `build_cnn_graph`), and a hand-written `predict_proba` the serving tests
 //! compare the graph against — along with its geometry, failpoint name and
-//! checkpoint record. The step state ([`crate::StepState`]), the cached
-//! arena and schedule flag, `train_batch`/`fit`/`predict`/`accuracy`, and
-//! the label-cursor wrapper that makes it an `UnsupervisedModel` and
-//! `Recoverable` ([`crate::LabeledModel`]) are shared.
+//! checkpoint record. The step state ([`crate::StepState`]), the kept graph
+//! and arena (the AE and CD steps keep theirs the same way), the schedule
+//! flag, `train_batch`/`fit`/`predict`/`accuracy`, the footprint and the
+//! label-cursor wrapper ([`crate::LabeledModel`]) are shared.
 //!
 //! Footprint rules, enforced by [`TaskGraph::verify`] on every shipped
 //! recipe (pinned at 0 errors / 0 warnings in `tests/verify_properties.rs`):

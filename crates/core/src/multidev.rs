@@ -422,12 +422,12 @@ pub trait ShardedStep: Sized {
     /// Input dimensionality each example must have.
     fn input_dim(&self) -> usize;
 
-    /// Buffers for a block of up to `cap` rows.
+    /// Storage for a block of up to `cap` rows, its block-form step graph
+    /// already kept.
     fn block_scratch(&self, cap: usize) -> Self::Scratch;
 
-    /// Per-device footprint for a `shard_rows`-row shard: a full parameter
-    /// replica + merge accumulators + that device's share of the scratch.
-    fn shard_resident_bytes(&self, shard_rows: usize) -> u64;
+    /// Trainable parameter count, the size of each device's replica.
+    fn param_count(&self) -> usize;
 
     /// Writes the model record a `TAG_MDP` container embeds.
     fn save(&self, w: &mut dyn Write) -> io::Result<()>;
@@ -459,8 +459,11 @@ pub(crate) trait BlockGraph: ShardedStep {
         block: Option<(usize, &[StreamId], &Self::Scratch)>,
     ) -> f64;
 
-    /// The storage of the `Partial` buffer `name` in `scratch`.
+    /// The storage of the `Partial` buffer `name` in `scratch`'s arena.
     fn partial_mut<'s>(scratch: &'s mut Self::Scratch, name: &str) -> &'s mut [f32];
+
+    /// Elements `scratch`'s arena holds.
+    fn arena_elems(scratch: &Self::Scratch) -> usize;
 }
 
 /// A model replicated across a [`DeviceSet`], trained data-parallel with
@@ -499,7 +502,19 @@ pub type DataParallelRbm = DataParallel<Rbm>;
 
 impl<M: ShardedStep> DataParallel<M> {
     /// Replicates `model` across `cfg.devices` modeled coprocessors.
+    ///
+    /// # Panics
+    ///
+    /// With the [`MultiDevConfigError`]'s text if `cfg` has no device or no
+    /// canonical block, or more of either than a checkpoint records (see
+    /// [`MultiDevConfig::validated`]). Fewer blocks than devices is a
+    /// geometry the wrapper runs: the spare devices own no block.
     pub fn new(model: M, cfg: MultiDevConfig) -> Self {
+        if let Err(e) = cfg.validate() {
+            // `validate` reports that geometry last: it hides no other fault.
+            let runs = matches!(e, MultiDevConfigError::FewerBlocksThanDevices { .. });
+            assert!(runs, "{e}");
+        }
         DataParallel {
             dev_rng: vec![(0, 0); cfg.devices],
             devset: cfg.device_set(),
@@ -595,7 +610,7 @@ impl<M: BlockGraph> UnsupervisedModel for DataParallel<M> {
         maybe_drop_device(&mut self.devset, ctx);
 
         // Non-empty canonical blocks -> contiguous block ranges per device.
-        let rows: Vec<_> = block_bounds(x.rows(), self.cfg.canonical_blocks.max(1))
+        let rows: Vec<_> = block_bounds(x.rows(), self.cfg.canonical_blocks)
             .into_iter()
             .filter(|&(lo, hi)| hi > lo)
             .collect();
@@ -658,9 +673,13 @@ impl<M: BlockGraph> UnsupervisedModel for DataParallel<M> {
         err / x.rows() as f64
     }
 
-    fn resident_bytes(&self, max_batch: usize) -> u64 {
-        let shard = max_batch.div_ceil(self.devset.online_count().max(1));
-        self.model.shard_resident_bytes(shard)
+    /// Per device: a parameter replica, the arenas of the blocks it owns
+    /// and the master copy's.
+    fn resident_bytes(&self) -> u64 {
+        let owned = self.scratch.len().div_ceil(self.devset.online_count());
+        let arenas = self.scratch[..owned].iter().chain([&self.master]);
+        let elems = self.model.param_count() + arenas.map(M::arena_elems).sum::<usize>();
+        (elems * size_of::<f32>()) as u64
     }
 
     /// The `TAG_MDP` container: geometry + per-device RNG cursors +
@@ -712,11 +731,13 @@ impl ShardedStep for SparseAutoencoder {
     }
 
     fn block_scratch(&self, cap: usize) -> AeScratch {
-        AeScratch::new(self.config(), cap)
+        let mut scratch = AeScratch::new(self.config(), cap);
+        scratch.prepare(crate::AeUpdate::Sgd, true);
+        scratch
     }
 
-    fn shard_resident_bytes(&self, shard_rows: usize) -> u64 {
-        self.config().resident_bytes(shard_rows)
+    fn param_count(&self) -> usize {
+        self.config().param_count()
     }
 
     fn save(&self, w: &mut dyn Write) -> io::Result<()> {
@@ -743,14 +764,13 @@ impl ShardedStep for Rbm {
     }
 
     fn block_scratch(&self, cap: usize) -> RbmScratch {
-        RbmScratch::new(self.config(), cap)
+        let mut scratch = RbmScratch::new(self.config(), cap);
+        scratch.prepare(*self.config(), false, true);
+        scratch
     }
 
-    fn shard_resident_bytes(&self, shard_rows: usize) -> u64 {
-        let cfg = self.config();
-        let f = std::mem::size_of::<f32>() as u64;
-        let temps = (4 * shard_rows * cfg.n_hidden + 2 * shard_rows * cfg.n_visible) as u64 * f;
-        cfg.param_bytes() * 3 + temps
+    fn param_count(&self) -> usize {
+        self.config().param_count()
     }
 
     fn save(&self, w: &mut dyn Write) -> io::Result<()> {
@@ -1041,6 +1061,16 @@ mod tests {
         let cfg = MultiDevConfig::validated(2, 8).unwrap();
         assert_eq!((cfg.devices, cfg.canonical_blocks), (2, 8));
         cfg.validate().unwrap();
+    }
+
+    #[test]
+    #[should_panic(expected = "need at least one canonical block")]
+    fn a_zero_block_count_is_refused_at_construction() {
+        let cfg = MultiDevConfig {
+            canonical_blocks: 0,
+            ..MultiDevConfig::new(1)
+        };
+        DataParallelAe::new(SparseAutoencoder::new(AeConfig::new(8, 4), 1), cfg);
     }
 
     #[test]

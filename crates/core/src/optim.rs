@@ -193,9 +193,9 @@ impl Optimizer {
                     "slot {slot} registered with wrong length"
                 );
                 // Accumulate squared gradients and apply the per-coordinate
-                // scaled update in one pass (scalar loop: AdaGrad is not a
-                // paper optimization, so it is not cost-instrumented beyond
-                // an elementwise charge via sgd_step on a scratch).
+                // scaled update in one pass. A plain host loop, unpriced:
+                // AdaGrad is not a paper optimization, so this arm charges
+                // the simulated clock nothing.
                 for i in 0..w.len() {
                     acc[i] += g[i] * g[i];
                     let adapted = lr / (acc[i] + eps).sqrt();

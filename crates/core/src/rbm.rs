@@ -16,8 +16,8 @@
 
 use crate::cd_graph::{run_cd_step, CdState};
 use crate::exec::ExecCtx;
-use crate::graph::GraphSlot;
-use micdnn_tensor::{Initializer, Mat, MatView, NormalInit};
+use crate::graph::KeptGraph;
+use micdnn_tensor::{Initializer, Mat, MatView, MatViewMut, NormalInit};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -53,68 +53,35 @@ impl RbmConfig {
     pub(crate) fn param_count(&self) -> usize {
         self.n_visible * self.n_hidden + self.n_visible + self.n_hidden
     }
-
-    /// Bytes of device memory the parameters occupy (f32).
-    pub(crate) fn param_bytes(&self) -> u64 {
-        (self.param_count() * std::mem::size_of::<f32>()) as u64
-    }
 }
 
-/// Reusable per-batch buffers for CD training.
+/// The storage of CD training over batches of up to a maximum size.
 ///
-/// These are the temporary variables of the paper's Fig. 6 dependency
-/// graph: `H1` (data-phase hiddens), `V2` (reconstruction), `H2`
-/// (reconstruction-phase hiddens) plus the positive/negative statistics,
-/// and the graph itself, kept between steps (a clone builds its own).
+/// The temporary variables of the paper's Fig. 6 dependency graph — `H1`
+/// (data-phase hiddens), `V2` (reconstruction), `H2` (reconstruction-phase
+/// hiddens) and the positive/negative statistics — live in the arena the
+/// kept step graph's plan lays out, beside the graph itself (a clone builds
+/// its own). Only PCD's persistent chain is a buffer of its own.
 #[derive(Debug, Clone)]
 pub struct RbmScratch {
     max_batch: usize,
-    /// Data-phase hidden probabilities, `b x h`.
-    pub h0_prob: Mat,
-    /// Data-phase hidden samples, `b x h`.
-    pub h0_sample: Mat,
-    /// Reconstruction probabilities, `b x v`.
-    pub v1_prob: Mat,
-    /// Reconstruction-phase hidden probabilities, `b x h`.
-    pub h1_prob: Mat,
-    /// Positive statistics `H0'V0`, `h x v`.
-    pub pos_stats: Mat,
-    /// Negative statistics `H1'V1`, `h x v`.
-    pub neg_stats: Mat,
-    /// Positive visible bias statistics (column means of the data).
-    pub vis_pos: Vec<f32>,
-    /// Negative visible bias statistics (column means of the reconstruction).
-    pub vis_neg: Vec<f32>,
-    /// Positive hidden bias statistics.
-    pub hid_pos: Vec<f32>,
-    /// Negative hidden bias statistics.
-    pub hid_neg: Vec<f32>,
     /// Persistent fantasy particles for PCD, `max_batch x v` (empty until
-    /// seeded from the first batch).
+    /// seeded from the first batch); `External` to the step graph.
     pub(crate) pcd_chain: Mat,
     /// The step graph for `(config, pcd, block form)`, built at this
-    /// capacity.
-    pub(crate) graph: GraphSlot<(RbmConfig, bool, bool), CdState<'static>>,
+    /// capacity, and its arena.
+    pub(crate) step: KeptGraph<(RbmConfig, bool, bool), CdState<'static>>,
 }
 
 impl RbmScratch {
-    /// Buffers for batches of up to `max_batch` examples.
+    /// Storage for batches of up to `max_batch` examples; the arena is
+    /// allocated by the first step.
     pub fn new(cfg: &RbmConfig, max_batch: usize) -> Self {
         assert!(max_batch > 0, "batch size must be positive");
         RbmScratch {
             max_batch,
-            h0_prob: Mat::zeros(max_batch, cfg.n_hidden),
-            h0_sample: Mat::zeros(max_batch, cfg.n_hidden),
-            v1_prob: Mat::zeros(max_batch, cfg.n_visible),
-            h1_prob: Mat::zeros(max_batch, cfg.n_hidden),
-            pos_stats: Mat::zeros(cfg.n_hidden, cfg.n_visible),
-            neg_stats: Mat::zeros(cfg.n_hidden, cfg.n_visible),
-            vis_pos: vec![0.0; cfg.n_visible],
-            vis_neg: vec![0.0; cfg.n_visible],
-            hid_pos: vec![0.0; cfg.n_hidden],
-            hid_neg: vec![0.0; cfg.n_hidden],
             pcd_chain: Mat::zeros(0, cfg.n_visible),
-            graph: GraphSlot(None),
+            step: KeptGraph(None),
         }
     }
 
@@ -172,30 +139,26 @@ impl Rbm {
 
     /// `p(h = 1 | v) = sigmoid(c + v W^T)` for a batch of visibles
     /// (paper eq. 9), written into `out` (`b x h`).
-    pub(crate) fn prop_up(&self, ctx: &ExecCtx, v: MatView<'_>, out: &mut Mat) {
-        let b = v.rows();
+    pub(crate) fn prop_up(&self, ctx: &ExecCtx, v: MatView<'_>, out: &mut MatViewMut<'_>) {
         assert_eq!(
             v.cols(),
             self.cfg.n_visible,
             "visible dimensionality mismatch"
         );
-        let mut o = out.rows_range_mut(0, b);
-        ctx.gemm(1.0, v, false, self.w.view(), true, 0.0, &mut o);
-        ctx.bias_sigmoid_rows(&self.c_hid, &mut o);
+        ctx.gemm(1.0, v, false, self.w.view(), true, 0.0, out);
+        ctx.bias_sigmoid_rows(&self.c_hid, out);
     }
 
     /// `p(v = 1 | h) = sigmoid(b + h W)` for a batch of hiddens
     /// (paper eq. 8), written into `out` (`b x v`).
-    pub(crate) fn prop_down(&self, ctx: &ExecCtx, h: MatView<'_>, out: &mut Mat) {
-        let b = h.rows();
+    pub(crate) fn prop_down(&self, ctx: &ExecCtx, h: MatView<'_>, out: &mut MatViewMut<'_>) {
         assert_eq!(
             h.cols(),
             self.cfg.n_hidden,
             "hidden dimensionality mismatch"
         );
-        let mut o = out.rows_range_mut(0, b);
-        ctx.gemm(1.0, h, false, self.w.view(), false, 0.0, &mut o);
-        ctx.bias_sigmoid_rows(&self.b_vis, &mut o);
+        ctx.gemm(1.0, h, false, self.w.view(), false, 0.0, out);
+        ctx.bias_sigmoid_rows(&self.b_vis, out);
     }
 
     /// One CD-k update on a batch `v0` (`b x n_visible`, values in `[0, 1]`).
@@ -241,7 +204,9 @@ impl Rbm {
     }
 
     /// Mean per-example squared one-step reconstruction error without
-    /// updating parameters.
+    /// updating parameters, outside the step graph.
+    ///
+    /// `v0` has at most `scratch`'s capacity in rows.
     pub fn reconstruction_error(
         &self,
         ctx: &ExecCtx,
@@ -249,9 +214,12 @@ impl Rbm {
         scratch: &mut RbmScratch,
     ) -> f64 {
         let b = v0.rows();
-        self.prop_up(ctx, v0, &mut scratch.h0_prob);
-        self.prop_down(ctx, scratch.h0_prob.rows_range(0, b), &mut scratch.v1_prob);
-        ctx.frob_dist_sq(scratch.v1_prob.rows_range(0, b), v0) / b as f64
+        assert!(b <= scratch.max_batch, "batch exceeds scratch capacity");
+        let mut h0 = Mat::zeros(b, self.cfg.n_hidden);
+        let mut v1 = Mat::zeros(b, self.cfg.n_visible);
+        self.prop_up(ctx, v0, &mut h0.view_mut());
+        self.prop_down(ctx, h0.view(), &mut v1.view_mut());
+        ctx.frob_dist_sq(v1.view(), v0) / b as f64
     }
 }
 
@@ -286,10 +254,10 @@ mod tests {
         let ctx = ExecCtx::native(OptLevel::Improved, 0);
         let v = patterned_batch(5, 12, 2);
         let mut h = Mat::zeros(5, 6);
-        rbm.prop_up(&ctx, v.view(), &mut h);
+        rbm.prop_up(&ctx, v.view(), &mut h.view_mut());
         assert!(h.as_slice().iter().all(|&p| (0.0..=1.0).contains(&p)));
         let mut v2 = Mat::zeros(5, 12);
-        rbm.prop_down(&ctx, h.view(), &mut v2);
+        rbm.prop_down(&ctx, h.view(), &mut v2.view_mut());
         assert!(v2.as_slice().iter().all(|&p| (0.0..=1.0).contains(&p)));
     }
 

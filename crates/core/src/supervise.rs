@@ -1100,8 +1100,8 @@ mod tests {
             }
             self.inner.train_batch(ctx, x, lr)
         }
-        fn resident_bytes(&self, max_batch: usize) -> u64 {
-            self.inner.resident_bytes(max_batch)
+        fn resident_bytes(&self) -> u64 {
+            self.inner.resident_bytes()
         }
         fn save_state(&self, w: &mut dyn std::io::Write) -> io::Result<()> {
             self.inner.save_state(w)

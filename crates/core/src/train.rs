@@ -15,7 +15,7 @@
 //! previous chunk. Device residency (parameters + loading area) is checked
 //! against the modeled card's capacity, as the paper's design requires.
 
-use crate::ae_graph::{AeParams, AeState};
+use crate::ae_graph::{AeStep, AeUpdate};
 use crate::autoencoder::{AeScratch, SparseAutoencoder};
 use crate::cd_graph::cd_step_graph;
 use crate::checkpoint::{save_checkpoint_file, CheckpointPolicy, TrainProgress};
@@ -35,13 +35,16 @@ use std::time::Duration;
 pub trait UnsupervisedModel {
     /// Input dimensionality each example must have.
     fn input_dim(&self) -> usize;
-    /// Allocates (or grows) scratch for batches of up to `max_batch`.
+    /// Builds (or grows) the step and its storage for batches of up to
+    /// `max_batch`.
     fn prepare(&mut self, max_batch: usize);
     /// One gradient step on a batch; returns the batch's mean per-example
     /// reconstruction error.
     fn train_batch(&mut self, ctx: &ExecCtx, x: MatView<'_>, lr: f32) -> f64;
-    /// Device bytes the parameters (and persistent temporaries) occupy.
-    fn resident_bytes(&self, max_batch: usize) -> u64;
+    /// Device bytes the model keeps resident: its parameters plus the
+    /// arena its prepared step's plan lays out (nothing more before
+    /// `prepare`).
+    fn resident_bytes(&self) -> u64;
     /// Serializes the model *and* its optimizer/momentum state for
     /// checkpointing. Models without a persistence format return
     /// `Unsupported`, which disables periodic checkpointing for them.
@@ -127,25 +130,24 @@ impl UnsupervisedModel for AeModel {
     }
 
     fn prepare(&mut self, max_batch: usize) {
-        let need_new = match &self.scratch {
-            Some(s) => s.capacity() < max_batch,
-            None => true,
+        let scratch = match self.scratch.take() {
+            Some(s) if s.capacity() >= max_batch => s,
+            _ => AeScratch::new(self.ae.config(), max_batch),
         };
-        if need_new {
-            self.scratch = Some(AeScratch::new(self.ae.config(), max_batch));
-        }
+        let update = [AeUpdate::Sgd, AeUpdate::Opt][usize::from(self.optimizer.is_some())];
+        self.scratch.insert(scratch).prepare(update, false);
     }
 
     fn train_batch(&mut self, ctx: &ExecCtx, x: MatView<'_>, lr: f32) -> f64 {
         let scratch = self.scratch.as_mut().expect("prepare() not called");
-        let (ae, opt) = (AeParams::Mut(&mut self.ae), self.optimizer.as_mut());
-        let state = AeState::new(ae, scratch, x, opt, lr);
-        let (cost, _) = SparseAutoencoder::run_graph(state, ctx, self.use_graph);
+        let step = self.optimizer.as_mut().map_or(AeStep::Sgd(lr), AeStep::Opt);
+        let (cost, _) = self.ae.run_graph(scratch, x, step, ctx, self.use_graph);
         cost.reconstruction
     }
 
-    fn resident_bytes(&self, max_batch: usize) -> u64 {
-        self.ae.config().resident_bytes(max_batch)
+    fn resident_bytes(&self) -> u64 {
+        let arena = self.scratch.as_ref().map_or(0, |s| s.step.arena_elems());
+        ((self.ae.config().param_count() + arena) * std::mem::size_of::<f32>()) as u64
     }
 
     fn save_state(&self, w: &mut dyn Write) -> io::Result<()> {
@@ -253,13 +255,13 @@ impl UnsupervisedModel for RbmModel {
     }
 
     fn prepare(&mut self, max_batch: usize) {
-        let need_new = match &self.scratch {
-            Some(s) => s.capacity() < max_batch,
-            None => true,
+        let scratch = match self.scratch.take() {
+            Some(s) if s.capacity() >= max_batch => s,
+            _ => RbmScratch::new(self.rbm.config(), max_batch),
         };
-        if need_new {
-            self.scratch = Some(RbmScratch::new(self.rbm.config(), max_batch));
-        }
+        self.scratch
+            .insert(scratch)
+            .prepare(*self.rbm.config(), false, false);
     }
 
     fn train_batch(&mut self, ctx: &ExecCtx, x: MatView<'_>, lr: f32) -> f64 {
@@ -273,31 +275,25 @@ impl UnsupervisedModel for RbmModel {
             // cd_step applied w += lr*(pos - neg); fold in mu * v_old so
             // the net update is v_new = mu v_old + lr (pos - neg), then
             // remember v_new for the next batch. pos/neg stats are still
-            // in the scratch.
+            // in the scratch's arena.
             let mu = *mu;
+            let stat = |name| scratch.step.buf(name);
             ctx.axpy(mu, vw, self.rbm.w.as_mut_slice());
             ctx.axpy(mu, vb, &mut self.rbm.b_vis);
             ctx.axpy(mu, vc, &mut self.rbm.c_hid);
             ctx.scale(mu, vw);
-            ctx.cd_update(
-                lr,
-                scratch.pos_stats.as_slice(),
-                scratch.neg_stats.as_slice(),
-                vw,
-            );
+            ctx.cd_update(lr, stat("pos_stats"), stat("neg_stats"), vw);
             ctx.scale(mu, vb);
-            ctx.cd_update(lr, &scratch.vis_pos, &scratch.vis_neg, vb);
+            ctx.cd_update(lr, stat("vis_pos"), stat("vis_neg"), vb);
             ctx.scale(mu, vc);
-            ctx.cd_update(lr, &scratch.hid_pos, &scratch.hid_neg, vc);
+            ctx.cd_update(lr, stat("hid_pos"), stat("hid_neg"), vc);
         }
         err
     }
 
-    fn resident_bytes(&self, max_batch: usize) -> u64 {
-        let cfg = self.rbm.config();
-        let f = std::mem::size_of::<f32>() as u64;
-        let temps = (3 * max_batch * cfg.n_hidden + max_batch * cfg.n_visible) as u64 * f;
-        cfg.param_bytes() * 3 + temps
+    fn resident_bytes(&self) -> u64 {
+        let arena = self.scratch.as_ref().map_or(0, |s| s.step.arena_elems());
+        ((self.rbm.config().param_count() + arena) * std::mem::size_of::<f32>()) as u64
     }
 
     fn save_state(&self, w: &mut dyn Write) -> io::Result<()> {
@@ -553,7 +549,7 @@ fn train_stream_inner(
         Some(p) => {
             let mem = DeviceMemory::new(p.spec.mem_capacity_bytes);
             let chunk_bytes = (cfg.chunk_rows * dim * std::mem::size_of::<f32>()) as u64;
-            let total = model.resident_bytes(cfg.batch_size) + chunk_bytes * cfg.buffers as u64;
+            let total = model.resident_bytes() + chunk_bytes * cfg.buffers as u64;
             Some(mem.alloc(total, "model + loading buffers")?)
         }
         None => None,

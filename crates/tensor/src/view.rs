@@ -21,6 +21,12 @@ impl<'a> MatView<'a> {
         MatView { data, rows, cols }
     }
 
+    /// The first `rows` rows of a row-major slice `cols` wide (a buffer
+    /// sized for more rows than a batch holds).
+    pub fn prefix(data: &'a [f32], rows: usize, cols: usize) -> Self {
+        Self::new(&data[..rows * cols], rows, cols)
+    }
+
     /// Number of rows.
     #[inline]
     pub fn rows(&self) -> usize {
@@ -99,6 +105,11 @@ impl<'a> MatViewMut<'a> {
     pub fn new(data: &'a mut [f32], rows: usize, cols: usize) -> Self {
         assert_eq!(data.len(), rows * cols, "MatViewMut: bad data length");
         MatViewMut { data, rows, cols }
+    }
+
+    /// The first `rows` rows of a row-major slice `cols` wide, mutably.
+    pub fn prefix(data: &'a mut [f32], rows: usize, cols: usize) -> Self {
+        Self::new(&mut data[..rows * cols], rows, cols)
     }
 
     /// Number of columns.
