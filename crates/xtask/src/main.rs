@@ -22,9 +22,13 @@
 //!   (`crates/core/src/serve.rs`) and the multi-device block-merge path
 //!   (`crates/core/src/multidev.rs`) run per batch too and are held to the
 //!   same rule;
-//! * **no-unchecked-indexing** — no `get_unchecked` / `get_unchecked_mut`
-//!   in `crates/kernels`; slice bounds checks are the last line of defense
-//!   under the graph executor's aliased registers;
+//! * **no-unchecked-indexing** — no `get_unchecked` / `get_unchecked_mut`,
+//!   and no raw pointer taken from or made into a slice (`as_ptr`,
+//!   `as_mut_ptr`, `from_raw_parts`, `from_raw_parts_mut`), in
+//!   `crates/kernels`; slice bounds checks are the last line of defense
+//!   under the graph executor's aliased registers, and a pointer read or
+//!   write escapes them, so each site is allowlisted with the argument that
+//!   it stays inside a checked slice;
 //! * **lossy-as-cast** — no `as` cast to a narrow numeric type (`u8`/`i8`/
 //!   `u16`/`i16`/`u32`/`i32`/`f32`) in the kernel hot paths; `as` truncates
 //!   and rounds silently, so each narrowing site must be allowlisted with
@@ -298,7 +302,7 @@ fn lint_file(rel: &str, text: &str, allow: &[AllowEntry], out: &mut Vec<Violatio
         {
             report(lineno, "no-panic-in-hot-path", raw);
         }
-        if kernels && (has_token(&code, "get_unchecked") || has_token(&code, "get_unchecked_mut")) {
+        if kernels && UNCHECKED_ACCESS.iter().any(|tok| has_token(&code, tok)) {
             report(lineno, "no-unchecked-indexing", raw);
         }
         if kernel_hot && has_lossy_cast(&code) {
@@ -306,6 +310,17 @@ fn lint_file(rel: &str, text: &str, allow: &[AllowEntry], out: &mut Vec<Violatio
         }
     }
 }
+
+/// Tokens that reach memory past a slice's bounds checks: unchecked
+/// indexing, and raw pointers to or from a slice.
+const UNCHECKED_ACCESS: &[&str] = &[
+    "get_unchecked",
+    "get_unchecked_mut",
+    "as_ptr",
+    "as_mut_ptr",
+    "from_raw_parts",
+    "from_raw_parts_mut",
+];
 
 /// Numeric types an `as` cast can silently truncate or round into.
 const NARROW_TYPES: &[&str] = &["u8", "i8", "u16", "i16", "u32", "i32", "f32"];
@@ -493,6 +508,26 @@ mod tests {
         assert!(rules.contains(&"safety-comment"), "{rules:?}");
         assert!(rules.contains(&"no-unchecked-indexing"), "{rules:?}");
         assert!(rules.contains(&"no-panic-in-hot-path"), "{rules:?}");
+    }
+
+    #[test]
+    fn raw_pointers_are_unchecked_access_in_kernels_only() {
+        let src = "fn f(x: &[f32], y: &mut [f32]) {\n    let p = x.as_ptr();\n    \
+                   let q = y.as_mut_ptr();\n    let s = std::slice::from_raw_parts(p, 1);\n    \
+                   let t = std::slice::from_raw_parts_mut(q, 1);\n    \
+                   let n = x.as_ptr_range();\n}\n";
+        let mut out = Vec::new();
+        lint_file("crates/kernels/src/fake.rs", src, &[], &mut out);
+        let lines: Vec<usize> = out
+            .iter()
+            .filter(|v| v.rule == "no-unchecked-indexing")
+            .map(|v| v.line)
+            .collect();
+        // `as_ptr_range` is another token: only whole words count.
+        assert_eq!(lines, [2, 3, 4, 5], "{out:?}");
+        out.clear();
+        lint_file("crates/tensor/src/fake.rs", src, &[], &mut out);
+        assert!(out.is_empty(), "{out:?}");
     }
 
     #[test]
