@@ -2,9 +2,8 @@
 //!
 //! Subcommands:
 //!
-//! * `train-ae` — train a sparse autoencoder on synthetic digits, patches
-//!   or an IDX file; optionally save the model.
-//! * `train-rbm` — train an RBM with CD-1 or PCD.
+//! * `train` — train a sparse autoencoder, an RBM (CD-1 or PCD) or a CNN:
+//!   checkpointed, resumable, optionally supervised or data-parallel.
 //! * `pretrain` — greedy layer-wise pre-training of a stack.
 //! * `classify` — pre-train + fine-tune + report training accuracy on the
 //!   synthetic digit classes.
@@ -254,22 +253,20 @@ pub fn run(argv: &[String]) -> Result<String, String> {
     if cmd == "incidents" {
         return cmd_incidents(&argv[1..]);
     }
+    let command: fn(&Args, u64) -> Result<String, String> = match cmd.as_str() {
+        "train" => cmd_train,
+        "pretrain" => cmd_pretrain,
+        "classify" => cmd_classify,
+        "features" => |args, _| cmd_features(args),
+        "estimate" => |args, _| cmd_estimate(args),
+        "profile" => cmd_profile,
+        "serve" => cmd_serve,
+        "verify" => |args, _| cmd_verify(args),
+        "help" | "--help" | "-h" => |_, _| Ok(usage()),
+        other => return Err(format!("unknown command `{other}`\n\n{}", usage())),
+    };
     let args = Args::parse(&argv[1..])?;
-    let seed: u64 = args.num("seed", 7u64)?;
-    match cmd.as_str() {
-        "train" => cmd_train(&args, seed),
-        "train-ae" => cmd_train_ae(&args, seed),
-        "train-rbm" => cmd_train_rbm(&args, seed),
-        "pretrain" => cmd_pretrain(&args, seed),
-        "classify" => cmd_classify(&args, seed),
-        "features" => cmd_features(&args),
-        "estimate" => cmd_estimate(&args),
-        "profile" => cmd_profile(&args, seed),
-        "serve" => cmd_serve(&args, seed),
-        "verify" => cmd_verify(&args),
-        "help" | "--help" | "-h" => Ok(usage()),
-        other => Err(format!("unknown command `{other}`\n\n{}", usage())),
-    }
+    command(&args, args.num("seed", 7u64)?)
 }
 
 /// Usage text.
@@ -279,7 +276,13 @@ fn usage() -> String {
      USAGE: micdnn <COMMAND> [--key value ...]\n\
      \n\
      COMMANDS:\n\
-       train      --algo ae|rbm|cnn [--hidden N] [--passes N] [--momentum MU]\n\
+       train      --algo ae|rbm|cnn [--visible N] [--hidden N] [--examples N]\n\
+                  [--passes N] [--batch N] [--chunk N] [--lr F] [--momentum MU]\n\
+                  [--data digits|patches|FILE.idx] [--no-double-buffer]\n\
+                  [--level baseline|openmp|openmp-mkl|improved|sequential]\n\
+                  [--platform native|phi|phi30|cpu|cpu1|matlab]\n\
+                  [--pcd] — --algo rbm trains with persistent contrastive\n\
+                  divergence instead of CD-1 (the chain is checkpointed)\n\
                   [--checkpoint-dir DIR] [--checkpoint-every N] [--resume]\n\
                   [--save FILE] — crash-safe training; --resume continues a\n\
                   checkpointed run bit-identically (pass the same data flags\n\
@@ -316,11 +319,6 @@ fn usage() -> String {
         --verify: statically check every task graph for races, illegal\n\
         register aliasing, uninitialized reads and determinism hazards\n\
         before executing it, even in release builds)\n\
-       train-ae   --visible N --hidden N [--examples N] [--passes N] [--batch N]\n\
-                  [--lr F] [--data digits|patches|FILE.idx] [--save FILE]\n\
-                  [--level baseline|openmp|openmp-mkl|improved|sequential]\n\
-                  [--platform native|phi|phi30|cpu|cpu1|matlab] [--momentum MU]\n\
-       train-rbm  (same flags) [--pcd]\n\
        pretrain   --sizes 256,128,64 [--passes N] [--pipeline] ... —\n\
                   --pipeline schedules the layers as one task graph, one\n\
                   device per layer, streaming encoded chunks over the link\n\
@@ -440,7 +438,7 @@ fn cmd_incidents(rest: &[String]) -> Result<String, String> {
     Ok(out)
 }
 
-/// The autoencoder trainer of `train`, `train-ae` and `profile`: plain SGD,
+/// The autoencoder trainer of `train` and `profile`: plain SGD,
 /// or momentum at a constant `--lr` with `--momentum MU`; `graph` schedules
 /// each step through the dataflow executor.
 fn build_ae(
@@ -466,8 +464,8 @@ fn build_ae(
     Ok(model)
 }
 
-/// The CD trainer of `train`, `train-rbm` and `profile` (same options as
-/// [`build_ae`]).
+/// The RBM trainer of `train` and `profile` (same options as [`build_ae`]):
+/// CD-1, or PCD with `--pcd`.
 fn build_rbm(
     args: &Args,
     visible: usize,
@@ -478,6 +476,9 @@ fn build_rbm(
     let mut model = RbmModel::new(Rbm::new(RbmConfig::new(visible, hidden), seed));
     if let Some(mu) = momentum(args)? {
         model = model.with_momentum(mu);
+    }
+    if args.has("pcd") {
+        model = model.with_pcd();
     }
     if graph {
         model = model.with_graph_schedule();
@@ -708,6 +709,12 @@ fn cmd_train(args: &Args, seed: u64) -> Result<String, String> {
         ds.binarize(0.5);
     }
     let visible = ds.dim();
+    let asked: usize = args.num("visible", visible)?;
+    if asked != visible {
+        return Err(format!(
+            "--visible {asked} does not match the data dimensionality {visible}"
+        ));
+    }
     let hidden = positive(
         args,
         "hidden",
@@ -730,6 +737,11 @@ fn cmd_train(args: &Args, seed: u64) -> Result<String, String> {
         if args.get("momentum").is_some() {
             return Err("--momentum is not supported with --algo cnn (plain SGD only)".to_string());
         }
+    }
+    if args.has("pcd") && algo != "rbm" {
+        return Err(format!(
+            "--pcd is not supported with --algo {algo} (RBM only)"
+        ));
     }
     if let Some(list) = args.get("inject") {
         micdnn::faults::configure_list(list).map_err(|e| format!("--inject: {e}"))?;
@@ -801,6 +813,11 @@ fn cmd_train(args: &Args, seed: u64) -> Result<String, String> {
         Some((_, model)) => matches!(model, CheckpointModel::MultiDev(_)),
         None => mdcfg.is_some(),
     };
+    if multidev && args.has("pcd") {
+        return Err(
+            "--pcd is not supported with --devices (data-parallel RBMs train CD-k)".to_string(),
+        );
+    }
     let graph = graph_flag(args, resumed.as_ref().map(|(_, model)| model));
     let run = TrainRun {
         args,
@@ -843,41 +860,6 @@ fn cmd_train(args: &Args, seed: u64) -> Result<String, String> {
         }
         (other, _) => Err(format!("unknown --algo `{other}` (ae|rbm|cnn)")),
     }
-}
-
-fn cmd_train_ae(args: &Args, seed: u64) -> Result<String, String> {
-    let examples = args.num("examples", 2000usize)?;
-    let ds = load_data(args, examples, seed)?;
-    let visible = ds.dim();
-    let req_visible: usize = args.num("visible", visible)?;
-    if req_visible != visible {
-        return Err(format!(
-            "--visible {req_visible} does not match the data dimensionality {visible}"
-        ));
-    }
-    let hidden = positive(args, "hidden", (visible / 2).max(2))?;
-    let passes = positive(args, "passes", 10)?;
-    let mut model = build_ae(args, visible, hidden, seed, args.has("graph-schedule"))?;
-    let ctx = make_ctx(args, seed)?;
-    let tc = train_config(args)?;
-    let report = train_dataset(&mut model, &ctx, &ds, &tc, passes).map_err(|e| e.to_string())?;
-
-    let mut out = format!(
-        "trained sparse autoencoder {visible} -> {hidden}\n\
-         examples {}  batches {}  reconstruction {:.5} -> {:.5}\n",
-        report.examples,
-        report.batches,
-        report.initial_recon(),
-        report.final_recon()
-    );
-    if ctx.platform().is_some() {
-        out.push_str(&format!("simulated time: {:.3} s\n", report.sim_total_secs));
-    }
-    if let Some(path) = args.get("save") {
-        micdnn::save_autoencoder_file(&model.into_inner(), path).map_err(|e| e.to_string())?;
-        out.push_str(&format!("saved model to {path}\n"));
-    }
-    Ok(out)
 }
 
 /// `profile`: trains a small model with the profiler (and, when a trace
@@ -944,66 +926,6 @@ fn cmd_profile(args: &Args, seed: u64) -> Result<String, String> {
         std::fs::write(path, micdnn_sim::chrome_trace_json(ctx.trace()))
             .map_err(|e| format!("cannot write `{path}`: {e}"))?;
         out.push_str(&format!("wrote Chrome trace to {path}\n"));
-    }
-    Ok(out)
-}
-
-fn cmd_train_rbm(args: &Args, seed: u64) -> Result<String, String> {
-    let examples = args.num("examples", 2000usize)?;
-    let mut ds = load_data(args, examples, seed)?;
-    ds.binarize(0.5);
-    let visible = ds.dim();
-    let hidden = positive(args, "hidden", (visible / 2).max(2))?;
-    let passes = positive(args, "passes", 10)?;
-    let cfg = RbmConfig::new(visible, hidden);
-    let ctx = make_ctx(args, seed)?;
-    let tc = TrainConfig {
-        learning_rate: learning_rate(args, 0.1)?,
-        ..train_config(args)?
-    };
-
-    let report;
-    let rbm;
-    if args.has("pcd") {
-        for flag in ["momentum", "graph-schedule"] {
-            if args.has(flag) {
-                return Err(format!(
-                    "--{flag} is not supported with --pcd (plain persistent chains only)"
-                ));
-            }
-        }
-        // PCD path drives the model directly (the trainer wrapper runs
-        // CD); same chunk/batch loop semantics over in-memory data.
-        let mut m = Rbm::new(cfg, seed);
-        let mut scratch = micdnn::RbmScratch::new(&cfg, tc.batch_size);
-        let mut history = Vec::new();
-        for _ in 0..passes {
-            for (lo, hi) in ds.batch_bounds(tc.batch_size) {
-                history.push(m.pcd_step(&ctx, ds.batch(lo, hi), &mut scratch, tc.learning_rate));
-            }
-        }
-        let (Some(&first), Some(&last)) = (history.first(), history.last()) else {
-            return Err(micdnn::TrainError::EmptyStream.to_string());
-        };
-        rbm = m;
-        report = (first, last, history.len());
-    } else {
-        let mut model = build_rbm(args, visible, hidden, seed, args.has("graph-schedule"))?;
-        let r = train_dataset(&mut model, &ctx, &ds, &tc, passes).map_err(|e| e.to_string())?;
-        report = (r.initial_recon(), r.final_recon(), r.batches as usize);
-        rbm = model.into_inner();
-    }
-
-    let mut out = format!(
-        "trained RBM {visible} -> {hidden} ({})\nbatches {}  reconstruction {:.5} -> {:.5}\n",
-        if args.has("pcd") { "PCD" } else { "CD-1" },
-        report.2,
-        report.0,
-        report.1
-    );
-    if let Some(path) = args.get("save") {
-        micdnn::save_rbm_file(&rbm, path).map_err(|e| e.to_string())?;
-        out.push_str(&format!("saved model to {path}\n"));
     }
     Ok(out)
 }
@@ -1527,10 +1449,46 @@ mod tests {
         assert!(err.contains("USAGE"));
     }
 
+    /// Every `micdnn <cmd>` and `micdnn-cli -- <cmd>` invocation in the
+    /// README and the verify skill names a subcommand `run` dispatches: one
+    /// that rejects a stray positional argument rather than the command. An
+    /// invocation is `micdnn` after a `/`, a backtick or at the start of a
+    /// line, so prose such as "micdnn changes" is not one.
+    #[test]
+    fn documented_commands_are_dispatched() {
+        let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
+        for doc in ["README.md", ".claude/skills/verify/SKILL.md"] {
+            let text = std::fs::read_to_string(format!("{root}/{doc}")).unwrap();
+            let mut seen = 0;
+            for (n, line) in text.lines().enumerate() {
+                for (at, _) in line.match_indices("micdnn") {
+                    let rest = &line[at + "micdnn".len()..];
+                    let tail = match (line[..at].chars().last(), rest.strip_prefix("-cli -- ")) {
+                        (_, Some(tail)) => tail,
+                        (None | Some('/' | '`'), None) => match rest.strip_prefix(' ') {
+                            Some(tail) => tail,
+                            None => continue,
+                        },
+                        _ => continue,
+                    };
+                    let cmd = tail.split([' ', '`']).next().unwrap_or_default();
+                    let err = run(&sv(&[cmd, "stray", "extra"])).unwrap_err();
+                    assert!(
+                        !err.starts_with("unknown command"),
+                        "{doc}:{}: `{cmd}` is not a micdnn subcommand",
+                        n + 1
+                    );
+                    seen += 1;
+                }
+            }
+            assert!(seen > 0, "{doc} names no micdnn command");
+        }
+    }
+
     #[test]
     fn help_prints_usage() {
         let out = run(&sv(&["help"])).unwrap();
-        assert!(out.contains("train-ae"));
+        assert!(out.contains("--pcd"));
         assert!(out.contains("estimate"));
     }
 
@@ -1538,15 +1496,13 @@ mod tests {
     fn zero_valued_count_flags_are_cli_errors_not_panics() {
         // Every training subcommand, in each mode that reads the counts
         // through a different path.
-        let cmds: [&[&str]; 14] = [
+        let cmds: [&[&str]; 12] = [
             &["train", "--algo", "ae"],
             &["train", "--algo", "rbm"],
+            &["train", "--algo", "rbm", "--pcd"],
             &["train", "--algo", "cnn"],
             &["train", "--supervise"],
             &["train", "--devices", "2"],
-            &["train-ae"],
-            &["train-rbm"],
-            &["train-rbm", "--pcd"],
             &["pretrain"],
             &["pretrain", "--pipeline"],
             &["classify"],
@@ -1578,23 +1534,40 @@ mod tests {
             }
         }
         // Sizes with another floor, and flags a mode would silently ignore.
-        let rejected: [(&[&str], &str); 8] = [
+        let rejected: [(&[&str], &str); 10] = [
             (&["classify", "--side", "7"], "--side must be at least 8"),
-            (&["train-ae", "--side", "0"], "--side must be at least 8"),
+            (&["train", "--side", "0"], "--side must be at least 8"),
             (&["serve", "--side", "4"], "--side must be at least 8"),
             (&["serve", "--classes", "0"], "--classes must be at least 2"),
             (&["serve", "--classes", "1"], "--classes must be at least 2"),
             (
-                &["train-ae", "--data", "patches", "--side", "3"],
+                &["train", "--data", "patches", "--side", "3"],
                 "--side must be at least 4",
             ),
             (
-                &["train-rbm", "--pcd", "--side", "8", "--momentum", "0.5"],
-                "--momentum is not supported with --pcd (plain persistent chains only)",
+                &["train", "--side", "8", "--visible", "100"],
+                "--visible 100 does not match the data dimensionality 64",
             ),
             (
-                &["train-rbm", "--pcd", "--side", "8", "--graph-schedule"],
-                "--graph-schedule is not supported with --pcd (plain persistent chains only)",
+                &["train", "--algo", "ae", "--side", "8", "--pcd"],
+                "--pcd is not supported with --algo ae (RBM only)",
+            ),
+            (
+                &["train", "--algo", "cnn", "--side", "8", "--pcd"],
+                "--pcd is not supported with --algo cnn (RBM only)",
+            ),
+            (
+                &[
+                    "train",
+                    "--algo",
+                    "rbm",
+                    "--side",
+                    "8",
+                    "--pcd",
+                    "--devices",
+                    "2",
+                ],
+                "--pcd is not supported with --devices (data-parallel RBMs train CD-k)",
             ),
         ];
         for (cmd, want) in rejected {
@@ -1610,21 +1583,18 @@ mod tests {
 
     #[test]
     fn out_of_range_momentum_and_lr_are_cli_errors_not_panics() {
-        let momentum_cmds: [&[&str]; 6] = [
+        let momentum_cmds: [&[&str]; 5] = [
             &["train", "--algo", "ae"],
             &["train", "--algo", "rbm"],
-            &["train-ae"],
-            &["train-rbm"],
+            &["train", "--algo", "rbm", "--pcd"],
             &["profile", "--algo", "ae"],
             &["profile", "--algo", "rbm"],
         ];
-        let lr_cmds: [&[&str]; 11] = [
+        let lr_cmds: [&[&str]; 9] = [
             &["train", "--algo", "ae"],
             &["train", "--algo", "rbm"],
+            &["train", "--algo", "rbm", "--pcd"],
             &["train", "--algo", "cnn"],
-            &["train-ae"],
-            &["train-rbm"],
-            &["train-rbm", "--pcd"],
             &["pretrain"],
             &["pretrain", "--pipeline"],
             &["classify"],
@@ -1656,7 +1626,9 @@ mod tests {
     #[test]
     fn train_ae_end_to_end_tiny() {
         let out = run(&sv(&[
-            "train-ae",
+            "train",
+            "--algo",
+            "ae",
             "--examples",
             "120",
             "--side",
@@ -1671,16 +1643,15 @@ mod tests {
             "60",
         ]))
         .unwrap();
-        assert!(
-            out.contains("trained sparse autoencoder 100 -> 24"),
-            "{out}"
-        );
+        assert!(out.contains("trained ae 100 -> 24 (16 batches)"), "{out}");
     }
 
     #[test]
     fn train_ae_with_momentum_and_sim_platform() {
         let out = run(&sv(&[
-            "train-ae",
+            "train",
+            "--algo",
+            "ae",
             "--examples",
             "100",
             "--side",
@@ -1699,14 +1670,16 @@ mod tests {
             "phi",
         ]))
         .unwrap();
-        assert!(out.contains("simulated time"), "{out}");
+        assert!(out.contains("trained ae 64 -> 16 (12 batches)"), "{out}");
     }
 
     #[test]
     fn train_rbm_cd_and_pcd() {
-        for extra in [&[][..], &["--pcd"][..]] {
+        let outs = [&[][..], &["--pcd"][..]].map(|extra| {
             let mut argv = sv(&[
-                "train-rbm",
+                "train",
+                "--algo",
+                "rbm",
                 "--examples",
                 "100",
                 "--side",
@@ -1722,8 +1695,10 @@ mod tests {
             ]);
             argv.extend(sv(extra));
             let out = run(&argv).unwrap();
-            assert!(out.contains("trained RBM 64 -> 20"), "{out}");
-        }
+            assert!(out.contains("trained rbm 64 -> 20 (12 batches)"), "{out}");
+            out
+        });
+        assert_ne!(outs[0], outs[1], "--pcd trained CD");
     }
 
     #[test]
@@ -1775,7 +1750,9 @@ mod tests {
         let model = dir.file("model.bin");
         let pgm = dir.file("features.pgm");
         run(&sv(&[
-            "train-ae",
+            "train",
+            "--algo",
+            "ae",
             "--examples",
             "80",
             "--side",
@@ -1953,9 +1930,10 @@ mod tests {
 
     #[test]
     fn graph_schedule_flag_is_bit_identical() {
-        for algo in ["train-ae", "train-rbm"] {
-            let base = sv(&[
-                algo,
+        for algo in [&["ae"][..], &["rbm"], &["rbm", "--pcd"]] {
+            let mut base = sv(&["train", "--algo"]);
+            base.extend(sv(algo));
+            base.extend(sv(&[
                 "--examples",
                 "100",
                 "--side",
@@ -1968,12 +1946,12 @@ mod tests {
                 "25",
                 "--chunk",
                 "50",
-            ]);
+            ]));
             let serial = run(&base).unwrap();
             let mut graphed_args = base.clone();
             graphed_args.push("--graph-schedule".to_string());
             let graphed = run(&graphed_args).unwrap();
-            assert_eq!(serial, graphed, "{algo} diverged under --graph-schedule");
+            assert_eq!(serial, graphed, "{algo:?} diverged under --graph-schedule");
         }
     }
 
@@ -1982,9 +1960,10 @@ mod tests {
         // --verify statically checks every task graph before execution; on
         // the shipped (clean) graphs it must pass and leave the training
         // output bit-identical.
-        for algo in ["train-ae", "train-rbm"] {
-            let base = sv(&[
-                algo,
+        for algo in [&["ae"][..], &["rbm"], &["rbm", "--pcd"]] {
+            let mut base = sv(&["train", "--algo"]);
+            base.extend(sv(algo));
+            base.extend(sv(&[
                 "--examples",
                 "80",
                 "--side",
@@ -1998,12 +1977,12 @@ mod tests {
                 "--chunk",
                 "40",
                 "--graph-schedule",
-            ]);
+            ]));
             let plain = run(&base).unwrap();
             let mut verified_args = base.clone();
             verified_args.push("--verify".to_string());
             let verified = run(&verified_args).unwrap();
-            assert_eq!(plain, verified, "{algo} diverged under --verify");
+            assert_eq!(plain, verified, "{algo:?} diverged under --verify");
         }
     }
 
@@ -2318,7 +2297,7 @@ mod tests {
     #[test]
     fn visible_mismatch_rejected() {
         let err = run(&sv(&[
-            "train-ae",
+            "train",
             "--examples",
             "50",
             "--side",

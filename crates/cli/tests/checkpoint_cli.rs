@@ -107,6 +107,11 @@ fn rbm_momentum_resume_across_processes_is_bit_identical() {
 }
 
 #[test]
+fn rbm_pcd_resume_across_processes_is_bit_identical() {
+    resume_matches_straight_run("rbm", &["--pcd"]);
+}
+
+#[test]
 fn resume_without_checkpoint_dir_is_an_error() {
     let out = train("ae", &["--passes", "2", "--resume"]);
     assert!(!out.status.success());

@@ -9,6 +9,7 @@
 //! * the model weights (the embedded autoencoder/RBM record),
 //! * optimizer state (momentum velocities / AdaGrad accumulators and the
 //!   schedule's step counter) or CD momentum velocities,
+//! * PCD's persistent chain of fantasy particles,
 //! * the RNG sampler position (`(seed, cursor)` of the counter-based
 //!   stream allocator — sampling is a pure function of these),
 //! * training progress (layer / epoch / batch / example counters).
@@ -31,13 +32,14 @@ use crate::exec::ExecCtx;
 use crate::finetune::{FineTuneModel, FineTuneNet, SoftmaxLayer};
 use crate::labeled::{LabeledModel, LabeledNet};
 use crate::model_io::{
-    atomic_write, bad, checked_dim, read_any_header, read_autoencoder_body, read_f32, read_f64,
-    read_header, read_mat, read_rbm_body, read_u64, read_vec, save_autoencoder, save_rbm,
-    write_f32, write_f64, write_header, write_mat, write_slice, write_u64, ShapeMismatch, TAG_AE,
-    TAG_CKPT, TAG_CNN, TAG_FT, TAG_MDP, TAG_RBM,
+    atomic_write, bad, checked_dim, checked_elems, read_any_header, read_autoencoder_body,
+    read_f32, read_f64, read_header, read_mat, read_rbm_body, read_u64, read_vec, save_autoencoder,
+    save_rbm, write_f32, write_f64, write_header, write_mat, write_slice, write_u64, ShapeMismatch,
+    TAG_AE, TAG_CKPT, TAG_CNN, TAG_FT, TAG_MDP, TAG_RBM,
 };
 use crate::optim::{Optimizer, Rule, Schedule};
 use crate::train::{AeModel, RbmModel, UnsupervisedModel};
+use micdnn_tensor::Mat;
 use std::fs::File;
 use std::io::{self, BufReader, Read, Write};
 use std::path::{Path, PathBuf};
@@ -92,7 +94,8 @@ pub struct TrainProgress {
 pub enum CheckpointModel {
     /// A sparse autoencoder with its optional optimizer.
     Ae(AeModel),
-    /// An RBM with its graph flag and optional CD momentum.
+    /// An RBM with its graph flag, optional CD momentum and, under PCD, its
+    /// chain.
     Rbm(RbmModel),
     /// A multi-device replica set: device geometry, per-device RNG
     /// cursors, offline flags, and the replicated model.
@@ -167,10 +170,15 @@ fn write_rule(w: &mut impl Write, rule: Rule) -> io::Result<()> {
     }
 }
 
-fn read_rule(r: &mut impl Read) -> io::Result<Rule> {
+/// Reads one byte: a tag, a flag or the RBM record's mode byte.
+fn read_byte(r: &mut impl Read) -> io::Result<u8> {
     let mut b = [0u8; 1];
     r.read_exact(&mut b)?;
-    match b[0] {
+    Ok(b[0])
+}
+
+fn read_rule(r: &mut impl Read) -> io::Result<Rule> {
+    match read_byte(r)? {
         0 => Ok(Rule::Sgd),
         1 => Ok(Rule::Momentum { mu: read_f32(r)? }),
         2 => Ok(Rule::AdaGrad { eps: read_f32(r)? }),
@@ -208,9 +216,7 @@ fn write_schedule(w: &mut impl Write, s: Schedule) -> io::Result<()> {
 }
 
 fn read_schedule(r: &mut impl Read) -> io::Result<Schedule> {
-    let mut b = [0u8; 1];
-    r.read_exact(&mut b)?;
-    match b[0] {
+    match read_byte(r)? {
         0 => Ok(Schedule::Constant(read_f32(r)?)),
         1 => Ok(Schedule::Step {
             base: read_f32(r)?,
@@ -280,31 +286,40 @@ fn read_ae_state(r: &mut impl Read) -> io::Result<AeModel> {
     Ok(model.with_optimizer(Optimizer::restore(rule, schedule, steps, state)))
 }
 
-/// Writes an RBM checkpoint body: embedded RBM record + graph flag +
-/// momentum section.
+/// Bit of the RBM record's mode byte announcing a PCD chain section.
+const RBM_PCD: u8 = 2;
+
+/// Writes an RBM checkpoint body: embedded RBM record, the mode byte (bit
+/// 0 the graph flag, bit 1 PCD), the momentum section and, under PCD, the
+/// chain section: its row count and width, then the particles. CD records
+/// keep bit 1 clear and carry no chain, so files from before PCD load.
 pub(crate) fn write_rbm_state(model: &RbmModel, w: &mut dyn Write) -> io::Result<()> {
     let mut w = w;
     save_rbm(&model.rbm, &mut w)?;
-    w.write_all(&[model.uses_graph() as u8])?;
+    let chain = model.pcd_chain();
+    let pcd = if chain.is_some() { RBM_PCD } else { 0 };
+    w.write_all(&[u8::from(model.uses_graph()) | pcd])?;
     match model.momentum_parts() {
-        None => w.write_all(&[0]),
+        None => w.write_all(&[0])?,
         Some((mu, vw, vb, vc)) => {
             w.write_all(&[1])?;
             write_f32(&mut w, mu)?;
             write_slice(&mut w, vw)?;
             write_slice(&mut w, vb)?;
-            write_slice(&mut w, vc)
+            write_slice(&mut w, vc)?;
         }
     }
+    let Some(chain) = chain else { return Ok(()) };
+    write_u64(&mut w, chain.rows() as u64)?;
+    write_u64(&mut w, chain.cols() as u64)?;
+    write_slice(&mut w, chain.as_slice())
 }
 
-/// Reads a one-byte boolean: the graph-schedule flag every flagged record
-/// carries, or the byte announcing an optional optimizer or momentum
-/// section. `what` names it in the error for any other value.
+/// Reads a one-byte boolean: the graph-schedule flag of the CNN and
+/// fine-tune records, or the byte announcing an optional optimizer or
+/// momentum section. `what` names it in the error for any other value.
 fn read_flag(r: &mut impl Read, what: &str) -> io::Result<bool> {
-    let mut flag = [0u8; 1];
-    r.read_exact(&mut flag)?;
-    match flag[0] {
+    match read_byte(r)? {
         0 => Ok(false),
         1 => Ok(true),
         t => Err(bad(format!("bad {what} flag {t}"))),
@@ -314,7 +329,10 @@ fn read_flag(r: &mut impl Read, what: &str) -> io::Result<bool> {
 fn read_rbm_state(r: &mut impl Read) -> io::Result<RbmModel> {
     let rbm = read_rbm_body(r)?;
     let cfg = *rbm.config();
-    let use_graph = read_flag(r, "graph")?;
+    let mode = read_byte(r)?;
+    if mode > 1 | RBM_PCD {
+        return Err(bad(format!("bad RBM mode byte {mode}")));
+    }
     let momentum = if read_flag(r, "momentum-present")? {
         let mu = read_f32(r)?;
         if !(0.0..1.0).contains(&mu) {
@@ -327,9 +345,33 @@ fn read_rbm_state(r: &mut impl Read) -> io::Result<RbmModel> {
     } else {
         None
     };
+    let chain = (mode & RBM_PCD != 0).then(|| read_chain(r, cfg.n_visible));
     let mut model = RbmModel::new(rbm);
-    model.restore_extras(use_graph, momentum);
+    model.restore_extras(mode & 1 != 0, momentum, chain.transpose()?);
     Ok(model)
+}
+
+/// Reads a PCD chain section of `width` columns; zero rows is a chain not
+/// yet seeded. A section cut short is `InvalidData` like any other bad one.
+fn read_chain(r: &mut impl Read, width: usize) -> io::Result<Mat> {
+    let mut section = || {
+        let rows = match read_u64(r)? {
+            0 => 0,
+            n => checked_dim(n, "PCD chain rows")?,
+        };
+        let cols = read_u64(r)?;
+        if cols != width as u64 {
+            return Err(bad(format!(
+                "PCD chain width {cols}, the RBM has {width} visible units"
+            )));
+        }
+        let data = read_vec(r, None, checked_elems(rows, width)?)?;
+        Mat::from_vec(rows, width, data).map_err(|e| bad(e.to_string()))
+    };
+    section().map_err(|e| match e.kind() {
+        io::ErrorKind::UnexpectedEof => bad("PCD chain section truncated"),
+        _ => e,
+    })
 }
 
 /// Writes a labeled model's checkpoint body: the net's record, then the
@@ -679,6 +721,41 @@ mod tests {
         assert_eq!(m.rbm.w.as_slice(), model.rbm.w.as_slice());
         assert_eq!(m.momentum_parts(), model.momentum_parts());
         assert!(!m.uses_graph());
+    }
+
+    /// A PCD record carries its chain — seeded, or not yet (no rows) — and
+    /// loads back as PCD; a CD record stays chainless.
+    #[test]
+    fn pcd_checkpoint_round_trips_its_chain() {
+        use crate::exec::{ExecCtx, OptLevel};
+        use micdnn_data::Dataset;
+        let cfg = RbmConfig::new(6, 4);
+        let round_trip = |model: &RbmModel| {
+            let mut buf = Vec::new();
+            save_checkpoint(&mut buf, model, 1, 2, &TrainProgress::default()).unwrap();
+            load_checkpoint(&mut buf.as_slice())
+                .unwrap()
+                .into_rbm()
+                .unwrap()
+        };
+        let chain = |m: &RbmModel| m.pcd_chain().map(|c| (c.shape(), c.as_slice().to_vec()));
+
+        let mut model = RbmModel::new(Rbm::new(cfg, 9)).with_pcd();
+        let unseeded = round_trip(&model);
+        assert_eq!(chain(&unseeded), Some(((0, 6), Vec::new())));
+
+        let ds = Dataset::new(Mat::from_fn(12, 6, |r, c| ((r + c) % 2) as f32));
+        let tc = crate::train::TrainConfig {
+            batch_size: 4,
+            chunk_rows: 8,
+            ..Default::default()
+        };
+        let ctx = ExecCtx::native(OptLevel::Improved, 3);
+        crate::train::train_dataset(&mut model, &ctx, &ds, &tc, 1).unwrap();
+        let back = round_trip(&model);
+        assert_eq!(chain(&back).unwrap().0, (4, 6));
+        assert_eq!(chain(&back), chain(&model));
+        assert!(chain(&round_trip(&RbmModel::new(Rbm::new(cfg, 9)))).is_none());
     }
 
     #[test]

@@ -339,7 +339,8 @@ pub fn build_forward_graph<'a>(
 
 /// The forward pass of one micro-batch, with supervised recovery.
 ///
-/// Happy path: one graph execution over the whole batch, then a per-row
+/// Happy path: the request rows are copied into the top of the server's
+/// input matrix `x`, one graph execution runs over them, then a per-row
 /// finite check so a poisoned lane (e.g. a `kernel.nan` injection) fails
 /// only its own request. If the batched execution *panics*, the panic is
 /// caught, an incident is noted on the context, and every request is
@@ -350,37 +351,37 @@ fn run_batch(
     ctx: &ExecCtx,
     graph: &mut TaskGraph<'static, ServeState<'static>>,
     ws: &mut Workspace,
+    x: &mut Mat,
     probs_id: BufId,
     inputs: &[&[f32]],
 ) -> Vec<Result<Vec<f32>, ServeError>> {
     let b = inputs.len();
-    let in_dim = net.layer_params()[0].0.cols();
+    let in_dim = x.cols();
     let c = net.softmax.n_classes();
-    debug_assert!(b > 0 && b * c <= ws.buf(probs_id).len());
+    debug_assert!(b > 0 && b <= x.rows() && b * c <= ws.buf(probs_id).len());
 
-    let mut x = Mat::zeros(b, in_dim);
-    for (r, row) in inputs.iter().enumerate() {
-        x.as_mut_slice()[r * in_dim..(r + 1) * in_dim].copy_from_slice(row);
+    let rows = &mut x.as_mut_slice()[..b * in_dim];
+    for (dst, row) in rows.chunks_exact_mut(in_dim).zip(inputs) {
+        dst.copy_from_slice(row);
     }
     // Fault site: a kernel excursion poisons the first lane of the batch.
     // Row-local by construction — GEMM, the bias+sigmoid sweep and the
     // row-wise softmax all keep NaN confined to the row that produced it.
     if faults::fire("kernel.nan") {
-        x.as_mut_slice()[0] = f32::NAN;
+        rows[0] = f32::NAN;
     }
 
     let batched = catch_unwind(AssertUnwindSafe(|| {
         let mut state = ServeState {
             net,
-            ws,
-            x: x.view(),
+            ws: &mut *ws,
+            x: MatView::prefix(x.as_slice(), b, in_dim),
         };
         graph.execute(ctx, &mut state);
-        state.ws.buf(probs_id)[..b * c].to_vec()
     }));
 
     match batched {
-        Ok(flat) => flat
+        Ok(()) => ws.buf(probs_id)[..b * c]
             .chunks(c)
             .map(|row| {
                 if row.iter().all(|v| v.is_finite()) {
@@ -447,11 +448,12 @@ pub fn serve_requests(
             .expect("finite arrival times")
     });
 
-    // One forward graph and arena for every micro-batch, declared against
+    // One forward graph, arena and input matrix for every micro-batch, all
     // `max_batch` rows: a batch binds its live rows, and the graph is built
     // (and, where the context asks, verified) once, not per batch.
     let (mut graph, probs_id) = build_forward_graph(in_dim, &widths, n_classes, cfg.max_batch);
     let mut ws = Workspace::new(&graph.plan());
+    let mut x = Mat::zeros(cfg.max_batch, in_dim);
 
     let mut outcomes: Vec<Option<RequestOutcome>> = vec![None; requests.len()];
     let mut queue: std::collections::VecDeque<usize> = std::collections::VecDeque::new();
@@ -513,7 +515,7 @@ pub fn serve_requests(
                 .collect();
             let sim0 = ctx.sim_time();
             let wall0 = Instant::now();
-            let results = run_batch(net, ctx, &mut graph, &mut ws, probs_id, &inputs);
+            let results = run_batch(net, ctx, &mut graph, &mut ws, &mut x, probs_id, &inputs);
             let service = if priced {
                 ctx.sim_time() - sim0
             } else {

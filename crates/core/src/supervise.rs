@@ -1059,9 +1059,9 @@ mod tests {
         }
     }
 
-    /// Wraps an [`AeModel`], sabotaging chosen `train_batch` calls.
-    struct Saboteur {
-        inner: AeModel,
+    /// Wraps a model, sabotaging chosen `train_batch` calls.
+    struct Saboteur<M = AeModel> {
+        inner: M,
         /// Return NaN (without training) on these 0-based call numbers.
         nan_calls: Vec<u64>,
         /// Panic on these 0-based call numbers.
@@ -1069,8 +1069,8 @@ mod tests {
         calls: u64,
     }
 
-    impl Saboteur {
-        fn new(inner: AeModel) -> Self {
+    impl<M> Saboteur<M> {
+        fn new(inner: M) -> Self {
             Saboteur {
                 inner,
                 nan_calls: Vec::new(),
@@ -1080,7 +1080,7 @@ mod tests {
         }
     }
 
-    impl UnsupervisedModel for Saboteur {
+    impl<M: Recoverable> UnsupervisedModel for Saboteur<M> {
         fn input_dim(&self) -> usize {
             self.inner.input_dim()
         }
@@ -1108,7 +1108,7 @@ mod tests {
         }
     }
 
-    impl Recoverable for Saboteur {
+    impl<M: Recoverable> Recoverable for Saboteur<M> {
         fn restore_state(&mut self, from: CheckpointModel) -> io::Result<()> {
             self.inner.restore_state(from)
         }
@@ -1196,6 +1196,46 @@ mod tests {
         assert_eq!(log.count("lr-backoff"), 1);
         // Every supervisor-originated incident carries its stage.
         assert!(log.incidents.iter().all(|i| i.stage == "pretrain"));
+    }
+
+    /// A PCD rollback restores the snapshot's chain with the weights: the
+    /// batches after a divergence replay from the snapshot's particles, so
+    /// the run ends where the clean one does, chain and sampler included.
+    /// Weights of unit scale make the chain's hidden samples depend on the
+    /// particles (at the default 0.01 they are near-fair coins whatever the
+    /// chain holds), so a reseeded chain would show.
+    #[test]
+    fn pcd_rollback_restores_the_snapshots_chain() {
+        use crate::rbm::{Rbm, RbmConfig};
+        use crate::train::RbmModel;
+        let mut ds = toy_dataset(120, 12, 3);
+        ds.binarize(0.5);
+        let cfg = TrainConfig {
+            supervisor: Some(SupervisorPolicy {
+                lr_backoff: 1.0,
+                snapshot_every: 4,
+                ..SupervisorPolicy::default()
+            }),
+            ..toy_cfg()
+        };
+        let fresh = || {
+            let mut rbm = Rbm::new(RbmConfig::new(12, 6), 9);
+            rbm.w.map_inplace(|w| 100.0 * w);
+            RbmModel::new(rbm).with_pcd()
+        };
+        let mut clean = fresh();
+        let ctx = ExecCtx::native(OptLevel::Improved, 4);
+        train_dataset(&mut clean, &ctx, &ds, &cfg, 3).unwrap();
+
+        let mut sab = Saboteur::new(fresh());
+        sab.nan_calls = vec![7];
+        let ctx2 = ExecCtx::native(OptLevel::Improved, 4);
+        let (_, log) = train_dataset_supervised(&mut sab, &ctx2, &ds, &cfg, 3).unwrap();
+        assert_eq!(log.count("rollback"), 1, "{:?}", log.incidents);
+        let chain = |m: &RbmModel| m.pcd_chain().map(|c| c.as_slice().to_vec());
+        assert_eq!(chain(&clean), chain(&sab.inner));
+        assert_eq!(clean.rbm.w.as_slice(), sab.inner.rbm.w.as_slice());
+        assert_eq!(ctx.rng_state(), ctx2.rng_state());
     }
 
     #[test]

@@ -17,7 +17,7 @@
 
 use crate::ae_graph::{AeStep, AeUpdate};
 use crate::autoencoder::{AeScratch, SparseAutoencoder};
-use crate::cd_graph::cd_step_graph;
+use crate::cd_graph::run_cd_step;
 use crate::checkpoint::{save_checkpoint_file, CheckpointPolicy, TrainProgress};
 use crate::exec::ExecCtx;
 use crate::rbm::{Rbm, RbmScratch};
@@ -27,7 +27,7 @@ use micdnn_sim::{
     ChunkSource, ChunkStream, DeviceMemory, Link, OutOfDeviceMemory, RetryPolicy, StreamError,
     StreamOptions, StreamStats,
 };
-use micdnn_tensor::MatView;
+use micdnn_tensor::{Mat, MatView};
 use std::io::{self, Write};
 use std::time::Duration;
 
@@ -170,14 +170,16 @@ pub(crate) type MomentumParts<'a> = (f32, &'a [f32], &'a [f32], &'a [f32]);
 /// Owned momentum state `(mu, vw, vb, vc)` as restored from a checkpoint.
 pub(crate) type OwnedMomentumParts = (f32, Vec<f32>, Vec<f32>, Vec<f32>);
 
-/// An RBM bundled with its scratch; optionally scheduled via the Fig. 6
-/// dependency graph.
+/// An RBM bundled with its scratch, trained with CD-k or PCD; optionally
+/// scheduled via the Fig. 6 dependency graph.
 #[derive(Debug)]
 pub struct RbmModel {
     /// The underlying RBM.
     pub rbm: Rbm,
+    /// The step graph's storage, and with PCD the persistent chain.
     scratch: Option<RbmScratch>,
     use_graph: bool,
+    pcd: bool,
     /// Momentum coefficient and velocity buffers (w, b_vis, c_hid).
     momentum: Option<CdMomentum>,
 }
@@ -189,8 +191,17 @@ impl RbmModel {
             rbm,
             scratch: None,
             use_graph: false,
+            pcd: false,
             momentum: None,
         }
+    }
+
+    /// Trains with persistent contrastive divergence (the paper's ref.
+    /// \[15\]) instead of CD-k: a chain of fantasy particles, seeded from
+    /// the first batch, carried across batches, checkpoints and rollbacks.
+    pub fn with_pcd(mut self) -> Self {
+        self.pcd = true;
+        self
     }
 
     /// Schedules each CD step (any `cd_steps`) through the Fig. 6
@@ -231,21 +242,44 @@ impl RbmModel {
             .map(|m| (m.mu, m.vw.as_slice(), m.vb.as_slice(), m.vc.as_slice()))
     }
 
-    /// Restores flags/momentum from validated checkpoint data. Unlike the
-    /// builder methods this must not panic: the checkpoint loader has
-    /// already range-checked everything and reports `InvalidData` itself.
-    pub(crate) fn restore_extras(&mut self, use_graph: bool, momentum: Option<OwnedMomentumParts>) {
-        self.use_graph = use_graph;
-        self.momentum = momentum.map(|(mu, vw, vb, vc)| CdMomentum { mu, vw, vb, vc });
+    /// The PCD chain (no rows before the first step), or `None` under CD.
+    pub(crate) fn pcd_chain(&self) -> Option<MatView<'_>> {
+        let unseeded = MatView::new(&[], 0, self.rbm.config().n_visible);
+        let chain = self
+            .scratch
+            .as_ref()
+            .map_or(unseeded, |s| s.pcd_chain.view());
+        self.pcd.then_some(chain)
     }
 
-    /// Replaces parameters and momentum state with `other`'s (the
-    /// supervisor's rollback path), keeping this wrapper's scheduling
-    /// preference. Scratch is dropped; `prepare` re-allocates it.
+    /// Restores flags, momentum and a PCD chain (`Some` means PCD) from
+    /// validated checkpoint data. Unlike the builder methods this must not
+    /// panic: the checkpoint loader has already range-checked everything
+    /// and reports `InvalidData` itself.
+    pub(crate) fn restore_extras(
+        &mut self,
+        use_graph: bool,
+        momentum: Option<OwnedMomentumParts>,
+        chain: Option<Mat>,
+    ) {
+        self.use_graph = use_graph;
+        self.momentum = momentum.map(|(mu, vw, vb, vc)| CdMomentum { mu, vw, vb, vc });
+        self.pcd = chain.is_some();
+        self.scratch = chain.filter(|c| c.rows() > 0).map(|chain| {
+            let mut scratch = RbmScratch::new(self.rbm.config(), chain.rows());
+            scratch.pcd_chain = chain;
+            scratch
+        });
+    }
+
+    /// Replaces parameters, momentum state, the training mode and the PCD
+    /// chain (in `other`'s scratch) with `other`'s — the supervisor's
+    /// rollback path — keeping this wrapper's scheduling preference.
     pub(crate) fn adopt(&mut self, other: RbmModel) {
         self.rbm = other.rbm;
+        self.pcd = other.pcd;
         self.momentum = other.momentum;
-        self.scratch = None;
+        self.scratch = other.scratch;
     }
 }
 
@@ -261,16 +295,12 @@ impl UnsupervisedModel for RbmModel {
         };
         self.scratch
             .insert(scratch)
-            .prepare(*self.rbm.config(), false, false);
+            .prepare(*self.rbm.config(), self.pcd, false);
     }
 
     fn train_batch(&mut self, ctx: &ExecCtx, x: MatView<'_>, lr: f32) -> f64 {
         let scratch = self.scratch.as_mut().expect("prepare() not called");
-        let err = if self.use_graph {
-            cd_step_graph(&mut self.rbm, ctx, x, scratch, lr).0
-        } else {
-            self.rbm.cd_step(ctx, x, scratch, lr)
-        };
+        let (err, _) = run_cd_step(&mut self.rbm, ctx, x, scratch, lr, self.pcd, self.use_graph);
         if let Some(CdMomentum { mu, vw, vb, vc }) = &mut self.momentum {
             // cd_step applied w += lr*(pos - neg); fold in mu * v_old so
             // the net update is v_new = mu v_old + lr (pos - neg), then

@@ -10,18 +10,20 @@
 //!   optimizer whose velocity slots and schedule step must survive),
 //! * the RBM (CD-1 with classical momentum — its Gibbs sampling draws from
 //!   the context's counter-based streams, so the restored `(seed, cursor)`
-//!   is load-bearing, not just the weights).
+//!   is load-bearing, not just the weights),
+//! * PCD, whose persistent chain of fantasy particles is training state
+//!   the checkpoint carries too.
 //!
-//! A separate test crashes a run mid-epoch through a loader fault and
-//! resumes from the best-effort checkpoint the trainer leaves behind.
+//! Two tests crash a run mid-epoch through a loader fault and resume from
+//! the best-effort checkpoint the trainer leaves behind.
 
 use micdnn::train::{
     train_dataset, train_dataset_resume, train_stream, AeModel, RbmModel, TrainConfig, TrainError,
 };
 use micdnn::{
-    load_checkpoint_file, AeConfig, CheckpointPolicy, CnnConfig, CnnModel, CnnNet, DataParallelRbm,
-    ExecCtx, MultiDevConfig, OptLevel, Optimizer, Rbm, RbmConfig, Recoverable, Rule, Schedule,
-    SparseAutoencoder, StackedAutoencoder, TestDir,
+    load_checkpoint_file, save_checkpoint, AeConfig, CheckpointPolicy, CnnConfig, CnnModel, CnnNet,
+    DataParallelRbm, ExecCtx, MultiDevConfig, OptLevel, Optimizer, Rbm, RbmConfig, Recoverable,
+    Rule, Schedule, SparseAutoencoder, StackedAutoencoder, TestDir, TrainProgress,
 };
 use micdnn_data::Dataset;
 use micdnn_tensor::Mat;
@@ -363,6 +365,72 @@ fn crash_mid_epoch_resumes_bit_identically() {
     assert_eq!(straight.ae.w2.as_slice(), resumed.ae.w2.as_slice());
     assert_eq!(straight.ae.b1, resumed.ae.b1);
     assert_eq!(straight.ae.b2, resumed.ae.b2);
+}
+
+/// PCD through the trainer, killed at batch 6 of 16 (a wrong-width chunk
+/// after three good ones) and resumed from its parting checkpoint, ends in
+/// the straight run's exact state. Momentum and the graph schedule ride
+/// along, so their state is checked too. Weights of unit scale make the
+/// chain's samples depend on its particles, so a chain the resume failed to
+/// restore would show in the weights.
+#[test]
+fn pcd_killed_mid_epoch_resumes_bit_identically_including_the_chain() {
+    let mut ds = toy_dataset(200, 12, 10);
+    ds.binarize(0.5);
+    let cfg = TrainConfig {
+        learning_rate: 0.1,
+        ..base_config()
+    };
+    let make_model = || {
+        let mut rbm = Rbm::new(RbmConfig::new(12, 9), 19);
+        rbm.w.map_inplace(|w| 100.0 * w);
+        RbmModel::new(rbm)
+            .with_pcd()
+            .with_momentum(0.5)
+            .with_graph_schedule()
+    };
+
+    let mut straight = make_model();
+    let ctx = ExecCtx::native(OptLevel::Improved, 23);
+    train_dataset(&mut straight, &ctx, &ds, &cfg, 2).unwrap();
+
+    let dir = TestDir::new("ckpt-pcd");
+    let policy = CheckpointPolicy::new(dir.path(), 0);
+    let ckpt_cfg = TrainConfig {
+        checkpoint: Some(policy.clone()),
+        ..cfg.clone()
+    };
+    {
+        let chunks = ds.clone().into_chunks(cfg.chunk_rows);
+        let mut feed: Vec<Mat> = chunks.iter().take(3).cloned().collect();
+        feed.push(Mat::zeros(10, 5)); // loader fault
+        let mut first = make_model();
+        let ctx1 = ExecCtx::native(OptLevel::Improved, 23);
+        let source = micdnn_sim::VecSource::new(feed);
+        let err = train_stream(&mut first, &ctx1, source, &ckpt_cfg).unwrap_err();
+        assert!(matches!(err, TrainError::DimensionMismatch { .. }));
+    }
+
+    let ckpt = load_checkpoint_file(policy.file()).unwrap();
+    assert_eq!(ckpt.progress.batches, 6);
+    let ctx2 = ExecCtx::native(OptLevel::Improved, 0); // overwritten by restore
+    ckpt.restore_rng(&ctx2);
+    let progress = ckpt.progress;
+    let mut resumed = ckpt.into_rbm().expect("RBM checkpoint");
+    let report = train_dataset_resume(&mut resumed, &ctx2, &ds, &ckpt_cfg, 2, &progress).unwrap();
+    assert_eq!(report.batches, 2 * 8 - 6);
+
+    // The checkpoint record holds the weights, the momentum velocities, the
+    // chain and, here, the context's sampler cursor: equal records are the
+    // same run state.
+    let record = |model: &RbmModel, ctx: &ExecCtx| {
+        let (seed, cursor) = ctx.rng_state();
+        let mut bytes = Vec::new();
+        save_checkpoint(&mut bytes, model, seed, cursor, &TrainProgress::default()).unwrap();
+        bytes
+    };
+    assert_eq!(straight.rbm.w.as_slice(), resumed.rbm.w.as_slice());
+    assert_eq!(record(&straight, &ctx), record(&resumed, &ctx2));
 }
 
 #[test]

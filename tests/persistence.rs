@@ -308,3 +308,53 @@ fn checkpoint_file_round_trips_momentum_rbm() {
     assert_eq!(restored.rbm.w.as_slice(), model.rbm.w.as_slice());
     assert_eq!(restored.rbm.config().cd_steps, 2);
 }
+
+/// A PCD checkpoint ends with its chain section: the row count, the width,
+/// then the length-prefixed particles. A chain of the wrong width, an absurd
+/// row count, a mode byte with unknown bits or a section cut short anywhere
+/// is `InvalidData` — never a panic, never a chain of the wrong shape.
+#[test]
+fn hostile_pcd_chain_sections_are_invalid_data() {
+    let ds = micdnn_data::Dataset::new(micdnn_tensor::Mat::from_fn(40, 10, |r, c| {
+        ((r + c) % 2) as f32
+    }));
+    let cfg = micdnn::train::TrainConfig {
+        batch_size: 10,
+        chunk_rows: 20,
+        ..Default::default()
+    };
+    let mut model = RbmModel::new(sample_rbm()).with_pcd();
+    let ctx = micdnn::ExecCtx::native(micdnn::OptLevel::Improved, 1);
+    micdnn::train::train_dataset(&mut model, &ctx, &ds, &cfg, 1).unwrap();
+    let mut clean = Vec::new();
+    save_checkpoint(&mut clean, &model, 1, 2, &TrainProgress::default()).unwrap();
+    assert!(load_checkpoint(&mut clean.as_slice()).is_ok());
+
+    // rows (10) | width (10) | length (100) | 100 particles.
+    let section = clean.len() - 24 - 100 * 4;
+    let field = |at: usize| u64::from_le_bytes(clean[at..at + 8].try_into().unwrap());
+    assert_eq!([field(section), field(section + 8)], [10, 10]);
+    let patched = |at: usize, value: u64| {
+        let mut buf = clean.clone();
+        buf[at..at + 8].copy_from_slice(&value.to_le_bytes());
+        buf
+    };
+    let mut mode = clean.clone();
+    // The mode byte follows the embedded RBM record: it and the empty
+    // momentum section are the two bytes before the chain.
+    assert_eq!(mode[section - 2], 2);
+    mode[section - 2] = 6;
+    let mut cases = vec![
+        ("wrong width", patched(section + 8, 11)),
+        ("absurd rows", patched(section, u64::MAX)),
+        ("rows past the data", patched(section, 11)),
+        ("unknown mode bit", mode),
+    ];
+    for cut in [section + 4, section + 12, section + 20, clean.len() - 1] {
+        cases.push(("truncated", clean[..cut].to_vec()));
+    }
+    for (what, buf) in cases {
+        let err = load_checkpoint(&mut buf.as_slice()).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{what}: {err}");
+    }
+}
