@@ -1051,17 +1051,15 @@ mod tests {
         for row in &rows {
             assert!(row.speedup > 1.0, "{} {}: no gain", row.algo, row.network);
             assert!(row.graph_secs < row.serial_secs);
-            assert!(row.planned_peak_elems <= row.scratch_elems);
             // CD-1 aliases the hidden-sample buffer into the negative-phase
-            // hidden probabilities; the AE step has no dead overlap.
-            match row.algo.as_str() {
-                "rbm" => assert!(
-                    row.planned_peak_elems < row.scratch_elems,
-                    "{}: planner found no aliasing",
-                    row.network
-                ),
-                _ => assert_eq!(row.planned_peak_elems, row.scratch_elems),
-            }
+            // hidden probabilities; the AE step's gradients die at their
+            // update, so gw1 reuses gw2's register.
+            assert!(
+                row.planned_peak_elems < row.scratch_elems,
+                "{} {}: planner found no aliasing",
+                row.algo,
+                row.network
+            );
         }
     }
 

@@ -738,11 +738,7 @@ fn cmd_train(args: &Args, seed: u64) -> Result<String, String> {
             return Err("--momentum is not supported with --algo cnn (plain SGD only)".to_string());
         }
     }
-    if args.has("pcd") && algo != "rbm" {
-        return Err(format!(
-            "--pcd is not supported with --algo {algo} (RBM only)"
-        ));
-    }
+    refuse_pcd_unless_rbm(args, algo)?;
     if let Some(list) = args.get("inject") {
         micdnn::faults::configure_list(list).map_err(|e| format!("--inject: {e}"))?;
     }
@@ -862,14 +858,26 @@ fn cmd_train(args: &Args, seed: u64) -> Result<String, String> {
     }
 }
 
+/// `--pcd` selects persistent contrastive divergence, an RBM training
+/// rule: any other `--algo` refuses it rather than ignore it.
+fn refuse_pcd_unless_rbm(args: &Args, algo: &str) -> Result<(), String> {
+    if args.has("pcd") && algo != "rbm" {
+        return Err(format!(
+            "--pcd is not supported with --algo {algo} (RBM only)"
+        ));
+    }
+    Ok(())
+}
+
 /// `profile`: trains a small model with the profiler (and, when a trace
 /// export is requested, the event trace) attached, then reports where the
 /// time went. Defaults to the simulated Xeon Phi so the breakdown shows
 /// modeled-device seconds and fractions of the 5110P's peak.
 fn cmd_profile(args: &Args, seed: u64) -> Result<String, String> {
+    let algo = args.get("algo").unwrap_or("ae");
+    refuse_pcd_unless_rbm(args, algo)?;
     let examples = args.num("examples", 2000usize)?;
     let mut ds = load_data(args, examples, seed)?;
-    let algo = args.get("algo").unwrap_or("ae");
     let visible = ds.dim();
     let hidden = positive(args, "hidden", (visible / 2).max(2))?;
     let passes = positive(args, "passes", 2)?;
@@ -1534,7 +1542,7 @@ mod tests {
             }
         }
         // Sizes with another floor, and flags a mode would silently ignore.
-        let rejected: [(&[&str], &str); 10] = [
+        let rejected: [(&[&str], &str); 11] = [
             (&["classify", "--side", "7"], "--side must be at least 8"),
             (&["train", "--side", "0"], "--side must be at least 8"),
             (&["serve", "--side", "4"], "--side must be at least 8"),
@@ -1555,6 +1563,10 @@ mod tests {
             (
                 &["train", "--algo", "cnn", "--side", "8", "--pcd"],
                 "--pcd is not supported with --algo cnn (RBM only)",
+            ),
+            (
+                &["profile", "--algo", "ae", "--side", "8", "--pcd"],
+                "--pcd is not supported with --algo ae (RBM only)",
             ),
             (
                 &[

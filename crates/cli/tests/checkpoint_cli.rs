@@ -106,6 +106,8 @@ fn rbm_momentum_resume_across_processes_is_bit_identical() {
     resume_matches_straight_run("rbm", &["--momentum", "0.6"]);
 }
 
+/// The PCD chain is training state: a resumed process that reseeded it from
+/// the data, as if the checkpoint had dropped it, writes other bits.
 #[test]
 fn rbm_pcd_resume_across_processes_is_bit_identical() {
     resume_matches_straight_run("rbm", &["--pcd"]);

@@ -12,7 +12,8 @@
 //! GW2 = D3' a2 / b ; GB2 = colmean(D3) (need D3)     — mutually concurrent
 //! D2  = (D3 W2 + s) ⊙ σ'(a2)           (needs D3, KL)
 //! GW1 = D2' x / b ; GB1 = colmean(D2)  (need D2)     — mutually concurrent
-//! U*  = per-tensor parameter updates   (each needs only its gradient)
+//! U*  = per-tensor parameter updates   (each needs its gradient; U2 also
+//!                                       D2a, W2's last reader)
 //! ```
 //!
 //! One builder backs both execution styles, exactly as for CD:
@@ -29,12 +30,15 @@
 //! block: ρ̂ and the gradients are `Partial` sums, `D2` reads the master
 //! copy's sparsity term, and COST leaves the raw squared error after GB1.
 //!
-//! Unlike CD-1, the AE step offers the planner no aliasing opportunity:
-//! `delta3` stays live into `D2`, `delta2` overlaps `s_term` and `rho_hat`
-//! feeds `KL` while `delta3` is in flight — every scratch pair interferes.
-//! The declarations still pay their way: the planner proves the peak is
-//! irreducible instead of leaving it to folklore, and the simulated
-//! executor prices the step's critical path over the edges they induce.
+//! In an updating step the gradients die at their update. `D2a` is W2's
+//! last reader, so the decoder updates `U2`/`U4` run right after `D2b`,
+//! before the encoder's gradients are born, and the declaration-order
+//! planner folds `gw1` into `gw2`'s register, ordering `U2` before `GW1`
+//! for it: at the paper's 1024×4096 layer (b100) the arena holds 5 223 424
+//! of the 9 425 920 declared elements. A gradient-only step (`cost_and_grad`,
+//! the gradient check) hands its gradients to the caller, so they stay
+//! `Pinned`; the block form's are `Partial` sums and its updates stay
+//! together after the merge.
 
 use crate::autoencoder::{AeCost, AeScratch, SparseAutoencoder};
 use crate::exec::ExecCtx;
@@ -191,8 +195,8 @@ impl AeHalf {
     }
 
     /// The per-tensor parameter update (weight decay on the weights only):
-    /// plain SGD, or one optimizer slot — in
-    /// which case U4, the graph's last update node, also advances the
+    /// plain SGD, or one optimizer slot — in which case the graph's last
+    /// update node (U3, or the block form's U4) also advances the
     /// optimizer's schedule. Emits nothing in [`AeUpdate::None`] mode.
     fn emit_update(&self, sb: &mut StackBuilder<AeState<'_>>, part: Part) {
         let (half, update) = (self.half, self.update);
@@ -213,7 +217,7 @@ impl AeHalf {
             // Optimizer state is invisible to the buffer analysis.
             spec = spec.exclusive();
         }
-        let last = (half, part) == (Half::Dec, Part::Biases);
+        let last = part == Part::Biases && (half == Half::Dec) == self.block;
         sb.node(spec, move |ctx, s: &mut AeState<'_>| {
             let lambda = match part {
                 Part::Weights => s.ae.config().weight_decay,
@@ -243,8 +247,13 @@ impl<'a> Layer<AeState<'a>> for AeHalf {
         let slot = self.half as usize;
         let [w, bias, act, delta, gw, gb] = BUF_NAMES[slot];
         let ((out, inp), b) = (self.dims(), self.b);
-        use BufClass::{Partial, Pinned};
-        let grads = if self.block { Partial } else { Pinned };
+        // Block sums merge after the run and gradient-only steps hand
+        // theirs to the caller; an updating step's die at their update.
+        let grads = match (self.block, self.update) {
+            (true, _) => BufClass::Partial,
+            (false, AeUpdate::None) => BufClass::Pinned,
+            (false, _) => BufClass::Scratch,
+        };
         match what {
             // Parameters and input: analysis-only externals.
             Decl::Params => {
@@ -256,14 +265,10 @@ impl<'a> Layer<AeState<'a>> for AeHalf {
             Decl::Acts => {
                 sb.bind_dims(slot, "act", act, &[b, out], BufClass::Pinned);
             }
-            // Backward temporaries: aliasing candidates (none exist for
-            // this DAG — see the module docs — but the planner gets to
-            // prove that).
+            // Backward temporaries: aliasing candidates.
             Decl::Deltas => {
                 sb.bind_dims(slot, "delta", delta, &[b, out], BufClass::Scratch);
             }
-            // Gradients are pinned: consumed after the run by optimizer
-            // steps and the gradient check.
             Decl::Grads(Part::Weights) => {
                 sb.bind_dims(slot, "gw", gw, &[out, inp], grads);
             }
@@ -579,9 +584,12 @@ pub(crate) fn ae_graph<'a>(
     enc.declare(&mut sb, Decl::Grads(Part::Biases));
     dec.declare(&mut sb, Decl::Grads(Part::Biases));
 
-    // Historical node order: F1, F2, COST, RHO+KL, D3, GW2, GB2, D2a+D2b,
-    // GW1, GB1, then U1..U4 (the update layers emit nothing in `None`
-    // mode); the block form's COST comes after GB1.
+    // Node order: F1, F2, COST, RHO+KL, D3, GW2, GB2, D2a+D2b, U2+U4, GW1,
+    // GB1, U1+U3, one update node per tensor (weight decay on the weights
+    // only; the update layers emit nothing in `None` mode). D2a is W2's
+    // last reader, so the decoder updates run as soon as D2b is done and
+    // `gw2` dies before `gw1` is born. The block form keeps its updates
+    // together after GB1 and COST: they read the merged sums.
     enc.emit(&mut sb, Emit::Forward);
     dec.emit(&mut sb, Emit::Forward);
     cost.emit(&mut sb, Emit::Forward);
@@ -590,15 +598,21 @@ pub(crate) fn ae_graph<'a>(
     dec.emit(&mut sb, Emit::Grads(Part::Weights));
     dec.emit(&mut sb, Emit::Grads(Part::Biases));
     enc.emit(&mut sb, Emit::Backward);
+    if !block {
+        dec.emit(&mut sb, Emit::Update(Part::Weights));
+        dec.emit(&mut sb, Emit::Update(Part::Biases));
+    }
     enc.emit(&mut sb, Emit::Grads(Part::Weights));
     enc.emit(&mut sb, Emit::Grads(Part::Biases));
     cost.emit(&mut sb, Emit::Backward);
-    // Parameter updates: the graph's last rank, one node per tensor
-    // (weight decay on the weights only).
     enc.emit(&mut sb, Emit::Update(Part::Weights));
-    dec.emit(&mut sb, Emit::Update(Part::Weights));
+    if block {
+        dec.emit(&mut sb, Emit::Update(Part::Weights));
+    }
     enc.emit(&mut sb, Emit::Update(Part::Biases));
-    dec.emit(&mut sb, Emit::Update(Part::Biases));
+    if block {
+        dec.emit(&mut sb, Emit::Update(Part::Biases));
+    }
     sb.finish()
 }
 
@@ -795,13 +809,36 @@ mod tests {
     }
 
     #[test]
-    fn ae_planner_finds_no_alias_and_reports_honestly() {
-        // Every AE scratch pair interferes (see module docs): the planner
-        // must keep them all separate — peak equals the declared total.
-        let g = build_ae_graph(1024, 4096, 100, AeUpdate::Sgd);
-        let plan = g.plan();
-        assert_eq!(plan.peak_elems(), plan.total_declared_elems());
-        assert!(plan.num_registers() > 0);
+    fn updating_steps_share_one_gradient_register() {
+        // At the paper's layer (1024x4096, b100) an updating step's
+        // gradients die at their update: U2 runs right after D2b, so gw1
+        // reuses gw2's register. A gradient-only step hands both to its
+        // caller and keeps them apart.
+        for (update, shared) in [
+            (AeUpdate::Sgd, true),
+            (AeUpdate::Opt, true),
+            (AeUpdate::None, false),
+        ] {
+            let g = build_ae_graph(1024, 4096, 100, update);
+            let plan = g.plan();
+            let register = |name| {
+                let b = g
+                    .bufs
+                    .iter()
+                    .position(|d| d.name == name)
+                    .expect("declared");
+                plan.register_of(BufId(b)).expect("arena buffer")
+            };
+            assert_eq!(register("gw1") == register("gw2"), shared, "{update:?}");
+            let report = g.verify();
+            assert!(report.errors.is_empty(), "{update:?}: {report}");
+            if shared {
+                // The two 4096x1024 gradients in one register: 9 425 920
+                // declared elements fit in 5 223 424.
+                assert_eq!(plan.total_declared_elems(), 9_425_920, "{update:?}");
+                assert_eq!(plan.peak_elems(), 5_223_424, "{update:?}");
+            }
+        }
     }
 
     #[test]

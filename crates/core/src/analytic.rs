@@ -37,13 +37,14 @@ pub fn ae_batch_ops(v: usize, h: usize, b: usize, backend: Backend) -> Vec<OpCos
         backend.reduce_cost(b, v),        // gb2
         backend.gemm_cost(b, h, v),       // delta2 = delta3 W2
         backend.bias_deriv_cost(b * h),   // delta2 ⊙ sparsity ⊙ deriv
-        backend.gemm_cost(h, v, b),       // gw1 = delta2^T x
-        backend.reduce_cost(b, h),        // gb1
-        // update
-        backend.sgd_cost(h * v),
+        // decoder update (W2's last reader has run)
         backend.sgd_cost(v * h),
-        backend.sgd_cost(h),
         backend.sgd_cost(v),
+        // encoder gradients and update
+        backend.gemm_cost(h, v, b), // gw1 = delta2^T x
+        backend.reduce_cost(b, h),  // gb1
+        backend.sgd_cost(h * v),
+        backend.sgd_cost(h),
     ]
 }
 

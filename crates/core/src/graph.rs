@@ -14,13 +14,17 @@
 //!   derived automatically from read-after-write, write-after-write and
 //!   write-after-read conflicts, so the declaration order is by
 //!   construction a valid serial schedule.
-//! * **Planner** — [`TaskGraph::plan`] computes buffer liveness over the
-//!   DAG and aliases scratch buffers whose accessor sets are strictly
-//!   ordered into shared *registers* of a [`Workspace`] arena. Two buffers
-//!   may share storage only when every node touching one strictly precedes
-//!   every node touching the other — a criterion that holds under any
-//!   topological order, not just the declaration order the host runs.
-//!   Every shipped step runs over the arena its plan lays out.
+//! * **Planner** — [`TaskGraph::plan`] computes buffer live ranges in
+//!   declaration order, the order every executor runs, and folds scratch
+//!   buffers whose ranges are disjoint into shared *registers* of a
+//!   [`Workspace`] arena, largest first. Where the DAG does not already
+//!   order two buffers it aliases, the plan records ordering edges (never
+//!   one that moves a node to a later wave) that the graph adds to its DAG
+//!   when it runs over the plan, so every node touching one strictly
+//!   precedes every node touching the other under any topological order of
+//!   the resulting DAG — the one the verifier checks and the simulated
+//!   clock prices. Every shipped step runs over the arena its plan lays
+//!   out.
 //! * **Executor** — [`TaskGraph::run_serial`] runs nodes in declaration
 //!   order, charging ops directly: bit- and time-identical to the
 //!   hand-rolled loops it replaces. [`TaskGraph::execute`] prices each node
@@ -89,6 +93,30 @@ impl Drop for NodeGuard {
     fn drop(&mut self) {
         CURRENT_NODE.with(|c| c.set(self.prev));
     }
+}
+
+/// Whether node `a` strictly precedes node `b` in the strict-ancestor
+/// bitsets `anc` ([`TaskGraph::ancestors`]).
+pub(crate) fn precedes(anc: &[Vec<u64>], a: NodeId, b: NodeId) -> bool {
+    anc[b][a / 64] & (1 << (a % 64)) != 0
+}
+
+/// The pairs `(u, v)` the DAG (strict-ancestor bitsets `anc`) leaves
+/// unordered between an accessor `u` of the earlier of the buffers `a`, `b`
+/// and an accessor `v` of the later; their live ranges in `acc` (accessor
+/// lists in node order) must be disjoint. The latest `u` and the earliest
+/// `v` come first: an edge between them orders every pair they reach.
+fn unordered(acc: &[Vec<NodeId>], anc: &[Vec<u64>], a: usize, b: usize) -> Vec<(NodeId, NodeId)> {
+    let (early, late) = if acc[a].last() < acc[b].first() {
+        (&acc[a], &acc[b])
+    } else {
+        (&acc[b], &acc[a])
+    };
+    let pairs = early
+        .iter()
+        .rev()
+        .flat_map(|&u| late.iter().map(move |&v| (u, v)));
+    pairs.filter(|&(u, v)| !precedes(anc, u, v)).collect()
 }
 
 /// Identifier of a declared buffer within a [`TaskGraph`].
@@ -373,14 +401,19 @@ impl<'g, S: NodeState> TaskGraph<'g, S> {
     }
 
     /// Strict-ancestor bitsets: `anc[i]` has bit `j` set iff `j` precedes
-    /// `i` along dependency edges.
-    pub(crate) fn ancestors(&self) -> Vec<Vec<u64>> {
+    /// `i` along the dependency edges plus the `extra` edges `(from, to)`
+    /// (each pointing forward in declaration order).
+    pub(crate) fn ancestors(&self, extra: &[(NodeId, NodeId)]) -> Vec<Vec<u64>> {
         let n = self.len();
         let words = n.div_ceil(64);
         let mut anc: Vec<Vec<u64>> = Vec::with_capacity(n);
         for i in 0..n {
             let mut mine = vec![0u64; words];
-            for &d in &self.deps[i] {
+            let added = extra
+                .iter()
+                .filter(|&&(_, to)| to == i)
+                .map(|(from, _)| from);
+            for &d in self.deps[i].iter().chain(added) {
                 mine[d / 64] |= 1 << (d % 64);
                 for (w, m) in mine.iter_mut().enumerate() {
                     *m |= anc[d][w];
@@ -391,18 +424,61 @@ impl<'g, S: NodeState> TaskGraph<'g, S> {
         anc
     }
 
-    /// Plans arena storage for the declared buffers: computes liveness from
-    /// the accessor sets and greedily assigns buffers to shared registers.
+    /// Plans arena storage for the declared buffers (the graph's memoized
+    /// plan, once it has one).
     ///
-    /// Buffer `A` may share a register with `B` only when every accessor of
-    /// `A` strictly precedes every accessor of `B` in the DAG (or vice
-    /// versa) — then no topological order can have both live at once.
-    /// [`BufClass::Pinned`] and [`BufClass::Partial`] buffers get dedicated
-    /// registers;
+    /// A buffer is live from its first accessor to its last in declaration
+    /// order, the order every executor runs. The planner places the
+    /// largest buffers first (ties by buffer id, so the plan is
+    /// deterministic). A [`BufClass::Scratch`] buffer joins the first
+    /// register whose occupants' live ranges are disjoint from its own and
+    /// which the DAG already orders against it; failing that, the first
+    /// disjoint register it can be ordered against without moving any node
+    /// to a later wave (the plan never deepens the DAG); failing that, a
+    /// register of its own. For such an alias the plan records ordering
+    /// edges ([`WorkspacePlan::alias_edges`]), from the earlier buffer's last
+    /// accessors to the later one's first, so under every topological order
+    /// of the DAG plus those edges every accessor of one precedes every
+    /// accessor of the other. The verifier checks a plan against the DAG
+    /// with its edges, and a graph adds them to its [`TaskGraph::deps`]
+    /// when it first runs over the plan, so the simulated critical path
+    /// prices them too. Every edge points forward in declaration order,
+    /// which therefore stays a valid schedule. [`BufClass::Pinned`] and
+    /// [`BufClass::Partial`] buffers get dedicated registers;
     /// [`BufClass::External`] buffers get none.
     pub fn plan(&self) -> WorkspacePlan {
-        let anc = self.ancestors();
-        let precedes = |a: NodeId, b: NodeId| -> bool { anc[b][a / 64] & (1 << (a % 64)) != 0 };
+        self.planned
+            .clone()
+            .unwrap_or_else(|| self.plan_declaration_order())
+    }
+
+    /// The plan this graph runs over, taken out of the graph (the caller
+    /// puts it back): the memoized one, or a fresh one whose ordering edges
+    /// join the DAG.
+    fn take_plan(&mut self) -> WorkspacePlan {
+        if let Some(plan) = self.planned.take() {
+            return plan;
+        }
+        let plan = self.plan_declaration_order();
+        for &(from, to) in &plan.edges {
+            let at = self.deps[to].partition_point(|&d| d < from);
+            self.deps[to].insert(at, from);
+        }
+        plan
+    }
+
+    /// ASAP wave per node: one more than its latest dependency's.
+    pub(crate) fn waves(&self) -> Vec<usize> {
+        let mut wave = vec![0usize; self.len()];
+        for i in 0..self.len() {
+            wave[i] = self.deps[i].iter().map(|&d| wave[d] + 1).max().unwrap_or(0);
+        }
+        wave
+    }
+
+    /// [`TaskGraph::plan`]'s body: the greedy placement, recording the
+    /// edges its aliases need.
+    fn plan_declaration_order(&self) -> WorkspacePlan {
         // Accessor list per buffer, in node order.
         let mut acc: Vec<Vec<NodeId>> = vec![Vec::new(); self.bufs.len()];
         for id in 0..self.len() {
@@ -412,50 +488,84 @@ impl<'g, S: NodeState> TaskGraph<'g, S> {
                 }
             }
         }
-        let all_before =
-            |xs: &[NodeId], ys: &[NodeId]| xs.iter().all(|&i| ys.iter().all(|&j| precedes(i, j)));
-        let interferes =
-            |a: usize, b: usize| !(all_before(&acc[a], &acc[b]) || all_before(&acc[b], &acc[a]));
+        // Live ranges never overlap when either buffer is never touched.
+        let span = |b: usize| Some((*acc[b].first()?, *acc[b].last()?));
+        let disjoint = |a: usize, b: usize| match (span(a), span(b)) {
+            (Some((fa, la)), Some((fb, lb))) => la < fb || lb < fa,
+            _ => true,
+        };
+        let mut order: Vec<usize> = (0..self.bufs.len())
+            .filter(|&b| self.bufs[b].class != BufClass::External)
+            .collect();
+        order.sort_by_key(|&b| (std::cmp::Reverse(self.bufs[b].elems()), b));
 
+        // Only wave-preserving edges are added, so the waves stay these.
+        let wave = self.waves();
+        let mut edges: Vec<(NodeId, NodeId)> = Vec::new();
+        let mut anc = self.ancestors(&edges);
         let mut assignment: Vec<Option<usize>> = vec![None; self.bufs.len()];
         let mut register_elems: Vec<usize> = Vec::new();
-        let mut shareable: Vec<bool> = Vec::new();
-        let mut occupants: Vec<Vec<usize>> = Vec::new();
-        let mut total = 0usize;
-        for (b, decl) in self.bufs.iter().enumerate() {
-            if decl.class == BufClass::External {
-                continue;
+        let mut occupants: Vec<Option<Vec<usize>>> = Vec::new();
+        for b in order {
+            let mut ordered = None;
+            let mut orderable = None;
+            if self.bufs[b].class == BufClass::Scratch {
+                for (r, os) in occupants.iter().enumerate() {
+                    let Some(os) = os.as_ref().filter(|os| os.iter().all(|&o| disjoint(o, b)))
+                    else {
+                        continue;
+                    };
+                    let missing: Vec<(NodeId, NodeId)> = os
+                        .iter()
+                        .flat_map(|&o| unordered(&acc, &anc, o, b))
+                        .collect();
+                    if missing.is_empty() {
+                        ordered = Some((r, missing));
+                        break;
+                    }
+                    if orderable.is_none() && missing.iter().all(|&(u, v)| wave[u] < wave[v]) {
+                        orderable = Some((r, missing));
+                    }
+                }
             }
-            let elems = decl.elems();
-            total += elems;
-            if matches!(decl.class, BufClass::Pinned | BufClass::Partial) {
+            let Some((r, missing)) = ordered.or(orderable) else {
+                // Placed largest first, a register's first tenant is its
+                // largest.
                 assignment[b] = Some(register_elems.len());
-                register_elems.push(elems);
-                shareable.push(false);
-                occupants.push(vec![b]);
+                register_elems.push(self.bufs[b].elems());
+                let shareable = self.bufs[b].class == BufClass::Scratch;
+                occupants.push(shareable.then(|| vec![b]));
                 continue;
-            }
-            let reuse = (0..register_elems.len())
-                .find(|&r| shareable[r] && occupants[r].iter().all(|&o| !interferes(b, o)));
-            match reuse {
-                Some(r) => {
-                    assignment[b] = Some(r);
-                    register_elems[r] = register_elems[r].max(elems);
-                    occupants[r].push(b);
-                }
-                None => {
-                    assignment[b] = Some(register_elems.len());
-                    register_elems.push(elems);
-                    shareable.push(true);
-                    occupants.push(vec![b]);
+            };
+            for (u, v) in missing {
+                if !precedes(&anc, u, v) {
+                    edges.push((u, v));
+                    anc = self.ancestors(&edges);
                 }
             }
+            occupants[r].as_mut().expect("a shareable register").push(b);
+            assignment[b] = Some(r);
+        }
+        // Number the registers in the order their first tenants are
+        // declared, so the arena allocates them in the order the step first
+        // uses them, not by size.
+        let mut by_tenant: Vec<usize> = (0..register_elems.len()).collect();
+        by_tenant.sort_by_key(|&r| assignment.iter().position(|&a| a == Some(r)));
+        let mut index = vec![0; by_tenant.len()];
+        for (i, &r) in by_tenant.iter().enumerate() {
+            index[r] = i;
         }
         WorkspacePlan {
-            assignment,
-            register_elems,
+            assignment: assignment.iter().map(|a| a.map(|r| index[r])).collect(),
+            register_elems: by_tenant.iter().map(|&r| register_elems[r]).collect(),
             buf_elems: self.bufs.iter().map(BufDecl::elems).collect(),
-            total_declared: total,
+            total_declared: self
+                .bufs
+                .iter()
+                .filter(|d| d.class != BufClass::External)
+                .map(BufDecl::elems)
+                .sum(),
+            edges,
         }
     }
 
@@ -472,8 +582,9 @@ impl<'g, S: NodeState> TaskGraph<'g, S> {
     /// step runs its graph this way, one range between sync points at a time.
     pub(crate) fn run_range(&mut self, ctx: &ExecCtx, state: &mut S::At<'_>, range: Range<NodeId>) {
         if self.should_verify(ctx) {
-            let plan = self.plan();
+            let plan = self.take_plan();
             self.verify_or_demote(ctx, &plan);
+            self.planned = Some(plan);
         }
         let mut current: Option<&'static str> = None;
         let mut guard: Option<PhaseGuard<'_>> = None;
@@ -500,7 +611,7 @@ impl<'g, S: NodeState> TaskGraph<'g, S> {
     /// profiling phases are those of the serial schedule.
     pub fn execute(&mut self, ctx: &ExecCtx, state: &mut S::At<'_>) -> GraphRun {
         // The plan depends on the graph alone: a kept graph plans once.
-        let plan = self.planned.take().unwrap_or_else(|| self.plan());
+        let plan = self.take_plan();
         if self.should_verify(ctx) {
             self.verify_or_demote(ctx, &plan);
         }
@@ -650,6 +761,8 @@ pub struct WorkspacePlan {
     buf_elems: Vec<usize>,
     /// Sum of all arena-managed (non-external) buffer sizes.
     total_declared: usize,
+    /// The ordering edges `(from, to)` the aliases need beyond the DAG.
+    edges: Vec<(NodeId, NodeId)>,
 }
 
 impl WorkspacePlan {
@@ -669,6 +782,13 @@ impl WorkspacePlan {
         self.assignment[buf.0]
     }
 
+    /// The ordering edges `(from, to)` the plan's aliases need beyond its
+    /// graph's DAG, in the order it placed them; the graph adds them to its
+    /// dependencies when it first runs over the plan.
+    pub fn alias_edges(&self) -> &[(NodeId, NodeId)] {
+        &self.edges
+    }
+
     /// Number of registers in the plan.
     pub fn num_registers(&self) -> usize {
         self.register_elems.len()
@@ -677,6 +797,13 @@ impl WorkspacePlan {
     /// Size of one register in elements (max over its occupants).
     pub fn register_size(&self, r: usize) -> usize {
         self.register_elems[r]
+    }
+
+    /// Removes the `k`-th of [`WorkspacePlan::alias_edges`]. Test-only:
+    /// simulates a planner that aliases without ordering.
+    #[doc(hidden)]
+    pub fn testonly_drop_alias_edge(&mut self, k: usize) {
+        self.edges.remove(k);
     }
 
     /// Forces `b` into `a`'s register. Test-only: simulates a planner bug
@@ -790,7 +917,7 @@ impl<K: PartialEq, S: NodeState> KeptGraph<K, S> {
     ) -> (&mut TaskGraph<'static, S>, &mut Workspace) {
         if self.0.as_ref().map(|(k, _, _)| k) != Some(&key) {
             let mut graph = build();
-            let plan = graph.plan();
+            let plan = graph.take_plan();
             let arena = Workspace::new(&plan);
             graph.planned = Some(plan);
             self.0 = Some((key, graph, arena));

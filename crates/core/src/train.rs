@@ -755,13 +755,14 @@ pub fn train_dataset_resume(
 }
 
 /// Algorithm 1's line 3 for an in-memory dataset: a lazy [`ChunkSource`]
-/// that copies chunk `c` of pass `p` out of one matrix when the loading
-/// thread asks for it, so the stream holds `buffers` chunks rather than
-/// `passes` datasets. It never faults — the retry contract (a faulting call
-/// consumes nothing) holds trivially; injected faults come from the
+/// that copies chunk `c` of pass `p` out of the dataset's shared storage
+/// when the loading thread asks for it, so the stream holds `buffers`
+/// chunks rather than `passes` datasets, and no second copy of the
+/// dataset. It never faults — the retry contract (a faulting call consumes
+/// nothing) holds trivially; injected faults come from the
 /// `FaultInjectSource` wrapped around it.
 fn epoch_source(dataset: &Dataset, geometry: ChunkGeometry, passes: usize) -> impl ChunkSource {
-    let data = dataset.matrix().clone();
+    let data = dataset.shared();
     let mut order = (0..passes).flat_map(move |_| 0..geometry.chunks());
     move || order.next().map(|c| geometry.chunk(&data, c))
 }

@@ -35,7 +35,7 @@
 //! [`crate::ExecCtx::with_verify`] (CLI `--verify`) in release builds.
 //! Errors panic with the full report; warnings never do.
 
-use crate::graph::{BufClass, BufId, NodeId, NodeState, TaskGraph, WorkspacePlan};
+use crate::graph::{precedes, BufClass, BufId, NodeId, NodeState, TaskGraph, WorkspacePlan};
 use serde::Serialize;
 use std::fmt;
 
@@ -241,7 +241,8 @@ fn tag<S: NodeState>(g: &TaskGraph<'_, S>, id: NodeId) -> (NodeId, &'static str)
 }
 
 impl<S: NodeState> TaskGraph<'_, S> {
-    /// Runs the static analysis against a freshly computed workspace plan.
+    /// Runs the static analysis against the graph's workspace plan
+    /// ([`TaskGraph::plan`]).
     pub fn verify(&self) -> VerifyReport {
         self.verify_with_plan(&self.plan())
     }
@@ -258,11 +259,13 @@ impl<S: NodeState> TaskGraph<'_, S> {
             ..VerifyReport::default()
         };
 
-        // Reachability is recomputed from the *inferred edges* here, then
-        // compared against the *declared footprints*; a builder bug that
-        // drops an edge makes the two disagree and surfaces as a finding.
-        let anc = self.ancestors();
-        let precedes = |a: NodeId, b: NodeId| -> bool { anc[b][a / 64] & (1 << (a % 64)) != 0 };
+        // Reachability is recomputed from the *inferred edges* (plus the
+        // plan's ordering edges, which a graph that ran over the plan
+        // already carries) here, then compared against the *declared
+        // footprints*; a builder bug that drops an edge makes the two
+        // disagree and surfaces as a finding.
+        let anc = self.ancestors(plan.alias_edges());
+        let precedes = |a: NodeId, b: NodeId| precedes(&anc, a, b);
         let ordered = |a: NodeId, b: NodeId| precedes(a, b) || precedes(b, a);
 
         // Deduplicated reader/writer lists per buffer (a node appears in
@@ -563,9 +566,9 @@ impl<S: NodeState> TaskGraph<'_, S> {
         report
     }
 
-    /// Runs the full certification pipeline against a freshly computed
-    /// plan: the safety analyses of [`TaskGraph::verify`] plus the
-    /// per-device peak-memory proof against `budget_bytes` and the
+    /// Runs the full certification pipeline against the graph's plan
+    /// ([`TaskGraph::plan`]): the safety analyses of [`TaskGraph::verify`]
+    /// plus the per-device peak-memory proof against `budget_bytes` and the
     /// determinism audit. Certification is strictly harder than
     /// verification — its two extra rules are errors here and never run on
     /// the executor's automatic verify path, so a stochastic node without a
@@ -647,10 +650,7 @@ impl<S: NodeState> TaskGraph<'_, S> {
         if n == 0 {
             return (Vec::new(), 0);
         }
-        let mut wave = vec![0usize; n];
-        for i in 0..n {
-            wave[i] = self.deps[i].iter().map(|&d| wave[d] + 1).max().unwrap_or(0);
-        }
+        let wave = self.waves();
         let waves = wave.iter().max().map(|&w| w + 1).unwrap_or(0);
         let last = waves - 1;
         let mut first_w = vec![usize::MAX; nb];

@@ -4,6 +4,7 @@ use crate::geometry::ChunkGeometry;
 use micdnn_tensor::{Mat, MatView};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::sync::Arc;
 
 /// How raw examples were mapped into network input range.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -17,15 +18,23 @@ pub struct Normalization {
 }
 
 /// A dense `n x dim` dataset of f32 examples (rows).
+///
+/// The examples sit behind an [`Arc`]: a clone, or a [`Dataset::shared`]
+/// handle such as the one the loading thread reads its chunks from, shares
+/// the storage instead of copying it, and the in-place transforms
+/// ([`Dataset::normalize`], [`Dataset::binarize`], [`Dataset::shuffle`])
+/// copy on write, so they never change what another holder sees.
 #[derive(Debug, Clone)]
 pub struct Dataset {
-    data: Mat,
+    data: Arc<Mat>,
 }
 
 impl Dataset {
     /// Wraps an `n x dim` matrix of examples.
     pub fn new(data: Mat) -> Self {
-        Dataset { data }
+        Dataset {
+            data: Arc::new(data),
+        }
     }
 
     /// Number of examples.
@@ -48,9 +57,15 @@ impl Dataset {
         &self.data
     }
 
-    /// Consumes the dataset, returning the matrix.
+    /// A shared handle on the examples: their storage, not a copy of it.
+    pub fn shared(&self) -> Arc<Mat> {
+        Arc::clone(&self.data)
+    }
+
+    /// Consumes the dataset, returning the matrix (a copy only when the
+    /// storage is shared).
     pub fn into_matrix(self) -> Mat {
-        self.data
+        Arc::unwrap_or_clone(self.data)
     }
 
     /// Borrow examples `lo..hi` as a matrix view (one mini-batch).
@@ -89,7 +104,7 @@ impl Dataset {
             scale,
             offset: 0.5,
         };
-        self.data.map_inplace(|v| {
+        Arc::make_mut(&mut self.data).map_inplace(|v| {
             let c = (v - mean).clamp(-limit, limit);
             c * scale + 0.5
         });
@@ -100,8 +115,7 @@ impl Dataset {
     /// thresholding at `threshold` — the standard preparation for
     /// binary-unit RBMs.
     pub fn binarize(&mut self, threshold: f32) {
-        self.data
-            .map_inplace(|v| if v > threshold { 1.0 } else { 0.0 });
+        Arc::make_mut(&mut self.data).map_inplace(|v| if v > threshold { 1.0 } else { 0.0 });
     }
 
     /// Shuffles example rows in place (Fisher–Yates, seeded).
@@ -112,7 +126,7 @@ impl Dataset {
         if rows <= 1 {
             return;
         }
-        let slice = self.data.as_mut_slice();
+        let slice = Arc::make_mut(&mut self.data).as_mut_slice();
         let mut tmp = vec![0.0f32; cols];
         for i in (1..rows).rev() {
             let j = rng.gen_range(0..=i);
@@ -261,6 +275,49 @@ mod tests {
         a.shuffle(5);
         b.shuffle(5);
         assert_eq!(a.matrix().as_slice(), b.matrix().as_slice());
+    }
+
+    #[test]
+    fn clones_share_storage_and_transforms_copy_on_write() {
+        let bits = |ds: &Dataset| -> Vec<u32> {
+            ds.matrix().as_slice().iter().map(|v| v.to_bits()).collect()
+        };
+        let original = ramp(31, 3);
+        let before = bits(&original);
+        let transforms: [fn(&mut Dataset); 3] = [
+            |ds| {
+                ds.normalize();
+            },
+            |ds| ds.binarize(40.0),
+            |ds| ds.shuffle(7),
+        ];
+        for transform in transforms {
+            let mut clone = original.clone();
+            assert!(Arc::ptr_eq(&clone.shared(), &original.shared()));
+            transform(&mut clone);
+            // The clone now owns transformed storage, bit for bit what
+            // the transform makes of an unshared dataset; the original
+            // still holds its own bits.
+            assert!(!Arc::ptr_eq(&clone.shared(), &original.shared()));
+            let mut unshared = ramp(31, 3);
+            transform(&mut unshared);
+            assert_eq!(bits(&clone), bits(&unshared));
+            assert_ne!(bits(&clone), before);
+            assert_eq!(bits(&original), before);
+        }
+        // A transform on unshared storage keeps it in place.
+        let mut alone = ramp(31, 3);
+        let at = alone.matrix().as_slice().as_ptr();
+        alone.shuffle(7);
+        assert_eq!(alone.matrix().as_slice().as_ptr(), at);
+        // Unwrapping shared storage copies it; unshared storage moves out.
+        let shared = original.clone();
+        assert_eq!(
+            shared.into_matrix().as_slice(),
+            original.matrix().as_slice()
+        );
+        let at = original.matrix().as_slice().as_ptr();
+        assert_eq!(original.into_matrix().as_slice().as_ptr(), at);
     }
 
     #[test]

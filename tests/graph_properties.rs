@@ -9,13 +9,14 @@
 //! 2. the simulated clock advance equals the brute-force longest path
 //!    through the priced DAG;
 //! 3. the workspace planner never assigns two *interfering* buffers (ones
-//!    whose accessor sets are not strictly DAG-ordered) to one register;
+//!    live at once in declaration order, or whose accessor sets the DAG
+//!    with the plan's added edges does not strictly order) to one register;
 //! 4. random layer stacks through the trait-driven `StackBuilder`
 //!    (`micdnn::layers`) always verify with zero errors and zero
 //!    warnings, and the graph schedule reproduces the serial
 //!    declaration-order schedule bit for bit.
 
-use micdnn::{BufClass, BufId, ExecCtx, NodeSpec, NodeState, OptLevel, TaskGraph};
+use micdnn::{BufClass, BufId, ExecCtx, NodeSpec, NodeState, OptLevel, TaskGraph, WorkspacePlan};
 use micdnn_kernels::OpCost;
 use micdnn_sim::Platform;
 use micdnn_tensor::Mat;
@@ -88,13 +89,19 @@ impl RandomDag {
         (g, bufs)
     }
 
-    /// Strict-precedence matrix over the *chosen* edges: `reach[u][v]` iff
-    /// a dependency path leads from `u` to `v` (so `u` must run first).
-    fn reachability(&self) -> Vec<Vec<bool>> {
+    /// Strict-precedence matrix over the chosen edges plus the ordering
+    /// edges of `plan` (each new and pointing forward): `reach[u][v]` iff a
+    /// dependency path leads from `u` to `v` (so `u` must run first).
+    fn planned_reachability(&self, plan: &WorkspacePlan) -> Vec<Vec<bool>> {
         let n = self.deps.len();
+        let mut deps = self.deps.clone();
+        for &(u, v) in plan.alias_edges() {
+            assert!(u < v && !deps[v].contains(&u), "alias edge {u} -> {v}");
+            deps[v].push(u);
+        }
         let mut reach = vec![vec![false; n]; n];
         for v in 0..n {
-            for &u in &self.deps[v] {
+            for &u in &deps[v] {
                 reach[u][v] = true;
                 for row in reach.iter_mut() {
                     if row[u] {
@@ -191,7 +198,8 @@ proptest! {
 
     /// The static verifier agrees with this suite's own brute-force model:
     /// builder-made graphs carry no errors, and every register-sharing pair
-    /// it blesses is strictly ordered under the chosen-edge reachability.
+    /// it blesses is strictly ordered under the reachability of the chosen
+    /// edges plus the plan's.
     #[test]
     fn verifier_matches_brute_force_orderings(n in 1usize..24, seed in any::<u64>()) {
         let dag = RandomDag::generate(n, seed);
@@ -205,8 +213,8 @@ proptest! {
                 accessors[d].push(i);
             }
         }
-        let reach = dag.reachability();
         let plan = g.plan();
+        let reach = dag.planned_reachability(&plan);
         // Every register-sharing pair must have been blessed by the
         // verifier, and the ordering it proved must match this suite's own
         // brute-force reachability.
@@ -228,9 +236,11 @@ proptest! {
             "every register-sharing pair must be individually verified");
     }
 
-    /// The planner only lets two buffers share a register when every
-    /// accessor of one strictly precedes every accessor of the other —
-    /// i.e. it never aliases two live buffers. Pinned buffers never share.
+    /// The planner only lets two buffers share a register when their live
+    /// ranges in declaration order are disjoint and, with the edges the
+    /// plan added, every accessor of one strictly precedes every accessor
+    /// of the other — i.e. it never aliases two live buffers, under any
+    /// schedule. Pinned buffers never share.
     #[test]
     fn planner_never_aliases_live_buffers(n in 1usize..24, seed in any::<u64>()) {
         let dag = RandomDag::generate(n, seed);
@@ -245,10 +255,13 @@ proptest! {
                 accessors[d].push(i);
             }
         }
-        let reach = dag.reachability();
+        let reach = dag.planned_reachability(&plan);
         let strictly_ordered = |a: usize, b: usize| {
             accessors[a].iter().all(|&u| accessors[b].iter().all(|&v| reach[u][v]))
         };
+        // Buffer b is born at node b; a < b is dead by then iff no reader
+        // of a comes at or after b.
+        let dead_before = |a: usize, b: usize| accessors[a].iter().all(|&u| u < b);
 
         for a in 0..n {
             for b in (a + 1)..n {
@@ -262,8 +275,13 @@ proptest! {
                     "planner shared a register with a pinned buffer ({} / {})", a, b
                 );
                 prop_assert!(
-                    strictly_ordered(a, b) || strictly_ordered(b, a),
-                    "buffers {} and {} share register {} but are simultaneously live", a, b, ra
+                    dead_before(a, b),
+                    "buffers {} and {} share register {} but are live at once", a, b, ra
+                );
+                prop_assert!(
+                    strictly_ordered(a, b),
+                    "buffers {} and {} share register {} but some schedule has both live",
+                    a, b, ra
                 );
             }
         }

@@ -1,12 +1,15 @@
 //! The graph verifier (`micdnn::verify`) under attack and in production:
 //!
-//! 1. **Seeded mutations** — deliberately drop an inferred edge, alias a
-//!    live buffer, or skip an init node, and assert the verifier reports
-//!    each with the right [`DiagKind`] (and that the executor refuses to
-//!    run the broken graph in debug builds);
+//! 1. **Seeded mutations** — deliberately drop an inferred edge or an
+//!    ordering edge the planner added, alias a live buffer, or skip an init
+//!    node, and assert the verifier reports each with the right
+//!    [`DiagKind`] (and that the executor refuses to run the broken graph
+//!    in debug builds);
 //! 2. **Random DAGs** (proptest) — every builder-made graph verifies with
-//!    zero errors, and dropping a random edge is caught exactly when the
-//!    endpoints genuinely lose their ordering;
+//!    zero errors, its declaration-order plan is safe under every
+//!    topological order once the plan's ordering edges are in, and dropping
+//!    a random edge is caught exactly when the endpoints genuinely lose
+//!    their ordering;
 //! 3. **Shipped graphs** — every AE / CD-k / PCD / fine-tune step shape used by
 //!    training and `BENCH_graph.json` pins "0 errors, 0 warnings", and the
 //!    CD-1 `h0_sample`→`h1_prob` alias is *proved race-free*, not just
@@ -106,6 +109,46 @@ fn aliasing_a_live_buffer_reports_unsafe_alias() {
     plan.testonly_force_alias(a, b);
     let report = g.verify_with_plan(&plan);
     assert!(report.has(DiagKind::UnsafeAlias), "{report}");
+}
+
+/// Two chains: `a` dies in `useA` before `b` is born in `mkB`, which sits a
+/// wave deeper than `useA`; nothing in the DAG orders the chains.
+fn two_chains() -> TaskGraph<'static, ()> {
+    let mut g: TaskGraph<'static, ()> = TaskGraph::new();
+    let a = g.declare_dims("a", &[64], BufClass::Scratch);
+    let b = g.declare_dims("b", &[64], BufClass::Scratch);
+    let [p, c, d, out] = ["p", "c", "d", "out"].map(|n| g.declare_dims(n, &[8], BufClass::Pinned));
+    g.node(NodeSpec::new("mkA").writes(&[a]), |_, _| {});
+    g.node(NodeSpec::new("useA").reads(&[a]).writes(&[p]), |_, _| {});
+    g.node(NodeSpec::new("root").writes(&[c]), |_, _| {});
+    g.node(NodeSpec::new("mid").reads(&[c]).writes(&[d]), |_, _| {});
+    g.node(NodeSpec::new("mkB").reads(&[d]).writes(&[b]), |_, _| {});
+    g.node(NodeSpec::new("useB").reads(&[b]).writes(&[out]), |_, _| {});
+    g
+}
+
+#[test]
+fn dropping_an_added_alias_edge_reports_one_unsafe_alias() {
+    let mut g = two_chains();
+    assert_eq!(g.deps(4), &[3], "mkB waits for mid only");
+    // The plan folds `a` and `b` into one register and orders the chains
+    // for it: useA -> mkB, which moves no node to a later wave.
+    let mut plan = g.plan();
+    assert_eq!(plan.num_registers(), 5);
+    assert_eq!(plan.register_of(BufId(0)), plan.register_of(BufId(1)));
+    assert_eq!(plan.alias_edges(), &[(1, 4)]);
+    assert!(g.verify_with_plan(&plan).is_clean());
+    // A planner that aliased without ordering leaves exactly that pair
+    // live at once under some schedule.
+    plan.testonly_drop_alias_edge(0);
+    let report = g.verify_with_plan(&plan);
+    assert_eq!(report.errors.len(), 1, "{report}");
+    assert_eq!(report.errors[0].kind, DiagKind::UnsafeAlias, "{report}");
+    assert_eq!(report.errors[0].buffer, Some("a"), "{report}");
+    // The graph carries the edge once it runs over its plan.
+    g.execute(&ExecCtx::native(OptLevel::Improved, 0), &mut ());
+    assert_eq!(g.deps(4), &[1, 3]);
+    assert!(g.verify().is_clean());
 }
 
 #[test]
@@ -248,6 +291,77 @@ proptest! {
         }
     }
 
+    /// The declaration-order plan never puts two buffers that are live at
+    /// once in one register, and with the ordering edges it added, it is
+    /// safe under every topological order of the resulting DAG: each order
+    /// is enumerated, and in each, register-sharing buffers' live ranges
+    /// must be disjoint.
+    #[test]
+    fn declaration_order_plan_is_safe_under_every_topological_order(
+        n in 1usize..8,
+        seed in any::<u64>(),
+    ) {
+        let dag = RandomDag::generate(n, seed);
+        let (g, bufs) = dag.build();
+        let plan = g.plan();
+        let mut deps = dag.deps.clone();
+        for &(u, v) in plan.alias_edges() {
+            prop_assert!(u < v && !deps[v].contains(&u), "alias edge {} -> {}", u, v);
+            deps[v].push(u);
+        }
+        // accessors[b]: the producer plus every reader of buffer b.
+        let mut accessors: Vec<Vec<usize>> = (0..n).map(|i| vec![i]).collect();
+        for (i, ds) in dag.deps.iter().enumerate() {
+            for &d in ds {
+                accessors[d].push(i);
+            }
+        }
+        let sharing: Vec<(usize, usize)> = (0..n)
+            .flat_map(|a| ((a + 1)..n).map(move |b| (a, b)))
+            .filter(|&(a, b)| {
+                plan.register_of(bufs[a]).is_some()
+                    && plan.register_of(bufs[a]) == plan.register_of(bufs[b])
+            })
+            .collect();
+        // Live in declaration order: b is born at node b, after a's last
+        // reader.
+        for &(a, b) in &sharing {
+            prop_assert!(accessors[a].iter().all(|&u| u < b), "{} / {} live at once", a, b);
+        }
+        // Every topological order, by backtracking over the ready nodes.
+        fn orders(deps: &[Vec<usize>], placed: &mut Vec<usize>, out: &mut Vec<Vec<usize>>) {
+            if placed.len() == deps.len() {
+                out.push(placed.clone());
+                return;
+            }
+            for v in 0..deps.len() {
+                if !placed.contains(&v) && deps[v].iter().all(|d| placed.contains(d)) {
+                    placed.push(v);
+                    orders(deps, placed, out);
+                    placed.pop();
+                }
+            }
+        }
+        let mut all = Vec::new();
+        orders(&deps, &mut Vec::new(), &mut all);
+        prop_assert!(!all.is_empty());
+        for order in &all {
+            let mut pos = vec![0usize; n];
+            for (p, &v) in order.iter().enumerate() {
+                pos[v] = p;
+            }
+            let span = |b: usize| {
+                let ps = accessors[b].iter().map(|&v| pos[v]);
+                (ps.clone().min().unwrap(), ps.max().unwrap())
+            };
+            for &(a, b) in &sharing {
+                let ((fa, la), (fb, lb)) = (span(a), span(b));
+                prop_assert!(la < fb || lb < fa,
+                    "{} / {} share a register but overlap in order {:?}", a, b, order);
+            }
+        }
+    }
+
     /// No false negatives (and still no false positives): dropping one
     /// inferred edge yields an error exactly when the endpoints genuinely
     /// lose their ordering — if another dependency path still orders them,
@@ -272,8 +386,12 @@ proptest! {
         g.testonly_drop_dep(node, dep);
         let report = g.verify();
 
+        // The cut DAG plus the ordering edges its plan needs.
         let mut cut = dag.deps.clone();
         cut[node].retain(|&d| d != dep);
+        for &(u, v) in g.plan().alias_edges() {
+            cut[v].push(u);
+        }
         let still_ordered = reachability(&cut)[dep][node];
         if still_ordered {
             prop_assert!(report.errors.is_empty(),
