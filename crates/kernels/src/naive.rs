@@ -72,6 +72,137 @@ pub fn colsum_ref(a: MatView<'_>, out: &mut [f32]) {
     }
 }
 
+/// Scalar `im2col` (stride 1, no padding): one `copy_from_slice` of `k`
+/// floats per patch row. Same contract as [`crate::conv::im2col`].
+pub fn im2col_ref(x: &[f32], b: usize, side: usize, k: usize, col: &mut [f32]) {
+    assert!(k >= 1 && k <= side, "im2col_ref: kernel {k} vs side {side}");
+    let o = side - k + 1;
+    let (img, patch) = (side * side, k * k);
+    assert_eq!(x.len(), b * img, "im2col_ref: input length mismatch");
+    assert_eq!(
+        col.len(),
+        b * o * o * patch,
+        "im2col_ref: output length mismatch"
+    );
+    for (out, image) in col.chunks_mut(o * o * patch).zip(x.chunks(img)) {
+        for oy in 0..o {
+            for ox in 0..o {
+                let row = (oy * o + ox) * patch;
+                for ky in 0..k {
+                    let src = (oy + ky) * side + ox;
+                    let dst = row + ky * k;
+                    out[dst..dst + k].copy_from_slice(&image[src..src + k]);
+                }
+            }
+        }
+    }
+}
+
+/// Scalar non-overlapping max pooling: one output at a time, channel
+/// outermost, the window walked row by row with a branch per element. Same
+/// contract as [`crate::conv::maxpool2d_forward`]: each window is seeded
+/// with its first element and a later element wins only if it is strictly
+/// greater, so ties keep the earliest and a window whose first element is
+/// NaN stays NaN, with that element's index.
+pub fn maxpool2d_forward_ref(
+    act: &[f32],
+    b: usize,
+    oh: usize,
+    c: usize,
+    pool: usize,
+    out: &mut [f32],
+    idx: &mut [f32],
+) {
+    assert!(
+        pool >= 1 && oh.is_multiple_of(pool),
+        "maxpool_ref: {oh} not divisible by {pool}"
+    );
+    let ph = oh / pool;
+    let (in_row, out_row) = (oh * oh * c, c * ph * ph);
+    assert_eq!(act.len(), b * in_row, "maxpool_ref: input length mismatch");
+    assert_eq!(
+        out.len(),
+        b * out_row,
+        "maxpool_ref: output length mismatch"
+    );
+    assert_eq!(idx.len(), b * out_row, "maxpool_ref: index length mismatch");
+    assert!(
+        act.len() <= crate::conv::MAX_EXACT_F32_INDEX,
+        "maxpool_ref: activation index {} exceeds exact f32 range",
+        act.len()
+    );
+    for bi in 0..b {
+        let img = &act[bi * in_row..(bi + 1) * in_row];
+        for ch in 0..c {
+            for py in 0..ph {
+                for px in 0..ph {
+                    let first = (py * pool * oh + px * pool) * c + ch;
+                    let mut best = img[first];
+                    let mut best_at = bi * in_row + first;
+                    for wy in 0..pool {
+                        let y = py * pool + wy;
+                        for wx in 0..pool {
+                            let x = px * pool + wx;
+                            let flat = (y * oh + x) * c + ch;
+                            if img[flat] > best {
+                                best = img[flat];
+                                best_at = bi * in_row + flat;
+                            }
+                        }
+                    }
+                    let o = bi * out_row + ch * ph * ph + py * ph + px;
+                    out[o] = best;
+                    idx[o] = crate::conv::index_f32(best_at);
+                }
+            }
+        }
+    }
+}
+
+/// Scalar backward of [`maxpool2d_forward_ref`]: zero-fills `dconv`, then
+/// writes each pooled delta at its argmax. Same contract as
+/// [`crate::conv::maxpool2d_backward`].
+pub fn maxpool2d_backward_ref(
+    dpool: &[f32],
+    idx: &[f32],
+    b: usize,
+    oh: usize,
+    c: usize,
+    pool: usize,
+    dconv: &mut [f32],
+) {
+    assert!(
+        pool >= 1 && oh.is_multiple_of(pool),
+        "unpool_ref: {oh} not divisible by {pool}"
+    );
+    let ph = oh / pool;
+    let (in_row, out_row) = (oh * oh * c, c * ph * ph);
+    assert_eq!(
+        dpool.len(),
+        b * out_row,
+        "unpool_ref: delta length mismatch"
+    );
+    assert_eq!(idx.len(), b * out_row, "unpool_ref: index length mismatch");
+    assert_eq!(
+        dconv.len(),
+        b * in_row,
+        "unpool_ref: output length mismatch"
+    );
+    dconv.fill(0.0);
+    for bi in 0..b {
+        let base = bi * in_row;
+        let rows = bi * out_row..(bi + 1) * out_row;
+        for (v, at) in dpool[rows.clone()].iter().zip(&idx[rows]) {
+            let flat = *at as usize;
+            assert!(
+                flat >= base && flat < base + in_row,
+                "unpool_ref: index {flat} escapes image {bi}"
+            );
+            dconv[flat] = *v;
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -16,7 +16,8 @@ use rayon::prelude::*;
 /// Implemented as a row sweep with vectorized row-axpys: `out += row_r` for
 /// each r in order, which keeps accumulation order fixed and the inner loop
 /// wide. Rows narrower than [`LANES`] (the CNN's bias gradient, eight
-/// channels wide) accumulate in a local array instead, in the same order.
+/// channels wide) each add one vector to a register-width accumulator
+/// instead, in the same order.
 /// The parallel variant splits the *columns* so each task owns a
 /// disjoint slice of `out` and still sweeps rows in order — bitwise equal to
 /// the sequential sweep.
@@ -38,16 +39,26 @@ pub(crate) fn colsum(par: Par, a: MatView<'_>, out: &mut [f32]) {
         });
     } else if a.cols() < LANES {
         // A row narrower than a vector would fall wholly into `axpy_chunk`'s
-        // scalar tail, once per row; keep the running sums in a local
-        // register-width array instead, still adding the rows in order.
+        // scalar tail, once per row. Instead each row adds the `LANES`
+        // floats from its start to one register-width accumulator: one
+        // vector add, whose first `cols` lanes are the row, in row order,
+        // and whose other lanes (the next rows' values) are never read.
+        // The last rows, whose `LANES` floats would run past the matrix,
+        // add only their own columns.
+        let (flat, cols) = (a.as_slice(), a.cols());
         let mut acc = [0.0f32; LANES];
-        let acc = &mut acc[..a.cols()];
-        for row in a.as_slice().chunks_exact(a.cols()) {
+        let wide = flat.len().saturating_sub(LANES - cols) / cols;
+        for w in flat.windows(LANES).step_by(cols).take(wide) {
+            for (s, &x) in acc.iter_mut().zip(w) {
+                *s += x;
+            }
+        }
+        for row in flat[wide * cols..].chunks_exact(cols) {
             for (s, &x) in acc.iter_mut().zip(row) {
                 *s += x;
             }
         }
-        out.copy_from_slice(acc);
+        out.copy_from_slice(&acc[..cols]);
     } else {
         for r in 0..a.rows() {
             axpy_chunk(1.0, a.row(r), out);
@@ -104,18 +115,23 @@ mod tests {
     fn colsum_narrow_and_wide_rows_match_naive_bitwise() {
         // Widths on both sides of LANES, values whose sums round, a NaN
         // and a -0.0 column: the row order of every column sum is pinned.
-        for cols in 1..=2 * LANES + 1 {
-            let a = Mat::from_fn(301, cols, |r, c| match (r, c) {
-                (7, 0) => f32::NAN,
-                (_, 1) => -0.0,
-                _ => ((r * 31 + c * 7) as f32).sin() * 1e3,
-            });
-            let mut fast = vec![1.0f32; cols];
-            let mut slow = vec![0.0f32; cols];
-            colsum(Par::Seq, a.view(), &mut fast);
-            crate::naive::colsum_ref(a.view(), &mut slow);
-            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-            assert_eq!(bits(&fast), bits(&slow), "{cols} columns");
+        // Row counts from one (a single row narrower than a vector) up.
+        for rows in [1, 2, 3, 301] {
+            for cols in 1..=2 * LANES + 1 {
+                let a = Mat::from_fn(rows, cols, |r, c| match (r, c) {
+                    (7, 0) => f32::NAN,
+                    (_, 1) => -0.0,
+                    _ => ((r * 31 + c * 7) as f32).sin() * 1e3,
+                });
+                let mut slow = vec![0.0f32; cols];
+                crate::naive::colsum_ref(a.view(), &mut slow);
+                for par in [Par::Seq, Par::Rayon] {
+                    let mut fast = vec![1.0f32; cols];
+                    colsum(par, a.view(), &mut fast);
+                    let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(bits(&fast), bits(&slow), "{rows} x {cols} {par:?}");
+                }
+            }
         }
     }
 
