@@ -10,7 +10,9 @@
 //! * columns of C are processed in `NC`-wide slabs and the k dimension in
 //!   `KC`-deep slabs; each slab of `op(B)` is packed into `NR`-column panels
 //!   stored p-major (`panel[p * NR + j]`), which is also where a transposed
-//!   B is materialised (see **Packing** below);
+//!   B is materialised (see **Packing** below) — unless C is a single row
+//!   panel (`m <= MR`) and B is stored untransposed, under AVX-512 (see
+//!   **The narrow products** below);
 //! * under a B slab, rows of C are walked in `MC`-row blocks, each packing
 //!   `alpha * op(A)` into `MR`-row panels stored p-major
 //!   (`panel[p * MR + i]`) — unless the slab is a single B panel
@@ -59,7 +61,10 @@
 //! `vfmadd231ps` on `ymm` or `zmm` registers. The feature boundary sits at the macro-kernel on
 //! purpose: with the whole nest compiled under the feature, LLVM kept the
 //! tile in registers only after link-time optimisation, and a build without
-//! it (the test profile) ran at a tenth of the speed.
+//! it (the test profile) ran at a tenth of the speed. The products at most
+//! 16 columns wide, and those of one row panel, are the exception: under
+//! AVX-512 they run an explicit-intrinsics tile, pinned bit for bit to the
+//! safe body (see **The narrow products**).
 //!
 //! The multiply-add is `f32::mul_add`, never `a * b + c`: a fused
 //! multiply-add rounds once and IEEE 754 fixes its result exactly, so the
@@ -113,17 +118,71 @@
 //!
 //! A product at most 16 columns wide fills one `zmm` per tile row, so at
 //! `12 x 32` it computes two padding lanes for every lane it stores (four at
-//! the CNN's `n = 8`). It runs at `6 x 16` instead: a third compilation of
-//! the same body under AVX-512, chosen from `n`. Only `6 x 16` ships: the
-//! taller narrow tiles fall off the cliff too. Time relative to `6 x 16`
-//! (through [`gemm`] at two threads, median of 11 interleaved pairs, two
-//! runs, same VM):
+//! the CNN's `n = 8`). It runs at `6 x 16` instead, chosen from `n`. Only
+//! `6 x 16` ships: the taller narrow tiles fall off the cliff too. Time
+//! relative to `6 x 16` (through [`gemm`] at two threads, median of 11
+//! interleaved pairs, two runs, same VM, when the narrow tile was still the
+//! safe body compiled a third time):
 //!
 //! | product | `12 x 16` | `24 x 16` | `12 x 32` |
 //! |---|---|---|---|
 //! | CNN im2col `28800x8x25` | 10.3, 9.9 | 8.3, 7.8 | 1.22, 1.20 |
 //! | softmax head `100x10x64` | 14.7, 11.8 | 10.9, 12.4 | 1.79, 1.29 |
 //! | softmax head `64x10x64` | 13.4, 11.5 | 9.4, 10.1 | 1.81, 1.36 |
+//!
+//! # The narrow products
+//!
+//! The CNN's two convolution products are narrow on one side: the im2col
+//! product `28800x8x25` is 8 columns wide, and the filter gradient
+//! `8x25x28800` is 8 rows tall. Compiled from the safe body, both ran at
+//! 15–25 GFLOP/s, a fifth of `ae_wide`'s. At `n = 8` every tile is an edge
+//! tile, and LLVM spilled the tile to the stack to add it into C with
+//! scalar adds; the in-place A path loaded each element as a scalar,
+//! multiplied it by `alpha` and broadcast it from a register, one per
+//! cycle on one port. The filter gradient, a single tile deep 113 slabs,
+//! packed each slab of `col` into 32-lane panels for one A panel to read
+//! once, and computed 12 tile rows to keep 8.
+//!
+//! So under AVX-512 both run one tile written with intrinsics,
+//! `tile_avx512`: `R` rows of `V` 16-lane accumulators that stay in `zmm`
+//! registers for the slab. It is the contract's inner loop exactly
+//! (accumulators from zero, one FMA per `p` ascending, one add into C per
+//! slab), so it gives the safe body's bits, which the tests pin on every
+//! instantiation. Where `alpha == 1` each FMA broadcasts its element of A
+//! straight from memory (`vfmadd231ps` with a `{1to16}` operand), since
+//! `1 * x == x`; otherwise one multiply by `alpha` precedes it. B's rows are
+//! loaded masked to the live lanes. C is added row by row without a spill:
+//! a `ymm` add where the row segment is 8 floats, a masked one otherwise,
+//! every row loaded before any is stored (a masked store to a short row
+//! spans the next row's start, and a load from there waits for it to
+//! retire). It runs in two places:
+//!
+//! * the narrow macro-kernel (`n <= 16`, the `6 x 16` tile, one vector per
+//!   row), where A is always read in place (its slab is one B panel);
+//! * a product whose C is one row panel (`m <= MR`) and whose B is stored
+//!   untransposed, at either tile. Every element of B then meets one A
+//!   panel only, so packing B cost a pass and saved none: the tile reads A
+//!   and B where they are stored, for each k-slab and `NR` columns, with
+//!   exactly `m` live rows (`R` is dispatched from `m`), on every split,
+//!   the depth split included.
+//!
+//! Through [`gemm`] (`crates/kernels/examples/gemm_shapes.rs`, µs per call,
+//! medians of rounds interleaved with a build of the safe body, two-vCPU
+//! AVX-512 Xeon VM):
+//!
+//! | product | safe, 2 threads | intrinsics, 2 threads | safe, 1 | intrinsics, 1 |
+//! |---|---|---|---|---|
+//! | CNN im2col `28800x8x25` | 756–768 | 385–407 | 1 349–1 353 | 548–676 |
+//! | CNN filter gradient `8x25x28800` | 561–654 | 144–173 | 1 060–1 145 | 225–250 |
+//! | softmax head `100x10x64` | 10.2–10.4 | 4.6–5.7 | 10.2–10.8 | 5.2 |
+//! | softmax head `64x10x64` | 6.7–6.9 | 3.1–3.8 | 6.9–7.0 | 3.1–3.8 |
+//!
+//! Safe code lost, so it is not the narrow kernel. A safe `6 x 8` tile with
+//! an `alpha == 1` arm ran the im2col product in 505–570 µs. Safe edge adds
+//! at a fixed width ran it no faster (712–947 µs) and slowed the RBM
+//! statistics product `64x144x20` from 10.4 to 13.6–15.6 µs. In a
+//! standalone kernel, the `ymm` add at `nr = 8` took 335 µs single-threaded
+//! against 733 µs for a masked one.
 //!
 //! # Packing
 //!
@@ -147,10 +206,10 @@
 //!   reorderings of that safe code (a p-blocked tile, a p-outer loop, a
 //!   shuffle through arrays) did not vectorise and ran no faster. The
 //!   AVX-512 instantiation runs one masked `vgatherdps` per `p` and group of
-//!   16 lanes instead. That body is the crate's only `unsafe` code besides
-//!   the feature dispatch: it reads through a checked slice of the group's
-//!   rows and writes through a checked slice of the panel, masked to the
-//!   lanes that lie inside them. AVX2 has an 8-lane gather too, but it has
+//!   16 lanes instead. Like the narrow products' tile, the crate's only other
+//!   `unsafe` code besides the feature dispatch, it reads through a checked
+//!   slice of the group's rows and writes through a checked slice of the
+//!   panel, masked to the lanes that lie inside them. AVX2 has an 8-lane gather too, but it has
 //!   only been timed on an AVX-512 CPU, whose gather costs differ from
 //!   those of the CPUs the AVX2 instantiation serves; it waits for a
 //!   measurement on a CPU without AVX-512.
@@ -293,7 +352,9 @@ const BLOCKING: GemmBlocking = GemmBlocking {
 /// Every ratio above predates the gathering pack and the per-thread pack
 /// buffers (see **Packing** in the module docs), which take a fixed cost
 /// off every part, the copy of the smaller operand each worker packs
-/// included: re-measure the table before moving the constant.
+/// included, and the AVX-512 intrinsics tile of the narrow and
+/// one-row-panel products: re-measure the table before moving the
+/// constant.
 const MIN_FLOPS_PER_WORKER: usize = 1 << 20;
 
 /// Operated dimensions of a (possibly transposed) view: `(rows, cols)` of
@@ -540,6 +601,8 @@ impl Product<'_> {
                 c,
                 |c, blk, a, b| unsafe { macro_kernel_avx2fma(c, blk, a, b) },
             ),
+            #[cfg(target_arch = "x86_64")]
+            Isa::Avx512 if self.b_in_place() => self.accumulate_row_panel(part, c),
             // SAFETY: as for `Isa::Avx2Fma`.
             #[cfg(target_arch = "x86_64")]
             Isa::Avx512 if self.tile == TILE_ZMM_NARROW => self
@@ -602,7 +665,7 @@ impl Product<'_> {
                         pack_panels::<MR>(self.isa, a, !ta, i0, i1, pc, kc, alpha, a_blk);
                         ABlock::Packed(a_blk)
                     } else {
-                        self.a_in_place(i0, pc)
+                        ABlock::InPlace(self.a_in_place(i0, pc))
                     };
                     let block = Block { ic, mc, jc, nc, kc };
                     kernel(&mut c, block, a_blk, b_slab);
@@ -614,14 +677,58 @@ impl Product<'_> {
 
     /// The block of `alpha * op(A)` whose first element is `(i0, pc)`, read
     /// where A is stored.
-    fn a_in_place(&self, i0: usize, pc: usize) -> ABlock<'_> {
+    fn a_in_place(&self, i0: usize, pc: usize) -> AStrided<'_> {
         let ld = self.a.cols();
         let (rs, cs) = if self.ta { (1, ld) } else { (ld, 1) };
-        ABlock::InPlace {
+        AStrided {
             data: &self.a.as_slice()[i0 * rs + pc * cs..],
             rs,
             cs,
             alpha: self.alpha,
+        }
+    }
+
+    /// Whether C is one row panel (`m <= MR`) and B is stored untransposed.
+    /// Then every element of B meets one A panel only, so a pack would cost
+    /// a pass over B and save none, and the AVX-512 instantiation reads B
+    /// where it is stored.
+    #[cfg(target_arch = "x86_64")]
+    fn b_in_place(&self) -> bool {
+        !self.tb && op_shape(&self.a, self.ta).0 <= self.tile.0
+    }
+
+    /// [`Product::accumulate`] of a product whose C is one row panel, under
+    /// AVX-512: per k-slab of the part and per `NR` columns, one tile of
+    /// exactly the product's `m` rows reads A and B where they are stored and
+    /// adds into C. No operand is packed.
+    #[cfg(target_arch = "x86_64")]
+    fn accumulate_row_panel(&self, part: Part, mut c: CPart<'_, '_>) {
+        let kc = self.blk.kc;
+        let (_, k) = op_shape(&self.a, self.ta);
+        let (r0, m) = (part.rows.start, part.rows.len());
+        let (c0, n) = (part.cols.start, part.cols.len());
+        let depth = part.slabs.start * kc..k.min(part.slabs.end * kc);
+        let nr_max = self.tile.1;
+        let (b, ldb) = (self.b.as_slice(), self.b.cols());
+        for (s, pc) in depth.clone().step_by(kc).enumerate() {
+            let kc = kc.min(depth.end - pc);
+            let mut c = c.slab(s);
+            let a = self.a_in_place(r0, pc);
+            for j0 in (0..n).step_by(nr_max) {
+                let b = BRows {
+                    data: &b[pc * ldb + c0 + j0..],
+                    ld: ldb,
+                };
+                let cols = (j0, nr_max.min(n - j0));
+                // SAFETY: as for `Isa::Avx2Fma` in `accumulate`.
+                unsafe {
+                    if nr_max == TILE_ZMM_NARROW.1 {
+                        row_panel_avx512_narrow(a, b, kc, &mut c, m, cols);
+                    } else {
+                        row_panel_avx512(a, b, kc, &mut c, m, cols);
+                    }
+                }
+            }
         }
     }
 }
@@ -868,14 +975,27 @@ struct Block {
 enum ABlock<'a> {
     /// Packed into `MR`-row panels, each p-major, `alpha` applied.
     Packed(&'a [f32]),
-    /// Read where it is stored: element `(i, p)` of the block is `alpha *
-    /// data[i * rs + p * cs]`, the value the pack would have stored.
-    InPlace {
-        data: &'a [f32],
-        rs: usize,
-        cs: usize,
-        alpha: f32,
-    },
+    /// Read where it is stored.
+    InPlace(AStrided<'a>),
+}
+
+/// Rows of `alpha * op(A)` read through strides: element `(i, p)` is `alpha
+/// * data[i * rs + p * cs]`, the value a pack would have stored.
+#[derive(Clone, Copy)]
+struct AStrided<'a> {
+    data: &'a [f32],
+    rs: usize,
+    cs: usize,
+    alpha: f32,
+}
+
+/// Rows of `op(B)` where they are stored: element `(p, j)` is `data[p * ld +
+/// j]`. A packed panel is one too, with `ld = NR`.
+#[cfg(target_arch = "x86_64")]
+#[derive(Clone, Copy)]
+struct BRows<'a> {
+    data: &'a [f32],
+    ld: usize,
 }
 
 /// [`macro_kernel_body`] at the `6 x 16` tile, compiled with AVX2 and FMA.
@@ -893,12 +1013,197 @@ fn macro_kernel_avx512(c: &mut CPart<'_, '_>, block: Block, a: ABlock<'_>, b_pac
     macro_kernel_body::<{ TILE_ZMM.0 }, { TILE_ZMM.1 }>(c, block, a, b_pack);
 }
 
-/// [`macro_kernel_body`] at the narrow `6 x 16` tile, compiled with
-/// AVX-512F, AVX2 and FMA.
+/// `c[block] += A_block * B_slab` at the narrow `6 x 16` tile, under
+/// AVX-512F: one [`tile_avx512`] per panel of B and `MR` rows of the block,
+/// A read in place.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f,avx2,fma")]
 fn macro_kernel_avx512_narrow(c: &mut CPart<'_, '_>, block: Block, a: ABlock<'_>, b_pack: &[f32]) {
-    macro_kernel_body::<{ TILE_ZMM_NARROW.0 }, { TILE_ZMM_NARROW.1 }>(c, block, a, b_pack);
+    const MR: usize = TILE_ZMM_NARROW.0;
+    const NR: usize = TILE_ZMM_NARROW.1;
+    // A is packed only under a slab of more than one B panel, which a
+    // product at most `NR` wide never has.
+    let ABlock::InPlace(a) = a else {
+        return macro_kernel_body::<MR, NR>(c, block, a, b_pack);
+    };
+    let Block { ic, mc, jc, nc, kc } = block;
+    for (jp, b_panel) in b_pack.chunks_exact(kc * NR).enumerate() {
+        let j0 = jc + jp * NR;
+        let cols = (j0, NR.min(jc + nc - j0));
+        let b = BRows {
+            data: b_panel,
+            ld: NR,
+        };
+        for i0 in (0..mc).step_by(MR) {
+            let rows = (ic + i0, MR.min(mc - i0));
+            let a = AStrided {
+                data: &a.data[i0 * a.rs..],
+                ..a
+            };
+            if a.alpha == 1.0 {
+                tile_avx512::<MR, 1, true>(a, b, kc, c, rows, cols);
+            } else {
+                tile_avx512::<MR, 1, false>(a, b, kc, c, rows, cols);
+            }
+        }
+    }
+}
+
+/// Defines `fn $name(a, b, kc, c, m, cols)`: one [`tile_avx512`] of `V`
+/// vectors per row and exactly the `m <= MR` rows of a one-row-panel
+/// product, for the `MR` of the tile, the last of `$rows`.
+macro_rules! row_panel_kernel {
+    ($(#[$attr:meta])* fn $name:ident<V = $v:literal>, rows = [$($r:literal),*], $mr:literal) => {
+        $(#[$attr])*
+        #[cfg(target_arch = "x86_64")]
+        #[target_feature(enable = "avx512f,avx2,fma")]
+        fn $name(
+            a: AStrided<'_>,
+            b: BRows<'_>,
+            kc: usize,
+            c: &mut CPart<'_, '_>,
+            m: usize,
+            cols: (usize, usize),
+        ) {
+            match (m, a.alpha == 1.0) {
+                $(
+                    ($r, true) => tile_avx512::<$r, $v, true>(a, b, kc, c, (0, $r), cols),
+                    ($r, false) => tile_avx512::<$r, $v, false>(a, b, kc, c, (0, $r), cols),
+                )*
+                (_, true) => tile_avx512::<$mr, $v, true>(a, b, kc, c, (0, m), cols),
+                (_, false) => tile_avx512::<$mr, $v, false>(a, b, kc, c, (0, m), cols),
+            }
+        }
+    };
+}
+
+row_panel_kernel! {
+    /// [`Product::accumulate_row_panel`]'s tile at `12 x 32`.
+    fn row_panel_avx512<V = 2>, rows = [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11], 12
+}
+
+row_panel_kernel! {
+    /// [`Product::accumulate_row_panel`]'s tile at the narrow `6 x 16`.
+    fn row_panel_avx512_narrow<V = 1>, rows = [1, 2, 3, 4, 5], 6
+}
+
+/// One tile of `R` rows by `V` 16-lane vectors under AVX-512F, added into
+/// the rows `r0..r0 + mr` and columns `j0..j0 + nr` of C: the contract's
+/// inner loop, as [`micro_kernel`] and the `add` of [`macro_kernel_body`]
+/// run it. Row `i` of the tile starts at zero and takes `fma(alpha *
+/// a.data[i * a.rs + p * a.cs], b.data[p * b.ld + j], acc)` for `p`
+/// ascending; rows past `mr` re-read row `mr - 1` (padding, never stored),
+/// and lanes past `nr` load `+0.0`. Then C adds the tile once.
+///
+/// With `ONE` (`alpha == 1`) each FMA broadcasts its element of A straight
+/// from memory, since `1 * x == x`; otherwise a multiply by `alpha`, the
+/// same IEEE operation as the pack's, precedes it. Each row of C is loaded
+/// before any is stored: a masked store to a row narrower than a vector
+/// spans the start of the next row, and a load from there would wait for it
+/// to retire. A row segment of 8 floats is added in a `ymm` register
+/// without a mask.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx2,fma")]
+fn tile_avx512<const R: usize, const V: usize, const ONE: bool>(
+    a: AStrided<'_>,
+    b: BRows<'_>,
+    kc: usize,
+    c: &mut CPart<'_, '_>,
+    (r0, mr): (usize, usize),
+    (j0, nr): (usize, usize),
+) {
+    use std::arch::x86_64::{
+        _mm512_fmadd_ps, _mm512_maskz_loadu_ps, _mm512_mul_ps, _mm512_set1_ps, _mm512_setzero_ps,
+    };
+    let a_tile = &a.data[..(mr - 1) * a.rs + (kc - 1) * a.cs + 1];
+    let b_tile = &b.data[..(kc - 1) * b.ld + nr];
+    let rows: [usize; R] = std::array::from_fn(|i| i.min(mr - 1) * a.rs);
+    let masks: [u16; V] = std::array::from_fn(|v| lane_mask(nr.saturating_sub(16 * v)));
+    let alpha = _mm512_set1_ps(a.alpha);
+    let (ap, bp) = (a_tile.as_ptr(), b_tile.as_ptr());
+    let mut acc = [[_mm512_setzero_ps(); V]; R];
+    for p in 0..kc {
+        let mut bv = [_mm512_setzero_ps(); V];
+        for (v, x) in bv.iter_mut().enumerate() {
+            // SAFETY: `masks[v]` enables lanes `l` with `16 * v + l < nr`,
+            // which read `b_tile[p * ld + 16 * v + l]`, at most index `(kc -
+            // 1) * ld + nr - 1 < b_tile.len()`: every active-lane address
+            // lies in the checked slice `b_tile`. Inactive lanes read
+            // nothing, and `wrapping_add` forms the base without claiming it
+            // is in bounds.
+            *x = unsafe { _mm512_maskz_loadu_ps(masks[v], bp.wrapping_add(p * b.ld + 16 * v)) };
+        }
+        for (acc_row, &row) in acc.iter_mut().zip(&rows) {
+            // SAFETY: `row + p * cs <= (mr - 1) * rs + (kc - 1) * cs <
+            // a_tile.len()`, so the read lies in the checked slice `a_tile`.
+            let x = _mm512_set1_ps(unsafe { ap.add(row + p * a.cs).read() });
+            let x = if ONE { x } else { _mm512_mul_ps(alpha, x) };
+            for (acc, &b) in acc_row.iter_mut().zip(&bv) {
+                *acc = _mm512_fmadd_ps(x, b, *acc);
+            }
+        }
+    }
+    for (i, acc_row) in acc.iter_mut().enumerate().take(mr) {
+        let row = &c.row(r0 + i)[j0..j0 + nr];
+        for (seg, acc) in row.chunks(16).zip(acc_row) {
+            *acc = add_lanes(seg, *acc);
+        }
+    }
+    for (i, acc_row) in acc.iter().enumerate().take(mr) {
+        let row = &mut c.row(r0 + i)[j0..j0 + nr];
+        for (seg, &acc) in row.chunks_mut(16).zip(acc_row) {
+            store_lanes(seg, acc);
+        }
+    }
+}
+
+/// The mask of the first `n` of 16 lanes.
+#[cfg(target_arch = "x86_64")]
+fn lane_mask(n: usize) -> u16 {
+    match n {
+        0 => 0,
+        1..=15 => u16::MAX >> (16 - n),
+        _ => u16::MAX,
+    }
+}
+
+/// `seg + acc` in the first `seg.len() <= 16` lanes (the rest undefined).
+#[cfg(target_arch = "x86_64")]
+#[inline]
+#[target_feature(enable = "avx512f,avx2,fma")]
+fn add_lanes(seg: &[f32], acc: std::arch::x86_64::__m512) -> std::arch::x86_64::__m512 {
+    use std::arch::x86_64::{
+        _mm256_add_ps, _mm256_loadu_ps, _mm512_add_ps, _mm512_castps256_ps512,
+        _mm512_castps512_ps256, _mm512_maskz_loadu_ps,
+    };
+    if seg.len() == 8 {
+        // SAFETY: the load reads 8 floats from the start of `seg`, a checked
+        // slice of 8.
+        let c = unsafe { _mm256_loadu_ps(seg.as_ptr()) };
+        _mm512_castps256_ps512(_mm256_add_ps(c, _mm512_castps512_ps256(acc)))
+    } else {
+        // SAFETY: the mask enables lanes `l < seg.len()` only, so every
+        // active-lane address lies in the checked slice `seg`.
+        let c = unsafe { _mm512_maskz_loadu_ps(lane_mask(seg.len()), seg.as_ptr()) };
+        _mm512_add_ps(c, acc)
+    }
+}
+
+/// Stores the first `seg.len() <= 16` lanes of `x` into `seg`.
+#[cfg(target_arch = "x86_64")]
+#[inline]
+#[target_feature(enable = "avx512f,avx2,fma")]
+fn store_lanes(seg: &mut [f32], x: std::arch::x86_64::__m512) {
+    use std::arch::x86_64::{_mm256_storeu_ps, _mm512_castps512_ps256, _mm512_mask_storeu_ps};
+    if seg.len() == 8 {
+        // SAFETY: the store writes 8 floats from the start of `seg`, a
+        // checked slice of 8.
+        unsafe { _mm256_storeu_ps(seg.as_mut_ptr(), _mm512_castps512_ps256(x)) };
+    } else {
+        // SAFETY: the mask enables lanes `l < seg.len()` only, so every
+        // active-lane address lies in the checked slice `seg`.
+        unsafe { _mm512_mask_storeu_ps(seg.as_mut_ptr(), lane_mask(seg.len()), x) };
+    }
 }
 
 /// `c[block] += A_block * B_slab`; `b_pack` holds the slab's `NR`-lane
@@ -932,12 +1237,12 @@ fn macro_kernel_body<const MR: usize, const NR: usize>(
                     add(i0, MR.min(mc - i0), acc);
                 }
             }
-            ABlock::InPlace {
+            ABlock::InPlace(AStrided {
                 data,
                 rs,
                 cs,
                 alpha,
-            } => {
+            }) => {
                 for i0 in (0..mc).step_by(MR) {
                     let mr = MR.min(mc - i0);
                     // Rows past the edge re-read the last row: their lanes
@@ -1245,11 +1550,20 @@ mod tests {
         for isa in instantiations("nonfinite_operands_propagate_like_the_reference") {
             let (mr, nr) = isa.tile(usize::MAX);
             // Edge tiles both ways; then one tile of C over enough k-slabs
-            // to split them between workers, its live values in the last.
+            // to split them between workers, its live values in the last;
+            // the narrow tile's masked and `ymm` edges; one row panel at the
+            // wide tile, forked by columns.
             let depth_k = MIN_FLOPS_PER_WORKER.div_ceil(mr * nr) + 7;
-            for ((m, n, k), (ta, tb)) in [(2 * mr + 1, nr + 3, 19), (mr, nr, depth_k)]
-                .into_iter()
-                .flat_map(|shape| TRANSPOSES.map(|t| (shape, t)))
+            let row_panel_k = MIN_FLOPS_PER_WORKER.div_ceil(8 * 70) + 3;
+            for ((m, n, k), (ta, tb)) in [
+                (2 * mr + 1, nr + 3, 19),
+                (mr, nr, depth_k),
+                (13, 8, 19),
+                (13, 10, 19),
+                (8, 70, row_panel_k),
+            ]
+            .into_iter()
+            .flat_map(|shape| TRANSPOSES.map(|t| (shape, t)))
             {
                 let p_live = k - 8;
                 for poison in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
@@ -1275,21 +1589,24 @@ mod tests {
                             set(&mut a, ta, m - 1, p_live, f32::INFINITY);
                         }
                         let c0 = random_mat(m, n, &mut rng);
-                        let mut c_ref = c0.clone();
-                        gemm_ref(0.7, a.view(), ta, b.view(), tb, 0.3, &mut c_ref.view_mut());
-                        let bad = c_ref.as_slice().iter().filter(|x| !x.is_finite()).count();
-                        assert_eq!(bad, if poison_in_b { 2 * m } else { 2 * n });
-                        for par in [Par::Seq, Par::Rayon] {
-                            let c = product_on(isa, par, 0.7, (&a, ta), (&b, tb), 0.3, &c0);
-                            assert!(
-                                c.as_slice()
-                                    .iter()
-                                    .map(class)
-                                    .eq(c_ref.as_slice().iter().map(class)),
-                                "non-finite values landed elsewhere than in gemm_ref: \
-                                 {isa:?} {m}x{n}x{k} ta={ta} tb={tb} poison={poison} \
-                                 in_b={poison_in_b} {par:?}"
-                            );
+                        for alpha in [1.0, 0.7] {
+                            let mut c_ref = c0.clone();
+                            let c = &mut c_ref.view_mut();
+                            gemm_ref(alpha, a.view(), ta, b.view(), tb, 0.3, c);
+                            let bad = c_ref.as_slice().iter().filter(|x| !x.is_finite()).count();
+                            assert_eq!(bad, if poison_in_b { 2 * m } else { 2 * n });
+                            for par in [Par::Seq, Par::Rayon] {
+                                let c = product_on(isa, par, alpha, (&a, ta), (&b, tb), 0.3, &c0);
+                                assert!(
+                                    c.as_slice()
+                                        .iter()
+                                        .map(class)
+                                        .eq(c_ref.as_slice().iter().map(class)),
+                                    "non-finite values landed elsewhere than in gemm_ref: \
+                                     {isa:?} {m}x{n}x{k} ta={ta} tb={tb} poison={poison} \
+                                     in_b={poison_in_b} alpha={alpha} {par:?}"
+                                );
+                            }
                         }
                     }
                 }
@@ -1297,25 +1614,85 @@ mod tests {
         }
     }
 
+    /// Every `(alpha, beta)` the sweeps below pin: the `alpha == 1` arm of
+    /// the AVX-512 tiles and the multiplying one, a negated A, and `beta`
+    /// overwriting, scaling and keeping C.
+    const SCALINGS: [(f32, f32); 9] = [
+        (1.0, 0.0),
+        (1.0, 0.3),
+        (1.0, 1.0),
+        (0.7, 0.0),
+        (0.7, 0.3),
+        (0.7, 1.0),
+        (-1.0, 0.0),
+        (-1.0, 0.3),
+        (-1.0, 1.0),
+    ];
+
     #[test]
     fn all_instantiations_bitwise_identical_to_portable() {
-        // Edge tiles in both dimensions at every tile, three k-slabs.
-        let (m, n, k) = (3 * TILE_ZMM.0 + 1, 2 * TILE_ZMM.1 + 5, 2 * KC + 3);
         let mut rng = StdRng::seed_from_u64(99);
         let isas = instantiations("all_instantiations_bitwise_identical_to_portable");
-        for (ta, tb) in TRANSPOSES {
-            let a = random_op(m, k, ta, &mut rng);
-            let b = random_op(k, n, tb, &mut rng);
-            let c0 = random_mat(m, n, &mut rng);
-            let portable = product_on(Isa::Portable, Par::Seq, 0.7, (&a, ta), (&b, tb), 0.3, &c0);
-            for &isa in &isas {
-                for par in [Par::Seq, Par::Rayon] {
-                    let c = product_on(isa, par, 0.7, (&a, ta), (&b, tb), 0.3, &c0);
-                    assert_eq!(
-                        portable.as_slice(),
-                        c.as_slice(),
-                        "{isa:?} {par:?} changed bits (ta={ta} tb={tb})"
-                    );
+        let (narrow_mr, narrow_nr) = TILE_ZMM_NARROW;
+        // Edge tiles in both dimensions at every wide tile, three k-slabs.
+        let wide = (3 * TILE_ZMM.0 + 1, 2 * TILE_ZMM.1 + 5, 2 * KC + 3);
+        // Every width of the narrow tile's edge (its one vector masked to 1,
+        // 7, 9, 10 and 15 lanes, a `ymm` at 8, whole at 16), rows straddling
+        // its height, two k-slabs. A of one B panel's width is read in place.
+        let narrow = [1, 7, 8, 9, 10, 15, narrow_nr].into_iter().flat_map(|n| {
+            [narrow_mr - 1, narrow_mr + 1, 2 * narrow_mr + 1].map(|m| (m, n, KC + 5))
+        });
+        // C of one row panel at the wide tile, B read in place when it is
+        // stored untransposed: tiles of exactly 1, 7, 8 and 12 rows, their
+        // second vector masked to 1 and 9 lanes or whole, three k-slabs.
+        let row_panel = [1, 7, 8, TILE_ZMM.0]
+            .into_iter()
+            .flat_map(|m| [17, 25, TILE_ZMM.1].map(|n| (m, n, 2 * KC + 3)));
+        for shape in std::iter::once(wide).chain(narrow).chain(row_panel) {
+            for t in TRANSPOSES {
+                for scaling in SCALINGS {
+                    pin_to_portable(&isas, shape, t, scaling, &mut rng);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn beta_zero_results_are_positive_zero_on_all_instantiations() {
+        // Every product underflows to -0.0, so every accumulator is -0.0;
+        // `beta = 0` gives C +0.0 first, and `+0.0 + -0.0` is +0.0. A tile
+        // stored over C instead of added to it would leave -0.0. Shapes: the
+        // wide and narrow tiles with edges, one row panel with B in place,
+        // and one tile deep enough to split its slabs.
+        let (a_val, b_val) = (-1e-30f32, 1e-30f32);
+        for isa in instantiations("beta_zero_results_are_positive_zero_on_all_instantiations") {
+            let (mr, nr) = isa.tile(usize::MAX);
+            for (m, n, k) in [
+                (2 * mr + 1, nr + 3, KC + 5),
+                (13, 8, 25),
+                (13, 10, KC + 5),
+                (8, 25, 2 * KC + 3),
+                (mr, 7, 9 * KC + 1),
+            ] {
+                for (ta, tb) in TRANSPOSES {
+                    let full_op = |rows, cols, t, v| {
+                        let (r, c) = if t { (cols, rows) } else { (rows, cols) };
+                        Mat::full(r, c, v)
+                    };
+                    let (a, b) = (full_op(m, k, ta, a_val), full_op(k, n, tb, b_val));
+                    let c0 = Mat::full(m, n, -2.0);
+                    for alpha in [1.0, 0.7] {
+                        for c in [
+                            product_on(isa, Par::Seq, alpha, (&a, ta), (&b, tb), 0.0, &c0),
+                            forked_on(isa, alpha, (&a, ta), (&b, tb), 0.0, &c0),
+                        ] {
+                            assert!(
+                                c.as_slice().iter().all(|x| x.to_bits() == 0),
+                                "{isa:?} {m}x{n}x{k} ta={ta} tb={tb} alpha={alpha}: \
+                                 a result is not +0.0"
+                            );
+                        }
+                    }
                 }
             }
         }
@@ -1373,10 +1750,13 @@ mod tests {
                     forked_on(isa, alpha, (&a, ta), (&b, tb), beta, &c0),
                 ),
             ] {
-                assert_eq!(
-                    portable.as_slice(),
-                    c.as_slice(),
-                    "{isa:?} {run} changed bits at {m}x{n}x{k} ta={ta} tb={tb} alpha={alpha}"
+                assert!(
+                    c.as_slice()
+                        .iter()
+                        .map(|x| x.to_bits())
+                        .eq(portable.as_slice().iter().map(|x| x.to_bits())),
+                    "{isa:?} {run} changed bits at {m}x{n}x{k} ta={ta} tb={tb} \
+                     alpha={alpha} beta={beta}"
                 );
             }
         }

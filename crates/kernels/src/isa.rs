@@ -9,11 +9,13 @@
 //! its answer), and LLVM vectorises the same loops to the width of the
 //! instantiation. AVX-512 means AVX-512F only, without DQ or BW, because
 //! the Xeon Phi x200 has neither: where a body needs a 64-bit multiply, the
-//! instantiation emulates it. One kernel is not left to the vectoriser: safe
-//! code did not vectorise the GEMM's transposing pack, so its AVX-512 body
-//! is written with gather intrinsics (the `gemm` module's **Packing**),
-//! pinned like the rest to the portable body; the AVX2 instantiation keeps
-//! the portable scalar pack.
+//! instantiation emulates it. Two kernels are not left to the vectoriser,
+//! both under AVX-512 only and pinned like the rest to the portable body:
+//! safe code did not vectorise the GEMM's transposing pack, so it is written
+//! with gather intrinsics (the `gemm` module's **Packing**; the AVX2
+//! instantiation keeps the portable scalar pack), and it spilled the GEMM's
+//! narrow tile, so the products at most 16 columns wide or one row panel
+//! tall run a tile written with FMA intrinsics (**The narrow products**).
 //!
 //! Every instantiation gives the same bits as the portable one. The bodies
 //! use no operation whose result the instruction set could change: Rust
