@@ -1,6 +1,8 @@
 //! Times `gemm` at the products the workloads run: the ten the GEMM tests
-//! pin at the benchmark shapes and the 10-class softmax heads, sequential
-//! and threaded. It is the sweep behind the tables in `gemm.rs`'s docs.
+//! pin at the benchmark shapes, the 10-class softmax heads' forward and
+//! weight-gradient products, and the filter gradient at six channels,
+//! sequential and threaded. It is the sweep behind the tables in `gemm.rs`'s
+//! docs.
 //!
 //! ```text
 //! cargo run --release -p micdnn-kernels --example gemm_shapes [ROUNDS]
@@ -17,7 +19,7 @@ use micdnn_tensor::Mat;
 use std::time::Instant;
 
 /// `(name, m, n, k, ta, tb)`: `C (m x n) = op(A) (m x k) * op(B) (k x n)`.
-const SHAPES: [(&str, usize, usize, usize, bool, bool); 13] = [
+const SHAPES: [(&str, usize, usize, usize, bool, bool); 16] = [
     ("ae_wide forward", 200, 4096, 1024, false, true),
     ("ae_wide backward-data", 200, 1024, 4096, false, false),
     ("ae_wide backward-weight", 4096, 1024, 200, true, false),
@@ -31,6 +33,9 @@ const SHAPES: [(&str, usize, usize, usize, bool, bool); 13] = [
     ("softmax head", 100, 10, 64, false, true),
     ("softmax head", 64, 10, 64, false, true),
     ("softmax head", 50, 10, 64, false, true),
+    ("softmax head weight gradient", 10, 64, 100, true, false),
+    ("softmax head weight gradient", 10, 64, 50, true, false),
+    ("CNN filter gradient, 6 channels", 6, 25, 28800, true, false),
 ];
 
 /// A stored matrix whose `op()` is `rows x cols`, filled with small values.

@@ -55,7 +55,7 @@
 //! | µs per call | before, 2 threads | now, 2 threads | before, 1 | now, 1 |
 //! |---|---|---|---|---|
 //! | `im2col`, `28800 x 25` | 432 | 138 | 868 | 267 |
-//! | `im2col` + conv GEMM `28800x8x25` | 1 122 | 581–610 | 1 931 | 1 001–1 039 |
+//! | `im2col` + conv GEMM `28800x8x25` | 1 122 | 462 | 1 931 | 868 |
 //! | pool forward, `c = 8` | 420 | 128 | 732 | 260 |
 //! | pool forward, `c = 6` | 313 | 93 | 540 | 168 |
 //! | pool forward, `c = 17` | 906 | 243 | 1 585 | 442 |
@@ -63,9 +63,10 @@
 //! | `colsum`, `28800 x 8` | 107 | 48 | 106 | 45 |
 //!
 //! The conv GEMM's "now" is the `gemm` module's AVX-512 intrinsics tile
-//! (**The narrow products**), three runs; with the safe tile it read 786 and
-//! 1 373 µs, and 921–962 and 1 615–1 635 µs in runs alternating with the
-//! new readings.
+//! (**The narrow products**): the median of five runs (361–524 and
+//! 644–908 µs) alternating with runs on the safe tile, which read 702
+//! (493–807) and 932 (918–974) µs in them, and 786 and 1 373 µs when
+//! first measured.
 //!
 //! At one channel the row buffer is 23 lanes, too short for the vector
 //! loop, and pooling runs at the scalar code's speed (55 against 50 µs).

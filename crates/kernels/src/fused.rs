@@ -10,33 +10,13 @@
 //! The fused sigmoid, [`bias_sigmoid_rows`], runs one `#[inline(always)]`
 //! body in the portable, AVX2 and AVX-512 instantiations of the crate's
 //! `isa` module, picked by the same detection as the GEMM, one call per
-//! task's block of rows. The body adds the bias, then runs the sigmoid (with
-//! the crate's own `expf`, see `vecops`) over the whole block as one flat
-//! slice, so that rows narrower than a vector (the CNN's eight channels)
-//! still fill it. The value it stores before the sigmoid is the `v + b` the
-//! one-expression form fed to it, so the bits are the same.
-//!
-//! The bias add fills the vector too: rows at least a vector wide add the
-//! bias row by row, and narrower rows add it one vector at a time, the bias
-//! repeated across the vector's run of rows. Each element still takes the
-//! one add `v + b` of its column's bias. The pattern's vector is picked by a
-//! counter that wraps, not by a loop nested per period: LLVM vectorised the
-//! nested loop across vectors, with gathers and scatters, and it ran no
-//! faster than the scalar adds. `bias_sigmoid_rows` at the CNN's conv shape
-//! (`28800 x 8`, µs per call, median of 200 calls, 4–6 alternating runs
-//! outside the crate, two-vCPU AVX-512 Xeon VM):
-//!
-//! | | 2 threads | 1 thread |
-//! |---|---|---|
-//! | bias added row by row | 211–222 | 325–394 |
-//! | bias added a vector at a time | 196–225 | 327–347 |
-//! | the same 230 400 elements, 128-wide rows | 174–214 | 295–339 |
-//!
-//! The sigmoid sweep is most of the call, and the gain is within this
-//! VM's noise.
+//! task's block of rows. The body adds the bias row by row, then runs the
+//! sigmoid (with the crate's own `expf`, see `vecops`) over the whole block
+//! as one flat slice, so that rows narrower than a vector (the CNN's eight
+//! channels) still fill it. The value it stores before the sigmoid is the
+//! `v + b` the one-expression form fed to it, so the bits are the same.
 
 use crate::isa::{per_isa, Isa};
-use crate::vecops::LANES;
 use crate::{Par, PAR_THRESHOLD};
 use micdnn_tensor::{MatView, MatViewMut};
 use rayon::prelude::*;
@@ -44,18 +24,8 @@ use rayon::prelude::*;
 /// Adds `bias` to every row of `c` (two-pass rung uses this followed by a
 /// separate sigmoid sweep).
 pub(crate) fn add_bias_rows(par: Par, bias: &[f32], c: &mut MatViewMut<'_>) {
-    add_bias_rows_on(Isa::detect(), par, bias, c);
-}
-
-/// [`add_bias_rows`] on the `isa` instantiation.
-fn add_bias_rows_on(isa: Isa, par: Par, bias: &[f32], c: &mut MatViewMut<'_>) {
     assert_eq!(bias.len(), c.cols(), "add_bias_rows: bias length mismatch");
-    run_rows(par, c, bias.len(), |rows| add_bias_on(isa, bias, rows));
-}
-
-per_isa! {
-    /// [`add_bias_chunk`] as compiled for `isa`.
-    fn add_bias_on(bias: &[f32], rows: &mut [f32]) = add_bias_chunk;
+    run_rows(par, c, bias.len(), |rows| add_bias_chunk(bias, rows));
 }
 
 /// Fused `c = sigmoid(c + bias)` per row — one sweep, one barrier.
@@ -86,47 +56,12 @@ fn bias_sigmoid_chunk(bias: &[f32], rows: &mut [f32]) {
 }
 
 /// `row += bias` for each `bias.len()`-wide row of `rows`.
-///
-/// Rows narrower than [`LANES`] would each be a few scalar adds. Instead the
-/// bias is repeated over `period` floats, the fewest whole rows that are
-/// also whole vectors (two rows of 8, eight rows of 6), and each vector of
-/// `rows` adds its `LANES` floats of that pattern; the last floats, short of
-/// a vector, add their column's bias one by one.
 #[inline(always)]
 fn add_bias_chunk(bias: &[f32], rows: &mut [f32]) {
-    let cols = bias.len();
-    if cols >= LANES {
-        for row in rows.chunks_exact_mut(cols) {
-            for (v, &b) in row.iter_mut().zip(bias) {
-                *v += b;
-            }
-        }
-        return;
-    }
-    let mut period = cols;
-    while !period.is_multiple_of(LANES) {
-        period += cols;
-    }
-    let mut pattern = [0.0f32; LANES * LANES];
-    for (p, &b) in pattern[..period].iter_mut().zip(bias.iter().cycle()) {
-        *p = b;
-    }
-    let whole = rows.len() - rows.len() % LANES;
-    let (head, tail) = rows.split_at_mut(whole);
-    let (vectors, _) = head.as_chunks_mut::<LANES>();
-    let (pattern, _) = pattern[..period].as_chunks::<LANES>();
-    let mut phase = 0;
-    for v in vectors {
-        for (v, &b) in v.iter_mut().zip(&pattern[phase]) {
+    for row in rows.chunks_exact_mut(bias.len()) {
+        for (v, &b) in row.iter_mut().zip(bias) {
             *v += b;
         }
-        phase += 1;
-        if phase == pattern.len() {
-            phase = 0;
-        }
-    }
-    for (v, &b) in tail.iter_mut().zip(bias.iter().cycle().skip(whole % cols)) {
-        *v += b;
     }
 }
 
@@ -313,49 +248,6 @@ mod tests {
                             same(expected.as_slice(), c.as_slice(), src.as_slice(), &bias),
                             "{isa:?} {par:?} at {rows}x{cols}"
                         );
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn bias_add_instantiations_bitwise_equal_to_scalar() {
-        // Every row width from 1 to one past the vector width, so narrow rows
-        // repeat the bias over every period a vector run can have, at row
-        // counts whose floats end on and off a vector and on both sides of
-        // the fork threshold. The reference is one scalar `v + b` per
-        // element; where both are NaN only a NaN is required (IEEE 754 leaves
-        // the payload open).
-        let isas = instantiations("bias_add_instantiations_bitwise_equal_to_scalar");
-        for cols in 1..=LANES + 1 {
-            let bias = mixed_values(cols, 5);
-            let over = PAR_THRESHOLD.div_ceil(cols);
-            for rows in [0, 1, 2, 3, 7, 17, over - 1, over + 3] {
-                let src = Mat::from_vec(rows, cols, mixed_values(rows * cols, 6)).unwrap();
-                let mut expected = src.clone();
-                for row in expected.as_mut_slice().chunks_exact_mut(cols) {
-                    for (v, &b) in row.iter_mut().zip(&bias) {
-                        *v += b;
-                    }
-                }
-                for &isa in &isas {
-                    for par in [Par::Seq, Par::Rayon] {
-                        let mut c = src.clone();
-                        add_bias_rows_on(isa, par, &bias, &mut c.view_mut());
-                        let same = expected
-                            .as_slice()
-                            .iter()
-                            .zip(c.as_slice())
-                            .enumerate()
-                            .all(|(i, (w, g))| {
-                                if src.as_slice()[i].is_nan() && bias[i % cols].is_nan() {
-                                    g.is_nan()
-                                } else {
-                                    w.to_bits() == g.to_bits()
-                                }
-                            });
-                        assert!(same, "{isa:?} {par:?} at {rows}x{cols}");
                     }
                 }
             }

@@ -155,27 +155,54 @@
 //! a `ymm` add where the row segment is 8 floats, a masked one otherwise,
 //! every row loaded before any is stored (a masked store to a short row
 //! spans the next row's start, and a load from there waits for it to
-//! retire). It runs in two places:
+//! retire).
 //!
-//! * the narrow macro-kernel (`n <= 16`, the `6 x 16` tile, one vector per
-//!   row), where A is always read in place (its slab is one B panel);
+//! It runs in one place, `Product::accumulate_in_place`, for the two kinds
+//! of product in which each element of A meets one B panel only, so that A
+//! is read where it is stored:
+//!
+//! * the narrow products (`n <= 16`, the `6 x 16` tile, one vector per
+//!   row): each k-slab of B is one panel, packed once and read by every row
+//!   of the part;
 //! * a product whose C is one row panel (`m <= MR`) and whose B is stored
 //!   untransposed, at either tile. Every element of B then meets one A
-//!   panel only, so packing B cost a pass and saved none: the tile reads A
-//!   and B where they are stored, for each k-slab and `NR` columns, with
-//!   exactly `m` live rows (`R` is dispatched from `m`), on every split,
-//!   the depth split included.
+//!   panel only too, so packing B cost a pass and saved none: B is read
+//!   where it is stored, per k-slab and `NR` columns, on every split, the
+//!   depth split included. These are the weight gradients `dᵀ·x` of a
+//!   layer with few outputs: the CNN filter gradient (8 rows, or 6 at the
+//!   CLI's default six channels) and the 10-class heads'.
+//!
+//! The tile walks the part `MR` rows at a time. A run of rows short of
+//! `MR` pads the tile (its rows past the edge re-read the last row), except
+//! at the 6, 8 and 10 rows of those weight gradients, which get a tile of
+//! exactly their rows at `12 x 32`. Each such tile is two more copies of
+//! `tile_avx512` (`alpha == 1` or not) in the binary, so only the row
+//! counts of a measured product have one. Padded to 12 rows instead, they
+//! ran slower (`gemm_shapes`, µs, median [range] of three runs alternating
+//! with a build padded at every row count):
+//!
+//! | product | exact rows, 2 threads | padded, 2 threads | exact, 1 | padded, 1 |
+//! |---|---|---|---|---|
+//! | CNN filter gradient `8x25x28800` | 125 [125–133] | 162 [159–163] | 189 [180–217] | 235 [217–251] |
+//! | the same, six channels `6x25x28800` | 113 [89–113] | 158 [138–162] | 155 [152–176] | 227 [211–267] |
+//! | head weight gradient `10x64x100` | 2.0 [1.6–2.0] | 2.0 [1.7–2.2] | 1.5 [1.4–1.6] | 1.8 [1.6–1.9] |
+//! | head weight gradient `10x64x50` | 1.0 [0.9–1.3] | 1.3 [1.0–1.4] | 0.8 [0.8–0.9] | 1.2 [1.0–1.4] |
 //!
 //! Through [`gemm`] (`crates/kernels/examples/gemm_shapes.rs`, µs per call,
-//! medians of rounds interleaved with a build of the safe body, two-vCPU
-//! AVX-512 Xeon VM):
+//! median of four runs alternating with a build of the safe body, two-vCPU
+//! AVX-512 Xeon VM; two threads is `Par::Rayon`, one is `Par::Seq` at
+//! `RAYON_NUM_THREADS=1`):
 //!
 //! | product | safe, 2 threads | intrinsics, 2 threads | safe, 1 | intrinsics, 1 |
 //! |---|---|---|---|---|
-//! | CNN im2col `28800x8x25` | 756–768 | 385–407 | 1 349–1 353 | 548–676 |
-//! | CNN filter gradient `8x25x28800` | 561–654 | 144–173 | 1 060–1 145 | 225–250 |
-//! | softmax head `100x10x64` | 10.2–10.4 | 4.6–5.7 | 10.2–10.8 | 5.2 |
-//! | softmax head `64x10x64` | 6.7–6.9 | 3.1–3.8 | 6.9–7.0 | 3.1–3.8 |
+//! | CNN im2col `28800x8x25` | 803 | 489 | 1 297 | 659 |
+//! | CNN filter gradient `8x25x28800` | 582 | 151 | 1 022 | 265 |
+//! | the same, six channels `6x25x28800` | 580 | 136 | 970 | 228 |
+//! | softmax head `100x10x64` | 10.1 | 4.7 | 10.1 | 4.8 |
+//! | softmax head `64x10x64` | 6.8 | 3.2 | 6.2 | 3.2 |
+//! | softmax head `50x10x64` | 5.7 | 2.6 | 5.6 | 2.7 |
+//! | head weight gradient `10x64x100` | 4.8 | 2.1 | 4.8 | 2.1 |
+//! | head weight gradient `10x64x50` | 2.0 | 1.3 | 1.9 | 1.3 |
 //!
 //! Safe code lost, so it is not the narrow kernel. A safe `6 x 8` tile with
 //! an `alpha == 1` arm ran the im2col product in 505–570 µs. Safe edge adds
@@ -602,15 +629,9 @@ impl Product<'_> {
                 |c, blk, a, b| unsafe { macro_kernel_avx2fma(c, blk, a, b) },
             ),
             #[cfg(target_arch = "x86_64")]
-            Isa::Avx512 if self.b_in_place() => self.accumulate_row_panel(part, c),
-            // SAFETY: as for `Isa::Avx2Fma`.
-            #[cfg(target_arch = "x86_64")]
-            Isa::Avx512 if self.tile == TILE_ZMM_NARROW => self
-                .accumulate_tiled::<{ TILE_ZMM_NARROW.0 }, { TILE_ZMM_NARROW.1 }>(
-                    part,
-                    c,
-                    |c, blk, a, b| unsafe { macro_kernel_avx512_narrow(c, blk, a, b) },
-                ),
+            Isa::Avx512 if self.tile == TILE_ZMM_NARROW || self.b_in_place() => {
+                self.accumulate_in_place(part, c)
+            }
             // SAFETY: as for `Isa::Avx2Fma`.
             #[cfg(target_arch = "x86_64")]
             Isa::Avx512 => self.accumulate_tiled::<{ TILE_ZMM.0 }, { TILE_ZMM.1 }>(
@@ -697,49 +718,74 @@ impl Product<'_> {
         !self.tb && op_shape(&self.a, self.ta).0 <= self.tile.0
     }
 
-    /// [`Product::accumulate`] of a product whose C is one row panel, under
-    /// AVX-512: per k-slab of the part and per `NR` columns, one tile of
-    /// exactly the product's `m` rows reads A and B where they are stored and
-    /// adds into C. No operand is packed.
+    /// [`Product::accumulate`] under AVX-512 of a product at most `NR` wide
+    /// (the narrow tile) or whose B is read in place
+    /// ([`Product::b_in_place`]). Each element of A then meets one B panel
+    /// only, so A is read where it is stored. Per k-slab of the part, B is
+    /// read in place or packed into its one panel, and per `NR` columns one
+    /// run of [`tile_avx512`]s down the part's rows adds into C.
     #[cfg(target_arch = "x86_64")]
-    fn accumulate_row_panel(&self, part: Part, mut c: CPart<'_, '_>) {
-        let kc = self.blk.kc;
+    fn accumulate_in_place(&self, part: Part, mut c: CPart<'_, '_>) {
+        const NARROW: usize = TILE_ZMM_NARROW.1;
+        let (kc, nr) = (self.blk.kc, self.tile.1);
         let (_, k) = op_shape(&self.a, self.ta);
         let (r0, m) = (part.rows.start, part.rows.len());
         let (c0, n) = (part.cols.start, part.cols.len());
         let depth = part.slabs.start * kc..k.min(part.slabs.end * kc);
-        let nr_max = self.tile.1;
-        let (b, ldb) = (self.b.as_slice(), self.b.cols());
+        let b_in_place = self.b_in_place();
+        let (a_buf, mut b_buf) = PACK_BUFFERS.take();
+        // A product that packs B here is at most `NARROW` wide: one panel.
+        let b_len = if b_in_place {
+            0
+        } else {
+            NARROW * kc.min(depth.len())
+        };
+        let b_pack = lend(&mut b_buf, b_len);
         for (s, pc) in depth.clone().step_by(kc).enumerate() {
             let kc = kc.min(depth.end - pc);
-            let mut c = c.slab(s);
+            let b = if b_in_place {
+                let ld = self.b.cols();
+                BRows {
+                    data: &self.b.as_slice()[pc * ld + c0..],
+                    ld,
+                }
+            } else {
+                let b_slab = &mut b_pack[..NARROW * kc];
+                pack_panels::<NARROW>(self.isa, &self.b, self.tb, c0, c0 + n, pc, kc, 1.0, b_slab);
+                BRows {
+                    data: b_slab,
+                    ld: NARROW,
+                }
+            };
             let a = self.a_in_place(r0, pc);
-            for j0 in (0..n).step_by(nr_max) {
+            let mut c = c.slab(s);
+            for j0 in (0..n).step_by(nr) {
                 let b = BRows {
-                    data: &b[pc * ldb + c0 + j0..],
-                    ld: ldb,
+                    data: &b.data[j0..],
+                    ..b
                 };
-                let cols = (j0, nr_max.min(n - j0));
+                let cols = (j0, nr.min(n - j0));
                 // SAFETY: as for `Isa::Avx2Fma` in `accumulate`.
                 unsafe {
-                    if nr_max == TILE_ZMM_NARROW.1 {
-                        row_panel_avx512_narrow(a, b, kc, &mut c, m, cols);
+                    if nr == NARROW {
+                        rows_avx512_narrow(a, b, kc, &mut c, m, cols);
                     } else {
-                        row_panel_avx512(a, b, kc, &mut c, m, cols);
+                        rows_avx512(a, b, kc, &mut c, m, cols);
                     }
                 }
             }
         }
+        PACK_BUFFERS.set((a_buf, b_buf));
     }
 }
 
 thread_local! {
     /// This thread's A and B pack buffers. [`Product::accumulate_tiled`]
-    /// takes them for the length of one call and puts them back, so a
-    /// thread allocates them once, not per product, and they hold at most
-    /// `(mc + nc) * kc` floats at [`BLOCKING`]. A pack writes every element
-    /// it hands to the microkernel, so what a buffer held before is never
-    /// read.
+    /// (and [`Product::accumulate_in_place`], for B) takes them for the
+    /// length of one call and puts them back, so a thread allocates them
+    /// once, not per product, and they hold at most `(mc + nc) * kc` floats
+    /// at [`BLOCKING`]. A pack writes every element it hands to the
+    /// microkernel, so what a buffer held before is never read.
     static PACK_BUFFERS: Cell<(Vec<f32>, Vec<f32>)> = const { Cell::new((Vec::new(), Vec::new())) };
 }
 
@@ -1013,47 +1059,12 @@ fn macro_kernel_avx512(c: &mut CPart<'_, '_>, block: Block, a: ABlock<'_>, b_pac
     macro_kernel_body::<{ TILE_ZMM.0 }, { TILE_ZMM.1 }>(c, block, a, b_pack);
 }
 
-/// `c[block] += A_block * B_slab` at the narrow `6 x 16` tile, under
-/// AVX-512F: one [`tile_avx512`] per panel of B and `MR` rows of the block,
-/// A read in place.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f,avx2,fma")]
-fn macro_kernel_avx512_narrow(c: &mut CPart<'_, '_>, block: Block, a: ABlock<'_>, b_pack: &[f32]) {
-    const MR: usize = TILE_ZMM_NARROW.0;
-    const NR: usize = TILE_ZMM_NARROW.1;
-    // A is packed only under a slab of more than one B panel, which a
-    // product at most `NR` wide never has.
-    let ABlock::InPlace(a) = a else {
-        return macro_kernel_body::<MR, NR>(c, block, a, b_pack);
-    };
-    let Block { ic, mc, jc, nc, kc } = block;
-    for (jp, b_panel) in b_pack.chunks_exact(kc * NR).enumerate() {
-        let j0 = jc + jp * NR;
-        let cols = (j0, NR.min(jc + nc - j0));
-        let b = BRows {
-            data: b_panel,
-            ld: NR,
-        };
-        for i0 in (0..mc).step_by(MR) {
-            let rows = (ic + i0, MR.min(mc - i0));
-            let a = AStrided {
-                data: &a.data[i0 * a.rs..],
-                ..a
-            };
-            if a.alpha == 1.0 {
-                tile_avx512::<MR, 1, true>(a, b, kc, c, rows, cols);
-            } else {
-                tile_avx512::<MR, 1, false>(a, b, kc, c, rows, cols);
-            }
-        }
-    }
-}
-
-/// Defines `fn $name(a, b, kc, c, m, cols)`: one [`tile_avx512`] of `V`
-/// vectors per row and exactly the `m <= MR` rows of a one-row-panel
-/// product, for the `MR` of the tile, the last of `$rows`.
-macro_rules! row_panel_kernel {
-    ($(#[$attr:meta])* fn $name:ident<V = $v:literal>, rows = [$($r:literal),*], $mr:literal) => {
+/// Defines `fn $name(a, b, kc, c, m, cols)`: [`tile_avx512`]s of `V`
+/// vectors per row down the `m` rows of A read in place, `MR` at a time.
+/// A run of `R` rows, `R` one of `$exact`, is one tile of exactly `R` rows;
+/// any other takes the `MR`-row tile, its rows past the edge padding.
+macro_rules! rows_kernel {
+    ($(#[$attr:meta])* fn $name:ident<MR = $mr:literal, V = $v:literal>, exact = [$($r:literal),*]) => {
         $(#[$attr])*
         #[cfg(target_arch = "x86_64")]
         #[target_feature(enable = "avx512f,avx2,fma")]
@@ -1065,26 +1076,35 @@ macro_rules! row_panel_kernel {
             m: usize,
             cols: (usize, usize),
         ) {
-            match (m, a.alpha == 1.0) {
-                $(
-                    ($r, true) => tile_avx512::<$r, $v, true>(a, b, kc, c, (0, $r), cols),
-                    ($r, false) => tile_avx512::<$r, $v, false>(a, b, kc, c, (0, $r), cols),
-                )*
-                (_, true) => tile_avx512::<$mr, $v, true>(a, b, kc, c, (0, m), cols),
-                (_, false) => tile_avx512::<$mr, $v, false>(a, b, kc, c, (0, m), cols),
+            for i0 in (0..m).step_by($mr) {
+                let a = AStrided {
+                    data: &a.data[i0 * a.rs..],
+                    ..a
+                };
+                let rows = (i0, usize::min($mr, m - i0));
+                match (rows.1, a.alpha == 1.0) {
+                    $(
+                        ($r, true) => tile_avx512::<$r, $v, true>(a, b, kc, c, rows, cols),
+                        ($r, false) => tile_avx512::<$r, $v, false>(a, b, kc, c, rows, cols),
+                    )*
+                    (_, true) => tile_avx512::<$mr, $v, true>(a, b, kc, c, rows, cols),
+                    (_, false) => tile_avx512::<$mr, $v, false>(a, b, kc, c, rows, cols),
+                }
             }
         }
     };
 }
 
-row_panel_kernel! {
-    /// [`Product::accumulate_row_panel`]'s tile at `12 x 32`.
-    fn row_panel_avx512<V = 2>, rows = [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11], 12
+rows_kernel! {
+    /// [`Product::accumulate_in_place`]'s tiles at `12 x 32`: the rows of the
+    /// CNN filter gradient (8, or 6 at six channels) and of the 10-class
+    /// heads' weight gradients get a tile of their own.
+    fn rows_avx512<MR = 12, V = 2>, exact = [6, 8, 10]
 }
 
-row_panel_kernel! {
-    /// [`Product::accumulate_row_panel`]'s tile at the narrow `6 x 16`.
-    fn row_panel_avx512_narrow<V = 1>, rows = [1, 2, 3, 4, 5], 6
+rows_kernel! {
+    /// [`Product::accumulate_in_place`]'s tiles at the narrow `6 x 16`.
+    fn rows_avx512_narrow<MR = 6, V = 1>, exact = []
 }
 
 /// One tile of `R` rows by `V` 16-lane vectors under AVX-512F, added into
@@ -1643,11 +1663,13 @@ mod tests {
             [narrow_mr - 1, narrow_mr + 1, 2 * narrow_mr + 1].map(|m| (m, n, KC + 5))
         });
         // C of one row panel at the wide tile, B read in place when it is
-        // stored untransposed: tiles of exactly 1, 7, 8 and 12 rows, their
-        // second vector masked to 1 and 9 lanes or whole, three k-slabs.
-        let row_panel = [1, 7, 8, TILE_ZMM.0]
+        // stored untransposed: the tiles of exactly 6, 8 and 10 rows, and 1,
+        // 7 and 12 on the 12-row tile, their second vector masked to 1 and 9
+        // lanes or whole, three k-slabs; at three panels wide, the forks
+        // split the columns.
+        let row_panel = [1, 6, 7, 8, 10, TILE_ZMM.0]
             .into_iter()
-            .flat_map(|m| [17, 25, TILE_ZMM.1].map(|n| (m, n, 2 * KC + 3)));
+            .flat_map(|m| [17, 25, TILE_ZMM.1, 2 * TILE_ZMM.1 + 5].map(|n| (m, n, 2 * KC + 3)));
         for shape in std::iter::once(wide).chain(narrow).chain(row_panel) {
             for t in TRANSPOSES {
                 for scaling in SCALINGS {
