@@ -164,13 +164,17 @@ pub fn configure_list(list: &str) -> Result<(), String> {
 
 /// A [`micdnn_sim::ChunkSource`] wrapper that applies the armed loader
 /// failpoints around an inner source, keeping the pristine chunk across an
-/// injected fault so retried deliveries are bit-identical.
+/// injected fault so retried deliveries are bit-identical. A chunk's rows
+/// may be lent from storage the caller still holds (a dataset's), so a
+/// failpoint that changes a value writes into a copy of that chunk's rows
+/// alone, never through the shared storage: a later pass, or the
+/// supervisor's replay, reads the pristine rows.
 #[cfg(feature = "failpoints")]
 pub(crate) struct FaultInjectSource<S> {
     inner: S,
     /// Pristine chunk fetched from `inner` but not yet delivered clean
     /// (held across an injected corruption).
-    pending: Option<micdnn_tensor::Mat>,
+    pending: Option<micdnn_sim::SharedRows>,
     chunk_idx: u64,
 }
 
@@ -205,32 +209,39 @@ impl<S: micdnn_sim::ChunkSource> micdnn_sim::ChunkSource for FaultInjectSource<S
                 self.chunk_idx
             )));
         }
-        let mut data = match self.pending.take() {
-            Some(m) => m,
+        let data = match self.pending.take() {
+            Some(rows) => rows,
             None => match self.inner.next_chunk()? {
                 Some(c) => c.data,
                 None => return Ok(None),
             },
         };
+        // A copy of this chunk's rows with element (0, 0) replaced.
+        let with_first = |f: fn(f32) -> f32| {
+            let mut copy = data.view().to_mat();
+            copy.set(0, 0, f(copy.get(0, 0)));
+            copy
+        };
         if fire("loader.crc") {
             // Deliver a bit-flipped copy stamped with the *pristine*
             // checksum; the loader rejects it and the retry re-delivers
             // the kept original.
-            let crc = Chunk::checksum(&data);
-            let mut bad = data.clone();
-            bad.set(0, 0, f32::from_bits(bad.get(0, 0).to_bits() ^ 0x0040_0000));
+            let crc = Chunk::checksum(data.view());
+            let bad = with_first(|v| f32::from_bits(v.to_bits() ^ 0x0040_0000));
             self.pending = Some(data);
             return Ok(Some(Chunk {
-                data: bad,
+                data: bad.into(),
                 crc: Some(crc),
             }));
         }
-        if fire("kernel.nan") {
+        let data = if fire("kernel.nan") {
             // Poison the batch so the supervisor's divergence sentinel
             // trips downstream (the checksum is computed over the poisoned
             // payload, so delivery itself succeeds).
-            data.set(0, 0, f32::NAN);
-        }
+            with_first(|_| f32::NAN).into()
+        } else {
+            data
+        };
         self.chunk_idx += 1;
         Ok(Some(Chunk::with_crc(data)))
     }
@@ -282,14 +293,17 @@ mod tests {
         // First delivery: corrupted payload, pristine checksum.
         let bad = src.next_chunk().unwrap().expect("chunk");
         assert_ne!(
-            micdnn_sim::Chunk::checksum(&bad.data),
+            micdnn_sim::Chunk::checksum(bad.data.view()),
             bad.crc.unwrap(),
             "corruption must be detectable"
         );
         // Re-request (as the loader would): pristine bytes, matching crc.
         let good = src.next_chunk().unwrap().expect("chunk");
-        assert_eq!(micdnn_sim::Chunk::checksum(&good.data), good.crc.unwrap());
-        assert_eq!(good.data.get(0, 0), 0.0);
+        assert_eq!(
+            micdnn_sim::Chunk::checksum(good.data.view()),
+            good.crc.unwrap()
+        );
+        assert_eq!(good.data.view().get(0, 0), 0.0);
         clear_all();
     }
 
@@ -301,7 +315,7 @@ mod tests {
         let mut src = FaultInjectSource::new(VecSource::new(mats(2)));
         assert!(matches!(src.next_chunk(), Err(SourceFault::Transient(_))));
         let c = src.next_chunk().unwrap().expect("chunk");
-        assert_eq!(c.data.get(0, 0), 0.0, "fault consumed a chunk");
+        assert_eq!(c.data.view().get(0, 0), 0.0, "fault consumed a chunk");
         clear_all();
     }
 
@@ -312,11 +326,11 @@ mod tests {
         configure("kernel.nan", "1@1").unwrap();
         let mut src = FaultInjectSource::new(VecSource::new(mats(3)));
         let a = src.next_chunk().unwrap().expect("chunk");
-        assert!(a.data.get(0, 0).is_finite());
+        assert!(a.data.view().get(0, 0).is_finite());
         let b = src.next_chunk().unwrap().expect("chunk");
-        assert!(b.data.get(0, 0).is_nan());
+        assert!(b.data.view().get(0, 0).is_nan());
         let c = src.next_chunk().unwrap().expect("chunk");
-        assert!(c.data.get(0, 0).is_finite());
+        assert!(c.data.view().get(0, 0).is_finite());
         clear_all();
     }
 }

@@ -24,11 +24,12 @@ use crate::rbm::{Rbm, RbmScratch};
 use crate::supervise::{Incident, SuperHooks, SupervisorPolicy, SupervisorPolicyError};
 use micdnn_data::{ChunkGeometry, Dataset};
 use micdnn_sim::{
-    ChunkSource, ChunkStream, DeviceMemory, Link, OutOfDeviceMemory, RetryPolicy, StreamError,
-    StreamOptions, StreamStats,
+    ChunkSource, ChunkStream, DeviceMemory, Link, OutOfDeviceMemory, RetryPolicy, SharedRows,
+    StreamError, StreamOptions, StreamStats,
 };
 use micdnn_tensor::{Mat, MatView};
 use std::io::{self, Write};
+use std::sync::Arc;
 use std::time::Duration;
 
 /// Anything trainable by the chunked mini-batch loop.
@@ -755,16 +756,20 @@ pub fn train_dataset_resume(
 }
 
 /// Algorithm 1's line 3 for an in-memory dataset: a lazy [`ChunkSource`]
-/// that copies chunk `c` of pass `p` out of the dataset's shared storage
-/// when the loading thread asks for it, so the stream holds `buffers`
-/// chunks rather than `passes` datasets, and no second copy of the
-/// dataset. It never faults — the retry contract (a faulting call consumes
-/// nothing) holds trivially; injected faults come from the
-/// `FaultInjectSource` wrapped around it.
+/// that lends chunk `c` of pass `p` as its rows of the dataset's shared
+/// storage when the loading thread asks for it. Handing a chunk out clones
+/// one `Arc`: the host holds no copy of any chunk, only the dataset, and the
+/// copy into a device buffer is the one the stream's `Link` prices. It
+/// never faults — the retry contract (a faulting call consumes nothing)
+/// holds trivially; injected faults come from the `FaultInjectSource`
+/// wrapped around it, which copies a chunk's own rows before it writes.
 fn epoch_source(dataset: &Dataset, geometry: ChunkGeometry, passes: usize) -> impl ChunkSource {
     let data = dataset.shared();
     let mut order = (0..passes).flat_map(move |_| 0..geometry.chunks());
-    move || order.next().map(|c| geometry.chunk(&data, c))
+    move || {
+        let (lo, hi) = geometry.chunk_bounds(order.next()?);
+        Some(SharedRows::new(Arc::clone(&data), lo, hi))
+    }
 }
 
 /// Shared body of [`train_dataset`]/[`train_dataset_resume`]; `layer`
@@ -877,6 +882,31 @@ mod tests {
             prop_assert_eq!(lazy_report.recon_history, ref_report.recon_history);
             prop_assert_eq!(lazy_report.stream, ref_report.stream);
         }
+    }
+
+    #[test]
+    fn epoch_source_lends_rows_of_the_shared_dataset() {
+        // 23 rows in chunks of 5 (the last one 3 rows), three passes: every
+        // chunk's elements are the dataset's own, at the chunk's rows, not a
+        // copy of them.
+        let ds = toy_dataset(23, 4, 5);
+        let geometry = ChunkGeometry::new(ds.len(), 5, 2);
+        let mut source = epoch_source(&ds, geometry, 3);
+        for _pass in 0..3 {
+            for c in 0..geometry.chunks() {
+                let (lo, hi) = geometry.chunk_bounds(c);
+                let chunk = source.next_chunk().unwrap().expect("a chunk per pass");
+                assert_eq!(chunk.data.shape(), (hi - lo, 4));
+                assert!(
+                    std::ptr::eq(
+                        chunk.data.as_slice(),
+                        &ds.matrix().as_slice()[lo * 4..hi * 4]
+                    ),
+                    "chunk {c} does not point into the dataset's storage"
+                );
+            }
+        }
+        assert!(source.next_chunk().unwrap().is_none());
     }
 
     #[test]

@@ -39,7 +39,7 @@ impl ChunkGeometry {
     }
 
     /// Row range `lo..hi` of chunk `c` (`c < self.chunks()`).
-    pub(crate) fn chunk_bounds(&self, c: usize) -> (usize, usize) {
+    pub fn chunk_bounds(&self, c: usize) -> (usize, usize) {
         let lo = c * self.chunk_rows;
         (lo, (lo + self.chunk_rows).min(self.rows))
     }

@@ -1,5 +1,6 @@
 //! Times `gemm` at the products the workloads run: the ten the GEMM tests
-//! pin at the benchmark shapes, the 10-class softmax heads' forward and
+//! pin at the benchmark shapes, the decoder's and the fine-tune layer's
+//! weight gradients, the 10-class softmax heads' forward and
 //! weight-gradient products, and the filter gradient at six channels,
 //! sequential and threaded. It is the sweep behind the tables in `gemm.rs`'s
 //! docs.
@@ -19,10 +20,18 @@ use micdnn_tensor::Mat;
 use std::time::Instant;
 
 /// `(name, m, n, k, ta, tb)`: `C (m x n) = op(A) (m x k) * op(B) (k x n)`.
-const SHAPES: [(&str, usize, usize, usize, bool, bool); 16] = [
+const SHAPES: [(&str, usize, usize, usize, bool, bool); 18] = [
     ("ae_wide forward", 200, 4096, 1024, false, true),
     ("ae_wide backward-data", 200, 1024, 4096, false, false),
     ("ae_wide backward-weight", 4096, 1024, 200, true, false),
+    (
+        "ae_wide backward-weight, decoder",
+        1024,
+        4096,
+        200,
+        true,
+        false,
+    ),
     ("RBM forward", 20, 64, 144, false, true),
     ("RBM statistics", 64, 144, 20, true, false),
     ("RBM prop-down", 20, 144, 64, false, false),
@@ -30,6 +39,7 @@ const SHAPES: [(&str, usize, usize, usize, bool, bool); 16] = [
     ("CNN filter gradient", 8, 25, 28800, true, false),
     ("serving batch", 64, 256, 784, false, true),
     ("fine-tune", 100, 256, 784, false, true),
+    ("fine-tune weight gradient", 256, 784, 100, true, false),
     ("softmax head", 100, 10, 64, false, true),
     ("softmax head", 64, 10, 64, false, true),
     ("softmax head", 50, 10, 64, false, true),

@@ -300,6 +300,36 @@
 //! computed trajectory. There is no zero-skip: `0 * Inf` and `0 * NaN`
 //! reach C as NaN, as in [`crate::naive::gemm_ref`]. `alpha == 0` and zero extents reduce to the
 //! `beta` scaling and read neither A nor B.
+//!
+//! **Written once at `beta == 0`.** There step 1 is not a pass of its own:
+//! the first k-slab of each part stores `0.0 + acc` over C without reading
+//! it, which is step 1 and that slab's step 2 exactly (`+0.0 + acc` is
+//! `acc`, but for `-0.0`, which becomes `+0.0` as it does when added to step
+//! 1's zeros), and the later slabs add as before. The contract is unchanged;
+//! C is written once instead of zero-filled and read back by every tile.
+//! The fill stays where the store cannot take it: under the depth split,
+//! whose slab tiles are added into C after the fork, and when `alpha == 0`
+//! or an extent is zero. Through [`gemm`] (`gemm_shapes`, µs per call,
+//! median of three runs of five rounds alternating with a build that
+//! zero-fills C first, two-vCPU AVX-512 Xeon VM; two threads is
+//! `Par::Rayon`, one is `Par::Seq`):
+//!
+//! | product | fill, 2 threads | write once, 2 threads | fill, 1 | write once, 1 |
+//! |---|---|---|---|---|
+//! | ae_wide forward `200x4096x1024` | 14 540 | 13 278 | 23 375 | 24 564 |
+//! | ae_wide backward-data `200x1024x4096` | 12 819 | 13 644 | 25 938 | 24 489 |
+//! | ae_wide backward-weight `4096x1024x200` | 15 876 | 12 736 | 28 619 | 22 569 |
+//! | the decoder's, `1024x4096x200` | 16 051 | 12 760 | 28 248 | 22 388 |
+//! | RBM statistics `64x144x20` | 9.6 | 7.7 | 9.7 | 8.1 |
+//! | CNN im2col `28800x8x25` | 376 | 285 | 583 | 442 |
+//! | CNN filter gradient `8x25x28800` | 134 | 134 | 243 | 229 |
+//! | fine-tune weight gradient `256x784x100` | 394 | 291 | 583 | 516 |
+//! | softmax head `100x10x64` | 4.5 | 3.7 | 4.6 | 4.1 |
+//!
+//! The products whose `k` is a single slab gain most, the weight gradients
+//! above all: C is then written once, not filled, read back and written.
+//! The filter gradient forks by depth at two threads, so it keeps the fill.
+//! The other products `gemm_shapes` times moved by 0.83–1.06 at two threads.
 
 use crate::isa::{per_isa, Isa, TILE_YMM, TILE_ZMM, TILE_ZMM_NARROW};
 use crate::Par;
@@ -429,26 +459,15 @@ fn gemm_with(
     assert_eq!(k, kb, "gemm: inner dimension mismatch ({k} vs {kb})");
     assert_eq!(c.shape(), (m, n), "gemm: output shape mismatch");
 
-    // Apply beta up front so the accumulation loops are pure +=.
-    scale_c(par, beta, c);
     if m == 0 || n == 0 || k == 0 || alpha == 0.0 {
+        scale_c(par, beta, c);
         return;
     }
 
-    let tile = isa.tile(n);
-    let product = Product {
-        alpha,
-        a,
-        ta,
-        b,
-        tb,
-        blk,
-        isa,
-        tile,
-    };
     // Split the longer side of C: the operand along the other side is the
     // one every worker packs for itself, so it should be the smaller. A C
     // of one tile has no side to split, so it splits its k-slabs.
+    let tile = isa.tile(n);
     let (mr, nr) = tile;
     let slabs = k.div_ceil(blk.kc);
     // A part holds at least one whole tile (or slab) of the side it cuts.
@@ -464,6 +483,26 @@ fn gemm_with(
         rayon::current_num_threads().min(parts)
     } else {
         1
+    };
+    // Step 1 of the contract. At `beta == 0` it is folded into the first
+    // slab of each part, which stores `0.0 + acc` over C without reading it,
+    // except under the depth split: its slab tiles are added into C after
+    // the fork, so C takes its zeros first.
+    let depth_split = workers > 1 && matches!(split, Split::Depth);
+    let store_first = beta == 0.0 && !depth_split;
+    if !store_first {
+        scale_c(par, beta, c);
+    }
+    let product = Product {
+        alpha,
+        a,
+        ta,
+        b,
+        tb,
+        blk,
+        isa,
+        tile,
+        store_first,
     };
     let c_slice = c.as_mut_slice();
     if workers == 1 {
@@ -604,11 +643,15 @@ struct Product<'a> {
     isa: Isa,
     /// `(MR, NR)`, chosen from the product's width by [`Isa::tile`].
     tile: (usize, usize),
+    /// Whether the first k-slab of a part stores `0.0 + acc` over C instead
+    /// of adding into it (`beta == 0`, C not yet zeroed).
+    store_first: bool,
 }
 
 impl Product<'_> {
     /// `c += (alpha * op(A) * op(B))[part]`, sequentially, on the product's
-    /// instantiation at its tile.
+    /// instantiation at its tile (`c = 0.0 + ...` at the part's first slab,
+    /// under [`Product::store_first`]).
     fn accumulate(&self, part: Part, c: CPart<'_, '_>) {
         debug_assert!(self.isa.runs_here());
         match self.isa {
@@ -688,7 +731,15 @@ impl Product<'_> {
                     } else {
                         ABlock::InPlace(self.a_in_place(i0, pc))
                     };
-                    let block = Block { ic, mc, jc, nc, kc };
+                    let store = self.store_first && s == 0;
+                    let block = Block {
+                        ic,
+                        mc,
+                        jc,
+                        nc,
+                        kc,
+                        store,
+                    };
                     kernel(&mut c, block, a_blk, b_slab);
                 }
             }
@@ -759,6 +810,7 @@ impl Product<'_> {
             };
             let a = self.a_in_place(r0, pc);
             let mut c = c.slab(s);
+            let store = self.store_first && s == 0;
             for j0 in (0..n).step_by(nr) {
                 let b = BRows {
                     data: &b.data[j0..],
@@ -768,9 +820,9 @@ impl Product<'_> {
                 // SAFETY: as for `Isa::Avx2Fma` in `accumulate`.
                 unsafe {
                     if nr == NARROW {
-                        rows_avx512_narrow(a, b, kc, &mut c, m, cols);
+                        rows_avx512_narrow(a, b, kc, &mut c, m, cols, store);
                     } else {
-                        rows_avx512(a, b, kc, &mut c, m, cols);
+                        rows_avx512(a, b, kc, &mut c, m, cols, store);
                     }
                 }
             }
@@ -1005,8 +1057,9 @@ fn pack_transposing_avx512<const R: usize>(
 }
 
 /// The block of a worker's part that one macro-kernel call updates —
-/// `c[ic..ic+mc, jc..jc+nc]` — and the depth `kc` of the panels that
-/// update it.
+/// `c[ic..ic+mc, jc..jc+nc]` — the depth `kc` of the panels that update it,
+/// and whether the update stores `0.0 + acc` over the block (`store`, the
+/// first slab at `beta == 0`) or adds `acc` into it.
 #[derive(Clone, Copy)]
 struct Block {
     ic: usize,
@@ -1014,6 +1067,7 @@ struct Block {
     jc: usize,
     nc: usize,
     kc: usize,
+    store: bool,
 }
 
 /// The block of `alpha * op(A)` that one macro-kernel call multiplies.
@@ -1059,7 +1113,7 @@ fn macro_kernel_avx512(c: &mut CPart<'_, '_>, block: Block, a: ABlock<'_>, b_pac
     macro_kernel_body::<{ TILE_ZMM.0 }, { TILE_ZMM.1 }>(c, block, a, b_pack);
 }
 
-/// Defines `fn $name(a, b, kc, c, m, cols)`: [`tile_avx512`]s of `V`
+/// Defines `fn $name(a, b, kc, c, m, cols, store)`: [`tile_avx512`]s of `V`
 /// vectors per row down the `m` rows of A read in place, `MR` at a time.
 /// A run of `R` rows, `R` one of `$exact`, is one tile of exactly `R` rows;
 /// any other takes the `MR`-row tile, its rows past the edge padding.
@@ -1075,6 +1129,7 @@ macro_rules! rows_kernel {
             c: &mut CPart<'_, '_>,
             m: usize,
             cols: (usize, usize),
+            store: bool,
         ) {
             for i0 in (0..m).step_by($mr) {
                 let a = AStrided {
@@ -1084,11 +1139,11 @@ macro_rules! rows_kernel {
                 let rows = (i0, usize::min($mr, m - i0));
                 match (rows.1, a.alpha == 1.0) {
                     $(
-                        ($r, true) => tile_avx512::<$r, $v, true>(a, b, kc, c, rows, cols),
-                        ($r, false) => tile_avx512::<$r, $v, false>(a, b, kc, c, rows, cols),
+                        ($r, true) => tile_avx512::<$r, $v, true>(a, b, kc, c, rows, cols, store),
+                        ($r, false) => tile_avx512::<$r, $v, false>(a, b, kc, c, rows, cols, store),
                     )*
-                    (_, true) => tile_avx512::<$mr, $v, true>(a, b, kc, c, rows, cols),
-                    (_, false) => tile_avx512::<$mr, $v, false>(a, b, kc, c, rows, cols),
+                    (_, true) => tile_avx512::<$mr, $v, true>(a, b, kc, c, rows, cols, store),
+                    (_, false) => tile_avx512::<$mr, $v, false>(a, b, kc, c, rows, cols, store),
                 }
             }
         }
@@ -1113,7 +1168,8 @@ rows_kernel! {
 /// run it. Row `i` of the tile starts at zero and takes `fma(alpha *
 /// a.data[i * a.rs + p * a.cs], b.data[p * b.ld + j], acc)` for `p`
 /// ascending; rows past `mr` re-read row `mr - 1` (padding, never stored),
-/// and lanes past `nr` load `+0.0`. Then C adds the tile once.
+/// and lanes past `nr` load `+0.0`. Then C adds the tile once, or, with
+/// `store`, takes `0.0 + acc` without being read.
 ///
 /// With `ONE` (`alpha == 1`) each FMA broadcasts its element of A straight
 /// from memory, since `1 * x == x`; otherwise a multiply by `alpha`, the
@@ -1131,9 +1187,11 @@ fn tile_avx512<const R: usize, const V: usize, const ONE: bool>(
     c: &mut CPart<'_, '_>,
     (r0, mr): (usize, usize),
     (j0, nr): (usize, usize),
+    store: bool,
 ) {
     use std::arch::x86_64::{
-        _mm512_fmadd_ps, _mm512_maskz_loadu_ps, _mm512_mul_ps, _mm512_set1_ps, _mm512_setzero_ps,
+        _mm512_add_ps, _mm512_fmadd_ps, _mm512_maskz_loadu_ps, _mm512_mul_ps, _mm512_set1_ps,
+        _mm512_setzero_ps,
     };
     let a_tile = &a.data[..(mr - 1) * a.rs + (kc - 1) * a.cs + 1];
     let b_tile = &b.data[..(kc - 1) * b.ld + nr];
@@ -1164,6 +1222,13 @@ fn tile_avx512<const R: usize, const V: usize, const ONE: bool>(
         }
     }
     for (i, acc_row) in acc.iter_mut().enumerate().take(mr) {
+        if store {
+            // `+0.0 + -0.0` is `+0.0`, as after step 1's zeros.
+            for acc in acc_row.iter_mut() {
+                *acc = _mm512_add_ps(_mm512_setzero_ps(), *acc);
+            }
+            continue;
+        }
         let row = &c.row(r0 + i)[j0..j0 + nr];
         for (seg, acc) in row.chunks(16).zip(acc_row) {
             *acc = add_lanes(seg, *acc);
@@ -1235,7 +1300,14 @@ fn macro_kernel_body<const MR: usize, const NR: usize>(
     a: ABlock<'_>,
     b_pack: &[f32],
 ) {
-    let Block { ic, mc, jc, nc, kc } = block;
+    let Block {
+        ic,
+        mc,
+        jc,
+        nc,
+        kc,
+        store,
+    } = block;
     // B panel outermost: it stays in L1 while the A panels stream past.
     for (jp, b_panel) in b_pack.chunks_exact(kc * NR).enumerate() {
         let j0 = jc + jp * NR;
@@ -1244,8 +1316,15 @@ fn macro_kernel_body<const MR: usize, const NR: usize>(
         let mut add = |i0: usize, mr: usize, acc: [[f32; NR]; MR]| {
             for (i, acc_row) in acc.iter().enumerate().take(mr) {
                 let c_row = &mut c.row(ic + i0 + i)[j0..j0 + nr];
-                for (cv, &av) in c_row.iter_mut().zip(acc_row) {
-                    *cv += av;
+                if store {
+                    // `+0.0 + -0.0` is `+0.0`, as after step 1's zeros.
+                    for (cv, &av) in c_row.iter_mut().zip(acc_row) {
+                        *cv = 0.0 + av;
+                    }
+                } else {
+                    for (cv, &av) in c_row.iter_mut().zip(acc_row) {
+                        *cv += av;
+                    }
                 }
             }
         };
@@ -1713,6 +1792,91 @@ mod tests {
                                 "{isa:?} {m}x{n}x{k} ta={ta} tb={tb} alpha={alpha}: \
                                  a result is not +0.0"
                             );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn beta_zero_writes_c_once_on_every_path() {
+        // At `beta = 0` the first slab of a part stores `0.0 + acc` over C
+        // without reading it; under the depth split C is zeroed first. So
+        // whatever C held (NaN, -0.0, garbage), every path gives the bits of
+        // `beta = 1` over a C of +0.0 on the portable instantiation, where
+        // step 1 is done by hand. Row 0 of op(A) and column 0 of op(B) are
+        // tiny, so C[0, 0]'s accumulators underflow to -0.0, which must reach
+        // C as +0.0. k spans one, two and three slabs.
+        let mut rng = StdRng::seed_from_u64(43);
+        for isa in instantiations("beta_zero_writes_c_once_on_every_path") {
+            let (mr, nr) = isa.tile(usize::MAX);
+            let narrow_mr = TILE_ZMM_NARROW.0;
+            for (m, n) in [
+                // tiled, with edges; forked by rows
+                (3 * mr + 1, nr + 3),
+                // forked by columns
+                (mr + 1, 2 * nr + 3),
+                // the narrow tile, A in place; forked by rows
+                (2 * narrow_mr + 1, 8),
+                // one row panel, B in place when untransposed; forked by
+                // columns
+                (8, 25),
+                // one tile: forked, its slabs split
+                (isa.tile(7).0, 7),
+            ] {
+                for k in [KC - 3, KC + 5, 2 * KC + 3] {
+                    for (ta, tb) in TRANSPOSES {
+                        let mut a = random_op(m, k, ta, &mut rng);
+                        let mut b = random_op(k, n, tb, &mut rng);
+                        // op(A)[0, p] and op(B)[p, 0] as stored.
+                        for p in 0..k {
+                            a.as_mut_slice()[if ta { p * m } else { p }] = -1e-30;
+                            b.as_mut_slice()[if tb { p } else { p * n }] = 1e-30;
+                        }
+                        for alpha in [1.0, 0.7] {
+                            let zeros = Mat::zeros(m, n);
+                            let want = product_on(
+                                Isa::Portable,
+                                Par::Seq,
+                                alpha,
+                                (&a, ta),
+                                (&b, tb),
+                                1.0,
+                                &zeros,
+                            );
+                            assert_eq!(want.get(0, 0).to_bits(), 0, "C[0, 0] is not +0.0");
+                            for fill in [f32::NAN, -0.0, 7.5] {
+                                let mut c0 = random_mat(m, n, &mut rng);
+                                c0.as_mut_slice()[..m * n / 2].fill(fill);
+                                for (run, c) in [
+                                    (
+                                        "seq",
+                                        product_on(
+                                            isa,
+                                            Par::Seq,
+                                            alpha,
+                                            (&a, ta),
+                                            (&b, tb),
+                                            0.0,
+                                            &c0,
+                                        ),
+                                    ),
+                                    (
+                                        "forked",
+                                        forked_on(isa, alpha, (&a, ta), (&b, tb), 0.0, &c0),
+                                    ),
+                                ] {
+                                    assert!(
+                                        c.as_slice()
+                                            .iter()
+                                            .map(|x| x.to_bits())
+                                            .eq(want.as_slice().iter().map(|x| x.to_bits())),
+                                        "{isa:?} {run} {m}x{n}x{k} ta={ta} tb={tb} \
+                                         alpha={alpha} over {fill}: C was read"
+                                    );
+                                }
+                            }
                         }
                     }
                 }

@@ -51,7 +51,7 @@ pub use memory::{DeviceAlloc, DeviceMemory, OutOfDeviceMemory};
 pub use multidev::{DeviceSet, SyncModel};
 pub use overlap::{Admitted, OverlapClock};
 pub use stream::{
-    Chunk, ChunkSource, ChunkStream, RetryEvent, RetryPolicy, SourceFault, StreamError,
+    Chunk, ChunkSource, ChunkStream, RetryEvent, RetryPolicy, SharedRows, SourceFault, StreamError,
     StreamOptions, StreamStats, VecSource,
 };
 pub use trace::{Event, EventKind, Trace};

@@ -9,12 +9,19 @@
 //!
 //! This module does both things at once:
 //!
-//! * **really** runs a producer thread that materializes chunks and hands
-//!   them over a bounded channel (so host-side generation genuinely
-//!   overlaps training wall-clock), and
+//! * **really** runs a producer thread that fetches chunks and hands them
+//!   over a bounded channel (so host-side generation genuinely overlaps
+//!   training wall-clock), and
 //! * **models** the device-side timing: each chunk's simulated transfer
 //!   starts as soon as a buffer slot frees, and the trainer only stalls for
 //!   whatever part of the transfer compute did not cover.
+//!
+//! A chunk is [`SharedRows`]: a row range of a matrix behind an `Arc`. For
+//! in-memory data the loading thread lends rows of the dataset's own
+//! storage, so the host holds no copy of a chunk; the copy into a device
+//! buffer is the one [`Link`] prices, by the bytes of the rows lent. A
+//! source that builds its chunks (a generator, a file reader) moves each
+//! one in whole.
 //!
 //! The loader is *fallible*: a [`ChunkSource`] can return a [`SourceFault`]
 //! (or panic), and the loading thread retries transient faults with
@@ -30,19 +37,92 @@ use crate::link::Link;
 use crate::overlap::OverlapClock;
 use crate::trace::{EventKind, Trace};
 use crossbeam::channel::{bounded, Receiver, RecvTimeoutError};
-use micdnn_tensor::Mat;
+use micdnn_tensor::{Mat, MatView};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
+/// Rows `lo..hi` of a matrix held behind an [`Arc`]: the payload of a
+/// [`Chunk`]. A chunk cut from an in-memory dataset lends that range of the
+/// dataset's shared storage, so handing it out costs one reference count; a
+/// chunk a source builds for itself moves its matrix in whole, uncopied.
+/// The rows are read-only: a holder that must change them copies its own
+/// range first ([`SharedRows::view`] then [`MatView::to_mat`]).
+#[derive(Debug, Clone)]
+pub struct SharedRows {
+    data: Arc<Mat>,
+    lo: usize,
+    hi: usize,
+}
+
+impl SharedRows {
+    /// Rows `lo..hi` of `data`; panics unless `lo <= hi <= data.rows()`.
+    pub fn new(data: Arc<Mat>, lo: usize, hi: usize) -> Self {
+        assert!(
+            lo <= hi && hi <= data.rows(),
+            "rows {lo}..{hi} of a {}-row matrix",
+            data.rows()
+        );
+        SharedRows { data, lo, hi }
+    }
+
+    /// Number of rows.
+    pub fn rows(&self) -> usize {
+        self.hi - self.lo
+    }
+
+    /// Number of columns.
+    pub fn cols(&self) -> usize {
+        self.data.cols()
+    }
+
+    /// `(rows, cols)`.
+    pub fn shape(&self) -> (usize, usize) {
+        (self.rows(), self.cols())
+    }
+
+    /// Number of elements.
+    pub fn len(&self) -> usize {
+        self.rows() * self.cols()
+    }
+
+    /// `true` when there are no elements.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The rows as a matrix view.
+    pub fn view(&self) -> MatView<'_> {
+        self.data.rows_range(self.lo, self.hi)
+    }
+
+    /// The rows' elements, row-major.
+    pub fn as_slice(&self) -> &[f32] {
+        self.view().as_slice()
+    }
+
+    /// Rows `lo..hi` of these rows (one mini-batch).
+    pub fn rows_range(&self, lo: usize, hi: usize) -> MatView<'_> {
+        self.view().rows_range(lo, hi)
+    }
+}
+
+impl From<Mat> for SharedRows {
+    /// All rows of `data`, moved behind an [`Arc`] without a copy.
+    fn from(data: Mat) -> Self {
+        let hi = data.rows();
+        SharedRows::new(Arc::new(data), 0, hi)
+    }
+}
+
 /// One unit of work handed from a [`ChunkSource`] to the loader, optionally
 /// carrying a checksum the loader verifies before delivery.
 #[derive(Debug, Clone)]
 pub struct Chunk {
     /// The example rows.
-    pub data: Mat,
+    pub data: SharedRows,
     /// Optional FNV-1a checksum of `data` (see [`Chunk::checksum`]);
     /// verified by the loading thread when present.
     pub crc: Option<u32>,
@@ -50,13 +130,17 @@ pub struct Chunk {
 
 impl Chunk {
     /// A chunk without integrity metadata.
-    pub fn new(data: Mat) -> Self {
-        Chunk { data, crc: None }
+    pub fn new(data: impl Into<SharedRows>) -> Self {
+        Chunk {
+            data: data.into(),
+            crc: None,
+        }
     }
 
     /// A chunk stamped with its own checksum.
-    pub fn with_crc(data: Mat) -> Self {
-        let crc = Chunk::checksum(&data);
+    pub fn with_crc(data: impl Into<SharedRows>) -> Self {
+        let data = data.into();
+        let crc = Chunk::checksum(data.view());
         Chunk {
             data,
             crc: Some(crc),
@@ -65,7 +149,7 @@ impl Chunk {
 
     /// FNV-1a over the shape and the little-endian bit patterns of the
     /// payload (bit-exact: distinguishes `-0.0` from `0.0` and every NaN).
-    pub fn checksum(data: &Mat) -> u32 {
+    pub fn checksum(data: MatView<'_>) -> u32 {
         let mut h: u32 = 0x811C_9DC5;
         let mut eat = |b: u8| {
             h ^= u32::from(b);
@@ -78,12 +162,6 @@ impl Chunk {
             v.to_bits().to_le_bytes().into_iter().for_each(&mut eat);
         }
         h
-    }
-}
-
-impl From<Mat> for Chunk {
-    fn from(data: Mat) -> Self {
-        Chunk::new(data)
     }
 }
 
@@ -190,9 +268,12 @@ impl ChunkSource for VecSource {
     }
 }
 
-impl<F> ChunkSource for F
+/// A closure yielding matrices ([`Mat`]) or row ranges ([`SharedRows`]) is
+/// a source that never faults.
+impl<F, T> ChunkSource for F
 where
-    F: FnMut() -> Option<Mat> + Send + 'static,
+    F: FnMut() -> Option<T> + Send + 'static,
+    T: Into<SharedRows>,
 {
     fn next_chunk(&mut self) -> Result<Option<Chunk>, SourceFault> {
         Ok(self().map(Chunk::new))
@@ -423,9 +504,9 @@ impl ChunkStream {
                         let fault = match result {
                             Ok(Ok(Some(chunk))) => {
                                 let bad = verify_checksums
-                                    && chunk
-                                        .crc
-                                        .is_some_and(|crc| Chunk::checksum(&chunk.data) != crc);
+                                    && chunk.crc.is_some_and(|crc| {
+                                        Chunk::checksum(chunk.data.view()) != crc
+                                    });
                                 if !bad {
                                     break chunk;
                                 }
@@ -481,7 +562,7 @@ impl ChunkStream {
     /// part of its transfer was not hidden behind compute. `Ok(None)` is a
     /// clean end of stream; every failure mode is a typed [`StreamError`].
     #[allow(clippy::should_implement_trait)] // blocks on a channel; not a pure iterator
-    pub fn next(&mut self) -> Result<Option<Mat>, StreamError> {
+    pub fn next(&mut self) -> Result<Option<SharedRows>, StreamError> {
         if self.ended {
             return Ok(None);
         }
@@ -642,7 +723,7 @@ mod tests {
         .unwrap();
         for i in 0..5 {
             let c = s.next().unwrap().expect("chunk");
-            assert_eq!(c.get(0, 0), i as f32);
+            assert_eq!(c.view().get(0, 0), i as f32);
         }
         assert!(s.next().unwrap().is_none());
         assert_eq!(s.stats().chunks, 5);
@@ -852,7 +933,7 @@ mod tests {
         .unwrap();
         for i in 0..4 {
             let c = s.next().unwrap().expect("chunk");
-            assert_eq!(c.get(0, 0), i as f32, "chunk {i} out of order");
+            assert_eq!(c.view().get(0, 0), i as f32, "chunk {i} out of order");
         }
         assert!(s.next().unwrap().is_none());
         let st = s.stats();
@@ -886,7 +967,7 @@ mod tests {
         .unwrap();
         for i in 0..3 {
             let c = s.next().unwrap().expect("chunk");
-            assert_eq!(c.get(0, 0), i as f32);
+            assert_eq!(c.view().get(0, 0), i as f32);
         }
         assert!(s.next().unwrap().is_none());
         let st = s.stats();
@@ -977,12 +1058,12 @@ mod tests {
                 };
                 if self.next == 1 && !self.corrupted {
                     self.corrupted = true;
-                    let crc = Chunk::checksum(&data);
+                    let crc = Chunk::checksum(data.view());
                     let mut bad = data;
                     let flipped = bad.get(0, 0) + 64.0;
                     bad.set(0, 0, flipped);
                     return Ok(Some(Chunk {
-                        data: bad,
+                        data: bad.into(),
                         crc: Some(crc),
                     }));
                 }
@@ -1008,7 +1089,11 @@ mod tests {
         .unwrap();
         for i in 0..3 {
             let c = s.next().unwrap().expect("chunk");
-            assert_eq!(c.get(0, 0), i as f32, "chunk {i} corrupted or reordered");
+            assert_eq!(
+                c.view().get(0, 0),
+                i as f32,
+                "chunk {i} corrupted or reordered"
+            );
         }
         assert!(s.next().unwrap().is_none());
         let st = s.stats();
@@ -1079,11 +1164,11 @@ mod tests {
     fn checksum_is_bit_exact() {
         let a = Mat::full(3, 3, 1.25);
         let mut b = a.clone();
-        assert_eq!(Chunk::checksum(&a), Chunk::checksum(&b));
+        assert_eq!(Chunk::checksum(a.view()), Chunk::checksum(b.view()));
         b.set(2, 2, 1.2500001);
-        assert_ne!(Chunk::checksum(&a), Chunk::checksum(&b));
+        assert_ne!(Chunk::checksum(a.view()), Chunk::checksum(b.view()));
         // Shape participates: same payload, different dims.
         let c = Mat::full(1, 9, 1.25);
-        assert_ne!(Chunk::checksum(&a), Chunk::checksum(&c));
+        assert_ne!(Chunk::checksum(a.view()), Chunk::checksum(c.view()));
     }
 }

@@ -84,7 +84,7 @@ proptest! {
         ).unwrap();
         let mut i = 0;
         while let Some(c) = stream.next().unwrap() {
-            prop_assert_eq!(c.get(0, 0), i as f32, "chunk order broken");
+            prop_assert_eq!(c.view().get(0, 0), i as f32, "chunk order broken");
             clock.advance(compute_scale * link.transfer_time(48));
             i += 1;
         }
@@ -126,7 +126,7 @@ proptest! {
         let mut seen = 0usize;
         while let Some(c) = stream.next().unwrap() {
             prop_assert_eq!((c.rows(), c.cols()), (rows, cols), "chunk shape changed in flight");
-            prop_assert_eq!(c.get(0, 0), seen as f32, "chunks delivered out of order");
+            prop_assert_eq!(c.view().get(0, 0), seen as f32, "chunks delivered out of order");
             clock.advance(compute_secs);
             seen += 1;
         }
