@@ -595,6 +595,35 @@ pub(crate) mod tests {
         prepared_step_matches_a_fresh_graph::<CnnNet>();
     }
 
+    fn cross_entropy_matches_the_steps_loss<N: TestNet>() {
+        // A capacity that grows, then a ragged tail, under both schedules:
+        // the inference forward must read the loss the training step's own
+        // forward read, to the bit.
+        let ds = digits(27, 97);
+        let labels = LabeledModel::<N>::row_labels(27, 10);
+        let ctx = ctx();
+        for wave in [false, true] {
+            let mut net = N::fresh(98);
+            net.step_cache_mut().use_graph = wave;
+            for (lo, hi) in [(0, 16), (16, 27), (0, 10), (10, 27)] {
+                let (x, l) = (ds.batch(lo, hi), &labels[lo..hi]);
+                let before = net.cross_entropy(&ctx, x, l);
+                let loss = net.train_batch(&ctx, x, l, 0.3);
+                assert_eq!(
+                    before.to_bits(),
+                    loss.to_bits(),
+                    "rows {lo}..{hi}, wave {wave}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn cross_entropy_equals_the_train_batch_loss_bitwise() {
+        cross_entropy_matches_the_steps_loss::<FineTuneNet>();
+        cross_entropy_matches_the_steps_loss::<CnnNet>();
+    }
+
     /// Run per alias, like [`cursor_labels_follow_dataset_order`].
     pub(crate) fn trains_through_train_dataset<N: TestNet>() {
         let ds = digits(60, 8);
