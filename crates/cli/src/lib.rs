@@ -1284,8 +1284,8 @@ fn cmd_serve(args: &Args, seed: u64) -> Result<String, String> {
 fn cmd_verify(args: &Args) -> Result<String, String> {
     use micdnn::cd_graph::{build_cd_graph, build_pcd_graph};
     use micdnn::{
-        build_ae_graph, build_cnn_graph, build_forward_graph, build_step_graph, AeUpdate,
-        CertifyBundle, StackedAutoencoder,
+        build_ae_graph, build_cnn_graph, build_step_graph, AeUpdate, CertifyBundle, LabeledNet,
+        StackedAutoencoder,
     };
 
     let devices: usize = args.num("devices", 1usize)?;
@@ -1313,7 +1313,7 @@ fn cmd_verify(args: &Args) -> Result<String, String> {
     docs.push(g.certify(budget).to_doc("finetune-784-512-256-c10-cap200"));
     let g = build_cnn_graph(CnnConfig::digits(12), 64);
     docs.push(g.certify(budget).to_doc("cnn-digits12-cap64"));
-    let (g, _) = build_forward_graph(784, &[512, 256], 10, 200);
+    let g = FineTuneNet::random(&[784, 512, 256], 10, 1).forward_graph(200);
     docs.push(
         g.certify(budget)
             .to_doc("serve-forward-784-512-256-c10-cap200"),

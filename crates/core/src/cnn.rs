@@ -24,16 +24,14 @@ use crate::finetune::SoftmaxLayer;
 use crate::graph::{BufClass, TaskGraph};
 use crate::labeled::{inherent_net_api, LabeledModel, LabeledNet, StepCache, StepState};
 use crate::layers::{
-    Above, Conv2d, ConvParams, Decl, Dense, DenseParams, Emit, Layer, MaxPool2d, Part, SoftmaxXent,
-    StackBuilder,
+    Conv2d, Decl, Dense, Emit, MaxPool2d, NetParams, ParamKey, Part, SoftmaxXent, StackBuilder,
 };
-use micdnn_kernels::{conv, OpCost};
 use micdnn_tensor::{GlorotSigmoid, Initializer, Mat, MatView};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::io::{self, Write};
 
-/// Registry slots for the four layers of [`build_cnn_graph`].
+/// Registry slots for the four layers of [`recipe`].
 const CONV: usize = 0;
 const POOL: usize = 1;
 const DENSE: usize = 2;
@@ -229,71 +227,8 @@ impl LabeledNet for CnnNet {
         self.cfg.param_count()
     }
 
-    fn step_graph<'a>(&self, cap: usize) -> TaskGraph<'static, CnnState<'a>> {
-        build_cnn_graph(self.cfg, cap)
-    }
-
-    /// Forward pass returning class probabilities (`b x n_classes`).
-    fn predict_proba(&self, ctx: &ExecCtx, x: MatView<'_>) -> Mat {
-        let cfg = self.cfg;
-        assert_eq!(x.cols(), cfg.input_dim(), "input dimensionality");
-        let b = x.rows();
-        let (oh, c) = (cfg.conv_side(), cfg.channels);
-        let (pix, kk) = (oh * oh, cfg.kernel * cfg.kernel);
-        let mut col = Mat::zeros(b * pix, kk);
-        conv::im2col(
-            ctx.backend().par(),
-            x.as_slice(),
-            b,
-            cfg.side,
-            cfg.kernel,
-            col.as_mut_slice(),
-        );
-        ctx.charge_cost(OpCost::memcpy(b * pix * kk));
-        let mut act = Mat::zeros(b * pix, c);
-        {
-            let mut v = act.view_mut();
-            ctx.gemm(
-                1.0,
-                col.view(),
-                false,
-                self.conv_w.view(),
-                true,
-                0.0,
-                &mut v,
-            );
-            ctx.bias_sigmoid_rows(&self.conv_b, &mut v);
-        }
-        let out = cfg.pooled_dim();
-        let mut pooled = Mat::zeros(b, out);
-        let mut idx = vec![0.0f32; b * out];
-        conv::maxpool2d_forward(
-            ctx.backend().par(),
-            act.as_slice(),
-            b,
-            oh,
-            c,
-            cfg.pool,
-            pooled.as_mut_slice(),
-            &mut idx,
-        );
-        let win = (cfg.pool * cfg.pool) as u32;
-        ctx.charge_cost(OpCost::elementwise(b * out, win, win));
-        let mut hid = Mat::zeros(b, cfg.hidden);
-        {
-            let mut v = hid.view_mut();
-            ctx.gemm(
-                1.0,
-                pooled.view(),
-                false,
-                self.dense_w.view(),
-                true,
-                0.0,
-                &mut v,
-            );
-            ctx.bias_sigmoid_rows(&self.dense_b, &mut v);
-        }
-        self.softmax.forward(ctx, hid.view())
+    fn recipe<'a>(&self, sb: &mut StackBuilder<CnnState<'a>>, cap: usize) {
+        recipe(sb, self.cfg, cap);
     }
 
     fn save(&self, w: &mut dyn Write) -> io::Result<()> {
@@ -319,31 +254,48 @@ impl LabeledNet for CnnNet {
     }
 }
 
-impl DenseParams for CnnNet {
-    fn dense(&mut self, idx: usize) -> (&mut Mat, &mut Vec<f32>) {
-        assert_eq!(idx, 0, "the CNN has one dense layer");
-        (&mut self.dense_w, &mut self.dense_b)
+impl NetParams for CnnNet {
+    fn tensors(&self, key: ParamKey) -> (&Mat, &[f32]) {
+        match key {
+            ParamKey::Conv(0) => (&self.conv_w, &self.conv_b),
+            ParamKey::Dense(0) => (&self.dense_w, &self.dense_b),
+            ParamKey::Head => (&self.softmax.w, &self.softmax.b),
+            _ => panic!("the CNN has one conv and one dense layer, not {key:?}"),
+        }
     }
-    fn softmax(&mut self) -> &mut SoftmaxLayer {
-        &mut self.softmax
+    fn tensors_mut(&mut self, key: ParamKey) -> (&mut Mat, &mut Vec<f32>) {
+        match key {
+            ParamKey::Conv(0) => (&mut self.conv_w, &mut self.conv_b),
+            ParamKey::Dense(0) => (&mut self.dense_w, &mut self.dense_b),
+            ParamKey::Head => (&mut self.softmax.w, &mut self.softmax.b),
+            _ => panic!("the CNN has one conv and one dense layer, not {key:?}"),
+        }
+    }
+    fn head(&self) -> &SoftmaxLayer {
+        &self.softmax
     }
     fn weight_decay(&self) -> f32 {
         self.weight_decay
     }
 }
 
-impl ConvParams for CnnNet {
-    fn conv(&mut self, idx: usize) -> (&mut Mat, &mut Vec<f32>) {
-        assert_eq!(idx, 0, "the CNN has one conv layer");
-        (&mut self.conv_w, &mut self.conv_b)
-    }
+/// Builds the CNN training-step dataflow for batches up to `cap` rows: the
+/// net's recipe on a step builder, as [`LabeledNet::step_graph`] builds
+/// it.
+///
+/// Public so integration tests can run the CNN step shape through
+/// [`TaskGraph::verify`]; training uses it via [`CnnNet::train_batch`].
+pub fn build_cnn_graph<'a>(cfg: CnnConfig, cap: usize) -> TaskGraph<'static, CnnState<'a>> {
+    let mut sb = StackBuilder::new();
+    recipe(&mut sb, cfg, cap);
+    sb.finish()
 }
 
-/// Builds the CNN training-step dataflow as a [`StackBuilder`] recipe:
-/// conv (im2col + GEMM + bias/sigmoid), max pooling, dense, softmax +
-/// cross-entropy, full backprop (pool delta routed through the dense
-/// weights, scattered to the conv layer via the argmax indices), gradients
-/// and SGD updates.
+/// The CNN as a [`StackBuilder`] recipe: conv (im2col + GEMM +
+/// bias/sigmoid), max pooling, dense, softmax + cross-entropy, full
+/// backprop (pool delta routed through the dense weights, scattered to the
+/// conv layer via the argmax indices), gradients and SGD updates — or, on
+/// a forward-only builder, the forward chain into the probabilities.
 ///
 /// Declarations go input → parameters (bottom-up) → activations
 /// (bottom-up) → deltas (top-down, their consumption order, so the planner
@@ -351,11 +303,7 @@ impl ConvParams for CnnNet {
 /// grads, backprop top-down, remaining grads, updates. Buffers are
 /// declared against `cap` rows so one planned workspace serves every batch
 /// up to that size.
-///
-/// Public so integration tests can run the CNN step shape through
-/// [`TaskGraph::verify`]; training uses it via [`CnnNet::train_batch`].
-pub fn build_cnn_graph<'a>(cfg: CnnConfig, cap: usize) -> TaskGraph<'static, CnnState<'a>> {
-    let mut sb: StackBuilder<CnnState<'a>> = StackBuilder::new();
+fn recipe(sb: &mut StackBuilder<CnnState<'_>>, cfg: CnnConfig, cap: usize) {
     let conv = Conv2d {
         slot: CONV,
         idx: 0,
@@ -368,7 +316,7 @@ pub fn build_cnn_graph<'a>(cfg: CnnConfig, cap: usize) -> TaskGraph<'static, Cnn
         slot: POOL,
         below: CONV,
         above_slot: DENSE,
-        above: Above::Dense(0),
+        above: ParamKey::Dense(0),
         in_side: conv.out_side(),
         channels: cfg.channels,
         pool: cfg.pool,
@@ -379,7 +327,7 @@ pub fn build_cnn_graph<'a>(cfg: CnnConfig, cap: usize) -> TaskGraph<'static, Cnn
         idx: 0,
         below: Some(POOL),
         above_slot: HEAD,
-        above: Above::Head,
+        above: ParamKey::Head,
         in_dim: cfg.pooled_dim(),
         out_dim: cfg.hidden,
         cap,
@@ -393,44 +341,44 @@ pub fn build_cnn_graph<'a>(cfg: CnnConfig, cap: usize) -> TaskGraph<'static, Cnn
     };
 
     sb.bind_global_dims("x", "x", &[cap, cfg.input_dim()], BufClass::External);
-    conv.declare(&mut sb, Decl::Params);
-    dense.declare(&mut sb, Decl::Params);
-    head.declare(&mut sb, Decl::Params);
-    conv.declare(&mut sb, Decl::Acts);
-    pool.declare(&mut sb, Decl::Acts);
-    dense.declare(&mut sb, Decl::Acts);
-    head.declare(&mut sb, Decl::Deltas);
-    dense.declare(&mut sb, Decl::Deltas);
-    pool.declare(&mut sb, Decl::Deltas);
-    conv.declare(&mut sb, Decl::Deltas);
-    head.declare(&mut sb, Decl::Grads(Part::Weights));
-    head.declare(&mut sb, Decl::Grads(Part::Biases));
-    dense.declare(&mut sb, Decl::Grads(Part::Weights));
-    dense.declare(&mut sb, Decl::Grads(Part::Biases));
-    conv.declare(&mut sb, Decl::Grads(Part::Weights));
-    conv.declare(&mut sb, Decl::Grads(Part::Biases));
+    sb.declare(&conv, Decl::Params);
+    sb.declare(&dense, Decl::Params);
+    sb.declare(&head, Decl::Params);
+    sb.declare(&conv, Decl::Acts);
+    sb.declare(&pool, Decl::Acts);
+    sb.declare(&dense, Decl::Acts);
+    sb.declare(&head, Decl::Acts);
+    sb.declare(&head, Decl::Deltas);
+    sb.declare(&dense, Decl::Deltas);
+    sb.declare(&pool, Decl::Deltas);
+    sb.declare(&conv, Decl::Deltas);
+    sb.declare(&head, Decl::Grads(Part::Weights));
+    sb.declare(&head, Decl::Grads(Part::Biases));
+    sb.declare(&dense, Decl::Grads(Part::Weights));
+    sb.declare(&dense, Decl::Grads(Part::Biases));
+    sb.declare(&conv, Decl::Grads(Part::Weights));
+    sb.declare(&conv, Decl::Grads(Part::Biases));
 
-    conv.emit(&mut sb, Emit::Forward);
-    pool.emit(&mut sb, Emit::Forward);
-    dense.emit(&mut sb, Emit::Forward);
-    head.emit(&mut sb, Emit::Forward);
-    head.emit(&mut sb, Emit::Backward);
-    head.emit(&mut sb, Emit::Grads(Part::Weights));
-    head.emit(&mut sb, Emit::Grads(Part::Biases));
-    dense.emit(&mut sb, Emit::Backward);
-    pool.emit(&mut sb, Emit::Backward);
-    conv.emit(&mut sb, Emit::Backward);
-    dense.emit(&mut sb, Emit::Grads(Part::Weights));
-    dense.emit(&mut sb, Emit::Grads(Part::Biases));
-    conv.emit(&mut sb, Emit::Grads(Part::Weights));
-    conv.emit(&mut sb, Emit::Grads(Part::Biases));
-    conv.emit(&mut sb, Emit::Update(Part::Weights));
-    conv.emit(&mut sb, Emit::Update(Part::Biases));
-    dense.emit(&mut sb, Emit::Update(Part::Weights));
-    dense.emit(&mut sb, Emit::Update(Part::Biases));
-    head.emit(&mut sb, Emit::Update(Part::Weights));
-    head.emit(&mut sb, Emit::Update(Part::Biases));
-    sb.finish()
+    sb.emit(&conv, Emit::Forward);
+    sb.emit(&pool, Emit::Forward);
+    sb.emit(&dense, Emit::Forward);
+    sb.emit(&head, Emit::Forward);
+    sb.emit(&head, Emit::Backward);
+    sb.emit(&head, Emit::Grads(Part::Weights));
+    sb.emit(&head, Emit::Grads(Part::Biases));
+    sb.emit(&dense, Emit::Backward);
+    sb.emit(&pool, Emit::Backward);
+    sb.emit(&conv, Emit::Backward);
+    sb.emit(&dense, Emit::Grads(Part::Weights));
+    sb.emit(&dense, Emit::Grads(Part::Biases));
+    sb.emit(&conv, Emit::Grads(Part::Weights));
+    sb.emit(&conv, Emit::Grads(Part::Biases));
+    sb.emit(&conv, Emit::Update(Part::Weights));
+    sb.emit(&conv, Emit::Update(Part::Biases));
+    sb.emit(&dense, Emit::Update(Part::Weights));
+    sb.emit(&dense, Emit::Update(Part::Biases));
+    sb.emit(&head, Emit::Update(Part::Weights));
+    sb.emit(&head, Emit::Update(Part::Biases));
 }
 
 /// [`CnnNet`] under the label-cursor wrapper, so the CNN rides the same

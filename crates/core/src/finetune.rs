@@ -15,9 +15,7 @@ use crate::checkpoint::CheckpointModel;
 use crate::exec::ExecCtx;
 use crate::graph::{BufClass, TaskGraph};
 use crate::labeled::{inherent_net_api, LabeledModel, LabeledNet, StepCache, StepState};
-use crate::layers::{
-    Above, Decl, Dense, DenseParams, Emit, Layer, Part, SoftmaxXent, StackBuilder,
-};
+use crate::layers::{Decl, Dense, Emit, NetParams, ParamKey, Part, SoftmaxXent, StackBuilder};
 use crate::stacked::StackedAutoencoder;
 use micdnn_kernels::OpCost;
 use micdnn_tensor::{GlorotSigmoid, Initializer, Mat, MatView, MatViewMut};
@@ -55,16 +53,8 @@ impl SoftmaxLayer {
         self.w.cols()
     }
 
-    /// Class probabilities for a batch (`b x in_dim` -> `b x classes`).
-    pub(crate) fn forward(&self, ctx: &ExecCtx, x: MatView<'_>) -> Mat {
-        let mut logits = Mat::zeros(x.rows(), self.n_classes());
-        self.forward_into(ctx, x, &mut logits.view_mut());
-        logits
-    }
-
-    /// [`Self::forward`] into a caller-provided `b x classes` buffer (the
-    /// training graph writes into its planned workspace instead of
-    /// allocating).
+    /// Class probabilities for a batch (`b x in_dim`) into a `b x classes`
+    /// buffer (the graphs write into their planned workspace).
     pub(crate) fn forward_into(&self, ctx: &ExecCtx, x: MatView<'_>, out: &mut MatViewMut<'_>) {
         let b = x.rows();
         let c = self.n_classes();
@@ -168,8 +158,7 @@ impl FineTuneNet {
     }
 
     /// Encoder parameters as `(weights h x v, biases h)` pairs, input-first.
-    /// The serving path's forward-only graph and the bit-identity pinning
-    /// tests read them.
+    /// The bit-identity pinning tests read them.
     pub fn layer_params(&self) -> &[(Mat, Vec<f32>)] {
         &self.layers
     }
@@ -201,20 +190,8 @@ impl LabeledNet for FineTuneNet {
         stack + c * self.softmax.in_dim() + c
     }
 
-    fn step_graph<'a>(&self, cap: usize) -> TaskGraph<'static, FtState<'a>> {
-        build_step_graph(self.in_dim(), &self.widths(), self.n_classes(), cap)
-    }
-
-    fn predict_proba(&self, ctx: &ExecCtx, x: MatView<'_>) -> Mat {
-        let mut act: Option<Mat> = None;
-        for (w, bias) in &self.layers {
-            let mut a = Mat::zeros(x.rows(), w.rows());
-            let input = act.as_ref().map_or(x, Mat::view);
-            ctx.gemm(1.0, input, false, w.view(), true, 0.0, &mut a.view_mut());
-            ctx.bias_sigmoid_rows(bias, &mut a.view_mut());
-            act = Some(a);
-        }
-        self.softmax.forward(ctx, act.expect("non-empty").view())
+    fn recipe<'a>(&self, sb: &mut StackBuilder<FtState<'a>>, cap: usize) {
+        recipe(sb, self.in_dim(), &self.widths(), self.n_classes(), cap);
     }
 
     fn save(&self, w: &mut dyn Write) -> io::Result<()> {
@@ -240,13 +217,26 @@ impl LabeledNet for FineTuneNet {
     }
 }
 
-impl DenseParams for FineTuneNet {
-    fn dense(&mut self, idx: usize) -> (&mut Mat, &mut Vec<f32>) {
-        let (w, b) = &mut self.layers[idx];
-        (w, b)
+impl NetParams for FineTuneNet {
+    fn tensors(&self, key: ParamKey) -> (&Mat, &[f32]) {
+        match key {
+            ParamKey::Dense(i) => (&self.layers[i].0, &self.layers[i].1),
+            ParamKey::Head => (&self.softmax.w, &self.softmax.b),
+            ParamKey::Conv(_) => panic!("the fine-tune net has no conv layer"),
+        }
     }
-    fn softmax(&mut self) -> &mut SoftmaxLayer {
-        &mut self.softmax
+    fn tensors_mut(&mut self, key: ParamKey) -> (&mut Mat, &mut Vec<f32>) {
+        match key {
+            ParamKey::Dense(i) => {
+                let (w, b) = &mut self.layers[i];
+                (w, b)
+            }
+            ParamKey::Head => (&mut self.softmax.w, &mut self.softmax.b),
+            ParamKey::Conv(_) => panic!("the fine-tune net has no conv layer"),
+        }
+    }
+    fn head(&self) -> &SoftmaxLayer {
+        &self.softmax
     }
     fn weight_decay(&self) -> f32 {
         self.weight_decay
@@ -254,16 +244,9 @@ impl DenseParams for FineTuneNet {
 }
 
 /// Builds the fine-tuning step dataflow for a `widths`-shaped encoder
-/// stack and `n_classes` head as a [`StackBuilder`] recipe over the
-/// generic `Dense` and `SoftmaxXent` layers: forward chain, softmax +
-/// cross-entropy delta, full backprop, gradients and SGD updates.
-///
-/// The recipe declares buffers and emits nodes in the historical
-/// hand-built order, so the graph is bit-identical to its ancestor — same
-/// node sequence, same planner aliasing (pinned by
-/// `tests/graph_exec_pinning.rs`). Buffers are declared against `cap`
-/// rows so one planned workspace serves every batch up to that size
-/// (nodes slice to the live batch at run time).
+/// stack and `n_classes` head, with buffers declared against `cap` rows:
+/// the net's recipe on a step builder, as [`LabeledNet::step_graph`]
+/// builds it.
 ///
 /// Public so integration tests can run the fine-tuning step shape through
 /// [`TaskGraph::verify`]; training uses it via [`FineTuneNet::train_batch`].
@@ -273,9 +256,33 @@ pub fn build_step_graph<'a>(
     n_classes: usize,
     cap: usize,
 ) -> TaskGraph<'static, FtState<'a>> {
+    let mut sb = StackBuilder::new();
+    recipe(&mut sb, in_dim, widths, n_classes, cap);
+    sb.finish()
+}
+
+/// The fine-tuning net as a [`StackBuilder`] recipe over the generic
+/// `Dense` and `SoftmaxXent` layers: forward chain, softmax +
+/// cross-entropy delta, full backprop, gradients and SGD updates — or, on a
+/// forward-only builder, the forward chain into the probabilities.
+///
+/// The recipe declares buffers and emits nodes in the historical
+/// hand-built order, so the step graph is bit-identical to its ancestor —
+/// same node sequence, same planner aliasing (pinned by
+/// `tests/graph_exec_pinning.rs`); the forward graph's order (input, head
+/// parameters, each layer's parameters and activation, probabilities) is
+/// the one `VERIFY_report.json`'s serve entry pins. Buffers are declared
+/// against `cap` rows so one planned workspace serves every batch up to
+/// that size (nodes slice to the live batch at run time).
+fn recipe(
+    sb: &mut StackBuilder<FtState<'_>>,
+    in_dim: usize,
+    widths: &[usize],
+    n_classes: usize,
+    cap: usize,
+) {
     let n_layers = widths.len();
     let code_dim = *widths.last().expect("non-empty net");
-    let mut sb: StackBuilder<FtState<'a>> = StackBuilder::new();
 
     // Slots 0..n_layers hold the dense stack, slot n_layers the head.
     let head_slot = n_layers;
@@ -298,9 +305,9 @@ pub fn build_step_graph<'a>(
                 below: if l == 0 { None } else { Some(l - 1) },
                 above_slot: if last { head_slot } else { l + 1 },
                 above: if last {
-                    Above::Head
+                    ParamKey::Head
                 } else {
-                    Above::Dense(l + 1)
+                    ParamKey::Dense(l + 1)
                 },
                 in_dim: prev,
                 out_dim: h,
@@ -312,44 +319,45 @@ pub fn build_step_graph<'a>(
         .collect();
 
     // Historical declaration order: input, head params, per-layer
-    // (params, act, delta), head delta, head grads, per-layer grads.
+    // (params, act, delta), head acts (a forward graph's probabilities),
+    // head delta, head grads, per-layer grads.
     sb.bind_global_dims("x", "x", &[cap, in_dim], BufClass::External);
-    head.declare(&mut sb, Decl::Params);
+    sb.declare(&head, Decl::Params);
     for d in &denses {
-        d.declare(&mut sb, Decl::Params);
-        d.declare(&mut sb, Decl::Acts);
-        d.declare(&mut sb, Decl::Deltas);
+        sb.declare(d, Decl::Params);
+        sb.declare(d, Decl::Acts);
+        sb.declare(d, Decl::Deltas);
     }
-    head.declare(&mut sb, Decl::Deltas);
-    head.declare(&mut sb, Decl::Grads(Part::Weights));
-    head.declare(&mut sb, Decl::Grads(Part::Biases));
+    sb.declare(&head, Decl::Acts);
+    sb.declare(&head, Decl::Deltas);
+    sb.declare(&head, Decl::Grads(Part::Weights));
+    sb.declare(&head, Decl::Grads(Part::Biases));
     for d in &denses {
-        d.declare(&mut sb, Decl::Grads(Part::Weights));
-        d.declare(&mut sb, Decl::Grads(Part::Biases));
+        sb.declare(d, Decl::Grads(Part::Weights));
+        sb.declare(d, Decl::Grads(Part::Biases));
     }
 
     // Historical node order: forward chain, head forward + loss/delta +
     // head grads, backprop top-down, per-layer grads + updates, head
     // updates.
     for d in &denses {
-        d.emit(&mut sb, Emit::Forward);
+        sb.emit(d, Emit::Forward);
     }
-    head.emit(&mut sb, Emit::Forward);
-    head.emit(&mut sb, Emit::Backward);
-    head.emit(&mut sb, Emit::Grads(Part::Weights));
-    head.emit(&mut sb, Emit::Grads(Part::Biases));
+    sb.emit(&head, Emit::Forward);
+    sb.emit(&head, Emit::Backward);
+    sb.emit(&head, Emit::Grads(Part::Weights));
+    sb.emit(&head, Emit::Grads(Part::Biases));
     for d in denses.iter().rev() {
-        d.emit(&mut sb, Emit::Backward);
+        sb.emit(d, Emit::Backward);
     }
     for d in &denses {
-        d.emit(&mut sb, Emit::Grads(Part::Weights));
-        d.emit(&mut sb, Emit::Grads(Part::Biases));
-        d.emit(&mut sb, Emit::Update(Part::Weights));
-        d.emit(&mut sb, Emit::Update(Part::Biases));
+        sb.emit(d, Emit::Grads(Part::Weights));
+        sb.emit(d, Emit::Grads(Part::Biases));
+        sb.emit(d, Emit::Update(Part::Weights));
+        sb.emit(d, Emit::Update(Part::Biases));
     }
-    head.emit(&mut sb, Emit::Update(Part::Weights));
-    head.emit(&mut sb, Emit::Update(Part::Biases));
-    sb.finish()
+    sb.emit(&head, Emit::Update(Part::Weights));
+    sb.emit(&head, Emit::Update(Part::Biases));
 }
 
 /// [`FineTuneNet`] under the label-cursor wrapper: the fine-tuning stage
@@ -380,8 +388,8 @@ mod tests {
         let ctx = ctx();
         let layer = SoftmaxLayer::new(8, 4, 1);
         let x = Mat::from_fn(6, 8, |r, c| ((r * 8 + c) as f32 * 0.1).sin());
-        let p = layer.forward(&ctx, x.view());
-        assert_eq!(p.shape(), (6, 4));
+        let mut p = Mat::zeros(6, 4);
+        layer.forward_into(&ctx, x.view(), &mut p.view_mut());
         for r in 0..6 {
             let sum: f32 = p.row(r).iter().sum();
             assert!((sum - 1.0).abs() < 1e-5, "row {r} sums to {sum}");
@@ -395,7 +403,8 @@ mod tests {
         let mut layer = SoftmaxLayer::new(4, 3, 2);
         layer.w.map_inplace(|v| v * 100.0);
         let x = Mat::full(2, 4, 5.0);
-        let p = layer.forward(&ctx, x.view());
+        let mut p = Mat::zeros(2, 3);
+        layer.forward_into(&ctx, x.view(), &mut p.view_mut());
         assert!(p.all_finite(), "softmax overflowed");
     }
 

@@ -2,11 +2,12 @@
 //! arena and schedule flag, the supervised step driver, and the label-cursor
 //! wrapper that lets a labeled net ride the unsupervised training loop.
 //!
-//! A labeled net supplies a parameter store, a [`StackBuilder`] recipe and
-//! a reference forward pass ([`LabeledNet`]); `train_batch`, `fit`,
-//! `predict`, `accuracy`, `cross_entropy`, the step's preparation (built
-//! and planned once per row capacity), the serial/graph schedule choice,
-//! label derivation, checkpointing and rollback are written here, once, for
+//! A labeled net supplies a parameter store and one [`StackBuilder`] recipe
+//! ([`LabeledNet`]); its training step and its forward graph are both built
+//! from that recipe, and `train_batch`, `fit`, `predict_proba`, `predict`,
+//! `accuracy`, `cross_entropy`, the step's preparation (built and planned
+//! once per row capacity), the serial/graph schedule choice, label
+//! derivation, checkpointing and rollback are written here, once, for
 //! [`FineTuneNet`] and [`CnnNet`] alike.
 //!
 //! [`StackBuilder`]: crate::layers::StackBuilder
@@ -16,7 +17,7 @@
 use crate::checkpoint::CheckpointModel;
 use crate::exec::ExecCtx;
 use crate::graph::{KeptGraph, NodeState, TaskGraph, Workspace};
-use crate::layers::{argmax_rows, hit_rate, mean_nll, StackState, StepParts};
+use crate::layers::{argmax_rows, hit_rate, mean_nll, StackBuilder};
 use crate::train::UnsupervisedModel;
 use micdnn_tensor::{Mat, MatView};
 use std::io::{self, Write};
@@ -43,42 +44,74 @@ impl<N> StepCache<N> {
     }
 }
 
-/// Everything a supervised step node touches: the net's parameters, the
-/// planned arena, the batch, and the scalar loss output.
+/// The net a step's nodes run against: shared in a forward graph, which
+/// only reads parameters, exclusive in a training step, whose update nodes
+/// write them.
+pub(crate) enum NetRef<'a, N> {
+    Shared(&'a N),
+    Exclusive(&'a mut N),
+}
+
+impl<N> NetRef<'_, N> {
+    /// The parameters, read-only.
+    pub(crate) fn get(&self) -> &N {
+        match self {
+            NetRef::Shared(net) => net,
+            NetRef::Exclusive(net) => net,
+        }
+    }
+
+    /// The parameters, writable: only an update node asks, and only a
+    /// training step emits update nodes.
+    pub(crate) fn get_mut(&mut self) -> &mut N {
+        match self {
+            NetRef::Exclusive(net) => net,
+            NetRef::Shared(_) => panic!("a forward graph does not update parameters"),
+        }
+    }
+}
+
+/// Everything a labeled net's graph nodes touch: the net's parameters, the
+/// planned arena, the batch, its labels, the learning rate and the scalar
+/// loss output.
 pub struct StepState<'a, N> {
-    net: &'a mut N,
-    ws: &'a mut Workspace,
-    x: MatView<'a>,
-    labels: &'a [usize],
-    lr: f32,
-    loss: f64,
+    pub(crate) net: NetRef<'a, N>,
+    pub(crate) ws: &'a mut Workspace,
+    pub(crate) x: MatView<'a>,
+    pub(crate) labels: &'a [usize],
+    pub(crate) lr: f32,
+    pub(crate) loss: f64,
+}
+
+impl<'a, N> StepState<'a, N> {
+    /// The state a forward graph runs against: the net borrowed shared, a
+    /// batch without labels.
+    pub(crate) fn forward(net: &'a N, ws: &'a mut Workspace, x: MatView<'a>) -> Self {
+        StepState {
+            net: NetRef::Shared(net),
+            ws,
+            x,
+            labels: &[],
+            lr: 0.0,
+            loss: 0.0,
+        }
+    }
 }
 
 impl<N: 'static> NodeState for StepState<'_, N> {
     type At<'a> = StepState<'a, N>;
 }
 
-impl<N: 'static> StackState for StepState<'_, N> {
-    type Params = N;
-    fn parts<'s>(st: &'s mut StepState<'_, N>) -> StepParts<'s, N> {
-        StepParts {
-            ws: &mut *st.ws,
-            x: st.x,
-            labels: st.labels,
-            lr: st.lr,
-            loss: &mut st.loss,
-            params: &mut *st.net,
-        }
-    }
-}
-
 /// A softmax-headed net trained by back-propagation on labeled batches.
 ///
-/// The required items are what differs between nets — geometry, the step
-/// recipe, the hand-written reference forward pass, the checkpoint record;
-/// the provided methods are the shared step driver. [`FineTuneNet`] and
-/// [`CnnNet`] re-export the provided methods as inherent ones, so callers
-/// need not import this trait.
+/// The required items are what differs between nets — geometry, the
+/// recipe, the checkpoint record; the provided methods are the shared step
+/// driver and the inference path. Both run graphs built from the one
+/// recipe: [`LabeledNet::step_graph`] trains, and
+/// [`LabeledNet::forward_graph`], the same forward nodes alone, serves
+/// ([`crate::serve_requests`]) and predicts. [`FineTuneNet`] and [`CnnNet`]
+/// re-export the provided methods as inherent ones, so callers need not
+/// import this trait.
 ///
 /// [`FineTuneNet`]: crate::FineTuneNet
 /// [`CnnNet`]: crate::CnnNet
@@ -96,12 +129,11 @@ pub trait LabeledNet: Sized + Send + 'static {
     /// Trainable parameter count.
     fn param_count(&self) -> usize;
 
-    /// The training-step recipe with buffers declared against `cap` rows.
-    fn step_graph<'a>(&self, cap: usize) -> TaskGraph<'static, StepState<'a, Self>>;
-
-    /// Class probabilities for a batch (`b x n_classes`), computed without
-    /// the task graph — the reference the serving tests compare against.
-    fn predict_proba(&self, ctx: &ExecCtx, x: MatView<'_>) -> Mat;
+    /// Composes this net's layers on `sb` in a fixed order, with buffers
+    /// declared against `cap` rows: the one description of the net that
+    /// both of its graphs are built from.
+    #[doc(hidden)]
+    fn recipe<'a>(&self, sb: &mut StackBuilder<StepState<'a, Self>>, cap: usize);
 
     /// Writes this net's checkpoint record (header, geometry, schedule
     /// flag, parameter tensors).
@@ -125,6 +157,36 @@ pub trait LabeledNet: Sized + Send + 'static {
     fn with_graph_schedule(mut self) -> Self {
         self.step_cache_mut().use_graph = true;
         self
+    }
+
+    /// The training step for batches up to `cap` rows: forward, loss,
+    /// backward, gradients and updates.
+    fn step_graph<'a>(&self, cap: usize) -> TaskGraph<'static, StepState<'a, Self>> {
+        let mut sb = StackBuilder::new();
+        self.recipe(&mut sb, cap);
+        sb.finish()
+    }
+
+    /// The forward pass alone for batches up to `cap` rows: the step's
+    /// forward nodes over the net borrowed shared, into the `Pinned`
+    /// `cap x n_classes` buffer `probs`.
+    fn forward_graph<'a>(&self, cap: usize) -> TaskGraph<'static, StepState<'a, Self>> {
+        let mut sb = StackBuilder::forward_only();
+        self.recipe(&mut sb, cap);
+        sb.finish()
+    }
+
+    /// Class probabilities for a batch (`b x n_classes`): the net's forward
+    /// graph, run in declaration order.
+    fn predict_proba(&self, ctx: &ExecCtx, x: MatView<'_>) -> Mat {
+        assert_eq!(x.cols(), self.in_dim(), "input dimensionality");
+        let (b, c) = (x.rows(), self.n_classes());
+        let mut kept = KeptGraph(None);
+        let (graph, ws) = kept.prepare(b, || self.forward_graph(b));
+        graph.run_serial(ctx, &mut StepState::forward(self, ws, x));
+        let mut probs = Mat::zeros(b, c);
+        probs.as_mut_slice().copy_from_slice(kept.buf("probs"));
+        probs
     }
 
     /// Builds the step graph and its arena for batches up to `cap` rows
@@ -175,7 +237,7 @@ pub trait LabeledNet: Sized + Send + 'static {
         let (cap, mut graph, mut ws) = cache.prepared.0.take().expect("just prepared");
         let loss = {
             let mut state = StepState {
-                net: self,
+                net: NetRef::Exclusive(self),
                 ws: &mut ws,
                 x,
                 labels,
@@ -570,7 +632,7 @@ pub(crate) mod tests {
             let mut g = fresh.step_graph(hi - lo);
             let mut ws = Workspace::new(&g.plan());
             let mut state = StepState {
-                net: &mut fresh,
+                net: NetRef::Exclusive(&mut fresh),
                 ws: &mut ws,
                 x,
                 labels: l,

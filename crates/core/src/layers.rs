@@ -32,13 +32,14 @@
 //! # Plugging in a new layer
 //!
 //! A layer implements [`Layer<S>`] for the state type `S` its node bodies
-//! run against. Layers that only need an arena, a batch, parameters and a
-//! loss slot (the supervised family: [`Dense`], [`SoftmaxXent`],
-//! [`Conv2d`], [`MaxPool2d`]) are written once against the [`StackState`]
-//! host trait; their plain-SGD update nodes and bias column-sum nodes go
-//! through one emitter each, so a new parameterised layer writes only its
-//! forward, backward and weight-gradient bodies. Algorithm-specific layers
-//! implement `Layer` directly against their own state: the AE's
+//! run against. The supervised family ([`Dense`], [`SoftmaxXent`],
+//! [`Conv2d`], [`MaxPool2d`]) is written once against the labeled nets' one
+//! state, [`StepState`], and reaches parameters through [`NetParams`]:
+//! forward, backward and gradient bodies read them shared, and only the
+//! plain-SGD update nodes, which go through one emitter as the bias
+//! column-sum nodes do, write them. So a new parameterised layer writes
+//! only its forward, backward and weight-gradient bodies. Algorithm-specific
+//! layers implement `Layer` directly against their own state: the AE's
 //! KL-sparsity block, and the AE's encoder and decoder — one
 //! sigmoid-affine half-layer selected by which half it is, sharing
 //! forward, gradients and one update emitter (SGD or optimizer slot), with
@@ -48,16 +49,18 @@
 //!
 //! # Plugging in a new labeled net
 //!
-//! A softmax-headed net supplies three things and implements
-//! [`crate::LabeledNet`] with them: a parameter store (implementing
-//! [`DenseParams`], plus [`ConvParams`] if it convolves), a recipe that
-//! composes the layers above in a fixed order (`build_step_graph`,
-//! `build_cnn_graph`), and a hand-written `predict_proba` the serving tests
-//! compare the graph against — along with its geometry, failpoint name and
-//! checkpoint record. The step state ([`crate::StepState`]), the kept graph
-//! and arena (the AE and CD steps keep theirs the same way), the schedule
-//! flag, `train_batch`/`fit`/`predict`/`accuracy`, the footprint and the
-//! label-cursor wrapper ([`crate::LabeledModel`]) are shared.
+//! A softmax-headed net supplies a parameter store (implementing
+//! [`NetParams`]) and one recipe that composes the layers above in a fixed
+//! order through [`StackBuilder::declare`] and [`StackBuilder::emit`]
+//! (`finetune::recipe`, `cnn::recipe`), and implements [`crate::LabeledNet`]
+//! with them, along with its geometry, failpoint name and checkpoint
+//! record. The trait builds both of the net's graphs from that recipe: the
+//! training step, and a forward-only graph ([`StackBuilder::forward_only`])
+//! that serving and `predict_proba` run, so inference runs the very forward
+//! nodes training does. The step state, the kept graph and arena (the AE
+//! and CD steps keep theirs the same way), the schedule flag,
+//! `train_batch`/`fit`/`predict_proba`/`accuracy`, serving, the footprint
+//! and the label-cursor wrapper ([`crate::LabeledModel`]) are shared.
 //!
 //! Footprint rules, enforced by [`TaskGraph::verify`] on every shipped
 //! recipe (pinned at 0 errors / 0 warnings in `tests/verify_properties.rs`):
@@ -74,7 +77,8 @@
 
 use crate::exec::ExecCtx;
 use crate::finetune::SoftmaxLayer;
-use crate::graph::{BufClass, BufId, NodeSpec, NodeState, TaskGraph, Workspace};
+use crate::graph::{BufClass, BufId, NodeSpec, NodeState, TaskGraph};
+use crate::labeled::StepState;
 use micdnn_kernels::conv;
 use micdnn_kernels::OpCost;
 use micdnn_tensor::{Mat, MatView, MatViewMut};
@@ -144,21 +148,63 @@ pub struct StackBuilder<S: NodeState> {
     g: TaskGraph<'static, S>,
     slots: Vec<Vec<(&'static str, BufId)>>,
     globals: Vec<(&'static str, BufId)>,
-}
-
-impl<S: NodeState> Default for StackBuilder<S> {
-    fn default() -> Self {
-        Self::new()
-    }
+    /// Builds the forward pass alone ([`StackBuilder::forward_only`]).
+    forward_only: bool,
 }
 
 impl<S: NodeState> StackBuilder<S> {
-    /// An empty builder.
+    /// An empty builder for a training step.
     pub(crate) fn new() -> Self {
         StackBuilder {
             g: TaskGraph::new(),
             slots: Vec::new(),
             globals: Vec::new(),
+            forward_only: false,
+        }
+    }
+
+    /// An empty builder for the forward pass alone: [`Self::declare`] runs
+    /// only the parameter and activation passes and [`Self::emit`] only the
+    /// forward one, activations are `Scratch` ([`Self::act_class`]), and
+    /// the head declares its probabilities as the `Pinned` buffer `probs`,
+    /// the output read after the run.
+    pub(crate) fn forward_only() -> Self {
+        StackBuilder {
+            forward_only: true,
+            ..Self::new()
+        }
+    }
+
+    /// Whether this builder builds the forward pass alone.
+    pub(crate) fn is_forward_only(&self) -> bool {
+        self.forward_only
+    }
+
+    /// The class of a layer's activations: `Pinned` in a training step,
+    /// which keeps them from the forward pass until the backward pass reads
+    /// them, and `Scratch` in a forward-only graph, where each dies once
+    /// the next layer has read it.
+    pub(crate) fn act_class(&self) -> BufClass {
+        if self.forward_only {
+            BufClass::Scratch
+        } else {
+            BufClass::Pinned
+        }
+    }
+
+    /// Runs `layer`'s declaration pass `what`, unless this is a
+    /// forward-only build and `what` declares deltas or gradients.
+    pub(crate) fn declare(&mut self, layer: &impl Layer<S>, what: Decl) {
+        if !self.forward_only || matches!(what, Decl::Params | Decl::Acts) {
+            layer.declare(self, what);
+        }
+    }
+
+    /// Runs `layer`'s emission pass `what`, unless this is a forward-only
+    /// build and `what` is not the forward pass.
+    pub(crate) fn emit(&mut self, layer: &impl Layer<S>, what: Emit) {
+        if !self.forward_only || what == Emit::Forward {
+            layer.emit(self, what);
         }
     }
 
@@ -243,68 +289,42 @@ impl<S: NodeState> StackBuilder<S> {
 }
 
 // ---------------------------------------------------------------------------
-// The supervised family: host traits + generic layers.
+// The supervised family: one parameter trait + generic layers.
 // ---------------------------------------------------------------------------
 
-/// Split borrow of everything a supervised step node touches: the planned
-/// arena, the batch, the labels, and the model parameters. Produced by
-/// [`StackState::parts`]; the fields are disjoint so node bodies can hold
-/// arena and parameter borrows at once.
-pub(crate) struct StepParts<'s, P: ?Sized> {
-    /// The liveness-planned arena the graph's buffers live in.
-    pub ws: &'s mut Workspace,
-    /// The input batch (`b x in_dim`; `b` is the live batch size).
-    pub x: MatView<'s>,
-    /// One class label per batch row.
-    pub labels: &'s [usize],
-    /// Learning rate for the update nodes.
-    pub lr: f32,
-    /// Scalar loss output (written by the loss node, exclusive).
-    pub loss: &'s mut f64,
-    /// The model parameters.
-    pub params: &'s mut P,
-}
+/// The builder of a labeled net's graphs.
+type NetBuilder<'s, N> = StackBuilder<StepState<'s, N>>;
 
-/// Host state for the generic supervised layers: anything whose runs can
-/// hand a node body a [`StepParts`] split borrow.
-pub(crate) trait StackState: NodeState {
-    /// The parameter store ([`DenseParams`] at minimum).
-    type Params: ?Sized;
-    /// The split borrow of one run's state.
-    fn parts<'s>(st: &'s mut Self::At<'_>) -> StepParts<'s, Self::Params>;
-}
-
-/// Parameter access for [`Dense`] and [`SoftmaxXent`] layers.
-pub(crate) trait DenseParams {
-    /// Parameters of dense layer `idx` as `(weights h x v, biases h)`.
-    fn dense(&mut self, idx: usize) -> (&mut Mat, &mut Vec<f32>);
-    /// The classification head.
-    fn softmax(&mut self) -> &mut SoftmaxLayer;
-    /// L2 weight decay applied to weight (not bias) updates.
-    fn weight_decay(&self) -> f32;
-}
-
-/// Parameter access for [`Conv2d`] layers.
-pub(crate) trait ConvParams: DenseParams {
-    /// Parameters of conv layer `idx` as `(filters c_out x k*k, biases
-    /// c_out)`.
-    fn conv(&mut self, idx: usize) -> (&mut Mat, &mut Vec<f32>);
-}
-
-/// Where a layer's upstream delta and weights come from during backprop.
+/// Which parameterised layer of a net a node reads or updates.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Above {
-    /// A dense layer (its [`DenseParams::dense`] index).
+pub(crate) enum ParamKey {
+    /// A dense layer, by index.
     Dense(usize),
+    /// A conv layer, by index.
+    Conv(usize),
     /// The softmax head.
     Head,
+}
+
+/// Parameter access for the supervised layers. Node bodies read through
+/// [`NetParams::tensors`]; only a training step's update nodes ask for
+/// [`NetParams::tensors_mut`].
+pub(crate) trait NetParams: 'static {
+    /// `(weights, biases)` of the layer `key` names.
+    fn tensors(&self, key: ParamKey) -> (&Mat, &[f32]);
+    /// [`NetParams::tensors`], writable.
+    fn tensors_mut(&mut self, key: ParamKey) -> (&mut Mat, &mut Vec<f32>);
+    /// The classification head.
+    fn head(&self) -> &SoftmaxLayer;
+    /// L2 weight decay applied to weight (not bias) updates.
+    fn weight_decay(&self) -> f32;
 }
 
 /// Emits the bias-gradient node of a supervised layer: `gb =
 /// colsum(delta)` over the live `b * rows_per_example` rows of slot
 /// `slot`'s `width`-wide delta.
-fn emit_bias_colsum<S: StackState>(
-    sb: &mut StackBuilder<S>,
+fn emit_bias_colsum<N: NetParams>(
+    sb: &mut NetBuilder<'_, N>,
     name: &'static str,
     slot: usize,
     rows_per_example: usize,
@@ -313,10 +333,9 @@ fn emit_bias_colsum<S: StackState>(
     let (d_id, gb_id) = (sb.buf(slot, "delta"), sb.buf(slot, "gb"));
     sb.node(
         NodeSpec::new(name).reads(&[d_id]).writes(&[gb_id]),
-        move |ctx, st: &mut S::At<'_>| {
-            let p = S::parts(st);
-            let rows = p.x.rows() * rows_per_example;
-            let [d, gb] = p.ws.bufs_mut([d_id, gb_id]);
+        move |ctx, st: &mut StepState<'_, N>| {
+            let rows = st.x.rows() * rows_per_example;
+            let [d, gb] = st.ws.bufs_mut([d_id, gb_id]);
             ctx.colsum(MatView::new(&d[..rows * width], rows, width), gb);
         },
     );
@@ -325,31 +344,27 @@ fn emit_bias_colsum<S: StackState>(
 /// Emits one plain-SGD update node of a supervised layer: slot `slot`'s
 /// `gw` into its weights (with the model's weight decay) or its `gb` into
 /// its biases (without). `names` are the `[weights, biases]` node names;
-/// `tensors` picks the layer's `(weights, biases)` out of the parameter
-/// store.
-fn emit_sgd<S>(
-    sb: &mut StackBuilder<S>,
+/// `key` names the layer's tensors in the parameter store.
+fn emit_sgd<N: NetParams>(
+    sb: &mut NetBuilder<'_, N>,
     names: [&'static str; 2],
     slot: usize,
     part: Part,
-    tensors: impl Fn(&mut S::Params) -> (&mut Mat, &mut Vec<f32>) + Send + Sync + 'static,
-) where
-    S: StackState,
-    S::Params: DenseParams,
-{
+    key: ParamKey,
+) {
     let (name, grad, param) = match part {
         Part::Weights => (names[0], sb.buf(slot, "gw"), sb.buf(slot, "w")),
         Part::Biases => (names[1], sb.buf(slot, "gb"), sb.buf(slot, "b")),
     };
     sb.node(
         NodeSpec::new(name).reads(&[grad]).writes(&[param]),
-        move |ctx, st: &mut S::At<'_>| {
-            let p = S::parts(st);
-            let lambda = p.params.weight_decay();
-            let (w, bias) = tensors(p.params);
+        move |ctx, st: &mut StepState<'_, N>| {
+            let net = st.net.get_mut();
+            let lambda = net.weight_decay();
+            let (w, bias) = net.tensors_mut(key);
             match part {
-                Part::Weights => ctx.sgd_step(p.lr, lambda, p.ws.buf(grad), w.as_mut_slice()),
-                Part::Biases => ctx.sgd_step(p.lr, 0.0, p.ws.buf(grad), bias),
+                Part::Weights => ctx.sgd_step(st.lr, lambda, st.ws.buf(grad), w.as_mut_slice()),
+                Part::Biases => ctx.sgd_step(st.lr, 0.0, st.ws.buf(grad), bias),
             }
         },
     );
@@ -361,14 +376,14 @@ fn emit_sgd<S>(
 pub(crate) struct Dense {
     /// Registry slot (binds `w`, `b`, `act`, `delta`, `gw`, `gb`).
     pub slot: usize,
-    /// [`DenseParams::dense`] index.
+    /// Index of its [`ParamKey::Dense`] tensors.
     pub idx: usize,
     /// Slot whose `act` feeds this layer; `None` reads the global `x`.
     pub below: Option<usize>,
     /// Slot whose `delta` drives this layer's backprop.
     pub above_slot: usize,
     /// Where the upstream weights live.
-    pub above: Above,
+    pub above: ParamKey,
     /// Input width.
     pub in_dim: usize,
     /// Output width.
@@ -386,22 +401,17 @@ impl Dense {
     }
 }
 
-impl<S> Layer<S> for Dense
-where
-    S: StackState,
-    S::Params: DenseParams,
-{
-    fn declare(&self, sb: &mut StackBuilder<S>, what: Decl) {
+impl<'s, N: NetParams> Layer<StepState<'s, N>> for Dense {
+    fn declare(&self, sb: &mut NetBuilder<'s, N>, what: Decl) {
         let (slot, h, v, cap) = (self.slot, self.out_dim, self.in_dim, self.cap);
         match what {
             Decl::Params => {
                 sb.bind_dims(slot, "w", "layer.w", &[h, v], BufClass::External);
                 sb.bind_dims(slot, "b", "layer.b", &[h], BufClass::External);
             }
-            // Activations stay live from the forward pass until the last
-            // layer-gradient reads them, so they are pinned, not aliased.
             Decl::Acts => {
-                sb.bind_dims(slot, "act", "act", &[cap, h], BufClass::Pinned);
+                let class = sb.act_class();
+                sb.bind_dims(slot, "act", "act", &[cap, h], class);
             }
             Decl::Deltas => {
                 sb.bind_dims(slot, "delta", "delta", &[cap, h], BufClass::Scratch);
@@ -415,9 +425,9 @@ where
         }
     }
 
-    fn emit(&self, sb: &mut StackBuilder<S>, what: Emit) {
+    fn emit(&self, sb: &mut NetBuilder<'s, N>, what: Emit) {
         let slot = self.slot;
-        let idx = self.idx;
+        let key = ParamKey::Dense(self.idx);
         let (h, v) = (self.out_dim, self.in_dim);
         match what {
             // forward: act = sigmoid(input W^T + b).
@@ -430,17 +440,16 @@ where
                     NodeSpec::new("forward")
                         .reads(&[inp, w_id, b_id])
                         .writes(&[a_cur]),
-                    move |ctx, st: &mut S::At<'_>| {
-                        let p = S::parts(st);
-                        let b = p.x.rows();
-                        let (w, bias) = p.params.dense(idx);
+                    move |ctx, st: &mut StepState<'_, N>| {
+                        let b = st.x.rows();
+                        let (w, bias) = st.net.get().tensors(key);
                         if from_x {
-                            let out = &mut p.ws.buf_mut(a_cur)[..b * h];
+                            let out = &mut st.ws.buf_mut(a_cur)[..b * h];
                             let mut vv = MatViewMut::new(out, b, h);
-                            ctx.gemm(1.0, p.x, false, w.view(), true, 0.0, &mut vv);
+                            ctx.gemm(1.0, st.x, false, w.view(), true, 0.0, &mut vv);
                             ctx.bias_sigmoid_rows(bias, &mut vv);
                         } else {
-                            let [i, out] = p.ws.bufs_mut([inp, a_cur]);
+                            let [i, out] = st.ws.bufs_mut([inp, a_cur]);
                             let iv = MatView::new(&i[..b * v], b, v);
                             let mut vv = MatViewMut::new(&mut out[..b * h], b, h);
                             ctx.gemm(1.0, iv, false, w.view(), true, 0.0, &mut vv);
@@ -459,15 +468,11 @@ where
                     NodeSpec::new("backprop")
                         .reads(&[up, up_w, a_cur])
                         .writes(&[d_cur]),
-                    move |ctx, st: &mut S::At<'_>| {
-                        let p = S::parts(st);
-                        let b = p.x.rows();
-                        let w_next: &Mat = match above {
-                            Above::Head => &p.params.softmax().w,
-                            Above::Dense(i) => p.params.dense(i).0,
-                        };
+                    move |ctx, st: &mut StepState<'_, N>| {
+                        let b = st.x.rows();
+                        let w_next = st.net.get().tensors(above).0;
                         let uw = w_next.rows();
-                        let [u, a, d] = p.ws.bufs_mut([up, a_cur, d_cur]);
+                        let [u, a, d] = st.ws.bufs_mut([up, a_cur, d_cur]);
                         let uv = MatView::new(&u[..b * uw], b, uw);
                         let mut dv = MatViewMut::new(&mut d[..b * h], b, h);
                         ctx.gemm(1.0, uv, false, w_next.view(), false, 0.0, &mut dv);
@@ -486,16 +491,15 @@ where
                     NodeSpec::new("layer-gw")
                         .reads(&[d_cur, inp])
                         .writes(&[gw_cur]),
-                    move |ctx, st: &mut S::At<'_>| {
-                        let p = S::parts(st);
-                        let b = p.x.rows();
+                    move |ctx, st: &mut StepState<'_, N>| {
+                        let b = st.x.rows();
                         if from_x {
-                            let [d, gw] = p.ws.bufs_mut([d_cur, gw_cur]);
+                            let [d, gw] = st.ws.bufs_mut([d_cur, gw_cur]);
                             let dv = MatView::new(&d[..b * h], b, h);
                             let mut gv = MatViewMut::new(gw, h, v);
-                            ctx.gemm(1.0, dv, true, p.x, false, 0.0, &mut gv);
+                            ctx.gemm(1.0, dv, true, st.x, false, 0.0, &mut gv);
                         } else {
-                            let [d, a, gw] = p.ws.bufs_mut([d_cur, inp, gw_cur]);
+                            let [d, a, gw] = st.ws.bufs_mut([d_cur, inp, gw_cur]);
                             let dv = MatView::new(&d[..b * h], b, h);
                             let av = MatView::new(&a[..b * v], b, v);
                             let mut gv = MatViewMut::new(gw, h, v);
@@ -505,10 +509,7 @@ where
                 );
             }
             Emit::Grads(Part::Biases) => emit_bias_colsum(sb, "layer-gb", slot, 1, h),
-            Emit::Update(part) => {
-                let names = ["layer-w-sgd", "layer-b-sgd"];
-                emit_sgd(sb, names, slot, part, move |p| p.dense(idx));
-            }
+            Emit::Update(part) => emit_sgd(sb, ["layer-w-sgd", "layer-b-sgd"], slot, part, key),
         }
     }
 }
@@ -530,17 +531,18 @@ pub(crate) struct SoftmaxXent {
     pub cap: usize,
 }
 
-impl<S> Layer<S> for SoftmaxXent
-where
-    S: StackState,
-    S::Params: DenseParams,
-{
-    fn declare(&self, sb: &mut StackBuilder<S>, what: Decl) {
+impl<'s, N: NetParams> Layer<StepState<'s, N>> for SoftmaxXent {
+    fn declare(&self, sb: &mut NetBuilder<'s, N>, what: Decl) {
         let (slot, c, code, cap) = (self.slot, self.n_classes, self.in_dim, self.cap);
         match what {
             Decl::Params => {
                 sb.bind_dims(slot, "w", "softmax.w", &[c, code], BufClass::External);
                 sb.bind_dims(slot, "b", "softmax.b", &[c], BufClass::External);
+            }
+            // A forward-only graph's output: the probabilities, read after
+            // the run, in the buffer a step's delta pass would bind.
+            Decl::Acts if sb.is_forward_only() => {
+                sb.bind_dims(slot, "delta", "probs", &[cap, c], BufClass::Pinned);
             }
             Decl::Acts => {}
             // The head's "delta" holds probabilities first, then the
@@ -557,7 +559,7 @@ where
         }
     }
 
-    fn emit(&self, sb: &mut StackBuilder<S>, what: Emit) {
+    fn emit(&self, sb: &mut NetBuilder<'s, N>, what: Emit) {
         let slot = self.slot;
         let (c, code) = (self.n_classes, self.in_dim);
         match what {
@@ -570,13 +572,12 @@ where
                     NodeSpec::new("softmax")
                         .reads(&[a_top, w_id, b_id])
                         .writes(&[dsoft]),
-                    move |ctx, st: &mut S::At<'_>| {
-                        let p = S::parts(st);
-                        let b = p.x.rows();
-                        let [a, probs] = p.ws.bufs_mut([a_top, dsoft]);
+                    move |ctx, st: &mut StepState<'_, N>| {
+                        let b = st.x.rows();
+                        let [a, probs] = st.ws.bufs_mut([a_top, dsoft]);
                         let av = MatView::new(&a[..b * code], b, code);
                         let mut pv = MatViewMut::new(&mut probs[..b * c], b, c);
-                        p.params.softmax().forward_into(ctx, av, &mut pv);
+                        st.net.get().head().forward_into(ctx, av, &mut pv);
                     },
                 );
             }
@@ -589,13 +590,12 @@ where
                         .reads(&[dsoft])
                         .writes(&[dsoft])
                         .exclusive(),
-                    move |ctx, st: &mut S::At<'_>| {
-                        let p = S::parts(st);
-                        let b = p.x.rows();
-                        let probs = &mut p.ws.buf_mut(dsoft)[..b * c];
-                        *p.loss = mean_nll(MatView::new(probs, b, c), p.labels);
+                    move |ctx, st: &mut StepState<'_, N>| {
+                        let b = st.x.rows();
+                        let probs = &mut st.ws.buf_mut(dsoft)[..b * c];
+                        st.loss = mean_nll(MatView::new(probs, b, c), st.labels);
                         let inv_b = 1.0 / b as f32;
-                        for (r, &label) in p.labels.iter().enumerate() {
+                        for (r, &label) in st.labels.iter().enumerate() {
                             let row = &mut probs[r * c..(r + 1) * c];
                             row[label] -= 1.0;
                             for pv in row.iter_mut() {
@@ -613,10 +613,9 @@ where
                     NodeSpec::new("softmax-gw")
                         .reads(&[dsoft, a_top])
                         .writes(&[gw_id]),
-                    move |ctx, st: &mut S::At<'_>| {
-                        let p = S::parts(st);
-                        let b = p.x.rows();
-                        let [d, a, gw] = p.ws.bufs_mut([dsoft, a_top, gw_id]);
+                    move |ctx, st: &mut StepState<'_, N>| {
+                        let b = st.x.rows();
+                        let [d, a, gw] = st.ws.bufs_mut([dsoft, a_top, gw_id]);
                         let dv = MatView::new(&d[..b * c], b, c);
                         let av = MatView::new(&a[..b * code], b, code);
                         let mut gv = MatViewMut::new(gw, c, code);
@@ -627,10 +626,7 @@ where
             Emit::Grads(Part::Biases) => emit_bias_colsum(sb, "softmax-gb", slot, 1, c),
             Emit::Update(part) => {
                 let names = ["softmax-w-sgd", "softmax-b-sgd"];
-                emit_sgd(sb, names, slot, part, |p| {
-                    let head = p.softmax();
-                    (&mut head.w, &mut head.b)
-                });
+                emit_sgd(sb, names, slot, part, ParamKey::Head);
             }
         }
     }
@@ -687,7 +683,7 @@ pub(crate) fn hit_rate(pred: &[usize], labels: &[usize]) -> f64 {
 pub(crate) struct Conv2d {
     /// Registry slot (binds `w`, `b`, `col`, `act`, `delta`, `gw`, `gb`).
     pub slot: usize,
-    /// [`ConvParams::conv`] index.
+    /// Index of its [`ParamKey::Conv`] tensors.
     pub idx: usize,
     /// Input image side (single channel, `side * side` per batch row).
     pub side: usize,
@@ -711,12 +707,8 @@ impl Conv2d {
     }
 }
 
-impl<S> Layer<S> for Conv2d
-where
-    S: StackState,
-    S::Params: ConvParams,
-{
-    fn declare(&self, sb: &mut StackBuilder<S>, what: Decl) {
+impl<'s, N: NetParams> Layer<StepState<'s, N>> for Conv2d {
+    fn declare(&self, sb: &mut NetBuilder<'s, N>, what: Decl) {
         let (slot, c, kk, cap) = (self.slot, self.channels, self.patch(), self.cap);
         let pix = self.out_side() * self.out_side();
         match what {
@@ -728,7 +720,8 @@ where
             // re-reads it; the activations feed pooling and σ'.
             Decl::Acts => {
                 sb.bind_dims(slot, "col", "conv.col", &[cap * pix, kk], BufClass::Scratch);
-                sb.bind_dims(slot, "act", "conv.act", &[cap * pix, c], BufClass::Pinned);
+                let class = sb.act_class();
+                sb.bind_dims(slot, "act", "conv.act", &[cap * pix, c], class);
             }
             Decl::Deltas => {
                 sb.bind_dims(
@@ -748,9 +741,9 @@ where
         }
     }
 
-    fn emit(&self, sb: &mut StackBuilder<S>, what: Emit) {
+    fn emit(&self, sb: &mut NetBuilder<'s, N>, what: Emit) {
         let slot = self.slot;
-        let idx = self.idx;
+        let key = ParamKey::Conv(self.idx);
         let (side, k, c, kk) = (self.side, self.kernel, self.channels, self.patch());
         let pix = self.out_side() * self.out_side();
         match what {
@@ -760,11 +753,10 @@ where
                 let col_id = sb.buf(slot, "col");
                 sb.node(
                     NodeSpec::new("im2col").reads(&[x_id]).writes(&[col_id]),
-                    move |ctx, st: &mut S::At<'_>| {
-                        let p = S::parts(st);
-                        let b = p.x.rows();
-                        let col = &mut p.ws.buf_mut(col_id)[..b * pix * kk];
-                        conv::im2col(ctx.backend().par(), p.x.as_slice(), b, side, k, col);
+                    move |ctx, st: &mut StepState<'_, N>| {
+                        let b = st.x.rows();
+                        let col = &mut st.ws.buf_mut(col_id)[..b * pix * kk];
+                        conv::im2col(ctx.backend().par(), st.x.as_slice(), b, side, k, col);
                         ctx.charge_cost(OpCost::memcpy(b * pix * kk));
                     },
                 );
@@ -776,11 +768,10 @@ where
                     NodeSpec::new("conv-forward")
                         .reads(&[col_id, w_id, b_id])
                         .writes(&[a_id]),
-                    move |ctx, st: &mut S::At<'_>| {
-                        let p = S::parts(st);
-                        let b = p.x.rows();
-                        let (w, bias) = p.params.conv(idx);
-                        let [col, act] = p.ws.bufs_mut([col_id, a_id]);
+                    move |ctx, st: &mut StepState<'_, N>| {
+                        let b = st.x.rows();
+                        let (w, bias) = st.net.get().tensors(key);
+                        let [col, act] = st.ws.bufs_mut([col_id, a_id]);
                         let cv = MatView::new(&col[..b * pix * kk], b * pix, kk);
                         let mut av = MatViewMut::new(&mut act[..b * pix * c], b * pix, c);
                         ctx.gemm(1.0, cv, false, w.view(), true, 0.0, &mut av);
@@ -796,10 +787,9 @@ where
                     NodeSpec::new("conv-dsig")
                         .reads(&[a_id, d_id])
                         .writes(&[d_id]),
-                    move |ctx, st: &mut S::At<'_>| {
-                        let p = S::parts(st);
-                        let b = p.x.rows();
-                        let [a, d] = p.ws.bufs_mut([a_id, d_id]);
+                    move |ctx, st: &mut StepState<'_, N>| {
+                        let b = st.x.rows();
+                        let [a, d] = st.ws.bufs_mut([a_id, d_id]);
                         let n = b * pix * c;
                         ctx.backend().sigmoid_backprop(&a[..n], &mut d[..n]);
                         ctx.charge_cost(ctx.backend().sigmoid_backprop_cost(n));
@@ -817,10 +807,9 @@ where
                     NodeSpec::new("conv-gw")
                         .reads(&[d_id, col_id])
                         .writes(&[gw_id]),
-                    move |ctx, st: &mut S::At<'_>| {
-                        let p = S::parts(st);
-                        let b = p.x.rows();
-                        let [d, col, gw] = p.ws.bufs_mut([d_id, col_id, gw_id]);
+                    move |ctx, st: &mut StepState<'_, N>| {
+                        let b = st.x.rows();
+                        let [d, col, gw] = st.ws.bufs_mut([d_id, col_id, gw_id]);
                         let dv = MatView::new(&d[..b * pix * c], b * pix, c);
                         let cv = MatView::new(&col[..b * pix * kk], b * pix, kk);
                         let mut gv = MatViewMut::new(gw, c, kk);
@@ -829,10 +818,7 @@ where
                 );
             }
             Emit::Grads(Part::Biases) => emit_bias_colsum(sb, "conv-gb", slot, pix, c),
-            Emit::Update(part) => {
-                let names = ["conv-w-sgd", "conv-b-sgd"];
-                emit_sgd(sb, names, slot, part, move |p| p.conv(idx));
-            }
+            Emit::Update(part) => emit_sgd(sb, ["conv-w-sgd", "conv-b-sgd"], slot, part, key),
         }
     }
 }
@@ -849,7 +835,7 @@ pub(crate) struct MaxPool2d {
     /// Slot whose `delta` drives this layer's backprop.
     pub above_slot: usize,
     /// Where the upstream weights live.
-    pub above: Above,
+    pub above: ParamKey,
     /// Conv output side (pooling input is `in_side x in_side` per
     /// channel).
     pub in_side: usize,
@@ -873,20 +859,24 @@ impl MaxPool2d {
     }
 }
 
-impl<S> Layer<S> for MaxPool2d
-where
-    S: StackState,
-    S::Params: DenseParams,
-{
-    fn declare(&self, sb: &mut StackBuilder<S>, what: Decl) {
+impl<'s, N: NetParams> Layer<StepState<'s, N>> for MaxPool2d {
+    fn declare(&self, sb: &mut NetBuilder<'s, N>, what: Decl) {
         let (slot, cap) = (self.slot, self.cap);
         let out = self.out_dim();
         match what {
             // Argmax indices are written forward and read backward, so
-            // they live alongside the pooled activations.
+            // they live alongside the pooled activations. A forward-only
+            // graph has no backward to read them: there they are an output
+            // of the run, like the probabilities.
             Decl::Acts => {
-                sb.bind_dims(slot, "act", "pool.act", &[cap, out], BufClass::Pinned);
-                sb.bind_dims(slot, "idx", "pool.idx", &[cap, out], BufClass::Scratch);
+                let class = sb.act_class();
+                sb.bind_dims(slot, "act", "pool.act", &[cap, out], class);
+                let idx_class = if sb.is_forward_only() {
+                    BufClass::Pinned
+                } else {
+                    BufClass::Scratch
+                };
+                sb.bind_dims(slot, "idx", "pool.idx", &[cap, out], idx_class);
             }
             Decl::Deltas => {
                 sb.bind_dims(slot, "delta", "pool.delta", &[cap, out], BufClass::Scratch);
@@ -895,7 +885,7 @@ where
         }
     }
 
-    fn emit(&self, sb: &mut StackBuilder<S>, what: Emit) {
+    fn emit(&self, sb: &mut NetBuilder<'s, N>, what: Emit) {
         let slot = self.slot;
         let (oh, c, pool) = (self.in_side, self.channels, self.pool);
         let out = self.out_dim();
@@ -907,10 +897,9 @@ where
                     NodeSpec::new("pool-forward")
                         .reads(&[conv_act])
                         .writes(&[a_id, i_id]),
-                    move |ctx, st: &mut S::At<'_>| {
-                        let p = S::parts(st);
-                        let b = p.x.rows();
-                        let [act, pooled, pidx] = p.ws.bufs_mut([conv_act, a_id, i_id]);
+                    move |ctx, st: &mut StepState<'_, N>| {
+                        let b = st.x.rows();
+                        let [act, pooled, pidx] = st.ws.bufs_mut([conv_act, a_id, i_id]);
                         conv::maxpool2d_forward(
                             ctx.backend().par(),
                             &act[..b * oh * oh * c],
@@ -937,15 +926,11 @@ where
                     NodeSpec::new("pool-delta")
                         .reads(&[up, up_w])
                         .writes(&[d_id]),
-                    move |ctx, st: &mut S::At<'_>| {
-                        let p = S::parts(st);
-                        let b = p.x.rows();
-                        let w_next: &Mat = match above {
-                            Above::Head => &p.params.softmax().w,
-                            Above::Dense(i) => p.params.dense(i).0,
-                        };
+                    move |ctx, st: &mut StepState<'_, N>| {
+                        let b = st.x.rows();
+                        let w_next = st.net.get().tensors(above).0;
                         let uw = w_next.rows();
-                        let [u, d] = p.ws.bufs_mut([up, d_id]);
+                        let [u, d] = st.ws.bufs_mut([up, d_id]);
                         let uv = MatView::new(&u[..b * uw], b, uw);
                         let mut dv = MatViewMut::new(&mut d[..b * out], b, out);
                         ctx.gemm(1.0, uv, false, w_next.view(), false, 0.0, &mut dv);
@@ -959,10 +944,9 @@ where
                     NodeSpec::new("unpool")
                         .reads(&[d_id, i_id])
                         .writes(&[conv_delta]),
-                    move |ctx, st: &mut S::At<'_>| {
-                        let p = S::parts(st);
-                        let b = p.x.rows();
-                        let [d, pidx, dconv] = p.ws.bufs_mut([d_id, i_id, conv_delta]);
+                    move |ctx, st: &mut StepState<'_, N>| {
+                        let b = st.x.rows();
+                        let [d, pidx, dconv] = st.ws.bufs_mut([d_id, i_id, conv_delta]);
                         conv::maxpool2d_backward(
                             ctx.backend().par(),
                             &d[..b * out],

@@ -100,8 +100,8 @@ pub use optim::{Optimizer, Rule, Schedule};
 pub use profile::{LatencyReport, OpReport, PhaseReport, ProfileReport, Profiler, StreamReport};
 pub use rbm::{Rbm, RbmConfig, RbmScratch};
 pub use serve::{
-    build_forward_graph, serve_requests, Request, RequestOutcome, ServeConfig, ServeConfigError,
-    ServeError, ServeReport, ServeRun, ServeState,
+    serve_requests, Request, RequestOutcome, ServeConfig, ServeConfigError, ServeError,
+    ServeReport, ServeRun,
 };
 pub use stacked::{LayerReport, PipelineReport, PipelineState, StackedAutoencoder};
 pub use supervise::{

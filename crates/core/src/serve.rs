@@ -5,9 +5,11 @@
 //! one request at a time wastes the card exactly the way an unblocked
 //! GEMM does. This module closes that gap for the inference path: a
 //! bounded request queue coalesces individual requests into dynamic
-//! micro-batches, each batch runs as one forward [`TaskGraph`] through
-//! the existing executor/verifier, and the rows of the batched softmax
-//! output are scattered back to their requests.
+//! micro-batches, each batch runs through the existing executor/verifier
+//! as the served net's own forward graph ([`LabeledNet::forward_graph`]:
+//! the forward nodes of its training step, built from the same recipe), so
+//! any labeled net serves, and the rows of the batched softmax output are
+//! scattered back to their requests.
 //!
 //! Batching policy (the classic dynamic-batching pair):
 //!
@@ -38,10 +40,10 @@ use std::time::Instant;
 
 use crate::exec::ExecCtx;
 use crate::faults;
-use crate::finetune::FineTuneNet;
-use crate::graph::{BufClass, BufId, NodeSpec, NodeState, TaskGraph, Workspace};
+use crate::graph::KeptGraph;
+use crate::labeled::{LabeledNet, StepState};
 use crate::supervise::panic_message;
-use micdnn_tensor::{Mat, MatView, MatViewMut};
+use micdnn_tensor::{Mat, MatView};
 use serde::Serialize;
 
 /// Schema marker carried by every serialized [`ServeReport`].
@@ -240,125 +242,27 @@ pub struct ServeRun {
     pub report: ServeReport,
 }
 
-/// State threaded through the forward graph's nodes: the (immutable)
-/// net, the planned arena, and the live batch.
-pub struct ServeState<'a> {
-    net: &'a FineTuneNet,
-    ws: &'a mut Workspace,
-    x: MatView<'a>,
-}
-
-impl NodeState for ServeState<'_> {
-    type At<'a> = ServeState<'a>;
-}
-
-/// Builds the forward-only inference dataflow for a `widths`-shaped
-/// encoder stack and `n_classes` head: the layer chain of
-/// `sigmoid(input W^T + b)` nodes feeding the softmax head. Buffers are
-/// declared against `cap` rows so one planned workspace serves every
-/// micro-batch up to `max_batch` (nodes slice to the live rows).
-///
-/// Layer activations are `Scratch` — each is dead once the next layer
-/// has consumed it, so the planner aliases them into a rotating pair of
-/// registers — and the probability matrix is `Pinned`: it is the output
-/// the scatter step reads after the run. Returns the graph and the
-/// probability buffer's id.
-///
-/// Public so integration tests can pin the serving graph's
-/// [`TaskGraph::verify`] report at zero errors and zero warnings.
-pub fn build_forward_graph<'a>(
-    in_dim: usize,
-    widths: &[usize],
-    n_classes: usize,
-    cap: usize,
-) -> (TaskGraph<'static, ServeState<'a>>, BufId) {
-    let n_layers = widths.len();
-    let code_dim = *widths.last().expect("non-empty net");
-    let mut g: TaskGraph<'static, ServeState<'a>> = TaskGraph::new();
-
-    let xb = g.declare_dims("x", &[cap, in_dim], BufClass::External);
-    let wsm = g.declare_dims("softmax.w", &[n_classes, code_dim], BufClass::External);
-    let bsm = g.declare_dims("softmax.b", &[n_classes], BufClass::External);
-    let (mut wl, mut bl, mut al) = (Vec::new(), Vec::new(), Vec::new());
-    let mut prev = in_dim;
-    for &h in widths {
-        wl.push(g.declare_dims("layer.w", &[h, prev], BufClass::External));
-        bl.push(g.declare_dims("layer.b", &[h], BufClass::External));
-        al.push(g.declare_dims("act", &[cap, h], BufClass::Scratch));
-        prev = h;
-    }
-    let probs = g.declare_dims("probs", &[cap, n_classes], BufClass::Pinned);
-
-    for l in 0..n_layers {
-        let a_prev = if l == 0 { None } else { Some(al[l - 1]) };
-        let a_cur = al[l];
-        let reads = [a_prev.unwrap_or(xb), wl[l], bl[l]];
-        g.node(
-            NodeSpec::new("forward").reads(&reads).writes(&[a_cur]),
-            move |ctx, st: &mut ServeState<'_>| {
-                let b = st.x.rows();
-                let (w, bias) = &st.net.layer_params()[l];
-                let h = w.rows();
-                match a_prev {
-                    None => {
-                        let out = &mut st.ws.buf_mut(a_cur)[..b * h];
-                        let mut v = MatViewMut::new(out, b, h);
-                        ctx.gemm(1.0, st.x, false, w.view(), true, 0.0, &mut v);
-                        ctx.bias_sigmoid_rows(bias, &mut v);
-                    }
-                    Some(p) => {
-                        let pw = w.cols();
-                        let [inp, out] = st.ws.bufs_mut([p, a_cur]);
-                        let iv = MatView::new(&inp[..b * pw], b, pw);
-                        let mut v = MatViewMut::new(&mut out[..b * h], b, h);
-                        ctx.gemm(1.0, iv, false, w.view(), true, 0.0, &mut v);
-                        ctx.bias_sigmoid_rows(bias, &mut v);
-                    }
-                }
-            },
-        );
-    }
-
-    let a_top = al[n_layers - 1];
-    g.node(
-        NodeSpec::new("softmax")
-            .reads(&[a_top, wsm, bsm])
-            .writes(&[probs]),
-        move |ctx, st: &mut ServeState<'_>| {
-            let b = st.x.rows();
-            let (c, code) = (st.net.softmax.n_classes(), st.net.softmax.in_dim());
-            let [a, p] = st.ws.bufs_mut([a_top, probs]);
-            let av = MatView::new(&a[..b * code], b, code);
-            let mut pv = MatViewMut::new(&mut p[..b * c], b, c);
-            st.net.softmax.forward_into(ctx, av, &mut pv);
-        },
-    );
-
-    (g, probs)
-}
-
 /// The forward pass of one micro-batch, with supervised recovery.
 ///
 /// Happy path: the request rows are copied into the top of the server's
-/// input matrix `x`, one graph execution runs over them, then a per-row
-/// finite check so a poisoned lane (e.g. a `kernel.nan` injection) fails
-/// only its own request. If the batched execution *panics*, the panic is
-/// caught, an incident is noted on the context, and every request is
-/// retried individually — a request whose solo retry also panics comes
-/// back [`ServeError::Poisoned`]; the rest still succeed.
-fn run_batch(
-    net: &FineTuneNet,
+/// input matrix `x`, one execution of the kept forward graph runs over
+/// them, then a per-row finite check so a poisoned lane (e.g. a
+/// `kernel.nan` injection) fails only its own request. If the batched
+/// execution *panics*, the panic is caught, an incident is noted on the
+/// context, and every request is retried individually — a request whose
+/// solo retry also panics comes back [`ServeError::Poisoned`]; the rest
+/// still succeed.
+fn run_batch<N: LabeledNet>(
+    net: &N,
     ctx: &ExecCtx,
-    graph: &mut TaskGraph<'static, ServeState<'static>>,
-    ws: &mut Workspace,
+    kept: &mut KeptGraph<usize, StepState<'static, N>>,
     x: &mut Mat,
-    probs_id: BufId,
     inputs: &[&[f32]],
 ) -> Vec<Result<Vec<f32>, ServeError>> {
-    let b = inputs.len();
+    let (b, cap) = (inputs.len(), x.rows());
     let in_dim = x.cols();
-    let c = net.softmax.n_classes();
-    debug_assert!(b > 0 && b <= x.rows() && b * c <= ws.buf(probs_id).len());
+    let c = net.n_classes();
+    debug_assert!(b > 0 && b <= cap);
 
     let rows = &mut x.as_mut_slice()[..b * in_dim];
     for (dst, row) in rows.chunks_exact_mut(in_dim).zip(inputs) {
@@ -372,16 +276,13 @@ fn run_batch(
     }
 
     let batched = catch_unwind(AssertUnwindSafe(|| {
-        let mut state = ServeState {
-            net,
-            ws: &mut *ws,
-            x: MatView::prefix(x.as_slice(), b, in_dim),
-        };
-        graph.execute(ctx, &mut state);
+        let (graph, ws) = kept.prepare(cap, || net.forward_graph(cap));
+        let xv = MatView::prefix(x.as_slice(), b, in_dim);
+        graph.execute(ctx, &mut StepState::forward(net, ws, xv));
     }));
 
     match batched {
-        Ok(()) => ws.buf(probs_id)[..b * c]
+        Ok(()) => kept.buf("probs")[..b * c]
             .chunks(c)
             .map(|row| {
                 if row.iter().all(|v| v.is_finite()) {
@@ -428,16 +329,14 @@ fn run_batch(
 /// a priced context, wall seconds natively), so arrivals during service
 /// pile into — and can overflow — the bounded queue. Requests are
 /// processed in arrival order; ties keep submission order.
-pub fn serve_requests(
-    net: &FineTuneNet,
+pub fn serve_requests<N: LabeledNet>(
+    net: &N,
     ctx: &ExecCtx,
     cfg: &ServeConfig,
     requests: &[Request],
 ) -> Result<ServeRun, ServeConfigError> {
     cfg.validate()?;
-    let in_dim = net.layer_params()[0].0.cols();
-    let widths: Vec<usize> = net.layer_params().iter().map(|(w, _)| w.rows()).collect();
-    let n_classes = net.softmax.n_classes();
+    let in_dim = net.in_dim();
 
     // Stable sort by arrival so callers may pass unsorted traffic.
     let mut order: Vec<usize> = (0..requests.len()).collect();
@@ -451,8 +350,8 @@ pub fn serve_requests(
     // One forward graph, arena and input matrix for every micro-batch, all
     // `max_batch` rows: a batch binds its live rows, and the graph is built
     // (and, where the context asks, verified) once, not per batch.
-    let (mut graph, probs_id) = build_forward_graph(in_dim, &widths, n_classes, cfg.max_batch);
-    let mut ws = Workspace::new(&graph.plan());
+    let mut kept = KeptGraph(None);
+    kept.prepare(cfg.max_batch, || net.forward_graph(cfg.max_batch));
     let mut x = Mat::zeros(cfg.max_batch, in_dim);
 
     let mut outcomes: Vec<Option<RequestOutcome>> = vec![None; requests.len()];
@@ -515,7 +414,7 @@ pub fn serve_requests(
                 .collect();
             let sim0 = ctx.sim_time();
             let wall0 = Instant::now();
-            let results = run_batch(net, ctx, &mut graph, &mut ws, &mut x, probs_id, &inputs);
+            let results = run_batch(net, ctx, &mut kept, &mut x, &inputs);
             let service = if priced {
                 ctx.sim_time() - sim0
             } else {
@@ -626,6 +525,7 @@ fn summarize(outcomes: &[RequestOutcome], batches: u64, batch_rows: u64) -> Serv
 mod tests {
     use super::*;
     use crate::exec::OptLevel;
+    use crate::finetune::FineTuneNet;
 
     fn net() -> FineTuneNet {
         FineTuneNet::random(&[20, 12, 8], 4, 7)
@@ -865,7 +765,7 @@ mod tests {
 
     #[test]
     fn forward_graph_verifies_clean() {
-        let (g, _) = build_forward_graph(20, &[12, 8], 4, 16);
+        let g = net().forward_graph(16);
         let report = g.verify();
         assert!(report.errors.is_empty(), "{report:?}");
         assert!(report.warnings.is_empty(), "{report:?}");

@@ -11,7 +11,11 @@
 //! computed inside a 64-row micro-batch is the same f32s as the row
 //! computed alone.
 
-use micdnn::{serve_requests, ExecCtx, FineTuneNet, OptLevel, Request, ServeConfig, ServeError};
+use micdnn::{
+    serve_requests, CnnConfig, CnnNet, ExecCtx, FineTuneNet, OptLevel, Request, ServeConfig,
+    ServeError,
+};
+use micdnn_data::DigitGenerator;
 use micdnn_tensor::MatView;
 use proptest::prelude::*;
 
@@ -77,6 +81,53 @@ proptest! {
                 got.as_slice(),
                 serial.as_slice(),
                 "request {} diverged from the serial forward pass", i
+            );
+        }
+    }
+
+    /// The same property for the CNN, served through its own forward graph:
+    /// im2col, the conv product, pooling and the dense tail are row-local
+    /// too, so a micro-batch changes no bit of any image's answer.
+    #[test]
+    fn batched_cnn_serving_is_bitwise_serial(
+        n in 1usize..16,
+        max_batch in 1usize..8,
+        gaps in proptest::collection::vec(0u32..3, 1..16),
+        max_wait_us in 0u64..2000,
+        seed in any::<u64>(),
+    ) {
+        let net = CnnNet::new(CnnConfig::digits(12), seed % 1000);
+        let in_dim = net.config().input_dim();
+        let ctx = ExecCtx::native(OptLevel::Improved, 0);
+
+        // Rendered digits: no two images alike, so an answer scattered to
+        // the wrong request shows.
+        let images = DigitGenerator::new(12, seed).matrix(n);
+        let rows: Vec<Vec<f32>> = (0..n).map(|i| images.row(i).to_vec()).collect();
+        let mut t = 0.0f64;
+        let requests: Vec<Request> = rows
+            .iter()
+            .enumerate()
+            .map(|(i, input)| {
+                t += gaps[i % gaps.len()] as f64 * 1e-4;
+                Request { arrival_secs: t, input: input.clone() }
+            })
+            .collect();
+        let cfg = ServeConfig {
+            max_batch,
+            max_wait_secs: max_wait_us as f64 * 1e-6,
+            queue_cap: n,
+        };
+        let run = serve_requests(&net, &ctx, &cfg, &requests).unwrap();
+        prop_assert_eq!(run.report.completed as usize, n);
+
+        for (i, outcome) in run.outcomes.iter().enumerate() {
+            let got = outcome.result.as_ref().expect("completed");
+            let serial = net.predict_proba(&ctx, MatView::new(&rows[i], 1, in_dim));
+            prop_assert_eq!(
+                got.as_slice(),
+                serial.as_slice(),
+                "image {} diverged from the serial forward pass", i
             );
         }
     }

@@ -20,8 +20,9 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use micdnn::cd_graph::{build_cd_graph, build_pcd_graph};
 use micdnn::train::TrainConfig;
 use micdnn::{
-    build_ae_graph, build_step_graph, AeUpdate, BufClass, BufId, DiagKind, ExecCtx, NodeSpec,
-    OptLevel, StackedAutoencoder, TaskGraph, DEFAULT_MEM_BUDGET,
+    build_ae_graph, build_step_graph, AeUpdate, BufClass, BufId, CnnConfig, CnnNet, DiagKind,
+    ExecCtx, FineTuneNet, LabeledNet, NodeSpec, OptLevel, StackedAutoencoder, TaskGraph,
+    DEFAULT_MEM_BUDGET,
 };
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
@@ -483,24 +484,30 @@ fn shipped_cnn_graphs_verify_clean() {
 
 /// The serving path's forward-only graph is held to the same bar as the
 /// training steps: zero errors *and* zero warnings across representative
-/// shapes — including depth 1, the paper's headline widths, and a deep
-/// narrow stack — so a dead write or missing edge in the inference chain
-/// can never ship silently.
+/// shapes — including depth 1, the paper's headline widths, a deep narrow
+/// stack and the CNN — so a dead write or missing edge in the inference
+/// chain can never ship silently.
 #[test]
 fn serve_forward_graphs_verify_clean() {
-    for (in_dim, widths, classes, cap) in [
-        (144, vec![64], 10, 64),
-        (784, vec![512, 256], 10, 200),
-        (256, vec![128, 64, 32], 4, 100),
-        (1024, vec![4096], 10, 256),
+    for (sizes, classes, cap) in [
+        (vec![144, 64], 10, 64),
+        (vec![784, 512, 256], 10, 200),
+        (vec![256, 128, 64, 32], 4, 100),
+        (vec![1024, 4096], 10, 256),
     ] {
-        let (g, _) = micdnn::build_forward_graph(in_dim, &widths, classes, cap);
+        let g = FineTuneNet::random(&sizes, classes, 1).forward_graph(cap);
         let report = g.verify();
         assert!(
             report.is_clean(),
-            "serve forward {in_dim}->{widths:?}->{classes} must verify 0/0:\n{report}"
+            "serve forward {sizes:?}->{classes} must verify 0/0:\n{report}"
         );
     }
+    let g = CnnNet::new(CnnConfig::digits(12), 1).forward_graph(64);
+    let report = g.verify();
+    assert!(
+        report.is_clean(),
+        "CNN serve forward must verify 0/0:\n{report}"
+    );
 }
 
 #[test]
@@ -641,20 +648,27 @@ fn all_shipped_graphs_certify_clean() {
             outcome.report
         );
     }
-    for (in_dim, widths, classes, cap) in [
-        (144, vec![64], 10, 64),
-        (784, vec![512, 256], 10, 200),
-        (256, vec![128, 64, 32], 4, 100),
-        (1024, vec![4096], 10, 256),
+    for (sizes, classes, cap) in [
+        (vec![144, 64], 10, 64),
+        (vec![784, 512, 256], 10, 200),
+        (vec![256, 128, 64, 32], 4, 100),
+        (vec![1024, 4096], 10, 256),
     ] {
-        let (g, _) = micdnn::build_forward_graph(in_dim, &widths, classes, cap);
+        let g = FineTuneNet::random(&sizes, classes, 1).forward_graph(cap);
         let outcome = g.certify(DEFAULT_MEM_BUDGET);
         assert!(
             outcome.is_clean(),
-            "serve forward {in_dim}->{widths:?}->{classes} must certify 0/0:\n{}",
+            "serve forward {sizes:?}->{classes} must certify 0/0:\n{}",
             outcome.report
         );
     }
+    let g = CnnNet::new(CnnConfig::digits(12), 1).forward_graph(64);
+    let outcome = g.certify(DEFAULT_MEM_BUDGET);
+    assert!(
+        outcome.is_clean(),
+        "CNN serve forward must certify 0/0:\n{}",
+        outcome.report
+    );
 }
 
 /// Dead-write audit of the CNN step plans: at every shipped geometry the
