@@ -14,6 +14,7 @@
 //! GW1 = D2' x / b ; GB1 = colmean(D2)  (need D2)     — mutually concurrent
 //! U*  = per-tensor parameter updates   (each needs its gradient; U2 also
 //!                                       D2a, W2's last reader)
+//! GW*+U* = a weight gradient fused with its SGD update (below)
 //! ```
 //!
 //! One builder backs both execution styles, exactly as for CD:
@@ -31,14 +32,19 @@
 //! copy's sparsity term, and COST leaves the raw squared error after GB1.
 //!
 //! In an updating step the gradients die at their update. `D2a` is W2's
-//! last reader, so the decoder updates `U2`/`U4` run right after `D2b`,
-//! before the encoder's gradients are born, and the declaration-order
-//! planner folds `gw1` into `gw2`'s register, ordering `U2` before `GW1`
-//! for it: at the paper's 1024×4096 layer (b100) the arena holds 5 223 424
-//! of the 9 425 920 declared elements. A gradient-only step (`cost_and_grad`,
-//! the gradient check) hands its gradients to the caller, so they stay
-//! `Pinned`; the block form's are `Partial` sums and its updates stay
-//! together after the merge.
+//! last reader, so `GW2` and the decoder updates `U2`/`U4` run right after
+//! `D2b`, and `GW1` after `GB1`. A plain SGD step whose batch is one GEMM k-slab at most (`GEMM_KC`
+//! rows) never holds a weight gradient: `GW2+U2` and `GW1+U1` are one node
+//! each ([`ExecCtx::gemm_sgd`]), whose product steps the weights as each
+//! tile of the gradient is finished, with the bits of GW followed by U. It
+//! declares no `gw1`/`gw2`: at the paper's 1024×4096 layer (b100) the arena
+//! peaks at 1 029 120 elements. An optimizer step, or an SGD step of more
+//! rows, keeps its gradients, and the declaration-order planner folds `gw1`
+//! into `gw2`'s register, ordering `U2` before `GW1` for it (5 223 424 of
+//! the 9 425 920 declared elements at b100). A gradient-only step
+//! (`cost_and_grad`, the gradient check) hands its gradients to the caller,
+//! so they stay `Pinned`; the block form's are `Partial` sums and its
+//! updates stay together after the merge.
 
 use crate::autoencoder::{AeCost, AeScratch, SparseAutoencoder};
 use crate::exec::ExecCtx;
@@ -47,7 +53,7 @@ use crate::layers::{Decl, Emit, Layer, Part, StackBuilder};
 use crate::multidev::{split_at_syncs, BlockGraph, Segment};
 use crate::optim::Optimizer;
 use micdnn_kernels::rng::StreamId;
-use micdnn_kernels::{kl_sparsity, sum_sq};
+use micdnn_kernels::{kl_sparsity, sum_sq, GEMM_KC};
 use micdnn_tensor::{Mat, MatView, MatViewMut};
 use std::ops::Range;
 
@@ -146,10 +152,10 @@ const BUF_NAMES: [[&str; 6]; 2] = [
 ];
 
 /// Node names per half: forward, weight gradient, bias gradient, weight
-/// update, bias update.
-const NODE_NAMES: [[&str; 5]; 2] = [
-    ["F1", "GW1", "GB1", "U1", "U3"],
-    ["F2", "GW2", "GB2", "U2", "U4"],
+/// update, bias update, and the weight gradient fused with its SGD update.
+const NODE_NAMES: [[&str; 6]; 2] = [
+    ["F1", "GW1", "GB1", "U1", "U3", "GW1+U1"],
+    ["F2", "GW2", "GB2", "U2", "U4", "GW2+U2"],
 ];
 
 impl Half {
@@ -194,6 +200,15 @@ impl AeHalf {
         }
     }
 
+    /// Whether this half's weight gradient is never held: an SGD step of a
+    /// batch of one k-slab at most ([`GEMM_KC`] rows) steps the weights in
+    /// the gradient product's tiles, in one node (GW+U) that declares no
+    /// `gw`. The block form's sums merge first and an optimizer reads the
+    /// whole gradient, so they keep it, and so does a step of more rows.
+    fn fused(&self) -> bool {
+        self.update == AeUpdate::Sgd && !self.block && self.b <= GEMM_KC
+    }
+
     /// The per-tensor parameter update (weight decay on the weights only):
     /// plain SGD, or one optimizer slot — in which case the graph's last
     /// update node (U3, or the block form's U4) also advances the
@@ -203,7 +218,10 @@ impl AeHalf {
         if update == AeUpdate::None {
             return;
         }
-        let [_, _, _, upd_w, upd_b] = NODE_NAMES[half as usize];
+        if part == Part::Weights && self.fused() {
+            return self.emit_fused_update(sb);
+        }
+        let [_, _, _, upd_w, upd_b, _] = NODE_NAMES[half as usize];
         let (name, grad, param, opt_slot) = match part {
             Part::Weights => (upd_w, "gw", "w", half as usize),
             Part::Biases => (upd_b, "gb", "b", 2 + half as usize),
@@ -240,6 +258,39 @@ impl AeHalf {
             }
         });
     }
+
+    /// GW+U: `W = (1 - lr λ) W - lr/b deltaᵀ input`, the weight gradient's
+    /// product stepping the weights in its tiles ([`ExecCtx::gemm_sgd`]),
+    /// with the bits of GW followed by U. The node is the product's, so
+    /// its phase is `backward`: the profiler counts the step's SGD cost
+    /// there, not under `update`.
+    fn emit_fused_update(&self, sb: &mut StackBuilder<AeState<'_>>) {
+        let half = self.half;
+        let slot = half as usize;
+        let ((n_out, n_in), from_x) = (self.dims(), half == Half::Enc);
+        let (delta, input, w) = (sb.buf(slot, "delta"), self.input_buf(sb), sb.buf(slot, "w"));
+        sb.node(
+            NodeSpec::new(NODE_NAMES[slot][5])
+                .reads(&[delta, input, w])
+                .writes(&[w])
+                .phase("backward"),
+            move |ctx, s: &mut AeState<'_>| {
+                let AeStep::Sgd(lr) = s.step else {
+                    unreachable!("fused updates are only built for SGD steps")
+                };
+                let (b, lambda) = (s.x.rows(), s.ae.config().weight_decay);
+                let inp = if from_x {
+                    s.x
+                } else {
+                    MatView::prefix(s.ws.buf(input), b, n_in)
+                };
+                let d = MatView::prefix(s.ws.buf(delta), b, n_out);
+                let (w, _) = half.params(s.ae);
+                let alpha = 1.0 / b as f32;
+                ctx.gemm_sgd(alpha, d, true, inp, false, lr, lambda, &mut w.view_mut());
+            },
+        );
+    }
 }
 
 impl<'a> Layer<AeState<'a>> for AeHalf {
@@ -269,9 +320,10 @@ impl<'a> Layer<AeState<'a>> for AeHalf {
             Decl::Deltas => {
                 sb.bind_dims(slot, "delta", delta, &[b, out], BufClass::Scratch);
             }
-            Decl::Grads(Part::Weights) => {
+            Decl::Grads(Part::Weights) if !self.fused() => {
                 sb.bind_dims(slot, "gw", gw, &[out, inp], grads);
             }
+            Decl::Grads(Part::Weights) => {}
             Decl::Grads(Part::Biases) => {
                 sb.bind_dims(slot, "gb", gb, &[out], grads);
             }
@@ -317,7 +369,8 @@ impl<'a> Layer<AeState<'a>> for AeHalf {
                 Half::Dec => self.emit_output_delta(sb),
             },
             // GW = 1/b delta^T input ; GB = 1/b colsum(delta); the block
-            // form's sums skip the 1/b.
+            // form's sums skip the 1/b. A fused GW runs in its update.
+            Emit::Grads(Part::Weights) if self.fused() => {}
             Emit::Grads(Part::Weights) => {
                 let (delta, input, gw) = (
                     sb.buf(slot, "delta"),
@@ -584,26 +637,35 @@ pub(crate) fn ae_graph<'a>(
     enc.declare(&mut sb, Decl::Grads(Part::Biases));
     dec.declare(&mut sb, Decl::Grads(Part::Biases));
 
-    // Node order: F1, F2, COST, RHO+KL, D3, GW2, GB2, D2a+D2b, U2+U4, GW1,
-    // GB1, U1+U3, one update node per tensor (weight decay on the weights
+    // Node order: F1, F2, COST, RHO+KL, D3, GB2, D2a+D2b, GW2, U2+U4, GB1,
+    // GW1, U1+U3, one update node per tensor (weight decay on the weights
     // only; the update layers emit nothing in `None` mode). D2a is W2's
     // last reader, so the decoder updates run as soon as D2b is done and
-    // `gw2` dies before `gw1` is born. The block form keeps its updates
-    // together after GB1 and COST: they read the merged sums.
+    // `gw2` dies before `gw1` is born. A fused SGD step emits each weight
+    // gradient in its update, with the same op stream: F1, F2, COST,
+    // RHO+KL, D3, GB2, D2a+D2b, GW2+U2, U4, GB1, GW1+U1, U3. The block form
+    // keeps its gradients before D2a's and its updates together after GB1
+    // and COST: they read the merged sums.
     enc.emit(&mut sb, Emit::Forward);
     dec.emit(&mut sb, Emit::Forward);
     cost.emit(&mut sb, Emit::Forward);
     spars.emit(&mut sb, Emit::Forward);
     dec.emit(&mut sb, Emit::Backward);
-    dec.emit(&mut sb, Emit::Grads(Part::Weights));
+    if block {
+        dec.emit(&mut sb, Emit::Grads(Part::Weights));
+    }
     dec.emit(&mut sb, Emit::Grads(Part::Biases));
     enc.emit(&mut sb, Emit::Backward);
-    if !block {
+    if block {
+        enc.emit(&mut sb, Emit::Grads(Part::Weights));
+        enc.emit(&mut sb, Emit::Grads(Part::Biases));
+    } else {
+        dec.emit(&mut sb, Emit::Grads(Part::Weights));
         dec.emit(&mut sb, Emit::Update(Part::Weights));
         dec.emit(&mut sb, Emit::Update(Part::Biases));
+        enc.emit(&mut sb, Emit::Grads(Part::Biases));
+        enc.emit(&mut sb, Emit::Grads(Part::Weights));
     }
-    enc.emit(&mut sb, Emit::Grads(Part::Weights));
-    enc.emit(&mut sb, Emit::Grads(Part::Biases));
     cost.emit(&mut sb, Emit::Backward);
     enc.emit(&mut sb, Emit::Update(Part::Weights));
     if block {
@@ -810,34 +872,90 @@ mod tests {
 
     #[test]
     fn updating_steps_share_one_gradient_register() {
-        // At the paper's layer (1024x4096, b100) an updating step's
-        // gradients die at their update: U2 runs right after D2b, so gw1
-        // reuses gw2's register. A gradient-only step hands both to its
-        // caller and keeps them apart.
-        for (update, shared) in [
-            (AeUpdate::Sgd, true),
-            (AeUpdate::Opt, true),
-            (AeUpdate::None, false),
+        // At the paper's layer (1024x4096, b100) an SGD step never holds a
+        // weight gradient: GW2+U2 and GW1+U1 step the weights in the
+        // product's tiles. An optimizer step's gradients die at their
+        // update: GW2 and U2 run right after D2b, so gw1 reuses gw2's
+        // register, as it does in an SGD step of more than one k-slab of
+        // rows. A gradient-only step hands both to its caller and keeps
+        // them apart.
+        // Elements declared in the arena and its peak: the fused step drops
+        // both 4096x1024 gradients (4 194 304 each) from the declared total
+        // and their shared register from the peak.
+        let past_kc = GEMM_KC + 1;
+        for (update, b, grads, declared, peak) in [
+            (AeUpdate::Sgd, 100, None, 1_037_312, 1_029_120),
+            (AeUpdate::Sgd, past_kc, Some(true), 11_033_600, 6_831_104),
+            (AeUpdate::Opt, 100, Some(true), 9_425_920, 5_223_424),
+            (AeUpdate::None, 100, Some(false), 9_425_920, 9_421_824),
         ] {
-            let g = build_ae_graph(1024, 4096, 100, update);
+            let g = build_ae_graph(1024, 4096, b, update);
             let plan = g.plan();
             let register = |name| {
-                let b = g
-                    .bufs
-                    .iter()
-                    .position(|d| d.name == name)
-                    .expect("declared");
-                plan.register_of(BufId(b)).expect("arena buffer")
+                let b = g.bufs.iter().position(|d| d.name == name)?;
+                plan.register_of(BufId(b))
             };
-            assert_eq!(register("gw1") == register("gw2"), shared, "{update:?}");
-            let report = g.verify();
-            assert!(report.errors.is_empty(), "{update:?}: {report}");
-            if shared {
-                // The two 4096x1024 gradients in one register: 9 425 920
-                // declared elements fit in 5 223 424.
-                assert_eq!(plan.total_declared_elems(), 9_425_920, "{update:?}");
-                assert_eq!(plan.peak_elems(), 5_223_424, "{update:?}");
+            let what = format!("{update:?} b{b}");
+            match grads {
+                Some(shared) => {
+                    let (gw1, gw2) = (register("gw1"), register("gw2"));
+                    assert!(gw1.is_some() && gw2.is_some(), "{what}");
+                    assert_eq!(gw1 == gw2, shared, "{what}");
+                }
+                None => assert_eq!((register("gw1"), register("gw2")), (None, None), "{what}"),
             }
+            let report = g.verify();
+            assert!(report.errors.is_empty(), "{what}: {report}");
+            assert_eq!(plan.total_declared_elems(), declared, "{what}");
+            assert_eq!(plan.peak_elems(), peak, "{what}");
+        }
+    }
+
+    #[test]
+    fn fused_sgd_steps_match_gradient_steps_then_sgd_step() {
+        // N SGD steps of an `AeModel`, whose weight gradients step the
+        // weights in their products' tiles (a batch of one k-slab) or are
+        // held (one row more), give the bits of N gradient-only steps each
+        // followed by `sgd_step` of every tensor (weight decay on the
+        // weights only). A ragged last batch included.
+        use crate::train::{AeModel, UnsupervisedModel};
+        let mut cfg = AeConfig::new(14, 9);
+        cfg.weight_decay = 3e-3;
+        for cap in [12, GEMM_KC, GEMM_KC + 1] {
+            let data = tiny_batch(3 * cap, 14, 48);
+            let bounds = [(0, cap), (cap, 2 * cap), (2 * cap, 3 * cap - 5)];
+            let mut model = AeModel::new(SparseAutoencoder::new(cfg, 2));
+            model.prepare(cap);
+            let mut reference = model.ae.clone();
+            let ctx = ExecCtx::native(OptLevel::Improved, 3);
+            let mut scratch = AeScratch::new(&cfg, cap);
+            for (lo, hi) in bounds {
+                let x = data.rows_range(lo, hi);
+                let fused = model.train_batch(&ctx, x, 0.4);
+                let cost = reference.cost_and_grad(&ctx, x, &mut scratch);
+                assert_eq!(fused, cost.reconstruction, "cap {cap} rows {lo}..{hi}");
+                let be = ctx.backend();
+                let g = |name| scratch.step.buf(name);
+                let ae = &mut reference;
+                be.sgd_step(0.4, cfg.weight_decay, g("gw1"), ae.w1.as_mut_slice());
+                be.sgd_step(0.4, cfg.weight_decay, g("gw2"), ae.w2.as_mut_slice());
+                be.sgd_step(0.4, 0.0, g("gb1"), &mut ae.b1);
+                be.sgd_step(0.4, 0.0, g("gb2"), &mut ae.b2);
+            }
+            let bits = |x: &[f32]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            let (fused, want) = (&model.ae, &reference);
+            assert_eq!(
+                bits(fused.w1.as_slice()),
+                bits(want.w1.as_slice()),
+                "cap {cap}"
+            );
+            assert_eq!(
+                bits(fused.w2.as_slice()),
+                bits(want.w2.as_slice()),
+                "cap {cap}"
+            );
+            assert_eq!(bits(&fused.b1), bits(&want.b1), "cap {cap}");
+            assert_eq!(bits(&fused.b2), bits(&want.b2), "cap {cap}");
         }
     }
 

@@ -33,16 +33,17 @@ pub fn ae_batch_ops(v: usize, h: usize, b: usize, backend: Backend) -> Vec<OpCos
         backend.reduce_cost(b, h), // rho_hat
         // backward
         backend.delta_output_cost(b * v), // delta3
-        backend.gemm_cost(v, h, b),       // gw2 = delta3^T a2
         backend.reduce_cost(b, v),        // gb2
         backend.gemm_cost(b, h, v),       // delta2 = delta3 W2
         backend.bias_deriv_cost(b * h),   // delta2 ⊙ sparsity ⊙ deriv
-        // decoder update (W2's last reader has run)
+        // decoder gradient and update (W2's last reader has run); a batch
+        // of one k-slab steps W2 in the gradient product's tiles
+        backend.gemm_cost(v, h, b), // gw2 = delta3^T a2
         backend.sgd_cost(v * h),
         backend.sgd_cost(v),
         // encoder gradients and update
-        backend.gemm_cost(h, v, b), // gw1 = delta2^T x
         backend.reduce_cost(b, h),  // gb1
+        backend.gemm_cost(h, v, b), // gw1 = delta2^T x
         backend.sgd_cost(h * v),
         backend.sgd_cost(h),
     ]

@@ -445,6 +445,26 @@ impl ExecCtx {
         self.charge_timed(cost, t0);
     }
 
+    /// See [`Backend::gemm_sgd`]: charges the product, then the SGD step
+    /// that ran in its tiles (which takes no wall time of its own).
+    #[allow(clippy::too_many_arguments)]
+    pub fn gemm_sgd(
+        &self,
+        alpha: f32,
+        a: MatView<'_>,
+        ta: bool,
+        b: MatView<'_>,
+        tb: bool,
+        lr: f32,
+        lambda: f32,
+        w: &mut MatViewMut<'_>,
+    ) {
+        let t0 = self.op_start();
+        let [gemm, sgd] = self.backend.gemm_sgd(alpha, a, ta, b, tb, lr, lambda, w);
+        self.charge_timed(gemm, t0);
+        self.charge(sgd);
+    }
+
     /// See [`Backend::bias_sigmoid_rows`].
     pub(crate) fn bias_sigmoid_rows(&self, bias: &[f32], c: &mut MatViewMut<'_>) {
         let t0 = self.op_start();

@@ -2,8 +2,9 @@
 //! pin at the benchmark shapes, the decoder's and the fine-tune layer's
 //! weight gradients, the 10-class softmax heads' forward and
 //! weight-gradient products, and the filter gradient at six channels,
-//! sequential and threaded. It is the sweep behind the tables in `gemm.rs`'s
-//! docs.
+//! sequential and threaded; then the AE's two weight gradients as the fused
+//! product `gemm_sgd`, beside `gemm` followed by `sgd_step` on the same
+//! operands. It is the sweep behind the tables in `gemm.rs`'s docs.
 //!
 //! ```text
 //! cargo run --release -p micdnn-kernels --example gemm_shapes [ROUNDS]
@@ -13,9 +14,11 @@
 //! [`Par::Rayon`] (as many calls as fill about 20 ms, after one warm-up
 //! call), so slow drift in the machine's speed spreads over all shapes
 //! alike; the table gives the median of the rounds (default 5). The thread
-//! count is rayon's, `RAYON_NUM_THREADS` or the CPU count.
+//! count is rayon's, `RAYON_NUM_THREADS` or the CPU count. The fused
+//! products run through [`Backend`]: sequential at
+//! [`Backend::sequential_blas`], threaded at [`Backend::improved`].
 
-use micdnn_kernels::{gemm, Par};
+use micdnn_kernels::{gemm, Backend, Par};
 use micdnn_tensor::Mat;
 use std::time::Instant;
 
@@ -48,6 +51,13 @@ const SHAPES: [(&str, usize, usize, usize, bool, bool); 18] = [
     ("CNN filter gradient, 6 channels", 6, 25, 28800, true, false),
 ];
 
+/// `(name, m, n, k)`: the AE's weight gradients `W (m x n) -= lr/k * Aᵀ B`,
+/// `A` stored `k x m` and `B` `k x n`, at `ae_wide`'s batch of 200.
+const FUSED: [(&str, usize, usize, usize); 2] = [
+    ("ae_wide encoder weights", 4096, 1024, 200),
+    ("ae_wide decoder weights", 1024, 4096, 200),
+];
+
 /// A stored matrix whose `op()` is `rows x cols`, filled with small values.
 fn operand(rows: usize, cols: usize, t: bool, salt: usize) -> Mat {
     let (r, c) = if t { (cols, rows) } else { (rows, cols) };
@@ -56,9 +66,8 @@ fn operand(rows: usize, cols: usize, t: bool, salt: usize) -> Mat {
     })
 }
 
-/// Seconds per call of `C = op(A) * op(B)` at `par`.
-fn time_call(par: Par, (a, ta): (&Mat, bool), (b, tb): (&Mat, bool), c: &mut Mat) -> f64 {
-    let mut call = || gemm(par, 1.0, a.view(), ta, b.view(), tb, 0.0, &mut c.view_mut());
+/// Seconds per call of `call`.
+fn time_call(mut call: impl FnMut()) -> f64 {
     call();
     let t = Instant::now();
     call();
@@ -95,7 +104,10 @@ fn main() {
             SHAPES.iter().zip(&mut operands).zip(&mut secs)
         {
             for (par, out) in [Par::Seq, Par::Rayon].into_iter().zip(s.iter_mut()) {
-                out.push(time_call(par, (a, *ta), (b, *tb), c));
+                let c = &mut c.view_mut();
+                out.push(time_call(|| {
+                    gemm(par, 1.0, a.view(), *ta, b.view(), *tb, 0.0, c)
+                }));
             }
         }
     }
@@ -114,6 +126,72 @@ fn main() {
             flop / seq * 1e-9,
             par * 1e6,
             flop / par * 1e-9
+        );
+    }
+    fused(rounds);
+}
+
+/// The second table: per fused AE product and backend, µs per call of
+/// `gemm_sgd` and of `gemm` into a gradient followed by `sgd_step`.
+fn fused(rounds: usize) {
+    let backends = [Backend::sequential_blas(), Backend::improved()];
+    let mut secs = vec![[[Vec::new(), Vec::new()], [Vec::new(), Vec::new()]]; FUSED.len()];
+    let mut operands: Vec<(Mat, Mat, Mat, Mat)> = FUSED
+        .iter()
+        .map(|&(_, m, n, k)| {
+            let w = operand(m, n, false, 3);
+            (
+                operand(k, m, false, 1),
+                operand(k, n, false, 2),
+                w,
+                Mat::zeros(m, n),
+            )
+        })
+        .collect();
+    for _ in 0..rounds {
+        for ((&(_, _, _, k), (a, b, w, g)), s) in FUSED.iter().zip(&mut operands).zip(&mut secs) {
+            let (alpha, lr, lambda) = (1.0 / k as f32, 1e-4, 1e-4);
+            for (be, [fused, apart]) in backends.iter().zip(s.iter_mut()) {
+                fused.push(time_call(|| {
+                    be.gemm_sgd(
+                        alpha,
+                        a.view(),
+                        true,
+                        b.view(),
+                        false,
+                        lr,
+                        lambda,
+                        &mut w.view_mut(),
+                    );
+                }));
+                apart.push(time_call(|| {
+                    be.gemm(
+                        alpha,
+                        a.view(),
+                        true,
+                        b.view(),
+                        false,
+                        0.0,
+                        &mut g.view_mut(),
+                    );
+                    be.sgd_step(lr, lambda, g.as_slice(), w.as_mut_slice());
+                }));
+            }
+        }
+    }
+    println!();
+    println!("gemm_sgd beside gemm + sgd_step, µs per call, median of {rounds} rounds");
+    println!(
+        "| product | seq, gemm + sgd_step | seq, gemm_sgd | par, gemm + sgd_step | par, gemm_sgd |"
+    );
+    println!("|---|---|---|---|---|");
+    for ((name, m, n, k), [[seq_f, seq_a], [par_f, par_a]]) in FUSED.iter().zip(&mut secs) {
+        println!(
+            "| {name} `{m}x{n}x{k}` | {:.0} | {:.0} | {:.0} | {:.0} |",
+            median(seq_a) * 1e6,
+            median(seq_f) * 1e6,
+            median(par_a) * 1e6,
+            median(par_f) * 1e6
         );
     }
 }

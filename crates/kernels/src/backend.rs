@@ -251,6 +251,34 @@ impl Backend {
         self.gemm_cost(m, n, k)
     }
 
+    /// `W = (1 - lr*lambda) W - lr G` with `G = alpha * op(A) * op(B)`: the
+    /// bits of [`Backend::gemm`] at `beta = 0` over a zeroed `G` followed by
+    /// [`Backend::sgd_step`], and their two costs. The BLAS rungs step each
+    /// weight in the product's tile ([`gemm_sgd`](crate::gemm_sgd)); the
+    /// scalar rungs form `G` first.
+    #[allow(clippy::too_many_arguments)]
+    pub fn gemm_sgd(
+        &self,
+        alpha: f32,
+        a: MatView<'_>,
+        ta: bool,
+        b: MatView<'_>,
+        tb: bool,
+        lr: f32,
+        lambda: f32,
+        w: &mut MatViewMut<'_>,
+    ) -> [OpCost; 2] {
+        let (m, n) = w.shape();
+        if !self.blas {
+            let mut g = vec![0.0; m * n];
+            let gemm = self.gemm(alpha, a, ta, b, tb, 0.0, &mut MatViewMut::new(&mut g, m, n));
+            return [gemm, self.sgd_step(lr, lambda, &g, w.as_mut_slice())];
+        }
+        gemm_mod::gemm_sgd(self.par, alpha, a, ta, b, tb, lr, lambda, w);
+        let k = if ta { a.rows() } else { a.cols() };
+        [self.gemm_cost(m, n, k), self.sgd_cost(m * n)]
+    }
+
     // ------------------------------------------------------------------
     // Activation / elementwise
     // ------------------------------------------------------------------
@@ -607,6 +635,58 @@ mod tests {
             let mut w = w0.clone();
             be.sgd_step(0.05, 1e-3, &g, &mut w);
             assert!(max_abs_diff(&w, &ref_w) < 1e-6, "{be:?}");
+        }
+    }
+
+    #[test]
+    fn gemm_sgd_is_gemm_then_sgd_step_on_every_rung() {
+        // Each rung's fused product gives the bits of its own gemm into a
+        // zeroed gradient followed by its own sgd_step, and charges the two
+        // ops' costs in that order. `k` spans one slab and two, and alpha is
+        // 1 and 1/b; W holds a -0.0 and a NaN.
+        for (m, n, k) in [(37, 29, 1), (37, 29, 200), (5, 7, 300), (70, 40, 257)] {
+            let a = Mat::from_fn(k, m, |p, i| ((p * 7 + i * 3) % 11) as f32 / 11.0 - 0.5);
+            let b = Mat::from_fn(k, n, |p, j| ((p * 5 + j) % 13) as f32 / 13.0 - 0.4);
+            let mut w0 = Mat::from_fn(m, n, |i, j| ((i * n + j) as f32 * 0.37).sin());
+            w0.as_mut_slice()[0] = -0.0;
+            w0.as_mut_slice()[m * n - 1] = f32::NAN;
+            for alpha in [1.0, 1.0 / k as f32] {
+                for be in all_backends() {
+                    let mut g = Mat::zeros(m, n);
+                    let mut want = w0.clone();
+                    let costs = [
+                        be.gemm(
+                            alpha,
+                            a.view(),
+                            true,
+                            b.view(),
+                            false,
+                            0.0,
+                            &mut g.view_mut(),
+                        ),
+                        be.sgd_step(0.3, 1e-3, g.as_slice(), want.as_mut_slice()),
+                    ];
+                    let mut w = w0.clone();
+                    let fused = be.gemm_sgd(
+                        alpha,
+                        a.view(),
+                        true,
+                        b.view(),
+                        false,
+                        0.3,
+                        1e-3,
+                        &mut w.view_mut(),
+                    );
+                    assert_eq!(fused, costs, "{be:?} {m}x{n}x{k}");
+                    assert!(
+                        w.as_slice()
+                            .iter()
+                            .map(|x| x.to_bits())
+                            .eq(want.as_slice().iter().map(|x| x.to_bits())),
+                        "{be:?} {m}x{n}x{k} alpha={alpha}: not gemm + sgd_step"
+                    );
+                }
+            }
         }
     }
 

@@ -124,7 +124,7 @@ pub(crate) fn bias_deriv_rows(par: Par, s: &[f32], y: MatView<'_>, delta: &mut M
 /// `w = (1 - lr*lambda) * w - lr * g` in a single sweep.
 pub(crate) fn sgd_step(par: Par, lr: f32, lambda: f32, g: &[f32], w: &mut [f32]) {
     assert_eq!(g.len(), w.len(), "sgd_step: length mismatch");
-    let shrink = 1.0 - lr * lambda;
+    let shrink = sgd_shrink(lr, lambda);
     let body = |wc: &mut [f32], gc: &[f32]| {
         for i in 0..wc.len() {
             wc[i] = shrink * wc[i] - lr * gc[i];
@@ -137,6 +137,11 @@ pub(crate) fn sgd_step(par: Par, lr: f32, lambda: f32, g: &[f32], w: &mut [f32])
     } else {
         body(w, g);
     }
+}
+
+/// The weight decay factor `1 - lr * lambda` of [`sgd_step`].
+pub(crate) fn sgd_shrink(lr: f32, lambda: f32) -> f32 {
+    1.0 - lr * lambda
 }
 
 /// Fused contrastive-divergence update:

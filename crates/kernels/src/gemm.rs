@@ -34,11 +34,13 @@
 //! * whole rows, when `m >= n`;
 //! * one column range of every row, when `m < n`;
 //! * a contiguous run of k-slabs, when C is a single tile (`m <= MR` and
-//!   `n <= NR`) and so has no side to cut. Each worker writes every slab's
-//!   raw tile into a `slabs x m x n` scratch, and the caller then adds the
-//!   tiles into C in ascending slab order, which is step 2 of the contract
-//!   below exactly. The CNN's filter gradient `8x25x28800` is such a
-//!   product: one tile deep 113 slabs, which otherwise ran on one thread.
+//!   `n <= NR`) and so has no side to cut. Each worker stores every slab's
+//!   raw tile once into a `slabs x m x n` buffer the calling thread keeps
+//!   from one product to the next, and the caller then takes each element
+//!   of C through step 1 of the contract below and adds its tiles in
+//!   ascending slab order, which is step 2 exactly. The CNN's filter
+//!   gradient `8x25x28800` is such a product: one tile deep 113 slabs,
+//!   which otherwise ran on one thread.
 //!
 //! A part is a whole number of tiles (or slabs) of the side being cut, and
 //! gets at least `MIN_FLOPS_PER_WORKER`. Every worker runs the sequential
@@ -47,7 +49,7 @@
 //! state: the operand along the split side is packed in parallel, each
 //! worker its own share, and only the smaller operand is packed once per
 //! worker. Every split hands out disjoint `&mut` slices — of C's rows, of
-//! each row's segment in a column range, or of the scratch's runs of
+//! each row's segment in a column range, or of the slab buffer's runs of
 //! tiles — so there is no aliasing to argue about.
 //!
 //! **One source, three instantiations.** The kernel body — the macro-kernel
@@ -301,15 +303,31 @@
 //! reach C as NaN, as in [`crate::naive::gemm_ref`]. `alpha == 0` and zero extents reduce to the
 //! `beta` scaling and read neither A nor B.
 //!
+//! **How a tile finishes.** Step 2's `C[i,j] += acc` is where a tile meets
+//! C, once per slab, in one of three modes (`Finish`):
+//!
+//! * it adds, `C += acc` (a later slab, or step 1 done as a pass);
+//! * it stores, `C = 0.0 + acc`, without reading C: the first slab at
+//!   `beta == 0` (below);
+//! * it steps weights, `W = shrink * W - lr * (0.0 + acc)`: [`gemm_sgd`],
+//!   whose C holds the weights and whose product is their gradient (see
+//!   **The fused SGD step**).
+//!
+//! Under the depth split each slab stores its raw accumulators into a tile
+//! of its own (`c = acc`), and the three modes apply after the fork, per
+//! element, to the sum of its tiles.
+//!
 //! **Written once at `beta == 0`.** There step 1 is not a pass of its own:
 //! the first k-slab of each part stores `0.0 + acc` over C without reading
 //! it, which is step 1 and that slab's step 2 exactly (`+0.0 + acc` is
 //! `acc`, but for `-0.0`, which becomes `+0.0` as it does when added to step
 //! 1's zeros), and the later slabs add as before. The contract is unchanged;
 //! C is written once instead of zero-filled and read back by every tile.
-//! The fill stays where the store cannot take it: under the depth split,
-//! whose slab tiles are added into C after the fork, and when `alpha == 0`
-//! or an extent is zero. Through [`gemm`] (`gemm_shapes`, µs per call,
+//! The fill stays only where no product runs, when `alpha == 0` or an
+//! extent is zero: under the depth split, step 1 folds into each element's
+//! sum of the slab tiles, `C = 0.0 + t0 + t1 + ...`, after the fork, and the
+//! slabs store their raw tiles into a buffer that is never filled. Through
+//! [`gemm`] (`gemm_shapes`, µs per call,
 //! median of three runs of five rounds alternating with a build that
 //! zero-fills C first, two-vCPU AVX-512 Xeon VM; two threads is
 //! `Par::Rayon`, one is `Par::Seq`):
@@ -328,11 +346,55 @@
 //!
 //! The products whose `k` is a single slab gain most, the weight gradients
 //! above all: C is then written once, not filled, read back and written.
-//! The filter gradient forks by depth at two threads, so it keeps the fill.
-//! The other products `gemm_shapes` times moved by 0.83–1.06 at two threads.
+//! The filter gradient forks by depth at two threads, so it kept the fill
+//! (C zeroed, and a fresh `slabs x m x n` scratch filled with `-0.0` for the
+//! slabs to add into) until its slabs stored their raw tiles into a reused
+//! buffer, and C added them tile by tile after the fork: 128 [123–133] →
+//! 116 [83–118] µs at two threads (median [range] of five `gemm_shapes`
+//! runs of five rounds, alternating with a build that filled). A fold
+//! element by element over the slabs, tried first, read 95 [89–129] → 103
+//! [98–130]: its sums are chains of 113 dependent adds. The other products
+//! `gemm_shapes` times moved by 0.83–1.06 at two threads.
+//!
+//! # The fused SGD step
+//!
+//! [`gemm_sgd`] is a weight gradient's product that steps its weights
+//! instead of storing the gradient: C holds `W`, and a finished tile
+//! updates it in place, `w = shrink * w - lr * (0.0 + acc)` with `shrink =
+//! 1 - lr * lambda`. These are the IEEE operations of [`gemm`] at `beta ==
+//! 0` (step 1's zeros plus the one slab's `acc`) followed by `sgd_step`,
+//! so the result is theirs bit for bit, on every instantiation and split;
+//! the tests pin it so, a `-0.0` weight and an underflowing gradient
+//! included. A gradient element is finished when its last k-slab is
+//! summed, so the tile steps `W` only in a product of one slab (`k <=
+//! GEMM_KC`); under the depth split each element is stepped after its slab
+//! fold. Any other product of several slabs forms the gradient first, in a
+//! temporary, and steps `W` after: it saves nothing, so the autoencoder
+//! fuses only batches of at most `GEMM_KC` rows, and declares its gradient
+//! buffers for larger ones.
+//!
+//! The autoencoder's SGD step runs its two weight gradients this way, so
+//! it never holds the 16 MiB `4096 x 1024` gradient of `ae_wide`. Each
+//! product stops storing 16 MiB of gradient and sweeping 48 MiB in
+//! `sgd_step`, and reads and writes `W` (32 MiB) in its tiles instead.
+//! Through [`crate::Backend`] (`gemm_shapes`, µs per call, median of five
+//! runs of five rounds, two-vCPU AVX-512 Xeon VM, the two forms timed in
+//! turn within each round; sequential is `Backend::sequential_blas`,
+//! threaded `Backend::improved` at two threads):
+//!
+//! | product | seq, `gemm` + `sgd_step` | seq, `gemm_sgd` | 2 threads, `gemm` + `sgd_step` | 2 threads, `gemm_sgd` |
+//! |---|---|---|---|---|
+//! | encoder `4096x1024x200` | 30 070 | 28 796 | 14 107 | 14 817 |
+//! | decoder `1024x4096x200` | 28 816 | 27 620 | 14 047 | 13 959 |
+//!
+//! One thread gains about the `sgd_step` sweep, 4 %. At two threads the
+//! product is bound by its FMAs, and the two forms read within the spread
+//! of the runs (−1 % and +5 %). An earlier set of five runs, on a quieter
+//! stretch of the same VM, read 21 562 → 19 701 and 9 858 → 10 279
+//! (encoder), 20 489 → 18 205 and 9 507 → 9 656 (decoder).
 
 use crate::isa::{per_isa, Isa, TILE_YMM, TILE_ZMM, TILE_ZMM_NARROW};
-use crate::Par;
+use crate::{fused, Par};
 use micdnn_tensor::{MatView, MatViewMut};
 use rayon::prelude::*;
 use std::borrow::Borrow;
@@ -360,10 +422,14 @@ struct GemmBlocking {
 /// of the accumulation-order contract.
 const BLOCKING: GemmBlocking = GemmBlocking {
     mc: 144,
-    kc: 256,
+    kc: GEMM_KC,
     nc: 512,
     min_flops: MIN_FLOPS_PER_WORKER,
 };
+
+/// The depth `KC` of a k-slab: a product of `k <= GEMM_KC` is one slab, so
+/// [`gemm_sgd`] finishes each element's gradient in its tile.
+pub const GEMM_KC: usize = 256;
 
 /// A worker owns at least one tile's height of rows (or columns, or one
 /// k-slab) of C, since a split never cuts a tile, and at least this many
@@ -437,10 +503,40 @@ pub fn gemm(
     beta: f32,
     c: &mut MatViewMut<'_>,
 ) {
-    gemm_with(par, alpha, a, ta, b, tb, beta, c, BLOCKING, Isa::detect());
+    let out = Epilogue::Beta(beta);
+    gemm_with(par, alpha, a, ta, b, tb, out, c, BLOCKING, Isa::detect());
 }
 
-/// [`gemm`] with explicit blocking and instantiation.
+/// `W = (1 - lr * lambda) * W - lr * G` with `G = alpha * op(A) * op(B)`:
+/// [`gemm`] at `beta == 0` into a gradient `G` followed by an SGD step of
+/// `W`, bit for bit, without holding `G` (see **The fused SGD step** in the
+/// module docs).
+#[allow(clippy::too_many_arguments)]
+pub fn gemm_sgd(
+    par: Par,
+    alpha: f32,
+    a: MatView<'_>,
+    ta: bool,
+    b: MatView<'_>,
+    tb: bool,
+    lr: f32,
+    lambda: f32,
+    w: &mut MatViewMut<'_>,
+) {
+    let out = Epilogue::Sgd { lr, lambda };
+    gemm_with(par, alpha, a, ta, b, tb, out, w, BLOCKING, Isa::detect());
+}
+
+/// What a product does with `alpha * op(A) * op(B)`.
+#[derive(Clone, Copy)]
+enum Epilogue {
+    /// Adds it into `beta * C` ([`gemm`]).
+    Beta(f32),
+    /// Steps the weights C holds down it, as a gradient ([`gemm_sgd`]).
+    Sgd { lr: f32, lambda: f32 },
+}
+
+/// [`gemm`] or [`gemm_sgd`] with explicit blocking and instantiation.
 #[allow(clippy::too_many_arguments)]
 fn gemm_with(
     par: Par,
@@ -449,7 +545,7 @@ fn gemm_with(
     ta: bool,
     b: MatView<'_>,
     tb: bool,
-    beta: f32,
+    out: Epilogue,
     c: &mut MatViewMut<'_>,
     blk: GemmBlocking,
     isa: Isa,
@@ -459,8 +555,19 @@ fn gemm_with(
     assert_eq!(k, kb, "gemm: inner dimension mismatch ({k} vs {kb})");
     assert_eq!(c.shape(), (m, n), "gemm: output shape mismatch");
 
+    // The SGD step of an element needs its whole gradient: where no tile
+    // holds it, the gradient is formed first, in a temporary.
+    let gradient_first = |c: &mut MatViewMut<'_>, lr, lambda| {
+        let mut g = vec![0.0; m * n];
+        let gv = &mut MatViewMut::new(&mut g, m, n);
+        gemm_with(par, alpha, a, ta, b, tb, Epilogue::Beta(0.0), gv, blk, isa);
+        fused::sgd_step(par, lr, lambda, &g, c.as_mut_slice());
+    };
     if m == 0 || n == 0 || k == 0 || alpha == 0.0 {
-        scale_c(par, beta, c);
+        match out {
+            Epilogue::Beta(beta) => scale_c(par, beta, c),
+            Epilogue::Sgd { lr, lambda } => gradient_first(c, lr, lambda),
+        }
         return;
     }
 
@@ -484,15 +591,24 @@ fn gemm_with(
     } else {
         1
     };
-    // Step 1 of the contract. At `beta == 0` it is folded into the first
-    // slab of each part, which stores `0.0 + acc` over C without reading it,
-    // except under the depth split: its slab tiles are added into C after
-    // the fork, so C takes its zeros first.
+    // How C finishes with the product. Step 1 of the contract folds into the
+    // first k-slab at `beta == 0`, which stores `0.0 + acc` over C without
+    // reading it; a gradient of one slab is finished there, and steps the
+    // weights. Under the depth split every slab stores its raw tile, and C
+    // finishes so with their sum after the fork.
     let depth_split = workers > 1 && matches!(split, Split::Depth);
-    let store_first = beta == 0.0 && !depth_split;
-    if !store_first {
-        scale_c(par, beta, c);
-    }
+    let finish = match out {
+        Epilogue::Beta(0.0) => Finish::Store,
+        Epilogue::Beta(beta) => {
+            scale_c(par, beta, c);
+            Finish::Add
+        }
+        Epilogue::Sgd { lr, lambda } if slabs == 1 || depth_split => Finish::Sgd {
+            shrink: fused::sgd_shrink(lr, lambda),
+            lr,
+        },
+        Epilogue::Sgd { lr, lambda } => return gradient_first(c, lr, lambda),
+    };
     let product = Product {
         alpha,
         a,
@@ -502,7 +618,7 @@ fn gemm_with(
         blk,
         isa,
         tile,
-        store_first,
+        first: if depth_split { Finish::Raw } else { finish },
     };
     let c_slice = c.as_mut_slice();
     if workers == 1 {
@@ -555,30 +671,40 @@ fn gemm_with(
             });
         }
         Split::Depth => {
-            // One run of whole slabs per worker. Each slab adds its tile into
-            // a tile of its own that starts at -0.0, the identity of IEEE
-            // addition, so it holds the slab's raw accumulators bit for bit;
-            // C then adds the tiles in ascending slab order, which is step 2
-            // of the contract exactly.
-            let per = slabs.div_ceil(workers);
-            let mut tiles = vec![-0.0f32; slabs * m * n];
+            // One run of whole slabs per worker. Each slab stores its raw
+            // accumulators once, into a tile of its own in this thread's
+            // reused buffer; then each element of C takes its step 1 and
+            // adds the tiles in ascending slab order, which is step 2 of the
+            // contract exactly (or, as a gradient, steps its weight).
+            let (mn, per) = (m * n, slabs.div_ceil(workers));
+            let mut buf = SLAB_TILES.take();
+            let tiles = lend(&mut buf, slabs * mn);
             tiles
-                .par_chunks_mut(per * m * n)
+                .par_chunks_mut(per * mn)
                 .enumerate()
                 .for_each(|(w, run)| {
                     let s0 = w * per;
                     let part = Part {
                         rows: 0..m,
                         cols: 0..n,
-                        slabs: s0..s0 + run.len() / (m * n),
+                        slabs: s0..s0 + run.len() / mn,
                     };
-                    product.accumulate(part, CPart::Slabs(run, m * n, n));
+                    product.accumulate(part, CPart::Slabs(run, mn, n));
                 });
-            for tile in tiles.chunks_exact(m * n) {
-                for (cv, &t) in c_slice.iter_mut().zip(tile) {
-                    *cv += t;
-                }
+            let (t0, rest) = tiles.split_at_mut(mn);
+            if let Finish::Sgd { .. } = finish {
+                // The gradient sums in the first tile, from step 1's zeros. A
+                // sum that starts at +0.0 is never -0.0, so the step's own
+                // `0.0 +` leaves it as it is.
+                t0.iter_mut().for_each(|g| *g += 0.0);
+                rest.chunks_exact(mn).for_each(|t| Finish::Add.row(t0, t));
+                finish.row(c_slice, t0);
+            } else {
+                finish.row(c_slice, t0);
+                rest.chunks_exact(mn)
+                    .for_each(|t| Finish::Add.row(c_slice, t));
             }
+            SLAB_TILES.set(buf);
         }
     }
 }
@@ -643,15 +769,45 @@ struct Product<'a> {
     isa: Isa,
     /// `(MR, NR)`, chosen from the product's width by [`Isa::tile`].
     tile: (usize, usize),
-    /// Whether the first k-slab of a part stores `0.0 + acc` over C instead
-    /// of adding into it (`beta == 0`, C not yet zeroed).
-    store_first: bool,
+    /// How the first k-slab of a part finishes its tiles.
+    first: Finish,
+}
+
+/// How a finished tile of accumulators `acc` meets its block of C.
+#[derive(Clone, Copy)]
+enum Finish {
+    /// `c += acc`: a later k-slab, or step 1 already done.
+    Add,
+    /// `c = 0.0 + acc`, C not read: the first slab at `beta == 0`. `+0.0 +
+    /// -0.0` is `+0.0`, as after step 1's zeros.
+    Store,
+    /// `c = acc`: a slab's own tile under the depth split.
+    Raw,
+    /// `c = shrink * c - lr * (0.0 + acc)`: C holds weights and the tile,
+    /// its single slab summed, their whole gradient.
+    Sgd { shrink: f32, lr: f32 },
+}
+
+impl Finish {
+    /// Finishes one row segment of C with the tile row's accumulators.
+    #[inline(always)]
+    fn row(self, c: &mut [f32], acc: &[f32]) {
+        let pairs = c.iter_mut().zip(acc);
+        match self {
+            Finish::Add => pairs.for_each(|(cv, &av)| *cv += av),
+            Finish::Store => pairs.for_each(|(cv, &av)| *cv = 0.0 + av),
+            Finish::Raw => pairs.for_each(|(cv, &av)| *cv = av),
+            Finish::Sgd { shrink, lr } => {
+                pairs.for_each(|(cv, &av)| *cv = shrink * *cv - lr * (0.0 + av))
+            }
+        }
+    }
 }
 
 impl Product<'_> {
     /// `c += (alpha * op(A) * op(B))[part]`, sequentially, on the product's
-    /// instantiation at its tile (`c = 0.0 + ...` at the part's first slab,
-    /// under [`Product::store_first`]).
+    /// instantiation at its tile, the part's first slab finishing as
+    /// [`Product::first`] says.
     fn accumulate(&self, part: Part, c: CPart<'_, '_>) {
         debug_assert!(self.isa.runs_here());
         match self.isa {
@@ -731,20 +887,30 @@ impl Product<'_> {
                     } else {
                         ABlock::InPlace(self.a_in_place(i0, pc))
                     };
-                    let store = self.store_first && s == 0;
                     let block = Block {
                         ic,
                         mc,
                         jc,
                         nc,
                         kc,
-                        store,
+                        finish: self.finish(s),
                     };
                     kernel(&mut c, block, a_blk, b_slab);
                 }
             }
         }
         PACK_BUFFERS.set((a_buf, b_buf));
+    }
+
+    /// How the part's `s`-th k-slab finishes its tiles: as
+    /// [`Product::first`] at the first, and every slab into its own tile,
+    /// else by adding.
+    fn finish(&self, s: usize) -> Finish {
+        match self.first {
+            Finish::Raw => Finish::Raw,
+            first if s == 0 => first,
+            _ => Finish::Add,
+        }
     }
 
     /// The block of `alpha * op(A)` whose first element is `(i0, pc)`, read
@@ -810,7 +976,7 @@ impl Product<'_> {
             };
             let a = self.a_in_place(r0, pc);
             let mut c = c.slab(s);
-            let store = self.store_first && s == 0;
+            let finish = self.finish(s);
             for j0 in (0..n).step_by(nr) {
                 let b = BRows {
                     data: &b.data[j0..],
@@ -820,9 +986,9 @@ impl Product<'_> {
                 // SAFETY: as for `Isa::Avx2Fma` in `accumulate`.
                 unsafe {
                     if nr == NARROW {
-                        rows_avx512_narrow(a, b, kc, &mut c, m, cols, store);
+                        rows_avx512_narrow(a, b, kc, &mut c, m, cols, finish);
                     } else {
-                        rows_avx512(a, b, kc, &mut c, m, cols, store);
+                        rows_avx512(a, b, kc, &mut c, m, cols, finish);
                     }
                 }
             }
@@ -839,6 +1005,11 @@ thread_local! {
     /// at [`BLOCKING`]. A pack writes every element it hands to the
     /// microkernel, so what a buffer held before is never read.
     static PACK_BUFFERS: Cell<(Vec<f32>, Vec<f32>)> = const { Cell::new((Vec::new(), Vec::new())) };
+
+    /// This thread's slab tiles for the depth split, taken for the length of
+    /// one product: every slab stores its whole tile before C reads it, so
+    /// what the buffer held before is never read.
+    static SLAB_TILES: Cell<Vec<f32>> = const { Cell::new(Vec::new()) };
 }
 
 /// The first `len` floats of `buf`, grown to hold them if it is shorter.
@@ -1058,8 +1229,7 @@ fn pack_transposing_avx512<const R: usize>(
 
 /// The block of a worker's part that one macro-kernel call updates —
 /// `c[ic..ic+mc, jc..jc+nc]` — the depth `kc` of the panels that update it,
-/// and whether the update stores `0.0 + acc` over the block (`store`, the
-/// first slab at `beta == 0`) or adds `acc` into it.
+/// and how its tiles finish.
 #[derive(Clone, Copy)]
 struct Block {
     ic: usize,
@@ -1067,7 +1237,7 @@ struct Block {
     jc: usize,
     nc: usize,
     kc: usize,
-    store: bool,
+    finish: Finish,
 }
 
 /// The block of `alpha * op(A)` that one macro-kernel call multiplies.
@@ -1113,7 +1283,7 @@ fn macro_kernel_avx512(c: &mut CPart<'_, '_>, block: Block, a: ABlock<'_>, b_pac
     macro_kernel_body::<{ TILE_ZMM.0 }, { TILE_ZMM.1 }>(c, block, a, b_pack);
 }
 
-/// Defines `fn $name(a, b, kc, c, m, cols, store)`: [`tile_avx512`]s of `V`
+/// Defines `fn $name(a, b, kc, c, m, cols, finish)`: [`tile_avx512`]s of `V`
 /// vectors per row down the `m` rows of A read in place, `MR` at a time.
 /// A run of `R` rows, `R` one of `$exact`, is one tile of exactly `R` rows;
 /// any other takes the `MR`-row tile, its rows past the edge padding.
@@ -1129,7 +1299,7 @@ macro_rules! rows_kernel {
             c: &mut CPart<'_, '_>,
             m: usize,
             cols: (usize, usize),
-            store: bool,
+            finish: Finish,
         ) {
             for i0 in (0..m).step_by($mr) {
                 let a = AStrided {
@@ -1139,11 +1309,11 @@ macro_rules! rows_kernel {
                 let rows = (i0, usize::min($mr, m - i0));
                 match (rows.1, a.alpha == 1.0) {
                     $(
-                        ($r, true) => tile_avx512::<$r, $v, true>(a, b, kc, c, rows, cols, store),
-                        ($r, false) => tile_avx512::<$r, $v, false>(a, b, kc, c, rows, cols, store),
+                        ($r, true) => tile_avx512::<$r, $v, true>(a, b, kc, c, rows, cols, finish),
+                        ($r, false) => tile_avx512::<$r, $v, false>(a, b, kc, c, rows, cols, finish),
                     )*
-                    (_, true) => tile_avx512::<$mr, $v, true>(a, b, kc, c, rows, cols, store),
-                    (_, false) => tile_avx512::<$mr, $v, false>(a, b, kc, c, rows, cols, store),
+                    (_, true) => tile_avx512::<$mr, $v, true>(a, b, kc, c, rows, cols, finish),
+                    (_, false) => tile_avx512::<$mr, $v, false>(a, b, kc, c, rows, cols, finish),
                 }
             }
         }
@@ -1168,8 +1338,8 @@ rows_kernel! {
 /// run it. Row `i` of the tile starts at zero and takes `fma(alpha *
 /// a.data[i * a.rs + p * a.cs], b.data[p * b.ld + j], acc)` for `p`
 /// ascending; rows past `mr` re-read row `mr - 1` (padding, never stored),
-/// and lanes past `nr` load `+0.0`. Then C adds the tile once, or, with
-/// `store`, takes `0.0 + acc` without being read.
+/// and lanes past `nr` load `+0.0`. Then the tile finishes as `finish`
+/// says, with the IEEE operations of [`Finish::row`].
 ///
 /// With `ONE` (`alpha == 1`) each FMA broadcasts its element of A straight
 /// from memory, since `1 * x == x`; otherwise a multiply by `alpha`, the
@@ -1187,11 +1357,11 @@ fn tile_avx512<const R: usize, const V: usize, const ONE: bool>(
     c: &mut CPart<'_, '_>,
     (r0, mr): (usize, usize),
     (j0, nr): (usize, usize),
-    store: bool,
+    finish: Finish,
 ) {
     use std::arch::x86_64::{
         _mm512_add_ps, _mm512_fmadd_ps, _mm512_maskz_loadu_ps, _mm512_mul_ps, _mm512_set1_ps,
-        _mm512_setzero_ps,
+        _mm512_setzero_ps, _mm512_sub_ps,
     };
     let a_tile = &a.data[..(mr - 1) * a.rs + (kc - 1) * a.cs + 1];
     let b_tile = &b.data[..(kc - 1) * b.ld + nr];
@@ -1222,16 +1392,26 @@ fn tile_avx512<const R: usize, const V: usize, const ONE: bool>(
         }
     }
     for (i, acc_row) in acc.iter_mut().enumerate().take(mr) {
-        if store {
-            // `+0.0 + -0.0` is `+0.0`, as after step 1's zeros.
-            for acc in acc_row.iter_mut() {
-                *acc = _mm512_add_ps(_mm512_setzero_ps(), *acc);
+        let zero = _mm512_setzero_ps();
+        match finish {
+            Finish::Add => {
+                let row = &c.row(r0 + i)[j0..j0 + nr];
+                for (seg, acc) in row.chunks(16).zip(acc_row) {
+                    *acc = add_lanes(seg, *acc);
+                }
             }
-            continue;
-        }
-        let row = &c.row(r0 + i)[j0..j0 + nr];
-        for (seg, acc) in row.chunks(16).zip(acc_row) {
-            *acc = add_lanes(seg, *acc);
+            Finish::Store => acc_row
+                .iter_mut()
+                .for_each(|acc| *acc = _mm512_add_ps(zero, *acc)),
+            Finish::Raw => {}
+            Finish::Sgd { shrink, lr } => {
+                let (shrink, lr) = (_mm512_set1_ps(shrink), _mm512_set1_ps(lr));
+                let row = &c.row(r0 + i)[j0..j0 + nr];
+                for (seg, acc) in row.chunks(16).zip(acc_row) {
+                    let w = _mm512_mul_ps(shrink, load_lanes(seg));
+                    *acc = _mm512_sub_ps(w, _mm512_mul_ps(lr, _mm512_add_ps(zero, *acc)));
+                }
+            }
         }
     }
     for (i, acc_row) in acc.iter().enumerate().take(mr) {
@@ -1259,7 +1439,7 @@ fn lane_mask(n: usize) -> u16 {
 fn add_lanes(seg: &[f32], acc: std::arch::x86_64::__m512) -> std::arch::x86_64::__m512 {
     use std::arch::x86_64::{
         _mm256_add_ps, _mm256_loadu_ps, _mm512_add_ps, _mm512_castps256_ps512,
-        _mm512_castps512_ps256, _mm512_maskz_loadu_ps,
+        _mm512_castps512_ps256,
     };
     if seg.len() == 8 {
         // SAFETY: the load reads 8 floats from the start of `seg`, a checked
@@ -1267,11 +1447,19 @@ fn add_lanes(seg: &[f32], acc: std::arch::x86_64::__m512) -> std::arch::x86_64::
         let c = unsafe { _mm256_loadu_ps(seg.as_ptr()) };
         _mm512_castps256_ps512(_mm256_add_ps(c, _mm512_castps512_ps256(acc)))
     } else {
-        // SAFETY: the mask enables lanes `l < seg.len()` only, so every
-        // active-lane address lies in the checked slice `seg`.
-        let c = unsafe { _mm512_maskz_loadu_ps(lane_mask(seg.len()), seg.as_ptr()) };
-        _mm512_add_ps(c, acc)
+        _mm512_add_ps(load_lanes(seg), acc)
     }
+}
+
+/// The first `seg.len() <= 16` lanes loaded from `seg`, the rest `+0.0`.
+#[cfg(target_arch = "x86_64")]
+#[inline]
+#[target_feature(enable = "avx512f,avx2,fma")]
+fn load_lanes(seg: &[f32]) -> std::arch::x86_64::__m512 {
+    use std::arch::x86_64::_mm512_maskz_loadu_ps;
+    // SAFETY: the mask enables lanes `l < seg.len()` only, so every
+    // active-lane address lies in the checked slice `seg`.
+    unsafe { _mm512_maskz_loadu_ps(lane_mask(seg.len()), seg.as_ptr()) }
 }
 
 /// Stores the first `seg.len() <= 16` lanes of `x` into `seg`.
@@ -1306,7 +1494,7 @@ fn macro_kernel_body<const MR: usize, const NR: usize>(
         jc,
         nc,
         kc,
-        store,
+        finish,
     } = block;
     // B panel outermost: it stays in L1 while the A panels stream past.
     for (jp, b_panel) in b_pack.chunks_exact(kc * NR).enumerate() {
@@ -1315,17 +1503,7 @@ fn macro_kernel_body<const MR: usize, const NR: usize>(
         // Padding lanes (rows past `mr`, columns past `nr`) stop here.
         let mut add = |i0: usize, mr: usize, acc: [[f32; NR]; MR]| {
             for (i, acc_row) in acc.iter().enumerate().take(mr) {
-                let c_row = &mut c.row(ic + i0 + i)[j0..j0 + nr];
-                if store {
-                    // `+0.0 + -0.0` is `+0.0`, as after step 1's zeros.
-                    for (cv, &av) in c_row.iter_mut().zip(acc_row) {
-                        *cv = 0.0 + av;
-                    }
-                } else {
-                    for (cv, &av) in c_row.iter_mut().zip(acc_row) {
-                        *cv += av;
-                    }
-                }
+                finish.row(&mut c.row(ic + i0 + i)[j0..j0 + nr], acc_row);
             }
         };
         match a {
@@ -1415,7 +1593,18 @@ mod tests {
     ) -> Mat {
         let mut c = c0.clone();
         let (a, b, cv) = (a.view(), b.view(), &mut c.view_mut());
-        gemm_with(par, alpha, a, ta, b, tb, beta, cv, BLOCKING, isa);
+        gemm_with(
+            par,
+            alpha,
+            a,
+            ta,
+            b,
+            tb,
+            Epilogue::Beta(beta),
+            cv,
+            BLOCKING,
+            isa,
+        );
         c
     }
 
@@ -1436,7 +1625,18 @@ mod tests {
             min_flops: 1,
             ..BLOCKING
         };
-        gemm_with(Par::Rayon, alpha, a, ta, b, tb, beta, cv, blk, isa);
+        gemm_with(
+            Par::Rayon,
+            alpha,
+            a,
+            ta,
+            b,
+            tb,
+            Epilogue::Beta(beta),
+            cv,
+            blk,
+            isa,
+        );
         c
     }
 
@@ -1458,7 +1658,18 @@ mod tests {
         c: &mut MatViewMut<'_>,
         blk: GemmBlocking,
     ) {
-        gemm_with(par, alpha, a, ta, b, tb, beta, c, blk, Isa::detect());
+        gemm_with(
+            par,
+            alpha,
+            a,
+            ta,
+            b,
+            tb,
+            Epilogue::Beta(beta),
+            c,
+            blk,
+            Isa::detect(),
+        );
     }
 
     fn check_against_ref(m: usize, n: usize, k: usize, ta: bool, tb: bool, alpha: f32, beta: f32) {
@@ -1799,6 +2010,115 @@ mod tests {
         }
     }
 
+    /// `W` stepped by [`gemm_with`]'s fused product on `isa`, sequentially
+    /// or forked wherever the product has two tiles or slabs to split.
+    #[allow(clippy::too_many_arguments)]
+    fn sgd_on(
+        isa: Isa,
+        forked: bool,
+        alpha: f32,
+        (a, ta): (&Mat, bool),
+        (b, tb): (&Mat, bool),
+        (lr, lambda): (f32, f32),
+        w0: &Mat,
+    ) -> Mat {
+        let mut w = w0.clone();
+        let (a, b, wv) = (a.view(), b.view(), &mut w.view_mut());
+        let out = Epilogue::Sgd { lr, lambda };
+        let (par, min_flops) = if forked {
+            (Par::Rayon, 1)
+        } else {
+            (Par::Seq, MIN_FLOPS_PER_WORKER)
+        };
+        let blk = GemmBlocking {
+            min_flops,
+            ..BLOCKING
+        };
+        gemm_with(par, alpha, a, ta, b, tb, out, wv, blk, isa);
+        w
+    }
+
+    #[test]
+    fn gemm_sgd_bitwise_identical_to_gemm_then_sgd_step_on_all_instantiations() {
+        // The fused product gives the bits of `gemm` at `beta = 0` into a
+        // gradient, then `sgd_step`, on every instantiation, sequentially
+        // and forked by rows, by columns and by depth, for gradients of one
+        // slab (the tile steps W), two (formed first) and one tile over two
+        // slabs (stepped after the depth split's fold). C[0, 0]'s
+        // accumulators underflow to -0.0, which the gradient holds as +0.0,
+        // and W[0, 0] is -0.0, so `shrink * -0.0 - lr * g` shows g's sign.
+        // The last row of op(A) holds an Inf and one weight is NaN.
+        let mut rng = StdRng::seed_from_u64(48);
+        let test = "gemm_sgd_bitwise_identical_to_gemm_then_sgd_step_on_all_instantiations";
+        for isa in instantiations(test) {
+            let (mr, nr) = isa.tile(usize::MAX);
+            for (m, n) in [
+                (3 * mr + 1, nr + 3),
+                (mr + 1, 2 * nr + 3),
+                (2 * TILE_ZMM_NARROW.0 + 1, 8),
+                (8, 25),
+                (isa.tile(7).0, 7),
+            ] {
+                for k in [1, KC, KC + 1] {
+                    for (ta, tb) in TRANSPOSES {
+                        let mut a = random_op(m, k, ta, &mut rng);
+                        let mut b = random_op(k, n, tb, &mut rng);
+                        for p in 0..k {
+                            a.as_mut_slice()[if ta { p * m } else { p }] = -1e-30;
+                            b.as_mut_slice()[if tb { p } else { p * n }] = 1e-30;
+                        }
+                        a.as_mut_slice()[if ta { m - 1 } else { (m - 1) * k }] = f32::INFINITY;
+                        let mut w0 = random_mat(m, n, &mut rng);
+                        w0.as_mut_slice()[0] = -0.0;
+                        w0.as_mut_slice()[m * n - 1] = f32::NAN;
+                        for alpha in [1.0, 1.0 / k as f32] {
+                            for (lr, lambda) in [(0.3, 1e-3), (0.05, 0.0)] {
+                                let zeros = Mat::zeros(m, n);
+                                let g = product_on(
+                                    isa,
+                                    Par::Seq,
+                                    alpha,
+                                    (&a, ta),
+                                    (&b, tb),
+                                    0.0,
+                                    &zeros,
+                                );
+                                let mut want = w0.clone();
+                                fused::sgd_step(
+                                    Par::Seq,
+                                    lr,
+                                    lambda,
+                                    g.as_slice(),
+                                    want.as_mut_slice(),
+                                );
+                                assert_eq!(want.get(0, 0).to_bits(), (-0.0f32).to_bits());
+                                for forked in [false, true] {
+                                    let w = sgd_on(
+                                        isa,
+                                        forked,
+                                        alpha,
+                                        (&a, ta),
+                                        (&b, tb),
+                                        (lr, lambda),
+                                        &w0,
+                                    );
+                                    assert!(
+                                        w.as_slice()
+                                            .iter()
+                                            .map(|x| x.to_bits())
+                                            .eq(want.as_slice().iter().map(|x| x.to_bits())),
+                                        "{isa:?} forked={forked} {m}x{n}x{k} ta={ta} tb={tb} \
+                                         alpha={alpha} lr={lr} lambda={lambda}: not gemm + sgd_step"
+                                    );
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
     #[test]
     fn beta_zero_writes_c_once_on_every_path() {
         // At `beta = 0` the first slab of a part stores `0.0 + acc` over C
@@ -1826,6 +2146,8 @@ mod tests {
                 (isa.tile(7).0, 7),
             ] {
                 for k in [KC - 3, KC + 5, 2 * KC + 3] {
+                    let depth_split =
+                        (m, n) == (isa.tile(7).0, 7) && k > KC && rayon::current_num_threads() > 1;
                     for (ta, tb) in TRANSPOSES {
                         let mut a = random_op(m, k, ta, &mut rng);
                         let mut b = random_op(k, n, tb, &mut rng);
@@ -1876,12 +2198,71 @@ mod tests {
                                          alpha={alpha} over {fill}: C was read"
                                     );
                                 }
+                                if depth_split {
+                                    assert_slab_tiles_stored_raw(isa, alpha, (&a, ta), (&b, tb));
+                                }
                             }
                         }
                     }
                 }
             }
         }
+    }
+
+    /// Forks `alpha * op(A) * op(B)`, one tile deep several slabs, by depth
+    /// over a calling-thread slab buffer poisoned with NaN, and checks that
+    /// each slab stored its raw accumulators there (`-0.0 + acc` over the
+    /// portable instantiation is `acc`): a scratch of its own, filled
+    /// before the slabs add into it, leaves the buffer poisoned.
+    fn assert_slab_tiles_stored_raw(
+        isa: Isa,
+        alpha: f32,
+        (a, ta): (&Mat, bool),
+        (b, tb): (&Mat, bool),
+    ) {
+        let ((m, k), (_, n)) = (op_shape(&a.view(), ta), op_shape(&b.view(), tb));
+        SLAB_TILES.set(vec![f32::NAN; 4 * k * m * n]);
+        forked_on(isa, alpha, (a, ta), (b, tb), 0.0, &Mat::zeros(m, n));
+        let tiles = SLAB_TILES.take();
+        for (s, tile) in tiles[..k.div_ceil(KC) * m * n]
+            .chunks_exact(m * n)
+            .enumerate()
+        {
+            let depth = s * KC..k.min((s + 1) * KC);
+            let a_slab = Mat::from_fn(m, depth.len(), |i, p| {
+                let p = depth.start + p;
+                if ta {
+                    a.get(p, i)
+                } else {
+                    a.get(i, p)
+                }
+            });
+            let b_slab = Mat::from_fn(depth.len(), n, |p, j| {
+                let p = depth.start + p;
+                if tb {
+                    b.get(j, p)
+                } else {
+                    b.get(p, j)
+                }
+            });
+            let neg_zeros = Mat::full(m, n, -0.0);
+            let raw = product_on(
+                Isa::Portable,
+                Par::Seq,
+                alpha,
+                (&a_slab, false),
+                (&b_slab, false),
+                1.0,
+                &neg_zeros,
+            );
+            assert!(
+                tile.iter()
+                    .map(|x| x.to_bits())
+                    .eq(raw.as_slice().iter().map(|x| x.to_bits())),
+                "{isa:?} {m}x{n}x{k} ta={ta} tb={tb}: slab {s} did not store its raw tile"
+            );
+        }
+        SLAB_TILES.set(tiles);
     }
 
     /// Every instantiation this CPU runs, at each of its tiles: `(isa, MR,

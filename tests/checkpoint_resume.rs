@@ -52,17 +52,35 @@ fn base_config() -> TrainConfig {
 
 #[test]
 fn ae_sgd_resume_is_bit_identical() {
-    let ds = toy_dataset(200, 16, 3);
-    let cfg = base_config();
+    ae_sgd_resume(&toy_dataset(200, 16, 3), base_config(), "ckpt-ae-sgd");
+}
+
+/// A batch one row past a k-slab: its SGD steps hold each weight gradient
+/// (a smaller batch steps the weights inside the gradient product).
+#[test]
+fn ae_sgd_resume_past_one_gemm_slab_is_bit_identical() {
+    let batch = micdnn_kernels::GEMM_KC + 1;
+    let cfg = TrainConfig {
+        batch_size: batch,
+        chunk_rows: 2 * batch,
+        ..base_config()
+    };
+    ae_sgd_resume(&toy_dataset(8 * batch, 16, 3), cfg, "ckpt-ae-sgd-slab");
+}
+
+/// Trains 6 epochs straight, and 3 epochs, a checkpoint and 3 more from
+/// nothing but the file: the two give the same parameters.
+fn ae_sgd_resume(ds: &Dataset, cfg: TrainConfig, tag: &str) {
     let make_model = || AeModel::new(SparseAutoencoder::new(AeConfig::new(16, 8), 11));
+    let per_epoch = ds.len().div_ceil(cfg.batch_size) as u64;
 
     // The uninterrupted reference: 6 epochs straight.
     let mut straight = make_model();
     let ctx = ExecCtx::native(OptLevel::Improved, 5);
-    train_dataset(&mut straight, &ctx, &ds, &cfg, 6).unwrap();
+    train_dataset(&mut straight, &ctx, ds, &cfg, 6).unwrap();
 
     // Leg 1: 3 epochs, checkpointing periodically and at the end.
-    let dir = TestDir::new("ckpt-ae-sgd");
+    let dir = TestDir::new(tag);
     let policy = CheckpointPolicy::new(dir.path(), 5);
     let ckpt_cfg = TrainConfig {
         checkpoint: Some(policy.clone()),
@@ -71,23 +89,23 @@ fn ae_sgd_resume_is_bit_identical() {
     {
         let mut first = make_model();
         let ctx1 = ExecCtx::native(OptLevel::Improved, 5);
-        train_dataset(&mut first, &ctx1, &ds, &ckpt_cfg, 3).unwrap();
+        train_dataset(&mut first, &ctx1, ds, &ckpt_cfg, 3).unwrap();
         // `first` and `ctx1` drop here: only the file crosses the boundary.
     }
 
     // Leg 2: rebuild everything from the checkpoint file alone.
     let ckpt = load_checkpoint_file(policy.file()).unwrap();
     assert_eq!(ckpt.progress.epoch, 3);
-    assert_eq!(ckpt.progress.batches, 3 * 8);
-    assert_eq!(ckpt.progress.examples, 3 * 200);
+    assert_eq!(ckpt.progress.batches, 3 * per_epoch);
+    assert_eq!(ckpt.progress.examples, 3 * ds.len() as u64);
     let ctx2 = ExecCtx::native(OptLevel::Improved, 999); // overwritten by restore
     ckpt.restore_rng(&ctx2);
     let progress = ckpt.progress;
     let mut resumed = ckpt.into_ae().expect("AE checkpoint");
-    let report = train_dataset_resume(&mut resumed, &ctx2, &ds, &ckpt_cfg, 6, &progress).unwrap();
+    let report = train_dataset_resume(&mut resumed, &ctx2, ds, &ckpt_cfg, 6, &progress).unwrap();
     assert_eq!(
         report.batches,
-        3 * 8,
+        3 * per_epoch,
         "resume must train only the second leg"
     );
 

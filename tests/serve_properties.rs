@@ -20,15 +20,19 @@ use micdnn_tensor::MatView;
 use proptest::prelude::*;
 
 fn request_rows(n: usize, in_dim: usize, seed: u64) -> Vec<Vec<f32>> {
-    // Deterministic, varied inputs in (0, 1) — sigmoid's working range.
+    // Deterministic inputs in (0, 1) — sigmoid's working range — hashed per
+    // element (splitmix64's finaliser), so no two rows are alike and an
+    // answer handed to the wrong request shows.
     (0..n)
         .map(|i| {
             (0..in_dim)
                 .map(|j| {
-                    let h = seed
-                        .wrapping_mul(6_364_136_223_846_793_005)
-                        .wrapping_add((i * in_dim + j) as u64);
-                    ((h >> 33) % 1000) as f32 / 1001.0
+                    let mut h =
+                        seed ^ ((i * in_dim + j) as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+                    h = (h ^ (h >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+                    h = (h ^ (h >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+                    h ^= h >> 31;
+                    (1 + h % 999) as f32 / 1000.0
                 })
                 .collect()
         })
