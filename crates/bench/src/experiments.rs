@@ -2,8 +2,9 @@
 //!
 //! Timing numbers are **simulated seconds** from the `micdnn-sim` machine
 //! models (the paper's hardware is unobtainable); the *math* behind each
-//! workload is the real implementation, and integration tests pin the
-//! model-only op streams used here to recorded executions. Absolute values
+//! workload is the real implementation, and the model-only estimates used
+//! here price the op costs the step graphs declare, which every node's
+//! first verified run checks against what it charges. Absolute values
 //! are therefore model outputs; the claims being reproduced are the
 //! *shapes*: who wins, by what factor, and where the trends bend.
 

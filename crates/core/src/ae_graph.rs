@@ -51,7 +51,7 @@ use crate::exec::ExecCtx;
 use crate::graph::{BufClass, BufId, GraphRun, NodeSpec, NodeState, TaskGraph, Workspace};
 use crate::layers::{Decl, Emit, Layer, Part, StackBuilder};
 use crate::multidev::{split_at_syncs, BlockGraph, Segment};
-use crate::optim::Optimizer;
+use crate::optim::{Optimizer, Rule};
 use micdnn_kernels::rng::StreamId;
 use micdnn_kernels::{kl_sparsity, sum_sq, GEMM_KC};
 use micdnn_tensor::{Mat, MatView, MatViewMut};
@@ -74,7 +74,7 @@ impl AeStep<'_> {
         match self {
             AeStep::Grads => AeUpdate::None,
             AeStep::Sgd(_) => AeUpdate::Sgd,
-            AeStep::Opt(_) => AeUpdate::Opt,
+            AeStep::Opt(opt) => AeUpdate::Opt(opt.rule()),
         }
     }
 }
@@ -115,19 +115,24 @@ impl<'a> AeState<'a> {
 
 impl NodeState for AeState<'_> {
     type At<'a> = AeState<'a>;
+
+    fn rows(state: &AeState<'_>) -> usize {
+        state.x.rows()
+    }
 }
 
 /// How (and whether) the graph updates the parameters after the backward
 /// pass.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum AeUpdate {
     /// Gradients only (`SparseAutoencoder::cost_and_grad`).
     None,
     /// Plain SGD with the state's learning rate.
     Sgd,
     /// Through the state's [`Optimizer`] (slots 0..4 = w1, w2, b1, b2),
-    /// advancing its schedule.
-    Opt,
+    /// advancing its schedule. The form is keyed by the optimizer's rule,
+    /// since its update nodes charge what the rule charges.
+    Opt(Rule),
 }
 
 // Registry slots for the AE stack: encoder, decoder, sparsity block.
@@ -227,11 +232,16 @@ impl AeHalf {
             Part::Biases => (upd_b, "gb", "b", 2 + half as usize),
         };
         let (grad, param) = (sb.buf(half as usize, grad), sb.buf(half as usize, param));
+        let n = sb.elems(param);
         let mut spec = NodeSpec::new(name)
             .reads(&[grad, param])
             .writes(&[param])
-            .phase("update");
-        if update == AeUpdate::Opt {
+            .phase("update")
+            .ops(move |be, _| match update {
+                AeUpdate::Opt(rule) => rule.step_costs(be, n),
+                _ => vec![be.sgd_cost(n)],
+            });
+        if matches!(update, AeUpdate::Opt(_)) {
             // Optimizer state is invisible to the buffer analysis.
             spec = spec.exclusive();
         }
@@ -273,7 +283,8 @@ impl AeHalf {
             NodeSpec::new(NODE_NAMES[slot][5])
                 .reads(&[delta, input, w])
                 .writes(&[w])
-                .phase("backward"),
+                .phase("backward")
+                .ops(move |be, b| vec![be.gemm_cost(n_out, n_in, b), be.sgd_cost(n_out * n_in)]),
             move |ctx, s: &mut AeState<'_>| {
                 let AeStep::Sgd(lr) = s.step else {
                     unreachable!("fused updates are only built for SGD steps")
@@ -348,7 +359,13 @@ impl<'a> Layer<AeState<'a>> for AeHalf {
                     NodeSpec::new(fwd)
                         .reads(&[input, w, bias])
                         .writes(&[act])
-                        .phase("forward"),
+                        .phase("forward")
+                        .ops(move |be, b| {
+                            vec![
+                                be.gemm_cost(b, n_out, n_in),
+                                be.bias_sigmoid_cost(b * n_out),
+                            ]
+                        }),
                     move |ctx, s: &mut AeState<'_>| {
                         let b = s.x.rows();
                         let (w, bias) = half.params(s.ae);
@@ -381,7 +398,8 @@ impl<'a> Layer<AeState<'a>> for AeHalf {
                     NodeSpec::new(grad_w)
                         .reads(&[delta, input])
                         .writes(&[gw])
-                        .phase("backward"),
+                        .phase("backward")
+                        .ops(move |be, b| vec![be.gemm_cost(n_out, n_in, b)]),
                     move |ctx, s: &mut AeState<'_>| {
                         let b = s.x.rows();
                         let (d, inp, gw) = if from_x {
@@ -406,7 +424,8 @@ impl<'a> Layer<AeState<'a>> for AeHalf {
                     NodeSpec::new(grad_b)
                         .reads(&[delta])
                         .writes(&[gb])
-                        .phase("backward"),
+                        .phase("backward")
+                        .ops(move |be, b| vec![be.reduce_cost(b, n_out)]),
                     move |ctx, s: &mut AeState<'_>| {
                         let b = s.x.rows();
                         let [d, gb] = s.ws.bufs_mut([delta, gb]);
@@ -429,7 +448,8 @@ impl AeHalf {
             NodeSpec::new("D2a")
                 .reads(&[delta3, w2])
                 .writes(&[delta2])
-                .phase("backward"),
+                .phase("backward")
+                .ops(move |be, b| vec![be.gemm_cost(b, h, v)]),
             move |ctx, s: &mut AeState<'_>| {
                 let (w2, b) = (s.ae.w2.view(), s.x.rows());
                 let [d3, d2] = s.ws.bufs_mut([delta3, delta2]);
@@ -442,7 +462,8 @@ impl AeHalf {
             NodeSpec::new("D2b")
                 .reads(&[s_term, a2, delta2])
                 .writes(&[delta2])
-                .phase("backward"),
+                .phase("backward")
+                .ops(move |be, b| vec![be.bias_deriv_cost(b * h)]),
             move |ctx, s: &mut AeState<'_>| {
                 let b = s.x.rows();
                 let (st, a2, d2) = match s.master {
@@ -469,7 +490,8 @@ impl AeHalf {
             NodeSpec::new("D3")
                 .reads(&[a3, x])
                 .writes(&[delta3])
-                .phase("backward"),
+                .phase("backward")
+                .ops(move |be, b| vec![be.delta_output_cost(b * v)]),
             move |ctx, s: &mut AeState<'_>| {
                 let n = s.x.rows() * v;
                 let [a3, d3] = s.ws.bufs_mut([a3, delta3]);
@@ -508,7 +530,8 @@ impl<'a> Layer<AeState<'a>> for AeSparsity {
             NodeSpec::new("RHO")
                 .reads(&[a2])
                 .writes(&[rho_hat])
-                .phase("backward"),
+                .phase("backward")
+                .ops(move |be, b| vec![be.reduce_cost(b, h)]),
             move |ctx, s: &mut AeState<'_>| {
                 let [a2, rho] = s.ws.bufs_mut([a2, rho_hat]);
                 ctx.col_stat(block, MatView::prefix(a2, s.x.rows(), h), rho);
@@ -561,7 +584,8 @@ impl<'a> Layer<AeState<'a>> for AeCostProbe {
                 .reads(&[a3, x])
                 .reads(if block { &[] } else { &penalty })
                 .exclusive()
-                .phase("backward"),
+                .phase("backward")
+                .ops(move |be, b| vec![be.reduce_cost(b, v)]),
             move |ctx, s: &mut AeState<'_>| {
                 let (ae, b) = (&*s.ae, s.x.rows());
                 let sq = ctx.frob_dist_sq(MatView::prefix(s.ws.buf(a3), b, v), s.x);
@@ -737,7 +761,7 @@ mod tests {
     use super::*;
     use crate::autoencoder::AeConfig;
     use crate::exec::OptLevel;
-    use crate::optim::{Rule, Schedule};
+    use crate::optim::Schedule;
     use micdnn_sim::Platform;
     use micdnn_tensor::Mat;
     use rand::rngs::StdRng;
@@ -833,6 +857,20 @@ mod tests {
     }
 
     #[test]
+    fn gradient_only_step_charges_its_declared_stream() {
+        // The crate-internal form `tests/op_stream_pinning.rs` cannot reach,
+        // checked node by node under `with_verify` in any build profile.
+        let cfg = AeConfig::new(14, 9);
+        let x = tiny_batch(12, 14, 1);
+        let ctx = ExecCtx::native(OptLevel::Baseline, 3).with_verify();
+        let mut scratch = AeScratch::new(&cfg, 16);
+        ctx.start_recording();
+        SparseAutoencoder::new(cfg, 2).cost_and_grad(&ctx, x.view(), &mut scratch);
+        let want = build_ae_graph(14, 9, 16, AeUpdate::None).declared_ops(&ctx.backend(), 12);
+        assert_eq!(ctx.stop_recording(), want);
+    }
+
+    #[test]
     fn critical_path_beats_serial_schedule() {
         let cfg = AeConfig::new(256, 512);
         let mut ae = SparseAutoencoder::new(cfg, 7);
@@ -886,7 +924,13 @@ mod tests {
         for (update, b, grads, declared, peak) in [
             (AeUpdate::Sgd, 100, None, 1_037_312, 1_029_120),
             (AeUpdate::Sgd, past_kc, Some(true), 11_033_600, 6_831_104),
-            (AeUpdate::Opt, 100, Some(true), 9_425_920, 5_223_424),
+            (
+                AeUpdate::Opt(Rule::Momentum { mu: 0.9 }),
+                100,
+                Some(true),
+                9_425_920,
+                5_223_424,
+            ),
             (AeUpdate::None, 100, Some(false), 9_425_920, 9_421_824),
         ] {
             let g = build_ae_graph(1024, 4096, b, update);
@@ -993,7 +1037,10 @@ mod tests {
                     let (c1, _) = kept.run_graph(&mut s_kept, x, step, &ctx, wave);
 
                     // The fresh side's graph and arena hold exactly the batch.
-                    let update = [AeUpdate::Sgd, AeUpdate::Opt][usize::from(use_opt)];
+                    let update = match use_opt {
+                        true => AeUpdate::Opt(Rule::Momentum { mu: 0.9 }),
+                        false => AeUpdate::Sgd,
+                    };
                     let mut g = build_ae_graph(10, 6, hi - lo, update);
                     let mut ws = Workspace::new(&g.plan());
                     let step = use_opt

@@ -1,81 +1,27 @@
-//! Analytic op streams and workload estimates — model-only sweeps.
+//! Workload estimates — model-only sweeps.
 //!
 //! The paper's evaluation runs workloads like "1 million 4096-dimensional
 //! examples through a 1024×4096 autoencoder": executing that functionally
-//! on CI hardware would take hours per data point. Because every kernel's
-//! cost descriptor is a pure function of its operand sizes (see
-//! [`micdnn_kernels::Backend`]'s `*_cost` methods), the exact op stream of
-//! a training step can be enumerated without executing it. This module does
-//! that enumeration and prices whole training runs over the trainer's own
+//! on CI hardware would take hours per data point. Every node of a step
+//! graph declares the op costs it charges as a pure function of the backend
+//! and the batch rows ([`crate::NodeSpec::ops`]), so a training step is
+//! priced by building its graph and reading its declared stream
+//! ([`crate::TaskGraph::declared_ops`]), without planning it, allocating its
+//! workspace or running it. This module holds no op list of its own: it
+//! prices whole training runs from the declared step over the trainer's own
 //! chunk/batch split ([`micdnn_data::ChunkGeometry`]) and the stream's own
 //! double-buffer accounting ([`micdnn_sim::OverlapClock`]).
 //!
-//! Integration tests pin these streams to the ones recorded from real
-//! execution (`ExecCtx::start_recording`), so the figures produced from
-//! them are the figures an executed run would produce.
+//! Each node's charged stream is checked against its declaration on its
+//! first run under the verifier, so the figures priced here are the figures
+//! an executed run would produce.
 
+use crate::ae_graph::{ae_graph, AeUpdate};
+use crate::cd_graph::build_cd_graph;
 use crate::exec::OptLevel;
 use micdnn_data::ChunkGeometry;
 use micdnn_kernels::{Backend, OpCost};
 use micdnn_sim::{CostModel, Link, OverlapClock, Platform};
-
-/// The op stream of one [`crate::SparseAutoencoder::train_batch`] call
-/// (cost+grad+update) on a `b x v` batch with hidden width `h`.
-pub fn ae_batch_ops(v: usize, h: usize, b: usize, backend: Backend) -> Vec<OpCost> {
-    vec![
-        // forward
-        backend.gemm_cost(b, h, v),       // a2 = x W1^T
-        backend.bias_sigmoid_cost(b * h), // a2 = sigmoid(a2 + b1)
-        backend.gemm_cost(b, v, h),       // a3 = a2 W2^T
-        backend.bias_sigmoid_cost(b * v), // a3 = sigmoid(a3 + b2)
-        // cost + sparsity statistics
-        backend.reduce_cost(b, v), // reconstruction error
-        backend.reduce_cost(b, h), // rho_hat
-        // backward
-        backend.delta_output_cost(b * v), // delta3
-        backend.reduce_cost(b, v),        // gb2
-        backend.gemm_cost(b, h, v),       // delta2 = delta3 W2
-        backend.bias_deriv_cost(b * h),   // delta2 ⊙ sparsity ⊙ deriv
-        // decoder gradient and update (W2's last reader has run); a batch
-        // of one k-slab steps W2 in the gradient product's tiles
-        backend.gemm_cost(v, h, b), // gw2 = delta3^T a2
-        backend.sgd_cost(v * h),
-        backend.sgd_cost(v),
-        // encoder gradients and update
-        backend.reduce_cost(b, h),  // gb1
-        backend.gemm_cost(h, v, b), // gw1 = delta2^T x
-        backend.sgd_cost(h * v),
-        backend.sgd_cost(h),
-    ]
-}
-
-/// The op stream of one [`crate::Rbm::cd_step`] call with CD-1 on a
-/// `b x v` batch with hidden width `h`.
-pub fn rbm_cd1_ops(v: usize, h: usize, b: usize, backend: Backend) -> Vec<OpCost> {
-    vec![
-        // positive phase
-        backend.gemm_cost(b, h, v),       // h0 pre-activation
-        backend.bias_sigmoid_cost(b * h), // h0 prob
-        backend.sample_cost(b * h),       // h0 sample
-        // gibbs step
-        backend.gemm_cost(b, v, h),       // v1 pre-activation
-        backend.bias_sigmoid_cost(b * v), // v1 prob
-        backend.reduce_cost(b, v),        // reconstruction error
-        backend.gemm_cost(b, h, v),       // h1 pre-activation
-        backend.bias_sigmoid_cost(b * h), // h1 prob
-        // statistics
-        backend.gemm_cost(h, v, b), // positive stats
-        backend.gemm_cost(h, v, b), // negative stats
-        backend.reduce_cost(b, v),  // vis_pos
-        backend.reduce_cost(b, v),  // vis_neg
-        backend.reduce_cost(b, h),  // hid_pos
-        backend.reduce_cost(b, h),  // hid_neg
-        // updates
-        backend.cd_update_cost(h * v),
-        backend.cd_update_cost(v),
-        backend.cd_update_cost(h),
-    ]
-}
 
 /// Which of the two training algorithms a workload runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -109,11 +55,20 @@ pub struct Workload {
 }
 
 impl Workload {
-    /// Op stream of one full-size batch.
-    pub(crate) fn batch_ops(&self, backend: Backend) -> Vec<OpCost> {
+    /// The op stream of one step's declared graph, built at the workload's
+    /// batch, for each batch of `rows` rows (the full batch or the trailing
+    /// one).
+    fn step_ops(&self, backend: Backend) -> Box<dyn Fn(usize) -> Vec<OpCost>> {
+        let (v, h, b) = (self.n_visible, self.n_hidden, self.batch);
         match self.algo {
-            Algo::Autoencoder => ae_batch_ops(self.n_visible, self.n_hidden, self.batch, backend),
-            Algo::Rbm => rbm_cd1_ops(self.n_visible, self.n_hidden, self.batch, backend),
+            Algo::Autoencoder => {
+                let g = ae_graph(v, h, b, AeUpdate::Sgd, false);
+                Box::new(move |rows| g.declared_ops(&backend, rows))
+            }
+            Algo::Rbm => {
+                let g = build_cd_graph(v, h, b, 1);
+                Box::new(move |rows| g.declared_ops(&backend, rows))
+            }
         }
     }
 
@@ -149,11 +104,9 @@ pub fn estimate(
     let model = CostModel::new(platform);
     let parallel = backend.par().is_parallel();
 
-    // Per-batch compute, cached by batch size (full and trailing partial).
-    let price_batch = |batch: usize| -> f64 {
-        let ops = Workload { batch, ..*workload }.batch_ops(backend);
-        model.price_all(ops.iter(), parallel)
-    };
+    // Per-batch compute of the declared step (full and trailing partial).
+    let step_ops = workload.step_ops(backend);
+    let price_batch = |rows: usize| -> f64 { model.price_all(step_ops(rows).iter(), parallel) };
     let full_batch_cost = price_batch(workload.batch);
     let geometry = ChunkGeometry::new(workload.examples, workload.chunk_rows, workload.batch);
 
@@ -217,13 +170,22 @@ mod tests {
     #[test]
     fn op_streams_have_expected_length() {
         let be = Backend::improved();
-        assert_eq!(ae_batch_ops(10, 5, 8, be).len(), 17);
-        assert_eq!(rbm_cd1_ops(10, 5, 8, be).len(), 17);
+        for algo in [Algo::Autoencoder, Algo::Rbm] {
+            let w = Workload {
+                algo,
+                n_visible: 10,
+                n_hidden: 5,
+                batch: 8,
+                ..workload()
+            };
+            assert_eq!(w.step_ops(be)(8).len(), 17, "{algo:?}");
+        }
     }
 
     #[test]
     fn gemm_flops_dominate_large_batches() {
-        let ops = ae_batch_ops(1024, 4096, 1000, Backend::improved());
+        let ops = ae_graph(1024, 4096, 1000, AeUpdate::Sgd, false)
+            .declared_ops(&Backend::improved(), 1000);
         let total: u64 = ops.iter().map(|o| o.flops).sum();
         let gemm: u64 = ops
             .iter()
@@ -231,6 +193,36 @@ mod tests {
             .map(|o| o.flops)
             .sum();
         assert!(gemm as f64 / total as f64 > 0.98, "gemm share too small");
+    }
+
+    #[test]
+    fn paper_scale_step_is_priced_from_a_graph_never_planned() {
+        // Table I's layer: 1024x4096 at batch 10 000. Its workspace would
+        // hold hundreds of MB; pricing builds the graph and reads its
+        // declarations only.
+        let (v, h, b) = (1024, 4096, 10_000);
+        let be = Backend::improved();
+        let g = ae_graph(v, h, b, AeUpdate::Sgd, false);
+        let ops = g.declared_ops(&be, b);
+        assert!(g.planned.is_none(), "declared_ops planned the graph");
+        let w = Workload {
+            n_visible: v,
+            n_hidden: h,
+            examples: b,
+            batch: b,
+            chunk_rows: b,
+            ..workload()
+        };
+        let model = CostModel::new(Platform::xeon_phi());
+        let step = model.price_all(ops.iter(), be.par().is_parallel());
+        let e = estimate(
+            OptLevel::Improved,
+            Platform::xeon_phi(),
+            Link::pcie_gen2(),
+            true,
+            &w,
+        );
+        assert_eq!(e.compute_secs.to_bits(), step.to_bits());
     }
 
     #[test]

@@ -54,6 +54,7 @@ use crate::layers::StackBuilder;
 use crate::multidev::{split_at_syncs, BlockGraph, Segment};
 use crate::rbm::{Rbm, RbmConfig, RbmScratch};
 use micdnn_kernels::rng::StreamId;
+use micdnn_kernels::Backend;
 use micdnn_tensor::{Mat, MatView, MatViewMut};
 use std::ops::Range;
 
@@ -137,6 +138,10 @@ type ParamOf = fn(&mut Rbm) -> &mut [f32];
 
 impl NodeState for CdState<'_> {
     type At<'a> = CdState<'a>;
+
+    fn rows(state: &CdState<'_>) -> usize {
+        state.v0.rows()
+    }
 }
 
 /// A CD-family step under construction. One emitter per node kind, each
@@ -209,10 +214,12 @@ impl<'a> Recipe<'a> {
     fn prop_up(&mut self, name: &'static str, phase: &'static str, src: Act, dst: Act) {
         let [w, c_hid] = self.bufs(["w", "c_hid"]);
         let (src, dst) = (self.id(src), self.id(dst));
+        let (k, n) = (src.2, dst.2);
         let spec = NodeSpec::new(name)
             .reads(&[src.1, w, c_hid])
             .writes(&[dst.1])
-            .phase(phase);
+            .phase(phase)
+            .ops(move |be, b| vec![be.gemm_cost(b, n, k), be.bias_sigmoid_cost(b * n)]);
         self.sb.node(spec, move |ctx, s: &mut CdState<'_>| {
             let (rbm, x, mut out) = s.rows(src, dst);
             rbm.prop_up(ctx, x, &mut out);
@@ -223,10 +230,12 @@ impl<'a> Recipe<'a> {
     fn prop_down(&mut self, name: &'static str, src: Act, dst: Act) {
         let [w, b_vis] = self.bufs(["w", "b_vis"]);
         let (src, dst) = (self.id(src), self.id(dst));
+        let (k, n) = (src.2, dst.2);
         let spec = NodeSpec::new(name)
             .reads(&[src.1, w, b_vis])
             .writes(&[dst.1])
-            .phase("backward");
+            .phase("backward")
+            .ops(move |be, b| vec![be.gemm_cost(b, n, k), be.bias_sigmoid_cost(b * n)]);
         self.sb.node(spec, move |ctx, s: &mut CdState<'_>| {
             let (rbm, h, mut out) = s.rows(src, dst);
             rbm.prop_down(ctx, h, &mut out);
@@ -238,12 +247,14 @@ impl<'a> Recipe<'a> {
     /// its rows of the batch's draw (see [`CdState::block`]).
     fn sample(&mut self, name: &'static str, phase: &'static str, nth: usize, src: Act, dst: Act) {
         let (src, dst) = (self.id(src), self.id(dst));
+        let n = src.2;
         let spec = NodeSpec::new(name)
             .reads(&[src.1])
             .writes(&[dst.1])
             .stochastic()
             .cursor("gibbs")
-            .phase(phase);
+            .phase(phase)
+            .ops(move |be, b| vec![be.sample_cost(b * n)]);
         self.sb.node(spec, move |ctx, s: &mut CdState<'_>| {
             let (stream, row0) = match s.block {
                 Some((row0, streams)) => (streams[nth], row0),
@@ -262,7 +273,8 @@ impl<'a> Recipe<'a> {
         let spec = NodeSpec::new("RE")
             .reads(&[v1, v0])
             .exclusive()
-            .phase("backward");
+            .phase("backward")
+            .ops(move |be, b| vec![be.reduce_cost(b, v)]);
         let per_row = !self.block;
         self.sb.node(spec, move |ctx, s: &mut CdState<'_>| {
             let b = s.v0.rows();
@@ -292,9 +304,14 @@ impl<'a> Recipe<'a> {
         let [w, b_vis, c_hid] = self.bufs(["w", "b_vis", "c_hid"]);
         let ((v, h), sb, sum) = (self.dims, &mut self.sb, self.block);
         let stat = |name| NodeSpec::new(name).phase("backward");
+        let product = move |be: &Backend, b| vec![be.gemm_cost(h, v, b)];
+        let col_stat = |width: usize| move |be: &Backend, b| vec![be.reduce_cost(b, width)];
         let alpha = move |b: usize| if sum { 1.0 } else { 1.0 / b as f32 };
         sb.node(
-            stat("POS").reads(&[h0_prob, v0]).writes(&[pos_stats]),
+            stat("POS")
+                .reads(&[h0_prob, v0])
+                .writes(&[pos_stats])
+                .ops(product),
             move |ctx, s: &mut CdState<'_>| {
                 let b = s.v0.rows();
                 let [h0, out] = s.ws.bufs_mut([h0_prob, pos_stats]);
@@ -303,7 +320,10 @@ impl<'a> Recipe<'a> {
             },
         );
         sb.node(
-            stat("NEG").reads(&[h1_prob, neg_vis]).writes(&[neg_stats]),
+            stat("NEG")
+                .reads(&[h1_prob, neg_vis])
+                .writes(&[neg_stats])
+                .ops(product),
             move |ctx, s: &mut CdState<'_>| {
                 let b = s.v0.rows();
                 let (h1, neg, out) = if pcd {
@@ -319,11 +339,17 @@ impl<'a> Recipe<'a> {
             },
         );
         sb.node(
-            stat("VPOS").reads(&[v0]).writes(&[vis_pos]),
+            stat("VPOS")
+                .reads(&[v0])
+                .writes(&[vis_pos])
+                .ops(col_stat(v)),
             move |ctx, s: &mut CdState<'_>| ctx.col_stat(sum, s.v0, s.ws.buf_mut(vis_pos)),
         );
         sb.node(
-            stat("VNEG").reads(&[neg_vis]).writes(&[vis_neg]),
+            stat("VNEG")
+                .reads(&[neg_vis])
+                .writes(&[vis_neg])
+                .ops(col_stat(v)),
             move |ctx, s: &mut CdState<'_>| {
                 let b = s.v0.rows();
                 let (neg, out) = if pcd {
@@ -337,7 +363,7 @@ impl<'a> Recipe<'a> {
         );
         for (name, src, dst) in [("HPOS", h0_prob, hid_pos), ("HNEG", h1_prob, hid_neg)] {
             sb.node(
-                stat(name).reads(&[src]).writes(&[dst]),
+                stat(name).reads(&[src]).writes(&[dst]).ops(col_stat(h)),
                 move |ctx, s: &mut CdState<'_>| {
                     let [hid, out] = s.ws.bufs_mut([src, dst]);
                     ctx.col_stat(sum, MatView::prefix(hid, s.v0.rows(), h), out);
@@ -346,16 +372,19 @@ impl<'a> Recipe<'a> {
         }
 
         // Vw, Vb, Vc: each parameter tensor moves by its `pos - neg`.
-        let updates: [(_, _, _, _, ParamOf); 3] = [
-            ("Vw", pos_stats, neg_stats, w, |rbm| rbm.w.as_mut_slice()),
-            ("Vb", vis_pos, vis_neg, b_vis, |rbm| &mut rbm.b_vis),
-            ("Vc", hid_pos, hid_neg, c_hid, |rbm| &mut rbm.c_hid),
+        let updates: [(_, _, _, _, _, ParamOf); 3] = [
+            ("Vw", pos_stats, neg_stats, w, h * v, |rbm| {
+                rbm.w.as_mut_slice()
+            }),
+            ("Vb", vis_pos, vis_neg, b_vis, v, |rbm| &mut rbm.b_vis),
+            ("Vc", hid_pos, hid_neg, c_hid, h, |rbm| &mut rbm.c_hid),
         ];
-        for (name, pos, neg, id, param) in updates {
+        for (name, pos, neg, id, n, param) in updates {
             let spec = NodeSpec::new(name)
                 .reads(&[pos, neg, id])
                 .writes(&[id])
-                .phase("update");
+                .phase("update")
+                .ops(move |be, _| vec![be.cd_update_cost(n)]);
             sb.node(spec, move |ctx, s: &mut CdState<'_>| {
                 ctx.cd_update(s.lr, s.ws.buf(pos), s.ws.buf(neg), param(s.rbm));
             });

@@ -14,7 +14,7 @@ use micdnn_kernels::{Backend, OpCost};
 use micdnn_sim::{CostModel, EventKind, Platform, SimClock, Trace};
 use micdnn_tensor::{MatView, MatViewMut};
 use parking_lot::Mutex;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::time::Instant;
 
 /// The optimization rungs of the paper's Table I, plus the comparator
@@ -86,6 +86,10 @@ pub struct ExecCtx {
     /// lock entirely while recording is off (the common case).
     recording: AtomicBool,
     recorder: Mutex<Vec<OpCost>>,
+    /// Open [`ExecCtx::capture_ops`] guards, and the ops charged while any
+    /// is open.
+    capturing: AtomicUsize,
+    captured: Mutex<Vec<OpCost>>,
     /// Opt-in statistics collector; `None` keeps the op path lock- and
     /// allocation-free.
     profiler: Option<Profiler>,
@@ -117,6 +121,8 @@ impl ExecCtx {
             sampler: Mutex::new(SampleStream::new(seed)),
             recording: AtomicBool::new(false),
             recorder: Mutex::new(Vec::new()),
+            capturing: AtomicUsize::new(0),
+            captured: Mutex::new(Vec::new()),
             profiler: None,
             deferred: Mutex::new(None),
             verify: false,
@@ -129,19 +135,8 @@ impl ExecCtx {
     /// Context that executes *and* charges the modeled platform.
     pub fn simulated(level: OptLevel, platform: Platform, seed: u64) -> Self {
         ExecCtx {
-            backend: level.backend(),
             pricing: Some(CostModel::new(platform)),
-            clock: SimClock::new(),
-            trace: Trace::new(false),
-            sampler: Mutex::new(SampleStream::new(seed)),
-            recording: AtomicBool::new(false),
-            recorder: Mutex::new(Vec::new()),
-            profiler: None,
-            deferred: Mutex::new(None),
-            verify: false,
-            degrade: false,
-            degraded: AtomicBool::new(false),
-            incident_notes: Mutex::new(Vec::new()),
+            ..Self::native(level, seed)
         }
     }
 
@@ -315,8 +310,7 @@ impl ExecCtx {
         *self.sampler.lock() = SampleStream::resume(seed, cursor);
     }
 
-    /// Starts recording the [`OpCost`] of every op (used by the tests that
-    /// pin the analytic op streams to the executed ones).
+    /// Starts recording the [`OpCost`] of every op.
     pub fn start_recording(&self) {
         self.recorder.lock().clear();
         self.recording.store(true, Ordering::Release);
@@ -327,6 +321,17 @@ impl ExecCtx {
     pub fn stop_recording(&self) -> Vec<OpCost> {
         self.recording.store(false, Ordering::Release);
         std::mem::take(&mut *self.recorder.lock())
+    }
+
+    /// Captures the ops charged while the returned guard lives: a graph
+    /// node's stream, which the graph checks against the node's op
+    /// declaration. Captures nest, as a graph run inside another graph's
+    /// node does, and an outer one sees the inner one's ops too; an outer
+    /// [`ExecCtx::start_recording`] records them as ever.
+    pub(crate) fn capture_ops(&self) -> OpCapture<'_> {
+        self.capturing.fetch_add(1, Ordering::AcqRel);
+        let start = self.captured.lock().len();
+        OpCapture { ctx: self, start }
     }
 
     /// Runs `f` with op prices diverted into an accumulator instead of the
@@ -402,6 +407,9 @@ impl ExecCtx {
     fn charge_timed(&self, cost: OpCost, started: Option<Instant>) {
         if self.recording.load(Ordering::Acquire) {
             self.recorder.lock().push(cost);
+        }
+        if self.capturing.load(Ordering::Acquire) > 0 {
+            self.captured.lock().push(cost);
         }
         let Some(model) = &self.pricing else {
             if let Some(p) = &self.profiler {
@@ -572,6 +580,28 @@ impl ExecCtx {
         let t0 = self.op_start();
         let cost = self.backend.block_merge(parts, out);
         self.charge_timed(cost, t0);
+    }
+}
+
+/// An open [`ExecCtx::capture_ops`], closed on drop (a node body that
+/// unwinds included).
+pub(crate) struct OpCapture<'a> {
+    ctx: &'a ExecCtx,
+    start: usize,
+}
+
+impl OpCapture<'_> {
+    /// The ops charged since the capture opened.
+    pub(crate) fn ops(&self) -> Vec<OpCost> {
+        self.ctx.captured.lock()[self.start..].to_vec()
+    }
+}
+
+impl Drop for OpCapture<'_> {
+    fn drop(&mut self) {
+        if self.ctx.capturing.fetch_sub(1, Ordering::AcqRel) == 1 {
+            self.ctx.captured.lock().clear();
+        }
     }
 }
 

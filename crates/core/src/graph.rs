@@ -13,7 +13,10 @@
 //!   and writes ([`NodeSpec`], [`TaskGraph::node`]); dependencies are
 //!   derived automatically from read-after-write, write-after-write and
 //!   write-after-read conflicts, so the declaration order is by
-//!   construction a valid serial schedule.
+//!   construction a valid serial schedule. Each node also declares the op
+//!   costs it charges ([`NodeSpec::ops`]), so a graph is priced without
+//!   running it ([`TaskGraph::declared_ops`]); a node's first run under the
+//!   verifier checks what it charges against that declaration.
 //! * **Planner** — [`TaskGraph::plan`] computes buffer live ranges in
 //!   declaration order, the order every executor runs, and folds scratch
 //!   buffers whose ranges are disjoint into shared *registers* of a
@@ -50,10 +53,12 @@
 //! behind [`ExecCtx::verify_enabled`] in release.
 
 use crate::exec::{ExecCtx, PhaseGuard};
+use micdnn_kernels::{Backend, OpCost};
 use micdnn_sim::EventKind;
 use micdnn_tensor::Mat;
 use std::cell::Cell;
 use std::ops::Range;
+use std::sync::Arc;
 
 /// Identifier of a node within a [`TaskGraph`].
 pub(crate) type NodeId = usize;
@@ -148,7 +153,7 @@ pub(crate) struct BufDecl {
     pub(crate) name: &'static str,
     pub(crate) class: BufClass,
     /// Logical tensor shape, fixed at [`TaskGraph::declare_dims`].
-    dims: Vec<usize>,
+    pub(crate) dims: Vec<usize>,
 }
 
 impl BufDecl {
@@ -158,9 +163,13 @@ impl BufDecl {
     }
 }
 
+/// The op costs a node charges for a batch of `rows` on a backend
+/// ([`NodeSpec::ops`]).
+type OpsDecl = Arc<dyn Fn(&Backend, usize) -> Vec<OpCost> + Send + Sync>;
+
 /// Declarative description of a graph node, consumed by
 /// [`TaskGraph::node`].
-#[derive(Debug, Clone)]
+#[derive(Clone)]
 pub struct NodeSpec {
     name: &'static str,
     reads: Vec<BufId>,
@@ -171,6 +180,7 @@ pub struct NodeSpec {
     device: u32,
     transfer: bool,
     cursor: Option<&'static str>,
+    ops: OpsDecl,
 }
 
 impl NodeSpec {
@@ -186,7 +196,22 @@ impl NodeSpec {
             device: 0,
             transfer: false,
             cursor: None,
+            ops: Arc::new(|_, _| Vec::new()),
         }
+    }
+
+    /// Declares the op costs the node charges for a batch of `rows` on a
+    /// backend, in the order it charges them: what
+    /// [`TaskGraph::declared_ops`] prices a graph by without running it. A
+    /// node that declares none charges none. On a node's first run under the
+    /// verifier (debug builds, or [`ExecCtx::with_verify`]) its charged
+    /// stream must equal this declaration op for op.
+    pub fn ops(
+        mut self,
+        ops: impl Fn(&Backend, usize) -> Vec<OpCost> + Send + Sync + 'static,
+    ) -> Self {
+        self.ops = Arc::new(ops);
+        self
     }
 
     /// Declares buffers this node reads.
@@ -259,6 +284,14 @@ impl NodeSpec {
 pub trait NodeState {
     /// The state over borrows that live for `'a`.
     type At<'a>;
+
+    /// The batch rows a run over `state` covers: the `rows` its nodes' op
+    /// declarations ([`NodeSpec::ops`]) are checked at. State without a
+    /// batch keeps the default, 0.
+    fn rows(state: &Self::At<'_>) -> usize {
+        let _ = state;
+        0
+    }
 }
 
 impl NodeState for () {
@@ -284,6 +317,10 @@ pub struct TaskGraph<'g, S: NodeState> {
     phases: Vec<Option<&'static str>>,
     /// Counter-RNG cursor a stochastic node is bound to ([`NodeSpec::cursor`]).
     pub(crate) cursors: Vec<Option<&'static str>>,
+    /// The op costs each node declares ([`NodeSpec::ops`]).
+    ops: Vec<OpsDecl>,
+    /// Node's charged ops already checked against its declaration.
+    ops_checked: Vec<bool>,
     /// Counter-RNG cursors declared on this graph
     /// ([`TaskGraph::declare_rng_cursor`]).
     pub(crate) rng_cursors: Vec<&'static str>,
@@ -291,7 +328,7 @@ pub struct TaskGraph<'g, S: NodeState> {
     /// Memoized "already verified clean" bit; mutation hooks clear it.
     verified: bool,
     /// Memoized [`TaskGraph::plan`]; structural changes clear it.
-    planned: Option<WorkspacePlan>,
+    pub(crate) planned: Option<WorkspacePlan>,
 }
 
 impl<'g, S: NodeState> Default for TaskGraph<'g, S> {
@@ -315,6 +352,8 @@ impl<'g, S: NodeState> TaskGraph<'g, S> {
             transfer: Vec::new(),
             phases: Vec::new(),
             cursors: Vec::new(),
+            ops: Vec::new(),
+            ops_checked: Vec::new(),
             rng_cursors: Vec::new(),
             bufs: Vec::new(),
             verified: false,
@@ -381,8 +420,42 @@ impl<'g, S: NodeState> TaskGraph<'g, S> {
         self.transfer.push(spec.transfer);
         self.phases.push(spec.phase);
         self.cursors.push(spec.cursor);
+        self.ops.push(spec.ops);
+        self.ops_checked.push(false);
         (self.verified, self.planned) = (false, None);
         id
+    }
+
+    /// The op costs the nodes declare ([`NodeSpec::ops`]) for a batch of
+    /// `rows` on `backend`, concatenated in declaration order: the stream a
+    /// run in declaration order charges, priced without planning, allocating
+    /// or running anything.
+    pub fn declared_ops(&self, backend: &Backend, rows: usize) -> Vec<OpCost> {
+        self.ops.iter().flat_map(|ops| ops(backend, rows)).collect()
+    }
+
+    /// Whether this run checks node `id`'s charged ops against its
+    /// declaration: on the node's first run under the verifier.
+    fn checks_ops(&self, ctx: &ExecCtx, id: NodeId) -> bool {
+        !self.ops_checked[id] && (cfg!(debug_assertions) || ctx.verify_enabled())
+    }
+
+    /// Checks the ops node `id` charged on a batch of `rows` against its
+    /// declaration (none, if it declares none), memoizing a match. A
+    /// mismatch panics, naming the node and the first op that differs.
+    fn check_ops(&mut self, id: NodeId, backend: &Backend, rows: usize, charged: &[OpCost]) {
+        let declared = (self.ops[id])(backend, rows);
+        let len = declared.len().max(charged.len());
+        if let Some(i) = (0..len).find(|&i| declared.get(i) != charged.get(i)) {
+            panic!(
+                "node `{}` charged other ops than it declares (NodeSpec::ops) at {rows} rows: \
+                 op {i} charged {:?}, declared {:?}",
+                self.names[id],
+                charged.get(i),
+                declared.get(i)
+            );
+        }
+        self.ops_checked[id] = true;
     }
 
     /// Number of nodes.
@@ -595,7 +668,11 @@ impl<'g, S: NodeState> TaskGraph<'g, S> {
                 guard = current.map(|p| ctx.phase(p));
             }
             let _node = NodeGuard::enter(self.names[id], self.stochastic[id]);
+            let capture = self.checks_ops(ctx, id).then(|| ctx.capture_ops());
             (self.tasks[id])(ctx, state);
+            if let Some(capture) = capture {
+                self.check_ops(id, &ctx.backend(), S::rows(state), &capture.ops());
+            }
         }
     }
 
@@ -639,11 +716,15 @@ impl<'g, S: NodeState> TaskGraph<'g, S> {
             for id in 0..n {
                 let name = self.names[id];
                 let may_sample = self.stochastic[id];
+                let capture = self.checks_ops(ctx, id).then(|| ctx.capture_ops());
                 let task = &mut self.tasks[id];
                 let ((), dur) = ctx.run_deferred(|ctx| {
                     let _node = NodeGuard::enter(name, may_sample);
                     task(ctx, state)
                 });
+                if let Some(capture) = capture {
+                    self.check_ops(id, &ctx.backend(), S::rows(state), &capture.ops());
+                }
                 durations[id] = dur;
                 let dep_done = self.deps[id]
                     .iter()
@@ -1011,6 +1092,15 @@ mod tests {
     /// writes it and the target node reads it.
     impl<T> NodeState for Vec<T> {
         type At<'a> = Vec<T>;
+
+        fn rows(state: &Vec<T>) -> usize {
+            state.len()
+        }
+    }
+
+    /// A node that scales its whole state once.
+    fn scaling(name: &'static str) -> NodeSpec {
+        NodeSpec::new(name).ops(|be, n| vec![be.scale_cost(n)])
     }
 
     fn edge<S: NodeState>(g: &mut TaskGraph<'_, S>) -> BufId {
@@ -1022,13 +1112,13 @@ mod tests {
         let ctx = ctx();
         let mut g: TaskGraph<'_, Vec<f32>> = TaskGraph::new();
         let s = g.declare_dims("s", &[100_000], BufClass::External);
-        g.node(NodeSpec::new("a").reads(&[s]).writes(&[s]), |ctx, s| {
+        g.node(scaling("a").reads(&[s]).writes(&[s]), |ctx, s| {
             ctx.scale(2.0, s)
         });
-        g.node(NodeSpec::new("b").reads(&[s]).writes(&[s]), |ctx, s| {
+        g.node(scaling("b").reads(&[s]).writes(&[s]), |ctx, s| {
             ctx.scale(0.5, s)
         });
-        g.node(NodeSpec::new("c").reads(&[s]).writes(&[s]), |ctx, s| {
+        g.node(scaling("c").reads(&[s]).writes(&[s]), |ctx, s| {
             ctx.scale(1.5, s)
         });
         let mut state = vec![1.0f32; 100_000];
@@ -1043,12 +1133,13 @@ mod tests {
         let ctx = ctx();
         let mut g: TaskGraph<'_, ()> = TaskGraph::new();
         let [ab1, ab2, b1c, b2c] = std::array::from_fn(|_| edge(&mut g));
-        let charge =
-            |ctx: &ExecCtx, _: &mut ()| ctx.charge_cost(OpCost::elementwise(1_000_000, 1, 1));
-        let a = g.node(NodeSpec::new("a").writes(&[ab1, ab2]), charge);
-        let b1 = g.node(NodeSpec::new("b1").reads(&[ab1]).writes(&[b1c]), charge);
-        let b2 = g.node(NodeSpec::new("b2").reads(&[ab2]).writes(&[b2c]), charge);
-        let c = g.node(NodeSpec::new("c").reads(&[b1c, b2c]), charge);
+        let op = OpCost::elementwise(1_000_000, 1, 1);
+        let charge = move |ctx: &ExecCtx, _: &mut ()| ctx.charge_cost(op);
+        let spec = |name| NodeSpec::new(name).ops(move |_, _| vec![op]);
+        let a = g.node(spec("a").writes(&[ab1, ab2]), charge);
+        let b1 = g.node(spec("b1").reads(&[ab1]).writes(&[b1c]), charge);
+        let b2 = g.node(spec("b2").reads(&[ab2]).writes(&[b2c]), charge);
+        let c = g.node(spec("c").reads(&[b1c, b2c]), charge);
         assert_eq!(g.deps(b1), &[a]);
         assert_eq!(g.deps(b2), &[a]);
         assert_eq!(g.deps(c), &[b1, b2]);
@@ -1067,9 +1158,11 @@ mod tests {
         let ctx = ctx();
         let mut g: TaskGraph<'_, ()> = TaskGraph::new();
         for _ in 0..8 {
-            let leaf = g.node(NodeSpec::new("leaf"), |ctx, _| {
-                ctx.charge_cost(OpCost::elementwise(500_000, 1, 1))
-            });
+            let op = OpCost::elementwise(500_000, 1, 1);
+            let leaf = g.node(
+                NodeSpec::new("leaf").ops(move |_, _| vec![op]),
+                move |ctx, _| ctx.charge_cost(op),
+            );
             assert!(g.deps(leaf).is_empty());
         }
         let run = g.execute(&ctx, &mut ());
@@ -1166,7 +1259,10 @@ mod tests {
         let mut g: TaskGraph<'_, Vec<f32>> = TaskGraph::new();
         let out = g.declare_dims("out", &[16], BufClass::External);
         g.node(
-            NodeSpec::new("sample").writes(&[out]).stochastic(),
+            NodeSpec::new("sample")
+                .writes(&[out])
+                .stochastic()
+                .ops(|be, n| vec![be.sample_cost(n)]),
             |ctx, s: &mut Vec<f32>| {
                 let probs = vec![0.5f32; 16];
                 ctx.bernoulli_at(ctx.next_stream(), 0, &probs, s);
@@ -1287,7 +1383,10 @@ mod tests {
             for i in 0..4 {
                 let out = g.declare_dims("out", &[32], BufClass::Pinned);
                 g.node(
-                    NodeSpec::new("colmean").reads(&[src]).writes(&[out]),
+                    NodeSpec::new("colmean")
+                        .reads(&[src])
+                        .writes(&[out])
+                        .ops(|be, _| vec![be.reduce_cost(64, 32)]),
                     move |ctx, s: &mut S| {
                         let v = s.src.view();
                         ctx.colmean(v, &mut s.outs[i]);
@@ -1316,13 +1415,85 @@ mod tests {
         }
     }
 
+    /// A context that checks ops in release builds too.
+    fn verifying() -> ExecCtx {
+        ExecCtx::native(OptLevel::Improved, 0).with_verify()
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "node `undeclared` charged other ops than it declares (NodeSpec::ops) \
+                               at 8 rows: op 0 charged Some("
+    )]
+    fn a_node_charging_undeclared_ops_fails_its_check() {
+        let mut g: TaskGraph<'_, Vec<f32>> = TaskGraph::new();
+        g.node(NodeSpec::new("undeclared"), |ctx, s| ctx.scale(2.0, s));
+        g.run_serial(&verifying(), &mut vec![1.0f32; 8]);
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "node `short` charged other ops than it declares (NodeSpec::ops) at 8 \
+                               rows: op 1 charged Some("
+    )]
+    fn a_mis_declared_node_names_itself_and_the_first_differing_op() {
+        let mut g: TaskGraph<'_, Vec<f32>> = TaskGraph::new();
+        g.node(scaling("short"), |ctx, s: &mut Vec<f32>| {
+            ctx.scale(2.0, s);
+            ctx.scale(0.5, s);
+        });
+        g.run_serial(&verifying(), &mut vec![1.0f32; 8]);
+    }
+
+    /// An outer graph whose one node runs an inner graph of one scaling node,
+    /// which declares its op when `inner_declared`.
+    fn nested(inner_declared: bool) -> TaskGraph<'static, Vec<f32>> {
+        let mut outer: TaskGraph<'_, Vec<f32>> = TaskGraph::new();
+        outer.node(scaling("outer"), move |ctx, s: &mut Vec<f32>| {
+            let mut inner: TaskGraph<'_, Vec<f32>> = TaskGraph::new();
+            let spec = match inner_declared {
+                true => scaling("inner"),
+                false => NodeSpec::new("inner"),
+            };
+            inner.node(spec, |ctx, s| ctx.scale(2.0, s));
+            inner.run_serial(ctx, s);
+        });
+        outer
+    }
+
+    #[test]
+    fn ops_are_checked_inside_a_recording_and_a_node() {
+        // The inner node's op counts for the outer node too, and the
+        // recording around the run still sees it once.
+        let ctx = verifying();
+        let mut state = vec![1.0f32; 8];
+        let mut g = nested(true);
+        ctx.start_recording();
+        g.run_serial(&ctx, &mut state);
+        let recorded = ctx.stop_recording();
+        assert_eq!(recorded, g.declared_ops(&ctx.backend(), 8));
+        assert_eq!(recorded.len(), 1);
+        assert!(g.ops_checked[0]);
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "node `inner` charged other ops than it declares (NodeSpec::ops) at 8 \
+                               rows: op 0 charged Some("
+    )]
+    fn an_undeclared_node_of_a_graph_inside_a_node_fails() {
+        let ctx = verifying();
+        ctx.start_recording();
+        nested(false).run_serial(&ctx, &mut vec![1.0f32; 8]);
+    }
+
     #[test]
     fn run_serial_charges_ops_directly() {
         let ctx = ctx();
         let mut g: TaskGraph<'_, Vec<f32>> = TaskGraph::new();
         let buf = g.declare_dims("buf", &[10_000], BufClass::External);
         g.node(
-            NodeSpec::new("scale").reads(&[buf]).writes(&[buf]),
+            scaling("scale").reads(&[buf]).writes(&[buf]),
             |ctx, s: &mut Vec<f32>| ctx.scale(2.0, s),
         );
         let mut state = vec![1.0f32; 10_000];
@@ -1337,14 +1508,12 @@ mod tests {
         let mut g: TaskGraph<'_, Vec<f32>> = TaskGraph::new();
         let a = g.declare_dims("a", &[200_000], BufClass::Scratch);
         let b = g.declare_dims("b", &[200_000], BufClass::Scratch);
-        g.node(
-            NodeSpec::new("left").writes(&[a]),
-            |ctx, s: &mut Vec<f32>| ctx.scale(1.5, s),
-        );
-        g.node(
-            NodeSpec::new("right").writes(&[b]),
-            |ctx, s: &mut Vec<f32>| ctx.scale(0.5, s),
-        );
+        g.node(scaling("left").writes(&[a]), |ctx, s: &mut Vec<f32>| {
+            ctx.scale(1.5, s)
+        });
+        g.node(scaling("right").writes(&[b]), |ctx, s: &mut Vec<f32>| {
+            ctx.scale(0.5, s)
+        });
         let mut state = vec![1.0f32; 200_000];
         g.execute(&ctx, &mut state);
         let nodes: Vec<_> = ctx

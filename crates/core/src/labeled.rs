@@ -100,6 +100,10 @@ impl<'a, N> StepState<'a, N> {
 
 impl<N: 'static> NodeState for StepState<'_, N> {
     type At<'a> = StepState<'a, N>;
+
+    fn rows(state: &StepState<'_, N>) -> usize {
+        state.x.rows()
+    }
 }
 
 /// A softmax-headed net trained by back-propagation on labeled batches.

@@ -65,7 +65,9 @@
 //! Footprint rules, enforced by [`TaskGraph::verify`] on every shipped
 //! recipe (pinned at 0 errors / 0 warnings in `tests/verify_properties.rs`):
 //!
-//! * every buffer a node body touches must appear in its `reads`/`writes`;
+//! * every buffer a node body touches must appear in its `reads`/`writes`,
+//!   and every op it charges in its op declaration ([`NodeSpec::ops`],
+//!   checked on the node's first run under the verifier);
 //! * buffers are declared with their true element counts (capacity rows ×
 //!   width — bodies slice to the live batch);
 //! * parameters are `External` (no arena storage; reads/writes still order
@@ -269,6 +271,16 @@ impl<S: NodeState> StackBuilder<S> {
             .unwrap_or_else(|| panic!("no buffer bound under slot {slot}, key {key:?}"))
     }
 
+    /// Element count of the buffer `id` as declared.
+    pub(crate) fn elems(&self, id: BufId) -> usize {
+        self.g.bufs[id.0].elems()
+    }
+
+    /// Row width (last declared dim) of the buffer `id`.
+    pub(crate) fn width(&self, id: BufId) -> usize {
+        self.g.bufs[id.0].dims.last().copied().unwrap_or(1)
+    }
+
     /// Adds a node to the underlying graph (pass-through; layers emit
     /// through this so footprints and order are explicit at the call site).
     pub(crate) fn node(
@@ -332,7 +344,10 @@ fn emit_bias_colsum<N: NetParams>(
 ) {
     let (d_id, gb_id) = (sb.buf(slot, "delta"), sb.buf(slot, "gb"));
     sb.node(
-        NodeSpec::new(name).reads(&[d_id]).writes(&[gb_id]),
+        NodeSpec::new(name)
+            .reads(&[d_id])
+            .writes(&[gb_id])
+            .ops(move |be, b| vec![be.reduce_cost(b * rows_per_example, width)]),
         move |ctx, st: &mut StepState<'_, N>| {
             let rows = st.x.rows() * rows_per_example;
             let [d, gb] = st.ws.bufs_mut([d_id, gb_id]);
@@ -356,8 +371,12 @@ fn emit_sgd<N: NetParams>(
         Part::Weights => (names[0], sb.buf(slot, "gw"), sb.buf(slot, "w")),
         Part::Biases => (names[1], sb.buf(slot, "gb"), sb.buf(slot, "b")),
     };
+    let n = sb.elems(param);
     sb.node(
-        NodeSpec::new(name).reads(&[grad]).writes(&[param]),
+        NodeSpec::new(name)
+            .reads(&[grad])
+            .writes(&[param])
+            .ops(move |be, _| vec![be.sgd_cost(n)]),
         move |ctx, st: &mut StepState<'_, N>| {
             let net = st.net.get_mut();
             let lambda = net.weight_decay();
@@ -439,7 +458,8 @@ impl<'s, N: NetParams> Layer<StepState<'s, N>> for Dense {
                 sb.node(
                     NodeSpec::new("forward")
                         .reads(&[inp, w_id, b_id])
-                        .writes(&[a_cur]),
+                        .writes(&[a_cur])
+                        .ops(move |be, b| vec![be.gemm_cost(b, h, v), be.bias_sigmoid_cost(b * h)]),
                     move |ctx, st: &mut StepState<'_, N>| {
                         let b = st.x.rows();
                         let (w, bias) = st.net.get().tensors(key);
@@ -463,11 +483,14 @@ impl<'s, N: NetParams> Layer<StepState<'s, N>> for Dense {
                 let up = sb.buf(self.above_slot, "delta");
                 let up_w = sb.buf(self.above_slot, "w");
                 let (a_cur, d_cur) = (sb.buf(slot, "act"), sb.buf(slot, "delta"));
-                let above = self.above;
+                let (above, k) = (self.above, sb.width(up));
                 sb.node(
                     NodeSpec::new("backprop")
                         .reads(&[up, up_w, a_cur])
-                        .writes(&[d_cur]),
+                        .writes(&[d_cur])
+                        .ops(move |be, b| {
+                            vec![be.gemm_cost(b, h, k), be.sigmoid_backprop_cost(b * h)]
+                        }),
                     move |ctx, st: &mut StepState<'_, N>| {
                         let b = st.x.rows();
                         let w_next = st.net.get().tensors(above).0;
@@ -490,7 +513,8 @@ impl<'s, N: NetParams> Layer<StepState<'s, N>> for Dense {
                 sb.node(
                     NodeSpec::new("layer-gw")
                         .reads(&[d_cur, inp])
-                        .writes(&[gw_cur]),
+                        .writes(&[gw_cur])
+                        .ops(move |be, b| vec![be.gemm_cost(h, v, b)]),
                     move |ctx, st: &mut StepState<'_, N>| {
                         let b = st.x.rows();
                         if from_x {
@@ -571,7 +595,8 @@ impl<'s, N: NetParams> Layer<StepState<'s, N>> for SoftmaxXent {
                 sb.node(
                     NodeSpec::new("softmax")
                         .reads(&[a_top, w_id, b_id])
-                        .writes(&[dsoft]),
+                        .writes(&[dsoft])
+                        .ops(move |be, b| vec![be.gemm_cost(b, c, code), OpCost::sigmoid(b * c)]),
                     move |ctx, st: &mut StepState<'_, N>| {
                         let b = st.x.rows();
                         let [a, probs] = st.ws.bufs_mut([a_top, dsoft]);
@@ -589,7 +614,8 @@ impl<'s, N: NetParams> Layer<StepState<'s, N>> for SoftmaxXent {
                     NodeSpec::new("xent-delta")
                         .reads(&[dsoft])
                         .writes(&[dsoft])
-                        .exclusive(),
+                        .exclusive()
+                        .ops(move |_, b| vec![OpCost::elementwise(b * c, 1, 2)]),
                     move |ctx, st: &mut StepState<'_, N>| {
                         let b = st.x.rows();
                         let probs = &mut st.ws.buf_mut(dsoft)[..b * c];
@@ -612,7 +638,8 @@ impl<'s, N: NetParams> Layer<StepState<'s, N>> for SoftmaxXent {
                 sb.node(
                     NodeSpec::new("softmax-gw")
                         .reads(&[dsoft, a_top])
-                        .writes(&[gw_id]),
+                        .writes(&[gw_id])
+                        .ops(move |be, b| vec![be.gemm_cost(c, code, b)]),
                     move |ctx, st: &mut StepState<'_, N>| {
                         let b = st.x.rows();
                         let [d, a, gw] = st.ws.bufs_mut([dsoft, a_top, gw_id]);
@@ -752,7 +779,10 @@ impl<'s, N: NetParams> Layer<StepState<'s, N>> for Conv2d {
                 let x_id = sb.global("x");
                 let col_id = sb.buf(slot, "col");
                 sb.node(
-                    NodeSpec::new("im2col").reads(&[x_id]).writes(&[col_id]),
+                    NodeSpec::new("im2col")
+                        .reads(&[x_id])
+                        .writes(&[col_id])
+                        .ops(move |_, b| vec![OpCost::memcpy(b * pix * kk)]),
                     move |ctx, st: &mut StepState<'_, N>| {
                         let b = st.x.rows();
                         let col = &mut st.ws.buf_mut(col_id)[..b * pix * kk];
@@ -767,7 +797,13 @@ impl<'s, N: NetParams> Layer<StepState<'s, N>> for Conv2d {
                 sb.node(
                     NodeSpec::new("conv-forward")
                         .reads(&[col_id, w_id, b_id])
-                        .writes(&[a_id]),
+                        .writes(&[a_id])
+                        .ops(move |be, b| {
+                            vec![
+                                be.gemm_cost(b * pix, c, kk),
+                                be.bias_sigmoid_cost(b * pix * c),
+                            ]
+                        }),
                     move |ctx, st: &mut StepState<'_, N>| {
                         let b = st.x.rows();
                         let (w, bias) = st.net.get().tensors(key);
@@ -786,7 +822,8 @@ impl<'s, N: NetParams> Layer<StepState<'s, N>> for Conv2d {
                 sb.node(
                     NodeSpec::new("conv-dsig")
                         .reads(&[a_id, d_id])
-                        .writes(&[d_id]),
+                        .writes(&[d_id])
+                        .ops(move |be, b| vec![be.sigmoid_backprop_cost(b * pix * c)]),
                     move |ctx, st: &mut StepState<'_, N>| {
                         let b = st.x.rows();
                         let [a, d] = st.ws.bufs_mut([a_id, d_id]);
@@ -806,7 +843,8 @@ impl<'s, N: NetParams> Layer<StepState<'s, N>> for Conv2d {
                 sb.node(
                     NodeSpec::new("conv-gw")
                         .reads(&[d_id, col_id])
-                        .writes(&[gw_id]),
+                        .writes(&[gw_id])
+                        .ops(move |be, b| vec![be.gemm_cost(c, kk, b * pix)]),
                     move |ctx, st: &mut StepState<'_, N>| {
                         let b = st.x.rows();
                         let [d, col, gw] = st.ws.bufs_mut([d_id, col_id, gw_id]);
@@ -896,7 +934,11 @@ impl<'s, N: NetParams> Layer<StepState<'s, N>> for MaxPool2d {
                 sb.node(
                     NodeSpec::new("pool-forward")
                         .reads(&[conv_act])
-                        .writes(&[a_id, i_id]),
+                        .writes(&[a_id, i_id])
+                        .ops(move |_, b| {
+                            let win = (pool * pool) as u32;
+                            vec![OpCost::elementwise(b * out, win, win)]
+                        }),
                     move |ctx, st: &mut StepState<'_, N>| {
                         let b = st.x.rows();
                         let [act, pooled, pidx] = st.ws.bufs_mut([conv_act, a_id, i_id]);
@@ -921,11 +963,12 @@ impl<'s, N: NetParams> Layer<StepState<'s, N>> for MaxPool2d {
                 let up = sb.buf(self.above_slot, "delta");
                 let up_w = sb.buf(self.above_slot, "w");
                 let d_id = sb.buf(slot, "delta");
-                let above = self.above;
+                let (above, k) = (self.above, sb.width(up));
                 sb.node(
                     NodeSpec::new("pool-delta")
                         .reads(&[up, up_w])
-                        .writes(&[d_id]),
+                        .writes(&[d_id])
+                        .ops(move |be, b| vec![be.gemm_cost(b, out, k)]),
                     move |ctx, st: &mut StepState<'_, N>| {
                         let b = st.x.rows();
                         let w_next = st.net.get().tensors(above).0;
@@ -943,7 +986,8 @@ impl<'s, N: NetParams> Layer<StepState<'s, N>> for MaxPool2d {
                 sb.node(
                     NodeSpec::new("unpool")
                         .reads(&[d_id, i_id])
-                        .writes(&[conv_delta]),
+                        .writes(&[conv_delta])
+                        .ops(move |_, b| vec![OpCost::memcpy(b * oh * oh * c)]),
                     move |ctx, st: &mut StepState<'_, N>| {
                         let b = st.x.rows();
                         let [d, pidx, dconv] = st.ws.bufs_mut([d_id, i_id, conv_delta]);

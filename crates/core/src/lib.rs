@@ -72,7 +72,7 @@ pub mod train;
 mod verify;
 
 pub use ae_graph::{ae_step_graph, build_ae_graph, AeState, AeUpdate};
-pub use analytic::{ae_batch_ops, estimate, rbm_cd1_ops, Algo, Estimate, Workload};
+pub use analytic::{estimate, Algo, Estimate, Workload};
 pub use autoencoder::{AeConfig, AeCost, AeScratch, SparseAutoencoder};
 pub use cd_graph::{cd_step_graph, CdState};
 pub use checkpoint::{

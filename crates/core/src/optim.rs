@@ -9,6 +9,7 @@
 //! they participate in the simulated-time accounting.
 
 use crate::exec::ExecCtx;
+use micdnn_kernels::{Backend, OpCost};
 
 /// A learning-rate schedule: maps the update counter to a rate.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -77,6 +78,21 @@ pub enum Rule {
         /// Numerical floor inside the square root.
         eps: f32,
     },
+}
+
+impl Rule {
+    /// The op costs [`Optimizer::step_slot`] charges under this rule for a
+    /// tensor of `n` elements.
+    pub(crate) fn step_costs(self, backend: &Backend, n: usize) -> Vec<OpCost> {
+        match self {
+            Rule::Sgd => vec![backend.sgd_cost(n)],
+            Rule::Momentum { .. } => {
+                let (scale, axpy) = (backend.scale_cost(n), backend.axpy_cost(n));
+                vec![scale, axpy, scale, axpy]
+            }
+            Rule::AdaGrad { .. } => Vec::new(),
+        }
+    }
 }
 
 /// Optimizer state for a fixed set of parameter tensors ("slots").

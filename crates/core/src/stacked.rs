@@ -8,6 +8,7 @@
 //! Table I's workload is exactly this: a 1024-512-256-128 stack, trained
 //! layer by layer.
 
+use crate::ae_graph::{build_ae_graph, AeUpdate};
 use crate::autoencoder::{AeConfig, AeScratch, SparseAutoencoder};
 use crate::exec::ExecCtx;
 use crate::graph::{BufClass, BufId, NodeSpec, NodeState, TaskGraph};
@@ -347,7 +348,7 @@ fn build_pipeline_graph(
         .collect();
 
     for i in 0..n_layers {
-        let dev = i as u32;
+        let (dev, v, h) = (i as u32, sizes[i], sizes[i + 1]);
         for p in 0..passes {
             let last_pass = p + 1 == passes;
             for (c, &crows) in chunk_sizes.iter().enumerate() {
@@ -355,7 +356,13 @@ fn build_pipeline_graph(
                     .reads(&[chunk_bufs[i][c], params[i]])
                     .writes(&[params[i]])
                     .device(dev)
-                    .phase("pipeline-train");
+                    .phase("pipeline-train")
+                    .ops(move |be, _| {
+                        // The layer's step graph, once per batch of the chunk.
+                        let step = build_ae_graph(v, h, batch, AeUpdate::Sgd);
+                        let rows = (0..crows).step_by(batch).map(|lo| batch.min(crows - lo));
+                        rows.flat_map(|b| step.declared_ops(be, b)).collect()
+                    });
                 g.node(spec, move |ctx, s: &mut PipelineState| {
                     let x = s.chunks[i][c].view();
                     let layer = &mut s.layers[i];
@@ -375,12 +382,13 @@ fn build_pipeline_graph(
         if i + 1 == n_layers {
             continue;
         }
-        for c in 0..chunk_sizes.len() {
+        for (c, &crows) in chunk_sizes.iter().enumerate() {
             let spec = NodeSpec::new("encode")
                 .reads(&[params[i], chunk_bufs[i][c]])
                 .writes(&[enc_bufs[i][c]])
                 .device(dev)
-                .phase("pipeline-encode");
+                .phase("pipeline-encode")
+                .ops(move |be, _| vec![be.gemm_cost(crows, h, v), be.bias_sigmoid_cost(crows * h)]);
             g.node(spec, move |ctx, s: &mut PipelineState| {
                 let enc = s.layers[i].encode(ctx, s.chunks[i][c].view());
                 s.staged[i][c] = enc;

@@ -135,7 +135,10 @@ impl UnsupervisedModel for AeModel {
             Some(s) if s.capacity() >= max_batch => s,
             _ => AeScratch::new(self.ae.config(), max_batch),
         };
-        let update = [AeUpdate::Sgd, AeUpdate::Opt][usize::from(self.optimizer.is_some())];
+        let update = self
+            .optimizer
+            .as_ref()
+            .map_or(AeUpdate::Sgd, |opt| AeUpdate::Opt(opt.rule()));
         self.scratch.insert(scratch).prepare(update, false);
     }
 

@@ -132,7 +132,7 @@ impl Backend {
     }
 
     /// Cost of [`Backend::axpy`] over `n` elements.
-    pub(crate) fn axpy_cost(&self, n: usize) -> OpCost {
+    pub fn axpy_cost(&self, n: usize) -> OpCost {
         let c = OpCost::elementwise(n, 2, 2).with_label("axpy");
         if self.blas {
             c
@@ -142,7 +142,7 @@ impl Backend {
     }
 
     /// Cost of [`Backend::scale`] over `n` elements.
-    pub(crate) fn scale_cost(&self, n: usize) -> OpCost {
+    pub fn scale_cost(&self, n: usize) -> OpCost {
         let c = OpCost::elementwise(n, 1, 1).with_label("scale");
         if self.blas {
             c
@@ -449,7 +449,8 @@ impl Backend {
 
 /// Scalar triple-loop GEMM parallelized across rows of C — the "OpenMP but
 /// no MKL" rung. Bitwise identical to [`naive::gemm_ref`] because each
-/// output element accumulates over k in the same order.
+/// output element accumulates over k in the same order and finishes the
+/// same way (at `beta == 0` without reading C).
 #[allow(clippy::too_many_arguments)]
 fn gemm_threaded_scalar(
     alpha: f32,
@@ -478,7 +479,7 @@ fn gemm_threaded_scalar(
                     let bv = if tb { b.get(j, p) } else { b.get(p, j) };
                     acc += av * bv;
                 }
-                *out = alpha * acc + beta * *out;
+                naive::finish(alpha, acc, beta, out);
             }
         });
 }
@@ -571,6 +572,40 @@ mod tests {
             &mut c_thr.view_mut(),
         );
         assert_eq!(c_ref.as_slice(), c_thr.as_slice());
+    }
+
+    #[test]
+    fn gemm_at_beta_zero_never_reads_c_on_any_rung() {
+        // A C left holding NaN, -0.0 and garbage gives the bits of a zeroed
+        // one. Seven rows, so the threaded scalar rung splits them across
+        // its team; A's zero row makes exact zero products (-0.0 where B is
+        // negative).
+        let a = Mat::from_fn(7, 5, |r, c| {
+            if r == 3 {
+                0.0
+            } else {
+                (r * 5 + c) as f32 * 0.25 - 2.0
+            }
+        });
+        let b = Mat::from_fn(5, 6, |r, c| ((r * 6 + c) as f32 * 0.7).sin());
+        let poison = [f32::NAN, -0.0, 1.0e30, -3.5, f32::INFINITY];
+        for be in all_backends() {
+            for (ta, tb) in [(false, false), (true, true)] {
+                let (a, b) = match (ta, tb) {
+                    (false, false) => (a.clone(), b.clone()),
+                    _ => (a.transposed(), b.transposed()),
+                };
+                let gemm = |c: &mut Mat| {
+                    be.gemm(-1.5, a.view(), ta, b.view(), tb, 0.0, &mut c.view_mut());
+                };
+                let mut zeroed = Mat::zeros(7, 6);
+                gemm(&mut zeroed);
+                let mut dirty = Mat::from_fn(7, 6, |r, c| poison[(r * 6 + c) % poison.len()]);
+                gemm(&mut dirty);
+                let bits = |m: &Mat| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&dirty), bits(&zeroed), "{be:?} ta {ta} tb {tb}");
+            }
+        }
     }
 
     #[test]

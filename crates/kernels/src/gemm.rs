@@ -314,8 +314,9 @@
 //!   **The fused SGD step**).
 //!
 //! Under the depth split each slab stores its raw accumulators into a tile
-//! of its own (`c = acc`), and the three modes apply after the fork, per
-//! element, to the sum of its tiles.
+//! of its own (`c = acc`), and C stores or adds after the fork, per
+//! element, the sum of its tiles. A weight step never forks so: its
+//! product is one slab deep.
 //!
 //! **Written once at `beta == 0`.** There step 1 is not a pass of its own:
 //! the first k-slab of each part stores `0.0 + acc` over C without reading
@@ -367,9 +368,9 @@
 //! the tests pin it so, a `-0.0` weight and an underflowing gradient
 //! included. A gradient element is finished when its last k-slab is
 //! summed, so the tile steps `W` only in a product of one slab (`k <=
-//! GEMM_KC`); under the depth split each element is stepped after its slab
-//! fold. Any other product of several slabs forms the gradient first, in a
-//! temporary, and steps `W` after: it saves nothing, so the autoencoder
+//! GEMM_KC`), which never forks by depth. Every product of several slabs,
+//! the depth split's included, forms the gradient first, in a temporary,
+//! and steps `W` after: it saves nothing, so the autoencoder
 //! fuses only batches of at most `GEMM_KC` rows, and declares its gradient
 //! buffers for larger ones.
 //!
@@ -594,8 +595,9 @@ fn gemm_with(
     // How C finishes with the product. Step 1 of the contract folds into the
     // first k-slab at `beta == 0`, which stores `0.0 + acc` over C without
     // reading it; a gradient of one slab is finished there, and steps the
-    // weights. Under the depth split every slab stores its raw tile, and C
-    // finishes so with their sum after the fork.
+    // weights (one slab never forks by depth). Under the depth split every
+    // slab stores its raw tile, and C finishes so with their sum after the
+    // fork.
     let depth_split = workers > 1 && matches!(split, Split::Depth);
     let finish = match out {
         Epilogue::Beta(0.0) => Finish::Store,
@@ -603,7 +605,7 @@ fn gemm_with(
             scale_c(par, beta, c);
             Finish::Add
         }
-        Epilogue::Sgd { lr, lambda } if slabs == 1 || depth_split => Finish::Sgd {
+        Epilogue::Sgd { lr, lambda } if slabs == 1 => Finish::Sgd {
             shrink: fused::sgd_shrink(lr, lambda),
             lr,
         },
@@ -675,7 +677,7 @@ fn gemm_with(
             // accumulators once, into a tile of its own in this thread's
             // reused buffer; then each element of C takes its step 1 and
             // adds the tiles in ascending slab order, which is step 2 of the
-            // contract exactly (or, as a gradient, steps its weight).
+            // contract exactly.
             let (mn, per) = (m * n, slabs.div_ceil(workers));
             let mut buf = SLAB_TILES.take();
             let tiles = lend(&mut buf, slabs * mn);
@@ -692,18 +694,9 @@ fn gemm_with(
                     product.accumulate(part, CPart::Slabs(run, mn, n));
                 });
             let (t0, rest) = tiles.split_at_mut(mn);
-            if let Finish::Sgd { .. } = finish {
-                // The gradient sums in the first tile, from step 1's zeros. A
-                // sum that starts at +0.0 is never -0.0, so the step's own
-                // `0.0 +` leaves it as it is.
-                t0.iter_mut().for_each(|g| *g += 0.0);
-                rest.chunks_exact(mn).for_each(|t| Finish::Add.row(t0, t));
-                finish.row(c_slice, t0);
-            } else {
-                finish.row(c_slice, t0);
-                rest.chunks_exact(mn)
-                    .for_each(|t| Finish::Add.row(c_slice, t));
-            }
+            finish.row(c_slice, t0);
+            rest.chunks_exact(mn)
+                .for_each(|t| Finish::Add.row(c_slice, t));
             SLAB_TILES.set(buf);
         }
     }

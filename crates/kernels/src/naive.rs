@@ -14,7 +14,8 @@ use micdnn_tensor::{MatView, MatViewMut};
 ///
 /// `ta`/`tb` select transposition of A/B. Shapes are checked against the
 /// *operated* dimensions: `op(A)` is `m x k`, `op(B)` is `k x n`, `C` is
-/// `m x n`.
+/// `m x n`. At `beta == 0` C is written, never read, so a NaN left there
+/// never survives.
 pub fn gemm_ref(
     alpha: f32,
     a: MatView<'_>,
@@ -38,10 +39,21 @@ pub fn gemm_ref(
             for p in 0..k {
                 acc += at(i, p) * bt(p, j);
             }
-            let prev = c.as_slice()[i * n + j];
-            c.as_mut_slice()[i * n + j] = alpha * acc + beta * prev;
+            finish(alpha, acc, beta, &mut c.as_mut_slice()[i * n + j]);
         }
     }
+}
+
+/// Stores `alpha * acc + beta * c` into the element `c` of C. At
+/// `beta == 0` it stores `0.0 + alpha * acc` without reading `c`, as the
+/// blocked kernel does (a zeroed C plus one slab), so a NaN left in C never
+/// survives.
+pub(crate) fn finish(alpha: f32, acc: f32, beta: f32, c: &mut f32) {
+    *c = if beta == 0.0 {
+        0.0 + alpha * acc
+    } else {
+        alpha * acc + beta * *c
+    };
 }
 
 /// Scalar sigmoid over a slice (no chunking, no vector hints).

@@ -66,12 +66,13 @@ impl RandomDag {
         }
     }
 
-    /// Builds the `TaskGraph`, wiring each node's task through `make_task`,
+    /// Builds the `TaskGraph`, wiring each node's task and the ops it
+    /// declares through `make_task`,
     /// and checks that the builder inferred exactly the chosen edges — so
     /// every property below tests the graph it drew.
     fn build<'g, S: NodeState + 'g>(
         &self,
-        mut make_task: impl FnMut(usize) -> Task<'g, S>,
+        mut make_task: impl FnMut(usize) -> (Task<'g, S>, Vec<OpCost>),
     ) -> (TaskGraph<'g, S>, Vec<BufId>) {
         let mut g: TaskGraph<'g, S> = TaskGraph::new();
         let mut bufs = Vec::with_capacity(self.deps.len());
@@ -80,10 +81,9 @@ impl RandomDag {
         }
         for (i, deps) in self.deps.iter().enumerate() {
             let reads: Vec<BufId> = deps.iter().map(|&d| bufs[d]).collect();
-            g.node(
-                NodeSpec::new("node").reads(&reads).writes(&[bufs[i]]),
-                make_task(i),
-            );
+            let (task, ops) = make_task(i);
+            let spec = NodeSpec::new("node").reads(&reads).writes(&[bufs[i]]);
+            g.node(spec.ops(move |_, _| ops.clone()), task);
             assert_eq!(g.deps(i), deps.as_slice(), "node {i} dependency mismatch");
         }
         (g, bufs)
@@ -146,10 +146,11 @@ proptest! {
         let dag = RandomDag::generate(n, seed);
         let (mut g, _bufs) = dag.build::<OrderLog>(|i| {
             let deps = dag.deps[i].clone();
-            Box::new(move |_ctx, log: &mut OrderLog| {
+            let task: Task<'_, OrderLog> = Box::new(move |_ctx, log: &mut OrderLog| {
                 log.violations += deps.iter().filter(|d| !log.order.contains(d)).count();
                 log.order.push(i);
-            })
+            });
+            (task, Vec::new())
         });
 
         let ctx = ExecCtx::native(OptLevel::Improved, 0);
@@ -170,12 +171,10 @@ proptest! {
     fn simulated_critical_path_is_longest_path(n in 1usize..12, seed in any::<u64>()) {
         let dag = RandomDag::generate(n, seed);
         let (mut g, _bufs) = dag.build::<()>(|i| {
-            let elems = dag.elems[i];
             // Vary arithmetic intensity so durations differ across nodes.
-            let flops = 1 + (i as u32 % 7);
-            Box::new(move |ctx: &ExecCtx, _| {
-                ctx.charge_cost(OpCost::elementwise(elems, 2, flops));
-            })
+            let op = OpCost::elementwise(dag.elems[i], 2, 1 + (i as u32 % 7));
+            let task: Task<'_, ()> = Box::new(move |ctx: &ExecCtx, _| ctx.charge_cost(op));
+            (task, vec![op])
         });
         let ctx = ExecCtx::simulated(OptLevel::Improved, Platform::xeon_phi(), 0);
         let t0 = ctx.sim_time();
@@ -203,7 +202,7 @@ proptest! {
     #[test]
     fn verifier_matches_brute_force_orderings(n in 1usize..24, seed in any::<u64>()) {
         let dag = RandomDag::generate(n, seed);
-        let (g, bufs) = dag.build::<()>(|_| Box::new(|_, _| {}));
+        let (g, bufs) = dag.build::<()>(|_| (Box::new(|_, _| {}), Vec::new()));
         let report = g.verify();
         prop_assert!(report.errors.is_empty(), "{}", report);
 
@@ -244,7 +243,7 @@ proptest! {
     #[test]
     fn planner_never_aliases_live_buffers(n in 1usize..24, seed in any::<u64>()) {
         let dag = RandomDag::generate(n, seed);
-        let (g, bufs) = dag.build::<()>(|_| Box::new(|_, _| {}));
+        let (g, bufs) = dag.build::<()>(|_| (Box::new(|_, _| {}), Vec::new()));
         let plan = g.plan();
         prop_assert!(plan.peak_elems() <= plan.total_declared_elems());
 

@@ -1,17 +1,25 @@
-//! Pins the analytic (model-only) op streams to recorded executions.
+//! Pins the declared op streams of the shipped step graphs to executed
+//! ones.
 //!
-//! The figure harness sweeps paper-scale workloads without executing them,
-//! using `micdnn::analytic`'s enumerated op streams. These tests record
-//! the actual `OpCost` sequence of executed training steps and require it
-//! to equal the enumeration — if the implementations drift apart, every
-//! simulated figure would silently stop describing the real code, so this
-//! must fail loudly instead.
+//! The figure harness sweeps paper-scale workloads without executing them:
+//! `micdnn::estimate` prices the op costs a step graph's nodes declare
+//! (`TaskGraph::declared_ops`). On a node's first run under the verifier its
+//! charged stream must equal its declaration, so these tests run every
+//! shipped graph under `ExecCtx::with_verify` — in release builds too — and
+//! require whole executed steps and runs to land on the declared streams and
+//! the estimate. If the two drift apart every simulated figure would
+//! silently stop describing the real code, so this must fail loudly instead.
 
+use micdnn::cd_graph::{build_cd_graph, build_pcd_graph};
+use micdnn::train::{RbmModel, TrainConfig, UnsupervisedModel};
 use micdnn::{
-    ae_batch_ops, rbm_cd1_ops, AeConfig, AeScratch, ExecCtx, OptLevel, Rbm, RbmConfig, RbmScratch,
-    SparseAutoencoder,
+    ae_step_graph, build_ae_graph, cd_step_graph, AeConfig, AeScratch, AeUpdate, CnnConfig, CnnNet,
+    DataParallelAe, DataParallelRbm, ExecCtx, FineTuneNet, MultiDevConfig, OptLevel, Optimizer,
+    Rbm, RbmConfig, RbmScratch, Rule, Schedule, SparseAutoencoder, StackedAutoencoder,
 };
-use micdnn_kernels::{OpCost, GEMM_KC};
+use micdnn_data::Dataset;
+use micdnn_kernels::GEMM_KC;
+use micdnn_sim::Platform;
 use micdnn_tensor::Mat;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -19,6 +27,12 @@ use rand::{Rng, SeedableRng};
 fn batch(b: usize, v: usize, seed: u64) -> Mat {
     let mut rng = StdRng::seed_from_u64(seed);
     Mat::from_fn(b, v, |_, _| rng.gen_range(0.1..0.9))
+}
+
+fn binary_batch(b: usize, v: usize, seed: u64) -> Mat {
+    let mut x = batch(b, v, seed);
+    x.map_inplace(|p| if p > 0.5 { 1.0 } else { 0.0 });
+    x
 }
 
 fn all_levels() -> [OptLevel; 5] {
@@ -31,81 +45,187 @@ fn all_levels() -> [OptLevel; 5] {
     ]
 }
 
-fn assert_streams_equal(recorded: &[OpCost], analytic: &[OpCost], what: &str) {
-    assert_eq!(
-        recorded.len(),
-        analytic.len(),
-        "{what}: op count differs (recorded {}, analytic {})",
-        recorded.len(),
-        analytic.len()
-    );
-    for (i, (r, a)) in recorded.iter().zip(analytic).enumerate() {
-        assert_eq!(
-            r, a,
-            "{what}: op {i} differs\nrecorded: {r:?}\nanalytic: {a:?}"
-        );
-    }
+/// A native context whose graphs check each node's charged ops against its
+/// declaration on the node's first run, in any build profile.
+fn verifying(lvl: OptLevel) -> ExecCtx {
+    ExecCtx::native(lvl, 2).with_verify()
 }
 
 #[test]
-fn ae_train_batch_stream_matches_analytic() {
+fn ae_steps_charge_their_graphs_declared_streams() {
+    // The updating forms of the AE step: plain SGD (fused within one
+    // k-slab, its gradients held one row past it, and a ragged batch of a
+    // larger scratch) and an optimizer per rule. The gradient-only form is
+    // crate-internal; `ae_graph`'s unit tests check it.
+    let rules = [
+        Rule::Sgd,
+        Rule::Momentum { mu: 0.9 },
+        Rule::AdaGrad { eps: 1e-8 },
+    ];
     for lvl in all_levels() {
-        // The last batch is one row past a k-slab: its gradients are held.
-        for (v, h, b) in [
-            (32usize, 16usize, 10usize),
-            (17, 23, 7),
-            (64, 8, 32),
-            (9, 4, GEMM_KC + 1),
+        let be = lvl.backend();
+        for (v, h, cap, b) in [
+            (32usize, 16usize, 10usize, 10usize),
+            (17, 23, 7, 7),
+            (9, 4, GEMM_KC + 1, GEMM_KC + 1),
+            (12, 5, 16, 11),
         ] {
             let cfg = AeConfig::new(v, h);
-            let mut ae = SparseAutoencoder::new(cfg, 1);
-            let ctx = ExecCtx::native(lvl, 2);
-            let mut scratch = AeScratch::new(&cfg, b);
             let x = batch(b, v, 3);
+            let what = format!("AE {lvl:?} {v}x{h} cap {cap} rows {b}");
+            let ctx = verifying(lvl);
+
+            let mut ae = SparseAutoencoder::new(cfg, 1);
+            let mut scratch = AeScratch::new(&cfg, cap);
             ctx.start_recording();
             ae.train_batch(&ctx, x.view(), &mut scratch, 0.1);
-            let recorded = ctx.stop_recording();
-            let analytic = ae_batch_ops(v, h, b, lvl.backend());
-            assert_streams_equal(&recorded, &analytic, &format!("AE {lvl:?} {v}x{h}x{b}"));
+            let want = build_ae_graph(v, h, cap, AeUpdate::Sgd).declared_ops(&be, b);
+            assert_eq!(ctx.stop_recording(), want, "{what} SGD");
+
+            for rule in rules {
+                let slots = SparseAutoencoder::optimizer_slots(&cfg);
+                let mut opt = Optimizer::new(rule, Schedule::Constant(0.1), &slots);
+                let mut scratch = AeScratch::new(&cfg, cap);
+                ctx.start_recording();
+                ae_step_graph(&mut ae, &ctx, x.view(), &mut scratch, 0.0, Some(&mut opt));
+                let want = build_ae_graph(v, h, cap, AeUpdate::Opt(rule)).declared_ops(&be, b);
+                assert_eq!(ctx.stop_recording(), want, "{what} {rule:?}");
+            }
         }
     }
 }
 
 #[test]
-fn rbm_cd1_stream_matches_analytic() {
+fn cd_and_pcd_steps_charge_their_graphs_declared_streams() {
     for lvl in all_levels() {
-        for (v, h, b) in [(24usize, 12usize, 8usize), (15, 31, 9)] {
+        let be = lvl.backend();
+        for (v, h, cap, b) in [
+            (24usize, 12usize, 8usize, 8usize),
+            (15, 31, 9, 9),
+            (10, 6, 12, 5),
+        ] {
+            let x = binary_batch(b, v, 3);
+            let what = format!("RBM {lvl:?} {v}x{h} cap {cap} rows {b}");
+            let ctx = verifying(lvl);
+            for k in [1, 2] {
+                let mut cfg = RbmConfig::new(v, h);
+                cfg.cd_steps = k;
+                let mut rbm = Rbm::new(cfg, 1);
+                let mut scratch = RbmScratch::new(&cfg, cap);
+                let want = build_cd_graph(v, h, cap, k).declared_ops(&be, b);
+                ctx.start_recording();
+                rbm.cd_step(&ctx, x.view(), &mut scratch, 0.1);
+                assert_eq!(ctx.stop_recording(), want, "{what} CD-{k}");
+                // Scheduled as the graph, natively in declaration order.
+                ctx.start_recording();
+                cd_step_graph(&mut rbm, &ctx, x.view(), &mut scratch, 0.1);
+                assert_eq!(ctx.stop_recording(), want, "{what} CD-{k} scheduled");
+            }
             let cfg = RbmConfig::new(v, h);
             let mut rbm = Rbm::new(cfg, 1);
-            let ctx = ExecCtx::native(lvl, 2);
-            let mut scratch = RbmScratch::new(&cfg, b);
-            let mut x = batch(b, v, 3);
-            x.map_inplace(|p| if p > 0.5 { 1.0 } else { 0.0 });
+            let mut scratch = RbmScratch::new(&cfg, cap);
             ctx.start_recording();
-            rbm.cd_step(&ctx, x.view(), &mut scratch, 0.1);
-            let recorded = ctx.stop_recording();
-            let analytic = rbm_cd1_ops(v, h, b, lvl.backend());
-            assert_streams_equal(&recorded, &analytic, &format!("RBM {lvl:?} {v}x{h}x{b}"));
+            rbm.pcd_step(&ctx, x.view(), &mut scratch, 0.1);
+            let want = build_pcd_graph(v, h, cap).declared_ops(&be, b);
+            assert_eq!(ctx.stop_recording(), want, "{what} PCD");
         }
     }
 }
 
 #[test]
-fn graph_scheduled_cd1_stream_matches_analytic_in_order() {
-    // On a native context `execute` runs the graph in declaration order, so
-    // the graph-scheduled step charges the analytic stream op for op.
-    let (v, h, b) = (24usize, 12usize, 8usize);
-    let cfg = RbmConfig::new(v, h);
-    let mut rbm = Rbm::new(cfg, 1);
-    let ctx = ExecCtx::native(OptLevel::Improved, 2);
-    let mut scratch = RbmScratch::new(&cfg, b);
-    let mut x = batch(b, v, 3);
-    x.map_inplace(|p| if p > 0.5 { 1.0 } else { 0.0 });
-    ctx.start_recording();
-    micdnn::cd_step_graph(&mut rbm, &ctx, x.view(), &mut scratch, 0.1);
-    let recorded = ctx.stop_recording();
-    let analytic = rbm_cd1_ops(v, h, b, OptLevel::Improved.backend());
-    assert_streams_equal(&recorded, &analytic, "graph-scheduled CD-1");
+fn block_labeled_and_pipeline_graphs_charge_their_declarations() {
+    // Each run below checks every node of the graphs it runs against its
+    // declaration: the block forms of a data-parallel step, the labeled
+    // nets' steps and forward graphs, and the stacked pipeline, whose
+    // `train` nodes run an inner step graph per batch.
+    for lvl in all_levels() {
+        let ctx = verifying(lvl);
+        let x = batch(12, 16, 5);
+        let labels: Vec<usize> = (0..12).map(|i| i % 4).collect();
+        let devices = MultiDevConfig::new(2).with_blocks(3);
+        let ae = SparseAutoencoder::new(AeConfig::new(16, 6), 1);
+        let mut ae = DataParallelAe::new(ae, devices.clone());
+        ae.prepare(12);
+        ae.train_batch(&ctx, x.view(), 0.1);
+        let rbm = Rbm::new(RbmConfig::new(16, 6), 1);
+        let mut rbm = DataParallelRbm::new(rbm, devices);
+        rbm.prepare(12);
+        rbm.train_batch(&ctx, binary_batch(12, 16, 6).view(), 0.1);
+
+        let mut stack = StackedAutoencoder::with_default_config(&[16, 8, 4], 7);
+        let data = Dataset::new(batch(30, 16, 8));
+        let tc = TrainConfig {
+            batch_size: 4,
+            chunk_rows: 10,
+            ..TrainConfig::default()
+        };
+        let sim = ExecCtx::simulated(lvl, Platform::xeon_phi(), 3).with_verify();
+        stack.pretrain_pipelined(&sim, &data, &tc, 2);
+
+        let mut net = FineTuneNet::from_stack(&stack, 4, 9);
+        net.train_batch(&ctx, x.view(), &labels, 0.1);
+        net.predict_proba(&ctx, x.view());
+        let mut cnn = CnnNet::new(CnnConfig::new(8, 3, 3, 2, 10, 4), 10);
+        let images = batch(5, 64, 11);
+        cnn.train_batch(&ctx, images.view(), &labels[..5], 0.1);
+        cnn.predict_proba(&ctx, images.view());
+    }
+}
+
+#[test]
+fn priced_rbm_execution_equals_estimate() {
+    // The RBM counterpart of the AE case below: an executed CD-1 run lands
+    // on the estimate priced from the CD graph's declarations, a short
+    // trailing batch and chunk included.
+    use micdnn::train::train_dataset;
+    use micdnn::{estimate, Algo, Workload};
+    use micdnn_sim::Link;
+
+    let (v, h, b) = (32usize, 24usize, 20usize);
+    for (examples, chunk_rows, double_buffered) in [(120usize, 60usize, true), (130, 70, false)] {
+        let w = Workload {
+            algo: Algo::Rbm,
+            n_visible: v,
+            n_hidden: h,
+            examples,
+            batch: b,
+            chunk_rows,
+            passes: 1,
+        };
+        let link = Link {
+            latency_s: 0.5e-3,
+            wire_gbs: 0.5,
+            host_pipeline_gbs: 0.5,
+        };
+        let est = estimate(
+            OptLevel::Improved,
+            Platform::xeon_phi(),
+            link,
+            double_buffered,
+            &w,
+        );
+
+        let mut model = RbmModel::new(Rbm::new(RbmConfig::new(v, h), 1));
+        let ctx = ExecCtx::simulated(OptLevel::Improved, Platform::xeon_phi(), 2);
+        let ds = Dataset::new(binary_batch(examples, v, 3));
+        let tc = TrainConfig {
+            batch_size: b,
+            chunk_rows,
+            double_buffered,
+            link,
+            ..TrainConfig::default()
+        };
+        let report = train_dataset(&mut model, &ctx, &ds, &tc, 1).unwrap();
+        let rel = (report.sim_total_secs - est.total_secs).abs() / est.total_secs;
+        assert!(
+            rel < 1e-6,
+            "estimate {} vs executed {} (rel {rel})",
+            est.total_secs,
+            report.sim_total_secs
+        );
+        assert!((report.stream.transfer_secs - est.transfer_secs).abs() < 1e-9);
+        assert!((report.stream.stall_secs - est.stall_secs).abs() < 1e-6);
+    }
 }
 
 #[test]

@@ -175,9 +175,10 @@ proptest! {
         for i in 0..n {
             let reads: Vec<_> = edges.iter().filter(|e| e.1 == i).map(|e| e.2).collect();
             let writes: Vec<_> = edges.iter().filter(|e| e.0 == i).map(|e| e.2).collect();
-            let len = sizes[i];
-            g.node(NodeSpec::new("node").reads(&reads).writes(&writes), move |ctx, _| {
-                ctx.charge_cost(OpCost::elementwise(len, 1, 1));
+            let op = OpCost::elementwise(sizes[i], 1, 1);
+            let spec = NodeSpec::new("node").reads(&reads).writes(&writes);
+            g.node(spec.ops(move |_, _| vec![op]), move |ctx, _| {
+                ctx.charge_cost(op);
             });
             prop_assert_eq!(g.deps(i), deps[i].as_slice());
         }

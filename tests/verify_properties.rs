@@ -21,7 +21,7 @@ use micdnn::cd_graph::{build_cd_graph, build_pcd_graph};
 use micdnn::train::TrainConfig;
 use micdnn::{
     build_ae_graph, build_step_graph, AeUpdate, BufClass, BufId, CnnConfig, CnnNet, DiagKind,
-    ExecCtx, FineTuneNet, LabeledNet, NodeSpec, OptLevel, StackedAutoencoder, TaskGraph,
+    ExecCtx, FineTuneNet, LabeledNet, NodeSpec, OptLevel, Rule, StackedAutoencoder, TaskGraph,
     DEFAULT_MEM_BUDGET,
 };
 use proptest::prelude::*;
@@ -411,7 +411,11 @@ proptest! {
 #[test]
 fn shipped_ae_graphs_verify_clean_at_all_bench_sizes() {
     for &(nv, nh, b) in BENCH_SIZES {
-        for update in [AeUpdate::None, AeUpdate::Sgd, AeUpdate::Opt] {
+        for update in [
+            AeUpdate::None,
+            AeUpdate::Sgd,
+            AeUpdate::Opt(Rule::Momentum { mu: 0.9 }),
+        ] {
             let g = build_ae_graph(nv, nh, b, update);
             let report = g.verify();
             assert!(
@@ -613,7 +617,11 @@ fn unmediated_pipeline_edge_reports_cross_device_flow() {
 #[test]
 fn all_shipped_graphs_certify_clean() {
     for &(nv, nh, b) in BENCH_SIZES {
-        for update in [AeUpdate::None, AeUpdate::Sgd, AeUpdate::Opt] {
+        for update in [
+            AeUpdate::None,
+            AeUpdate::Sgd,
+            AeUpdate::Opt(Rule::Momentum { mu: 0.9 }),
+        ] {
             let outcome = build_ae_graph(nv, nh, b, update).certify(DEFAULT_MEM_BUDGET);
             assert!(
                 outcome.is_clean(),
