@@ -95,39 +95,83 @@ fn ae_steps_charge_their_graphs_declared_streams() {
     }
 }
 
+/// The CD geometries pinned below: equal capacity and rows, and a ragged
+/// batch of a larger scratch.
+const CD_SHAPES: [(usize, usize, usize, usize); 3] =
+    [(24, 12, 8, 8), (15, 31, 9, 9), (10, 6, 12, 5)];
+
 #[test]
-fn cd_and_pcd_steps_charge_their_graphs_declared_streams() {
+fn rbm_cd1_stream_matches_analytic() {
+    // `estimate` prices the CD graph's declared stream, so the executed
+    // step must charge exactly that stream (CD-1, and CD-2 alongside).
     for lvl in all_levels() {
         let be = lvl.backend();
-        for (v, h, cap, b) in [
-            (24usize, 12usize, 8usize, 8usize),
-            (15, 31, 9, 9),
-            (10, 6, 12, 5),
-        ] {
+        for (v, h, cap, b) in CD_SHAPES {
             let x = binary_batch(b, v, 3);
-            let what = format!("RBM {lvl:?} {v}x{h} cap {cap} rows {b}");
             let ctx = verifying(lvl);
             for k in [1, 2] {
                 let mut cfg = RbmConfig::new(v, h);
                 cfg.cd_steps = k;
                 let mut rbm = Rbm::new(cfg, 1);
                 let mut scratch = RbmScratch::new(&cfg, cap);
-                let want = build_cd_graph(v, h, cap, k).declared_ops(&be, b);
                 ctx.start_recording();
                 rbm.cd_step(&ctx, x.view(), &mut scratch, 0.1);
-                assert_eq!(ctx.stop_recording(), want, "{what} CD-{k}");
-                // Scheduled as the graph, natively in declaration order.
+                let want = build_cd_graph(v, h, cap, k).declared_ops(&be, b);
+                assert_eq!(
+                    ctx.stop_recording(),
+                    want,
+                    "RBM {lvl:?} {v}x{h} cap {cap} rows {b} CD-{k}"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn graph_scheduled_cd1_stream_matches_analytic_in_order() {
+    // On a native context `execute` runs the graph in declaration order, so
+    // the graph-scheduled step charges the declared stream op for op.
+    for lvl in all_levels() {
+        let be = lvl.backend();
+        for (v, h, cap, b) in CD_SHAPES {
+            let x = binary_batch(b, v, 3);
+            let ctx = verifying(lvl);
+            for k in [1, 2] {
+                let mut cfg = RbmConfig::new(v, h);
+                cfg.cd_steps = k;
+                let mut rbm = Rbm::new(cfg, 1);
+                let mut scratch = RbmScratch::new(&cfg, cap);
                 ctx.start_recording();
                 cd_step_graph(&mut rbm, &ctx, x.view(), &mut scratch, 0.1);
-                assert_eq!(ctx.stop_recording(), want, "{what} CD-{k} scheduled");
+                let want = build_cd_graph(v, h, cap, k).declared_ops(&be, b);
+                assert_eq!(
+                    ctx.stop_recording(),
+                    want,
+                    "RBM {lvl:?} {v}x{h} cap {cap} rows {b} CD-{k} scheduled"
+                );
             }
+        }
+    }
+}
+
+#[test]
+fn pcd_step_charges_its_graphs_declared_stream() {
+    for lvl in all_levels() {
+        let be = lvl.backend();
+        for (v, h, cap, b) in CD_SHAPES {
+            let x = binary_batch(b, v, 3);
+            let ctx = verifying(lvl);
             let cfg = RbmConfig::new(v, h);
             let mut rbm = Rbm::new(cfg, 1);
             let mut scratch = RbmScratch::new(&cfg, cap);
             ctx.start_recording();
             rbm.pcd_step(&ctx, x.view(), &mut scratch, 0.1);
             let want = build_pcd_graph(v, h, cap).declared_ops(&be, b);
-            assert_eq!(ctx.stop_recording(), want, "{what} PCD");
+            assert_eq!(
+                ctx.stop_recording(),
+                want,
+                "RBM {lvl:?} {v}x{h} cap {cap} rows {b} PCD"
+            );
         }
     }
 }
