@@ -4,7 +4,7 @@
 //! The reproduced paper trains autoencoders, RBMs and a fine-tuned dense
 //! stack; this module is the proof that the layer IR those were rebuilt on
 //! *opens the scenario space* rather than merely re-encoding the paper:
-//! an im2col-over-GEMM [`Conv2d`] plus a
+//! a GEMM-lowered [`Conv2d`] plus a
 //! [`MaxPool2d`] feed the *same* generic
 //! [`Dense`] and [`SoftmaxXent`] layers the fine-tuner uses, composed by
 //! the same [`StackBuilder`], scheduled by the same executor, verified by
@@ -14,9 +14,11 @@
 //! The architecture is the classic small digit net: one valid-mode
 //! convolution (stride 1, `k x k` filters over a single-channel
 //! `side x side` image), sigmoid, non-overlapping max pooling, one dense
-//! sigmoid layer, softmax + cross-entropy. im2col turns the convolution
-//! into one large GEMM — the paper's core trick of routing everything
-//! possible through the optimized matrix product applies unchanged.
+//! sigmoid layer, softmax + cross-entropy. The convolution is one large
+//! GEMM over the batch's `k x k` patches, which the product reads where the
+//! images are stored instead of unfolding them first (im2col) — the paper's
+//! core trick of routing everything possible through the optimized matrix
+//! product applies unchanged.
 
 use crate::checkpoint::CheckpointModel;
 use crate::exec::ExecCtx;
@@ -291,7 +293,7 @@ pub fn build_cnn_graph<'a>(cfg: CnnConfig, cap: usize) -> TaskGraph<'static, Cnn
     sb.finish()
 }
 
-/// The CNN as a [`StackBuilder`] recipe: conv (im2col + GEMM +
+/// The CNN as a [`StackBuilder`] recipe: conv (patch GEMM +
 /// bias/sigmoid), max pooling, dense, softmax + cross-entropy, full
 /// backprop (pool delta routed through the dense weights, scattered to the
 /// conv layer via the argmax indices), gradients and SGD updates — or, on
@@ -424,6 +426,41 @@ mod tests {
         let g = build_cnn_graph(CnnConfig::digits(12), 16);
         let report = g.verify();
         assert!(report.is_clean(), "{report}");
+    }
+
+    #[test]
+    fn cnn_arenas_hold_no_patch_matrix() {
+        // Both convolution products read the patches where the batch is
+        // stored, so no CNN graph declares the `cap * pix x k*k` patch
+        // matrix `conv.col`: the step graphs of 28x28 digits at 50 rows and
+        // of 12x12 digits at 64, and the forward graph that serving and
+        // `predict_proba` run at 64. Elements declared in each arena and its
+        // planned peak; with the matrix, the step graphs declared 720 000
+        // and 102 400 more and peaked as much higher, and the forward graph
+        // declared 142 976 and peaked at 133 760.
+        let forward = CnnNet::new(CnnConfig::digits(12), 1).forward_graph(64);
+        for (what, g, declared, peak) in [
+            (
+                "step, digits28 cap 50",
+                build_cnn_graph(CnnConfig::digits(28), 50),
+                522_666,
+                522_010,
+            ),
+            (
+                "step, digits12 cap 64",
+                build_cnn_graph(CnnConfig::digits(12), 64),
+                79_670,
+                78_874,
+            ),
+            ("forward, digits12 cap 64", forward, 40_576, 37_504),
+        ] {
+            assert!(g.bufs.iter().all(|d| d.name != "conv.col"), "{what}");
+            let report = g.verify();
+            assert!(report.errors.is_empty(), "{what}: {report}");
+            let plan = g.plan();
+            assert_eq!(plan.total_declared_elems(), declared, "{what}");
+            assert_eq!(plan.peak_elems(), peak, "{what}");
+        }
     }
 
     #[test]

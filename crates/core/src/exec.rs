@@ -10,7 +10,7 @@
 
 use crate::profile::{ProfileReport, Profiler};
 use micdnn_kernels::rng::{SampleStream, StreamId};
-use micdnn_kernels::{Backend, OpCost};
+use micdnn_kernels::{Backend, OpCost, Operand};
 use micdnn_sim::{CostModel, EventKind, Platform, SimClock, Trace};
 use micdnn_tensor::{MatView, MatViewMut};
 use parking_lot::Mutex;
@@ -450,6 +450,20 @@ impl ExecCtx {
     ) {
         let t0 = self.op_start();
         let cost = self.backend.gemm(alpha, a, ta, b, tb, beta, c);
+        self.charge_timed(cost, t0);
+    }
+
+    /// See [`Backend::gemm_op`].
+    pub(crate) fn gemm_op(
+        &self,
+        alpha: f32,
+        a: Operand<'_>,
+        b: Operand<'_>,
+        beta: f32,
+        c: &mut MatViewMut<'_>,
+    ) {
+        let t0 = self.op_start();
+        let cost = self.backend.gemm_op(alpha, a, b, beta, c);
         self.charge_timed(cost, t0);
     }
 

@@ -81,8 +81,8 @@ use crate::exec::ExecCtx;
 use crate::finetune::SoftmaxLayer;
 use crate::graph::{BufClass, BufId, NodeSpec, NodeState, TaskGraph};
 use crate::labeled::StepState;
-use micdnn_kernels::conv;
-use micdnn_kernels::OpCost;
+use micdnn_kernels::conv::{self, Patches};
+use micdnn_kernels::{OpCost, Operand};
 use micdnn_tensor::{Mat, MatView, MatViewMut};
 
 /// Which parameter tensor of a layer a gradient or update pass targets.
@@ -699,16 +699,18 @@ pub(crate) fn hit_rate(pred: &[usize], labels: &[usize]) -> f64 {
 // ---------------------------------------------------------------------------
 
 /// A single-input-channel 2-D convolution lowered onto the existing GEMM:
-/// `im2col` gathers `k x k` patches, one GEMM against the `c_out x k*k`
+/// one product of the batch's `k x k` patches against the `c_out x k*k`
 /// filter bank produces all output pixels, and the fused bias + sigmoid
-/// sweep treats channels as columns. Activation layout is
-/// `(b * oh * ow) x c_out`, which the GEMM writes directly — no
-/// re-layout pass.
+/// sweep treats channels as columns. The patch matrix is never formed: the
+/// product reads each patch where the image is stored ([`Patches`]).
+/// Activation layout is `(b * oh * ow) x c_out`, which the GEMM writes
+/// directly — no re-layout pass.
 ///
 /// Backward needs no `col2im`: this layer sits at the stack's input, so
-/// only filter gradients (`delta^T col`) and bias column-sums are needed.
+/// only filter gradients (`delta^T patches`, the patches again read from
+/// the batch) and bias column-sums are needed.
 pub(crate) struct Conv2d {
-    /// Registry slot (binds `w`, `b`, `col`, `act`, `delta`, `gw`, `gb`).
+    /// Registry slot (binds `w`, `b`, `act`, `delta`, `gw`, `gb`).
     pub slot: usize,
     /// Index of its [`ParamKey::Conv`] tensors.
     pub idx: usize,
@@ -743,10 +745,8 @@ impl<'s, N: NetParams> Layer<StepState<'s, N>> for Conv2d {
                 sb.bind_dims(slot, "w", "conv.w", &[c, kk], BufClass::External);
                 sb.bind_dims(slot, "b", "conv.b", &[c], BufClass::External);
             }
-            // The patch matrix stays live until the filter-gradient GEMM
-            // re-reads it; the activations feed pooling and σ'.
+            // The activations feed pooling and σ'.
             Decl::Acts => {
-                sb.bind_dims(slot, "col", "conv.col", &[cap * pix, kk], BufClass::Scratch);
                 let class = sb.act_class();
                 sb.bind_dims(slot, "act", "conv.act", &[cap * pix, c], class);
             }
@@ -775,31 +775,21 @@ impl<'s, N: NetParams> Layer<StepState<'s, N>> for Conv2d {
         let pix = self.out_side() * self.out_side();
         match what {
             Emit::Forward => {
-                // im2col: gather k x k patches from the input batch.
+                // conv-forward: one GEMM of the batch's patches against the
+                // filter bank, then the per-channel bias + sigmoid sweep
+                // (channels are columns). Its first op is the im2col copy
+                // the step was priced with when it formed the patch matrix,
+                // so the simulated seconds stay those of that step.
                 let x_id = sb.global("x");
-                let col_id = sb.buf(slot, "col");
-                sb.node(
-                    NodeSpec::new("im2col")
-                        .reads(&[x_id])
-                        .writes(&[col_id])
-                        .ops(move |_, b| vec![OpCost::memcpy(b * pix * kk)]),
-                    move |ctx, st: &mut StepState<'_, N>| {
-                        let b = st.x.rows();
-                        let col = &mut st.ws.buf_mut(col_id)[..b * pix * kk];
-                        conv::im2col(ctx.backend().par(), st.x.as_slice(), b, side, k, col);
-                        ctx.charge_cost(OpCost::memcpy(b * pix * kk));
-                    },
-                );
-                // conv-forward: one GEMM against the filter bank, then the
-                // per-channel bias + sigmoid sweep (channels are columns).
                 let a_id = sb.buf(slot, "act");
                 let (w_id, b_id) = (sb.buf(slot, "w"), sb.buf(slot, "b"));
                 sb.node(
                     NodeSpec::new("conv-forward")
-                        .reads(&[col_id, w_id, b_id])
+                        .reads(&[x_id, w_id, b_id])
                         .writes(&[a_id])
                         .ops(move |be, b| {
                             vec![
+                                OpCost::memcpy(b * pix * kk),
                                 be.gemm_cost(b * pix, c, kk),
                                 be.bias_sigmoid_cost(b * pix * c),
                             ]
@@ -807,10 +797,12 @@ impl<'s, N: NetParams> Layer<StepState<'s, N>> for Conv2d {
                     move |ctx, st: &mut StepState<'_, N>| {
                         let b = st.x.rows();
                         let (w, bias) = st.net.get().tensors(key);
-                        let [col, act] = st.ws.bufs_mut([col_id, a_id]);
-                        let cv = MatView::new(&col[..b * pix * kk], b * pix, kk);
-                        let mut av = MatViewMut::new(&mut act[..b * pix * c], b * pix, c);
-                        ctx.gemm(1.0, cv, false, w.view(), true, 0.0, &mut av);
+                        let x = Patches::new(st.x.as_slice(), b, side, k);
+                        let act = &mut st.ws.buf_mut(a_id)[..b * pix * c];
+                        let mut av = MatViewMut::new(act, b * pix, c);
+                        ctx.charge_cost(OpCost::memcpy(b * pix * kk));
+                        let w = Operand::Mat(w.view(), true);
+                        ctx.gemm_op(1.0, Operand::Patches(x), w, 0.0, &mut av);
                         ctx.bias_sigmoid_rows(bias, &mut av);
                     },
                 );
@@ -833,25 +825,23 @@ impl<'s, N: NetParams> Layer<StepState<'s, N>> for Conv2d {
                     },
                 );
             }
-            // gw = delta^T col ; gb = colsum(delta).
+            // gw = delta^T patches ; gb = colsum(delta).
             Emit::Grads(Part::Weights) => {
-                let (d_id, col_id, gw_id) = (
-                    sb.buf(slot, "delta"),
-                    sb.buf(slot, "col"),
-                    sb.buf(slot, "gw"),
-                );
+                let (d_id, x_id, gw_id) =
+                    (sb.buf(slot, "delta"), sb.global("x"), sb.buf(slot, "gw"));
                 sb.node(
                     NodeSpec::new("conv-gw")
-                        .reads(&[d_id, col_id])
+                        .reads(&[d_id, x_id])
                         .writes(&[gw_id])
                         .ops(move |be, b| vec![be.gemm_cost(c, kk, b * pix)]),
                     move |ctx, st: &mut StepState<'_, N>| {
                         let b = st.x.rows();
-                        let [d, col, gw] = st.ws.bufs_mut([d_id, col_id, gw_id]);
+                        let x = Patches::new(st.x.as_slice(), b, side, k);
+                        let [d, gw] = st.ws.bufs_mut([d_id, gw_id]);
                         let dv = MatView::new(&d[..b * pix * c], b * pix, c);
-                        let cv = MatView::new(&col[..b * pix * kk], b * pix, kk);
                         let mut gv = MatViewMut::new(gw, c, kk);
-                        ctx.gemm(1.0, dv, true, cv, false, 0.0, &mut gv);
+                        let d = Operand::Mat(dv, true);
+                        ctx.gemm_op(1.0, d, Operand::Patches(x), 0.0, &mut gv);
                     },
                 );
             }

@@ -19,7 +19,7 @@
 
 use crate::ops::OpCost;
 use crate::rng::StreamId;
-use crate::{fused, gemm as gemm_mod, naive, reduce, rng, vecops, Par};
+use crate::{fused, gemm as gemm_mod, naive, reduce, rng, vecops, Operand, Par};
 use micdnn_tensor::{MatView, MatViewMut};
 use rayon::prelude::*;
 
@@ -249,6 +249,38 @@ impl Backend {
             naive::gemm_ref(alpha, a, ta, b, tb, beta, c);
         }
         self.gemm_cost(m, n, k)
+    }
+
+    /// [`Backend::gemm`] over any two [`Operand`]s: `C = alpha * A * B + beta
+    /// * C`, and its cost. The BLAS rungs read patches where the images are
+    /// stored ([`gemm_op`](crate::gemm_op)); the scalar rungs form them with
+    /// `im2col` first, in a temporary.
+    pub fn gemm_op(
+        &self,
+        alpha: f32,
+        a: Operand<'_>,
+        b: Operand<'_>,
+        beta: f32,
+        c: &mut MatViewMut<'_>,
+    ) -> OpCost {
+        if self.blas {
+            gemm_mod::gemm_op(self.par, alpha, a, b, beta, c);
+            let ((m, n), (_, k)) = (c.shape(), a.shape());
+            return self.gemm_cost(m, n, k);
+        }
+        let (mut a_col, mut b_col) = (Vec::new(), Vec::new());
+        let (a, ta) = self.formed(a, &mut a_col);
+        let (b, tb) = self.formed(b, &mut b_col);
+        self.gemm(alpha, a, ta, b, tb, beta, c)
+    }
+
+    /// `op` as a stored matrix and its transpose flag: patches formed into
+    /// `col`.
+    fn formed<'a>(&self, op: Operand<'a>, col: &'a mut Vec<f32>) -> (MatView<'a>, bool) {
+        match op {
+            Operand::Mat(x, t) => (x, t),
+            Operand::Patches(p) => (p.form(self.par, col), false),
+        }
     }
 
     /// `W = (1 - lr*lambda) W - lr G` with `G = alpha * op(A) * op(B)`: the
@@ -721,6 +753,80 @@ mod tests {
                         "{be:?} {m}x{n}x{k} alpha={alpha}: not gemm + sgd_step"
                     );
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn gemm_op_patch_products_are_im2col_then_gemm_on_every_rung() {
+        // Each rung's product of patches (read from the images on the BLAS
+        // rungs, formed in a temporary on the scalar ones) gives the bits of
+        // its own gemm on the matrix im2col forms, and charges its cost: the
+        // forward product `patches · Wᵀ` and the filter gradient `δᵀ ·
+        // patches`, over images holding a NaN, an Inf and a -0.0.
+        use crate::conv::{im2col, Patches};
+        let (b, side, k, c) = (3, 9, 3, 4);
+        let mut x: Vec<f32> = (0..b * side * side)
+            .map(|i| ((i * 37) % 23) as f32 / 23.0 - 0.5)
+            .collect();
+        x[0] = f32::NAN;
+        x[side * side + side - 1] = f32::INFINITY;
+        x[5] = -0.0;
+        let patches = Operand::Patches(Patches::new(&x, b, side, k));
+        let (rows, kk) = Patches::new(&x, b, side, k).shape();
+        let mut col = Mat::zeros(rows, kk);
+        im2col(Par::Seq, &x, b, side, k, col.as_mut_slice());
+        let w = Mat::from_fn(c, kk, |r, q| ((r * kk + q) as f32 * 0.31).sin());
+        let d = Mat::from_fn(rows, c, |r, q| ((r * c + q) as f32 * 0.17).cos());
+        let bits = |m: &Mat| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for be in all_backends() {
+            for (alpha, beta) in [(1.0, 0.0), (0.7, 1.0)] {
+                let mut act = (Mat::full(rows, c, 0.25), Mat::full(rows, c, 0.25));
+                let costs = (
+                    be.gemm(
+                        alpha,
+                        col.view(),
+                        false,
+                        w.view(),
+                        true,
+                        beta,
+                        &mut act.0.view_mut(),
+                    ),
+                    be.gemm_op(
+                        alpha,
+                        patches,
+                        Operand::Mat(w.view(), true),
+                        beta,
+                        &mut act.1.view_mut(),
+                    ),
+                );
+                assert_eq!(costs.0, costs.1, "{be:?} forward");
+                assert_eq!(bits(&act.0), bits(&act.1), "{be:?} forward {alpha} {beta}");
+                let mut gw = (Mat::full(c, kk, -0.5), Mat::full(c, kk, -0.5));
+                let costs = (
+                    be.gemm(
+                        alpha,
+                        d.view(),
+                        true,
+                        col.view(),
+                        false,
+                        beta,
+                        &mut gw.0.view_mut(),
+                    ),
+                    be.gemm_op(
+                        alpha,
+                        Operand::Mat(d.view(), true),
+                        patches,
+                        beta,
+                        &mut gw.1.view_mut(),
+                    ),
+                );
+                assert_eq!(costs.0, costs.1, "{be:?} filter gradient");
+                assert_eq!(
+                    bits(&gw.0),
+                    bits(&gw.1),
+                    "{be:?} filter gradient {alpha} {beta}"
+                );
             }
         }
     }

@@ -3,11 +3,14 @@
 //! cost baseline.
 //!
 //! The lowering strategy is the classical one (and the one CHAOS-style
-//! many-core CNN trainers use): `im2col` gathers every `k x k` patch of
-//! every image into a `(b*oh*ow) x k*k` matrix so the convolution itself
-//! becomes a single GEMM against the `c_out x k*k` filter bank — which
-//! this crate's blocked SGEMM already makes fast. The kernels here are the
-//! data-movement pieces around that GEMM.
+//! many-core CNN trainers use): every `k x k` patch of every image is a row
+//! of a `(b*oh*ow) x k*k` matrix, so the convolution itself becomes a
+//! single GEMM against the `c_out x k*k` filter bank — which this crate's
+//! blocked SGEMM already makes fast. [`im2col`] forms that matrix;
+//! [`Patches`] describes it without forming it, and the GEMM
+//! ([`crate::gemm_op`]) reads each patch where the image is stored, as
+//! MKL-DNN builds its convolution GEMMs without an explicit im2col copy.
+//! The kernels here are the data-movement pieces around that GEMM.
 //!
 //! Determinism: every function parallelizes over whole images. Each
 //! image's input and output regions are contiguous and disjoint, and each
@@ -75,7 +78,9 @@
 
 use crate::isa::{per_isa, Isa};
 use crate::Par;
+use micdnn_tensor::MatView;
 use rayon::prelude::*;
+use std::cell::Cell;
 
 /// Pooling argmax indices are stored as `f32` in the workspace arena
 /// (every graph buffer is `f32`); the conversion is exact only below
@@ -89,6 +94,50 @@ pub(crate) fn index_f32(best_at: usize) -> f32 {
     best_at as f32
 }
 
+/// The patch matrix [`im2col`] forms, described instead of formed: for
+/// `b` single-channel `side x side` images `x` and `o = side - k + 1`, the
+/// `(b*o*o) x (k*k)` matrix whose element `(i, p)`, at row `i = (bi*o +
+/// oy)*o + ox`, is `x[bi*side*side + (oy + p/k)*side + ox + p%k]`.
+/// [`crate::gemm_op`] takes it as an operand and reads each element straight
+/// from `x`.
+#[derive(Debug, Clone, Copy)]
+pub struct Patches<'a> {
+    pub(crate) x: &'a [f32],
+    pub(crate) side: usize,
+    pub(crate) k: usize,
+}
+
+impl<'a> Patches<'a> {
+    /// The patches of the `b` images of `x`, under [`im2col`]'s checks.
+    pub fn new(x: &'a [f32], b: usize, side: usize, k: usize) -> Self {
+        assert!(k >= 1 && k <= side, "im2col: kernel {k} vs side {side}");
+        assert_eq!(x.len(), b * side * side, "im2col: input length mismatch");
+        Patches { x, side, k }
+    }
+
+    /// The output side `side - k + 1`.
+    pub(crate) fn out_side(&self) -> usize {
+        self.side - self.k + 1
+    }
+
+    /// The patch matrix itself, formed by [`im2col`] into `col`.
+    pub(crate) fn form<'c>(&self, par: Par, col: &'c mut Vec<f32>) -> MatView<'c> {
+        let ((rows, cols), b) = (self.shape(), self.x.len() / (self.side * self.side));
+        col.resize(rows * cols, 0.0);
+        im2col(par, self.x, b, self.side, self.k, col);
+        MatView::new(col, rows, cols)
+    }
+
+    /// `(rows, cols)` of the patch matrix: `(b*o*o, k*k)`.
+    pub fn shape(&self) -> (usize, usize) {
+        let o = self.out_side();
+        (
+            self.x.len() / (self.side * self.side) * o * o,
+            self.k * self.k,
+        )
+    }
+}
+
 /// Gathers all `k x k` patches (stride 1, no padding) of `b` single-channel
 /// `side x side` images into the patch matrix `col`.
 ///
@@ -96,10 +145,9 @@ pub(crate) fn index_f32(best_at: usize) -> f32 {
 /// row `(bi*oh + oy)*ow + ox` holding the patch whose top-left corner is
 /// `(oy, ox)` in image `bi`, where `oh = ow = side - k + 1`.
 pub fn im2col(par: Par, x: &[f32], b: usize, side: usize, k: usize, col: &mut [f32]) {
-    assert!(k >= 1 && k <= side, "im2col: kernel {k} vs side {side}");
+    Patches::new(x, b, side, k);
     let o = side - k + 1;
     let (img, patch) = (side * side, k * k);
-    assert_eq!(x.len(), b * img, "im2col: input length mismatch");
     assert_eq!(
         col.len(),
         b * o * o * patch,
@@ -200,8 +248,13 @@ fn maxpool2d_forward_on(
     let geom = PoolGeom { oh, c, pool };
     let run = |bi: usize, pooled: &mut [f32], pidx: &mut [f32]| {
         let img = &act[bi * in_row..(bi + 1) * in_row];
-        let mut state = vec![0.0; 2 * geom.span()];
-        pool_image_on(isa, img, bi * in_row, geom, &mut state, pooled, pidx);
+        let mut state = POOL_STATE.take();
+        if state.len() < 2 * geom.span() {
+            state.resize(2 * geom.span(), 0.0);
+        }
+        let row = &mut state[..2 * geom.span()];
+        pool_image_on(isa, img, bi * in_row, geom, row, pooled, pidx);
+        POOL_STATE.set(state);
     };
     if par.is_parallel() && b > 1 {
         out.par_chunks_mut(out_row)
@@ -217,6 +270,14 @@ fn maxpool2d_forward_on(
             run(bi, pooled, pidx);
         }
     }
+}
+
+thread_local! {
+    /// This thread's row buffer for [`pool_image`], taken for one image at a
+    /// time, so pooling allocates it once per thread rather than once per
+    /// image. Each output row seeds the buffer from its first window element
+    /// before it reads it, so what it held before is never read.
+    static POOL_STATE: Cell<Vec<f32>> = const { Cell::new(Vec::new()) };
 }
 
 /// The shape [`pool_image`] pools: `oh x oh` pixels of `c` channels in

@@ -167,12 +167,12 @@
 //!   row): each k-slab of B is one panel, packed once and read by every row
 //!   of the part;
 //! * a product whose C is one row panel (`m <= MR`) and whose B is stored
-//!   untransposed, at either tile. Every element of B then meets one A
-//!   panel only too, so packing B cost a pass and saved none: B is read
-//!   where it is stored, per k-slab and `NR` columns, on every split, the
-//!   depth split included. These are the weight gradients `dᵀ·x` of a
-//!   layer with few outputs: the CNN filter gradient (8 rows, or 6 at the
-//!   CLI's default six channels) and the 10-class heads'.
+//!   untransposed (or is patches, below), at either tile. Every element of
+//!   B then meets one A panel only too, so packing B cost a pass and saved
+//!   none: B is read where it is stored, per k-slab and `NR` columns, on
+//!   every split, the depth split included. These are the weight gradients
+//!   `dᵀ·x` of a layer with few outputs: the CNN filter gradient (8 rows,
+//!   or 6 at the CLI's default six channels) and the 10-class heads'.
 //!
 //! The tile walks the part `MR` rows at a time. A run of rows short of
 //! `MR` pads the tile (its rows past the edge re-read the last row), except
@@ -212,6 +212,78 @@
 //! statistics product `64x144x20` from 10.4 to 13.6–15.6 µs. In a
 //! standalone kernel, the `ymm` add at `nr = 8` took 335 µs single-threaded
 //! against 733 µs for a masked one.
+//!
+//! # The patch products
+//!
+//! The CNN's two convolution products take the image batch itself as an
+//! operand, [`Operand::Patches`]: the `b·o² x k²` matrix `im2col` would
+//! form, whose element `(i, p)` lies at
+//! `x[img·side² + (oy + p/k)·side + ox + p%k]`. Nothing forms it. A matrix
+//! read where it is stored is a pair of axes, each taking an index to an
+//! offset (`Axis`): a stored matrix's rows
+//! and columns lie at strides, the patches' on a grid (`Axis::Grid`: image,
+//! output row and output column; filter row and filter column). The reads
+//! in place above walk those axes (`Walk`): a stride by adding it, a grid
+//! in straight runs (the `o` patches of one output row, the `k` elements of
+//! one filter row) whose wraps settle once a run, outside the loop that
+//! multiplies. Every element of C meets the formed matrix's values in the
+//! same order, so every bit stays; the tests pin both products to `im2col`
+//! then [`gemm`] on every instantiation, sequential and forked by rows and
+//! by depth.
+//!
+//! * The forward product `patches(x)·Wᵀ` (`28800x8x25` at `cnn_ckpt`) is
+//!   narrow: its tile broadcasts each element of A from the image.
+//! * The filter gradient `δᵀ·patches(x)` (`8x25x28800`) is one row panel,
+//!   so its B is read in place, and a row of B, one patch, is `k` runs of
+//!   `k` floats. A vector holds `16 / k` whole runs (15 of its 16 lanes at
+//!   `k = 5`), and each run is one merging masked load (`Lanes`), the loads
+//!   of a vector unrolled; C's row segments are that many columns wide.
+//! * Every other patch operand is packed from the images (`pack_walks`):
+//!   on the portable and AVX2 instantiations, and under AVX-512 in a forward
+//!   product wider than a B panel or a filter gradient taller than a row
+//!   panel.
+//! * The scalar rungs ([`crate::Backend::gemm_op`]) form the matrix with
+//!   `im2col` in a temporary first, as they form [`gemm_sgd`]'s gradient.
+//!
+//! How the filter gradient builds a row of B was measured on the AVX-512
+//! instantiation, single-threaded, against the product on the formed matrix
+//! (µs per call, minimum of nine rounds of 40 calls, two-vCPU AVX-512 Xeon
+//! VM, each line against the formed product in the same run, which read
+//! 135–170):
+//!
+//! | a row of B | µs |
+//! |---|---|
+//! | one masked gather per vector | 298–303 |
+//! | merging masked loads, one per run, in a loop | 205–245 |
+//! | patch rows copied into a panel per k-slab, then the contiguous tile | 585 |
+//! | merging loads unrolled, whole filter rows per vector | 150–164 |
+//!
+//! A gather per vector lost to the merging loads. A copy into a panel read
+//! the whole slab of patches twice, and ran at the speed of `im2col` plus
+//! the product. A table of each slab's column offsets, read in place of
+//! the grid's walk, ran the forward product 4–6 % faster in one interleaved
+//! comparison, inside the spread between runs, and was left out with the
+//! thread-local buffer it needs.
+//!
+//! Through [`gemm_op`] (`gemm_shapes`, µs per call, median of five runs of
+//! seven rounds alternating with a build that only forms the matrix, the
+//! "before" columns; same VM, one thread is `Par::Seq` at
+//! `RAYON_NUM_THREADS=1`, two is `Par::Rayon`, whose spread between runs
+//! was 20–60 %):
+//!
+//! | product | before, 1 | formed, 1 | patches, 1 | before, 2 | formed, 2 | patches, 2 |
+//! |---|---|---|---|---|---|---|
+//! | forward `28800x8x25` | 268 | 277 | 307 | 143 | 173 | 246 |
+//! | filter gradient `8x25x28800` | 150 | 151 | 158 | 85 | 87 | 112 |
+//! | forward, six channels `28800x6x25` | – | 280 | 303 | – | 180 | 212 |
+//! | filter gradient, six channels `6x25x28800` | 133 | 133 | 137 | 63 | 73 | 80 |
+//!
+//! So a patch product costs 5–15 % more than the same product of the
+//! formed matrix, and less than `im2col`'s pass over that matrix
+//! (131–146 µs of a `cnn_ckpt` step at two threads), which is gone. The
+//! vector width of the tiles that load runs is a run-time value; the others
+//! keep it at 16, which took the formed forward product from 315–325 µs to
+//! 277–291.
 //!
 //! # Packing
 //!
@@ -394,6 +466,7 @@
 //! stretch of the same VM, read 21 562 → 19 701 and 9 858 → 10 279
 //! (encoder), 20 489 → 18 205 and 9 507 → 9 656 (decoder).
 
+use crate::conv::Patches;
 use crate::isa::{per_isa, Isa, TILE_YMM, TILE_ZMM, TILE_ZMM_NARROW};
 use crate::{fused, Par};
 use micdnn_tensor::{MatView, MatViewMut};
@@ -481,14 +554,56 @@ pub const GEMM_KC: usize = 256;
 /// constant.
 const MIN_FLOPS_PER_WORKER: usize = 1 << 20;
 
-/// Operated dimensions of a (possibly transposed) view: `(rows, cols)` of
-/// `op(X)`.
-#[inline]
-fn op_shape(x: &MatView<'_>, t: bool) -> (usize, usize) {
-    if t {
-        (x.cols(), x.rows())
-    } else {
-        x.shape()
+/// A matrix operand of [`gemm_op`].
+#[derive(Debug, Clone, Copy)]
+pub enum Operand<'a> {
+    /// `op(X)` of a stored row-major matrix: `X`, or `Xᵀ` when the flag is
+    /// set.
+    Mat(MatView<'a>, bool),
+    /// The patch matrix of a batch of images, read where the images are
+    /// stored (see **The patch products** in the module docs).
+    Patches(Patches<'a>),
+}
+
+impl<'a> Operand<'a> {
+    /// Operated dimensions: `(rows, cols)` of `op(X)`.
+    pub(crate) fn shape(&self) -> (usize, usize) {
+        match self {
+            Operand::Mat(x, false) => x.shape(),
+            Operand::Mat(x, true) => (x.cols(), x.rows()),
+            Operand::Patches(p) => p.shape(),
+        }
+    }
+
+    /// Where each element of `op(X)` is stored.
+    fn stored(&self) -> Stored<'a> {
+        match *self {
+            Operand::Mat(x, t) => {
+                let (rows, cols) = if t { (1, x.cols()) } else { (x.cols(), 1) };
+                Stored {
+                    data: x.as_slice(),
+                    rows: Axis::Stride(rows),
+                    cols: Axis::Stride(cols),
+                }
+            }
+            Operand::Patches(p) => Stored {
+                data: p.x,
+                rows: Axis::Grid {
+                    o: p.out_side(),
+                    side: p.side,
+                },
+                cols: Axis::Grid {
+                    o: p.k,
+                    side: p.side,
+                },
+            },
+        }
+    }
+
+    /// Whether each row of `op(X)` lies in storage as a row of the stored
+    /// matrix does (a `Mat` untransposed, or the patches).
+    fn row_major(&self) -> bool {
+        !matches!(self, Operand::Mat(_, true))
     }
 }
 
@@ -504,8 +619,28 @@ pub fn gemm(
     beta: f32,
     c: &mut MatViewMut<'_>,
 ) {
+    gemm_op(
+        par,
+        alpha,
+        Operand::Mat(a, ta),
+        Operand::Mat(b, tb),
+        beta,
+        c,
+    );
+}
+
+/// [`gemm`] over any two [`Operand`]s: `C = alpha * A * B + beta * C`, the
+/// bits of forming each operand and calling [`gemm`].
+pub fn gemm_op(
+    par: Par,
+    alpha: f32,
+    a: Operand<'_>,
+    b: Operand<'_>,
+    beta: f32,
+    c: &mut MatViewMut<'_>,
+) {
     let out = Epilogue::Beta(beta);
-    gemm_with(par, alpha, a, ta, b, tb, out, c, BLOCKING, Isa::detect());
+    gemm_with(par, alpha, a, b, out, c, BLOCKING, Isa::detect());
 }
 
 /// `W = (1 - lr * lambda) * W - lr * G` with `G = alpha * op(A) * op(B)`:
@@ -524,8 +659,9 @@ pub fn gemm_sgd(
     lambda: f32,
     w: &mut MatViewMut<'_>,
 ) {
+    let (a, b) = (Operand::Mat(a, ta), Operand::Mat(b, tb));
     let out = Epilogue::Sgd { lr, lambda };
-    gemm_with(par, alpha, a, ta, b, tb, out, w, BLOCKING, Isa::detect());
+    gemm_with(par, alpha, a, b, out, w, BLOCKING, Isa::detect());
 }
 
 /// What a product does with `alpha * op(A) * op(B)`.
@@ -537,22 +673,20 @@ enum Epilogue {
     Sgd { lr: f32, lambda: f32 },
 }
 
-/// [`gemm`] or [`gemm_sgd`] with explicit blocking and instantiation.
+/// [`gemm_op`] or [`gemm_sgd`] with explicit blocking and instantiation.
 #[allow(clippy::too_many_arguments)]
 fn gemm_with(
     par: Par,
     alpha: f32,
-    a: MatView<'_>,
-    ta: bool,
-    b: MatView<'_>,
-    tb: bool,
+    a: Operand<'_>,
+    b: Operand<'_>,
     out: Epilogue,
     c: &mut MatViewMut<'_>,
     blk: GemmBlocking,
     isa: Isa,
 ) {
-    let (m, k) = op_shape(&a, ta);
-    let (kb, n) = op_shape(&b, tb);
+    let (m, k) = a.shape();
+    let (kb, n) = b.shape();
     assert_eq!(k, kb, "gemm: inner dimension mismatch ({k} vs {kb})");
     assert_eq!(c.shape(), (m, n), "gemm: output shape mismatch");
 
@@ -561,7 +695,7 @@ fn gemm_with(
     let gradient_first = |c: &mut MatViewMut<'_>, lr, lambda| {
         let mut g = vec![0.0; m * n];
         let gv = &mut MatViewMut::new(&mut g, m, n);
-        gemm_with(par, alpha, a, ta, b, tb, Epilogue::Beta(0.0), gv, blk, isa);
+        gemm_with(par, alpha, a, b, Epilogue::Beta(0.0), gv, blk, isa);
         fused::sgd_step(par, lr, lambda, &g, c.as_mut_slice());
     };
     if m == 0 || n == 0 || k == 0 || alpha == 0.0 {
@@ -614,9 +748,7 @@ fn gemm_with(
     let product = Product {
         alpha,
         a,
-        ta,
         b,
-        tb,
         blk,
         isa,
         tile,
@@ -754,10 +886,8 @@ impl<'c> CPart<'_, 'c> {
 /// Everything about one `alpha * op(A) * op(B)` that its workers share.
 struct Product<'a> {
     alpha: f32,
-    a: MatView<'a>,
-    ta: bool,
-    b: MatView<'a>,
-    tb: bool,
+    a: Operand<'a>,
+    b: Operand<'a>,
     blk: GemmBlocking,
     isa: Isa,
     /// `(MR, NR)`, chosen from the product's width by [`Isa::tile`].
@@ -844,7 +974,7 @@ impl Product<'_> {
         kernel: impl Fn(&mut CPart<'_, '_>, Block, ABlock<'_>, &[f32]),
     ) {
         let GemmBlocking { mc, kc, nc, .. } = self.blk;
-        let (_, k) = op_shape(&self.a, self.ta);
+        let (_, k) = self.a.shape();
         let (r0, m) = (part.rows.start, part.rows.len());
         let (c0, n) = (part.cols.start, part.cols.len());
         let depth = part.slabs.start * kc..k.min(part.slabs.end * kc);
@@ -867,18 +997,17 @@ impl Product<'_> {
                 let kc = kc.min(depth.end - pc);
                 let b_slab = &mut b_pack[..nc.next_multiple_of(NR) * kc];
                 let (j0, j1) = (c0 + jc, c0 + jc + nc);
-                pack_panels::<NR>(self.isa, &self.b, self.tb, j0, j1, pc, kc, 1.0, b_slab);
+                pack_op::<NR>(self.isa, self.b, false, j0, j1, pc, kc, 1.0, b_slab);
                 let mut c = c.slab(s);
                 for ic in (0..m).step_by(mc) {
                     let mc = mc.min(m - ic);
                     let (i0, i1) = (r0 + ic, r0 + ic + mc);
                     let a_blk = if pack_a {
                         let a_blk = &mut a_pack[..mc.next_multiple_of(MR) * kc];
-                        let (a, ta, alpha) = (&self.a, self.ta, self.alpha);
-                        pack_panels::<MR>(self.isa, a, !ta, i0, i1, pc, kc, alpha, a_blk);
+                        pack_op::<MR>(self.isa, self.a, true, i0, i1, pc, kc, self.alpha, a_blk);
                         ABlock::Packed(a_blk)
                     } else {
-                        ABlock::InPlace(self.a_in_place(i0, pc))
+                        ABlock::InPlace(self.a.stored().block(i0, pc), self.alpha)
                     };
                     let block = Block {
                         ic,
@@ -906,26 +1035,14 @@ impl Product<'_> {
         }
     }
 
-    /// The block of `alpha * op(A)` whose first element is `(i0, pc)`, read
-    /// where A is stored.
-    fn a_in_place(&self, i0: usize, pc: usize) -> AStrided<'_> {
-        let ld = self.a.cols();
-        let (rs, cs) = if self.ta { (1, ld) } else { (ld, 1) };
-        AStrided {
-            data: &self.a.as_slice()[i0 * rs + pc * cs..],
-            rs,
-            cs,
-            alpha: self.alpha,
-        }
-    }
-
-    /// Whether C is one row panel (`m <= MR`) and B is stored untransposed.
-    /// Then every element of B meets one A panel only, so a pack would cost
-    /// a pass over B and save none, and the AVX-512 instantiation reads B
+    /// Whether C is one row panel (`m <= MR`) and each row of B lies in
+    /// storage as a stored row does (B untransposed, or patches). Then
+    /// every element of B meets one A panel only, so a pack would cost a
+    /// pass over B and save none, and the AVX-512 instantiation reads B
     /// where it is stored.
     #[cfg(target_arch = "x86_64")]
     fn b_in_place(&self) -> bool {
-        !self.tb && op_shape(&self.a, self.ta).0 <= self.tile.0
+        self.b.row_major() && self.a.shape().0 <= self.tile.0
     }
 
     /// [`Product::accumulate`] under AVX-512 of a product at most `NR` wide
@@ -938,11 +1055,16 @@ impl Product<'_> {
     fn accumulate_in_place(&self, part: Part, mut c: CPart<'_, '_>) {
         const NARROW: usize = TILE_ZMM_NARROW.1;
         let (kc, nr) = (self.blk.kc, self.tile.1);
-        let (_, k) = op_shape(&self.a, self.ta);
+        let (_, k) = self.a.shape();
         let (r0, m) = (part.rows.start, part.rows.len());
         let (c0, n) = (part.cols.start, part.cols.len());
         let depth = part.slabs.start * kc..k.min(part.slabs.end * kc);
         let b_in_place = self.b_in_place();
+        // A vector of B holds 16 columns, but whole filter rows of patches.
+        let width = match self.b {
+            Operand::Patches(x) if b_in_place && x.k <= 16 => 16 / x.k * x.k,
+            _ => 16,
+        };
         let (a_buf, mut b_buf) = PACK_BUFFERS.take();
         // A product that packs B here is at most `NARROW` wide: one panel.
         let b_len = if b_in_place {
@@ -954,39 +1076,319 @@ impl Product<'_> {
         for (s, pc) in depth.clone().step_by(kc).enumerate() {
             let kc = kc.min(depth.end - pc);
             let b = if b_in_place {
-                let ld = self.b.cols();
-                BRows {
-                    data: &self.b.as_slice()[pc * ld + c0..],
-                    ld,
-                }
+                self.b.stored().block(pc, c0)
             } else {
                 let b_slab = &mut b_pack[..NARROW * kc];
-                pack_panels::<NARROW>(self.isa, &self.b, self.tb, c0, c0 + n, pc, kc, 1.0, b_slab);
-                BRows {
-                    data: b_slab,
-                    ld: NARROW,
-                }
+                pack_op::<NARROW>(self.isa, self.b, false, c0, c0 + n, pc, kc, 1.0, b_slab);
+                InPlace::panel(b_slab, NARROW)
             };
-            let a = self.a_in_place(r0, pc);
+            let a = self.a.stored().block(r0, pc);
             let mut c = c.slab(s);
             let finish = self.finish(s);
-            for j0 in (0..n).step_by(nr) {
-                let b = BRows {
-                    data: &b.data[j0..],
-                    ..b
+            for j0 in (0..n).step_by(nr / 16 * width) {
+                let cols = (j0, (nr / 16 * width).min(n - j0));
+                let tiles = Tiles {
+                    a,
+                    alpha: self.alpha,
+                    b: b.skip_cols(j0),
+                    kc,
+                    m,
+                    cols,
+                    width,
+                    finish,
                 };
-                let cols = (j0, nr.min(n - j0));
                 // SAFETY: as for `Isa::Avx2Fma` in `accumulate`.
-                unsafe {
-                    if nr == NARROW {
-                        rows_avx512_narrow(a, b, kc, &mut c, m, cols, finish);
-                    } else {
-                        rows_avx512(a, b, kc, &mut c, m, cols, finish);
-                    }
-                }
+                unsafe { tiles.run(nr == NARROW, &mut c) };
             }
         }
         PACK_BUFFERS.set((a_buf, b_buf));
+    }
+}
+
+/// Where each element of a matrix lies in its storage `data`: element `(r,
+/// c)` at `data[rows.at(r) + cols.at(c)]`. Both offsets grow with the
+/// index, so a block's last element lies past all its others.
+#[derive(Clone, Copy)]
+struct Stored<'a> {
+    data: &'a [f32],
+    rows: Axis,
+    cols: Axis,
+}
+
+impl<'a> Stored<'a> {
+    /// The block whose first element is `(r0, c0)`.
+    fn block(self, r0: usize, c0: usize) -> InPlace<'a> {
+        InPlace {
+            data: &self.data[self.rows.at(r0) + self.cols.at(c0)..],
+            rows: AxisFrom {
+                axis: self.rows,
+                from: r0,
+            },
+            cols: AxisFrom {
+                axis: self.cols,
+                from: c0,
+            },
+        }
+    }
+}
+
+/// One axis of a matrix read in place: where its indices lie.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Axis {
+    /// Index `i` at `i * stride`.
+    Stride(usize),
+    /// Index `i = (g * o + y) * o + x` at `(g * side + y) * side + x`: the
+    /// rows of a patch matrix (`o = side - k + 1`; image, output row and
+    /// output column) or its columns (`o = k`; filter row and column).
+    Grid { o: usize, side: usize },
+}
+
+impl Axis {
+    /// Where index `i` lies.
+    fn at(self, i: usize) -> usize {
+        match self {
+            Axis::Stride(stride) => i * stride,
+            Axis::Grid { o, side } => {
+                let (q, x) = (i / o, i % o);
+                (q / o * side + q % o) * side + x
+            }
+        }
+    }
+}
+
+/// The indices `from, from + 1, ...` of an [`Axis`], which a block walks.
+#[derive(Clone, Copy)]
+struct AxisFrom {
+    axis: Axis,
+    from: usize,
+}
+
+impl AxisFrom {
+    /// Where the index `n` past the first lies, past the first.
+    fn offset(self, n: usize) -> usize {
+        self.axis.at(self.from + n) - self.axis.at(self.from)
+    }
+
+    /// The [`Walk`] of these indices, if they lie at a fixed stride.
+    fn strided(self) -> Option<StrideWalk> {
+        match self.axis {
+            Axis::Stride(stride) => Some(StrideWalk { at: 0, stride }),
+            Axis::Grid { .. } => None,
+        }
+    }
+
+    /// The [`Walk`] of these indices, whatever the axis.
+    fn any(self) -> AnyWalk {
+        let (step, o, side) = match self.axis {
+            Axis::Stride(stride) => (stride, usize::MAX, 0),
+            Axis::Grid { o, side } => (1, o, side),
+        };
+        AnyWalk {
+            at: 0,
+            step,
+            x: self.from % o,
+            y: self.from / o % o,
+            o,
+            side,
+        }
+    }
+}
+
+/// Where consecutive indices of an [`AxisFrom`] lie, past its first: each
+/// call gives the next one's offset, from 0.
+trait Walk: Copy {
+    /// How many of the next indices lie `step` apart, with no wrap between
+    /// them (at least one).
+    fn straight(&self) -> usize;
+
+    /// The next index's offset, stepping `step` past it; at most
+    /// [`Walk::straight`] times before [`Walk::settle`].
+    fn step(&mut self) -> usize;
+
+    /// Accounts for the last `n` calls of [`Walk::step`], wrapping where
+    /// they reached the end of a straight run.
+    fn settle(&mut self, n: usize);
+
+    /// The next index's offset, stepping past it.
+    #[inline(always)]
+    fn next_at(&mut self) -> usize {
+        let at = self.step();
+        self.settle(1);
+        at
+    }
+}
+
+/// The [`Walk`] of an [`Axis::Stride`].
+#[derive(Clone, Copy)]
+struct StrideWalk {
+    at: usize,
+    stride: usize,
+}
+
+impl Walk for StrideWalk {
+    #[inline(always)]
+    fn straight(&self) -> usize {
+        usize::MAX
+    }
+
+    #[inline(always)]
+    fn step(&mut self) -> usize {
+        let at = self.at;
+        self.at += self.stride;
+        at
+    }
+
+    #[inline(always)]
+    fn settle(&mut self, _: usize) {}
+}
+
+/// The [`Walk`] of any [`Axis`]: steps `step` at a time along `x`, which
+/// wraps at `o` into `y`, which wraps at `o` into the next grid (an
+/// [`Axis::Stride`] has `o = usize::MAX`, so it never wraps).
+#[derive(Clone, Copy)]
+struct AnyWalk {
+    at: usize,
+    step: usize,
+    x: usize,
+    y: usize,
+    o: usize,
+    side: usize,
+}
+
+impl Walk for AnyWalk {
+    #[inline(always)]
+    fn straight(&self) -> usize {
+        self.o - self.x
+    }
+
+    #[inline(always)]
+    fn step(&mut self) -> usize {
+        let at = self.at;
+        self.at += self.step;
+        at
+    }
+
+    #[inline(always)]
+    fn settle(&mut self, n: usize) {
+        self.x += n;
+        if self.x == self.o {
+            self.x = 0;
+            self.y += 1;
+            self.at += self.side - self.o;
+            if self.y == self.o {
+                self.y = 0;
+                self.at += (self.side - self.o) * self.side;
+            }
+        }
+    }
+}
+
+/// A block of a matrix read where it is stored: element `(i, p)` at
+/// `data[rows.offset(i) + cols.offset(p)]`.
+#[derive(Clone, Copy)]
+struct InPlace<'a> {
+    data: &'a [f32],
+    rows: AxisFrom,
+    cols: AxisFrom,
+}
+
+impl<'a> InPlace<'a> {
+    /// A packed panel of `width` lanes, p-major, as a block of B.
+    #[cfg(target_arch = "x86_64")]
+    fn panel(data: &'a [f32], width: usize) -> Self {
+        Stored {
+            data,
+            rows: Axis::Stride(width),
+            cols: Axis::Stride(1),
+        }
+        .block(0, 0)
+    }
+
+    /// The block from column `j` on.
+    #[cfg(target_arch = "x86_64")]
+    fn skip_cols(self, j: usize) -> Self {
+        InPlace {
+            data: &self.data[self.cols.offset(j)..],
+            cols: AxisFrom {
+                from: self.cols.from + j,
+                ..self.cols
+            },
+            ..self
+        }
+    }
+}
+
+/// One column range of one k-slab of a product under AVX-512, with A (and
+/// B, or its packed panel) read in place: [`tile_avx512`]s down the `m`
+/// rows, `cols = (j0, nr)` of C.
+#[cfg(target_arch = "x86_64")]
+struct Tiles<'a> {
+    a: InPlace<'a>,
+    alpha: f32,
+    b: InPlace<'a>,
+    kc: usize,
+    m: usize,
+    cols: (usize, usize),
+    /// Columns of B to a vector ([`Lanes`]).
+    width: usize,
+    finish: Finish,
+}
+
+#[cfg(target_arch = "x86_64")]
+impl Tiles<'_> {
+    /// Runs the tiles at the narrow `6 x 16` or at `12 x 32`, on the walks
+    /// the operands' axes take: a stored matrix's strides, or the patches'
+    /// grid.
+    #[target_feature(enable = "avx512f,avx2,fma")]
+    fn run(&self, narrow: bool, c: &mut CPart<'_, '_>) {
+        let a_span = self.a.cols.offset(self.kc - 1);
+        let b_rows = self.b.rows.offset(self.kc - 1);
+        let lanes = Lanes::new(self.b.cols, self.cols.1, self.width);
+        macro_rules! go {
+            ($ar:expr, $ac:expr, $br:expr, $runs:expr) => {{
+                let a = ATile {
+                    data: self.a.data,
+                    rows: $ar,
+                    cols: $ac,
+                    span: a_span,
+                    alpha: self.alpha,
+                };
+                let b = BTile {
+                    data: self.b.data,
+                    rows: $br,
+                    span: b_rows,
+                    lanes,
+                };
+                let (kc, m, cols, finish) = (self.kc, self.m, self.cols, self.finish);
+                if narrow {
+                    rows_avx512_narrow::<_, _, _, $runs>(a, b, kc, c, m, cols, finish);
+                } else {
+                    rows_avx512::<_, _, _, $runs>(a, b, kc, c, m, cols, finish);
+                }
+            }};
+        }
+        // A stored matrix's rows of B lie at a stride and its columns side
+        // by side (and so do a packed panel's); the patches' do neither.
+        // The patches' vectors hold at most `16 / k` whole filter rows
+        // each, loaded one masked load per row, the loop unrolled.
+        macro_rules! runs {
+            ($ar:expr, $ac:expr) => {
+                match lanes.counts[0].max(lanes.counts[1]) {
+                    0..=3 => go!($ar, $ac, self.b.rows.any(), 3),
+                    4..=5 => go!($ar, $ac, self.b.rows.any(), 5),
+                    _ => go!($ar, $ac, self.b.rows.any(), 16),
+                }
+            };
+        }
+        match (
+            self.a.rows.strided().zip(self.a.cols.strided()),
+            self.b.rows.strided(),
+        ) {
+            (Some((ar, ac)), Some(br)) => go!(ar, ac, br, 0),
+            (Some((ar, ac)), None) => runs!(ar, ac),
+            (None, Some(br)) => go!(self.a.rows.any(), self.a.cols.any(), br, 0),
+            (None, None) => runs!(self.a.rows.any(), self.a.cols.any()),
+        }
     }
 }
 
@@ -1021,6 +1423,90 @@ fn scale_c(par: Par, beta: f32, c: &mut MatViewMut<'_>) {
         c.as_mut_slice().fill(0.0);
     } else {
         crate::vecops::scale(par, beta, c.as_mut_slice());
+    }
+}
+
+/// Packs lanes `l0..l_end` of `scale * X` over the depth `pc..pc + kc`, as
+/// [`pack_panels`] does, where a lane is a row of an A (`lanes_are_rows`) or
+/// a column of a B. Patches are packed from the images, through
+/// [`pack_walks`].
+#[allow(clippy::too_many_arguments)]
+fn pack_op<const R: usize>(
+    isa: Isa,
+    x: Operand<'_>,
+    lanes_are_rows: bool,
+    l0: usize,
+    l_end: usize,
+    pc: usize,
+    kc: usize,
+    scale: f32,
+    out: &mut [f32],
+) {
+    let Operand::Mat(view, t) = x else {
+        let Stored { data, rows, cols } = x.stored();
+        let (lanes, depth) = if lanes_are_rows {
+            (rows, cols)
+        } else {
+            (cols, rows)
+        };
+        let data = &data[lanes.at(l0) + depth.at(pc)..];
+        let walk = |axis, from| AxisFrom { axis, from }.any();
+        let (lanes, depth) = (walk(lanes, l0), walk(depth, pc));
+        pack_walks::<R>(isa, data, lanes, depth, l_end - l0, kc, scale, out);
+        return;
+    };
+    pack_panels::<R>(
+        isa,
+        &view,
+        lanes_are_rows != t,
+        l0,
+        l_end,
+        pc,
+        kc,
+        scale,
+        out,
+    );
+}
+
+per_isa! {
+    /// [`pack_walks_body`] as compiled for `isa`.
+    #[allow(clippy::too_many_arguments)]
+    fn pack_walks<const R: usize>(
+        data: &[f32],
+        lanes: AnyWalk,
+        depth: AnyWalk,
+        n: usize,
+        kc: usize,
+        scale: f32,
+        out: &mut [f32],
+    ) = pack_walks_body;
+}
+
+/// [`pack_panels`] of `n` lanes of a block read in place: each panel's `R`
+/// lanes lie where `lanes` walks to them, and each `p` of the depth where
+/// `depth` does, so a panel is `scale * data[lane + p]` over both walks,
+/// padding lanes `+0.0`.
+#[inline(always)]
+fn pack_walks_body<const R: usize>(
+    data: &[f32],
+    mut lanes: AnyWalk,
+    depth: AnyWalk,
+    n: usize,
+    kc: usize,
+    scale: f32,
+    out: &mut [f32],
+) {
+    for (ip, panel) in out.chunks_exact_mut(kc * R).enumerate() {
+        let r = R.min(n - ip * R);
+        let at: [usize; R] = std::array::from_fn(|_| lanes.next_at());
+        let mut depth = depth;
+        for dst in panel.chunks_exact_mut(R) {
+            let p = depth.next_at();
+            for (d, &lane) in dst[..r].iter_mut().zip(&at) {
+                *d = scale * data[lane + p];
+            }
+            dst[r..].fill(0.0);
+        }
     }
 }
 
@@ -1238,27 +1724,85 @@ struct Block {
 enum ABlock<'a> {
     /// Packed into `MR`-row panels, each p-major, `alpha` applied.
     Packed(&'a [f32]),
-    /// Read where it is stored.
-    InPlace(AStrided<'a>),
+    /// Read where it is stored; element `(i, p)` is `alpha` times the
+    /// block's, the value a pack would have stored.
+    InPlace(InPlace<'a>, f32),
 }
 
-/// Rows of `alpha * op(A)` read through strides: element `(i, p)` is `alpha
-/// * data[i * rs + p * cs]`, the value a pack would have stored.
+/// The A of a run of [`tile_avx512`]s: the slab's block of A from the
+/// part's first row, the walks of its rows and columns, where its last
+/// column lies, and `alpha`.
+#[cfg(target_arch = "x86_64")]
 #[derive(Clone, Copy)]
-struct AStrided<'a> {
+struct ATile<'a, R, C> {
     data: &'a [f32],
-    rs: usize,
-    cs: usize,
+    rows: R,
+    cols: C,
+    span: usize,
     alpha: f32,
 }
 
-/// Rows of `op(B)` where they are stored: element `(p, j)` is `data[p * ld +
-/// j]`. A packed panel is one too, with `ld = NR`.
+/// The B of a run of [`tile_avx512`]s: the slab's block of B (or its packed
+/// panel) from the tiles' first column, the walk of its rows, where its
+/// last row lies, and how a row's columns load.
 #[cfg(target_arch = "x86_64")]
 #[derive(Clone, Copy)]
-struct BRows<'a> {
+struct BTile<'a, R> {
     data: &'a [f32],
-    ld: usize,
+    rows: R,
+    span: usize,
+    lanes: Lanes,
+}
+
+/// How a tile loads one row of its `nr` columns of B into its `V` 16-lane
+/// vectors, `width` columns to a vector: lane `l` of vector `v` holds column
+/// `width * v + l`, which lies `width * v + l + shift` past the row's first
+/// column, `shift` being that of the lane's run. Columns stored side by side
+/// fill whole vectors (`width` 16) in one run each, at shift 0. A patch row
+/// is one run per filter row, `k` floats, and at `k <= 16` a vector holds
+/// `16 / k` whole runs, so the row takes one masked load per filter row.
+#[cfg(target_arch = "x86_64")]
+#[derive(Clone, Copy)]
+struct Lanes {
+    /// Each vector's runs, `(mask, shift)`: its first `counts[v]`.
+    runs: [[(u16, usize); 16]; 2],
+    counts: [usize; 2],
+    width: usize,
+    /// Where column `nr - 1` lies.
+    span: usize,
+}
+
+#[cfg(target_arch = "x86_64")]
+impl Lanes {
+    /// The runs of the `nr` columns of `cols`, `width` to a vector.
+    fn new(cols: AxisFrom, nr: usize, width: usize) -> Lanes {
+        let mut lanes = Lanes {
+            runs: [[(0, 0); 16]; 2],
+            counts: [0; 2],
+            width,
+            span: cols.offset(nr - 1),
+        };
+        if cols.axis == Axis::Stride(1) {
+            for (v, (runs, n)) in lanes.runs.iter_mut().zip(&mut lanes.counts).enumerate() {
+                (runs[0].0, *n) = (lane_mask(nr.saturating_sub(width * v)), 1);
+            }
+            return lanes;
+        }
+        let mut walk = cols.any();
+        for t in 0..nr {
+            let (v, bit) = (t / width, 1u16 << (t % width));
+            let shift = walk.next_at() - t;
+            let (runs, n) = (&mut lanes.runs[v], &mut lanes.counts[v]);
+            match runs[..*n].last_mut() {
+                Some(run) if run.1 == shift => run.0 |= bit,
+                _ => {
+                    runs[*n] = (bit, shift);
+                    *n += 1;
+                }
+            }
+        }
+        lanes
+    }
 }
 
 /// [`macro_kernel_body`] at the `6 x 16` tile, compiled with AVX2 and FMA.
@@ -1277,36 +1821,42 @@ fn macro_kernel_avx512(c: &mut CPart<'_, '_>, block: Block, a: ABlock<'_>, b_pac
 }
 
 /// Defines `fn $name(a, b, kc, c, m, cols, finish)`: [`tile_avx512`]s of `V`
-/// vectors per row down the `m` rows of A read in place, `MR` at a time.
-/// A run of `R` rows, `R` one of `$exact`, is one tile of exactly `R` rows;
-/// any other takes the `MR`-row tile, its rows past the edge padding.
+/// vectors per row down the `m` rows of A read in place, `MR` at a time,
+/// each tile's rows where `a.rows` walks to them. A run of `R` rows, `R` one
+/// of `$exact`, is one tile of exactly `R` rows; any other takes the
+/// `MR`-row tile, its rows past the edge padding.
 macro_rules! rows_kernel {
     ($(#[$attr:meta])* fn $name:ident<MR = $mr:literal, V = $v:literal>, exact = [$($r:literal),*]) => {
         $(#[$attr])*
         #[cfg(target_arch = "x86_64")]
         #[target_feature(enable = "avx512f,avx2,fma")]
-        fn $name(
-            a: AStrided<'_>,
-            b: BRows<'_>,
+        fn $name<AR: Walk, AC: Walk, BR: Walk, const RUNS: usize>(
+            a: ATile<'_, AR, AC>,
+            b: BTile<'_, BR>,
             kc: usize,
             c: &mut CPart<'_, '_>,
             m: usize,
             cols: (usize, usize),
             finish: Finish,
         ) {
+            let mut walk = a.rows;
             for i0 in (0..m).step_by($mr) {
-                let a = AStrided {
-                    data: &a.data[i0 * a.rs..],
-                    ..a
+                // Rows `MR` apart in one straight run settle the walk once.
+                let at: [usize; $mr] = if walk.straight() >= $mr {
+                    let at = std::array::from_fn(|_| walk.step());
+                    walk.settle($mr);
+                    at
+                } else {
+                    std::array::from_fn(|_| walk.next_at())
                 };
                 let rows = (i0, usize::min($mr, m - i0));
                 match (rows.1, a.alpha == 1.0) {
                     $(
-                        ($r, true) => tile_avx512::<$r, $v, true>(a, b, kc, c, rows, cols, finish),
-                        ($r, false) => tile_avx512::<$r, $v, false>(a, b, kc, c, rows, cols, finish),
+                        ($r, true) => tile_avx512::<$r, $v, true, RUNS>(&a, &at, &b, kc, c, rows, cols, finish),
+                        ($r, false) => tile_avx512::<$r, $v, false, RUNS>(&a, &at, &b, kc, c, rows, cols, finish),
                     )*
-                    (_, true) => tile_avx512::<$mr, $v, true>(a, b, kc, c, rows, cols, finish),
-                    (_, false) => tile_avx512::<$mr, $v, false>(a, b, kc, c, rows, cols, finish),
+                    (_, true) => tile_avx512::<$mr, $v, true, RUNS>(&a, &at, &b, kc, c, rows, cols, finish),
+                    (_, false) => tile_avx512::<$mr, $v, false, RUNS>(&a, &at, &b, kc, c, rows, cols, finish),
                 }
             }
         }
@@ -1328,24 +1878,29 @@ rows_kernel! {
 /// One tile of `R` rows by `V` 16-lane vectors under AVX-512F, added into
 /// the rows `r0..r0 + mr` and columns `j0..j0 + nr` of C: the contract's
 /// inner loop, as [`micro_kernel`] and the `add` of [`macro_kernel_body`]
-/// run it. Row `i` of the tile starts at zero and takes `fma(alpha *
-/// a.data[i * a.rs + p * a.cs], b.data[p * b.ld + j], acc)` for `p`
-/// ascending; rows past `mr` re-read row `mr - 1` (padding, never stored),
-/// and lanes past `nr` load `+0.0`. Then the tile finishes as `finish`
-/// says, with the IEEE operations of [`Finish::row`].
+/// run it. Row `i` of the tile lies at `at[i]` in A's block; it starts at
+/// zero and takes `fma(alpha * A[i, p], B[p, j], acc)` for `p` ascending,
+/// each element where the walks of A's columns and B's rows reach it. Rows
+/// past `mr` re-read row `mr - 1` (padding, never stored), and lanes past
+/// `nr` load `+0.0`. Then the tile finishes as `finish` says, with the IEEE
+/// operations of [`Finish::row`].
 ///
 /// With `ONE` (`alpha == 1`) each FMA broadcasts its element of A straight
 /// from memory, since `1 * x == x`; otherwise a multiply by `alpha`, the
-/// same IEEE operation as the pack's, precedes it. Each row of C is loaded
+/// same IEEE operation as the pack's, precedes it. A row of B is one masked
+/// load per vector, or with `RUNS` one merging masked load per run of
+/// [`Lanes`]: a patch row is `k` runs of `k` floats. Each row of C is loaded
 /// before any is stored: a masked store to a row narrower than a vector
 /// spans the start of the next row, and a load from there would wait for it
 /// to retire. A row segment of 8 floats is added in a `ymm` register
 /// without a mask.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f,avx2,fma")]
-fn tile_avx512<const R: usize, const V: usize, const ONE: bool>(
-    a: AStrided<'_>,
-    b: BRows<'_>,
+#[allow(clippy::too_many_arguments)]
+fn tile_avx512<const R: usize, const V: usize, const ONE: bool, const RUNS: usize>(
+    a: &ATile<'_, impl Walk, impl Walk>,
+    at: &[usize],
+    b: &BTile<'_, impl Walk>,
     kc: usize,
     c: &mut CPart<'_, '_>,
     (r0, mr): (usize, usize),
@@ -1353,43 +1908,74 @@ fn tile_avx512<const R: usize, const V: usize, const ONE: bool>(
     finish: Finish,
 ) {
     use std::arch::x86_64::{
-        _mm512_add_ps, _mm512_fmadd_ps, _mm512_maskz_loadu_ps, _mm512_mul_ps, _mm512_set1_ps,
-        _mm512_setzero_ps, _mm512_sub_ps,
+        _mm512_add_ps, _mm512_fmadd_ps, _mm512_mask_loadu_ps, _mm512_maskz_loadu_ps, _mm512_mul_ps,
+        _mm512_set1_ps, _mm512_setzero_ps, _mm512_sub_ps,
     };
-    let a_tile = &a.data[..(mr - 1) * a.rs + (kc - 1) * a.cs + 1];
-    let b_tile = &b.data[..(kc - 1) * b.ld + nr];
-    let rows: [usize; R] = std::array::from_fn(|i| i.min(mr - 1) * a.rs);
-    let masks: [u16; V] = std::array::from_fn(|v| lane_mask(nr.saturating_sub(16 * v)));
+    let a_tile = &a.data[..at[mr - 1] + a.span + 1];
+    let b_tile = &b.data[..b.span + b.lanes.span + 1];
+    let rows: [usize; R] = std::array::from_fn(|i| at[i.min(mr - 1)]);
     let alpha = _mm512_set1_ps(a.alpha);
     let (ap, bp) = (a_tile.as_ptr(), b_tile.as_ptr());
+    let (mut a_cols, mut b_rows) = (a.cols, b.rows);
+    // Only patches in place load runs, and only they fill vectors short.
+    let width = if RUNS > 0 { b.lanes.width } else { 16 };
     let mut acc = [[_mm512_setzero_ps(); V]; R];
-    for p in 0..kc {
-        let mut bv = [_mm512_setzero_ps(); V];
-        for (v, x) in bv.iter_mut().enumerate() {
-            // SAFETY: `masks[v]` enables lanes `l` with `16 * v + l < nr`,
-            // which read `b_tile[p * ld + 16 * v + l]`, at most index `(kc -
-            // 1) * ld + nr - 1 < b_tile.len()`: every active-lane address
-            // lies in the checked slice `b_tile`. Inactive lanes read
-            // nothing, and `wrapping_add` forms the base without claiming it
-            // is in bounds.
-            *x = unsafe { _mm512_maskz_loadu_ps(masks[v], bp.wrapping_add(p * b.ld + 16 * v)) };
-        }
-        for (acc_row, &row) in acc.iter_mut().zip(&rows) {
-            // SAFETY: `row + p * cs <= (mr - 1) * rs + (kc - 1) * cs <
-            // a_tile.len()`, so the read lies in the checked slice `a_tile`.
-            let x = _mm512_set1_ps(unsafe { ap.add(row + p * a.cs).read() });
-            let x = if ONE { x } else { _mm512_mul_ps(alpha, x) };
-            for (acc, &b) in acc_row.iter_mut().zip(&bv) {
-                *acc = _mm512_fmadd_ps(x, b, *acc);
+    // The depth in straight runs of both walks, so the wraps are settled
+    // once a run, outside the loop that multiplies.
+    let mut left = kc;
+    while left > 0 {
+        let run = left.min(a_cols.straight()).min(b_rows.straight());
+        for _ in 0..run {
+            let (col, row) = (a_cols.step(), b_rows.step());
+            let mut bv = [_mm512_setzero_ps(); V];
+            for (v, x) in bv.iter_mut().enumerate() {
+                // SAFETY: a run's `mask` enables the lanes `l` of its columns
+                // `width * v + l < nr`, which lie at `width * v + l + shift` past
+                // the row's first (`shift == 0` and `width == 16` without
+                // `RUNS`), so lane `l` reads `b_tile[row + width * v + l +
+                // shift]`. The row lies at most
+                // `b.span` past the slab's first and the column at most
+                // `lanes.span` past the row's (both walks only grow), so every
+                // active-lane address lies in the checked slice `b_tile`.
+                // Inactive lanes read nothing, and `wrapping_add` forms the base
+                // without claiming it is in bounds.
+                unsafe {
+                    if RUNS > 0 {
+                        for (i, &(mask, shift)) in b.lanes.runs[v][..RUNS].iter().enumerate() {
+                            if i < b.lanes.counts[v] {
+                                let from = bp.wrapping_add(row + width * v + shift);
+                                *x = _mm512_mask_loadu_ps(*x, mask, from);
+                            }
+                        }
+                    } else {
+                        *x = _mm512_maskz_loadu_ps(
+                            b.lanes.runs[v][0].0,
+                            bp.wrapping_add(row + 16 * v),
+                        );
+                    }
+                }
+            }
+            for (acc_row, &at) in acc.iter_mut().zip(&rows) {
+                // SAFETY: `at + col <= at[mr - 1] + a.span < a_tile.len()`, as
+                // both walks only grow, so the read lies in the checked slice
+                // `a_tile`.
+                let x = _mm512_set1_ps(unsafe { ap.add(at + col).read() });
+                let x = if ONE { x } else { _mm512_mul_ps(alpha, x) };
+                for (acc, &b) in acc_row.iter_mut().zip(&bv) {
+                    *acc = _mm512_fmadd_ps(x, b, *acc);
+                }
             }
         }
+        a_cols.settle(run);
+        b_rows.settle(run);
+        left -= run;
     }
     for (i, acc_row) in acc.iter_mut().enumerate().take(mr) {
         let zero = _mm512_setzero_ps();
         match finish {
             Finish::Add => {
                 let row = &c.row(r0 + i)[j0..j0 + nr];
-                for (seg, acc) in row.chunks(16).zip(acc_row) {
+                for (seg, acc) in row.chunks(width).zip(acc_row) {
                     *acc = add_lanes(seg, *acc);
                 }
             }
@@ -1400,7 +1986,7 @@ fn tile_avx512<const R: usize, const V: usize, const ONE: bool>(
             Finish::Sgd { shrink, lr } => {
                 let (shrink, lr) = (_mm512_set1_ps(shrink), _mm512_set1_ps(lr));
                 let row = &c.row(r0 + i)[j0..j0 + nr];
-                for (seg, acc) in row.chunks(16).zip(acc_row) {
+                for (seg, acc) in row.chunks(width).zip(acc_row) {
                     let w = _mm512_mul_ps(shrink, load_lanes(seg));
                     *acc = _mm512_sub_ps(w, _mm512_mul_ps(lr, _mm512_add_ps(zero, *acc)));
                 }
@@ -1409,7 +1995,7 @@ fn tile_avx512<const R: usize, const V: usize, const ONE: bool>(
     }
     for (i, acc_row) in acc.iter().enumerate().take(mr) {
         let row = &mut c.row(r0 + i)[j0..j0 + nr];
-        for (seg, &acc) in row.chunks_mut(16).zip(acc_row) {
+        for (seg, &acc) in row.chunks_mut(width).zip(acc_row) {
             store_lanes(seg, acc);
         }
     }
@@ -1507,24 +2093,47 @@ fn macro_kernel_body<const MR: usize, const NR: usize>(
                     add(i0, MR.min(mc - i0), acc);
                 }
             }
-            ABlock::InPlace(AStrided {
-                data,
-                rs,
-                cs,
-                alpha,
-            }) => {
-                for i0 in (0..mc).step_by(MR) {
-                    let mr = MR.min(mc - i0);
-                    // Rows past the edge re-read the last row: their lanes
-                    // are padding, computed and never stored.
-                    let rows: [usize; MR] = std::array::from_fn(|i| (i0 + i.min(mr - 1)) * rs);
-                    let columns = (0..kc).map(|p| -> [f32; MR] {
-                        std::array::from_fn(|i| alpha * data[rows[i] + p * cs])
-                    });
-                    add(i0, mr, micro_kernel::<MR, NR>(columns, b_panel));
+            ABlock::InPlace(a, alpha) => match (a.rows.strided(), a.cols.strided()) {
+                (Some(rows), Some(cols)) => {
+                    in_place_tiles::<MR, NR>(&mut add, a.data, rows, cols, alpha, mc, kc, b_panel)
                 }
-            }
+                _ => {
+                    let (rows, cols) = (a.rows.any(), a.cols.any());
+                    in_place_tiles::<MR, NR>(&mut add, a.data, rows, cols, alpha, mc, kc, b_panel)
+                }
+            },
         }
+    }
+}
+
+/// [`macro_kernel_body`]'s tiles of A read in place against one B panel:
+/// `MR` rows at a time, each tile's rows and columns where the walks reach
+/// them, `alpha` times the stored element, the value a pack would have
+/// stored.
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+fn in_place_tiles<const MR: usize, const NR: usize>(
+    add: &mut impl FnMut(usize, usize, [[f32; NR]; MR]),
+    data: &[f32],
+    mut rows: impl Walk,
+    cols: impl Walk,
+    alpha: f32,
+    mc: usize,
+    kc: usize,
+    b_panel: &[f32],
+) {
+    for i0 in (0..mc).step_by(MR) {
+        let mr = MR.min(mc - i0);
+        let at: [usize; MR] = std::array::from_fn(|_| rows.next_at());
+        // Rows past the edge re-read the last row: their lanes are padding,
+        // computed and never stored.
+        let at: [usize; MR] = std::array::from_fn(|i| at[i.min(mr - 1)]);
+        let mut cols = cols;
+        let columns = (0..kc).map(|_| -> [f32; MR] {
+            let col = cols.next_at();
+            std::array::from_fn(|i| alpha * data[at[i] + col])
+        });
+        add(i0, mr, micro_kernel::<MR, NR>(columns, b_panel));
     }
 }
 
@@ -1551,6 +2160,7 @@ fn micro_kernel<const MR: usize, const NR: usize>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::conv::Patches;
     use crate::isa::tests::instantiations;
     use crate::naive::gemm_ref;
     use micdnn_tensor::{max_abs_diff, Mat};
@@ -1574,6 +2184,31 @@ mod tests {
         }
     }
 
+    /// `alpha * A * B + beta * C0` by [`gemm_with`] on `isa` at `blk`.
+    #[allow(clippy::too_many_arguments)]
+    fn run_on(
+        isa: Isa,
+        par: Par,
+        blk: GemmBlocking,
+        alpha: f32,
+        a: Operand<'_>,
+        b: Operand<'_>,
+        beta: f32,
+        c0: &Mat,
+    ) -> Mat {
+        let mut c = c0.clone();
+        let out = Epilogue::Beta(beta);
+        gemm_with(par, alpha, a, b, out, &mut c.view_mut(), blk, isa);
+        c
+    }
+
+    /// [`BLOCKING`], but forking wherever a product has two tiles or slabs
+    /// to split, however few its flops.
+    const FORKED: GemmBlocking = GemmBlocking {
+        min_flops: 1,
+        ..BLOCKING
+    };
+
     /// `alpha * op(A) * op(B) + beta * C0` by [`gemm_with`] on `isa`.
     fn product_on(
         isa: Isa,
@@ -1584,21 +2219,8 @@ mod tests {
         beta: f32,
         c0: &Mat,
     ) -> Mat {
-        let mut c = c0.clone();
-        let (a, b, cv) = (a.view(), b.view(), &mut c.view_mut());
-        gemm_with(
-            par,
-            alpha,
-            a,
-            ta,
-            b,
-            tb,
-            Epilogue::Beta(beta),
-            cv,
-            BLOCKING,
-            isa,
-        );
-        c
+        let (a, b) = (Operand::Mat(a.view(), ta), Operand::Mat(b.view(), tb));
+        run_on(isa, par, BLOCKING, alpha, a, b, beta, c0)
     }
 
     /// [`product_on`], forking wherever a product has two tiles or slabs to
@@ -1606,31 +2228,13 @@ mod tests {
     fn forked_on(
         isa: Isa,
         alpha: f32,
-        a: (&Mat, bool),
-        b: (&Mat, bool),
+        (a, ta): (&Mat, bool),
+        (b, tb): (&Mat, bool),
         beta: f32,
         c0: &Mat,
     ) -> Mat {
-        let ((a, ta), (b, tb)) = (a, b);
-        let mut c = c0.clone();
-        let (a, b, cv) = (a.view(), b.view(), &mut c.view_mut());
-        let blk = GemmBlocking {
-            min_flops: 1,
-            ..BLOCKING
-        };
-        gemm_with(
-            Par::Rayon,
-            alpha,
-            a,
-            ta,
-            b,
-            tb,
-            Epilogue::Beta(beta),
-            cv,
-            blk,
-            isa,
-        );
-        c
+        let (a, b) = (Operand::Mat(a.view(), ta), Operand::Mat(b.view(), tb));
+        run_on(isa, Par::Rayon, FORKED, alpha, a, b, beta, c0)
     }
 
     /// [`product_on`] the instantiation [`gemm`] picks.
@@ -1654,10 +2258,8 @@ mod tests {
         gemm_with(
             par,
             alpha,
-            a,
-            ta,
-            b,
-            tb,
+            Operand::Mat(a, ta),
+            Operand::Mat(b, tb),
             Epilogue::Beta(beta),
             c,
             blk,
@@ -2027,7 +2629,16 @@ mod tests {
             min_flops,
             ..BLOCKING
         };
-        gemm_with(par, alpha, a, ta, b, tb, out, wv, blk, isa);
+        gemm_with(
+            par,
+            alpha,
+            Operand::Mat(a, ta),
+            Operand::Mat(b, tb),
+            out,
+            wv,
+            blk,
+            isa,
+        );
         w
     }
 
@@ -2213,7 +2824,10 @@ mod tests {
         (a, ta): (&Mat, bool),
         (b, tb): (&Mat, bool),
     ) {
-        let ((m, k), (_, n)) = (op_shape(&a.view(), ta), op_shape(&b.view(), tb));
+        let ((m, k), (_, n)) = (
+            Operand::Mat(a.view(), ta).shape(),
+            Operand::Mat(b.view(), tb).shape(),
+        );
         SLAB_TILES.set(vec![f32::NAN; 4 * k * m * n]);
         forked_on(isa, alpha, (a, ta), (b, tb), 0.0, &Mat::zeros(m, n));
         let tiles = SLAB_TILES.take();
@@ -2704,6 +3318,113 @@ mod tests {
                     );
                 }
             }
+        }
+    }
+
+    /// A batch of `b` images of `side x side` random pixels, poisoned at
+    /// three corners (NaN in the first image, +Inf in the second, -Inf in the
+    /// last; each corner pixel lies in one patch element only, so the filter
+    /// gradient keeps finite columns) and holding `-0.0` at random.
+    fn poisoned_images(b: usize, side: usize, rng: &mut StdRng) -> Vec<f32> {
+        let mut x: Vec<f32> = (0..b * side * side)
+            .map(|_| {
+                if rng.gen_bool(0.05) {
+                    -0.0
+                } else {
+                    rng.gen_range(-1.0..1.0)
+                }
+            })
+            .collect();
+        let img = side * side;
+        x[0] = f32::NAN;
+        x[(1 % b) * img + side - 1] = f32::INFINITY;
+        x[(b - 1) * img + (side - 1) * side] = f32::NEG_INFINITY;
+        x
+    }
+
+    /// `patches(x) · Wᵀ` and `δᵀ · patches(x)` read from the images, on
+    /// `isas`, sequential, threaded and forked at every split, against
+    /// [`crate::conv::im2col`] then the same products of the formed matrix
+    /// on the same instantiation, bit for bit, at each `(alpha, beta)`.
+    fn pin_patch_products(
+        isas: &[Isa],
+        (k, side, b, c): (usize, usize, usize, usize),
+        rng: &mut StdRng,
+    ) {
+        let x = poisoned_images(b, side, rng);
+        let patches = Operand::Patches(Patches::new(&x, b, side, k));
+        let (rows, kk) = Patches::new(&x, b, side, k).shape();
+        let mut col = Mat::zeros(rows, kk);
+        crate::conv::im2col(Par::Seq, &x, b, side, k, col.as_mut_slice());
+        let w = random_mat(c, kk, rng);
+        let delta = random_mat(rows, c, rng);
+        // (A, B, formed A, formed B, C0) of the forward and filter-gradient
+        // products.
+        let (act0, gw0) = (random_mat(rows, c, rng), random_mat(c, kk, rng));
+        let products = [
+            (
+                patches,
+                Operand::Mat(w.view(), true),
+                Operand::Mat(col.view(), false),
+                Operand::Mat(w.view(), true),
+                &act0,
+            ),
+            (
+                Operand::Mat(delta.view(), true),
+                patches,
+                Operand::Mat(delta.view(), true),
+                Operand::Mat(col.view(), false),
+                &gw0,
+            ),
+        ];
+        for (which, (a, b_op, formed_a, formed_b, c0)) in products.into_iter().enumerate() {
+            for (alpha, beta) in [(1.0, 0.0), (1.0, 1.0), (0.7, 0.0), (0.7, 1.0)] {
+                for &isa in isas {
+                    let want = run_on(isa, Par::Seq, BLOCKING, alpha, formed_a, formed_b, beta, c0);
+                    for (run, par, blk) in [
+                        ("seq", Par::Seq, BLOCKING),
+                        ("par", Par::Rayon, BLOCKING),
+                        ("forked", Par::Rayon, FORKED),
+                    ] {
+                        let got = run_on(isa, par, blk, alpha, a, b_op, beta, c0);
+                        assert!(
+                            got.as_slice()
+                                .iter()
+                                .map(|v| v.to_bits())
+                                .eq(want.as_slice().iter().map(|v| v.to_bits())),
+                            "{isa:?} {run}: product {which} at k={k} side={side} b={b} c={c} \
+                             alpha={alpha} beta={beta} is not im2col + gemm"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn patch_products_bitwise_identical_to_im2col_then_gemm_on_all_instantiations() {
+        // The forward product reads A from the images (the narrow tile's
+        // broadcasts, or the safe tile's at 17 to 32 channels, or the pack
+        // past that), the filter gradient B (a row panel's merged masked
+        // loads, the narrow tile's at k = 3, or the pack past 12 channels,
+        // and every pack of the portable and AVX2 instantiations). The batch
+        // of 50 at side 28 and k = 5 splits its 113 slabs by depth when
+        // forked; the forward product splits by rows.
+        let isas = instantiations(
+            "patch_products_bitwise_identical_to_im2col_then_gemm_on_all_instantiations",
+        );
+        let mut rng = StdRng::seed_from_u64(50);
+        for k in [3, 5, 7] {
+            for side in [12, 16, 28] {
+                for b in [1, 7, 50] {
+                    for c in [1, 6, 8] {
+                        pin_patch_products(&isas, (k, side, b, c), &mut rng);
+                    }
+                }
+            }
+        }
+        for c in [17, 40] {
+            pin_patch_products(&isas, (5, 12, 3, c), &mut rng);
         }
     }
 

@@ -32,7 +32,7 @@ mod vecops;
 
 pub use backend::Backend;
 pub use fused::kl_sparsity;
-pub use gemm::{gemm, gemm_sgd, GEMM_KC};
+pub use gemm::{gemm, gemm_op, gemm_sgd, Operand, GEMM_KC};
 pub use ops::{OpCost, OpKind};
 pub use vecops::sum_sq;
 

@@ -90,7 +90,7 @@ proptest! {
     }
 
     /// The same property for the CNN, served through its own forward graph:
-    /// im2col, the conv product, pooling and the dense tail are row-local
+    /// the conv product, pooling and the dense tail are row-local
     /// too, so a micro-batch changes no bit of any image's answer.
     #[test]
     fn batched_cnn_serving_is_bitwise_serial(
