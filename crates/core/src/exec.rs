@@ -457,13 +457,14 @@ impl ExecCtx {
     pub(crate) fn gemm_op(
         &self,
         alpha: f32,
-        a: Operand<'_>,
+        a: MatView<'_>,
+        ta: bool,
         b: Operand<'_>,
         beta: f32,
         c: &mut MatViewMut<'_>,
     ) {
         let t0 = self.op_start();
-        let cost = self.backend.gemm_op(alpha, a, b, beta, c);
+        let cost = self.backend.gemm_op(alpha, a, ta, b, beta, c);
         self.charge_timed(cost, t0);
     }
 
@@ -491,6 +492,13 @@ impl ExecCtx {
     pub(crate) fn bias_sigmoid_rows(&self, bias: &[f32], c: &mut MatViewMut<'_>) {
         let t0 = self.op_start();
         let cost = self.backend.bias_sigmoid_rows(bias, c);
+        self.charge_timed(cost, t0);
+    }
+
+    /// See [`Backend::bias_sigmoid_planes`].
+    pub(crate) fn bias_sigmoid_planes(&self, bias: &[f32], c: &mut MatViewMut<'_>) {
+        let t0 = self.op_start();
+        let cost = self.backend.bias_sigmoid_planes(bias, c);
         self.charge_timed(cost, t0);
     }
 
@@ -533,6 +541,13 @@ impl ExecCtx {
     pub(crate) fn colsum(&self, a: MatView<'_>, out: &mut [f32]) {
         let t0 = self.op_start();
         let cost = self.backend.colsum(a, out);
+        self.charge_timed(cost, t0);
+    }
+
+    /// See [`Backend::rowsum`].
+    pub(crate) fn rowsum(&self, a: MatView<'_>, out: &mut [f32]) {
+        let t0 = self.op_start();
+        let cost = self.backend.rowsum(a, out);
         self.charge_timed(cost, t0);
     }
 

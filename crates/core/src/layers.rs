@@ -332,14 +332,12 @@ pub(crate) trait NetParams: 'static {
     fn weight_decay(&self) -> f32;
 }
 
-/// Emits the bias-gradient node of a supervised layer: `gb =
-/// colsum(delta)` over the live `b * rows_per_example` rows of slot
-/// `slot`'s `width`-wide delta.
+/// Emits the bias-gradient node of a dense layer: `gb = colsum(delta)` over
+/// the live `b` rows of slot `slot`'s `width`-wide delta.
 fn emit_bias_colsum<N: NetParams>(
     sb: &mut NetBuilder<'_, N>,
     name: &'static str,
     slot: usize,
-    rows_per_example: usize,
     width: usize,
 ) {
     let (d_id, gb_id) = (sb.buf(slot, "delta"), sb.buf(slot, "gb"));
@@ -347,9 +345,9 @@ fn emit_bias_colsum<N: NetParams>(
         NodeSpec::new(name)
             .reads(&[d_id])
             .writes(&[gb_id])
-            .ops(move |be, b| vec![be.reduce_cost(b * rows_per_example, width)]),
+            .ops(move |be, b| vec![be.reduce_cost(b, width)]),
         move |ctx, st: &mut StepState<'_, N>| {
-            let rows = st.x.rows() * rows_per_example;
+            let rows = st.x.rows();
             let [d, gb] = st.ws.bufs_mut([d_id, gb_id]);
             ctx.colsum(MatView::new(&d[..rows * width], rows, width), gb);
         },
@@ -532,7 +530,7 @@ impl<'s, N: NetParams> Layer<StepState<'s, N>> for Dense {
                     },
                 );
             }
-            Emit::Grads(Part::Biases) => emit_bias_colsum(sb, "layer-gb", slot, 1, h),
+            Emit::Grads(Part::Biases) => emit_bias_colsum(sb, "layer-gb", slot, h),
             Emit::Update(part) => emit_sgd(sb, ["layer-w-sgd", "layer-b-sgd"], slot, part, key),
         }
     }
@@ -650,7 +648,7 @@ impl<'s, N: NetParams> Layer<StepState<'s, N>> for SoftmaxXent {
                     },
                 );
             }
-            Emit::Grads(Part::Biases) => emit_bias_colsum(sb, "softmax-gb", slot, 1, c),
+            Emit::Grads(Part::Biases) => emit_bias_colsum(sb, "softmax-gb", slot, c),
             Emit::Update(part) => {
                 let names = ["softmax-w-sgd", "softmax-b-sgd"];
                 emit_sgd(sb, names, slot, part, ParamKey::Head);
@@ -699,16 +697,19 @@ pub(crate) fn hit_rate(pred: &[usize], labels: &[usize]) -> f64 {
 // ---------------------------------------------------------------------------
 
 /// A single-input-channel 2-D convolution lowered onto the existing GEMM:
-/// one product of the batch's `k x k` patches against the `c_out x k*k`
-/// filter bank produces all output pixels, and the fused bias + sigmoid
-/// sweep treats channels as columns. The patch matrix is never formed: the
-/// product reads each patch where the image is stored ([`Patches`]).
-/// Activation layout is `(b * oh * ow) x c_out`, which the GEMM writes
-/// directly — no re-layout pass.
+/// one product of the `c_out x k*k` filter bank against the batch's
+/// transposed `k x k` patches produces all output pixels, and the fused
+/// bias + sigmoid sweep adds each channel's bias to its plane. The patch
+/// matrix is never formed: the product reads each patch where the image is
+/// stored ([`Patches`]). Activations (and their deltas) are channel-major,
+/// `c_out x (b * oh * ow)`: channel by channel, then image, output row and
+/// output column, the layout the GEMM writes — one row panel of C whose
+/// pixels fill whole vectors — with no re-layout pass.
 ///
 /// Backward needs no `col2im`: this layer sits at the stack's input, so
-/// only filter gradients (`delta^T patches`, the patches again read from
-/// the batch) and bias column-sums are needed.
+/// only filter gradients (`delta · patches`, the patches again read from
+/// the batch) and bias sums, each channel's plane in pixel order, are
+/// needed.
 pub(crate) struct Conv2d {
     /// Registry slot (binds `w`, `b`, `act`, `delta`, `gw`, `gb`).
     pub slot: usize,
@@ -745,17 +746,18 @@ impl<'s, N: NetParams> Layer<StepState<'s, N>> for Conv2d {
                 sb.bind_dims(slot, "w", "conv.w", &[c, kk], BufClass::External);
                 sb.bind_dims(slot, "b", "conv.b", &[c], BufClass::External);
             }
-            // The activations feed pooling and σ'.
+            // The activations feed pooling and σ'; a batch of `b` rows
+            // holds `c` planes of `b * pix` pixels.
             Decl::Acts => {
                 let class = sb.act_class();
-                sb.bind_dims(slot, "act", "conv.act", &[cap * pix, c], class);
+                sb.bind_dims(slot, "act", "conv.act", &[c, cap * pix], class);
             }
             Decl::Deltas => {
                 sb.bind_dims(
                     slot,
                     "delta",
                     "conv.delta",
-                    &[cap * pix, c],
+                    &[c, cap * pix],
                     BufClass::Scratch,
                 );
             }
@@ -775,11 +777,12 @@ impl<'s, N: NetParams> Layer<StepState<'s, N>> for Conv2d {
         let pix = self.out_side() * self.out_side();
         match what {
             Emit::Forward => {
-                // conv-forward: one GEMM of the batch's patches against the
-                // filter bank, then the per-channel bias + sigmoid sweep
-                // (channels are columns). Its first op is the im2col copy
-                // the step was priced with when it formed the patch matrix,
-                // so the simulated seconds stay those of that step.
+                // conv-forward: one GEMM of the filter bank against the
+                // batch's transposed patches, then the bias + sigmoid sweep,
+                // each channel's bias over its plane. Its first op is the
+                // im2col copy the step was priced with when it formed the
+                // patch matrix, so the simulated seconds stay those of that
+                // step; the product's cost is symmetric in its `m` and `n`.
                 let x_id = sb.global("x");
                 let a_id = sb.buf(slot, "act");
                 let (w_id, b_id) = (sb.buf(slot, "w"), sb.buf(slot, "b"));
@@ -799,11 +802,11 @@ impl<'s, N: NetParams> Layer<StepState<'s, N>> for Conv2d {
                         let (w, bias) = st.net.get().tensors(key);
                         let x = Patches::new(st.x.as_slice(), b, side, k);
                         let act = &mut st.ws.buf_mut(a_id)[..b * pix * c];
-                        let mut av = MatViewMut::new(act, b * pix, c);
+                        let mut av = MatViewMut::new(act, c, b * pix);
                         ctx.charge_cost(OpCost::memcpy(b * pix * kk));
-                        let w = Operand::Mat(w.view(), true);
-                        ctx.gemm_op(1.0, Operand::Patches(x), w, 0.0, &mut av);
-                        ctx.bias_sigmoid_rows(bias, &mut av);
+                        let x = Operand::Patches(x, true);
+                        ctx.gemm_op(1.0, w.view(), false, x, 0.0, &mut av);
+                        ctx.bias_sigmoid_planes(bias, &mut av);
                     },
                 );
             }
@@ -825,7 +828,7 @@ impl<'s, N: NetParams> Layer<StepState<'s, N>> for Conv2d {
                     },
                 );
             }
-            // gw = delta^T patches ; gb = colsum(delta).
+            // gw = delta · patches ; gb = each plane of delta summed.
             Emit::Grads(Part::Weights) => {
                 let (d_id, x_id, gw_id) =
                     (sb.buf(slot, "delta"), sb.global("x"), sb.buf(slot, "gw"));
@@ -838,22 +841,37 @@ impl<'s, N: NetParams> Layer<StepState<'s, N>> for Conv2d {
                         let b = st.x.rows();
                         let x = Patches::new(st.x.as_slice(), b, side, k);
                         let [d, gw] = st.ws.bufs_mut([d_id, gw_id]);
-                        let dv = MatView::new(&d[..b * pix * c], b * pix, c);
+                        let dv = MatView::new(&d[..b * pix * c], c, b * pix);
                         let mut gv = MatViewMut::new(gw, c, kk);
-                        let d = Operand::Mat(dv, true);
-                        ctx.gemm_op(1.0, d, Operand::Patches(x), 0.0, &mut gv);
+                        ctx.gemm_op(1.0, dv, false, Operand::Patches(x, false), 0.0, &mut gv);
                     },
                 );
             }
-            Emit::Grads(Part::Biases) => emit_bias_colsum(sb, "conv-gb", slot, pix, c),
+            // Each channel's plane summed in pixel order: the chain of the
+            // column sum of the NHWC delta, at its cost.
+            Emit::Grads(Part::Biases) => {
+                let (d_id, gb_id) = (sb.buf(slot, "delta"), sb.buf(slot, "gb"));
+                sb.node(
+                    NodeSpec::new("conv-gb")
+                        .reads(&[d_id])
+                        .writes(&[gb_id])
+                        .ops(move |be, b| vec![be.reduce_cost(b * pix, c)]),
+                    move |ctx, st: &mut StepState<'_, N>| {
+                        let b = st.x.rows();
+                        let [d, gb] = st.ws.bufs_mut([d_id, gb_id]);
+                        ctx.rowsum(MatView::new(&d[..b * pix * c], c, b * pix), gb);
+                    },
+                );
+            }
             Emit::Update(part) => emit_sgd(sb, ["conv-w-sgd", "conv-b-sgd"], slot, part, key),
         }
     }
 }
 
-/// Non-overlapping 2-D max pooling over [`Conv2d`] activations
-/// (`(b * oh * ow) x c` in, `b x (c * ph * pw)` out, argmax indices kept
-/// for the backward scatter). Parameter-free.
+/// Non-overlapping 2-D max pooling over [`Conv2d`] activations (channel
+/// planes, `c x (b * oh * ow)`, in; `b x (c * ph * pw)` out, argmax indices
+/// into the planes kept for the backward scatter, which writes the conv
+/// layer's delta in the same planes). Parameter-free.
 pub(crate) struct MaxPool2d {
     /// Registry slot (binds `act`, `idx`, `delta`).
     pub slot: usize,

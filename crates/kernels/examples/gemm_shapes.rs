@@ -2,8 +2,11 @@
 //! pin at the benchmark shapes, the decoder's and the fine-tune layer's
 //! weight gradients, the 10-class softmax heads' forward and
 //! weight-gradient products, the CNN's two convolution products on their
-//! patch matrix formed by `im2col` and read from the images (`gemm_op`), at
-//! eight and six channels, sequential and threaded; then the AE's two
+//! patch matrix formed by `im2col` in the NHWC layout, and read from the
+//! images (`gemm_op`) in the channel-major layout the CNN runs (`W ·
+//! patchesᵀ`, and the filter gradient with δ untransposed, beside the NHWC
+//! `δᵀ · patches`), at eight and six channels, sequential and threaded;
+//! then the AE's two
 //! weight gradients as the fused product `gemm_sgd`, beside `gemm` followed
 //! by `sgd_step` on the same operands. It is the sweep behind the tables in
 //! `gemm.rs`'s docs.
@@ -25,80 +28,63 @@ use micdnn_kernels::{gemm_op, Backend, Operand, Par};
 use micdnn_tensor::Mat;
 use std::time::Instant;
 
-/// How a product's operand is held: stored, transposed or not, or as the
-/// patches of `cnn_ckpt`'s batch (50 images of 28x28, `k = 5`), which are
-/// `28800 x 25`.
+/// How a product's B is held: stored, transposed or not, or as the patches
+/// of `cnn_ckpt`'s batch (50 images of 28x28, `k = 5`), which are `28800 x
+/// 25`, transposed or not.
 #[derive(Clone, Copy)]
 enum Form {
     Stored(bool),
-    Patches,
+    Patches(bool),
 }
-use Form::{Patches as P, Stored as S};
+use Form::Stored as S;
+const P: Form = Form::Patches(false);
+const PT: Form = Form::Patches(true);
 
-/// `(name, m, n, k, A, B)`: `C (m x n) = A (m x k) * B (k x n)`.
-const SHAPES: [(&str, usize, usize, usize, Form, Form); 23] = [
-    ("ae_wide forward", 200, 4096, 1024, S(false), S(true)),
-    ("ae_wide backward-data", 200, 1024, 4096, S(false), S(false)),
-    (
-        "ae_wide backward-weight",
-        4096,
-        1024,
-        200,
-        S(true),
-        S(false),
-    ),
+/// `(name, m, n, k, ta, B)`: `C (m x n) = op(A) (m x k) * B (k x n)`, A
+/// stored, transposed when `ta` is set.
+const SHAPES: [(&str, usize, usize, usize, bool, Form); 25] = [
+    ("ae_wide forward", 200, 4096, 1024, false, S(true)),
+    ("ae_wide backward-data", 200, 1024, 4096, false, S(false)),
+    ("ae_wide backward-weight", 4096, 1024, 200, true, S(false)),
     (
         "ae_wide backward-weight, decoder",
         1024,
         4096,
         200,
-        S(true),
+        true,
         S(false),
     ),
-    ("RBM forward", 20, 64, 144, S(false), S(true)),
-    ("RBM statistics", 64, 144, 20, S(true), S(false)),
-    ("RBM prop-down", 20, 144, 64, S(false), S(false)),
-    ("CNN im2col", 28800, 8, 25, S(false), S(true)),
-    ("CNN forward, patches", 28800, 8, 25, P, S(true)),
-    ("CNN filter gradient", 8, 25, 28800, S(true), S(false)),
-    ("CNN filter gradient, patches", 8, 25, 28800, S(true), P),
-    ("serving batch", 64, 256, 784, S(false), S(true)),
-    ("fine-tune", 100, 256, 784, S(false), S(true)),
+    ("RBM forward", 20, 64, 144, false, S(true)),
+    ("RBM statistics", 64, 144, 20, true, S(false)),
+    ("RBM prop-down", 20, 144, 64, false, S(false)),
+    ("CNN im2col", 28800, 8, 25, false, S(true)),
+    ("CNN forward, channel-major", 8, 28800, 25, false, PT),
+    ("CNN filter gradient", 8, 25, 28800, true, S(false)),
+    ("CNN filter gradient, patches", 8, 25, 28800, true, P),
+    ("CNN filter gradient, channel-major", 8, 25, 28800, false, P),
+    ("serving batch", 64, 256, 784, false, S(true)),
+    ("fine-tune", 100, 256, 784, false, S(true)),
+    ("fine-tune weight gradient", 256, 784, 100, true, S(false)),
+    ("softmax head", 100, 10, 64, false, S(true)),
+    ("softmax head", 64, 10, 64, false, S(true)),
+    ("softmax head", 50, 10, 64, false, S(true)),
+    ("softmax head weight gradient", 10, 64, 100, true, S(false)),
+    ("softmax head weight gradient", 10, 64, 50, true, S(false)),
+    ("CNN im2col, 6 channels", 28800, 6, 25, false, S(true)),
     (
-        "fine-tune weight gradient",
-        256,
-        784,
-        100,
-        S(true),
-        S(false),
+        "CNN forward, channel-major, 6 channels",
+        6,
+        28800,
+        25,
+        false,
+        PT,
     ),
-    ("softmax head", 100, 10, 64, S(false), S(true)),
-    ("softmax head", 64, 10, 64, S(false), S(true)),
-    ("softmax head", 50, 10, 64, S(false), S(true)),
-    (
-        "softmax head weight gradient",
-        10,
-        64,
-        100,
-        S(true),
-        S(false),
-    ),
-    (
-        "softmax head weight gradient",
-        10,
-        64,
-        50,
-        S(true),
-        S(false),
-    ),
-    ("CNN im2col, 6 channels", 28800, 6, 25, S(false), S(true)),
-    ("CNN forward, patches, 6 channels", 28800, 6, 25, P, S(true)),
     (
         "CNN filter gradient, 6 channels",
         6,
         25,
         28800,
-        S(true),
+        true,
         S(false),
     ),
     (
@@ -106,7 +92,15 @@ const SHAPES: [(&str, usize, usize, usize, Form, Form); 23] = [
         6,
         25,
         28800,
-        S(true),
+        true,
+        P,
+    ),
+    (
+        "CNN filter gradient, channel-major, 6 channels",
+        6,
+        25,
+        28800,
+        false,
         P,
     ),
 ];
@@ -143,12 +137,12 @@ fn time_call(mut call: impl FnMut()) -> f64 {
     t.elapsed().as_secs_f64() / reps as f64
 }
 
-/// The operand `x` holds in `form`; patches are of `images`.
+/// The B operand `x` holds in `form`; patches are of `images`.
 fn op<'a>(x: &'a Mat, form: Form, images: &'a Mat) -> Operand<'a> {
     let (b, side, k) = IMAGES;
     match form {
         S(t) => Operand::Mat(x.view(), t),
-        P => Operand::Patches(Patches::new(images.as_slice(), b, side, k)),
+        Form::Patches(t) => Operand::Patches(Patches::new(images.as_slice(), b, side, k), t),
     }
 }
 
@@ -170,21 +164,21 @@ fn main() {
     let images = operand(b, side * side, false, 4);
     let stored = |rows, cols, form, salt| match form {
         S(t) => operand(rows, cols, t, salt),
-        P => Mat::zeros(0, 0),
+        Form::Patches(_) => Mat::zeros(0, 0),
     };
     let mut operands: Vec<(Mat, Mat, Mat)> = SHAPES
         .iter()
-        .map(|&(_, m, n, k, fa, fb)| (stored(m, k, fa, 1), stored(k, n, fb, 2), Mat::zeros(m, n)))
+        .map(|&(_, m, n, k, ta, fb)| (operand(m, k, ta, 1), stored(k, n, fb, 2), Mat::zeros(m, n)))
         .collect();
     let mut secs = vec![[Vec::new(), Vec::new()]; SHAPES.len()];
     for _ in 0..rounds {
-        for (((_, _, _, _, fa, fb), (a, b, c)), s) in
+        for (((_, _, _, _, ta, fb), (a, b, c)), s) in
             SHAPES.iter().zip(&mut operands).zip(&mut secs)
         {
-            let (a, b) = (op(a, *fa, &images), op(b, *fb, &images));
+            let (a, b) = (a.view(), op(b, *fb, &images));
             for (par, out) in [Par::Seq, Par::Rayon].into_iter().zip(s.iter_mut()) {
                 let c = &mut c.view_mut();
-                out.push(time_call(|| gemm_op(par, 1.0, a, b, 0.0, c)));
+                out.push(time_call(|| gemm_op(par, 1.0, a, *ta, b, 0.0, c)));
             }
         }
     }

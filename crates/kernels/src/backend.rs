@@ -251,36 +251,30 @@ impl Backend {
         self.gemm_cost(m, n, k)
     }
 
-    /// [`Backend::gemm`] over any two [`Operand`]s: `C = alpha * A * B + beta
-    /// * C`, and its cost. The BLAS rungs read patches where the images are
-    /// stored ([`gemm_op`](crate::gemm_op)); the scalar rungs form them with
-    /// `im2col` first, in a temporary.
+    /// [`Backend::gemm`] with any [`Operand`] as B: `C = alpha * op(A) * B +
+    /// beta * C`, and its cost. The BLAS rungs read patches where the images
+    /// are stored ([`gemm_op`](crate::gemm_op)); the scalar rungs form them
+    /// with `im2col` first, in a temporary.
     pub fn gemm_op(
         &self,
         alpha: f32,
-        a: Operand<'_>,
+        a: MatView<'_>,
+        ta: bool,
         b: Operand<'_>,
         beta: f32,
         c: &mut MatViewMut<'_>,
     ) -> OpCost {
         if self.blas {
-            gemm_mod::gemm_op(self.par, alpha, a, b, beta, c);
-            let ((m, n), (_, k)) = (c.shape(), a.shape());
+            gemm_mod::gemm_op(self.par, alpha, a, ta, b, beta, c);
+            let ((m, n), (k, _)) = (c.shape(), b.shape());
             return self.gemm_cost(m, n, k);
         }
-        let (mut a_col, mut b_col) = (Vec::new(), Vec::new());
-        let (a, ta) = self.formed(a, &mut a_col);
-        let (b, tb) = self.formed(b, &mut b_col);
-        self.gemm(alpha, a, ta, b, tb, beta, c)
-    }
-
-    /// `op` as a stored matrix and its transpose flag: patches formed into
-    /// `col`.
-    fn formed<'a>(&self, op: Operand<'a>, col: &'a mut Vec<f32>) -> (MatView<'a>, bool) {
-        match op {
+        let mut col = Vec::new();
+        let (b, tb) = match b {
             Operand::Mat(x, t) => (x, t),
-            Operand::Patches(p) => (p.form(self.par, col), false),
-        }
+            Operand::Patches(p, t) => (p.form(self.par, &mut col), t),
+        };
+        self.gemm(alpha, a, ta, b, tb, beta, c)
     }
 
     /// `W = (1 - lr*lambda) W - lr G` with `G = alpha * op(A) * op(B)`: the
@@ -324,6 +318,24 @@ impl Backend {
             fused::bias_sigmoid_rows(self.par, bias, c);
         } else {
             fused::add_bias_rows(self.par, bias, c);
+            if self.par.is_parallel() || self.blas {
+                vecops::sigmoid_inplace(self.par, c.as_mut_slice());
+            } else {
+                naive::sigmoid_ref(c.as_mut_slice());
+            }
+        }
+        self.bias_sigmoid_cost(n)
+    }
+
+    /// `C = sigmoid(C + bias[r])` on each row `r` of `C`: the bits of
+    /// [`Backend::bias_sigmoid_rows`] on the transpose, and its cost. The
+    /// CNN's channel-major activations take it, one bias per channel.
+    pub fn bias_sigmoid_planes(&self, bias: &[f32], c: &mut MatViewMut<'_>) -> OpCost {
+        let n = c.as_slice().len();
+        if self.fused {
+            fused::bias_sigmoid_planes(self.par, bias, c);
+        } else {
+            fused::add_bias_planes(self.par, bias, c);
             if self.par.is_parallel() || self.blas {
                 vecops::sigmoid_inplace(self.par, c.as_mut_slice());
             } else {
@@ -438,6 +450,14 @@ impl Backend {
             naive::colsum_ref(a, out);
         }
         self.reduce_cost(a.rows(), a.cols())
+    }
+
+    /// Row sums, each row in column order: the bits of
+    /// [`Backend::colsum`] on the transpose, and its cost (a reduction of
+    /// the columns down to one value per row).
+    pub fn rowsum(&self, a: MatView<'_>, out: &mut [f32]) -> OpCost {
+        reduce::rowsum(self.par, a, out);
+        self.reduce_cost(a.cols(), a.rows())
     }
 
     /// Column means.
@@ -762,7 +782,7 @@ mod tests {
         // Each rung's product of patches (read from the images on the BLAS
         // rungs, formed in a temporary on the scalar ones) gives the bits of
         // its own gemm on the matrix im2col forms, and charges its cost: the
-        // forward product `patches · Wᵀ` and the filter gradient `δᵀ ·
+        // CNN's forward product `W · patchesᵀ` and its filter gradient `δ ·
         // patches`, over images holding a NaN, an Inf and a -0.0.
         use crate::conv::{im2col, Patches};
         let (b, side, k, c) = (3, 9, 3, 4);
@@ -772,61 +792,42 @@ mod tests {
         x[0] = f32::NAN;
         x[side * side + side - 1] = f32::INFINITY;
         x[5] = -0.0;
-        let patches = Operand::Patches(Patches::new(&x, b, side, k));
-        let (rows, kk) = Patches::new(&x, b, side, k).shape();
+        let patches = Patches::new(&x, b, side, k);
+        let (rows, kk) = patches.shape();
         let mut col = Mat::zeros(rows, kk);
         im2col(Par::Seq, &x, b, side, k, col.as_mut_slice());
         let w = Mat::from_fn(c, kk, |r, q| ((r * kk + q) as f32 * 0.31).sin());
-        let d = Mat::from_fn(rows, c, |r, q| ((r * c + q) as f32 * 0.17).cos());
+        let d = Mat::from_fn(c, rows, |r, q| ((r * rows + q) as f32 * 0.17).cos());
         let bits = |m: &Mat| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        // (name, A, B formed, B, C0)
+        let products = [
+            (
+                "forward",
+                &w,
+                (&col, true),
+                Operand::Patches(patches, true),
+                Mat::full(c, rows, 0.25),
+            ),
+            (
+                "filter gradient",
+                &d,
+                (&col, false),
+                Operand::Patches(patches, false),
+                Mat::full(c, kk, -0.5),
+            ),
+        ];
         for be in all_backends() {
             for (alpha, beta) in [(1.0, 0.0), (0.7, 1.0)] {
-                let mut act = (Mat::full(rows, c, 0.25), Mat::full(rows, c, 0.25));
-                let costs = (
-                    be.gemm(
-                        alpha,
-                        col.view(),
-                        false,
-                        w.view(),
-                        true,
-                        beta,
-                        &mut act.0.view_mut(),
-                    ),
-                    be.gemm_op(
-                        alpha,
-                        patches,
-                        Operand::Mat(w.view(), true),
-                        beta,
-                        &mut act.1.view_mut(),
-                    ),
-                );
-                assert_eq!(costs.0, costs.1, "{be:?} forward");
-                assert_eq!(bits(&act.0), bits(&act.1), "{be:?} forward {alpha} {beta}");
-                let mut gw = (Mat::full(c, kk, -0.5), Mat::full(c, kk, -0.5));
-                let costs = (
-                    be.gemm(
-                        alpha,
-                        d.view(),
-                        true,
-                        col.view(),
-                        false,
-                        beta,
-                        &mut gw.0.view_mut(),
-                    ),
-                    be.gemm_op(
-                        alpha,
-                        Operand::Mat(d.view(), true),
-                        patches,
-                        beta,
-                        &mut gw.1.view_mut(),
-                    ),
-                );
-                assert_eq!(costs.0, costs.1, "{be:?} filter gradient");
-                assert_eq!(
-                    bits(&gw.0),
-                    bits(&gw.1),
-                    "{be:?} filter gradient {alpha} {beta}"
-                );
+                for (name, a, (fb, tb), b_op, c0) in &products {
+                    let (mut want, mut got) = (c0.clone(), c0.clone());
+                    let (a, got_c) = (a.view(), &mut got.view_mut());
+                    let costs = (
+                        be.gemm(alpha, a, false, fb.view(), *tb, beta, &mut want.view_mut()),
+                        be.gemm_op(alpha, a, false, *b_op, beta, got_c),
+                    );
+                    assert_eq!(costs.0, costs.1, "{be:?} {name}");
+                    assert_eq!(bits(&want), bits(&got), "{be:?} {name} {alpha} {beta}");
+                }
             }
         }
     }

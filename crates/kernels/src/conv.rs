@@ -12,12 +12,18 @@
 //! MKL-DNN builds its convolution GEMMs without an explicit im2col copy.
 //! The kernels here are the data-movement pieces around that GEMM.
 //!
-//! Determinism: every function parallelizes over whole images. Each
-//! image's input and output regions are contiguous and disjoint, and each
-//! output element is a pure function of one image, so results are
-//! bit-identical between [`Par::Seq`] and [`Par::Rayon`] at any thread
-//! count. Pooling argmax ties break toward the lowest flat index (strict
-//! `>` comparison) for the same reason.
+//! Pooling reads the convolution's activations channel-major, `c x
+//! (b*oh*oh)`: channel by channel, then image, output row and output
+//! column, so each image's channel is one `oh x oh` plane, the layout the
+//! CNN's forward product `W·patches(x)ᵀ` writes.
+//!
+//! Determinism: every function parallelizes over whole images, or
+//! unpooling over whole channels. Each task's output region is contiguous
+//! and disjoint from the others', and each output element is a pure
+//! function of one image, so results are bit-identical between
+//! [`Par::Seq`] and [`Par::Rayon`] at any thread count. Pooling argmax ties
+//! break toward the lowest flat index (strict `>` comparison) for the same
+//! reason.
 //!
 //! # At vector width
 //!
@@ -30,57 +36,56 @@
 //!   runtime `k` otherwise, so at the common sizes each patch row is a
 //!   fixed-size move instead of a `memcpy` call of `k` floats. A copy moves
 //!   bits, whatever its width.
-//! * [`maxpool2d_forward`] pools one output row at a time in a row buffer
-//!   laid out like an input row, the `c` channels of a pixel innermost, so
-//!   each window element is one contiguous branch-free sweep for any `c`
-//!   (`pool - 1` of every `pool` pixels in it are carried and dropped). The
-//!   select takes an element exactly where the scalar branch does: strict
-//!   `>`, in the same window order, from the same first-element seed, so
-//!   ties keep the earliest element (`-0.0` against `0.0` included) and a
-//!   window whose first element is NaN keeps it and its index. Indices are
-//!   integers below 2^24 in `f32`, so the sums that form them are exact. The
-//!   row is then stored channel-major in runs of `ph`. The body is compiled
-//!   per instantiation (`per_isa!`).
-//! * [`maxpool2d_backward`] keeps its zero-fill and one assignment per
-//!   delta, compiled per instantiation, which converts the indices in
-//!   fewer instructions.
+//! * [`maxpool2d_forward`] pools each plane's windows directly: a window is
+//!   seeded with its first element and takes the others in window order,
+//!   row by row, by a select on strict `>`, exactly where the scalar branch
+//!   takes them, so ties keep the earliest element (`-0.0` against `0.0`
+//!   included) and a window whose first element is NaN keeps it and its
+//!   index. At `pool = 2` each output row reads its two input rows as pairs
+//!   and forms the index once, from an offset into the window, in `i32`
+//!   (exact below 2^24, which the kernel asserts); that loop runs at vector
+//!   width. The body is compiled per instantiation (`per_isa!`).
+//! * [`maxpool2d_backward`] zero-fills each plane and assigns each delta
+//!   through a checked `get_mut`, whose failure is one cold call that names
+//!   the plane the index escapes; it splits its work by plane, one channel
+//!   of one image each.
 //!
-//! The bias gradient's column sum of the same activations (`colsum` in the
-//! `reduce` module, eight columns wide) adds each row to one
-//! register-width accumulator, in row order.
+//! The bias gradient sums each channel's plane in pixel order (`rowsum` in
+//! the `reduce` module), which is the chain the column sum of the NHWC
+//! activations ran per channel, so its bits are that sum's.
 //!
 //! Time per call at the `cnn_ckpt` shape (50 images of 28x28, `k = 5`, 8
-//! channels, `pool = 2`; `c = 6` is the CLI's default), median of seven
-//! interleaved runs of 200 calls (five at one thread), outside the crate
-//! on a two-vCPU AVX-512 Xeon VM; "before" is the scalar code in
-//! [`crate::naive`]:
+//! channels, `pool = 2`; `c = 6` is the CLI's default), median of 21
+//! rounds of 40 calls, outside the crate on a two-vCPU AVX-512 Xeon VM,
+//! alternating with the same calls on the NHWC code this layout replaced
+//! ("before": pooling in a row buffer laid out like an input row, the
+//! channels of a pixel innermost, then stored channel-major; unpooling per
+//! image; `colsum` of the `28800 x 8` activations):
 //!
 //! | µs per call | before, 2 threads | now, 2 threads | before, 1 | now, 1 |
 //! |---|---|---|---|---|
-//! | `im2col`, `28800 x 25` | 432 | 138 | 868 | 267 |
-//! | `im2col` + conv GEMM `28800x8x25` | 1 122 | 462 | 1 931 | 868 |
-//! | pool forward, `c = 8` | 420 | 128 | 732 | 260 |
-//! | pool forward, `c = 6` | 313 | 93 | 540 | 168 |
-//! | pool forward, `c = 17` | 906 | 243 | 1 585 | 442 |
-//! | pool backward, `c = 8` | 127 | 99 | 223 | 178 |
-//! | `colsum`, `28800 x 8` | 107 | 48 | 106 | 45 |
+//! | pool forward, `c = 8` | 113 | 35 | 154 | 54 |
+//! | pool forward, `c = 6` | 71 | 29 | 116 | 40 |
+//! | unpool, `c = 8` | 76 | 67 | 106 | 89 |
+//! | unpool, `c = 6` | 54 | 51 | 79 | 66 |
+//! | bias sums, `28800 x 8` | 28 | 32 | 28 | 59 |
 //!
-//! The conv GEMM's "now" is the `gemm` module's AVX-512 intrinsics tile
-//! (**The narrow products**): the median of five runs (361–524 and
-//! 644–908 µs) alternating with runs on the safe tile, which read 702
-//! (493–807) and 932 (918–974) µs in them, and 786 and 1 373 µs when
-//! first measured.
+//! Unpooling formatted an `assert!` and converted each index with a
+//! saturating `f32 → usize` cast per delta; the checked `get_mut` keeps the
+//! guarantee that an index cannot escape its plane. The bias sums are
+//! chains of dependent adds in a fixed order, four rows side by side, one
+//! group a thread; on one thread the compiler packs the four chains into
+//! one vector with a shuffle per element, which is why that column lost.
 //!
-//! At one channel the row buffer is 23 lanes, too short for the vector
-//! loop, and pooling runs at the scalar code's speed (55 against 50 µs).
-//! The `colsum` is one chain of 28 800 dependent vector adds, so a second
-//! thread cannot help it.
+//! Earlier, in the NHWC layout, against the scalar code in
+//! [`crate::naive`] (median of seven interleaved runs of 200 calls, five at
+//! one thread): `im2col` of `28800 x 25` 432 → 138 µs at two threads and
+//! 868 → 267 at one; pooling at `c = 8` 420 → 128 and 732 → 260.
 
 use crate::isa::{per_isa, Isa};
 use crate::Par;
 use micdnn_tensor::MatView;
 use rayon::prelude::*;
-use std::cell::Cell;
 
 /// Pooling argmax indices are stored as `f32` in the workspace arena
 /// (every graph buffer is `f32`); the conversion is exact only below
@@ -189,11 +194,12 @@ fn im2col_image(image: &[f32], side: usize, k: usize, out: &mut [f32]) {
 
 /// Non-overlapping max pooling over convolution activations.
 ///
-/// `act` is `(b*oh*oh) x c` (channels as columns, the layout the conv GEMM
-/// writes); `pool` divides `oh`. `out` is `b x (c*ph*ph)` channel-major
-/// per row (`ph = oh / pool`); `idx` (same shape) records each maximum's
-/// flat index into `act` for the backward scatter, stored exactly as
-/// `f32`.
+/// `act` is channel-major, `c x (b*oh*oh)` (the layout the conv GEMM
+/// writes): channel by channel, then image, output row and output column,
+/// so each image's channel is one `oh x oh` plane; `pool` divides `oh`.
+/// `out` is `b x (c*ph*ph)`, channel-major per row (`ph = oh / pool`);
+/// `idx` (same shape) records each maximum's flat index into `act` for the
+/// backward scatter, stored exactly as `f32`.
 ///
 /// Each window is seeded with its first element rather than -inf: the
 /// argmax is the same for finite inputs (strict `>` keeps the earliest
@@ -231,9 +237,9 @@ fn maxpool2d_forward_on(
         pool >= 1 && oh.is_multiple_of(pool),
         "maxpool: {oh} not divisible by {pool}"
     );
-    let ph = oh / pool;
-    let (in_row, out_row) = (oh * oh * c, c * ph * ph);
-    assert_eq!(act.len(), b * in_row, "maxpool: input length mismatch");
+    let (plane, ph) = (oh * oh, oh / pool);
+    let out_row = c * ph * ph;
+    assert_eq!(act.len(), b * c * plane, "maxpool: input length mismatch");
     assert_eq!(out.len(), b * out_row, "maxpool: output length mismatch");
     assert_eq!(idx.len(), b * out_row, "maxpool: index length mismatch");
     assert!(
@@ -245,16 +251,13 @@ fn maxpool2d_forward_on(
         return;
     }
 
-    let geom = PoolGeom { oh, c, pool };
+    // One image's pooled row is its `c` planes, each read from its channel.
     let run = |bi: usize, pooled: &mut [f32], pidx: &mut [f32]| {
-        let img = &act[bi * in_row..(bi + 1) * in_row];
-        let mut state = POOL_STATE.take();
-        if state.len() < 2 * geom.span() {
-            state.resize(2 * geom.span(), 0.0);
+        let planes = pooled.chunks_mut(ph * ph).zip(pidx.chunks_mut(ph * ph));
+        for (ch, (vals, at)) in planes.enumerate() {
+            let base = (ch * b + bi) * plane;
+            pool_plane_on(isa, &act[base..base + plane], base, oh, pool, vals, at);
         }
-        let row = &mut state[..2 * geom.span()];
-        pool_image_on(isa, img, bi * in_row, geom, row, pooled, pidx);
-        POOL_STATE.set(state);
     };
     if par.is_parallel() && b > 1 {
         out.par_chunks_mut(out_row)
@@ -272,110 +275,100 @@ fn maxpool2d_forward_on(
     }
 }
 
-thread_local! {
-    /// This thread's row buffer for [`pool_image`], taken for one image at a
-    /// time, so pooling allocates it once per thread rather than once per
-    /// image. Each output row seeds the buffer from its first window element
-    /// before it reads it, so what it held before is never read.
-    static POOL_STATE: Cell<Vec<f32>> = const { Cell::new(Vec::new()) };
+per_isa! {
+    /// [`pool_plane`] as compiled for `isa`.
+    fn pool_plane_on(
+        plane: &[f32],
+        base: usize,
+        oh: usize,
+        pool: usize,
+        vals: &mut [f32],
+        at: &mut [f32],
+    ) = pool_plane;
 }
 
-/// The shape [`pool_image`] pools: `oh x oh` pixels of `c` channels in
-/// `pool x pool` windows.
-#[derive(Clone, Copy)]
-struct PoolGeom {
+/// Pools one `oh x oh` plane whose first activation has flat index `base`
+/// into its `ph x ph` maxima `vals` and their indices `at` (`ph = oh /
+/// pool`), at 2 by [`pool_pairs`].
+#[inline(always)]
+fn pool_plane(
+    plane: &[f32],
+    base: usize,
     oh: usize,
-    c: usize,
     pool: usize,
-}
-
-impl PoolGeom {
-    /// Lanes of the running maximum: every channel of every pixel from the
-    /// first window's first column to the last window's, `pool - 1` of
-    /// every `pool` pixels carried along unused.
-    fn span(self) -> usize {
-        (self.oh - self.pool + 1) * self.c
+    vals: &mut [f32],
+    at: &mut [f32],
+) {
+    match pool {
+        2 => pool_pairs(plane, base, oh, vals, at),
+        _ => pool_rows(plane, base, oh, pool, vals, at),
     }
 }
 
-per_isa! {
-    /// [`pool_image`] as compiled for `isa`.
-    fn pool_image_on(
-        img: &[f32],
-        base: usize,
-        geom: PoolGeom,
-        state: &mut [f32],
-        pooled: &mut [f32],
-        pidx: &mut [f32],
-    ) = pool_image;
+/// [`pool_rows`] at `pool = 2`, the CNN's: each output row reads its two
+/// input rows as pairs, and a window's four elements are taken in the same
+/// order by the same selects, so the bits are [`pool_rows`]'. The index is
+/// kept as an offset into the window and formed once in `i32`, where this
+/// loop runs at vector width (54 against 163 µs for the general body over
+/// the `cnn_ckpt` batch at one thread).
+#[inline(always)]
+fn pool_pairs(plane: &[f32], base: usize, oh: usize, vals: &mut [f32], at: &mut [f32]) {
+    let ph = oh / 2;
+    let outs = vals.chunks_exact_mut(ph).zip(at.chunks_exact_mut(ph));
+    for (py, (vals, at)) in outs.enumerate() {
+        let top = py * 2 * oh;
+        let (r0, r1) = plane[top..top + 2 * oh].split_at(oh);
+        let (from, oh_i) = ((base + top) as i32, oh as i32);
+        let windows = r0.chunks_exact(2).zip(r1.chunks_exact(2));
+        let outs = vals.iter_mut().zip(at.iter_mut()).zip(windows);
+        for (px, ((v, i), (w0, w1))) in outs.enumerate() {
+            let (mut best, mut off) = (w0[0], 0);
+            for (e, o) in [(w0[1], 1), (w1[0], oh_i), (w1[1], oh_i + 1)] {
+                let gt = e > best;
+                best = if gt { e } else { best };
+                off = if gt { o } else { off };
+            }
+            (*v, *i) = (best, (from + 2 * px as i32 + off) as f32);
+        }
+    }
 }
 
-/// Pools one image whose first activation has flat index `base`, into its
-/// channel-major rows of `pooled` and `pidx`; `state` is `2 * span` floats
-/// of scratch.
-///
-/// One output row at a time, the running maxima sit in a row buffer laid
-/// out like the input row, pixel-major with the `c` channels innermost, so
-/// lane `j` of window element `(wy, wx)` is `img[y*oh*c + wx*c + j]`: each
-/// window element is one contiguous sweep over the buffer, whatever `c`
-/// is, and lane `px*pool*c + ch` ends up holding output `(ch, px)`. Each
-/// lane is seeded with the window's first element and updated in window
-/// order by a select on strict `>`, exactly the scalar branch's outcome.
-/// Beside each maximum the buffer keeps the flat index of its element's
-/// lane 0, and the store adds the lane; both are integers below 2^24, so
-/// every `f32` sum is exact.
+/// [`pool_plane`]'s body: the scalar branch of
+/// [`crate::naive::maxpool2d_forward_ref`] with each output row's input rows
+/// sliced once. Each window is seeded with its first element, then takes
+/// its elements in window order, row by row, each by a select on strict
+/// `>`, so ties keep the earliest element (`-0.0` against `0.0` included)
+/// and a window whose first element is NaN keeps it and its index. The seed
+/// is compared with itself, which never selects.
 #[inline(always)]
-fn pool_image(
-    img: &[f32],
-    base: usize,
-    geom: PoolGeom,
-    state: &mut [f32],
-    pooled: &mut [f32],
-    pidx: &mut [f32],
-) {
-    let PoolGeom { oh, c, pool } = geom;
-    let (ph, row, span) = (oh / pool, oh * c, geom.span());
-    let (best, at) = state.split_at_mut(span);
-    let stride = index_f32(pool * c);
-    for py in 0..ph {
-        for wy in 0..pool {
-            let y = py * pool + wy;
-            for wx in 0..pool {
-                let start = y * row + wx * c;
-                let src = &img[start..start + span];
-                let from = index_f32(base + start);
-                if wy == 0 && wx == 0 {
-                    best.copy_from_slice(src);
-                    at.fill(from);
-                    continue;
-                }
-                for ((m, i), &v) in best.iter_mut().zip(at.iter_mut()).zip(src) {
-                    let gt = v > *m;
-                    *m = if gt { v } else { *m };
-                    *i = if gt { from } else { *i };
+fn pool_rows(plane: &[f32], base: usize, oh: usize, pool: usize, vals: &mut [f32], at: &mut [f32]) {
+    let ph = oh / pool;
+    let outs = vals.chunks_exact_mut(ph).zip(at.chunks_exact_mut(ph));
+    for (py, (vals, at)) in outs.enumerate() {
+        let top = py * pool * oh;
+        let rows = &plane[top..top + pool * oh];
+        for (px, (v, i)) in vals.iter_mut().zip(at.iter_mut()).enumerate() {
+            let first = px * pool;
+            let (mut best, mut best_at) = (rows[first], first);
+            for start in (0..pool).map(|wy| wy * oh + first) {
+                for (e, &x) in (start..).zip(&rows[start..start + pool]) {
+                    let gt = x > best;
+                    best = if gt { x } else { best };
+                    best_at = if gt { e } else { best_at };
                 }
             }
-        }
-        for ch in 0..c {
-            let o = (ch * ph + py) * ph;
-            let (vals, idxs) = (&mut pooled[o..o + ph], &mut pidx[o..o + ph]);
-            let mut lane = index_f32(ch);
-            for px in 0..ph {
-                let j = px * pool * c + ch;
-                vals[px] = best[j];
-                idxs[px] = at[j] + lane;
-                lane += stride;
-            }
+            (*v, *i) = (best, index_f32(base + top + best_at));
         }
     }
 }
 
 /// Backward of [`maxpool2d_forward`]: scatters each pooled delta to its
-/// argmax source position, zero elsewhere.
+/// argmax source position, zero elsewhere, into `dconv` laid out as `act`.
 ///
 /// Windows are non-overlapping (stride == pool), so every target receives
 /// at most one value and the scatter is a plain assignment after the
-/// zero-fill — deterministic at any thread count.
+/// zero-fill — deterministic at any thread count. Work splits by plane,
+/// one channel of one image each.
 #[allow(clippy::too_many_arguments)]
 pub fn maxpool2d_backward(
     par: Par,
@@ -407,47 +400,65 @@ fn maxpool2d_backward_on(
         pool >= 1 && oh.is_multiple_of(pool),
         "unpool: {oh} not divisible by {pool}"
     );
-    let ph = oh / pool;
-    let (in_row, out_row) = (oh * oh * c, c * ph * ph);
-    assert_eq!(dpool.len(), b * out_row, "unpool: delta length mismatch");
-    assert_eq!(idx.len(), b * out_row, "unpool: index length mismatch");
-    assert_eq!(dconv.len(), b * in_row, "unpool: output length mismatch");
+    let (plane, out_plane) = (oh * oh, (oh / pool) * (oh / pool));
+    assert_eq!(
+        dpool.len(),
+        b * c * out_plane,
+        "unpool: delta length mismatch"
+    );
+    assert_eq!(
+        idx.len(),
+        b * c * out_plane,
+        "unpool: index length mismatch"
+    );
+    assert_eq!(dconv.len(), b * c * plane, "unpool: output length mismatch");
+    if plane == 0 {
+        return;
+    }
 
-    let run = |bi: usize, dc: &mut [f32]| {
-        let rows = bi * out_row..(bi + 1) * out_row;
-        unpool_image_on(isa, &dpool[rows.clone()], &idx[rows], bi * in_row, dc);
+    // Plane `i` of `dconv` is channel `i / b` of image `i % b`, whose
+    // pooled deltas are plane `(i % b) * c + i / b` of `dpool`.
+    let run = |i: usize, dc: &mut [f32]| {
+        let o = (i % b * c + i / b) * out_plane;
+        let (dp, pi) = (&dpool[o..o + out_plane], &idx[o..o + out_plane]);
+        unpool_plane_on(isa, dp, pi, i * plane, dc);
     };
-    if par.is_parallel() && b > 1 {
+    if par.is_parallel() && b * c > 1 {
         dconv
-            .par_chunks_mut(in_row)
+            .par_chunks_mut(plane)
             .enumerate()
-            .for_each(|(bi, dc)| run(bi, dc));
+            .for_each(|(i, dc)| run(i, dc));
     } else {
-        for (bi, dc) in dconv.chunks_mut(in_row).enumerate() {
-            run(bi, dc);
+        for (i, dc) in dconv.chunks_mut(plane).enumerate() {
+            run(i, dc);
         }
     }
 }
 
 per_isa! {
-    /// [`unpool_image`] as compiled for `isa`.
-    fn unpool_image_on(dp: &[f32], pi: &[f32], base: usize, dc: &mut [f32]) = unpool_image;
+    /// [`unpool_plane`] as compiled for `isa`.
+    fn unpool_plane_on(dp: &[f32], pi: &[f32], base: usize, dc: &mut [f32]) = unpool_plane;
 }
 
-/// Unpools one image whose first activation has flat index `base`: the
-/// zero-fill, then one assignment per pooled delta.
+/// Unpools one plane whose first activation has flat index `base`: the
+/// zero-fill, then one assignment per pooled delta, through a checked
+/// index whose failure is one cold call.
 #[inline(always)]
-fn unpool_image(dp: &[f32], pi: &[f32], base: usize, dc: &mut [f32]) {
+fn unpool_plane(dp: &[f32], pi: &[f32], base: usize, dc: &mut [f32]) {
     dc.fill(0.0);
-    for (v, at) in dp.iter().zip(pi) {
-        let flat = *at as usize;
-        assert!(
-            flat >= base && flat < base + dc.len(),
-            "unpool: index {flat} escapes image {}",
-            base / dc.len()
-        );
-        dc[flat - base] = *v;
+    for (&v, &at) in dp.iter().zip(pi) {
+        match dc.get_mut((at as usize).wrapping_sub(base)) {
+            Some(d) => *d = v,
+            None => index_escapes(at, base, dc.len()),
+        }
     }
+}
+
+/// The panic of an unpooling index outside its plane.
+#[cold]
+#[inline(never)]
+fn index_escapes(at: f32, base: usize, plane: usize) -> ! {
+    panic!("unpool: index {at} escapes plane {}", base / plane)
 }
 
 /// Naive direct convolution (stride 1, no padding, no bias, no
@@ -455,8 +466,9 @@ fn unpool_image(dp: &[f32], pi: &[f32], base: usize, dc: &mut [f32]) {
 /// path is benchmarked against.
 ///
 /// `x` is `b x (side*side)`, `w` is `c_out x (k*k)` filters, `out` is
-/// `(b*oh*oh) x c_out` — the same layout the GEMM path writes, so outputs
-/// compare elementwise (up to reassociation).
+/// `(b*oh*oh) x c_out` — the layout of the NHWC product `im2col(x)·Wᵀ`, so
+/// those outputs compare elementwise (up to reassociation); the CNN's
+/// channel-major activations are its transpose.
 #[allow(clippy::too_many_arguments)]
 pub fn conv2d_direct(
     par: Par,
@@ -565,12 +577,14 @@ mod tests {
                 for (ph, b) in [(1, 1), (1, 3), (3, 1), (3, 3), (2, 5)] {
                     let oh = pool * ph;
                     let mut act = hostile(b * oh * oh * c, c * 7 + pool * 3 + ph);
-                    // Window (0, 0) of the first image: all NaN in the even
-                    // channels, tied zeros, -0.0 first, in the odd ones.
+                    // Window (0, 0) of the first image, in each channel's
+                    // plane: all NaN in the even channels, tied zeros, -0.0
+                    // first, in the odd ones.
+                    let plane = |ch: usize| ch * b * oh * oh;
                     for (wy, wx, ch) in
                         (0..pool * pool * c).map(|e| (e / (pool * c), e / c % pool, e % c))
                     {
-                        act[(wy * oh + wx) * c + ch] = match (ch % 2, wy + wx) {
+                        act[plane(ch) + wy * oh + wx] = match (ch % 2, wy + wx) {
                             (0, _) => f32::NAN,
                             (_, 0) => -0.0,
                             _ => 0.0,
@@ -587,7 +601,8 @@ mod tests {
                             first.to_bits(),
                             "the oracle's window seed"
                         );
-                        assert_eq!(want_idx[o], index_f32(ch), "the oracle's window seed index");
+                        let seed = index_f32(plane(ch));
+                        assert_eq!(want_idx[o], seed, "the oracle's window seed index");
                     }
                     let delta = ramp(n);
                     let mut want_d = vec![0.0; act.len()];
@@ -619,6 +634,17 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "escapes plane 0")]
+    fn unpool_refuses_an_index_outside_its_plane() {
+        // Two images of two channels of 2x2, pooled whole: image 0's
+        // channel 0 points into image 1's plane of the same channel.
+        let (b, oh, c, pool) = (2, 2, 2, 2);
+        let idx = [4.0, 8.0, 4.0, 12.0];
+        let mut dconv = vec![0.0; b * c * oh * oh];
+        maxpool2d_backward(Par::Seq, &[1.0; 4], &idx, b, oh, c, pool, &mut dconv);
     }
 
     fn ramp(n: usize) -> Vec<f32> {

@@ -15,6 +15,8 @@
 //! as one flat slice, so that rows narrower than a vector (the CNN's eight
 //! channels) still fill it. The value it stores before the sigmoid is the
 //! `v + b` the one-expression form fed to it, so the bits are the same.
+//! [`bias_sigmoid_planes`] is the same body for the CNN's channel-major
+//! activations, whose row `r` (channel `r`'s planes) takes `bias[r]`.
 
 use crate::isa::{per_isa, Isa};
 use crate::{Par, PAR_THRESHOLD};
@@ -25,7 +27,7 @@ use rayon::prelude::*;
 /// separate sigmoid sweep).
 pub(crate) fn add_bias_rows(par: Par, bias: &[f32], c: &mut MatViewMut<'_>) {
     assert_eq!(bias.len(), c.cols(), "add_bias_rows: bias length mismatch");
-    run_rows(par, c, bias.len(), |rows| add_bias_chunk(bias, rows));
+    run_rows(par, c, bias.len(), |_, rows| add_bias_chunk(bias, rows));
 }
 
 /// Fused `c = sigmoid(c + bias)` per row — one sweep, one barrier.
@@ -40,7 +42,9 @@ fn bias_sigmoid_rows_on(isa: Isa, par: Par, bias: &[f32], c: &mut MatViewMut<'_>
         c.cols(),
         "bias_sigmoid_rows: bias length mismatch"
     );
-    run_rows(par, c, bias.len(), |rows| bias_sigmoid_on(isa, bias, rows));
+    run_rows(par, c, bias.len(), |_, rows| {
+        bias_sigmoid_on(isa, bias, rows)
+    });
 }
 
 per_isa! {
@@ -62,6 +66,65 @@ fn add_bias_chunk(bias: &[f32], rows: &mut [f32]) {
         for (v, &b) in row.iter_mut().zip(bias) {
             *v += b;
         }
+    }
+}
+
+/// Adds `bias[r]` to every element of row `r` of `c`: the CNN's
+/// channel-major activations, whose row `r` is channel `r`'s planes.
+pub(crate) fn add_bias_planes(par: Par, bias: &[f32], c: &mut MatViewMut<'_>) {
+    assert_eq!(bias.len(), c.shape().0, "bias_planes: bias length mismatch");
+    let n = c.cols();
+    run_rows(par, c, 1, |start, block| {
+        add_bias_planes_chunk(bias, n, start, block)
+    });
+}
+
+/// Fused `c = sigmoid(c + bias[r])` on each row `r` of `c`: the bits of
+/// [`bias_sigmoid_rows`] on the transpose, one sweep.
+pub(crate) fn bias_sigmoid_planes(par: Par, bias: &[f32], c: &mut MatViewMut<'_>) {
+    bias_sigmoid_planes_on(Isa::detect(), par, bias, c);
+}
+
+/// [`bias_sigmoid_planes`] on the `isa` instantiation.
+fn bias_sigmoid_planes_on(isa: Isa, par: Par, bias: &[f32], c: &mut MatViewMut<'_>) {
+    assert_eq!(bias.len(), c.shape().0, "bias_planes: bias length mismatch");
+    let n = c.cols();
+    run_rows(par, c, 1, |start, block| {
+        bias_planes_sigmoid_on(isa, bias, n, start, block)
+    });
+}
+
+per_isa! {
+    /// [`bias_planes_sigmoid_chunk`] as compiled for `isa`.
+    fn bias_planes_sigmoid_on(
+        bias: &[f32],
+        n: usize,
+        start: usize,
+        block: &mut [f32],
+    ) = bias_planes_sigmoid_chunk;
+}
+
+/// The block's bias added plane by plane, then the sigmoid over the whole
+/// block.
+#[inline(always)]
+fn bias_planes_sigmoid_chunk(bias: &[f32], n: usize, start: usize, block: &mut [f32]) {
+    add_bias_planes_chunk(bias, n, start, block);
+    crate::vecops::sigmoid_chunk(block);
+}
+
+/// `v += bias[r]` for each element `v` of a block that starts at element
+/// `start` of a matrix of rows `n` wide, `r` being the element's row.
+#[inline(always)]
+fn add_bias_planes_chunk(bias: &[f32], n: usize, start: usize, block: &mut [f32]) {
+    let (mut rest, mut at) = (block, start);
+    while !rest.is_empty() {
+        let (seg, tail) = rest.split_at_mut((n - at % n).min(rest.len()));
+        let b = bias[at / n];
+        for v in seg.iter_mut() {
+            *v += b;
+        }
+        at += seg.len();
+        rest = tail;
     }
 }
 
@@ -195,17 +258,47 @@ pub fn kl_sparsity(rho: f32, beta: f32, rho_hat: &[f32], delta_term: &mut [f32])
     kl
 }
 
-fn run_rows(par: Par, c: &mut MatViewMut<'_>, cols: usize, body: impl Fn(&mut [f32]) + Sync) {
-    if cols == 0 {
+/// Runs `body(start, block)` over `c`'s elements, `start` being the index
+/// of the block's first element: in one block, or, when `par` asks and `c`
+/// holds at least `PAR_THRESHOLD` elements, in blocks of whole `unit`s, at
+/// most `PAR_THRESHOLD` elements each (or one `unit`), side by side.
+fn run_rows(
+    par: Par,
+    c: &mut MatViewMut<'_>,
+    unit: usize,
+    body: impl Fn(usize, &mut [f32]) + Sync,
+) {
+    let slice = c.as_mut_slice();
+    if unit == 0 || slice.is_empty() {
         return;
     }
-    let rows_per_task = (PAR_THRESHOLD / cols).max(1);
-    let slice = c.as_mut_slice();
     if par.is_parallel() && slice.len() >= PAR_THRESHOLD {
-        slice.par_chunks_mut(rows_per_task * cols).for_each(&body);
+        let len = (PAR_THRESHOLD / unit).max(1) * unit;
+        fork_blocks(0, slice, len, &body);
     } else {
-        body(slice);
+        body(0, slice);
     }
+}
+
+/// `body(start, block)` on the two halves of `block` side by side, cut at a
+/// multiple of `len` past `start`, and so on down to blocks of at most
+/// `len`: a tree of `rayon::join`s, which carries each block's start
+/// without an enumerated list of blocks to allocate.
+fn fork_blocks(
+    start: usize,
+    block: &mut [f32],
+    len: usize,
+    body: &(impl Fn(usize, &mut [f32]) + Sync),
+) {
+    if block.len() <= len {
+        return body(start, block);
+    }
+    let mid = (block.len() / 2).next_multiple_of(len);
+    let (lo, hi) = block.split_at_mut(mid);
+    rayon::join(
+        || fork_blocks(start, lo, len, body),
+        || fork_blocks(start + mid, hi, len, body),
+    );
 }
 
 #[cfg(test)]
@@ -254,6 +347,58 @@ mod tests {
                             "{isa:?} {par:?} at {rows}x{cols}"
                         );
                     }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn bias_sigmoid_planes_are_rows_of_the_transpose_on_all_instantiations() {
+        // The CNN's channel-major activations: `rows` channels of `cols`
+        // pixels, each channel's bias added to its plane, against the NHWC
+        // transpose through `bias_sigmoid_rows`, at plane widths that put
+        // the fork's block boundaries mid-plane. As there, a NaN value with
+        // a NaN bias need only give a NaN.
+        let isas =
+            instantiations("bias_sigmoid_planes_are_rows_of_the_transpose_on_all_instantiations");
+        for rows in [1, 6, 8, 13] {
+            let bias = mixed_values(rows, 5);
+            for cols in [1, 17, PAR_THRESHOLD / 3 + 1] {
+                let src = Mat::from_vec(rows, cols, mixed_values(rows * cols, 6)).unwrap();
+                let nan = |r: usize, c: usize| src.row(r)[c].is_nan() && bias[r].is_nan();
+                for &isa in &isas {
+                    for par in [Par::Seq, Par::Rayon] {
+                        let mut want = src.transposed();
+                        bias_sigmoid_rows_on(isa, par, &bias, &mut want.view_mut());
+                        let mut got = src.clone();
+                        bias_sigmoid_planes_on(isa, par, &bias, &mut got.view_mut());
+                        for (r, c) in (0..rows).flat_map(|r| (0..cols).map(move |c| (r, c))) {
+                            let (w, g) = (want.row(c)[r], got.row(r)[c]);
+                            assert!(
+                                if nan(r, c) {
+                                    g.is_nan()
+                                } else {
+                                    w.to_bits() == g.to_bits()
+                                },
+                                "{isa:?} {par:?} {rows}x{cols} at ({r}, {c})"
+                            );
+                        }
+                    }
+                }
+                let (mut two, mut fused) = (src.clone(), src.clone());
+                add_bias_planes(Par::Rayon, &bias, &mut two.view_mut());
+                crate::vecops::sigmoid_inplace(Par::Rayon, two.as_mut_slice());
+                bias_sigmoid_planes(Par::Rayon, &bias, &mut fused.view_mut());
+                for (r, c) in (0..rows).flat_map(|r| (0..cols).map(move |c| (r, c))) {
+                    let (w, g) = (two.row(r)[c], fused.row(r)[c]);
+                    assert!(
+                        if nan(r, c) {
+                            g.is_nan()
+                        } else {
+                            w.to_bits() == g.to_bits()
+                        },
+                        "two passes {rows}x{cols} at ({r}, {c})"
+                    );
                 }
             }
         }

@@ -167,12 +167,25 @@
 //!   row): each k-slab of B is one panel, packed once and read by every row
 //!   of the part;
 //! * a product whose C is one row panel (`m <= MR`) and whose B is stored
-//!   untransposed (or is patches, below), at either tile. Every element of
-//!   B then meets one A panel only too, so packing B cost a pass and saved
-//!   none: B is read where it is stored, per k-slab and `NR` columns, on
-//!   every split, the depth split included. These are the weight gradients
-//!   `dᵀ·x` of a layer with few outputs: the CNN filter gradient (8 rows,
-//!   or 6 at the CLI's default six channels) and the 10-class heads'.
+//!   untransposed (or is patches, either way, below), at either tile. Every
+//!   element of B then meets one A panel only too, so packing B cost a pass
+//!   and saved none: B is read where it is stored, per k-slab, on every
+//!   split, the depth split included. These are the weight gradients `dᵀ·x`
+//!   of a layer with few outputs (the CNN filter gradient, 8 rows, or 6 at
+//!   the CLI's default six channels, and the 10-class heads') and the CNN's
+//!   channel-major forward product (**The patch products**).
+//!
+//! Each k-slab is one call across the `#[target_feature]` boundary
+//! (`Tiles::run`), which walks every column of the part and builds each
+//! column range's `Lanes` as it reaches it. It used to be one call, and one
+//! `Tiles` and `Lanes`, per 32 columns: 900 a slab for an `8 x 28800` C,
+//! which is why `gemm` on a formed `colᵀ` ran the channel-major forward
+//! product at 235–272 µs against 78–112 µs for a dedicated tile in the
+//! same standalone measurement. A tile's finish is a macro
+//! (`finish_tile!`) and not a call: a `#[target_feature]` function cannot
+//! be `#[inline(always)]`, and called once a tile it took the accumulators
+//! through memory, which cost the `28800x8x25` product 50–80 µs of its 275
+//! at one thread.
 //!
 //! The tile walks the part `MR` rows at a time. A run of rows short of
 //! `MR` pads the tile (its rows past the edge re-read the last row), except
@@ -215,35 +228,88 @@
 //!
 //! # The patch products
 //!
-//! The CNN's two convolution products take the image batch itself as an
-//! operand, [`Operand::Patches`]: the `b·o² x k²` matrix `im2col` would
-//! form, whose element `(i, p)` lies at
-//! `x[img·side² + (oy + p/k)·side + ox + p%k]`. Nothing forms it. A matrix
-//! read where it is stored is a pair of axes, each taking an index to an
-//! offset (`Axis`): a stored matrix's rows
-//! and columns lie at strides, the patches' on a grid (`Axis::Grid`: image,
-//! output row and output column; filter row and filter column). The reads
-//! in place above walk those axes (`Walk`): a stride by adding it, a grid
-//! in straight runs (the `o` patches of one output row, the `k` elements of
-//! one filter row) whose wraps settle once a run, outside the loop that
-//! multiplies. Every element of C meets the formed matrix's values in the
-//! same order, so every bit stays; the tests pin both products to `im2col`
-//! then [`gemm`] on every instantiation, sequential and forked by rows and
-//! by depth.
+//! The CNN's two convolution products take the image batch itself as their
+//! B, [`Operand::Patches`]: the `b·o² x k²` matrix `im2col` would form,
+//! whose element `(i, p)` lies at `x[img·side² + (oy + p/k)·side + ox +
+//! p%k]`, or its transpose. Nothing forms it. A matrix read where it is stored is a pair of axes, each
+//! taking an index to an offset (`Axis`): a stored matrix's rows and
+//! columns lie at strides, the patches' on a grid (`Axis::Grid`: pixels by
+//! image, output row and output column; taps by filter row and filter
+//! column). The reads in place above walk those axes (`Walk`): a stride by
+//! adding it, a grid in straight runs (the `o` pixels of one output row, the
+//! `k` taps of one filter row) whose wraps settle once a run, outside the
+//! loop that multiplies. Every element of C meets the formed matrix's
+//! values in the same order, so every bit stays; the tests pin the products
+//! to `im2col` then [`gemm`] on every instantiation, sequential and forked
+//! by rows, by columns and by depth.
 //!
-//! * The forward product `patches(x)·Wᵀ` (`28800x8x25` at `cnn_ckpt`) is
-//!   narrow: its tile broadcasts each element of A from the image.
-//! * The filter gradient `δᵀ·patches(x)` (`8x25x28800`) is one row panel,
+//! The CNN's activations are channel-major, `c x b·o²`, so its products are:
+//!
+//! * The forward product `W·patches(x)ᵀ` (`8x28800x25` at `cnn_ckpt`): C is
+//!   one row panel and B the transposed patches, read in place. Under
+//!   AVX-512 it runs a tile of its own, `pixels_avx512`: `R` rows (6, 8 or
+//!   12, as many as C has or the next above) by `V` vectors of 16
+//!   consecutive pixels (`8 x 48` at eight channels). A tile's pixels lie in
+//!   runs of an output row, one or two to a vector at side 28 and the same
+//!   for every tap, so its `Lanes` are set once a tile; then each tap is one
+//!   merging masked load per run, one broadcast of the packed `alpha·W` per
+//!   row and `R·V` FMAs, the accumulators in registers from the first tap
+//!   of the slab to the finish. Consecutive pixels are consecutive floats of
+//!   the image, so every lane of every vector is a pixel.
+//! * The filter gradient `δ·patches(x)` (`8x25x28800`) is one row panel,
 //!   so its B is read in place, and a row of B, one patch, is `k` runs of
 //!   `k` floats. A vector holds `16 / k` whole runs (15 of its 16 lanes at
 //!   `k = 5`), and each run is one merging masked load (`Lanes`), the loads
 //!   of a vector unrolled; C's row segments are that many columns wide.
+//! * Patches are a B operand only, and A is always a stored matrix, read
+//!   at strides. The NHWC forward product `patches(x)·Wᵀ`, whose A they
+//!   were, left with the NHWC layout.
 //! * Every other patch operand is packed from the images (`pack_walks`):
-//!   on the portable and AVX2 instantiations, and under AVX-512 in a forward
-//!   product wider than a B panel or a filter gradient taller than a row
-//!   panel.
+//!   on the portable and AVX2 instantiations, and under AVX-512 in a
+//!   product taller than a row panel (13 channels or more) or a forward
+//!   product wider than a B panel.
 //! * The scalar rungs ([`crate::Backend::gemm_op`]) form the matrix with
-//!   `im2col` in a temporary first, as they form [`gemm_sgd`]'s gradient.
+//!   `im2col` in a temporary first, and multiply it transposed where the
+//!   operand is, as they form [`gemm_sgd`]'s gradient.
+//!
+//! The forward product's layout was measured through [`gemm_op`]
+//! (`gemm_shapes`, µs per call, median [range] of five runs alternating
+//! with a build of the NHWC step's code, two-vCPU AVX-512 Xeon VM; one
+//! thread is `Par::Seq` at `RAYON_NUM_THREADS=1`, two is `Par::Rayon`):
+//!
+//! | product | 1 thread | 2 threads |
+//! |---|---|---|
+//! | NHWC `patches(x)·Wᵀ`, `28800x8x25`, before | 347 [318–537] | 280 [261–283] |
+//! | channel-major `W·patches(x)ᵀ`, `8x28800x25` | 131 [130–160] | 101 [100–103] |
+//! | NHWC, six channels, `28800x6x25`, before | 338 [323–550] | 276 [183–315] |
+//! | channel-major, six channels, `6x28800x25` | 109 [107–142] | 83 [82–83] |
+//! | filter gradient `δᵀ·patches(x)`, `8x25x28800`, before | 172 [162–263] | 137 [132–141] |
+//! | filter gradient `δ·patches(x)` | 161 [155–216] | 132 [130–137] |
+//!
+//! The NHWC product's C rows are 8 floats, so half of every FMA's lanes
+//! were padding, and its `6 x 16` tile stored its accumulators at every
+//! filter row. The same `8 x 48` tile storing back into NHWC through
+//! register transposes reached only 153–193 µs at one thread in a
+//! standalone measurement, so the layout, not only the tile, is what pays.
+//! The filter gradient reads δ untransposed now, with its B as before.
+//!
+//! `pixels_avx512` is a second intrinsics tile beside `tile_avx512`, which
+//! runs the forward product too when `pixel_tiles` is taken out (through
+//! `Tiles::run`, at `8 x 32`, each element of W broadcast from its
+//! storage). Against it (µs per call, median [range] of seven runs
+//! alternating the two builds, each run the median of 15 rounds of 40
+//! calls, same VM):
+//!
+//! | product | `tile_avx512`, 1 | `pixels_avx512`, 1 | `tile_avx512`, 2 | `pixels_avx512`, 2 |
+//! |---|---|---|---|---|
+//! | `8x28800x25` | 194 [187–337] | 160 [133–204] | 177 [169–193] | 107 [93–112] |
+//! | `6x28800x25` | 188 [161–300] | 135 [107–166] | 140 [101–159] | 88 [84–96] |
+//!
+//! The dedicated tile won all seven pairs of each cell, so it stays. The two
+//! differ in a tile's width (48 pixels against 32), in how A is read (a
+//! packed `alpha·W` against W's storage) and in the depth loop (one loop
+//! over the slab against straight runs of `k` taps); which of these pays
+//! was not measured apart.
 //!
 //! How the filter gradient builds a row of B was measured on the AVX-512
 //! instantiation, single-threaded, against the product on the formed matrix
@@ -265,11 +331,11 @@
 //! comparison, inside the spread between runs, and was left out with the
 //! thread-local buffer it needs.
 //!
-//! Through [`gemm_op`] (`gemm_shapes`, µs per call, median of five runs of
-//! seven rounds alternating with a build that only forms the matrix, the
-//! "before" columns; same VM, one thread is `Par::Seq` at
-//! `RAYON_NUM_THREADS=1`, two is `Par::Rayon`, whose spread between runs
-//! was 20–60 %):
+//! When the patches replaced the formed matrix, in the NHWC layout
+//! (`gemm_shapes`, µs per call, median of five runs of seven rounds
+//! alternating with a build that only formed the matrix, the "before"
+//! columns; same VM, whose spread between runs was 20–60 % at two
+//! threads):
 //!
 //! | product | before, 1 | formed, 1 | patches, 1 | before, 2 | formed, 2 | patches, 2 |
 //! |---|---|---|---|---|---|---|
@@ -554,15 +620,18 @@ pub const GEMM_KC: usize = 256;
 /// constant.
 const MIN_FLOPS_PER_WORKER: usize = 1 << 20;
 
-/// A matrix operand of [`gemm_op`].
+/// The B operand of [`gemm_op`]. Patches are a B operand only: both CNN
+/// products take them on that side (see **The patch products** in the module
+/// docs).
 #[derive(Debug, Clone, Copy)]
 pub enum Operand<'a> {
     /// `op(X)` of a stored row-major matrix: `X`, or `Xᵀ` when the flag is
     /// set.
     Mat(MatView<'a>, bool),
-    /// The patch matrix of a batch of images, read where the images are
-    /// stored (see **The patch products** in the module docs).
-    Patches(Patches<'a>),
+    /// The patch matrix of a batch of images, or its transpose when the flag
+    /// is set, read where the images are stored (see **The patch products**
+    /// in the module docs).
+    Patches(Patches<'a>, bool),
 }
 
 impl<'a> Operand<'a> {
@@ -571,7 +640,8 @@ impl<'a> Operand<'a> {
         match self {
             Operand::Mat(x, false) => x.shape(),
             Operand::Mat(x, true) => (x.cols(), x.rows()),
-            Operand::Patches(p) => p.shape(),
+            Operand::Patches(p, false) => p.shape(),
+            Operand::Patches(p, true) => (p.shape().1, p.shape().0),
         }
     }
 
@@ -586,22 +656,30 @@ impl<'a> Operand<'a> {
                     cols: Axis::Stride(cols),
                 }
             }
-            Operand::Patches(p) => Stored {
-                data: p.x,
-                rows: Axis::Grid {
+            Operand::Patches(p, t) => {
+                // Pixels (image, output row and column) and filter taps
+                // (filter row and column).
+                let pixels = Axis::Grid {
                     o: p.out_side(),
                     side: p.side,
-                },
-                cols: Axis::Grid {
+                };
+                let taps = Axis::Grid {
                     o: p.k,
                     side: p.side,
-                },
-            },
+                };
+                let (rows, cols) = if t { (taps, pixels) } else { (pixels, taps) };
+                Stored {
+                    data: p.x,
+                    rows,
+                    cols,
+                }
+            }
         }
     }
 
-    /// Whether each row of `op(X)` lies in storage as a row of the stored
-    /// matrix does (a `Mat` untransposed, or the patches).
+    /// Whether the columns of each row of `op(X)` lie side by side in
+    /// storage, in runs: a `Mat` untransposed (one run), or the patches
+    /// either way (a filter row of a patch, or an output row of a tap).
     fn row_major(&self) -> bool {
         !matches!(self, Operand::Mat(_, true))
     }
@@ -619,28 +697,22 @@ pub fn gemm(
     beta: f32,
     c: &mut MatViewMut<'_>,
 ) {
-    gemm_op(
-        par,
-        alpha,
-        Operand::Mat(a, ta),
-        Operand::Mat(b, tb),
-        beta,
-        c,
-    );
+    gemm_op(par, alpha, a, ta, Operand::Mat(b, tb), beta, c);
 }
 
-/// [`gemm`] over any two [`Operand`]s: `C = alpha * A * B + beta * C`, the
-/// bits of forming each operand and calling [`gemm`].
+/// [`gemm`] with any [`Operand`] as B: `C = alpha * op(A) * B + beta * C`,
+/// the bits of forming B and calling [`gemm`].
 pub fn gemm_op(
     par: Par,
     alpha: f32,
-    a: Operand<'_>,
+    a: MatView<'_>,
+    ta: bool,
     b: Operand<'_>,
     beta: f32,
     c: &mut MatViewMut<'_>,
 ) {
     let out = Epilogue::Beta(beta);
-    gemm_with(par, alpha, a, b, out, c, BLOCKING, Isa::detect());
+    gemm_with(par, alpha, (a, ta), b, out, c, BLOCKING, Isa::detect());
 }
 
 /// `W = (1 - lr * lambda) * W - lr * G` with `G = alpha * op(A) * op(B)`:
@@ -659,9 +731,9 @@ pub fn gemm_sgd(
     lambda: f32,
     w: &mut MatViewMut<'_>,
 ) {
-    let (a, b) = (Operand::Mat(a, ta), Operand::Mat(b, tb));
     let out = Epilogue::Sgd { lr, lambda };
-    gemm_with(par, alpha, a, b, out, w, BLOCKING, Isa::detect());
+    let b = Operand::Mat(b, tb);
+    gemm_with(par, alpha, (a, ta), b, out, w, BLOCKING, Isa::detect());
 }
 
 /// What a product does with `alpha * op(A) * op(B)`.
@@ -678,14 +750,14 @@ enum Epilogue {
 fn gemm_with(
     par: Par,
     alpha: f32,
-    a: Operand<'_>,
+    (a, ta): (MatView<'_>, bool),
     b: Operand<'_>,
     out: Epilogue,
     c: &mut MatViewMut<'_>,
     blk: GemmBlocking,
     isa: Isa,
 ) {
-    let (m, k) = a.shape();
+    let (m, k) = Operand::Mat(a, ta).shape();
     let (kb, n) = b.shape();
     assert_eq!(k, kb, "gemm: inner dimension mismatch ({k} vs {kb})");
     assert_eq!(c.shape(), (m, n), "gemm: output shape mismatch");
@@ -695,7 +767,7 @@ fn gemm_with(
     let gradient_first = |c: &mut MatViewMut<'_>, lr, lambda| {
         let mut g = vec![0.0; m * n];
         let gv = &mut MatViewMut::new(&mut g, m, n);
-        gemm_with(par, alpha, a, b, Epilogue::Beta(0.0), gv, blk, isa);
+        gemm_with(par, alpha, (a, ta), b, Epilogue::Beta(0.0), gv, blk, isa);
         fused::sgd_step(par, lr, lambda, &g, c.as_mut_slice());
     };
     if m == 0 || n == 0 || k == 0 || alpha == 0.0 {
@@ -748,6 +820,8 @@ fn gemm_with(
     let product = Product {
         alpha,
         a,
+        ta,
+        m,
         b,
         blk,
         isa,
@@ -886,7 +960,11 @@ impl<'c> CPart<'_, 'c> {
 /// Everything about one `alpha * op(A) * op(B)` that its workers share.
 struct Product<'a> {
     alpha: f32,
-    a: Operand<'a>,
+    /// A, stored, and whether the product reads it transposed.
+    a: MatView<'a>,
+    ta: bool,
+    /// The rows of C.
+    m: usize,
     b: Operand<'a>,
     blk: GemmBlocking,
     isa: Isa,
@@ -974,7 +1052,7 @@ impl Product<'_> {
         kernel: impl Fn(&mut CPart<'_, '_>, Block, ABlock<'_>, &[f32]),
     ) {
         let GemmBlocking { mc, kc, nc, .. } = self.blk;
-        let (_, k) = self.a.shape();
+        let (k, _) = self.b.shape();
         let (r0, m) = (part.rows.start, part.rows.len());
         let (c0, n) = (part.cols.start, part.cols.len());
         let depth = part.slabs.start * kc..k.min(part.slabs.end * kc);
@@ -997,17 +1075,17 @@ impl Product<'_> {
                 let kc = kc.min(depth.end - pc);
                 let b_slab = &mut b_pack[..nc.next_multiple_of(NR) * kc];
                 let (j0, j1) = (c0 + jc, c0 + jc + nc);
-                pack_op::<NR>(self.isa, self.b, false, j0, j1, pc, kc, 1.0, b_slab);
+                pack_b::<NR>(self.isa, self.b, j0, j1, pc, kc, b_slab);
                 let mut c = c.slab(s);
                 for ic in (0..m).step_by(mc) {
                     let mc = mc.min(m - ic);
                     let (i0, i1) = (r0 + ic, r0 + ic + mc);
                     let a_blk = if pack_a {
                         let a_blk = &mut a_pack[..mc.next_multiple_of(MR) * kc];
-                        pack_op::<MR>(self.isa, self.a, true, i0, i1, pc, kc, self.alpha, a_blk);
+                        self.pack_a::<MR>(i0, i1, pc, kc, a_blk);
                         ABlock::Packed(a_blk)
                     } else {
-                        ABlock::InPlace(self.a.stored().block(i0, pc), self.alpha)
+                        ABlock::InPlace(self.a_tile(i0, pc, kc))
                     };
                     let block = Block {
                         ic,
@@ -1035,6 +1113,40 @@ impl Product<'_> {
         }
     }
 
+    /// Packs rows `i0..i_end` of `alpha * op(A)` over the depth `pc..pc +
+    /// kc` into `R`-row panels ([`pack_panels`]).
+    fn pack_a<const R: usize>(
+        &self,
+        i0: usize,
+        i_end: usize,
+        pc: usize,
+        kc: usize,
+        out: &mut [f32],
+    ) {
+        let (isa, alpha) = (self.isa, self.alpha);
+        pack_panels::<R>(isa, &self.a, !self.ta, i0, i_end, pc, kc, alpha, out);
+    }
+
+    /// The block of `op(A)` from `(i0, pc)`, `kc` columns deep, read where A
+    /// is stored.
+    fn a_tile(&self, i0: usize, pc: usize, kc: usize) -> ATile<'_> {
+        let ld = self.a.cols();
+        let (rows, cols) = if self.ta { (1, ld) } else { (ld, 1) };
+        ATile {
+            data: &self.a.as_slice()[i0 * rows + pc * cols..],
+            rows: StrideWalk {
+                at: 0,
+                stride: rows,
+            },
+            cols: StrideWalk {
+                at: 0,
+                stride: cols,
+            },
+            span: (kc - 1) * cols,
+            alpha: self.alpha,
+        }
+    }
+
     /// Whether C is one row panel (`m <= MR`) and each row of B lies in
     /// storage as a stored row does (B untransposed, or patches). Then
     /// every element of B meets one A panel only, so a pack would cost a
@@ -1042,30 +1154,30 @@ impl Product<'_> {
     /// where it is stored.
     #[cfg(target_arch = "x86_64")]
     fn b_in_place(&self) -> bool {
-        self.b.row_major() && self.a.shape().0 <= self.tile.0
+        self.b.row_major() && self.m <= self.tile.0
     }
 
     /// [`Product::accumulate`] under AVX-512 of a product at most `NR` wide
     /// (the narrow tile) or whose B is read in place
     /// ([`Product::b_in_place`]). Each element of A then meets one B panel
     /// only, so A is read where it is stored. Per k-slab of the part, B is
-    /// read in place or packed into its one panel, and per `NR` columns one
-    /// run of [`tile_avx512`]s down the part's rows adds into C.
+    /// read in place or packed into its one panel, and one call of
+    /// [`Tiles::run`] adds the slab into every column of the part.
     #[cfg(target_arch = "x86_64")]
     fn accumulate_in_place(&self, part: Part, mut c: CPart<'_, '_>) {
         const NARROW: usize = TILE_ZMM_NARROW.1;
-        let (kc, nr) = (self.blk.kc, self.tile.1);
-        let (_, k) = self.a.shape();
+        let kc = self.blk.kc;
+        let (k, _) = self.b.shape();
         let (r0, m) = (part.rows.start, part.rows.len());
         let (c0, n) = (part.cols.start, part.cols.len());
         let depth = part.slabs.start * kc..k.min(part.slabs.end * kc);
         let b_in_place = self.b_in_place();
-        // A vector of B holds 16 columns, but whole filter rows of patches.
+        // A vector of B holds 16 columns, but whole filter rows of a patch.
         let width = match self.b {
-            Operand::Patches(x) if b_in_place && x.k <= 16 => 16 / x.k * x.k,
+            Operand::Patches(x, false) if b_in_place && x.k <= 16 => 16 / x.k * x.k,
             _ => 16,
         };
-        let (a_buf, mut b_buf) = PACK_BUFFERS.take();
+        let (mut a_buf, mut b_buf) = PACK_BUFFERS.take();
         // A product that packs B here is at most `NARROW` wide: one panel.
         let b_len = if b_in_place {
             0
@@ -1075,33 +1187,64 @@ impl Product<'_> {
         let b_pack = lend(&mut b_buf, b_len);
         for (s, pc) in depth.clone().step_by(kc).enumerate() {
             let kc = kc.min(depth.end - pc);
+            if let (true, Operand::Patches(_, true)) = (b_in_place, self.b) {
+                let (slab, at) = ((pc, kc), (r0, m, c0, n));
+                let (a_buf, c, finish) = (&mut a_buf, &mut c.slab(s), self.finish(s));
+                match m {
+                    0..=6 => self.pixel_tiles::<6, 4>(a_buf, slab, at, c, finish),
+                    7..=8 => self.pixel_tiles::<8, 3>(a_buf, slab, at, c, finish),
+                    _ => self.pixel_tiles::<12, 2>(a_buf, slab, at, c, finish),
+                }
+                continue;
+            }
             let b = if b_in_place {
                 self.b.stored().block(pc, c0)
             } else {
                 let b_slab = &mut b_pack[..NARROW * kc];
-                pack_op::<NARROW>(self.isa, self.b, false, c0, c0 + n, pc, kc, 1.0, b_slab);
+                pack_b::<NARROW>(self.isa, self.b, c0, c0 + n, pc, kc, b_slab);
                 InPlace::panel(b_slab, NARROW)
             };
-            let a = self.a.stored().block(r0, pc);
-            let mut c = c.slab(s);
-            let finish = self.finish(s);
-            for j0 in (0..n).step_by(nr / 16 * width) {
-                let cols = (j0, (nr / 16 * width).min(n - j0));
-                let tiles = Tiles {
-                    a,
-                    alpha: self.alpha,
-                    b: b.skip_cols(j0),
-                    kc,
-                    m,
-                    cols,
-                    width,
-                    finish,
-                };
-                // SAFETY: as for `Isa::Avx2Fma` in `accumulate`.
-                unsafe { tiles.run(nr == NARROW, &mut c) };
-            }
+            let tiles = Tiles {
+                a: self.a_tile(r0, pc, kc),
+                b,
+                kc,
+                m,
+                n,
+                width,
+                finish: self.finish(s),
+            };
+            // SAFETY: as for `Isa::Avx2Fma` in `accumulate`.
+            unsafe { tiles.run(self.tile == TILE_ZMM_NARROW, &mut c.slab(s)) };
         }
         PACK_BUFFERS.set((a_buf, b_buf));
+    }
+}
+
+#[cfg(target_arch = "x86_64")]
+impl Product<'_> {
+    /// One k-slab `(pc, kc)` of a part `(r0, m, c0, n)` of `alpha * A ·
+    /// patches(x)ᵀ` whose B is read in place: `alpha * A` packed into `R`
+    /// lanes of `a_buf`, then [`pixels_avx512`] at `R x 16V` over the part's
+    /// columns.
+    fn pixel_tiles<const R: usize, const V: usize>(
+        &self,
+        a_buf: &mut Vec<f32>,
+        (pc, kc): (usize, usize),
+        (r0, m, c0, n): (usize, usize, usize, usize),
+        c: &mut CPart<'_, '_>,
+        finish: Finish,
+    ) {
+        let a = lend(a_buf, R * kc);
+        self.pack_a::<R>(r0, r0 + m, pc, kc, a);
+        let b = self.b.stored().block(pc, c0);
+        // SAFETY: as for `Isa::Avx2Fma` in `accumulate`.
+        unsafe {
+            match max_runs(b.cols, 16) {
+                0..=2 => pixels_avx512::<R, V, 2>(a, b, kc, (m, n), c, finish),
+                3..=4 => pixels_avx512::<R, V, 4>(a, b, kc, (m, n), c, finish),
+                _ => pixels_avx512::<R, V, 16>(a, b, kc, (m, n), c, finish),
+            }
+        }
     }
 }
 
@@ -1255,6 +1398,15 @@ struct AnyWalk {
     side: usize,
 }
 
+impl AnyWalk {
+    /// Steps past the next `n` indices, at most [`Walk::straight`].
+    #[cfg(target_arch = "x86_64")]
+    fn advance(&mut self, n: usize) {
+        self.at += n * self.step;
+        self.settle(n);
+    }
+}
+
 impl Walk for AnyWalk {
     #[inline(always)]
     fn straight(&self) -> usize {
@@ -1303,32 +1455,18 @@ impl<'a> InPlace<'a> {
         }
         .block(0, 0)
     }
-
-    /// The block from column `j` on.
-    #[cfg(target_arch = "x86_64")]
-    fn skip_cols(self, j: usize) -> Self {
-        InPlace {
-            data: &self.data[self.cols.offset(j)..],
-            cols: AxisFrom {
-                from: self.cols.from + j,
-                ..self.cols
-            },
-            ..self
-        }
-    }
 }
 
-/// One column range of one k-slab of a product under AVX-512, with A (and
-/// B, or its packed panel) read in place: [`tile_avx512`]s down the `m`
-/// rows, `cols = (j0, nr)` of C.
+/// One k-slab of a part of a product under AVX-512, with A (and B, or its
+/// packed panel) read in place: [`tile_avx512`]s over the `m` rows and `n`
+/// columns of the part.
 #[cfg(target_arch = "x86_64")]
 struct Tiles<'a> {
-    a: InPlace<'a>,
-    alpha: f32,
+    a: ATile<'a>,
     b: InPlace<'a>,
     kc: usize,
     m: usize,
-    cols: (usize, usize),
+    n: usize,
     /// Columns of B to a vector ([`Lanes`]).
     width: usize,
     finish: Finish,
@@ -1336,58 +1474,58 @@ struct Tiles<'a> {
 
 #[cfg(target_arch = "x86_64")]
 impl Tiles<'_> {
-    /// Runs the tiles at the narrow `6 x 16` or at `12 x 32`, on the walks
-    /// the operands' axes take: a stored matrix's strides, or the patches'
-    /// grid.
+    /// Runs the tiles at the narrow `6 x 16` or at `12 x 32`, on the walk
+    /// B's rows take: a stored matrix's stride, or the patches' grid. One
+    /// call covers every column of the slab, so each range of columns costs
+    /// its [`Lanes`], not a call across the feature boundary.
     #[target_feature(enable = "avx512f,avx2,fma")]
     fn run(&self, narrow: bool, c: &mut CPart<'_, '_>) {
-        let a_span = self.a.cols.offset(self.kc - 1);
         let b_rows = self.b.rows.offset(self.kc - 1);
-        let lanes = Lanes::new(self.b.cols, self.cols.1, self.width);
         macro_rules! go {
-            ($ar:expr, $ac:expr, $br:expr, $runs:expr) => {{
-                let a = ATile {
-                    data: self.a.data,
-                    rows: $ar,
-                    cols: $ac,
-                    span: a_span,
-                    alpha: self.alpha,
-                };
-                let b = BTile {
+            ($br:expr, $runs:expr) => {{
+                let b = BSlab {
                     data: self.b.data,
                     rows: $br,
                     span: b_rows,
-                    lanes,
+                    cols: self.b.cols.any(),
+                    width: self.width,
                 };
-                let (kc, m, cols, finish) = (self.kc, self.m, self.cols, self.finish);
+                let (a, kc, m, n, finish) = (self.a, self.kc, self.m, self.n, self.finish);
                 if narrow {
-                    rows_avx512_narrow::<_, _, _, $runs>(a, b, kc, c, m, cols, finish);
+                    rows_avx512_narrow::<_, $runs>(a, b, kc, c, m, n, finish);
                 } else {
-                    rows_avx512::<_, _, _, $runs>(a, b, kc, c, m, cols, finish);
+                    rows_avx512::<_, $runs>(a, b, kc, c, m, n, finish);
                 }
             }};
         }
         // A stored matrix's rows of B lie at a stride and its columns side
         // by side (and so do a packed panel's); the patches' do neither.
-        // The patches' vectors hold at most `16 / k` whole filter rows
-        // each, loaded one masked load per row, the loop unrolled.
-        macro_rules! runs {
-            ($ar:expr, $ac:expr) => {
-                match lanes.counts[0].max(lanes.counts[1]) {
-                    0..=3 => go!($ar, $ac, self.b.rows.any(), 3),
-                    4..=5 => go!($ar, $ac, self.b.rows.any(), 5),
-                    _ => go!($ar, $ac, self.b.rows.any(), 16),
-                }
-            };
-        }
-        match (
-            self.a.rows.strided().zip(self.a.cols.strided()),
-            self.b.rows.strided(),
-        ) {
-            (Some((ar, ac)), Some(br)) => go!(ar, ac, br, 0),
-            (Some((ar, ac)), None) => runs!(ar, ac),
-            (None, Some(br)) => go!(self.a.rows.any(), self.a.cols.any(), br, 0),
-            (None, None) => runs!(self.a.rows.any(), self.a.cols.any()),
+        // Their vectors hold a few runs of columns each (whole filter rows
+        // of a patch, or output rows of a tap), loaded one masked load per
+        // run, the loop unrolled.
+        let Some(br) = self.b.rows.strided() else {
+            match max_runs(self.b.cols, self.width) {
+                0..=3 => go!(self.b.rows.any(), 3),
+                4..=5 => go!(self.b.rows.any(), 5),
+                _ => go!(self.b.rows.any(), 16),
+            }
+            return;
+        };
+        go!(br, 0)
+    }
+}
+
+/// The most runs of side-by-side columns of `cols` a vector of `width`
+/// holds, where every vector starts a whole number of `width`s past the
+/// first column: `width / o` if the first column starts a grid row and
+/// `width` is whole rows, else at most one more than `⌈width / o⌉`.
+#[cfg(target_arch = "x86_64")]
+fn max_runs(cols: AxisFrom, width: usize) -> usize {
+    match cols.axis {
+        Axis::Stride(_) => 1,
+        Axis::Grid { o, .. } => {
+            width.div_ceil(o)
+                + usize::from(!cols.from.is_multiple_of(o) || !width.is_multiple_of(o))
         }
     }
 }
@@ -1426,46 +1564,27 @@ fn scale_c(par: Par, beta: f32, c: &mut MatViewMut<'_>) {
     }
 }
 
-/// Packs lanes `l0..l_end` of `scale * X` over the depth `pc..pc + kc`, as
-/// [`pack_panels`] does, where a lane is a row of an A (`lanes_are_rows`) or
-/// a column of a B. Patches are packed from the images, through
-/// [`pack_walks`].
-#[allow(clippy::too_many_arguments)]
-fn pack_op<const R: usize>(
+/// Packs columns `j0..j_end` of B over the depth `pc..pc + kc` into
+/// `R`-lane panels, as [`pack_panels`] does. Patches are packed from the
+/// images, through [`pack_walks`].
+fn pack_b<const R: usize>(
     isa: Isa,
-    x: Operand<'_>,
-    lanes_are_rows: bool,
-    l0: usize,
-    l_end: usize,
+    b: Operand<'_>,
+    j0: usize,
+    j_end: usize,
     pc: usize,
     kc: usize,
-    scale: f32,
     out: &mut [f32],
 ) {
-    let Operand::Mat(view, t) = x else {
-        let Stored { data, rows, cols } = x.stored();
-        let (lanes, depth) = if lanes_are_rows {
-            (rows, cols)
-        } else {
-            (cols, rows)
-        };
-        let data = &data[lanes.at(l0) + depth.at(pc)..];
+    let Operand::Mat(view, t) = b else {
+        let Stored { data, rows, cols } = b.stored();
+        let data = &data[cols.at(j0) + rows.at(pc)..];
         let walk = |axis, from| AxisFrom { axis, from }.any();
-        let (lanes, depth) = (walk(lanes, l0), walk(depth, pc));
-        pack_walks::<R>(isa, data, lanes, depth, l_end - l0, kc, scale, out);
+        let (lanes, depth) = (walk(cols, j0), walk(rows, pc));
+        pack_walks::<R>(isa, data, lanes, depth, j_end - j0, kc, 1.0, out);
         return;
     };
-    pack_panels::<R>(
-        isa,
-        &view,
-        lanes_are_rows != t,
-        l0,
-        l_end,
-        pc,
-        kc,
-        scale,
-        out,
-    );
+    pack_panels::<R>(isa, &view, t, j0, j_end, pc, kc, 1.0, out);
 }
 
 per_isa! {
@@ -1724,22 +1843,34 @@ struct Block {
 enum ABlock<'a> {
     /// Packed into `MR`-row panels, each p-major, `alpha` applied.
     Packed(&'a [f32]),
-    /// Read where it is stored; element `(i, p)` is `alpha` times the
-    /// block's, the value a pack would have stored.
-    InPlace(InPlace<'a>, f32),
+    /// Read where it is stored.
+    InPlace(ATile<'a>),
 }
 
-/// The A of a run of [`tile_avx512`]s: the slab's block of A from the
-/// part's first row, the walks of its rows and columns, where its last
-/// column lies, and `alpha`.
-#[cfg(target_arch = "x86_64")]
+/// A slab's block of `op(A)` read where A is stored, from its first element
+/// ([`Product::a_tile`]): element `(i, p)` at `data[rows.stride * i +
+/// cols.stride * p]`, times `alpha`, the value a pack would have stored. Its
+/// last column lies `span` past its first.
 #[derive(Clone, Copy)]
-struct ATile<'a, R, C> {
+struct ATile<'a> {
     data: &'a [f32],
-    rows: R,
-    cols: C,
+    rows: StrideWalk,
+    cols: StrideWalk,
     span: usize,
     alpha: f32,
+}
+
+/// The B of [`Tiles::run`]: the slab's block of B (or its packed panel) from
+/// the part's first column, the walks of its rows and its columns, where
+/// its last row lies, and how many columns a vector holds.
+#[cfg(target_arch = "x86_64")]
+#[derive(Clone, Copy)]
+struct BSlab<'a, R> {
+    data: &'a [f32],
+    rows: R,
+    span: usize,
+    cols: AnyWalk,
+    width: usize,
 }
 
 /// The B of a run of [`tile_avx512`]s: the slab's block of B (or its packed
@@ -1751,7 +1882,7 @@ struct BTile<'a, R> {
     data: &'a [f32],
     rows: R,
     span: usize,
-    lanes: Lanes,
+    lanes: Lanes<2, 16>,
 }
 
 /// How a tile loads one row of its `nr` columns of B into its `V` 16-lane
@@ -1760,46 +1891,47 @@ struct BTile<'a, R> {
 /// column, `shift` being that of the lane's run. Columns stored side by side
 /// fill whole vectors (`width` 16) in one run each, at shift 0. A patch row
 /// is one run per filter row, `k` floats, and at `k <= 16` a vector holds
-/// `16 / k` whole runs, so the row takes one masked load per filter row.
+/// `16 / k` whole runs, so the row takes one masked load per filter row. A
+/// tap's row of pixels is one run per output row, `o` floats, so a vector
+/// holds one or two runs where `o >= 15`. A vector holds at most `N` runs;
+/// the runs past its count are `(0, 0)`, a load of no lanes.
 #[cfg(target_arch = "x86_64")]
 #[derive(Clone, Copy)]
-struct Lanes {
+struct Lanes<const V: usize, const N: usize> {
     /// Each vector's runs, `(mask, shift)`: its first `counts[v]`.
-    runs: [[(u16, usize); 16]; 2],
-    counts: [usize; 2],
+    runs: [[(u16, usize); N]; V],
+    counts: [usize; V],
     width: usize,
     /// Where column `nr - 1` lies.
     span: usize,
 }
 
 #[cfg(target_arch = "x86_64")]
-impl Lanes {
-    /// The runs of the `nr` columns of `cols`, `width` to a vector.
-    fn new(cols: AxisFrom, nr: usize, width: usize) -> Lanes {
+impl<const V: usize, const N: usize> Lanes<V, N> {
+    /// The runs of the next `nr` columns `cols` walks to, `width` to a
+    /// vector, past the first of them; `cols` steps past them. It takes a
+    /// step per straight run of the walk, not per column.
+    fn next(cols: &mut AnyWalk, nr: usize, width: usize) -> Self {
         let mut lanes = Lanes {
-            runs: [[(0, 0); 16]; 2],
-            counts: [0; 2],
+            runs: [[(0, 0); N]; V],
+            counts: [0; V],
             width,
-            span: cols.offset(nr - 1),
+            span: 0,
         };
-        if cols.axis == Axis::Stride(1) {
-            for (v, (runs, n)) in lanes.runs.iter_mut().zip(&mut lanes.counts).enumerate() {
-                (runs[0].0, *n) = (lane_mask(nr.saturating_sub(width * v)), 1);
+        let (first, mut t) = (cols.at, 0);
+        while t < nr {
+            // Columns `t..end` lie side by side, `shift` past their index.
+            let end = t + (nr - t).min(cols.straight());
+            let shift = cols.at - first - t;
+            for v in t / width..end.div_ceil(width) {
+                let upto = |j: usize| lane_mask(j.clamp(v * width, (v + 1) * width) - v * width);
+                let (runs, n) = (&mut lanes.runs[v], &mut lanes.counts[v]);
+                runs[*n] = (upto(end) & !upto(t), shift);
+                *n += 1;
             }
-            return lanes;
-        }
-        let mut walk = cols.any();
-        for t in 0..nr {
-            let (v, bit) = (t / width, 1u16 << (t % width));
-            let shift = walk.next_at() - t;
-            let (runs, n) = (&mut lanes.runs[v], &mut lanes.counts[v]);
-            match runs[..*n].last_mut() {
-                Some(run) if run.1 == shift => run.0 |= bit,
-                _ => {
-                    runs[*n] = (bit, shift);
-                    *n += 1;
-                }
-            }
+            lanes.span = cols.at - first + end - t - 1;
+            cols.advance(end - t);
+            t = end;
         }
         lanes
     }
@@ -1820,9 +1952,9 @@ fn macro_kernel_avx512(c: &mut CPart<'_, '_>, block: Block, a: ABlock<'_>, b_pac
     macro_kernel_body::<{ TILE_ZMM.0 }, { TILE_ZMM.1 }>(c, block, a, b_pack);
 }
 
-/// Defines `fn $name(a, b, kc, c, m, cols, finish)`: [`tile_avx512`]s of `V`
-/// vectors per row down the `m` rows of A read in place, `MR` at a time,
-/// each tile's rows where `a.rows` walks to them. A run of `R` rows, `R` one
+/// Defines `fn $name(a, b, kc, c, m, n, finish)`: [`tile_avx512`]s of `V`
+/// vectors per row over the `n` columns of B's slab, `V` vectors' worth at a
+/// time, and down the `m` rows of A read in place, `MR` at a time. A run of `R` rows, `R` one
 /// of `$exact`, is one tile of exactly `R` rows; any other takes the
 /// `MR`-row tile, its rows past the edge padding.
 macro_rules! rows_kernel {
@@ -1830,33 +1962,37 @@ macro_rules! rows_kernel {
         $(#[$attr])*
         #[cfg(target_arch = "x86_64")]
         #[target_feature(enable = "avx512f,avx2,fma")]
-        fn $name<AR: Walk, AC: Walk, BR: Walk, const RUNS: usize>(
-            a: ATile<'_, AR, AC>,
-            b: BTile<'_, BR>,
+        fn $name<BR: Walk, const RUNS: usize>(
+            a: ATile<'_>,
+            b: BSlab<'_, BR>,
             kc: usize,
             c: &mut CPart<'_, '_>,
             m: usize,
-            cols: (usize, usize),
+            n: usize,
             finish: Finish,
         ) {
-            let mut walk = a.rows;
-            for i0 in (0..m).step_by($mr) {
-                // Rows `MR` apart in one straight run settle the walk once.
-                let at: [usize; $mr] = if walk.straight() >= $mr {
-                    let at = std::array::from_fn(|_| walk.step());
-                    walk.settle($mr);
-                    at
-                } else {
-                    std::array::from_fn(|_| walk.next_at())
+            let (step, mut walk_cols) = ($v * b.width, b.cols);
+            for j0 in (0..n).step_by(step) {
+                let nr = step.min(n - j0);
+                let b = BTile {
+                    data: &b.data[walk_cols.at..],
+                    rows: b.rows,
+                    span: b.span,
+                    lanes: Lanes::next(&mut walk_cols, nr, b.width),
                 };
-                let rows = (i0, usize::min($mr, m - i0));
-                match (rows.1, a.alpha == 1.0) {
-                    $(
-                        ($r, true) => tile_avx512::<$r, $v, true, RUNS>(&a, &at, &b, kc, c, rows, cols, finish),
-                        ($r, false) => tile_avx512::<$r, $v, false, RUNS>(&a, &at, &b, kc, c, rows, cols, finish),
-                    )*
-                    (_, true) => tile_avx512::<$mr, $v, true, RUNS>(&a, &at, &b, kc, c, rows, cols, finish),
-                    (_, false) => tile_avx512::<$mr, $v, false, RUNS>(&a, &at, &b, kc, c, rows, cols, finish),
+                let cols = (j0, nr);
+                let mut walk = a.rows;
+                for i0 in (0..m).step_by($mr) {
+                    let at: [usize; $mr] = std::array::from_fn(|_| walk.step());
+                    let rows = (i0, usize::min($mr, m - i0));
+                    match (rows.1, a.alpha == 1.0) {
+                        $(
+                            ($r, true) => tile_avx512::<$r, $v, true, RUNS>(&a, &at, &b, kc, c, rows, cols, finish),
+                            ($r, false) => tile_avx512::<$r, $v, false, RUNS>(&a, &at, &b, kc, c, rows, cols, finish),
+                        )*
+                        (_, true) => tile_avx512::<$mr, $v, true, RUNS>(&a, &at, &b, kc, c, rows, cols, finish),
+                        (_, false) => tile_avx512::<$mr, $v, false, RUNS>(&a, &at, &b, kc, c, rows, cols, finish),
+                    }
                 }
             }
         }
@@ -1873,6 +2009,53 @@ rows_kernel! {
 rows_kernel! {
     /// [`Product::accumulate_in_place`]'s tiles at the narrow `6 x 16`.
     fn rows_avx512_narrow<MR = 6, V = 1>, exact = []
+}
+
+/// Finishes a tile of `R x V` accumulators `$acc` into the rows `r0..r0 +
+/// mr` and columns `j0..j0 + nr` of C, `width` columns to a vector, with the
+/// IEEE operations of [`Finish::row`]. Each row of C is loaded before any is
+/// stored: a masked store to a row narrower than a vector spans the start of
+/// the next row, and a load from there would wait for it to retire. A macro,
+/// so that the accumulators stay in registers into the finish: a function
+/// under `#[target_feature]` cannot be `#[inline(always)]`, and called, it
+/// takes them through memory.
+#[cfg(target_arch = "x86_64")]
+macro_rules! finish_tile {
+    ($acc:ident, $c:expr, ($r0:expr, $mr:expr), ($j0:expr, $nr:expr), $width:expr, $finish:expr) => {{
+        use std::arch::x86_64::{
+            _mm512_add_ps, _mm512_mul_ps, _mm512_set1_ps, _mm512_setzero_ps, _mm512_sub_ps,
+        };
+        let (c, (r0, mr), (j0, nr), width) = (&mut *$c, ($r0, $mr), ($j0, $nr), $width);
+        let zero = _mm512_setzero_ps();
+        for (i, acc_row) in $acc.iter_mut().enumerate().take(mr) {
+            match $finish {
+                Finish::Add => {
+                    let row = &c.row(r0 + i)[j0..j0 + nr];
+                    for (seg, acc) in row.chunks(width).zip(acc_row) {
+                        *acc = add_lanes(seg, *acc);
+                    }
+                }
+                Finish::Store => acc_row
+                    .iter_mut()
+                    .for_each(|acc| *acc = _mm512_add_ps(zero, *acc)),
+                Finish::Raw => {}
+                Finish::Sgd { shrink, lr } => {
+                    let (shrink, lr) = (_mm512_set1_ps(shrink), _mm512_set1_ps(lr));
+                    let row = &c.row(r0 + i)[j0..j0 + nr];
+                    for (seg, acc) in row.chunks(width).zip(acc_row) {
+                        let w = _mm512_mul_ps(shrink, load_lanes(seg));
+                        *acc = _mm512_sub_ps(w, _mm512_mul_ps(lr, _mm512_add_ps(zero, *acc)));
+                    }
+                }
+            }
+        }
+        for (i, acc_row) in $acc.iter().enumerate().take(mr) {
+            let row = &mut c.row(r0 + i)[j0..j0 + nr];
+            for (seg, &acc) in row.chunks_mut(width).zip(acc_row) {
+                store_lanes(seg, acc);
+            }
+        }
+    }};
 }
 
 /// One tile of `R` rows by `V` 16-lane vectors under AVX-512F, added into
@@ -1898,7 +2081,7 @@ rows_kernel! {
 #[target_feature(enable = "avx512f,avx2,fma")]
 #[allow(clippy::too_many_arguments)]
 fn tile_avx512<const R: usize, const V: usize, const ONE: bool, const RUNS: usize>(
-    a: &ATile<'_, impl Walk, impl Walk>,
+    a: &ATile<'_>,
     at: &[usize],
     b: &BTile<'_, impl Walk>,
     kc: usize,
@@ -1908,8 +2091,8 @@ fn tile_avx512<const R: usize, const V: usize, const ONE: bool, const RUNS: usiz
     finish: Finish,
 ) {
     use std::arch::x86_64::{
-        _mm512_add_ps, _mm512_fmadd_ps, _mm512_mask_loadu_ps, _mm512_maskz_loadu_ps, _mm512_mul_ps,
-        _mm512_set1_ps, _mm512_setzero_ps, _mm512_sub_ps,
+        _mm512_fmadd_ps, _mm512_mask_loadu_ps, _mm512_maskz_loadu_ps, _mm512_mul_ps,
+        _mm512_set1_ps, _mm512_setzero_ps,
     };
     let a_tile = &a.data[..at[mr - 1] + a.span + 1];
     let b_tile = &b.data[..b.span + b.lanes.span + 1];
@@ -1920,11 +2103,11 @@ fn tile_avx512<const R: usize, const V: usize, const ONE: bool, const RUNS: usiz
     // Only patches in place load runs, and only they fill vectors short.
     let width = if RUNS > 0 { b.lanes.width } else { 16 };
     let mut acc = [[_mm512_setzero_ps(); V]; R];
-    // The depth in straight runs of both walks, so the wraps are settled
-    // once a run, outside the loop that multiplies.
+    // The depth in straight runs of B's rows, so the wraps are settled once
+    // a run, outside the loop that multiplies (A's columns lie at a stride).
     let mut left = kc;
     while left > 0 {
-        let run = left.min(a_cols.straight()).min(b_rows.straight());
+        let run = left.min(b_rows.straight());
         for _ in 0..run {
             let (col, row) = (a_cols.step(), b_rows.step());
             let mut bv = [_mm512_setzero_ps(); V];
@@ -1966,38 +2149,71 @@ fn tile_avx512<const R: usize, const V: usize, const ONE: bool, const RUNS: usiz
                 }
             }
         }
-        a_cols.settle(run);
         b_rows.settle(run);
         left -= run;
     }
-    for (i, acc_row) in acc.iter_mut().enumerate().take(mr) {
-        let zero = _mm512_setzero_ps();
-        match finish {
-            Finish::Add => {
-                let row = &c.row(r0 + i)[j0..j0 + nr];
-                for (seg, acc) in row.chunks(width).zip(acc_row) {
-                    *acc = add_lanes(seg, *acc);
+    finish_tile!(acc, c, (r0, mr), (j0, nr), width, finish);
+}
+
+/// One k-slab of `alpha * A · patches(x)ᵀ` under AVX-512, C one row panel
+/// of `mr <= R` rows: tiles of `R` rows by `V` vectors of 16 pixels over the
+/// `n` columns of the part, rows past `mr` padding. `a` is the slab's
+/// `alpha * A`, packed `R` lanes to a tap (the value the tile's multiply
+/// would give); `b` is the slab's block of the transposed patches, whose
+/// rows are filter taps and whose columns are pixels. A tile's pixels lie
+/// in runs of an output row ([`Lanes`], at most `RUNS` to a vector) that are
+/// the same for every tap, so the masks and shifts are set once a tile;
+/// then each tap is one merging masked load per run, one broadcast per row
+/// and `R * V` FMAs into accumulators that stay in registers for the slab,
+/// taps ascending: the contract's inner loop.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx2,fma")]
+fn pixels_avx512<const R: usize, const V: usize, const RUNS: usize>(
+    a: &[f32],
+    b: InPlace<'_>,
+    kc: usize,
+    (mr, n): (usize, usize),
+    c: &mut CPart<'_, '_>,
+    finish: Finish,
+) {
+    use std::arch::x86_64::{
+        _mm512_fmadd_ps, _mm512_mask_loadu_ps, _mm512_set1_ps, _mm512_setzero_ps,
+    };
+    let (taps_span, taps) = (b.rows.offset(kc - 1), b.rows.any());
+    let mut pixels = b.cols.any();
+    for j0 in (0..n).step_by(16 * V) {
+        let (from, nr) = (pixels.at, (16 * V).min(n - j0));
+        let lanes = Lanes::<V, RUNS>::next(&mut pixels, nr, 16);
+        let tile = &b.data[from..from + taps_span + lanes.span + 1];
+        let bp = tile.as_ptr();
+        let (mut acc, mut taps) = ([[_mm512_setzero_ps(); V]; R], taps);
+        for ap in a.chunks_exact(R).take(kc) {
+            let row = taps.next_at();
+            let mut bv = [_mm512_setzero_ps(); V];
+            for (v, (x, runs)) in bv.iter_mut().zip(&lanes.runs).enumerate() {
+                for &(mask, shift) in runs {
+                    // SAFETY: `mask` enables the lanes `l` of its run's
+                    // pixels `16 * v + l < nr`, which lie `16 * v + l +
+                    // shift <= lanes.span` past the tile's first, so lane `l`
+                    // reads `tile[row + 16 * v + l + shift]`, and the tap lies
+                    // `row <= taps_span` past the slab's first: every
+                    // active-lane address lies in the checked slice `tile`.
+                    // A run past the vector's count enables no lane and
+                    // reads nothing, and `wrapping_add` forms the base
+                    // without claiming it is in bounds.
+                    *x = unsafe {
+                        _mm512_mask_loadu_ps(*x, mask, bp.wrapping_add(row + 16 * v + shift))
+                    };
                 }
             }
-            Finish::Store => acc_row
-                .iter_mut()
-                .for_each(|acc| *acc = _mm512_add_ps(zero, *acc)),
-            Finish::Raw => {}
-            Finish::Sgd { shrink, lr } => {
-                let (shrink, lr) = (_mm512_set1_ps(shrink), _mm512_set1_ps(lr));
-                let row = &c.row(r0 + i)[j0..j0 + nr];
-                for (seg, acc) in row.chunks(width).zip(acc_row) {
-                    let w = _mm512_mul_ps(shrink, load_lanes(seg));
-                    *acc = _mm512_sub_ps(w, _mm512_mul_ps(lr, _mm512_add_ps(zero, *acc)));
+            for (acc_row, &ai) in acc.iter_mut().zip(ap) {
+                let x = _mm512_set1_ps(ai);
+                for (acc, &b) in acc_row.iter_mut().zip(&bv) {
+                    *acc = _mm512_fmadd_ps(x, b, *acc);
                 }
             }
         }
-    }
-    for (i, acc_row) in acc.iter().enumerate().take(mr) {
-        let row = &mut c.row(r0 + i)[j0..j0 + nr];
-        for (seg, &acc) in row.chunks_mut(width).zip(acc_row) {
-            store_lanes(seg, acc);
-        }
+        finish_tile!(acc, c, (0, mr), (j0, nr), 16, finish);
     }
 }
 
@@ -2093,45 +2309,33 @@ fn macro_kernel_body<const MR: usize, const NR: usize>(
                     add(i0, MR.min(mc - i0), acc);
                 }
             }
-            ABlock::InPlace(a, alpha) => match (a.rows.strided(), a.cols.strided()) {
-                (Some(rows), Some(cols)) => {
-                    in_place_tiles::<MR, NR>(&mut add, a.data, rows, cols, alpha, mc, kc, b_panel)
-                }
-                _ => {
-                    let (rows, cols) = (a.rows.any(), a.cols.any());
-                    in_place_tiles::<MR, NR>(&mut add, a.data, rows, cols, alpha, mc, kc, b_panel)
-                }
-            },
+            ABlock::InPlace(a) => in_place_tiles::<MR, NR>(&mut add, a, mc, kc, b_panel),
         }
     }
 }
 
 /// [`macro_kernel_body`]'s tiles of A read in place against one B panel:
-/// `MR` rows at a time, each tile's rows and columns where the walks reach
-/// them, `alpha` times the stored element, the value a pack would have
-/// stored.
+/// `MR` rows at a time, `alpha` times the stored element, the value a pack
+/// would have stored.
 #[inline(always)]
-#[allow(clippy::too_many_arguments)]
 fn in_place_tiles<const MR: usize, const NR: usize>(
     add: &mut impl FnMut(usize, usize, [[f32; NR]; MR]),
-    data: &[f32],
-    mut rows: impl Walk,
-    cols: impl Walk,
-    alpha: f32,
+    a: ATile<'_>,
     mc: usize,
     kc: usize,
     b_panel: &[f32],
 ) {
+    let mut rows = a.rows;
     for i0 in (0..mc).step_by(MR) {
         let mr = MR.min(mc - i0);
-        let at: [usize; MR] = std::array::from_fn(|_| rows.next_at());
+        let at: [usize; MR] = std::array::from_fn(|_| rows.step());
         // Rows past the edge re-read the last row: their lanes are padding,
         // computed and never stored.
         let at: [usize; MR] = std::array::from_fn(|i| at[i.min(mr - 1)]);
-        let mut cols = cols;
+        let mut cols = a.cols;
         let columns = (0..kc).map(|_| -> [f32; MR] {
-            let col = cols.next_at();
-            std::array::from_fn(|i| alpha * data[at[i] + col])
+            let col = cols.step();
+            std::array::from_fn(|i| a.alpha * a.data[at[i] + col])
         });
         add(i0, mr, micro_kernel::<MR, NR>(columns, b_panel));
     }
@@ -2191,7 +2395,7 @@ mod tests {
         par: Par,
         blk: GemmBlocking,
         alpha: f32,
-        a: Operand<'_>,
+        a: (MatView<'_>, bool),
         b: Operand<'_>,
         beta: f32,
         c0: &Mat,
@@ -2219,7 +2423,7 @@ mod tests {
         beta: f32,
         c0: &Mat,
     ) -> Mat {
-        let (a, b) = (Operand::Mat(a.view(), ta), Operand::Mat(b.view(), tb));
+        let (a, b) = ((a.view(), ta), Operand::Mat(b.view(), tb));
         run_on(isa, par, BLOCKING, alpha, a, b, beta, c0)
     }
 
@@ -2233,7 +2437,7 @@ mod tests {
         beta: f32,
         c0: &Mat,
     ) -> Mat {
-        let (a, b) = (Operand::Mat(a.view(), ta), Operand::Mat(b.view(), tb));
+        let (a, b) = ((a.view(), ta), Operand::Mat(b.view(), tb));
         run_on(isa, Par::Rayon, FORKED, alpha, a, b, beta, c0)
     }
 
@@ -2258,7 +2462,7 @@ mod tests {
         gemm_with(
             par,
             alpha,
-            Operand::Mat(a, ta),
+            (a, ta),
             Operand::Mat(b, tb),
             Epilogue::Beta(beta),
             c,
@@ -2629,16 +2833,7 @@ mod tests {
             min_flops,
             ..BLOCKING
         };
-        gemm_with(
-            par,
-            alpha,
-            Operand::Mat(a, ta),
-            Operand::Mat(b, tb),
-            out,
-            wv,
-            blk,
-            isa,
-        );
+        gemm_with(par, alpha, (a, ta), Operand::Mat(b, tb), out, wv, blk, isa);
         w
     }
 
@@ -3342,45 +3537,45 @@ mod tests {
         x
     }
 
-    /// `patches(x) · Wᵀ` and `δᵀ · patches(x)` read from the images, on
-    /// `isas`, sequential, threaded and forked at every split, against
-    /// [`crate::conv::im2col`] then the same products of the formed matrix
-    /// on the same instantiation, bit for bit, at each `(alpha, beta)`.
+    /// The CNN's forward product `W · patches(x)ᵀ` and its filter gradient
+    /// `δ · patches(x)`, B read from the images, on `isas`, sequential,
+    /// threaded and forked at every split, against [`crate::conv::im2col`]
+    /// then the same products of the formed matrix on the same
+    /// instantiation, bit for bit, at each `(alpha, beta)`.
     fn pin_patch_products(
         isas: &[Isa],
         (k, side, b, c): (usize, usize, usize, usize),
         rng: &mut StdRng,
     ) {
         let x = poisoned_images(b, side, rng);
-        let patches = Operand::Patches(Patches::new(&x, b, side, k));
-        let (rows, kk) = Patches::new(&x, b, side, k).shape();
+        let patches = Patches::new(&x, b, side, k);
+        let (rows, kk) = patches.shape();
         let mut col = Mat::zeros(rows, kk);
         crate::conv::im2col(Par::Seq, &x, b, side, k, col.as_mut_slice());
         let w = random_mat(c, kk, rng);
-        let delta = random_mat(rows, c, rng);
-        // (A, B, formed A, formed B, C0) of the forward and filter-gradient
-        // products.
-        let (act0, gw0) = (random_mat(rows, c, rng), random_mat(c, kk, rng));
+        let delta = random_mat(c, rows, rng);
+        // (A, B, formed B, C0) of the forward product and of the filter
+        // gradient.
+        let (act0, gw0) = (random_mat(c, rows, rng), random_mat(c, kk, rng));
         let products = [
             (
-                patches,
-                Operand::Mat(w.view(), true),
-                Operand::Mat(col.view(), false),
-                Operand::Mat(w.view(), true),
+                w.view(),
+                Operand::Patches(patches, true),
+                Operand::Mat(col.view(), true),
                 &act0,
             ),
             (
-                Operand::Mat(delta.view(), true),
-                patches,
-                Operand::Mat(delta.view(), true),
+                delta.view(),
+                Operand::Patches(patches, false),
                 Operand::Mat(col.view(), false),
                 &gw0,
             ),
         ];
-        for (which, (a, b_op, formed_a, formed_b, c0)) in products.into_iter().enumerate() {
+        for (which, (a, b_op, formed_b, c0)) in products.into_iter().enumerate() {
+            let a = (a, false);
             for (alpha, beta) in [(1.0, 0.0), (1.0, 1.0), (0.7, 0.0), (0.7, 1.0)] {
                 for &isa in isas {
-                    let want = run_on(isa, Par::Seq, BLOCKING, alpha, formed_a, formed_b, beta, c0);
+                    let want = run_on(isa, Par::Seq, BLOCKING, alpha, a, formed_b, beta, c0);
                     for (run, par, blk) in [
                         ("seq", Par::Seq, BLOCKING),
                         ("par", Par::Rayon, BLOCKING),
@@ -3403,13 +3598,19 @@ mod tests {
 
     #[test]
     fn patch_products_bitwise_identical_to_im2col_then_gemm_on_all_instantiations() {
-        // The forward product reads A from the images (the narrow tile's
-        // broadcasts, or the safe tile's at 17 to 32 channels, or the pack
-        // past that), the filter gradient B (a row panel's merged masked
-        // loads, the narrow tile's at k = 3, or the pack past 12 channels,
-        // and every pack of the portable and AVX2 instantiations). The batch
-        // of 50 at side 28 and k = 5 splits its 113 slabs by depth when
-        // forked; the forward product splits by rows.
+        // The forward product reads B from the images:
+        // `pixels_avx512`'s runs of output rows up to 12 channels (tiles of
+        // 6, 8 and 12 rows; one or two runs to a vector at side 28, up to
+        // four at sides 12 and 16), the pack at 13 and 17, and every pack
+        // of the portable and AVX2 instantiations. The filter gradient reads
+        // B too (a row panel's merged masked loads, the narrow tile's at
+        // k = 3, or the pack past 12 channels). Forked, the forward
+        // product splits by columns, at multiples of 32 pixels that fall
+        // mid-image and, at k = 3, mid-output-row (side 28, batch 7: at
+        // pixel 2 368, two into row 91 of 26-pixel rows); the batch of 50 at
+        // side 28 and k = 5 splits the filter gradient's 113 slabs by depth.
+        // At k = 17 the taps take two slabs, the second from the middle of
+        // a filter row, and the 12 pixels of one tile split by depth.
         let isas = instantiations(
             "patch_products_bitwise_identical_to_im2col_then_gemm_on_all_instantiations",
         );
@@ -3417,14 +3618,17 @@ mod tests {
         for k in [3, 5, 7] {
             for side in [12, 16, 28] {
                 for b in [1, 7, 50] {
-                    for c in [1, 6, 8] {
+                    for c in [1, 6, 8, 12] {
                         pin_patch_products(&isas, (k, side, b, c), &mut rng);
                     }
                 }
             }
         }
-        for c in [17, 40] {
+        for c in [13, 17, 40] {
             pin_patch_products(&isas, (5, 12, 3, c), &mut rng);
+        }
+        for c in [1, 6, 8, 13] {
+            pin_patch_products(&isas, (17, 18, 3, c), &mut rng);
         }
     }
 

@@ -110,12 +110,13 @@ pub fn im2col_ref(x: &[f32], b: usize, side: usize, k: usize, col: &mut [f32]) {
     }
 }
 
-/// Scalar non-overlapping max pooling: one output at a time, channel
+/// Scalar non-overlapping max pooling: one output at a time, image
 /// outermost, the window walked row by row with a branch per element. Same
-/// contract as [`crate::conv::maxpool2d_forward`]: each window is seeded
-/// with its first element and a later element wins only if it is strictly
-/// greater, so ties keep the earliest and a window whose first element is
-/// NaN stays NaN, with that element's index.
+/// contract as [`crate::conv::maxpool2d_forward`] (channel-major `act`,
+/// each image's channel one `oh x oh` plane): each window is seeded with its
+/// first element and a later element wins only if it is strictly greater,
+/// so ties keep the earliest and a window whose first element is NaN stays
+/// NaN, with that element's index.
 pub fn maxpool2d_forward_ref(
     act: &[f32],
     b: usize,
@@ -130,8 +131,12 @@ pub fn maxpool2d_forward_ref(
         "maxpool_ref: {oh} not divisible by {pool}"
     );
     let ph = oh / pool;
-    let (in_row, out_row) = (oh * oh * c, c * ph * ph);
-    assert_eq!(act.len(), b * in_row, "maxpool_ref: input length mismatch");
+    let (plane, out_row) = (oh * oh, c * ph * ph);
+    assert_eq!(
+        act.len(),
+        b * c * plane,
+        "maxpool_ref: input length mismatch"
+    );
     assert_eq!(
         out.len(),
         b * out_row,
@@ -144,21 +149,18 @@ pub fn maxpool2d_forward_ref(
         act.len()
     );
     for bi in 0..b {
-        let img = &act[bi * in_row..(bi + 1) * in_row];
         for ch in 0..c {
+            let base = (ch * b + bi) * plane;
             for py in 0..ph {
                 for px in 0..ph {
-                    let first = (py * pool * oh + px * pool) * c + ch;
-                    let mut best = img[first];
-                    let mut best_at = bi * in_row + first;
+                    let first = base + py * pool * oh + px * pool;
+                    let (mut best, mut best_at) = (act[first], first);
                     for wy in 0..pool {
-                        let y = py * pool + wy;
                         for wx in 0..pool {
-                            let x = px * pool + wx;
-                            let flat = (y * oh + x) * c + ch;
-                            if img[flat] > best {
-                                best = img[flat];
-                                best_at = bi * in_row + flat;
+                            let flat = base + (py * pool + wy) * oh + px * pool + wx;
+                            if act[flat] > best {
+                                best = act[flat];
+                                best_at = flat;
                             }
                         }
                     }
@@ -172,8 +174,8 @@ pub fn maxpool2d_forward_ref(
 }
 
 /// Scalar backward of [`maxpool2d_forward_ref`]: zero-fills `dconv`, then
-/// writes each pooled delta at its argmax. Same contract as
-/// [`crate::conv::maxpool2d_backward`].
+/// writes each pooled delta at its argmax, which must lie in the delta's
+/// own plane. Same contract as [`crate::conv::maxpool2d_backward`].
 pub fn maxpool2d_backward_ref(
     dpool: &[f32],
     idx: &[f32],
@@ -187,30 +189,36 @@ pub fn maxpool2d_backward_ref(
         pool >= 1 && oh.is_multiple_of(pool),
         "unpool_ref: {oh} not divisible by {pool}"
     );
-    let ph = oh / pool;
-    let (in_row, out_row) = (oh * oh * c, c * ph * ph);
+    let (plane, out_plane) = (oh * oh, (oh / pool) * (oh / pool));
     assert_eq!(
         dpool.len(),
-        b * out_row,
+        b * c * out_plane,
         "unpool_ref: delta length mismatch"
     );
-    assert_eq!(idx.len(), b * out_row, "unpool_ref: index length mismatch");
+    assert_eq!(
+        idx.len(),
+        b * c * out_plane,
+        "unpool_ref: index length mismatch"
+    );
     assert_eq!(
         dconv.len(),
-        b * in_row,
+        b * c * plane,
         "unpool_ref: output length mismatch"
     );
     dconv.fill(0.0);
     for bi in 0..b {
-        let base = bi * in_row;
-        let rows = bi * out_row..(bi + 1) * out_row;
-        for (v, at) in dpool[rows.clone()].iter().zip(&idx[rows]) {
-            let flat = *at as usize;
-            assert!(
-                flat >= base && flat < base + in_row,
-                "unpool_ref: index {flat} escapes image {bi}"
-            );
-            dconv[flat] = *v;
+        for ch in 0..c {
+            let base = (ch * b + bi) * plane;
+            let o = (bi * c + ch) * out_plane;
+            for (v, at) in dpool[o..o + out_plane].iter().zip(&idx[o..o + out_plane]) {
+                let flat = *at as usize;
+                assert!(
+                    flat >= base && flat < base + plane,
+                    "unpool_ref: index {flat} escapes plane {}",
+                    ch * b + bi
+                );
+                dconv[flat] = *v;
+            }
         }
     }
 }

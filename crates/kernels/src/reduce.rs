@@ -66,6 +66,54 @@ pub(crate) fn colsum(par: Par, a: MatView<'_>, out: &mut [f32]) {
     }
 }
 
+/// Row sums of an `m x n` matrix into `out` (length `m`): each row summed
+/// in column order from `+0.0`, one add at a time, which is the chain
+/// [`colsum`] runs for each column of the transpose, so the bits are its.
+/// The CNN's channel-major bias gradient sums each channel's plane so. Rows
+/// go [`ROW_CHAINS`] at a time, one column of them per step, so that their
+/// chains of dependent adds run side by side; a group short of
+/// `ROW_CHAINS` rows re-reads its last row in the others (computed, never
+/// stored). Threaded, the groups split between two halves of the rows by
+/// `rayon::join`, which allocates nothing.
+pub(crate) fn rowsum(par: Par, a: MatView<'_>, out: &mut [f32]) {
+    assert_eq!(out.len(), a.rows(), "rowsum: out length mismatch");
+    let (m, n) = a.shape();
+    if n == 0 {
+        out.fill(0.0);
+        return;
+    }
+    if par.is_parallel() && m > ROW_CHAINS && m * n >= PAR_THRESHOLD {
+        let mid = (m / 2).next_multiple_of(ROW_CHAINS);
+        let (top, bottom) = a.as_slice().split_at(mid * n);
+        let (o0, o1) = out.split_at_mut(mid);
+        rayon::join(
+            || rowsum(par, MatView::new(top, mid, n), o0),
+            || rowsum(par, MatView::new(bottom, m - mid, n), o1),
+        );
+        return;
+    }
+    for (group, sums) in a
+        .as_slice()
+        .chunks(ROW_CHAINS * n)
+        .zip(out.chunks_mut(ROW_CHAINS))
+    {
+        let last = sums.len() - 1;
+        // Each row sliced to exactly `n`, so no read below is checked.
+        let rows: [&[f32]; ROW_CHAINS] = std::array::from_fn(|i| &group[i.min(last) * n..][..n]);
+        let mut acc = [0.0f32; ROW_CHAINS];
+        for j in 0..n {
+            for (s, row) in acc.iter_mut().zip(&rows) {
+                *s += row[j];
+            }
+        }
+        sums.copy_from_slice(&acc[..sums.len()]);
+    }
+}
+
+/// Rows [`rowsum`] sums side by side: half the CNN's eight channels, so
+/// that each of two threads takes one group.
+const ROW_CHAINS: usize = 4;
+
 /// Squared Frobenius distance `||A - B||_F^2` with f64 accumulation.
 ///
 /// This is the batch reconstruction error both trainers report.
@@ -130,6 +178,36 @@ mod tests {
                     colsum(par, a.view(), &mut fast);
                     let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
                     assert_eq!(bits(&fast), bits(&slow), "{rows} x {cols} {par:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn rowsum_is_colsum_of_the_transpose_bitwise() {
+        // The CNN's per-channel bias gradient: each plane summed in pixel
+        // order is the column sum of the NHWC transpose, bit for bit. The
+        // values' sums round, one row holds a NaN and one only -0.0, and the
+        // row counts fill a group of chains, fall short of one, and pass it,
+        // sequential and split between threads.
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let shapes = [1, 6, 8, 13, 17]
+            .into_iter()
+            .flat_map(|r| [1, 7, 300, 28_800].map(|c| (r, c)));
+        for ((rows, cols), par) in shapes.flat_map(|s| [Par::Seq, Par::Rayon].map(|p| (s, p))) {
+            {
+                let a = Mat::from_fn(rows, cols, |r, c| match (r, c) {
+                    (2, 5) => f32::NAN,
+                    (3, _) => -0.0,
+                    _ => ((r * 31 + c * 7) as f32).sin() * 1e3 + 0.1,
+                });
+                let mut want = vec![7.0f32; rows];
+                colsum(Par::Seq, a.transposed().view(), &mut want);
+                let mut got = vec![7.0f32; rows];
+                rowsum(par, a.view(), &mut got);
+                assert_eq!(bits(&got), bits(&want), "{rows} x {cols} {par:?}");
+                if rows > 3 {
+                    assert_eq!(got[3].to_bits(), 0.0f32.to_bits(), "-0.0 sums to +0.0");
                 }
             }
         }

@@ -102,8 +102,10 @@ fn steady_state_steps_allocate_no_more_than_counted() {
     ];
     println!("allocations per step: {counted:?}");
     // Counted at the change that gave pooling a per-thread row buffer (the
-    // CNN step allocated 50 more, one per image).
-    for ((what, got), most) in counted.into_iter().zip([13, 12, 24]) {
+    // CNN step allocated 50 more, one per image); each is lower since
+    // every bias + sigmoid forks by a tree of `rayon::join`s, which
+    // collects no list of blocks.
+    for ((what, got), most) in counted.into_iter().zip([12, 11, 22]) {
         assert!(
             got <= most,
             "a {what} step allocates {got} times, more than {most}"
