@@ -27,6 +27,10 @@
 //! critical-path schedule. Each builds the graph once, at the scratch's
 //! capacity, keeps it in [`AeScratch`] with the arena its plan lays out
 //! (all the step's buffers) and binds each batch's [`AeState`].
+//!
+//! The same nodes are the forward pass: F1, F2 and COST, which open every
+//! form but the block form, and F1 alone for `encode`. Only runs with update
+//! nodes (U1–U4, GW+U) bind the model exclusively (`NetRef`).
 //! The *block form* is what [`crate::DataParallel`] runs per canonical
 //! block: ρ̂ and the gradients are `Partial` sums, `D2` reads the master
 //! copy's sparsity term, and COST leaves the raw squared error after GB1.
@@ -48,7 +52,7 @@
 
 use crate::autoencoder::{AeCost, AeScratch, SparseAutoencoder};
 use crate::exec::ExecCtx;
-use crate::graph::{BufClass, BufId, GraphRun, NodeSpec, NodeState, TaskGraph, Workspace};
+use crate::graph::{BufClass, BufId, GraphRun, NetRef, NodeSpec, NodeState, TaskGraph, Workspace};
 use crate::layers::{Decl, Emit, Layer, Part, StackBuilder};
 use crate::multidev::{split_at_syncs, BlockGraph, Segment};
 use crate::optim::{Optimizer, Rule};
@@ -81,7 +85,7 @@ impl AeStep<'_> {
 
 /// Mutable state one AE graph run threads through its nodes.
 pub struct AeState<'a> {
-    pub(crate) ae: &'a mut SparseAutoencoder,
+    pub(crate) ae: NetRef<'a, SparseAutoencoder>,
     /// The arena every declared buffer lives in.
     pub(crate) ws: &'a mut Workspace,
     pub(crate) x: MatView<'a>,
@@ -96,7 +100,7 @@ impl<'a> AeState<'a> {
     /// State for one `step` of `ae` on `x` over the arena `ws`,
     /// reconstructing `x` itself.
     pub(crate) fn new(
-        ae: &'a mut SparseAutoencoder,
+        ae: NetRef<'a, SparseAutoencoder>,
         ws: &'a mut Workspace,
         x: MatView<'a>,
         step: AeStep<'a>,
@@ -165,7 +169,15 @@ const NODE_NAMES: [[&str; 6]; 2] = [
 
 impl Half {
     /// This half's `(weights, biases)`.
-    fn params(self, ae: &mut SparseAutoencoder) -> (&mut Mat, &mut Vec<f32>) {
+    fn params(self, ae: &SparseAutoencoder) -> (&Mat, &[f32]) {
+        match self {
+            Half::Enc => (&ae.w1, &ae.b1),
+            Half::Dec => (&ae.w2, &ae.b2),
+        }
+    }
+
+    /// [`Half::params`], writable: for the update nodes alone.
+    fn params_mut(self, ae: &mut SparseAutoencoder) -> (&mut Mat, &mut Vec<f32>) {
         match self {
             Half::Enc => (&mut ae.w1, &mut ae.b1),
             Half::Dec => (&mut ae.w2, &mut ae.b2),
@@ -248,10 +260,10 @@ impl AeHalf {
         let last = part == Part::Biases && (half == Half::Dec) == self.block;
         sb.node(spec, move |ctx, s: &mut AeState<'_>| {
             let lambda = match part {
-                Part::Weights => s.ae.config().weight_decay,
+                Part::Weights => s.ae.get().config().weight_decay,
                 Part::Biases => 0.0,
             };
-            let (w, bias) = half.params(s.ae);
+            let (w, bias) = half.params_mut(s.ae.get_mut());
             let (g, p) = match part {
                 Part::Weights => (s.ws.buf(grad), w.as_mut_slice()),
                 Part::Biases => (s.ws.buf(grad), &mut bias[..]),
@@ -289,14 +301,14 @@ impl AeHalf {
                 let AeStep::Sgd(lr) = s.step else {
                     unreachable!("fused updates are only built for SGD steps")
                 };
-                let (b, lambda) = (s.x.rows(), s.ae.config().weight_decay);
+                let (b, lambda) = (s.x.rows(), s.ae.get().config().weight_decay);
                 let inp = if from_x {
                     s.x
                 } else {
                     MatView::prefix(s.ws.buf(input), b, n_in)
                 };
                 let d = MatView::prefix(s.ws.buf(delta), b, n_out);
-                let (w, _) = half.params(s.ae);
+                let (w, _) = half.params_mut(s.ae.get_mut());
                 let alpha = 1.0 / b as f32;
                 ctx.gemm_sgd(alpha, d, true, inp, false, lr, lambda, &mut w.view_mut());
             },
@@ -368,7 +380,7 @@ impl<'a> Layer<AeState<'a>> for AeHalf {
                         }),
                     move |ctx, s: &mut AeState<'_>| {
                         let b = s.x.rows();
-                        let (w, bias) = half.params(s.ae);
+                        let (w, bias) = half.params(s.ae.get());
                         let (inp, out) = if from_x {
                             (s.x, s.ws.buf_mut(act))
                         } else {
@@ -451,7 +463,7 @@ impl AeHalf {
                 .phase("backward")
                 .ops(move |be, b| vec![be.gemm_cost(b, h, v)]),
             move |ctx, s: &mut AeState<'_>| {
-                let (w2, b) = (s.ae.w2.view(), s.x.rows());
+                let (w2, b) = (s.ae.get().w2.view(), s.x.rows());
                 let [d3, d2] = s.ws.bufs_mut([delta3, delta2]);
                 let (d3, mut d2) = (MatView::prefix(d3, b, v), MatViewMut::prefix(d2, b, h));
                 ctx.gemm(1.0, d3, false, w2, false, 0.0, &mut d2);
@@ -547,7 +559,7 @@ impl<'a> Layer<AeState<'a>> for AeSparsity {
                 .exclusive()
                 .phase("backward"),
             move |_ctx, s: &mut AeState<'_>| {
-                let cfg = *s.ae.config();
+                let cfg = *s.ae.get().config();
                 let [rho, st] = s.ws.bufs_mut([rho_hat, s_term]);
                 s.cost.sparsity_penalty = if cfg.sparsity_weight > 0.0 {
                     // kl_sparsity returns the raw KL sum; the objective's
@@ -587,7 +599,7 @@ impl<'a> Layer<AeState<'a>> for AeCostProbe {
                 .phase("backward")
                 .ops(move |be, b| vec![be.reduce_cost(b, v)]),
             move |ctx, s: &mut AeState<'_>| {
-                let (ae, b) = (&*s.ae, s.x.rows());
+                let (ae, b) = (s.ae.get(), s.x.rows());
                 let sq = ctx.frob_dist_sq(MatView::prefix(s.ws.buf(a3), b, v), s.x);
                 if block {
                     s.cost.reconstruction = sq;
@@ -702,6 +714,25 @@ pub(crate) fn ae_graph<'a>(
     sb.finish()
 }
 
+/// The encoder's forward pass alone for batches of `b` rows: the step's
+/// `F1` into the `Pinned` code `a2`, its arena's one register.
+pub(crate) fn encoder_graph<'a>(v: usize, h: usize, b: usize) -> TaskGraph<'static, AeState<'a>> {
+    let mut sb = StackBuilder::forward_only();
+    let enc = AeHalf {
+        half: Half::Enc,
+        n_visible: v,
+        n_hidden: h,
+        b,
+        update: AeUpdate::None,
+        block: false,
+    };
+    sb.bind_global_dims("x", "x", &[b, v], BufClass::External);
+    sb.declare(&enc, Decl::Params);
+    sb.declare(&enc, Decl::Acts);
+    sb.emit(&enc, Emit::Forward);
+    sb.finish()
+}
+
 impl BlockGraph for SparseAutoencoder {
     fn split(&self) -> (Vec<Segment>, usize) {
         let cfg = self.config();
@@ -710,7 +741,7 @@ impl BlockGraph for SparseAutoencoder {
     }
 
     fn run(
-        &mut self,
+        ae: NetRef<'_, Self>,
         ctx: &ExecCtx,
         nodes: Range<usize>,
         scratch: &mut AeScratch,
@@ -721,7 +752,7 @@ impl BlockGraph for SparseAutoencoder {
         let (g, ws) = scratch.prepare(AeUpdate::Sgd, true);
         let mut state = AeState {
             master: block.map(|(_, _, m)| m.step.arena()),
-            ..AeState::new(self, ws, x, AeStep::Sgd(lr))
+            ..AeState::new(ae, ws, x, AeStep::Sgd(lr))
         };
         g.run_range(ctx, &mut state, nodes);
         // The batch's error averages ½‖a3 - x‖² (halving is exact).
@@ -868,6 +899,25 @@ mod tests {
         SparseAutoencoder::new(cfg, 2).cost_and_grad(&ctx, x.view(), &mut scratch);
         let want = build_ae_graph(14, 9, 16, AeUpdate::None).declared_ops(&ctx.backend(), 12);
         assert_eq!(ctx.stop_recording(), want);
+    }
+
+    #[test]
+    fn forward_graph_verifies_clean() {
+        let report = encoder_graph(784, 256, 3000).verify();
+        assert!(report.errors.is_empty(), "{report:?}");
+        assert!(report.warnings.is_empty(), "{report:?}");
+    }
+
+    #[test]
+    #[should_panic(expected = "a model bound shared does not update parameters")]
+    fn shared_binding_refuses_update_nodes() {
+        let cfg = AeConfig::new(14, 9);
+        let (ae, x) = (SparseAutoencoder::new(cfg, 2), tiny_batch(12, 14, 1));
+        let mut g = build_ae_graph(14, 9, 12, AeUpdate::Sgd);
+        let mut ws = Workspace::new(&g.plan());
+        let step = AeStep::Sgd(0.1);
+        let mut state = AeState::new(NetRef::Shared(&ae), &mut ws, x.view(), step);
+        g.run_serial(&ExecCtx::native(OptLevel::Improved, 3), &mut state);
     }
 
     #[test]
@@ -1046,7 +1096,7 @@ mod tests {
                     let step = use_opt
                         .then_some(&mut opt_fresh)
                         .map_or(AeStep::Sgd(0.3), AeStep::Opt);
-                    let mut state = AeState::new(&mut fresh, &mut ws, x, step);
+                    let mut state = AeState::new(NetRef::Exclusive(&mut fresh), &mut ws, x, step);
                     if wave {
                         g.execute(&ctx, &mut state);
                     } else {

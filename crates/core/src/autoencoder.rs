@@ -9,13 +9,14 @@
 //!
 //! Gradients come from batched back-propagation in matrix form — the
 //! formulation whose "inevitable large matrix multiplication" is exactly
-//! what the paper offloads to MKL. All temporaries live in the planned arena
-//! of a reusable [`AeScratch`] (§IV.B: temporaries are "kept permanently to
-//! avoid unnecessary reallocation and release").
+//! what the paper offloads to MKL. All temporaries of a step, and of the
+//! reconstruction error, which runs the step's own forward nodes, live in
+//! the planned arena of a reusable [`AeScratch`] (§IV.B: temporaries are
+//! "kept permanently to avoid unnecessary reallocation and release").
 
-use crate::ae_graph::{ae_graph, AeState, AeStep, AeUpdate};
+use crate::ae_graph::{ae_graph, encoder_graph, AeState, AeStep, AeUpdate};
 use crate::exec::ExecCtx;
-use crate::graph::{GraphRun, KeptGraph, TaskGraph, Workspace};
+use crate::graph::{GraphRun, KeptGraph, NetRef, TaskGraph, Workspace};
 use micdnn_tensor::{GlorotSigmoid, Initializer, Mat, MatView};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -119,6 +120,15 @@ impl AeScratch {
         self.step
             .prepare((update, block), || ae_graph(v, h, cap, update, block))
     }
+
+    /// Checks that `ae` may run on `x` over this scratch.
+    fn check(&self, ae: &SparseAutoencoder, x: MatView<'_>) {
+        let (v, h) = self.dims;
+        assert!(x.rows() > 0, "empty batch");
+        assert!(x.rows() <= self.max_batch, "batch exceeds scratch capacity");
+        let shapes = (x.cols(), ae.cfg.n_visible, ae.cfg.n_hidden);
+        assert_eq!(shapes, (v, v, h), "input dimensionality mismatch");
+    }
 }
 
 /// A sparse autoencoder with tied architecture `v -> h -> v`.
@@ -170,16 +180,9 @@ impl SparseAutoencoder {
         ctx: &ExecCtx,
         wave: bool,
     ) -> (AeCost, Option<GraphRun>) {
-        let (v, h) = scratch.dims;
-        assert!(x.rows() > 0, "empty batch");
-        assert!(
-            x.rows() <= scratch.max_batch,
-            "batch exceeds scratch capacity"
-        );
-        let shapes = (x.cols(), self.cfg.n_visible, self.cfg.n_hidden);
-        assert_eq!(shapes, (v, v, h), "input dimensionality mismatch");
+        scratch.check(self, x);
         let (g, ws) = scratch.prepare(step.update(), false);
-        let mut state = AeState::new(self, ws, x, step);
+        let mut state = AeState::new(NetRef::Exclusive(self), ws, x, step);
         let run = wave.then(|| g.execute(ctx, &mut state));
         if !wave {
             g.run_serial(ctx, &mut state);
@@ -224,20 +227,20 @@ impl SparseAutoencoder {
     }
 
     /// Encodes a batch to hidden activations (the "code" the paper stacks
-    /// into deep networks).
+    /// into deep networks): `F1` alone, whose arena is the code, moved out.
     pub fn encode(&self, ctx: &ExecCtx, x: MatView<'_>) -> Mat {
-        let b = x.rows();
-        let mut a2 = Mat::zeros(b, self.cfg.n_hidden);
-        {
-            let mut v = a2.view_mut();
-            ctx.gemm(1.0, x, false, self.w1.view(), true, 0.0, &mut v);
-            ctx.bias_sigmoid_rows(&self.b1, &mut v);
-        }
-        a2
+        let (b, v, h) = (x.rows(), self.cfg.n_visible, self.cfg.n_hidden);
+        let mut kept = KeptGraph(None);
+        let (g, ws) = kept.prepare(b, || encoder_graph(v, h, b));
+        let mut state = AeState::new(NetRef::Shared(self), ws, x, AeStep::Grads);
+        g.run_serial(ctx, &mut state);
+        kept.take("a2", b, h)
     }
 
     /// Mean per-example reconstruction error `1/m Σ ½‖a3 - x‖²` of one
-    /// forward pass, outside the step graph.
+    /// forward pass: `F1`, `F2` and `COST`, which open every step form, on
+    /// the step graph `scratch` keeps (if none or the block form, the
+    /// gradient-only one), over the model borrowed shared.
     ///
     /// `x` is `b x n_visible` with `b <= scratch.max_batch`.
     pub fn reconstruction_error(
@@ -246,19 +249,16 @@ impl SparseAutoencoder {
         x: MatView<'_>,
         scratch: &mut AeScratch,
     ) -> f64 {
-        let b = x.rows();
-        assert!(b <= scratch.max_batch, "batch exceeds scratch capacity");
-        assert_eq!(
-            x.cols(),
-            self.cfg.n_visible,
-            "input dimensionality mismatch"
-        );
-        // a2 = sigmoid(x W1^T + b1) ; a3 = sigmoid(a2 W2^T + b2)
-        let (a2, mut a3) = (self.encode(ctx, x), Mat::zeros(b, self.cfg.n_visible));
-        let mut a3v = a3.view_mut();
-        ctx.gemm(1.0, a2.view(), false, self.w2.view(), true, 0.0, &mut a3v);
-        ctx.bias_sigmoid_rows(&self.b2, &mut a3v);
-        ctx.frob_dist_sq(a3.view(), x) / (2.0 * b as f64)
+        scratch.check(self, x);
+        let update = match &scratch.step.0 {
+            Some(((update, false), ..)) => *update,
+            _ => AeUpdate::None,
+        };
+        let (g, ws) = scratch.prepare(update, false);
+        let cost = g.names.iter().position(|&n| n == "COST");
+        let mut state = AeState::new(NetRef::Shared(self), ws, x, AeStep::Grads);
+        g.run_range(ctx, &mut state, 0..cost.expect("a COST node") + 1);
+        state.cost.reconstruction
     }
 }
 
@@ -373,7 +373,38 @@ mod tests {
         let mut s = AeScratch::new(&cfg, 5);
         ae.cost_and_grad(&ctx, x.view(), &mut s);
         let code = ae.encode(&ctx, x.view());
-        assert!(micdnn_tensor::max_abs_diff(code.as_slice(), s.step.buf("a2")) < 1e-6);
+        assert_eq!(bits(code.as_slice()), bits(s.step.buf("a2")));
+    }
+
+    fn bits(x: &[f32]) -> Vec<u32> {
+        x.iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn forward_pass_reconstruction_error_is_the_steps_bitwise() {
+        // On a fresh scratch (the gradient-only graph), then on the same
+        // scratch after an SGD step (its kept SGD graph), at a ragged batch.
+        let cfg = AeConfig::new(10, 6);
+        let mut ae = SparseAutoencoder::new(cfg, 4);
+        let ctx = ExecCtx::native(OptLevel::Improved, 0);
+        let x = tiny_batch(7, 10, 5);
+        let mut reference = AeScratch::new(&cfg, 9);
+        let mut cost = |ae: &mut SparseAutoencoder| {
+            let cost = ae.cost_and_grad(&ctx, x.view(), &mut reference);
+            cost.reconstruction.to_bits()
+        };
+        let mut s = AeScratch::new(&cfg, 9);
+        let err = ae.reconstruction_error(&ctx, x.view(), &mut s);
+        assert_eq!(err.to_bits(), cost(&mut ae), "fresh scratch");
+        ae.train_batch(&ctx, x.view(), &mut s, 0.3);
+        let err = ae.reconstruction_error(&ctx, x.view(), &mut s);
+        assert_eq!(err.to_bits(), cost(&mut ae), "kept SGD graph");
+        let kept = s.step.0.as_ref().map(|(key, ..)| *key);
+        assert_eq!(
+            kept,
+            Some((AeUpdate::Sgd, false)),
+            "the SGD graph stays kept"
+        );
     }
 
     #[test]

@@ -38,7 +38,9 @@
 //! the graph once, at the scratch's row capacity, keep it in [`RbmScratch`]
 //! with the arena its plan lays out, and bind each batch through a
 //! [`CdState`], whose rows the node bodies slice to — a ragged tail
-//! included. CD-k's *block form* is what
+//! included. [`Rbm::reconstruction_error`] runs `H1`, `V2` and `RE`, which
+//! open PCD, as a forward graph over the model bound shared (`NetRef`);
+//! only `Vw`, `Vb` and `Vc` take it exclusively. CD-k's *block form* is what
 //! [`crate::DataParallel`] runs per canonical block: the six statistics
 //! are `Partial` sums, sampling nodes draw from master-reserved streams at
 //! the block's global element offset, and RE leaves the raw squared error.
@@ -49,7 +51,7 @@
 //! [`TaskGraph::plan`] folds the two `b x h` buffers into one register.
 
 use crate::exec::ExecCtx;
-use crate::graph::{BufClass, BufId, GraphRun, NodeSpec, NodeState, TaskGraph, Workspace};
+use crate::graph::{BufClass, BufId, GraphRun, NetRef, NodeSpec, NodeState, TaskGraph, Workspace};
 use crate::layers::StackBuilder;
 use crate::multidev::{split_at_syncs, BlockGraph, Segment};
 use crate::rbm::{Rbm, RbmConfig, RbmScratch};
@@ -60,7 +62,7 @@ use std::ops::Range;
 
 /// Mutable state one CD graph run threads through its nodes.
 pub struct CdState<'a> {
-    pub(crate) rbm: &'a mut Rbm,
+    pub(crate) rbm: NetRef<'a, Rbm>,
     /// The arena every declared buffer but the batch, the parameters and
     /// the chain lives in.
     pub(crate) ws: &'a mut Workspace,
@@ -78,7 +80,7 @@ impl<'a> CdState<'a> {
     /// State for one step on the batch `v0` over the arena `ws` and the
     /// chain `chain`, at learning rate `lr`.
     pub(crate) fn new(
-        rbm: &'a mut Rbm,
+        rbm: NetRef<'a, Rbm>,
         ws: &'a mut Workspace,
         chain: &'a mut Mat,
         v0: MatView<'a>,
@@ -110,7 +112,7 @@ impl<'a> CdState<'a> {
             }
         };
         let x = MatView::prefix(x, b, src.2);
-        (&*self.rbm, x, MatViewMut::prefix(y, b, dst.2))
+        (self.rbm.get(), x, MatViewMut::prefix(y, b, dst.2))
     }
 }
 
@@ -144,10 +146,13 @@ impl NodeState for CdState<'_> {
     }
 }
 
+/// The builder of a CD-family graph.
+type CdBuilder<'a> = StackBuilder<CdState<'a>>;
+
 /// A CD-family step under construction. One emitter per node kind, each
 /// taking its source and destination matrices.
 struct Recipe<'a> {
-    sb: StackBuilder<CdState<'a>>,
+    sb: CdBuilder<'a>,
     /// Building the block form (see [`cd_graph`]).
     block: bool,
     /// `(n_visible, n_hidden)`.
@@ -159,12 +164,11 @@ impl<'a> Recipe<'a> {
     /// the parameters, the four chain temporaries (scratch, so the planner
     /// may alias them), then the statistics — pinned, as momentum reads
     /// them after the run (the block form's are partial sums) — and, for
-    /// PCD, the persistent chain. Every sampling node draws through the
-    /// one declared `gibbs` cursor.
-    fn new(v: usize, h: usize, b: usize, pcd: bool, block: bool) -> Self {
+    /// PCD, the persistent chain; samplers draw through one `gibbs` cursor.
+    /// A forward-only `sb` declares no temporary but `h0_prob` and `v1_prob`.
+    fn new(mut sb: CdBuilder<'a>, v: usize, h: usize, b: usize, pcd: bool, block: bool) -> Self {
         use BufClass::{External, Partial, Pinned, Scratch};
-        let stats = if block { Partial } else { Pinned };
-        let mut sb = StackBuilder::new();
+        let (stats, forward) = (if block { Partial } else { Pinned }, sb.is_forward_only());
         sb.declare_rng_cursor("gibbs");
         sb.bind_global_dims("v0", "v0", &[b, v], External);
         for (name, dims, class) in [
@@ -182,7 +186,9 @@ impl<'a> Recipe<'a> {
             ("hid_pos", &[h], stats),
             ("hid_neg", &[h], stats),
         ] {
-            sb.bind_dims(RBM, name, name, dims, class);
+            if !forward || matches!(name, "w" | "b_vis" | "c_hid" | "h0_prob" | "v1_prob") {
+                sb.bind_dims(RBM, name, name, dims, class);
+            }
         }
         if pcd {
             sb.bind_dims(RBM, "chain", "chain", &[b, v], External);
@@ -222,7 +228,8 @@ impl<'a> Recipe<'a> {
             .ops(move |be, b| vec![be.gemm_cost(b, n, k), be.bias_sigmoid_cost(b * n)]);
         self.sb.node(spec, move |ctx, s: &mut CdState<'_>| {
             let (rbm, x, mut out) = s.rows(src, dst);
-            rbm.prop_up(ctx, x, &mut out);
+            ctx.gemm(1.0, x, false, rbm.w.view(), true, 0.0, &mut out);
+            ctx.bias_sigmoid_rows(&rbm.c_hid, &mut out);
         });
     }
 
@@ -238,7 +245,8 @@ impl<'a> Recipe<'a> {
             .ops(move |be, b| vec![be.gemm_cost(b, n, k), be.bias_sigmoid_cost(b * n)]);
         self.sb.node(spec, move |ctx, s: &mut CdState<'_>| {
             let (rbm, h, mut out) = s.rows(src, dst);
-            rbm.prop_down(ctx, h, &mut out);
+            ctx.gemm(1.0, h, false, rbm.w.view(), false, 0.0, &mut out);
+            ctx.bias_sigmoid_rows(&rbm.b_vis, &mut out);
         });
     }
 
@@ -281,6 +289,13 @@ impl<'a> Recipe<'a> {
             let err = ctx.frob_dist_sq(MatView::prefix(s.ws.buf(v1), b, v), s.v0);
             s.recon_err = if per_row { err / b as f64 } else { err };
         });
+    }
+
+    /// The forward pass that opens PCD: `H1`, `V2` from its probabilities, `RE`.
+    fn reconstruct(&mut self) {
+        self.prop_up("H1", "forward", Act::V0, Act::H0Prob);
+        self.prop_down("V2", Act::H0Prob, Act::V1Prob);
+        self.recon_error();
     }
 
     /// Closes the step: sufficient statistics over the negative-phase
@@ -386,7 +401,8 @@ impl<'a> Recipe<'a> {
                 .phase("update")
                 .ops(move |be, _| vec![be.cd_update_cost(n)]);
             sb.node(spec, move |ctx, s: &mut CdState<'_>| {
-                ctx.cd_update(s.lr, s.ws.buf(pos), s.ws.buf(neg), param(s.rbm));
+                let p = param(s.rbm.get_mut());
+                ctx.cd_update(s.lr, s.ws.buf(pos), s.ws.buf(neg), p);
             });
         }
         self.sb.finish()
@@ -422,7 +438,7 @@ pub(crate) fn cd_graph<'a>(
 ) -> TaskGraph<'static, CdState<'a>> {
     use Act::{H0Prob, H0Sample, H1Prob, V1Prob, V0};
     assert!(cd_steps >= 1, "CD needs at least one step");
-    let mut r = Recipe::new(n_visible, n_hidden, b, false, block);
+    let mut r = Recipe::new(StackBuilder::new(), n_visible, n_hidden, b, false, block);
     r.prop_up("H1", "forward", V0, H0Prob);
     r.sample("S1", "forward", 0, H0Prob, H0Sample);
     for step in 0..cd_steps {
@@ -452,12 +468,9 @@ pub fn build_pcd_graph<'a>(
     n_hidden: usize,
     b: usize,
 ) -> TaskGraph<'static, CdState<'a>> {
-    use Act::{Chain, H0Prob, H0Sample, H1Prob, V1Prob, V0};
-    let mut r = Recipe::new(n_visible, n_hidden, b, true, false);
-    // Positive phase and the reported one-step reconstruction error.
-    r.prop_up("H1", "forward", V0, H0Prob);
-    r.prop_down("V2", H0Prob, V1Prob);
-    r.recon_error();
+    use Act::{Chain, H0Sample, H1Prob, V1Prob};
+    let mut r = Recipe::new(StackBuilder::new(), n_visible, n_hidden, b, true, false);
+    r.reconstruct();
     // One Gibbs sweep of the chain, then its hiddens for the statistics.
     r.prop_up("HF", "backward", Chain, H1Prob);
     r.sample("SF", "backward", 0, H1Prob, H0Sample);
@@ -465,6 +478,14 @@ pub fn build_pcd_graph<'a>(
     r.sample("SV", "backward", 1, V1Prob, Chain);
     r.prop_up("H2", "backward", Chain, H1Prob);
     r.finish(Chain)
+}
+
+/// The forward pass alone for batches of `b` rows, over the model borrowed
+/// shared: `H1`, `V2` and `RE`, the three nodes that open the PCD step.
+pub(crate) fn forward_graph<'a>(v: usize, h: usize, b: usize) -> TaskGraph<'static, CdState<'a>> {
+    let mut r = Recipe::new(StackBuilder::forward_only(), v, h, b, false, false);
+    r.reconstruct();
+    r.sb.finish()
 }
 
 impl RbmScratch {
@@ -501,7 +522,7 @@ impl BlockGraph for Rbm {
     }
 
     fn run(
-        &mut self,
+        rbm: NetRef<'_, Self>,
         ctx: &ExecCtx,
         nodes: Range<usize>,
         scratch: &mut RbmScratch,
@@ -509,10 +530,10 @@ impl BlockGraph for Rbm {
         lr: f32,
         block: Option<(usize, &[StreamId], &RbmScratch)>,
     ) -> f64 {
-        let (g, ws, chain) = scratch.prepare(*self.config(), false, true);
+        let (g, ws, chain) = scratch.prepare(*rbm.get().config(), false, true);
         let mut state = CdState {
             block: block.map(|(row0, streams, _)| (row0, streams)),
-            ..CdState::new(self, ws, chain, x, lr)
+            ..CdState::new(rbm, ws, chain, x, lr)
         };
         g.run_range(ctx, &mut state, nodes);
         state.recon_err
@@ -564,7 +585,7 @@ pub(crate) fn run_cd_step(
         scratch.seed_chain(v0);
     }
     let (g, ws, chain) = scratch.prepare(*rbm.config(), pcd, false);
-    let mut state = CdState::new(rbm, ws, chain, v0, lr);
+    let mut state = CdState::new(NetRef::Exclusive(rbm), ws, chain, v0, lr);
     let run = wave.then(|| g.execute(ctx, &mut state));
     if !wave {
         g.run_serial(ctx, &mut state);
@@ -672,7 +693,8 @@ mod tests {
             let mut g = build_pcd_graph(12, 7, hi - lo);
             let mut ws = Workspace::new(&g.plan());
             let chain = &mut s_graph.pcd_chain;
-            let mut state = CdState::new(&mut rbm_graph, &mut ws, chain, v, 0.1);
+            let rbm = NetRef::Exclusive(&mut rbm_graph);
+            let mut state = CdState::new(rbm, &mut ws, chain, v, 0.1);
             g.execute(&ctx_graph, &mut state);
             assert_eq!(e1.to_bits(), state.recon_err.to_bits(), "rows {lo}..{hi}");
         }
@@ -681,6 +703,13 @@ mod tests {
         assert_eq!(rbm_serial.c_hid, rbm_graph.c_hid);
         assert_eq!(s_serial.pcd_chain.as_slice(), s_graph.pcd_chain.as_slice());
         assert_eq!(ctx_serial.rng_state(), ctx_graph.rng_state());
+    }
+
+    #[test]
+    fn forward_graph_verifies_clean() {
+        let report = forward_graph(784, 500, 100).verify();
+        assert!(report.errors.is_empty(), "{report:?}");
+        assert!(report.warnings.is_empty(), "{report:?}");
     }
 
     #[test]
@@ -766,7 +795,8 @@ mod tests {
             build_cd_graph(cfg.n_visible, cfg.n_hidden, b, cfg.cd_steps)
         };
         let mut ws = Workspace::new(&g.plan());
-        let mut state = CdState::new(rbm, &mut ws, &mut scratch.pcd_chain, v, 0.1);
+        let (rbm, chain) = (NetRef::Exclusive(rbm), &mut scratch.pcd_chain);
+        let mut state = CdState::new(rbm, &mut ws, chain, v, 0.1);
         if wave {
             g.execute(ctx, &mut state);
         } else {

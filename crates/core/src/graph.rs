@@ -298,6 +298,33 @@ impl NodeState for () {
     type At<'a> = ();
 }
 
+/// The model a step's nodes run against: shared in a run that only reads it
+/// (a forward graph, a data-parallel block range), exclusive in a training
+/// step, whose update nodes write it.
+pub(crate) enum NetRef<'a, N> {
+    Shared(&'a N),
+    Exclusive(&'a mut N),
+}
+
+impl<N> NetRef<'_, N> {
+    /// The parameters, read-only.
+    pub(crate) fn get(&self) -> &N {
+        match self {
+            NetRef::Shared(net) => net,
+            NetRef::Exclusive(net) => net,
+        }
+    }
+
+    /// The parameters, writable: only an update node asks, and only an
+    /// exclusive binding runs update nodes.
+    pub(crate) fn get_mut(&mut self) -> &mut N {
+        match self {
+            NetRef::Exclusive(net) => net,
+            NetRef::Shared(_) => panic!("a model bound shared does not update parameters"),
+        }
+    }
+}
+
 /// A DAG of named tasks over declared buffers.
 pub struct TaskGraph<'g, S: NodeState> {
     pub(crate) names: Vec<&'static str>,
@@ -1027,6 +1054,14 @@ impl<K: PartialEq, S: NodeState> KeptGraph<K, S> {
     /// The arena storage of the buffer declared as `name`.
     pub(crate) fn buf(&self, name: &str) -> &[f32] {
         self.arena().buf(self.named(name))
+    }
+
+    /// The `rows x cols` buffer declared as `name`, alone in its register,
+    /// moved out of the kept arena without a copy. Empties the slot.
+    pub(crate) fn take(&mut self, name: &str, rows: usize, cols: usize) -> Mat {
+        let (id, (_, _, mut arena)) = (self.named(name), self.0.take().expect("no graph kept"));
+        let register = arena.registers.swap_remove(arena.register(id));
+        register.reshape(rows, cols).expect("a full register")
     }
 
     /// The arena storage of the buffer declared as `name`, mutably.

@@ -16,7 +16,7 @@
 
 use crate::checkpoint::CheckpointModel;
 use crate::exec::ExecCtx;
-use crate::graph::{KeptGraph, NodeState, TaskGraph, Workspace};
+use crate::graph::{KeptGraph, NetRef, NodeState, TaskGraph, Workspace};
 use crate::layers::{argmax_rows, hit_rate, mean_nll, StackBuilder};
 use crate::train::UnsupervisedModel;
 use micdnn_tensor::{Mat, MatView};
@@ -40,33 +40,6 @@ impl<N> StepCache<N> {
         StepCache {
             use_graph,
             prepared: KeptGraph(None),
-        }
-    }
-}
-
-/// The net a step's nodes run against: shared in a forward graph, which
-/// only reads parameters, exclusive in a training step, whose update nodes
-/// write them.
-pub(crate) enum NetRef<'a, N> {
-    Shared(&'a N),
-    Exclusive(&'a mut N),
-}
-
-impl<N> NetRef<'_, N> {
-    /// The parameters, read-only.
-    pub(crate) fn get(&self) -> &N {
-        match self {
-            NetRef::Shared(net) => net,
-            NetRef::Exclusive(net) => net,
-        }
-    }
-
-    /// The parameters, writable: only an update node asks, and only a
-    /// training step emits update nodes.
-    pub(crate) fn get_mut(&mut self) -> &mut N {
-        match self {
-            NetRef::Exclusive(net) => net,
-            NetRef::Shared(_) => panic!("a forward graph does not update parameters"),
         }
     }
 }
@@ -188,9 +161,7 @@ pub trait LabeledNet: Sized + Send + 'static {
         let mut kept = KeptGraph(None);
         let (graph, ws) = kept.prepare(b, || self.forward_graph(b));
         graph.run_serial(ctx, &mut StepState::forward(self, ws, x));
-        let mut probs = Mat::zeros(b, c);
-        probs.as_mut_slice().copy_from_slice(kept.buf("probs"));
-        probs
+        kept.take("probs", b, c)
     }
 
     /// Builds the step graph and its arena for batches up to `cap` rows

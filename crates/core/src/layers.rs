@@ -43,9 +43,10 @@
 //! KL-sparsity block, and the AE's encoder and decoder — one
 //! sigmoid-affine half-layer selected by which half it is, sharing
 //! forward, gradients and one update emitter (SGD or optimizer slot), with
-//! only the two backward deltas written apart. The RBM's CD-k and PCD
-//! recipes (`cd_graph`) need no passes: each block of theirs ran in one,
-//! so they call one emitter per node kind on the builder directly.
+//! only the two backward deltas written apart; `encode` builds the encoder
+//! half alone. The RBM's CD-k, PCD and forward recipes (`cd_graph`) call
+//! one emitter per node kind on the builder, needing no passes. Like
+//! [`StepState`], these states bind the model shared unless a run updates it.
 //!
 //! # Plugging in a new labeled net
 //!

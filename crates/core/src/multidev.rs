@@ -58,7 +58,7 @@ use crate::autoencoder::{AeScratch, SparseAutoencoder};
 use crate::checkpoint::CheckpointModel;
 use crate::exec::ExecCtx;
 use crate::faults;
-use crate::graph::{BufClass, BufId, NodeState, TaskGraph};
+use crate::graph::{BufClass, BufId, NetRef, NodeState, TaskGraph};
 use crate::model_io::{
     bad, read_any_header, read_autoencoder_body, read_rbm_body, read_u64, save_autoencoder,
     save_rbm, write_header, write_u64, TAG_AE, TAG_MDP, TAG_RBM,
@@ -447,10 +447,11 @@ pub(crate) trait BlockGraph: ShardedStep {
     /// Runs `nodes` of the block form kept in `scratch` (built at its
     /// capacity on first use) over the rows `x`: block nodes with `block`
     /// (the block's first row, the step's sampling streams and the master
-    /// copy), master nodes over the master copy. Returns the run's share of
-    /// the batch's error, the sum of the shares over the batch's rows.
+    /// copy) over the model bound shared, master nodes over the master copy
+    /// and the model bound exclusive. Returns the run's share of the
+    /// batch's error, the sum of the shares over the batch's rows.
     fn run(
-        &mut self,
+        model: NetRef<'_, Self>,
         ctx: &ExecCtx,
         nodes: Range<usize>,
         scratch: &mut Self::Scratch,
@@ -633,15 +634,16 @@ impl<M: BlockGraph> UnsupervisedModel for DataParallel<M> {
         for seg in segments {
             match seg {
                 // Device by device; each device's blocks are priced together
-                // into its busy time.
+                // into its busy time. Block nodes only read the model.
                 Segment::Blocks(nodes) => {
                     for &(dev, klo, khi) in &owners {
                         let ((), secs) = ctx.run_deferred(|ctx| {
                             for k in klo..khi {
                                 let (lo, hi) = rows[k];
                                 let block = Some((lo, &streams[..], &*master));
-                                let xk = x.rows_range(lo, hi);
-                                err += model.run(ctx, nodes.clone(), &mut blocks[k], xk, lr, block);
+                                let (xk, model) = (x.rows_range(lo, hi), NetRef::Shared(&*model));
+                                let scratch = &mut blocks[k];
+                                err += M::run(model, ctx, nodes.clone(), scratch, xk, lr, block);
                             }
                         });
                         busy[dev] += secs;
@@ -659,7 +661,8 @@ impl<M: BlockGraph> UnsupervisedModel for DataParallel<M> {
                         ctx.block_merge(&parts, acc);
                         ctx.scale(1.0 / x.rows() as f32, acc);
                     }
-                    model.run(ctx, nodes.clone(), master, x, lr, None);
+                    let model = NetRef::Exclusive(model);
+                    M::run(model, ctx, nodes.clone(), master, x, lr, None);
                 }
             }
         }

@@ -14,10 +14,10 @@
 //! phase, while probabilities are used for the reconstruction phase and for
 //! all statistics.
 
-use crate::cd_graph::{run_cd_step, CdState};
+use crate::cd_graph::{forward_graph, run_cd_step, CdState};
 use crate::exec::ExecCtx;
-use crate::graph::KeptGraph;
-use micdnn_tensor::{Initializer, Mat, MatView, MatViewMut, NormalInit};
+use crate::graph::{KeptGraph, NetRef};
+use micdnn_tensor::{Initializer, Mat, MatView, NormalInit};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -137,30 +137,6 @@ impl Rbm {
         &self.cfg
     }
 
-    /// `p(h = 1 | v) = sigmoid(c + v W^T)` for a batch of visibles
-    /// (paper eq. 9), written into `out` (`b x h`).
-    pub(crate) fn prop_up(&self, ctx: &ExecCtx, v: MatView<'_>, out: &mut MatViewMut<'_>) {
-        assert_eq!(
-            v.cols(),
-            self.cfg.n_visible,
-            "visible dimensionality mismatch"
-        );
-        ctx.gemm(1.0, v, false, self.w.view(), true, 0.0, out);
-        ctx.bias_sigmoid_rows(&self.c_hid, out);
-    }
-
-    /// `p(v = 1 | h) = sigmoid(b + h W)` for a batch of hiddens
-    /// (paper eq. 8), written into `out` (`b x v`).
-    pub(crate) fn prop_down(&self, ctx: &ExecCtx, h: MatView<'_>, out: &mut MatViewMut<'_>) {
-        assert_eq!(
-            h.cols(),
-            self.cfg.n_hidden,
-            "hidden dimensionality mismatch"
-        );
-        ctx.gemm(1.0, h, false, self.w.view(), false, 0.0, out);
-        ctx.bias_sigmoid_rows(&self.b_vis, out);
-    }
-
     /// One CD-k update on a batch `v0` (`b x n_visible`, values in `[0, 1]`).
     ///
     /// The step is the Fig. 6 dependency graph run in declaration order —
@@ -204,7 +180,8 @@ impl Rbm {
     }
 
     /// Mean per-example squared one-step reconstruction error without
-    /// updating parameters, outside the step graph.
+    /// updating parameters: `H1`, `V2` and `RE`, which open the PCD step,
+    /// built at the batch's rows over the model borrowed shared.
     ///
     /// `v0` has at most `scratch`'s capacity in rows.
     pub fn reconstruction_error(
@@ -213,13 +190,14 @@ impl Rbm {
         v0: MatView<'_>,
         scratch: &mut RbmScratch,
     ) -> f64 {
-        let b = v0.rows();
+        let (b, v, h) = (v0.rows(), self.cfg.n_visible, self.cfg.n_hidden);
         assert!(b <= scratch.max_batch, "batch exceeds scratch capacity");
-        let mut h0 = Mat::zeros(b, self.cfg.n_hidden);
-        let mut v1 = Mat::zeros(b, self.cfg.n_visible);
-        self.prop_up(ctx, v0, &mut h0.view_mut());
-        self.prop_down(ctx, h0.view(), &mut v1.view_mut());
-        ctx.frob_dist_sq(v1.view(), v0) / b as f64
+        assert_eq!(v0.cols(), v, "visible dimensionality mismatch");
+        let mut kept = KeptGraph(None);
+        let (g, ws) = kept.prepare(b, || forward_graph(v, h, b));
+        let mut state = CdState::new(NetRef::Shared(self), ws, &mut scratch.pcd_chain, v0, 0.0);
+        g.run_serial(ctx, &mut state);
+        state.recon_err
     }
 }
 
@@ -249,16 +227,36 @@ mod tests {
 
     #[test]
     fn prop_up_down_ranges() {
+        // `H1` and `V2` of the forward graph leave probabilities.
         let cfg = RbmConfig::new(12, 6);
         let rbm = Rbm::new(cfg, 1);
         let ctx = ExecCtx::native(OptLevel::Improved, 0);
         let v = patterned_batch(5, 12, 2);
-        let mut h = Mat::zeros(5, 6);
-        rbm.prop_up(&ctx, v.view(), &mut h.view_mut());
-        assert!(h.as_slice().iter().all(|&p| (0.0..=1.0).contains(&p)));
-        let mut v2 = Mat::zeros(5, 12);
-        rbm.prop_down(&ctx, h.view(), &mut v2.view_mut());
-        assert!(v2.as_slice().iter().all(|&p| (0.0..=1.0).contains(&p)));
+        let (mut kept, mut chain) = (KeptGraph(None), Mat::zeros(0, 12));
+        let (g, ws) = kept.prepare(5, || forward_graph(12, 6, 5));
+        let rbm = NetRef::Shared(&rbm);
+        g.run_serial(&ctx, &mut CdState::new(rbm, ws, &mut chain, v.view(), 0.0));
+        for name in ["h0_prob", "v1_prob"] {
+            let probs = kept.buf(name);
+            assert!(probs.iter().all(|p| (0.0..=1.0).contains(p)), "{name}");
+        }
+    }
+
+    #[test]
+    fn forward_pass_reconstruction_error_is_pcds_bitwise() {
+        // The error `pcd_step` reports is measured before its update, on
+        // the parameters the forward graph reads; a ragged batch included.
+        let cfg = RbmConfig::new(12, 7);
+        let mut rbm = Rbm::new(cfg, 8);
+        let ctx = ExecCtx::native(OptLevel::Improved, 9);
+        let v = patterned_batch(10, 12, 10);
+        let mut scratch = RbmScratch::new(&cfg, 10);
+        for (lo, hi) in [(0, 10), (0, 10), (3, 9)] {
+            let rows = v.rows_range(lo, hi);
+            let err = rbm.reconstruction_error(&ctx, rows, &mut scratch);
+            let step = rbm.pcd_step(&ctx, rows, &mut scratch, 0.1);
+            assert_eq!(err.to_bits(), step.to_bits(), "rows {lo}..{hi}");
+        }
     }
 
     #[test]

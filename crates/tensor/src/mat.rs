@@ -60,6 +60,16 @@ impl Mat {
         })
     }
 
+    /// The same elements, moved without a copy, as a `rows x cols` matrix;
+    /// fails if the element count differs.
+    pub fn reshape(self, rows: usize, cols: usize) -> Result<Self, ShapeError> {
+        if rows * cols != self.len() {
+            let len = self.len();
+            return Err(ShapeError::DataLen { rows, cols, len });
+        }
+        Ok(Mat { rows, cols, ..self })
+    }
+
     /// Identity matrix of order `n`.
     pub fn eye(n: usize) -> Self {
         Self::from_fn(n, n, |r, c| if r == c { 1.0 } else { 0.0 })
@@ -303,6 +313,16 @@ mod tests {
     fn from_vec_checks_len() {
         assert!(Mat::from_vec(2, 2, vec![1.0; 4]).is_ok());
         assert!(Mat::from_vec(2, 2, vec![1.0; 5]).is_err());
+    }
+
+    #[test]
+    fn reshape_keeps_the_storage() {
+        let m = Mat::from_fn(1, 6, |_, c| c as f32);
+        assert!(m.clone().reshape(4, 2).is_err());
+        let ptr = m.as_slice().as_ptr();
+        let r = m.reshape(2, 3).unwrap();
+        assert_eq!((r.shape(), r.row(1)), ((2, 3), &[3.0, 4.0, 5.0][..]));
+        assert_eq!(r.as_slice().as_ptr(), ptr);
     }
 
     #[test]

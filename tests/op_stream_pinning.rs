@@ -95,6 +95,50 @@ fn ae_steps_charge_their_graphs_declared_streams() {
     }
 }
 
+#[test]
+fn forward_passes_charge_the_hand_written_streams() {
+    // `encode` and both `reconstruction_error`s run step nodes over the
+    // model borrowed shared; each charges what its hand-written body did:
+    // `encode` gemm(b, h, v) then bias_sigmoid(b·h), and a reconstruction
+    // error adds gemm(b, v, h), bias_sigmoid(b·v) and reduce(b, v).
+    for lvl in all_levels() {
+        let be = lvl.backend();
+        for (v, h, cap, b) in [(32usize, 16usize, 10usize, 10usize), (17, 23, 9, 7)] {
+            let encode = vec![be.gemm_cost(b, h, v), be.bias_sigmoid_cost(b * h)];
+            let mut recon = encode.clone();
+            recon.extend([
+                be.gemm_cost(b, v, h),
+                be.bias_sigmoid_cost(b * v),
+                be.reduce_cost(b, v),
+            ]);
+            let what = format!("{lvl:?} {v}x{h} cap {cap} rows {b}");
+            let (ctx, x) = (verifying(lvl), batch(b, v, 4));
+
+            let cfg = AeConfig::new(v, h);
+            let mut ae = SparseAutoencoder::new(cfg, 1);
+            ctx.start_recording();
+            ae.encode(&ctx, x.view());
+            assert_eq!(ctx.stop_recording(), encode, "{what} encode");
+            // A fresh scratch prepares the gradient-only graph; after a step
+            // it keeps the SGD graph.
+            let mut scratch = AeScratch::new(&cfg, cap);
+            for kept in ["gradient-only", "SGD"] {
+                ctx.start_recording();
+                ae.reconstruction_error(&ctx, x.view(), &mut scratch);
+                assert_eq!(ctx.stop_recording(), recon, "{what} AE on the {kept} graph");
+                ae.train_batch(&ctx, x.view(), &mut scratch, 0.1);
+            }
+
+            let cfg = RbmConfig::new(v, h);
+            let mut scratch = RbmScratch::new(&cfg, cap);
+            ctx.start_recording();
+            let x = binary_batch(b, v, 5);
+            Rbm::new(cfg, 1).reconstruction_error(&ctx, x.view(), &mut scratch);
+            assert_eq!(ctx.stop_recording(), recon, "{what} RBM");
+        }
+    }
+}
+
 /// The CD geometries pinned below: equal capacity and rows, and a ragged
 /// batch of a larger scratch.
 const CD_SHAPES: [(usize, usize, usize, usize); 3] =
